@@ -307,7 +307,7 @@ func (e *Engine) Search(q string) []Result { return e.broker.Search(q) }
 // telemetry (obs.With), the evaluation is traced as a query.exec span
 // and its latency lands in the metrics registry.
 func (e *Engine) SearchCtx(ctx context.Context, q string) []Result {
-	return e.broker.SearchCtx(ctx, q)
+	return e.broker.SearchTopKCtx(ctx, q, 0)
 }
 
 // SearchTopK returns at most k results, evaluated with the bounded-heap
@@ -437,7 +437,12 @@ func IsWatchURL(u string) bool { return strings.Contains(u, "/watch?v=") }
 
 // TopKResults truncates a result list to its k best entries (results are
 // already sorted by Search).
-func TopKResults(rs []Result, k int) []Result { return query.TopK(rs, k) }
+func TopKResults(rs []Result, k int) []Result {
+	if k <= 0 || k >= len(rs) {
+		return rs
+	}
+	return rs[:k]
+}
 
 // NewEngineFromGraphsLimited is NewEngineFromGraphs with a per-page state
 // limit: only the first maxStates states of each application model are
@@ -474,7 +479,7 @@ type ResultWithSnippet = query.ResultWithSnippet
 // SearchWithSnippets returns at most k results, each with a KWIC-style
 // snippet of the matching application state (query terms bracketed).
 func (e *Engine) SearchWithSnippets(q string, k int) []ResultWithSnippet {
-	results := query.TopK(e.broker.Search(q), k)
+	results := e.broker.SearchTopK(q, k)
 	return query.AttachSnippets(results, func(url string, state int) string {
 		g := e.graphs[url]
 		if g == nil {

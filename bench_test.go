@@ -218,7 +218,7 @@ func BenchmarkQueryAJAXIndex(b *testing.B) { benchQueries(b, 0) }
 
 func benchQueries(b *testing.B, maxStates int) {
 	graphs := benchGraphs(b, core.Options{UseHotNode: true})
-	eng := query.NewEngine(index.Build(graphs, nil, maxStates))
+	eng := query.NewBroker([]*index.Index{index.Build(graphs, nil, maxStates)})
 	qs := webapp.Queries()[:11]
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -258,7 +258,7 @@ func BenchmarkRecallSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var counts [12][]int
 		for k := 1; k <= 11; k += 5 {
-			eng := query.NewEngine(index.Build(graphs, nil, k))
+			eng := query.NewBroker([]*index.Index{index.Build(graphs, nil, k)})
 			counts[k] = make([]int, len(qs))
 			for qi, q := range qs {
 				counts[k][qi] = len(eng.Search(q))

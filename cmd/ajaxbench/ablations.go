@@ -234,16 +234,14 @@ func ablateIDF(e *env) error {
 	if cut == 0 {
 		cut = 1
 	}
-	shardA := index.Build(graphs[:cut], nil, 0)
-	shardB := index.Build(graphs[cut:], nil, 0)
-	single := query.NewEngine(index.Build(graphs, nil, 0))
-	global := &query.Broker{Shards: []*index.Index{shardA, shardB}, W: query.DefaultWeights}
-	local := &query.Broker{Shards: []*index.Index{shardA, shardB}, W: query.DefaultWeights, LocalIDF: true}
+	shards := []*index.Index{index.Build(graphs[:cut], nil, 0), index.Build(graphs[cut:], nil, 0)}
+	single := query.NewBroker([]*index.Index{index.Build(graphs, nil, 0)})
+	global := query.NewBroker(shards)
 
 	queries := webapp.Queries()
 	globalDiff, localDiff, evaluated := 0, 0, 0
 	for _, q := range queries {
-		want := single.Search(q)
+		want := single.SearchTopK(q, 1)
 		if len(want) == 0 {
 			continue
 		}
@@ -251,10 +249,10 @@ func ablateIDF(e *env) error {
 		sameTop := func(rs []query.Result) bool {
 			return len(rs) > 0 && rs[0].URL == want[0].URL && rs[0].State == want[0].State
 		}
-		if !sameTop(global.Search(q)) {
+		if !sameTop(global.SearchTopK(q, 1)) {
 			globalDiff++
 		}
-		if !sameTop(local.Search(q)) {
+		if !sameTop(localIDFTop(shards, q)) {
 			localDiff++
 		}
 	}
@@ -262,6 +260,20 @@ func ablateIDF(e *env) error {
 	fmt.Fprintf(e.out, "top-1 divergence vs single index: global idf %d, local idf %d\n", globalDiff, localDiff)
 	fmt.Fprintln(e.out, "(global-idf correction should show zero divergence)")
 	return nil
+}
+
+// localIDFTop is the ablated merge: every shard ranks alone, with its
+// own df and N instead of the global ones, and the best of the per-shard
+// tops wins (nil when no shard matches; the earlier shard wins a tie).
+func localIDFTop(shards []*index.Index, q string) []query.Result {
+	var top []query.Result
+	for _, shard := range shards {
+		rs := query.NewBroker([]*index.Index{shard}).SearchTopK(q, 1)
+		if len(rs) > 0 && (top == nil || rs[0].Score > top[0].Score) {
+			top = rs
+		}
+	}
+	return top
 }
 
 // ablateCompress compares the gob and the delta/varint-compressed index

@@ -52,7 +52,7 @@ func buildIndexes(graphs []*model.Graph) (trad, ajax *index.Index) {
 
 // timeQueries runs each query `reps` times on the engine and returns
 // per-query mean times and result counts.
-func timeQueries(eng *query.Engine, queries []string, reps int) (times []time.Duration, counts []int) {
+func timeQueries(eng *query.Broker, queries []string, reps int) (times []time.Duration, counts []int) {
 	times = make([]time.Duration, len(queries))
 	counts = make([]int, len(queries))
 	for i, q := range queries {
@@ -77,8 +77,8 @@ func expT75(e *env) error {
 	tradIx, ajaxIx := buildIndexes(graphs)
 	queries := webapp.Queries()[:11]
 	const reps = 50
-	tradT, tradC := timeQueries(query.NewEngine(tradIx), queries, reps)
-	ajaxT, ajaxC := timeQueries(query.NewEngine(ajaxIx), queries, reps)
+	tradT, tradC := timeQueries(query.NewBroker([]*index.Index{tradIx}), queries, reps)
+	ajaxT, ajaxC := timeQueries(query.NewBroker([]*index.Index{ajaxIx}), queries, reps)
 
 	fmt.Fprintf(e.out, "%-5s %-16s %14s %14s %8s %8s\n", "ID", "Query", "Trad (µs)", "AJAX (µs)", "Trad#", "AJAX#")
 	for i, q := range queries {
@@ -100,8 +100,8 @@ func expF79(e *env) error {
 	tradIx, ajaxIx := buildIndexes(graphs)
 	queries := webapp.Queries()[:11]
 	const reps = 50
-	tradT, tradC := timeQueries(query.NewEngine(tradIx), queries, reps)
-	ajaxT, ajaxC := timeQueries(query.NewEngine(ajaxIx), queries, reps)
+	tradT, tradC := timeQueries(query.NewBroker([]*index.Index{tradIx}), queries, reps)
+	ajaxT, ajaxC := timeQueries(query.NewBroker([]*index.Index{ajaxIx}), queries, reps)
 
 	fmt.Fprintf(e.out, "%-5s %-16s %16s %16s %8s %8s\n", "ID", "Query", "Trad (q/s)", "AJAX (q/s)", "Trad#", "AJAX#")
 	for i, q := range queries {
@@ -130,7 +130,7 @@ func statesSeries(e *env) (limits []int, results []int, times []time.Duration, e
 	const reps = 30
 	for k := 1; k <= 11; k++ {
 		ix := index.Build(graphs, nil, k)
-		eng := query.NewEngine(ix)
+		eng := query.NewBroker([]*index.Index{ix})
 		total := 0
 		for _, q := range queries {
 			total += len(eng.Search(q))
@@ -195,7 +195,7 @@ func expF711(e *env) error {
 	// Result counts per query per limit.
 	counts := make([][]int, 12) // counts[k][qi], k in 1..11
 	for k := 1; k <= 11; k++ {
-		eng := query.NewEngine(index.Build(graphs, nil, k))
+		eng := query.NewBroker([]*index.Index{index.Build(graphs, nil, k)})
 		counts[k] = make([]int, len(queries))
 		for qi, q := range queries {
 			counts[k][qi] = len(eng.Search(q))

@@ -100,8 +100,7 @@ func main() {
 		printStats(ix)
 	}
 	if *q != "" {
-		eng := query.NewEngine(ix)
-		results := eng.SearchTopKCtx(ctx, *q, *k)
+		results := query.NewBroker([]*index.Index{ix}).SearchTopKCtx(ctx, *q, *k)
 		if len(results) == 0 {
 			fmt.Printf("no results for %q\n", *q)
 		} else {

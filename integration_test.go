@@ -104,11 +104,11 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 	}
 
 	// All four index instances must answer the workload identically.
-	engines := map[string]*query.Engine{
-		"live":       query.NewEngine(index.Build(liveGraphs, reloadedPre.PageRank, 0)),
-		"reloaded":   query.NewEngine(ix),
-		"gob":        query.NewEngine(fromGob),
-		"compressed": query.NewEngine(fromBin),
+	engines := map[string]*query.Broker{
+		"live":       query.NewBroker([]*index.Index{index.Build(liveGraphs, reloadedPre.PageRank, 0)}),
+		"reloaded":   query.NewBroker([]*index.Index{ix}),
+		"gob":        query.NewBroker([]*index.Index{fromGob}),
+		"compressed": query.NewBroker([]*index.Index{fromBin}),
 	}
 	for _, q := range webapp.Queries()[:20] {
 		want := engines["live"].Search(q)

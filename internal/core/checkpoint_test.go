@@ -399,7 +399,7 @@ func TestPartitionPanicRecovered(t *testing.T) {
 // TestWatchdogRestartsStuckPartition wedges a partition's first attempt
 // (a fetch that advances the virtual clock past StuckTimeout and then
 // blocks forever) and checks the watchdog cancels it with
-// ErrPartitionStuck and the supervisor's restart completes the crawl.
+// ErrLineStuck and the supervisor's restart completes the crawl.
 func TestWatchdogRestartsStuckPartition(t *testing.T) {
 	site, _ := newSiteFetcher(4, 7)
 	var urls []string
@@ -450,7 +450,7 @@ func TestWatchdogRestartsStuckPartition(t *testing.T) {
 }
 
 // TestWatchdogReportsStuckWithoutRestarts pins the error shape: with no
-// restart budget a wedged partition surfaces ErrPartitionStuck, so an
+// restart budget a wedged partition surfaces ErrLineStuck, so an
 // operator can tell a hung partition from a Ctrl-C.
 func TestWatchdogReportsStuckWithoutRestarts(t *testing.T) {
 	site, _ := newSiteFetcher(4, 7)
@@ -473,7 +473,7 @@ func TestWatchdogReportsStuckWithoutRestarts(t *testing.T) {
 		Clock:        clock,
 	}
 	res := mp.Run(context.Background())
-	if !errors.Is(res.Errors[0], ErrPartitionStuck) {
-		t.Fatalf("Errors[0] = %v, want ErrPartitionStuck", res.Errors[0])
+	if !errors.Is(res.Errors[0], ErrLineStuck) {
+		t.Fatalf("Errors[0] = %v, want ErrLineStuck", res.Errors[0])
 	}
 }

@@ -99,12 +99,6 @@ type MPCrawler struct {
 // watchdog: no page completed within StuckTimeout.
 var ErrLineStuck = errors.New("core: process line stuck: no page completed within the watchdog timeout")
 
-// ErrPartitionStuck is the pre-frontier name of ErrLineStuck, kept so
-// errors.Is checks from the static-partition era keep matching.
-//
-// Deprecated: use ErrLineStuck.
-var ErrPartitionStuck = ErrLineStuck
-
 // PartitionResult is one completed partition, as emitted by Stream
 // while other pages are still crawling. Pages of one partition may have
 // been crawled by several process lines; the result is assembled in the

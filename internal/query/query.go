@@ -9,7 +9,7 @@ package query
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -162,48 +162,19 @@ func tf(p index.Posting, stateLen int32) float64 {
 	return float64(p.TF()) / float64(stateLen)
 }
 
-// Engine evaluates queries over a single index with formula 5.3.
-type Engine struct {
-	Idx *index.Index
-	W   Weights
-}
-
-// NewEngine returns a query engine with default weights.
-func NewEngine(ix *index.Index) *Engine {
-	return &Engine{Idx: ix, W: DefaultWeights}
-}
-
-// Search evaluates a (conjunctive) keyword query and returns results
-// sorted by descending score.
-func (e *Engine) Search(q string) []Result {
-	return e.SearchCtx(context.Background(), q)
-}
-
-// SearchCtx is Search under a context: when the context carries
-// telemetry, the evaluation is wrapped in a query.exec span and its
-// latency and candidate count land in the registry.
-func (e *Engine) SearchCtx(ctx context.Context, q string) []Result {
-	b := &Broker{Shards: []*index.Index{e.Idx}, W: e.W}
-	return b.SearchCtx(ctx, q)
-}
-
-// partial is a shard-local result before the global tf·idf component is
-// added (Figure 6.4, step 1 input).
-type partial struct {
-	url   string
-	state model.StateID
-	base  float64   // w1·PR + w2·A + w4·T
-	tfs   []float64 // per query term
-}
-
-// shardSearch evaluates the query on one shard, returning partial scores
-// and the shard's local df counts.
-func shardSearch(ix *index.Index, terms []string, w Weights) (results []partial, dfs []int) {
-	dfs = make([]int, len(terms))
+// shardSearch evaluates the query on one shard and adds the shard's half
+// of Figure 6.4 to res: its pre-idf candidates, its local df counts and
+// its state count.
+func shardSearch(ix *index.Index, terms []string, w Weights, res *ShardResult) {
 	for i, t := range terms {
-		dfs[i] = ix.DF(t)
+		res.DF[i] += ix.DF(t)
 	}
-	for _, m := range conjunction(ix, terms) {
+	res.TotalStates += ix.TotalStates
+	matches := conjunction(ix, terms)
+	// The candidate list is the largest per-query allocation: size it
+	// once per shard instead of letting append double its way there.
+	res.Candidates = slices.Grow(res.Candidates, len(matches))
+	for _, m := range matches {
 		doc := ix.Doc(m.doc)
 		stateLen := int32(0)
 		ajaxRank := 0.0
@@ -211,32 +182,25 @@ func shardSearch(ix *index.Index, terms []string, w Weights) (results []partial,
 			stateLen = doc.StateLens[m.state]
 			ajaxRank = doc.AJAXRanks[m.state]
 		}
-		p := partial{
-			url:   doc.URL,
-			state: m.state,
-			base:  w.PageRank*doc.PageRank + w.AJAXRank*ajaxRank + w.Proximity*proximity(m.postings),
-			tfs:   make([]float64, len(terms)),
+		c := ShardCandidate{
+			URL:   doc.URL,
+			State: int(m.state),
+			Base:  w.PageRank*doc.PageRank + w.AJAXRank*ajaxRank + w.Proximity*proximity(m.postings),
+			TFs:   make([]float64, len(terms)),
 		}
 		for i, post := range m.postings {
-			p.tfs[i] = tf(post, stateLen)
+			c.TFs[i] = tf(post, stateLen)
 		}
-		results = append(results, p)
+		res.Candidates = append(res.Candidates, c)
 	}
-	return results, dfs
 }
 
-// Broker ships a query to every shard, merges the result sets, computes
-// the global idf from the shards' local counts (eq. 6.1), adds the
-// weighted tf·idf component, and re-sorts — the two-step merge of
-// Figure 6.4.
+// Broker ships a query to every shard and folds the shards' candidates
+// into one ranking with the global idf of eq. 6.1 — the two-step merge
+// of Figure 6.4, in process. A single index is the one-shard case.
 type Broker struct {
 	Shards []*index.Index
 	W      Weights
-	// LocalIDF disables the global idf correction: each shard scores
-	// tf·idf with its own local counts. This is the ablation knob for
-	// the design choice of §6.5.2 — with it on, rankings from sharded
-	// indexes can diverge from the single-index ranking.
-	LocalIDF bool
 }
 
 // NewBroker returns a broker with default weights.
@@ -244,108 +208,61 @@ func NewBroker(shards []*index.Index) *Broker {
 	return &Broker{Shards: shards, W: DefaultWeights}
 }
 
-// Search evaluates the query across all shards.
+// candidates is the produce half of Figure 6.4: every shard's pre-idf
+// candidates (in shard, then (doc, state) order) with the df vector and
+// state count summed over the broker's shards. The vectors are non-nil
+// even for an empty query, so the result marshals predictably.
+func (b *Broker) candidates(terms []string) *ShardResult {
+	res := &ShardResult{
+		Terms:      terms,
+		DF:         make([]int, len(terms)),
+		Candidates: make([]ShardCandidate, 0),
+	}
+	if len(terms) > 0 {
+		for _, shard := range b.Shards {
+			shardSearch(shard, terms, b.W, res)
+		}
+	}
+	return res
+}
+
+// Search evaluates the query across all shards and returns every result
+// in rank order.
 func (b *Broker) Search(q string) []Result {
-	return b.SearchCtx(context.Background(), q)
+	return b.SearchTopK(q, 0)
 }
 
-// SearchCtx is Search under a context (see Engine.SearchCtx).
-func (b *Broker) SearchCtx(ctx context.Context, q string) []Result {
-	out, _ := instrumentQuery(ctx, q, func() ([]Result, int) {
-		return b.search(q)
-	})
-	return out
+// SearchTopK returns the k best results in rank order (all of them when
+// k <= 0): exactly the first k of Search, tie-breaking included, without
+// sorting the rest.
+func (b *Broker) SearchTopK(q string, k int) []Result {
+	return b.SearchTopKCtx(context.Background(), q, k)
 }
 
-// instrumentQuery wraps one query evaluation in the query.exec span and
-// registry metrics. It is shared by Search and SearchTopK; with no
-// telemetry on the context it costs one Value lookup.
-func instrumentQuery(ctx context.Context, q string, eval func() ([]Result, int)) ([]Result, int) {
+// SearchTopKCtx is SearchTopK under a context: when the context carries
+// telemetry, the evaluation is wrapped in a query.exec span and its
+// latency and candidate count land in the registry.
+func (b *Broker) SearchTopKCtx(ctx context.Context, q string, k int) []Result {
 	tel := obs.From(ctx)
 	_, sp := obs.StartSpan(ctx, obs.SpanQueryExec, obs.A("q", q))
 	start := time.Now()
-	out, candidates := eval()
+
+	terms := Parse(q)
+	res := b.candidates(terms)
+	var out []Result
+	if ranked := Fold(terms, b.W, []*ShardResult{res}, k); len(ranked) > 0 {
+		out = make([]Result, len(ranked))
+		for i, r := range ranked {
+			out[i] = r.Result
+		}
+	}
+
 	tel.Counter("query.count").Inc()
-	tel.Counter("query.candidates").Add(int64(candidates))
+	tel.Counter("query.candidates").Add(int64(len(res.Candidates)))
 	tel.Histogram("query.latency").Observe(time.Since(start).Seconds())
 	sp.SetAttr("results", strconv.Itoa(len(out)))
 	sp.End(nil)
-	return out, candidates
-}
-
-// search is the uninstrumented evaluation; the int is the number of
-// candidate (URL, state) matches examined before ranking.
-func (b *Broker) search(q string) ([]Result, int) {
-	terms := Parse(q)
-	if len(terms) == 0 {
-		return nil, 0
-	}
-	// Query shipping: evaluate on each shard, collect local counts.
-	var partials []partial
-	globalDF := make([]int, len(terms))
-	totalStates := 0
-	for _, shard := range b.Shards {
-		ps, dfs := shardSearch(shard, terms, b.W)
-		if b.LocalIDF {
-			// Ablation: fold tf·idf in per shard with local counts.
-			for i := range ps {
-				for t := range terms {
-					if dfs[t] > 0 && shard.TotalStates > 0 {
-						ps[i].base += b.W.TFIDF * ps[i].tfs[t] *
-							math.Log(float64(shard.TotalStates)/float64(dfs[t]))
-					}
-				}
-				ps[i].tfs = nil
-			}
-		}
-		partials = append(partials, ps...)
-		for i, df := range dfs {
-			globalDF[i] += df
-		}
-		totalStates += shard.TotalStates
-	}
-	// Global idf (eq. 6.1): log of total states over total containing
-	// states, summed across shards.
-	idf := make([]float64, len(terms))
-	for i, df := range globalDF {
-		if df == 0 || totalStates == 0 {
-			idf[i] = 0
-			continue
-		}
-		idf[i] = math.Log(float64(totalStates) / float64(df))
-	}
-	if len(partials) == 0 {
-		return nil, 0
-	}
-	// Step 1: add the tf·idf component. Step 2: sort by rank.
-	out := make([]Result, len(partials))
-	for i, p := range partials {
-		score := p.base
-		if !b.LocalIDF {
-			for t := range terms {
-				score += b.W.TFIDF * p.tfs[t] * idf[t]
-			}
-		}
-		out[i] = Result{URL: p.url, State: p.state, Score: score}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].URL != out[j].URL {
-			return out[i].URL < out[j].URL
-		}
-		return out[i].State < out[j].State
-	})
-	return out, len(partials)
-}
-
-// TopK truncates a result list to its k best entries.
-func TopK(rs []Result, k int) []Result {
-	if k <= 0 || k >= len(rs) {
-		return rs
-	}
-	return rs[:k]
+	return out
 }
 
 // QueryString normalizes a query for display.

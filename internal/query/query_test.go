@@ -39,6 +39,9 @@ func buildIndex(pages map[string][]string, pr map[string]float64) *index.Index {
 	return index.Build(graphs, pr, 0)
 }
 
+// oneShard is the single-index engine: the N=1 broker.
+func oneShard(ix *index.Index) *Broker { return NewBroker([]*index.Index{ix}) }
+
 // thesisIndex is the Morcheeba running example (§1.1, Table 5.1).
 func thesisIndex() *index.Index {
 	return buildIndex(map[string][]string{
@@ -56,7 +59,7 @@ func thesisIndex() *index.Index {
 }
 
 func TestSimpleKeywordQuery(t *testing.T) {
-	e := NewEngine(thesisIndex())
+	e := oneShard(thesisIndex())
 	rs := e.Search("morcheeba")
 	if len(rs) != 3 {
 		t.Fatalf("morcheeba results = %d, want 3 states", len(rs))
@@ -78,7 +81,7 @@ func TestSimpleKeywordQuery(t *testing.T) {
 }
 
 func TestQueryNoResults(t *testing.T) {
-	e := NewEngine(thesisIndex())
+	e := oneShard(thesisIndex())
 	if rs := e.Search("zebra"); rs != nil {
 		t.Fatalf("absent term should return nil, got %v", rs)
 	}
@@ -94,7 +97,7 @@ func TestQueryNoResults(t *testing.T) {
 // mysterious video" must hit only url1 state 0, where all three terms
 // co-occur.
 func TestConjunctionQ2(t *testing.T) {
-	e := NewEngine(thesisIndex())
+	e := oneShard(thesisIndex())
 	rs := e.Search("morcheeba mysterious video")
 	if len(rs) != 1 || rs[0].URL != "url1" || rs[0].State != 0 {
 		t.Fatalf("Q2 results = %v", rs)
@@ -105,7 +108,7 @@ func TestConjunctionQ2(t *testing.T) {
 // co-occur in url1's second state (the second comment page) — the tuple
 // <URL1, s2> of Figure 5.2.
 func TestConjunctionQ3(t *testing.T) {
-	e := NewEngine(thesisIndex())
+	e := oneShard(thesisIndex())
 	rs := e.Search("morcheeba singer")
 	if len(rs) != 1 || rs[0].URL != "url1" || rs[0].State != 1 {
 		t.Fatalf("Q3 results = %v", rs)
@@ -117,7 +120,7 @@ func TestConjunctionEliminatesIncompatibleStates(t *testing.T) {
 	ix := buildIndex(map[string][]string{
 		"u": {"alpha only here", "beta only here"},
 	}, nil)
-	e := NewEngine(ix)
+	e := oneShard(ix)
 	if rs := e.Search("alpha beta"); len(rs) != 0 {
 		t.Fatalf("cross-state conjunction must not match: %v", rs)
 	}
@@ -128,7 +131,7 @@ func TestTFInfluencesRanking(t *testing.T) {
 		"many": {"term term term term filler"},
 		"one":  {"term filler filler filler filler"},
 	}, nil)
-	e := NewEngine(ix)
+	e := oneShard(ix)
 	rs := e.Search("term")
 	if len(rs) != 2 || rs[0].URL != "many" {
 		t.Fatalf("higher-tf state must rank first: %v", rs)
@@ -140,7 +143,7 @@ func TestPageRankInfluencesRanking(t *testing.T) {
 		"popular": {"keyword same text"},
 		"obscure": {"keyword same text"},
 	}, map[string]float64{"popular": 0.9, "obscure": 0.1})
-	e := NewEngine(ix)
+	e := oneShard(ix)
 	rs := e.Search("keyword")
 	if len(rs) != 2 || rs[0].URL != "popular" {
 		t.Fatalf("PageRank must break the tie: %v", rs)
@@ -151,7 +154,7 @@ func TestAJAXRankPrefersShallowStates(t *testing.T) {
 	ix := buildIndex(map[string][]string{
 		"u": {"keyword filler one", "keyword filler two"},
 	}, nil)
-	e := NewEngine(ix)
+	e := oneShard(ix)
 	rs := e.Search("keyword")
 	if len(rs) != 2 || rs[0].State != 0 {
 		t.Fatalf("shallower state must rank first: %v", rs)
@@ -163,7 +166,7 @@ func TestProximityRewardsAdjacency(t *testing.T) {
 		"adjacent": {"alpha beta and much more filler text here"},
 		"spread":   {"alpha filler filler filler filler filler beta x"},
 	}, nil)
-	e := NewEngine(ix)
+	e := oneShard(ix)
 	rs := e.Search("alpha beta")
 	if len(rs) != 2 || rs[0].URL != "adjacent" {
 		t.Fatalf("adjacent phrase must rank first: %v", rs)
@@ -203,7 +206,7 @@ func TestIDFDownweightsCommonTerms(t *testing.T) {
 		"a": {"common rare", "common filler"},
 		"b": {"common filler"},
 	}, nil)
-	e := NewEngine(ix)
+	e := oneShard(ix)
 	rare := e.Search("rare")
 	common := e.Search("common")
 	if len(rare) != 1 || len(common) != 3 {
@@ -238,7 +241,7 @@ func TestBrokerMatchesSingleIndex(t *testing.T) {
 	for k, v := range pagesB {
 		merged[k] = v
 	}
-	single := NewEngine(buildIndex(merged, pr))
+	single := oneShard(buildIndex(merged, pr))
 	broker := NewBroker([]*index.Index{buildIndex(pagesA, pr), buildIndex(pagesB, pr)})
 
 	for _, q := range []string{"morcheeba", "morcheeba singer", "cats", "filler text", "absent"} {
@@ -265,17 +268,12 @@ func TestBrokerEmptyShards(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	rs := []Result{{Score: 3}, {Score: 2}, {Score: 1}}
-	if got := TopK(rs, 2); len(got) != 2 || got[0].Score != 3 {
-		t.Fatalf("TopK = %v", got)
+// topK truncates a ranked list to its first k entries (all when k <= 0).
+func topK(rs []Result, k int) []Result {
+	if k <= 0 || k >= len(rs) {
+		return rs
 	}
-	if got := TopK(rs, 0); len(got) != 3 {
-		t.Fatalf("TopK(0) should return all")
-	}
-	if got := TopK(rs, 10); len(got) != 3 {
-		t.Fatalf("TopK beyond len should return all")
-	}
+	return rs[:k]
 }
 
 func TestDeterministicTieBreaks(t *testing.T) {
@@ -283,7 +281,7 @@ func TestDeterministicTieBreaks(t *testing.T) {
 		"b": {"same words here"},
 		"a": {"same words here"},
 	}, nil)
-	e := NewEngine(ix)
+	e := oneShard(ix)
 	r1 := e.Search("same")
 	r2 := e.Search("same")
 	if len(r1) != 2 || r1[0].URL != "a" {
@@ -326,7 +324,7 @@ func TestPropertyConjunctionMatchesNaive(t *testing.T) {
 			pages[string(rune('p'+d))] = sts
 		}
 		ix := buildIndex(pages, nil)
-		e := NewEngine(ix)
+		e := oneShard(ix)
 		rs := e.Search("a b")
 		got := map[string]bool{}
 		for _, r := range rs {
@@ -379,47 +377,6 @@ func itoa(n int) string {
 	return s
 }
 
-// TestLocalIDFAblation checks the ablation knob: with LocalIDF on and an
-// unbalanced shard split, scores diverge from the single-index scores for
-// at least one query, while the global-idf broker always agrees.
-func TestLocalIDFAblation(t *testing.T) {
-	pagesA := map[string][]string{"u1": {"rare word here", "word filler pad"}}
-	pagesB := map[string][]string{
-		"u2": {"word word word common"},
-		"u3": {"word again common"},
-		"u4": {"word and more common words"},
-	}
-	pr := map[string]float64{}
-	merged := map[string][]string{"u1": pagesA["u1"]}
-	for k, v := range pagesB {
-		merged[k] = v
-	}
-	single := NewEngine(buildIndex(merged, pr))
-	shards := []*index.Index{buildIndex(pagesA, pr), buildIndex(pagesB, pr)}
-
-	global := &Broker{Shards: shards, W: DefaultWeights}
-	local := &Broker{Shards: shards, W: DefaultWeights, LocalIDF: true}
-
-	diverged := false
-	for _, q := range []string{"rare", "word", "common"} {
-		sr, gr, lr := single.Search(q), global.Search(q), local.Search(q)
-		if len(sr) != len(gr) || len(sr) != len(lr) {
-			t.Fatalf("q=%q result counts differ: %d %d %d", q, len(sr), len(gr), len(lr))
-		}
-		for i := range sr {
-			if math.Abs(sr[i].Score-gr[i].Score) > 1e-12 {
-				t.Fatalf("global-idf broker diverged on %q", q)
-			}
-			if math.Abs(sr[i].Score-lr[i].Score) > 1e-9 {
-				diverged = true
-			}
-		}
-	}
-	if !diverged {
-		t.Fatalf("local-idf ablation never diverged; knob inert?")
-	}
-}
-
 // TestSearchTopKMatchesSortedSearch pins the heap-based top-k against
 // the reference implementation across k values, queries and tie cases.
 func TestSearchTopKMatchesSortedSearch(t *testing.T) {
@@ -434,11 +391,11 @@ func TestSearchTopKMatchesSortedSearch(t *testing.T) {
 		}
 	}
 	ix := buildIndex(pages, nil)
-	b := NewBroker([]*index.Index{ix})
+	b := oneShard(ix)
 	for _, q := range []string{"target", "shared words", "filler", "absent"} {
 		full := b.Search(q)
 		for _, k := range []int{1, 2, 5, 10, 100} {
-			want := TopK(full, k)
+			want := topK(full, k)
 			got := b.SearchTopK(q, k)
 			if len(got) != len(want) {
 				t.Fatalf("q=%q k=%d: %d results, want %d", q, k, len(got), len(want))
@@ -464,30 +421,26 @@ func TestSearchTopKAcrossShards(t *testing.T) {
 	a := buildIndex(map[string][]string{"s1": {"term alpha", "term beta"}}, nil)
 	bIx := buildIndex(map[string][]string{"s2": {"term gamma", "plain text"}}, nil)
 	broker := NewBroker([]*index.Index{a, bIx})
-	want := TopK(broker.Search("term"), 2)
+	want := topK(broker.Search("term"), 2)
 	got := broker.SearchTopK("term", 2)
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("sharded top-k: %v want %v", got, want)
 	}
 }
 
-func BenchmarkSearchFullSort(b *testing.B) {
-	ix := largeBenchIndex()
-	e := NewEngine(ix)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TopK(e.Search("common"), 10)
-	}
-}
-
-func BenchmarkSearchTopKHeap(b *testing.B) {
-	ix := largeBenchIndex()
-	e := NewEngine(ix)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.SearchTopK("common", 10)
+// BenchmarkFold prices the two selections of the one fold on the same
+// candidates: the full sort (k=0) and the bounded heap (k=10).
+func BenchmarkFold(b *testing.B) {
+	terms := Parse("common")
+	broker := oneShard(largeBenchIndex())
+	res := []*ShardResult{broker.candidates(terms)}
+	for _, k := range []int{0, 10} {
+		b.Run("k="+itoa(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Fold(terms, broker.W, res, k)
+			}
+		})
 	}
 }
 

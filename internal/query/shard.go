@@ -14,10 +14,12 @@ import (
 // to every shard can sum. So a shard returns pre-idf candidates: the
 // idf-independent part of formula 5.3 (w1·PR + w2·A + w4·T) plus the raw
 // per-term tf values, alongside the shard's local df vector and state
-// count. The router folds the tf·idf component in with the globally
-// corrected idf and merges — ending up with exactly the bytes a single
-// process evaluating the union index would have produced (the
-// differential battery in internal/router pins this).
+// count. Whoever holds every shard's response — a Broker in process,
+// the router over HTTP — hands them to Fold, which adds the tf·idf
+// component with the globally corrected idf and ranks; one function, so
+// the sharded fleet produces exactly the bytes a single process
+// evaluating the union index does (the differential battery in
+// internal/router pins this).
 
 // ShardCandidate is one pre-idf candidate of a shard evaluation: the
 // score parts that do not depend on global collection statistics, plus
@@ -77,35 +79,13 @@ func (s *Server) ShardSearch(ctx context.Context, q string) *ShardResult {
 	start := time.Now()
 
 	snap := s.live.Load()
-	terms := Parse(q)
-	res := &ShardResult{
-		Terms:      terms,
-		DF:         make([]int, len(terms)),
-		Gen:        snap.Gen,
-		Docs:       snap.Docs,
-		States:     snap.States,
-		Candidates: make([]ShardCandidate, 0),
-	}
-	if len(terms) > 0 {
-		for _, shard := range snap.Broker.Shards {
-			ps, dfs := shardSearch(shard, terms, snap.Broker.W)
-			for i, df := range dfs {
-				res.DF[i] += df
-			}
-			res.TotalStates += shard.TotalStates
-			for _, p := range ps {
-				c := ShardCandidate{
-					URL:   p.url,
-					State: int(p.state),
-					Base:  p.base,
-					TFs:   p.tfs,
-				}
-				if snap.StateText != nil {
-					if text := snap.StateText(p.url, int(p.state)); text != "" {
-						c.Snippet = Snippet(text, q, snap.SnippetOpts)
-					}
-				}
-				res.Candidates = append(res.Candidates, c)
+	res := snap.Broker.candidates(Parse(q))
+	res.Gen, res.Docs, res.States = snap.Gen, snap.Docs, snap.States
+	if snap.StateText != nil {
+		for i := range res.Candidates {
+			c := &res.Candidates[i]
+			if text := snap.StateText(c.URL, c.State); text != "" {
+				c.Snippet = Snippet(text, q, snap.SnippetOpts)
 			}
 		}
 	}

@@ -81,7 +81,7 @@ func TestAttachSnippets(t *testing.T) {
 	ix := buildIndex(map[string][]string{
 		"u1": {"the target phrase lives here"},
 	}, nil)
-	e := NewEngine(ix)
+	e := oneShard(ix)
 	rs := e.Search("target")
 	texts := map[string]string{"u1#0": "the target phrase lives here"}
 	out := AttachSnippets(rs, func(url string, state int) string {

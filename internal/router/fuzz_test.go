@@ -13,7 +13,7 @@ import (
 // router: a hostile shard body goes through DecodeShardResult (size
 // cap, panic containment), checkShardResult (vector alignment, finite
 // floats), and — when it survives both — a self-merge through
-// mergeCandidates. The invariants: never panic, never emit a duplicate
+// dropDuplicates and query.Fold. The invariants: never panic, never emit a duplicate
 // (URL, state), never emit a non-finite score, always emit the
 // deterministic order, never exceed the input's own candidate count.
 func FuzzRouterMergeResponse(f *testing.F) {
@@ -28,6 +28,7 @@ func FuzzRouterMergeResponse(f *testing.F) {
 	f.Add([]byte(strings.Repeat("[", 100)), "a") // malformed nesting
 	f.Add([]byte(`{"terms":["a"],"df":[1],"total_states":9223372036854775807,`+
 		`"candidates":[{"url":"x","state":2147483647,"base":-1e300,"tfs":[1e300]}]}`), "a")
+	f.Add([]byte(`{"terms":["a"],"df":[1],"total_states":1000,"candidates":[{"url":"x","base":1,"tfs":[1e308]}]}`), "a") // tf outside eq. 5.1's [0,1]: folds to +Inf
 	f.Add([]byte("{"), "a")
 	f.Add([]byte(""), "a")
 
@@ -44,7 +45,7 @@ func FuzzRouterMergeResponse(f *testing.F) {
 		}
 		// The response passed validation: merging it (twice, to force the
 		// dedup path) must uphold every merge invariant.
-		out, dups := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{res, res}, 0)
+		out, dups := merge(terms, []*query.ShardResult{res, res}, 0)
 		if len(out) > len(res.Candidates) {
 			t.Fatalf("self-merge emitted %d results from %d candidates", len(out), len(res.Candidates))
 		}
@@ -74,7 +75,7 @@ func FuzzRouterMergeResponse(f *testing.F) {
 			}
 		}
 		// Truncation must respect k.
-		top, _ := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{res}, 1)
+		top, _ := merge(terms, []*query.ShardResult{res}, 1)
 		if len(top) > 1 {
 			t.Fatalf("k=1 merge returned %d results", len(top))
 		}

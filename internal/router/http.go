@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 
 	"ajaxcrawl/internal/admission"
 	"ajaxcrawl/internal/obs"
-	"ajaxcrawl/internal/query"
 	"ajaxcrawl/internal/serve"
 )
 
@@ -107,40 +105,6 @@ func (s *Server) Handler() http.Handler {
 	return obs.InstrumentHandler(s.tel.Registry(), mux)
 }
 
-// searchResponse mirrors ajaxserve's /search body field-for-field —
-// the two must marshal identically, because the sharded fleet promises
-// byte-identical answers to the single-snapshot server. Fan-out
-// metadata (shard completeness, hedges) rides on headers, never in the
-// body, for the same reason.
-type searchResponse struct {
-	Query   string         `json:"query"`
-	K       int            `json:"k"`
-	Count   int            `json:"count"`
-	Results []searchResult `json:"results"`
-}
-
-type searchResult struct {
-	URL     string  `json:"url"`
-	State   int     `json:"state"`
-	Score   float64 `json:"score"`
-	Snippet string  `json:"snippet,omitempty"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(b, '\n'))
-}
-
 // admit applies the router's load-shedding gate (nil-token when the
 // limiter is disabled; exactly one of Release or Cancel must follow).
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (*admission.Token, bool) {
@@ -152,12 +116,12 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (*admission.Token
 		return tok, true
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "deadline exceeded before routing"})
+		serve.WriteError(w, http.StatusServiceUnavailable, "deadline exceeded before routing")
 		return nil, false
 	}
 	s.tel.Counter("router.shed").Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(s.limiter.RetryAfterSeconds()))
-	writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "router saturated, retry later"})
+	serve.WriteError(w, http.StatusTooManyRequests, "router saturated, retry later")
 	return nil, false
 }
 
@@ -169,16 +133,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// The effective budget is this router's own deadline clamped to
 	// whatever budget an upstream tier already propagated.
 	budget := s.cfg.QueryTimeout
-	if h := r.Header.Get(serve.HeaderBudget); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			if in := time.Duration(ms) * time.Millisecond; budget == 0 || in < budget {
-				budget = in
-			}
-		}
+	if in, ok := serve.BudgetFromRequest(r); ok && (budget == 0 || in < budget) {
+		budget = in
 	}
 	if budget > 0 && budget <= s.rt.cfg.BudgetFloor {
 		tel.Counter("router.budget_rejected").Inc()
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "deadline budget below floor"})
+		serve.WriteError(w, http.StatusServiceUnavailable, "deadline budget below floor")
 		return
 	}
 
@@ -189,7 +149,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
 		tok.Cancel()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing q parameter"})
+		serve.WriteError(w, http.StatusBadRequest, "missing q parameter")
 		return
 	}
 	k := s.cfg.DefaultK
@@ -197,7 +157,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		parsed, err := strconv.Atoi(kv)
 		if err != nil || parsed <= 0 {
 			tok.Cancel()
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "k must be a positive integer"})
+			serve.WriteError(w, http.StatusBadRequest, "k must be a positive integer")
 			return
 		}
 		k = parsed
@@ -228,29 +188,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if m != nil {
 			w.Header().Set(HeaderShards, fmt.Sprintf("%d/%d", m.ShardsOK, m.ShardsTotal))
 		}
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: err.Error()})
+		serve.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	resp := searchResponse{
-		Query:   query.QueryString(query.Parse(q)),
-		K:       k,
-		Count:   len(m.Results),
-		Results: make([]searchResult, 0, len(m.Results)),
-	}
-	for _, r := range m.Results {
-		resp.Results = append(resp.Results, searchResult{
-			URL:     r.URL,
-			State:   int(r.State),
-			Score:   r.Score,
-			Snippet: r.Snippet,
-		})
-	}
+	// Fan-out metadata (shard completeness, hedges) rides on headers,
+	// never in the body: the body is ajaxserve's own, byte for byte.
 	w.Header().Set(serve.HeaderGeneration, strconv.FormatInt(m.Gen, 10))
 	w.Header().Set(serve.HeaderDocs, strconv.Itoa(m.Docs))
 	w.Header().Set(serve.HeaderStates, strconv.Itoa(m.States))
 	w.Header().Set(HeaderShards, fmt.Sprintf("%d/%d", m.ShardsOK, m.ShardsTotal))
 	w.Header().Set(HeaderHedges, strconv.Itoa(m.Hedges))
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteSearch(w, q, k, m.Results)
 }
 
 // healthResponse is the router's /healthz body. Healthy reports the
@@ -278,7 +226,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			status, code = "degraded", http.StatusServiceUnavailable
 		}
 	}
-	writeJSON(w, code, healthResponse{
+	serve.WriteJSON(w, code, healthResponse{
 		Status:   status,
 		Shards:   s.rt.NumShards(),
 		Replicas: reps,

@@ -3,12 +3,13 @@
 // router owns N shard groups, each a set of R interchangeable replicas
 // serving the same index shard. A query fans out to every shard group,
 // each shard returns pre-idf candidates plus its local collection
-// statistics (query.ShardResult), and the router folds in the tf·idf
-// component with the globally corrected idf of eq. 6.1 — summing df and
-// state counts across shards — before merging to one deterministic
-// global top-k (score desc, then URL asc, then state asc; identical to
-// the single-snapshot ranking, which the differential test battery pins
-// byte-for-byte).
+// statistics (query.ShardResult), and the router validates the
+// responses, drops duplicates, and hands them to query.Fold — the same
+// function a single-snapshot Broker ranks with — which sums df and state
+// counts across shards into the globally corrected idf of eq. 6.1 and
+// selects one deterministic global top-k (score desc, then URL asc,
+// then state asc; the differential test battery pins the bytes against
+// the single-snapshot server).
 //
 // Robustness is first-class:
 //
@@ -31,14 +32,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ajaxcrawl/internal/fetch"
-	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
 	"ajaxcrawl/internal/query"
 )
@@ -203,7 +202,8 @@ func (r *Router) Replicas(i int) int { return len(r.groups[i].replicas) }
 
 // Merged is one routed query's answer plus its serving metadata.
 type Merged struct {
-	// Results is the global top-k in rank order.
+	// Results is the global top-k in rank order (nil when nothing
+	// matched).
 	Results []query.ResultWithSnippet
 	// ShardsOK of ShardsTotal shards contributed; ShardsOK <
 	// ShardsTotal marks a partial (degraded) answer.
@@ -244,7 +244,7 @@ func (r *Router) Search(ctx context.Context, q string, k int) (*Merged, error) {
 func (r *Router) search(ctx context.Context, q string, k int, tel *obs.Telemetry) (*Merged, error) {
 	terms := query.Parse(q)
 	n := len(r.groups)
-	merged := &Merged{ShardsTotal: n, Results: make([]query.ResultWithSnippet, 0)}
+	merged := &Merged{ShardsTotal: n}
 	if len(terms) == 0 {
 		// Nothing to ship: an empty conjunction matches nothing on any
 		// shard, so the fleet is vacuously complete.
@@ -294,10 +294,11 @@ func (r *Router) search(ctx context.Context, q string, k int, tel *obs.Telemetry
 		}
 	}
 
-	merged.Results, merged.Duplicates = mergeCandidates(terms, r.w, responses, k)
+	merged.Duplicates = dropDuplicates(responses)
 	if merged.Duplicates > 0 {
 		tel.Counter("router.fanout.dup_docs").Add(int64(merged.Duplicates))
 	}
+	merged.Results = query.Fold(terms, r.w, responses, k)
 	for _, res := range responses {
 		if res == nil {
 			continue
@@ -311,82 +312,54 @@ func (r *Router) search(ctx context.Context, q string, k int, tel *obs.Telemetry
 	return merged, nil
 }
 
-// mergeCandidates is the global half of Figure 6.4's two-step merge:
-// sum df and state counts across the responding shards (in shard-index
-// order, so the arithmetic is deterministic), compute the global idf,
-// fold the tf·idf component into every candidate's pre-idf base, and
-// sort to the deterministic global order — exactly the float operations
-// the single-snapshot Broker performs, so scores match it bit-for-bit.
-// Candidates whose (URL, state) was already produced by an earlier
-// shard are dropped (the count is the second return).
-func mergeCandidates(terms []string, w query.Weights, responses []*query.ShardResult, k int) ([]query.ResultWithSnippet, int) {
-	globalDF := make([]int, len(terms))
-	totalStates := 0
-	total := 0
-	for _, res := range responses {
-		if res == nil {
-			continue
-		}
-		for i, df := range res.DF {
-			globalDF[i] += df
-		}
-		totalStates += res.TotalStates
-		total += len(res.Candidates)
-	}
-	idf := make([]float64, len(terms))
-	for i, df := range globalDF {
-		if df > 0 && totalStates > 0 {
-			idf[i] = math.Log(float64(totalStates) / float64(df))
-		}
-	}
-
+// dropDuplicates removes every candidate whose (URL, state) an earlier
+// candidate already carries — in an earlier shard's response or earlier
+// in the same one — and returns how many it dropped; the first shard
+// wins. Like checkShardResult this is validation of bytes from the
+// network (overlapping shards are a wiring error, a repeated candidate a
+// broken shard), so it runs here, before the fold, and the in-process
+// Broker never pays for a seen-set. A response that loses candidates is
+// replaced in responses by a trimmed copy: backends own what they
+// return.
+func dropDuplicates(responses []*query.ShardResult) int {
 	type docKey struct {
 		url   string
 		state int
 	}
-	out := make([]query.ResultWithSnippet, 0, total)
-	seen := make(map[docKey]bool, total)
-	dups := 0
+	total := 0
 	for _, res := range responses {
+		if res != nil {
+			total += len(res.Candidates)
+		}
+	}
+	seen := make(map[docKey]struct{}, total)
+	dups := 0
+	for i, res := range responses {
 		if res == nil {
 			continue
 		}
-		for _, c := range res.Candidates {
-			if len(c.TFs) != len(terms) {
-				// checkShardResult rejects these before merge; the
-				// guard keeps a hostile response from panicking the
-				// fold if it ever slips through.
-				continue
-			}
+		var kept []query.ShardCandidate // allocated at this response's first duplicate
+		for j, c := range res.Candidates {
 			key := docKey{url: c.URL, state: c.State}
-			if seen[key] {
+			if _, dup := seen[key]; dup {
+				if kept == nil {
+					kept = append(make([]query.ShardCandidate, 0, len(res.Candidates)-1), res.Candidates[:j]...)
+				}
 				dups++
 				continue
 			}
-			seen[key] = true
-			score := c.Base
-			for t := range terms {
-				score += w.TFIDF * c.TFs[t] * idf[t]
+			seen[key] = struct{}{}
+			if kept != nil {
+				kept = append(kept, c)
 			}
-			out = append(out, query.ResultWithSnippet{
-				Result:  query.Result{URL: c.URL, State: model.StateID(c.State), Score: score},
-				Snippet: c.Snippet,
-			})
+		}
+		if kept != nil {
+			trimmed := *res
+			trimmed.Candidates = kept
+			responses[i] = &trimmed
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].URL != out[j].URL {
-			return out[i].URL < out[j].URL
-		}
-		return out[i].State < out[j].State
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out, dups
+	return dups
 }
 
 // callShard runs one shard's call: primary attempt at a P2C-picked
@@ -647,7 +620,9 @@ func checkShardResult(res *query.ShardResult, terms []string) error {
 			return fmt.Errorf("router: candidate %d has non-finite base", i)
 		}
 		for t, tf := range c.TFs {
-			if math.IsNaN(tf) || math.IsInf(tf, 0) || tf < 0 {
+			// eq. 5.1 bounds tf to [0, 1]; a larger one can fold to an
+			// infinite score, which no JSON encoder accepts.
+			if math.IsNaN(tf) || tf < 0 || tf > 1 {
 				return fmt.Errorf("router: candidate %d has bad tf[%d]", i, t)
 			}
 		}

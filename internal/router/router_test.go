@@ -38,70 +38,18 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 }
 
-// TestMergeGlobalIDF pins the eq. 6.1 arithmetic: idf must come from the
-// SUMMED df and state counts, not any single shard's — the whole point
-// of shipping df vectors instead of scores.
-func TestMergeGlobalIDF(t *testing.T) {
-	terms := []string{"video"}
-	w := query.DefaultWeights
-	// Shard 0: 10 states, df=1; shard 1: 30 states, df=3.
-	// Global idf = ln(40/4), which no single shard would compute.
-	r0 := canned(terms, 10, cand("http://a/1", 0, 0.5, 2))
-	r1 := canned(terms, 30,
-		cand("http://b/1", 0, 0.25, 1),
-		cand("http://b/2", 1, 0.25, 1),
-		cand("http://b/3", 2, 0.25, 1),
-	)
-	got, dups := mergeCandidates(terms, w, []*query.ShardResult{r0, r1}, 0)
-	if dups != 0 {
-		t.Fatalf("dups = %d, want 0", dups)
-	}
-	if len(got) != 4 {
-		t.Fatalf("got %d results, want 4", len(got))
-	}
-	idf := math.Log(40.0 / 4.0)
-	wantTop := 0.5 + w.TFIDF*2*idf
-	if got[0].URL != "http://a/1" || got[0].Score != wantTop {
-		t.Fatalf("top = %q score %v, want http://a/1 score %v", got[0].URL, got[0].Score, wantTop)
-	}
-	wantRest := 0.25 + w.TFIDF*1*idf
-	for _, r := range got[1:] {
-		if r.Score != wantRest {
-			t.Fatalf("result %q score %v, want %v", r.URL, r.Score, wantRest)
-		}
-	}
-}
-
-// TestMergeTieBreakOrder pins the deterministic total order: score desc,
-// then URL asc, then state asc.
-func TestMergeTieBreakOrder(t *testing.T) {
-	terms := []string{"x"}
-	// All zero TFs → score is just base; craft ties on purpose.
-	r0 := canned(terms, 5,
-		cand("http://b", 2, 1.0, 0),
-		cand("http://a", 1, 1.0, 0),
-	)
-	r1 := canned(terms, 5,
-		cand("http://a", 0, 1.0, 0),
-		cand("http://c", 0, 2.0, 0),
-	)
-	got, _ := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{r0, r1}, 0)
-	want := []string{"http://c#0", "http://a#0", "http://a#1", "http://b#2"}
-	if len(got) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got), len(want))
-	}
-	for i, r := range got {
-		if resultKey(r) != want[i] {
-			t.Fatalf("rank %d = %s, want %s", i, resultKey(r), want[i])
-		}
-	}
+// merge is the router's path from validated responses to a ranking:
+// drop duplicates, then fold.
+func merge(terms []string, responses []*query.ShardResult, k int) ([]query.ResultWithSnippet, int) {
+	dups := dropDuplicates(responses)
+	return query.Fold(terms, query.DefaultWeights, responses, k), dups
 }
 
 func TestMergeDeduplicatesOverlap(t *testing.T) {
 	terms := []string{"x"}
 	r0 := canned(terms, 5, cand("http://a", 0, 1.0, 1))
 	r1 := canned(terms, 5, cand("http://a", 0, 9.0, 1), cand("http://b", 0, 0.5, 1))
-	got, dups := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{r0, r1}, 0)
+	got, dups := merge(terms, []*query.ShardResult{r0, r1}, 0)
 	if dups != 1 {
 		t.Fatalf("dups = %d, want 1", dups)
 	}
@@ -115,25 +63,13 @@ func TestMergeDeduplicatesOverlap(t *testing.T) {
 		}
 		seen[resultKey(r)] = true
 	}
-}
-
-func TestMergeTruncatesToK(t *testing.T) {
-	terms := []string{"x"}
-	r0 := canned(terms, 5,
-		cand("http://a", 0, 3, 0), cand("http://b", 0, 2, 0), cand("http://c", 0, 1, 0))
-	got, _ := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{r0}, 2)
-	if len(got) != 2 || got[0].URL != "http://a" || got[1].URL != "http://b" {
-		t.Fatalf("top-2 = %+v", got)
+	// The first shard wins, and the losing backend's response is its own:
+	// it must come out untouched.
+	if got[0].URL != "http://a" || got[0].Score >= 9 {
+		t.Fatalf("overlap kept the later shard's copy: %+v", got[0])
 	}
-}
-
-func TestMergeSkipsNilAndMisalignedDefensively(t *testing.T) {
-	terms := []string{"x", "y"}
-	bad := canned(terms, 5)
-	bad.Candidates = append(bad.Candidates, query.ShardCandidate{URL: "http://evil", TFs: []float64{1}})
-	got, _ := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{nil, bad}, 0)
-	if len(got) != 0 {
-		t.Fatalf("misaligned candidate entered the merge: %+v", got)
+	if len(r1.Candidates) != 2 {
+		t.Fatalf("dedup mutated a backend's response: %+v", r1.Candidates)
 	}
 }
 
@@ -299,6 +235,7 @@ func TestCheckShardResultRejections(t *testing.T) {
 		{"nan base", func(r *query.ShardResult) { r.Candidates[0].Base = math.NaN() }},
 		{"inf tf", func(r *query.ShardResult) { r.Candidates[0].TFs[0] = math.Inf(1) }},
 		{"negative tf", func(r *query.ShardResult) { r.Candidates[0].TFs[0] = -1 }},
+		{"tf above 1", func(r *query.ShardResult) { r.Candidates[0].TFs[0] = 1e308 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

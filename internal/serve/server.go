@@ -288,7 +288,8 @@ func (s *Server) Handler() http.Handler {
 
 // searchResponse is the /search JSON body. Field order (and therefore
 // the marshaled bytes) is fixed; serving metadata that varies run-to-run
-// (generation, cache state) travels in headers instead.
+// (generation, cache state, fan-out completeness) travels in headers
+// instead.
 type searchResponse struct {
 	Query   string         `json:"query"`
 	K       int            `json:"k"`
@@ -303,12 +304,38 @@ type searchResult struct {
 	Snippet string  `json:"snippet,omitempty"`
 }
 
-// errorResponse is the JSON error body.
-type errorResponse struct {
-	Error string `json:"error"`
+// WriteSearch writes the 200 /search body for q's top-k results. The
+// router answers with this same function, which is what makes a routed
+// body byte-identical to a single-snapshot one. Headers must be set
+// before the call.
+func WriteSearch(w http.ResponseWriter, q string, k int, results []query.ResultWithSnippet) {
+	resp := searchResponse{
+		Query:   query.QueryString(query.Parse(q)),
+		K:       k,
+		Count:   len(results),
+		Results: make([]searchResult, 0, len(results)),
+	}
+	for _, r := range results {
+		resp.Results = append(resp.Results, searchResult{
+			URL:     r.URL,
+			State:   int(r.State),
+			Score:   r.Score,
+			Snippet: r.Snippet,
+		})
+	}
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// WriteError writes the JSON error body every tier answers failures
+// with.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{msg})
+}
+
+// WriteJSON marshals v as the response body under status.
+func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -337,19 +364,19 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (*admission.Token
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		// The client hung up while we queued it; nobody reads this body.
 		s.tel.Counter("query.serve.deadline").Inc()
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "deadline exceeded before evaluation"})
+		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded before evaluation")
 		return nil, false
 	}
 	s.tel.Counter("query.serve.shed").Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(s.limiter.RetryAfterSeconds()))
-	writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "server saturated, retry later"})
+	WriteError(w, http.StatusTooManyRequests, "server saturated, retry later")
 	return nil, false
 }
 
-// budgetFromRequest parses the propagated deadline budget. ok is false
+// BudgetFromRequest parses the propagated deadline budget. ok is false
 // when the header is absent or malformed (a malformed value from an
 // unknown client is ignored, not fatal — only our own router sets it).
-func budgetFromRequest(r *http.Request) (time.Duration, bool) {
+func BudgetFromRequest(r *http.Request) (time.Duration, bool) {
 	h := r.Header.Get(HeaderBudget)
 	if h == "" {
 		return 0, false
@@ -366,52 +393,50 @@ func budgetFromRequest(r *http.Request) (time.Duration, bool) {
 // or timed out, so evaluating it is pure waste.
 func (s *Server) rejectBudget(w http.ResponseWriter) {
 	s.tel.Counter("query.serve.budget_rejected").Inc()
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "deadline budget below floor"})
+	WriteError(w, http.StatusServiceUnavailable, "deadline budget below floor")
 }
 
-// queryContext applies the effective deadline — QueryTimeout clamped to
-// the propagated budget when one rides on the request.
-func (s *Server) queryContext(ctx context.Context, budget time.Duration, hasBudget bool) (context.Context, context.CancelFunc) {
-	timeout := s.cfg.QueryTimeout
-	if hasBudget && (timeout == 0 || budget < timeout) {
-		timeout = budget
-	}
-	if timeout > 0 {
-		return context.WithTimeout(ctx, timeout)
-	}
-	return ctx, func() {}
+// admitted is one request past the shared preamble: the caller owns
+// tok (Release when the evaluation ends) and cancel.
+type admitted struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	tok    *admission.Token
+	q      string
+	k      int
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	tel := s.tel
+// begin runs the checks /search and /shard/search share, in the order
+// the overload tests pin: budget floor → admission → q → k (only when
+// withK; shard candidates are never truncated) → budget left after the
+// queue wait → per-query deadline → already expired. When ok is false
+// the response has been written and the token settled.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, withK bool) (req admitted, ok bool) {
 	arrival := s.clock.Now()
-	budget, hasBudget := budgetFromRequest(r)
+	budget, hasBudget := BudgetFromRequest(r)
 	if hasBudget && budget <= s.cfg.BudgetFloor {
 		s.rejectBudget(w)
-		return
+		return req, false
 	}
 	tok, ok := s.admit(w, r)
 	if !ok {
-		return
+		return req, false
 	}
 	q := r.URL.Query().Get("q")
 	if q == "" {
 		tok.Cancel()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing q parameter"})
-		return
+		WriteError(w, http.StatusBadRequest, "missing q parameter")
+		return req, false
 	}
 	k := s.cfg.DefaultK
-	if kv := r.URL.Query().Get("k"); kv != "" {
+	if kv := r.URL.Query().Get("k"); withK && kv != "" {
 		parsed, err := strconv.Atoi(kv)
 		if err != nil || parsed <= 0 {
 			tok.Cancel()
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "k must be a positive integer"})
-			return
+			WriteError(w, http.StatusBadRequest, "k must be a positive integer")
+			return req, false
 		}
-		k = parsed
-		if k > s.cfg.MaxK {
-			k = s.cfg.MaxK
-		}
+		k = min(parsed, s.cfg.MaxK)
 	}
 	if hasBudget {
 		// Queue time already ate into the caller's budget.
@@ -419,37 +444,42 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if budget <= s.cfg.BudgetFloor {
 			tok.Cancel()
 			s.rejectBudget(w)
-			return
+			return req, false
 		}
 	}
-	defer tok.Release()
 
-	ctx := obs.With(r.Context(), tel)
-	ctx, cancel := s.queryContext(ctx, budget, hasBudget)
-	defer cancel()
+	// The effective deadline is QueryTimeout clamped to the propagated
+	// budget when one rides on the request.
+	ctx := obs.With(r.Context(), s.tel)
+	cancel := context.CancelFunc(func() {})
+	timeout := s.cfg.QueryTimeout
+	if hasBudget && (timeout == 0 || budget < timeout) {
+		timeout = budget
+	}
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	}
 	// A request that spent its whole deadline queued (or whose client
 	// hung up) is not worth evaluating.
-	if err := ctx.Err(); err != nil {
-		tel.Counter("query.serve.deadline").Inc()
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "deadline exceeded before evaluation"})
+	if ctx.Err() != nil {
+		cancel()
+		tok.Release()
+		s.tel.Counter("query.serve.deadline").Inc()
+		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded before evaluation")
+		return req, false
+	}
+	return admitted{ctx: ctx, cancel: cancel, tok: tok, q: q, k: k}, true
+}
+
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	req, ok := s.begin(w, r, true)
+	if !ok {
 		return
 	}
+	defer req.tok.Release()
+	defer req.cancel()
 
-	results, snap, cached, servedK, degraded := s.search(ctx, q, k, tok)
-	resp := searchResponse{
-		Query:   query.QueryString(query.Parse(q)),
-		K:       servedK,
-		Count:   len(results),
-		Results: make([]searchResult, 0, len(results)),
-	}
-	for _, r := range results {
-		resp.Results = append(resp.Results, searchResult{
-			URL:     r.URL,
-			State:   int(r.State),
-			Score:   r.Score,
-			Snippet: r.Snippet,
-		})
-	}
+	results, snap, cached, servedK, degraded := s.search(req.ctx, req.q, req.k, req.tok)
 	w.Header().Set(HeaderGeneration, strconv.FormatInt(snap.Gen, 10))
 	w.Header().Set(HeaderDocs, strconv.Itoa(snap.Docs))
 	w.Header().Set(HeaderStates, strconv.Itoa(snap.States))
@@ -461,7 +491,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if degraded != "" {
 		w.Header().Set(HeaderDegraded, degraded)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteSearch(w, req.q, servedK, results)
 }
 
 // search runs one query through the brownout ladder. Under queue
@@ -499,47 +529,18 @@ func (s *Server) search(ctx context.Context, q string, k int, tok *admission.Tok
 // gate and per-query deadline as /search apply — a router hedging into
 // a saturated replica should see 429 quickly, not queue behind it.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
-	tel := s.tel
-	arrival := s.clock.Now()
-	budget, hasBudget := budgetFromRequest(r)
-	if hasBudget && budget <= s.cfg.BudgetFloor {
-		s.rejectBudget(w)
-		return
-	}
-	tok, ok := s.admit(w, r)
+	req, ok := s.begin(w, r, false)
 	if !ok {
 		return
 	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		tok.Cancel()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing q parameter"})
-		return
-	}
-	if hasBudget {
-		budget -= s.clock.Now().Sub(arrival)
-		if budget <= s.cfg.BudgetFloor {
-			tok.Cancel()
-			s.rejectBudget(w)
-			return
-		}
-	}
-	defer tok.Release()
+	defer req.tok.Release()
+	defer req.cancel()
 
-	ctx := obs.With(r.Context(), tel)
-	ctx, cancel := s.queryContext(ctx, budget, hasBudget)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		tel.Counter("query.serve.deadline").Inc()
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "deadline exceeded before evaluation"})
-		return
-	}
-
-	res := s.qs.ShardSearch(ctx, q)
+	res := s.qs.ShardSearch(req.ctx, req.q)
 	w.Header().Set(HeaderGeneration, strconv.FormatInt(res.Gen, 10))
 	w.Header().Set(HeaderDocs, strconv.Itoa(res.Docs))
 	w.Header().Set(HeaderStates, strconv.Itoa(res.States))
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 // healthResponse is the /healthz JSON body.
@@ -555,7 +556,7 @@ type healthResponse struct {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	snap := s.qs.Live()
-	writeJSON(w, http.StatusOK, healthResponse{
+	WriteJSON(w, http.StatusOK, healthResponse{
 		Status:     "ok",
 		ManifestID: s.ManifestID(),
 		Generation: snap.Gen,
