@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -69,7 +70,7 @@ func main() {
 		sample        = flag.Duration("sample", 0, "sample request/inflight/runtime series at this cadence for /debug/status (0 = off)")
 	)
 	flag.Parse()
-	topo, err := parseTopology(*shardsFlag, *replicas)
+	topo, err := parseTopology(*shardsFlag, *replicas, shardClient(*maxInflight))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
@@ -177,9 +178,26 @@ func main() {
 	}
 }
 
+// shardClient is the one HTTP client every shard backend shares. The
+// default transport keeps 2 idle connections per host, so a router
+// admitting -max-inflight concurrent queries would close and re-dial
+// most of its shard connections on every burst; this one keeps as many
+// idle connections per replica as there can be queries in flight
+// (0 = unlimited admits, so no cap on idle connections either — the
+// transport's idle timeout still reaps them).
+func shardClient(maxInflight int) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // the per-host bound is the one that matters
+	tr.MaxIdleConnsPerHost = maxInflight
+	if maxInflight <= 0 {
+		tr.MaxIdleConnsPerHost = math.MaxInt
+	}
+	return &http.Client{Transport: tr}
+}
+
 // parseTopology splits the flat -shards list into -replicas-sized shard
-// groups of HTTP backends.
-func parseTopology(shards string, replicas int) ([][]router.Backend, error) {
+// groups of HTTP backends issuing their requests through client.
+func parseTopology(shards string, replicas int, client *http.Client) ([][]router.Backend, error) {
 	if shards == "" {
 		return nil, errors.New("-shards is required")
 	}
@@ -207,7 +225,7 @@ func parseTopology(shards string, replicas int) ([][]router.Backend, error) {
 	for i := 0; i < len(addrs); i += replicas {
 		group := make([]router.Backend, 0, replicas)
 		for _, a := range addrs[i : i+replicas] {
-			group = append(group, &router.HTTPBackend{BaseURL: a})
+			group = append(group, &router.HTTPBackend{BaseURL: a, Client: client})
 		}
 		topo = append(topo, group)
 	}

@@ -22,31 +22,71 @@ import (
 // vector does not match terms. Fold does not deduplicate: responses from
 // outside the process are validated and deduplicated by the router
 // before they get here.
+func Fold(terms []string, w Weights, responses []*ShardResult, k int) []ResultWithSnippet {
+	globalDF, totalStates := GlobalStats(len(terms), responses)
+	top := selectTop(w, globalDF, totalStates, responses, k)
+	if len(top) == 0 {
+		return nil
+	}
+	out := make([]ResultWithSnippet, len(top))
+	for i, s := range top {
+		out[i] = ResultWithSnippet{Result: s.result(), Snippet: s.cand.Snippet}
+	}
+	return out
+}
+
+// GlobalStats sums the inputs of eq. 6.1 over the non-nil responses: the
+// per-term document frequencies (terms entries) and the state count.
+// Fold ranks under these sums; a router that sums the statistics it
+// expects of its shards the same way gets the Hint to send them.
+func GlobalStats(terms int, responses []*ShardResult) (df []int, totalStates int) {
+	df = make([]int, terms)
+	for _, res := range responses {
+		if res == nil {
+			continue
+		}
+		for i, d := range res.DF {
+			df[i] += d
+		}
+		totalStates += res.TotalStates
+	}
+	return df, totalStates
+}
+
+// scored is one candidate under a given idf: its final formula 5.3
+// score, and the pre-idf candidate it belongs to.
+type scored struct {
+	score float64
+	cand  *ShardCandidate
+}
+
+func (s scored) result() Result {
+	return Result{URL: s.cand.URL, State: model.StateID(s.cand.State), Score: s.score}
+}
+
+// selectTop is the one score-and-select step, shared by Fold and by the
+// shard-side cut (Hint): derive the idf of eq. 6.1 from the summed df
+// and state count, score every candidate of responses, and return the k
+// best in rank order (all of them when k <= 0).
 //
 // When only k results are wanted the full sort is wasted work; a bounded
 // min-heap replaces O(n log n) with O(n log k) — the simple member of
 // the TopX / Threshold Algorithm family the thesis's related work points
 // at, and the one that applies here, where scores exist only per match.
-func Fold(terms []string, w Weights, responses []*ShardResult, k int) []ResultWithSnippet {
-	globalDF := make([]int, len(terms))
-	totalStates, n := 0, 0
+func selectTop(w Weights, df []int, totalStates int, responses []*ShardResult, k int) []scored {
+	n := 0
 	for _, res := range responses {
-		if res == nil {
-			continue
+		if res != nil {
+			n += len(res.Candidates)
 		}
-		for i, df := range res.DF {
-			globalDF[i] += df
-		}
-		totalStates += res.TotalStates
-		n += len(res.Candidates)
 	}
 	if n == 0 {
 		return nil
 	}
-	idf := make([]float64, len(terms))
-	for i, df := range globalDF {
-		if df > 0 && totalStates > 0 {
-			idf[i] = math.Log(float64(totalStates) / float64(df))
+	idf := make([]float64, len(df))
+	for i, d := range df {
+		if d > 0 && totalStates > 0 {
+			idf[i] = math.Log(float64(totalStates) / float64(d))
 		}
 	}
 
@@ -54,35 +94,33 @@ func Fold(terms []string, w Weights, responses []*ShardResult, k int) []ResultWi
 	if !bounded {
 		k = n
 	}
-	h := make(resultHeap, 0, k)
+	h := make(scoredHeap, 0, k)
 	for _, res := range responses {
 		if res == nil {
 			continue
 		}
-		for _, c := range res.Candidates {
-			if len(c.TFs) != len(terms) {
+		for i := range res.Candidates {
+			c := &res.Candidates[i]
+			if len(c.TFs) != len(idf) {
 				continue
 			}
 			score := c.Base
-			for t := range terms {
+			for t := range idf {
 				score += w.TFIDF * c.TFs[t] * idf[t]
 			}
-			r := ResultWithSnippet{
-				Result:  Result{URL: c.URL, State: model.StateID(c.State), Score: score},
-				Snippet: c.Snippet,
-			}
+			s := scored{score: score, cand: c}
 			if len(h) < k {
-				h = append(h, r)
+				h = append(h, s)
 				if bounded && len(h) == k {
 					heap.Init(&h)
 				}
-			} else if resultLess(h[0].Result, r.Result) {
-				h[0] = r
+			} else if resultLess(h[0].result(), s.result()) {
+				h[0] = s
 				heap.Fix(&h, 0)
 			}
 		}
 	}
-	sort.SliceStable(h, func(i, j int) bool { return resultLess(h[j].Result, h[i].Result) })
+	sort.SliceStable(h, func(i, j int) bool { return resultLess(h[j].result(), h[i].result()) })
 	return h
 }
 
@@ -99,16 +137,17 @@ func resultLess(a, b Result) bool {
 	return a.State > b.State
 }
 
-// resultHeap is a min-heap on rank quality: the root is the worst of the
-// kept results, ready to be displaced. Fold fills it by append and only
-// calls heap.Init and heap.Fix; Push and Pop complete heap.Interface.
-type resultHeap []ResultWithSnippet
+// scoredHeap is a min-heap on rank quality: the root is the worst of the
+// kept results, ready to be displaced. selectTop fills it by append and
+// only calls heap.Init and heap.Fix; Push and Pop complete
+// heap.Interface.
+type scoredHeap []scored
 
-func (h resultHeap) Len() int            { return len(h) }
-func (h resultHeap) Less(i, j int) bool  { return resultLess(h[i].Result, h[j].Result) }
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(ResultWithSnippet)) }
-func (h *resultHeap) Pop() interface{} {
+func (h scoredHeap) Len() int            { return len(h) }
+func (h scoredHeap) Less(i, j int) bool  { return resultLess(h[i].result(), h[j].result()) }
+func (h scoredHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *scoredHeap) Push(x interface{}) { *h = append(*h, x.(scored)) }
+func (h *scoredHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	x := old[n-1]

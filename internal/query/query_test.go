@@ -1,14 +1,18 @@
 package query
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"ajaxcrawl/internal/core"
 	"ajaxcrawl/internal/dom"
+	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/index"
 	"ajaxcrawl/internal/model"
+	"ajaxcrawl/internal/webapp"
 )
 
 var nextHash byte
@@ -440,6 +444,62 @@ func BenchmarkFold(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Fold(terms, broker.W, res, k)
 			}
+		})
+	}
+}
+
+// BenchmarkShardSearch prices the shard half of a routed query on the
+// crawled 200-video corpus, one op = the 100-query workload: unhinted
+// (every match ships, a snippet on each) against hinted with k=10 (the
+// cut under the global statistics — here the shard's own, it being the
+// whole fleet — and snippets for the survivors only).
+func BenchmarkShardSearch(b *testing.B) {
+	const videos = 200
+	site := webapp.New(webapp.DefaultConfig(videos, 2008))
+	urls := make([]string, videos)
+	for i := range urls {
+		urls[i] = webapp.WatchURL(site.VideoID(i))
+	}
+	c := core.New(&fetch.HandlerFetcher{Handler: site.Handler()}, core.Options{UseHotNode: true})
+	graphs, _, err := c.CrawlAll(context.Background(), urls)
+	if err != nil {
+		b.Fatal(err)
+	}
+	byURL := make(map[string]*model.Graph, len(graphs))
+	for _, g := range graphs {
+		byURL[g.URL] = g
+	}
+	srv := NewServer(&ServeSnapshot{
+		Broker: oneShard(index.Build(graphs, nil, 0)),
+		StateText: func(url string, state int) string {
+			if st := byURL[url].State(model.StateID(state)); st != nil {
+				return st.Text
+			}
+			return ""
+		},
+	}, CacheOptions{})
+	ctx := context.Background()
+	queries := webapp.Queries()
+	for _, k := range []int{0, 10} {
+		name := "unhinted"
+		if k > 0 {
+			name = "hinted_k" + itoa(k)
+		}
+		b.Run(name, func(b *testing.B) {
+			hints := make([]Hint, len(queries))
+			for i, q := range queries {
+				full := srv.ShardSearch(ctx, q)
+				hints[i] = Hint{K: k, DF: full.DF, N: full.TotalStates}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			shipped := 0
+			for i := 0; i < b.N; i++ {
+				for j, q := range queries {
+					shipped += len(srv.ShardSearchTop(ctx, q, hints[j]).Candidates)
+				}
+			}
+			b.ReportMetric(float64(shipped)/float64(b.N*len(queries)), "candidates/query")
 		})
 	}
 }

@@ -19,7 +19,10 @@ import (
 // component with the globally corrected idf and ranks; one function, so
 // the sharded fleet produces exactly the bytes a single process
 // evaluating the union index does (the differential battery in
-// internal/router pins this).
+// internal/router pins this). Once the router has seen every shard's
+// statistics for a query's terms it sends their sum along (Hint), and
+// each shard ships only the candidates that can still make the global
+// top-k.
 
 // ShardCandidate is one pre-idf candidate of a shard evaluation: the
 // score parts that do not depend on global collection statistics, plus
@@ -58,21 +61,51 @@ type ShardResult struct {
 	Gen    int64 `json:"gen"`
 	Docs   int   `json:"docs"`
 	States int   `json:"states"`
-	// Candidates are the pre-idf hits, in shard-local (doc, state)
-	// order.
+	// Candidates are the pre-idf hits: all of them in shard-local
+	// (doc, state) order, or the Hint.K best in rank order.
 	Candidates []ShardCandidate `json:"candidates"`
 }
 
+// Hint is what a router that already knows every shard's statistics for
+// a query sends along with it: the global df vector and state count of
+// eq. 6.1 (integers — the shard derives the idf with the code Fold
+// uses) and the number of results wanted. Under the fleet-wide idf every
+// shard ranks in the same total order, so a shard may keep just its K
+// best: a global top-K member is beaten by fewer than K candidates
+// anywhere, hence by fewer than K on its own shard (DESIGN.md §5i). The
+// zero Hint asks for every candidate.
+type Hint struct {
+	// K is the cut bound: the router's k, never clamped to the shard's
+	// own page-size limit.
+	K int
+	// DF is the global per-term document frequency, aligned with the
+	// query's terms.
+	DF []int
+	// N is the global state count.
+	N int
+}
+
 // ShardSearch evaluates q on the live snapshot and returns the shard
-// half of a distributed merge: every matching candidate with its pre-idf
-// score parts, the local df vector, and the local state count. Unlike
-// Search it returns ALL candidates, not a top-k — a shard cannot rank
-// without the global idf, and truncating on local scores could evict a
-// globally top-k document (DESIGN.md §5i discusses the trade-off).
-// Snippets are attached shard-side. The result cache is not consulted:
-// entries are keyed by (query, k) final results, a different value
-// space.
+// half of a distributed merge: EVERY matching candidate with its pre-idf
+// score parts, the local df vector, and the local state count — a shard
+// cannot rank without the global idf, and truncating on local scores
+// could evict a globally top-k document. It is ShardSearchTop with no
+// hint.
 func (s *Server) ShardSearch(ctx context.Context, q string) *ShardResult {
+	return s.ShardSearchTop(ctx, q, Hint{})
+}
+
+// ShardSearchTop is ShardSearch under a router's Hint: when h carries a
+// positive K and a df vector aligned with q's terms, only the K best
+// candidates under h's global idf are kept (in rank order) — still as
+// pre-idf candidates with the shard's own DF and TotalStates, so the
+// router folds them exactly as it folds a full response, and can tell
+// from those statistics whether the hint it sent was current. Any other
+// h returns every candidate in shard-local (doc, state) order.
+// Snippets are attached shard-side, to what is shipped. The result
+// cache is not consulted: entries are keyed by (query, k) final
+// results, a different value space.
+func (s *Server) ShardSearchTop(ctx context.Context, q string, h Hint) *ShardResult {
 	tel := obs.From(ctx)
 	tel.Counter("query.shard.requests").Inc()
 	_, sp := obs.StartSpan(ctx, obs.SpanShardEval, obs.A("q", q))
@@ -81,6 +114,14 @@ func (s *Server) ShardSearch(ctx context.Context, q string) *ShardResult {
 	snap := s.live.Load()
 	res := snap.Broker.candidates(Parse(q))
 	res.Gen, res.Docs, res.States = snap.Gen, snap.Docs, snap.States
+	if h.K > 0 && len(h.DF) == len(res.Terms) && h.K < len(res.Candidates) {
+		top := selectTop(snap.Broker.W, h.DF, h.N, []*ShardResult{res}, h.K)
+		kept := make([]ShardCandidate, len(top))
+		for i, t := range top {
+			kept[i] = *t.cand
+		}
+		res.Candidates = kept
+	}
 	if snap.StateText != nil {
 		for i := range res.Candidates {
 			c := &res.Candidates[i]

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -62,9 +63,10 @@ func TestShardSearchFoldsBackToSearch(t *testing.T) {
 	}
 }
 
-// TestShardSearchReturnsAllCandidates: a shard must NOT truncate to a
-// local top-k — local pre-idf order can differ from the global order,
-// so any cut risks evicting a globally top-ranked document.
+// TestShardSearchReturnsAllCandidates: unasked, a shard must NOT
+// truncate to a local top-k — local pre-idf order can differ from the
+// global order, so a cut made without the global statistics risks
+// evicting a globally top-ranked document.
 func TestShardSearchReturnsAllCandidates(t *testing.T) {
 	ix := thesisIndex()
 	snap := &ServeSnapshot{Broker: NewBroker([]*index.Index{ix})}
@@ -144,5 +146,108 @@ func TestShardSearchEmptyQuery(t *testing.T) {
 	}
 	if res.Candidates == nil || res.DF == nil {
 		t.Fatal("empty vectors must be non-nil for stable marshaling")
+	}
+}
+
+// TestHintedCutFoldsToTheSameTopK is the cut's differential: however
+// the corpus is split, Fold over the shards' responses cut under the
+// global df/N (Hint) equals Fold over their full responses, and equals
+// the reference fold of the unsplit corpus — for every k, through score
+// ties. The corpus is the classic local-idf trap at two shards: on shard
+// 0 every state holds "omega" and half hold "alpha", so locally alpha is
+// the rare, valuable term; globally (shard 1 is three times larger and
+// all alpha) it is the reverse, and the states that win the global top-k
+// lose the local one.
+func TestHintedCutFoldsToTheSameTopK(t *testing.T) {
+	var urls []string
+	pages := map[string][]string{}
+	for i := 0; i < 24; i++ {
+		url := "u" + string(rune('a'+i))
+		urls = append(urls, url)
+		switch {
+		case i%2 == 1:
+			pages[url] = []string{"alpha filler one", "alpha filler two", "alpha filler three"}
+		case i%8 == 0:
+			pages[url] = []string{"alpha alpha alpha omega filler filler"}
+		case i%8 == 4:
+			pages[url] = []string{"alpha omega omega omega filler filler"}
+		default:
+			pages[url] = []string{"omega filler filler filler"}
+		}
+	}
+	w := DefaultWeights
+	ctx := context.Background()
+	sameResults := func(a, b []ResultWithSnippet) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+
+	cuts, trapped := 0, false
+	for _, q := range []string{"alpha omega", "alpha", "omega", "absent"} {
+		terms := Parse(q)
+		want := foldShardResult(oneShard(buildIndex(pages, nil)).candidates(terms), w)
+		for _, splits := range []int{1, 2, 4} {
+			parts := make([]map[string][]string, splits)
+			for i, url := range urls {
+				if parts[i%splits] == nil {
+					parts[i%splits] = map[string][]string{}
+				}
+				parts[i%splits][url] = pages[url]
+			}
+			servers := make([]*Server, splits)
+			full := make([]*ShardResult, splits)
+			for i, part := range parts {
+				servers[i] = NewServer(&ServeSnapshot{Broker: oneShard(buildIndex(part, nil))}, CacheOptions{})
+				full[i] = servers[i].ShardSearch(ctx, q)
+			}
+			df, n := GlobalStats(len(terms), full)
+			hint := Hint{DF: df, N: n}
+			for _, k := range []int{1, 3, 10, len(want) + 5} {
+				hint.K = k
+				hinted := make([]*ShardResult, splits)
+				local := make([]*ShardResult, splits)
+				for i, s := range servers {
+					hinted[i] = s.ShardSearchTop(ctx, q, hint)
+					if len(hinted[i].Candidates) > k {
+						t.Fatalf("q=%q splits=%d k=%d: shard %d shipped %d candidates", q, splits, k, i, len(hinted[i].Candidates))
+					}
+					if hinted[i].TotalStates != full[i].TotalStates || !slices.Equal(hinted[i].DF, full[i].DF) {
+						t.Fatalf("q=%q splits=%d k=%d: shard %d's statistics changed under the hint", q, splits, k, i)
+					}
+					cuts += len(full[i].Candidates) - len(hinted[i].Candidates)
+					// The cut this PR must NOT make: each shard under
+					// its own statistics.
+					local[i] = s.ShardSearchTop(ctx, q, Hint{K: k, DF: full[i].DF, N: full[i].TotalStates})
+				}
+				got, exact := Fold(terms, w, hinted, k), Fold(terms, w, full, k)
+				if !sameResults(got, exact) {
+					t.Fatalf("q=%q splits=%d k=%d: fold of cut responses\n%+v\nfold of full responses\n%+v", q, splits, k, got, exact)
+				}
+				if len(got) != min(k, len(want)) {
+					t.Fatalf("q=%q splits=%d k=%d: %d results, want %d", q, splits, k, len(got), min(k, len(want)))
+				}
+				for i := range got {
+					if got[i].Result != want[i] {
+						t.Fatalf("q=%q splits=%d k=%d rank %d: %+v, reference %+v", q, splits, k, i, got[i].Result, want[i])
+					}
+				}
+				if !sameResults(Fold(terms, w, local, k), exact) {
+					trapped = true
+				}
+			}
+		}
+	}
+	if cuts == 0 {
+		t.Fatal("no hinted response was shorter than the full one: the cut never ran")
+	}
+	if !trapped {
+		t.Fatal("a cut under local statistics was exact everywhere: the corpus is not the local-idf trap it claims to be")
 	}
 }

@@ -21,9 +21,10 @@ import (
 // /shard/search protocol (the real fleet).
 type Backend interface {
 	// ShardSearch evaluates q on the shard and returns its pre-idf
-	// candidates plus local collection statistics. Implementations must
-	// honor ctx: a canceled hedge loser should stop working promptly.
-	ShardSearch(ctx context.Context, q string) (*query.ShardResult, error)
+	// candidates — all of them, or under a non-zero hint at most hint.K
+	// — plus local collection statistics. Implementations must honor
+	// ctx: a canceled hedge loser should stop working promptly.
+	ShardSearch(ctx context.Context, q string, hint query.Hint) (*query.ShardResult, error)
 }
 
 // LocalBackend serves a shard from an in-process query.Server.
@@ -32,11 +33,11 @@ type LocalBackend struct {
 }
 
 // ShardSearch implements Backend.
-func (b LocalBackend) ShardSearch(ctx context.Context, q string) (*query.ShardResult, error) {
+func (b LocalBackend) ShardSearch(ctx context.Context, q string, hint query.Hint) (*query.ShardResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return b.QS.ShardSearch(ctx, q), nil
+	return b.QS.ShardSearchTop(ctx, q, hint), nil
 }
 
 // Probe implements Prober: an in-process shard is healthy whenever the
@@ -62,9 +63,20 @@ type HTTPBackend struct {
 // ShardSearch implements Backend. When the context carries a deadline
 // budget (WithBudget), the remainder is forwarded to the shard server
 // as X-Ajaxserve-Budget-Ms — and a call whose budget is already under a
-// millisecond fails fast without touching the network at all.
-func (b *HTTPBackend) ShardSearch(ctx context.Context, q string) (*query.ShardResult, error) {
+// millisecond fails fast without touching the network at all. A hint
+// rides the query string as k, n and df (integers, never a float idf).
+func (b *HTTPBackend) ShardSearch(ctx context.Context, q string, hint query.Hint) (*query.ShardResult, error) {
 	u := b.BaseURL + "/shard/search?q=" + url.QueryEscape(q)
+	if hint.K > 0 {
+		buf := fmt.Appendf(nil, "&k=%d&n=%d&df=", hint.K, hint.N)
+		for i, df := range hint.DF {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendInt(buf, int64(df), 10)
+		}
+		u += string(buf)
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, fmt.Errorf("router: %w", err)

@@ -148,7 +148,7 @@ type slowBackend struct {
 	calls int
 }
 
-func (b *slowBackend) ShardSearch(ctx context.Context, q string) (*query.ShardResult, error) {
+func (b *slowBackend) ShardSearch(ctx context.Context, q string, hint query.Hint) (*query.ShardResult, error) {
 	b.mu.Lock()
 	b.calls++
 	b.mu.Unlock()

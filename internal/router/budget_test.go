@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ajaxcrawl/internal/obs"
+	"ajaxcrawl/internal/query"
 	"ajaxcrawl/internal/serve"
 )
 
@@ -30,7 +31,7 @@ func TestHTTPBackendForwardsBudget(t *testing.T) {
 	b := &HTTPBackend{BaseURL: ts.URL}
 
 	ctx := WithBudget(context.Background(), clock.Now().Add(500*time.Millisecond), clock)
-	if _, err := b.ShardSearch(ctx, "video"); err != nil {
+	if _, err := b.ShardSearch(ctx, "video", query.Hint{}); err != nil {
 		t.Fatal(err)
 	}
 	if gotBudget != "500" {
@@ -39,7 +40,7 @@ func TestHTTPBackendForwardsBudget(t *testing.T) {
 
 	// Sub-millisecond remainder: reject before the request is built.
 	ctx = WithBudget(context.Background(), clock.Now().Add(500*time.Microsecond), clock)
-	if _, err := b.ShardSearch(ctx, "video"); !errors.Is(err, ErrBudgetExhausted) {
+	if _, err := b.ShardSearch(ctx, "video", query.Hint{}); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
 	if hits != 1 {
@@ -47,7 +48,7 @@ func TestHTTPBackendForwardsBudget(t *testing.T) {
 	}
 
 	// No budget on the context: no header.
-	if _, err := b.ShardSearch(context.Background(), "video"); err != nil {
+	if _, err := b.ShardSearch(context.Background(), "video", query.Hint{}); err != nil {
 		t.Fatal(err)
 	}
 	if gotBudget != "" {

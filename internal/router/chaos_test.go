@@ -134,6 +134,9 @@ func TestRouterHotSwapRace(t *testing.T) {
 	graphs, pr := crawlCorpus(t, 8, 13)
 	const shards = 2
 	dirs := publishPartitioned(t, graphs, pr, shards)
+	// Every other swap installs a smaller corpus, so hints are refuted
+	// and the statistics table forgets and relearns while the queries fly.
+	altDirs := publishPartitioned(t, graphs[:6], pr, shards)
 	servers := make([]*query.Server, shards)
 	topo := make([][]Backend, shards)
 	for i, dir := range dirs {
@@ -148,6 +151,8 @@ func TestRouterHotSwapRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	ctx := obs.With(context.Background(), obs.New(reg, nil))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -161,7 +166,7 @@ func TestRouterHotSwapRace(t *testing.T) {
 					return
 				default:
 				}
-				m, err := rt.Search(context.Background(), "music love", 5)
+				m, err := rt.Search(ctx, "music love", 5)
 				if err != nil {
 					t.Errorf("query %d: %v", i, err)
 					return
@@ -177,7 +182,11 @@ func TestRouterHotSwapRace(t *testing.T) {
 	// swap installs a freshly loaded snapshot: a live snapshot must never
 	// be mutated, so reuse is not an option.
 	for gen := 0; gen < 25; gen++ {
-		for i, dir := range dirs {
+		for i := range dirs {
+			dir := dirs[i]
+			if gen%2 == 0 {
+				dir = altDirs[i]
+			}
 			snap, _, err := serve.LoadSnapshot(dir, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -187,6 +196,9 @@ func TestRouterHotSwapRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if reg.Counter("router.stats.hit").Value()+reg.Counter("router.stats.stale").Value() == 0 {
+		t.Fatal("no query went out hinted: the race test ran without the statistics table")
+	}
 }
 
 // TestRouterHTTP502WhenFleetDown: the router is a gateway; a fleet with

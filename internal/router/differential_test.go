@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -140,7 +141,10 @@ func TestShardedMatchesSingleSnapshot(t *testing.T) {
 			rts := httptest.NewServer(rs.Handler())
 			defer rts.Close()
 
-			for _, q := range queries {
+			// Every query twice: the first fan-out is cold (shards ship
+			// every match), the second carries the global df/N the first
+			// one taught the router (shards ship their k best). Same bytes.
+			for _, q := range slices.Concat(queries, queries) {
 				resp, body := httpGet(t, rts.URL+searchPath(q, k))
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("q=%q: status %d: %s", q, resp.StatusCode, body)
@@ -155,6 +159,9 @@ func TestShardedMatchesSingleSnapshot(t *testing.T) {
 			}
 			if got := reg.Counter("router.fanout.partial").Value(); got != 0 {
 				t.Fatalf("healthy fleet recorded %d partial answers", got)
+			}
+			if hit, stale := reg.Counter("router.stats.hit").Value(), reg.Counter("router.stats.stale").Value(); hit < int64(len(queries)) || stale != 0 {
+				t.Fatalf("router.stats.hit = %d, .stale = %d: want every repeated query hinted and none refuted", hit, stale)
 			}
 		})
 	}
@@ -188,9 +195,11 @@ func TestShardedMatchesSingleInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range queries {
+		reg := obs.NewRegistry()
+		ctx := obs.With(context.Background(), obs.New(reg, nil))
+		for _, q := range slices.Concat(queries, queries) { // cold, then hinted
 			wantRes, _, _ := singleQS.Search(context.Background(), q, k)
-			m := mustSearch(t, rt, context.Background(), q, k)
+			m := mustSearch(t, rt, ctx, q, k)
 			if len(m.Results) != len(wantRes) {
 				t.Fatalf("q=%q shards=%d: %d results, want %d", q, shards, len(m.Results), len(wantRes))
 			}
@@ -200,6 +209,9 @@ func TestShardedMatchesSingleInProcess(t *testing.T) {
 					t.Fatalf("q=%q shards=%d rank %d:\n got %+v\nwant %+v", q, shards, i, g, w)
 				}
 			}
+		}
+		if hit := reg.Counter("router.stats.hit").Value(); hit < int64(len(queries)) {
+			t.Fatalf("shards=%d: router.stats.hit = %d, want every repeated query hinted", shards, hit)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func FuzzRouterMergeResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := checkShardResult(res, terms); err != nil {
+		if err := checkShardResult(res, terms, query.Hint{}); err != nil {
 			return
 		}
 		// The response passed validation: merging it (twice, to force the

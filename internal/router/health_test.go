@@ -31,7 +31,7 @@ func (b *flipBackend) set(mode string) {
 	b.mu.Unlock()
 }
 
-func (b *flipBackend) ShardSearch(ctx context.Context, q string) (*query.ShardResult, error) {
+func (b *flipBackend) ShardSearch(ctx context.Context, q string, hint query.Hint) (*query.ShardResult, error) {
 	b.mu.Lock()
 	b.calls++
 	mode := b.mode

@@ -148,7 +148,7 @@ type scriptedReplica struct {
 	id int
 }
 
-func (r *scriptedReplica) ShardSearch(ctx context.Context, q string) (*query.ShardResult, error) {
+func (r *scriptedReplica) ShardSearch(ctx context.Context, q string, hint query.Hint) (*query.ShardResult, error) {
 	g := r.g
 	g.mu.Lock()
 	i := len(g.arrivals)
@@ -203,7 +203,7 @@ type staticBackend struct {
 	calls int
 }
 
-func (b *staticBackend) ShardSearch(ctx context.Context, q string) (*query.ShardResult, error) {
+func (b *staticBackend) ShardSearch(ctx context.Context, q string, hint query.Hint) (*query.ShardResult, error) {
 	b.mu.Lock()
 	b.calls++
 	b.mu.Unlock()

@@ -128,6 +128,7 @@ type Router struct {
 	clock  fetch.Clock
 	groups []*group
 	lat    *latencyRing
+	stats  *statsTable
 
 	// mu guards rng: replica picks are cheap and rare enough that one
 	// lock beats per-goroutine PRNG plumbing.
@@ -191,6 +192,7 @@ func New(cfg Config) (*Router, error) {
 		}
 		r.groups = append(r.groups, g)
 	}
+	r.stats = newStatsTable(len(r.groups))
 	return r, nil
 }
 
@@ -252,36 +254,56 @@ func (r *Router) search(ctx context.Context, q string, k int, tel *obs.Telemetry
 		return merged, nil
 	}
 
-	type outcome struct {
-		res    *query.ShardResult
-		err    error
-		hedges int
+	// When the table knows every term on every shard, the global df and
+	// N travel with the query and each shard cuts to its k best. Each
+	// response then proves or refutes the statistics its cut was made
+	// under: on a contradiction (a shard swapped snapshots, or replicas
+	// of one shard serve different ones) the terms are forgotten and the
+	// query is fanned out once more with no hint, which is always exact.
+	var expect []*query.ShardResult
+	var hint query.Hint
+	if k > 0 {
+		if expect = r.stats.expect(terms); expect != nil {
+			hint = hintFor(expect, k)
+		}
 	}
-	outs := make([]outcome, n)
-	var wg sync.WaitGroup
-	for i := range r.groups {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, hedges, err := r.callShard(ctx, i, q, terms, tel)
-			outs[i] = outcome{res: res, err: err, hedges: hedges}
-		}(i)
+	outs := r.fanOut(ctx, q, terms, hint, merged, tel)
+	switch {
+	case hint.K > 0 && refuted(outs, expect):
+		tel.Counter("router.stats.stale").Inc()
+		r.stats.forget(terms)
+		hint = query.Hint{}
+		outs = r.fanOut(ctx, q, terms, hint, merged, tel)
+	case hint.K > 0:
+		tel.Counter("router.stats.hit").Inc()
+	case k > 0:
+		tel.Counter("router.stats.miss").Inc()
 	}
-	wg.Wait()
 
+	// responses is what enters the fold, one slot per shard. Under a
+	// verified hint a failed shard's slot holds its remembered
+	// statistics with no candidates — the idf the responders cut under —
+	// so a degraded answer is the healthy one minus that shard's
+	// documents, scores unchanged; with no hint it stays nil and the idf
+	// is summed over the responders.
 	responses := make([]*query.ShardResult, n)
 	var firstErr error
 	for i, o := range outs {
-		merged.Hedges += o.hedges
 		if o.err != nil {
 			merged.FailedShards = append(merged.FailedShards, i)
 			if firstErr == nil {
 				firstErr = fmt.Errorf("shard %d: %w", i, o.err)
 			}
+			if hint.K > 0 {
+				responses[i] = expect[i]
+			}
 			continue
 		}
 		responses[i] = o.res
 		merged.ShardsOK++
+		merged.Docs += o.res.Docs
+		merged.States += o.res.States
+		merged.Gen = max(merged.Gen, o.res.Gen)
 	}
 	if merged.ShardsOK == 0 {
 		return merged, fmt.Errorf("router: no shard answered: %w", firstErr)
@@ -293,23 +315,42 @@ func (r *Router) search(ctx context.Context, q string, k int, tel *obs.Telemetry
 				merged.ShardsOK, n, firstErr)
 		}
 	}
+	if hint.K == 0 {
+		r.stats.learn(terms, responses)
+	}
 
 	merged.Duplicates = dropDuplicates(responses)
 	if merged.Duplicates > 0 {
 		tel.Counter("router.fanout.dup_docs").Add(int64(merged.Duplicates))
 	}
 	merged.Results = query.Fold(terms, r.w, responses, k)
-	for _, res := range responses {
-		if res == nil {
-			continue
-		}
-		merged.Docs += res.Docs
-		merged.States += res.States
-		if res.Gen > merged.Gen {
-			merged.Gen = res.Gen
-		}
-	}
 	return merged, nil
+}
+
+// outcome is one shard's result of one fan-out.
+type outcome struct {
+	res *query.ShardResult
+	err error
+}
+
+// fanOut calls every shard concurrently, waits for all of them, and
+// adds the hedges they fired to merged.
+func (r *Router) fanOut(ctx context.Context, q string, terms []string, hint query.Hint, merged *Merged, tel *obs.Telemetry) []outcome {
+	outs := make([]outcome, len(r.groups))
+	hedges := make([]int, len(r.groups))
+	var wg sync.WaitGroup
+	for i := range r.groups {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i].res, hedges[i], outs[i].err = r.callShard(ctx, i, q, terms, hint, tel)
+		}(i)
+	}
+	wg.Wait()
+	for _, h := range hedges {
+		merged.Hedges += h
+	}
+	return outs
 }
 
 // dropDuplicates removes every candidate whose (URL, state) an earlier
@@ -370,7 +411,7 @@ func dropDuplicates(responses []*query.ShardResult) int {
 // whatever is still in flight is canceled (and counted). Every outcome
 // feeds the replica health EWMAs: errors and timeouts hard, "the hedge
 // had to fire against you" softly.
-func (r *Router) callShard(ctx context.Context, shard int, q string, terms []string, tel *obs.Telemetry) (*query.ShardResult, int, error) {
+func (r *Router) callShard(ctx context.Context, shard int, q string, terms []string, hint query.Hint, tel *obs.Telemetry) (*query.ShardResult, int, error) {
 	g := r.groups[shard]
 
 	remaining, hasBudget := r.budgetRemaining(ctx)
@@ -415,9 +456,9 @@ func (r *Router) callShard(ctx context.Context, shard int, q string, terms []str
 		rep.outstanding.Add(1)
 		go func() {
 			defer rep.outstanding.Add(-1)
-			res, err := rep.backend.ShardSearch(cctx, q)
+			res, err := rep.backend.ShardSearch(cctx, q, hint)
 			if err == nil {
-				err = checkShardResult(res, terms)
+				err = checkShardResult(res, terms, hint)
 			}
 			resc <- attempt{res: res, err: err, hedged: hedged, ri: ri}
 		}()
@@ -577,10 +618,11 @@ func (r *Router) pick(g *group, used []bool, tel *obs.Telemetry) int {
 
 // checkShardResult validates a shard response against the routed query
 // before it may enter the merge: aligned vectors, finite scores,
-// plausible counts. Responses arrive from the network, so nothing here
-// is trusted — a violation fails the attempt (triggering failover), it
-// never panics the router.
-func checkShardResult(res *query.ShardResult, terms []string) error {
+// plausible counts, and no more candidates than the hint's cut allows.
+// Responses arrive from the network, so nothing here is trusted — a
+// violation fails the attempt (triggering failover), it never panics
+// the router.
+func checkShardResult(res *query.ShardResult, terms []string, hint query.Hint) error {
 	const maxURLLen = 8 << 10
 	if res == nil {
 		return errors.New("router: nil shard response")
@@ -596,14 +638,20 @@ func checkShardResult(res *query.ShardResult, terms []string) error {
 	if len(res.DF) != len(terms) {
 		return fmt.Errorf("router: df vector has %d entries, query has %d terms", len(res.DF), len(terms))
 	}
+	// df and TotalStates are remembered and summed into later hints, so
+	// they are bounded above as well: a shard holds far fewer than 2^31
+	// states, and sums of bounded counts cannot wrap.
 	for i, df := range res.DF {
-		if df < 0 {
-			return fmt.Errorf("router: negative df[%d] = %d", i, df)
+		if df < 0 || df > math.MaxInt32 {
+			return fmt.Errorf("router: df[%d] = %d out of range", i, df)
 		}
 	}
-	if res.TotalStates < 0 || res.Docs < 0 || res.States < 0 || res.Gen < 0 {
-		return fmt.Errorf("router: negative collection stats (states %d, docs %d/%d, gen %d)",
+	if res.TotalStates < 0 || res.TotalStates > math.MaxInt32 || res.Docs < 0 || res.States < 0 || res.Gen < 0 {
+		return fmt.Errorf("router: collection stats out of range (states %d, docs %d/%d, gen %d)",
 			res.TotalStates, res.Docs, res.States, res.Gen)
+	}
+	if hint.K > 0 && len(res.Candidates) > hint.K {
+		return fmt.Errorf("router: %d candidates answer a cut to %d", len(res.Candidates), hint.K)
 	}
 	for i := range res.Candidates {
 		c := &res.Candidates[i]

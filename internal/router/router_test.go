@@ -170,8 +170,8 @@ func TestSearchFailoverOnInvalidResponse(t *testing.T) {
 	clock := newTestClock()
 	g := &scriptedGroup{clock: clock}
 	g.script = []func(ctx context.Context) (*query.ShardResult, error){
-		func(ctx context.Context) (*query.ShardResult, error) { return bad.ShardSearch(ctx, "") },
-		func(ctx context.Context) (*query.ShardResult, error) { return good.ShardSearch(ctx, "") },
+		func(ctx context.Context) (*query.ShardResult, error) { return bad.ShardSearch(ctx, "", query.Hint{}) },
+		func(ctx context.Context) (*query.ShardResult, error) { return good.ShardSearch(ctx, "", query.Hint{}) },
 	}
 	r, err := New(Config{Shards: [][]Backend{g.backends(2)}, Clock: clock, Partial: false})
 	if err != nil {
@@ -217,7 +217,7 @@ func TestSearchExhaustedReplicasReportsLastError(t *testing.T) {
 func TestCheckShardResultRejections(t *testing.T) {
 	terms := []string{"a", "b"}
 	ok := canned(terms, 5, cand("http://x", 0, 1, 1, 0))
-	if err := checkShardResult(ok, terms); err != nil {
+	if err := checkShardResult(ok, terms, query.Hint{}); err != nil {
 		t.Fatalf("valid result rejected: %v", err)
 	}
 	cases := []struct {
@@ -228,6 +228,8 @@ func TestCheckShardResultRejections(t *testing.T) {
 		{"df misaligned", func(r *query.ShardResult) { r.DF = r.DF[:1] }},
 		{"negative df", func(r *query.ShardResult) { r.DF[0] = -1 }},
 		{"negative states", func(r *query.ShardResult) { r.TotalStates = -1 }},
+		{"df over int32", func(r *query.ShardResult) { r.DF[0] = math.MaxInt32 + 1 }},
+		{"states over int32", func(r *query.ShardResult) { r.TotalStates = math.MaxInt32 + 1 }},
 		{"empty url", func(r *query.ShardResult) { r.Candidates[0].URL = "" }},
 		{"huge url", func(r *query.ShardResult) { r.Candidates[0].URL = strings.Repeat("u", 9<<10) }},
 		{"negative state", func(r *query.ShardResult) { r.Candidates[0].State = -2 }},
@@ -241,12 +243,21 @@ func TestCheckShardResultRejections(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			res := canned(terms, 5, cand("http://x", 0, 1, 1, 0))
 			tc.mutate(res)
-			if err := checkShardResult(res, terms); err == nil {
+			if err := checkShardResult(res, terms, query.Hint{}); err == nil {
 				t.Fatalf("%s passed validation", tc.name)
 			}
 		})
 	}
-	if err := checkShardResult(nil, terms); err == nil {
+	if err := checkShardResult(nil, terms, query.Hint{}); err == nil {
 		t.Fatal("nil result passed validation")
+	}
+	// Under a hint the shard was asked for its k best: more is a shard
+	// that ignored the cut, and fails over like any other bad answer.
+	two := canned(terms, 5, cand("http://x", 0, 1, 1, 0), cand("http://y", 0, 1, 1, 0))
+	if err := checkShardResult(two, terms, query.Hint{K: 2, DF: []int{2, 0}, N: 5}); err != nil {
+		t.Fatalf("k candidates under a k-hint rejected: %v", err)
+	}
+	if err := checkShardResult(two, terms, query.Hint{K: 1, DF: []int{2, 0}, N: 5}); err == nil {
+		t.Fatal("2 candidates passed validation under a hint with k=1")
 	}
 }

@@ -27,7 +27,7 @@ type soakBackend struct {
 	expired atomic.Int64
 }
 
-func (b *soakBackend) ShardSearch(ctx context.Context, q string) (*query.ShardResult, error) {
+func (b *soakBackend) ShardSearch(ctx context.Context, q string, hint query.Hint) (*query.ShardResult, error) {
 	b.calls.Add(1)
 	if rem, ok := BudgetRemaining(ctx); ok && rem <= 0 {
 		b.expired.Add(1)
@@ -35,7 +35,7 @@ func (b *soakBackend) ShardSearch(ctx context.Context, q string) (*query.ShardRe
 	if b.down.Load() {
 		return nil, errReplicaDown
 	}
-	return b.inner.ShardSearch(ctx, q)
+	return b.inner.ShardSearch(ctx, q, hint)
 }
 
 func (b *soakBackend) Probe(ctx context.Context) error {

@@ -21,7 +21,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -525,22 +527,79 @@ func (s *Server) search(ctx context.Context, q string, k int, tok *admission.Tok
 // handleShardSearch answers the shard half of a distributed query
 // (internal/router's fan-out protocol): pre-idf candidates plus the
 // local df vector and state count, so a router can apply the global idf
-// correction of eq. 6.1 across shard servers. The same load-shedding
-// gate and per-query deadline as /search apply — a router hedging into
-// a saturated replica should see 429 quickly, not queue behind it.
+// correction of eq. 6.1 across shard servers. A router that already
+// knows the global statistics sends them as k, n and df, and gets back
+// only the k candidates that can still reach the global top-k
+// (query.Hint). The same load-shedding gate and per-query deadline as
+// /search apply — a router hedging into a saturated replica should see
+// 429 quickly, not queue behind it.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.begin(w, r, false)
 	if !ok {
 		return
 	}
-	defer req.tok.Release()
 	defer req.cancel()
+	hint, err := parseHint(r.URL.Query(), req.q)
+	if err != nil {
+		req.tok.Cancel()
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	defer req.tok.Release()
 
-	res := s.qs.ShardSearch(req.ctx, req.q)
+	res := s.qs.ShardSearchTop(req.ctx, req.q, hint)
 	w.Header().Set(HeaderGeneration, strconv.FormatInt(res.Gen, 10))
 	w.Header().Set(HeaderDocs, strconv.Itoa(res.Docs))
 	w.Header().Set(HeaderStates, strconv.Itoa(res.States))
 	WriteJSON(w, http.StatusOK, res)
+}
+
+// parseHint reads the router's global statistics off a /shard/search
+// query string: k (the cut bound — the router's k, deliberately not
+// clamped to this server's MaxK, which would break the cut's
+// exactness), n (global state count) and df (comma-separated global
+// document frequencies, one per term of q). With neither n nor df there
+// is no hint and k is ignored, as it always was. These are bytes from
+// the network, so a malformed hint is an error (400) — but a well-formed
+// one that merely disagrees with this shard's own statistics is not:
+// that is a stale hint, and the 200 carrying the actual statistics is
+// how the router finds out.
+func parseHint(v url.Values, q string) (query.Hint, error) {
+	if !v.Has("n") && !v.Has("df") {
+		return query.Hint{}, nil
+	}
+	count := func(name, s string) (int, error) {
+		n, err := strconv.ParseInt(s, 10, 32)
+		if err != nil || n < 0 {
+			return 0, fmt.Errorf("%s must be a non-negative 32-bit integer", name)
+		}
+		return int(n), nil
+	}
+	k, err := count("k", v.Get("k"))
+	if err != nil || k == 0 {
+		return query.Hint{}, errors.New("a hint needs a positive integer k")
+	}
+	n, err := count("n", v.Get("n"))
+	if err != nil {
+		return query.Hint{}, err
+	}
+	hint := query.Hint{K: k, N: n, DF: []int{}}
+	if s := v.Get("df"); s != "" {
+		for _, f := range strings.Split(s, ",") {
+			df, err := count("df", f)
+			if err != nil {
+				return query.Hint{}, err
+			}
+			hint.DF = append(hint.DF, df)
+		}
+	}
+	if terms := len(query.Parse(q)); len(hint.DF) != terms {
+		return query.Hint{}, fmt.Errorf("df has %d entries, query has %d terms", len(hint.DF), terms)
+	}
+	if n == 0 && len(hint.DF) > 0 {
+		return query.Hint{}, errors.New("n must be positive when df is given")
+	}
+	return hint, nil
 }
 
 // healthResponse is the /healthz JSON body.

@@ -25,7 +25,7 @@ func testHash(b byte) dom.Hash {
 
 // writeSnapshot publishes a small two-doc snapshot (with models, so
 // snippets work) into dir and returns its manifest.
-func writeSnapshot(t *testing.T, dir string) *index.Manifest {
+func writeSnapshot(t testing.TB, dir string) *index.Manifest {
 	t.Helper()
 	g1 := model.NewGraph("site/watch?v=a")
 	g1.AddState(testHash(1), "morcheeba enjoy the ride official video", 0)
@@ -41,7 +41,7 @@ func writeSnapshot(t *testing.T, dir string) *index.Manifest {
 	return man
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *obs.Registry) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *obs.Registry) {
 	t.Helper()
 	if cfg.SnapshotDir == "" {
 		cfg.SnapshotDir = t.TempDir()
