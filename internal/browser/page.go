@@ -234,11 +234,13 @@ func (p *Page) Trigger(ctx context.Context, ev Event) (changed bool, err error) 
 			return false, fmt.Errorf("browser: event source %s not found", ev.Path)
 		}
 	}
-	before := dom.QuickHash(p.Doc)
+	// Free on a Restored document (it arrives hashed); afterwards only
+	// the subtrees the handler touched are rehashed.
+	before := dom.CanonicalHash(p.Doc)
 	if err := p.runHandler(ctx, ev.Type, ev.Code, node); err != nil {
 		return false, err
 	}
-	return dom.QuickHash(p.Doc) != before, nil
+	return dom.CanonicalHash(p.Doc) != before, nil
 }
 
 // runHandler compiles and invokes handler code with this = element. Each
@@ -278,8 +280,10 @@ type Snapshot struct {
 	doc *dom.Node
 }
 
-// Snapshot returns a deep copy of the current DOM.
+// Snapshot returns a deep copy of the current DOM. The copy carries the
+// document's digests, so every Restore of it starts fully hashed.
 func (p *Page) Snapshot() *Snapshot {
+	dom.CanonicalHash(p.Doc)
 	return &Snapshot{doc: p.Doc.Clone()}
 }
 

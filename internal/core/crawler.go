@@ -544,7 +544,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 				Event:      ev.Type,
 				Code:       ev.Code,
 				SourcePath: ev.Path,
-				Targets:    diffTargets(snap, page),
+				Targets:    diffTargets(snap.Doc(), page.Doc),
 				Action:     "innerHTML",
 			})
 			if opts.RecordProfile != nil {
@@ -604,7 +604,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 					Event:      fev.Type,
 					Code:       fev.Code,
 					SourcePath: fev.Path,
-					Targets:    diffTargets(snap, page),
+					Targets:    diffTargets(snap.Doc(), page.Doc),
 					Action:     "innerHTML",
 					Probe:      probe,
 				})
@@ -638,35 +638,48 @@ func sourceName(ev browser.Event) string {
 }
 
 // diffTargets returns the ids of the shallowest identified elements whose
-// content differs between the pre-event snapshot and the current DOM —
-// the transition's target annotation (Table 2.1).
-func diffTargets(snap *browser.Snapshot, page *browser.Page) []string {
-	oldDoc := snap.Doc()
-	if oldDoc == nil {
-		return nil
-	}
-	oldByID := map[string]dom.Hash{}
-	oldDoc.Walk(func(n *dom.Node) bool {
-		if n.Type == dom.ElementNode && n.ID() != "" {
-			oldByID[n.ID()] = dom.CanonicalHash(n)
-		}
-		return true
-	})
+// content differs between the pre-event DOM and the current one — the
+// transition's target annotation (Table 2.1). An element is matched to
+// its old self by id (the first with that id, as getElementById has it)
+// and reported when the two digests differ; nothing beneath a matched
+// element is looked at.
+//
+// Both documents are hashed by the time a transition is recorded, so this
+// is a walk over cached digests: old and new are descended in lockstep
+// and a pair of equal subtrees is pruned unvisited. The pairing is only a
+// pruning heuristic — equal subtrees hold the same ids with the same
+// digests, so nothing inside them can be a target. What is left to visit
+// is the path to each change; every identified element on it costs one
+// scan of the old document.
+func diffTargets(oldDoc, newDoc *dom.Node) []string {
 	var targets []string
-	var walk func(n *dom.Node, insideChanged bool)
-	walk = func(n *dom.Node, insideChanged bool) {
-		changedHere := false
-		if n.Type == dom.ElementNode && n.ID() != "" && !insideChanged {
-			if oldHash, ok := oldByID[n.ID()]; ok && oldHash != dom.CanonicalHash(n) {
-				targets = append(targets, n.ID())
-				changedHere = true
+	var walk func(o, n *dom.Node)
+	walk = func(o, n *dom.Node) {
+		if o != nil && dom.CanonicalHash(o) == dom.CanonicalHash(n) {
+			return
+		}
+		if n.Type == dom.ElementNode {
+			if id := n.ID(); id != "" {
+				if old := oldDoc.ElementByID(id); old != nil {
+					if dom.CanonicalHash(old) != dom.CanonicalHash(n) {
+						targets = append(targets, id)
+					}
+					return
+				}
 			}
 		}
-		for c := n.FirstChild; c != nil; c = c.NextSibling {
-			walk(c, insideChanged || changedHere)
+		var oc *dom.Node
+		if o != nil {
+			oc = o.FirstChild
+		}
+		for nc := n.FirstChild; nc != nil; nc = nc.NextSibling {
+			walk(oc, nc)
+			if oc != nil {
+				oc = oc.NextSibling
+			}
 		}
 	}
-	walk(page.Doc, false)
+	walk(oldDoc, newDoc)
 	return targets
 }
 

@@ -11,6 +11,7 @@ import (
 	"ajaxcrawl/internal/browser"
 	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/fetch"
+	"ajaxcrawl/internal/html"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/webapp"
 )
@@ -271,6 +272,38 @@ func TestTransitionAnnotations(t *testing.T) {
 		}
 		if !foundTarget {
 			t.Fatalf("transition targets = %v, want recent_comments", tr.Targets)
+		}
+	}
+}
+
+func TestDiffTargets(t *testing.T) {
+	for _, c := range []struct {
+		name, before, after string
+		want                []string
+	}{
+		{"no change", `<div id="a">x</div>`, `<div id="a">x</div>`, nil},
+		{"canonically equal", `<div id="a">x  y</div>`, `<div id="a"> x y<!--c--></div> `, nil},
+		{"text under an id", `<div id="a">x</div>`, `<div id="a">y</div>`, []string{"a"}},
+		{"attribute of an id", `<div id="a">x</div>`, `<div id="a" class="k">x</div>`, []string{"a"}},
+		{"nested ids report the shallowest",
+			`<div id="outer"><p><span id="inner">x</span></p></div>`,
+			`<div id="outer"><p><span id="inner">y</span></p></div>`, []string{"outer"}},
+		{"unchanged siblings are pruned",
+			`<div><div id="a">x</div><div id="b"><i id="c">s</i></div><div id="d">t</div></div>`,
+			`<div><div id="a">y</div><div id="b"><i id="c">s</i></div><div id="d">t</div></div>`, []string{"a"}},
+		{"two changes in document order",
+			`<div id="a">x</div><p>-</p><div id="b">x</div>`,
+			`<div id="a">y</div><p>-</p><div id="b">z</div>`, []string{"a", "b"}},
+		{"change outside every id", `<p>x</p><div id="a">x</div>`, `<p>y</p><div id="a">x</div>`, nil},
+		{"new id has no old self", `<div>x</div>`, `<div><b id="n">x</b></div>`, nil},
+		{"new id inside an old one", `<div id="a">x</div>`, `<div id="a"><b id="n">x</b></div>`, []string{"a"}},
+		{"matched by id, not position",
+			`<div id="a">x</div><div id="b">y</div>`,
+			`<p>new</p><div id="a">x</div><div id="b">z</div>`, []string{"b"}},
+		{"old id gone", `<div id="a">x</div><div id="b">y</div>`, `<div id="b">y</div>`, nil},
+	} {
+		if got := diffTargets(html.Parse(c.before), html.Parse(c.after)); !equalStrings(got, c.want) {
+			t.Errorf("%s: targets = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

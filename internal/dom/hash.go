@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"hash/fnv"
 	"sort"
 )
 
@@ -17,78 +15,130 @@ type Hash [32]byte
 // String returns the hex form of the hash (for logs and gob keys).
 func (h Hash) String() string { return hex.EncodeToString(h[:8]) }
 
-// CanonicalHash computes the canonical hash of the subtree rooted at n.
-//
-// The hash is canonical in the sense that representations that render the
-// same user-visible state collapse to the same value:
-//   - attribute order is ignored (attributes are hashed sorted by key),
-//   - whitespace in text nodes is collapsed,
-//   - comments and whitespace-only text nodes are ignored,
-//   - script/style contents are ignored (they do not change what the user
-//     sees; the crawler cares about visible state identity).
-func CanonicalHash(n *Node) Hash {
-	h := sha256.New()
-	hashNode(h, n)
-	var out Hash
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
-// QuickHash is a cheap 64-bit variant of CanonicalHash used by hot loops
-// (DOM-change detection after each event). Equal CanonicalHash implies
-// equal QuickHash but not vice versa; the crawler confirms QuickHash
-// matches with CanonicalHash before merging states.
-func QuickHash(n *Node) uint64 {
-	h := fnv.New64a()
-	hashNode(h, n)
-	return h.Sum64()
-}
-
-var (
-	sepElem = []byte{0x01}
-	sepAttr = []byte{0x02}
-	sepText = []byte{0x03}
-	sepEnd  = []byte{0x04}
+// States of a Node's digest cache. The zero value is dirty, so a node
+// built field by field (the parser) starts out unhashed.
+const (
+	digestDirty uint8 = iota // never hashed, or mutated beneath since
+	digestValid              // Node.digest is the subtree's digest
+	digestNone               // hashed, and the node contributes nothing
 )
 
-func hashNode(h hash.Hash, n *Node) {
-	switch n.Type {
-	case CommentNode, DoctypeNode:
-		return
-	case TextNode:
-		if n.Parent != nil && (n.Parent.Data == "script" || n.Parent.Data == "style") {
-			return
+// CanonicalHash returns the canonical hash of the subtree rooted at n: a
+// Merkle digest, cached on every node and recomputed only for the
+// subtrees mutated since the last call, so a second call — or a call on
+// a Clone — costs nothing. Filling the cache writes to the nodes: two
+// goroutines may not hash one tree concurrently.
+//
+//	digest(text)    = H(kind ‖ whitespace-collapsed text)
+//	digest(element) = H(kind ‖ len ‖ tag ‖ #attrs ‖ (len ‖ key ‖ len ‖ val)* ‖ child digests)
+//
+// with the document node hashed like an element with no tag. The hash is
+// canonical in the sense that representations that render the same
+// user-visible state collapse to the same value:
+//   - attribute order is ignored (attributes are hashed sorted by key,
+//     repeats of one key in document order),
+//   - whitespace in text nodes is collapsed,
+//   - comments, doctypes and whitespace-only text nodes contribute
+//     nothing (hashed on their own they yield the zero Hash),
+//   - script/style contents are ignored (they do not change what the user
+//     sees; the crawler cares about visible state identity).
+//
+// Every variable-length field is length-prefixed and child digests have
+// a fixed width, so no page-controlled byte can shift a field boundary.
+func CanonicalHash(n *Node) Hash {
+	if n.hashed == digestDirty {
+		var scratch [2048]byte
+		n.rehash(scratch[:0])
+	}
+	return n.digest
+}
+
+// rehash recomputes the digest of n and of the dirty nodes beneath it.
+// buf is a stack of preimages: each node appends its own past len(buf),
+// hashes it and pops it, so one buffer serves the whole walk. It returns
+// buf at its original length (possibly regrown).
+func (n *Node) rehash(buf []byte) []byte {
+	if n.Type == CommentNode || n.Type == DoctypeNode {
+		n.digest, n.hashed = Hash{}, digestNone
+		return buf
+	}
+	start := len(buf)
+	buf = append(buf, byte(n.Type))
+	if n.Type == TextNode {
+		buf = appendCollapsed(buf, n.Data)
+		if len(buf) == start+1 {
+			n.digest, n.hashed = Hash{}, digestNone
+			return buf[:start]
 		}
-		t := CollapseWhitespace(n.Data)
-		if t == "" {
-			return
-		}
-		h.Write(sepText)
-		h.Write([]byte(t))
-		return
-	case ElementNode:
-		h.Write(sepElem)
-		h.Write([]byte(n.Data))
-		if len(n.Attr) > 0 {
-			attrs := make([]Attribute, len(n.Attr))
-			copy(attrs, n.Attr)
-			sort.Slice(attrs, func(i, j int) bool { return attrs[i].Key < attrs[j].Key })
-			for _, a := range attrs {
-				h.Write(sepAttr)
-				h.Write([]byte(a.Key))
-				var lbuf [4]byte
-				binary.LittleEndian.PutUint32(lbuf[:], uint32(len(a.Val)))
-				h.Write(lbuf[:])
-				h.Write([]byte(a.Val))
+	} else {
+		buf = appendField(buf, n.Data)
+		buf = appendAttrs(buf, n.Attr)
+		rawText := rawTextElements[n.Data]
+		for c := n.FirstChild; c != nil; c = c.NextSibling {
+			if c.hashed == digestDirty {
+				buf = c.rehash(buf)
+			}
+			if c.hashed == digestValid && !(rawText && c.Type == TextNode) {
+				buf = append(buf, c.digest[:]...)
 			}
 		}
 	}
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		hashNode(h, c)
+	n.digest, n.hashed = sha256.Sum256(buf[start:]), digestValid
+	return buf[:start]
+}
+
+// invalidate marks n and its ancestors for rehashing. Hashing a node
+// hashes its whole subtree and every mutation comes through here, so a
+// dirty node's ancestors are already dirty and the walk stops at the
+// first one.
+func (n *Node) invalidate() {
+	for ; n != nil && n.hashed != digestDirty; n = n.Parent {
+		n.hashed = digestDirty
 	}
-	if n.Type == ElementNode {
-		h.Write(sepEnd)
+}
+
+func appendField(buf []byte, s string) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+	return append(buf, s...)
+}
+
+func appendAttrs(buf []byte, attrs []Attribute) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(attrs)))
+	var small [smallAttrs]int
+	for _, i := range attrOrder(attrs, &small) {
+		buf = appendField(buf, attrs[i].Key)
+		buf = appendField(buf, attrs[i].Val)
 	}
+	return buf
+}
+
+// smallAttrs is the attribute count up to which attrOrder sorts in the
+// caller's stack array; real elements carry a handful.
+const smallAttrs = 16
+
+// attrOrder returns the indices of attrs in canonical order: by key,
+// repeats of one key in document order (GetAttr answers with the first,
+// so their order is content). Up to smallAttrs it allocates nothing; a
+// hostile element with thousands of attributes gets an n·log n sort.
+func attrOrder(attrs []Attribute, small *[smallAttrs]int) []int {
+	if len(attrs) > smallAttrs {
+		idx := make([]int, len(attrs))
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return attrs[idx[a]].Key < attrs[idx[b]].Key })
+		return idx
+	}
+	idx := small[:0]
+	for i := range attrs {
+		j := len(idx)
+		idx = append(idx, i)
+		for ; j > 0 && attrs[idx[j-1]].Key > attrs[i].Key; j-- {
+			idx[j] = idx[j-1]
+		}
+		idx[j] = i
+	}
+	return idx
 }
 
 // Equal reports whether two subtrees are canonically identical, using the
@@ -131,12 +181,10 @@ func equalAttrs(a, b []Attribute) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	am := make(map[string]string, len(a))
-	for _, x := range a {
-		am[x.Key] = x.Val
-	}
-	for _, y := range b {
-		if v, ok := am[y.Key]; !ok || v != y.Val {
+	var sa, sb [smallAttrs]int
+	ia, ib := attrOrder(a, &sa), attrOrder(b, &sb)
+	for k := range ia {
+		if a[ia[k]] != b[ib[k]] {
 			return false
 		}
 	}

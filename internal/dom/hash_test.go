@@ -73,15 +73,124 @@ func TestCanonicalHashIgnoresScriptText(t *testing.T) {
 	}
 }
 
-func TestQuickHashConsistentWithCanonical(t *testing.T) {
-	a := buildDoc()
-	b := buildDoc()
-	if QuickHash(a) != QuickHash(b) {
-		t.Fatalf("equal trees must have equal quick hashes")
+// A page controls every byte of its text, so a digest that joins fields
+// with bare separator bytes can be steered into a collision: under the
+// old 0x01..0x04 framing <p>a<b></b></p> and a <p> whose one text node is
+// "a\x01b\x04" hashed equal while Equal said false.
+func TestCanonicalHashSeparatorBytesInText(t *testing.T) {
+	a := NewElement("p")
+	a.AppendChild(NewText("a"))
+	a.AppendChild(NewElement("b"))
+	b := NewElement("p")
+	b.AppendChild(NewText("a\x01b\x04"))
+	if Equal(a, b) {
+		t.Fatalf("the pair must differ structurally")
 	}
-	b.ElementByID("b").FirstChild.Data = "changed"
-	if QuickHash(a) == QuickHash(b) {
-		t.Fatalf("changed tree should (almost surely) change quick hash")
+	if CanonicalHash(a) == CanonicalHash(b) {
+		t.Fatalf("text carrying separator bytes collides with real structure")
+	}
+}
+
+// Repeats of one attribute key are content (GetAttr answers with the
+// first): Equal and the digest must agree on them.
+func TestRepeatedAttrKeys(t *testing.T) {
+	mk := func(vals ...string) *Node {
+		n := &Node{Type: ElementNode, Data: "a"}
+		for _, v := range vals {
+			n.Attr = append(n.Attr, Attribute{Key: "x", Val: v})
+		}
+		return n
+	}
+	for _, c := range []struct {
+		a, b  *Node
+		equal bool
+	}{
+		{mk("1", "2"), mk("1", "2"), true},
+		{mk("1", "2"), mk("2", "1"), false},
+		{mk("1", "2"), mk("2", "2"), false},
+	} {
+		if got := Equal(c.a, c.b); got != c.equal {
+			t.Errorf("Equal(%v, %v) = %v", c.a.Attr, c.b.Attr, got)
+		}
+		if got := CanonicalHash(c.a) == CanonicalHash(c.b); got != c.equal {
+			t.Errorf("digests of %v and %v equal = %v", c.a.Attr, c.b.Attr, got)
+		}
+	}
+}
+
+// More attributes than attrOrder sorts on the stack take the other sort;
+// both must produce one canonical order.
+func TestCanonicalHashManyAttrs(t *testing.T) {
+	a, b := NewElement("div"), NewElement("div")
+	for i := 0; i < 3*smallAttrs; i++ {
+		a.SetAttr("k"+string(rune('A'+i)), "v")
+		b.SetAttr("k"+string(rune('A'+3*smallAttrs-1-i)), "v")
+	}
+	if CanonicalHash(a) != CanonicalHash(b) || !Equal(a, b) {
+		t.Fatalf("attribute order leaked into the digest past %d attributes", smallAttrs)
+	}
+}
+
+// Every mutator must reach the cached digests of the ancestors, and a
+// reverted mutation must restore the old digest.
+func TestMutatorsInvalidateDigest(t *testing.T) {
+	doc := buildDoc()
+	h0 := CanonicalHash(doc)
+	b := doc.ElementByID("b")
+	extra := NewElement("p")
+
+	steps := []struct {
+		name    string
+		mutate  func()
+		changes bool
+	}{
+		{"AppendChild", func() { b.AppendChild(extra) }, true},
+		{"RemoveChild", func() { b.RemoveChild(extra) }, false},
+		{"InsertBefore", func() { b.InsertBefore(extra, b.FirstChild) }, true},
+		{"RemoveChild again", func() { b.RemoveChild(extra) }, false},
+		{"SetAttr", func() { b.SetAttr("title", "t") }, true},
+		{"RemoveAttr", func() { b.RemoveAttr("title") }, false},
+	}
+	for _, st := range steps {
+		st.mutate()
+		if got := CanonicalHash(doc) != h0; got != st.changes {
+			t.Fatalf("after %s: root digest differs from the original = %v, want %v", st.name, got, st.changes)
+		}
+	}
+}
+
+// Hashing is alloc-free, cold or warm, and a Clone is two slabs.
+func TestHashAndCloneAllocs(t *testing.T) {
+	doc := buildDoc()
+	leaf := doc.ElementByID("b")
+	if n := testing.AllocsPerRun(100, func() {
+		leaf.SetAttr("class", "x") // dirties the path to the root
+		CanonicalHash(doc)
+	}); n != 0 {
+		t.Errorf("rehash of a dirty path allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { doc.Clone() }); n > 2 {
+		t.Errorf("Clone allocates %v times, want 2 slabs", n)
+	}
+	cold := doc.Clone()
+	cold.Walk(func(n *Node) bool { n.hashed = digestDirty; return true })
+	if n := testing.AllocsPerRun(1, func() { CanonicalHash(cold) }); n != 0 {
+		t.Errorf("cold hash allocates %v times", n)
+	}
+}
+
+// A clone's attribute slices sit side by side in one slab: growing one
+// must not run into its neighbour's.
+func TestCloneAttrsDoNotAlias(t *testing.T) {
+	root := NewElement("div", "a", "1")
+	root.AppendChild(NewElement("p", "b", "2"))
+	c := root.Clone()
+	c.SetAttr("z", "9")
+	if got := c.FirstChild.AttrOr("b", ""); got != "2" {
+		t.Fatalf("child attribute overwritten by the parent's append: b=%q", got)
+	}
+	if !Equal(root.FirstChild, c.FirstChild) {
+		t.Fatalf("child changed by an edit of the parent's attributes")
 	}
 }
 
@@ -142,10 +251,9 @@ func TestPropertyAttrOrderInvariance(t *testing.T) {
 		for _, k := range keys {
 			n.SetAttr(k, string(rune('a'+r.Intn(26))))
 		}
-		h1 := CanonicalHash(n)
-		m := n.Clone()
+		m := n.Clone() // before n is hashed: Attr may only be written on a never-hashed node
 		r.Shuffle(len(m.Attr), func(i, j int) { m.Attr[i], m.Attr[j] = m.Attr[j], m.Attr[i] })
-		return h1 == CanonicalHash(m)
+		return CanonicalHash(n) == CanonicalHash(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -169,18 +277,37 @@ func TestPropertyEqualImpliesSameHash(t *testing.T) {
 	}
 }
 
+// BenchmarkCanonicalHash prices the three cases the crawler meets: a
+// document never hashed (page load; the Clone it takes to get one is two
+// allocations), one leaf changed under a hashed document (an event), and
+// a hashed document asked again (Page.Hash after Trigger).
 func BenchmarkCanonicalHash(b *testing.B) {
-	doc := buildDoc()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	b.Run("cold", func(b *testing.B) {
+		doc := buildDoc()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			CanonicalHash(doc.Clone())
+		}
+	})
+	b.Run("dirty-leaf", func(b *testing.B) {
+		doc := buildDoc()
+		leaf := doc.ElementByID("b")
+		leaf.SetAttr("class", "x")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			leaf.SetAttr("class", "x")
+			CanonicalHash(doc)
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		doc := buildDoc()
 		CanonicalHash(doc)
-	}
-}
-
-func BenchmarkQuickHash(b *testing.B) {
-	doc := buildDoc()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		QuickHash(doc)
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			CanonicalHash(doc)
+		}
+	})
 }

@@ -12,6 +12,7 @@ package dom
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -56,6 +57,11 @@ type Attribute struct {
 
 // Node is a node in the document tree. For ElementNode, Data holds the
 // lower-case tag name; for TextNode and CommentNode it holds the text.
+//
+// A node caches the digest of its subtree (see CanonicalHash). The five
+// mutators — AppendChild, InsertBefore, RemoveChild, SetAttr, RemoveAttr
+// — invalidate it; assign Data, Attr or the link fields directly only on
+// a node that has never been hashed, as the parser does while building.
 type Node struct {
 	Type NodeType
 	Data string
@@ -66,6 +72,9 @@ type Node struct {
 	LastChild   *Node
 	PrevSibling *Node
 	NextSibling *Node
+
+	digest Hash
+	hashed uint8 // digestDirty, digestValid or digestNone
 }
 
 // NewElement returns a detached element node with the given tag name and
@@ -94,6 +103,12 @@ func (n *Node) AppendChild(c *Node) {
 	if c.Parent != nil || c.PrevSibling != nil || c.NextSibling != nil {
 		panic("dom: AppendChild called on attached child")
 	}
+	n.link(c)
+	n.invalidate()
+}
+
+// link wires the detached node c in as n's last child.
+func (n *Node) link(c *Node) {
 	last := n.LastChild
 	if last != nil {
 		last.NextSibling = c
@@ -128,6 +143,7 @@ func (n *Node) InsertBefore(c, ref *Node) {
 	c.Parent = n
 	c.PrevSibling = prev
 	c.NextSibling = ref
+	n.invalidate()
 }
 
 // RemoveChild detaches c from n. It panics if c is not a child of n.
@@ -148,6 +164,7 @@ func (n *Node) RemoveChild(c *Node) {
 	c.Parent = nil
 	c.PrevSibling = nil
 	c.NextSibling = nil
+	n.invalidate()
 }
 
 // RemoveChildren detaches all children of n.
@@ -198,6 +215,7 @@ func (n *Node) AttrOr(key, def string) string {
 // SetAttr sets (or adds) the attribute named key.
 func (n *Node) SetAttr(key, val string) {
 	key = strings.ToLower(key)
+	n.invalidate()
 	for i := range n.Attr {
 		if n.Attr[i].Key == key {
 			n.Attr[i].Val = val
@@ -213,6 +231,7 @@ func (n *Node) RemoveAttr(key string) {
 	for i := range n.Attr {
 		if n.Attr[i].Key == key {
 			n.Attr = append(n.Attr[:i], n.Attr[i+1:]...)
+			n.invalidate()
 			return
 		}
 	}
@@ -304,34 +323,84 @@ func (n *Node) VisibleText() string {
 }
 
 // CollapseWhitespace collapses all whitespace runs in s to single spaces
-// and trims the ends.
+// and trims the ends. A string already in that form is returned as is.
 func CollapseWhitespace(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
+	if isCollapsed(s) {
+		return s
+	}
+	return string(appendCollapsed(make([]byte, 0, len(s)), s))
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f'
+}
+
+func isCollapsed(s string) bool {
+	afterSpace := true // so that a leading space fails
+	for i := 0; i < len(s); i++ {
+		if isSpace(s[i]) {
+			if afterSpace || s[i] != ' ' {
+				return false
+			}
+			afterSpace = true
+		} else {
+			afterSpace = false
+		}
+	}
+	return !afterSpace || s == ""
+}
+
+// appendCollapsed appends CollapseWhitespace(s) to dst. The whitespace
+// set is ASCII, so scanning bytes never splits a multi-byte rune.
+func appendCollapsed(dst []byte, s string) []byte {
+	start := len(dst)
 	space := false
-	for _, r := range s {
-		if r == ' ' || r == '\t' || r == '\n' || r == '\r' || r == '\f' {
+	for i := 0; i < len(s); i++ {
+		if isSpace(s[i]) {
 			space = true
 			continue
 		}
-		if space && b.Len() > 0 {
-			b.WriteByte(' ')
+		if space && len(dst) > start {
+			dst = append(dst, ' ')
 		}
 		space = false
-		b.WriteRune(r)
+		dst = append(dst, s[i])
 	}
-	return b.String()
+	return dst
 }
 
-// Clone returns a deep copy of n (detached from any parent).
+// Clone returns a deep copy of n (detached from any parent), cached
+// digests included. The copy's nodes and attributes are carved from one
+// slab each, so a clone costs two allocations whatever the tree's size.
 func (n *Node) Clone() *Node {
-	c := &Node{Type: n.Type, Data: n.Data}
-	if len(n.Attr) > 0 {
-		c.Attr = make([]Attribute, len(n.Attr))
+	var nodes, attrs int
+	n.Walk(func(d *Node) bool {
+		nodes++
+		attrs += len(d.Attr)
+		return true
+	})
+	s := cloneSlab{nodes: make([]Node, nodes), attrs: make([]Attribute, attrs)}
+	return s.clone(n)
+}
+
+type cloneSlab struct {
+	nodes []Node
+	attrs []Attribute
+}
+
+func (s *cloneSlab) clone(n *Node) *Node {
+	c := &s.nodes[0]
+	s.nodes = s.nodes[1:]
+	c.Type, c.Data, c.digest, c.hashed = n.Type, n.Data, n.digest, n.hashed
+	if k := len(n.Attr); k > 0 {
+		// Capacity is capped so that a later SetAttr on the copy
+		// reallocates instead of growing into the next node's attributes.
+		c.Attr = s.attrs[:k:k]
+		s.attrs = s.attrs[k:]
 		copy(c.Attr, n.Attr)
 	}
 	for k := n.FirstChild; k != nil; k = k.NextSibling {
-		c.AppendChild(k.Clone())
+		c.link(s.clone(k))
 	}
 	return c
 }
@@ -340,11 +409,16 @@ func (n *Node) Clone() *Node {
 // "html/body/div[2]/a[0]". It is used to annotate transition sources so
 // that transitions can be replayed on a reconstructed DOM.
 func (n *Node) Path() string {
+	var buf [128]byte
+	return string(n.appendPath(buf[:0]))
+}
+
+func (n *Node) appendPath(b []byte) []byte {
 	if n.Parent == nil {
 		if n.Type == DocumentNode {
-			return ""
+			return b
 		}
-		return n.Data
+		return append(b, n.Data...)
 	}
 	idx := 0
 	for s := n.Parent.FirstChild; s != nil && s != n; s = s.NextSibling {
@@ -352,11 +426,14 @@ func (n *Node) Path() string {
 			idx++
 		}
 	}
-	parent := n.Parent.Path()
-	if parent == "" {
-		return fmt.Sprintf("%s[%d]", n.Data, idx)
+	b = n.Parent.appendPath(b)
+	if len(b) > 0 {
+		b = append(b, '/')
 	}
-	return fmt.Sprintf("%s/%s[%d]", parent, n.Data, idx)
+	b = append(b, n.Data...)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(idx), 10)
+	return append(b, ']')
 }
 
 // ByPath resolves a Path string produced by (*Node).Path relative to n
@@ -367,12 +444,17 @@ func (n *Node) ByPath(path string) *Node {
 		return n
 	}
 	cur := n
-	for _, seg := range strings.Split(path, "/") {
+	for rest, more := path, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
 		name := seg
 		idx := 0
 		if i := strings.IndexByte(seg, '['); i >= 0 {
 			name = seg[:i]
-			fmt.Sscanf(seg[i:], "[%d]", &idx)
+			var err error
+			if idx, err = strconv.Atoi(strings.TrimSuffix(seg[i+1:], "]")); err != nil {
+				return nil
+			}
 		}
 		var next *Node
 		count := 0

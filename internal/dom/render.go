@@ -24,17 +24,16 @@ func IsVoidElement(tag string) bool { return voidElements[tag] }
 // no child elements).
 func IsRawTextElement(tag string) bool { return rawTextElements[tag] }
 
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", `"`, "&quot;", "<", "&lt;", ">", "&gt;")
+)
+
 // EscapeText escapes text-node content for HTML output.
-func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func EscapeText(s string) string { return textEscaper.Replace(s) }
 
 // EscapeAttr escapes an attribute value for double-quoted HTML output.
-func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", `"`, "&quot;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func EscapeAttr(s string) string { return attrEscaper.Replace(s) }
 
 // Render writes the HTML serialization of n to w.
 func Render(w io.Writer, n *Node) error {

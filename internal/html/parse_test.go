@@ -151,6 +151,22 @@ func TestParseSelfClosing(t *testing.T) {
 	}
 }
 
+// A slash inside a tag that does not close it used to stall the
+// attribute scan forever — one byte from a page hung the process line.
+func TestParseStraySlashInTag(t *testing.T) {
+	doc := Parse(`<div><br/ ><a /x href="u" / y=1>t</a></div>`)
+	a := doc.ElementsByTag("a")[0]
+	if got := a.AttrOr("href", ""); got != "u" {
+		t.Fatalf("href = %q", got)
+	}
+	if _, ok := a.GetAttr("x"); !ok {
+		t.Fatalf("attribute after a stray slash lost: %v", a.Attr)
+	}
+	if got := a.TextContent(); got != "t" {
+		t.Fatalf("text = %q", got)
+	}
+}
+
 func TestParseUnmatchedEndTagIgnored(t *testing.T) {
 	doc := Parse(`<div>a</span>b</div>`)
 	div := doc.ElementsByTag("div")[0]

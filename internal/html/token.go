@@ -185,6 +185,12 @@ func (z *Tokenizer) tryTag() (Token, bool) {
 			z.pos = i
 			break
 		}
+		if s[i] == '/' {
+			// A stray slash (<br/ >, <a /x>) is not the start of a name;
+			// the name scan below would stop on it without advancing.
+			i++
+			continue
+		}
 		// Attribute name.
 		k := i
 		for i < len(s) && !isSpaceByte(s[i]) && s[i] != '=' && s[i] != '>' && s[i] != '/' {
