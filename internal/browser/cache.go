@@ -1,0 +1,103 @@
+package browser
+
+import (
+	"strings"
+	"sync"
+
+	"ajaxcrawl/internal/dom"
+	"ajaxcrawl/internal/html"
+	"ajaxcrawl/internal/js"
+)
+
+// The parse caches (DESIGN.md §5a, "Parse caches"). Under the hot-node
+// policy a page assigns the same few response bodies to innerHTML and
+// dispatches the same few handler sources over and over, and every page
+// of a site runs the same <script>; each distinct string is parsed once
+// and the parse reused. The key is the source text itself. Every write
+// and every dispatch takes the same path — look up, parse and insert on a
+// miss, use — and each cache is emptied when the source bytes it retains
+// pass its bound, so a page that never repeats itself costs a bounded
+// amount of memory.
+const (
+	// maxFragmentBytes bounds the innerHTML sources one Page retains; the
+	// parsed holders behind them are a small multiple of that.
+	maxFragmentBytes = 1 << 20
+	// maxProgramBytes bounds the script sources one ProgramCache retains.
+	maxProgramBytes = 1 << 18
+)
+
+// parseCache maps source text to what parsing it produced.
+type parseCache[T any] struct {
+	parsed map[string]T
+	bytes  int // Σ len(key)
+}
+
+// add records src → v, first emptying a cache that src would push past
+// max. A source longer than max is not retained at all.
+func (c *parseCache[T]) add(src string, v T, max int) {
+	if len(src) > max {
+		return
+	}
+	if c.bytes+len(src) > max {
+		clear(c.parsed)
+		c.bytes = 0
+	}
+	if c.parsed == nil {
+		c.parsed = make(map[string]T)
+	}
+	c.parsed[src] = v
+	c.bytes += len(src)
+}
+
+// ProgramCache parses each distinct JavaScript source once. The programs
+// it returns are shared: executing one only reads it (js.RunProgram). The
+// zero value is an empty cache, safe for concurrent use.
+//
+// A Page keeps a private one for its event-handler sources. The one for
+// <script> sources is the Page's Scripts field, which a crawler points
+// at a cache of its own so that the script every page of a site carries
+// is parsed once per process line.
+type ProgramCache struct {
+	mu    sync.Mutex
+	progs parseCache[*js.Program]
+}
+
+// Program returns the parse of src. A source that does not parse is not
+// remembered: every call reports its error afresh.
+func (c *ProgramCache) Program(src string) (*js.Program, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prog, ok := c.progs.parsed[src]; ok {
+		return prog, nil
+	}
+	// src is a substring of a page or response body and the AST keeps
+	// substrings of what it is parsed from: parse a private copy, so
+	// that a cached program pins its own source and nothing more.
+	src = strings.Clone(src)
+	prog, err := js.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	c.progs.add(src, prog, maxProgramBytes)
+	return prog, nil
+}
+
+// setInnerHTML replaces n's children with the parse of src — the DOM
+// mutation behind `element.innerHTML = ...`. Each distinct source is
+// parsed once per page, into a detached and fully hashed "#fragment"
+// holder that is never handed out: a write adopts the children of the
+// holder's Clone. The copy costs two allocations and arrives with its
+// digests, so rehashing the document afterwards hashes n and its
+// ancestors only. The holders die with the page, so their text nodes
+// (substrings of the response bodies) pin nothing beyond its lifetime.
+func (p *Page) setInnerHTML(n *dom.Node, src string) {
+	holder, ok := p.fragments.parsed[src]
+	if !ok {
+		holder = dom.NewElement("#fragment")
+		holder.AppendChildren(html.ParseFragment(src))
+		dom.CanonicalHash(holder)
+		p.fragments.add(src, holder, maxFragmentBytes)
+	}
+	n.RemoveChildren()
+	n.AdoptChildren(holder.Clone())
+}

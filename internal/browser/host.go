@@ -4,20 +4,26 @@ import (
 	"strings"
 
 	"ajaxcrawl/internal/dom"
-	"ajaxcrawl/internal/html"
 	"ajaxcrawl/internal/js"
 )
 
 // installHostObjects binds document, window, location, console and the
-// XMLHttpRequest constructor into the page's interpreter.
+// XMLHttpRequest constructor into the page's interpreter. Every method a
+// script can read off a host object is built here, once: document's as
+// its own properties, those of element wrappers and XMLHttpRequest
+// objects on one prototype each, finding their receiver through `this`.
 func (p *Page) installHostObjects() {
 	it := p.Interp
 
 	docObj := js.NewObject()
 	docObj.Class = "HTMLDocument"
 	docObj.Host = &documentHost{page: p}
+	p.installDocumentMethods(docObj)
 	docVal := js.ObjVal(docObj)
 	it.DefineGlobal("document", docVal)
+
+	p.elementProto = p.newElementProto()
+	p.xhrProto = newXHRProto()
 
 	locObj := js.NewObject()
 	locObj.Class = "Location"
@@ -94,38 +100,6 @@ type documentHost struct{ page *Page }
 func (d *documentHost) HostGet(name string) (js.Value, bool) {
 	p := d.page
 	switch name {
-	case "getElementById":
-		return js.ObjVal(js.NewNative("getElementById", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			id := argVal(args, 0).ToString()
-			n := p.Doc.ElementByID(id)
-			if n == nil {
-				return js.Null(), nil
-			}
-			return js.ObjVal(p.wrapElement(n)), nil
-		})), true
-	case "getElementsByTagName":
-		return js.ObjVal(js.NewNative("getElementsByTagName", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			tag := argVal(args, 0).ToString()
-			if tag == "*" {
-				tag = ""
-			}
-			nodes := p.Doc.ElementsByTag(tag)
-			vals := make([]js.Value, len(nodes))
-			for i, n := range nodes {
-				vals[i] = js.ObjVal(p.wrapElement(n))
-			}
-			return js.ObjVal(js.NewArray(vals...)), nil
-		})), true
-	case "createElement":
-		return js.ObjVal(js.NewNative("createElement", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			n := dom.NewElement(argVal(args, 0).ToString())
-			return js.ObjVal(p.wrapElement(n)), nil
-		})), true
-	case "createTextNode":
-		return js.ObjVal(js.NewNative("createTextNode", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			n := dom.NewText(argVal(args, 0).ToString())
-			return js.ObjVal(p.wrapElement(n)), nil
-		})), true
 	case "body":
 		if b := p.Doc.Body(); b != nil {
 			return js.ObjVal(p.wrapElement(b)), true
@@ -140,6 +114,46 @@ func (d *documentHost) HostGet(name string) (js.Value, bool) {
 		return js.Str(p.URL), true
 	}
 	return js.Undefined, false
+}
+
+// installDocumentMethods gives the document object its methods as own
+// properties, which Object.Get reaches once HostGet has declined the name.
+func (p *Page) installDocumentMethods(docObj *js.Object) {
+	method := func(name string, fn func(args []js.Value) js.Value) {
+		docObj.SetProp(name, js.ObjVal(js.NewNative(name, func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+			return fn(args), nil
+		})))
+	}
+	method("getElementById", func(args []js.Value) js.Value {
+		n := p.Doc.ElementByID(argVal(args, 0).ToString())
+		if n == nil {
+			return js.Null()
+		}
+		return js.ObjVal(p.wrapElement(n))
+	})
+	method("getElementsByTagName", func(args []js.Value) js.Value {
+		return p.elementsByTag(p.Doc, argVal(args, 0).ToString())
+	})
+	method("createElement", func(args []js.Value) js.Value {
+		return js.ObjVal(p.wrapElement(dom.NewElement(argVal(args, 0).ToString())))
+	})
+	method("createTextNode", func(args []js.Value) js.Value {
+		return js.ObjVal(p.wrapElement(dom.NewText(argVal(args, 0).ToString())))
+	})
+}
+
+// elementsByTag is getElementsByTagName under root, as an array of
+// element wrappers.
+func (p *Page) elementsByTag(root *dom.Node, tag string) js.Value {
+	if tag == "*" {
+		tag = ""
+	}
+	nodes := root.ElementsByTag(tag)
+	vals := make([]js.Value, len(nodes))
+	for i, n := range nodes {
+		vals[i] = js.ObjVal(p.wrapElement(n))
+	}
+	return js.ObjVal(js.NewArray(vals...))
 }
 
 func (d *documentHost) HostSet(name string, v js.Value) bool {
@@ -182,17 +196,15 @@ func (p *Page) wrapElement(n *dom.Node) *js.Object {
 	o := js.NewObject()
 	o.Class = "HTMLElement"
 	o.Host = &elementHost{page: p, node: n}
-	// style is a plain mutable object: assignments like
-	// el.style.display = "none" succeed without affecting state hashes.
-	style := js.NewObject()
-	o.SetProp("style", js.ObjVal(style))
+	o.Proto = p.elementProto
 	p.wrappers[n] = o
 	return o
 }
 
 type elementHost struct {
-	page *Page
-	node *dom.Node
+	page  *Page
+	node  *dom.Node
+	style *js.Object // made on first read
 }
 
 func (e *elementHost) HostGet(name string) (js.Value, bool) {
@@ -218,66 +230,73 @@ func (e *elementHost) HostGet(name string) (js.Value, bool) {
 			return js.Null(), true
 		}
 		return js.ObjVal(p.wrapElement(n.Parent)), true
-	case "getAttribute":
-		return js.ObjVal(js.NewNative("getAttribute", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			if v, ok := n.GetAttr(argVal(args, 0).ToString()); ok {
-				return js.Str(v), nil
-			}
-			return js.Null(), nil
-		})), true
-	case "setAttribute":
-		return js.ObjVal(js.NewNative("setAttribute", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			n.SetAttr(argVal(args, 0).ToString(), argVal(args, 1).ToString())
-			return js.Undefined, nil
-		})), true
-	case "removeAttribute":
-		return js.ObjVal(js.NewNative("removeAttribute", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			n.RemoveAttr(argVal(args, 0).ToString())
-			return js.Undefined, nil
-		})), true
-	case "appendChild":
-		return js.ObjVal(js.NewNative("appendChild", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			child := p.unwrapElement(argVal(args, 0))
-			if child == nil {
-				return js.Undefined, &js.RuntimeError{Msg: "appendChild: not a node"}
-			}
-			if child.Parent != nil {
-				child.Parent.RemoveChild(child)
-			}
-			n.AppendChild(child)
-			return argVal(args, 0), nil
-		})), true
-	case "removeChild":
-		return js.ObjVal(js.NewNative("removeChild", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			child := p.unwrapElement(argVal(args, 0))
-			if child == nil || child.Parent != n {
-				return js.Undefined, &js.RuntimeError{Msg: "removeChild: not a child"}
-			}
-			n.RemoveChild(child)
-			return argVal(args, 0), nil
-		})), true
-	case "getElementsByTagName":
-		return js.ObjVal(js.NewNative("getElementsByTagName", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			tag := argVal(args, 0).ToString()
-			if tag == "*" {
-				tag = ""
-			}
-			nodes := n.ElementsByTag(tag)
-			vals := make([]js.Value, len(nodes))
-			for i, nd := range nodes {
-				vals[i] = js.ObjVal(p.wrapElement(nd))
-			}
-			return js.ObjVal(js.NewArray(vals...)), nil
-		})), true
+	case "style":
+		// A plain mutable object: assignments like el.style.display =
+		// "none" succeed without affecting state hashes.
+		if e.style == nil {
+			e.style = js.NewObject()
+		}
+		return js.ObjVal(e.style), true
 	}
 	return js.Undefined, false
+}
+
+// newElementProto builds the prototype of the page's element wrappers.
+func (p *Page) newElementProto() *js.Object {
+	proto := js.NewObject()
+	method := func(name string, fn func(n *dom.Node, args []js.Value) (js.Value, error)) {
+		proto.SetProp(name, js.ObjVal(js.NewNative(name, func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+			n := p.unwrapElement(this)
+			if n == nil {
+				return js.Undefined, &js.RuntimeError{Msg: name + ": this is not a node"}
+			}
+			return fn(n, args)
+		})))
+	}
+	method("getAttribute", func(n *dom.Node, args []js.Value) (js.Value, error) {
+		if v, ok := n.GetAttr(argVal(args, 0).ToString()); ok {
+			return js.Str(v), nil
+		}
+		return js.Null(), nil
+	})
+	method("setAttribute", func(n *dom.Node, args []js.Value) (js.Value, error) {
+		n.SetAttr(argVal(args, 0).ToString(), argVal(args, 1).ToString())
+		return js.Undefined, nil
+	})
+	method("removeAttribute", func(n *dom.Node, args []js.Value) (js.Value, error) {
+		n.RemoveAttr(argVal(args, 0).ToString())
+		return js.Undefined, nil
+	})
+	method("appendChild", func(n *dom.Node, args []js.Value) (js.Value, error) {
+		child := p.unwrapElement(argVal(args, 0))
+		if child == nil {
+			return js.Undefined, &js.RuntimeError{Msg: "appendChild: not a node"}
+		}
+		if child.Parent != nil {
+			child.Parent.RemoveChild(child)
+		}
+		n.AppendChild(child)
+		return argVal(args, 0), nil
+	})
+	method("removeChild", func(n *dom.Node, args []js.Value) (js.Value, error) {
+		child := p.unwrapElement(argVal(args, 0))
+		if child == nil || child.Parent != n {
+			return js.Undefined, &js.RuntimeError{Msg: "removeChild: not a child"}
+		}
+		n.RemoveChild(child)
+		return argVal(args, 0), nil
+	})
+	method("getElementsByTagName", func(n *dom.Node, args []js.Value) (js.Value, error) {
+		return p.elementsByTag(n, argVal(args, 0).ToString()), nil
+	})
+	return proto
 }
 
 func (e *elementHost) HostSet(name string, v js.Value) bool {
 	n := e.node
 	switch name {
 	case "innerHTML":
-		html.SetInnerHTML(n, v.ToString())
+		e.page.setInnerHTML(n, v.ToString())
 		return true
 	case "innerText", "textContent":
 		n.RemoveChildren()

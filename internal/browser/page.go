@@ -83,7 +83,17 @@ type Page struct {
 	// ConsoleLog collects console.log output for debugging.
 	ConsoleLog []string
 
-	wrappers map[*dom.Node]*js.Object
+	// Scripts parses the page's <script> sources. NewPage installs a
+	// private cache; a crawler substitutes the one it shares among its
+	// pages before Load.
+	Scripts *ProgramCache
+
+	handlers  ProgramCache          // event-handler source → program
+	fragments parseCache[*dom.Node] // innerHTML source → holder (setInnerHTML)
+	wrappers  map[*dom.Node]*js.Object
+	// elementProto and xhrProto carry the methods of element wrappers and
+	// XMLHttpRequest objects, built once per Load.
+	elementProto, xhrProto *js.Object
 	// ctx is the context of the Load/Trigger call currently executing;
 	// host objects (XMLHttpRequest) fetch under it so script-initiated
 	// network inherits the page budget.
@@ -113,7 +123,7 @@ func (p *Page) bind(ctx context.Context) func() {
 
 // NewPage returns an unloaded page bound to a fetcher.
 func NewPage(fetcher fetch.Fetcher) *Page {
-	return &Page{Fetcher: fetcher}
+	return &Page{Fetcher: fetcher, Scripts: new(ProgramCache)}
 }
 
 // Load fetches and parses the document at rawurl, binds the host objects
@@ -170,7 +180,11 @@ func (p *Page) runScripts(ctx context.Context) error {
 		if strings.TrimSpace(code) == "" {
 			continue
 		}
-		if _, err := p.Interp.Run(code); err != nil {
+		prog, err := p.Scripts.Program(code)
+		if err == nil {
+			_, err = p.Interp.RunProgram(prog)
+		}
+		if err != nil {
 			return fmt.Errorf("browser: script error on %s: %w", p.URL, err)
 		}
 	}
@@ -243,9 +257,10 @@ func (p *Page) Trigger(ctx context.Context, ev Event) (changed bool, err error) 
 	return dom.CanonicalHash(p.Doc) != before, nil
 }
 
-// runHandler compiles and invokes handler code with this = element. Each
-// dispatch is one event.dispatch span; its latency, interpreter steps
-// and step-budget preemptions feed the live registry.
+// runHandler invokes handler code with this = element; each distinct
+// source is parsed once per page. Each dispatch is one event.dispatch
+// span; its latency, interpreter steps and step-budget preemptions feed
+// the live registry.
 func (p *Page) runHandler(ctx context.Context, name, code string, node *dom.Node) (err error) {
 	tel := obs.From(ctx)
 	if tel != nil {
@@ -264,12 +279,12 @@ func (p *Page) runHandler(ctx context.Context, name, code string, node *dom.Node
 	}
 	defer p.bind(ctx)()
 	p.Interp.ResetBudget()
-	fn, err := p.Interp.CompileFunction(name, code)
+	prog, err := p.handlers.Program(code)
 	if err != nil {
 		return fmt.Errorf("browser: handler %s: %w", name, err)
 	}
-	_, err = p.Interp.Call(fn, js.ObjVal(p.wrapElement(node)), nil)
-	if err != nil {
+	fn := p.Interp.CompileFunction(name, prog)
+	if _, err = p.Interp.Call(fn, js.ObjVal(p.wrapElement(node)), nil); err != nil {
 		return fmt.Errorf("browser: handler %s: %w", name, err)
 	}
 	return nil
@@ -292,7 +307,7 @@ func (p *Page) Snapshot() *Snapshot {
 // the document is rolled back, exactly like appModel.rollback(t).
 func (p *Page) Restore(s *Snapshot) {
 	p.Doc = s.doc.Clone()
-	p.wrappers = make(map[*dom.Node]*js.Object)
+	clear(p.wrappers)
 }
 
 // Hash returns the canonical state hash of the current DOM.

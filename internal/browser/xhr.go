@@ -15,7 +15,8 @@ func boolAttr(b bool) string {
 	return "false"
 }
 
-// xhrState is the mutable state behind one XMLHttpRequest instance.
+// xhrState is one XMLHttpRequest instance: the host object behind the
+// script's `new XMLHttpRequest()`.
 type xhrState struct {
 	page         *Page
 	method       string
@@ -27,32 +28,47 @@ type xhrState struct {
 	onChange     js.Value
 }
 
-// newXHR creates the host object for `new XMLHttpRequest()`.
+// newXHR creates the object for `new XMLHttpRequest()`.
 func (p *Page) newXHR() *js.Object {
-	st := &xhrState{page: p}
 	o := js.NewObject()
 	o.Class = "XMLHttpRequest"
-	o.Host = &xhrHost{st: st}
+	o.Host = &xhrState{page: p}
+	o.Proto = p.xhrProto
 	return o
 }
 
-type xhrHost struct{ st *xhrState }
+// newXHRProto builds the prototype that carries the XMLHttpRequest
+// methods; they reach the instance through `this`.
+func newXHRProto() *js.Object {
+	proto := js.NewObject()
+	method := func(name string, fn func(it *js.Interp, st *xhrState, args []js.Value) error) {
+		proto.SetProp(name, js.ObjVal(js.NewNative(name, func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+			var st *xhrState
+			if o := this.Object(); o != nil {
+				st, _ = o.Host.(*xhrState)
+			}
+			if st == nil {
+				return js.Undefined, &js.RuntimeError{Msg: name + ": this is not an XMLHttpRequest"}
+			}
+			return js.Undefined, fn(it, st, args)
+		})))
+	}
+	method("open", func(it *js.Interp, st *xhrState, args []js.Value) error {
+		st.method = strings.ToUpper(argVal(args, 0).ToString())
+		st.url = st.page.resolve(argVal(args, 1).ToString())
+		st.async = argVal(args, 2).ToBool()
+		st.readyState = 1
+		return nil
+	})
+	method("send", func(it *js.Interp, st *xhrState, args []js.Value) error { return st.send(it) })
+	noop := func(*js.Interp, *xhrState, []js.Value) error { return nil }
+	method("setRequestHeader", noop)
+	method("abort", noop)
+	return proto
+}
 
-func (h *xhrHost) HostGet(name string) (js.Value, bool) {
-	st := h.st
+func (st *xhrState) HostGet(name string) (js.Value, bool) {
 	switch name {
-	case "open":
-		return js.ObjVal(js.NewNative("open", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			st.method = strings.ToUpper(argVal(args, 0).ToString())
-			st.url = st.page.resolve(argVal(args, 1).ToString())
-			st.async = argVal(args, 2).ToBool()
-			st.readyState = 1
-			return js.Undefined, nil
-		})), true
-	case "send":
-		return js.ObjVal(js.NewNative("send", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			return js.Undefined, st.send(it)
-		})), true
 	case "responseText":
 		return js.Str(st.responseText), true
 	case "status":
@@ -61,15 +77,13 @@ func (h *xhrHost) HostGet(name string) (js.Value, bool) {
 		return js.Num(st.readyState), true
 	case "onreadystatechange":
 		return st.onChange, true
-	case "setRequestHeader", "abort":
-		return js.ObjVal(js.NewNative(name, nativeNoop)), true
 	}
 	return js.Undefined, false
 }
 
-func (h *xhrHost) HostSet(name string, v js.Value) bool {
+func (st *xhrState) HostSet(name string, v js.Value) bool {
 	if name == "onreadystatechange" {
-		h.st.onChange = v
+		st.onChange = v
 		return true
 	}
 	return false

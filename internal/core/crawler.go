@@ -320,6 +320,11 @@ func (m *Metrics) Merge(o *Metrics) {
 type Crawler struct {
 	Fetcher fetch.Fetcher
 	Opts    Options
+
+	// scripts is handed to every page this crawler loads, so the <script>
+	// the pages of a site share is parsed once per process line. It dies
+	// with the crawler.
+	scripts browser.ProgramCache
 }
 
 // New returns a crawler over the given fetcher. When Options carries a
@@ -377,6 +382,7 @@ func (c *Crawler) CrawlPage(ctx context.Context, url string) (*model.Graph, Page
 	graph := model.NewGraph(url)
 	page := browser.NewPage(c.Fetcher)
 	page.MaxJSSteps = opts.JSStepBudget
+	page.Scripts = &c.scripts
 
 	var crawlErr error
 	if opts.Traditional {
@@ -478,6 +484,21 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 	snapshots := map[model.StateID]*browser.Snapshot{initial: page.Snapshot()}
 	queue := []model.StateID{initial}
 
+	// fire dispatches one event or form probe and charges its XHR traffic
+	// to the page: every send is either a network call or a hot-node hit.
+	fire := func(trigger func() (changed bool, err error)) (bool, error) {
+		sendsBefore, netBefore := page.XHRSends, page.NetworkCalls
+		changed, err := trigger()
+		pm.EventsTriggered++
+		tel.Counter("crawl.events.triggered").Inc()
+		pm.XHRSends += page.XHRSends - sendsBefore
+		pm.NetworkCalls += page.NetworkCalls - netBefore
+		if page.NetworkCalls > netBefore {
+			pm.NetworkEvents++
+		}
+		return changed, err
+	}
+
 	for len(queue) > 0 && graph.NumStates() < opts.MaxStates {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -508,15 +529,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 			}
 			// Rollback: every event fires from state `cur`.
 			page.Restore(snap)
-			sendsBefore, netBefore := page.XHRSends, page.NetworkCalls
-			changed, err := page.Trigger(ctx, ev)
-			pm.EventsTriggered++
-			tel.Counter("crawl.events.triggered").Inc()
-			pm.XHRSends += page.XHRSends - sendsBefore
-			pm.NetworkCalls += page.NetworkCalls - netBefore
-			if page.NetworkCalls > netBefore {
-				pm.NetworkEvents++
-			}
+			changed, err := fire(func() (bool, error) { return page.Trigger(ctx, ev) })
 			if err != nil {
 				if ctxAbort(ctx, err) {
 					return err
@@ -578,14 +591,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 					break
 				}
 				page.Restore(snap)
-				netBefore := page.NetworkCalls
-				changed, err := page.TriggerWithValue(ctx, fev, probe)
-				pm.EventsTriggered++
-				tel.Counter("crawl.events.triggered").Inc()
-				if page.NetworkCalls > netBefore {
-					pm.NetworkEvents++
-					pm.NetworkCalls += page.NetworkCalls - netBefore
-				}
+				changed, err := fire(func() (bool, error) { return page.TriggerWithValue(ctx, fev, probe) })
 				if err != nil {
 					if ctxAbort(ctx, err) {
 						return err

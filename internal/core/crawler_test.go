@@ -524,3 +524,27 @@ func TestJSStepBudgetPreemptsInfiniteLoop(t *testing.T) {
 		t.Fatalf("preempted handler should count as a handler error")
 	}
 }
+
+// TestUnparsableHandlerCountsPerDispatch: a handler whose source does
+// not parse is a handler error every time it is dispatched — once per
+// expanded state — whether or not its source was seen before.
+func TestUnparsableHandlerCountsPerDispatch(t *testing.T) {
+	page := `<html><body>
+<div id="broken" onclick="if (">broken</div>
+<div id="more" onclick="var n = this.innerHTML.length; if (n < 7) { this.innerHTML += 'x'; }">more</div>
+</body></html>`
+	f := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
+		return &fetch.Response{Status: 200, Body: []byte(page), ContentType: "text/html"}, nil
+	})
+	g, m, err := New(f, Options{MaxStates: 10}).CrawlPage(context.Background(), "/broken")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "more", "morex", "morexx", "morexxx": four states, each expanded.
+	if g.NumStates() != 4 {
+		t.Fatalf("states = %d, want 4", g.NumStates())
+	}
+	if m.EventsTriggered != 8 || m.HandlerErrors != 4 {
+		t.Fatalf("events %d, handler errors %d; want 8 and 4", m.EventsTriggered, m.HandlerErrors)
+	}
+}

@@ -158,3 +158,21 @@ func TestFormProbesRespectMaxStates(t *testing.T) {
 		t.Fatalf("MaxStates not honored with probes: %d", g.NumStates())
 	}
 }
+
+// TestFormProbesAccountXHRTraffic: a form probe's XHR sends are charged
+// like an event's — each one is either a network call or a hot-node hit,
+// so the hit ratio HotNodeHits / XHRSends cannot pass 1.
+func TestFormProbesAccountXHRTraffic(t *testing.T) {
+	site, f := formSite(10)
+	c := New(f, Options{UseHotNode: true, MaxStates: 30, FormProbes: []string{"wo", "da", "wo", "zz"}})
+	_, pm, err := c.CrawlPage(context.Background(), webapp.WatchURL(site.VideoID(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pm.HotNodeHits == 0 || pm.NetworkCalls == 0 {
+		t.Fatalf("want both hits and network calls, got %d and %d", pm.HotNodeHits, pm.NetworkCalls)
+	}
+	if pm.HotNodeHits+pm.NetworkCalls != pm.XHRSends {
+		t.Fatalf("HotNodeHits %d + NetworkCalls %d != XHRSends %d", pm.HotNodeHits, pm.NetworkCalls, pm.XHRSends)
+	}
+}

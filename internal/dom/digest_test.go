@@ -21,7 +21,7 @@ func rebuild(n *dom.Node) *dom.Node {
 }
 
 // checkDigestInvalidation parses src, then reads ops as a program of
-// mutations — the five mutators, html.SetInnerHTML, Clone — interleaved
+// mutations — the six mutators, html.SetInnerHTML, Clone — interleaved
 // with hashes of arbitrary subtrees (which leave the cache half clean,
 // half dirty). It checks the two properties the crawler's state identity
 // rests on: the cached root digest always equals the digest of a
@@ -53,7 +53,7 @@ func checkDigestInvalidation(t *testing.T, src string, ops []byte) {
 		})
 		node := func() *dom.Node { return nodes[next()%len(nodes)] }
 		elem := func() *dom.Node { return elems[next()%len(elems)] } // html and body always exist
-		op := next() % 10
+		op := next() % 11
 		if len(nodes) > 2000 && op != 3 {
 			op = 9 // big enough: only shrink or hash from here on
 		}
@@ -88,6 +88,10 @@ func checkDigestInvalidation(t *testing.T, src string, ops []byte) {
 			doc = doc.Clone()
 		case 9:
 			dom.CanonicalHash(node())
+		case 10:
+			// What an innerHTML write does: the children of a copy, digests
+			// and all, spliced in behind the element's own.
+			elem().AdoptChildren(node().Clone())
 		}
 		if next()%4 == 0 {
 			earlier = rebuild(doc)
@@ -129,6 +133,7 @@ func FuzzDigestInvalidation(f *testing.F) {
 	src := watchPage()
 	f.Add(src, []byte{6, 3, 7, 8, 9, 0, 4, 1, 2, 0, 5, 5})
 	f.Add(src, []byte{4, 10, 0, 1, 0, 5, 10, 0, 0})
+	f.Add(src, []byte{9, 0, 0, 10, 2, 0, 0, 10, 5, 1, 1, 3, 4, 0})
 	f.Add(`<p>a<b></b></p><p>a&#1;b&#4;</p><a x=1 x=2 X=1>t</a>`, []byte{9, 1, 3, 2, 7, 1, 2, 8})
 	f.Fuzz(func(t *testing.T, src string, ops []byte) {
 		if len(src) > 1<<14 || len(ops) > 1<<9 {

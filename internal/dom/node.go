@@ -58,10 +58,11 @@ type Attribute struct {
 // Node is a node in the document tree. For ElementNode, Data holds the
 // lower-case tag name; for TextNode and CommentNode it holds the text.
 //
-// A node caches the digest of its subtree (see CanonicalHash). The five
-// mutators — AppendChild, InsertBefore, RemoveChild, SetAttr, RemoveAttr
-// — invalidate it; assign Data, Attr or the link fields directly only on
-// a node that has never been hashed, as the parser does while building.
+// A node caches the digest of its subtree (see CanonicalHash). The six
+// mutators — AppendChild, InsertBefore, RemoveChild, AdoptChildren,
+// SetAttr, RemoveAttr — invalidate it; assign Data, Attr or the link
+// fields directly only on a node that has never been hashed, as the
+// parser does while building.
 type Node struct {
 	Type NodeType
 	Data string
@@ -179,6 +180,32 @@ func (n *Node) AppendChildren(cs []*Node) {
 	for _, c := range cs {
 		n.AppendChild(c)
 	}
+}
+
+// AdoptChildren moves all of from's children to the end of n's in one
+// splice. The moved subtrees keep their cached digests, so adopting the
+// children of a hashed tree's Clone leaves only n and its ancestors to
+// rehash. It panics if from is n.
+func (n *Node) AdoptChildren(from *Node) {
+	if from == n {
+		panic("dom: AdoptChildren called on the node itself")
+	}
+	first := from.FirstChild
+	if first == nil {
+		return
+	}
+	for c := first; c != nil; c = c.NextSibling {
+		c.Parent = n
+	}
+	if last := n.LastChild; last != nil {
+		last.NextSibling, first.PrevSibling = first, last
+	} else {
+		n.FirstChild = first
+	}
+	n.LastChild = from.LastChild
+	from.FirstChild, from.LastChild = nil, nil
+	from.invalidate()
+	n.invalidate()
 }
 
 // Children returns the direct children of n as a slice.

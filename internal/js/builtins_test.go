@@ -203,22 +203,20 @@ func TestValueStringer(t *testing.T) {
 
 func TestCompileFunctionThisBinding(t *testing.T) {
 	it := New()
-	fn, err := it.CompileFunction("handler", `result = this.tag;`)
+	prog, err := Parse(`result = this.tag;`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := NewObject()
-	o.SetProp("tag", Str("elem"))
-	if _, err := it.Call(fn, ObjVal(o), nil); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := it.LookupGlobal("result")
-	if v.StrVal() != "elem" {
-		t.Fatalf("this binding in compiled handler: %v", v)
-	}
-	// Syntax errors surface at compile time.
-	if _, err := it.CompileFunction("bad", "if ("); err == nil {
-		t.Fatalf("CompileFunction should reject bad source")
+	// One parse, two dispatches with different receivers.
+	for _, tag := range []string{"elem", "other"} {
+		o := NewObject()
+		o.SetProp("tag", Str(tag))
+		if _, err := it.Call(it.CompileFunction("handler", prog), ObjVal(o), nil); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := it.LookupGlobal("result"); v.StrVal() != tag {
+			t.Fatalf("this binding in compiled handler: %v, want %s", v, tag)
+		}
 	}
 }
 

@@ -217,7 +217,9 @@ func (it *Interp) Run(src string) (Value, error) {
 	return it.RunProgram(prog)
 }
 
-// RunProgram executes a parsed program in the global scope.
+// RunProgram executes a parsed program in the global scope. Execution
+// never writes to prog: one Program may run on any number of
+// interpreters, concurrently.
 func (it *Interp) RunProgram(prog *Program) (Value, error) {
 	it.hoist(it.Global, prog.VarNames, prog.FuncDecls)
 	var last Value
@@ -1137,20 +1139,17 @@ func (it *Interp) evalNew(env *Env, e *NewExpr) (Value, error) {
 	return ObjVal(obj), nil
 }
 
-// CompileFunction wraps a script as a callable zero-argument function
-// value closing over the global scope. The embedder uses this to turn
-// HTML event-handler attributes (onclick="...") into invocable handlers
-// whose `this` can be bound to the source element at dispatch time.
-func (it *Interp) CompileFunction(name, src string) (Value, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return Undefined, err
-	}
+// CompileFunction wraps a parsed script as a callable zero-argument
+// function value closing over the global scope. The embedder uses this to
+// turn HTML event-handler attributes (onclick="...") into invocable
+// handlers whose `this` can be bound to the source element at dispatch
+// time. prog is only read, so one parse serves every dispatch.
+func (it *Interp) CompileFunction(name string, prog *Program) Value {
 	fn := &FuncLit{
 		Name:      name,
 		Body:      prog.Stmts,
 		VarNames:  prog.VarNames,
 		FuncDecls: prog.FuncDecls,
 	}
-	return ObjVal(it.makeFunction(fn, it.Global)), nil
+	return ObjVal(it.makeFunction(fn, it.Global))
 }
