@@ -139,9 +139,11 @@ type Config struct {
 // Engine is a complete AJAX search engine: sharded indexes, the ranking
 // broker, and the application models needed to reconstruct result states.
 type Engine struct {
-	broker  *query.Broker
-	graphs  map[string]*model.Graph
-	fetcher Fetcher
+	broker *query.Broker
+	graphs map[string]*model.Graph
+	// stateText resolves a result to its state's text, for snippets.
+	stateText func(url string, state int) string
+	fetcher   Fetcher
 	// Metrics of the crawl that built this engine.
 	Metrics *CrawlMetrics
 	// PageRank of every crawled URL.
@@ -224,6 +226,7 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 	shardByPart := make([]*index.Index, len(parts))
 	perPart := make([]*core.Metrics, len(parts))
 	graphs := make(map[string]*model.Graph)
+	var crawled []*model.Graph
 	var crawlErr, ctxErr error
 	for pr := range mp.Stream(ctx) {
 		if pr.Err != nil {
@@ -240,6 +243,7 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 		for _, g := range pr.Graphs {
 			graphs[g.URL] = g
 		}
+		crawled = append(crawled, pr.Graphs...)
 		shardByPart[pr.Index] = shard
 		perPart[pr.Index] = pr.Metrics
 	}
@@ -272,11 +276,12 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 		weights = *cfg.Weights
 	}
 	eng := &Engine{
-		broker:   &query.Broker{Shards: shards, W: weights},
-		graphs:   graphs,
-		fetcher:  cfg.Fetcher,
-		Metrics:  metrics,
-		PageRank: preRes.PageRank,
+		broker:    &query.Broker{Shards: shards, W: weights},
+		graphs:    graphs,
+		stateText: model.TextSource(crawled),
+		fetcher:   cfg.Fetcher,
+		Metrics:   metrics,
+		PageRank:  preRes.PageRank,
 	}
 	return eng, ctxErr
 }
@@ -292,10 +297,11 @@ func NewEngineFromGraphs(f Fetcher, graphs []*model.Graph, pageRank map[string]f
 		byURL[g.URL] = g
 	}
 	return &Engine{
-		broker:   query.NewBroker([]*index.Index{shard}),
-		graphs:   byURL,
-		fetcher:  f,
-		PageRank: pageRank,
+		broker:    query.NewBroker([]*index.Index{shard}),
+		graphs:    byURL,
+		stateText: model.TextSource(graphs),
+		fetcher:   f,
+		PageRank:  pageRank,
 	}
 }
 
@@ -344,9 +350,9 @@ func LoadEngineSnapshot(dir string, f Fetcher) (*Engine, error) {
 		return nil, err
 	}
 	graphs := make(map[string]*model.Graph)
+	var gs []*model.Graph
 	if man.Models != "" {
-		gs, err := model.LoadAll(dir)
-		if err != nil {
+		if gs, err = model.LoadAll(dir); err != nil {
 			return nil, fmt.Errorf("ajaxcrawl: snapshot models: %w", err)
 		}
 		for _, g := range gs {
@@ -354,9 +360,10 @@ func LoadEngineSnapshot(dir string, f Fetcher) (*Engine, error) {
 		}
 	}
 	return &Engine{
-		broker:  &query.Broker{Shards: shards, W: query.DefaultWeights},
-		graphs:  graphs,
-		fetcher: f,
+		broker:    &query.Broker{Shards: shards, W: query.DefaultWeights},
+		graphs:    graphs,
+		stateText: model.TextSource(gs),
+		fetcher:   f,
 	}, nil
 }
 
@@ -456,10 +463,11 @@ func NewEngineFromGraphsLimited(f Fetcher, graphs []*model.Graph, pageRank map[s
 		byURL[g.URL] = g
 	}
 	return &Engine{
-		broker:   query.NewBroker([]*index.Index{shard}),
-		graphs:   byURL,
-		fetcher:  f,
-		PageRank: pageRank,
+		broker:    query.NewBroker([]*index.Index{shard}),
+		graphs:    byURL,
+		stateText: model.TextSource(graphs),
+		fetcher:   f,
+		PageRank:  pageRank,
 	}
 }
 
@@ -479,18 +487,7 @@ type ResultWithSnippet = query.ResultWithSnippet
 // SearchWithSnippets returns at most k results, each with a KWIC-style
 // snippet of the matching application state (query terms bracketed).
 func (e *Engine) SearchWithSnippets(q string, k int) []ResultWithSnippet {
-	results := e.broker.SearchTopK(q, k)
-	return query.AttachSnippets(results, func(url string, state int) string {
-		g := e.graphs[url]
-		if g == nil {
-			return ""
-		}
-		s := g.State(model.StateID(state))
-		if s == nil {
-			return ""
-		}
-		return s.Text
-	}, q, query.SnippetOptions{})
+	return query.AttachSnippets(e.broker.SearchTopK(q, k), e.stateText, q, query.SnippetOptions{})
 }
 
 // NewsSite is the second synthetic AJAX application: a news site with

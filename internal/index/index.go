@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 	"unicode"
+	"unicode/utf8"
 
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
@@ -111,7 +112,13 @@ func (ix *Index) AddGraph(g *model.Graph, pageRank float64, maxStates int) {
 			positions[tok] = append(positions[tok], int32(pos))
 		}
 		for term, poss := range positions {
-			ix.Terms[term] = append(ix.Terms[term], Posting{Doc: doc, State: s.ID, Positions: poss})
+			ps, known := ix.Terms[term]
+			if !known {
+				// A token may be a substring of s.Text; the vocabulary
+				// must not pin every state's text buffer.
+				term = strings.Clone(term)
+			}
+			ix.Terms[term] = append(ps, Posting{Doc: doc, State: s.ID, Positions: poss})
 		}
 	}
 	ix.Docs = append(ix.Docs, info)
@@ -316,25 +323,80 @@ func (ix *Index) validate() error {
 	return nil
 }
 
-// Tokenize splits text into lower-case index terms: maximal runs of
-// letters and digits. Both indexing and query parsing use it, so the two
-// sides always agree.
-func Tokenize(text string) []string {
-	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
+// Scanner walks the tokens of a text — maximal runs of letters and
+// digits — without allocating: a token stays a substring of the text and
+// is lower-cased, rune by rune, only as it is compared or copied out.
+// Tokenize collects its tokens; snippets scan state text with it.
+type Scanner struct {
+	text  string
+	off   int    // next byte to read
+	raw   string // the current token as the text spells it
+	mixed bool   // raw holds a rune that lower-casing changes
+}
+
+// Scan returns a Scanner positioned before text's first token.
+func Scan(text string) Scanner { return Scanner{text: text} }
+
+// Next advances to the next token and reports whether there was one.
+// Invalid UTF-8 decodes to U+FFFD byte by byte and so separates tokens.
+func (s *Scanner) Next() bool {
+	start, i := -1, s.off
+	s.mixed = false
+	for i < len(s.text) {
+		r, size := rune(s.text[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s.text[i:])
 		}
-	}
-	for _, r := range text {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			cur.WriteRune(unicode.ToLower(r))
-		} else {
-			flush()
+			if start < 0 {
+				start = i
+			}
+			s.mixed = s.mixed || unicode.ToLower(r) != r
+		} else if start >= 0 {
+			break
 		}
+		i += size
 	}
-	flush()
+	s.off = i
+	if start >= 0 {
+		s.raw = s.text[start:i]
+	}
+	return start >= 0
+}
+
+// AppendLower appends the current token, lower-cased, to dst.
+func (s *Scanner) AppendLower(dst []byte) []byte {
+	for _, r := range s.raw {
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+	}
+	return dst
+}
+
+// Is reports whether the current token, lower-cased, equals term.
+func (s *Scanner) Is(term string) bool {
+	if !s.mixed {
+		return s.raw == term
+	}
+	var buf [64]byte // longer tokens spill to the heap
+	return string(s.AppendLower(buf[:0])) == term
+}
+
+// Tokenize splits text into lower-case index terms: the Scanner's
+// tokens, collected. Both indexing and query parsing use it, so the two
+// sides always agree. A token the text spells in lower case is returned
+// as a substring of it: clone one before keeping it past the text.
+func Tokenize(text string) []string {
+	n := 0
+	for sc := Scan(text); sc.Next(); {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for sc := Scan(text); sc.Next(); {
+		// A token is valid UTF-8, so this is the rune-by-rune lowering.
+		out = append(out, strings.ToLower(sc.raw))
+	}
 	return out
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"container/list"
 	"context"
-	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,14 +96,21 @@ func NewResultCache(o CacheOptions) *ResultCache {
 // CacheKey normalizes a query+k pair into a cache key: queries that
 // tokenize identically ("Funny  Dance!" vs "funny dance") share one
 // entry. The 0x1f separator cannot appear in tokenized terms.
-func CacheKey(q string, k int) string {
-	return strings.Join(Parse(q), " ") + "\x1f" + strconv.Itoa(k)
+func CacheKey(q string, k int) string { return cacheKey(Parse(q), k) }
+
+func cacheKey(terms []string, k int) string {
+	return strings.Join(terms, " ") + "\x1f" + strconv.Itoa(k)
 }
 
+// shard picks key's shard by FNV-1a, inline (hash/fnv costs a hasher and
+// a []byte copy per lookup). The modulo is unsigned: as an int the hash
+// is negative for half of all keys where int is 32 bits.
 func (c *ResultCache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[int(h.Sum32())%len(c.shards)]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return &c.shards[h%uint32(len(c.shards))]
 }
 
 // Gen returns the cache's current generation.

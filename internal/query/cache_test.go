@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -144,5 +145,31 @@ func TestCacheTTLDisabled(t *testing.T) {
 	}
 	if reg.Counter("query.cache.expired").Value() != 0 {
 		t.Fatal("expired counter moved with TTL disabled")
+	}
+}
+
+// TestCacheShardTopBitKeys: the shard index is the key's FNV-1a hash
+// modulo the shard count, taken unsigned. As an int the hash of half of
+// all keys is negative where int is 32 bits, and the modulo with it — an
+// index-out-of-range panic on the first Get. Keys whose hash has the
+// top bit set must land in range, on the shard hash/fnv names.
+func TestCacheShardTopBitKeys(t *testing.T) {
+	for _, shards := range []int{1, 3, 8} {
+		c := NewResultCache(CacheOptions{Shards: shards, Capacity: 64})
+		topBit := 0
+		for i := 0; topBit < 50; i++ {
+			key := CacheKey("query "+itoa(i), i%7+1)
+			h := fnv.New32a()
+			h.Write([]byte(key))
+			sum := h.Sum32()
+			if int32(sum) >= 0 {
+				continue
+			}
+			topBit++
+			got := c.shard(key)
+			if want := &c.shards[sum%uint32(shards)]; got != want {
+				t.Fatalf("key %q (hash %#x) of %d shards: not the hash/fnv shard %d", key, sum, shards, sum%uint32(shards))
+			}
+		}
 	}
 }

@@ -8,15 +8,14 @@ import (
 	"ajaxcrawl/internal/model"
 )
 
-// Fold is the global half of Figure 6.4's two-step merge, and the only
-// place formula 5.3's tf·idf component is computed: sum df and state
-// counts over the responses (in slice order, so the arithmetic is
-// deterministic), derive the global idf of eq. 6.1 once, add
-// w3·tf·idf to every candidate's pre-idf base, and select the k best in
-// the one rank order (score desc, URL asc, state asc). k <= 0 returns
-// everything. A Broker folds its own shards' candidates as one response;
-// the router folds one validated response per shard server — same
-// function, so the same bytes.
+// Fold is the global half of Figure 6.4's two-step merge: sum df and
+// state counts over the responses (in slice order, so the arithmetic is
+// deterministic) and offer every candidate to a selector under them,
+// which derives the global idf of eq. 6.1 once, adds w3·tf·idf to each
+// pre-idf base and keeps the k best in the one rank order (score desc,
+// URL asc, state asc). k <= 0 returns everything. A Broker streams its
+// own shards' matches into the same selector; the router folds one
+// validated response per shard server — same scoring, so the same bytes.
 //
 // Nil responses (failed shards) are skipped, as are candidates whose tf
 // vector does not match terms. Fold does not deduplicate: responses from
@@ -24,7 +23,21 @@ import (
 // before they get here.
 func Fold(terms []string, w Weights, responses []*ShardResult, k int) []ResultWithSnippet {
 	globalDF, totalStates := GlobalStats(len(terms), responses)
-	top := selectTop(w, globalDF, totalStates, responses, k)
+	n := 0
+	for _, res := range responses {
+		if res != nil {
+			n += len(res.Candidates)
+		}
+	}
+	sel := newSelector(w, globalDF, totalStates, k, n)
+	for _, res := range responses {
+		if res != nil {
+			for i := range res.Candidates {
+				sel.offer(&res.Candidates[i])
+			}
+		}
+	}
+	top := sel.ranked()
 	if len(top) == 0 {
 		return nil
 	}
@@ -64,64 +77,69 @@ func (s scored) result() Result {
 	return Result{URL: s.cand.URL, State: model.StateID(s.cand.State), Score: s.score}
 }
 
-// selectTop is the one score-and-select step, shared by Fold and by the
-// shard-side cut (Hint): derive the idf of eq. 6.1 from the summed df
-// and state count, score every candidate of responses, and return the k
-// best in rank order (all of them when k <= 0).
+// selector is the one score-and-select step, and the only place formula
+// 5.3's tf·idf component is computed — for Fold, for the shard-side cut
+// (Hint) and for the Broker alike: it derives the idf of eq. 6.1 from
+// the summed df and state count, scores every candidate it is offered,
+// and keeps the k best.
 //
 // When only k results are wanted the full sort is wasted work; a bounded
 // min-heap replaces O(n log n) with O(n log k) — the simple member of
 // the TopX / Threshold Algorithm family the thesis's related work points
 // at, and the one that applies here, where scores exist only per match.
-func selectTop(w Weights, df []int, totalStates int, responses []*ShardResult, k int) []scored {
-	n := 0
-	for _, res := range responses {
-		if res != nil {
-			n += len(res.Candidates)
-		}
+type selector struct {
+	tfidf float64 // w3
+	idf   []float64
+	k     int
+	top   scoredHeap // a heap once it holds k
+}
+
+// newSelector keeps the k best of at most atMost offers; k <= 0, or a k
+// beyond atMost (a router's k is not clamped), keeps them all.
+func newSelector(w Weights, df []int, totalStates, k, atMost int) *selector {
+	if k <= 0 || k > atMost {
+		k = atMost
 	}
-	if n == 0 {
-		return nil
-	}
-	idf := make([]float64, len(df))
+	s := &selector{tfidf: w.TFIDF, idf: make([]float64, len(df)), k: k, top: make(scoredHeap, 0, k)}
 	for i, d := range df {
 		if d > 0 && totalStates > 0 {
-			idf[i] = math.Log(float64(totalStates) / float64(d))
+			s.idf[i] = math.Log(float64(totalStates) / float64(d))
 		}
 	}
+	return s
+}
 
-	bounded := k > 0 && k < n
-	if !bounded {
-		k = n
+// offer scores c and returns the candidate the selection has no use
+// for, which a producer refills: c itself when it is not among the k
+// best (or its tf vector does not match the terms), the one it
+// displaced when it is, nil while fewer than k are held.
+func (s *selector) offer(c *ShardCandidate) *ShardCandidate {
+	if len(c.TFs) != len(s.idf) || s.k == 0 {
+		return c
 	}
-	h := make(scoredHeap, 0, k)
-	for _, res := range responses {
-		if res == nil {
-			continue
-		}
-		for i := range res.Candidates {
-			c := &res.Candidates[i]
-			if len(c.TFs) != len(idf) {
-				continue
-			}
-			score := c.Base
-			for t := range idf {
-				score += w.TFIDF * c.TFs[t] * idf[t]
-			}
-			s := scored{score: score, cand: c}
-			if len(h) < k {
-				h = append(h, s)
-				if bounded && len(h) == k {
-					heap.Init(&h)
-				}
-			} else if resultLess(h[0].result(), s.result()) {
-				h[0] = s
-				heap.Fix(&h, 0)
-			}
-		}
+	sc := scored{score: c.Base, cand: c}
+	for t, idf := range s.idf {
+		sc.score += s.tfidf * c.TFs[t] * idf
 	}
-	sort.SliceStable(h, func(i, j int) bool { return resultLess(h[j].result(), h[i].result()) })
-	return h
+	if len(s.top) < s.k {
+		if s.top = append(s.top, sc); len(s.top) == s.k {
+			heap.Init(&s.top)
+		}
+		return nil
+	}
+	if !resultLess(s.top[0].result(), sc.result()) {
+		return c
+	}
+	out := s.top[0].cand
+	s.top[0] = sc
+	heap.Fix(&s.top, 0)
+	return out
+}
+
+// ranked returns what was kept in the one rank order, best first.
+func (s *selector) ranked() []scored {
+	sort.Stable(sort.Reverse(s.top))
+	return s.top
 }
 
 // resultLess is the one rank order, worst first: a < b means a is a
@@ -138,8 +156,8 @@ func resultLess(a, b Result) bool {
 }
 
 // scoredHeap is a min-heap on rank quality: the root is the worst of the
-// kept results, ready to be displaced. selectTop fills it by append and
-// only calls heap.Init and heap.Fix; Push and Pop complete
+// kept results, ready to be displaced. The selector fills it by append
+// and only calls heap.Init and heap.Fix; Push and Pop complete
 // heap.Interface.
 type scoredHeap []scored
 

@@ -68,3 +68,40 @@ func FuzzTokenizeQueryParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSnippet holds the scan-based Snippet to the tokenize-everything
+// oracle, byte for byte: arbitrary text (upper case, digits, non-ASCII
+// letters, invalid UTF-8, empty, one token), arbitrary query (absent,
+// duplicated or no terms), window sizes below, at and beyond the text's
+// length, default, custom and one-sided highlights.
+func FuzzSnippet(f *testing.F) {
+	seeds := []struct {
+		text, q   string
+		max       int
+		pre, post string
+	}{
+		{"", "alpha", 24, "", ""},
+		{"alpha", "alpha", 1, "", ""},
+		{"The Morcheeba Video 2008", "MORCHEEBA 2008", 3, "", ""},
+		{"a b c d e f g h i j k l m n o p", "c n", 3, "<b>", "</b>"},
+		{"a b c d e f g h i j k l m n o p", "c d zzz", 24, "", ""},
+		{"x alpha y alpha beta z beta alpha", "alpha beta alpha", 4, "", "*"},
+		{"x alpha y alpha beta z", "", 24, "", ""},
+		{"x alpha y", "!!!", 24, "", ""},
+		{"İstanbul STRASSE ẞ Ⱥⱥ KELVINK", "i̇stanbul ⱥⱥ kelvink", 3, "", ""},
+		{"bad \xff\xfe utf8 \x80tail and more bad \xc3", "utf8 bad", 1000, "«", "»"},
+		{"漢字 と kana ｶﾀｶﾅ 漢字", "漢字 kana", 2, "", ""},
+		{strings.Repeat("pad ", 40) + "Needle" + strings.Repeat(" pad", 40), "needle", 24, "", ""},
+		{"one two three", "two", -3, "", ""},
+	}
+	for _, s := range seeds {
+		f.Add(s.text, s.q, s.max, s.pre, s.post)
+	}
+	f.Fuzz(func(t *testing.T, text, q string, max int, pre, post string) {
+		opts := SnippetOptions{MaxTokens: max % 4096, HighlightPre: pre, HighlightPost: post}
+		got, want := Snippet(text, q, opts), snippetOracle(text, q, opts)
+		if got != want {
+			t.Fatalf("Snippet(%q, %q, %+v)\n got: %q\nwant: %q", text, q, opts, got, want)
+		}
+	})
+}

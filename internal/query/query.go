@@ -8,7 +8,6 @@ package query
 
 import (
 	"context"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -43,74 +42,113 @@ func Parse(q string) []string {
 	return index.Tokenize(q)
 }
 
-// match is one (doc, state) containing all query terms, with the
-// postings aligned per term.
-type match struct {
-	doc      index.DocID
-	state    model.StateID
-	postings []index.Posting // one per term, same (doc, state)
-}
-
-// conjunction merges the posting lists of all terms, keeping only
-// (doc, state) pairs where every term occurs — the two-phase
-// compatibility merge of Figure 5.2 (URLs first, then states).
-func conjunction(ix *index.Index, terms []string) []match {
+// conjunction merges the posting lists of all terms and calls visit for
+// every (doc, state) pair where every term occurs, in (doc, state) order
+// — the two-phase compatibility merge of Figure 5.2 (URLs first, then
+// states). visit gets the pair's postings aligned per term in one
+// scratch slice that the next match overwrites.
+func conjunction(ix *index.Index, terms []string, visit func(postings []index.Posting)) {
 	if len(terms) == 0 {
-		return nil
+		return
 	}
 	lists := make([][]index.Posting, len(terms))
 	for i, t := range terms {
-		lists[i] = ix.Lookup(t)
-		if len(lists[i]) == 0 {
-			return nil
+		if lists[i] = ix.Lookup(t); len(lists[i]) == 0 {
+			return
 		}
 	}
-	// k-way sorted merge: advance the cursor with the smallest
-	// (doc, state); emit when all cursors agree.
-	cursors := make([]int, len(lists))
-	var out []match
+	before := func(a, b index.Posting) bool {
+		return a.Doc < b.Doc || (a.Doc == b.Doc && a.State < b.State)
+	}
+	postings := make([]index.Posting, len(lists))
 	for {
-		// Find the max (doc, state) among cursors; all must reach it.
-		maxDoc, maxState := lists[0][cursors[0]].Doc, lists[0][cursors[0]].State
-		equal := true
-		for i := range lists {
-			p := lists[i][cursors[i]]
-			if p.Doc != maxDoc || p.State != maxState {
-				equal = false
+		// k-way sorted merge: the target is the largest head; a list
+		// behind it skips ahead, one that overshoots raises it, and the
+		// pair is emitted when every head has reached it.
+		target, agreed := lists[0][0], 0
+		for i := 0; agreed < len(lists); i = (i + 1) % len(lists) {
+			l := lists[i]
+			for len(l) > 0 && before(l[0], target) {
+				l = l[1:]
 			}
-			if p.Doc > maxDoc || (p.Doc == maxDoc && p.State > maxState) {
-				maxDoc, maxState = p.Doc, p.State
+			if len(l) == 0 {
+				return
+			}
+			if lists[i] = l; before(target, l[0]) {
+				target, agreed = l[0], 0
+			}
+			agreed++
+		}
+		for i, l := range lists {
+			postings[i], lists[i] = l[0], l[1:]
+		}
+		visit(postings)
+		for _, l := range lists {
+			if len(l) == 0 {
+				return
 			}
 		}
-		if equal {
-			m := match{doc: maxDoc, state: maxState, postings: make([]index.Posting, len(lists))}
-			for i := range lists {
-				m.postings[i] = lists[i][cursors[i]]
-			}
-			out = append(out, m)
-			// Advance all cursors past the emitted pair.
-			for i := range lists {
-				cursors[i]++
-				if cursors[i] >= len(lists[i]) {
-					return out
-				}
-			}
-			continue
+	}
+}
+
+// minimalWindow finds the smallest window of token positions holding one
+// occurrence of every term it is shown, the earliest on ties: the window
+// proximity scores and snippets are cut around. Occurrences arrive in
+// position order, from a merge of position lists or a scan of the text.
+type minimalWindow struct {
+	last   []int32 // latest position per term, -1 until seen
+	lo, hi int32   // the best window so far; hi is -1 until one exists
+}
+
+// newMinimalWindow returns a window over k terms, its state in buf when
+// that is large enough (callers pass a stack array).
+func newMinimalWindow(buf []int32, k int) minimalWindow {
+	if k > len(buf) {
+		buf = make([]int32, k)
+	}
+	for i := range buf[:k] {
+		buf[i] = -1
+	}
+	return minimalWindow{last: buf[:k], hi: -1}
+}
+
+// observe records an occurrence of term at pos. A term's first
+// occurrence restarts the search: no earlier window covers it.
+func (w *minimalWindow) observe(term int, pos int32) {
+	first := w.last[term] < 0
+	w.last[term] = pos
+	lo := pos
+	for _, p := range w.last {
+		if p >= 0 && p < lo {
+			lo = p
 		}
-		// Advance every cursor that is behind (maxDoc, maxState).
-		for i := range lists {
-			for cursors[i] < len(lists[i]) {
-				p := lists[i][cursors[i]]
-				if p.Doc < maxDoc || (p.Doc == maxDoc && p.State < maxState) {
-					cursors[i]++
-				} else {
-					break
-				}
-			}
-			if cursors[i] >= len(lists[i]) {
-				return out
+	}
+	if first || pos-lo < w.hi-w.lo {
+		w.lo, w.hi = lo, pos
+	}
+}
+
+// proximityWindow is the minimal window of one match: a k-way merge of
+// the terms' position lists feeds minimalWindow.
+func proximityWindow(postings []index.Posting) (lo, hi int32) {
+	k := len(postings)
+	var curBuf, lastBuf [8]int32
+	cur, w := curBuf[:], newMinimalWindow(lastBuf[:], k)
+	if k > len(cur) {
+		cur = make([]int32, k)
+	}
+	for {
+		next := -1
+		for i, p := range postings {
+			if int(cur[i]) < len(p.Positions) && (next < 0 || p.Positions[cur[i]] < postings[next].Positions[cur[next]]) {
+				next = i
 			}
 		}
+		if next < 0 {
+			return w.lo, w.hi
+		}
+		w.observe(next, postings[next].Positions[cur[next]])
+		cur[next]++
 	}
 }
 
@@ -124,33 +162,8 @@ func proximity(postings []index.Posting) float64 {
 	if k <= 1 {
 		return 1.0
 	}
-	// Pointers into each term's position list; classic minimal-window.
-	ptr := make([]int, k)
-	best := math.MaxInt32
-	for {
-		lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
-		loIdx := -1
-		for i := 0; i < k; i++ {
-			pos := postings[i].Positions[ptr[i]]
-			if pos < lo {
-				lo, loIdx = pos, i
-			}
-			if pos > hi {
-				hi = pos
-			}
-		}
-		if span := int(hi-lo) + 1; span < best {
-			best = span
-		}
-		ptr[loIdx]++
-		if ptr[loIdx] >= len(postings[loIdx].Positions) {
-			break
-		}
-	}
-	if best < k {
-		best = k // overlapping positions cannot beat adjacency
-	}
-	return float64(k) / float64(best)
+	lo, hi := proximityWindow(postings)
+	return float64(k) / float64(max(int(hi-lo)+1, k)) // overlapping positions cannot beat adjacency
 }
 
 // tf computes eq. 5.1: occurrences of the term divided by the state's
@@ -162,36 +175,25 @@ func tf(p index.Posting, stateLen int32) float64 {
 	return float64(p.TF()) / float64(stateLen)
 }
 
-// shardSearch evaluates the query on one shard and adds the shard's half
-// of Figure 6.4 to res: its pre-idf candidates, its local df counts and
-// its state count.
-func shardSearch(ix *index.Index, terms []string, w Weights, res *ShardResult) {
-	for i, t := range terms {
-		res.DF[i] += ix.DF(t)
+// fill makes c the pre-idf candidate of one match on ix: the
+// idf-independent part of formula 5.3 and the raw tf per term, written
+// into c's own TFs vector (one entry per posting).
+func (c *ShardCandidate) fill(ix *index.Index, w Weights, postings []index.Posting) {
+	doc, state := ix.Doc(postings[0].Doc), postings[0].State
+	stateLen := int32(0)
+	ajaxRank := 0.0
+	if int(state) < len(doc.StateLens) {
+		stateLen = doc.StateLens[state]
+		ajaxRank = doc.AJAXRanks[state]
 	}
-	res.TotalStates += ix.TotalStates
-	matches := conjunction(ix, terms)
-	// The candidate list is the largest per-query allocation: size it
-	// once per shard instead of letting append double its way there.
-	res.Candidates = slices.Grow(res.Candidates, len(matches))
-	for _, m := range matches {
-		doc := ix.Doc(m.doc)
-		stateLen := int32(0)
-		ajaxRank := 0.0
-		if int(m.state) < len(doc.StateLens) {
-			stateLen = doc.StateLens[m.state]
-			ajaxRank = doc.AJAXRanks[m.state]
-		}
-		c := ShardCandidate{
-			URL:   doc.URL,
-			State: int(m.state),
-			Base:  w.PageRank*doc.PageRank + w.AJAXRank*ajaxRank + w.Proximity*proximity(m.postings),
-			TFs:   make([]float64, len(terms)),
-		}
-		for i, post := range m.postings {
-			c.TFs[i] = tf(post, stateLen)
-		}
-		res.Candidates = append(res.Candidates, c)
+	*c = ShardCandidate{
+		URL:   doc.URL,
+		State: int(state),
+		Base:  w.PageRank*doc.PageRank + w.AJAXRank*ajaxRank + w.Proximity*proximity(postings),
+		TFs:   c.TFs,
+	}
+	for i, post := range postings {
+		c.TFs[i] = tf(post, stateLen)
 	}
 }
 
@@ -208,22 +210,47 @@ func NewBroker(shards []*index.Index) *Broker {
 	return &Broker{Shards: shards, W: DefaultWeights}
 }
 
-// candidates is the produce half of Figure 6.4: every shard's pre-idf
-// candidates (in shard, then (doc, state) order) with the df vector and
-// state count summed over the broker's shards. The vectors are non-nil
-// even for an empty query, so the result marshals predictably.
-func (b *Broker) candidates(terms []string) *ShardResult {
-	res := &ShardResult{
-		Terms:      terms,
-		DF:         make([]int, len(terms)),
-		Candidates: make([]ShardCandidate, 0),
+// stats starts the broker's half of Figure 6.4: the df vector and state
+// count summed over its shards, no candidates yet (vectors non-nil even
+// for an empty query, so the result marshals predictably). atMost bounds
+// the matches: a conjunction emits no more than its shortest list holds.
+func (b *Broker) stats(terms []string) (res *ShardResult, atMost int) {
+	res = &ShardResult{Terms: terms, DF: make([]int, len(terms)), Candidates: []ShardCandidate{}}
+	if len(terms) == 0 {
+		return res, 0
 	}
-	if len(terms) > 0 {
-		for _, shard := range b.Shards {
-			shardSearch(shard, terms, b.W, res)
+	for _, ix := range b.Shards {
+		for i, t := range terms {
+			res.DF[i] += ix.DF(t)
 		}
+		res.TotalStates += ix.TotalStates
 	}
-	return res
+	return res, slices.Min(res.DF)
+}
+
+// stream is the produce half of Figure 6.4: every shard's pre-idf
+// candidates, in shard then (doc, state) order, are offered to sel as
+// the merge produces them, so only the sel.k kept ones and the one being
+// filled are resident — a displaced candidate's slot, TFs vector
+// included, takes the next match. A selector that keeps everything
+// displaces nothing: slots[:matches] is then every candidate in order.
+func (b *Broker) stream(terms []string, sel *selector) (slots []ShardCandidate, matches int) {
+	slots = make([]ShardCandidate, sel.k+1)
+	tfs := make([]float64, len(slots)*len(terms))
+	for i := range slots {
+		slots[i].TFs = tfs[i*len(terms) : (i+1)*len(terms) : (i+1)*len(terms)]
+	}
+	slot, used := &slots[0], 1
+	for _, ix := range b.Shards {
+		conjunction(ix, terms, func(postings []index.Posting) {
+			matches++
+			slot.fill(ix, b.W, postings)
+			if slot = sel.offer(slot); slot == nil {
+				slot, used = &slots[used], used+1
+			}
+		})
+	}
+	return slots, matches
 }
 
 // Search evaluates the query across all shards and returns every result
@@ -243,22 +270,30 @@ func (b *Broker) SearchTopK(q string, k int) []Result {
 // telemetry, the evaluation is wrapped in a query.exec span and its
 // latency and candidate count land in the registry.
 func (b *Broker) SearchTopKCtx(ctx context.Context, q string, k int) []Result {
+	return b.search(ctx, q, Parse(q), k)
+}
+
+// search is SearchTopKCtx for a parsed query. The broker's shards are
+// the whole collection, so their summed statistics are the global ones.
+func (b *Broker) search(ctx context.Context, q string, terms []string, k int) []Result {
 	tel := obs.From(ctx)
 	_, sp := obs.StartSpan(ctx, obs.SpanQueryExec, obs.A("q", q))
 	start := time.Now()
 
-	terms := Parse(q)
-	res := b.candidates(terms)
+	res, atMost := b.stats(terms)
+	sel := newSelector(b.W, res.DF, res.TotalStates, k, atMost)
+	_, matches := b.stream(terms, sel)
+	top := sel.ranked()
 	var out []Result
-	if ranked := Fold(terms, b.W, []*ShardResult{res}, k); len(ranked) > 0 {
-		out = make([]Result, len(ranked))
-		for i, r := range ranked {
-			out[i] = r.Result
+	if len(top) > 0 {
+		out = make([]Result, len(top))
+		for i, s := range top {
+			out[i] = s.result()
 		}
 	}
 
 	tel.Counter("query.count").Inc()
-	tel.Counter("query.candidates").Add(int64(len(res.Candidates)))
+	tel.Counter("query.candidates").Add(int64(matches))
 	tel.Histogram("query.latency").Observe(time.Since(start).Seconds())
 	sp.SetAttr("results", strconv.Itoa(len(out)))
 	sp.End(nil)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -41,6 +42,15 @@ func buildIndex(pages map[string][]string, pr map[string]float64) *index.Index {
 		graphs = append(graphs, g)
 	}
 	return index.Build(graphs, pr, 0)
+}
+
+// candidates is the unhinted shard half of b, as ShardSearchTop builds
+// it: the statistics and every pre-idf candidate in arrival order.
+func (b *Broker) candidates(terms []string) *ShardResult {
+	res, atMost := b.stats(terms)
+	slots, matches := b.stream(terms, newSelector(b.W, res.DF, res.TotalStates, 0, atMost))
+	res.Candidates = slots[:matches]
+	return res
 }
 
 // oneShard is the single-index engine: the N=1 broker.
@@ -448,12 +458,11 @@ func BenchmarkFold(b *testing.B) {
 	}
 }
 
-// BenchmarkShardSearch prices the shard half of a routed query on the
-// crawled 200-video corpus, one op = the 100-query workload: unhinted
-// (every match ships, a snippet on each) against hinted with k=10 (the
-// cut under the global statistics — here the shard's own, it being the
-// whole fleet — and snippets for the survivors only).
-func BenchmarkShardSearch(b *testing.B) {
+// corpusServer serves the crawled 200-video webapp corpus (seed 2008) as
+// one shard with snippets on; it is crawled once per test binary. Its
+// result cache is parked on a generation no snapshot has, so every
+// search is a miss and no fill is kept.
+var corpusServer = sync.OnceValues(func() (*Server, error) {
 	const videos = 200
 	site := webapp.New(webapp.DefaultConfig(videos, 2008))
 	urls := make([]string, videos)
@@ -463,21 +472,130 @@ func BenchmarkShardSearch(b *testing.B) {
 	c := core.New(&fetch.HandlerFetcher{Handler: site.Handler()}, core.Options{UseHotNode: true})
 	graphs, _, err := c.CrawlAll(context.Background(), urls)
 	if err != nil {
-		b.Fatal(err)
-	}
-	byURL := make(map[string]*model.Graph, len(graphs))
-	for _, g := range graphs {
-		byURL[g.URL] = g
+		return nil, err
 	}
 	srv := NewServer(&ServeSnapshot{
-		Broker: oneShard(index.Build(graphs, nil, 0)),
-		StateText: func(url string, state int) string {
-			if st := byURL[url].State(model.StateID(state)); st != nil {
-				return st.Text
-			}
-			return ""
-		},
+		Broker:    oneShard(index.Build(graphs, nil, 0)),
+		StateText: model.TextSource(graphs),
 	}, CacheOptions{})
+	srv.cache.Invalidate(-1)
+	return srv, nil
+})
+
+func mustCorpusServer(tb testing.TB) *Server {
+	srv, err := corpusServer()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv
+}
+
+// commonTerms are the two corpus terms with the longest posting lists.
+func commonTerms(ix *index.Index) [2]string {
+	terms := make([]string, 0, len(ix.Terms))
+	for t := range ix.Terms {
+		terms = append(terms, t)
+	}
+	sort.Slice(terms, func(i, j int) bool {
+		if a, b := ix.DF(terms[i]), ix.DF(terms[j]); a != b {
+			return a > b
+		}
+		return terms[i] < terms[j]
+	})
+	return [2]string{terms[0], terms[1]}
+}
+
+// missQueries are the workload's cache-miss shapes on the corpus: a
+// planted one-term and two-term query, and the most common term alone
+// and paired with the runner-up (the worst case for anything that is
+// per match).
+func missQueries(srv *Server) (one, two []string) {
+	common := commonTerms(srv.Live().Broker.Shards[0])
+	return []string{"wow", common[0]}, []string{"funny dance", common[0] + " " + common[1]}
+}
+
+// TestSearchMissAllocs: a cache miss costs a bounded number of
+// allocations whatever the number of matches — the selector keeps k
+// candidates resident, a snippet allocates its result and nothing else.
+func TestSearchMissAllocs(t *testing.T) {
+	srv := mustCorpusServer(t)
+	ctx := context.Background()
+	one, two := missQueries(srv)
+	most := 0
+	for _, q := range append(one, two...) {
+		full := srv.ShardSearch(ctx, q)
+		most = max(most, len(full.Candidates))
+		miss := testing.AllocsPerRun(20, func() {
+			if _, _, cached := srv.SearchOpts(ctx, q, 10, SearchOptions{}); cached {
+				t.Fatal("cache hit in the miss measurement")
+			}
+		})
+		hint := Hint{K: 10, DF: full.DF, N: full.TotalStates}
+		hinted := testing.AllocsPerRun(20, func() { srv.ShardSearchTop(ctx, q, hint) })
+		t.Logf("%-16q %5d matches: miss %v allocs, hinted shard %v allocs", q, len(full.Candidates), miss, hinted)
+		if miss > 40 || hinted > 40 {
+			t.Errorf("%q (%d matches): miss %v, hinted shard %v allocations, budget 40 each", q, len(full.Candidates), miss, hinted)
+		}
+	}
+	if most < 500 {
+		t.Fatalf("the largest query matches only %d states: the budget was not tested against match count", most)
+	}
+
+	hit := srv.ShardSearch(ctx, "funny dance").Candidates[0]
+	text := srv.Live().StateText(hit.URL, hit.State)
+	for _, q := range []string{"funny dance", "dance zzz", "zzz"} {
+		if n := testing.AllocsPerRun(100, func() { Snippet(text, q, SnippetOptions{}) }); n > 3 {
+			t.Errorf("Snippet(%d bytes, %q): %v allocations, budget 3", len(text), q, n)
+		}
+	}
+}
+
+// BenchmarkSearchMiss prices one k=10 cache miss through
+// Server.SearchOpts — parse, cache probe, stats, streamed top-k, ten
+// snippets — for the one- and two-term shapes of missQueries.
+func BenchmarkSearchMiss(b *testing.B) {
+	srv := mustCorpusServer(b)
+	ctx := context.Background()
+	one, two := missQueries(srv)
+	for _, bc := range []struct {
+		name    string
+		queries []string
+	}{{"1term", one}, {"2term", two}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, q := range bc.queries {
+					benchSink, _, _ = srv.SearchOpts(ctx, q, 10, SearchOptions{})
+				}
+			}
+		})
+	}
+}
+
+var (
+	benchSink    []ResultWithSnippet
+	benchSnippet string
+)
+
+// BenchmarkSnippet prices one snippet of a watch page's initial state.
+func BenchmarkSnippet(b *testing.B) {
+	srv := mustCorpusServer(b)
+	hit := srv.ShardSearch(context.Background(), "funny dance").Candidates[0]
+	text := srv.Live().StateText(hit.URL, hit.State)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSnippet = Snippet(text, "funny dance", SnippetOptions{})
+	}
+}
+
+// BenchmarkShardSearch prices the shard half of a routed query on the
+// crawled 200-video corpus, one op = the 100-query workload: unhinted
+// (every match ships, a snippet on each) against hinted with k=10 (the
+// cut under the global statistics — here the shard's own, it being the
+// whole fleet — and snippets for the survivors only).
+func BenchmarkShardSearch(b *testing.B) {
+	srv := mustCorpusServer(b)
 	ctx := context.Background()
 	queries := webapp.Queries()
 	for _, k := range []int{0, 10} {

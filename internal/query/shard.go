@@ -96,15 +96,16 @@ func (s *Server) ShardSearch(ctx context.Context, q string) *ShardResult {
 }
 
 // ShardSearchTop is ShardSearch under a router's Hint: when h carries a
-// positive K and a df vector aligned with q's terms, only the K best
-// candidates under h's global idf are kept (in rank order) — still as
-// pre-idf candidates with the shard's own DF and TotalStates, so the
-// router folds them exactly as it folds a full response, and can tell
-// from those statistics whether the hint it sent was current. Any other
-// h returns every candidate in shard-local (doc, state) order.
-// Snippets are attached shard-side, to what is shipped. The result
-// cache is not consulted: entries are keyed by (query, k) final
-// results, a different value space.
+// positive K and a df vector aligned with q's terms, each match is
+// scored under h's global idf as the merge produces it and only the K
+// best are kept, in rank order — still as pre-idf candidates with the
+// shard's own DF and TotalStates, so the router folds them exactly as
+// it folds a full response, and can tell from those statistics whether
+// the hint it sent was current. Any other h returns every candidate in
+// shard-local (doc, state) order. q is parsed once; snippets are
+// attached shard-side, to what is shipped. The result cache is not
+// consulted: entries are keyed by (query, k) final results, a different
+// value space.
 func (s *Server) ShardSearchTop(ctx context.Context, q string, h Hint) *ShardResult {
 	tel := obs.From(ctx)
 	tel.Counter("query.shard.requests").Inc()
@@ -112,21 +113,30 @@ func (s *Server) ShardSearchTop(ctx context.Context, q string, h Hint) *ShardRes
 	start := time.Now()
 
 	snap := s.live.Load()
-	res := snap.Broker.candidates(Parse(q))
-	res.Gen, res.Docs, res.States = snap.Gen, snap.Docs, snap.States
-	if h.K > 0 && len(h.DF) == len(res.Terms) && h.K < len(res.Candidates) {
-		top := selectTop(snap.Broker.W, h.DF, h.N, []*ShardResult{res}, h.K)
-		kept := make([]ShardCandidate, len(top))
-		for i, t := range top {
-			kept[i] = *t.cand
-		}
-		res.Candidates = kept
+	terms := Parse(q)
+	res, atMost := snap.Broker.stats(terms)
+	hinted := h.K > 0 && len(h.DF) == len(terms)
+	if !hinted {
+		// Keep everything; the shard's own statistics stand in for an idf
+		// nothing will be ranked under.
+		h = Hint{DF: res.DF, N: res.TotalStates}
 	}
+	sel := newSelector(snap.Broker.W, h.DF, h.N, h.K, atMost)
+	slots, matches := snap.Broker.stream(terms, sel)
+	if hinted {
+		res.Candidates = make([]ShardCandidate, 0, len(sel.top))
+		for _, t := range sel.ranked() {
+			res.Candidates = append(res.Candidates, *t.cand)
+		}
+	} else {
+		res.Candidates = slots[:matches]
+	}
+	res.Gen, res.Docs, res.States = snap.Gen, snap.Docs, snap.States
 	if snap.StateText != nil {
 		for i := range res.Candidates {
 			c := &res.Candidates[i]
 			if text := snap.StateText(c.URL, c.State); text != "" {
-				c.Snippet = Snippet(text, q, snap.SnippetOpts)
+				c.Snippet = snippet(text, terms, snap.SnippetOpts)
 			}
 		}
 	}

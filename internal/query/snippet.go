@@ -1,10 +1,6 @@
 package query
 
-import (
-	"strings"
-
-	"ajaxcrawl/internal/index"
-)
+import "ajaxcrawl/internal/index"
 
 // Snippet generation: result presentation needs an excerpt of the state
 // text around the query terms (the thesis GUI lists raw results; any
@@ -35,36 +31,45 @@ func (o SnippetOptions) withDefaults() SnippetOptions {
 // ranking uses), with matches highlighted. It returns "" when no term
 // occurs.
 func Snippet(text, queryStr string, opts SnippetOptions) string {
-	opts = opts.withDefaults()
-	terms := Parse(queryStr)
-	if len(terms) == 0 {
-		return ""
-	}
-	want := make(map[string]bool, len(terms))
-	for _, t := range terms {
-		want[t] = true
-	}
-	tokens := index.Tokenize(text)
-	// Token positions per term.
-	positions := make(map[string][]int)
-	for pos, tok := range tokens {
-		if want[tok] {
-			positions[tok] = append(positions[tok], pos)
-		}
-	}
-	if len(positions) == 0 {
-		return ""
-	}
+	return snippet(text, Parse(queryStr), opts)
+}
 
-	// Find the smallest window covering every *present* term (absent
-	// terms are ignored so single-term matches still snippet).
-	var lists [][]int
-	for _, t := range terms {
-		if ps := positions[t]; len(ps) > 0 {
-			lists = append(lists, ps)
+// termOf returns the first of terms the scanner's token equals, or -1.
+func termOf(sc *index.Scanner, terms []string) int {
+	for i, t := range terms {
+		if sc.Is(t) {
+			return i
 		}
 	}
-	lo, hi := minimalWindow(lists)
+	return -1
+}
+
+// snippetWindow scans text once and returns the smallest window of token
+// positions covering every *present* term (absent terms are ignored so
+// single-term matches still snippet) and the token count; hi is -1 when
+// no term occurs.
+func snippetWindow(text string, terms []string) (lo, hi, n int) {
+	var buf [8]int32
+	w := newMinimalWindow(buf[:], len(terms))
+	for sc := index.Scan(text); sc.Next(); n++ {
+		if t := termOf(&sc, terms); t >= 0 {
+			w.observe(t, int32(n))
+		}
+	}
+	return int(w.lo), int(w.hi), n
+}
+
+// snippet is Snippet for a parsed query. It scans the state text rather
+// than reading index positions — the text is what the excerpt is cut
+// from anyway, and a term the index and the model disagree about simply
+// does not highlight — and tokenizes nothing into memory: the returned
+// string is the only allocation.
+func snippet(text string, terms []string, opts SnippetOptions) string {
+	opts = opts.withDefaults()
+	lo, hi, n := snippetWindow(text, terms)
+	if hi < 0 {
+		return ""
+	}
 
 	// Expand the window to MaxTokens, centered.
 	span := hi - lo + 1
@@ -77,62 +82,40 @@ func Snippet(text, queryStr string, opts SnippetOptions) string {
 		start = 0
 	}
 	end := start + opts.MaxTokens
-	if end > len(tokens) {
-		end = len(tokens)
+	if end > n {
+		end = n
 		if start = end - opts.MaxTokens; start < 0 {
 			start = 0
 		}
 	}
 
-	var b strings.Builder
+	// Second scan, up to the window's end. An excerpt longer than the
+	// stack buffer spills to the heap.
+	var buf [512]byte
+	b := buf[:0]
 	if start > 0 {
-		b.WriteString("... ")
+		b = append(b, "... "...)
 	}
-	for i := start; i < end; i++ {
+	sc := index.Scan(text)
+	for i := 0; i < end && sc.Next(); i++ {
+		if i < start {
+			continue
+		}
 		if i > start {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		if want[tokens[i]] {
-			b.WriteString(opts.HighlightPre)
-			b.WriteString(tokens[i])
-			b.WriteString(opts.HighlightPost)
-		} else {
-			b.WriteString(tokens[i])
+		if termOf(&sc, terms) < 0 {
+			b = sc.AppendLower(b)
+			continue
 		}
+		b = append(b, opts.HighlightPre...)
+		b = sc.AppendLower(b)
+		b = append(b, opts.HighlightPost...)
 	}
-	if end < len(tokens) {
-		b.WriteString(" ...")
+	if end < n {
+		b = append(b, " ..."...)
 	}
-	return b.String()
-}
-
-// minimalWindow returns the bounds (token positions) of the smallest
-// window containing one entry from every list. Lists must be non-empty
-// and sorted.
-func minimalWindow(lists [][]int) (lo, hi int) {
-	ptr := make([]int, len(lists))
-	bestLo, bestHi := lists[0][0], lists[0][0]
-	bestSpan := int(^uint(0) >> 1)
-	for {
-		curLo, curHi := int(^uint(0)>>1), -1
-		loIdx := -1
-		for i, ps := range lists {
-			p := ps[ptr[i]]
-			if p < curLo {
-				curLo, loIdx = p, i
-			}
-			if p > curHi {
-				curHi = p
-			}
-		}
-		if span := curHi - curLo; span < bestSpan {
-			bestSpan, bestLo, bestHi = span, curLo, curHi
-		}
-		ptr[loIdx]++
-		if ptr[loIdx] >= len(lists[loIdx]) {
-			return bestLo, bestHi
-		}
-	}
+	return string(b)
 }
 
 // ResultWithSnippet pairs a search result with its generated snippet.
@@ -145,12 +128,16 @@ type ResultWithSnippet struct {
 // (URL → state texts) and generates snippets. Results whose text is not
 // available get an empty snippet.
 func AttachSnippets(results []Result, stateText func(url string, state int) string, q string, opts SnippetOptions) []ResultWithSnippet {
+	return attachSnippets(results, stateText, Parse(q), opts)
+}
+
+func attachSnippets(results []Result, stateText func(url string, state int) string, terms []string, opts SnippetOptions) []ResultWithSnippet {
 	out := make([]ResultWithSnippet, len(results))
 	for i, r := range results {
 		out[i] = ResultWithSnippet{Result: r}
 		if stateText != nil {
 			if text := stateText(r.URL, int(r.State)); text != "" {
-				out[i].Snippet = Snippet(text, q, opts)
+				out[i].Snippet = snippet(text, terms, opts)
 			}
 		}
 	}

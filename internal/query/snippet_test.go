@@ -1,6 +1,7 @@
 package query
 
 import (
+	"ajaxcrawl/internal/index"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,5 +121,84 @@ func TestPropertySnippetBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMinimalWindowSharedByProximityAndSnippet: the one minimalWindow,
+// fed by proximity's k-way merge of position lists and by the snippet's
+// token scan, reports the same (lo, hi) as the position-list oracle —
+// the smallest window, the earliest on ties.
+func TestMinimalWindowSharedByProximityAndSnippet(t *testing.T) {
+	for _, lists := range [][][]int32{
+		{{3}},
+		{{0}, {1}},
+		{{0}, {9}},
+		{{0, 20}, {21}},
+		{{5}, {6}, {7}},
+		{{0, 10}, {1, 11}},           // tie: the earlier window
+		{{0, 4, 8}, {2, 6, 10}, {3}}, // tie around a single occurrence
+		{{9}, {0, 1, 2, 3, 8}},       // the opener's list is the long one
+		{{0, 50}, {1, 2, 3, 49}, {30, 48}},
+		{{7, 8}, {0, 1, 2, 3}}, // one list ends before the other starts
+		{{1, 5, 9, 13}, {0, 14}, {6, 7}},
+	} {
+		var ints [][]int
+		postings := make([]index.Posting, len(lists))
+		terms := make([]string, len(lists))
+		var tokens []string
+		for i, ps := range lists {
+			terms[i] = "t" + itoa(i)
+			postings[i].Positions = ps
+			list := make([]int, len(ps))
+			for j, p := range ps {
+				list[j] = int(p)
+				for len(tokens) <= int(p) {
+					tokens = append(tokens, "x")
+				}
+				tokens[p] = terms[i]
+			}
+			ints = append(ints, list)
+		}
+		wantLo, wantHi := windowOracle(ints)
+
+		lo, hi := proximityWindow(postings)
+		if int(lo) != wantLo || int(hi) != wantHi {
+			t.Errorf("%v: proximity window (%d, %d), oracle (%d, %d)", lists, lo, hi, wantLo, wantHi)
+		}
+		sLo, sHi, n := snippetWindow(strings.Join(tokens, " "), terms)
+		if sLo != wantLo || sHi != wantHi || n != len(tokens) {
+			t.Errorf("%v: snippet window (%d, %d) of %d tokens, oracle (%d, %d) of %d", lists, sLo, sHi, n, wantLo, wantHi, len(tokens))
+		}
+	}
+	// More terms than the stack buffers hold.
+	many := make([]index.Posting, 12)
+	for i := range many {
+		many[i].Positions = []int32{int32(100 - i), int32(200 + 2*i)}
+	}
+	if lo, hi := proximityWindow(many); lo != 89 || hi != 100 {
+		t.Errorf("12 terms: window (%d, %d), want (89, 100)", lo, hi)
+	}
+}
+
+// TestSnippetMatchesOracle sweeps window sizes and highlights over texts
+// with the shapes the scanner must get right.
+func TestSnippetMatchesOracle(t *testing.T) {
+	texts := []string{
+		"", "one", "The Morcheeba Video: ENJOY the ride, enjoy THE Ride!",
+		"İstanbul STRASSE ẞ Ⱥⱥ KELVINK 2008 ٣٤", "bad \xff utf8 \x80tail bad",
+		strings.Repeat("pad ", 30) + "alpha pad pad beta" + strings.Repeat(" pad", 30) + " alpha beta",
+	}
+	queries := []string{"", "!!!", "enjoy", "enjoy ride", "ride enjoy zzz", "the the", "alpha beta", "kelvink ⱥⱥ", "bad tail", "2008"}
+	for _, text := range texts {
+		for _, q := range queries {
+			for _, max := range []int{1, 3, 24, 1000} {
+				for _, o := range []SnippetOptions{{}, {HighlightPre: "<b>", HighlightPost: "</b>"}, {HighlightPost: "*"}} {
+					o.MaxTokens = max
+					if got, want := Snippet(text, q, o), snippetOracle(text, q, o); got != want {
+						t.Fatalf("Snippet(%q, %q, %+v)\n got: %q\nwant: %q", text, q, o, got, want)
+					}
+				}
+			}
+		}
 	}
 }

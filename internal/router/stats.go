@@ -3,6 +3,7 @@ package router
 import (
 	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"ajaxcrawl/internal/query"
@@ -80,7 +81,9 @@ func (t *statsTable) learn(terms []string, responses []*query.ShardResult) {
 				clear(t.df)
 			}
 			perShard = slices.Repeat([]int{-1}, len(t.states))
-			t.df[term] = perShard
+			// A parsed term may be a substring of the query string; the
+			// table must hold the term's bytes only, not pin the request.
+			t.df[strings.Clone(term)] = perShard
 		}
 		for i, res := range responses {
 			if res != nil {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/model"
@@ -268,5 +270,25 @@ func TestStatsTableIsBounded(t *testing.T) {
 	tab.learn(res("one-too-many"))
 	if len(tab.df) != 1 || tab.expect([]string{"t0"}) != nil || tab.expect([]string{"one-too-many"}) == nil {
 		t.Fatalf("table holds %d terms after the cap, want just the newest", len(tab.df))
+	}
+}
+
+// TestStatsTableDoesNotPinQueries: query.Parse returns lower-case terms
+// as substrings of the query string, and both the query's length and
+// its terms are attacker-chosen — the table's keys must be copies, or
+// maxStatTerms short terms could each keep a long request alive.
+func TestStatsTableDoesNotPinQueries(t *testing.T) {
+	q := "needle " + strings.Repeat("!", 4096)
+	terms := query.Parse(q)
+	tab := newStatsTable(1)
+	tab.learn(terms, []*query.ShardResult{{Terms: terms, DF: []int{1}, TotalStates: 9}})
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(q)))
+	for term := range tab.df {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(term))); p >= lo && p < lo+uintptr(len(q)) {
+			t.Fatalf("table key %q points into the %d-byte query string", term, len(q))
+		}
+	}
+	if tab.expect([]string{"needle"}) == nil {
+		t.Fatal("learned term not found")
 	}
 }

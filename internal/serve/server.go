@@ -192,21 +192,7 @@ func LoadSnapshot(dir string, w *query.Weights) (*query.ServeSnapshot, *index.Ma
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: snapshot models: %w", err)
 		}
-		byURL := make(map[string]*model.Graph, len(graphs))
-		for _, g := range graphs {
-			byURL[g.URL] = g
-		}
-		snap.StateText = func(url string, state int) string {
-			g := byURL[url]
-			if g == nil {
-				return ""
-			}
-			st := g.State(model.StateID(state))
-			if st == nil {
-				return ""
-			}
-			return st.Text
-		}
+		snap.StateText = model.TextSource(graphs)
 	}
 	return snap, man, nil
 }
@@ -404,6 +390,7 @@ type admitted struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	tok    *admission.Token
+	vals   url.Values // the query string, parsed once
 	q      string
 	k      int
 }
@@ -424,14 +411,15 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, withK bool) (req 
 	if !ok {
 		return req, false
 	}
-	q := r.URL.Query().Get("q")
+	vals := r.URL.Query()
+	q := vals.Get("q")
 	if q == "" {
 		tok.Cancel()
 		WriteError(w, http.StatusBadRequest, "missing q parameter")
 		return req, false
 	}
 	k := s.cfg.DefaultK
-	if kv := r.URL.Query().Get("k"); withK && kv != "" {
+	if kv := vals.Get("k"); withK && kv != "" {
 		parsed, err := strconv.Atoi(kv)
 		if err != nil || parsed <= 0 {
 			tok.Cancel()
@@ -470,7 +458,7 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, withK bool) (req 
 		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded before evaluation")
 		return req, false
 	}
-	return admitted{ctx: ctx, cancel: cancel, tok: tok, q: q, k: k}, true
+	return admitted{ctx: ctx, cancel: cancel, tok: tok, vals: vals, q: q, k: k}, true
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -500,8 +488,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // pressure (this request waited, or a queue has formed behind the
 // limit) the server degrades before it sheds: first it prefers a
 // full-quality cached answer (free, lossless), then drops snippet
-// extraction — the most expensive part of a cold evaluation — and at
-// half-full queue also halves k. The degradation is advertised so
+// extraction — about three quarters of a cold evaluation, see
+// query.SearchOptions — and at half-full queue also halves k. The degradation is advertised so
 // callers can tell which answers are comparable; non-degraded bodies
 // stay byte-identical to an unloaded server's.
 func (s *Server) search(ctx context.Context, q string, k int, tok *admission.Token) (results []query.ResultWithSnippet, snap *query.ServeSnapshot, cached bool, servedK int, degraded string) {
@@ -539,7 +527,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer req.cancel()
-	hint, err := parseHint(r.URL.Query(), req.q)
+	hint, err := parseHint(req.vals, req.q)
 	if err != nil {
 		req.tok.Cancel()
 		WriteError(w, http.StatusBadRequest, err.Error())
