@@ -9,9 +9,9 @@
 //     hot-node caching (thesis ch. 3–4), built on an embedded HTML
 //     parser, DOM, and JavaScript interpreter;
 //   - Engine — the complete search pipeline (thesis ch. 5–6): precrawl
-//   - PageRank, URL partitioning, parallel crawling, per-partition
-//     index shards, distributed query processing, and result
-//     reconstruction by event replay;
+//   - PageRank, parallel crawling, index shards cut from the URL list,
+//     distributed query processing, and result reconstruction by event
+//     replay;
 //   - SimSite — a deterministic synthetic YouTube-like AJAX site used by
 //     the examples, tests and the experiment harness (the stand-in for
 //     the thesis's YouTube10000 dataset).
@@ -30,10 +30,8 @@ package ajaxcrawl
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
@@ -111,8 +109,6 @@ type Config struct {
 	StartURL string
 	// MaxPages bounds how many pages the precrawler discovers.
 	MaxPages int
-	// PartitionSize is pages per crawl partition (default 20).
-	PartitionSize int
 	// ProcLines is the number of parallel crawler process lines
 	// (default 4).
 	ProcLines int
@@ -121,8 +117,10 @@ type Config struct {
 	Crawl CrawlOptions
 	// Weights are the ranking coefficients (default DefaultWeights).
 	Weights *Weights
-	// WorkDir is where partitions and models are written. Empty means a
-	// throwaway temp directory.
+	// WorkDir is ignored: the pipeline writes nothing to disk until
+	// SaveSnapshot. The field stays only because benchmark/crawl.go,
+	// which this repo's PRs may not edit, still sets it; the benchmark
+	// PR that drops that one line lets it be deleted.
 	WorkDir string
 	// KeepURL filters which hyperlinks the precrawler follows (nil =
 	// same-path /watch pages and everything else alike).
@@ -151,10 +149,10 @@ type Engine struct {
 }
 
 // BuildEngine runs the full pipeline: precrawl (hyperlink graph +
-// PageRank), URL partitioning, parallel AJAX crawling, and per-partition
-// index building. Crawling and indexing are pipelined: each partition is
-// indexed as soon as its process line finishes it, while later
-// partitions are still crawling.
+// PageRank), parallel AJAX crawling, and index building. Crawling and
+// indexing are pipelined: every index.ShardPages consecutive URLs become
+// one shard as soon as the crawler's URL-ordered stream has delivered
+// the last of them, while later pages are still crawling.
 //
 // Canceling ctx stops the pipeline promptly. If any pages were already
 // crawled, BuildEngine returns the partial engine built from them
@@ -170,20 +168,8 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 	if cfg.MaxPages <= 0 {
 		return nil, fmt.Errorf("ajaxcrawl: Config.MaxPages must be positive")
 	}
-	if cfg.PartitionSize <= 0 {
-		cfg.PartitionSize = 20
-	}
 	if cfg.ProcLines <= 0 {
 		cfg.ProcLines = 4
-	}
-	workDir := cfg.WorkDir
-	if workDir == "" {
-		dir, err := os.MkdirTemp("", "ajaxcrawl-*")
-		if err != nil {
-			return nil, fmt.Errorf("ajaxcrawl: workdir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		workDir = dir
 	}
 
 	// Phase 1: precrawl.
@@ -201,74 +187,44 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("ajaxcrawl: precrawl found no pages from %s", cfg.StartURL)
 	}
 
-	// Phase 2: partition.
-	parts, err := (&core.URLPartitioner{
-		PartitionSize: cfg.PartitionSize,
-		RootDir:       workDir,
-	}).Partition(preRes.URLs)
-	if err != nil {
-		return nil, fmt.Errorf("ajaxcrawl: partition: %w", err)
-	}
-
-	// Phases 3+4, pipelined: process lines crawl partitions while this
-	// goroutine indexes each completed partition into its shard. Shards
-	// stay index-aligned with partitions so the layout (and ranking
-	// tie-breaks) are deterministic regardless of completion order.
+	// Phases 2+3, pipelined: process lines crawl pages while this
+	// goroutine indexes them. Pages arrive in URL order whatever the
+	// scheduling, so the shard layout, the PerPage rows (and ranking
+	// tie-breaks) are deterministic.
 	mp := &core.MPCrawler{
 		NewCrawler:   func() *core.Crawler { return core.New(cfg.Fetcher, cfg.Crawl) },
 		ProcLines:    cfg.ProcLines,
-		Partitions:   parts,
+		URLs:         preRes.URLs,
 		Priorities:   preRes.PageRank,
 		SeedSeen:     preRes.Visited,
 		FrontierSeed: cfg.FrontierSeed,
 		BloomBits:    cfg.BloomBits,
 	}
-	shardByPart := make([]*index.Index, len(parts))
-	perPart := make([]*core.Metrics, len(parts))
+	sharder := index.NewSharder(preRes.URLs, preRes.PageRank)
+	metrics := &core.Metrics{}
 	graphs := make(map[string]*model.Graph)
 	var crawled []*model.Graph
-	var crawlErr, ctxErr error
+	var crawlErr error
 	for pr := range mp.Stream(ctx) {
-		if pr.Err != nil {
-			if errors.Is(pr.Err, context.Canceled) || errors.Is(pr.Err, context.DeadlineExceeded) {
-				ctxErr = pr.Err
-			} else if crawlErr == nil {
-				crawlErr = fmt.Errorf("ajaxcrawl: crawl partition %d: %w", pr.Index+1, pr.Err)
-			}
+		if pr.Err != nil && crawlErr == nil {
+			crawlErr = fmt.Errorf("ajaxcrawl: crawl %s: %w", pr.URL, pr.Err)
 		}
-		if len(pr.Graphs) == 0 {
-			continue
+		metrics.Merge(pr.Metrics)
+		sharder.Add(ctx, pr.URL, pr.Graph)
+		if pr.Graph != nil {
+			graphs[pr.URL] = pr.Graph
+			crawled = append(crawled, pr.Graph)
 		}
-		shard := index.BuildCtx(ctx, pr.Graphs, preRes.PageRank, 0)
-		for _, g := range pr.Graphs {
-			graphs[g.URL] = g
-		}
-		crawled = append(crawled, pr.Graphs...)
-		shardByPart[pr.Index] = shard
-		perPart[pr.Index] = pr.Metrics
 	}
 	if crawlErr != nil {
 		return nil, crawlErr
 	}
-	if ctxErr == nil {
-		ctxErr = ctx.Err()
-	}
+	// Whether the crawl was cut short is the caller's context's to say,
+	// not an error's type: a page that blew only its own PageTimeout
+	// carries a deadline error too.
+	ctxErr := ctx.Err()
 	if ctxErr != nil && len(graphs) == 0 {
 		return nil, fmt.Errorf("ajaxcrawl: crawl: %w", ctxErr)
-	}
-
-	// Aggregate metrics and shards in partition order, not completion
-	// order, so PerPage rows and shard layout are reproducible.
-	metrics := &core.Metrics{}
-	var shards []*index.Index
-	for i, shard := range shardByPart {
-		if shard == nil {
-			continue
-		}
-		shards = append(shards, shard)
-		if perPart[i] != nil {
-			metrics.Merge(perPart[i])
-		}
 	}
 
 	weights := query.DefaultWeights
@@ -276,7 +232,7 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 		weights = *cfg.Weights
 	}
 	eng := &Engine{
-		broker:    &query.Broker{Shards: shards, W: weights},
+		broker:    &query.Broker{Shards: sharder.Shards(ctx), W: weights},
 		graphs:    graphs,
 		stateText: model.TextSource(crawled),
 		fetcher:   cfg.Fetcher,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ajaxcrawl/internal/fetch"
 )
@@ -16,13 +17,12 @@ func buildTestEngine(t *testing.T, videos, maxPages int) (*SimSite, *Engine) {
 	t.Helper()
 	site := NewSimSite(videos, 123)
 	eng, err := BuildEngine(context.Background(), Config{
-		Fetcher:       NewHandlerFetcher(site.Handler()),
-		StartURL:      site.VideoURL(0),
-		MaxPages:      maxPages,
-		PartitionSize: 5,
-		ProcLines:     3,
-		Crawl:         CrawlOptions{UseHotNode: true, MaxStates: 5},
-		KeepURL:       IsWatchURL,
+		Fetcher:   NewHandlerFetcher(site.Handler()),
+		StartURL:  site.VideoURL(0),
+		MaxPages:  maxPages,
+		ProcLines: 3,
+		Crawl:     CrawlOptions{UseHotNode: true, MaxStates: 5},
+		KeepURL:   IsWatchURL,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,15 +31,15 @@ func buildTestEngine(t *testing.T, videos, maxPages int) (*SimSite, *Engine) {
 }
 
 func TestBuildEngineEndToEnd(t *testing.T) {
-	_, eng := buildTestEngine(t, 40, 20)
-	if eng.Metrics.Pages != 20 {
-		t.Fatalf("crawled %d pages, want 20", eng.Metrics.Pages)
+	_, eng := buildTestEngine(t, 40, 25)
+	if eng.Metrics.Pages != 25 {
+		t.Fatalf("crawled %d pages, want 25", eng.Metrics.Pages)
 	}
-	if eng.NumStates() < 20 {
+	if eng.NumStates() < 25 {
 		t.Fatalf("too few states: %d", eng.NumStates())
 	}
-	if len(eng.Shards()) != 4 {
-		t.Fatalf("want 4 shards (20 pages / 5), got %d", len(eng.Shards()))
+	if len(eng.Shards()) != 2 {
+		t.Fatalf("want 2 shards (25 pages / 20), got %d", len(eng.Shards()))
 	}
 	if len(eng.PageRank) == 0 {
 		t.Fatalf("PageRank missing")
@@ -108,7 +108,7 @@ func TestReconstructErrors(t *testing.T) {
 func TestBuildEngineCancelReturnsPartialEngine(t *testing.T) {
 	// Cancel mid-crawl: the precrawl (first ~20 watch fetches) completes,
 	// then the crawl phase is cut short. BuildEngine must hand back the
-	// partial engine built from the partitions crawled so far, alongside
+	// partial engine built from the pages crawled so far, alongside
 	// the context error, so a graceful shutdown can still serve results.
 	site := NewSimSite(40, 123)
 	inner := NewHandlerFetcher(site.Handler())
@@ -122,13 +122,12 @@ func TestBuildEngineCancelReturnsPartialEngine(t *testing.T) {
 		return inner.Fetch(c, rawurl)
 	})
 	eng, err := BuildEngine(ctx, Config{
-		Fetcher:       counting,
-		StartURL:      site.VideoURL(0),
-		MaxPages:      20,
-		PartitionSize: 5,
-		ProcLines:     2,
-		Crawl:         CrawlOptions{UseHotNode: true, MaxStates: 5},
-		KeepURL:       IsWatchURL,
+		Fetcher:   counting,
+		StartURL:  site.VideoURL(0),
+		MaxPages:  20,
+		ProcLines: 2,
+		Crawl:     CrawlOptions{UseHotNode: true, MaxStates: 5},
+		KeepURL:   IsWatchURL,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -144,6 +143,42 @@ func TestBuildEngineCancelReturnsPartialEngine(t *testing.T) {
 	}
 	if len(eng.Search("wow")) == 0 && len(eng.Search("video")) == 0 {
 		t.Logf("partial engine returned no hits (small sample); index still intact")
+	}
+}
+
+// A page that blows only its own PageTimeout is a page failure, not a
+// cancellation: with the caller's context alive, FailFast must fail the
+// build — no partial engine — and the error must name the page.
+func TestBuildEngineFailFastPageTimeoutIsNotCancellation(t *testing.T) {
+	site := NewSimSite(20, 123)
+	inner := NewHandlerFetcher(site.Handler())
+	hung := site.VideoURL(0)
+	var fetches atomic.Int64
+	hanging := fetch.Func(func(c context.Context, rawurl string) (*fetch.Response, error) {
+		// The first fetch of the page is the precrawl's; the crawl's
+		// hangs until its page deadline.
+		if rawurl == hung && fetches.Add(1) > 1 {
+			<-c.Done()
+			return nil, c.Err()
+		}
+		return inner.Fetch(c, rawurl)
+	})
+	eng, err := BuildEngine(context.Background(), Config{
+		Fetcher:   hanging,
+		StartURL:  site.VideoURL(0),
+		MaxPages:  10,
+		ProcLines: 2,
+		Crawl:     CrawlOptions{UseHotNode: true, MaxStates: 3, PageTimeout: 200 * time.Millisecond, OnError: FailFast},
+		KeepURL:   IsWatchURL,
+	})
+	if err == nil || eng != nil {
+		t.Fatalf("want nil engine and an error, got engine=%v err=%v", eng != nil, err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want the page's deadline error, got %v", err)
+	}
+	if !strings.HasPrefix(err.Error(), "ajaxcrawl: crawl "+hung+":") {
+		t.Fatalf("error should name the page %s, got %v", hung, err)
 	}
 }
 

@@ -177,22 +177,15 @@ func benchParallel(b *testing.B, lines int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := b.TempDir()
-		parts, err := (&core.URLPartitioner{PartitionSize: 4, RootDir: dir}).Partition(urls)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
 		mp := &core.MPCrawler{
 			NewCrawler: func() *core.Crawler {
 				return core.New(NewHandlerFetcher(s.Handler()), core.Options{UseHotNode: true})
 			},
-			ProcLines:  lines,
-			Partitions: parts,
+			ProcLines: lines,
+			URLs:      urls,
 		}
-		if res := mp.Run(context.Background()); res.Err() != nil {
-			b.Fatal(res.Err())
+		if res := mp.Run(context.Background()); res.Err != nil {
+			b.Fatal(res.Err)
 		}
 	}
 }

@@ -244,30 +244,21 @@ func (e *env) parallelCrawl(n, lines int, opts core.Options) (time.Duration, *co
 	if base <= 0 {
 		base = time.Millisecond
 	}
-	dir, err := mkTempDir()
-	if err != nil {
-		return 0, nil, err
-	}
-	defer rmTempDir(dir)
-	parts, err := (&core.URLPartitioner{PartitionSize: max(1, n/(4*lines)), RootDir: dir}).Partition(e.urls(n))
-	if err != nil {
-		return 0, nil, err
-	}
 	mp := &core.MPCrawler{
 		NewCrawler: func() *core.Crawler {
 			f := fetch.NewInstrumented(&fetch.HandlerFetcher{Handler: e.site.Handler()}, fetch.RealClock{}, base, 0)
 			return core.New(f, opts)
 		},
 		ProcLines:    lines,
-		Partitions:   parts,
+		URLs:         e.urls(n),
 		FrontierSeed: e.frontSeed,
 		BloomBits:    e.bloomBits,
 	}
 	start := time.Now()
 	res := mp.Run(e.ctx)
 	elapsed := time.Since(start)
-	if err := res.Err(); err != nil {
-		return 0, nil, err
+	if res.Err != nil {
+		return 0, nil, res.Err
 	}
 	return elapsed, res.Metrics, nil
 }

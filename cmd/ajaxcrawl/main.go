@@ -1,10 +1,10 @@
 // Command ajaxcrawl crawls AJAX pages into application models.
 //
 // It drives the full pipeline of thesis chapters 3–6 from the command
-// line: precrawl (hyperlink graph + PageRank), URL partitioning, and
-// parallel AJAX crawling with the hot-node policy, storing per-partition
-// application models and the precrawl structures into a root directory —
-// the on-disk layout of thesis chapter 8.
+// line: precrawl (hyperlink graph + PageRank) and parallel AJAX crawling
+// with the hot-node policy, storing the precrawl structures
+// (precrawl.gob) and the application models (ajaxmodels.gob, in precrawl
+// URL order) into a root directory.
 //
 // Examples:
 //
@@ -25,7 +25,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,6 +37,7 @@ import (
 	"ajaxcrawl/internal/core"
 	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/index"
+	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
 	"ajaxcrawl/internal/webapp"
 )
@@ -48,7 +48,6 @@ func main() {
 		sim         = flag.Int("sim", 0, "crawl the built-in synthetic site with this many videos instead of a live URL")
 		seed        = flag.Int64("seed", 2008, "synthetic site seed")
 		pages       = flag.Int("pages", 50, "number of pages to precrawl")
-		partSize    = flag.Int("partition", 20, "pages per partition")
 		lines       = flag.Int("lines", 4, "parallel process lines")
 		maxStates   = flag.Int("states", 11, "max states per page (incl. the initial one)")
 		traditional = flag.Bool("traditional", false, "disable JavaScript (traditional crawl)")
@@ -57,7 +56,7 @@ func main() {
 		saveProfile = flag.Bool("save-profile", false, "record an event profile for faster re-crawls")
 		useProfile  = flag.String("use-profile", "", "skip events a stored profile marked unproductive")
 		robots      = flag.Bool("respect-ajax-robots", false, "honor the site's /robots-ajax.txt state granularity")
-		saveIndex   = flag.String("save-index", "", "also build per-partition index shards and publish a serving snapshot (shards + models + manifest) into this directory")
+		saveIndex   = flag.String("save-index", "", "also build the index shards and publish a serving snapshot (shards + models + manifest) into this directory")
 		verbose     = flag.Bool("v", false, "per-page progress output (live span lines on stderr)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /debug/metrics, /debug/status, /debug/trace/recent and pprof on this address")
 		tracePath   = flag.String("trace", "", "write every span to this JSONL file")
@@ -135,8 +134,8 @@ func main() {
 	// the registry and per-page NetworkTime attribution works.
 	fetcher = fetch.NewInstrumented(fetcher, nil, 0, 0)
 
-	// Ctrl-C cancels the pipeline gracefully: in-flight partitions stop
-	// within one page budget and their partial models are flushed.
+	// Ctrl-C cancels the pipeline gracefully: in-flight pages stop
+	// within one page budget and the completed ones are still flushed.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	ctx = obs.With(ctx, cli.Tel)
@@ -151,8 +150,8 @@ func main() {
 	begin := time.Now()
 	var preRes *core.PrecrawlResult
 	if *resume {
-		// The saved precrawl pins the URL universe and partition layout,
-		// so the resumed run crawls exactly the pages of the killed one.
+		// The saved precrawl pins the URL universe and its order, so the
+		// resumed run crawls exactly the pages of the killed one.
 		loaded, lerr := core.LoadPrecrawl(*out)
 		if lerr == nil {
 			preRes = loaded
@@ -174,12 +173,6 @@ func main() {
 		}
 		infof("precrawl done: %d pages, %d link sources", len(preRes.URLs), len(preRes.Links))
 	}
-
-	parts, err := (&core.URLPartitioner{PartitionSize: *partSize, RootDir: *out}).Partition(preRes.URLs)
-	if err != nil {
-		fatal("partition: %v", err)
-	}
-	infof("partitioned into %d directories of <= %d pages", len(parts), *partSize)
 
 	opts := core.Options{
 		Traditional:      *traditional,
@@ -225,8 +218,7 @@ func main() {
 	mp := &core.MPCrawler{
 		NewCrawler:   func() *core.Crawler { return core.New(fetcher, opts) },
 		ProcLines:    *lines,
-		Partitions:   parts,
-		SaveModels:   true,
+		URLs:         preRes.URLs,
 		MaxRestarts:  *partRetries,
 		Priorities:   preRes.PageRank,
 		SeedSeen:     preRes.Visited,
@@ -252,20 +244,25 @@ func main() {
 		infof("checkpointing crawl into %s", *ckptDir)
 	}
 	res := mp.Run(ctx)
+	// The models are written once, when the run ends — an interrupted
+	// or failed run included: whatever completed is flushed, the
+	// graceful-shutdown property. (A kill -9 gets no such chance; the
+	// checkpoint journal is what survives it.)
+	if len(res.Graphs) > 0 {
+		if err := model.SaveAll(*out, res.Graphs); err != nil {
+			fatal("save models: %v", err)
+		}
+	}
 	if cps != nil {
 		if cerr := cps.Close(); cerr != nil {
 			fatal("checkpoint close: %v", cerr)
 		}
 	}
-	if err := res.Err(); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Partial models of completed (and cut-short) partitions
-			// are already on disk; report and keep going so the run's
-			// outcome is usable.
-			infof("interrupted: flushed partial models for %d crawled pages", res.Metrics.Pages)
-		} else {
-			fatal("crawl: %v", err)
+	if res.Err != nil {
+		if ctx.Err() == nil {
+			fatal("crawl: %v", res.Err)
 		}
+		infof("interrupted: flushed partial models for %d crawled pages", res.Metrics.Pages)
 	}
 	m := res.Metrics
 	if *verbose {
@@ -282,8 +279,8 @@ func main() {
 	if m.PagesResumed > 0 {
 		infof("resume: %d pages replayed from checkpoint journals (not re-crawled)", m.PagesResumed)
 	}
-	if restarts := sum(res.Restarts); restarts > 0 {
-		infof("supervisor: %d page requeues", restarts)
+	if res.Restarts > 0 {
+		infof("supervisor: %d page requeues", res.Restarts)
 	}
 	if m.NearDupMerges > 0 {
 		infof("near-dup: %d states merged (%d probes, %d candidates verified, %d false positives)",
@@ -293,22 +290,19 @@ func main() {
 		infof("resilience: %d retries recovered %d pages, %d breaker opens",
 			m.Retries, m.PagesRecovered, m.BreakerOpens)
 	}
-	infof("models stored under %s (one ajaxmodels.gob per partition)", *out)
+	infof("models stored under %s", *out)
 	if *saveIndex != "" {
-		// One shard per partition, in partition order — the same shard
-		// layout BuildEngine produces, so rankings (and their
-		// tie-breaks) match the in-process pipeline.
-		var shards []*index.Index
-		for _, gs := range res.GraphsByPartition {
-			if len(gs) == 0 {
-				continue
-			}
-			shards = append(shards, index.BuildCtx(ctx, gs, preRes.PageRank, 0))
+		// The same shard layout BuildEngine produces, so rankings (and
+		// their tie-breaks) match the in-process pipeline.
+		sharder := index.NewSharder(preRes.URLs, preRes.PageRank)
+		for _, g := range res.Graphs {
+			sharder.Add(ctx, g.URL, g)
 		}
+		shards := sharder.Shards(ctx)
 		if len(shards) == 0 {
-			fatal("save index: no crawled partitions to index")
+			fatal("save index: no crawled pages to index")
 		}
-		man, err := index.SaveSnapshot(*saveIndex, shards, res.Graphs())
+		man, err := index.SaveSnapshot(*saveIndex, shards, res.Graphs)
 		if err != nil {
 			fatal("save index: %v", err)
 		}
@@ -340,14 +334,6 @@ func main() {
 			fatal("json: %v", err)
 		}
 	}
-}
-
-func sum(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 func fatal(format string, args ...interface{}) {

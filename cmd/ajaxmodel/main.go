@@ -13,9 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 
 	"ajaxcrawl/internal/model"
@@ -23,7 +20,7 @@ import (
 
 func main() {
 	var (
-		models = flag.String("models", "", "crawl root directory with partition subdirectories")
+		models = flag.String("models", "", "directory holding ajaxmodels.gob: an ajaxcrawl -out root or a published snapshot")
 		url    = flag.String("url", "", "show one page's transition graph in detail")
 		dot    = flag.Bool("dot", false, "emit Graphviz dot for the selected page (requires -url)")
 	)
@@ -33,7 +30,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	graphs := loadGraphs(*models)
+	graphs, err := model.LoadAll(*models)
+	if err != nil {
+		fatal("load models: %v", err)
+	}
 	if len(graphs) == 0 {
 		fatal("no application models under %s", *models)
 	}
@@ -57,31 +57,6 @@ func main() {
 		return
 	}
 	printDetail(g)
-}
-
-func loadGraphs(root string) []*model.Graph {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		fatal("read %s: %v", root, err)
-	}
-	var parts []int
-	for _, e := range entries {
-		if e.IsDir() {
-			if n, err := strconv.Atoi(e.Name()); err == nil {
-				parts = append(parts, n)
-			}
-		}
-	}
-	sort.Ints(parts)
-	var out []*model.Graph
-	for _, p := range parts {
-		gs, err := model.LoadAll(filepath.Join(root, strconv.Itoa(p)))
-		if err != nil {
-			fatal("partition %d: %v", p, err)
-		}
-		out = append(out, gs...)
-	}
-	return out
 }
 
 func printSummary(graphs []*model.Graph) {

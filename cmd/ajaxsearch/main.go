@@ -23,8 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -37,7 +35,7 @@ import (
 
 func main() {
 	var (
-		models      = flag.String("models", "", "crawl root directory with partition subdirectories")
+		models      = flag.String("models", "", "directory holding ajaxmodels.gob: an ajaxcrawl -out root or a published snapshot")
 		load        = flag.String("load", "", "load a stored index instead of building one")
 		save        = flag.String("save", "", "store the built index at this path")
 		maxStates   = flag.Int("max-states", 0, "index only the first N states per page (0 = all)")
@@ -115,62 +113,29 @@ func main() {
 	}
 }
 
-// buildFromModels loads every partition's application models under root
-// and builds one index, attaching PageRank values when a precrawl result
-// is present — the "Build New Index" tab of the thesis GUI.
+// buildFromModels loads the application models under root and builds
+// one index, attaching PageRank values when a precrawl result is
+// present — the "Build New Index" tab of the thesis GUI.
 func buildFromModels(ctx context.Context, root string, maxStates int) *index.Index {
 	_, sp := obs.StartSpan(ctx, obs.SpanIndexBuild, obs.A("root", root))
-	entries, err := os.ReadDir(root)
+	graphs, err := model.LoadAll(root)
 	if err != nil {
-		fatal("read models dir: %v", err)
+		fatal("load models: %v", err)
+	}
+	if len(graphs) == 0 {
+		fatal("no application models under %s", root)
 	}
 	var pageRank map[string]float64
 	if pre, err := core.LoadPrecrawl(root); err == nil {
 		pageRank = pre.PageRank
 		fmt.Printf("using PageRank values for %d pages\n", len(pageRank))
 	}
-	// Partition directories are numbered; process in numeric order so
-	// DocIDs are stable.
-	var parts []int
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if n, err := strconv.Atoi(e.Name()); err == nil {
-			parts = append(parts, n)
-		}
-	}
-	sort.Ints(parts)
-	if len(parts) == 0 {
-		fatal("no partition directories under %s", root)
-	}
 	ix := index.New()
-	pages, missing := 0, 0
-	for _, p := range parts {
-		dir := filepath.Join(root, strconv.Itoa(p))
-		if _, err := os.Stat(filepath.Join(dir, model.ModelFileName)); os.IsNotExist(err) {
-			// An interrupted crawl leaves untouched partitions without
-			// models; index what is there.
-			missing++
-			continue
-		}
-		graphs, err := model.LoadAll(dir)
-		if err != nil {
-			fatal("partition %d: %v", p, err)
-		}
-		for _, g := range graphs {
-			ix.AddGraph(g, pageRank[g.URL], maxStates)
-			pages++
-		}
-	}
-	if pages == 0 {
-		fatal("no application models under %s", root)
-	}
-	if missing > 0 {
-		fmt.Printf("skipped %d uncrawled partitions (interrupted crawl)\n", missing)
+	for _, g := range graphs {
+		ix.AddGraph(g, pageRank[g.URL], maxStates)
 	}
 	fmt.Printf("built index over %d pages: %d states, %d terms\n",
-		pages, ix.TotalStates, ix.NumTerms())
+		len(graphs), ix.TotalStates, ix.NumTerms())
 	sp.SetAttr("postings", strconv.Itoa(ix.NumPostings()))
 	sp.End(nil)
 	return ix

@@ -1,8 +1,7 @@
-// Parallel crawling: the chapter-6 architecture end to end. The URL
-// frontier from the precrawl is partitioned on disk; N independent
-// "process lines" crawl partitions concurrently; each partition becomes
-// an index shard; queries are shipped to every shard and merged with the
-// global-idf correction.
+// Parallel crawling: the chapter-6 architecture. The URL list from the
+// precrawl seeds one shared, prioritized frontier; N "process lines"
+// pull pages from it concurrently and steal each other's surplus; the
+// models come back in URL order whatever the scheduling did.
 //
 //	go run ./examples/parallel
 package main
@@ -11,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"ajaxcrawl"
@@ -45,27 +43,18 @@ func main() {
 	fmt.Printf("precrawled %d pages; PageRank computed over the hyperlink graph\n", len(preRes.URLs))
 
 	run := func(lines int) time.Duration {
-		dir, err := os.MkdirTemp("", "parallel-example-*")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		parts, err := (&core.URLPartitioner{PartitionSize: 5, RootDir: dir}).Partition(preRes.URLs)
-		if err != nil {
-			log.Fatal(err)
-		}
 		mp := &core.MPCrawler{
 			NewCrawler: func() *core.Crawler {
 				return core.New(newFetcher(), core.Options{UseHotNode: true})
 			},
-			ProcLines:  lines,
-			Partitions: parts,
+			ProcLines: lines,
+			URLs:      preRes.URLs,
 		}
 		start := time.Now()
 		res := mp.Run(ctx)
 		elapsed := time.Since(start)
-		if err := res.Err(); err != nil {
-			log.Fatal(err)
+		if res.Err != nil {
+			log.Fatal(res.Err)
 		}
 		fmt.Printf("%d process line(s): %d pages, %d states in %v\n",
 			lines, res.Metrics.Pages, res.Metrics.States, elapsed.Round(time.Millisecond))

@@ -19,8 +19,8 @@ func main() {
 	// comment pagination loads via XMLHttpRequest.
 	site := ajaxcrawl.NewSimSite(60, 7)
 
-	// Build the full search engine: precrawl + PageRank, partitioning,
-	// parallel AJAX crawling with the hot-node cache, sharded indexing.
+	// Build the full search engine: precrawl + PageRank, parallel AJAX
+	// crawling with the hot-node cache, sharded indexing.
 	eng, err := ajaxcrawl.BuildEngine(ctx, ajaxcrawl.Config{
 		Fetcher:  ajaxcrawl.NewHandlerFetcher(site.Handler()),
 		StartURL: site.VideoURL(0),

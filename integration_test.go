@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,7 +22,7 @@ import (
 )
 
 // TestPipelinePersistenceRoundTrip drives the exact flow of the CLIs:
-// precrawl → partition → parallel crawl with models saved to disk →
+// precrawl → parallel crawl with models saved to disk →
 // reload models → build index → save (gob and compressed) → reload →
 // identical query results everywhere.
 func TestPipelinePersistenceRoundTrip(t *testing.T) {
@@ -31,7 +30,7 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 	fetcher := NewHandlerFetcher(site.Handler())
 	workDir := t.TempDir()
 
-	// Phase 1-2: precrawl + partition (as cmd/ajaxcrawl does).
+	// Phase 1: precrawl (as cmd/ajaxcrawl does).
 	pre := &core.Precrawler{
 		Fetcher:  fetcher,
 		StartURL: webapp.WatchURL(site.VideoID(0)),
@@ -45,38 +44,32 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 	if err := preRes.Save(workDir); err != nil {
 		t.Fatal(err)
 	}
-	parts, err := (&core.URLPartitioner{PartitionSize: 4, RootDir: workDir}).Partition(preRes.URLs)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Phase 3: parallel crawl, models serialized per partition.
+	// Phase 2: parallel crawl, models serialized into the root.
 	mp := &core.MPCrawler{
 		NewCrawler: func() *core.Crawler {
 			return core.New(fetcher, core.Options{UseHotNode: true, MaxStates: 4})
 		},
-		ProcLines:  3,
-		Partitions: parts,
-		SaveModels: true,
+		ProcLines: 3,
+		URLs:      preRes.URLs,
 	}
 	res := mp.Run(context.Background())
-	if err := res.Err(); err != nil {
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	liveGraphs := res.Graphs
+	if err := model.SaveAll(workDir, liveGraphs); err != nil {
 		t.Fatal(err)
 	}
-	liveGraphs := res.Graphs()
 
 	// Reload everything from disk (as cmd/ajaxsearch does).
 	reloadedPre, err := core.LoadPrecrawl(workDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reloadedGraphs []*model.Graph
-	for _, dir := range parts {
-		gs, err := model.LoadAll(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reloadedGraphs = append(reloadedGraphs, gs...)
+	reloadedGraphs, err := model.LoadAll(workDir)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(reloadedGraphs) != len(liveGraphs) {
 		t.Fatalf("reloaded %d graphs, crawled %d", len(reloadedGraphs), len(liveGraphs))
@@ -159,13 +152,12 @@ func TestEngineDeterminism(t *testing.T) {
 	build := func() *Engine {
 		site := NewSimSite(20, 55)
 		eng, err := BuildEngine(context.Background(), Config{
-			Fetcher:       NewHandlerFetcher(site.Handler()),
-			StartURL:      site.VideoURL(0),
-			MaxPages:      10,
-			PartitionSize: 3,
-			ProcLines:     3,
-			Crawl:         CrawlOptions{UseHotNode: true, MaxStates: 4},
-			KeepURL:       IsWatchURL,
+			Fetcher:   NewHandlerFetcher(site.Handler()),
+			StartURL:  site.VideoURL(0),
+			MaxPages:  10,
+			ProcLines: 3,
+			Crawl:     CrawlOptions{UseHotNode: true, MaxStates: 4},
+			KeepURL:   IsWatchURL,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -203,13 +195,12 @@ func TestServeGoldenEndToEnd(t *testing.T) {
 		// Deterministic crawl: fixed site seed and crawl options.
 		site := NewSimSite(18, 909)
 		eng, err := BuildEngine(context.Background(), Config{
-			Fetcher:       NewHandlerFetcher(site.Handler()),
-			StartURL:      site.VideoURL(0),
-			MaxPages:      10,
-			PartitionSize: 3,
-			ProcLines:     3,
-			Crawl:         CrawlOptions{UseHotNode: true, MaxStates: 4},
-			KeepURL:       IsWatchURL,
+			Fetcher:   NewHandlerFetcher(site.Handler()),
+			StartURL:  site.VideoURL(0),
+			MaxPages:  10,
+			ProcLines: 3,
+			Crawl:     CrawlOptions{UseHotNode: true, MaxStates: 4},
+			KeepURL:   IsWatchURL,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -309,30 +300,6 @@ func TestServeGoldenEndToEnd(t *testing.T) {
 	for q, body := range first {
 		if second[q] != body {
 			t.Fatalf("q=%q: end-to-end responses differ across identical runs:\n%s\nvs\n%s", q, second[q], body)
-		}
-	}
-}
-
-// TestWorkDirLayout checks the on-disk layout of chapter 8: numbered
-// partition directories each holding URLsToCrawl.txt and ajaxmodels.gob.
-func TestWorkDirLayout(t *testing.T) {
-	site := NewSimSite(12, 77)
-	workDir := t.TempDir()
-	_, err := BuildEngine(context.Background(), Config{
-		Fetcher:       NewHandlerFetcher(site.Handler()),
-		StartURL:      site.VideoURL(0),
-		MaxPages:      9,
-		PartitionSize: 3,
-		WorkDir:       workDir,
-		Crawl:         CrawlOptions{UseHotNode: true, MaxStates: 3},
-		KeepURL:       IsWatchURL,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, part := range []string{"1", "2", "3"} {
-		if _, err := os.Stat(filepath.Join(workDir, part, core.URLFileName)); err != nil {
-			t.Fatalf("partition %s missing URL list: %v", part, err)
 		}
 	}
 }

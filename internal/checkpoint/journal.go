@@ -1,6 +1,6 @@
 // Package checkpoint implements the durable crawl journal that makes a
-// partition crawl crash-tolerant: an append-only write-ahead log of
-// per-partition progress (completed pages with their application models,
+// crawl crash-tolerant: an append-only write-ahead log of one process
+// line's progress (completed pages with their application models,
 // admitted state hashes, hot-node cache fills) plus periodic compacted
 // snapshots of the completed pages.
 //
@@ -106,15 +106,15 @@ type PageRecord struct {
 	Metrics []byte
 }
 
-// FrontierRecord is one admitted frontier item: a URL with its place in
-// the partition layout and its admission priority. The parallel crawler
+// FrontierRecord is one admitted frontier item: a URL with its position
+// in the crawl's URL list and its admission priority. The parallel crawler
 // journals these into a dedicated frontier journal so a resumed crawl
 // rebuilds the same prioritized frontier — including priorities that
 // carried a learned yield boost — instead of recomputing from scratch.
 type FrontierRecord struct {
-	URL            string
-	Partition, Seq int
-	Priority       float64
+	URL      string
+	Seq      int
+	Priority float64
 }
 
 // RecoveryInfo summarizes what Open recovered from disk.
@@ -135,7 +135,7 @@ type RecoveryInfo struct {
 	TruncatedBytes int64
 }
 
-// Journal is one partition's durable crawl log. All methods are safe for
+// Journal is one process line's durable crawl log. All methods are safe for
 // concurrent use, though a crawl writes from a single process line.
 type Journal struct {
 	mu  sync.Mutex
@@ -452,6 +452,9 @@ func (j *Journal) applyRecord(payload []byte) bool {
 		if err != nil {
 			return false
 		}
+		// The frame still carries the partition varint of the static-
+		// partition era (written 0 now); it is bounded like any other
+		// count and otherwise ignored.
 		part, err := binary.ReadUvarint(r)
 		if err != nil || part > 1<<31 {
 			return false
@@ -470,10 +473,9 @@ func (j *Journal) applyRecord(payload []byte) bool {
 			j.recovered.FrontierURLs++
 		}
 		j.frontier[u] = FrontierRecord{
-			URL:       u,
-			Partition: int(part),
-			Seq:       int(seq),
-			Priority:  math.Float64frombits(binary.LittleEndian.Uint64(bits[:])),
+			URL:      u,
+			Seq:      int(seq),
+			Priority: math.Float64frombits(binary.LittleEndian.Uint64(bits[:])),
 		}
 		return true
 	default:
@@ -486,10 +488,9 @@ func encodeFrontier(rec FrontierRecord) []byte {
 	var payload bytes.Buffer
 	payload.WriteByte(recFrontier)
 	putField(&payload, []byte(rec.URL))
+	payload.WriteByte(0) // the retired partition varint: the frame keeps its layout
 	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(rec.Partition))
-	payload.Write(tmp[:n])
-	n = binary.PutUvarint(tmp[:], uint64(rec.Seq))
+	n := binary.PutUvarint(tmp[:], uint64(rec.Seq))
 	payload.Write(tmp[:n])
 	var bits [8]byte
 	binary.LittleEndian.PutUint64(bits[:], math.Float64bits(rec.Priority))

@@ -1,7 +1,10 @@
 package checkpoint
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -289,8 +292,8 @@ func TestJournalFrontierRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{CompactEvery: -1})
 	recs := []FrontierRecord{
-		{URL: "u1", Partition: 0, Seq: 0, Priority: 0.75},
-		{URL: "u2", Partition: 1, Seq: 3, Priority: 0.0625},
+		{URL: "u1", Seq: 0, Priority: 0.75},
+		{URL: "u2", Seq: 3, Priority: 0.0625},
 	}
 	for _, r := range recs {
 		if err := j.FrontierAdmitted(r); err != nil {
@@ -320,10 +323,40 @@ func TestJournalFrontierRoundTrip(t *testing.T) {
 	}
 }
 
+// A frontier frame written before the partition layout was retired
+// carries a non-zero partition varint; it must still replay, partition
+// ignored, so an old journal resumes without a format bump.
+func TestJournalFrontierReplaysPartitionEraFrame(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{CompactEvery: -1})
+	var payload bytes.Buffer
+	payload.WriteByte(recFrontier)
+	putField(&payload, []byte("old"))
+	payload.Write([]byte{2, 5}) // partition 2, seq 5
+	var bits [8]byte
+	binary.LittleEndian.PutUint64(bits[:], math.Float64bits(0.25))
+	payload.Write(bits[:])
+	j.mu.Lock()
+	err := j.writeFrame(payload.Bytes())
+	j.mu.Unlock()
+	if err != nil {
+		t.Fatalf("writeFrame: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	j2 := mustOpen(t, dir, Options{})
+	defer j2.Close()
+	want := FrontierRecord{URL: "old", Seq: 5, Priority: 0.25}
+	if got := j2.FrontierEntries(); len(got) != 1 || got[0] != want {
+		t.Fatalf("FrontierEntries = %+v, want [%+v]", got, want)
+	}
+}
+
 func TestJournalFrontierSurvivesCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{CompactEvery: 2})
-	want := FrontierRecord{URL: "pending", Partition: 2, Seq: 1, Priority: 0.5}
+	want := FrontierRecord{URL: "pending", Seq: 1, Priority: 0.5}
 	if err := j.FrontierAdmitted(want); err != nil {
 		t.Fatalf("FrontierAdmitted: %v", err)
 	}

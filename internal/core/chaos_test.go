@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 	"time"
@@ -188,10 +186,10 @@ func TestChaosCrawlMatchesFaultFreeBaseline(t *testing.T) {
 	}
 }
 
-// TestParallelBreakerIsolation pins the chapter-6 requirement that one
-// partition pointed at a dying host cannot sink its siblings: the dying
-// partition's circuit opens and its pages land in PagesFailed, while the
-// other process line's partition crawls to completion.
+// TestParallelBreakerIsolation pins the chapter-6 requirement that
+// pages pointed at a dying host cannot sink their siblings: the dying
+// host's circuit opens and its pages land in PagesFailed, while the
+// healthy host's pages crawl to completion.
 func TestParallelBreakerIsolation(t *testing.T) {
 	const page = `<html><body><p id="c">hello</p></body></html>`
 	fetcher := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
@@ -201,27 +199,10 @@ func TestParallelBreakerIsolation(t *testing.T) {
 		return &fetch.Response{Status: 200, Body: []byte(page), ContentType: "text/html"}, nil
 	})
 
-	root := t.TempDir()
-	writePartition := func(name string, urls []string) string {
-		dir := filepath.Join(root, name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		var data []byte
-		for _, u := range urls {
-			data = append(data, []byte(u+"\n")...)
-		}
-		if err := os.WriteFile(filepath.Join(dir, URLFileName), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-	badPart := writePartition("partition1", []string{
+	urls := []string{
 		"http://bad.host/a", "http://bad.host/b", "http://bad.host/c", "http://bad.host/d",
-	})
-	goodPart := writePartition("partition2", []string{
 		"http://good.host/a", "http://good.host/b", "http://good.host/c",
-	})
+	}
 
 	reg := obs.NewRegistry()
 	ctx := obs.With(context.Background(), obs.New(reg, nil))
@@ -235,19 +216,23 @@ func TestParallelBreakerIsolation(t *testing.T) {
 				},
 			})
 		},
-		ProcLines:  2,
-		Partitions: []string{badPart, goodPart},
+		ProcLines: 2,
+		URLs:      urls,
 	}
 	res := mp.Run(ctx)
 
-	if err := res.Err(); err != nil {
-		t.Fatalf("partition error under skip-and-count: %v", err)
+	if err := res.Err; err != nil {
+		t.Fatalf("crawl error under skip-and-count: %v", err)
 	}
-	if got := len(res.GraphsByPartition[1]); got != 3 {
-		t.Errorf("good partition crawled %d pages, want 3 — sibling was not isolated", got)
+	perHost := map[string]int{}
+	for _, g := range res.Graphs {
+		perHost[g.URL[:len("http://good.host")]]++
 	}
-	if got := len(res.GraphsByPartition[0]); got != 0 {
-		t.Errorf("bad partition produced %d graphs, want 0", got)
+	if got := perHost["http://good.host"]; got != 3 {
+		t.Errorf("good host crawled %d pages, want 3 — its pages were not isolated", got)
+	}
+	if got := len(res.Graphs) - perHost["http://good.host"]; got != 0 {
+		t.Errorf("bad host produced %d graphs, want 0", got)
 	}
 	if res.Metrics.PagesFailed != 4 {
 		t.Errorf("PagesFailed = %d, want 4 (the dying host's pages)", res.Metrics.PagesFailed)
@@ -255,9 +240,5 @@ func TestParallelBreakerIsolation(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Counters["breaker.opens"] < 1 {
 		t.Error("breaker never opened for the dying host")
-	}
-	if snap.Counters["crawl.partitions.breaker_tripped"] != 1 {
-		t.Errorf("crawl.partitions.breaker_tripped = %d, want 1",
-			snap.Counters["crawl.partitions.breaker_tripped"])
 	}
 }

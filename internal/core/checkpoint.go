@@ -56,7 +56,7 @@ type Checkpointer interface {
 	Flush() error
 	// Close flushes and releases the underlying journal. The owner that
 	// opened the Checkpointer closes it — for the parallel crawler that
-	// is the partition supervisor, on every exit path including panics
+	// is the process line, on every exit path including panics
 	// and cancellation, which is what makes Ctrl-C a graceful flush.
 	Close() error
 }

@@ -153,7 +153,7 @@ func requireSameStateSets(t *testing.T, want, got map[string][]dom.Hash) {
 }
 
 // TestMPCrawlerResumeConvergence drives the same property through the
-// parallel crawler: cancel a checkpointed multi-partition run mid-crawl,
+// parallel crawler: cancel a checkpointed multi-line run mid-crawl,
 // rerun it in resume mode, and the merged result matches a run that was
 // never interrupted.
 func TestMPCrawlerResumeConvergence(t *testing.T) {
@@ -162,28 +162,19 @@ func TestMPCrawlerResumeConvergence(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
 	}
-	mkDirs := func() []string {
-		dirs, err := (&URLPartitioner{PartitionSize: 3, RootDir: t.TempDir()}).Partition(urls)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dirs
-	}
-
 	baseline := (&MPCrawler{
 		NewCrawler: func() *Crawler {
 			return New(&fetch.HandlerFetcher{Handler: site.Handler()}, Options{UseHotNode: true, MaxStates: 3})
 		},
-		ProcLines:  2,
-		Partitions: mkDirs(),
+		ProcLines: 2,
+		URLs:      urls,
 	}).Run(context.Background())
-	if err := baseline.Err(); err != nil {
+	if err := baseline.Err; err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	base := stateSets(baseline.Graphs())
+	base := stateSets(baseline.Graphs)
 
 	ckRoot := t.TempDir()
-	dirs := mkDirs()
 
 	// Run 1: cancel once 5 pages have completed across all process
 	// lines — a crawl killed mid-frontier, with per-line journals and
@@ -206,14 +197,14 @@ func TestMPCrawlerResumeConvergence(t *testing.T) {
 			return New(&fetch.HandlerFetcher{Handler: site.Handler()}, o)
 		},
 		ProcLines:   2,
-		Partitions:  dirs,
+		URLs:        urls,
 		Checkpoints: cps,
 	}
 	partial := mp.Run(runCtx)
 	if err := cps.Close(); err != nil {
 		t.Fatalf("close checkpoints: %v", err)
 	}
-	if got := len(partial.Graphs()); got >= len(urls) {
+	if got := len(partial.Graphs); got >= len(urls) {
 		t.Fatalf("interrupted run crawled all %d pages — the cancellation never bit", got)
 	}
 
@@ -236,11 +227,11 @@ func TestMPCrawlerResumeConvergence(t *testing.T) {
 			return New(&fetch.HandlerFetcher{Handler: site.Handler()}, Options{UseHotNode: true, MaxStates: 3})
 		},
 		ProcLines:   3,
-		Partitions:  dirs,
+		URLs:        urls,
 		Checkpoints: cps2,
 	}
 	res := mp2.Run(context.Background())
-	if err := res.Err(); err != nil {
+	if err := res.Err; err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
 	if err := cps2.Close(); err != nil {
@@ -252,7 +243,7 @@ func TestMPCrawlerResumeConvergence(t *testing.T) {
 	if res.Metrics.PagesResumed != journaled {
 		t.Errorf("PagesResumed = %d, want every journaled page (%d) replayed", res.Metrics.PagesResumed, journaled)
 	}
-	requireSameStateSets(t, base, stateSets(res.Graphs()))
+	requireSameStateSets(t, base, stateSets(res.Graphs))
 }
 
 // TestSupervisorRestartsFailedPartition pins the supervisor contract: a
@@ -265,14 +256,10 @@ func TestSupervisorRestartsFailedPartition(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
 	}
-	dirs, err := (&URLPartitioner{PartitionSize: 2, RootDir: t.TempDir()}).Partition(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := urls[2] // first page of partition 2
+	target := urls[2]
 	inner := &fetch.HandlerFetcher{Handler: site.Handler()}
 
-	// Fail-once: partition 2's first attempt dies under FailFast, its
+	// Fail-once: the target's first attempt dies under FailFast, its
 	// second succeeds.
 	var tripped atomic.Bool
 	failOnce := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
@@ -286,17 +273,17 @@ func TestSupervisorRestartsFailedPartition(t *testing.T) {
 	mp := &MPCrawler{
 		NewCrawler:  func() *Crawler { return New(failOnce, Options{OnError: FailFast, MaxStates: 2}) },
 		ProcLines:   2,
-		Partitions:  dirs,
+		URLs:        urls,
 		MaxRestarts: 2,
 	}
 	res := mp.Run(ctx)
-	if err := res.Err(); err != nil {
-		t.Fatalf("supervisor did not recover the fail-once partition: %v", err)
+	if err := res.Err; err != nil {
+		t.Fatalf("supervisor did not recover the fail-once page: %v", err)
 	}
-	if res.Restarts[0] != 0 || res.Restarts[1] != 1 {
-		t.Errorf("Restarts = %v, want [0 1]", res.Restarts)
+	if res.Restarts != 1 {
+		t.Errorf("Restarts = %d, want 1", res.Restarts)
 	}
-	if got := len(res.Graphs()); got != 4 {
+	if got := len(res.Graphs); got != 4 {
 		t.Errorf("crawled %d pages after restart, want 4", got)
 	}
 	if n := reg.Snapshot().Counters["frontier.requeues"]; n != 1 {
@@ -314,33 +301,29 @@ func TestSupervisorRestartsFailedPartition(t *testing.T) {
 	ctx2 := obs.With(context.Background(), obs.New(reg2, nil))
 	mp.NewCrawler = func() *Crawler { return New(alwaysBad, Options{OnError: FailFast, MaxStates: 2}) }
 	res2 := mp.Run(ctx2)
-	if res2.Errors[1] == nil {
-		t.Fatal("always-failing partition reported no error")
+	if res2.Err == nil || !strings.Contains(res2.Err.Error(), target) {
+		t.Fatalf("Err = %v, want the always-failing page's error", res2.Err)
 	}
-	if res2.Restarts[1] != 2 {
-		t.Errorf("Restarts[1] = %d, want MaxRestarts=2", res2.Restarts[1])
+	if res2.Restarts != 2 {
+		t.Errorf("Restarts = %d, want MaxRestarts=2", res2.Restarts)
 	}
 	if n := reg2.Snapshot().Counters["frontier.requeues"]; n != 2 {
 		t.Errorf("frontier.requeues = %d, want 2", n)
 	}
-	// The healthy sibling partition is untouched by the failures.
-	if got := len(res2.GraphsByPartition[0]); got != 2 {
-		t.Errorf("healthy partition crawled %d pages, want 2", got)
+	// The healthy sibling pages are untouched by the failures.
+	if got := len(res2.Graphs); got != 3 {
+		t.Errorf("healthy pages crawled: %d, want 3", got)
 	}
 }
 
 // TestPartitionPanicRecovered pins the panic boundary: a crawler panic
-// mid-partition becomes that partition's error (and a restartable
-// failure), never a crashed process line.
+// mid-page becomes that page's error (and a restartable failure), never
+// a crashed process line.
 func TestPartitionPanicRecovered(t *testing.T) {
 	site, _ := newSiteFetcher(6, 11)
 	var urls []string
 	for i := 0; i < 4; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
-	}
-	dirs, err := (&URLPartitioner{PartitionSize: 2, RootDir: t.TempDir()}).Partition(urls)
-	if err != nil {
-		t.Fatal(err)
 	}
 	target := urls[2]
 	inner := &fetch.HandlerFetcher{Handler: site.Handler()}
@@ -353,30 +336,27 @@ func TestPartitionPanicRecovered(t *testing.T) {
 		return inner.Fetch(ctx, rawurl)
 	})
 
-	// Without restarts the panic surfaces as the partition's error while
-	// the sibling completes.
+	// Without restarts the panic surfaces as the page's error while its
+	// siblings complete.
 	reg := obs.NewRegistry()
 	ctx := obs.With(context.Background(), obs.New(reg, nil))
 	mp := &MPCrawler{
 		NewCrawler: func() *Crawler { return New(panicky, Options{MaxStates: 2}) },
 		ProcLines:  2,
-		Partitions: dirs,
+		URLs:       urls,
 	}
 	res := mp.Run(ctx)
-	if res.Errors[1] == nil || !strings.Contains(res.Errors[1].Error(), "panic") {
-		t.Fatalf("Errors[1] = %v, want a recovered panic", res.Errors[1])
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "panic") || !strings.Contains(res.Err.Error(), target) {
+		t.Fatalf("Err = %v, want the target page's recovered panic", res.Err)
 	}
-	if res.Errors[0] != nil {
-		t.Errorf("healthy partition errored: %v", res.Errors[0])
-	}
-	if got := len(res.GraphsByPartition[0]); got != 2 {
-		t.Errorf("healthy partition crawled %d pages, want 2", got)
+	if got := len(res.Graphs); got != 3 {
+		t.Errorf("healthy pages crawled: %d, want 3", got)
 	}
 	if n := reg.Snapshot().Counters["crawl.line.panics"]; n != 1 {
 		t.Errorf("crawl.line.panics = %d, want 1", n)
 	}
 
-	// With restarts a panic-once partition recovers like any failure.
+	// With restarts a panic-once page recovers like any failure.
 	panicked.Store(0)
 	var once atomic.Bool
 	panicOnce := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
@@ -388,15 +368,15 @@ func TestPartitionPanicRecovered(t *testing.T) {
 	mp.NewCrawler = func() *Crawler { return New(panicOnce, Options{MaxStates: 2}) }
 	mp.MaxRestarts = 1
 	res2 := mp.Run(obs.With(context.Background(), obs.New(obs.NewRegistry(), nil)))
-	if err := res2.Err(); err != nil {
-		t.Fatalf("panic-once partition did not recover: %v", err)
+	if err := res2.Err; err != nil {
+		t.Fatalf("panic-once page did not recover: %v", err)
 	}
-	if res2.Restarts[1] != 1 {
-		t.Errorf("Restarts[1] = %d, want 1", res2.Restarts[1])
+	if res2.Restarts != 1 {
+		t.Errorf("Restarts = %d, want 1", res2.Restarts)
 	}
 }
 
-// TestWatchdogRestartsStuckPartition wedges a partition's first attempt
+// TestWatchdogRestartsStuckPartition wedges a page's first attempt
 // (a fetch that advances the virtual clock past StuckTimeout and then
 // blocks forever) and checks the watchdog cancels it with
 // ErrLineStuck and the supervisor's restart completes the crawl.
@@ -405,10 +385,6 @@ func TestWatchdogRestartsStuckPartition(t *testing.T) {
 	var urls []string
 	for i := 0; i < 2; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
-	}
-	dirs, err := (&URLPartitioner{PartitionSize: 2, RootDir: t.TempDir()}).Partition(urls)
-	if err != nil {
-		t.Fatal(err)
 	}
 	clock := &fetch.VirtualClock{}
 	inner := &fetch.HandlerFetcher{Handler: site.Handler()}
@@ -428,19 +404,19 @@ func TestWatchdogRestartsStuckPartition(t *testing.T) {
 	mp := &MPCrawler{
 		NewCrawler:   func() *Crawler { return New(fetcher, Options{Clock: clock, MaxStates: 2}) },
 		ProcLines:    1,
-		Partitions:   dirs,
+		URLs:         urls,
 		MaxRestarts:  1,
 		StuckTimeout: time.Second,
 		Clock:        clock,
 	}
 	res := mp.Run(ctx)
-	if err := res.Err(); err != nil {
-		t.Fatalf("watchdog restart did not recover the wedged partition: %v", err)
+	if err := res.Err; err != nil {
+		t.Fatalf("watchdog restart did not recover the wedged page: %v", err)
 	}
-	if res.Restarts[0] != 1 {
-		t.Errorf("Restarts[0] = %d, want 1", res.Restarts[0])
+	if res.Restarts != 1 {
+		t.Errorf("Restarts = %d, want 1", res.Restarts)
 	}
-	if got := len(res.Graphs()); got != 2 {
+	if got := len(res.Graphs); got != 2 {
 		t.Errorf("crawled %d pages after the watchdog restart, want 2", got)
 	}
 	snap := reg.Snapshot()
@@ -450,15 +426,11 @@ func TestWatchdogRestartsStuckPartition(t *testing.T) {
 }
 
 // TestWatchdogReportsStuckWithoutRestarts pins the error shape: with no
-// restart budget a wedged partition surfaces ErrLineStuck, so an
-// operator can tell a hung partition from a Ctrl-C.
+// restart budget a wedged page surfaces ErrLineStuck, so an operator
+// can tell a hung page from a Ctrl-C.
 func TestWatchdogReportsStuckWithoutRestarts(t *testing.T) {
 	site, _ := newSiteFetcher(4, 7)
 	urls := []string{webapp.WatchURL(site.Video(0).ID)}
-	dirs, err := (&URLPartitioner{PartitionSize: 1, RootDir: t.TempDir()}).Partition(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
 	clock := &fetch.VirtualClock{}
 	fetcher := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
 		clock.Sleep(context.Background(), 5*time.Second)
@@ -468,12 +440,12 @@ func TestWatchdogReportsStuckWithoutRestarts(t *testing.T) {
 	mp := &MPCrawler{
 		NewCrawler:   func() *Crawler { return New(fetcher, Options{Clock: clock, MaxStates: 2}) },
 		ProcLines:    1,
-		Partitions:   dirs,
+		URLs:         urls,
 		StuckTimeout: time.Second,
 		Clock:        clock,
 	}
 	res := mp.Run(context.Background())
-	if !errors.Is(res.Errors[0], ErrLineStuck) {
-		t.Fatalf("Errors[0] = %v, want ErrLineStuck", res.Errors[0])
+	if !errors.Is(res.Err, ErrLineStuck) {
+		t.Fatalf("Err = %v, want ErrLineStuck", res.Err)
 	}
 }

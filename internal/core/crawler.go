@@ -8,8 +8,7 @@
 //     which intercepts XMLHttpRequest sends, keys them by the topmost
 //     executing user function and its actual arguments, and serves
 //     repeats from a cache instead of the network;
-//   - the precrawling phase (hyperlink graph + PageRank) and URL
-//     partitioner of chapter 6;
+//   - the precrawling phase (hyperlink graph + PageRank) of chapter 6;
 //   - the multi-process-line parallel crawler of chapter 6.
 package core
 
@@ -36,7 +35,7 @@ type ErrorPolicy int
 const (
 	// SkipAndCount (the default) skips the failed page, increments
 	// Metrics.PagesFailed, and continues with the next URL — one bad
-	// page cannot sink a partition.
+	// page cannot sink a crawl.
 	SkipAndCount ErrorPolicy = iota
 	// FailFast aborts the multi-page crawl on the first page error,
 	// returning the graphs crawled so far alongside the error.
@@ -133,8 +132,8 @@ type Options struct {
 	Checkpoint Checkpointer
 	// OnPage, when non-nil, is invoked after every page attempt in
 	// CrawlAll — crawled, failed-and-skipped, or resumed from the
-	// checkpoint — with that page's metrics. The partition supervisor
-	// uses it as the stuck-partition heartbeat; tests use it to script
+	// checkpoint — with that page's metrics. The page supervisor uses
+	// it as the stuck-line heartbeat; tests use it to script
 	// mid-crawl cancellation points.
 	OnPage func(pm PageMetrics)
 }

@@ -22,21 +22,17 @@ func TestFrontierCrawlDeterministic(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
 	}
-	dirs, err := (&URLPartitioner{PartitionSize: 3, RootDir: t.TempDir()}).Partition(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
 	run := func(lines int, seed int64) *MPResult {
 		mp := &MPCrawler{
 			NewCrawler: func() *Crawler {
 				return New(fetcher, Options{UseHotNode: true, MaxStates: 3})
 			},
 			ProcLines:    lines,
-			Partitions:   dirs,
+			URLs:         urls,
 			FrontierSeed: seed,
 		}
 		res := mp.Run(context.Background())
-		if err := res.Err(); err != nil {
+		if err := res.Err; err != nil {
 			t.Fatalf("%d-line crawl: %v", lines, err)
 		}
 		return res
@@ -44,7 +40,7 @@ func TestFrontierCrawlDeterministic(t *testing.T) {
 
 	base := run(1, 7)
 	multi := run(4, 7)
-	requireSameStateSets(t, stateSets(base.Graphs()), stateSets(multi.Graphs()))
+	requireSameStateSets(t, stateSets(base.Graphs), stateSets(multi.Graphs))
 
 	// The assembled result is deterministic run-to-run: same seed, same
 	// PerPage row order, regardless of which line crawled which page.
@@ -62,7 +58,7 @@ func TestFrontierCrawlDeterministic(t *testing.T) {
 	// And a different seed changes (at most) the schedule, never the
 	// crawled universe.
 	other := run(4, 99)
-	requireSameStateSets(t, stateSets(base.Graphs()), stateSets(other.Graphs()))
+	requireSameStateSets(t, stateSets(base.Graphs), stateSets(other.Graphs))
 }
 
 // TestWorkStealingBeatsStaticPartitions pins the point of the frontier:
@@ -78,14 +74,10 @@ func TestWorkStealingBeatsStaticPartitions(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
 	}
-	// Partition 1 is the pathological one: every fetch of its pages
+	// The first three pages are the pathological ones: every fetch of them
 	// sleeps slowTime. The rest answer almost instantly.
 	slow := map[string]bool{urls[0]: true, urls[1]: true, urls[2]: true}
 	const slowTime = 80 * time.Millisecond
-	dirs, err := (&URLPartitioner{PartitionSize: 3, RootDir: t.TempDir()}).Partition(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Every process line builds its crawler once, so a fetcher made in
 	// the factory knows which line it serves.
@@ -117,14 +109,14 @@ func TestWorkStealingBeatsStaticPartitions(t *testing.T) {
 	mp := &MPCrawler{
 		NewCrawler: func() *Crawler { return New(lineFetcher(), Options{UseHotNode: true, MaxStates: 2}) },
 		ProcLines:  2,
-		Partitions: dirs,
+		URLs:       urls,
 	}
 	start := time.Now()
 	res := mp.Run(obs.With(context.Background(), obs.New(obs.NewRegistry(), nil)))
-	if err := res.Err(); err != nil {
+	if err := res.Err; err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Graphs()); got != len(urls) {
+	if got := len(res.Graphs); got != len(urls) {
 		t.Fatalf("frontier crawl produced %d graphs, want %d", got, len(urls))
 	}
 

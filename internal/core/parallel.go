@@ -24,11 +24,10 @@ import (
 // processes) instead pull single URLs from one prioritized frontier —
 // ordered by PageRank with an expected-AJAX-state-yield boost — and
 // steal work from each other's local queues, so capacity rebalances to
-// wherever pages remain. Partitions survive as the result layout:
-// every URL remembers its (partition, seq) slot and results are still
-// assembled, saved, and streamed per partition directory.
+// wherever pages remain. The URL list is the only layout: whatever the
+// scheduling did, results come back in the order of URLs.
 //
-// On top sits the supervisor, now at page granularity: a page whose
+// On top sits the supervisor, at page granularity: a page whose
 // attempt fails (an error under FailFast, a panic recovered at the item
 // boundary, or a stuck-line watchdog trip) is requeued into the
 // frontier with bounded attempts instead of being lost. When
@@ -43,17 +42,13 @@ type MPCrawler struct {
 	// ProcLines is the number of concurrent process lines
 	// (MP_CRAWLER_NUM_OF_PROC_LINES). 1 means no parallelism.
 	ProcLines int
-	// Partitions are the partition directories to process, as produced
-	// by URLPartitioner.Partition. They are read up front and admitted
-	// to the frontier as one batch.
-	Partitions []string
-	// SaveModels controls whether each partition's graphs are serialized
-	// into its directory (the thesis always does; tests may skip I/O).
-	SaveModels bool
+	// URLs are the pages to crawl, admitted to the frontier as one
+	// batch. A URL listed twice is crawled once, under its first
+	// position.
+	URLs []string
 	// Priorities maps URLs to their precrawl PageRank. Values are
 	// normalized so the maximum admits at priority 1; missing URLs (or
-	// a nil map) admit at 0 and the frontier degrades to partition
-	// order.
+	// a nil map) admit at 0 and the frontier degrades to URL order.
 	Priorities map[string]float64
 	// SeedSeen feeds the precrawl visited set into the frontier's bloom
 	// filter, so URLs the precrawler already saw are rejected if
@@ -66,15 +61,6 @@ type MPCrawler struct {
 	// BloomBits sizes the frontier's dedup bloom filter in bits; <= 0
 	// selects the frontier default (1 MiB of bits).
 	BloomBits int
-	// StealBatch is how many URLs a line pulls from the frontier per
-	// refill (surplus is stealable by siblings); <= 0 selects the
-	// scheduler default.
-	StealBatch int
-	// YieldWeight scales the expected-AJAX-state-yield boost added to a
-	// URL's priority when it is requeued (the boost is learned per URL
-	// class from pages already crawled, normalized to [0,1)). 0 selects
-	// 0.25; negative disables the boost.
-	YieldWeight float64
 	// Checkpoints, when set, provides the per-line durable journals and
 	// the frontier snapshot journal. The caller opens it (choosing
 	// fresh vs resume) and closes it after the crawl drains; each
@@ -95,131 +81,72 @@ type MPCrawler struct {
 	Clock fetch.Clock
 }
 
+// yieldWeight scales the expected-AJAX-state-yield boost added to a
+// URL's priority when it is requeued (the boost is learned per URL class
+// from pages already crawled, normalized to [0,1)).
+const yieldWeight = 0.25
+
 // ErrLineStuck marks a page attempt canceled by the stuck-line
 // watchdog: no page completed within StuckTimeout.
 var ErrLineStuck = errors.New("core: process line stuck: no page completed within the watchdog timeout")
 
-// PartitionResult is one completed partition, as emitted by Stream
-// while other pages are still crawling. Pages of one partition may have
-// been crawled by several process lines; the result is assembled in the
-// partition's URL order regardless.
-type PartitionResult struct {
-	// Index is the partition's position in Partitions.
-	Index int
-	// Dir is the partition directory.
-	Dir string
-	// Graphs are the partition's application models (possibly partial
-	// when Err is a cancellation).
-	Graphs []*model.Graph
-	// Metrics are this partition's crawl metrics (never nil).
+// PageResult is one retired page, as emitted by Stream while other
+// pages are still crawling.
+type PageResult struct {
+	// Seq is the page's position in URLs.
+	Seq int
+	URL string
+	// Graph is the page's application model; nil when the page failed.
+	Graph *model.Graph
+	// Metrics are this page's crawl metrics (never nil).
 	Metrics *Metrics
-	// Err is the partition's failure, if any — the first failed page's
-	// error (in URL order) once that page's restarts are exhausted.
+	// Err is the page's failure once its restarts are exhausted. Under
+	// SkipAndCount a failed page is counted in Metrics.PagesFailed and
+	// Err stays nil.
 	Err error
-	// Restarts is how many supervisor requeues this partition's pages
-	// consumed in total.
+	// Restarts is how many supervisor requeues the page consumed.
 	Restarts int
 }
 
 // MPResult is the outcome of a parallel crawl.
 type MPResult struct {
-	// GraphsByPartition holds each partition's application models, index-
-	// aligned with Partitions.
-	GraphsByPartition [][]*model.Graph
-	// Metrics aggregates all process lines. PerPage is ordered by
-	// partition (then by URL order within the partition), not by
-	// scheduling order, so experiment output is reproducible run to
-	// run whatever the frontier did.
+	// Graphs holds the crawled pages' application models in URL order —
+	// not scheduling order, so output is reproducible run to run
+	// whatever the frontier did. Failed pages have no entry.
+	Graphs []*model.Graph
+	// Metrics aggregates all pages; PerPage is in URL order too.
 	Metrics *Metrics
-	// Errors holds the first error of each failed partition (nil entries
-	// for successful ones). A canceled run leaves the context error in
-	// the partitions that were cut short and nil in untouched ones.
-	Errors []error
-	// Restarts holds each partition's supervisor requeue total,
-	// index-aligned with Partitions.
-	Restarts []int
-}
-
-// Graphs flattens all partitions' graphs in partition order.
-func (r *MPResult) Graphs() []*model.Graph {
-	var out []*model.Graph
-	for _, gs := range r.GraphsByPartition {
-		out = append(out, gs...)
-	}
-	return out
-}
-
-// Err returns the first partition error, if any.
-func (r *MPResult) Err() error {
-	for i, err := range r.Errors {
-		if err != nil {
-			return fmt.Errorf("core: partition %d: %w", i+1, err)
-		}
-	}
-	return nil
-}
-
-// itemResult is one retired page attempt, sent to the assembler.
-type itemResult struct {
-	part, seq int
-	graphs    []*model.Graph
-	metrics   *Metrics
-	err       error
-	requeues  int
-	tripped   bool
-}
-
-// partAssembly accumulates one partition's item results until complete.
-type partAssembly struct {
-	dir      string
-	urls     []string
-	readErr  error
-	graphs   [][]*model.Graph
-	metrics  []*Metrics
-	errs     []error
-	restarts int
-	tripped  bool
-	reported int
-	started  bool
-	emitted  bool
+	// Err is the first failure in URL order, or — when every retired
+	// page succeeded but the context ended — the context's error.
+	Err error
+	// Restarts is the supervisor's requeue total.
+	Restarts int
 }
 
 // Stream starts the process lines and returns a channel that yields
-// each partition as soon as its last page retires, so downstream phases
-// (indexing) overlap with crawling. The channel is closed once every
-// process line has drained. Canceling ctx stops the hand-out of new
-// pages and cuts short in-flight ones; partitions that had started
-// still emit their partial graphs with Err set to the context error,
-// untouched partitions emit nothing.
+// each page in URL order — page i the moment pages 0..i have all
+// retired — so downstream phases (indexing) overlap with crawling. The
+// channel is closed once every process line has drained. Canceling ctx
+// stops the hand-out of new pages and cuts short in-flight ones: every
+// page that completed is still emitted exactly once, in order, and the
+// pages the cancellation cut or never reached emit nothing.
 //
 // Supervision: a page attempt that fails for any reason other than the
 // caller's context ending is requeued into the frontier up to
 // MaxRestarts times (the frontier.requeues counter meters every
-// requeue) before its error lands in the partition result. Exactly one
-// PartitionResult is emitted per partition that started, whatever the
-// scheduling.
-func (m *MPCrawler) Stream(ctx context.Context) <-chan PartitionResult {
+// requeue) before its error lands in the page's result. A failure of
+// the crawl as a whole — a line journal that cannot be opened — stops
+// every line and is reported once, as the Err of the first URL it left
+// uncrawled.
+func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 	n := m.ProcLines
 	if n <= 0 {
 		n = 1
 	}
 	tel := obs.From(ctx)
-	out := make(chan PartitionResult)
-
-	// Read every partition up front; the frontier is admitted as one
-	// batch so tier boundaries see the whole priority distribution.
-	parts := make([]*partAssembly, len(m.Partitions))
-	for i, dir := range m.Partitions {
-		ps := &partAssembly{dir: dir}
-		ps.urls, ps.readErr = ReadPartition(dir)
-		ps.graphs = make([][]*model.Graph, len(ps.urls))
-		ps.metrics = make([]*Metrics, len(ps.urls))
-		ps.errs = make([]error, len(ps.urls))
-		parts[i] = ps
-	}
 
 	// Priorities: journaled admission priorities (resume) win, then
-	// normalized PageRank, then 0 (partition-order FIFO).
+	// normalized PageRank, then 0 (URL-order FIFO).
 	recovered := make(map[string]float64)
 	if m.Checkpoints != nil {
 		for _, r := range m.Checkpoints.RecoveredFrontier() {
@@ -241,29 +168,23 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PartitionResult {
 		}
 		return 0
 	}
-	yieldW := m.YieldWeight
-	if yieldW == 0 {
-		yieldW = 0.25
-	}
 	est := frontier.NewYieldEstimator(0)
 
+	// The frontier is admitted as one batch so tier boundaries see the
+	// whole priority distribution.
 	fr := frontier.New(frontier.Config{BloomBits: m.BloomBits, Tel: tel})
-	var seed []frontier.Item
-	seen := make(map[string]bool)
-	for pi, ps := range parts {
-		for si, u := range ps.urls {
-			if seen[u] {
-				// A URL duplicated across partitions is crawled (and
-				// reported) only under its first slot; the duplicate
-				// slot completes vacuously.
-				ps.reported++
-				continue
-			}
+	seed := make([]frontier.Item, 0, len(m.URLs))
+	seen := make(map[string]bool, len(m.URLs))
+	for i, u := range m.URLs {
+		if !seen[u] {
 			seen[u] = true
-			seed = append(seed, frontier.Item{URL: u, Partition: pi, Seq: si, Priority: basePri(u)})
+			seed = append(seed, frontier.Item{URL: u, Seq: i, Priority: basePri(u)})
 		}
 	}
 	fr.AdmitSeed(seed)
+	// One slot per page, so the assembler never waits on the consumer: a
+	// consumer busy indexing must not stall the lines behind it.
+	out := make(chan PageResult, len(seed))
 	if m.SeedSeen != nil {
 		fr.MarkSeen(m.SeedSeen)
 	}
@@ -277,7 +198,7 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PartitionResult {
 		// inside the journal, so this stays one record per URL.
 		for _, it := range seed {
 			if err := m.Checkpoints.FrontierAdmitted(checkpoint.FrontierRecord{
-				URL: it.URL, Partition: it.Partition, Seq: it.Seq, Priority: it.Priority,
+				URL: it.URL, Seq: it.Seq, Priority: it.Priority,
 			}); err != nil {
 				break // sticky journal error; surfaces on Flush/Close
 			}
@@ -285,11 +206,9 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PartitionResult {
 		_ = m.Checkpoints.FlushFrontier()
 	}
 
-	sched := frontier.NewScheduler(fr, frontier.SchedConfig{
-		Lines: n, Batch: m.StealBatch, Seed: m.FrontierSeed, Tel: tel,
-	})
+	sched := frontier.NewScheduler(fr, frontier.SchedConfig{Lines: n, Seed: m.FrontierSeed, Tel: tel})
 
-	results := make(chan itemResult, n)
+	results := make(chan PageResult, n)
 	var initErr atomic.Value // error poisoning the whole crawl (journal open failure)
 	failCrawl := func(err error) {
 		initErr.CompareAndSwap(nil, err) //nolint:errcheck // first error wins
@@ -332,9 +251,15 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PartitionResult {
 					return
 				}
 				tel.Gauge("crawl.lines.busy").Add(1)
-				r := w.run(ctx, it)
+				g, metrics, err := w.run(ctx, it)
 				tel.Gauge("crawl.lines.busy").Add(-1)
-				if r.err != nil && ctx.Err() == nil && it.Attempt < m.MaxRestarts {
+				if err != nil && ctx.Err() != nil {
+					// Cut short by the caller, not failed: the page was
+					// not crawled and says nothing.
+					sched.Cancel()
+					return
+				}
+				if err != nil && it.Attempt < m.MaxRestarts {
 					// Supervisor: the attempt failed on its own (error,
 					// panic, watchdog) — requeue into the frontier
 					// rather than report. Any line may pick it up; the
@@ -342,20 +267,16 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PartitionResult {
 					// pages completed before the failure.
 					tel.Counter("frontier.requeues").Inc()
 					it.Attempt++
-					it.Priority = basePri(it.URL)
-					if yieldW > 0 {
-						it.Priority += yieldW * est.Boost(it.URL)
-					}
+					it.Priority = basePri(it.URL) + yieldWeight*est.Boost(it.URL)
 					sched.Requeue(it)
 					continue
 				}
-				if r.err == nil && r.metrics != nil {
-					est.Observe(it.URL, r.metrics.States)
+				if err == nil {
+					est.Observe(it.URL, metrics.States)
 				}
-				results <- itemResult{
-					part: it.Partition, seq: it.Seq,
-					graphs: r.graphs, metrics: r.metrics, err: r.err,
-					requeues: it.Attempt, tripped: r.tripped,
+				results <- PageResult{
+					Seq: it.Seq, URL: it.URL,
+					Graph: g, Metrics: metrics, Err: err, Restarts: it.Attempt,
 				}
 				tel.Counter("crawl.pages.done").Inc()
 				sched.Done()
@@ -380,87 +301,35 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PartitionResult {
 		close(results)
 	}()
 
-	// Assembler: the single owner of partition state and the out
-	// channel. It folds item results into their partition slots and
-	// emits each partition the moment its last page retires.
+	// Assembler: the single owner of the out channel. Pages retire in
+	// scheduling order; a page that retires ahead of a predecessor waits
+	// in the reorder buffer until every earlier page has been emitted.
 	go func() {
 		defer close(out)
-		emit := func(i int, forcedErr error) {
-			ps := parts[i]
-			var graphs []*model.Graph
-			metrics := &Metrics{}
-			var err error
-			for si := range ps.urls {
-				graphs = append(graphs, ps.graphs[si]...)
-				if ps.metrics[si] != nil {
-					metrics.Merge(ps.metrics[si])
-				}
-				if err == nil && ps.errs[si] != nil {
-					err = ps.errs[si]
-				}
-			}
-			if err == nil {
-				err = forcedErr
-			}
-			if m.SaveModels && len(graphs) > 0 {
-				// Partial-model flush: even a failed partition keeps
-				// what it crawled, the graceful-shutdown property.
-				if saveErr := model.SaveAll(ps.dir, graphs); saveErr != nil && err == nil {
-					err = saveErr
-				}
-			}
-			tel.Counter("crawl.partitions").Inc()
-			if ps.tripped {
-				tel.Counter("crawl.partitions.breaker_tripped").Inc()
-			}
-			ps.emitted = true
-			out <- PartitionResult{
-				Index: i, Dir: ps.dir,
-				Graphs: graphs, Metrics: metrics, Err: err, Restarts: ps.restarts,
-			}
-		}
-		// Partitions decided before any crawling: unreadable URL lists
-		// and empty (or fully-duplicate) ones.
-		for i, ps := range parts {
-			if ps.readErr != nil {
-				ps.emitted = true
-				tel.Counter("crawl.partitions").Inc()
-				out <- PartitionResult{Index: i, Dir: ps.dir, Metrics: &Metrics{}, Err: ps.readErr}
-			} else if ps.reported == len(ps.urls) {
-				emit(i, nil)
-			}
-		}
+		pending := make(map[int]PageResult)
+		next := 0 // index into seed of the next page to emit
 		for r := range results {
-			ps := parts[r.part]
-			ps.started = true
-			ps.graphs[r.seq] = r.graphs
-			ps.metrics[r.seq] = r.metrics
-			ps.errs[r.seq] = r.err
-			ps.restarts += r.requeues
-			ps.tripped = ps.tripped || r.tripped
-			ps.reported++
-			if ps.reported == len(ps.urls) {
-				emit(r.part, nil)
+			pending[r.Seq] = r
+			for ; next < len(seed); next++ {
+				r, ok := pending[seed[next].Seq]
+				if !ok {
+					break
+				}
+				delete(pending, r.Seq)
+				out <- r
 			}
 		}
-		// The lines have drained. Anything unemitted was cut short by
-		// cancellation (or a poisoned crawl): partitions that started
-		// emit partial results, untouched ones stay silent — unless the
-		// whole crawl failed to initialize, which every partition must
-		// report.
-		cause := context.Cause(ctx)
-		if cause == nil {
-			cause = ctx.Err()
-		}
-		if err, _ := initErr.Load().(error); err != nil {
-			cause = err
-		}
-		for i, ps := range parts {
-			if ps.emitted {
-				continue
-			}
-			if ps.started || initErr.Load() != nil {
-				emit(i, cause)
+		// The lines have drained. Pages still buffered sit behind one
+		// that cancellation (or a poisoned crawl) left uncrawled: emit
+		// them in order, charging a crawl-wide failure to the first
+		// such gap.
+		err, _ := initErr.Load().(error)
+		for _, it := range seed[next:] {
+			if r, ok := pending[it.Seq]; ok {
+				out <- r
+			} else if err != nil {
+				out <- PageResult{Seq: it.Seq, URL: it.URL, Metrics: &Metrics{}, Err: err}
+				err = nil
 			}
 		}
 	}()
@@ -468,30 +337,23 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PartitionResult {
 }
 
 // Run executes the parallel crawl and blocks until every process line
-// has finished. On cancellation it returns early-but-cleanly:
-// partitions completed before the cancel keep their graphs, started
-// partitions contribute their partial graphs with the context error
-// recorded, and untouched partitions stay empty.
+// has finished. On cancellation it returns early-but-cleanly: the pages
+// completed before the cancel keep their graphs and Err is the
+// context's error.
 func (m *MPCrawler) Run(ctx context.Context) *MPResult {
-	res := &MPResult{
-		GraphsByPartition: make([][]*model.Graph, len(m.Partitions)),
-		Metrics:           &Metrics{},
-		Errors:            make([]error, len(m.Partitions)),
-		Restarts:          make([]int, len(m.Partitions)),
-	}
-	perPart := make([]*Metrics, len(m.Partitions))
+	res := &MPResult{Metrics: &Metrics{}}
 	for pr := range m.Stream(ctx) {
-		res.GraphsByPartition[pr.Index] = pr.Graphs
-		res.Errors[pr.Index] = pr.Err
-		res.Restarts[pr.Index] = pr.Restarts
-		perPart[pr.Index] = pr.Metrics
-	}
-	// Merge in partition order — not completion order — so
-	// Metrics.PerPage is deterministic across runs.
-	for _, metrics := range perPart {
-		if metrics != nil {
-			res.Metrics.Merge(metrics)
+		if pr.Graph != nil {
+			res.Graphs = append(res.Graphs, pr.Graph)
 		}
+		res.Metrics.Merge(pr.Metrics)
+		res.Restarts += pr.Restarts
+		if res.Err == nil {
+			res.Err = pr.Err
+		}
+	}
+	if res.Err == nil {
+		res.Err = context.Cause(ctx)
 	}
 	return res
 }
@@ -537,21 +399,12 @@ func (w *lineWorker) build() {
 	w.c = c
 }
 
-// itemOutcome is one page attempt's result.
-type itemOutcome struct {
-	graphs  []*model.Graph
-	metrics *Metrics
-	err     error
-	tripped bool
-}
-
-// run crawls one page. Fault isolation happens here, per page: a panic
-// is recovered at this boundary (and the crawler rebuilt), a wedged
-// attempt is canceled by the watchdog, and a circuit-breaker trip is
-// detected on the breaker's own counters so it can be attributed to the
-// page's partition — sibling lines keep crawling undisturbed through
-// all three.
-func (w *lineWorker) run(ctx context.Context, it frontier.Item) (res itemOutcome) {
+// run crawls one page; the graph is nil when the page failed, the
+// metrics never. Fault isolation happens here, per page: a panic is
+// recovered at this boundary (and the crawler rebuilt) and a wedged
+// attempt is canceled by the watchdog — sibling lines keep crawling
+// undisturbed through both.
+func (w *lineWorker) run(ctx context.Context, it frontier.Item) (g *model.Graph, metrics *Metrics, err error) {
 	ictx := ctx
 	// Watchdog: cancel the attempt when no page completes within
 	// StuckTimeout. Staleness is measured on the injectable Clock (so
@@ -566,47 +419,36 @@ func (w *lineWorker) run(ctx context.Context, it frontier.Item) (res itemOutcome
 		defer close(stop)
 		go w.watchdog(stop, cancel)
 	}
-	// Trips are detected on the breaker's own counters, not the crawl
-	// metrics: a page that failed *because* the circuit opened is
-	// dropped from Metrics by the skip-and-count policy, but its open
-	// transition still shows in the stats delta.
-	var opensStart int64
-	bstats := fetch.FindBreakerStats(w.c.Fetcher)
-	if bstats != nil {
-		opensStart = bstats.BreakerStats().Opens
-	}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				// Graphs built before the panic are indeterminate —
-				// drop them; the journal, not the wreckage, is the
+				// A graph built before the panic is indeterminate —
+				// drop it; the journal, not the wreckage, is the
 				// requeue's source of truth. The crawler is rebuilt:
 				// its internal state unwound mid-flight.
-				res.graphs = nil
-				res.err = fmt.Errorf("core: page %s: panic: %v", it.URL, r)
+				g, metrics = nil, nil
+				err = fmt.Errorf("core: page %s: panic: %v", it.URL, r)
 				w.tel.Counter("crawl.line.panics").Inc()
 				w.tel.Counter("crawl.line.restarts").Inc()
 				w.build()
 			}
 		}()
-		res.graphs, res.metrics, res.err = w.c.CrawlAll(ictx, []string{it.URL})
+		var graphs []*model.Graph
+		graphs, metrics, err = w.c.CrawlAll(ictx, []string{it.URL})
+		if len(graphs) > 0 {
+			g = graphs[0]
+		}
 	}()
-	if res.metrics == nil {
-		res.metrics = &Metrics{}
+	if metrics == nil {
+		metrics = &Metrics{}
 	}
-	if res.err != nil && errors.Is(context.Cause(ictx), ErrLineStuck) {
+	if err != nil && errors.Is(context.Cause(ictx), ErrLineStuck) {
 		// Surface the watchdog trip instead of a bare context.Canceled,
 		// so the caller (and the supervisor's requeue check against the
 		// *outer* context) can tell a wedged page from a Ctrl-C.
-		res.err = fmt.Errorf("core: page %s: %w", it.URL, ErrLineStuck)
+		err = fmt.Errorf("core: page %s: %w", it.URL, ErrLineStuck)
 	}
-	if bstats != nil && bstats.BreakerStats().Opens > opensStart {
-		res.tripped = true
-	}
-	if res.err != nil && errors.Is(res.err, fetch.ErrBreakerOpen) {
-		res.tripped = true
-	}
-	return res
+	return g, metrics, err
 }
 
 // watchdog cancels the current attempt when the heartbeat goes stale.

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"ajaxcrawl/internal/browser"
 	"ajaxcrawl/internal/fetch"
@@ -33,7 +30,8 @@ type Precrawler struct {
 // PrecrawlResult is the output of the precrawling phase.
 type PrecrawlResult struct {
 	// URLs lists the crawled pages in breadth-first discovery order —
-	// the frontier handed to the URL partitioner.
+	// the list handed to MPCrawler, and the order of everything the
+	// crawl outputs.
 	URLs []string
 	// Links is the outbound-link structure
 	// (HashMap<String, ArrayList<String>> in the thesis).
@@ -99,7 +97,7 @@ func (p *Precrawler) Run(ctx context.Context) (*PrecrawlResult, error) {
 	}
 	// Restrict PageRank to crawled pages: links to pages beyond MaxPages
 	// stay in Links but rank is computed over the crawled universe, so
-	// partition inputs and rank lookups agree.
+	// the URL list and rank lookups agree.
 	crawled := make(map[string]bool, len(res.URLs))
 	for _, u := range res.URLs {
 		crawled[u] = true
@@ -153,72 +151,4 @@ func LoadPrecrawl(dir string) (*PrecrawlResult, error) {
 		return nil, fmt.Errorf("core: decode precrawl %s: %w", path, err)
 	}
 	return &r, nil
-}
-
-// URLPartitioner splits the precrawled URL list into fixed-size
-// partitions on disk (thesis §6.2.2): every partition is a numbered
-// subdirectory containing a text file with the URLs to crawl.
-type URLPartitioner struct {
-	// PartitionSize is the number of pages per partition (PARTITION_SIZE).
-	PartitionSize int
-	// RootDir is where partition directories are created
-	// (YOUTUBE_CRAWLDATA_ROOT_DIR).
-	RootDir string
-}
-
-// URLFileName is the per-partition URL list file (URI_PART_FILE_NAME).
-const URLFileName = "URLsToCrawl.txt"
-
-// Partition writes the partitions and returns their directories in
-// order. Directory names are 1-based numbers, as in the thesis.
-func (u *URLPartitioner) Partition(urls []string) ([]string, error) {
-	if u.PartitionSize <= 0 {
-		return nil, fmt.Errorf("core: partition: size must be positive")
-	}
-	var dirs []string
-	for i := 0; i < len(urls); i += u.PartitionSize {
-		end := i + u.PartitionSize
-		if end > len(urls) {
-			end = len(urls)
-		}
-		dir := filepath.Join(u.RootDir, strconv.Itoa(len(dirs)+1))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("core: partition: %w", err)
-		}
-		f, err := os.Create(filepath.Join(dir, URLFileName))
-		if err != nil {
-			return nil, fmt.Errorf("core: partition: %w", err)
-		}
-		w := bufio.NewWriter(f)
-		for _, url := range urls[i:end] {
-			fmt.Fprintln(w, url)
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("core: partition: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("core: partition: %w", err)
-		}
-		dirs = append(dirs, dir)
-	}
-	return dirs, nil
-}
-
-// ReadPartition loads the URL list of one partition directory. Errors
-// are qualified with the partition directory, so a supervisor report for
-// a failed partition names exactly which one could not be read.
-func ReadPartition(dir string) ([]string, error) {
-	data, err := os.ReadFile(filepath.Join(dir, URLFileName))
-	if err != nil {
-		return nil, fmt.Errorf("core: read partition %s: %w", dir, err)
-	}
-	var urls []string
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line != "" {
-			urls = append(urls, line)
-		}
-	}
-	return urls, nil
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -102,79 +100,31 @@ func TestPrecrawlSaveLoad(t *testing.T) {
 	}
 }
 
-func TestURLPartitioner(t *testing.T) {
-	root := t.TempDir()
-	urls := []string{"/a", "/b", "/c", "/d", "/e"}
-	u := &URLPartitioner{PartitionSize: 2, RootDir: root}
-	dirs, err := u.Partition(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dirs) != 3 {
-		t.Fatalf("want 3 partitions, got %d", len(dirs))
-	}
-	// Directory names are 1-based numbers.
-	if filepath.Base(dirs[0]) != "1" || filepath.Base(dirs[2]) != "3" {
-		t.Fatalf("dirs = %v", dirs)
-	}
-	got, err := ReadPartition(dirs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "/a" || got[1] != "/b" {
-		t.Fatalf("partition 1 = %v", got)
-	}
-	last, err := ReadPartition(dirs[2])
-	if err != nil || len(last) != 1 || last[0] != "/e" {
-		t.Fatalf("partition 3 = %v %v", last, err)
-	}
-	// Reading a partition without the URL file fails.
-	if _, err := ReadPartition(t.TempDir()); err == nil {
-		t.Fatalf("missing URL file should error")
-	}
-	// Bad size.
-	if _, err := (&URLPartitioner{PartitionSize: 0, RootDir: root}).Partition(urls); err == nil {
-		t.Fatalf("size 0 should error")
-	}
-}
-
 func TestMPCrawlerProcessesAllPartitions(t *testing.T) {
 	site, _ := newSiteFetcher(12, 9)
-	root := t.TempDir()
 	var urls []string
 	for i := 0; i < 12; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
-	}
-	dirs, err := (&URLPartitioner{PartitionSize: 3, RootDir: root}).Partition(urls)
-	if err != nil {
-		t.Fatal(err)
 	}
 	mp := &MPCrawler{
 		NewCrawler: func() *Crawler {
 			return New(&fetch.HandlerFetcher{Handler: site.Handler()}, Options{UseHotNode: true, MaxStates: 3})
 		},
-		ProcLines:  4,
-		Partitions: dirs,
-		SaveModels: true,
+		ProcLines: 4,
+		URLs:      urls,
 	}
 	res := mp.Run(context.Background())
-	if err := res.Err(); err != nil {
+	if err := res.Err; err != nil {
 		t.Fatal(err)
 	}
-	graphs := res.Graphs()
+	graphs := res.Graphs
 	if len(graphs) != 12 {
 		t.Fatalf("crawled %d pages, want 12", len(graphs))
 	}
 	if res.Metrics.Pages != 12 {
 		t.Fatalf("metrics pages = %d", res.Metrics.Pages)
 	}
-	// Models were serialized into each partition dir.
-	for _, d := range dirs {
-		if _, err := os.Stat(filepath.Join(d, "ajaxmodels.gob")); err != nil {
-			t.Fatalf("partition %s has no models: %v", d, err)
-		}
-	}
-	// Graph order matches partition order: graph i is for urls[i].
+	// Graph order is URL order: graph i is for urls[i].
 	for i, g := range graphs {
 		if g.URL != urls[i] {
 			t.Fatalf("graph %d url = %s, want %s", i, g.URL, urls[i])
@@ -189,24 +139,19 @@ func TestMPCrawlerSerialEqualsParallelModels(t *testing.T) {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
 	}
 	mk := func(lines int) []string {
-		root := t.TempDir()
-		dirs, err := (&URLPartitioner{PartitionSize: 2, RootDir: root}).Partition(urls)
-		if err != nil {
-			t.Fatal(err)
-		}
 		mp := &MPCrawler{
 			NewCrawler: func() *Crawler {
 				return New(&fetch.HandlerFetcher{Handler: site.Handler()}, Options{UseHotNode: true, MaxStates: 4})
 			},
-			ProcLines:  lines,
-			Partitions: dirs,
+			ProcLines: lines,
+			URLs:      urls,
 		}
 		res := mp.Run(context.Background())
-		if err := res.Err(); err != nil {
+		if err := res.Err; err != nil {
 			t.Fatal(err)
 		}
 		var sigs []string
-		for _, g := range res.Graphs() {
+		for _, g := range res.Graphs {
 			sigs = append(sigs, g.URL+":"+itoa(g.NumStates()))
 		}
 		return sigs
@@ -221,27 +166,23 @@ func TestMPCrawlerSerialEqualsParallelModels(t *testing.T) {
 }
 
 func TestMPCrawlerPerPageOrderDeterministic(t *testing.T) {
-	// Metrics.PerPage must follow partition order (then URL order within
-	// each partition), not goroutine completion order.
+	// Metrics.PerPage must follow URL order, not goroutine completion
+	// order.
 	site, _ := newSiteFetcher(12, 13)
 	var urls []string
 	for i := 0; i < 12; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
 	}
 	run := func() []string {
-		dirs, err := (&URLPartitioner{PartitionSize: 3, RootDir: t.TempDir()}).Partition(urls)
-		if err != nil {
-			t.Fatal(err)
-		}
 		mp := &MPCrawler{
 			NewCrawler: func() *Crawler {
 				return New(&fetch.HandlerFetcher{Handler: site.Handler()}, Options{MaxStates: 3})
 			},
-			ProcLines:  4,
-			Partitions: dirs,
+			ProcLines: 4,
+			URLs:      urls,
 		}
 		res := mp.Run(context.Background())
-		if err := res.Err(); err != nil {
+		if err := res.Err; err != nil {
 			t.Fatal(err)
 		}
 		order := make([]string, 0, len(res.Metrics.PerPage))
@@ -256,7 +197,7 @@ func TestMPCrawlerPerPageOrderDeterministic(t *testing.T) {
 	}
 	for i, u := range first {
 		if u != urls[i] {
-			t.Fatalf("PerPage[%d] = %s, want %s (partition order)", i, u, urls[i])
+			t.Fatalf("PerPage[%d] = %s, want %s (URL order)", i, u, urls[i])
 		}
 	}
 	for trial := 0; trial < 3; trial++ {
@@ -270,29 +211,25 @@ func TestMPCrawlerPerPageOrderDeterministic(t *testing.T) {
 }
 
 func TestMPCrawlerPartitionErrorReported(t *testing.T) {
-	root := t.TempDir()
-	dirs, err := (&URLPartitioner{PartitionSize: 1, RootDir: root}).Partition([]string{"/watch?v=broken"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	urls := []string{"/watch?v=broken"}
 	_, f := newSiteFetcher(3, 11)
-	// Under the default SkipAndCount policy the partition completes with
-	// the bad page counted, not failed.
+	// Under the default SkipAndCount policy the crawl completes with the
+	// bad page counted, not failed.
 	mp := &MPCrawler{
 		NewCrawler: func() *Crawler { return New(f, Options{}) },
 		ProcLines:  2,
-		Partitions: dirs,
+		URLs:       urls,
 	}
 	res := mp.Run(context.Background())
-	if err := res.Err(); err != nil {
-		t.Fatalf("SkipAndCount partition errored: %v", err)
+	if err := res.Err; err != nil {
+		t.Fatalf("SkipAndCount crawl errored: %v", err)
 	}
 	if res.Metrics.PagesFailed != 1 {
 		t.Fatalf("want PagesFailed=1, got %d", res.Metrics.PagesFailed)
 	}
-	// FailFast surfaces it as a partition error.
+	// FailFast surfaces it as the crawl's error.
 	mp.NewCrawler = func() *Crawler { return New(f, Options{OnError: FailFast}) }
-	if res := mp.Run(context.Background()); res.Err() == nil {
-		t.Fatalf("broken partition should surface an error under FailFast")
+	if res := mp.Run(context.Background()); res.Err == nil {
+		t.Fatalf("broken page should surface an error under FailFast")
 	}
 }

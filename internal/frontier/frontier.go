@@ -8,17 +8,15 @@ import (
 	"ajaxcrawl/internal/obs"
 )
 
-// Item is one unit of crawl work: a URL with its position in the
-// partition layout (kept so results can still be assembled per
-// partition) and its scheduling priority.
+// Item is one unit of crawl work: a URL with its position in the crawl's
+// URL list (results are assembled in that order) and its scheduling
+// priority.
 type Item struct {
 	URL string
-	// Partition and Seq locate the URL in the partition layout:
-	// Partitions[Partition]'s Seq-th URL. Together they give every item
-	// a total order that priority ties break on, which is what makes a
-	// seeded multi-line crawl reproducible.
-	Partition int
-	Seq       int
+	// Seq is the URL's position in the crawl's URL list. It gives every
+	// item a total order that priority ties break on, which is what
+	// makes a seeded multi-line crawl reproducible.
+	Seq int
 	// Priority orders the frontier, higher first — normalized PageRank
 	// plus the expected-AJAX-state-yield boost.
 	Priority float64
@@ -41,9 +39,8 @@ type Config struct {
 
 // Frontier is the shared prioritized URL queue. Priorities are bucketed
 // into tiers (bands between seed-batch quantiles); within a tier a heap
-// orders items by (priority desc, partition, seq), so equal-priority
-// work drains in partition order — the property the determinism suite
-// pins. Tiering keeps the hot path cheap: Pop scans a handful of
+// orders items by (priority desc, seq), so equal-priority work drains
+// in URL order — the property the determinism suite pins. Tiering keeps the hot path cheap: Pop scans a handful of
 // buckets and pays one O(log n) heap operation on the first non-empty
 // one.
 //
@@ -93,7 +90,7 @@ func (f *Frontier) AdmitSeed(items []Item) int {
 	defer f.mu.Unlock()
 	// Quantile boundaries over the batch's distinct priorities. With a
 	// flat priority map (no PageRank) every item lands in tier 0 and
-	// the frontier degrades to (partition, seq) FIFO order.
+	// the frontier degrades to URL-order FIFO.
 	pris := make([]float64, 0, len(items))
 	for _, it := range items {
 		if !f.admitted[it.URL] {
@@ -253,16 +250,13 @@ func (f *Frontier) gauge(name string, d int64) {
 	}
 }
 
-// tierHeap is a max-heap on priority with (partition, seq) tie-break.
+// tierHeap is a max-heap on priority with a seq tie-break.
 type tierHeap []Item
 
 func (h tierHeap) Len() int { return len(h) }
 func (h tierHeap) Less(i, j int) bool {
 	if h[i].Priority != h[j].Priority {
 		return h[i].Priority > h[j].Priority
-	}
-	if h[i].Partition != h[j].Partition {
-		return h[i].Partition < h[j].Partition
 	}
 	return h[i].Seq < h[j].Seq
 }

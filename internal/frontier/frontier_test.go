@@ -52,9 +52,9 @@ func TestBloomDeterministic(t *testing.T) {
 func TestFrontierPriorityOrder(t *testing.T) {
 	f := New(Config{})
 	f.AdmitSeed([]Item{
-		{URL: "low", Partition: 0, Seq: 0, Priority: 0.1},
-		{URL: "high", Partition: 0, Seq: 1, Priority: 0.9},
-		{URL: "mid", Partition: 1, Seq: 0, Priority: 0.5},
+		{URL: "low", Seq: 0, Priority: 0.1},
+		{URL: "high", Seq: 1, Priority: 0.9},
+		{URL: "mid", Seq: 2, Priority: 0.5},
 	})
 	want := []string{"high", "mid", "low"}
 	for _, w := range want {
@@ -68,12 +68,12 @@ func TestFrontierPriorityOrder(t *testing.T) {
 	}
 }
 
-func TestFrontierEqualPriorityIsPartitionOrder(t *testing.T) {
+func TestFrontierEqualPriorityIsURLOrder(t *testing.T) {
 	f := New(Config{})
 	var seed []Item
 	for p := 2; p >= 0; p-- {
 		for s := 2; s >= 0; s-- {
-			seed = append(seed, Item{URL: fmt.Sprintf("p%ds%d", p, s), Partition: p, Seq: s, Priority: 0.25})
+			seed = append(seed, Item{URL: fmt.Sprintf("p%ds%d", p, s), Seq: 3*p + s, Priority: 0.25})
 		}
 	}
 	f.AdmitSeed(seed)

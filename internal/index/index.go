@@ -7,7 +7,8 @@
 //
 // Indexes are built incrementally, one application model at a time
 // (AddGraph), and serialize to disk with encoding/gob — one index shard
-// per crawl partition in the parallel architecture (ch. 6).
+// per ShardPages consecutive URLs of the crawl in the parallel
+// architecture (ch. 6; see Sharder).
 package index
 
 import (

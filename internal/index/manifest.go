@@ -62,7 +62,7 @@ type Manifest struct {
 	CreatedAt time.Time `json:"created_at"`
 	// Format is the shard file format (FormatGob or FormatCompressed).
 	Format string `json:"format"`
-	// Shards lists the shard files in broker order (partition order, so
+	// Shards lists the shard files in broker order (crawl URL order, so
 	// ranking tie-breaks are reproducible).
 	Shards []ShardEntry `json:"shards"`
 	// Models is the application-models file name (model.ModelFileName),

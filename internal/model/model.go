@@ -226,7 +226,7 @@ func (g *Graph) GobDecode(data []byte) error {
 // EncodeGraph serializes one graph to bytes — the payload format the
 // checkpoint journal stores completed pages in. It reuses the gob wire
 // format of SaveAll/LoadAll, so a journaled graph round-trips through
-// exactly the code path the partition model files use.
+// exactly the code path the model files use.
 func EncodeGraph(g *Graph) ([]byte, error) {
 	data, err := gobEncode(g)
 	if err != nil {
@@ -245,9 +245,9 @@ func DecodeGraph(data []byte) (*Graph, error) {
 	return &g, nil
 }
 
-// ModelFileName is the file one partition's application models are
-// stored under (the thesis serializes per-partition app models too,
-// §6.3.2).
+// ModelFileName is the file a crawl's application models are stored
+// under, in a crawl's output root and in a published snapshot alike (the
+// thesis serializes app models per partition, §6.3.2).
 const ModelFileName = "ajaxmodels.gob"
 
 // SaveAll writes a set of graphs to dir/ModelFileName.

@@ -59,13 +59,12 @@ func TestStatusEndpointDuringLiveCrawl(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := BuildEngine(ctx, Config{
-			Fetcher:       slowFetcher{inner: NewHandlerFetcher(site.Handler()), delay: 10 * time.Millisecond},
-			StartURL:      site.VideoURL(0),
-			MaxPages:      10,
-			PartitionSize: 5,
-			ProcLines:     2,
-			Crawl:         CrawlOptions{UseHotNode: true, MaxStates: 3},
-			KeepURL:       IsWatchURL,
+			Fetcher:   slowFetcher{inner: NewHandlerFetcher(site.Handler()), delay: 10 * time.Millisecond},
+			StartURL:  site.VideoURL(0),
+			MaxPages:  10,
+			ProcLines: 2,
+			Crawl:     CrawlOptions{UseHotNode: true, MaxStates: 3},
+			KeepURL:   IsWatchURL,
 		})
 		done <- err
 	}()

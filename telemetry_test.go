@@ -11,7 +11,7 @@ import (
 // TestPipelineTraceCoversEveryUnit runs the full pipeline — precrawl,
 // parallel crawl, indexing, query — with a JSONL trace sink on the
 // context and checks the trace file is parseable and covers every unit
-// of work the observability layer promises: page, event, XHR, partition,
+// of work the observability layer promises: page, event, XHR, line,
 // index build, and query execution.
 func TestPipelineTraceCoversEveryUnit(t *testing.T) {
 	site := NewSimSite(12, 3)
@@ -24,13 +24,12 @@ func TestPipelineTraceCoversEveryUnit(t *testing.T) {
 	ctx := obs.With(context.Background(), obs.New(reg, sink))
 
 	eng, err := BuildEngine(ctx, Config{
-		Fetcher:       NewHandlerFetcher(site.Handler()),
-		StartURL:      site.VideoURL(0),
-		MaxPages:      6,
-		PartitionSize: 3,
-		ProcLines:     2,
-		Crawl:         CrawlOptions{UseHotNode: true, MaxStates: 3},
-		KeepURL:       IsWatchURL,
+		Fetcher:   NewHandlerFetcher(site.Handler()),
+		StartURL:  site.VideoURL(0),
+		MaxPages:  6,
+		ProcLines: 2,
+		Crawl:     CrawlOptions{UseHotNode: true, MaxStates: 3},
+		KeepURL:   IsWatchURL,
 	})
 	if err != nil {
 		t.Fatal(err)
