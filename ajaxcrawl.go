@@ -172,12 +172,13 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 		cfg.ProcLines = 4
 	}
 
-	// Phase 1: precrawl.
+	// Phase 1: precrawl, as wide as the process lines.
 	pre := &core.Precrawler{
 		Fetcher:  cfg.Fetcher,
 		StartURL: cfg.StartURL,
 		MaxPages: cfg.MaxPages,
 		KeepURL:  cfg.KeepURL,
+		Lines:    cfg.ProcLines,
 	}
 	preRes, err := pre.Run(ctx)
 	if err != nil {
@@ -190,9 +191,11 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 	// Phases 2+3, pipelined: process lines crawl pages while this
 	// goroutine indexes them. Pages arrive in URL order whatever the
 	// scheduling, so the shard layout, the PerPage rows (and ranking
-	// tie-breaks) are deterministic.
+	// tie-breaks) are deterministic. Each page load is the precrawl's
+	// response, handed off below every line's retry/breaker wrap.
+	handoff := preRes.Handoff(cfg.Fetcher)
 	mp := &core.MPCrawler{
-		NewCrawler:   func() *core.Crawler { return core.New(cfg.Fetcher, cfg.Crawl) },
+		NewCrawler:   func() *core.Crawler { return core.New(handoff, cfg.Crawl) },
 		ProcLines:    cfg.ProcLines,
 		URLs:         preRes.URLs,
 		Priorities:   preRes.PageRank,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,6 +44,45 @@ func TestBuildEngineEndToEnd(t *testing.T) {
 	}
 	if len(eng.PageRank) == 0 {
 		t.Fatalf("PageRank missing")
+	}
+}
+
+// TestBuildEngineFetchesEachPageOnce: the crawl's page loads are the
+// precrawl's responses, so the caller's fetcher sees each page once and
+// otherwise only the XHRs the hot-node cache did not absorb.
+func TestBuildEngineFetchesEachPageOnce(t *testing.T) {
+	site := NewSimSite(40, 123)
+	inner := NewHandlerFetcher(site.Handler())
+	var mu sync.Mutex
+	fetches := map[string]int{}
+	total := 0
+	counting := fetch.Func(func(c context.Context, rawurl string) (*fetch.Response, error) {
+		mu.Lock()
+		fetches[rawurl]++
+		total++
+		mu.Unlock()
+		return inner.Fetch(c, rawurl)
+	})
+	eng, err := BuildEngine(context.Background(), Config{
+		Fetcher:   counting,
+		StartURL:  site.VideoURL(0),
+		MaxPages:  25,
+		ProcLines: 3,
+		Crawl:     CrawlOptions{UseHotNode: true, MaxStates: 5},
+		KeepURL:   IsWatchURL,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(eng.Metrics.PerPage)
+	for _, pm := range eng.Metrics.PerPage {
+		if fetches[pm.URL] != 1 {
+			t.Errorf("%s fetched %d times, want once", pm.URL, fetches[pm.URL])
+		}
+		want += pm.NetworkCalls
+	}
+	if eng.Metrics.Pages != 25 || total != want {
+		t.Fatalf("%d pages, %d fetches; want 25 pages and len(URLs) + Σ NetworkCalls = %d", eng.Metrics.Pages, total, want)
 	}
 }
 
@@ -106,17 +146,18 @@ func TestReconstructErrors(t *testing.T) {
 }
 
 func TestBuildEngineCancelReturnsPartialEngine(t *testing.T) {
-	// Cancel mid-crawl: the precrawl (first ~20 watch fetches) completes,
-	// then the crawl phase is cut short. BuildEngine must hand back the
-	// partial engine built from the pages crawled so far, alongside
-	// the context error, so a graceful shutdown can still serve results.
+	// Cancel mid-crawl: the precrawl completes (it fetches no XHRs), then
+	// the crawl phase is cut short at its 30th /comments XHR of ~69.
+	// BuildEngine must hand back the partial engine built from the pages
+	// crawled so far, alongside the context error, so a graceful shutdown
+	// can still serve results.
 	site := NewSimSite(40, 123)
 	inner := NewHandlerFetcher(site.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var watchFetches atomic.Int64
+	var xhrs atomic.Int64
 	counting := fetch.Func(func(c context.Context, rawurl string) (*fetch.Response, error) {
-		if strings.Contains(rawurl, "/watch?v=") && watchFetches.Add(1) == 26 {
+		if strings.HasPrefix(rawurl, "/comments") && xhrs.Add(1) == 30 {
 			cancel()
 		}
 		return inner.Fetch(c, rawurl)
@@ -152,12 +193,19 @@ func TestBuildEngineCancelReturnsPartialEngine(t *testing.T) {
 func TestBuildEngineFailFastPageTimeoutIsNotCancellation(t *testing.T) {
 	site := NewSimSite(20, 123)
 	inner := NewHandlerFetcher(site.Handler())
-	hung := site.VideoURL(0)
+	// The start page, so it is crawled; with a second comment page, so it
+	// sends an XHR.
+	v := 0
+	for site.CommentPages(v) < 2 {
+		v++
+	}
+	hung := site.VideoURL(v)
+	xhr := "/comments?v=" + strings.TrimPrefix(hung, "/watch?v=") + "&"
 	var fetches atomic.Int64
 	hanging := fetch.Func(func(c context.Context, rawurl string) (*fetch.Response, error) {
-		// The first fetch of the page is the precrawl's; the crawl's
-		// hangs until its page deadline.
-		if rawurl == hung && fetches.Add(1) > 1 {
+		// The page load is the precrawl's handed-off response; the page's
+		// first XHR hangs until its page deadline.
+		if strings.HasPrefix(rawurl, xhr) && fetches.Add(1) == 1 {
 			<-c.Done()
 			return nil, c.Err()
 		}
@@ -165,7 +213,7 @@ func TestBuildEngineFailFastPageTimeoutIsNotCancellation(t *testing.T) {
 	})
 	eng, err := BuildEngine(context.Background(), Config{
 		Fetcher:   hanging,
-		StartURL:  site.VideoURL(0),
+		StartURL:  hung,
 		MaxPages:  10,
 		ProcLines: 2,
 		Crawl:     CrawlOptions{UseHotNode: true, MaxStates: 3, PageTimeout: 200 * time.Millisecond, OnError: FailFast},

@@ -48,7 +48,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -419,12 +418,6 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 func mkTempDir() (string, error) { return os.MkdirTemp("", "ajaxbench-*") }
 
 func rmTempDir(dir string) { os.RemoveAll(dir) }
-
-func sortedCopy(xs []time.Duration) []time.Duration {
-	out := append([]time.Duration(nil), xs...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)

@@ -162,7 +162,7 @@ func main() {
 	}
 	if preRes == nil {
 		infof("precrawling %d pages from %s ...", *pages, startURL)
-		pre := &core.Precrawler{Fetcher: fetcher, StartURL: startURL, MaxPages: *pages}
+		pre := &core.Precrawler{Fetcher: fetcher, StartURL: startURL, MaxPages: *pages, Lines: *lines}
 		var err error
 		preRes, err = pre.Run(ctx)
 		if err != nil {
@@ -215,8 +215,10 @@ func main() {
 			infof("robots-ajax.txt caps states at %d", opts.MaxStates)
 		}
 	}
+	// Page loads reuse the precrawl's responses (a loaded one has none).
+	handoff := preRes.Handoff(fetcher)
 	mp := &core.MPCrawler{
-		NewCrawler:   func() *core.Crawler { return core.New(fetcher, opts) },
+		NewCrawler:   func() *core.Crawler { return core.New(handoff, opts) },
 		ProcLines:    *lines,
 		URLs:         preRes.URLs,
 		MaxRestarts:  *partRetries,

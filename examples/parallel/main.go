@@ -42,6 +42,9 @@ func main() {
 	}
 	fmt.Printf("precrawled %d pages; PageRank computed over the hyperlink graph\n", len(preRes.URLs))
 
+	// Both runs use a fresh fetcher, not preRes.Handoff: a handoff serves
+	// each page once, so the second run would refetch every page the first
+	// took, and the comparison would measure the handoff, not the lines.
 	run := func(lines int) time.Duration {
 		mp := &core.MPCrawler{
 			NewCrawler: func() *core.Crawler {

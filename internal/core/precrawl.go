@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"ajaxcrawl/internal/browser"
 	"ajaxcrawl/internal/fetch"
@@ -25,6 +26,9 @@ type Precrawler struct {
 	MaxPages int
 	// KeepURL filters which discovered links are followed; nil keeps all.
 	KeepURL func(string) bool
+	// Lines is how many pages are fetched at once, concurrently through
+	// Fetcher (0 or 1: one at a time). The result is the same for any.
+	Lines int
 }
 
 // PrecrawlResult is the output of the precrawling phase.
@@ -45,15 +49,46 @@ type PrecrawlResult struct {
 	// before this field existed decode with Visited nil; the frontier
 	// just starts with an empty seen-set.)
 	Visited map[string]bool
+
+	// kept holds the precrawl's responses for Handoff; unexported, so
+	// precrawl.gob never carries them.
+	kept *fetch.Handoff
+}
+
+// Handoff returns the crawl's fetcher over inner: each page the precrawl
+// fetched is served once from its kept response — the crawl's page load
+// — and everything else goes to inner. The first call takes the
+// responses; a later one, or a result loaded from disk, hands off none.
+func (r *PrecrawlResult) Handoff(inner fetch.Fetcher) *fetch.Handoff {
+	h := r.kept
+	r.kept = nil
+	if h == nil {
+		h = new(fetch.Handoff)
+	}
+	h.Inner = inner
+	return h
 }
 
 // Run performs the precrawl. Canceling ctx aborts the breadth-first
-// expansion and returns the pages discovered so far with ctx.Err().
+// expansion and returns the pages processed so far with ctx.Err().
+//
+// The next min(Lines, MaxPages−len(URLs)) queue entries are fetched
+// concurrently, then processed in queue order. Every entry fetched was
+// already queued and processing only appends to the queue's tail, so the
+// fetches and the result are the one-at-a-time ones for any width and
+// any completion order.
 func (p *Precrawler) Run(ctx context.Context) (*PrecrawlResult, error) {
 	if p.MaxPages <= 0 {
 		return nil, fmt.Errorf("core: precrawl: MaxPages must be positive")
 	}
-	res := &PrecrawlResult{Links: make(map[string][]string)}
+	res := &PrecrawlResult{Links: make(map[string][]string), kept: new(fetch.Handoff)}
+	keep := fetch.Func(func(ctx context.Context, u string) (*fetch.Response, error) {
+		resp, err := p.Fetcher.Fetch(ctx, u)
+		if err == nil && resp.Status == 200 {
+			res.kept.Keep(ctx, u, resp)
+		}
+		return resp, err
+	})
 	visited := map[string]bool{p.StartURL: true}
 	// BFS queue with an index cursor: `queue = queue[1:]` would pin the
 	// whole backing array (every URL ever enqueued) for the crawl's
@@ -62,51 +97,60 @@ func (p *Precrawler) Run(ctx context.Context) (*PrecrawlResult, error) {
 	queue := []string{p.StartURL}
 	head := 0
 	var ctxErr error
-	for head < len(queue) && len(res.URLs) < p.MaxPages {
-		if err := ctx.Err(); err != nil {
-			ctxErr = err
+	for head < len(queue) && len(res.URLs) < p.MaxPages && ctxErr == nil {
+		if ctxErr = ctx.Err(); ctxErr != nil {
 			break
 		}
-		u := queue[head]
-		queue[head] = ""
-		head++
-		if head > len(queue)/2 && head > 64 {
-			n := copy(queue, queue[head:])
-			queue, head = queue[:n], 0
+		batch := queue[head : head+min(max(p.Lines, 1), p.MaxPages-len(res.URLs), len(queue)-head)]
+		pages := make([]*browser.Page, len(batch))
+		errs := make([]error, len(batch))
+		var wg sync.WaitGroup
+		for i, u := range batch {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pages[i] = browser.NewPage(keep)
+				errs[i] = pages[i].LoadStatic(ctx, u)
+			}()
 		}
-		page := browser.NewPage(p.Fetcher)
-		if err := page.LoadStatic(ctx, u); err != nil {
-			if ctx.Err() != nil {
-				ctxErr = ctx.Err()
-				break
-			}
-			// Unreachable pages are skipped, like a robust crawler.
-			continue
-		}
-		res.URLs = append(res.URLs, u)
-		for _, link := range page.Links() {
-			if p.KeepURL != nil && !p.KeepURL(link) {
+		wg.Wait()
+		for i, u := range batch {
+			if errs[i] != nil {
+				if ctx.Err() != nil {
+					ctxErr = ctx.Err()
+					break
+				}
+				// Unreachable pages are skipped, like a robust crawler.
 				continue
 			}
-			res.Links[u] = append(res.Links[u], link)
-			if !visited[link] {
-				visited[link] = true
-				queue = append(queue, link)
+			res.URLs = append(res.URLs, u)
+			for _, link := range pages[i].Links() {
+				if p.KeepURL != nil && !p.KeepURL(link) {
+					continue
+				}
+				res.Links[u] = append(res.Links[u], link)
+				if !visited[link] {
+					visited[link] = true
+					queue = append(queue, link)
+				}
 			}
+		}
+		clear(queue[head : head+len(batch)])
+		if head += len(batch); head > len(queue)/2 && head > 64 {
+			n := copy(queue, queue[head:])
+			queue, head = queue[:n], 0
 		}
 	}
 	// Restrict PageRank to crawled pages: links to pages beyond MaxPages
 	// stay in Links but rank is computed over the crawled universe, so
 	// the URL list and rank lookups agree.
-	crawled := make(map[string]bool, len(res.URLs))
-	for _, u := range res.URLs {
-		crawled[u] = true
-	}
 	inGraph := make(map[string][]string, len(res.URLs))
 	for _, u := range res.URLs {
 		inGraph[u] = nil
+	}
+	for _, u := range res.URLs {
 		for _, to := range res.Links[u] {
-			if crawled[to] {
+			if _, crawled := inGraph[to]; crawled {
 				inGraph[u] = append(inGraph[u], to)
 			}
 		}

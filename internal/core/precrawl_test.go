@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ajaxcrawl/internal/fetch"
@@ -97,6 +99,157 @@ func TestPrecrawlSaveLoad(t *testing.T) {
 	}
 	if _, err := LoadPrecrawl(t.TempDir()); err == nil {
 		t.Fatalf("loading missing precrawl should fail")
+	}
+}
+
+// recordingFetcher logs the order of the URLs fetched through it.
+type recordingFetcher struct {
+	inner fetch.Fetcher
+	urls  []string
+}
+
+func (f *recordingFetcher) Fetch(ctx context.Context, u string) (*fetch.Response, error) {
+	f.urls = append(f.urls, u)
+	return f.inner.Fetch(ctx, u)
+}
+
+// batchGate holds every fetch until the test releases it, and reports
+// arrivals and completions, so a test can complete a precrawl batch in
+// any order it likes without sleeping.
+type batchGate struct {
+	inner   fetch.Fetcher
+	arrived chan string
+	done    chan string
+
+	mu       sync.Mutex
+	held     map[string]chan struct{}
+	inflight int
+	peak     int
+}
+
+func (g *batchGate) Fetch(ctx context.Context, u string) (*fetch.Response, error) {
+	release := make(chan struct{})
+	g.mu.Lock()
+	g.held[u] = release
+	g.inflight++
+	g.peak = max(g.peak, g.inflight)
+	g.mu.Unlock()
+	g.arrived <- u
+	<-release
+	resp, err := g.inner.Fetch(ctx, u)
+	g.mu.Lock()
+	g.inflight--
+	g.mu.Unlock()
+	g.done <- u
+	return resp, err
+}
+
+// precrawlBatches replays a one-at-a-time precrawl's fetch order and
+// splits it into the batches a width-w precrawl fetches together: the
+// next min(w, MaxPages−accepted, queued−fetched) queue entries.
+func precrawlBatches(ref *PrecrawlResult, fetched []string, maxPages, w int) [][]string {
+	accepted := make(map[string]bool, len(ref.URLs))
+	for _, u := range ref.URLs {
+		accepted[u] = true
+	}
+	seen := map[string]bool{fetched[0]: true}
+	queued, n := 1, 0
+	var batches [][]string
+	for head := 0; head < len(fetched); {
+		b := fetched[head : head+min(w, maxPages-n, queued-head)]
+		for _, u := range b {
+			if !accepted[u] {
+				continue
+			}
+			n++
+			for _, l := range ref.Links[u] {
+				if !seen[l] {
+					seen[l] = true
+					queued++
+				}
+			}
+		}
+		batches = append(batches, b)
+		head += len(b)
+	}
+	return batches
+}
+
+// TestPrecrawlWidthInvariant: fetching Lines queue entries at once and
+// completing each batch in reverse order yields exactly the
+// one-at-a-time precrawl — URLs, Links, Visited, PageRank and the kept
+// responses — through scripted failures and a MaxPages cut mid-level,
+// with never more than Lines fetches in flight.
+func TestPrecrawlWidthInvariant(t *testing.T) {
+	site := webapp.New(webapp.DefaultConfig(40, 7))
+	start := webapp.WatchURL(site.Video(0).ID)
+	keep := func(u string) bool { return strings.Contains(u, "/watch?v=") }
+	const maxPages = 13
+	precrawler := func(f fetch.Fetcher, lines int) *Precrawler {
+		return &Precrawler{Fetcher: f, StartURL: start, MaxPages: maxPages, KeepURL: keep, Lines: lines}
+	}
+	plain := &fetch.HandlerFetcher{Handler: site.Handler()}
+	first, err := precrawler(plain, 1).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two of the start page's links fail, so they are queued in every
+	// run; a script is per URL, so the failures do not depend on order.
+	links := first.Links[start]
+	scripts := map[string][]fetch.FaultOp{links[1]: {fetch.FaultError}, links[3]: {fetch.FaultError}}
+	faulty := func() fetch.Fetcher {
+		return fetch.NewFaultFetcher(plain, fetch.FaultConfig{Scripts: scripts}, nil)
+	}
+
+	rec := &recordingFetcher{inner: faulty()}
+	ref, err := precrawler(rec, 1).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.URLs) != maxPages || len(rec.urls) != maxPages+2 || len(ref.Visited) <= len(rec.urls) {
+		t.Fatalf("want a %d-page cut with 2 failures and queued entries left, got %d pages of %d fetches, %d visited",
+			maxPages, len(ref.URLs), len(rec.urls), len(ref.Visited))
+	}
+
+	for _, lines := range []int{1, 2, 3, 8} {
+		g := &batchGate{inner: faulty(), arrived: make(chan string), done: make(chan string), held: map[string]chan struct{}{}}
+		type out struct {
+			res *PrecrawlResult
+			err error
+		}
+		outc := make(chan out, 1)
+		go func() {
+			res, err := precrawler(g, lines).Run(context.Background())
+			outc <- out{res, err}
+		}()
+		for _, batch := range precrawlBatches(ref, rec.urls, maxPages, lines) {
+			want := make(map[string]bool, len(batch))
+			for _, u := range batch {
+				want[u] = true
+			}
+			for range batch {
+				if u := <-g.arrived; !want[u] {
+					t.Fatalf("lines=%d: fetched %s outside the batch %v", lines, u, batch)
+				}
+			}
+			for i := len(batch) - 1; i >= 0; i-- {
+				g.mu.Lock()
+				release := g.held[batch[i]]
+				g.mu.Unlock()
+				close(release)
+				<-g.done
+			}
+		}
+		o := <-outc
+		if o.err != nil {
+			t.Fatalf("lines=%d: %v", lines, o.err)
+		}
+		if g.peak > lines {
+			t.Fatalf("lines=%d: %d fetches in flight", lines, g.peak)
+		}
+		if !reflect.DeepEqual(o.res, ref) {
+			t.Fatalf("lines=%d: precrawl differs from the one-at-a-time run:\n got %v\nwant %v", lines, o.res.URLs, ref.URLs)
+		}
 	}
 }
 

@@ -2,100 +2,64 @@ package fetch
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"ajaxcrawl/internal/obs"
 )
 
-// Cache is a memoizing Fetcher wrapper: every URL is fetched from the
-// inner Fetcher once and served from memory afterwards — the
-// "pre-cache the Web and crawl locally" strategy of traditional search
-// engines (thesis challenge #1).
-//
-// It also demonstrates *why* that strategy fails for AJAX: URL caching
-// deduplicates repeated fetches of the same resource, but events that
-// lead to the same state via different code paths still trigger fresh
-// XMLHttpRequest URLs, and two states behind one URL cannot be told
-// apart at this layer at all. The hot-node cache (internal/core) works
-// where this one cannot, because it keys on the executing function and
-// its arguments rather than on URLs alone.
-type Cache struct {
+// maxHandoffBytes bounds the response bodies one Handoff retains. A page
+// past it is not kept: the crawl simply fetches it again.
+const maxHandoffBytes = 64 << 20
+
+// Handoff passes the precrawl's responses on to the crawl, so each page
+// crosses the network once: a kept URL is served from memory on its first
+// Fetch — the crawl's page load — and then forgotten; every other fetch
+// (XHRs, a requeued attempt) goes to Inner. Take-once keeps it a handoff,
+// not a URL cache, which could not tell two AJAX states behind one URL
+// apart (DESIGN.md §5b).
+type Handoff struct {
 	Inner Fetcher
 
-	mu      sync.Mutex
-	entries map[string]cacheEntry
-	hits    int64
-	misses  int64
+	mu    sync.Mutex
+	kept  map[string]*Response
+	bytes int
 }
 
-type cacheEntry struct {
-	resp *Response
-	err  error
-}
+// Unwrap implements Wrapper, so FindStats and FindRetryStats reach the
+// instrumentation under the handoff.
+func (h *Handoff) Unwrap() Fetcher { return h.Inner }
 
-// NewCache wraps inner with a memory cache.
-func NewCache(inner Fetcher) *Cache {
-	return &Cache{Inner: inner, entries: make(map[string]cacheEntry)}
-}
-
-// Unwrap implements Wrapper, so FindStats can reach instrumentation
-// wrapped inside the cache.
-func (c *Cache) Unwrap() Fetcher { return c.Inner }
-
-// Fetch implements Fetcher. Errors are cached too (negative caching), so
-// a broken URL is not retried within one crawl session — matching the
-// snapshot-isolation assumption (§4.3). Context errors are the
-// exception: a fetch that failed only because its caller's deadline
-// passed must not poison the cache for later callers.
-func (c *Cache) Fetch(ctx context.Context, rawurl string) (*Response, error) {
-	tel := obs.From(ctx)
-	c.mu.Lock()
-	if e, ok := c.entries[rawurl]; ok {
-		c.hits++
-		c.mu.Unlock()
-		tel.Counter("fetch.cache.hits").Inc()
-		return e.resp, e.err
+// Keep retains resp for the next Fetch of rawurl. A body that would take
+// the retained bytes past maxHandoffBytes is dropped and counted as
+// fetch.handoff.overflow.
+func (h *Handoff) Keep(ctx context.Context, rawurl string, resp *Response) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.bytes+len(resp.Body) > maxHandoffBytes {
+		obs.From(ctx).Counter("fetch.handoff.overflow").Inc()
+		return
 	}
-	c.misses++
-	c.mu.Unlock()
-	tel.Counter("fetch.cache.misses").Inc()
-
-	resp, err := c.Inner.Fetch(ctx, rawurl)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return resp, err
+	if h.kept == nil {
+		h.kept = make(map[string]*Response)
 	}
-	c.mu.Lock()
-	c.entries[rawurl] = cacheEntry{resp: resp, err: err}
-	c.mu.Unlock()
-	return resp, err
+	h.kept[rawurl] = resp
+	h.bytes += len(resp.Body)
 }
 
-// Stats returns (hits, misses).
-func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Len returns the number of cached URLs.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Invalidate drops one URL from the cache (for re-crawl sessions).
-func (c *Cache) Invalidate(rawurl string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.entries, rawurl)
-}
-
-// Clear drops everything.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]cacheEntry)
-	c.hits, c.misses = 0, 0
+// Fetch implements Fetcher. A canceled fetch takes nothing: the kept
+// response waits for the attempt that can use it.
+func (h *Handoff) Fetch(ctx context.Context, rawurl string) (*Response, error) {
+	if ctx.Err() == nil {
+		h.mu.Lock()
+		resp, ok := h.kept[rawurl]
+		if ok {
+			delete(h.kept, rawurl)
+			h.bytes -= len(resp.Body)
+		}
+		h.mu.Unlock()
+		if ok {
+			return resp, nil
+		}
+	}
+	return h.Inner.Fetch(ctx, rawurl)
 }

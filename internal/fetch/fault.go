@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ajaxcrawl/internal/obs"
@@ -80,10 +79,6 @@ type FaultFetcher struct {
 	rnd       *rand.Rand
 	scriptPos map[string]int
 	consec    map[string]int
-
-	errs   atomic.Int64
-	delays atomic.Int64
-	truncs atomic.Int64
 }
 
 // NewFaultFetcher wraps inner with the given fault model on clock.
@@ -106,11 +101,6 @@ func NewFaultFetcher(inner Fetcher, cfg FaultConfig, clock Clock) *FaultFetcher 
 
 // Unwrap implements Wrapper.
 func (f *FaultFetcher) Unwrap() Fetcher { return f.Inner }
-
-// Injected returns how many faults of each kind have fired so far.
-func (f *FaultFetcher) Injected() (errs, delays, truncations int64) {
-	return f.errs.Load(), f.delays.Load(), f.truncs.Load()
-}
 
 // decide picks the fault for this call under f.mu: the URL's script if
 // one exists, else a roll of the random model. MaxConsecutive downgrades
@@ -151,15 +141,12 @@ func (f *FaultFetcher) Fetch(ctx context.Context, rawurl string) (*Response, err
 	tel := obs.From(ctx)
 	switch f.decide(rawurl) {
 	case FaultError:
-		f.errs.Add(1)
 		tel.Counter("fault.injected.errors").Inc()
 		return nil, fmt.Errorf("fetch %s: connection reset: %w", rawurl, ErrInjected)
 	case FaultTruncate:
-		f.truncs.Add(1)
 		tel.Counter("fault.injected.truncations").Inc()
 		return nil, fmt.Errorf("fetch %s: truncated body: %w", rawurl, ErrInjected)
 	case FaultDelay:
-		f.delays.Add(1)
 		tel.Counter("fault.injected.delays").Inc()
 		if err := f.Clock.Sleep(ctx, f.Config.Latency); err != nil {
 			return nil, fmt.Errorf("fetch %s: %w", rawurl, err)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ajaxcrawl/internal/obs"
 )
 
 func okFetcher() Fetcher {
@@ -45,7 +47,8 @@ func TestFaultScripts(t *testing.T) {
 		Latency: 100 * time.Millisecond,
 		Scripts: map[string][]FaultOp{"/u": {FaultError, FaultDelay, FaultTruncate}},
 	}, clock)
-	ctx := context.Background()
+	reg := obs.NewRegistry()
+	ctx := obs.With(context.Background(), obs.New(reg, nil))
 
 	if _, err := f.Fetch(ctx, "/u"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("call 1: err = %v, want scripted ErrInjected", err)
@@ -68,9 +71,10 @@ func TestFaultScripts(t *testing.T) {
 	if _, err := f.Fetch(ctx, "/other"); err != nil {
 		t.Fatalf("unscripted URL: %v", err)
 	}
-	errs, delays, truncs := f.Injected()
-	if errs != 1 || delays != 1 || truncs != 1 {
-		t.Errorf("Injected() = %d, %d, %d; want 1, 1, 1", errs, delays, truncs)
+	for _, kind := range []string{"errors", "delays", "truncations"} {
+		if got := reg.Counter("fault.injected." + kind).Value(); got != 1 {
+			t.Errorf("fault.injected.%s = %d, want 1", kind, got)
+		}
 	}
 }
 

@@ -111,12 +111,17 @@ func (c *VirtualClock) Sleep(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
+// maxBodyBytes bounds one response body read from the network; a larger
+// one fails the fetch rather than grow the crawl's heap without limit.
+const maxBodyBytes = 8 << 20
+
 // HTTPFetcher fetches over a real HTTP client.
 type HTTPFetcher struct {
 	Client *http.Client
 }
 
-// Fetch implements Fetcher.
+// Fetch implements Fetcher. A body past maxBodyBytes fails the fetch and
+// counts fetch.body_too_large.
 func (f *HTTPFetcher) Fetch(ctx context.Context, rawurl string) (*Response, error) {
 	client := f.Client
 	if client == nil {
@@ -131,9 +136,13 @@ func (f *HTTPFetcher) Fetch(ctx context.Context, rawurl string) (*Response, erro
 		return nil, fmt.Errorf("fetch %s: %w", rawurl, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("fetch %s: read body: %w", rawurl, err)
+	}
+	if len(body) > maxBodyBytes {
+		obs.From(ctx).Counter("fetch.body_too_large").Inc()
+		return nil, fmt.Errorf("fetch %s: body exceeds %d bytes", rawurl, maxBodyBytes)
 	}
 	return &Response{
 		Status:      resp.StatusCode,
@@ -192,7 +201,7 @@ type Stats struct {
 // StatsProvider is implemented by fetchers that record Stats. The
 // crawler attributes per-page network time through this interface
 // instead of asserting on a concrete type, so instrumentation survives
-// wrapping (e.g. a Cache around an Instrumented).
+// wrapping (e.g. a Handoff around an Instrumented).
 type StatsProvider interface {
 	Stats() Stats
 }
@@ -306,14 +315,6 @@ func (f *Instrumented) Stats() Stats {
 		NetworkTime: time.Duration(f.netNS.Load()),
 		Errors:      errs,
 	}
-}
-
-// Reset clears the counters.
-func (f *Instrumented) Reset() {
-	f.calls.Store(0)
-	f.bytes.Store(0)
-	f.netNS.Store(0)
-	f.errs.Store(0)
 }
 
 // Func adapts a function to the Fetcher interface (handy in tests).

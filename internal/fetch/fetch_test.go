@@ -6,10 +6,15 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"ajaxcrawl/internal/obs"
 )
 
 func echoHandler() http.Handler {
@@ -72,10 +77,6 @@ func TestInstrumentedCountsAndLatency(t *testing.T) {
 	// /big is 4 KiB → 10ms base + 4ms transfer; /page → ~10ms.
 	if st.NetworkTime < 24*time.Millisecond {
 		t.Fatalf("network time = %v, want >= 24ms", st.NetworkTime)
-	}
-	f.Reset()
-	if st := f.Stats(); st.Calls != 0 || st.NetworkTime != 0 {
-		t.Fatalf("reset failed: %+v", st)
 	}
 }
 
@@ -143,88 +144,148 @@ func newLocalListener() (net.Listener, error) {
 	return net.Listen("tcp", "127.0.0.1:0")
 }
 
-func TestCacheMemoizes(t *testing.T) {
-	calls := 0
-	inner := Func(func(ctx context.Context, url string) (*Response, error) {
-		calls++
-		return &Response{Status: 200, Body: []byte(url)}, nil
-	})
-	c := NewCache(inner)
-	for i := 0; i < 3; i++ {
-		resp, err := c.Fetch(context.Background(), "/a")
-		if err != nil || string(resp.Body) != "/a" {
-			t.Fatalf("fetch: %v %v", resp, err)
+// TestHTTPFetcherBodyCap: a body of exactly maxBodyBytes is read whole,
+// one byte more fails the fetch, names the URL and the cap, and counts.
+func TestHTTPFetcherBodyCap(t *testing.T) {
+	body := strings.Repeat("x", maxBodyBytes+1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := maxBodyBytes
+		if r.URL.Path == "/over" {
+			n++
 		}
+		w.Write([]byte(body[:n])) //nolint:errcheck
+	}))
+	defer srv.Close()
+	reg := obs.NewRegistry()
+	ctx := obs.With(context.Background(), obs.New(reg, nil))
+	f := &HTTPFetcher{Client: srv.Client()}
+
+	resp, err := f.Fetch(ctx, srv.URL+"/at")
+	if err != nil || len(resp.Body) != maxBodyBytes {
+		t.Fatalf("body of exactly the cap: len=%d err=%v", len(resp.Body), err)
 	}
-	if calls != 1 {
-		t.Fatalf("inner called %d times, want 1", calls)
+	_, err = f.Fetch(ctx, srv.URL+"/over")
+	if err == nil || !strings.Contains(err.Error(), "/over") || !strings.Contains(err.Error(), strconv.Itoa(maxBodyBytes)) {
+		t.Fatalf("cap+1 body: err = %v, want one naming the URL and the cap", err)
 	}
-	if _, err := c.Fetch(context.Background(), "/b"); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 || c.Len() != 2 {
-		t.Fatalf("calls=%d len=%d", calls, c.Len())
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 2 {
-		t.Fatalf("hits=%d misses=%d", hits, misses)
-	}
-	c.Invalidate("/a")
-	c.Fetch(context.Background(), "/a") //nolint:errcheck
-	if calls != 3 {
-		t.Fatalf("invalidate did not evict")
-	}
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatalf("clear failed")
+	if got := reg.Counter("fetch.body_too_large").Value(); got != 1 {
+		t.Fatalf("fetch.body_too_large = %d, want 1", got)
 	}
 }
 
-func TestCacheNegativeCaching(t *testing.T) {
+// countingInner answers every URL with its own name and counts calls.
+type countingInner struct{ calls atomic.Int64 }
+
+func (c *countingInner) Fetch(_ context.Context, rawurl string) (*Response, error) {
+	c.calls.Add(1)
+	return &Response{Status: 200, Body: []byte("net:" + rawurl)}, nil
+}
+
+func TestHandoffTakeOnce(t *testing.T) {
+	inner := &countingInner{}
+	h := &Handoff{Inner: inner}
+	kept := &Response{Status: 200, Body: []byte("kept")}
+	h.Keep(context.Background(), "/a", kept)
+
+	resp, err := h.Fetch(context.Background(), "/a")
+	if err != nil || resp != kept || inner.calls.Load() != 0 {
+		t.Fatalf("first fetch of a kept URL: resp=%v err=%v inner calls=%d", resp, err, inner.calls.Load())
+	}
+	// Taken means forgotten: the second fetch, and any unkept URL, is
+	// the network's.
+	for _, u := range []string{"/a", "/b"} {
+		resp, err := h.Fetch(context.Background(), u)
+		if err != nil || string(resp.Body) != "net:"+u {
+			t.Fatalf("fetch %s: resp=%v err=%v, want the inner fetcher's", u, resp, err)
+		}
+	}
+	if inner.calls.Load() != 2 || len(h.kept) != 0 || h.bytes != 0 {
+		t.Fatalf("inner calls=%d kept=%d bytes=%d, want 2/0/0", inner.calls.Load(), len(h.kept), h.bytes)
+	}
+}
+
+func TestHandoffForwardsErrors(t *testing.T) {
 	calls := 0
 	boom := errors.New("down")
-	c := NewCache(Func(func(context.Context, string) (*Response, error) {
+	h := &Handoff{Inner: Func(func(context.Context, string) (*Response, error) {
 		calls++
 		return nil, boom
-	}))
+	})}
 	for i := 0; i < 2; i++ {
-		if _, err := c.Fetch(context.Background(), "/broken"); !errors.Is(err, boom) {
-			t.Fatalf("error not cached/propagated: %v", err)
+		if _, err := h.Fetch(context.Background(), "/broken"); !errors.Is(err, boom) {
+			t.Fatalf("error not propagated: %v", err)
 		}
 	}
-	if calls != 1 {
-		t.Fatalf("negative caching failed: %d calls", calls)
+	if calls != 2 {
+		t.Fatalf("a handoff remembers nothing it did not keep: %d inner calls, want 2", calls)
 	}
 }
 
-func TestCacheConcurrent(t *testing.T) {
-	c := NewCache(&HandlerFetcher{Handler: echoHandler()})
+// TestHandoffBound: 10⁴ bodies of cap/10⁴ bytes are all kept, the next
+// one is turned away and counted, and taking one frees its room.
+func TestHandoffBound(t *testing.T) {
+	const n = 10_000
+	body := make([]byte, maxHandoffBytes/n) // shared: the bound counts bytes, not allocations
+	reg := obs.NewRegistry()
+	ctx := obs.With(context.Background(), obs.New(reg, nil))
+	h := &Handoff{Inner: &countingInner{}}
+	for i := 0; i < n; i++ {
+		h.Keep(ctx, "/p"+strconv.Itoa(i), &Response{Status: 200, Body: body})
+	}
+	if len(h.kept) != n || reg.Counter("fetch.handoff.overflow").Value() != 0 {
+		t.Fatalf("kept %d of %d bodies under the cap", len(h.kept), n)
+	}
+	h.Keep(ctx, "/over", &Response{Status: 200, Body: make([]byte, maxHandoffBytes-h.bytes+1)})
+	if _, ok := h.kept["/over"]; ok || reg.Counter("fetch.handoff.overflow").Value() != 1 {
+		t.Fatalf("a body past the cap was kept (overflow=%d)", reg.Counter("fetch.handoff.overflow").Value())
+	}
+	if h.bytes > maxHandoffBytes {
+		t.Fatalf("retained %d bytes, cap %d", h.bytes, maxHandoffBytes)
+	}
+	h.Fetch(ctx, "/p0") //nolint:errcheck
+	h.Keep(ctx, "/late", &Response{Status: 200, Body: body})
+	if _, ok := h.kept["/late"]; !ok {
+		t.Fatalf("a taken body's room was not freed")
+	}
+}
+
+// TestHandoffConcurrentTakes: lines racing for the same pages each take
+// a kept response at most once between them.
+func TestHandoffConcurrentTakes(t *testing.T) {
+	const urls, lines = 50, 8
+	inner := &countingInner{}
+	h := &Handoff{Inner: inner}
+	for i := 0; i < urls; i++ {
+		h.Keep(context.Background(), "/p"+strconv.Itoa(i), &Response{Status: 200, Body: []byte("kept")})
+	}
+	var taken atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
+	for l := 0; l < lines; l++ {
 		wg.Add(1)
-		go func(n int) {
+		go func() {
 			defer wg.Done()
-			for j := 0; j < 20; j++ {
-				c.Fetch(context.Background(), "/page?q=x") //nolint:errcheck
+			for i := 0; i < urls; i++ {
+				resp, err := h.Fetch(context.Background(), "/p"+strconv.Itoa(i))
+				if err == nil && string(resp.Body) == "kept" {
+					taken.Add(1)
+				}
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	hits, misses := c.Stats()
-	if hits+misses != 200 {
-		t.Fatalf("hits+misses = %d", hits+misses)
+	if taken.Load() != urls || inner.calls.Load() != urls*(lines-1) {
+		t.Fatalf("taken=%d inner=%d, want %d and %d", taken.Load(), inner.calls.Load(), urls, urls*(lines-1))
 	}
 }
 
 func TestFindStatsWalksWrapperChain(t *testing.T) {
 	inner := &HandlerFetcher{Handler: echoHandler()}
 	inst := NewInstrumented(inner, &VirtualClock{}, 0, 0)
-	// Cache's Stats() (int64, int64) does not satisfy StatsProvider, so
-	// the walk passes through it to the Instrumented underneath.
-	c := NewCache(inst)
+	// The walk passes through the handoff to the Instrumented underneath.
+	c := &Handoff{Inner: inst}
 	sp := FindStats(c)
 	if sp == nil {
-		t.Fatalf("FindStats found nothing through the cache")
+		t.Fatalf("FindStats found nothing through the handoff")
 	}
 	if _, err := c.Fetch(context.Background(), "/page?q=a"); err != nil {
 		t.Fatal(err)
@@ -267,27 +328,25 @@ func TestVirtualClockSleepHonorsContext(t *testing.T) {
 	}
 }
 
-func TestCacheDoesNotCacheContextErrors(t *testing.T) {
+// A canceled page load takes nothing: the kept response waits for the
+// attempt (a requeue) that can use it.
+func TestHandoffCanceledFetchTakesNothing(t *testing.T) {
 	calls := 0
-	c := NewCache(Func(func(ctx context.Context, url string) (*Response, error) {
+	h := &Handoff{Inner: Func(func(ctx context.Context, url string) (*Response, error) {
 		calls++
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return &Response{Status: 200, Body: []byte(url)}, nil
-	}))
+		return nil, ctx.Err()
+	})}
+	kept := &Response{Status: 200, Body: []byte("kept")}
+	h.Keep(context.Background(), "/a", kept)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Fetch(canceled, "/a"); !errors.Is(err, context.Canceled) {
+	if _, err := h.Fetch(canceled, "/a"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	// The cancellation must not poison the cache: a healthy retry hits
-	// the network and succeeds.
-	resp, err := c.Fetch(context.Background(), "/a")
-	if err != nil || string(resp.Body) != "/a" {
-		t.Fatalf("retry after cancellation failed: %v %v", resp, err)
+	if resp, err := h.Fetch(context.Background(), "/a"); err != nil || resp != kept {
+		t.Fatalf("the retry after a cancellation lost the kept response: %v %v", resp, err)
 	}
-	if calls != 2 {
-		t.Fatalf("inner called %d times, want 2", calls)
+	if calls != 1 {
+		t.Fatalf("inner called %d times, want 1", calls)
 	}
 }

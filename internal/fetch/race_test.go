@@ -6,11 +6,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ajaxcrawl/internal/obs"
 )
 
 // TestInstrumentedConcurrentStats hammers one shared Instrumented from
 // many goroutines — the shape of concurrent process lines sharing a
-// fetcher — while other goroutines snapshot and reset it. Run under
+// fetcher — while another goroutine snapshots it. Run under
 // `go test -race` (as CI does) this pins the lock-free stats design:
 // no data race, and no update lost.
 func TestInstrumentedConcurrentStats(t *testing.T) {
@@ -79,10 +81,6 @@ func TestInstrumentedConcurrentStats(t *testing.T) {
 	if s.NetworkTime < time.Duration(wantCalls-wantErrs)*time.Millisecond {
 		t.Fatalf("NetworkTime = %v, want >= %v", s.NetworkTime, time.Duration(wantCalls-wantErrs)*time.Millisecond)
 	}
-	f.Reset()
-	if s := f.Stats(); s != (Stats{}) {
-		t.Fatalf("Reset left %+v", s)
-	}
 }
 
 // TestResilienceStackConcurrent hammers one shared
@@ -103,7 +101,8 @@ func TestResilienceStackConcurrent(t *testing.T) {
 	const workers = 8
 	const perWorker = 300
 	var wg sync.WaitGroup
-	ctx := context.Background()
+	reg := obs.NewRegistry()
+	ctx := obs.With(context.Background(), obs.New(reg, nil))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -122,14 +121,14 @@ func TestResilienceStackConcurrent(t *testing.T) {
 	if st.Retries == 0 {
 		t.Error("no retries recorded against a 20% fault rate")
 	}
-	errs, _, _ := fault.Injected()
+	errs := reg.Counter("fault.injected.errors").Value()
 	if errs == 0 {
 		t.Error("fault injector never fired")
 	}
-	if got := st.Attempts - brk.BreakerStats().ShortCircuits; inst.Stats().Calls+fault.errs.Load() < got {
+	if got := st.Attempts - brk.BreakerStats().ShortCircuits; inst.Stats().Calls+errs < got {
 		// Every non-short-circuited attempt either reached the inner
 		// fetcher or died at the fault injector.
 		t.Errorf("attempt accounting leaks: attempts=%d shortCircuits=%d inner=%d injected=%d",
-			st.Attempts, brk.BreakerStats().ShortCircuits, inst.Stats().Calls, fault.errs.Load())
+			st.Attempts, brk.BreakerStats().ShortCircuits, inst.Stats().Calls, errs)
 	}
 }

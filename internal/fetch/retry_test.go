@@ -273,9 +273,9 @@ func TestFindStatsThreeDeepWrap(t *testing.T) {
 	}
 	// The finders also traverse from below the layer that records them:
 	// a chain with the provider in the middle, not at the top.
-	var g Fetcher = NewCache(NewRetryFetcher(inst, RetryPolicy{}, clock))
+	var g Fetcher = &Handoff{Inner: NewRetryFetcher(inst, RetryPolicy{}, clock)}
 	if FindRetryStats(g) == nil {
-		t.Error("FindRetryStats through a Cache wrap came back nil")
+		t.Error("FindRetryStats through a Handoff wrap came back nil")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Env is a lexical environment (function-level scope, as in ES3).
@@ -56,16 +57,25 @@ type Frame struct {
 }
 
 // Key renders the frame as "name(arg1,arg2,...)" — the canonical form
-// used as hot-node cache key (§4.4.1).
+// used as hot-node cache key (§4.4.1), in one allocation when every
+// argument is a string.
 func (f *Frame) Key() string {
-	s := f.FuncName + "("
+	n := len(f.FuncName) + len(f.Args) + 2
+	for _, a := range f.Args {
+		n += len(a.str)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(f.FuncName)
+	b.WriteByte('(')
 	for i, a := range f.Args {
 		if i > 0 {
-			s += ","
+			b.WriteByte(',')
 		}
-		s += a.ToString()
+		b.WriteString(a.ToString())
 	}
-	return s + ")"
+	b.WriteByte(')')
+	return b.String()
 }
 
 // Debugger observes function entries and exits, mirroring Rhino's

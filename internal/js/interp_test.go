@@ -623,6 +623,15 @@ func TestFrameKey(t *testing.T) {
 	}
 }
 
+// TestFrameKeyAllocs: the hot-node key of a frame whose arguments are
+// all strings — the XHR sender's — costs one allocation.
+func TestFrameKeyAllocs(t *testing.T) {
+	f := &Frame{FuncName: "getUrlXMLResponseAndFillDiv", Args: []Value{Str("/comments?v=abc&action_get_comments=1&p=2"), Str("recent_comments")}}
+	if got := testing.AllocsPerRun(100, func() { _ = f.Key() }); got != 1 {
+		t.Fatalf("Key allocates %v times, want 1", got)
+	}
+}
+
 func TestValueConversions(t *testing.T) {
 	if Num(0).ToBool() || Str("").ToBool() || Null().ToBool() || Undefined.ToBool() {
 		t.Fatalf("falsy values wrong")

@@ -40,13 +40,6 @@ func (l *lexer) errf(format string, args ...interface{}) error {
 	return &SyntaxError{Msg: fmt.Sprintf(format, args...), Line: l.line, Col: l.col}
 }
 
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *lexer) peekByteAt(off int) byte {
 	if l.pos+off >= len(l.src) {
 		return 0

@@ -23,12 +23,22 @@ func TestShardStallPartialResult(t *testing.T) {
 	good := canned(terms, 5, cand("http://a", 0, 1, 1))
 	clock := newTestClock()
 	stalled := &scriptedGroup{clock: clock}
-	stalled.script = []func(ctx context.Context) (*query.ShardResult, error){blockUntilCanceled}
+	entered := make(chan struct{}, 2)
+	stalled.script = []func(ctx context.Context) (*query.ShardResult, error){
+		func(ctx context.Context) (*query.ShardResult, error) {
+			entered <- struct{}{}
+			return blockUntilCanceled(ctx)
+		},
+	}
+	retired := make(chan struct{}, 3)
+	fast := func(res *query.ShardResult) []Backend {
+		return []Backend{retiringBackend{Backend: &staticBackend{res: res}, retired: retired}}
+	}
 
 	topo := [][]Backend{
-		{&staticBackend{res: good}},
-		{&staticBackend{res: canned(terms, 5, cand("http://b", 0, 0.5, 1))}},
-		{&staticBackend{res: canned(terms, 5, cand("http://c", 0, 0.25, 1))}},
+		fast(good),
+		fast(canned(terms, 5, cand("http://b", 0, 0.5, 1))),
+		fast(canned(terms, 5, cand("http://c", 0, 0.25, 1))),
 		stalled.backends(2),
 	}
 	r, err := New(Config{
@@ -53,9 +63,16 @@ func TestShardStallPartialResult(t *testing.T) {
 		done <- out{m, err}
 	}()
 
-	// Fast shards answer instantly; only the stalled shard's deadline
-	// timer matters. Keep advancing until it has registered and fired
-	// (over-advancing releases nothing else that changes the outcome).
+	// Virtual time may move only once every fast shard's answer has been
+	// taken (its call context ends when callShard returns) and the stalled
+	// replica has been entered: advancing earlier can expire a fast
+	// shard's deadline before its answer is read. From then on only the
+	// stalled shard's timer matters; keep advancing until it has
+	// registered and fired.
+	for i := 0; i < 3; i++ {
+		<-retired
+	}
+	<-entered
 	var o out
 	for fired := false; !fired; {
 		select {
@@ -83,6 +100,22 @@ func TestShardStallPartialResult(t *testing.T) {
 	if got := tel.Counter("router.fanout.shard_errors").Value(); got != 1 {
 		t.Fatalf("router.fanout.shard_errors = %d, want 1", got)
 	}
+}
+
+// retiringBackend answers at once and reports on retired when the router
+// is done with the call, i.e. when the call's context ends.
+type retiringBackend struct {
+	Backend
+	retired chan<- struct{}
+}
+
+func (b retiringBackend) ShardSearch(ctx context.Context, q string, hint query.Hint) (*query.ShardResult, error) {
+	res, err := b.Backend.ShardSearch(ctx, q, hint)
+	go func() {
+		<-ctx.Done()
+		b.retired <- struct{}{}
+	}()
+	return res, err
 }
 
 // TestReplicaDiesMidQueryFailoverCompletes kills the primary replica
