@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -21,7 +20,6 @@ func init() {
 	register("ablate-hotnode", "hot-call cache keyed by (fn,args) vs by URL vs off", ablateHotNode)
 	register("ablate-dedup", "duplicate detection: canonical hash vs full-tree compare", ablateDedup)
 	register("ablate-idf", "sharded ranking: global idf correction vs local idf", ablateIDF)
-	register("ablate-compress", "index serialization: gob vs delta+varint", ablateCompress)
 	register("ablate-recrawl", "repetitive crawling: profile-guided second session", ablateRecrawl)
 	register("ablate-neardup", "near-duplicate state merging vs granular-event explosion", ablateNearDup)
 }
@@ -282,62 +280,6 @@ func localIDFTop(shards []*index.Index, q string) []query.Result {
 		}
 	}
 	return top
-}
-
-// ablateCompress compares the gob and the delta/varint-compressed index
-// serializations: file size and load time, on a corpus crawled at the
-// configured scale.
-func ablateCompress(e *env) error {
-	graphs, err := queryCorpus(e)
-	if err != nil {
-		return err
-	}
-	ix := index.Build(graphs, nil, 0)
-	dir, err := mkTempDir()
-	if err != nil {
-		return err
-	}
-	defer rmTempDir(dir)
-	gobPath := dir + "/idx.gob"
-	binPath := dir + "/idx.bin"
-	if err := ix.Save(gobPath); err != nil {
-		return err
-	}
-	if err := ix.SaveCompressed(binPath); err != nil {
-		return err
-	}
-	gobSize := fileSize(gobPath)
-	binSize := fileSize(binPath)
-
-	const rounds = 10
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, err := index.Load(gobPath); err != nil {
-			return err
-		}
-	}
-	gobLoad := time.Since(start) / rounds
-	start = time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, err := index.LoadCompressed(binPath); err != nil {
-			return err
-		}
-	}
-	binLoad := time.Since(start) / rounds
-
-	fmt.Fprintf(e.out, "%-24s %-14s %-14s\n", "format", "size (KiB)", "load time")
-	fmt.Fprintf(e.out, "%-24s %-14.1f %-14v\n", "gob", float64(gobSize)/1024, gobLoad)
-	fmt.Fprintf(e.out, "%-24s %-14.1f %-14v\n", "delta+varint", float64(binSize)/1024, binLoad)
-	fmt.Fprintf(e.out, "size ratio: %.2fx smaller\n", float64(gobSize)/float64(binSize))
-	return nil
-}
-
-func fileSize(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
 }
 
 // ablateRecrawl measures the repetitive-crawling extension (thesis ch. 10

@@ -413,12 +413,6 @@ func (e *env) scaledPrefixes(series []int, paperMax int) []int {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// mkTempDir/rmTempDir wrap the throwaway directory of the index-codec
-// ablation.
-func mkTempDir() (string, error) { return os.MkdirTemp("", "ajaxbench-*") }
-
-func rmTempDir(dir string) { os.RemoveAll(dir) }
-
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(1)

@@ -6,13 +6,13 @@
 // Examples:
 //
 //	# Build an index from a crawl directory and save it.
-//	ajaxsearch -models ./crawl-out -save ./idx.gob
+//	ajaxsearch -models ./crawl-out -save ./idx.bin
 //
 //	# Build with a state limit (the GUI's "Max. State ID" knob).
-//	ajaxsearch -models ./crawl-out -max-states 1 -save ./trad.gob
+//	ajaxsearch -models ./crawl-out -max-states 1 -save ./trad.bin
 //
 //	# Query a stored index.
-//	ajaxsearch -load ./idx.gob -q "morcheeba singer" -k 10
+//	ajaxsearch -load ./idx.bin -q "morcheeba singer" -k 10
 //
 //	# Build and query in one go.
 //	ajaxsearch -models ./crawl-out -q "funny dance"
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	"ajaxcrawl/internal/core"
 	"ajaxcrawl/internal/index"
@@ -62,13 +61,7 @@ func main() {
 	var ix *index.Index
 	switch {
 	case *load != "":
-		var err error
-		if strings.HasSuffix(*load, ".bin") {
-			ix, err = index.LoadCompressed(*load)
-		} else {
-			ix, err = index.Load(*load)
-		}
-		if err != nil {
+		if ix, err = index.Load(*load); err != nil {
 			fatal("load index: %v", err)
 		}
 		fmt.Printf("loaded index: %d docs, %d states, %d terms\n",
@@ -82,14 +75,7 @@ func main() {
 	}
 
 	if *save != "" {
-		// A .bin extension selects the delta/varint-compressed format.
-		var err error
-		if strings.HasSuffix(*save, ".bin") {
-			err = ix.SaveCompressed(*save)
-		} else {
-			err = ix.Save(*save)
-		}
-		if err != nil {
+		if err := ix.Save(*save); err != nil {
 			fatal("save index: %v", err)
 		}
 		fmt.Printf("index saved to %s\n", *save)

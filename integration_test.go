@@ -23,8 +23,8 @@ import (
 
 // TestPipelinePersistenceRoundTrip drives the exact flow of the CLIs:
 // precrawl → parallel crawl with models saved to disk →
-// reload models → build index → save (gob and compressed) → reload →
-// identical query results everywhere.
+// reload models → build index → save → reload → identical query results
+// everywhere, scores included.
 func TestPipelinePersistenceRoundTrip(t *testing.T) {
 	site := webapp.New(webapp.DefaultConfig(25, 31))
 	fetcher := NewHandlerFetcher(site.Handler())
@@ -78,30 +78,22 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 	// Index from reloaded models with reloaded PageRank.
 	ix := index.Build(reloadedGraphs, reloadedPre.PageRank, 0)
 
-	// Persist the index both ways and reload.
-	gobPath := filepath.Join(workDir, "idx.gob")
-	binPath := filepath.Join(workDir, "idx.bin")
-	if err := ix.Save(gobPath); err != nil {
+	// Persist the index and reload it.
+	idxPath := filepath.Join(workDir, "idx.bin")
+	if err := ix.Save(idxPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.SaveCompressed(binPath); err != nil {
-		t.Fatal(err)
-	}
-	fromGob, err := index.Load(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := index.LoadCompressed(binPath)
+	loaded, err := index.Load(idxPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// All four index instances must answer the workload identically.
+	// All three index instances must answer the workload identically,
+	// down to the last bit of every score.
 	engines := map[string]*query.Broker{
-		"live":       query.NewBroker([]*index.Index{index.Build(liveGraphs, reloadedPre.PageRank, 0)}),
-		"reloaded":   query.NewBroker([]*index.Index{ix}),
-		"gob":        query.NewBroker([]*index.Index{fromGob}),
-		"compressed": query.NewBroker([]*index.Index{fromBin}),
+		"live":    query.NewBroker([]*index.Index{index.Build(liveGraphs, reloadedPre.PageRank, 0)}),
+		"rebuilt": query.NewBroker([]*index.Index{ix}),
+		"loaded":  query.NewBroker([]*index.Index{loaded}),
 	}
 	for _, q := range webapp.Queries()[:20] {
 		want := engines["live"].Search(q)
@@ -111,7 +103,7 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 				t.Fatalf("q=%q: %s returned %d results, live %d", q, name, len(got), len(want))
 			}
 			for i := range want {
-				if got[i].URL != want[i].URL || got[i].State != want[i].State {
+				if got[i] != want[i] {
 					t.Fatalf("q=%q: %s result %d = %v, want %v", q, name, i, got[i], want[i])
 				}
 			}

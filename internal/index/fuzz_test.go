@@ -3,78 +3,96 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"testing"
 )
 
-// fuzzSeedIndex builds a representative index and returns its bytes in
-// both on-disk formats.
-func fuzzSeedIndex(tb testing.TB) (gobBytes, binBytes []byte) {
+// fuzzSeedIndex builds a representative index and returns its encoding.
+func fuzzSeedIndex(tb testing.TB) (*Index, []byte) {
 	tb.Helper()
 	part1, part2 := snapshotGraphs()
 	ix := Build(append(part1, part2...), map[string]float64{"site/watch?v=a": 0.4}, 0)
-	var gb, bb bytes.Buffer
-	if err := ix.Encode(&gb); err != nil {
+	var buf bytes.Buffer
+	if err := ix.Encode(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	if err := ix.EncodeCompressed(&bb); err != nil {
-		tb.Fatal(err)
-	}
-	return gb.Bytes(), bb.Bytes()
+	return ix, buf.Bytes()
 }
 
-// FuzzIndexLoad feeds arbitrary bytes to both snapshot decoders. Neither
-// may ever panic — snapshot files are untrusted disk input read by a
+// header is the magic and version every valid encoding starts with.
+func header() []byte { return append([]byte(codecMagic), codecVersion) }
+
+// FuzzIndexLoad feeds arbitrary bytes to the snapshot decoder. It may
+// never panic — snapshot files are untrusted disk input read by a
 // long-running daemon — and any index that decodes successfully must be
-// safe to query (in-range postings, non-empty position lists).
+// safe to query (in-range postings, non-empty position lists, finite
+// ranks).
 func FuzzIndexLoad(f *testing.F) {
-	gobBytes, binBytes := fuzzSeedIndex(f)
+	ix, enc := fuzzSeedIndex(f)
+	// Bytes of retired formats: the gob image earlier releases wrote, and
+	// the AJIX version 1 header. Both must be refused.
+	var gobBuf bytes.Buffer
+	if err := gob.NewEncoder(&gobBuf).Encode(struct {
+		Docs        []DocInfo
+		Terms       map[string][]Posting
+		TotalStates int
+	}{ix.Docs, ix.Terms, ix.TotalStates}); err != nil {
+		f.Fatal(err)
+	}
+	gobBytes := gobBuf.Bytes()
+	v1 := append([]byte(nil), enc...)
+	v1[len(codecMagic)] = 1
 	f.Add(gobBytes)
-	f.Add(binBytes)
+	f.Add(enc)
 	f.Add(gobBytes[:len(gobBytes)/2])
-	f.Add(binBytes[:len(binBytes)/2])
+	f.Add(enc[:len(enc)/2])
 	f.Add([]byte{})
-	f.Add([]byte(compressedMagic))
-	f.Add([]byte(compressedMagic + "\x01"))
+	f.Add([]byte(codecMagic))
+	f.Add(header())
 	// A header that lies about the doc count: magic, version, then a
 	// varint claiming ~1e12 docs follow. This was a crasher: the count
 	// went straight into make() before maxCount existed.
-	lying := []byte(compressedMagic + "\x01")
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], 1<<40)
-	f.Add(append(lying, buf[:n]...))
+	f.Add(binary.AppendUvarint(header(), 1<<40))
 	// Bit flips in otherwise-valid input hit the mid-stream paths.
-	for _, off := range []int{8, len(binBytes) / 3, 2 * len(binBytes) / 3} {
-		flipped := append([]byte(nil), binBytes...)
+	for _, off := range []int{8, len(enc) / 3, 2 * len(enc) / 3} {
+		flipped := append([]byte(nil), enc...)
 		flipped[off] ^= 0x80
 		f.Add(flipped)
 	}
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for name, dec := range map[string]func(*bytes.Reader) (*Index, error){
-			"gob": func(r *bytes.Reader) (*Index, error) { return Decode(r) },
-			"bin": func(r *bytes.Reader) (*Index, error) { return DecodeCompressed(r) },
-		} {
-			ix, err := dec(bytes.NewReader(data))
-			if err != nil {
-				continue // error is the correct outcome for corrupt input
+		ix, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return // error is the correct outcome for corrupt input
+		}
+		// Decoded OK: the invariants the query layer relies on must hold,
+		// or SearchTopK would index out of range (or score NaN) at serve
+		// time.
+		nd := ix.NumDocs()
+		_ = ix.NumPostings()
+		for _, d := range ix.Docs {
+			if !finite(d.PageRank) {
+				t.Fatalf("doc %s: PageRank %v", d.URL, d.PageRank)
 			}
-			// Decoded OK: the invariants the query layer relies on must
-			// hold, or SearchTopK would index out of range at serve time.
-			nd := ix.NumDocs()
-			_ = ix.NumPostings()
-			for term, ps := range ix.Terms {
-				for _, p := range ps {
-					if int(p.Doc) < 0 || int(p.Doc) >= nd {
-						t.Fatalf("%s: term %q posting doc %d out of range [0,%d)", name, term, p.Doc, nd)
-					}
-					if len(p.Positions) == 0 {
-						t.Fatalf("%s: term %q posting for doc %d has no positions", name, term, p.Doc)
-					}
-					_ = ix.Doc(p.Doc)
+			for _, r := range d.AJAXRanks {
+				if !finite(r) {
+					t.Fatalf("doc %s: AJAXRank %v", d.URL, r)
 				}
-				_ = ix.Lookup(term)
-				_ = ix.DF(term)
 			}
+		}
+		for term, ps := range ix.Terms {
+			for _, p := range ps {
+				if int(p.Doc) < 0 || int(p.Doc) >= nd {
+					t.Fatalf("term %q posting doc %d out of range [0,%d)", term, p.Doc, nd)
+				}
+				if len(p.Positions) == 0 {
+					t.Fatalf("term %q posting for doc %d has no positions", term, p.Doc)
+				}
+				_ = ix.Doc(p.Doc)
+			}
+			_ = ix.Lookup(term)
+			_ = ix.DF(term)
 		}
 	})
 }
@@ -83,27 +101,23 @@ func FuzzIndexLoad(f *testing.F) {
 // count caps fix: headers that promise more data than the file holds
 // must come back as load errors, not allocation panics.
 func TestDecodeCompressedLyingCounts(t *testing.T) {
-	header := []byte(compressedMagic + "\x01")
-	var buf [binary.MaxVarintLen64]byte
 	for _, count := range []uint64{maxCount + 1, 1 << 40, 1<<64 - 1} {
-		n := binary.PutUvarint(buf[:], count)
-		data := append(append([]byte(nil), header...), buf[:n]...)
-		if _, err := DecodeCompressed(bytes.NewReader(data)); err == nil {
+		if _, err := Decode(bytes.NewReader(binary.AppendUvarint(header(), count))); err == nil {
 			t.Fatalf("doc count %d accepted", count)
 		}
 	}
 }
 
-// TestDecodeTruncated walks every prefix of a valid compressed index;
-// all must fail cleanly (the full input must load).
+// TestDecodeTruncated walks every prefix of a valid encoding; all must
+// fail cleanly (the full input must load).
 func TestDecodeTruncated(t *testing.T) {
-	_, binBytes := fuzzSeedIndex(t)
-	if _, err := DecodeCompressed(bytes.NewReader(binBytes)); err != nil {
+	_, enc := fuzzSeedIndex(t)
+	if _, err := Decode(bytes.NewReader(enc)); err != nil {
 		t.Fatalf("full input: %v", err)
 	}
-	for i := 0; i < len(binBytes); i++ {
-		if _, err := DecodeCompressed(bytes.NewReader(binBytes[:i])); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", i, len(binBytes))
+	for i := 0; i < len(enc); i++ {
+		if _, err := Decode(bytes.NewReader(enc[:i])); err == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded without error", i, len(enc))
 		}
 	}
 }

@@ -6,18 +6,14 @@
 // per-URL PageRank for the composite ranking formula 5.3.
 //
 // Indexes are built incrementally, one application model at a time
-// (AddGraph), and serialize to disk with encoding/gob — one index shard
-// per ShardPages consecutive URLs of the crawl in the parallel
-// architecture (ch. 6; see Sharder).
+// (AddGraph), and serialize to disk in a delta+varint format (Encode) —
+// one index shard per ShardPages consecutive URLs of the crawl in the
+// parallel architecture (ch. 6; see Sharder).
 package index
 
 import (
 	"context"
-	"encoding/gob"
-	"fmt"
-	"io"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -214,114 +210,6 @@ func BuildCtx(ctx context.Context, graphs []*model.Graph, pageRank map[string]fl
 	sp.SetAttr("postings", strconv.Itoa(postings))
 	sp.End(nil)
 	return ix
-}
-
-// indexWire is the gob image of an Index.
-type indexWire struct {
-	Docs        []DocInfo
-	Terms       map[string][]Posting
-	TotalStates int
-}
-
-// Encode writes the index's gob image to w.
-func (ix *Index) Encode(w io.Writer) error {
-	img := indexWire{Docs: ix.Docs, Terms: ix.Terms, TotalStates: ix.TotalStates}
-	if err := gob.NewEncoder(w).Encode(img); err != nil {
-		return fmt.Errorf("index: encode: %w", err)
-	}
-	return nil
-}
-
-// Save writes the index to a file.
-func (ix *Index) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	if err := ix.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Decode reads one gob-encoded index from r. The bytes are untrusted —
-// the serving daemon loads snapshots straight off disk — so the decoded
-// structure is validated before it is handed out, and any panic the
-// decoder raises on corrupt input is converted to an error.
-func Decode(r io.Reader) (ix *Index, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ix, err = nil, fmt.Errorf("index: decode: corrupt input: %v", rec)
-		}
-	}()
-	var w indexWire
-	if err := gob.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("index: decode: %w", err)
-	}
-	ix = &Index{
-		Docs:        w.Docs,
-		Terms:       w.Terms,
-		TotalStates: w.TotalStates,
-		docByURL:    make(map[string]DocID, len(w.Docs)),
-	}
-	if ix.Terms == nil {
-		ix.Terms = make(map[string][]Posting)
-	}
-	for i, d := range w.Docs {
-		ix.docByURL[d.URL] = DocID(i)
-	}
-	if err := ix.validate(); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// Load reads an index from a file.
-func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("index: load: %w", err)
-	}
-	defer f.Close()
-	return Decode(f)
-}
-
-// validate checks the structural invariants query evaluation relies on,
-// so a corrupt or adversarial snapshot surfaces as a load error instead
-// of an out-of-range panic in the middle of a search: per-doc state
-// metadata is consistent, every posting points at a real document, and
-// every posting carries at least one position (proximity indexes
-// Positions[0] unconditionally for multi-term queries).
-func (ix *Index) validate() error {
-	if ix.TotalStates < 0 {
-		return fmt.Errorf("index: validate: negative TotalStates %d", ix.TotalStates)
-	}
-	states := 0
-	for i, d := range ix.Docs {
-		if d.States < 0 || d.States != len(d.StateLens) || d.States != len(d.AJAXRanks) {
-			return fmt.Errorf("index: validate: doc %d (%s): States=%d, len(StateLens)=%d, len(AJAXRanks)=%d",
-				i, d.URL, d.States, len(d.StateLens), len(d.AJAXRanks))
-		}
-		states += d.States
-	}
-	if states != ix.TotalStates {
-		return fmt.Errorf("index: validate: TotalStates=%d but docs sum to %d", ix.TotalStates, states)
-	}
-	for term, ps := range ix.Terms {
-		for _, p := range ps {
-			if int(p.Doc) < 0 || int(p.Doc) >= len(ix.Docs) {
-				return fmt.Errorf("index: validate: term %q: posting doc %d out of range [0,%d)", term, p.Doc, len(ix.Docs))
-			}
-			if p.State < 0 {
-				return fmt.Errorf("index: validate: term %q: negative state %d", term, p.State)
-			}
-			if len(p.Positions) == 0 {
-				return fmt.Errorf("index: validate: term %q: posting for doc %d has no positions", term, p.Doc)
-			}
-		}
-	}
-	return nil
 }
 
 // Scanner walks the tokens of a text — maximal runs of letters and

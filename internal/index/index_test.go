@@ -152,7 +152,7 @@ func TestStateLens(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ix := Build(twoVideoGraphs(), map[string]float64{"www.youtube.com/watch?v=w16JlLSySWQ": 0.9}, 0)
-	path := filepath.Join(t.TempDir(), "idx.gob")
+	path := filepath.Join(t.TempDir(), "idx.bin")
 	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if d, ok := loaded.DocByURL("www.youtube.com/watch?v=w16JlLSySWQ"); !ok || d != 0 {
 		t.Fatalf("docByURL not rebuilt")
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
 		t.Fatalf("loading missing index should fail")
 	}
 }

@@ -26,13 +26,9 @@ import (
 const (
 	// ManifestFileName is the snapshot manifest file.
 	ManifestFileName = "manifest.json"
-	// ManifestVersion is the current manifest format version.
-	ManifestVersion = 1
-
-	// FormatGob marks shards saved with Index.Save (encoding/gob).
-	FormatGob = "gob"
-	// FormatCompressed marks shards saved with Index.SaveCompressed.
-	FormatCompressed = "bin"
+	// ManifestVersion is the current manifest format version. Version 1
+	// snapshots held gob shards; they are refused, not converted.
+	ManifestVersion = 2
 )
 
 // ShardEntry describes one shard file of a snapshot.
@@ -46,8 +42,7 @@ type ShardEntry struct {
 	Postings int `json:"postings"`
 	// Terms is the shard's vocabulary size (distinct indexed terms).
 	// Routers and fleet tooling read it to reason about df skew across
-	// shards without loading the shard itself; absent (0) in manifests
-	// written before the field existed.
+	// shards without loading the shard itself.
 	Terms int `json:"terms,omitempty"`
 }
 
@@ -60,8 +55,6 @@ type Manifest struct {
 	ID string `json:"id"`
 	// CreatedAt is when the snapshot was written.
 	CreatedAt time.Time `json:"created_at"`
-	// Format is the shard file format (FormatGob or FormatCompressed).
-	Format string `json:"format"`
 	// Shards lists the shard files in broker order (crawl URL order, so
 	// ranking tie-breaks are reproducible).
 	Shards []ShardEntry `json:"shards"`
@@ -73,7 +66,7 @@ type Manifest struct {
 	TotalDocs   int `json:"total_docs"`
 	TotalStates int `json:"total_states"`
 	// TotalTerms sums the per-shard vocabulary sizes (an upper bound on
-	// the union vocabulary: shards can share terms). 0 in old manifests.
+	// the union vocabulary: shards can share terms).
 	TotalTerms int `json:"total_terms,omitempty"`
 }
 
@@ -82,7 +75,7 @@ type Manifest struct {
 // every completed save reads as a new generation to watchers.
 func (m *Manifest) computeID() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v%d@%d:%s:%s\n", m.Version, m.CreatedAt.UnixNano(), m.Format, m.Models)
+	fmt.Fprintf(h, "v%d@%d:%s\n", m.Version, m.CreatedAt.UnixNano(), m.Models)
 	for _, s := range m.Shards {
 		fmt.Fprintf(h, "%s:%d:%d:%d:%d\n", s.File, s.Docs, s.States, s.Postings, s.Terms)
 	}
@@ -129,10 +122,8 @@ func LoadManifest(dir string) (*Manifest, error) {
 		return nil, fmt.Errorf("index: manifest: %w", err)
 	}
 	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("index: manifest: unsupported version %d", m.Version)
-	}
-	if m.Format != FormatGob && m.Format != FormatCompressed {
-		return nil, fmt.Errorf("index: manifest: unknown shard format %q", m.Format)
+		return nil, fmt.Errorf("index: manifest: unsupported version %d (this build reads %d): re-publish the snapshot with ajaxcrawl -save-index",
+			m.Version, ManifestVersion)
 	}
 	if len(m.Shards) == 0 {
 		return nil, fmt.Errorf("index: manifest: no shards")
@@ -165,10 +156,9 @@ func SaveSnapshot(dir string, shards []*Index, graphs []*model.Graph) (*Manifest
 	m := &Manifest{
 		Version:   ManifestVersion,
 		CreatedAt: time.Now().UTC(),
-		Format:    FormatGob,
 	}
 	for i, shard := range shards {
-		name := fmt.Sprintf("shard-%04d.%s", i, FormatGob)
+		name := fmt.Sprintf("shard-%04d.bin", i)
 		if err := shard.Save(filepath.Join(dir, name)); err != nil {
 			return nil, err
 		}
@@ -208,13 +198,7 @@ func LoadSnapshot(dir string) (*Manifest, []*Index, error) {
 	}
 	shards := make([]*Index, 0, len(m.Shards))
 	for _, entry := range m.Shards {
-		path := filepath.Join(dir, entry.File)
-		var shard *Index
-		if m.Format == FormatCompressed {
-			shard, err = LoadCompressed(path)
-		} else {
-			shard, err = Load(path)
-		}
+		shard, err := Load(filepath.Join(dir, entry.File))
 		if err != nil {
 			return nil, nil, fmt.Errorf("index: snapshot shard %s: %w", entry.File, err)
 		}
@@ -222,9 +206,7 @@ func LoadSnapshot(dir string) (*Manifest, []*Index, error) {
 			return nil, nil, fmt.Errorf("index: snapshot shard %s: has %d docs/%d states, manifest says %d/%d",
 				entry.File, shard.NumDocs(), shard.TotalStates, entry.Docs, entry.States)
 		}
-		// Terms is cross-checked only when recorded: manifests written
-		// before the field existed carry 0 and stay loadable.
-		if entry.Terms != 0 && shard.NumTerms() != entry.Terms {
+		if shard.NumTerms() != entry.Terms {
 			return nil, nil, fmt.Errorf("index: snapshot shard %s: has %d terms, manifest says %d",
 				entry.File, shard.NumTerms(), entry.Terms)
 		}

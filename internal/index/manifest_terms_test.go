@@ -58,14 +58,4 @@ func TestLoadSnapshotDetectsTermMismatch(t *testing.T) {
 	if _, _, err := LoadSnapshot(dir); err == nil {
 		t.Fatal("term-count mismatch between manifest and shard must error")
 	}
-
-	// A legacy manifest (Terms omitted) stays loadable.
-	man.Shards[0].Terms = 0
-	man.TotalTerms = 0
-	if err := WriteManifest(dir, man); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadSnapshot(dir); err != nil {
-		t.Fatalf("legacy manifest without terms failed to load: %v", err)
-	}
 }

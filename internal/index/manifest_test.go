@@ -32,7 +32,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.ID == "" || man.Version != ManifestVersion || man.Format != FormatGob {
+	if man.ID == "" || man.Version != ManifestVersion || man.Shards[0].File != "shard-0000.bin" {
 		t.Fatalf("bad manifest header: %+v", man)
 	}
 	if man.TotalDocs != 3 || man.TotalStates != 4 {
@@ -121,12 +121,11 @@ func TestLoadManifestRejectsBadInput(t *testing.T) {
 	}
 	cases := map[string]string{
 		"garbage":      "{not json",
-		"bad version":  `{"version":99,"id":"x","format":"gob","shards":[{"file":"s.gob"}]}`,
-		"bad format":   `{"version":1,"id":"x","format":"zip","shards":[{"file":"s.zip"}]}`,
-		"no shards":    `{"version":1,"id":"x","format":"gob","shards":[]}`,
-		"traversal":    `{"version":1,"id":"x","format":"gob","shards":[{"file":"../../etc/passwd"}]}`,
-		"hidden shard": `{"version":1,"id":"x","format":"gob","shards":[{"file":".evil"}]}`,
-		"bad models":   `{"version":1,"id":"x","format":"gob","shards":[{"file":"s.gob"}],"models":"../m.gob"}`,
+		"bad version":  `{"version":99,"id":"x","shards":[{"file":"s.bin"}]}`,
+		"no shards":    `{"version":2,"id":"x","shards":[]}`,
+		"traversal":    `{"version":2,"id":"x","shards":[{"file":"../../etc/passwd"}]}`,
+		"hidden shard": `{"version":2,"id":"x","shards":[{"file":".evil"}]}`,
+		"bad models":   `{"version":2,"id":"x","shards":[{"file":"s.bin"}],"models":"../m.gob"}`,
 	}
 	for name, body := range cases {
 		write(body)
@@ -144,10 +143,25 @@ func TestLoadSnapshotDetectsShardMismatch(t *testing.T) {
 	}
 	// Overwrite the shard with a different index; the manifest's
 	// recorded sizes no longer match.
-	if err := Build(part2, nil, 0).Save(filepath.Join(dir, "shard-0000.gob")); err != nil {
+	if err := Build(part2, nil, 0).Save(filepath.Join(dir, "shard-0000.bin")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadSnapshot(dir); err == nil {
 		t.Fatal("size mismatch between manifest and shard must error")
+	}
+}
+
+// TestLoadSnapshotRefusesGobEra: a version 1 manifest names gob shards
+// this build cannot read. The load fails before touching them, and the
+// error names the remedy.
+func TestLoadSnapshotRefusesGobEra(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"version":1,"id":"x","format":"gob","shards":[{"file":"shard-0000.gob","docs":1,"states":1}]}`
+	if err := os.WriteFile(filepath.Join(dir, ManifestFileName), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := LoadSnapshot(dir)
+	if err == nil || !strings.Contains(err.Error(), "re-publish") {
+		t.Fatalf("gob-era snapshot: err = %v, want a refusal naming the re-publish remedy", err)
 	}
 }
