@@ -51,15 +51,17 @@ func (c *parseCache[T]) add(src string, v T, max int) {
 
 // ProgramCache parses each distinct JavaScript source once. The programs
 // it returns are shared: executing one only reads it (js.RunProgram). The
-// zero value is an empty cache, safe for concurrent use.
+// zero value is an empty cache of scripts, safe for concurrent use.
 //
-// A Page keeps a private one for its event-handler sources. The one for
-// <script> sources is the Page's Scripts field, which a crawler points
-// at a cache of its own so that the script every page of a site carries
-// is parsed once per process line.
+// A Page keeps a private one for its event-handler sources, which parses
+// them as function bodies (js.ParseFunction). The one for <script>
+// sources is the Page's Scripts field, which a crawler points at a cache
+// of its own so that the script every page of a site carries is parsed
+// once per process line.
 type ProgramCache struct {
-	mu    sync.Mutex
-	progs parseCache[*js.Program]
+	mu       sync.Mutex
+	progs    parseCache[*js.Program]
+	handlers bool // parse as function bodies
 }
 
 // Program returns the parse of src. A source that does not parse is not
@@ -74,7 +76,11 @@ func (c *ProgramCache) Program(src string) (*js.Program, error) {
 	// substrings of what it is parsed from: parse a private copy, so
 	// that a cached program pins its own source and nothing more.
 	src = strings.Clone(src)
-	prog, err := js.Parse(src)
+	parse := js.Parse
+	if c.handlers {
+		parse = js.ParseFunction
+	}
+	prog, err := parse(src)
 	if err != nil {
 		return nil, err
 	}

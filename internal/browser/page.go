@@ -123,7 +123,7 @@ func (p *Page) bind(ctx context.Context) func() {
 
 // NewPage returns an unloaded page bound to a fetcher.
 func NewPage(fetcher fetch.Fetcher) *Page {
-	return &Page{Fetcher: fetcher, Scripts: new(ProgramCache)}
+	return &Page{Fetcher: fetcher, Scripts: new(ProgramCache), handlers: ProgramCache{handlers: true}}
 }
 
 // Load fetches and parses the document at rawurl, binds the host objects
@@ -259,8 +259,8 @@ func (p *Page) Trigger(ctx context.Context, ev Event) (changed bool, err error) 
 
 // runHandler invokes handler code with this = element; each distinct
 // source is parsed once per page. Each dispatch is one event.dispatch
-// span; its latency, interpreter steps and step-budget preemptions feed
-// the live registry.
+// span; its latency, interpreter steps and budget preemptions (steps or
+// bytes) feed the live registry.
 func (p *Page) runHandler(ctx context.Context, name, code string, node *dom.Node) (err error) {
 	tel := obs.From(ctx)
 	if tel != nil {
@@ -272,7 +272,7 @@ func (p *Page) runHandler(ctx context.Context, name, code string, node *dom.Node
 			tel.Counter("browser.dispatches").Inc()
 			tel.Counter("js.steps").Add(int64(p.Interp.Steps()))
 			tel.Histogram("browser.dispatch.latency").ObserveDuration(time.Since(start))
-			if errors.Is(err, js.ErrBudget) {
+			if errors.Is(err, js.ErrBudget) || errors.Is(err, js.ErrMemory) {
 				tel.Counter("js.preemptions").Inc()
 			}
 		}()

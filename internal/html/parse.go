@@ -1,6 +1,8 @@
 package html
 
 import (
+	"slices"
+
 	"ajaxcrawl/internal/dom"
 )
 
@@ -36,10 +38,10 @@ var impliedEndTags = map[string][]string{
 // whatever could be salvaged. An <html> and <body> element are
 // synthesized when missing so that callers can always rely on doc.Body().
 func Parse(src string) *dom.Node {
-	doc := dom.NewDocument()
-	p := &parser{doc: doc}
-	p.run(src)
-	ensureDocumentShape(doc)
+	p := newParser(src)
+	doc := p.node(dom.DocumentNode, "")
+	p.run(doc)
+	p.ensureDocumentShape(doc)
 	return doc
 }
 
@@ -47,9 +49,9 @@ func Parse(src string) *dom.Node {
 // for innerHTML assignment) and returns the top-level nodes. No html/body
 // wrapping is applied.
 func ParseFragment(src string) []*dom.Node {
-	root := dom.NewElement("#fragment")
-	p := &parser{doc: root}
-	p.run(src)
+	p := newParser(src)
+	root := p.node(dom.ElementNode, "#fragment")
+	p.run(root)
 	kids := root.Children()
 	for _, k := range kids {
 		root.RemoveChild(k)
@@ -65,27 +67,81 @@ func SetInnerHTML(n *dom.Node, src string) {
 	n.AppendChildren(ParseFragment(src))
 }
 
+// The tree builder carves its nodes and attributes from chunks sized from
+// the input still to parse, at about these many source bytes each (a
+// small fragment carves a small chunk), so a parse allocates a few chunks
+// rather than one object per node. A parsed tree lives and dies with its
+// page, which is the lifetime a chunk has anyway.
+const (
+	bytesPerNode = 24
+	bytesPerAttr = 48
+	maxChunk     = 1024
+)
+
 type parser struct {
-	doc   *dom.Node
-	stack []*dom.Node // open elements; stack[0] is doc
+	z     Tokenizer
+	stack []*dom.Node // open elements; stack[0] is the root
+	// open counts the open elements per tag name, so that an end tag
+	// nothing matches is dropped without scanning the stack.
+	open  map[string]int
+	nodes []dom.Node      // the rest of the current node chunk
+	attrs []dom.Attribute // the rest of the current attribute chunk
 }
 
-func (p *parser) run(src string) {
-	p.stack = []*dom.Node{p.doc}
-	z := NewTokenizer(src)
+func newParser(src string) *parser {
+	return &parser{z: Tokenizer{src: src}, open: make(map[string]int)}
+}
+
+// chunk returns how many items of bytesPer source bytes each the rest
+// of the input holds, within [1, maxChunk].
+func (p *parser) chunk(bytesPer int) int {
+	return min((len(p.z.src)-p.z.pos)/bytesPer+1, maxChunk)
+}
+
+func (p *parser) node(t dom.NodeType, data string) *dom.Node {
+	if len(p.nodes) == 0 {
+		p.nodes = make([]dom.Node, p.chunk(bytesPerNode))
+	}
+	n := &p.nodes[0]
+	p.nodes = p.nodes[1:]
+	n.Type, n.Data = t, data
+	return n
+}
+
+// attributes copies a tag's attributes into the current chunk. Capacity
+// is capped, as in dom.Clone, so that a later SetAttr reallocates instead
+// of growing into the next element's attributes.
+func (p *parser) attributes(attrs []Attr) []dom.Attribute {
+	k := len(attrs)
+	if k == 0 {
+		return nil
+	}
+	if len(p.attrs) < k {
+		p.attrs = make([]dom.Attribute, max(k, p.chunk(bytesPerAttr)))
+	}
+	out := p.attrs[:k:k]
+	p.attrs = p.attrs[k:]
+	for i, a := range attrs {
+		out[i] = dom.Attribute{Key: a.Key, Val: a.Val}
+	}
+	return out
+}
+
+func (p *parser) run(root *dom.Node) {
+	p.stack = append(p.stack[:0], root)
 	for {
-		t := z.Next()
+		t := p.z.Next()
 		switch t.Type {
 		case ErrorToken:
 			return
 		case TextToken:
 			if t.Data != "" {
-				p.top().AppendChild(dom.NewText(t.Data))
+				p.top().AppendChild(p.node(dom.TextNode, t.Data))
 			}
 		case CommentToken:
-			p.top().AppendChild(&dom.Node{Type: dom.CommentNode, Data: t.Data})
+			p.top().AppendChild(p.node(dom.CommentNode, t.Data))
 		case DoctypeToken:
-			p.top().AppendChild(&dom.Node{Type: dom.DoctypeNode, Data: t.Data})
+			p.top().AppendChild(p.node(dom.DoctypeNode, t.Data))
 		case StartTagToken, SelfClosingTagToken:
 			p.startTag(t)
 		case EndTagToken:
@@ -96,50 +152,50 @@ func (p *parser) run(src string) {
 
 func (p *parser) top() *dom.Node { return p.stack[len(p.stack)-1] }
 
+// push and pop are the only changes to the stack of open elements.
+func (p *parser) push(el *dom.Node) {
+	p.stack = append(p.stack, el)
+	p.open[el.Data]++
+}
+
+func (p *parser) pop() {
+	p.open[p.top().Data]--
+	p.stack = p.stack[:len(p.stack)-1]
+}
+
 func (p *parser) startTag(t Token) {
 	if closes, ok := impliedEndTags[t.Data]; ok {
 		p.closeImplied(closes)
 	}
-	el := &dom.Node{Type: dom.ElementNode, Data: t.Data}
-	for _, a := range t.Attr {
-		el.Attr = append(el.Attr, dom.Attribute{Key: a.Key, Val: a.Val})
-	}
+	el := p.node(dom.ElementNode, t.Data)
+	el.Attr = p.attributes(t.Attr)
 	p.top().AppendChild(el)
 	if t.Type == SelfClosingTagToken || dom.IsVoidElement(t.Data) {
 		return
 	}
-	p.stack = append(p.stack, el)
+	p.push(el)
 }
 
 // closeImplied pops open elements whose tags are in closes, but only if
 // one of them is the current innermost element chain (stop at structural
 // boundaries like table/ul for safety).
 func (p *parser) closeImplied(closes []string) {
-	for len(p.stack) > 1 {
-		cur := p.top().Data
-		found := false
-		for _, c := range closes {
-			if cur == c {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return
-		}
-		p.stack = p.stack[:len(p.stack)-1]
+	for len(p.stack) > 1 && slices.Contains(closes, p.top().Data) {
+		p.pop()
 	}
 }
 
+// endTag pops through the innermost open element named name. An end tag
+// that matches no open element is ignored, in constant time: every
+// element a scan passes is popped, so end tags cost O(1) amortized.
 func (p *parser) endTag(name string) {
-	// Find the matching open element (from the top); if found, pop
-	// through it. Unmatched end tags are ignored.
-	for i := len(p.stack) - 1; i >= 1; i-- {
-		if p.stack[i].Data == name {
-			p.stack = p.stack[:i]
-			return
-		}
+	if p.open[name] == 0 {
+		return
 	}
+	for p.top().Data != name {
+		p.pop()
+	}
+	p.pop()
 }
 
 // ensureDocumentShape guarantees the document has html > body structure,
@@ -147,49 +203,29 @@ func (p *parser) endTag(name string) {
 // meta, link, script found before body content) stay in head when an
 // explicit head exists; otherwise everything goes into body, which is
 // sufficient for crawling purposes.
-func ensureDocumentShape(doc *dom.Node) {
-	var htmlEl *dom.Node
-	for c := doc.FirstChild; c != nil; c = c.NextSibling {
-		if c.Type == dom.ElementNode && c.Data == "html" {
-			htmlEl = c
-			break
+func (p *parser) ensureDocumentShape(doc *dom.Node) {
+	html := p.ensureChild(doc, "html", func(c *dom.Node) bool { return c.Type == dom.DoctypeNode })
+	p.ensureChild(html, "body", func(c *dom.Node) bool { return c.Type == dom.ElementNode && c.Data == "head" })
+}
+
+// ensureChild returns parent's first child element named tag. When there
+// is none it makes one, moves every other child under it except those
+// keep holds, and appends it to parent.
+func (p *parser) ensureChild(parent *dom.Node, tag string, keep func(*dom.Node) bool) *dom.Node {
+	for c := parent.FirstChild; c != nil; c = c.NextSibling {
+		if c.Type == dom.ElementNode && c.Data == tag {
+			return c
 		}
 	}
-	if htmlEl == nil {
-		htmlEl = dom.NewElement("html")
-		// Move everything except the doctype under html.
-		var move []*dom.Node
-		for c := doc.FirstChild; c != nil; c = c.NextSibling {
-			if c.Type != dom.DoctypeNode {
-				move = append(move, c)
-			}
+	el := p.node(dom.ElementNode, tag)
+	for c := parent.FirstChild; c != nil; {
+		next := c.NextSibling
+		if !keep(c) {
+			parent.RemoveChild(c)
+			el.AppendChild(c)
 		}
-		for _, m := range move {
-			doc.RemoveChild(m)
-		}
-		doc.AppendChild(htmlEl)
-		htmlEl.AppendChildren(move)
+		c = next
 	}
-	var bodyEl *dom.Node
-	for c := htmlEl.FirstChild; c != nil; c = c.NextSibling {
-		if c.Type == dom.ElementNode && c.Data == "body" {
-			bodyEl = c
-			break
-		}
-	}
-	if bodyEl == nil {
-		bodyEl = dom.NewElement("body")
-		var move []*dom.Node
-		for c := htmlEl.FirstChild; c != nil; c = c.NextSibling {
-			if c.Type == dom.ElementNode && c.Data == "head" {
-				continue
-			}
-			move = append(move, c)
-		}
-		for _, m := range move {
-			htmlEl.RemoveChild(m)
-		}
-		htmlEl.AppendChild(bodyEl)
-		bodyEl.AppendChildren(move)
-	}
+	parent.AppendChild(el)
+	return el
 }

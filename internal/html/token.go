@@ -28,7 +28,8 @@ const (
 )
 
 // Token is one lexical token. Data holds the tag name (lower-case) for
-// tag tokens and the (entity-decoded) text for text/comment tokens.
+// tag tokens and the (entity-decoded) text for text/comment tokens. Attr
+// is the Tokenizer's own buffer, valid until the next call to Next.
 type Token struct {
 	Type TokenType
 	Data string
@@ -46,8 +47,10 @@ type Attr struct {
 type Tokenizer struct {
 	src     string
 	pos     int
-	rawTag  string // non-empty while inside <script>/<style>: consume until matching end tag
-	pending *Token // queued token (used when a raw-text element produces text then end tag)
+	rawTag  string // non-empty inside script/style/textarea/title: consume until its end tag
+	pending Token  // queued token (used when a raw-text element produces text then end tag)
+	queued  bool   // pending holds a token
+	attrs   []Attr // the attributes of the last tag, reused for every tag
 }
 
 // NewTokenizer returns a Tokenizer reading from src.
@@ -58,10 +61,9 @@ func NewTokenizer(src string) *Tokenizer {
 // Next returns the next token. After the input is exhausted it returns
 // tokens of type ErrorToken forever.
 func (z *Tokenizer) Next() Token {
-	if z.pending != nil {
-		t := *z.pending
-		z.pending = nil
-		return t
+	if z.queued {
+		z.queued = false
+		return z.pending
 	}
 	if z.rawTag != "" {
 		return z.rawText()
@@ -90,32 +92,48 @@ func (z *Tokenizer) text() Token {
 	return Token{Type: TextToken, Data: UnescapeEntities(z.src[start:z.pos])}
 }
 
-// rawText consumes raw content until the matching </rawTag>.
+// rawText consumes raw content until the matching </rawTag>. In title
+// and textarea (RCDATA) character references are decoded, as in text:
+// only tags are not recognized there.
 func (z *Tokenizer) rawText() Token {
 	tag := z.rawTag
-	lower := strings.ToLower(z.src[z.pos:])
-	end := strings.Index(lower, "</"+tag)
+	z.rawTag = ""
+	end := indexEndTag(z.src[z.pos:], tag)
 	if end < 0 {
-		// Unterminated raw text: consume the rest.
-		text := z.src[z.pos:]
-		z.pos = len(z.src)
-		z.rawTag = ""
-		if text == "" {
-			return Token{Type: ErrorToken}
-		}
-		return Token{Type: TextToken, Data: text}
+		end = len(z.src) - z.pos // unterminated: consume the rest
 	}
 	text := z.src[z.pos : z.pos+end]
 	z.pos += end
-	z.rawTag = ""
+	if tag == "title" || tag == "textarea" {
+		text = UnescapeEntities(text)
+	}
 	// Consume the end tag itself and queue it.
 	if t, ok := z.tryTag(); ok {
 		if text == "" {
 			return t
 		}
-		z.pending = &t
+		z.pending, z.queued = t, true
+	} else if text == "" {
+		return Token{Type: ErrorToken}
 	}
 	return Token{Type: TextToken, Data: text}
+}
+
+// indexEndTag returns the index in s of the first "</" followed by tag in
+// any case, or -1.
+func indexEndTag(s, tag string) int {
+	for i := 0; ; {
+		j := strings.Index(s[i:], "</")
+		if j < 0 {
+			return -1
+		}
+		i += j + 2
+		// tag is ASCII, so a window holding any other byte has fewer
+		// runes than tag and cannot fold equal to it.
+		if len(s)-i >= len(tag) && strings.EqualFold(s[i:i+len(tag)], tag) {
+			return i - 2
+		}
+	}
 }
 
 // tryTag attempts to parse a tag, comment, or doctype at z.pos (which
@@ -159,6 +177,7 @@ func (z *Tokenizer) tryTag() (Token, bool) {
 	}
 	name := strings.ToLower(s[i:j])
 	tok := Token{Type: StartTagToken, Data: name}
+	z.attrs = z.attrs[:0]
 	if closing {
 		tok.Type = EndTagToken
 	}
@@ -226,8 +245,11 @@ func (z *Tokenizer) tryTag() (Token, bool) {
 			}
 		}
 		if key != "" {
-			tok.Attr = append(tok.Attr, Attr{Key: key, Val: UnescapeEntities(val)})
+			z.attrs = append(z.attrs, Attr{Key: key, Val: UnescapeEntities(val)})
 		}
+	}
+	if len(z.attrs) > 0 {
+		tok.Attr = z.attrs
 	}
 	if tok.Type == StartTagToken && isRawTextTag(name) {
 		z.rawTag = name

@@ -18,6 +18,7 @@ func (b base) Pos() int { return b.Line }
 type Ident struct {
 	base
 	Name string
+	ref  ref
 }
 
 // NumberLit is a numeric literal.
@@ -42,7 +43,10 @@ type BoolLit struct {
 type NullLit struct{ base }
 
 // ThisLit is the `this` expression.
-type ThisLit struct{ base }
+type ThisLit struct {
+	base
+	ref ref
+}
 
 // ArrayLit is [a, b, ...].
 type ArrayLit struct {
@@ -68,6 +72,16 @@ type FuncLit struct {
 	VarNames []string
 	// FuncDecls are nested function declarations, hoisted.
 	FuncDecls []*FuncLit
+
+	// Set by the resolver (resolve.go). A call's scope has nslots slots,
+	// the parameters first; argsSlot is -1 when the body never names
+	// arguments, selfSlot when the function has no name of its own to
+	// bind. closes reports that the body contains a function literal, so
+	// its scopes can outlive the call.
+	nslots                       int
+	argsSlot, thisSlot, selfSlot int
+	declSlots                    []int // slot of each FuncDecls entry
+	closes                       bool
 }
 
 // Unary is a prefix operator application. Op is the token type
@@ -152,6 +166,7 @@ type VarDecl struct {
 	base
 	Names []string
 	Inits []Node // nil entries for bare declarations
+	refs  []ref
 }
 
 // ExprStmt is an expression used as a statement.
@@ -173,13 +188,6 @@ type If struct {
 	Then, Else Node // Else may be nil
 }
 
-// While is a while loop.
-type While struct {
-	base
-	Test Node
-	Body Node
-}
-
 // DoWhile is a do/while loop.
 type DoWhile struct {
 	base
@@ -187,21 +195,22 @@ type DoWhile struct {
 	Test Node
 }
 
-// For is the classic three-clause for loop. Any clause may be nil.
-// Init is either a VarDecl or an expression node.
+// For is the classic three-clause for loop, and a while loop with only
+// Test. Any clause may be nil. Init is either a VarDecl or an expression
+// node.
 type For struct {
 	base
 	Init, Test, Post Node
 	Body             Node
 }
 
-// ForIn is for (k in obj). If Decl, the loop variable is var-declared.
+// ForIn is for (var k in obj).
 type ForIn struct {
 	base
 	Name string
-	Decl bool
 	Obj  Node
 	Body Node
+	ref  ref
 }
 
 // Return returns from the enclosing function.
@@ -244,6 +253,9 @@ type Try struct {
 	CatchName string
 	Catch     *Block
 	Finally   *Block
+	// catchCloses reports that the catch block contains a function
+	// literal, which may capture its one-slot scope (resolve.go).
+	catchCloses bool
 }
 
 // Switch is a switch statement. A DefaultIdx of -1 means no default.
@@ -275,4 +287,6 @@ type Program struct {
 	// Hoisted names for the top-level scope.
 	VarNames  []string
 	FuncDecls []*FuncLit
+	// fn is the body as a function, for a program from ParseFunction.
+	fn *FuncLit
 }

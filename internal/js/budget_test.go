@@ -1,0 +1,104 @@
+package js
+
+import (
+	"errors"
+	"strings"
+	"testing"
+)
+
+// Page JavaScript must not be able to take the process down. Each script
+// below panicked, ran out of memory or ran unbounded before the byte
+// budget: now it fails as a script error (catchable) or exhausts the
+// budget (not catchable), and the interpreter allocates nothing large.
+
+func wantCaught(t *testing.T, src, msg string) {
+	t.Helper()
+	v := run(t, `var r = "none"; try { `+src+` } catch (e) { r = e.message || e; } r`)
+	if !strings.Contains(v.StrVal(), msg) {
+		t.Fatalf("%s: caught %q, want a %q error", src, v.StrVal(), msg)
+	}
+}
+
+func wantMemory(t *testing.T, src string) {
+	t.Helper()
+	for _, s := range []string{src, "try { " + src + " } catch (e) {}"} {
+		if _, err := New().Run(s); !errors.Is(err, ErrMemory) {
+			t.Fatalf("%s: err = %v, want ErrMemory", s, err)
+		}
+	}
+}
+
+func TestArrayNegativeLengthThrows(t *testing.T) {
+	wantCaught(t, `Array(-1);`, "invalid array length -1")
+}
+
+func TestArrayLengthPast32BitsThrows(t *testing.T) {
+	wantCaught(t, `new Array(4294967296);`, "invalid array length")
+	wantCaught(t, `Array(2.5);`, "invalid array length")
+}
+
+func TestArrayLengthWriteCharged(t *testing.T) {
+	wantMemory(t, `var a = []; a.length = 1e8;`)
+}
+
+func TestArrayIndexWriteCharged(t *testing.T) {
+	wantMemory(t, `var a = []; a[1e8] = 1;`)
+}
+
+func TestStringDoublingCharged(t *testing.T) {
+	wantMemory(t, `var s = "x"; for (var i = 0; i < 40; i++) { s += s; }`)
+}
+
+func TestByteBudgetResets(t *testing.T) {
+	it := New()
+	const half = `var a = Array(1e6).join(",");` // ≈ 48 MB of elements, 1 MB of string
+	if _, err := it.Run(half); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := it.Run(half); !errors.Is(err, ErrMemory) {
+		t.Fatalf("second run without a reset: err = %v, want ErrMemory", err)
+	}
+	it.ResetBudget()
+	if _, err := it.Run(half); err != nil {
+		t.Fatalf("after ResetBudget: %v", err)
+	}
+}
+
+// TestHostileBuiltinsFailCleanly: builtins given cycles, mutation under
+// iteration or out-of-range numbers.
+func TestHostileBuiltinsFailCleanly(t *testing.T) {
+	// A cycle renders as "" instead of recursing until the stack dies.
+	expectStr(t, `var a = [1]; a.push(a); a + "|" + a.join("-") + "|" + String([a, [a]])`, "1,|1-|1,,1,")
+	// A comparator that empties the array under the sort.
+	expectStr(t, `var a = [3, 1, 2]; a.sort(function (x, y) { a.length = 0; return x - y; }); a.length + ""`, "0")
+	expectStr(t, `"abc".substr(3, 9.2233720368547e18) + "abc".substring(-1e300, 1e300)`, "abc")
+	wantCaught(t, `(1).toFixed(1e9);`, "digits out of range")
+	wantCaught(t, `JSON.parse(new Array(1000).join("[") + "1");`, "nested too deeply")
+	// Doubling through nesting: JSON and join stop at the budget.
+	const dag = `var o = [Array(4096).join("x")]; for (var i = 0; i < 40; i++) { o = [o, o]; } `
+	wantMemory(t, dag+`JSON.stringify(o);`)
+	wantMemory(t, dag+`o.join();`)
+	wantMemory(t, `var a = Array(1e5); for (var i = 0; i < 20; i++) { a.unshift(i); }`)
+}
+
+// TestClosureFreeCallAllocs: a call to a function that creates no closure
+// takes its arguments, its scope and its frame from the interpreter's
+// stacks, so it allocates nothing.
+func TestClosureFreeCallAllocs(t *testing.T) {
+	it := New()
+	if _, err := it.Run(`function f(a, b, c, d) { var s = a + b; if (c) { s = s + d; } return s; }`); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Parse(`f(1, 2, true, 4); f(5, 6, false, "unused");`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		it.ResetBudget()
+		if _, err := it.RunProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("a closure-free call allocates %v times, want 0", got)
+	}
+}

@@ -10,50 +10,59 @@ import (
 
 // installBuiltins defines the global functions and objects of the subset.
 func installBuiltins(it *Interp) {
-	g := it.Global
+	g := it.globals
 
-	g.Define("undefined", Undefined)
-	g.Define("NaN", Num(math.NaN()))
-	g.Define("Infinity", Num(math.Inf(1)))
+	g["undefined"] = Undefined
+	g["NaN"] = Num(math.NaN())
+	g["Infinity"] = Num(math.Inf(1))
 
-	g.Define("parseInt", ObjVal(NewNative("parseInt", biParseInt)))
-	g.Define("parseFloat", ObjVal(NewNative("parseFloat", biParseFloat)))
-	g.Define("isNaN", ObjVal(NewNative("isNaN", func(it *Interp, this Value, args []Value) (Value, error) {
+	g["parseInt"] = ObjVal(NewNative("parseInt", biParseInt))
+	g["parseFloat"] = ObjVal(NewNative("parseFloat", biParseFloat))
+	g["isNaN"] = ObjVal(NewNative("isNaN", func(it *Interp, this Value, args []Value) (Value, error) {
 		return Bool(math.IsNaN(arg(args, 0).ToNumber())), nil
-	})))
-	g.Define("isFinite", ObjVal(NewNative("isFinite", func(it *Interp, this Value, args []Value) (Value, error) {
+	}))
+	g["isFinite"] = ObjVal(NewNative("isFinite", func(it *Interp, this Value, args []Value) (Value, error) {
 		f := arg(args, 0).ToNumber()
 		return Bool(!math.IsNaN(f) && !math.IsInf(f, 0)), nil
-	})))
-	g.Define("String", ObjVal(NewNative("String", func(it *Interp, this Value, args []Value) (Value, error) {
+	}))
+	g["String"] = ObjVal(NewNative("String", func(it *Interp, this Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return Str(""), nil
 		}
 		return Str(args[0].ToString()), nil
-	})))
-	g.Define("Number", ObjVal(NewNative("Number", func(it *Interp, this Value, args []Value) (Value, error) {
+	}))
+	g["Number"] = ObjVal(NewNative("Number", func(it *Interp, this Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return Num(0), nil
 		}
 		return Num(args[0].ToNumber()), nil
-	})))
-	g.Define("Boolean", ObjVal(NewNative("Boolean", func(it *Interp, this Value, args []Value) (Value, error) {
+	}))
+	g["Boolean"] = ObjVal(NewNative("Boolean", func(it *Interp, this Value, args []Value) (Value, error) {
 		return Bool(arg(args, 0).ToBool()), nil
-	})))
-	g.Define("Array", ObjVal(NewNative("Array", func(it *Interp, this Value, args []Value) (Value, error) {
-		if len(args) == 1 && args[0].Kind() == KindNumber {
-			n := int(args[0].NumVal())
-			return ObjVal(NewArray(make([]Value, n)...)), nil
+	}))
+	g["Array"] = ObjVal(NewNative("Array", func(it *Interp, this Value, args []Value) (Value, error) {
+		n := len(args)
+		if n == 1 && args[0].Kind() == KindNumber {
+			var err *RuntimeError
+			if n, err = arrayLength(args[0]); err != nil {
+				return Undefined, err
+			}
+			args = nil
 		}
-		return ObjVal(NewArray(args...)), nil
-	})))
+		if err := it.charge(n, valueSize); err != nil {
+			return Undefined, err
+		}
+		elems := make([]Value, n)
+		copy(elems, args) // args is borrowed from the caller's stack
+		return ObjVal(NewArray(elems...)), nil
+	}))
 	objectCtor := NewNative("Object", func(it *Interp, this Value, args []Value) (Value, error) {
 		if len(args) > 0 && args[0].Kind() == KindObject {
 			return args[0], nil
 		}
 		return ObjVal(NewObject()), nil
 	})
-	g.Define("Object", ObjVal(objectCtor))
+	g["Object"] = ObjVal(objectCtor)
 	errorCtor := NewNative("Error", func(it *Interp, this Value, args []Value) (Value, error) {
 		o := NewObject()
 		o.Class = "Error"
@@ -61,20 +70,20 @@ func installBuiltins(it *Interp) {
 		o.SetProp("message", Str(arg(args, 0).ToString()))
 		return ObjVal(o), nil
 	})
-	g.Define("Error", ObjVal(errorCtor))
-	g.Define("TypeError", ObjVal(errorCtor))
-	g.Define("encodeURIComponent", ObjVal(NewNative("encodeURIComponent", func(it *Interp, this Value, args []Value) (Value, error) {
-		return Str(url.QueryEscape(arg(args, 0).ToString())), nil
-	})))
-	g.Define("decodeURIComponent", ObjVal(NewNative("decodeURIComponent", func(it *Interp, this Value, args []Value) (Value, error) {
+	g["Error"] = ObjVal(errorCtor)
+	g["TypeError"] = ObjVal(errorCtor)
+	g["encodeURIComponent"] = ObjVal(NewNative("encodeURIComponent", func(it *Interp, this Value, args []Value) (Value, error) {
+		return it.newString(url.QueryEscape(arg(args, 0).ToString()))
+	}))
+	g["decodeURIComponent"] = ObjVal(NewNative("decodeURIComponent", func(it *Interp, this Value, args []Value) (Value, error) {
 		s, err := url.QueryUnescape(arg(args, 0).ToString())
 		if err != nil {
 			return Undefined, &Thrown{Value: Str("URIError: malformed URI")}
 		}
-		return Str(s), nil
-	})))
+		return it.newString(s)
+	}))
 
-	g.Define("Math", ObjVal(makeMath(it)))
+	g["Math"] = ObjVal(makeMath(it))
 	installJSON(it)
 }
 
@@ -86,11 +95,42 @@ func arg(args []Value, i int) Value {
 	return Undefined
 }
 
+// toInt converts a numeric argument to an int for index arithmetic: NaN
+// is 0 and magnitudes are clamped to 2³⁰, which no string or array the
+// budgets admit reaches, so sums of two cannot overflow.
+func toInt(v Value) int {
+	f := v.ToNumber()
+	if math.IsNaN(f) {
+		return 0
+	}
+	return int(max(min(f, 1<<30), -1<<30))
+}
+
+// newString returns a string a builtin built from existing strings,
+// charged to the byte budget; it is at most a small multiple of them.
+func (it *Interp) newString(s string) (Value, error) {
+	if err := it.charge(len(s), 1); err != nil {
+		return Undefined, err
+	}
+	return Str(s), nil
+}
+
+// newArray returns an array of n elements filled by fill, charged to the
+// byte budget before it is allocated.
+func (it *Interp) newArray(n int, fill func(elems []Value)) (Value, error) {
+	if err := it.charge(n, valueSize); err != nil {
+		return Undefined, err
+	}
+	elems := make([]Value, n)
+	fill(elems)
+	return ObjVal(NewArray(elems...)), nil
+}
+
 func biParseInt(it *Interp, this Value, args []Value) (Value, error) {
 	s := strings.TrimSpace(arg(args, 0).ToString())
 	radix := 10
 	if len(args) > 1 && !args[1].IsUndefined() {
-		radix = int(args[1].ToNumber())
+		radix = toInt(args[1])
 		if radix == 0 {
 			radix = 10
 		}
@@ -246,7 +286,7 @@ func thisString(this Value) string { return this.ToString() }
 var stringMethods = map[string]NativeFunc{
 	"charAt": func(it *Interp, this Value, args []Value) (Value, error) {
 		s := thisString(this)
-		i := int(arg(args, 0).ToNumber())
+		i := toInt(arg(args, 0))
 		if i < 0 || i >= len(s) {
 			return Str(""), nil
 		}
@@ -254,7 +294,7 @@ var stringMethods = map[string]NativeFunc{
 	},
 	"charCodeAt": func(it *Interp, this Value, args []Value) (Value, error) {
 		s := thisString(this)
-		i := int(arg(args, 0).ToNumber())
+		i := toInt(arg(args, 0))
 		if i < 0 || i >= len(s) {
 			return Num(math.NaN()), nil
 		}
@@ -265,7 +305,7 @@ var stringMethods = map[string]NativeFunc{
 		needle := arg(args, 0).ToString()
 		from := 0
 		if len(args) > 1 {
-			from = clampIndex(int(args[1].ToNumber()), len(s))
+			from = clampIndex(toInt(args[1]), len(s))
 		}
 		idx := strings.Index(s[from:], needle)
 		if idx < 0 {
@@ -279,10 +319,10 @@ var stringMethods = map[string]NativeFunc{
 	},
 	"substring": func(it *Interp, this Value, args []Value) (Value, error) {
 		s := thisString(this)
-		start := clampIndex(int(arg(args, 0).ToNumber()), len(s))
+		start := clampIndex(toInt(arg(args, 0)), len(s))
 		end := len(s)
 		if len(args) > 1 && !args[1].IsUndefined() {
-			end = clampIndex(int(args[1].ToNumber()), len(s))
+			end = clampIndex(toInt(args[1]), len(s))
 		}
 		if start > end {
 			start, end = end, start
@@ -291,7 +331,7 @@ var stringMethods = map[string]NativeFunc{
 	},
 	"substr": func(it *Interp, this Value, args []Value) (Value, error) {
 		s := thisString(this)
-		start := int(arg(args, 0).ToNumber())
+		start := toInt(arg(args, 0))
 		if start < 0 {
 			start = len(s) + start
 			if start < 0 {
@@ -303,7 +343,7 @@ var stringMethods = map[string]NativeFunc{
 		}
 		length := len(s) - start
 		if len(args) > 1 && !args[1].IsUndefined() {
-			length = int(args[1].ToNumber())
+			length = toInt(args[1])
 		}
 		if length < 0 {
 			length = 0
@@ -324,28 +364,27 @@ var stringMethods = map[string]NativeFunc{
 	"split": func(it *Interp, this Value, args []Value) (Value, error) {
 		s := thisString(this)
 		if len(args) == 0 || args[0].IsUndefined() {
-			return ObjVal(NewArray(Str(s))), nil
+			return it.newArray(1, func(elems []Value) { elems[0] = Str(s) })
 		}
 		sep := args[0].ToString()
-		var parts []string
 		if sep == "" {
-			for i := 0; i < len(s); i++ {
-				parts = append(parts, string(s[i]))
+			return it.newArray(len(s), func(elems []Value) {
+				for i := range elems {
+					elems[i] = Str(s[i : i+1])
+				}
+			})
+		}
+		return it.newArray(strings.Count(s, sep)+1, func(elems []Value) {
+			for i, part := range strings.Split(s, sep) {
+				elems[i] = Str(part)
 			}
-		} else {
-			parts = strings.Split(s, sep)
-		}
-		vals := make([]Value, len(parts))
-		for i, p := range parts {
-			vals[i] = Str(p)
-		}
-		return ObjVal(NewArray(vals...)), nil
+		})
 	},
 	"toLowerCase": func(it *Interp, this Value, args []Value) (Value, error) {
-		return Str(strings.ToLower(thisString(this))), nil
+		return it.newString(strings.ToLower(thisString(this)))
 	},
 	"toUpperCase": func(it *Interp, this Value, args []Value) (Value, error) {
-		return Str(strings.ToUpper(thisString(this))), nil
+		return it.newString(strings.ToUpper(thisString(this)))
 	},
 	"replace": func(it *Interp, this Value, args []Value) (Value, error) {
 		// String-pattern form only (no regexes in the subset): replaces
@@ -353,14 +392,20 @@ var stringMethods = map[string]NativeFunc{
 		s := thisString(this)
 		pat := arg(args, 0).ToString()
 		repl := arg(args, 1).ToString()
-		return Str(strings.Replace(s, pat, repl, 1)), nil
+		return it.newString(strings.Replace(s, pat, repl, 1))
 	},
 	"concat": func(it *Interp, this Value, args []Value) (Value, error) {
-		s := thisString(this)
-		for _, a := range args {
-			s += a.ToString()
+		parts := make([]string, len(args)+1)
+		parts[0] = thisString(this)
+		n := len(parts[0])
+		for i, a := range args {
+			parts[i+1] = a.ToString()
+			n += len(parts[i+1])
 		}
-		return Str(s), nil
+		if err := it.charge(n, 1); err != nil {
+			return Undefined, err
+		}
+		return Str(strings.Join(parts, "")), nil
 	},
 	"trim": func(it *Interp, this Value, args []Value) (Value, error) {
 		return Str(strings.TrimSpace(thisString(this))), nil
@@ -384,7 +429,7 @@ func clampIndex(i, n int) int {
 func sliceBounds(args []Value, n int) (int, int) {
 	start := 0
 	if len(args) > 0 && !args[0].IsUndefined() {
-		start = int(args[0].ToNumber())
+		start = toInt(args[0])
 		if start < 0 {
 			start += n
 		}
@@ -392,7 +437,7 @@ func sliceBounds(args []Value, n int) (int, int) {
 	}
 	end := n
 	if len(args) > 1 && !args[1].IsUndefined() {
-		end = int(args[1].ToNumber())
+		end = toInt(args[1])
 		if end < 0 {
 			end += n
 		}
@@ -404,7 +449,7 @@ func sliceBounds(args []Value, n int) (int, int) {
 var numberMethods = map[string]NativeFunc{
 	"toString": func(it *Interp, this Value, args []Value) (Value, error) {
 		if len(args) > 0 && !args[0].IsUndefined() {
-			radix := int(args[0].ToNumber())
+			radix := toInt(args[0])
 			if radix >= 2 && radix <= 36 {
 				return Str(strconv.FormatInt(int64(this.ToNumber()), radix)), nil
 			}
@@ -412,7 +457,10 @@ var numberMethods = map[string]NativeFunc{
 		return Str(this.ToString()), nil
 	},
 	"toFixed": func(it *Interp, this Value, args []Value) (Value, error) {
-		digits := int(arg(args, 0).ToNumber())
+		digits := toInt(arg(args, 0))
+		if digits < 0 || digits > 100 {
+			return Undefined, &RuntimeError{Msg: "toFixed() digits out of range"}
+		}
 		return Str(strconv.FormatFloat(this.ToNumber(), 'f', digits, 64)), nil
 	},
 }
@@ -425,6 +473,9 @@ func init() {
 			o := this.Object()
 			if o == nil {
 				return Undefined, &RuntimeError{Msg: "push on non-array"}
+			}
+			if err := it.charge(len(args), valueSize); err != nil {
+				return Undefined, err
 			}
 			o.Elems = append(o.Elems, args...)
 			return Num(float64(len(o.Elems))), nil
@@ -444,13 +495,17 @@ func init() {
 				return Undefined, nil
 			}
 			v := o.Elems[0]
-			o.Elems = append([]Value(nil), o.Elems[1:]...)
+			o.Elems = o.Elems[1:] // O(1): a shift loop must not be quadratic
 			return v, nil
 		},
 		"unshift": func(it *Interp, this Value, args []Value) (Value, error) {
 			o := this.Object()
 			if o == nil {
 				return Undefined, &RuntimeError{Msg: "unshift on non-array"}
+			}
+			// The whole array is copied, so the whole array is charged.
+			if err := it.charge(len(args)+len(o.Elems), valueSize); err != nil {
+				return Undefined, err
 			}
 			o.Elems = append(append([]Value(nil), args...), o.Elems...)
 			return Num(float64(len(o.Elems))), nil
@@ -464,14 +519,11 @@ func init() {
 			if len(args) > 0 && !args[0].IsUndefined() {
 				sep = args[0].ToString()
 			}
-			parts := make([]string, len(o.Elems))
-			for i, e := range o.Elems {
-				if e.IsUndefined() || e.IsNull() {
-					continue
-				}
-				parts[i] = e.ToString()
+			var b strings.Builder
+			if !appendJoin(&b, o, sep, maxBytes-it.bytes) {
+				return Undefined, ErrMemory
 			}
-			return Str(strings.Join(parts, sep)), nil
+			return it.newString(b.String())
 		},
 		"slice": func(it *Interp, this Value, args []Value) (Value, error) {
 			o := this.Object()
@@ -482,24 +534,31 @@ func init() {
 			if start > end {
 				return ObjVal(NewArray()), nil
 			}
-			out := make([]Value, end-start)
-			copy(out, o.Elems[start:end])
-			return ObjVal(NewArray(out...)), nil
+			return it.newArray(end-start, func(elems []Value) { copy(elems, o.Elems[start:end]) })
 		},
 		"concat": func(it *Interp, this Value, args []Value) (Value, error) {
-			o := this.Object()
-			var out []Value
-			if o != nil {
-				out = append(out, o.Elems...)
+			var head []Value
+			if o := this.Object(); o != nil {
+				head = o.Elems
 			}
+			n := len(head)
 			for _, a := range args {
 				if ao := a.Object(); ao.IsArray() {
-					out = append(out, ao.Elems...)
+					n += len(ao.Elems)
 				} else {
-					out = append(out, a)
+					n++
 				}
 			}
-			return ObjVal(NewArray(out...)), nil
+			return it.newArray(n, func(elems []Value) {
+				out := append(elems[:0], head...)
+				for _, a := range args {
+					if ao := a.Object(); ao.IsArray() {
+						out = append(out, ao.Elems...)
+					} else {
+						out = append(out, a)
+					}
+				}
+			})
 		},
 		"indexOf": func(it *Interp, this Value, args []Value) (Value, error) {
 			o := this.Object()
@@ -520,14 +579,14 @@ func init() {
 				return ObjVal(NewArray()), nil
 			}
 			n := len(o.Elems)
-			start := int(arg(args, 0).ToNumber())
+			start := toInt(arg(args, 0))
 			if start < 0 {
 				start += n
 			}
 			start = clampIndex(start, n)
 			count := n - start
 			if len(args) > 1 && !args[1].IsUndefined() {
-				count = int(args[1].ToNumber())
+				count = toInt(args[1])
 			}
 			if count < 0 {
 				count = 0
@@ -535,12 +594,16 @@ func init() {
 			if start+count > n {
 				count = n - start
 			}
-			removed := make([]Value, count)
-			copy(removed, o.Elems[start:start+count])
 			var inserted []Value
 			if len(args) > 2 {
 				inserted = args[2:]
 			}
+			// removed and tail are copies, the inserted elements growth.
+			if err := it.charge(n-start+len(inserted), valueSize); err != nil {
+				return Undefined, err
+			}
+			removed := make([]Value, count)
+			copy(removed, o.Elems[start:start+count])
 			tail := append([]Value(nil), o.Elems[start+count:]...)
 			o.Elems = append(append(o.Elems[:start], inserted...), tail...)
 			return ObjVal(NewArray(removed...)), nil
@@ -552,11 +615,14 @@ func init() {
 			}
 			cmp := arg(args, 0)
 			var sortErr error
-			sort.SliceStable(o.Elems, func(i, j int) bool {
+			// The comparator may resize the array under the sort: index
+			// the slice being sorted, not the array's current one.
+			elems := o.Elems
+			sort.SliceStable(elems, func(i, j int) bool {
 				if sortErr != nil {
 					return false
 				}
-				a, b := o.Elems[i], o.Elems[j]
+				a, b := elems[i], elems[j]
 				if fn := cmp.Object(); fn.IsCallable() {
 					r, err := it.callFunction(fn, Undefined, []Value{a, b}, 0)
 					if err != nil {
@@ -578,6 +644,9 @@ func init() {
 			if o == nil || !fn.IsCallable() {
 				return ObjVal(NewArray()), nil
 			}
+			if err := it.charge(len(o.Elems), valueSize); err != nil {
+				return Undefined, err
+			}
 			out := make([]Value, len(o.Elems))
 			for i, e := range o.Elems {
 				v, err := it.callFunction(fn, Undefined, []Value{e, Num(float64(i)), this}, 0)
@@ -593,6 +662,9 @@ func init() {
 			fn := arg(args, 0).Object()
 			if o == nil || !fn.IsCallable() {
 				return ObjVal(NewArray()), nil
+			}
+			if err := it.charge(len(o.Elems), valueSize); err != nil {
+				return Undefined, err
 			}
 			var out []Value
 			for i, e := range o.Elems {

@@ -203,7 +203,7 @@ func TestValueStringer(t *testing.T) {
 
 func TestCompileFunctionThisBinding(t *testing.T) {
 	it := New()
-	prog, err := Parse(`result = this.tag;`)
+	prog, err := ParseFunction(`result = this.tag;`)
 	if err != nil {
 		t.Fatal(err)
 	}

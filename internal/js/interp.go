@@ -1,51 +1,36 @@
 package js
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
-// Env is a lexical environment (function-level scope, as in ES3).
+// Env is one local scope of a running program: a function activation or a
+// catch clause. Its slots hold the scope's locals in the order the
+// resolver numbered them (resolve.go); globals live in the interpreter's
+// map, so a top-level function's Env has no parent.
 type Env struct {
-	vars   map[string]Value
+	slots  []Value
 	parent *Env
 }
 
-// NewEnv returns a new environment with the given parent.
-func NewEnv(parent *Env) *Env {
-	return &Env{vars: make(map[string]Value), parent: parent}
-}
-
-// Lookup finds name in this or an enclosing environment.
-func (e *Env) Lookup(name string) (Value, bool) {
-	for env := e; env != nil; env = env.parent {
-		if v, ok := env.vars[name]; ok {
-			return v, true
-		}
+// up returns the scope depth hops out.
+func (e *Env) up(depth int) *Env {
+	for ; depth > 0; depth-- {
+		e = e.parent
 	}
-	return Undefined, false
+	return e
 }
-
-// Assign sets an existing binding, walking outward. It reports whether a
-// binding was found.
-func (e *Env) Assign(name string, v Value) bool {
-	for env := e; env != nil; env = env.parent {
-		if _, ok := env.vars[name]; ok {
-			env.vars[name] = v
-			return true
-		}
-	}
-	return false
-}
-
-// Define creates (or overwrites) a binding in this environment.
-func (e *Env) Define(name string, v Value) { e.vars[name] = v }
 
 // Frame describes one live function activation. It is what the hot-node
 // detector inspects: the function name and the actual argument values —
-// the thesis's StackInfo.getHotnodeInfo() reads exactly these.
+// the thesis's StackInfo.getHotnodeInfo() reads exactly these. The
+// interpreter reuses its frames: one is valid until OnExit returns.
 type Frame struct {
 	FuncName string
 	Args     []Value
@@ -105,6 +90,11 @@ func (e *RuntimeError) Error() string {
 // limit the thesis applies against infinite loops (§3.2).
 var ErrBudget = fmt.Errorf("js: execution step budget exhausted")
 
+// ErrMemory is returned when the byte budget is exhausted: the strings
+// and array growth of one dispatch (see Interp.charge). Like ErrBudget it
+// is not catchable by try/catch.
+var ErrMemory = errors.New("js: execution memory budget exhausted")
+
 // Interrupted wraps the cause delivered by an Interrupt hook (typically
 // a context error). Like ErrBudget it is not catchable by try/catch, so
 // hostile scripts cannot swallow a cancellation.
@@ -115,10 +105,12 @@ func (e *Interrupted) Error() string { return "js: interrupted: " + e.Cause.Erro
 // Unwrap exposes the cause so errors.Is(err, context.Canceled) works.
 func (e *Interrupted) Unwrap() error { return e.Cause }
 
-// control-flow signals (internal sentinel errors).
-type breakSignal struct{ label string }
-type continueSignal struct{ label string }
-type returnSignal struct{ v Value }
+// Control-flow signals travel up as errors. Each is pointer-shaped or
+// empty, so raising one allocates nothing; a return's value waits in
+// Interp.ret until its call takes it.
+type breakSignal struct{ s *Break }
+type continueSignal struct{ s *Continue }
+type returnSignal struct{}
 
 func (breakSignal) Error() string    { return "break outside loop" }
 func (continueSignal) Error() string { return "continue outside loop" }
@@ -127,7 +119,6 @@ func (returnSignal) Error() string   { return "return outside function" }
 // Interp executes parsed programs. An Interp is not safe for concurrent
 // use; the crawler creates one per page.
 type Interp struct {
-	Global     *Env
 	GlobalThis Value
 	Debugger   Debugger
 
@@ -135,6 +126,7 @@ type Interp struct {
 	// defend against infinite loops. Zero means the default.
 	MaxSteps int
 	steps    int
+	bytes    int // charged since the last ResetBudget
 
 	// Interrupt, when set, is polled every interruptCheckMask+1 steps.
 	// A non-nil return preempts execution with an *Interrupted error
@@ -145,7 +137,21 @@ type Interp struct {
 
 	// MaxDepth bounds recursion. Zero means the default.
 	MaxDepth int
-	stack    []*Frame
+
+	globals map[string]Value
+	// stack holds the live frames; the frames past its length are kept
+	// for the next calls to reuse.
+	stack []*Frame
+	// vals is the value stack: argument lists, and the slots of the
+	// scopes no closure can capture, pushed and popped with the calls
+	// and catch clauses that own them. envs[:nenv] are the headers of
+	// those scopes, reused the same way.
+	vals []Value
+	sp   int
+	envs []*Env
+	nenv int
+	ret  Value // the value of the return statement being unwound
+
 	// pendingLabel is set by a labeled statement and consumed by the
 	// loop statement it wraps, so the loop can recognize labeled
 	// break/continue that target it.
@@ -156,15 +162,20 @@ type Interp struct {
 
 const (
 	defaultMaxSteps = 10_000_000
+	// maxBytes is the byte budget of one dispatch: the strings it builds
+	// and the array elements it allocates, counted before allocation.
+	maxBytes        = 64 << 20
 	defaultMaxDepth = 250
 	// interruptCheckMask throttles Interrupt polling to every 256 steps
 	// so the hot interpreter loop stays cheap.
 	interruptCheckMask = 0xFF
+
+	valueSize = int(unsafe.Sizeof(Value{}))
 )
 
 // New returns an interpreter with the standard builtins installed.
 func New() *Interp {
-	it := &Interp{Global: NewEnv(nil), rngState: 0x9E3779B97F4A7C15}
+	it := &Interp{globals: make(map[string]Value), rngState: 0x9E3779B97F4A7C15}
 	globalObj := NewObject()
 	it.GlobalThis = ObjVal(globalObj)
 	installBuiltins(it)
@@ -172,10 +183,13 @@ func New() *Interp {
 }
 
 // DefineGlobal binds a global variable.
-func (it *Interp) DefineGlobal(name string, v Value) { it.Global.Define(name, v) }
+func (it *Interp) DefineGlobal(name string, v Value) { it.globals[name] = v }
 
 // LookupGlobal reads a global variable.
-func (it *Interp) LookupGlobal(name string) (Value, bool) { return it.Global.Lookup(name) }
+func (it *Interp) LookupGlobal(name string) (Value, bool) {
+	v, ok := it.globals[name]
+	return v, ok
+}
 
 // CallStack returns the live frames, innermost last. The returned slice
 // must not be mutated.
@@ -193,9 +207,9 @@ func (it *Interp) TopUserFrame() *Frame {
 	return nil
 }
 
-// ResetBudget clears the step counter (called per event dispatch so each
-// handler invocation gets a fresh budget).
-func (it *Interp) ResetBudget() { it.steps = 0 }
+// ResetBudget clears the step and byte counters (called per event
+// dispatch so each handler invocation gets a fresh budget).
+func (it *Interp) ResetBudget() { it.steps, it.bytes = 0, 0 }
 
 // Steps returns the AST evaluations consumed since the last ResetBudget
 // — the per-dispatch interpreter cost the telemetry layer exports.
@@ -218,6 +232,67 @@ func (it *Interp) step(line int) error {
 	return nil
 }
 
+// charge counts n items of size bytes each — string bytes, or array
+// elements of valueSize — against the byte budget before they are built.
+func (it *Interp) charge(n, size int) error {
+	if n > (maxBytes-it.bytes)/size {
+		return ErrMemory
+	}
+	it.bytes += n * size
+	return nil
+}
+
+// reserve pushes n undefined values on the value stack and returns the
+// index of the first.
+func (it *Interp) reserve(n int) int {
+	base := it.sp
+	if base+n > len(it.vals) {
+		// Scopes already carved keep the old array; they are popped
+		// before anything reads these positions of the new one.
+		grown := make([]Value, max(2*len(it.vals), base+n, 32))
+		copy(grown, it.vals[:base])
+		it.vals = grown
+	}
+	it.sp = base + n
+	clear(it.vals[base:it.sp])
+	return base
+}
+
+// newEnv opens an n-slot scope. If the resolver found a function literal
+// inside, a closure may capture it and it lives on the heap; otherwise it
+// lives on the value stack, since nothing references it once it is left,
+// and its owner pops it by restoring sp and nenv.
+func (it *Interp) newEnv(closes bool, n int, parent *Env) *Env {
+	if closes {
+		return &Env{slots: make([]Value, n), parent: parent}
+	}
+	base := it.reserve(n)
+	if it.nenv == len(it.envs) {
+		it.envs = append(it.envs, new(Env))
+	}
+	e := it.envs[it.nenv]
+	it.nenv++
+	e.slots, e.parent = it.vals[base:it.sp:it.sp], parent
+	return e
+}
+
+// load and store read and write a resolved name.
+func (it *Interp) load(env *Env, r ref, name string) (Value, bool) {
+	if r.slot >= 0 {
+		return env.up(r.depth).slots[r.slot], true
+	}
+	v, ok := it.globals[name]
+	return v, ok
+}
+
+func (it *Interp) store(env *Env, r ref, name string, v Value) {
+	if r.slot >= 0 {
+		env.up(r.depth).slots[r.slot] = v
+		return
+	}
+	it.globals[name] = v
+}
+
 // Run parses and executes src in the global scope.
 func (it *Interp) Run(src string) (Value, error) {
 	prog, err := Parse(src)
@@ -227,14 +302,24 @@ func (it *Interp) Run(src string) (Value, error) {
 	return it.RunProgram(prog)
 }
 
-// RunProgram executes a parsed program in the global scope. Execution
+// RunProgram executes a program from Parse in the global scope. Execution
 // never writes to prog: one Program may run on any number of
 // interpreters, concurrently.
 func (it *Interp) RunProgram(prog *Program) (Value, error) {
-	it.hoist(it.Global, prog.VarNames, prog.FuncDecls)
+	if prog.fn != nil {
+		panic("js: RunProgram of a program parsed as a function body")
+	}
+	for _, name := range prog.VarNames {
+		if _, ok := it.globals[name]; !ok {
+			it.globals[name] = Undefined
+		}
+	}
+	for _, fn := range prog.FuncDecls {
+		it.globals[fn.Name] = ObjVal(it.makeFunction(fn, nil))
+	}
 	var last Value
 	for _, s := range prog.Stmts {
-		v, err := it.execStmt(it.Global, s)
+		v, err := it.execStmt(nil, s)
 		if err != nil {
 			switch err.(type) {
 			case breakSignal, continueSignal, returnSignal:
@@ -245,19 +330,6 @@ func (it *Interp) RunProgram(prog *Program) (Value, error) {
 		last = v
 	}
 	return last, nil
-}
-
-// hoist declares vars (as undefined, unless already bound) and function
-// declarations in env.
-func (it *Interp) hoist(env *Env, vars []string, funcs []*FuncLit) {
-	for _, name := range vars {
-		if _, ok := env.vars[name]; !ok {
-			env.Define(name, Undefined)
-		}
-	}
-	for _, fn := range funcs {
-		env.Define(fn.Name, ObjVal(it.makeFunction(fn, env)))
-	}
 }
 
 func (it *Interp) makeFunction(fn *FuncLit, env *Env) *Object {
@@ -273,20 +345,32 @@ func (it *Interp) Call(fn Value, this Value, args []Value) (Value, error) {
 	return it.callFunction(obj, this, args, 0)
 }
 
+// callFunction runs a call in the next frame of the stack. args may live
+// on the value stack: a native that keeps them past its return copies.
 func (it *Interp) callFunction(fnObj *Object, this Value, args []Value, line int) (Value, error) {
 	maxDepth := it.MaxDepth
 	if maxDepth == 0 {
 		maxDepth = defaultMaxDepth
 	}
-	if len(it.stack) >= maxDepth {
+	d := len(it.stack)
+	if d >= maxDepth {
 		return Undefined, &RuntimeError{Msg: "maximum call depth exceeded", Line: line}
 	}
 	name := fnObj.Name
 	if name == "" {
 		name = "<anonymous>"
 	}
-	frame := &Frame{FuncName: name, Args: args, Line: line, Native: fnObj.Native != nil}
-	it.stack = append(it.stack, frame)
+	if d < cap(it.stack) {
+		it.stack = it.stack[:d+1]
+	} else {
+		it.stack = append(it.stack, nil)
+	}
+	frame := it.stack[d]
+	if frame == nil {
+		frame = new(Frame)
+		it.stack[d] = frame
+	}
+	*frame = Frame{FuncName: name, Args: args, Line: line, Native: fnObj.Native != nil}
 	if it.Debugger != nil {
 		it.Debugger.OnEnter(it, frame)
 	}
@@ -300,38 +384,40 @@ func (it *Interp) callFunction(fnObj *Object, this Value, args []Value, line int
 	if it.Debugger != nil {
 		it.Debugger.OnExit(it, frame, result, err)
 	}
-	it.stack = it.stack[:len(it.stack)-1]
+	frame.Args = nil
+	it.stack = it.stack[:d]
 	return result, err
 }
 
+// callUser binds a call's scope the way the resolver laid it out:
+// parameters, arguments (if the body names it), this, the function's own
+// name, then the hoisted function declarations.
 func (it *Interp) callUser(fnObj *Object, this Value, args []Value) (Value, error) {
 	fn := fnObj.Fn
-	env := NewEnv(fnObj.Env)
-	for i, p := range fn.Params {
-		if i < len(args) {
-			env.Define(p, args[i])
-		} else {
-			env.Define(p, Undefined)
-		}
+	sp, nenv := it.sp, it.nenv
+	env := it.newEnv(fn.closes, fn.nslots, fnObj.Env)
+	copy(env.slots[:len(fn.Params)], args)
+	if fn.argsSlot >= 0 {
+		env.slots[fn.argsSlot] = ObjVal(NewArray(slices.Clone(args)...))
 	}
-	env.Define("arguments", ObjVal(NewArray(args...)))
-	env.Define("this", this)
-	// Named function expressions can refer to themselves.
-	if fn.Name != "" {
-		if _, ok := env.vars[fn.Name]; !ok {
-			env.Define(fn.Name, ObjVal(fnObj))
-		}
+	env.slots[fn.thisSlot] = this
+	if fn.selfSlot >= 0 {
+		env.slots[fn.selfSlot] = ObjVal(fnObj)
 	}
-	it.hoist(env, fn.VarNames, fn.FuncDecls)
+	for i, d := range fn.FuncDecls {
+		env.slots[fn.declSlots[i]] = ObjVal(it.makeFunction(d, env))
+	}
+	result, err := Undefined, error(nil)
 	for _, s := range fn.Body {
-		if _, err := it.execStmt(env, s); err != nil {
-			if r, ok := err.(returnSignal); ok {
-				return r.v, nil
+		if _, err = it.execStmt(env, s); err != nil {
+			if _, ok := err.(returnSignal); ok {
+				result, err, it.ret = it.ret, nil, Undefined
 			}
-			return Undefined, err
+			break
 		}
 	}
-	return Undefined, nil
+	it.sp, it.nenv = sp, nenv
+	return result, err
 }
 
 // ---- statement execution ----
@@ -345,17 +431,15 @@ func (it *Interp) execStmt(env *Env, n Node) (Value, error) {
 		// Function declarations were hoisted.
 		return Undefined, nil
 	case *VarDecl:
-		for i, name := range s.Names {
-			if s.Inits[i] == nil {
+		for i, init := range s.Inits {
+			if init == nil {
 				continue
 			}
-			v, err := it.evalExpr(env, s.Inits[i])
+			v, err := it.evalExpr(env, init)
 			if err != nil {
 				return Undefined, err
 			}
-			if !env.Assign(name, v) {
-				env.Define(name, v)
-			}
+			it.store(env, s.refs[i], s.Names[i], v)
 		}
 		return Undefined, nil
 	case *ExprStmt:
@@ -382,23 +466,6 @@ func (it *Interp) execStmt(env *Env, n Node) (Value, error) {
 			return it.execStmt(env, s.Else)
 		}
 		return Undefined, nil
-	case *While:
-		label := it.takeLabel()
-		for {
-			test, err := it.evalExpr(env, s.Test)
-			if err != nil {
-				return Undefined, err
-			}
-			if !test.ToBool() {
-				return Undefined, nil
-			}
-			if err := it.execLoopBody(env, s.Body, label); err != nil {
-				if loopBreaks(err, label) {
-					return Undefined, nil
-				}
-				return Undefined, err
-			}
-		}
 	case *DoWhile:
 		label := it.takeLabel()
 		for {
@@ -451,24 +518,8 @@ func (it *Interp) execStmt(env *Env, n Node) (Value, error) {
 		if err != nil {
 			return Undefined, err
 		}
-		var keys []string
-		switch obj.Kind() {
-		case KindObject:
-			keys = obj.Object().OwnKeys()
-		case KindString:
-			for i := range []byte(obj.StrVal()) {
-				keys = append(keys, strconv.Itoa(i))
-			}
-		default:
-			return Undefined, nil
-		}
-		assign := func(k string) {
-			if !env.Assign(s.Name, Str(k)) {
-				env.Define(s.Name, Str(k))
-			}
-		}
-		for _, k := range keys {
-			assign(k)
+		for _, k := range forInKeys(obj) {
+			it.store(env, s.ref, s.Name, Str(k))
 			if err := it.execLoopBody(env, s.Body, label); err != nil {
 				if loopBreaks(err, label) {
 					return Undefined, nil
@@ -486,11 +537,12 @@ func (it *Interp) execStmt(env *Env, n Node) (Value, error) {
 				return Undefined, err
 			}
 		}
-		return Undefined, returnSignal{v}
+		it.ret = v
+		return Undefined, returnSignal{}
 	case *Break:
-		return Undefined, breakSignal{label: s.Label}
+		return Undefined, breakSignal{s}
 	case *Continue:
-		return Undefined, continueSignal{label: s.Label}
+		return Undefined, continueSignal{s}
 	case *Labeled:
 		return it.execLabeled(env, s)
 	case *Throw:
@@ -505,6 +557,22 @@ func (it *Interp) execStmt(env *Env, n Node) (Value, error) {
 		return it.execSwitch(env, s)
 	}
 	return Undefined, &RuntimeError{Msg: fmt.Sprintf("unknown statement %T", n), Line: n.Pos()}
+}
+
+// forInKeys lists what for-in enumerates: an object's keys, a string's
+// indices, nothing for anything else.
+func forInKeys(obj Value) []string {
+	switch obj.Kind() {
+	case KindObject:
+		return obj.Object().OwnKeys()
+	case KindString:
+		keys := make([]string, len(obj.StrVal()))
+		for i := range keys {
+			keys[i] = strconv.Itoa(i)
+		}
+		return keys
+	}
+	return nil
 }
 
 func (it *Interp) execInitOrExpr(env *Env, n Node) (Value, error) {
@@ -527,7 +595,7 @@ func (it *Interp) takeLabel() string {
 func (it *Interp) execLoopBody(env *Env, body Node, label string) error {
 	_, err := it.execStmt(env, body)
 	if err != nil {
-		if c, ok := err.(continueSignal); ok && (c.label == "" || c.label == label) {
+		if c, ok := err.(continueSignal); ok && (c.s.Label == "" || c.s.Label == label) {
 			return nil
 		}
 		return err
@@ -538,7 +606,7 @@ func (it *Interp) execLoopBody(env *Env, body Node, label string) error {
 // loopBreaks reports whether err is a break targeting this loop.
 func loopBreaks(err error, label string) bool {
 	b, ok := err.(breakSignal)
-	return ok && (b.label == "" || (label != "" && b.label == label))
+	return ok && (b.s.Label == "" || (label != "" && b.s.Label == label))
 }
 
 // execLabeled runs `name: stmt`. For loops, the label is handed to the
@@ -546,11 +614,11 @@ func loopBreaks(err error, label string) bool {
 // statements, a matching labeled break simply exits the statement.
 func (it *Interp) execLabeled(env *Env, s *Labeled) (Value, error) {
 	switch s.Stmt.(type) {
-	case *While, *DoWhile, *For, *ForIn:
+	case *DoWhile, *For, *ForIn:
 		it.pendingLabel = s.Name
 	}
 	v, err := it.execStmt(env, s.Stmt)
-	if b, ok := err.(breakSignal); ok && b.label == s.Name {
+	if b, ok := err.(breakSignal); ok && b.s.Label == s.Name {
 		return Undefined, nil
 	}
 	return v, err
@@ -561,14 +629,18 @@ func (it *Interp) execTry(env *Env, s *Try) (Value, error) {
 	// Catch handles thrown JS values and runtime errors; control-flow
 	// signals and budget exhaustion pass through.
 	if bodyErr != nil && s.Catch != nil && isCatchable(bodyErr) {
-		catchEnv := NewEnv(env)
-		catchEnv.Define(s.CatchName, errToValue(bodyErr))
+		sp, nenv := it.sp, it.nenv
+		catchEnv := it.newEnv(s.catchCloses, 1, env)
+		catchEnv.slots[0] = errToValue(bodyErr)
 		_, bodyErr = it.execStmt(catchEnv, s.Catch)
+		it.sp, it.nenv = sp, nenv
 	}
 	if s.Finally != nil {
+		ret := it.ret // a return unwinding through finally keeps its value
 		if _, finErr := it.execStmt(env, s.Finally); finErr != nil {
 			return Undefined, finErr // finally overrides
 		}
+		it.ret = ret
 	}
 	if bodyErr != nil {
 		return Undefined, bodyErr
@@ -624,7 +696,7 @@ func (it *Interp) execSwitch(env *Env, s *Switch) (Value, error) {
 	for i := start; i < len(s.Cases); i++ {
 		for _, st := range s.Cases[i].Stmts {
 			if _, err := it.execStmt(env, st); err != nil {
-				if b, ok := err.(breakSignal); ok && b.label == "" {
+				if b, ok := err.(breakSignal); ok && b.s.Label == "" {
 					return Undefined, nil
 				}
 				return Undefined, err
@@ -650,12 +722,12 @@ func (it *Interp) evalExpr(env *Env, n Node) (Value, error) {
 	case *NullLit:
 		return Null(), nil
 	case *ThisLit:
-		if v, ok := env.Lookup("this"); ok {
-			return v, nil
+		if e.ref.slot < 0 {
+			return it.GlobalThis, nil
 		}
-		return it.GlobalThis, nil
+		return env.up(e.ref.depth).slots[e.ref.slot], nil
 	case *Ident:
-		if v, ok := env.Lookup(e.Name); ok {
+		if v, ok := it.load(env, e.ref, e.Name); ok {
 			return v, nil
 		}
 		return Undefined, &RuntimeError{Msg: e.Name + " is not defined", Line: e.Line}
@@ -716,7 +788,15 @@ func (it *Interp) evalExpr(env *Env, n Node) (Value, error) {
 		}
 		return it.evalExpr(env, e.R)
 	case *Binary:
-		return it.evalBinary(env, e)
+		l, err := it.evalExpr(env, e.L)
+		if err != nil {
+			return Undefined, err
+		}
+		r, err := it.evalExpr(env, e.R)
+		if err != nil {
+			return Undefined, err
+		}
+		return it.binary(e, l, r)
 	case *Unary:
 		return it.evalUnary(env, e)
 	case *Postfix:
@@ -820,6 +900,64 @@ func (it *Interp) getMember(obj Value, name string, line int) (Value, error) {
 	}
 }
 
+// putMember writes objV.name: host hook first, then the array length and
+// elements, whose growth is charged, then an own property.
+func (it *Interp) putMember(objV Value, name string, v Value, line int) error {
+	o := objV.Object()
+	if o == nil {
+		return &RuntimeError{
+			Msg:  fmt.Sprintf("cannot set property %q of %s", name, objV.ToString()),
+			Line: line,
+		}
+	}
+	if o.Host != nil && o.Host.HostSet(name, v) {
+		return nil
+	}
+	if o.IsArray() {
+		if name == "length" {
+			n, err := arrayLength(v)
+			if err != nil {
+				err.Line = line
+				return err
+			}
+			return it.resize(o, n)
+		}
+		if i, ok := arrayIndex(name); ok {
+			if i >= len(o.Elems) {
+				if err := it.resize(o, i+1); err != nil {
+					return err
+				}
+			}
+			o.Elems[i] = v
+			return nil
+		}
+	}
+	o.SetProp(name, v)
+	return nil
+}
+
+// resize sets an array's length, charging the elements it adds.
+func (it *Interp) resize(o *Object, n int) error {
+	if grow := n - len(o.Elems); grow > 0 {
+		if err := it.charge(grow, valueSize); err != nil {
+			return err
+		}
+		o.Elems = append(o.Elems, make([]Value, grow)...)
+	}
+	o.Elems = o.Elems[:n]
+	return nil
+}
+
+// arrayLength validates a new array length: an integer in [0, 2³²−1].
+// Lengths past 2³¹−1 are clamped there, which no byte budget admits.
+func arrayLength(v Value) (int, *RuntimeError) {
+	f := v.ToNumber()
+	if f < 0 || f > math.MaxUint32 || f != math.Trunc(f) {
+		return 0, &RuntimeError{Msg: "invalid array length " + v.ToString()}
+	}
+	return int(min(f, math.MaxInt32)), nil
+}
+
 func (it *Interp) evalAssign(env *Env, e *Assign) (Value, error) {
 	var v Value
 	var err error
@@ -837,17 +975,8 @@ func (it *Interp) evalAssign(env *Env, e *Assign) (Value, error) {
 		if err != nil {
 			return Undefined, err
 		}
-		switch e.Op {
-		case PLUSASSIGN:
-			v = addValues(old, rhs)
-		case MINUSASSIGN:
-			v = Num(old.ToNumber() - rhs.ToNumber())
-		case STARASSIGN:
-			v = Num(old.ToNumber() * rhs.ToNumber())
-		case SLASHASSIGN:
-			v = Num(old.ToNumber() / rhs.ToNumber())
-		case PERCENTASSIGN:
-			v = Num(math.Mod(old.ToNumber(), rhs.ToNumber()))
+		if v, err = it.compound(e.Op, old, rhs); err != nil {
+			return Undefined, err
 		}
 	}
 	if err := it.assignTo(env, e.Target, v, e.Line); err != nil {
@@ -856,13 +985,28 @@ func (it *Interp) evalAssign(env *Env, e *Assign) (Value, error) {
 	return v, nil
 }
 
+// compound applies the operator of a compound assignment.
+func (it *Interp) compound(op TokenType, old, rhs Value) (Value, error) {
+	switch op {
+	case PLUSASSIGN:
+		return it.add(old, rhs)
+	case MINUSASSIGN:
+		return Num(old.ToNumber() - rhs.ToNumber()), nil
+	case STARASSIGN:
+		return Num(old.ToNumber() * rhs.ToNumber()), nil
+	case SLASHASSIGN:
+		return Num(old.ToNumber() / rhs.ToNumber()), nil
+	case PERCENTASSIGN:
+		return Num(math.Mod(old.ToNumber(), rhs.ToNumber())), nil
+	}
+	return Undefined, nil
+}
+
 func (it *Interp) assignTo(env *Env, target Node, v Value, line int) error {
 	switch t := target.(type) {
 	case *Ident:
-		if !env.Assign(t.Name, v) {
-			// Implicit global, as sloppy-mode JS does.
-			it.Global.Define(t.Name, v)
-		}
+		// An unresolved name is an implicit global, as sloppy-mode JS has it.
+		it.store(env, t.ref, t.Name, v)
 		return nil
 	case *Member:
 		objV, err := it.evalExpr(env, t.X)
@@ -873,15 +1017,7 @@ func (it *Interp) assignTo(env *Env, target Node, v Value, line int) error {
 		if err != nil {
 			return err
 		}
-		o := objV.Object()
-		if o == nil {
-			return &RuntimeError{
-				Msg:  fmt.Sprintf("cannot set property %q of %s", name, objV.ToString()),
-				Line: line,
-			}
-		}
-		o.Set(name, v)
-		return nil
+		return it.putMember(objV, name, v, line)
 	}
 	return &RuntimeError{Msg: "invalid assignment target", Line: line}
 }
@@ -892,7 +1028,7 @@ func (it *Interp) evalUnary(env *Env, e *Unary) (Value, error) {
 		case "typeof":
 			// typeof of an undefined variable must not throw.
 			if id, ok := e.X.(*Ident); ok {
-				if v, found := env.Lookup(id.Name); found {
+				if v, found := it.load(env, id.ref, id.Name); found {
 					return Str(v.TypeOf()), nil
 				}
 				return Str("undefined"), nil
@@ -947,6 +1083,11 @@ func (it *Interp) evalUnary(env *Env, e *Unary) (Value, error) {
 	if err != nil {
 		return Undefined, err
 	}
+	return unary(e, v)
+}
+
+// unary applies a value operator: !, -, + or ~.
+func unary(e *Unary, v Value) (Value, error) {
 	switch e.Op {
 	case NOT:
 		return Bool(!v.ToBool()), nil
@@ -960,24 +1101,21 @@ func (it *Interp) evalUnary(env *Env, e *Unary) (Value, error) {
 	return Undefined, &RuntimeError{Msg: "unknown unary operator", Line: e.Line}
 }
 
-// addValues implements the + operator.
-func addValues(a, b Value) Value {
+// add implements the + operator, charging the string it builds.
+func (it *Interp) add(a, b Value) (Value, error) {
 	ap, bp := a.toPrimitive(), b.toPrimitive()
 	if ap.Kind() == KindString || bp.Kind() == KindString {
-		return Str(ap.ToString() + bp.ToString())
+		as, bs := ap.ToString(), bp.ToString()
+		if err := it.charge(len(as)+len(bs), 1); err != nil {
+			return Undefined, err
+		}
+		return Str(as + bs), nil
 	}
-	return Num(ap.ToNumber() + bp.ToNumber())
+	return Num(ap.ToNumber() + bp.ToNumber()), nil
 }
 
-func (it *Interp) evalBinary(env *Env, e *Binary) (Value, error) {
-	l, err := it.evalExpr(env, e.L)
-	if err != nil {
-		return Undefined, err
-	}
-	r, err := it.evalExpr(env, e.R)
-	if err != nil {
-		return Undefined, err
-	}
+// binary applies a binary operator to its evaluated operands.
+func (it *Interp) binary(e *Binary, l, r Value) (Value, error) {
 	if e.Op == KEYWORD {
 		switch e.KwOp {
 		case "in":
@@ -1005,7 +1143,7 @@ func (it *Interp) evalBinary(env *Env, e *Binary) (Value, error) {
 	}
 	switch e.Op {
 	case PLUS:
-		return addValues(l, r), nil
+		return it.add(l, r)
 	case MINUS:
 		return Num(l.ToNumber() - r.ToNumber()), nil
 	case STAR:
@@ -1104,14 +1242,28 @@ func (it *Interp) evalCall(env *Env, e *Call) (Value, error) {
 			return Undefined, &RuntimeError{Msg: fnVal.ToString() + " is not a function", Line: e.Line}
 		}
 	}
-	args := make([]Value, len(e.Args))
-	for i, a := range e.Args {
-		args[i], err = it.evalExpr(env, a)
-		if err != nil {
-			return Undefined, err
-		}
+	base, err := it.evalArgs(env, e.Args)
+	if err != nil {
+		return Undefined, err
 	}
-	return it.callFunction(fnVal.Object(), this, args, e.Line)
+	result, err := it.callFunction(fnVal.Object(), this, it.vals[base:it.sp:it.sp], e.Line)
+	it.sp = base
+	return result, err
+}
+
+// evalArgs evaluates an argument list onto the value stack and returns
+// the index of the first; the caller pops it by restoring sp.
+func (it *Interp) evalArgs(env *Env, args []Node) (int, error) {
+	base := it.reserve(len(args))
+	for i, a := range args {
+		v, err := it.evalExpr(env, a)
+		if err != nil {
+			it.sp = base
+			return 0, err
+		}
+		it.vals[base+i] = v
+	}
+	return base, nil
 }
 
 func (it *Interp) evalNew(env *Env, e *NewExpr) (Value, error) {
@@ -1123,23 +1275,13 @@ func (it *Interp) evalNew(env *Env, e *NewExpr) (Value, error) {
 	if !fnObj.IsCallable() {
 		return Undefined, &RuntimeError{Msg: "new requires a function", Line: e.Line}
 	}
-	args := make([]Value, len(e.Args))
-	for i, a := range e.Args {
-		args[i], err = it.evalExpr(env, a)
-		if err != nil {
-			return Undefined, err
-		}
+	base, err := it.evalArgs(env, e.Args)
+	if err != nil {
+		return Undefined, err
 	}
-	obj := NewObject()
-	// Wire the prototype chain; create fn.prototype on first use.
-	if protoV, ok := fnObj.GetOwn("prototype"); ok {
-		obj.Proto = protoV.Object()
-	} else if fnObj.Fn != nil {
-		proto := NewObject()
-		fnObj.SetProp("prototype", ObjVal(proto))
-		obj.Proto = proto
-	}
-	result, err := it.callFunction(fnObj, ObjVal(obj), args, e.Line)
+	obj := newInstance(fnObj)
+	result, err := it.callFunction(fnObj, ObjVal(obj), it.vals[base:it.sp:it.sp], e.Line)
+	it.sp = base
 	if err != nil {
 		return Undefined, err
 	}
@@ -1149,17 +1291,29 @@ func (it *Interp) evalNew(env *Env, e *NewExpr) (Value, error) {
 	return ObjVal(obj), nil
 }
 
-// CompileFunction wraps a parsed script as a callable zero-argument
-// function value closing over the global scope. The embedder uses this to
-// turn HTML event-handler attributes (onclick="...") into invocable
-// handlers whose `this` can be bound to the source element at dispatch
-// time. prog is only read, so one parse serves every dispatch.
-func (it *Interp) CompileFunction(name string, prog *Program) Value {
-	fn := &FuncLit{
-		Name:      name,
-		Body:      prog.Stmts,
-		VarNames:  prog.VarNames,
-		FuncDecls: prog.FuncDecls,
+// newInstance makes the receiver of `new fnObj`, wired to fnObj's
+// prototype (created on first use).
+func newInstance(fnObj *Object) *Object {
+	obj := NewObject()
+	if protoV, ok := fnObj.GetOwn("prototype"); ok {
+		obj.Proto = protoV.Object()
+	} else if fnObj.Fn != nil {
+		proto := NewObject()
+		fnObj.SetProp("prototype", ObjVal(proto))
+		obj.Proto = proto
 	}
-	return ObjVal(it.makeFunction(fn, it.Global))
+	return obj
+}
+
+// CompileFunction wraps a program from ParseFunction as a callable
+// zero-argument function closing over the global scope. The embedder uses
+// this to turn HTML event-handler attributes (onclick="...") into
+// invocable handlers whose `this` can be bound to the source element at
+// dispatch time; name is what frames and hot-node keys call it. prog is
+// only read, so one parse serves every dispatch.
+func (it *Interp) CompileFunction(name string, prog *Program) Value {
+	if prog.fn == nil {
+		panic("js: CompileFunction of a program not parsed as a function body")
+	}
+	return ObjVal(&Object{Class: "Function", Fn: prog.fn, Name: name})
 }

@@ -1,6 +1,7 @@
 package js
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -15,21 +16,26 @@ func installJSON(it *Interp) {
 	j := NewObject()
 	j.SetProp("stringify", ObjVal(NewNative("stringify", biJSONStringify)))
 	j.SetProp("parse", ObjVal(NewNative("parse", biJSONParse)))
-	it.Global.Define("JSON", ObjVal(j))
+	it.DefineGlobal("JSON", ObjVal(j))
 }
 
 func biJSONStringify(it *Interp, this Value, args []Value) (Value, error) {
 	v := arg(args, 0)
 	var b strings.Builder
-	if !writeJSON(&b, v, 0) {
+	limit := maxBytes - it.bytes
+	if !writeJSON(&b, v, 0, limit) {
 		return Undefined, nil
 	}
-	return Str(b.String()), nil
+	if b.Len() > limit {
+		return Undefined, ErrMemory
+	}
+	return it.newString(b.String())
 }
 
 // writeJSON serializes v; returns false for undefined/functions (which
-// JSON.stringify omits or maps to undefined at the top level).
-func writeJSON(b *strings.Builder, v Value, depth int) bool {
+// JSON.stringify omits or maps to undefined at the top level). It stops
+// early, with more than limit bytes in b, once the output passes limit.
+func writeJSON(b *strings.Builder, v Value, depth, limit int) bool {
 	if depth > 64 {
 		b.WriteString("null") // cycle guard
 		return true
@@ -58,10 +64,13 @@ func writeJSON(b *strings.Builder, v Value, depth int) bool {
 		if o.IsArray() {
 			b.WriteByte('[')
 			for i, e := range o.Elems {
+				if b.Len() > limit {
+					return true
+				}
 				if i > 0 {
 					b.WriteByte(',')
 				}
-				if !writeJSON(b, e, depth+1) {
+				if !writeJSON(b, e, depth+1, limit) {
 					b.WriteString("null")
 				}
 			}
@@ -73,9 +82,12 @@ func writeJSON(b *strings.Builder, v Value, depth int) bool {
 		keys := append([]string(nil), o.keys...)
 		sort.Strings(keys)
 		for _, k := range keys {
+			if b.Len() > limit {
+				return true
+			}
 			pv, _ := o.GetOwn(k)
 			var vb strings.Builder
-			if !writeJSON(&vb, pv, depth+1) {
+			if !writeJSON(&vb, pv, depth+1, limit-b.Len()) {
 				continue
 			}
 			if !first {
@@ -117,8 +129,11 @@ func writeJSONString(b *strings.Builder, s string) {
 }
 
 func biJSONParse(it *Interp, this Value, args []Value) (Value, error) {
-	p := &jsonParser{src: arg(args, 0).ToString()}
-	v, err := p.value()
+	p := &jsonParser{it: it, src: arg(args, 0).ToString()}
+	v, err := p.value(0)
+	if errors.Is(err, ErrMemory) {
+		return Undefined, err
+	}
 	if err != nil {
 		return Undefined, &Thrown{Value: Str("SyntaxError: " + err.Error())}
 	}
@@ -129,10 +144,17 @@ func biJSONParse(it *Interp, this Value, args []Value) (Value, error) {
 	return v, nil
 }
 
+// jsonParser reads a JSON text into values, charging each array element
+// and object property to the byte budget.
 type jsonParser struct {
+	it  *Interp
 	src string
 	pos int
 }
+
+// maxJSONDepth bounds the nesting JSON.parse follows, and with it the
+// parser's recursion on a hostile response body.
+const maxJSONDepth = 512
 
 func (p *jsonParser) ws() {
 	for p.pos < len(p.src) {
@@ -145,16 +167,19 @@ func (p *jsonParser) ws() {
 	}
 }
 
-func (p *jsonParser) value() (Value, error) {
+func (p *jsonParser) value(depth int) (Value, error) {
 	p.ws()
 	if p.pos >= len(p.src) {
 		return Undefined, fmt.Errorf("unexpected end of JSON")
 	}
+	if depth > maxJSONDepth {
+		return Undefined, fmt.Errorf("JSON nested too deeply at %d", p.pos)
+	}
 	switch c := p.src[p.pos]; {
 	case c == '{':
-		return p.object()
+		return p.object(depth)
 	case c == '[':
-		return p.array()
+		return p.array(depth)
 	case c == '"':
 		s, err := p.string()
 		if err != nil {
@@ -254,7 +279,7 @@ func (p *jsonParser) string() (string, error) {
 	}
 }
 
-func (p *jsonParser) object() (Value, error) {
+func (p *jsonParser) object(depth int) (Value, error) {
 	p.pos++ // {
 	o := NewObject()
 	p.ws()
@@ -276,8 +301,11 @@ func (p *jsonParser) object() (Value, error) {
 			return Undefined, fmt.Errorf("expected ':' at %d", p.pos)
 		}
 		p.pos++
-		v, err := p.value()
+		v, err := p.value(depth + 1)
 		if err != nil {
+			return Undefined, err
+		}
+		if err := p.it.charge(1, valueSize); err != nil {
 			return Undefined, err
 		}
 		o.SetProp(key, v)
@@ -297,7 +325,7 @@ func (p *jsonParser) object() (Value, error) {
 	}
 }
 
-func (p *jsonParser) array() (Value, error) {
+func (p *jsonParser) array(depth int) (Value, error) {
 	p.pos++ // [
 	arr := NewArray()
 	p.ws()
@@ -306,8 +334,11 @@ func (p *jsonParser) array() (Value, error) {
 		return ObjVal(arr), nil
 	}
 	for {
-		v, err := p.value()
+		v, err := p.value(depth + 1)
 		if err != nil {
+			return Undefined, err
+		}
+		if err := p.it.charge(1, valueSize); err != nil {
 			return Undefined, err
 		}
 		arr.Elems = append(arr.Elems, v)

@@ -12,8 +12,31 @@ type parser struct {
 	funcDecls *[]*FuncLit
 }
 
-// Parse parses a complete script.
+// Parse parses a complete script, resolved as global code (resolve.go):
+// its top-level declarations are globals, for RunProgram.
 func Parse(src string) (*Program, error) {
+	prog, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	resolveProgram(prog)
+	return prog, nil
+}
+
+// ParseFunction parses src as the body of a function, the way a browser
+// compiles an event-handler attribute: its vars and function declarations
+// are locals of each call, for CompileFunction.
+func ParseFunction(src string) (*Program, error) {
+	prog, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	prog.fn = &FuncLit{Body: prog.Stmts, VarNames: prog.VarNames, FuncDecls: prog.FuncDecls}
+	resolveFunc(prog.fn, nil)
+	return prog, nil
+}
+
+func parse(src string) (*Program, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
@@ -312,7 +335,7 @@ func (p *parser) whileStmt() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &While{base{t.Line}, test, body}, nil
+	return &For{base: base{t.Line}, Test: test, Body: body}, nil
 }
 
 func (p *parser) doWhileStmt() (Node, error) {
@@ -366,28 +389,15 @@ func (p *parser) forStmt() (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &ForIn{base{t.Line}, decl.Names[0], true, obj, body}, nil
+			return &ForIn{base: base{t.Line}, Name: decl.Names[0], Obj: obj, Body: body}, nil
 		}
 		init = decl
 	} else if !p.at(SEMI) {
+		// An expression never stops before `in` (it is an operator), so
+		// the for-in form needs var.
 		init, err = p.expression()
 		if err != nil {
 			return nil, err
-		}
-		if id, ok := init.(*Ident); ok && p.atKw("in") {
-			p.next()
-			obj, err := p.expression()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(RPAREN, "')'"); err != nil {
-				return nil, err
-			}
-			body, err := p.statement()
-			if err != nil {
-				return nil, err
-			}
-			return &ForIn{base{t.Line}, id.Name, false, obj, body}, nil
 		}
 	}
 	if _, err := p.expect(SEMI, "';' in for"); err != nil {
@@ -867,7 +877,7 @@ func (p *parser) primary() (Node, error) {
 		return &StringLit{base{t.Line}, t.Lit}, nil
 	case IDENT:
 		p.next()
-		return &Ident{base{t.Line}, t.Lit}, nil
+		return &Ident{base: base{t.Line}, Name: t.Lit}, nil
 	case LPAREN:
 		p.next()
 		x, err := p.expression()
@@ -892,7 +902,7 @@ func (p *parser) primary() (Node, error) {
 			return &NullLit{base{t.Line}}, nil
 		case "this":
 			p.next()
-			return &ThisLit{base{t.Line}}, nil
+			return &ThisLit{base: base{t.Line}}, nil
 		case "function":
 			return p.funcLit(false)
 		}

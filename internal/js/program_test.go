@@ -34,16 +34,17 @@ var sharedScripts = []string{
 	`undefinedFunction(1);`,
 }
 
-// checkSharedProgram parses src once and runs that one Program on two
-// fresh interpreters from two goroutines, then wraps it as a handler on
-// both. Every result must equal what a private parse gives; run under
+// checkSharedProgram parses src once as a script and once as a handler
+// body and runs those two Programs on two fresh interpreters from two
+// goroutines. Every result must equal what private parses give; run under
 // -race this pins that execution only ever reads the AST, which is what
 // lets the browser's program caches hand one parse to every dispatch and
 // every page.
 func checkSharedProgram(t *testing.T, src string) {
 	t.Helper()
 	type outcome struct{ run, call string }
-	exec := func(prog *Program) outcome {
+	type programs struct{ script, handler *Program }
+	exec := func(p programs) outcome {
 		show := func(v Value, err error) string {
 			if err != nil {
 				return "error: " + err.Error()
@@ -53,13 +54,21 @@ func checkSharedProgram(t *testing.T, src string) {
 		it := New()
 		it.MaxSteps = 100_000
 		var out outcome
-		out.run = show(it.RunProgram(prog))
+		out.run = show(it.RunProgram(p.script))
 		it.ResetBudget()
-		out.call = show(it.Call(it.CompileFunction("onclick", prog), it.GlobalThis, nil))
+		out.call = show(it.Call(it.CompileFunction("onclick", p.handler), it.GlobalThis, nil))
 		return out
 	}
+	parse := func() (programs, error) {
+		script, err := Parse(src)
+		if err != nil {
+			return programs{}, err
+		}
+		handler, err := ParseFunction(src)
+		return programs{script, handler}, err
+	}
 
-	shared, err := Parse(src)
+	shared, err := parse()
 	if err != nil {
 		return // nothing to share
 	}
@@ -74,7 +83,7 @@ func checkSharedProgram(t *testing.T, src string) {
 	}
 	wg.Wait()
 
-	private, err := Parse(src)
+	private, err := parse()
 	if err != nil {
 		t.Fatalf("second parse failed: %v", err)
 	}

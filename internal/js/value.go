@@ -303,6 +303,8 @@ type Object struct {
 
 	// Host hooks (may be nil).
 	Host HostObject
+
+	joining bool // inside its own appendJoin: a cycle renders as ""
 }
 
 // NewObject returns an empty plain object.
@@ -387,7 +389,7 @@ func (o *Object) Get(name string) (Value, bool) {
 		if name == "length" {
 			return Num(float64(len(o.Elems))), true
 		}
-		if idx, err := strconv.Atoi(name); err == nil && idx >= 0 {
+		if idx, ok := arrayIndex(name); ok {
 			if idx < len(o.Elems) {
 				return o.Elems[idx], true
 			}
@@ -403,34 +405,6 @@ func (o *Object) Get(name string) (Value, bool) {
 	return Undefined, false
 }
 
-// Set writes a property: host hook first, then array magic, then own.
-func (o *Object) Set(name string, v Value) {
-	if o.Host != nil && o.Host.HostSet(name, v) {
-		return
-	}
-	if o.IsArray() {
-		if name == "length" {
-			n := int(v.ToNumber())
-			if n < 0 {
-				n = 0
-			}
-			for len(o.Elems) < n {
-				o.Elems = append(o.Elems, Undefined)
-			}
-			o.Elems = o.Elems[:n]
-			return
-		}
-		if idx, err := strconv.Atoi(name); err == nil && idx >= 0 {
-			for len(o.Elems) <= idx {
-				o.Elems = append(o.Elems, Undefined)
-			}
-			o.Elems[idx] = v
-			return
-		}
-	}
-	o.SetProp(name, v)
-}
-
 // Has reports whether the property exists anywhere (for the in operator).
 func (o *Object) Has(name string) bool {
 	if o.Host != nil {
@@ -442,7 +416,7 @@ func (o *Object) Has(name string) bool {
 		if name == "length" {
 			return true
 		}
-		if idx, err := strconv.Atoi(name); err == nil && idx >= 0 && idx < len(o.Elems) {
+		if idx, ok := arrayIndex(name); ok && idx < len(o.Elems) {
 			return true
 		}
 	}
@@ -455,21 +429,24 @@ func (o *Object) Has(name string) bool {
 	return false
 }
 
-// toStringValue implements the default object→string conversion.
+// arrayIndex parses an array element name: a non-negative integer below
+// 2³²−1. Any other name is an ordinary property.
+func arrayIndex(name string) (int, bool) {
+	idx, err := strconv.Atoi(name)
+	return idx, err == nil && idx >= 0 && idx < math.MaxUint32
+}
+
+// toStringValue implements the default object→string conversion. An
+// array renders as its join, cut off at the byte budget: no conversion
+// builds a string that no dispatch could pay for.
 func (o *Object) toStringValue() string {
 	if o == nil {
 		return "null"
 	}
 	if o.IsArray() {
-		parts := make([]string, len(o.Elems))
-		for i, e := range o.Elems {
-			if e.IsUndefined() || e.IsNull() {
-				parts[i] = ""
-			} else {
-				parts[i] = e.ToString()
-			}
-		}
-		return strings.Join(parts, ",")
+		var b strings.Builder
+		appendJoin(&b, o, ",", maxBytes)
+		return b.String()
 	}
 	if o.IsCallable() {
 		name := o.Name
@@ -479,6 +456,40 @@ func (o *Object) toStringValue() string {
 		return "function " + name + "() { [native or user code] }"
 	}
 	return "[object " + o.Class + "]"
+}
+
+// appendJoin appends the elements of array o joined by sep, rendered as
+// Array.prototype.join renders them, and reports whether the result fits
+// in limit bytes; it stops short once it cannot. An array met again
+// inside its own rendering renders as "", as browsers break cycles.
+func appendJoin(b *strings.Builder, o *Object, sep string, limit int) bool {
+	if o.joining {
+		return true
+	}
+	o.joining = true
+	defer func() { o.joining = false }()
+	for i, e := range o.Elems {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		switch {
+		case e.IsUndefined() || e.IsNull():
+		case e.Object().IsArray():
+			if !appendJoin(b, e.obj, ",", limit) {
+				return false
+			}
+		default:
+			s := e.ToString()
+			if b.Len()+len(s) > limit {
+				return false
+			}
+			b.WriteString(s)
+		}
+		if b.Len() > limit {
+			return false
+		}
+	}
+	return true
 }
 
 // Inspect renders an object for debugging: sorted keys, one level deep.
