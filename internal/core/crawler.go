@@ -778,6 +778,7 @@ type stateAdmitter struct {
 	index     *lsh.Index // nil on the brute-force path
 	order     []model.StateID
 	sigs      map[model.StateID]shingle.Signature
+	fields    []string // the sketched text's tokens, reused per state
 	// sigCache holds journaled hash→signature pairs from an interrupted
 	// attempt at this page, so a resumed re-crawl skips re-sketching the
 	// states it already saw.
@@ -850,7 +851,8 @@ func (a *stateAdmitter) state(h dom.Hash, text string, depth int) (model.StateID
 	}
 	sig, ok := a.sigCache[h]
 	if !ok {
-		sig = a.sketch(strings.Fields(strings.ToLower(text)))
+		a.fields = shingle.AppendFields(a.fields[:0], strings.ToLower(text))
+		sig = a.sketch(a.fields)
 	}
 	if target, merged := a.mergeTarget(sig); merged {
 		a.pm.NearDupMerges++

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
@@ -183,6 +185,33 @@ func TestNearDupMergeTargetLowestID(t *testing.T) {
 				t.Fatalf("bands=%d run %d: merged into %d, want lowest matching StateID 5", bands, run, target)
 			}
 		}
+	}
+}
+
+// TestAdmitNearDupAllocs: admitting a state the LSH path merges away
+// allocates the lowered text and its signature — nothing per token and
+// nothing per candidate.
+func TestAdmitNearDupAllocs(t *testing.T) {
+	var pm PageMetrics
+	a, err := newStateAdmitter(model.NewGraph("/x"), Options{NearDupThreshold: 0.9}.withDefaults(), &pm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := make([]string, 120)
+	for i := range words {
+		words[i] = fmt.Sprintf("Word%d", i)
+	}
+	text := strings.Join(words, " \n ")
+	a.state(dom.Hash{1}, text+" Tick 1", 0)
+	near := text + " Tick 2"
+	const lowered, signature = 1, 1
+	n := testing.AllocsPerRun(100, func() {
+		if _, isNew := a.state(dom.Hash{2}, near, 1); isNew {
+			t.Fatal("the near-duplicate was admitted, not merged")
+		}
+	})
+	if n > lowered+signature {
+		t.Fatalf("a merged admission allocates %v times, want %d (lowered text, signature)", n, lowered+signature)
 	}
 }
 

@@ -322,14 +322,16 @@ func (n *Node) Body() *Node {
 // skipping script and style contents.
 func (n *Node) TextContent() string {
 	var b strings.Builder
-	n.appendText(&b)
+	n.eachText(func(s string) { b.WriteString(s) })
 	return b.String()
 }
 
-func (n *Node) appendText(b *strings.Builder) {
+// eachText calls f with the data of each text node under n in document
+// order, skipping script and style contents.
+func (n *Node) eachText(f func(string)) {
 	switch n.Type {
 	case TextNode:
-		b.WriteString(n.Data)
+		f(n.Data)
 	case ElementNode:
 		if n.Data == "script" || n.Data == "style" {
 			return
@@ -338,15 +340,65 @@ func (n *Node) appendText(b *strings.Builder) {
 		return
 	}
 	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		c.appendText(b)
+		c.eachText(f)
 	}
 }
 
 // VisibleText returns TextContent with runs of whitespace collapsed to
 // single spaces and leading/trailing whitespace trimmed; this is the text
-// the indexer sees for a state.
+// the indexer sees for a state. A first walk measures the collapsed text,
+// a second writes it, so a call allocates the string and nothing else.
 func (n *Node) VisibleText() string {
-	return CollapseWhitespace(n.TextContent())
+	var w textWriter
+	n.eachText(w.text)
+	if w.n == 0 {
+		return ""
+	}
+	size := w.n
+	w = textWriter{write: true}
+	w.b.Grow(size)
+	n.eachText(w.text)
+	return w.b.String()
+}
+
+// textWriter collapses whitespace across the text nodes it is fed: a
+// whitespace run becomes one space, put only between two non-space
+// bytes. It counts the collapsed length in n and, when write is set,
+// writes the text to b.
+type textWriter struct {
+	b     strings.Builder
+	write bool
+	n     int
+	space bool // whitespace seen since the last byte put
+}
+
+func (w *textWriter) text(s string) {
+	for i := 0; i < len(s); {
+		if isSpace(s[i]) {
+			w.space = true
+			i++
+			continue
+		}
+		// Words joined by single spaces are collapsed already: put the
+		// whole stretch at once.
+		j := i + 1
+		for j < len(s) && !(isSpace(s[j]) && (s[j] != ' ' || j+1 == len(s) || isSpace(s[j+1]))) {
+			j++
+		}
+		if w.space && w.n > 0 {
+			w.put(" ")
+		}
+		w.space = false
+		w.put(s[i:j])
+		i = j
+	}
+}
+
+func (w *textWriter) put(s string) {
+	w.n += len(s)
+	if w.write {
+		w.b.WriteString(s)
+	}
 }
 
 // CollapseWhitespace collapses all whitespace runs in s to single spaces
@@ -359,7 +411,7 @@ func CollapseWhitespace(s string) string {
 }
 
 func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f'
+	return c <= ' ' && (c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f')
 }
 
 func isCollapsed(s string) bool {

@@ -14,6 +14,7 @@ package index
 import (
 	"context"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -84,6 +85,10 @@ func AJAXRank(depth int) float64 {
 // assigned in BFS discovery order, so this reproduces the thesis's
 // "Max. State ID" index-building knob used by the threshold and recall
 // experiments (§8.3.1, §7.7).
+//
+// A state's postings share one positions slab, carved by term in order of
+// first occurrence; each Posting.Positions is a window capped at its own
+// length, so an append to one copies instead of overwriting its neighbour.
 func (ix *Index) AddGraph(g *model.Graph, pageRank float64, maxStates int) {
 	if _, dup := ix.docByURL[g.URL]; dup {
 		// Re-adding a URL would corrupt posting order; refuse silently
@@ -91,31 +96,69 @@ func (ix *Index) AddGraph(g *model.Graph, pageRank float64, maxStates int) {
 		panic("index: AddGraph: duplicate URL " + g.URL)
 	}
 	doc := DocID(len(ix.Docs))
-	info := DocInfo{URL: g.URL, PageRank: pageRank}
+	// State IDs run 0, 1, ...: this many states will be indexed. Grow
+	// leaves a graph without states its nil slices.
+	states := len(g.States)
+	if maxStates > 0 {
+		states = min(states, maxStates)
+	}
+	info := DocInfo{
+		URL:       g.URL,
+		PageRank:  pageRank,
+		StateLens: slices.Grow([]int32(nil), states),
+		AJAXRanks: slices.Grow([]float64(nil), states),
+	}
 	ix.docByURL[g.URL] = doc
 
+	// Scratch reused across the graph's states: the tokens, each token's
+	// term ID within the state, and per term ID its span of the slab.
+	var (
+		tokens []string
+		ids    []int32
+		spans  []termSpan
+		termID = make(map[string]int32)
+	)
 	for _, s := range g.States {
 		if maxStates > 0 && int(s.ID) >= maxStates {
 			continue
 		}
-		tokens := Tokenize(s.Text)
+		tokens = appendTokens(tokens[:0], s.Text)
 		info.States++
 		info.StateLens = append(info.StateLens, int32(len(tokens)))
 		info.AJAXRanks = append(info.AJAXRanks, AJAXRank(s.Depth))
 		ix.TotalStates++
-		// Collect positions per term for this state.
-		positions := make(map[string][]int32)
-		for pos, tok := range tokens {
-			positions[tok] = append(positions[tok], int32(pos))
+		clear(termID)
+		ids, spans = ids[:0], spans[:0]
+		for _, tok := range tokens {
+			id, seen := termID[tok]
+			if !seen {
+				id = int32(len(spans))
+				termID[tok] = id
+				spans = append(spans, termSpan{term: tok})
+			}
+			spans[id].end++ // a count until the spans are laid out
+			ids = append(ids, id)
 		}
-		for term, poss := range positions {
+		var off int32
+		for i := range spans {
+			n := spans[i].end
+			spans[i].start, spans[i].end = off, off
+			off += n
+		}
+		slab := make([]int32, len(tokens))
+		for pos, id := range ids {
+			slab[spans[id].end] = int32(pos)
+			spans[id].end++
+		}
+		for _, sp := range spans {
+			term := sp.term
 			ps, known := ix.Terms[term]
 			if !known {
 				// A token may be a substring of s.Text; the vocabulary
 				// must not pin every state's text buffer.
 				term = strings.Clone(term)
 			}
-			ix.Terms[term] = append(ps, Posting{Doc: doc, State: s.ID, Positions: poss})
+			ix.Terms[term] = append(ps, Posting{Doc: doc, State: s.ID, Positions: slab[sp.start:sp.end:sp.end]})
 		}
 	}
 	ix.Docs = append(ix.Docs, info)
@@ -123,6 +166,12 @@ func (ix *Index) AddGraph(g *model.Graph, pageRank float64, maxStates int) {
 	// sorted; normalize within this doc's range in case a graph's state
 	// iteration ever changes.
 	ix.sortTail(doc)
+}
+
+// termSpan is one term's window [start, end) of a state's positions slab.
+type termSpan struct {
+	term       string
+	start, end int32
 }
 
 // sortTail restores (Doc, State) order for postings of the last doc.
@@ -282,10 +331,14 @@ func Tokenize(text string) []string {
 	if n == 0 {
 		return nil
 	}
-	out := make([]string, 0, n)
+	return appendTokens(make([]string, 0, n), text)
+}
+
+// appendTokens appends the terms of text to dst.
+func appendTokens(dst []string, text string) []string {
 	for sc := Scan(text); sc.Next(); {
 		// A token is valid UTF-8, so this is the rune-by-rune lowering.
-		out = append(out, strings.ToLower(sc.raw))
+		dst = append(dst, strings.ToLower(sc.raw))
 	}
-	return out
+	return dst
 }

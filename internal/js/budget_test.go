@@ -102,3 +102,51 @@ func TestClosureFreeCallAllocs(t *testing.T) {
 		t.Fatalf("a closure-free call allocates %v times, want 0", got)
 	}
 }
+
+// TestDeepNestingIsASyntaxError: a script whose syntax tree would nest
+// deeper than maxNesting fails to parse, whichever way it nests, instead
+// of recursing until the goroutine stack overflows — which no recover
+// catches. Chains count too: a+b+c and a.b.c nest their left operand.
+func TestDeepNestingIsASyntaxError(t *testing.T) {
+	const deep = 1 << 14
+	// Parens around chains of 300 links: no single construct is deep.
+	chained := "1"
+	for i := 0; i < 300; i++ {
+		chained = "(" + chained + strings.Repeat("+1", 300) + ")"
+	}
+	for name, src := range map[string]string{
+		"reproducer": strings.Repeat("(", 1<<20) + "1" + strings.Repeat(")", 1<<20),
+		"blocks":     strings.Repeat("{", deep) + strings.Repeat("}", deep),
+		"ifs":        strings.Repeat("if (a) ", deep) + ";",
+		"functions":  strings.Repeat("function f() {", deep) + strings.Repeat("}", deep),
+		"arrays":     strings.Repeat("[", deep) + strings.Repeat("]", deep),
+		"objects":    strings.Repeat("({a:", deep) + "1" + strings.Repeat("})", deep),
+		"assignment": strings.Repeat("a = ", deep) + "1",
+		"ternary":    strings.Repeat("a ? b : ", deep) + "c",
+		"unary":      strings.Repeat("!", deep) + "1",
+		"new":        strings.Repeat("new ", deep) + "F",
+		"plus":       strings.Repeat("1 + ", deep) + "1",
+		"or":         strings.Repeat("a || ", deep) + "b",
+		"less":       strings.Repeat("a < ", deep) + "b",
+		"members":    "a" + strings.Repeat(".b", deep),
+		"calls":      "f" + strings.Repeat("()", deep),
+		"index":      strings.Repeat("a[", deep) + "0" + strings.Repeat("]", deep),
+		"chained":    chained,
+	} {
+		_, err := Parse(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "nesting") {
+			t.Errorf("%s: err = %v, want a nesting syntax error", name, err)
+		}
+	}
+	// Below the limit, deep scripts still parse and run.
+	for src, want := range map[string]string{
+		strings.Repeat("(", 500) + "1" + strings.Repeat(")", 500):       "1",
+		strings.Repeat("1 + ", 450) + "1":                               "451",
+		"var o = {v: 7}; o.b = o; o" + strings.Repeat(".b", 450) + ".v": "7",
+	} {
+		if got := run(t, src); got.ToString() != want {
+			t.Errorf("%.40s...: %v, want %s", src, got.ToString(), want)
+		}
+	}
+}

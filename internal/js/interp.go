@@ -164,7 +164,10 @@ const (
 	defaultMaxSteps = 10_000_000
 	// maxBytes is the byte budget of one dispatch: the strings it builds
 	// and the array elements it allocates, counted before allocation.
-	maxBytes        = 64 << 20
+	maxBytes = 64 << 20
+	// maxNesting bounds the depth of a parsed syntax tree, the depth
+	// JSON.parse allows (maxJSONDepth); a deeper script is a syntax error.
+	maxNesting      = 512
 	defaultMaxDepth = 250
 	// interruptCheckMask throttles Interrupt polling to every 256 steps
 	// so the hot interpreter loop stays cheap.

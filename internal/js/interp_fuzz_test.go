@@ -182,6 +182,8 @@ func FuzzInterp(f *testing.F) {
 	for _, src := range append(append(interpSeeds, sharedScripts...), siteScripts(f)...) {
 		f.Add(src)
 	}
+	// 600 levels, past maxNesting: a syntax error, not a stack overflow.
+	f.Add(strings.Repeat("(", 600) + "1" + strings.Repeat(")", 600))
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<12 {
 			t.Skip()

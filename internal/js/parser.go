@@ -10,6 +10,12 @@ type parser struct {
 	// hoist targets of the function currently being parsed
 	varNames  *[]string
 	funcDecls *[]*FuncLit
+	// level is the depth in the syntax tree of the node being parsed,
+	// peak the deepest level reached since the innermost open chain began
+	// (openChain). Neither may pass maxNesting: the resolver and the
+	// evaluator recurse as deep as the tree, and a goroutine stack
+	// overflow is fatal, not a panic.
+	level, peak int
 }
 
 // Parse parses a complete script, resolved as global code (resolve.go):
@@ -107,9 +113,47 @@ func (p *parser) semicolon() error {
 
 func (p *parser) line() int { return p.cur().Line }
 
+// nested parses a node one level below the node in progress.
+func (p *parser) nested(parse func() (Node, error)) (Node, error) {
+	p.level++
+	if err := p.reach(p.level); err != nil {
+		return nil, err
+	}
+	x, err := parse()
+	p.level--
+	return x, err
+}
+
+// reach records that the tree reaches down to level.
+func (p *parser) reach(level int) error {
+	p.peak = max(p.peak, level)
+	if p.peak > maxNesting {
+		t := p.cur()
+		return &SyntaxError{Msg: fmt.Sprintf("nesting deeper than %d levels", maxNesting), Line: t.Line, Col: t.Col}
+	}
+	return nil
+}
+
+// A left-associative chain — a+b+c, a.b(c)[d] — puts each link's node
+// where the chain so far stood and hangs the chain so far below it, one
+// level further down, while the parser itself recurses no deeper. So a
+// chain tracks the deepest level it has reached: openChain starts
+// counting at the chain's own level, link sinks everything parsed so far
+// by one, and closeChain folds the chain's peak into the enclosing one.
+func (p *parser) openChain() (outer int) {
+	outer, p.peak = p.peak, p.level
+	return outer
+}
+
+func (p *parser) link() error { return p.reach(p.peak + 1) }
+
+func (p *parser) closeChain(outer int) { p.peak = max(p.peak, outer) }
+
 // ---- statements ----
 
-func (p *parser) statement() (Node, error) {
+func (p *parser) statement() (Node, error) { return p.nested(p.stmt) }
+
+func (p *parser) stmt() (Node, error) {
 	t := p.cur()
 	switch {
 	case t.Type == SEMI:
@@ -557,7 +601,9 @@ func (p *parser) expression() (Node, error) {
 	return seq, nil
 }
 
-func (p *parser) assignment() (Node, error) {
+func (p *parser) assignment() (Node, error) { return p.nested(p.assign) }
+
+func (p *parser) assign() (Node, error) {
 	t := p.cur()
 	left, err := p.conditional()
 	if err != nil {
@@ -611,34 +657,44 @@ func (p *parser) conditional() (Node, error) {
 }
 
 func (p *parser) logicalOr() (Node, error) {
+	outer := p.openChain()
 	x, err := p.logicalAnd()
 	if err != nil {
 		return nil, err
 	}
 	for p.at(OR) {
 		t := p.next()
-		y, err := p.logicalAnd()
+		if err := p.link(); err != nil {
+			return nil, err
+		}
+		y, err := p.nested(p.logicalAnd)
 		if err != nil {
 			return nil, err
 		}
 		x = &Logical{base{t.Line}, OR, x, y}
 	}
+	p.closeChain(outer)
 	return x, nil
 }
 
 func (p *parser) logicalAnd() (Node, error) {
+	outer := p.openChain()
 	x, err := p.bitOr()
 	if err != nil {
 		return nil, err
 	}
 	for p.at(AND) {
 		t := p.next()
-		y, err := p.bitOr()
+		if err := p.link(); err != nil {
+			return nil, err
+		}
+		y, err := p.nested(p.bitOr)
 		if err != nil {
 			return nil, err
 		}
 		x = &Logical{base{t.Line}, AND, x, y}
 	}
+	p.closeChain(outer)
 	return x, nil
 }
 
@@ -651,30 +707,31 @@ func (p *parser) equality() (Node, error) {
 }
 
 func (p *parser) relational() (Node, error) {
+	outer := p.openChain()
 	x, err := p.shift()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.cur()
+		lit := ""
 		switch {
 		case t.Type == LT || t.Type == GT || t.Type == LE || t.Type == GE:
-			p.next()
-			y, err := p.shift()
-			if err != nil {
-				return nil, err
-			}
-			x = &Binary{base{t.Line}, t.Type, "", x, y}
 		case t.Type == KEYWORD && (t.Lit == "in" || t.Lit == "instanceof"):
-			p.next()
-			y, err := p.shift()
-			if err != nil {
-				return nil, err
-			}
-			x = &Binary{base{t.Line}, KEYWORD, t.Lit, x, y}
+			lit = t.Lit
 		default:
+			p.closeChain(outer)
 			return x, nil
 		}
+		p.next()
+		if err := p.link(); err != nil {
+			return nil, err
+		}
+		y, err := p.nested(p.shift)
+		if err != nil {
+			return nil, err
+		}
+		x = &Binary{base{t.Line}, t.Type, lit, x, y}
 	}
 }
 
@@ -691,6 +748,7 @@ func (p *parser) multiplicative() (Node, error) {
 }
 
 func (p *parser) binaryLevel(ops []TokenType, next func() (Node, error)) (Node, error) {
+	outer := p.openChain()
 	x, err := next()
 	if err != nil {
 		return nil, err
@@ -705,10 +763,14 @@ func (p *parser) binaryLevel(ops []TokenType, next func() (Node, error)) (Node, 
 			}
 		}
 		if !match {
+			p.closeChain(outer)
 			return x, nil
 		}
 		p.next()
-		y, err := next()
+		if err := p.link(); err != nil {
+			return nil, err
+		}
+		y, err := p.nested(next)
 		if err != nil {
 			return nil, err
 		}
@@ -721,14 +783,14 @@ func (p *parser) unary() (Node, error) {
 	switch t.Type {
 	case NOT, MINUS, PLUS, BITNOT:
 		p.next()
-		x, err := p.unary()
+		x, err := p.nested(p.unary)
 		if err != nil {
 			return nil, err
 		}
 		return &Unary{base{t.Line}, t.Type, "", x}, nil
 	case INC, DEC:
 		p.next()
-		x, err := p.unary()
+		x, err := p.nested(p.unary)
 		if err != nil {
 			return nil, err
 		}
@@ -740,7 +802,7 @@ func (p *parser) unary() (Node, error) {
 		switch t.Lit {
 		case "typeof", "void", "delete":
 			p.next()
-			x, err := p.unary()
+			x, err := p.nested(p.unary)
 			if err != nil {
 				return nil, err
 			}
@@ -768,11 +830,12 @@ func (p *parser) postfix() (Node, error) {
 
 // callMember parses new/call/member chains.
 func (p *parser) callMember() (Node, error) {
+	outer := p.openChain()
 	var x Node
 	var err error
 	if p.atKw("new") {
 		t := p.next()
-		callee, err := p.callMemberNoCall()
+		callee, err := p.nested(p.callMemberNoCall)
 		if err != nil {
 			return nil, err
 		}
@@ -790,7 +853,11 @@ func (p *parser) callMember() (Node, error) {
 			return nil, err
 		}
 	}
-	return p.memberSuffix(x, true)
+	if x, err = p.memberSuffix(x, true); err != nil {
+		return nil, err
+	}
+	p.closeChain(outer)
+	return x, nil
 }
 
 // callMemberNoCall parses the callee of `new`: member accesses bind
@@ -801,16 +868,29 @@ func (p *parser) callMemberNoCall() (Node, error) {
 	if p.atKw("new") {
 		return p.callMember()
 	}
+	outer := p.openChain()
 	x, err = p.primary()
 	if err != nil {
 		return nil, err
 	}
-	return p.memberSuffix(x, false)
+	if x, err = p.memberSuffix(x, false); err != nil {
+		return nil, err
+	}
+	p.closeChain(outer)
+	return x, nil
 }
 
+// memberSuffix parses the links of a member/call chain whose chain is
+// open (openChain) since before x.
 func (p *parser) memberSuffix(x Node, allowCall bool) (Node, error) {
 	for {
 		t := p.cur()
+		if t.Type != DOT && t.Type != LBRACKET && (t.Type != LPAREN || !allowCall) {
+			return x, nil
+		}
+		if err := p.link(); err != nil {
+			return nil, err
+		}
 		switch t.Type {
 		case DOT:
 			p.next()
@@ -831,16 +911,11 @@ func (p *parser) memberSuffix(x Node, allowCall bool) (Node, error) {
 			}
 			x = &Member{base{t.Line}, x, "", idx}
 		case LPAREN:
-			if !allowCall {
-				return x, nil
-			}
 			args, err := p.arguments()
 			if err != nil {
 				return nil, err
 			}
 			x = &Call{base{t.Line}, x, args}
-		default:
-			return x, nil
 		}
 	}
 }

@@ -100,6 +100,7 @@ type Index struct {
 	buckets []map[uint64][]int // per band: band hash → IDs in insertion order
 	n       int
 	stats   Stats
+	cands   []int // Candidates' result, reused by the next call
 }
 
 // New builds an index for signatures of sigLen elements with the layout
@@ -186,10 +187,11 @@ func (x *Index) Add(id int, sig shingle.Signature) {
 
 // Candidates returns the IDs sharing at least one band bucket with sig,
 // deduplicated and sorted ascending — a deterministic order, so the
-// admitter's first verified match is the lowest matching ID.
+// admitter's first verified match is the lowest matching ID. The result
+// is a buffer the index reuses: it is valid until the next call.
 func (x *Index) Candidates(sig shingle.Signature) []int {
 	x.check(sig)
-	var out []int
+	out := x.cands[:0]
 	for i := range x.buckets {
 		lo, hi := x.band(i)
 		h := bandHash(i, sig, lo, hi)
@@ -208,5 +210,6 @@ func (x *Index) Candidates(sig shingle.Signature) []int {
 		out = out[:w]
 	}
 	x.stats.Candidates += int64(len(out))
+	x.cands = out
 	return out
 }

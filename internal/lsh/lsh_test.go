@@ -3,6 +3,7 @@ package lsh
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ajaxcrawl/internal/shingle"
@@ -150,8 +151,13 @@ func TestCandidatesSortedDeduped(t *testing.T) {
 			t.Fatalf("candidates not strictly ascending: %v", cands)
 		}
 	}
-	if got := idx.Candidates(base); len(got) != len(cands) {
-		t.Fatalf("Candidates not deterministic: %d vs %d", len(got), len(cands))
+	cands = slices.Clone(cands)
+	idx.Candidates(randomSig(r, 64, 2)) // another query overwrites the reused result
+	if got := idx.Candidates(base); !slices.Equal(got, cands) {
+		t.Fatalf("Candidates not deterministic: %v vs %v", got, cands)
+	}
+	if n := testing.AllocsPerRun(100, func() { idx.Candidates(base) }); n != 0 {
+		t.Fatalf("Candidates allocates %v times, want 0 once its buffer is grown", n)
 	}
 }
 

@@ -2,11 +2,15 @@ package router
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"ajaxcrawl/internal/query"
+	"ajaxcrawl/internal/serve"
 )
 
 // FuzzRouterMergeResponse hammers the network-facing half of the
@@ -15,7 +19,8 @@ import (
 // floats), and — when it survives both — a self-merge through
 // dropDuplicates and query.Fold. The invariants: never panic, never emit a duplicate
 // (URL, state), never emit a non-finite score, always emit the
-// deterministic order, never exceed the input's own candidate count.
+// deterministic order, never exceed the input's own candidate count,
+// and always marshal into a /search body.
 func FuzzRouterMergeResponse(f *testing.F) {
 	valid := `{"terms":["video"],"total_states":5,"df":[1],"gen":1,"docs":1,"states":5,` +
 		`"candidates":[{"url":"http://a","state":0,"base":1,"tfs":[1],"snippet":"s"}]}`
@@ -73,6 +78,13 @@ func FuzzRouterMergeResponse(f *testing.F) {
 				(r.Score == p.Score && r.URL == p.URL && r.State < p.State) {
 				t.Fatalf("merge order violated at %d: %+v before %+v", i, p, r)
 			}
+		}
+		// The merged results must make a /search body: json.Marshal
+		// refuses a non-finite float, and the client gets a 500.
+		rec := httptest.NewRecorder()
+		serve.WriteSearch(rec, q, len(out), out)
+		if rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("merged body does not marshal: %d %s", rec.Code, rec.Body.Bytes())
 		}
 		// Truncation must respect k.
 		top, _ := merge(terms, []*query.ShardResult{res}, 1)

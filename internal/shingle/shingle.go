@@ -15,8 +15,9 @@
 package shingle
 
 import (
-	"hash/fnv"
 	"math"
+	"unicode"
+	"unicode/utf8"
 )
 
 // DefaultK is the shingle width in tokens. 3 balances sensitivity and
@@ -28,84 +29,68 @@ const DefaultK = 3
 // merge threshold.
 const DefaultSignatureSize = 64
 
-// Shingles returns the set of hashed k-shingles of a token stream. Texts
-// shorter than k yield a single shingle of all tokens.
-func Shingles(tokens []string, k int) map[uint64]struct{} {
-	if k <= 0 {
-		k = DefaultK
+// windows reports how a stream of tokens divides into shingles: count
+// windows of width tokens, window w being tokens[w:w+width]. A stream
+// shorter than DefaultK is one shingle of all its tokens; an empty one
+// has none.
+func windows(tokens []string) (count, width int) {
+	switch {
+	case len(tokens) == 0:
+		return 0, 0
+	case len(tokens) < DefaultK:
+		return 1, len(tokens)
 	}
-	out := make(map[uint64]struct{})
-	if len(tokens) == 0 {
-		return out
-	}
-	if len(tokens) < k {
-		out[hashShingle(tokens)] = struct{}{}
-		return out
-	}
-	for i := 0; i+k <= len(tokens); i++ {
-		out[hashShingle(tokens[i:i+k])] = struct{}{}
-	}
-	return out
+	return len(tokens) - DefaultK + 1, DefaultK
 }
 
+// hashShingle is FNV-1a over a shingle's tokens, each followed by a 0
+// byte so that token boundaries count: ("ab","c") differs from ("a","bc").
 func hashShingle(tokens []string) uint64 {
-	h := fnv.New64a()
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, t := range tokens {
-		h.Write([]byte(t))
-		h.Write([]byte{0})
+		for i := 0; i < len(t); i++ {
+			h ^= uint64(t[i])
+			h *= prime64
+		}
+		h *= prime64 // the 0 separator: xor with 0 leaves h as it is
 	}
-	return h.Sum64()
+	return h
 }
 
-// Jaccard computes the exact Jaccard similarity of two shingle sets.
-func Jaccard(a, b map[uint64]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	small, large := a, b
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	inter := 0
-	for s := range small {
-		if _, ok := large[s]; ok {
-			inter++
+// AppendFields appends the whitespace-separated fields of s to dst, as
+// substrings of s: strings.Fields into a reused buffer. Space is
+// unicode.IsSpace, and a byte of invalid UTF-8 is not space.
+func AppendFields(dst []string, s string) []string {
+	start := -1
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
 		}
+		if !unicode.IsSpace(r) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			dst = append(dst, s[start:i])
+			start = -1
+		}
+		i += size
 	}
-	return float64(inter) / float64(len(a)+len(b)-inter)
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
 
 // Signature is a MinHash sketch of a shingle set: element i is the
 // minimum of permutation i over the set. Equal-length signatures can
 // estimate Jaccard similarity in O(len) regardless of set sizes.
 type Signature []uint64
-
-// MinHash computes an n-element signature of a shingle set. The i-th
-// "permutation" is the multiply-xor-shift mix of the shingle with the
-// i-th odd constant — the standard cheap family.
-func MinHash(shingles map[uint64]struct{}, n int) Signature {
-	if n <= 0 {
-		n = DefaultSignatureSize
-	}
-	sig := make(Signature, n)
-	for i := range sig {
-		sig[i] = math.MaxUint64
-	}
-	if len(shingles) == 0 {
-		return sig
-	}
-	for s := range shingles {
-		for i := range sig {
-			if v := mix(s, uint64(2*i+1)); v < sig[i] {
-				sig[i] = v
-			}
-		}
-	}
-	return sig
-}
 
 // mix is a 64-bit finalizer-style hash parameterized by seed.
 func mix(x, seed uint64) uint64 {
@@ -137,8 +122,25 @@ func (s Signature) Similarity(o Signature) float64 {
 	return float64(agree) / float64(len(s))
 }
 
-// Sketch is the one-call convenience: tokens → MinHash signature with
-// default parameters.
+// Sketch computes the DefaultSignatureSize-element MinHash signature of
+// the set of tokens' DefaultK-shingles. The i-th "permutation" is the
+// multiply-xor-shift mix of the shingle hash with the i-th odd constant —
+// the standard cheap family. A minimum over a multiset equals the minimum
+// over its set, so the shingle hashes are folded in as they are computed,
+// repeats and all, and the set is never built.
 func Sketch(tokens []string) Signature {
-	return MinHash(Shingles(tokens, DefaultK), DefaultSignatureSize)
+	sig := make(Signature, DefaultSignatureSize)
+	for i := range sig {
+		sig[i] = math.MaxUint64
+	}
+	count, width := windows(tokens)
+	for w := 0; w < count; w++ {
+		s := hashShingle(tokens[w : w+width])
+		for i := range sig {
+			if v := mix(s, uint64(2*i+1)); v < sig[i] {
+				sig[i] = v
+			}
+		}
+	}
+	return sig
 }

@@ -1,5 +1,7 @@
 package shingle
 
+import "slices"
+
 // SimHash sketching: Charikar's random-projection fingerprint as the
 // cheaper alternative to MinHash. A single 64-bit fingerprint is computed
 // by summing, per bit position, +1/-1 votes from each shingle's hash;
@@ -25,12 +27,34 @@ const (
 // agreement.
 const simhashSeed = 0x5BF0_3635_DE5D_57C1
 
-// SimHash computes the 64-bit random-projection fingerprint of a shingle
-// set. Bit i of the result is 1 iff the sum of bit-i votes (+1 when a
-// shingle's mixed hash has bit i set, -1 otherwise) is positive.
-func SimHash(shingles map[uint64]struct{}) uint64 {
+// SimHashSignature widens a simhash fingerprint into a Signature of
+// SimHashSignatureSize elements (one per SimHashChunkBits-bit chunk), so
+// Similarity and the LSH index treat simhash and MinHash sketches
+// uniformly. Two fingerprints within Hamming distance d agree on at
+// least SimHashSignatureSize-d chunks.
+func SimHashSignature(fp uint64) Signature {
+	sig := make(Signature, SimHashSignatureSize)
+	for i := range sig {
+		sig[i] = fp >> (uint(i) * SimHashChunkBits) & (1<<SimHashChunkBits - 1)
+	}
+	return sig
+}
+
+// SimHashSketch computes the simhash-backed Signature of the set of
+// tokens' DefaultK-shingles: bit i of the 64-bit fingerprint is 1 iff the
+// sum of bit-i votes (+1 when a shingle's mixed hash has bit i set, -1
+// otherwise) is positive. Unlike a minimum, a vote counts repeats, so the
+// shingle hashes are sorted and deduplicated first.
+func SimHashSketch(tokens []string) Signature {
+	count, width := windows(tokens)
+	set := make([]uint64, count)
+	for w := range set {
+		set[w] = hashShingle(tokens[w : w+width])
+	}
+	slices.Sort(set)
+	set = slices.Compact(set)
 	var votes [64]int
-	for s := range shingles {
+	for _, s := range set {
 		h := mix(s, simhashSeed)
 		for i := 0; i < 64; i++ {
 			if h>>uint(i)&1 == 1 {
@@ -46,24 +70,5 @@ func SimHash(shingles map[uint64]struct{}) uint64 {
 			fp |= 1 << uint(i)
 		}
 	}
-	return fp
-}
-
-// SimHashSignature widens a simhash fingerprint into a Signature of
-// SimHashSignatureSize elements (one per SimHashChunkBits-bit chunk), so
-// Similarity and the LSH index treat simhash and MinHash sketches
-// uniformly. Two fingerprints within Hamming distance d agree on at
-// least SimHashSignatureSize-d chunks.
-func SimHashSignature(fp uint64) Signature {
-	sig := make(Signature, SimHashSignatureSize)
-	for i := range sig {
-		sig[i] = fp >> (uint(i) * SimHashChunkBits) & (1<<SimHashChunkBits - 1)
-	}
-	return sig
-}
-
-// SimHashSketch is the one-call convenience: tokens → simhash-backed
-// Signature with default parameters.
-func SimHashSketch(tokens []string) Signature {
-	return SimHashSignature(SimHash(Shingles(tokens, DefaultK)))
+	return SimHashSignature(fp)
 }
