@@ -16,14 +16,6 @@ import (
 	"ajaxcrawl/internal/webapp"
 )
 
-func init() {
-	register("ablate-hotnode", "hot-call cache keyed by (fn,args) vs by URL vs off", ablateHotNode)
-	register("ablate-dedup", "duplicate detection: canonical hash vs full-tree compare", ablateDedup)
-	register("ablate-idf", "sharded ranking: global idf correction vs local idf", ablateIDF)
-	register("ablate-recrawl", "repetitive crawling: profile-guided second session", ablateRecrawl)
-	register("ablate-neardup", "near-duplicate state merging vs granular-event explosion", ablateNearDup)
-}
-
 // urlKeyHook is the strawman alternative to the thesis's stack-based hot
 // node cache: key responses by request URL. On this application both
 // collapse the same repeats (a single hot node); the ablation shows the

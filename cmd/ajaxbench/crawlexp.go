@@ -8,20 +8,6 @@ import (
 	"ajaxcrawl/internal/fetch"
 )
 
-func init() {
-	register("t7.1", "dataset statistics (Table 7.1)", expT71)
-	register("f7.1", "videos per comment-page count (Figure 7.1)", expF71)
-	register("f7.2", "states & events vs crawled videos (Figure 7.2)", expF72)
-	register("t7.2", "crawl overhead traditional vs AJAX (Table 7.2)", expT72)
-	register("f7.3", "distribution of per-page crawl times (Figure 7.3)", expF73)
-	register("f7.4", "crawl time vs number of states (Figure 7.4)", expF74)
-	register("f7.5", "events causing network calls, cache on/off (Figure 7.5)", expF75)
-	register("f7.6", "network time, cache on/off (Figure 7.6)", expF76)
-	register("f7.7", "state throughput, cache on/off (Figure 7.7)", expF77)
-	register("t7.3", "parallel crawl times (Table 7.3)", expT73)
-	register("f7.8", "parallel vs serial mean crawl time (Figure 7.8)", expF78)
-}
-
 // expT71 reproduces Table 7.1: dataset statistics gathered by a full AJAX
 // crawl with the hot-node policy (the configuration the thesis used to
 // build YouTube10000).

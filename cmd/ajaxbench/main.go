@@ -1,42 +1,17 @@
 // Command ajaxbench regenerates every table and figure of the thesis's
 // evaluation chapter (ch. 7) on the synthetic YouTube-like site, plus the
-// ablation experiments called out in DESIGN.md — and doubles as the
-// repo's perf harness: -report emits a versioned BENCH_<n>.json artifact
-// (per-phase wall/CPU/alloc, span aggregates, registry snapshot) and
-// -compare diffs two artifacts with tolerance bands, exiting non-zero on
-// regression so CI can gate.
+// ablation experiments called out in DESIGN.md and EXPERIMENTS.md. How a
+// change to the code performs is measured by the repository benchmark
+// (benchmark/, BENCHMARK.json), not here.
 //
 // Usage:
 //
+//	ajaxbench                      # lists the experiments, in run order
 //	ajaxbench -exp t7.2 -videos 500
 //	ajaxbench -exp all -videos 200 > results.txt
-//	ajaxbench -exp t7.1,t7.2,t7.5 -videos 60 -report BENCH_7.json
-//	ajaxbench -compare BENCH_6.json -compare-to BENCH_7.json
-//	ajaxbench -exp t7.1,t7.2,t7.5 -videos 60 -compare BENCH_6.json
 //
-// Experiments (paper section in parentheses):
-//
-//	t7.1  dataset statistics (Table 7.1)
-//	f7.1  videos per comment-page count (Figure 7.1)
-//	f7.2  states & events vs crawled videos (Figure 7.2)
-//	t7.2  crawl overhead traditional vs AJAX (Table 7.2)
-//	f7.3  distribution of per-page crawl times (Figure 7.3)
-//	f7.4  crawl time vs number of states (Figure 7.4)
-//	f7.5  events causing network calls, cache on/off (Figure 7.5)
-//	f7.6  network time, cache on/off (Figure 7.6)
-//	f7.7  state throughput, cache on/off (Figure 7.7)
-//	t7.3  parallel crawl times (Table 7.3)
-//	f7.8  parallel vs serial mean crawl time (Figure 7.8)
-//	t7.4  query occurrences first page vs all pages (Table 7.4)
-//	t7.5  query processing times (Table 7.5)
-//	f7.9  query throughput trad vs AJAX (Figure 7.9)
-//	f7.10 relative throughput vs crawled states (Figure 7.10)
-//	f7.11 1-RelRecall vs crawled states (Figure 7.11)
-//	ablate-hotnode  hot-call cache keying strategies
-//	ablate-dedup    hash vs structural duplicate detection
-//	ablate-idf      global vs local idf in sharded ranking
-//	neardup         noisy-app state collapse: exact vs brute-force vs LSH
-//	router          sharded fan-out vs single snapshot: equality and overhead
+// The listing printed with no arguments is the catalogue of experiment
+// ids; EXPERIMENTS.md records what each one measured.
 package main
 
 import (
@@ -47,7 +22,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -56,7 +30,6 @@ import (
 	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
-	"ajaxcrawl/internal/obs/report"
 	"ajaxcrawl/internal/webapp"
 )
 
@@ -64,8 +37,8 @@ type env struct {
 	ctx context.Context
 	// out receives every experiment table; with -json the tables move
 	// here (stderr) while stdout carries exactly one JSON document. The
-	// writer is threaded explicitly so report/JSON output can never
-	// interleave with table bytes.
+	// writer is threaded explicitly so JSON output can never interleave
+	// with table bytes.
 	out     io.Writer
 	site    *webapp.Site
 	videos  int
@@ -98,10 +71,32 @@ type experiment struct {
 	run  func(*env) error
 }
 
-var experiments []experiment
-
-func register(id, desc string, run func(*env) error) {
-	experiments = append(experiments, experiment{id: id, desc: desc, run: run})
+// experiments is every reproduction in paper order — ch. 7's tables and
+// figures, then the ablations — which is also the order -exp runs them.
+var experiments = []experiment{
+	{"t7.1", "dataset statistics (Table 7.1)", expT71},
+	{"f7.1", "videos per comment-page count (Figure 7.1)", expF71},
+	{"f7.2", "states & events vs crawled videos (Figure 7.2)", expF72},
+	{"t7.2", "crawl overhead traditional vs AJAX (Table 7.2)", expT72},
+	{"f7.3", "distribution of per-page crawl times (Figure 7.3)", expF73},
+	{"f7.4", "crawl time vs number of states (Figure 7.4)", expF74},
+	{"f7.5", "events causing network calls, cache on/off (Figure 7.5)", expF75},
+	{"f7.6", "network time, cache on/off (Figure 7.6)", expF76},
+	{"f7.7", "state throughput, cache on/off (Figure 7.7)", expF77},
+	{"t7.3", "parallel crawl times (Table 7.3)", expT73},
+	{"f7.8", "parallel vs serial mean crawl time (Figure 7.8)", expF78},
+	{"t7.4", "query occurrences first page vs all pages (Table 7.4)", expT74},
+	{"t7.5", "query processing times trad vs AJAX (Table 7.5)", expT75},
+	{"f7.9", "query throughput trad vs AJAX (Figure 7.9)", expF79},
+	{"f7.10", "relative query throughput vs crawled states (Figure 7.10)", expF710},
+	{"f7.11", "1-RelRecall vs crawled states (Figure 7.11)", expF711},
+	{"ablate-hotnode", "hot-call cache keyed by (fn,args) vs by URL vs off", ablateHotNode},
+	{"ablate-dedup", "duplicate detection: canonical hash vs full-tree compare", ablateDedup},
+	{"ablate-idf", "sharded ranking: global idf correction vs local idf", ablateIDF},
+	{"ablate-recrawl", "repetitive crawling: profile-guided second session", ablateRecrawl},
+	{"ablate-neardup", "near-duplicate state merging vs granular-event explosion", ablateNearDup},
+	{"neardup", "noisy-app collapse: exact vs brute-force vs LSH admission", expNearDup},
+	{"router", "sharded fan-out vs single snapshot: equality and merge overhead", expRouter},
 }
 
 func main() {
@@ -114,7 +109,7 @@ func main() {
 		verbose     = flag.Bool("v", false, "live span lines on stderr")
 		metricsAddr = flag.String("metrics-addr", "", "serve /debug/metrics, /debug/status, /debug/trace/recent and pprof on this address")
 		tracePath   = flag.String("trace", "", "write every span to this JSONL file")
-		jsonOut     = flag.Bool("json", false, "print the final registry snapshot (plus the comparison verdict, when comparing) as one JSON document on stdout (tables move to stderr)")
+		jsonOut     = flag.Bool("json", false, "print the final registry snapshot as one JSON document on stdout (tables move to stderr)")
 		retries     = flag.Int("retries", 0, "retry transient fetch failures up to this many times per request (0 disables retrying)")
 		retryBase   = flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff; doubles per retry with full jitter")
 		breakerThr  = flag.Float64("breaker-threshold", 0, "per-host circuit-breaker failure-rate threshold in (0,1] (0 disables the breaker)")
@@ -124,47 +119,10 @@ func main() {
 		sketchKind  = flag.String("sketch", "minhash", "near-dup signature family: minhash (64 permutations) or simhash (64-bit fingerprint, cheaper and coarser)")
 		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the parallel crawler's work-stealing scheduler (0 = default seed 1)")
 		bloomBits   = flag.Int("bloom-bits", 0, "frontier dedup bloom-filter size in bits, rounded to a power of two (0 = default)")
-		reportPath  = flag.String("report", "", "write this run's perf RunReport artifact (BENCH_<n>.json) to this path")
-		reportName  = flag.String("report-name", "", "artifact name stamped into the report (default: the -report file's base name)")
-		comparePath = flag.String("compare", "", "baseline report to diff against: the fresh run's report, or -compare-to when given")
-		compareTo   = flag.String("compare-to", "", "right-hand report for a file-vs-file comparison (no experiments run)")
-		compareTol  = flag.Float64("compare-tol", 0, "comparator relative tolerance band (0 = default 0.25)")
-		compareWarn = flag.Bool("compare-warn", false, "report-only comparison: print the diff but never fail the exit code (CI soft gate)")
-		sampleEvery = flag.Duration("sample", 0, "sample frontier/line/runtime time series at this cadence into the report and /debug/status (0 = off)")
 	)
 	flag.Parse()
 
-	tol := report.Tolerance{Rel: *compareTol}
-
-	// Pure artifact-vs-artifact mode: no experiments, just the diff.
-	if *comparePath != "" && *compareTo != "" {
-		oldR, err := report.Load(*comparePath)
-		if err != nil {
-			fatalf("compare: %v", err)
-		}
-		newR, err := report.Load(*compareTo)
-		if err != nil {
-			fatalf("compare: %v", err)
-		}
-		cmp := report.Compare(oldR, newR, tol)
-		if *jsonOut {
-			if err := cmp.WriteJSON(os.Stdout); err != nil {
-				fatalf("compare: %v", err)
-			}
-			_ = cmp.WriteTable(os.Stderr)
-		} else if err := cmp.WriteTable(os.Stdout); err != nil {
-			fatalf("compare: %v", err)
-		}
-		if cmp.Regressed() && !*compareWarn {
-			os.Exit(3)
-		}
-		return
-	}
-
 	if *exp == "" {
-		if *comparePath != "" || *reportPath != "" {
-			fatalf("-report/-compare need experiments to run: pass -exp (or use -compare with -compare-to for a file-vs-file diff)")
-		}
 		fmt.Println("available experiments:")
 		for _, e := range experiments {
 			fmt.Printf("  %-16s %s\n", e.id, e.desc)
@@ -202,14 +160,13 @@ func main() {
 		TracePath:     *tracePath,
 		Verbose:       *verbose,
 		ProgressSpans: obs.CrawlProgressSpans,
-		SampleEvery:   *sampleEvery,
 	})
 	if err != nil {
 		fatalf("telemetry: %v", err)
 	}
 
-	// With -json (or -report to stdout) the experiment tables move to
-	// stderr, so stdout carries exactly one machine-readable document.
+	// With -json the experiment tables move to stderr, so stdout
+	// carries exactly one machine-readable document.
 	var tables io.Writer = os.Stdout
 	if *jsonOut {
 		tables = os.Stderr
@@ -219,20 +176,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	ctx = obs.With(ctx, cli.Tel)
-	cli.StartSampler(ctx)
-
-	name := *reportName
-	if name == "" && *reportPath != "" {
-		name = strings.TrimSuffix(filepath.Base(*reportPath), ".json")
-	}
-	rec := report.NewRecorder(
-		report.Meta{Name: name, Repo: "ajaxcrawl", Notes: "ajaxbench -exp " + *exp},
-		report.Site{
-			Videos: *videos, Seed: *seed,
-			LatencyBaseMS:  float64(*base) / float64(time.Millisecond),
-			LatencyPerKBMS: float64(*perKB) / float64(time.Millisecond),
-		},
-	)
 
 	e := &env{
 		ctx:          ctx,
@@ -269,10 +212,7 @@ func main() {
 		}
 		fmt.Fprintf(tables, "== %s: %s ==\n", x.id, x.desc)
 		start := time.Now()
-		endPhase := rec.StartPhase(x.id)
-		err := x.run(e)
-		endPhase(err)
-		if err != nil {
+		if err := x.run(e); err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", x.id, err)
 			failed = true
 		}
@@ -283,50 +223,16 @@ func main() {
 		failed = true
 	}
 
-	rep := rec.Finish(cli.Reg.Snapshot(), cli.Spans.Aggregates(), cli.Sampler.Snapshot())
-	if *reportPath != "" {
-		if err := rep.Save(*reportPath); err != nil {
-			fatalf("report: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "perf report written to %s (%d phases, %d span types)\n",
-			*reportPath, len(rep.Phases), len(rep.Spans))
-	}
-
-	var cmp *report.Comparison
-	if *comparePath != "" {
-		oldR, err := report.Load(*comparePath)
-		if err != nil {
-			fatalf("compare: %v", err)
-		}
-		cmp = report.Compare(oldR, rep, tol)
-		if err := cmp.WriteTable(tables); err != nil {
-			fatalf("compare: %v", err)
-		}
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		// Without a comparison the document stays a bare registry
-		// snapshot (the pre-report contract); with one, both travel in
-		// a single wrapper document.
-		var doc any = rep.Registry
-		if cmp != nil {
-			doc = struct {
-				Registry   obs.Snapshot       `json:"registry"`
-				Comparison *report.Comparison `json:"comparison"`
-			}{rep.Registry, cmp}
-		}
-		if err := enc.Encode(doc); err != nil {
+		if err := enc.Encode(cli.Reg.Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			failed = true
 		}
 	}
 	if failed {
 		os.Exit(1)
-	}
-	if cmp != nil && cmp.Regressed() && !*compareWarn {
-		os.Exit(3)
 	}
 }
 

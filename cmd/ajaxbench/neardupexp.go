@@ -10,10 +10,6 @@ import (
 	"ajaxcrawl/internal/webapp"
 )
 
-func init() {
-	register("neardup", "noisy-app collapse: exact vs brute-force vs LSH admission", expNearDup)
-}
-
 // expNearDup benchmarks the near-duplicate admission paths on the
 // noisy-app workload (ROADMAP item 1): watch pages whose decor strip
 // (timestamp/view-counter/ad-slot) mutates on every tracked event, so

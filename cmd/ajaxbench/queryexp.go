@@ -12,14 +12,6 @@ import (
 	"ajaxcrawl/internal/webapp"
 )
 
-func init() {
-	register("t7.4", "query occurrences first page vs all pages (Table 7.4)", expT74)
-	register("t7.5", "query processing times trad vs AJAX (Table 7.5)", expT75)
-	register("f7.9", "query throughput trad vs AJAX (Figure 7.9)", expF79)
-	register("f7.10", "relative query throughput vs crawled states (Figure 7.10)", expF710)
-	register("f7.11", "1-RelRecall vs crawled states (Figure 7.11)", expF711)
-}
-
 // queryCorpus crawls the corpus once (AJAX + hot node) and returns the
 // graphs; the query experiments build their indexes from it.
 func queryCorpus(e *env) ([]*model.Graph, error) {

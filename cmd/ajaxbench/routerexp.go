@@ -12,10 +12,6 @@ import (
 	"ajaxcrawl/internal/webapp"
 )
 
-func init() {
-	register("router", "sharded fan-out vs single snapshot: equality and merge overhead", expRouter)
-}
-
 // expRouter benchmarks the shard-router tier (DESIGN.md §5i) against
 // the single-snapshot evaluation it must reproduce: the corpus is
 // partitioned round-robin into 1/2/4 in-process shards, the full

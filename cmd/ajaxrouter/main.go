@@ -77,28 +77,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Hand-rolled telemetry (vs obs.CLITelemetry) so the ring sink can
-	// back /debug/trace/recent on the same mux that routes queries.
-	reg := obs.NewRegistry()
-	ring := obs.NewRingSink(0)
-	sinks := obs.MultiSink{ring}
-	var traceFile *obs.FileSink
-	if *tracePath != "" {
-		traceFile, err = obs.NewFileSink(*tracePath)
-		if err != nil {
-			fatal("telemetry: %v", err)
-		}
-		sinks = append(sinks, traceFile)
-	}
-	if *verbose {
-		sinks = append(sinks, obs.NewProgressSink(os.Stderr, obs.SpanRouterFanout))
-	}
-	tel := obs.New(reg, sinks)
-	closeTrace := func() error {
-		if traceFile != nil {
-			return traceFile.Close()
-		}
-		return nil
+	cli, err := obs.CLITelemetry(obs.CLIConfig{
+		TracePath:     *tracePath,
+		Verbose:       *verbose,
+		ProgressSpans: []string{obs.SpanRouterFanout},
+		SampleEvery:   *sample,
+		Sample: obs.SamplerConfig{
+			Gauges:   []string{"http.inflight"},
+			Counters: []string{"http.requests", "router.fanout.hedges", "router.fanout.partial"},
+		},
+	})
+	if err != nil {
+		fatal("telemetry: %v", err)
 	}
 
 	rt, err := router.New(router.Config{
@@ -125,7 +115,7 @@ func main() {
 		AdmissionQueue:  *admQueue,
 		AdmissionTarget: *admTarget,
 		QueryTimeout:    *timeout,
-	}, tel)
+	}, cli.Tel)
 	fmt.Printf("routing %d shards x %d replicas (partial=%v, hedge=%v/q%.2f, shard timeout %v)\n",
 		rt.NumShards(), *replicas, *partial, *hedgeAfter, *hedgeQuantile, *shardTimeout)
 	fmt.Printf("search:  http://%s/search?q=...&k=%d\n", *addr, *defaultK)
@@ -137,21 +127,12 @@ func main() {
 	// Background recovery: quarantined replicas are probed on this cadence
 	// and readmitted after -probation consecutive successes.
 	if *probeInterval > 0 {
-		go rt.HealthLoop(obs.With(ctx, tel), *probeInterval)
+		go rt.HealthLoop(obs.With(ctx, cli.Tel), *probeInterval)
 	}
-
-	var sampler *obs.Sampler
-	if *sample > 0 {
-		sampler = obs.NewSampler(reg, obs.SamplerConfig{
-			Gauges:   []string{"http.inflight"},
-			Counters: []string{"http.requests", "router.fanout.hedges", "router.fanout.partial"},
-		})
-		go sampler.Run(ctx, *sample)
-	}
+	cli.StartSampler(ctx)
 
 	mux := http.NewServeMux()
-	obs.RegisterDebug(mux, reg, ring)
-	obs.RegisterStatus(mux, obs.StatusSource{Reg: reg, Sampler: sampler, StartedAt: time.Now()})
+	cli.Register(mux)
 	h := rs.Handler()
 	mux.Handle("/search", h)
 	mux.Handle("/healthz", h)
@@ -173,7 +154,7 @@ func main() {
 		}
 		fmt.Println("drained; bye")
 	}
-	if err := closeTrace(); err != nil {
+	if err := cli.Close(); err != nil {
 		fatal("close trace: %v", err)
 	}
 }

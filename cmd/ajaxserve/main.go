@@ -61,29 +61,21 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Hand-rolled telemetry (vs obs.CLITelemetry) so the ring sink can
-	// back /debug/trace/recent on the same mux that serves queries.
-	reg := obs.NewRegistry()
-	ring := obs.NewRingSink(0)
-	sinks := obs.MultiSink{ring}
-	var traceFile *obs.FileSink
-	if *tracePath != "" {
-		var err error
-		traceFile, err = obs.NewFileSink(*tracePath)
-		if err != nil {
-			fatal("telemetry: %v", err)
-		}
-		sinks = append(sinks, traceFile)
-	}
-	if *verbose {
-		sinks = append(sinks, obs.NewProgressSink(os.Stderr, obs.SpanQueryExec))
-	}
-	tel := obs.New(reg, sinks)
-	closeTrace := func() error {
-		if traceFile != nil {
-			return traceFile.Close()
-		}
-		return nil
+	// The sampler tracks serving traffic rather than the crawl defaults:
+	// in-flight queries (gauge) and total requests (counter), plus the
+	// runtime series.
+	cli, err := obs.CLITelemetry(obs.CLIConfig{
+		TracePath:     *tracePath,
+		Verbose:       *verbose,
+		ProgressSpans: []string{obs.SpanQueryExec},
+		SampleEvery:   *sample,
+		Sample: obs.SamplerConfig{
+			Gauges:   []string{"http.inflight"},
+			Counters: []string{"http.requests", "query.cache.hits"},
+		},
+	})
+	if err != nil {
+		fatal("telemetry: %v", err)
 	}
 
 	srv, err := serve.New(serve.Config{
@@ -100,7 +92,7 @@ func main() {
 		BudgetFloor:     *budgetFloor,
 		NoBrownout:      !*brownout,
 		QueryTimeout:    *timeout,
-	}, tel)
+	}, cli.Tel)
 	if err != nil {
 		fatal("load snapshot: %v", err)
 	}
@@ -112,18 +104,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// The sampler tracks serving traffic rather than the crawl defaults:
-	// in-flight queries (gauge) and total requests (counter), plus the
-	// runtime series.
-	var sampler *obs.Sampler
-	if *sample > 0 {
-		sampler = obs.NewSampler(reg, obs.SamplerConfig{
-			Gauges:   []string{"http.inflight"},
-			Counters: []string{"http.requests", "query.cache.hits"},
-		})
-		go sampler.Run(ctx, *sample)
-	}
+	cli.StartSampler(ctx)
 
 	if *watch > 0 {
 		fmt.Printf("watching %s for new manifests every %v\n", *snapshot, *watch)
@@ -134,8 +115,7 @@ func main() {
 	// /healthz ride behind the request-counting middleware, so
 	// http.requests / http.latency reflect live query traffic.
 	mux := http.NewServeMux()
-	obs.RegisterDebug(mux, reg, ring)
-	obs.RegisterStatus(mux, obs.StatusSource{Reg: reg, Sampler: sampler, StartedAt: time.Now()})
+	cli.Register(mux)
 	h := srv.Handler()
 	mux.Handle("/search", h)
 	mux.Handle("/shard/search", h)
@@ -158,7 +138,7 @@ func main() {
 		}
 		fmt.Println("drained; bye")
 	}
-	if err := closeTrace(); err != nil {
+	if err := cli.Close(); err != nil {
 		fatal("close trace: %v", err)
 	}
 }

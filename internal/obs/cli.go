@@ -12,9 +12,10 @@ import (
 // CLIConfig is the telemetry surface the commands share: the
 // -metrics-addr, -trace, -v, and -sample flags map onto it.
 type CLIConfig struct {
-	// MetricsAddr, when non-empty, starts the background debug server
-	// (ServeDebug): /debug/metrics, /debug/status, /debug/trace/recent,
-	// pprof.
+	// MetricsAddr, when non-empty, starts a background server with the
+	// CLI's debug surface (CLI.Register): /debug/metrics, /debug/status,
+	// /debug/trace/recent, pprof. Daemons leave it empty and mount the
+	// same surface on their own mux instead.
 	MetricsAddr string
 	// TracePath, when non-empty, streams every span to a JSONL file.
 	TracePath string
@@ -28,18 +29,18 @@ type CLIConfig struct {
 	// (the -sample flag); call CLI.StartSampler with the command's
 	// context to begin the loop.
 	SampleEvery time.Duration
-	// SampleCap bounds each sampled series (0 = sampler default).
-	SampleCap int
+	// Sample names the gauges and counters the sampler records; nil
+	// slices select the crawl defaults (see SamplerConfig).
+	Sample SamplerConfig
 }
 
 // CLI bundles a command's wired telemetry: the context Telemetry, its
-// registry, the span-aggregate sink (always installed, backing -report),
-// the sampler (nil unless SampleEvery was set), and the flushing Close.
+// registry, the ring sink behind /debug/trace/recent, the sampler (nil
+// unless SampleEvery was set), and the flushing Close.
 type CLI struct {
 	Tel     *Telemetry
 	Reg     *Registry
 	Ring    *RingSink
-	Spans   *AggSink
 	Sampler *Sampler
 
 	cfg     CLIConfig
@@ -48,15 +49,13 @@ type CLI struct {
 }
 
 // CLITelemetry wires a command's telemetry from its flags: a fresh
-// registry, a ring buffer (for /debug/trace/recent), a span-aggregate
-// sink (for perf reports), plus the optional trace file, progress
-// printer, sampler, and debug server (which also serves /debug/status).
+// registry, a ring buffer (for /debug/trace/recent), plus the optional
+// trace file, progress printer, sampler, and debug server.
 // CLI.Close flushes the trace file and must run before exit.
 func CLITelemetry(cfg CLIConfig) (*CLI, error) {
 	reg := NewRegistry()
 	ring := NewRingSink(0)
-	agg := NewAggSink()
-	sinks := MultiSink{ring, agg}
+	sinks := MultiSink{ring}
 	var fs *FileSink
 	if cfg.TracePath != "" {
 		var err error
@@ -77,7 +76,6 @@ func CLITelemetry(cfg CLIConfig) (*CLI, error) {
 		Tel:     New(reg, sinks),
 		Reg:     reg,
 		Ring:    ring,
-		Spans:   agg,
 		cfg:     cfg,
 		started: time.Now(),
 		closeFn: func() error {
@@ -88,12 +86,11 @@ func CLITelemetry(cfg CLIConfig) (*CLI, error) {
 		},
 	}
 	if cfg.SampleEvery > 0 {
-		cli.Sampler = NewSampler(reg, SamplerConfig{Cap: cfg.SampleCap})
+		cli.Sampler = NewSampler(reg, cfg.Sample)
 	}
 	if cfg.MetricsAddr != "" {
 		mux := http.NewServeMux()
-		RegisterDebug(mux, reg, ring)
-		RegisterStatus(mux, StatusSource{Reg: reg, Sampler: cli.Sampler, StartedAt: cli.started})
+		cli.Register(mux)
 		go func() {
 			if err := http.ListenAndServe(cfg.MetricsAddr, mux); err != nil {
 				fmt.Fprintf(os.Stderr, "obs: debug server: %v\n", err)
@@ -101,6 +98,13 @@ func CLITelemetry(cfg CLIConfig) (*CLI, error) {
 		}()
 	}
 	return cli, nil
+}
+
+// Register mounts the CLI's debug surface on mux: RegisterDebug over its
+// registry and ring, and RegisterStatus with its sampler and start time.
+func (c *CLI) Register(mux *http.ServeMux) {
+	RegisterDebug(mux, c.Reg, c.Ring)
+	RegisterStatus(mux, StatusSource{Reg: c.Reg, Sampler: c.Sampler, StartedAt: c.started})
 }
 
 // StartSampler begins the sampling loop (no-op when -sample was off);
@@ -111,9 +115,6 @@ func (c *CLI) StartSampler(ctx context.Context) {
 	}
 	go c.Sampler.Run(ctx, c.cfg.SampleEvery)
 }
-
-// StartedAt is the process start time the status endpoint reports.
-func (c *CLI) StartedAt() time.Time { return c.started }
 
 // Close flushes and closes the trace file, if one was opened.
 func (c *CLI) Close() error { return c.closeFn() }

@@ -62,20 +62,6 @@ func RegisterDebug(mux *http.ServeMux, reg *Registry, ring *RingSink) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// ServeDebug starts an HTTP server on addr exposing only the debug
-// endpoints — the `-metrics-addr` backend of the CLIs. It returns
-// immediately; the server runs until the process exits. Errors (e.g. a
-// busy port) are reported through errf when non-nil.
-func ServeDebug(addr string, reg *Registry, ring *RingSink, errf func(error)) {
-	mux := http.NewServeMux()
-	RegisterDebug(mux, reg, ring)
-	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil && errf != nil {
-			errf(err)
-		}
-	}()
-}
-
 // InstrumentHandler wraps an http.Handler with request telemetry: an
 // http.requests counter, an http.errors counter (status >= 500), an
 // http.inflight gauge and an http.latency histogram — the live-traffic

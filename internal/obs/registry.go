@@ -268,8 +268,8 @@ func NewRegistry() *Registry {
 }
 
 // SetClock installs the time source stamped onto Snapshot.TakenAt (nil
-// restores the wall clock). Injected by tests and the report recorder so
-// snapshot-bearing artifacts can be byte-stable.
+// restores the wall clock). Injected by tests so snapshots and the
+// status document can be pinned.
 func (r *Registry) SetClock(now func() time.Time) {
 	if r == nil {
 		return
@@ -376,8 +376,8 @@ type Snapshot struct {
 }
 
 // Snapshot captures every metric's current value. TakenAt comes from
-// the registry clock (SetClock), so snapshots embedded in golden-tested
-// artifacts can be pinned.
+// the registry clock (SetClock), so golden-tested snapshots can be
+// pinned.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		TakenAt:    r.Now(),

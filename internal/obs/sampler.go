@@ -91,7 +91,7 @@ const (
 // runtime stats into fixed-size ring series — the time dimension the
 // point-in-time registry Snapshot lacks. Drive it either with Run (a
 // wall-clock loop, the CLI `-sample` backend) or by calling Sample
-// directly on an injected Clock (tests, report pipelines).
+// directly on an injected Clock (tests).
 type Sampler struct {
 	reg      *Registry
 	clock    Clock
