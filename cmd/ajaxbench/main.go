@@ -56,12 +56,11 @@ type env struct {
 	// -bloom-bits); zero values select the scheduler defaults.
 	frontSeed int64
 	bloomBits int
-	// Near-duplicate knobs (-neardup, -neardup-bands, -sketch): a
-	// non-zero threshold turns sketch-based state merging on for every
-	// experiment crawl that does not set its own admission policy.
-	nearDup      float64
-	nearDupBands int
-	sketch       core.SketchKind
+	// Near-duplicate knobs (-neardup, -sketch): a non-zero threshold
+	// turns sketch-based state merging on for every experiment crawl
+	// that does not set its own admission policy.
+	nearDup float64
+	sketch  core.SketchKind
 }
 
 // experiment is one runnable table/figure reproduction.
@@ -95,7 +94,7 @@ var experiments = []experiment{
 	{"ablate-idf", "sharded ranking: global idf correction vs local idf", ablateIDF},
 	{"ablate-recrawl", "repetitive crawling: profile-guided second session", ablateRecrawl},
 	{"ablate-neardup", "near-duplicate state merging vs granular-event explosion", ablateNearDup},
-	{"neardup", "noisy-app collapse: exact vs brute-force vs LSH admission", expNearDup},
+	{"neardup", "noisy-app collapse: exact vs LSH admission", expNearDup},
 	{"router", "sharded fan-out vs single snapshot: equality and merge overhead", expRouter},
 }
 
@@ -115,7 +114,6 @@ func main() {
 		breakerThr  = flag.Float64("breaker-threshold", 0, "per-host circuit-breaker failure-rate threshold in (0,1] (0 disables the breaker)")
 		faultRate   = flag.Float64("fault-rate", 0, "inject transient fetch faults with this probability (chaos testing; seeded by -seed)")
 		nearDup     = flag.Float64("neardup", 0, "merge states whose sketch similarity reaches this threshold in (0,1] (0 disables; 0.9 with the default minhash sketch, ~0.5 with -sketch simhash)")
-		nearDupB    = flag.Int("neardup-bands", 0, "near-dup candidate lookup: 0 = LSH index with bands derived from -neardup (recall-preserving), -1 = brute-force linear scan, >0 = force that many bands (probabilistic, may miss merges)")
 		sketchKind  = flag.String("sketch", "minhash", "near-dup signature family: minhash (64 permutations) or simhash (64-bit fingerprint, cheaper and coarser)")
 		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the parallel crawler's work-stealing scheduler (0 = default seed 1)")
 		bloomBits   = flag.Int("bloom-bits", 0, "frontier dedup bloom-filter size in bits, rounded to a power of two (0 = default)")
@@ -178,19 +176,18 @@ func main() {
 	ctx = obs.With(ctx, cli.Tel)
 
 	e := &env{
-		ctx:          ctx,
-		out:          tables,
-		site:         webapp.New(webapp.DefaultConfig(*videos, *seed)),
-		videos:       *videos,
-		seed:         *seed,
-		latBase:      *base,
-		latPerK:      *perKB,
-		faultRate:    *faultRate,
-		frontSeed:    *frontSeed,
-		bloomBits:    *bloomBits,
-		nearDup:      *nearDup,
-		nearDupBands: *nearDupB,
-		sketch:       core.SketchKind(*sketchKind),
+		ctx:       ctx,
+		out:       tables,
+		site:      webapp.New(webapp.DefaultConfig(*videos, *seed)),
+		videos:    *videos,
+		seed:      *seed,
+		latBase:   *base,
+		latPerK:   *perKB,
+		faultRate: *faultRate,
+		frontSeed: *frontSeed,
+		bloomBits: *bloomBits,
+		nearDup:   *nearDup,
+		sketch:    core.SketchKind(*sketchKind),
 	}
 	if *sketchKind != string(core.SketchMinHash) && *sketchKind != string(core.SketchSimHash) {
 		fatalf("-sketch %q: want %s or %s", *sketchKind, core.SketchMinHash, core.SketchSimHash)
@@ -284,7 +281,6 @@ func (e *env) crawl(n int, opts core.Options) (*core.Metrics, []*model.Graph, er
 	opts.BreakerConfig = e.breaker
 	if opts.NearDupThreshold == 0 && e.nearDup > 0 {
 		opts.NearDupThreshold = e.nearDup
-		opts.NearDupBands = e.nearDupBands
 	}
 	if opts.Sketch == "" {
 		opts.Sketch = e.sketch

@@ -73,7 +73,6 @@ func main() {
 		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the frontier scheduler's steal-victim PRNG (0 selects seed 1; results are seed-independent)")
 		bloomBits   = flag.Int("bloom-bits", 0, "frontier dedup bloom filter size in bits (0 selects the default, 1<<20)")
 		nearDup     = flag.Float64("neardup", 0, "merge states whose sketch similarity reaches this threshold in (0,1] (0 disables; 0.9 with the default minhash sketch, ~0.5 with -sketch simhash)")
-		nearDupB    = flag.Int("neardup-bands", 0, "near-dup candidate lookup: 0 = LSH index with bands derived from -neardup (recall-preserving), -1 = brute-force linear scan, >0 = force that many bands (probabilistic, may miss merges)")
 		sketchKind  = flag.String("sketch", "minhash", "near-dup signature family: minhash (64 permutations) or simhash (64-bit fingerprint, cheaper and coarser)")
 		simNoisy    = flag.Bool("sim-noisy", false, "give the synthetic site mutating page chrome (timestamp/view-counter/ad-slot) — the noisy-app workload that near-dup merging collapses")
 	)
@@ -179,7 +178,6 @@ func main() {
 		UseHotNode:       !*noHot && !*traditional,
 		MaxStates:        *maxStates,
 		NearDupThreshold: *nearDup,
-		NearDupBands:     *nearDupB,
 		Sketch:           core.SketchKind(*sketchKind),
 	}
 	if *sketchKind != string(core.SketchMinHash) && *sketchKind != string(core.SketchSimHash) {

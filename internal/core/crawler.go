@@ -82,15 +82,6 @@ type Options struct {
 	// granular events ... a large set of very similar states"). 0.9 is
 	// a reasonable setting; 0 disables near-duplicate merging.
 	NearDupThreshold float64
-	// NearDupBands controls how near-dup candidates are found. 0 (the
-	// default) probes a banded LSH index whose band count is derived
-	// from NearDupThreshold by lsh.ParamsFor — the recall-preserving
-	// layout, guaranteed to surface every state the linear scan would
-	// merge. -1 disables the index and scans every admitted signature
-	// linearly (the benchmark baseline). A positive value forces that
-	// many bands; below the ParamsFor bound this is ordinary
-	// probabilistic LSH and may miss merges (see DESIGN.md §5h).
-	NearDupBands int
 	// Sketch selects the near-dup signature family: SketchMinHash (the
 	// default, 64 permutations) or SketchSimHash (one 64-bit
 	// random-projection fingerprint widened to 16 chunks — cheaper to
@@ -199,12 +190,11 @@ type PageMetrics struct {
 	// NearDupMerges counts states folded into an existing near-duplicate.
 	NearDupMerges int
 	// NearDupProbes counts LSH band-bucket lookups made while admitting
-	// this page's states (0 on the brute-force path, which has no index).
+	// this page's states.
 	NearDupProbes int
 	// NearDupCandidates counts exact Similarity verifications — the
-	// "similarity work" the LSH index exists to shrink. On the
-	// brute-force path this is every signature comparison of the linear
-	// scan; on the indexed path, only bucket-collision candidates.
+	// "similarity work" the LSH index exists to shrink: only
+	// bucket-collision candidates are verified, not every admitted state.
 	NearDupCandidates int
 	// NearDupFalsePositives counts indexed candidates that failed exact
 	// verification — the price of banding, bounded but never a wrong
@@ -761,13 +751,12 @@ func (c *Crawler) CrawlAll(ctx context.Context, urls []string) ([]*model.Graph, 
 // NearDupThreshold is set — states whose sketch similarity to an
 // existing state reaches the threshold are merged into it.
 //
-// Candidate discovery is either a banded LSH index probe (the default;
-// see internal/lsh) or a linear scan over admission order (NearDupBands
-// = -1, the benchmark baseline). Both paths verify candidates with the
-// exact Signature.Similarity in ascending-StateID order and merge into
-// the first match, so the merge target is deterministically the lowest
-// matching StateID and — with the recall-preserving band layout — both
-// paths produce identical models.
+// Candidates come from a banded LSH index (see internal/lsh) whose
+// recall-preserving layout surfaces every state a linear scan over all
+// admitted signatures would merge with; that scan survives as the test
+// oracle. Candidates are verified with the exact Signature.Similarity in
+// ascending-StateID order and the state merges into the first match, so
+// the merge target is deterministically the lowest matching StateID.
 type stateAdmitter struct {
 	graph     *model.Graph
 	threshold float64
@@ -775,8 +764,7 @@ type stateAdmitter struct {
 	tel       *obs.Telemetry
 	sketch    func(tokens []string) shingle.Signature
 	sigLen    int
-	index     *lsh.Index // nil on the brute-force path
-	order     []model.StateID
+	index     *lsh.Index
 	sigs      map[model.StateID]shingle.Signature
 	fields    []string // the sketched text's tokens, reused per state
 	// sigCache holds journaled hash→signature pairs from an interrupted
@@ -802,14 +790,7 @@ func newStateAdmitter(graph *model.Graph, opts Options, pm *PageMetrics, tel *ob
 	}
 	a.sketch, a.sigLen = sketch, sigLen
 	a.sigs = make(map[model.StateID]shingle.Signature)
-	switch {
-	case opts.NearDupBands < 0:
-		// Brute force: no index, linear scan over a.order.
-	case opts.NearDupBands == 0:
-		a.index = lsh.New(a.threshold, sigLen)
-	default:
-		a.index = lsh.NewWithParams(lsh.Params{Bands: opts.NearDupBands}, sigLen)
-	}
+	a.index = lsh.New(a.threshold, sigLen)
 	return a, nil
 }
 
@@ -870,29 +851,15 @@ func (a *stateAdmitter) state(h dom.Hash, text string, depth int) (model.StateID
 		}
 	}
 	a.sigs[id] = sig
-	a.order = append(a.order, id)
-	if a.index != nil {
-		a.index.Add(int(id), sig)
-	}
+	a.index.Add(int(id), sig)
 	return id, isNew
 }
 
 // mergeTarget finds the lowest-StateID admitted state whose signature
-// similarity to sig reaches the threshold, or reports none. Both paths
-// verify in ascending-ID order and stop at the first match; since IDs
-// are admitted in ascending order (brute path) and index candidates are
-// returned sorted (LSH path), the first verified match is the lowest.
+// similarity to sig reaches the threshold, or reports none. Index
+// candidates come back sorted, so the first verified match is the
+// lowest.
 func (a *stateAdmitter) mergeTarget(sig shingle.Signature) (model.StateID, bool) {
-	if a.index == nil {
-		for _, id := range a.order {
-			a.pm.NearDupCandidates++
-			a.tel.Counter("crawl.states.neardup.candidates").Inc()
-			if sig.Similarity(a.sigs[id]) >= a.threshold {
-				return id, true
-			}
-		}
-		return 0, false
-	}
 	before := a.index.Stats()
 	cands := a.index.Candidates(sig)
 	probes := int(a.index.Stats().Probes - before.Probes)

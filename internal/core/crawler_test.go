@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -302,7 +303,7 @@ func TestDiffTargets(t *testing.T) {
 			`<p>new</p><div id="a">x</div><div id="b">z</div>`, []string{"b"}},
 		{"old id gone", `<div id="a">x</div><div id="b">y</div>`, `<div id="b">y</div>`, nil},
 	} {
-		if got := diffTargets(html.Parse(c.before), html.Parse(c.after)); !equalStrings(got, c.want) {
+		if got := diffTargets(html.Parse(c.before), html.Parse(c.after)); !slices.Equal(got, c.want) {
 			t.Errorf("%s: targets = %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -106,25 +106,7 @@ type Index struct {
 // New builds an index for signatures of sigLen elements with the layout
 // derived from threshold via ParamsFor.
 func New(threshold float64, sigLen int) *Index {
-	return NewWithParams(ParamsFor(threshold, sigLen), sigLen)
-}
-
-// NewWithParams builds an index with an explicit band count. Rows are
-// derived from sigLen (contiguous near-equal chunks covering every
-// position), so p.Rows is advisory. Band counts below the ParamsFor
-// bound drop the recall guarantee and behave as ordinary probabilistic
-// LSH.
-func NewWithParams(p Params, sigLen int) *Index {
-	if sigLen <= 0 {
-		panic("lsh: signature length must be positive")
-	}
-	if p.Bands < 1 {
-		p.Bands = 1
-	}
-	if p.Bands > sigLen {
-		p.Bands = sigLen
-	}
-	p.Rows = sigLen / p.Bands
+	p := ParamsFor(threshold, sigLen)
 	buckets := make([]map[uint64][]int, p.Bands)
 	for i := range buckets {
 		buckets[i] = make(map[uint64][]int)

@@ -209,10 +209,17 @@ func (g *Graph) GobEncode() ([]byte, error) {
 	return gobEncode(graphWire{URL: g.URL, States: g.States, Transitions: g.Transitions, Initial: g.Initial})
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. A decoded graph is disk input
+// (a journaled page, a published model file): one whose states are not
+// numbered by position, or whose transitions or initial state lie
+// outside them, is refused, because rebuild, PathTo and index.AddGraph
+// look states up by StateID.
 func (g *Graph) GobDecode(data []byte) error {
 	var w graphWire
 	if err := gobDecode(data, &w); err != nil {
+		return err
+	}
+	if err := w.check(); err != nil {
 		return err
 	}
 	g.URL = w.URL
@@ -220,6 +227,26 @@ func (g *Graph) GobDecode(data []byte) error {
 	g.Transitions = w.Transitions
 	g.Initial = w.Initial
 	g.rebuild()
+	return nil
+}
+
+// check reports the first state, transition or initial state that
+// breaks the graph's StateID invariants.
+func (w *graphWire) check() error {
+	n := StateID(len(w.States))
+	for i, s := range w.States {
+		if s == nil || s.ID != StateID(i) {
+			return fmt.Errorf("model: graph %q: state %d is missing or numbered out of place", w.URL, i)
+		}
+	}
+	for i, t := range w.Transitions {
+		if t == nil || t.From < 0 || t.From >= n || t.To < 0 || t.To >= n {
+			return fmt.Errorf("model: graph %q: transition %d is missing or leaves the %d states", w.URL, i, n)
+		}
+	}
+	if w.Initial < 0 || w.Initial >= n {
+		return fmt.Errorf("model: graph %q: initial state %d outside the %d states", w.URL, w.Initial, n)
+	}
 	return nil
 }
 

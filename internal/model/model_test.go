@@ -151,6 +151,47 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeGraphRejectsBrokenIDs: a graph whose StateIDs do not hold
+// together must fail to decode, not reach rebuild, PathTo or the
+// indexer. gob cannot encode a nil element (and its decoder allocates
+// every element it reads), so the nil rows are checked on the wire
+// value.
+func TestDecodeGraphRejectsBrokenIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(g *Graph)
+	}{
+		{"state numbered out of place", func(g *Graph) { g.States[2].ID = 3 }},
+		{"negative state ID", func(g *Graph) { g.States[0].ID = -1 }},
+		{"transition from past the states", func(g *Graph) { g.Transitions[0].From = 4 }},
+		{"transition to a negative state", func(g *Graph) { g.Transitions[3].To = -1 }},
+		{"transition to past the states", func(g *Graph) { g.Transitions[4].To = 99 }},
+		{"initial past the states", func(g *Graph) { g.Initial = 4 }},
+		{"initial of a graph with no states", func(g *Graph) { g.States, g.Transitions = nil, nil }},
+		{"nil state", func(g *Graph) { g.States[1] = nil }},
+		{"nil transition", func(g *Graph) { g.Transitions[1] = nil }},
+	} {
+		g := lineGraph()
+		tc.mutate(g)
+		data, err := EncodeGraph(g)
+		if err != nil {
+			w := graphWire{URL: g.URL, States: g.States, Transitions: g.Transitions, Initial: g.Initial}
+			if w.check() == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+			continue
+		}
+		if _, err := DecodeGraph(data); err == nil {
+			t.Errorf("%s: decoded", tc.name)
+		}
+	}
+	if data, err := EncodeGraph(lineGraph()); err != nil {
+		t.Fatal(err)
+	} else if _, err := DecodeGraph(data); err != nil {
+		t.Fatalf("a sound graph was refused: %v", err)
+	}
+}
+
 func TestLoadMissing(t *testing.T) {
 	if _, err := LoadAll(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatalf("loading from missing dir should fail")
