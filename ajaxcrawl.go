@@ -137,11 +137,9 @@ type Config struct {
 // Engine is a complete AJAX search engine: sharded indexes, the ranking
 // broker, and the application models needed to reconstruct result states.
 type Engine struct {
-	broker *query.Broker
-	graphs map[string]*model.Graph
-	// stateText resolves a result to its state's text, for snippets.
-	stateText func(url string, state int) string
-	fetcher   Fetcher
+	broker  *query.Broker
+	graphs  map[string]*model.Graph
+	fetcher Fetcher
 	// Metrics of the crawl that built this engine.
 	Metrics *CrawlMetrics
 	// PageRank of every crawled URL.
@@ -206,7 +204,6 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 	sharder := index.NewSharder(preRes.URLs, preRes.PageRank)
 	metrics := &core.Metrics{}
 	graphs := make(map[string]*model.Graph)
-	var crawled []*model.Graph
 	var crawlErr error
 	for pr := range mp.Stream(ctx) {
 		if pr.Err != nil && crawlErr == nil {
@@ -216,7 +213,6 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 		sharder.Add(ctx, pr.URL, pr.Graph)
 		if pr.Graph != nil {
 			graphs[pr.URL] = pr.Graph
-			crawled = append(crawled, pr.Graph)
 		}
 	}
 	if crawlErr != nil {
@@ -235,12 +231,11 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 		weights = *cfg.Weights
 	}
 	eng := &Engine{
-		broker:    &query.Broker{Shards: sharder.Shards(ctx), W: weights},
-		graphs:    graphs,
-		stateText: model.TextSource(crawled),
-		fetcher:   cfg.Fetcher,
-		Metrics:   metrics,
-		PageRank:  preRes.PageRank,
+		broker:   &query.Broker{Shards: sharder.Shards(ctx), W: weights},
+		graphs:   graphs,
+		fetcher:  cfg.Fetcher,
+		Metrics:  metrics,
+		PageRank: preRes.PageRank,
 	}
 	return eng, ctxErr
 }
@@ -249,19 +244,7 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 // models (single shard) — useful when the caller drives the crawler
 // itself.
 func NewEngineFromGraphs(f Fetcher, graphs []*model.Graph, pageRank map[string]float64) *Engine {
-	shard := index.New()
-	byURL := make(map[string]*model.Graph, len(graphs))
-	for _, g := range graphs {
-		shard.AddGraph(g, pageRank[g.URL], 0)
-		byURL[g.URL] = g
-	}
-	return &Engine{
-		broker:    query.NewBroker([]*index.Index{shard}),
-		graphs:    byURL,
-		stateText: model.TextSource(graphs),
-		fetcher:   f,
-		PageRank:  pageRank,
-	}
+	return NewEngineFromGraphsLimited(f, graphs, pageRank, 0)
 }
 
 // Search evaluates a conjunctive keyword query across all shards and
@@ -309,9 +292,9 @@ func LoadEngineSnapshot(dir string, f Fetcher) (*Engine, error) {
 		return nil, err
 	}
 	graphs := make(map[string]*model.Graph)
-	var gs []*model.Graph
 	if man.Models != "" {
-		if gs, err = model.LoadAll(dir); err != nil {
+		gs, err := model.LoadAll(dir)
+		if err != nil {
 			return nil, fmt.Errorf("ajaxcrawl: snapshot models: %w", err)
 		}
 		for _, g := range gs {
@@ -319,10 +302,9 @@ func LoadEngineSnapshot(dir string, f Fetcher) (*Engine, error) {
 		}
 	}
 	return &Engine{
-		broker:    &query.Broker{Shards: shards, W: query.DefaultWeights},
-		graphs:    graphs,
-		stateText: model.TextSource(gs),
-		fetcher:   f,
+		broker:  &query.Broker{Shards: shards, W: query.DefaultWeights},
+		graphs:  graphs,
+		fetcher: f,
 	}, nil
 }
 
@@ -422,11 +404,10 @@ func NewEngineFromGraphsLimited(f Fetcher, graphs []*model.Graph, pageRank map[s
 		byURL[g.URL] = g
 	}
 	return &Engine{
-		broker:    query.NewBroker([]*index.Index{shard}),
-		graphs:    byURL,
-		stateText: model.TextSource(graphs),
-		fetcher:   f,
-		PageRank:  pageRank,
+		broker:   query.NewBroker([]*index.Index{shard}),
+		graphs:   byURL,
+		fetcher:  f,
+		PageRank: pageRank,
 	}
 }
 
@@ -446,7 +427,7 @@ type ResultWithSnippet = query.ResultWithSnippet
 // SearchWithSnippets returns at most k results, each with a KWIC-style
 // snippet of the matching application state (query terms bracketed).
 func (e *Engine) SearchWithSnippets(q string, k int) []ResultWithSnippet {
-	return query.AttachSnippets(e.broker.SearchTopK(q, k), e.stateText, q, query.SnippetOptions{})
+	return query.AttachSnippets(e.broker.SearchTopK(q, k), e.broker.StateText, q, query.SnippetOptions{})
 }
 
 // NewsSite is the second synthetic AJAX application: a news site with

@@ -1,8 +1,8 @@
-// Command ajaxserve is the long-running search daemon: it loads a saved
-// index snapshot (shards + application models + manifest, as written by
-// `ajaxcrawl -save-index` or Engine.SaveSnapshot) and answers keyword
-// queries over HTTP until stopped — the serving half of the search
-// engine the crawling CLIs only build.
+// Command ajaxserve is the long-running search daemon: it loads the
+// shards and manifest of a saved index snapshot (as written by
+// `ajaxcrawl -save-index` or Engine.SaveSnapshot; it never reads the
+// models) and answers keyword queries over HTTP until stopped — the
+// serving half of the search engine the crawling CLIs only build.
 //
 //	# Crawl and publish a snapshot, then serve it.
 //	ajaxcrawl -sim 500 -pages 100 -out ./crawl-out -save-index ./crawl-out/snapshot

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -190,9 +192,34 @@ func LoadPrecrawl(dir string) (*PrecrawlResult, error) {
 		return nil, fmt.Errorf("core: load precrawl %s: %w", dir, err)
 	}
 	defer f.Close()
-	var r PrecrawlResult
-	if err := gob.NewDecoder(f).Decode(&r); err != nil {
+	r, err := decodePrecrawl(f)
+	if err != nil {
 		return nil, fmt.Errorf("core: decode precrawl %s: %w", path, err)
 	}
-	return &r, nil
+	return r, nil
+}
+
+// decodePrecrawl reads a saved PrecrawlResult from untrusted bytes. gob
+// reads no more than the input holds; the result is then refused if a
+// URL is empty or listed twice, or a PageRank is not finite — a NaN rank
+// would poison every score it enters and surface only when the shard it
+// lands in fails to load.
+func decodePrecrawl(r io.Reader) (*PrecrawlResult, error) {
+	var res PrecrawlResult
+	if err := gob.NewDecoder(r).Decode(&res); err != nil {
+		return nil, err
+	}
+	seen := make(map[string]bool, len(res.URLs))
+	for _, u := range res.URLs {
+		if u == "" || seen[u] {
+			return nil, fmt.Errorf("empty or duplicate URL %q", u)
+		}
+		seen[u] = true
+	}
+	for u, pr := range res.PageRank {
+		if math.IsNaN(pr) || math.IsInf(pr, 0) {
+			return nil, fmt.Errorf("URL %q: PageRank %v", u, pr)
+		}
+	}
+	return &res, nil
 }

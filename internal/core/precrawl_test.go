@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -100,6 +104,67 @@ func TestPrecrawlSaveLoad(t *testing.T) {
 	if _, err := LoadPrecrawl(t.TempDir()); err == nil {
 		t.Fatalf("loading missing precrawl should fail")
 	}
+}
+
+// TestLoadPrecrawlRejectsInvalid: a saved precrawl whose URL list has an
+// empty or repeated entry, or whose PageRank is not finite, is refused at
+// load, one row per violation.
+func TestLoadPrecrawlRejectsInvalid(t *testing.T) {
+	for name, res := range map[string]*PrecrawlResult{
+		"empty URL":     {URLs: []string{"/a", ""}, PageRank: map[string]float64{"/a": 1}},
+		"duplicate URL": {URLs: []string{"/a", "/b", "/a"}, PageRank: map[string]float64{"/a": 0.5, "/b": 0.5}},
+		"NaN PageRank":  {URLs: []string{"/a", "/b"}, PageRank: map[string]float64{"/a": math.NaN(), "/b": 0.5}},
+		"Inf PageRank":  {URLs: []string{"/a"}, PageRank: map[string]float64{"/a": math.Inf(1)}},
+		"-Inf PageRank": {URLs: []string{"/a"}, PageRank: map[string]float64{"/a": math.Inf(-1)}},
+	} {
+		dir := t.TempDir()
+		if err := res.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPrecrawl(dir); err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
+	}
+}
+
+// FuzzLoadPrecrawl feeds the precrawl reader arbitrary bytes, seeded with
+// a real Save's file and its truncations. It may never panic, and a
+// result it accepts has unique non-empty URLs and finite ranks.
+func FuzzLoadPrecrawl(f *testing.F) {
+	site, fetcher := newSiteFetcher(12, 7)
+	res, err := (&Precrawler{Fetcher: fetcher, StartURL: webapp.WatchURL(site.Video(0).ID), MaxPages: 6}).Run(context.Background())
+	if err != nil {
+		f.Fatal(err)
+	}
+	dir := f.TempDir()
+	if err := res.Save(dir); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(filepath.Join(dir, precrawlFileName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 16, 0} {
+		f.Add(seed[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := decodePrecrawl(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		seen := make(map[string]bool, len(res.URLs))
+		for _, u := range res.URLs {
+			if u == "" || seen[u] {
+				t.Fatalf("accepted empty or duplicate URL %q", u)
+			}
+			seen[u] = true
+		}
+		for u, pr := range res.PageRank {
+			if math.IsNaN(pr) || math.IsInf(pr, 0) {
+				t.Fatalf("accepted PageRank %v for %q", pr, u)
+			}
+		}
+	})
 }
 
 // recordingFetcher logs the order of the URLs fetched through it.

@@ -25,6 +25,7 @@ func addGraphOracle(ix *Index, g *model.Graph, pageRank float64, maxStates int) 
 		info.States++
 		info.StateLens = append(info.StateLens, int32(len(tokens)))
 		info.AJAXRanks = append(info.AJAXRanks, AJAXRank(s.Depth))
+		info.Texts = append(info.Texts, s.Text)
 		ix.TotalStates++
 		positions := make(map[string][]int32)
 		for pos, tok := range tokens {
@@ -39,7 +40,6 @@ func addGraphOracle(ix *Index, g *model.Graph, pageRank float64, maxStates int) 
 		}
 	}
 	ix.Docs = append(ix.Docs, info)
-	ix.sortTail(doc)
 }
 
 // randomGraphs draws graphs over one small vocabulary, so graphs share

@@ -20,7 +20,8 @@ import (
 //	magic "AJIX" | version u8
 //	docCount varint
 //	  per doc: url (len-prefixed), pagerank f64,
-//	           states varint, stateLens varints, ajaxRanks f64s
+//	           states varint, stateLens varints, ajaxRanks f64s,
+//	           texts (len-prefixed, one per state: the snippet source)
 //	totalStates varint
 //	termCount varint
 //	  per term (sorted): term (len-prefixed), postingCount varint,
@@ -34,9 +35,9 @@ import (
 
 const (
 	codecMagic = "AJIX"
-	// codecVersion 1 rounded AJAXRanks through float32; its files are
-	// refused.
-	codecVersion = 2
+	// codecVersion 1 rounded AJAXRanks through float32 and version 2
+	// carried no state text; their files are refused.
+	codecVersion = 3
 
 	// maxCount bounds every count read from an untrusted file (docs,
 	// states, terms, postings, positions). A truncated or corrupt varint
@@ -48,7 +49,8 @@ const (
 	// arrives, so a lying header can't allocate more than the file
 	// actually backs.
 	maxPrealloc = 1 << 16
-	// maxString bounds a length-prefixed string (a URL or a term).
+	// maxString bounds a length-prefixed string (a URL, a state text or
+	// a term).
 	maxString = 1 << 24
 )
 
@@ -73,6 +75,9 @@ func (ix *Index) Encode(w io.Writer) error {
 		}
 		for _, r := range d.AJAXRanks {
 			e.float64(r)
+		}
+		for _, t := range d.Texts {
+			e.string(t)
 		}
 	}
 	e.uvarint(uint64(ix.TotalStates))
@@ -239,7 +244,8 @@ func (d *decoder) index() *Index {
 	case string(head[:len(codecMagic)]) != codecMagic:
 		d.fail(fmt.Errorf("bad magic %q", head[:len(codecMagic)]))
 	case head[len(codecMagic)] != codecVersion:
-		d.fail(fmt.Errorf("unsupported version %d", head[len(codecMagic)]))
+		d.fail(fmt.Errorf("unsupported version %d (this build reads %d): re-publish the snapshot with ajaxcrawl -save-index",
+			head[len(codecMagic)], codecVersion))
 	}
 	if d.err != nil {
 		return nil
@@ -263,6 +269,10 @@ func (d *decoder) index() *Index {
 		doc.AJAXRanks = make([]float64, 0, prealloc(doc.States))
 		for j := 0; j < doc.States && d.err == nil; j++ {
 			doc.AJAXRanks = append(doc.AJAXRanks, d.float64())
+		}
+		doc.Texts = make([]string, 0, prealloc(doc.States))
+		for j := 0; j < doc.States && d.err == nil; j++ {
+			doc.Texts = append(doc.Texts, d.string())
 		}
 		ix.docByURL[doc.URL] = DocID(len(ix.Docs))
 		ix.Docs = append(ix.Docs, doc)
@@ -296,19 +306,19 @@ func (d *decoder) index() *Index {
 // validate checks the structural invariants query evaluation relies on,
 // so a corrupt or adversarial snapshot surfaces as a load error instead
 // of an out-of-range panic or a non-finite score in the middle of a
-// search: per-doc state metadata is consistent, every rank is finite,
-// every posting points at a real document, and every posting carries at
-// least one position (proximity indexes Positions[0] unconditionally for
-// multi-term queries).
+// search: per-doc state metadata (lengths, ranks, texts) is consistent,
+// every rank is finite, every posting points at a real document, and
+// every posting carries at least one position (proximity indexes
+// Positions[0] unconditionally for multi-term queries).
 func (ix *Index) validate() error {
 	if ix.TotalStates < 0 {
 		return fmt.Errorf("index: validate: negative TotalStates %d", ix.TotalStates)
 	}
 	states := 0
 	for i, d := range ix.Docs {
-		if d.States < 0 || d.States != len(d.StateLens) || d.States != len(d.AJAXRanks) {
-			return fmt.Errorf("index: validate: doc %d (%s): States=%d, len(StateLens)=%d, len(AJAXRanks)=%d",
-				i, d.URL, d.States, len(d.StateLens), len(d.AJAXRanks))
+		if d.States < 0 || d.States != len(d.StateLens) || d.States != len(d.AJAXRanks) || d.States != len(d.Texts) {
+			return fmt.Errorf("index: validate: doc %d (%s): States=%d, len(StateLens)=%d, len(AJAXRanks)=%d, len(Texts)=%d",
+				i, d.URL, d.States, len(d.StateLens), len(d.AJAXRanks), len(d.Texts))
 		}
 		if !finite(d.PageRank) {
 			return fmt.Errorf("index: validate: doc %d (%s): PageRank %v", i, d.URL, d.PageRank)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -21,6 +23,59 @@ func fuzzSeedIndex(tb testing.TB) (*Index, []byte) {
 
 // header is the magic and version every valid encoding starts with.
 func header() []byte { return append([]byte(codecMagic), codecVersion) }
+
+// badTextSections are encodings whose state-text section is corrupt, or
+// whose version predates it; every one must be refused.
+func badTextSections(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	_, enc := fuzzSeedIndex(tb)
+	v2 := append([]byte(nil), enc...)
+	v2[len(codecMagic)] = 2
+	// One doc, cut where its one state's text begins.
+	doc := binary.AppendUvarint(header(), 1)
+	doc = binary.AppendUvarint(doc, 1)
+	doc = append(doc, 'u')
+	doc = binary.LittleEndian.AppendUint64(doc, 0)
+	doc = binary.AppendUvarint(doc, 1)
+	doc = binary.AppendUvarint(doc, 2)
+	doc = binary.LittleEndian.AppendUint64(doc, math.Float64bits(1))
+	// Texts that disagree with States: Encode writes whatever Texts holds.
+	miscount := func(mutate func(*DocInfo)) []byte {
+		ix, _ := fuzzSeedIndex(tb)
+		mutate(&ix.Docs[0])
+		var buf bytes.Buffer
+		if err := ix.Encode(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	return map[string][]byte{
+		"version 2":             v2,
+		"text past maxString":   binary.AppendUvarint(bytes.Clone(doc), maxString+1),
+		"truncated inside text": append(binary.AppendUvarint(bytes.Clone(doc), 10), "alpha"...),
+		"one text too many":     miscount(func(d *DocInfo) { d.Texts = append(d.Texts, "extra") }),
+		"one text too few":      miscount(func(d *DocInfo) { d.Texts = d.Texts[:len(d.Texts)-1] }),
+	}
+}
+
+// TestDecodeRejectsBadTextSection: every badTextSections input is a load
+// error, a retired version's with the re-publish instruction; an index
+// whose texts disagree with its state count fails validation.
+func TestDecodeRejectsBadTextSection(t *testing.T) {
+	for name, data := range badTextSections(t) {
+		_, err := Decode(bytes.NewReader(data))
+		if err == nil {
+			t.Errorf("%s: decoded without error", name)
+		} else if name == "version 2" && !strings.Contains(err.Error(), "re-publish the snapshot with ajaxcrawl -save-index") {
+			t.Errorf("%s: error %q does not say how to recover", name, err)
+		}
+	}
+	ix, _ := fuzzSeedIndex(t)
+	ix.Docs[1].Texts = nil
+	if err := ix.validate(); err == nil {
+		t.Error("an index with no texts for a doc's states validated")
+	}
+}
 
 // FuzzIndexLoad feeds arbitrary bytes to the snapshot decoder. It may
 // never panic — snapshot files are untrusted disk input read by a
@@ -60,10 +115,18 @@ func FuzzIndexLoad(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Add(v1)
+	for _, data := range badTextSections(f) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := Decode(bytes.NewReader(data))
 		if err != nil {
+			// A retired version is refused with the way out.
+			if len(data) > len(codecMagic) && string(data[:len(codecMagic)]) == codecMagic &&
+				data[len(codecMagic)] != codecVersion && !strings.Contains(err.Error(), "re-publish") {
+				t.Fatalf("version %d refused without the re-publish instruction: %v", data[len(codecMagic)], err)
+			}
 			return // error is the correct outcome for corrupt input
 		}
 		// Decoded OK: the invariants the query layer relies on must hold,
@@ -72,6 +135,9 @@ func FuzzIndexLoad(f *testing.F) {
 		nd := ix.NumDocs()
 		_ = ix.NumPostings()
 		for _, d := range ix.Docs {
+			if len(d.Texts) != d.States {
+				t.Fatalf("doc %s: %d texts for %d states", d.URL, len(d.Texts), d.States)
+			}
 			if !finite(d.PageRank) {
 				t.Fatalf("doc %s: PageRank %v", d.URL, d.PageRank)
 			}
@@ -90,6 +156,7 @@ func FuzzIndexLoad(f *testing.F) {
 					t.Fatalf("term %q posting for doc %d has no positions", term, p.Doc)
 				}
 				_ = ix.Doc(p.Doc)
+				_ = ix.StateText(p.Doc, p.State)
 			}
 			_ = ix.Lookup(term)
 			_ = ix.DF(term)

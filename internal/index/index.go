@@ -49,6 +49,9 @@ type DocInfo struct {
 	StateLens []int32
 	// AJAXRanks holds the AJAXRank of each indexed state.
 	AJAXRanks []float64
+	// Texts holds the visible text of each indexed state, which snippets
+	// are cut from.
+	Texts []string
 }
 
 // Index is one inverted-file shard.
@@ -89,6 +92,9 @@ func AJAXRank(depth int) float64 {
 // A state's postings share one positions slab, carved by term in order of
 // first occurrence; each Posting.Positions is a window capped at its own
 // length, so an append to one copies instead of overwriting its neighbour.
+// State IDs are positions (AddState and GobDecode guarantee it), so the
+// postings, appended state by state, stay in (doc, state) order, and a
+// state's ID indexes its StateLens, AJAXRanks and Texts entries.
 func (ix *Index) AddGraph(g *model.Graph, pageRank float64, maxStates int) {
 	if _, dup := ix.docByURL[g.URL]; dup {
 		// Re-adding a URL would corrupt posting order; refuse silently
@@ -107,6 +113,7 @@ func (ix *Index) AddGraph(g *model.Graph, pageRank float64, maxStates int) {
 		PageRank:  pageRank,
 		StateLens: slices.Grow([]int32(nil), states),
 		AJAXRanks: slices.Grow([]float64(nil), states),
+		Texts:     slices.Grow([]string(nil), states),
 	}
 	ix.docByURL[g.URL] = doc
 
@@ -126,6 +133,7 @@ func (ix *Index) AddGraph(g *model.Graph, pageRank float64, maxStates int) {
 		info.States++
 		info.StateLens = append(info.StateLens, int32(len(tokens)))
 		info.AJAXRanks = append(info.AJAXRanks, AJAXRank(s.Depth))
+		info.Texts = append(info.Texts, s.Text)
 		ix.TotalStates++
 		clear(termID)
 		ids, spans = ids[:0], spans[:0]
@@ -155,43 +163,19 @@ func (ix *Index) AddGraph(g *model.Graph, pageRank float64, maxStates int) {
 			ps, known := ix.Terms[term]
 			if !known {
 				// A token may be a substring of s.Text; the vocabulary
-				// must not pin every state's text buffer.
+				// keeps its own copy, so Texts holds the one reference.
 				term = strings.Clone(term)
 			}
 			ix.Terms[term] = append(ps, Posting{Doc: doc, State: s.ID, Positions: slab[sp.start:sp.end:sp.end]})
 		}
 	}
 	ix.Docs = append(ix.Docs, info)
-	// Postings appended per state in increasing (doc, state) order stay
-	// sorted; normalize within this doc's range in case a graph's state
-	// iteration ever changes.
-	ix.sortTail(doc)
 }
 
 // termSpan is one term's window [start, end) of a state's positions slab.
 type termSpan struct {
 	term       string
 	start, end int32
-}
-
-// sortTail restores (Doc, State) order for postings of the last doc.
-// States are iterated in increasing ID order so this is normally a no-op;
-// it guards the sorted-merge invariant of conjunction processing.
-func (ix *Index) sortTail(doc DocID) {
-	for term, ps := range ix.Terms {
-		// Find the first posting of this doc (they are at the tail).
-		i := len(ps)
-		for i > 0 && ps[i-1].Doc == doc {
-			i--
-		}
-		tail := ps[i:]
-		for j := 1; j < len(tail); j++ {
-			for k := j; k > 0 && tail[k].State < tail[k-1].State; k-- {
-				tail[k], tail[k-1] = tail[k-1], tail[k]
-			}
-		}
-		ix.Terms[term] = ps
-	}
 }
 
 // Lookup returns the posting list of a term (nil when absent). The list
@@ -209,6 +193,15 @@ func (ix *Index) DF(term string) int {
 // Doc returns the metadata of a document.
 func (ix *Index) Doc(d DocID) DocInfo {
 	return ix.Docs[d]
+}
+
+// StateText returns the visible text of one of d's indexed states, or ""
+// when d indexes no such state.
+func (ix *Index) StateText(d DocID, state model.StateID) string {
+	if texts := ix.Docs[d].Texts; state >= 0 && int(state) < len(texts) {
+		return texts[state]
+	}
+	return ""
 }
 
 // DocByURL resolves a URL to its DocID.

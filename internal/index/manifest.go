@@ -15,9 +15,9 @@ import (
 )
 
 // Snapshot layout: a serving snapshot is one directory holding immutable
-// index shard files, optionally the application models needed for
-// snippets and result reconstruction, and a manifest.json naming them
-// all. The manifest is written last and atomically (temp file + rename),
+// index shard files (state text for snippets included), optionally the
+// application models result reconstruction replays, and a manifest.json
+// naming them all. The manifest is written last and atomically (temp file + rename),
 // so a reader that can load a manifest can load everything it points at;
 // a crash mid-save leaves no manifest and therefore no half-snapshot. A
 // new save into the same directory gets a fresh ID, which is what the
@@ -59,8 +59,8 @@ type Manifest struct {
 	// ranking tie-breaks are reproducible).
 	Shards []ShardEntry `json:"shards"`
 	// Models is the application-models file name (model.ModelFileName),
-	// or "" when the snapshot carries indexes only (no snippets or
-	// result reconstruction).
+	// or "" when the snapshot carries indexes only. Only result
+	// reconstruction and the model tools read it; serving never does.
 	Models string `json:"models,omitempty"`
 	// TotalDocs and TotalStates aggregate the shard sizes.
 	TotalDocs   int `json:"total_docs"`
@@ -189,8 +189,9 @@ func SaveSnapshot(dir string, shards []*Index, graphs []*model.Graph) (*Manifest
 }
 
 // LoadSnapshot reads dir's manifest and every shard it lists, verifying
-// each shard's sizes against the manifest record. Models, when present,
-// are loaded separately (model.LoadAll) by callers that need them.
+// each shard's sizes against the manifest record: everything serving
+// needs, snippets included. Models, when present, are loaded separately
+// (model.LoadAll) by the callers that reconstruct states.
 func LoadSnapshot(dir string) (*Manifest, []*Index, error) {
 	m, err := LoadManifest(dir)
 	if err != nil {

@@ -104,23 +104,6 @@ func (g *Graph) State(id StateID) *State {
 	return g.States[id]
 }
 
-// TextSource returns the (url, state) → visible text lookup over graphs
-// that snippet generation reads; unknown pairs resolve to "".
-func TextSource(graphs []*Graph) func(url string, state int) string {
-	byURL := make(map[string]*Graph, len(graphs))
-	for _, g := range graphs {
-		byURL[g.URL] = g
-	}
-	return func(url string, state int) string {
-		if g := byURL[url]; g != nil {
-			if st := g.State(StateID(state)); st != nil {
-				return st.Text
-			}
-		}
-		return ""
-	}
-}
-
 // AddTransition records an edge. Parallel edges (different events leading
 // between the same pair of states) are kept: they carry distinct event
 // annotations.

@@ -1,9 +1,12 @@
 package query
 
 import (
+	"bytes"
 	"strings"
+	"testing"
 
 	"ajaxcrawl/internal/index"
+	"ajaxcrawl/internal/model"
 )
 
 // snippetOracle is Snippet as it was before the scan-based rewrite: it
@@ -103,6 +106,80 @@ func windowOracle(lists [][]int) (lo, hi int) {
 		ptr[loIdx]++
 		if ptr[loIdx] >= len(lists[loIdx]) {
 			return bestLo, bestHi
+		}
+	}
+}
+
+// textSource is the snippet source the serving tier built before state
+// text moved into the shard file: a (url, state) lookup over the decoded
+// application models, "" for unknown pairs. Broker.StateText is held to
+// it.
+func textSource(graphs []*model.Graph) func(url string, state int) string {
+	byURL := make(map[string]*model.Graph, len(graphs))
+	for _, g := range graphs {
+		byURL[g.URL] = g
+	}
+	return func(url string, state int) string {
+		if g := byURL[url]; g != nil {
+			if st := g.State(model.StateID(state)); st != nil {
+				return st.Text
+			}
+		}
+		return ""
+	}
+}
+
+// TestStateTextMatchesModels: over the crawled corpus cut into two
+// shards, indexed whole and with a state limit, Broker.StateText returns
+// the models' text for every indexed (url, state), in process and after
+// each shard's Encode/Decode, and "" for a state or URL no shard indexes.
+func TestStateTextMatchesModels(t *testing.T) {
+	graphs, err := corpusGraphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := textSource(graphs)
+	half := len(graphs) / 2
+	for _, maxStates := range []int{0, 3} {
+		shards := []*index.Index{index.Build(graphs[:half], nil, maxStates), index.Build(graphs[half:], nil, maxStates)}
+		decoded := make([]*index.Index, len(shards))
+		for i, ix := range shards {
+			var buf bytes.Buffer
+			if err := ix.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if decoded[i], err = index.Decode(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, b := range map[string]*Broker{"in process": NewBroker(shards), "decoded": NewBroker(decoded)} {
+			indexed, skipped := 0, 0
+			for _, g := range graphs {
+				for _, s := range g.States {
+					url, state := g.URL, int(s.ID)
+					got := b.StateText(url, state)
+					if maxStates > 0 && state >= maxStates {
+						if got != "" {
+							t.Fatalf("maxStates=%d %s: unindexed %s state %d has text %q", maxStates, name, url, state, got)
+						}
+						skipped++
+						continue
+					}
+					indexed++
+					if want := oracle(url, state); got != want {
+						t.Fatalf("maxStates=%d %s: %s state %d: got %q, want %q", maxStates, name, url, state, got, want)
+					}
+				}
+			}
+			if indexed != b.Shards[0].TotalStates+b.Shards[1].TotalStates {
+				t.Fatalf("maxStates=%d %s: checked %d states, the shards index %d", maxStates, name, indexed, b.Shards[0].TotalStates+b.Shards[1].TotalStates)
+			}
+			if maxStates > 0 && skipped == 0 {
+				t.Fatalf("maxStates=%d: no graph has a state past the limit", maxStates)
+			}
+			if got := b.StateText("site/watch?v=absent", 0); got != "" {
+				t.Fatalf("%s: unknown URL has text %q", name, got)
+			}
 		}
 	}
 }

@@ -210,6 +210,18 @@ func NewBroker(shards []*index.Index) *Broker {
 	return &Broker{Shards: shards, W: DefaultWeights}
 }
 
+// StateText returns the visible text of a (url, state) result from the
+// shard that indexes url — the snippet source — or "" when no shard
+// indexes that state.
+func (b *Broker) StateText(url string, state int) string {
+	for _, ix := range b.Shards {
+		if d, ok := ix.DocByURL(url); ok {
+			return ix.StateText(d, model.StateID(state))
+		}
+	}
+	return ""
+}
+
 // stats starts the broker's half of Figure 6.4: the df vector and state
 // count summed over its shards, no candidates yet (vectors non-nil even
 // for an empty query, so the result marshals predictably). atMost bounds

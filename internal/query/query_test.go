@@ -458,11 +458,9 @@ func BenchmarkFold(b *testing.B) {
 	}
 }
 
-// corpusServer serves the crawled 200-video webapp corpus (seed 2008) as
-// one shard with snippets on; it is crawled once per test binary. Its
-// result cache is parked on a generation no snapshot has, so every
-// search is a miss and no fill is kept.
-var corpusServer = sync.OnceValues(func() (*Server, error) {
+// corpusGraphs is the crawled 200-video webapp corpus (seed 2008),
+// crawled once per test binary.
+var corpusGraphs = sync.OnceValues(func() ([]*model.Graph, error) {
 	const videos = 200
 	site := webapp.New(webapp.DefaultConfig(videos, 2008))
 	urls := make([]string, videos)
@@ -471,13 +469,19 @@ var corpusServer = sync.OnceValues(func() (*Server, error) {
 	}
 	c := core.New(&fetch.HandlerFetcher{Handler: site.Handler()}, core.Options{UseHotNode: true})
 	graphs, _, err := c.CrawlAll(context.Background(), urls)
+	return graphs, err
+})
+
+// corpusServer serves corpusGraphs as one shard with snippets on. Its
+// result cache is parked on a generation no snapshot has, so every
+// search is a miss and no fill is kept.
+var corpusServer = sync.OnceValues(func() (*Server, error) {
+	graphs, err := corpusGraphs()
 	if err != nil {
 		return nil, err
 	}
-	srv := NewServer(&ServeSnapshot{
-		Broker:    oneShard(index.Build(graphs, nil, 0)),
-		StateText: model.TextSource(graphs),
-	}, CacheOptions{})
+	broker := oneShard(index.Build(graphs, nil, 0))
+	srv := NewServer(&ServeSnapshot{Broker: broker, StateText: broker.StateText}, CacheOptions{})
 	srv.cache.Invalidate(-1)
 	return srv, nil
 })

@@ -25,7 +25,7 @@ type ServeSnapshot struct {
 	// Broker evaluates queries over this snapshot's shards.
 	Broker *Broker
 	// StateText resolves (url, state) to the state's visible text for
-	// snippet generation; nil disables snippets.
+	// snippet generation (Broker.StateText); nil disables snippets.
 	StateText func(url string, state int) string
 	// SnippetOpts tune snippet extraction.
 	SnippetOpts SnippetOptions

@@ -124,9 +124,9 @@ type ResultWithSnippet struct {
 	Snippet string
 }
 
-// AttachSnippets looks each result's state text up in the graphs map
-// (URL → state texts) and generates snippets. Results whose text is not
-// available get an empty snippet.
+// AttachSnippets cuts each result's snippet from the text stateText
+// returns for it (Broker.StateText, for a served snapshot). Results
+// whose text is not available get an empty snippet.
 func AttachSnippets(results []Result, stateText func(url string, state int) string, q string, opts SnippetOptions) []ResultWithSnippet {
 	return attachSnippets(results, stateText, Parse(q), opts)
 }

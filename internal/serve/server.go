@@ -4,8 +4,9 @@
 // *service* (thesis ch. 5–6's endgame; ROADMAP "serve heavy traffic").
 //
 // The design follows the classic crawler/repository split: the crawler
-// publishes immutable snapshot directories (shards + models + manifest,
-// internal/index), and the server loads one, fronts it with a sharded
+// publishes immutable snapshot directories (shards + manifest,
+// internal/index; the shards carry the state text snippets are cut
+// from), and the server loads one, fronts it with a sharded
 // LRU result cache, and hot-swaps to a new snapshot — load in the
 // background, swap one atomic pointer, let old readers drain — whenever
 // the manifest's ID changes (Reload/Watch). Per-query deadlines, an
@@ -30,7 +31,6 @@ import (
 	"ajaxcrawl/internal/admission"
 	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/index"
-	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
 	"ajaxcrawl/internal/query"
 )
@@ -172,9 +172,9 @@ func New(cfg Config, tel *obs.Telemetry) (*Server, error) {
 	return s, nil
 }
 
-// LoadSnapshot reads a snapshot directory into a ServeSnapshot: shards
-// into a broker, models (when present) into the snippet source. w nil
-// means default weights.
+// LoadSnapshot reads a snapshot directory's shards into a ServeSnapshot
+// whose broker is also its snippet source; the application models are
+// never opened. w nil means default weights.
 func LoadSnapshot(dir string, w *query.Weights) (*query.ServeSnapshot, *index.Manifest, error) {
 	man, shards, err := index.LoadSnapshot(dir)
 	if err != nil {
@@ -184,17 +184,8 @@ func LoadSnapshot(dir string, w *query.Weights) (*query.ServeSnapshot, *index.Ma
 	if w != nil {
 		weights = *w
 	}
-	snap := &query.ServeSnapshot{
-		Broker: &query.Broker{Shards: shards, W: weights},
-	}
-	if man.Models != "" {
-		graphs, err := model.LoadAll(dir)
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: snapshot models: %w", err)
-		}
-		snap.StateText = model.TextSource(graphs)
-	}
-	return snap, man, nil
+	broker := &query.Broker{Shards: shards, W: weights}
+	return &query.ServeSnapshot{Broker: broker, StateText: broker.StateText}, man, nil
 }
 
 // ManifestID returns the ID of the currently serving manifest.

@@ -1,20 +1,25 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
+	"ajaxcrawl/internal/core"
 	"ajaxcrawl/internal/dom"
+	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/index"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
+	"ajaxcrawl/internal/webapp"
 )
 
 func testHash(b byte) dom.Hash {
@@ -300,5 +305,60 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{SnapshotDir: t.TempDir()}, nil); err == nil {
 		t.Fatal("New on an empty directory must error")
+	}
+}
+
+// TestServeWithoutModelsFile: the serving tier never opens the models.
+// The same crawl published three ways — with ajaxmodels.gob, with it
+// deleted after publishing, and index-only — loads in each, and every
+// /search and /shard/search body, snippets included, is byte-equal.
+func TestServeWithoutModelsFile(t *testing.T) {
+	site := webapp.New(webapp.DefaultConfig(30, 2008))
+	urls := make([]string, 30)
+	for i := range urls {
+		urls[i] = webapp.WatchURL(site.VideoID(i))
+	}
+	c := core.New(&fetch.HandlerFetcher{Handler: site.Handler()}, core.Options{UseHotNode: true})
+	graphs, _, err := c.CrawlAll(context.Background(), urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.Build(graphs, nil, 0)
+	withModels, deleted, indexOnly := t.TempDir(), t.TempDir(), t.TempDir()
+	for dir, gs := range map[string][]*model.Graph{withModels: graphs, deleted: graphs, indexOnly: nil} {
+		if _, err := index.SaveSnapshot(dir, []*index.Index{ix}, gs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(deleted, model.ModelFileName)); err != nil {
+		t.Fatal(err)
+	}
+	var handlers []http.Handler
+	for _, dir := range []string{withModels, deleted, indexOnly} {
+		s, _ := newTestServer(t, Config{SnapshotDir: dir})
+		handlers = append(handlers, s.Handler())
+	}
+	snippets := 0
+	for _, q := range webapp.Queries() {
+		esc := url.QueryEscape(q)
+		for _, path := range []string{"/search?q=" + esc + "&k=10", "/shard/search?q=" + esc} {
+			var want []byte
+			for i, h := range handlers {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("server %d %s: status %d: %s", i, path, rec.Code, rec.Body)
+				}
+				if i == 0 {
+					want = rec.Body.Bytes()
+				} else if !bytes.Equal(rec.Body.Bytes(), want) {
+					t.Fatalf("server %d %s:\n got %s\nwant %s", i, path, rec.Body, want)
+				}
+			}
+			snippets += bytes.Count(want, []byte(`"snippet":"`))
+		}
+	}
+	if snippets == 0 {
+		t.Fatal("no body carries a snippet")
 	}
 }
