@@ -129,9 +129,6 @@ type Config struct {
 	// fixed value makes a crawl reproducible run-to-run; 0 uses the
 	// default seed.
 	FrontierSeed int64
-	// BloomBits sizes the frontier's dedup bloom filter (bits, rounded
-	// to a power of two; 0 = default).
-	BloomBits int
 }
 
 // Engine is a complete AJAX search engine: sharded indexes, the ranking
@@ -197,9 +194,7 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 		ProcLines:    cfg.ProcLines,
 		URLs:         preRes.URLs,
 		Priorities:   preRes.PageRank,
-		SeedSeen:     preRes.Visited,
 		FrontierSeed: cfg.FrontierSeed,
-		BloomBits:    cfg.BloomBits,
 	}
 	sharder := index.NewSharder(preRes.URLs, preRes.PageRank)
 	metrics := &core.Metrics{}

@@ -238,7 +238,6 @@ func (e *env) parallelCrawl(n, lines int, opts core.Options) (time.Duration, *co
 		ProcLines:    lines,
 		URLs:         e.urls(n),
 		FrontierSeed: e.frontSeed,
-		BloomBits:    e.bloomBits,
 	}
 	start := time.Now()
 	res := mp.Run(e.ctx)

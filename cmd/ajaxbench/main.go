@@ -52,10 +52,9 @@ type env struct {
 	retry     *fetch.RetryPolicy
 	breaker   *fetch.BreakerConfig
 	faultRate float64
-	// Frontier knobs for the parallel experiments (-frontier-seed,
-	// -bloom-bits); zero values select the scheduler defaults.
+	// Frontier seed for the parallel experiments (-frontier-seed); zero
+	// selects the scheduler default.
 	frontSeed int64
-	bloomBits int
 	// Near-duplicate knobs (-neardup, -sketch): a non-zero threshold
 	// turns sketch-based state merging on for every experiment crawl
 	// that does not set its own admission policy.
@@ -116,7 +115,6 @@ func main() {
 		nearDup     = flag.Float64("neardup", 0, "merge states whose sketch similarity reaches this threshold in (0,1] (0 disables; 0.9 with the default minhash sketch, ~0.5 with -sketch simhash)")
 		sketchKind  = flag.String("sketch", "minhash", "near-dup signature family: minhash (64 permutations) or simhash (64-bit fingerprint, cheaper and coarser)")
 		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the parallel crawler's work-stealing scheduler (0 = default seed 1)")
-		bloomBits   = flag.Int("bloom-bits", 0, "frontier dedup bloom-filter size in bits, rounded to a power of two (0 = default)")
 	)
 	flag.Parse()
 
@@ -185,7 +183,6 @@ func main() {
 		latPerK:   *perKB,
 		faultRate: *faultRate,
 		frontSeed: *frontSeed,
-		bloomBits: *bloomBits,
 		nearDup:   *nearDup,
 		sketch:    core.SketchKind(*sketchKind),
 	}

@@ -71,7 +71,6 @@ func main() {
 		partRetries = flag.Int("partition-restarts", 0, "supervisor: requeue a failed or wedged page up to this many times")
 		partStuck   = flag.Duration("partition-stuck", 0, "supervisor watchdog: cancel and requeue a page when no page completes on its line within this duration (0 disables)")
 		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the frontier scheduler's steal-victim PRNG (0 selects seed 1; results are seed-independent)")
-		bloomBits   = flag.Int("bloom-bits", 0, "frontier dedup bloom filter size in bits (0 selects the default, 1<<20)")
 		nearDup     = flag.Float64("neardup", 0, "merge states whose sketch similarity reaches this threshold in (0,1] (0 disables; 0.9 with the default minhash sketch, ~0.5 with -sketch simhash)")
 		sketchKind  = flag.String("sketch", "minhash", "near-dup signature family: minhash (64 permutations) or simhash (64-bit fingerprint, cheaper and coarser)")
 		simNoisy    = flag.Bool("sim-noisy", false, "give the synthetic site mutating page chrome (timestamp/view-counter/ad-slot) — the noisy-app workload that near-dup merging collapses")
@@ -221,9 +220,7 @@ func main() {
 		URLs:         preRes.URLs,
 		MaxRestarts:  *partRetries,
 		Priorities:   preRes.PageRank,
-		SeedSeen:     preRes.Visited,
 		FrontierSeed: *frontSeed,
-		BloomBits:    *bloomBits,
 	}
 	if *partStuck > 0 {
 		mp.StuckTimeout = *partStuck

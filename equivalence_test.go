@@ -173,7 +173,6 @@ func eqCrawl(t *testing.T, site *webapp.Site, c eqCell) (*core.PrecrawlResult, *
 			ProcLines:    lines,
 			URLs:         pre.URLs,
 			Priorities:   pre.PageRank,
-			SeedSeen:     pre.Visited,
 			FrontierSeed: c.seed,
 			Checkpoints:  cps,
 		}).Run(ctx)

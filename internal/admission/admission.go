@@ -80,8 +80,6 @@ type Config struct {
 	Clock fetch.Clock
 	// Tel receives the admission.* metrics (nil = none).
 	Tel *obs.Telemetry
-	// Prefix namespaces the metrics (default "admission").
-	Prefix string
 }
 
 func (c Config) withDefaults() Config {
@@ -120,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = fetch.RealClock{}
-	}
-	if c.Prefix == "" {
-		c.Prefix = "admission"
 	}
 	return c
 }
@@ -168,7 +163,7 @@ type Limiter struct {
 func New(cfg Config) *Limiter {
 	cfg = cfg.withDefaults()
 	l := &Limiter{cfg: cfg, clock: cfg.Clock, tel: cfg.Tel, limit: cfg.Initial}
-	l.tel.Gauge(cfg.Prefix + ".limit").Set(int64(l.limit))
+	l.tel.Gauge("admission.limit").Set(int64(l.limit))
 	return l
 }
 
@@ -196,35 +191,35 @@ func (l *Limiter) Acquire(ctx context.Context) (*Token, error) {
 		depth := len(l.queue)
 		l.publishOccupancyLocked()
 		l.mu.Unlock()
-		l.tel.Counter(l.cfg.Prefix + ".admitted").Inc()
+		l.tel.Counter("admission.admitted").Inc()
 		return &Token{l: l, start: now, QueueDepth: depth}, nil
 	}
 	l.saturated = true
 	if len(l.queue) >= l.cfg.Queue {
 		l.publishOccupancyLocked()
 		l.mu.Unlock()
-		l.tel.Counter(l.cfg.Prefix + ".shed").Inc()
+		l.tel.Counter("admission.shed").Inc()
 		return nil, ErrSaturated
 	}
 	w := &waiter{granted: make(chan bool, 1), enq: now}
 	l.queue = append(l.queue, w)
 	l.publishOccupancyLocked()
 	l.mu.Unlock()
-	l.tel.Counter(l.cfg.Prefix + ".queued").Inc()
+	l.tel.Counter("admission.queued").Inc()
 
 	select {
 	case ok := <-w.granted:
 		if !ok {
 			// CoDel drop: the slot came up after the waiter had already
 			// overstayed QueueTarget.
-			l.tel.Counter(l.cfg.Prefix + ".shed").Inc()
+			l.tel.Counter("admission.shed").Inc()
 			return nil, ErrSaturated
 		}
 		l.mu.Lock()
 		depth := len(l.queue)
 		start := l.clock.Now()
 		l.mu.Unlock()
-		l.tel.Counter(l.cfg.Prefix + ".admitted").Inc()
+		l.tel.Counter("admission.admitted").Inc()
 		return &Token{l: l, start: start, Waited: true, QueueDepth: depth}, nil
 	case <-ctx.Done():
 		l.mu.Lock()
@@ -255,12 +250,12 @@ func (l *Limiter) TryAcquire() (*Token, bool) {
 		depth := len(l.queue)
 		l.publishOccupancyLocked()
 		l.mu.Unlock()
-		l.tel.Counter(l.cfg.Prefix + ".admitted").Inc()
+		l.tel.Counter("admission.admitted").Inc()
 		return &Token{l: l, start: now, QueueDepth: depth}, true
 	}
 	l.saturated = true
 	l.mu.Unlock()
-	l.tel.Counter(l.cfg.Prefix + ".shed").Inc()
+	l.tel.Counter("admission.shed").Inc()
 	return nil, false
 }
 
@@ -309,7 +304,7 @@ func (l *Limiter) releaseSlotLocked() {
 		l.queue = l.queue[1:]
 		if now.Sub(w.enq) > l.cfg.QueueTarget {
 			l.queueDrops++
-			l.tel.Counter(l.cfg.Prefix + ".queue_dropped").Inc()
+			l.tel.Counter("admission.queue_dropped").Inc()
 			w.granted <- false
 			continue
 		}
@@ -378,13 +373,13 @@ func (l *Limiter) onSampleLocked(lat time.Duration, now time.Time) {
 		}
 		l.limit = next
 		l.decreases++
-		l.tel.Counter(l.cfg.Prefix + ".decrease").Inc()
-		l.tel.Gauge(l.cfg.Prefix + ".limit").Set(int64(l.limit))
+		l.tel.Counter("admission.decrease").Inc()
+		l.tel.Gauge("admission.limit").Set(int64(l.limit))
 	case l.saturated && l.limit < l.cfg.Max:
 		l.limit++
 		l.increases++
-		l.tel.Counter(l.cfg.Prefix + ".increase").Inc()
-		l.tel.Gauge(l.cfg.Prefix + ".limit").Set(int64(l.limit))
+		l.tel.Counter("admission.increase").Inc()
+		l.tel.Gauge("admission.limit").Set(int64(l.limit))
 		l.grantUpToLimitLocked()
 	}
 	l.batchN, l.batchSum, l.saturated = 0, 0, false
@@ -415,7 +410,7 @@ func (l *Limiter) grantUpToLimitLocked() {
 		l.queue = l.queue[1:]
 		if now.Sub(w.enq) > l.cfg.QueueTarget {
 			l.queueDrops++
-			l.tel.Counter(l.cfg.Prefix + ".queue_dropped").Inc()
+			l.tel.Counter("admission.queue_dropped").Inc()
 			w.granted <- false
 			continue
 		}
@@ -438,7 +433,7 @@ func (l *Limiter) SetLimit(n int) {
 		n = l.cfg.Max
 	}
 	l.limit = n
-	l.tel.Gauge(l.cfg.Prefix + ".limit").Set(int64(n))
+	l.tel.Gauge("admission.limit").Set(int64(n))
 	l.grantUpToLimitLocked()
 }
 
@@ -492,6 +487,6 @@ func (l *Limiter) RetryAfterSeconds() int {
 
 // publishOccupancyLocked refreshes the inflight/queue gauges.
 func (l *Limiter) publishOccupancyLocked() {
-	l.tel.Gauge(l.cfg.Prefix + ".inflight").Set(int64(l.inflight))
-	l.tel.Gauge(l.cfg.Prefix + ".queue").Set(int64(len(l.queue)))
+	l.tel.Gauge("admission.inflight").Set(int64(l.inflight))
+	l.tel.Gauge("admission.queue").Set(int64(len(l.queue)))
 }

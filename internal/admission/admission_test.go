@@ -477,3 +477,21 @@ func TestConvergenceUnderSustainedOverload(t *testing.T) {
 		t.Fatalf("RetryAfterSeconds = %d", hint)
 	}
 }
+
+// TestAcquireReleaseAllocs pins the admitted path with telemetry on to
+// the token alone: every admission.* name is a literal, so publishing
+// the counters and occupancy gauges allocates nothing.
+func TestAcquireReleaseAllocs(t *testing.T) {
+	l := New(Config{Max: 4, Tel: obs.New(obs.NewRegistry(), nil)})
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		tok, err := l.Acquire(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tok.Release()
+	})
+	if allocs > 1 {
+		t.Fatalf("Acquire+Release with telemetry = %.1f allocs, want <= 1 (the Token)", allocs)
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net/url"
 	"strings"
-	"time"
 
 	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/fetch"
@@ -259,19 +258,14 @@ func (p *Page) Trigger(ctx context.Context, ev Event) (changed bool, err error) 
 
 // runHandler invokes handler code with this = element; each distinct
 // source is parsed once per page. Each dispatch is one event.dispatch
-// span; its latency, interpreter steps and budget preemptions (steps or
-// bytes) feed the live registry.
+// span; budget preemptions (steps or bytes) feed the live registry.
 func (p *Page) runHandler(ctx context.Context, name, code string, node *dom.Node) (err error) {
 	tel := obs.From(ctx)
 	if tel != nil {
-		start := time.Now()
 		var sp *obs.Span
 		ctx, sp = obs.StartSpan(ctx, obs.SpanEventDispatch, obs.A("handler", name), obs.A("source", node.Path()))
 		defer func() {
 			sp.End(err)
-			tel.Counter("browser.dispatches").Inc()
-			tel.Counter("js.steps").Add(int64(p.Interp.Steps()))
-			tel.Histogram("browser.dispatch.latency").ObserveDuration(time.Since(start))
 			if errors.Is(err, js.ErrBudget) || errors.Is(err, js.ErrMemory) {
 				tel.Counter("js.preemptions").Inc()
 			}

@@ -101,10 +101,7 @@ func (st *xhrState) send(it *js.Interp) error {
 	p.XHRSends++
 	req := &XHRRequest{Method: st.method, URL: st.url, Async: st.async}
 
-	ctx := p.Context()
-	tel := obs.From(ctx)
-	tel.Counter("xhr.sends").Inc()
-	ctx, sp := obs.StartSpan(ctx, obs.SpanXHRSend, obs.A("url", st.url), obs.A("method", st.method))
+	ctx, sp := obs.StartSpan(p.Context(), obs.SpanXHRSend, obs.A("url", st.url), obs.A("method", st.method))
 
 	served := false
 	if p.XHR != nil {
@@ -120,7 +117,6 @@ func (st *xhrState) send(it *js.Interp) error {
 		// per-page budget covers XHR traffic too.
 		resp, err := p.Fetcher.Fetch(ctx, st.url)
 		p.NetworkCalls++
-		tel.Counter("xhr.network_calls").Inc()
 		if err != nil {
 			st.status = 0
 			st.readyState = 4

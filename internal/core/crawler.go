@@ -379,6 +379,7 @@ func (c *Crawler) CrawlPage(ctx context.Context, url string) (*model.Graph, Page
 		crawlErr = page.LoadStatic(ctx, url)
 		if crawlErr == nil {
 			graph.AddState(page.Hash(), page.Doc.VisibleText(), 0)
+			tel.Counter("crawl.states.discovered").Inc()
 		}
 	} else {
 		crawlErr = c.crawlDynamic(ctx, page, graph, url, opts, &pm)
@@ -410,11 +411,9 @@ func (c *Crawler) CrawlPage(ctx context.Context, url string) (*model.Graph, Page
 	}
 	// Close the span whatever happened — a PageTimeout abort still emits
 	// the page.crawl record, carrying the context error and the partial
-	// state count. The per-page counters fold into the registry here too,
-	// so the registry and the Metrics summary cannot drift.
+	// state count.
 	sp.SetAttr("states", strconv.Itoa(pm.States))
 	sp.End(crawlErr)
-	tel.Histogram("crawl.page.latency").Observe(pm.CrawlTime.Seconds())
 	publishPageMetrics(tel, pm)
 	if crawlErr != nil {
 		if graph.NumStates() == 0 {
@@ -812,9 +811,8 @@ func (a *stateAdmitter) seedSigs(sigs map[dom.Hash]shingle.Signature) {
 	}
 }
 
-// state admits (or merges) a candidate state and returns its ID. The
-// live registry counters here track discovery as it happens (the
-// per-page totals fold in only at page end).
+// state admits (or merges) a candidate state and returns its ID,
+// counting the outcome in the registry as it happens.
 func (a *stateAdmitter) state(h dom.Hash, text string, depth int) (model.StateID, bool) {
 	if id, ok := a.graph.FindByHash(h); ok {
 		a.tel.Counter("crawl.states.deduped").Inc()

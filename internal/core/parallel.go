@@ -50,17 +50,10 @@ type MPCrawler struct {
 	// normalized so the maximum admits at priority 1; missing URLs (or
 	// a nil map) admit at 0 and the frontier degrades to URL order.
 	Priorities map[string]float64
-	// SeedSeen feeds the precrawl visited set into the frontier's bloom
-	// filter, so URLs the precrawler already saw are rejected if
-	// rediscovered dynamically.
-	SeedSeen map[string]bool
 	// FrontierSeed seeds the scheduler's steal-victim PRNG. Results are
 	// order-independent for any seed; the seed makes the schedule
 	// itself reproducible. 0 selects seed 1.
 	FrontierSeed int64
-	// BloomBits sizes the frontier's dedup bloom filter in bits; <= 0
-	// selects the frontier default (1 MiB of bits).
-	BloomBits int
 	// Checkpoints, when set, provides the per-line durable journals and
 	// the frontier snapshot journal. The caller opens it (choosing
 	// fresh vs resume) and closes it after the crawl drains; each
@@ -172,7 +165,7 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 
 	// The frontier is admitted as one batch so tier boundaries see the
 	// whole priority distribution.
-	fr := frontier.New(frontier.Config{BloomBits: m.BloomBits, Tel: tel})
+	fr := frontier.New(frontier.Config{Tel: tel})
 	seed := make([]frontier.Item, 0, len(m.URLs))
 	seen := make(map[string]bool, len(m.URLs))
 	for i, u := range m.URLs {
@@ -185,9 +178,6 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 	// One slot per page, so the assembler never waits on the consumer: a
 	// consumer busy indexing must not stall the lines behind it.
 	out := make(chan PageResult, len(seed))
-	if m.SeedSeen != nil {
-		fr.MarkSeen(m.SeedSeen)
-	}
 	// Progress denominators for /debug/status: the admitted page universe
 	// and the line count. crawl.pages.done ticks as attempts retire.
 	tel.Gauge("crawl.pages.total").Set(int64(len(seed)))

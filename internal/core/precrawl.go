@@ -45,11 +45,9 @@ type PrecrawlResult struct {
 	// PageRank holds each page's PageRank value.
 	PageRank map[string]float64
 	// Visited is every URL the breadth-first expansion enqueued —
-	// crawled or not. The parallel crawler seeds the frontier's bloom
-	// dedup with it, so pages the precrawler already saw are not
-	// re-admitted when rediscovered dynamically. (Precrawls saved
-	// before this field existed decode with Visited nil; the frontier
-	// just starts with an empty seen-set.)
+	// crawled or not. Nothing in the crawl reads it; it stays in the
+	// saved precrawl.gob. (Precrawls saved before this field existed
+	// decode with Visited nil.)
 	Visited map[string]bool
 
 	// kept holds the precrawl's responses for Handoff; unexported, so

@@ -1,56 +1,22 @@
 package core
 
-import (
-	"reflect"
-	"strings"
-	"time"
-	"unicode"
+import "ajaxcrawl/internal/obs"
 
-	"ajaxcrawl/internal/obs"
-)
-
-// publishPageMetrics folds every numeric field of a finished page's
-// PageMetrics into the registry, named crawl.page.<snake_case_field>
-// (durations get an _ns suffix and are recorded in nanoseconds). Walking
-// the struct by reflection means a newly added PageMetrics counter is
-// exported automatically — the registry cannot drift behind the summary
-// API, the same invariant the Metrics reflection test pins for Add/Merge.
+// publishPageMetrics folds the PageMetrics facts that have no live
+// counter into the registry at page end. Events, hot-node hits, states
+// and near-dup work are counted as they happen (crawl.events.triggered,
+// crawl.hotnode.hits, crawl.states.discovered, crawl.states.neardup.*),
+// so they are not repeated here. Every name is a literal, which keeps
+// scripts/check-docs.sh able to see it.
 func publishPageMetrics(tel *obs.Telemetry, pm PageMetrics) {
 	if tel == nil {
 		return
 	}
-	durT := reflect.TypeOf(time.Duration(0))
-	v := reflect.ValueOf(pm)
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		fv := v.Field(i)
-		switch fv.Kind() {
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			name := "crawl.page." + snakeCase(f.Name)
-			if f.Type == durT {
-				name += "_ns"
-			}
-			tel.Counter(name).Add(fv.Int())
-		}
-	}
-}
-
-// snakeCase converts a Go exported field name to snake_case, keeping
-// acronym runs together: XHRSends -> xhr_sends, URL -> url.
-func snakeCase(s string) string {
-	var b strings.Builder
-	runes := []rune(s)
-	for i, r := range runes {
-		if unicode.IsUpper(r) {
-			prevLower := i > 0 && unicode.IsLower(runes[i-1])
-			nextLower := i+1 < len(runes) && unicode.IsLower(runes[i+1])
-			if i > 0 && (prevLower || nextLower) {
-				b.WriteByte('_')
-			}
-			r = unicode.ToLower(r)
-		}
-		b.WriteRune(r)
-	}
-	return b.String()
+	tel.Histogram("crawl.page.latency").Observe(pm.CrawlTime.Seconds())
+	tel.Counter("crawl.page.xhr_sends").Add(int64(pm.XHRSends))
+	tel.Counter("crawl.page.network_calls").Add(int64(pm.NetworkCalls))
+	tel.Counter("crawl.page.handler_errors").Add(int64(pm.HandlerErrors))
+	tel.Counter("crawl.page.retries").Add(int64(pm.Retries))
+	tel.Counter("crawl.page.breaker_opens").Add(int64(pm.BreakerOpens))
+	tel.Counter("crawl.page.pages_recovered").Add(int64(pm.PagesRecovered))
 }

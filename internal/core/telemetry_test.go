@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,73 +22,114 @@ func spansByName(recs []obs.SpanRecord) map[string][]obs.SpanRecord {
 	return out
 }
 
+// pageCounters is the catalogue of crawl.* counters CrawlPage publishes
+// at page end, whatever happened on the page; the facts counted live
+// (events, hot-node outcomes, states) are not repeated among them.
+var pageCounters = []string{
+	"crawl.page.xhr_sends",
+	"crawl.page.network_calls",
+	"crawl.page.handler_errors",
+	"crawl.page.retries",
+	"crawl.page.breaker_opens",
+	"crawl.page.pages_recovered",
+}
+
 // TestCrawlEmitsSpansAndCounters crawls one page with telemetry on the
-// context and checks the trace and registry see every layer: the page
-// span, event dispatches nested under it, XHR sends, hot-node cache
-// outcomes, and the registry counters the page's summary metrics fold
-// into (the no-drift guarantee between core.Metrics and the registry).
+// context, once with JavaScript and once traditionally, and checks the
+// trace and registry see every layer: the page span, event dispatches
+// nested under it, XHR sends, hot-node cache outcomes, and one registry
+// name per crawl fact, each agreeing with the page's PageMetrics.
 func TestCrawlEmitsSpansAndCounters(t *testing.T) {
 	site, f := newSiteFetcher(20, 1)
 	v := multiPageVideo(t, site, 3)
+	url := webapp.WatchURL(v.ID)
 
-	reg := obs.NewRegistry()
-	ring := obs.NewRingSink(4096)
-	ctx := obs.With(context.Background(), obs.New(reg, ring))
-
-	c := New(f, Options{UseHotNode: true})
-	_, pm, err := c.CrawlPage(ctx, webapp.WatchURL(v.ID))
-	if err != nil {
-		t.Fatal(err)
+	crawl := func(t *testing.T, opts Options) (PageMetrics, map[string][]obs.SpanRecord, obs.Snapshot) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		ring := obs.NewRingSink(4096)
+		ctx := obs.With(context.Background(), obs.New(reg, ring))
+		_, pm, err := New(f, opts).CrawlPage(ctx, url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		by := spansByName(ring.Recent(0))
+		pages := by[obs.SpanPageCrawl]
+		if len(pages) != 1 {
+			t.Fatalf("page.crawl spans = %d, want 1", len(pages))
+		}
+		if pages[0].Err != "" {
+			t.Fatalf("page.crawl span has error %q", pages[0].Err)
+		}
+		if got := pages[0].Attrs["url"]; got != url {
+			t.Fatalf("page.crawl url attr = %q", got)
+		}
+		return pm, by, reg.Snapshot()
 	}
-
-	by := spansByName(ring.Recent(0))
-	pages := by[obs.SpanPageCrawl]
-	if len(pages) != 1 {
-		t.Fatalf("page.crawl spans = %d, want 1", len(pages))
-	}
-	page := pages[0]
-	if page.Err != "" {
-		t.Fatalf("page.crawl span has error %q", page.Err)
-	}
-	if got := page.Attrs["url"]; got != webapp.WatchURL(v.ID) {
-		t.Fatalf("page.crawl url attr = %q", got)
-	}
-	if len(by[obs.SpanEventDispatch]) == 0 {
-		t.Fatal("no event.dispatch spans emitted")
-	}
-	for _, d := range by[obs.SpanEventDispatch] {
-		if d.Parent != page.ID {
-			t.Fatalf("event.dispatch parent = %d, want page span %d", d.Parent, page.ID)
+	// checkCatalogue asserts the snapshot's crawl.* counters are exactly
+	// pageCounters plus live, and that each fact reads what PageMetrics
+	// says.
+	checkCatalogue := func(t *testing.T, snap obs.Snapshot, pm PageMetrics, live ...string) {
+		t.Helper()
+		want := append(append([]string(nil), pageCounters...), live...)
+		var got []string
+		for name := range snap.Counters {
+			if strings.HasPrefix(name, "crawl.") {
+				got = append(got, name)
+			}
+		}
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("crawl.* counters = %v\nwant %v", got, want)
+		}
+		for name, want := range map[string]int{
+			"crawl.events.triggered":  pm.EventsTriggered,
+			"crawl.hotnode.hits":      pm.HotNodeHits,
+			"crawl.states.discovered": pm.States,
+			"crawl.page.xhr_sends":    pm.XHRSends,
+		} {
+			if got := snap.Counters[name]; got != int64(want) {
+				t.Errorf("counter %s = %d, want %d (registry drifted from PageMetrics)", name, got, want)
+			}
+		}
+		if g := snap.Gauges["crawl.pages.inflight"]; g != 0 {
+			t.Errorf("crawl.pages.inflight = %d after crawl, want 0", g)
+		}
+		if n := snap.Histograms["crawl.page.latency"].Count; n != 1 {
+			t.Errorf("crawl.page.latency count = %d, want 1", n)
 		}
 	}
-	if len(by[obs.SpanXHRSend]) == 0 {
-		t.Fatal("no xhr.send spans emitted")
-	}
-	if pm.HotNodeHits > 0 && len(by[obs.SpanHotNodeHit]) != pm.HotNodeHits {
-		t.Fatalf("hotnode.hit events = %d, want %d", len(by[obs.SpanHotNodeHit]), pm.HotNodeHits)
-	}
 
-	snap := reg.Snapshot()
-	// The reflection fold must make the registry agree exactly with the
-	// summary API.
-	checks := map[string]int{
-		"crawl.page.events_triggered": pm.EventsTriggered,
-		"crawl.page.xhr_sends":        pm.XHRSends,
-		"crawl.page.states":           pm.States,
-		"crawl.page.hot_node_hits":    pm.HotNodeHits,
-	}
-	for name, want := range checks {
-		if got := snap.Counters[name]; got != int64(want) {
-			t.Errorf("counter %s = %d, want %d (registry drifted from PageMetrics)", name, got, want)
+	t.Run("AJAX", func(t *testing.T) {
+		pm, by, snap := crawl(t, Options{UseHotNode: true})
+		page := by[obs.SpanPageCrawl][0]
+		if len(by[obs.SpanEventDispatch]) == 0 {
+			t.Fatal("no event.dispatch spans emitted")
 		}
-	}
-	if snap.Counters["crawl.events.triggered"] != int64(pm.EventsTriggered) {
-		t.Errorf("live counter crawl.events.triggered = %d, want %d",
-			snap.Counters["crawl.events.triggered"], pm.EventsTriggered)
-	}
-	if g := snap.Gauges["crawl.pages.inflight"]; g != 0 {
-		t.Errorf("crawl.pages.inflight = %d after crawl, want 0", g)
-	}
+		for _, d := range by[obs.SpanEventDispatch] {
+			if d.Parent != page.ID {
+				t.Fatalf("event.dispatch parent = %d, want page span %d", d.Parent, page.ID)
+			}
+		}
+		if len(by[obs.SpanXHRSend]) == 0 {
+			t.Fatal("no xhr.send spans emitted")
+		}
+		if pm.HotNodeHits == 0 || len(by[obs.SpanHotNodeHit]) != pm.HotNodeHits {
+			t.Fatalf("hotnode.hit events = %d, want %d (> 0)", len(by[obs.SpanHotNodeHit]), pm.HotNodeHits)
+		}
+		checkCatalogue(t, snap, pm, "crawl.events.triggered", "crawl.hotnode.hits",
+			"crawl.hotnode.misses", "crawl.states.discovered", "crawl.states.deduped")
+	})
+
+	t.Run("Traditional", func(t *testing.T) {
+		pm, by, snap := crawl(t, Options{Traditional: true})
+		if pm.States != 1 || len(by[obs.SpanEventDispatch]) != 0 {
+			t.Fatalf("traditional crawl: %d states, %d dispatches; want 1 and 0",
+				pm.States, len(by[obs.SpanEventDispatch]))
+		}
+		checkCatalogue(t, snap, pm, "crawl.states.discovered")
+	})
 }
 
 // TestPageTimeoutStillEmitsPageSpan is the cancellation half of the

@@ -17,7 +17,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 	"unicode"
 	"unicode/utf8"
 
@@ -232,24 +231,16 @@ func Build(graphs []*model.Graph, pageRank map[string]float64, maxStates int) *I
 	return BuildCtx(context.Background(), graphs, pageRank, maxStates)
 }
 
-// BuildCtx is Build under a context: when the context carries telemetry,
-// the build is wrapped in an index.build span and its size and duration
-// land in the registry.
+// BuildCtx is Build under a context: when the context carries a trace
+// sink, the build is wrapped in an index.build span that records its
+// posting count.
 func BuildCtx(ctx context.Context, graphs []*model.Graph, pageRank map[string]float64, maxStates int) *Index {
-	tel := obs.From(ctx)
 	_, sp := obs.StartSpan(ctx, obs.SpanIndexBuild, obs.A("graphs", strconv.Itoa(len(graphs))))
-	start := time.Now()
 	ix := New()
 	for _, g := range graphs {
 		ix.AddGraph(g, pageRank[g.URL], maxStates)
 	}
-	postings := ix.NumPostings()
-	tel.Counter("index.builds").Inc()
-	tel.Counter("index.docs").Add(int64(ix.NumDocs()))
-	tel.Counter("index.states").Add(int64(ix.TotalStates))
-	tel.Counter("index.postings").Add(int64(postings))
-	tel.Histogram("index.build.latency").Observe(time.Since(start).Seconds())
-	sp.SetAttr("postings", strconv.Itoa(postings))
+	sp.SetAttr("postings", strconv.Itoa(ix.NumPostings()))
 	sp.End(nil)
 	return ix
 }

@@ -8,10 +8,10 @@
 // The package is engineered so that *disabled* telemetry costs almost
 // nothing: every helper is nil-safe, so instrumented code does
 //
-//	tel := obs.From(ctx)              // nil when no telemetry installed
-//	tel.Counter("crawl.events").Inc() // no-op on nil
+//	tel := obs.From(ctx)                        // nil when no telemetry installed
+//	tel.Counter("crawl.events.triggered").Inc() // no-op on nil
 //	ctx, sp := obs.StartSpan(ctx, obs.SpanPageCrawl)
-//	defer sp.End(nil)                 // no-op on nil span
+//	defer sp.End(nil)                           // no-op on nil span
 //
 // unconditionally, and the whole chain folds into a context lookup plus
 // a few nil checks when no Telemetry was installed with obs.With.

@@ -280,7 +280,7 @@ func (b *Broker) SearchTopK(q string, k int) []Result {
 
 // SearchTopKCtx is SearchTopK under a context: when the context carries
 // telemetry, the evaluation is wrapped in a query.exec span and its
-// latency and candidate count land in the registry.
+// latency lands in the registry.
 func (b *Broker) SearchTopKCtx(ctx context.Context, q string, k int) []Result {
 	return b.search(ctx, q, Parse(q), k)
 }
@@ -294,7 +294,7 @@ func (b *Broker) search(ctx context.Context, q string, terms []string, k int) []
 
 	res, atMost := b.stats(terms)
 	sel := newSelector(b.W, res.DF, res.TotalStates, k, atMost)
-	_, matches := b.stream(terms, sel)
+	b.stream(terms, sel)
 	top := sel.ranked()
 	var out []Result
 	if len(top) > 0 {
@@ -305,7 +305,6 @@ func (b *Broker) search(ctx context.Context, q string, terms []string, k int) []
 	}
 
 	tel.Counter("query.count").Inc()
-	tel.Counter("query.candidates").Add(int64(matches))
 	tel.Histogram("query.latency").Observe(time.Since(start).Seconds())
 	sp.SetAttr("results", strconv.Itoa(len(out)))
 	sp.End(nil)

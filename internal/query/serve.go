@@ -82,7 +82,6 @@ func (s *Server) Swap(ctx context.Context, snap *ServeSnapshot) *ServeSnapshot {
 	tel.Counter("query.serve.swaps").Inc()
 	tel.Gauge("query.serve.snapshot.gen").Set(gen)
 	tel.Gauge("query.serve.snapshot.docs").Set(int64(snap.Docs))
-	tel.Gauge("query.serve.snapshot.states").Set(int64(snap.States))
 	return old
 }
 

@@ -168,7 +168,6 @@ func New(cfg Config, tel *obs.Telemetry) (*Server, error) {
 	live := s.qs.Live()
 	tel.Gauge("query.serve.snapshot.gen").Set(live.Gen)
 	tel.Gauge("query.serve.snapshot.docs").Set(int64(live.Docs))
-	tel.Gauge("query.serve.snapshot.states").Set(int64(live.States))
 	return s, nil
 }
 

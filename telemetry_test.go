@@ -69,8 +69,8 @@ func TestPipelineTraceCoversEveryUnit(t *testing.T) {
 	// The registry saw the same run: its summary counters must agree
 	// with the engine's crawl metrics.
 	snap := reg.Snapshot()
-	if got, want := snap.Counters["crawl.page.states"], int64(eng.Metrics.States); got != want {
-		t.Errorf("registry crawl.page.states = %d, want %d", got, want)
+	if got, want := snap.Counters["crawl.states.discovered"], int64(eng.Metrics.States); got != want {
+		t.Errorf("registry crawl.states.discovered = %d, want %d", got, want)
 	}
 	if snap.Counters["query.count"] != 1 {
 		t.Errorf("query.count = %d, want 1", snap.Counters["query.count"])
