@@ -63,6 +63,9 @@ func (p *Page) installHostObjects() {
 
 	consoleObj := js.NewObject()
 	consoleObj.SetProp("log", js.ObjVal(js.NewNative("log", func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+		if len(p.ConsoleLog) >= maxConsoleLines {
+			return js.Undefined, nil
+		}
 		parts := make([]string, len(args))
 		for i, a := range args {
 			parts[i] = a.ToString()
@@ -76,6 +79,10 @@ func (p *Page) installHostObjects() {
 		return js.ObjVal(p.newXHR()), nil
 	})))
 }
+
+// maxConsoleLines bounds the console.log lines one Page keeps; a script
+// that logs in a loop would otherwise hold every line for the page's life.
+const maxConsoleLines = 1000
 
 func nativeNoop(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
 	return js.Undefined, nil

@@ -230,3 +230,19 @@ func TestConsoleLogCapture(t *testing.T) {
 		t.Fatalf("console log = %v", p.ConsoleLog)
 	}
 }
+
+// TestConsoleLogIsBounded: a handler logging in a loop leaves the page
+// holding its first maxConsoleLines lines, not one per iteration.
+func TestConsoleLogIsBounded(t *testing.T) {
+	p := loadTestPage(t)
+	ev := Event{Type: "onclick", Code: "for (var i = 0; i < 1000000; i++) console.log('line', i);", Path: p.Doc.Body().Path()}
+	// The step budget may preempt the loop first; either way the log is
+	// what the page keeps.
+	_, _ = p.Trigger(context.Background(), ev)
+	if n := len(p.ConsoleLog); n != maxConsoleLines {
+		t.Fatalf("console log holds %d lines, want the first %d", n, maxConsoleLines)
+	}
+	if p.ConsoleLog[0] != "line 0" {
+		t.Fatalf("first console line %q, want %q", p.ConsoleLog[0], "line 0")
+	}
+}

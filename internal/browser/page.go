@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"strings"
 
 	"ajaxcrawl/internal/dom"
@@ -51,14 +52,16 @@ type Event struct {
 	ID   string // id attribute of the source element ("" when absent)
 }
 
-// String renders the event for transition annotations.
-func (e Event) String() string {
-	src := e.ID
-	if src == "" {
-		src = e.Path
+// Source names the event's source element: its id, else its path.
+func (e Event) Source() string {
+	if e.ID != "" {
+		return e.ID
 	}
-	return e.Type + "@" + src
+	return e.Path
 }
+
+// String renders the event for transition annotations.
+func (e Event) String() string { return e.Type + "@" + e.Source() }
 
 // Page is one loaded AJAX page with its live DOM and script state.
 type Page struct {
@@ -79,7 +82,8 @@ type Page struct {
 	NetworkCalls int
 	// XHRSends counts all XHR sends, intercepted or not.
 	XHRSends int
-	// ConsoleLog collects console.log output for debugging.
+	// ConsoleLog collects console.log output for debugging: the first
+	// maxConsoleLines lines of the page's life.
 	ConsoleLog []string
 
 	// Scripts parses the page's <script> sources. NewPage installs a
@@ -97,6 +101,11 @@ type Page struct {
 	// host objects (XMLHttpRequest) fetch under it so script-initiated
 	// network inherits the page budget.
 	ctx context.Context
+	// restored is the snapshot Doc was last rolled back to and restoredDoc
+	// the document that gave: while Doc is still that document, Restore of
+	// the same snapshot reverts it in place.
+	restored    *Snapshot
+	restoredDoc *dom.Node
 }
 
 // Context returns the context of the in-flight Load/Trigger call (the
@@ -130,15 +139,9 @@ func NewPage(fetcher fetch.Fetcher) *Page {
 // RunOnLoad after Load, as the crawling algorithm does (Alg. 3.1.1
 // line 3).
 func (p *Page) Load(ctx context.Context, rawurl string) error {
-	resp, err := p.Fetcher.Fetch(ctx, rawurl)
-	if err != nil {
-		return fmt.Errorf("browser: load %s: %w", rawurl, err)
+	if err := p.LoadStatic(ctx, rawurl); err != nil {
+		return err
 	}
-	if resp.Status != 200 {
-		return fmt.Errorf("browser: load %s: status %d", rawurl, resp.Status)
-	}
-	p.URL = rawurl
-	p.Doc = html.Parse(string(resp.Body))
 	p.Interp = js.New()
 	p.Interp.MaxSteps = p.MaxJSSteps
 	p.wrappers = make(map[*dom.Node]*js.Object)
@@ -209,23 +212,21 @@ func (p *Page) Events(types []string) []Event {
 	if types == nil {
 		types = EventTypes
 	}
-	want := make(map[string]bool, len(types))
-	for _, t := range types {
-		want[t] = true
-	}
+	return p.events(types, false)
+}
+
+// events returns, in document order, an Event for each handler attribute
+// in types with a non-blank value — on input and textarea elements only,
+// when fields is set.
+func (p *Page) events(types []string, fields bool) []Event {
 	var out []Event
 	p.Doc.Walk(func(n *dom.Node) bool {
-		if n.Type != dom.ElementNode {
+		if n.Type != dom.ElementNode || fields && n.Data != "input" && n.Data != "textarea" {
 			return true
 		}
 		for _, a := range n.Attr {
-			if want[a.Key] && strings.TrimSpace(a.Val) != "" {
-				out = append(out, Event{
-					Type: a.Key,
-					Code: a.Val,
-					Path: n.Path(),
-					ID:   n.ID(),
-				})
+			if slices.Contains(types, a.Key) && strings.TrimSpace(a.Val) != "" {
+				out = append(out, Event{Type: a.Key, Code: a.Val, Path: n.Path(), ID: n.ID()})
 			}
 		}
 		return true
@@ -233,19 +234,25 @@ func (p *Page) Events(types []string) []Event {
 	return out
 }
 
+// source finds the element an event fires on: by path, or by id when the
+// state changed under us, which keeps replay robust.
+func (p *Page) source(ev Event) (*dom.Node, error) {
+	node := p.Doc.ByPath(ev.Path)
+	if node == nil && ev.ID != "" {
+		node = p.Doc.ElementByID(ev.ID)
+	}
+	if node == nil {
+		return nil, fmt.Errorf("browser: event source %s not found", ev.Path)
+	}
+	return node, nil
+}
+
 // Trigger dispatches an event: it executes the handler code with `this`
 // bound to the source element. It reports whether the DOM changed.
 func (p *Page) Trigger(ctx context.Context, ev Event) (changed bool, err error) {
-	node := p.Doc.ByPath(ev.Path)
-	if node == nil {
-		// The element vanished (the state changed under us); by-id
-		// fallback keeps replay robust.
-		if ev.ID != "" {
-			node = p.Doc.ElementByID(ev.ID)
-		}
-		if node == nil {
-			return false, fmt.Errorf("browser: event source %s not found", ev.Path)
-		}
+	node, err := p.source(ev)
+	if err != nil {
+		return false, err
 	}
 	// Free on a Restored document (it arrives hashed); afterwards only
 	// the subtrees the handler touched are rehashed.
@@ -298,9 +305,18 @@ func (p *Page) Snapshot() *Snapshot {
 
 // Restore rolls the DOM back to a snapshot. JavaScript global state is
 // intentionally kept (snapshot-isolation assumption, thesis §4.3): only
-// the document is rolled back, exactly like appModel.rollback(t).
+// the document is rolled back, exactly like appModel.rollback(t). Rolling
+// back to the snapshot of the previous Restore copies back only what the
+// events since edited (dom.Revert): a node outside it stays the same
+// node, as in a browser, so an element handle a script kept stays
+// attached. Any other snapshot is cloned whole.
 func (p *Page) Restore(s *Snapshot) {
-	p.Doc = s.doc.Clone()
+	if p.restored == s && p.Doc == p.restoredDoc {
+		p.Doc = dom.Revert(p.Doc, s.doc)
+	} else {
+		p.Doc = s.doc.Clone()
+	}
+	p.restored, p.restoredDoc = s, p.Doc
 	clear(p.wrappers)
 }
 
@@ -350,39 +366,19 @@ type FormEvent struct {
 // FormEvents returns the input-driven events of the current DOM: input
 // and textarea elements carrying one of the FormEventTypes handlers.
 func (p *Page) FormEvents() []FormEvent {
-	want := make(map[string]bool, len(FormEventTypes))
-	for _, t := range FormEventTypes {
-		want[t] = true
-	}
 	var out []FormEvent
-	p.Doc.Walk(func(n *dom.Node) bool {
-		if n.Type != dom.ElementNode || (n.Data != "input" && n.Data != "textarea") {
-			return true
-		}
-		for _, a := range n.Attr {
-			if want[a.Key] && strings.TrimSpace(a.Val) != "" {
-				out = append(out, FormEvent{Event{
-					Type: a.Key,
-					Code: a.Val,
-					Path: n.Path(),
-					ID:   n.ID(),
-				}})
-			}
-		}
-		return true
-	})
+	for _, ev := range p.events(FormEventTypes, true) {
+		out = append(out, FormEvent{ev})
+	}
 	return out
 }
 
 // TriggerWithValue fills the event's source input with value and then
 // dispatches the handler — one probe of the form-crawling extension.
 func (p *Page) TriggerWithValue(ctx context.Context, ev FormEvent, value string) (changed bool, err error) {
-	node := p.Doc.ByPath(ev.Path)
-	if node == nil && ev.ID != "" {
-		node = p.Doc.ElementByID(ev.ID)
-	}
-	if node == nil {
-		return false, fmt.Errorf("browser: form event source %s not found", ev.Path)
+	node, err := p.source(ev.Event)
+	if err != nil {
+		return false, err
 	}
 	node.SetAttr("value", value)
 	return p.Trigger(ctx, ev.Event)

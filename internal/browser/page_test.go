@@ -170,6 +170,61 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsUntouchedSubtrees: rolling back an event that rewrote
+// only #a keeps every other node of the document — the same node, as in a
+// browser — and puts a fresh copy of #a in place. So an element handle a
+// handler kept in a global stays attached across the rollback.
+func TestRestoreKeepsUntouchedSubtrees(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/page", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `<html><head><script>
+var n = 0, kept = null;
+function edit() { kept = document.getElementById('b'); document.getElementById('a').innerHTML = '<i>' + (++n) + '</i>'; }
+</script></head><body><div id="a"><span>x</span></div><div id="b"><p onclick="edit()">keep</p></div></body></html>`)
+	})
+	p := NewPage(&fetch.HandlerFetcher{Handler: mux})
+	if err := p.Load(context.Background(), "/page"); err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+	want := dom.OuterHTML(p.Doc)
+	for round := 0; round < 3; round++ {
+		p.Restore(snap)
+		before := map[*dom.Node]bool{}
+		p.Doc.Walk(func(n *dom.Node) bool { before[n] = true; return true })
+		oldA := p.Doc.ElementByID("a")
+		changed, err := p.Trigger(context.Background(), p.Events(nil)[0])
+		if err != nil || !changed {
+			t.Fatalf("round %d: trigger changed=%v err=%v", round, changed, err)
+		}
+		p.Restore(snap)
+		if got := dom.OuterHTML(p.Doc); got != want {
+			t.Fatalf("round %d: restored %q, want %q", round, got, want)
+		}
+		a := p.Doc.ElementByID("a")
+		if a == oldA || before[a] || before[a.FirstChild] {
+			t.Fatalf("round %d: #a was not replaced by a fresh copy", round)
+		}
+		var outside func(n *dom.Node)
+		outside = func(n *dom.Node) {
+			if n == a {
+				return
+			}
+			if !before[n] {
+				t.Fatalf("round %d: %s %q outside #a is a new node", round, n.Type, n.Data)
+			}
+			for c := n.FirstChild; c != nil; c = c.NextSibling {
+				outside(c)
+			}
+		}
+		outside(p.Doc)
+		kept, _ := p.Interp.LookupGlobal("kept")
+		if b := p.unwrapElement(kept); b == nil || b != p.Doc.ElementByID("b") {
+			t.Fatalf("round %d: the element the handler kept is not #b of the document", round)
+		}
+	}
+}
+
 func TestXHRInterception(t *testing.T) {
 	p := loadTestPage(t)
 	hook := &recordingHook{cache: map[string]string{}}

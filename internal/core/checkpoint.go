@@ -45,7 +45,7 @@ type Checkpointer interface {
 	// rebuilds its LSH index without re-sketching.
 	StateSig(url string, h dom.Hash, sig shingle.Signature) error
 	// StateSigs returns journaled signatures for url keyed by state
-	// hash, consumed by stateAdmitter.seedSigs on re-crawl.
+	// hash, the near-dup admitter's sketch cache on re-crawl.
 	StateSigs(url string) map[dom.Hash]shingle.Signature
 	// HotNode records one hot-node cache fill mid-page (best-effort).
 	HotNode(url, key, body string) error

@@ -352,21 +352,22 @@ func (c *Crawler) CrawlPage(ctx context.Context, url string) (*model.Graph, Page
 	pm := PageMetrics{URL: url}
 	start := opts.Clock.Now()
 	wallStart := time.Now()
-	var netStart time.Duration
-	stats := fetch.FindStats(c.Fetcher)
-	if stats != nil {
-		netStart = stats.Stats().NetworkTime
+	// The fetch layers' running totals, read before and after the page:
+	// their deltas are what this page cost.
+	stats, rstats, bstats := fetch.FindStats(c.Fetcher), fetch.FindRetryStats(c.Fetcher), fetch.FindBreakerStats(c.Fetcher)
+	totals := func() (net time.Duration, retries, opens int64) {
+		if stats != nil {
+			net = stats.Stats().NetworkTime
+		}
+		if rstats != nil {
+			retries = rstats.RetryStats().Retries
+		}
+		if bstats != nil {
+			opens = bstats.BreakerStats().Opens
+		}
+		return net, retries, opens
 	}
-	var retryStart int64
-	rstats := fetch.FindRetryStats(c.Fetcher)
-	if rstats != nil {
-		retryStart = rstats.RetryStats().Retries
-	}
-	var opensStart int64
-	bstats := fetch.FindBreakerStats(c.Fetcher)
-	if bstats != nil {
-		opensStart = bstats.BreakerStats().Opens
-	}
+	netStart, retryStart, opensStart := totals()
 
 	graph := model.NewGraph(url)
 	page := browser.NewPage(c.Fetcher)
@@ -395,15 +396,8 @@ func (c *Crawler) CrawlPage(ctx context.Context, url string) (*model.Graph, Page
 		// CrawlTime models a real run with the simulated latencies.
 		pm.CrawlTime += time.Since(wallStart)
 	}
-	if stats != nil {
-		pm.NetworkTime = stats.Stats().NetworkTime - netStart
-	}
-	if rstats != nil {
-		pm.Retries = int(rstats.RetryStats().Retries - retryStart)
-	}
-	if bstats != nil {
-		pm.BreakerOpens = int(bstats.BreakerStats().Opens - opensStart)
-	}
+	net, retries, opens := totals()
+	pm.NetworkTime, pm.Retries, pm.BreakerOpens = net-netStart, int(retries-retryStart), int(opens-opensStart)
 	if crawlErr == nil && pm.Retries > 0 {
 		// The page made it, but only because the retry layer recovered
 		// at least one fetch along the way.
@@ -462,9 +456,13 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 		return err
 	}
 	if cp := opts.Checkpoint; cp != nil {
-		admit.journal = func(h dom.Hash) { _ = cp.StateAdmitted(url, h) }
-		admit.journalSig = func(h dom.Hash, sig shingle.Signature) { _ = cp.StateSig(url, h, sig) }
-		admit.seedSigs(cp.StateSigs(url))
+		admit.journal = func(h dom.Hash, sig shingle.Signature) {
+			_ = cp.StateAdmitted(url, h)
+			if sig != nil {
+				_ = cp.StateSig(url, h, sig)
+			}
+		}
+		admit.sigCache = cp.StateSigs(url)
 	}
 	initial, _ := admit.state(page.Hash(), page.Doc.VisibleText(), 0)
 	graph.Initial = initial
@@ -472,9 +470,14 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 	snapshots := map[model.StateID]*browser.Snapshot{initial: page.Snapshot()}
 	queue := []model.StateID{initial}
 
-	// fire dispatches one event or form probe and charges its XHR traffic
-	// to the page: every send is either a network call or a hot-node hit.
-	fire := func(trigger func() (changed bool, err error)) (bool, error) {
+	// explore rolls the page back to state cur (Alg. 3.1.1 line 17),
+	// fires one event or form probe through trigger, charges its XHR
+	// traffic to the page — every send is a network call or a hot-node
+	// hit — and records where it led. A new state is queued unless the
+	// focused-crawl filter rejects its text: then it stays in the model
+	// but is not expanded.
+	explore := func(cur model.StateID, snap *browser.Snapshot, ev browser.Event, probe string, trigger func() (bool, error)) (EventOutcome, error) {
+		page.Restore(snap)
 		sendsBefore, netBefore := page.XHRSends, page.NetworkCalls
 		changed, err := trigger()
 		pm.EventsTriggered++
@@ -484,7 +487,41 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 		if page.NetworkCalls > netBefore {
 			pm.NetworkEvents++
 		}
-		return changed, err
+		if err != nil {
+			if ctxAbort(ctx, err) {
+				return OutcomeError, err
+			}
+			// A handler preempted by the JS step budget lands here too:
+			// it is a property of the page, not the crawl.
+			pm.HandlerErrors++
+			return OutcomeError, nil
+		}
+		if !changed {
+			return OutcomeNoChange, nil
+		}
+		text := page.Doc.VisibleText()
+		newID, isNew := admit.state(page.Hash(), text, graph.State(cur).Depth+1)
+		graph.AddTransition(&model.Transition{
+			From:       cur,
+			To:         newID,
+			Source:     ev.Source(),
+			Event:      ev.Type,
+			Code:       ev.Code,
+			SourcePath: ev.Path,
+			Targets:    diffTargets(snap.Doc(), page.Doc),
+			Action:     "innerHTML",
+			Probe:      probe,
+		})
+		if !isNew {
+			return OutcomeDuplicate, nil
+		}
+		if opts.StateFilter != nil && !opts.StateFilter(text) {
+			pm.StatesPruned++
+		} else {
+			snapshots[newID] = page.Snapshot()
+			queue = append(queue, newID)
+		}
+		return OutcomeNewState, nil
 	}
 
 	for len(queue) > 0 && graph.NumStates() < opts.MaxStates {
@@ -494,7 +531,6 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 		cur := queue[0]
 		queue = queue[1:]
 		snap := snapshots[cur]
-		curState := graph.State(cur)
 
 		page.Restore(snap)
 		events := page.Events(opts.EventTypes)
@@ -515,62 +551,16 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 				pm.EventsSkipped++
 				continue
 			}
-			// Rollback: every event fires from state `cur`.
-			page.Restore(snap)
-			changed, err := fire(func() (bool, error) { return page.Trigger(ctx, ev) })
+			outcome, err := explore(cur, snap, ev, "", func() (bool, error) { return page.Trigger(ctx, ev) })
 			if err != nil {
-				if ctxAbort(ctx, err) {
-					return err
-				}
-				// A handler preempted by the JS step budget lands here
-				// too: it is a property of the page, not the crawl.
-				pm.HandlerErrors++
-				if opts.RecordProfile != nil {
-					opts.RecordProfile.record(url, ev, OutcomeError)
-				}
-				continue
+				return err
 			}
-			if !changed {
-				if opts.RecordProfile != nil {
-					opts.RecordProfile.record(url, ev, OutcomeNoChange)
-				}
-				continue
-			}
-			text := page.Doc.VisibleText()
-			newID, isNew := admit.state(page.Hash(), text, curState.Depth+1)
-			graph.AddTransition(&model.Transition{
-				From:       cur,
-				To:         newID,
-				Source:     sourceName(ev),
-				Event:      ev.Type,
-				Code:       ev.Code,
-				SourcePath: ev.Path,
-				Targets:    diffTargets(snap.Doc(), page.Doc),
-				Action:     "innerHTML",
-			})
 			if opts.RecordProfile != nil {
-				outcome := OutcomeDuplicate
-				if isNew {
-					outcome = OutcomeNewState
-				}
 				opts.RecordProfile.record(url, ev, outcome)
-			}
-			if isNew {
-				// Focused crawling: irrelevant states are kept in the
-				// model but not expanded.
-				if opts.StateFilter != nil && !opts.StateFilter(text) {
-					pm.StatesPruned++
-					continue
-				}
-				snapshots[newID] = page.Snapshot()
-				queue = append(queue, newID)
 			}
 		}
 		// Form crawling: probe every reactive input with each value.
 		for _, fev := range formEvents {
-			if len(opts.FormProbes) == 0 || graph.NumStates() >= opts.MaxStates {
-				break
-			}
 			for _, probe := range opts.FormProbes {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -578,33 +568,8 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 				if graph.NumStates() >= opts.MaxStates {
 					break
 				}
-				page.Restore(snap)
-				changed, err := fire(func() (bool, error) { return page.TriggerWithValue(ctx, fev, probe) })
-				if err != nil {
-					if ctxAbort(ctx, err) {
-						return err
-					}
-					pm.HandlerErrors++
-					continue
-				}
-				if !changed {
-					continue
-				}
-				newID, isNew := admit.state(page.Hash(), page.Doc.VisibleText(), curState.Depth+1)
-				graph.AddTransition(&model.Transition{
-					From:       cur,
-					To:         newID,
-					Source:     sourceName(fev.Event),
-					Event:      fev.Type,
-					Code:       fev.Code,
-					SourcePath: fev.Path,
-					Targets:    diffTargets(snap.Doc(), page.Doc),
-					Action:     "innerHTML",
-					Probe:      probe,
-				})
-				if isNew {
-					snapshots[newID] = page.Snapshot()
-					queue = append(queue, newID)
+				if _, err := explore(cur, snap, fev.Event, probe, func() (bool, error) { return page.TriggerWithValue(ctx, fev, probe) }); err != nil {
+					return err
 				}
 			}
 		}
@@ -622,13 +587,6 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 func ctxAbort(ctx context.Context, err error) bool {
 	return ctx.Err() != nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-}
-
-func sourceName(ev browser.Event) string {
-	if ev.ID != "" {
-		return ev.ID
-	}
-	return ev.Path
 }
 
 // diffTargets returns the ids of the shallowest identified elements whose
@@ -768,14 +726,14 @@ type stateAdmitter struct {
 	fields    []string // the sketched text's tokens, reused per state
 	// sigCache holds journaled hash→signature pairs from an interrupted
 	// attempt at this page, so a resumed re-crawl skips re-sketching the
-	// states it already saw.
+	// states it already saw. A signature of the wrong length (the sketch
+	// kind changed between runs) is ignored and the state re-sketched.
 	sigCache map[dom.Hash]shingle.Signature
 	// journal, when set, receives every newly admitted state hash — the
-	// checkpoint journal's mid-page progress trail. journalSig likewise
-	// records the admitted state's signature so a resume can rebuild the
+	// checkpoint journal's mid-page progress trail — with its signature
+	// under near-dup admission (else nil), so a resume can rebuild the
 	// near-dup index without re-sketching.
-	journal    func(h dom.Hash)
-	journalSig func(h dom.Hash, sig shingle.Signature)
+	journal func(h dom.Hash, sig shingle.Signature)
 }
 
 func newStateAdmitter(graph *model.Graph, opts Options, pm *PageMetrics, tel *obs.Telemetry) (*stateAdmitter, error) {
@@ -793,24 +751,6 @@ func newStateAdmitter(graph *model.Graph, opts Options, pm *PageMetrics, tel *ob
 	return a, nil
 }
 
-// seedSigs primes the sketch cache with journaled signatures from an
-// interrupted attempt. Entries of the wrong length (the sketch kind
-// changed between runs) are ignored — the state is simply re-sketched.
-func (a *stateAdmitter) seedSigs(sigs map[dom.Hash]shingle.Signature) {
-	if a.threshold <= 0 || len(sigs) == 0 {
-		return
-	}
-	for h, sig := range sigs {
-		if len(sig) != a.sigLen {
-			continue
-		}
-		if a.sigCache == nil {
-			a.sigCache = make(map[dom.Hash]shingle.Signature, len(sigs))
-		}
-		a.sigCache[h] = sig
-	}
-}
-
 // state admits (or merges) a candidate state and returns its ID,
 // counting the outcome in the registry as it happens.
 func (a *stateAdmitter) state(h dom.Hash, text string, depth int) (model.StateID, bool) {
@@ -818,39 +758,29 @@ func (a *stateAdmitter) state(h dom.Hash, text string, depth int) (model.StateID
 		a.tel.Counter("crawl.states.deduped").Inc()
 		return id, false
 	}
-	if a.threshold <= 0 {
-		id, isNew := a.graph.AddState(h, text, depth)
-		if isNew {
-			a.tel.Counter("crawl.states.discovered").Inc()
-			if a.journal != nil {
-				a.journal(h)
-			}
+	var sig shingle.Signature
+	if a.threshold > 0 {
+		var ok bool
+		if sig, ok = a.sigCache[h]; !ok || len(sig) != a.sigLen {
+			a.fields = shingle.AppendFields(a.fields[:0], strings.ToLower(text))
+			sig = a.sketch(a.fields)
 		}
-		return id, isNew
-	}
-	sig, ok := a.sigCache[h]
-	if !ok {
-		a.fields = shingle.AppendFields(a.fields[:0], strings.ToLower(text))
-		sig = a.sketch(a.fields)
-	}
-	if target, merged := a.mergeTarget(sig); merged {
-		a.pm.NearDupMerges++
-		a.tel.Counter("crawl.states.neardup.merged").Inc()
-		return target, false
-	}
-	id, isNew := a.graph.AddState(h, text, depth)
-	if isNew {
-		a.tel.Counter("crawl.states.discovered").Inc()
-		if a.journal != nil {
-			a.journal(h)
-		}
-		if a.journalSig != nil {
-			a.journalSig(h, sig)
+		if target, merged := a.mergeTarget(sig); merged {
+			a.pm.NearDupMerges++
+			a.tel.Counter("crawl.states.neardup.merged").Inc()
+			return target, false
 		}
 	}
-	a.sigs[id] = sig
-	a.index.Add(int(id), sig)
-	return id, isNew
+	id, _ := a.graph.AddState(h, text, depth) // new: FindByHash missed
+	a.tel.Counter("crawl.states.discovered").Inc()
+	if a.journal != nil {
+		a.journal(h, sig)
+	}
+	if a.threshold > 0 {
+		a.sigs[id] = sig
+		a.index.Add(int(id), sig)
+	}
+	return id, true
 }
 
 // mergeTarget finds the lowest-StateID admitted state whose signature

@@ -159,6 +159,37 @@ func TestFormProbesRespectMaxStates(t *testing.T) {
 	}
 }
 
+// TestFormProbesRespectStateFilter: under focused crawling a state the
+// filter rejects stays in the model but is expanded by no event and no
+// form probe.
+func TestFormProbesRespectStateFilter(t *testing.T) {
+	site, f := formSite(10)
+	c := New(f, Options{
+		UseHotNode:  true,
+		MaxStates:   30,
+		FormProbes:  []string{"wo", "da"},
+		StateFilter: func(text string) bool { return !strings.Contains(text, "wow") },
+	})
+	g, pm, err := c.CrawlPage(context.Background(), webapp.WatchURL(site.VideoID(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected := map[model.StateID]bool{}
+	for _, s := range g.States {
+		if s.ID != g.Initial && strings.Contains(s.Text, "wow") {
+			rejected[s.ID] = true
+		}
+	}
+	if len(rejected) == 0 || pm.StatesPruned == 0 {
+		t.Fatalf("%d rejected states, StatesPruned %d: the filter rejected nothing", len(rejected), pm.StatesPruned)
+	}
+	for _, tr := range g.Transitions {
+		if rejected[tr.From] {
+			t.Errorf("transition %s (probe %q) leaves state %d, which the filter rejected", tr.Event, tr.Probe, tr.From)
+		}
+	}
+}
+
 // TestFormProbesAccountXHRTraffic: a form probe's XHR sends are charged
 // like an event's — each one is either a network call or a hot-node hit,
 // so the hit ratio HotNodeHits / XHRSends cannot pass 1.

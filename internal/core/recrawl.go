@@ -54,7 +54,7 @@ func (o EventOutcome) String() string {
 // and handler code. Positions may shift between sessions; the handler
 // code is the stable part.
 func eventKey(ev browser.Event) string {
-	return ev.Type + "|" + sourceName(ev) + "|" + ev.Code
+	return ev.Type + "|" + ev.Source() + "|" + ev.Code
 }
 
 // PageProfile records the best outcome observed per event of one page.

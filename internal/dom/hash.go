@@ -87,13 +87,21 @@ func (n *Node) rehash(buf []byte) []byte {
 	return buf[:start]
 }
 
-// invalidate marks n and its ancestors for rehashing. Hashing a node
-// hashes its whole subtree and every mutation comes through here, so a
-// dirty node's ancestors are already dirty and the walk stops at the
-// first one.
+// The edit marks Revert follows, sticky until it clears them.
+const (
+	editSelf  uint8 = 1 << iota // the node's attributes or child list changed
+	editBelow                   // a node beneath it is marked
+)
+
+// invalidate marks n edited and n and its ancestors dirty and marked.
+// Hashing a node hashes its whole subtree and every mutation comes
+// through here, so the ancestors of a dirty node are dirty and those of a
+// marked node marked: the walk stops at the first dirty editBelow one.
 func (n *Node) invalidate() {
-	for ; n != nil && n.hashed != digestDirty; n = n.Parent {
-		n.hashed = digestDirty
+	n.edits |= editSelf
+	n.hashed = digestDirty
+	for p := n.Parent; p != nil && (p.hashed != digestDirty || p.edits&editBelow == 0); p = p.Parent {
+		p.hashed, p.edits = digestDirty, p.edits|editBelow
 	}
 }
 

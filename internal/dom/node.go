@@ -76,6 +76,7 @@ type Node struct {
 
 	digest Hash
 	hashed uint8 // digestDirty, digestValid or digestNone
+	edits  uint8 // editSelf and editBelow marks, for Revert
 }
 
 // NewElement returns a detached element node with the given tag name and
@@ -449,22 +450,71 @@ func appendCollapsed(dst []byte, s string) []byte {
 }
 
 // Clone returns a deep copy of n (detached from any parent), cached
-// digests included. The copy's nodes and attributes are carved from one
-// slab each, so a clone costs two allocations whatever the tree's size.
+// digests included and edit marks not. The copy's nodes and attributes
+// are carved from one slab each, so a clone costs two allocations
+// whatever the tree's size.
 func (n *Node) Clone() *Node {
-	var nodes, attrs int
-	n.Walk(func(d *Node) bool {
-		nodes++
-		attrs += len(d.Attr)
-		return true
-	})
-	s := cloneSlab{nodes: make([]Node, nodes), attrs: make([]Attribute, attrs)}
-	return s.clone(n)
+	var s cloneSlab
+	s.count(n)
+	return s.alloc().clone(n)
+}
+
+// Revert rolls live, a Clone of snap (or an earlier Revert to it) edited
+// since only through the six mutators, back to snap. It keeps every
+// subtree no mutator touched and swaps each outermost edited node for a
+// copy of its snap counterpart, the copies carved from one slab. A node
+// not itself edited kept its child list, so the trees pair up by
+// position along the marked path; that path takes snap's digests and
+// drops its marks. An edited root yields snap.Clone().
+func Revert(live, snap *Node) *Node {
+	if live.edits&editSelf != 0 {
+		return snap.Clone()
+	}
+	s := cloneSlab{counting: true}
+	s.revert(live, snap)
+	s.alloc().revert(live, snap)
+	return live
+}
+
+// revert walks the edited children of live paired with snap's: counting,
+// it sizes the copies the edited ones need; otherwise it swaps them in.
+func (s *cloneSlab) revert(live, snap *Node) {
+	for c, o := live.FirstChild, snap.FirstChild; c != nil; c, o = c.NextSibling, o.NextSibling {
+		switch {
+		case c.edits&editSelf != 0 && s.counting:
+			s.count(o)
+		case c.edits&editSelf != 0:
+			cp := s.clone(o)
+			live.InsertBefore(cp, c)
+			live.RemoveChild(c)
+			c = cp
+		case c.edits&editBelow != 0:
+			s.revert(c, o)
+		}
+	}
+	if !s.counting {
+		live.digest, live.hashed, live.edits = snap.digest, snap.hashed, 0
+	}
 }
 
 type cloneSlab struct {
-	nodes []Node
-	attrs []Attribute
+	nodes    []Node
+	attrs    []Attribute
+	counting bool
+	n, k     int // nodes and attributes counted
+}
+
+func (s *cloneSlab) count(n *Node) {
+	n.Walk(func(d *Node) bool {
+		s.n++
+		s.k += len(d.Attr)
+		return true
+	})
+}
+
+func (s *cloneSlab) alloc() *cloneSlab {
+	s.nodes, s.attrs, s.counting = make([]Node, s.n), make([]Attribute, s.k), false
+	return s
 }
 
 func (s *cloneSlab) clone(n *Node) *Node {
