@@ -32,9 +32,9 @@ var DefaultWeights = Weights{PageRank: 1.0, AJAXRank: 0.5, TFIDF: 2.0, Proximity
 // Result is one ranked search hit: a URL plus the application state
 // containing the query.
 type Result struct {
-	URL   string
-	State model.StateID
-	Score float64
+	URL   string        `json:"url"`
+	State model.StateID `json:"state"`
+	Score float64       `json:"score"`
 }
 
 // Parse tokenizes a query string into terms (conjunction semantics).

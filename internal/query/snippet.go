@@ -121,7 +121,7 @@ func snippet(text string, terms []string, opts SnippetOptions) string {
 // ResultWithSnippet pairs a search result with its generated snippet.
 type ResultWithSnippet struct {
 	Result
-	Snippet string
+	Snippet string `json:"snippet,omitempty"`
 }
 
 // AttachSnippets cuts each result's snippet from the text stateText

@@ -102,7 +102,7 @@ func (b *HTTPBackend) ShardSearch(ctx context.Context, q string, hint query.Hint
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("router: shard %s: status %d: %s", b.BaseURL, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return DecodeShardResult(resp.Body, b.MaxResponseBytes)
+	return decodeShardResult(resp.Body, b.MaxResponseBytes, hint.K)
 }
 
 // Probe implements Prober: GET /healthz on the shard server. Any
@@ -135,7 +135,14 @@ func (b *HTTPBackend) Probe(ctx context.Context) error {
 // (forward compatibility), decoding panics are converted to errors, and
 // the caller is expected to run checkShardResult against the query
 // before the merge. FuzzRouterMergeResponse hammers this path.
-func DecodeShardResult(r io.Reader, maxBytes int64) (res *query.ShardResult, err error) {
+func DecodeShardResult(r io.Reader, maxBytes int64) (*query.ShardResult, error) {
+	return decodeShardResult(r, maxBytes, 0)
+}
+
+// decodeShardResult is DecodeShardResult for an answer to a cut to k
+// candidates (0 = no cut), which json.Unmarshal fills in place. The
+// pooled body buffer is free again on return: Unmarshal copies strings.
+func decodeShardResult(r io.Reader, maxBytes int64, k int) (res *query.ShardResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("router: shard response decode panicked: %v", p)
@@ -146,15 +153,18 @@ func DecodeShardResult(r io.Reader, maxBytes int64) (res *query.ShardResult, err
 	}
 	// Read one byte past the cap so truncation is distinguishable from
 	// an exactly-cap-sized body.
-	b, err := io.ReadAll(io.LimitReader(r, maxBytes+1))
-	if err != nil {
+	buf := serve.GetBuffer()
+	defer serve.PutBuffer(buf)
+	if _, err := buf.ReadFrom(io.LimitReader(r, maxBytes+1)); err != nil {
 		return nil, fmt.Errorf("router: shard response read: %w", err)
 	}
-	if int64(len(b)) > maxBytes {
+	if int64(buf.Len()) > maxBytes {
 		return nil, fmt.Errorf("router: shard response exceeds %d bytes", maxBytes)
 	}
-	var sr query.ShardResult
-	if err := json.Unmarshal(b, &sr); err != nil {
+	// Every candidate takes at least the two bytes of "{}", so a huge k
+	// never sizes the slice past what this body can hold.
+	sr := query.ShardResult{Candidates: make([]query.ShardCandidate, 0, min(k, buf.Len()/2))}
+	if err := json.Unmarshal(buf.Bytes(), &sr); err != nil {
 		return nil, fmt.Errorf("router: shard response decode: %w", err)
 	}
 	return &sr, nil

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,12 +16,14 @@ import (
 
 // FuzzRouterMergeResponse hammers the network-facing half of the
 // router: a hostile shard body goes through DecodeShardResult (size
-// cap, panic containment), checkShardResult (vector alignment, finite
-// floats), and — when it survives both — a self-merge through
-// dropDuplicates and query.Fold. The invariants: never panic, never emit a duplicate
-// (URL, state), never emit a non-finite score, always emit the
-// deterministic order, never exceed the input's own candidate count,
-// and always marshal into a /search body.
+// cap, panic containment; twice, the second time through the pooled
+// buffer the first gave back), checkShardResult (vector alignment,
+// finite floats), and — when it survives both — a self-merge through
+// dropDuplicates and query.Fold. The invariants: decode the same twice,
+// never panic, never emit a duplicate (URL, state), never emit a
+// non-finite score, always emit the deterministic order, never exceed
+// the input's own candidate count, and always marshal into a /search
+// body.
 func FuzzRouterMergeResponse(f *testing.F) {
 	valid := `{"terms":["video"],"total_states":5,"df":[1],"gen":1,"docs":1,"states":5,` +
 		`"candidates":[{"url":"http://a","state":0,"base":1,"tfs":[1],"snippet":"s"}]}`
@@ -42,6 +45,12 @@ func FuzzRouterMergeResponse(f *testing.F) {
 		// A tight cap exercises the truncation branch on large inputs;
 		// decoding must fail cleanly, never panic or over-buffer.
 		res, err := DecodeShardResult(bytes.NewReader(data), 1<<16)
+		// The second decode reads through the buffer the first one handed
+		// back to the pool: it must come out the same.
+		again, errAgain := DecodeShardResult(bytes.NewReader(data), 1<<16)
+		if (err == nil) != (errAgain == nil) || !reflect.DeepEqual(res, again) {
+			t.Fatalf("decoding twice differs: %v %+v, then %v %+v", err, res, errAgain, again)
+		}
 		if err != nil {
 			return
 		}

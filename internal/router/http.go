@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -61,19 +60,18 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // a single snapshot server by the bytes — the differential battery pins
 // this), plus fan-out metadata in response headers.
 type Server struct {
-	rt      *Router
-	cfg     ServerConfig
-	tel     *obs.Telemetry
-	limiter *admission.Limiter
+	rt   *Router
+	cfg  ServerConfig
+	tel  *obs.Telemetry
+	gate serve.Gate
 }
 
 // NewServer wraps rt in the HTTP layer. tel may be nil.
 func NewServer(rt *Router, cfg ServerConfig, tel *obs.Telemetry) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{rt: rt, cfg: cfg, tel: tel}
+	s := &Server{rt: rt, cfg: cfg, tel: tel, gate: serve.Gate{Tier: "router", Work: "routing", Shed: tel.Counter("router.shed")}}
 	if cfg.MaxInflight > 0 {
-		s.limiter = admission.New(admission.Config{
-			Initial:     cfg.MaxInflight,
+		s.gate.Limiter = admission.New(admission.Config{
 			Min:         cfg.AdmissionMin,
 			Max:         cfg.MaxInflight,
 			Queue:       cfg.AdmissionQueue,
@@ -89,7 +87,7 @@ func NewServer(rt *Router, cfg ServerConfig, tel *obs.Telemetry) *Server {
 func (s *Server) Router() *Router { return s.rt }
 
 // Limiter exposes the admission limiter (nil when MaxInflight is 0).
-func (s *Server) Limiter() *admission.Limiter { return s.limiter }
+func (s *Server) Limiter() *admission.Limiter { return s.gate.Limiter }
 
 // Routes mounts the routing endpoints on mux: /search and /healthz.
 func (s *Server) Routes(mux *http.ServeMux) {
@@ -103,26 +101,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.Routes(mux)
 	return obs.InstrumentHandler(s.tel.Registry(), mux)
-}
-
-// admit applies the router's load-shedding gate (nil-token when the
-// limiter is disabled; exactly one of Release or Cancel must follow).
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) (*admission.Token, bool) {
-	if s.limiter == nil {
-		return nil, true
-	}
-	tok, err := s.limiter.Acquire(r.Context())
-	if err == nil {
-		return tok, true
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		serve.WriteError(w, http.StatusServiceUnavailable, "deadline exceeded before routing")
-		return nil, false
-	}
-	s.tel.Counter("router.shed").Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(s.limiter.RetryAfterSeconds()))
-	serve.WriteError(w, http.StatusTooManyRequests, "router saturated, retry later")
-	return nil, false
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -142,28 +120,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tok, ok := s.admit(w, r)
+	tok, ok := s.gate.Admit(w, r)
 	if !ok {
 		return
 	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		tok.Cancel()
-		serve.WriteError(w, http.StatusBadRequest, "missing q parameter")
+	q, k, ok := serve.ParseSearch(w, r.URL.Query(), tok, s.cfg.DefaultK, s.cfg.MaxK, true)
+	if !ok {
 		return
-	}
-	k := s.cfg.DefaultK
-	if kv := r.URL.Query().Get("k"); kv != "" {
-		parsed, err := strconv.Atoi(kv)
-		if err != nil || parsed <= 0 {
-			tok.Cancel()
-			serve.WriteError(w, http.StatusBadRequest, "k must be a positive integer")
-			return
-		}
-		k = parsed
-		if k > s.cfg.MaxK {
-			k = s.cfg.MaxK
-		}
 	}
 	defer tok.Release()
 

@@ -17,6 +17,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -123,11 +124,11 @@ func (c Config) withDefaults() Config {
 // Server is the HTTP search daemon's engine room: the hot-swappable
 // query server plus snapshot (re)loading and the request handlers.
 type Server struct {
-	cfg     Config
-	tel     *obs.Telemetry
-	qs      *query.Server
-	limiter *admission.Limiter
-	clock   fetch.Clock
+	cfg   Config
+	tel   *obs.Telemetry
+	qs    *query.Server
+	gate  Gate
+	clock fetch.Clock
 
 	// mu serializes Reload: only one snapshot load/swap runs at a time.
 	// Serving never takes this lock.
@@ -146,10 +147,10 @@ func New(cfg Config, tel *obs.Telemetry) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, tel: tel, clock: cfg.Clock, manifestID: man.ID}
+	s := &Server{cfg: cfg, tel: tel, clock: cfg.Clock, manifestID: man.ID, gate: Gate{Tier: "server", Work: "evaluation",
+		Shed: tel.Counter("query.serve.shed"), Deadline: tel.Counter("query.serve.deadline")}}
 	if cfg.MaxInflight > 0 {
-		s.limiter = admission.New(admission.Config{
-			Initial:     cfg.MaxInflight,
+		s.gate.Limiter = admission.New(admission.Config{
 			Min:         cfg.AdmissionMin,
 			Max:         cfg.MaxInflight,
 			Queue:       cfg.AdmissionQueue,
@@ -199,7 +200,7 @@ func (s *Server) QueryServer() *query.Server { return s.qs }
 
 // Limiter exposes the admission limiter (nil when MaxInflight is 0) —
 // for debug endpoints and tests.
-func (s *Server) Limiter() *admission.Limiter { return s.limiter }
+func (s *Server) Limiter() *admission.Limiter { return s.gate.Limiter }
 
 // Reload checks the snapshot directory's manifest and, when its ID
 // differs from the serving one (or force is set), loads the new shards
@@ -269,17 +270,10 @@ func (s *Server) Handler() http.Handler {
 // (generation, cache state, fan-out completeness) travels in headers
 // instead.
 type searchResponse struct {
-	Query   string         `json:"query"`
-	K       int            `json:"k"`
-	Count   int            `json:"count"`
-	Results []searchResult `json:"results"`
-}
-
-type searchResult struct {
-	URL     string  `json:"url"`
-	State   int     `json:"state"`
-	Score   float64 `json:"score"`
-	Snippet string  `json:"snippet,omitempty"`
+	Query   string                    `json:"query"`
+	K       int                       `json:"k"`
+	Count   int                       `json:"count"`
+	Results []query.ResultWithSnippet `json:"results"`
 }
 
 // WriteSearch writes the 200 /search body for q's top-k results. The
@@ -287,21 +281,15 @@ type searchResult struct {
 // body byte-identical to a single-snapshot one. Headers must be set
 // before the call.
 func WriteSearch(w http.ResponseWriter, q string, k int, results []query.ResultWithSnippet) {
-	resp := searchResponse{
+	if results == nil {
+		results = []query.ResultWithSnippet{} // "results":[], never null
+	}
+	WriteJSON(w, http.StatusOK, searchResponse{
 		Query:   query.QueryString(query.Parse(q)),
 		K:       k,
 		Count:   len(results),
-		Results: make([]searchResult, 0, len(results)),
-	}
-	for _, r := range results {
-		resp.Results = append(resp.Results, searchResult{
-			URL:     r.URL,
-			State:   int(r.State),
-			Score:   r.Score,
-			Snippet: r.Snippet,
-		})
-	}
-	WriteJSON(w, http.StatusOK, resp)
+		Results: results,
+	})
 }
 
 // WriteError writes the JSON error body every tier answers failures
@@ -312,43 +300,94 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 	}{msg})
 }
 
-// WriteJSON marshals v as the response body under status.
-func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+// maxPooledBuffer bounds the buffers the body pool keeps: one that an
+// outsized body grew past it is left to the garbage collector.
+const maxPooledBuffer = 64 << 10
+
+// bodyPool holds the body buffers of every serving hop.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// GetBuffer takes an empty buffer from the serving hops' body pool.
+func GetBuffer() *bytes.Buffer { return bodyPool.Get().(*bytes.Buffer) }
+
+// PutBuffer returns b to the pool unless it outgrew maxPooledBuffer.
+// Neither b nor any slice of its bytes may be used after.
+func PutBuffer(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuffer {
+		b.Reset()
+		bodyPool.Put(b)
+	}
+}
+
+// WriteJSON encodes v as the response body under status through a
+// pooled buffer, written once the encode succeeded: the bytes of
+// json.Marshal(v) and a newline. A value that does not encode (a NaN
+// score) is answered with the JSON error body and 500.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(b, '\n'))
+	w.Write(buf.Bytes())
 }
 
-// admit applies the load-shedding gate: it reserves an in-flight slot
-// (exactly one of Release or Cancel must be called on the returned
-// token, which is nil-safe when the limiter is disabled) or sheds the
-// request. Saturation must cost an admission decision, not an
-// evaluation; 429 + a limiter-computed Retry-After tells well-behaved
-// clients to back off in proportion to the actual overload, and the
-// shed count is the first metric to watch under load.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) (*admission.Token, bool) {
-	if s.limiter == nil {
+// Gate is a tier's load-shedding gate: its admission limiter (nil = no
+// gate) and the words and counters of its two refusals.
+type Gate struct {
+	Limiter        *admission.Limiter
+	Tier, Work     string       // "<Tier> saturated, retry later", "deadline exceeded before <Work>"
+	Shed, Deadline *obs.Counter // nil counts nothing
+}
+
+// Admit reserves an in-flight slot (exactly one of Release or Cancel
+// must follow on the nil-safe token) or writes the refusal. Saturation
+// must cost an admission decision, not an evaluation: 429 + a computed
+// Retry-After tells clients to back off in proportion to the overload,
+// and the shed count is the first metric to watch under load.
+func (g *Gate) Admit(w http.ResponseWriter, r *http.Request) (*admission.Token, bool) {
+	if g.Limiter == nil {
 		return nil, true
 	}
-	tok, err := s.limiter.Acquire(r.Context())
+	tok, err := g.Limiter.Acquire(r.Context())
 	if err == nil {
 		return tok, true
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		// The client hung up while we queued it; nobody reads this body.
-		s.tel.Counter("query.serve.deadline").Inc()
-		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded before evaluation")
+		g.Deadline.Inc()
+		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded before "+g.Work)
 		return nil, false
 	}
-	s.tel.Counter("query.serve.shed").Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(s.limiter.RetryAfterSeconds()))
-	WriteError(w, http.StatusTooManyRequests, "server saturated, retry later")
+	g.Shed.Inc()
+	w.Header().Set("Retry-After", strconv.Itoa(g.Limiter.RetryAfterSeconds()))
+	WriteError(w, http.StatusTooManyRequests, g.Tier+" saturated, retry later")
 	return nil, false
+}
+
+// ParseSearch reads q, and k when withK (defaultK when absent, clamped
+// to maxK), off the query string for both /search fronts: a malformed
+// request is the same 400 on either, written here after tok.Cancel().
+func ParseSearch(w http.ResponseWriter, vals url.Values, tok *admission.Token, defaultK, maxK int, withK bool) (q string, k int, ok bool) {
+	if q = vals.Get("q"); q == "" {
+		tok.Cancel()
+		WriteError(w, http.StatusBadRequest, "missing q parameter")
+		return "", 0, false
+	}
+	k = defaultK
+	if kv := vals.Get("k"); withK && kv != "" {
+		parsed, err := strconv.Atoi(kv)
+		if err != nil || parsed <= 0 {
+			tok.Cancel()
+			WriteError(w, http.StatusBadRequest, "k must be a positive integer")
+			return "", 0, false
+		}
+		k = min(parsed, maxK)
+	}
+	return q, k, true
 }
 
 // BudgetFromRequest parses the propagated deadline budget. ok is false
@@ -397,26 +436,14 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, withK bool) (req 
 		s.rejectBudget(w)
 		return req, false
 	}
-	tok, ok := s.admit(w, r)
+	tok, ok := s.gate.Admit(w, r)
 	if !ok {
 		return req, false
 	}
 	vals := r.URL.Query()
-	q := vals.Get("q")
-	if q == "" {
-		tok.Cancel()
-		WriteError(w, http.StatusBadRequest, "missing q parameter")
+	q, k, ok := ParseSearch(w, vals, tok, s.cfg.DefaultK, s.cfg.MaxK, withK)
+	if !ok {
 		return req, false
-	}
-	k := s.cfg.DefaultK
-	if kv := vals.Get("k"); withK && kv != "" {
-		parsed, err := strconv.Atoi(kv)
-		if err != nil || parsed <= 0 {
-			tok.Cancel()
-			WriteError(w, http.StatusBadRequest, "k must be a positive integer")
-			return req, false
-		}
-		k = min(parsed, s.cfg.MaxK)
 	}
 	if hasBudget {
 		// Queue time already ate into the caller's budget.
@@ -483,7 +510,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // callers can tell which answers are comparable; non-degraded bodies
 // stay byte-identical to an unloaded server's.
 func (s *Server) search(ctx context.Context, q string, k int, tok *admission.Token) (results []query.ResultWithSnippet, snap *query.ServeSnapshot, cached bool, servedK int, degraded string) {
-	pressured := s.limiter != nil && !s.cfg.NoBrownout && s.limiter.QueueLimit() > 0 &&
+	pressured := s.gate.Limiter != nil && !s.cfg.NoBrownout && s.gate.Limiter.QueueLimit() > 0 &&
 		tok != nil && (tok.Waited || tok.QueueDepth > 0)
 	if !pressured {
 		results, snap, cached = s.qs.Search(ctx, q, k)
@@ -493,7 +520,7 @@ func (s *Server) search(ctx context.Context, q string, k int, tok *admission.Tok
 		return res, sn, true, k, ""
 	}
 	degraded = "snippets"
-	if tok.QueueDepth*2 >= s.limiter.QueueLimit() && k > 1 {
+	if tok.QueueDepth*2 >= s.gate.Limiter.QueueLimit() && k > 1 {
 		k = (k + 1) / 2
 		degraded = "snippets,k"
 	}
