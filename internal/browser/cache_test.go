@@ -43,12 +43,18 @@ func rebuild(n *dom.Node) *dom.Node {
 func checkInnerHTMLCache(t *testing.T, src string) {
 	p := blankPage(t)
 	p.Interp.DefineGlobal("src", js.Str(src))
+	// Each target is looked up before any write: a written fragment may
+	// carry an id that shadows a later target's.
+	if _, err := p.Interp.Run(`var a = document.getElementById("a"); var b = document.getElementById("b"); var c = document.getElementById("c");`); err != nil {
+		t.Fatal(err)
+	}
 	write := func(id string) *dom.Node {
 		t.Helper()
-		if _, err := p.Interp.Run(`document.getElementById("` + id + `").innerHTML = src;`); err != nil {
+		if _, err := p.Interp.Run(id + `.innerHTML = src;`); err != nil {
 			t.Fatalf("write to #%s: %v", id, err)
 		}
-		return p.Doc.ElementByID(id)
+		v, _ := p.Interp.LookupGlobal(id)
+		return p.unwrapElement(v)
 	}
 	reference := func(id string) *dom.Node {
 		ref := dom.NewElement("div", "id", id)
@@ -282,18 +288,24 @@ func TestHostMethodIdentity(t *testing.T) {
 	}
 }
 
-// TestEventLoopAllocs holds the event loop's allocation count under what
-// it was before calls ran on the interpreter's stacks and the tree builder
-// carved nodes from slabs (488 per state expansion of this page; 1 325
-// before host methods, handler programs and innerHTML fragments were
-// built once).
+// TestEventLoopAllocs holds the event loop's allocations at what they
+// were once rollback relinked the nodes an event displaced instead of
+// copying them from the snapshot: 196 allocations and about 158 KB per
+// state expansion of this page (204 and 192 KB with the copy; 488
+// allocations before calls ran on the interpreter's stacks and the tree
+// builder carved nodes from slabs, 1 325 before host methods, handler
+// programs and innerHTML fragments were built once). The byte ceiling
+// leaves 1 % for the race detector.
 func TestEventLoopAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the benchmark for a second")
 	}
 	res := testing.Benchmark(BenchmarkEventLoop)
-	if got := res.AllocsPerOp(); got > 250 {
-		t.Fatalf("BenchmarkEventLoop: %d allocs/op, want ≤ 250", got)
+	if got := res.AllocsPerOp(); got > 196 {
+		t.Fatalf("BenchmarkEventLoop: %d allocs/op, want ≤ 196", got)
+	}
+	if got := res.AllocedBytesPerOp(); got > 160_000 {
+		t.Fatalf("BenchmarkEventLoop: %d B/op, want ≤ 160 000", got)
 	}
 }
 

@@ -306,10 +306,11 @@ func (p *Page) Snapshot() *Snapshot {
 // Restore rolls the DOM back to a snapshot. JavaScript global state is
 // intentionally kept (snapshot-isolation assumption, thesis §4.3): only
 // the document is rolled back, exactly like appModel.rollback(t). Rolling
-// back to the snapshot of the previous Restore copies back only what the
-// events since edited (dom.Revert): a node outside it stays the same
-// node, as in a browser, so an element handle a script kept stays
-// attached. Any other snapshot is cloned whole.
+// back to the snapshot of the previous Restore relinks the nodes the
+// events since displaced (dom.Revert): every node is the same node as
+// before them, as in a browser, so an element handle a script kept stays
+// attached. Any other snapshot is cloned whole, which leaves such a
+// handle on the old tree.
 func (p *Page) Restore(s *Snapshot) {
 	if p.restored == s && p.Doc == p.restoredDoc {
 		p.Doc = dom.Revert(p.Doc, s.doc)

@@ -171,9 +171,9 @@ func TestSnapshotRestore(t *testing.T) {
 }
 
 // TestRestoreKeepsUntouchedSubtrees: rolling back an event that rewrote
-// only #a keeps every other node of the document — the same node, as in a
-// browser — and puts a fresh copy of #a in place. So an element handle a
-// handler kept in a global stays attached across the rollback.
+// #a puts back the very nodes it displaced, so the restored document is
+// node for node the one before the event, as in a browser, and an
+// element handle a handler kept in a global stays attached.
 func TestRestoreKeepsUntouchedSubtrees(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/page", func(w http.ResponseWriter, r *http.Request) {
@@ -190,9 +190,8 @@ function edit() { kept = document.getElementById('b'); document.getElementById('
 	want := dom.OuterHTML(p.Doc)
 	for round := 0; round < 3; round++ {
 		p.Restore(snap)
-		before := map[*dom.Node]bool{}
-		p.Doc.Walk(func(n *dom.Node) bool { before[n] = true; return true })
-		oldA := p.Doc.ElementByID("a")
+		var before []*dom.Node
+		p.Doc.Walk(func(n *dom.Node) bool { before = append(before, n); return true })
 		changed, err := p.Trigger(context.Background(), p.Events(nil)[0])
 		if err != nil || !changed {
 			t.Fatalf("round %d: trigger changed=%v err=%v", round, changed, err)
@@ -201,26 +200,54 @@ function edit() { kept = document.getElementById('b'); document.getElementById('
 		if got := dom.OuterHTML(p.Doc); got != want {
 			t.Fatalf("round %d: restored %q, want %q", round, got, want)
 		}
-		a := p.Doc.ElementByID("a")
-		if a == oldA || before[a] || before[a.FirstChild] {
-			t.Fatalf("round %d: #a was not replaced by a fresh copy", round)
+		i := 0
+		p.Doc.Walk(func(n *dom.Node) bool {
+			if i >= len(before) || n != before[i] {
+				t.Fatalf("round %d: %s %q is not the node before the event", round, n.Type, n.Data)
+			}
+			i++
+			return true
+		})
+		if i != len(before) {
+			t.Fatalf("round %d: restored %d nodes, want %d", round, i, len(before))
 		}
-		var outside func(n *dom.Node)
-		outside = func(n *dom.Node) {
-			if n == a {
-				return
-			}
-			if !before[n] {
-				t.Fatalf("round %d: %s %q outside #a is a new node", round, n.Type, n.Data)
-			}
-			for c := n.FirstChild; c != nil; c = c.NextSibling {
-				outside(c)
-			}
-		}
-		outside(p.Doc)
 		kept, _ := p.Interp.LookupGlobal("kept")
 		if b := p.unwrapElement(kept); b == nil || b != p.Doc.ElementByID("b") {
 			t.Fatalf("round %d: the element the handler kept is not #b of the document", round)
+		}
+	}
+}
+
+// TestKeptHandleSurvivesRestore: a handler that caches an element in a
+// global and rewrites it through that handle changes the state on every
+// event, not only on the first — the rollback in between puts back the
+// element itself, not a copy of it.
+func TestKeptHandleSurvivesRestore(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/page", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `<html><head><script>
+var kept = null;
+function one() { kept = kept || document.getElementById('a'); kept.innerHTML = 'one'; }
+function two() { kept = kept || document.getElementById('a'); kept.innerHTML = 'two'; }
+</script></head><body><div id="a">zero</div><p onclick="one()">1</p><p onclick="two()">2</p></body></html>`)
+	})
+	p := NewPage(&fetch.HandlerFetcher{Handler: mux})
+	if err := p.Load(context.Background(), "/page"); err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+	events := p.Events(nil)
+	if len(events) != 2 {
+		t.Fatalf("%d events, want 2", len(events))
+	}
+	for i, want := range []string{"one", "two"} {
+		p.Restore(snap)
+		changed, err := p.Trigger(context.Background(), events[i])
+		if err != nil || !changed {
+			t.Fatalf("event %d: changed=%v err=%v, want a change", i, changed, err)
+		}
+		if got := p.Doc.ElementByID("a").TextContent(); got != want {
+			t.Fatalf("event %d: #a reads %q, want %q", i, got, want)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // NodeType identifies the kind of a Node.
-type NodeType int
+type NodeType uint8
 
 // The node kinds understood by the model.
 const (
@@ -62,9 +62,11 @@ type Attribute struct {
 // mutators — AppendChild, InsertBefore, RemoveChild, AdoptChildren,
 // SetAttr, RemoveAttr — invalidate it; assign Data, Attr or the link
 // fields directly only on a node that has never been hashed, as the
-// parser does while building.
+// parser does while building. Attr's backing array belongs to its node
+// alone (the parser and Clone cap their slab windows): its elements are
+// written only by SetAttr, RemoveAttr and Revert, which copies the
+// snapshot's attributes back into it.
 type Node struct {
-	Type NodeType
 	Data string
 	Attr []Attribute
 
@@ -74,7 +76,12 @@ type Node struct {
 	PrevSibling *Node
 	NextSibling *Node
 
+	// The child list the node had when Clone made it, which Revert
+	// relinks: the first clean child, and the clean next sibling.
+	cleanFirst, cleanNext *Node
+
 	digest Hash
+	Type   NodeType
 	hashed uint8 // digestDirty, digestValid or digestNone
 	edits  uint8 // editSelf and editBelow marks, for Revert
 }
@@ -153,6 +160,11 @@ func (n *Node) RemoveChild(c *Node) {
 	if c.Parent != n {
 		panic("dom: RemoveChild called on a non-child")
 	}
+	n.unlink(c)
+}
+
+// unlink detaches c from its parent n and invalidates n.
+func (n *Node) unlink(c *Node) {
 	if c.PrevSibling != nil {
 		c.PrevSibling.NextSibling = c.NextSibling
 	} else {
@@ -450,71 +462,60 @@ func appendCollapsed(dst []byte, s string) []byte {
 }
 
 // Clone returns a deep copy of n (detached from any parent), cached
-// digests included and edit marks not. The copy's nodes and attributes
-// are carved from one slab each, so a clone costs two allocations
-// whatever the tree's size.
+// digests included and edit marks not. Each copy records its child list
+// as the clean one Revert restores. The copy's nodes and attributes are
+// carved from one slab each, so a clone costs two allocations whatever
+// the tree's size.
 func (n *Node) Clone() *Node {
-	var s cloneSlab
-	s.count(n)
-	return s.alloc().clone(n)
+	var nodes, attrs int
+	n.Walk(func(d *Node) bool {
+		nodes++
+		attrs += len(d.Attr)
+		return true
+	})
+	s := cloneSlab{make([]Node, nodes), make([]Attribute, attrs)}
+	return s.clone(n)
 }
 
 // Revert rolls live, a Clone of snap (or an earlier Revert to it) edited
-// since only through the six mutators, back to snap. It keeps every
-// subtree no mutator touched and swaps each outermost edited node for a
-// copy of its snap counterpart, the copies carved from one slab. A node
-// not itself edited kept its child list, so the trees pair up by
-// position along the marked path; that path takes snap's digests and
-// drops its marks. An edited root yields snap.Clone().
+// since only through the six mutators, back to snap, and returns it. It
+// follows the edit marks down from the root. A node whose attributes or
+// child list changed copies snap's attributes back into its own slice,
+// detaches its children and relinks its clean ones, pulling each from
+// wherever the event put it; every marked node takes snap's digest and
+// drops its marks. A node not itself edited kept its child list, so the
+// trees pair up by position. The result is the clean tree, node for
+// node, so a handle a script kept stays attached; the nodes the event
+// added are left detached, and nothing is allocated.
 func Revert(live, snap *Node) *Node {
-	if live.edits&editSelf != 0 {
-		return snap.Clone()
-	}
-	s := cloneSlab{counting: true}
-	s.revert(live, snap)
-	s.alloc().revert(live, snap)
+	live.revert(snap)
 	return live
 }
 
-// revert walks the edited children of live paired with snap's: counting,
-// it sizes the copies the edited ones need; otherwise it swaps them in.
-func (s *cloneSlab) revert(live, snap *Node) {
-	for c, o := live.FirstChild, snap.FirstChild; c != nil; c, o = c.NextSibling, o.NextSibling {
-		switch {
-		case c.edits&editSelf != 0 && s.counting:
-			s.count(o)
-		case c.edits&editSelf != 0:
-			cp := s.clone(o)
-			live.InsertBefore(cp, c)
-			live.RemoveChild(c)
-			c = cp
-		case c.edits&editBelow != 0:
-			s.revert(c, o)
+func (n *Node) revert(snap *Node) {
+	if n.edits&editSelf != 0 {
+		n.Attr = append(n.Attr[:0], snap.Attr...)
+		n.RemoveChildren()
+		for c := n.cleanFirst; c != nil; c = c.cleanNext {
+			if c.Parent != nil {
+				// Dirties the node it leaves, which may be one the
+				// event created and a script kept.
+				c.Parent.unlink(c)
+			}
+			n.link(c)
 		}
 	}
-	if !s.counting {
-		live.digest, live.hashed, live.edits = snap.digest, snap.hashed, 0
+	for c, o := n.FirstChild, snap.FirstChild; c != nil; c, o = c.NextSibling, o.NextSibling {
+		if c.edits != 0 {
+			c.revert(o)
+		}
 	}
+	n.digest, n.hashed, n.edits = snap.digest, snap.hashed, 0
 }
 
 type cloneSlab struct {
-	nodes    []Node
-	attrs    []Attribute
-	counting bool
-	n, k     int // nodes and attributes counted
-}
-
-func (s *cloneSlab) count(n *Node) {
-	n.Walk(func(d *Node) bool {
-		s.n++
-		s.k += len(d.Attr)
-		return true
-	})
-}
-
-func (s *cloneSlab) alloc() *cloneSlab {
-	s.nodes, s.attrs, s.counting = make([]Node, s.n), make([]Attribute, s.k), false
-	return s
+	nodes []Node
+	attrs []Attribute
 }
 
 func (s *cloneSlab) clone(n *Node) *Node {
@@ -530,6 +531,10 @@ func (s *cloneSlab) clone(n *Node) *Node {
 	}
 	for k := n.FirstChild; k != nil; k = k.NextSibling {
 		c.link(s.clone(k))
+	}
+	c.cleanFirst = c.FirstChild
+	for k := c.FirstChild; k != nil; k = k.NextSibling {
+		k.cleanNext = k.NextSibling
 	}
 	return c
 }

@@ -1,9 +1,6 @@
 package dom
 
-import (
-	"io"
-	"strings"
-)
+import "strings"
 
 // voidElements are HTML elements that never have children or end tags.
 var voidElements = map[string]bool{
@@ -20,10 +17,6 @@ var rawTextElements = map[string]bool{
 // IsVoidElement reports whether tag is an HTML void element.
 func IsVoidElement(tag string) bool { return voidElements[tag] }
 
-// IsRawTextElement reports whether tag content is raw text (not escaped,
-// no child elements).
-func IsRawTextElement(tag string) bool { return rawTextElements[tag] }
-
 var (
 	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
 	attrEscaper = strings.NewReplacer("&", "&amp;", `"`, "&quot;", "<", "&lt;", ">", "&gt;")
@@ -35,72 +28,43 @@ func EscapeText(s string) string { return textEscaper.Replace(s) }
 // EscapeAttr escapes an attribute value for double-quoted HTML output.
 func EscapeAttr(s string) string { return attrEscaper.Replace(s) }
 
-// Render writes the HTML serialization of n to w.
-func Render(w io.Writer, n *Node) error {
-	sw, ok := w.(io.StringWriter)
-	if !ok {
-		sb := &strings.Builder{}
-		if err := render(sb, n); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, sb.String())
-		return err
-	}
-	return render(sw, n)
-}
-
-func render(w io.StringWriter, n *Node) error {
+// render writes the HTML serialization of n to b.
+func render(b *strings.Builder, n *Node) {
 	switch n.Type {
 	case DocumentNode:
 		for c := n.FirstChild; c != nil; c = c.NextSibling {
-			if err := render(w, c); err != nil {
-				return err
-			}
+			render(b, c)
 		}
-		return nil
 	case DoctypeNode:
-		_, err := w.WriteString("<!DOCTYPE " + n.Data + ">")
-		return err
+		b.WriteString("<!DOCTYPE " + n.Data + ">")
 	case CommentNode:
-		_, err := w.WriteString("<!--" + n.Data + "-->")
-		return err
+		b.WriteString("<!--" + n.Data + "-->")
 	case TextNode:
 		if n.Parent != nil && n.Parent.Type == ElementNode && rawTextElements[n.Parent.Data] {
-			_, err := w.WriteString(n.Data)
-			return err
+			b.WriteString(n.Data)
+		} else {
+			b.WriteString(EscapeText(n.Data))
 		}
-		_, err := w.WriteString(EscapeText(n.Data))
-		return err
 	case ElementNode:
-		if _, err := w.WriteString("<" + n.Data); err != nil {
-			return err
-		}
+		b.WriteString("<" + n.Data)
 		for _, a := range n.Attr {
-			if _, err := w.WriteString(" " + a.Key + `="` + EscapeAttr(a.Val) + `"`); err != nil {
-				return err
-			}
+			b.WriteString(" " + a.Key + `="` + EscapeAttr(a.Val) + `"`)
 		}
-		if _, err := w.WriteString(">"); err != nil {
-			return err
-		}
+		b.WriteString(">")
 		if voidElements[n.Data] {
-			return nil
+			return
 		}
 		for c := n.FirstChild; c != nil; c = c.NextSibling {
-			if err := render(w, c); err != nil {
-				return err
-			}
+			render(b, c)
 		}
-		_, err := w.WriteString("</" + n.Data + ">")
-		return err
+		b.WriteString("</" + n.Data + ">")
 	}
-	return nil
 }
 
 // OuterHTML returns the HTML serialization of n itself.
 func OuterHTML(n *Node) string {
 	var b strings.Builder
-	render(&b, n) //nolint:errcheck // strings.Builder never errors
+	render(&b, n)
 	return b.String()
 }
 
@@ -108,7 +72,7 @@ func OuterHTML(n *Node) string {
 func InnerHTML(n *Node) string {
 	var b strings.Builder
 	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		render(&b, c) //nolint:errcheck
+		render(&b, c)
 	}
 	return b.String()
 }

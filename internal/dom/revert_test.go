@@ -11,11 +11,12 @@ import (
 	"ajaxcrawl/internal/html"
 )
 
-// TestNodeSize pins a node at 128 bytes: the edit marks live in the
-// padding after the digest state.
+// TestNodeSize pins a node at 136 bytes: the two clean links Revert
+// relinks cost 16, and the type byte moved into the padding after the
+// digest state and edit marks paid back 8.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(dom.Node{}); got != 128 {
-		t.Fatalf("unsafe.Sizeof(dom.Node{}) = %d, want 128", got)
+	if got := unsafe.Sizeof(dom.Node{}); got != 136 {
+		t.Fatalf("unsafe.Sizeof(dom.Node{}) = %d, want 136", got)
 	}
 }
 
@@ -57,8 +58,9 @@ func within(n, a *dom.Node) bool {
 // edited while detached, then brought back, as a handle a script kept in a
 // global can be. Hashes of arbitrary subtrees fall in between or not.
 // After each Revert the clone must equal the snapshot byte for byte, carry
-// the digest of a never-hashed rebuild and hold no edit mark; the
-// snapshot must not move.
+// the digest of a never-hashed rebuild, hold no edit mark and consist of
+// exactly the nodes Clone made; every node cut loose must carry its own
+// rebuild's digest; and the snapshot must not move.
 func checkRevert(t *testing.T, src string, ops []byte) {
 	next := func() int {
 		if len(ops) == 0 {
@@ -78,6 +80,8 @@ func checkRevert(t *testing.T, src string, ops []byte) {
 	var limbo []*dom.Node
 
 	live := snap.Clone()
+	clean := map[*dom.Node]bool{}
+	live.Walk(func(n *dom.Node) bool { clean[n] = true; return true })
 	for round := 0; round < 8 && len(ops) > 0; round++ {
 		for steps := 1 + next()%12; steps > 0 && len(ops) > 0; steps-- {
 			var nodes, elems []*dom.Node
@@ -182,16 +186,29 @@ func checkRevert(t *testing.T, src string, ops []byte) {
 		before := map[*dom.Node]bool{}
 		live.Walk(func(n *dom.Node) bool { before[n] = true; return true })
 		live = dom.Revert(live, snap)
+		nodes := 0
 		live.Walk(func(n *dom.Node) bool {
 			if m := dom.EditMarks(n); m != 0 {
 				t.Fatalf("round %d: node %q keeps edit marks %b after Revert", round, n.Data, m)
 			}
+			if !clean[n] {
+				t.Fatalf("round %d: node %q of the reverted tree is not one Clone made", round, n.Data)
+			}
+			nodes++
 			delete(before, n)
 			return true
 		})
+		if nodes != len(clean) {
+			t.Fatalf("round %d: reverted tree has %d nodes, the clean one %d", round, nodes, len(clean))
+		}
 		for n := range before {
 			if n.Parent == nil && len(limbo) < 32 {
 				limbo = append(limbo, n)
+			}
+		}
+		for _, l := range limbo {
+			if got, fresh := dom.CanonicalHash(l), dom.CanonicalHash(rebuild(l)); got != fresh {
+				t.Fatalf("round %d: cut-loose node %q has cached digest %v, a rebuild %v", round, l.Data, got, fresh)
 			}
 		}
 		if got := dump(live); got != want {
@@ -203,9 +220,12 @@ func checkRevert(t *testing.T, src string, ops []byte) {
 		if got := dom.CanonicalHash(live); got != wantDigest {
 			t.Fatalf("round %d: reverted digest %v, want %v", round, got, wantDigest)
 		}
+		if dump(snap) != want {
+			t.Fatalf("round %d: the snapshot changed under Revert", round)
+		}
 	}
-	if dump(snap) != want || dom.CanonicalHash(snap) != wantDigest {
-		t.Fatalf("the snapshot changed under Revert")
+	if dom.CanonicalHash(snap) != wantDigest {
+		t.Fatalf("the snapshot's digest changed under Revert")
 	}
 }
 
@@ -219,9 +239,9 @@ func TestRevert(t *testing.T) {
 	}
 }
 
-// TestRevertKeepsUntouchedNodes: a Revert of an unedited clone allocates
-// nothing; one edited element costs two allocations (the slab) and is the
-// only node replaced.
+// TestRevertKeepsUntouchedNodes: a Revert allocates nothing, whether
+// the clone is unedited or one element's child list changed, and the
+// edited element is the same node afterwards.
 func TestRevertKeepsUntouchedNodes(t *testing.T) {
 	snap := html.Parse(watchPage())
 	dom.CanonicalHash(snap)
@@ -230,23 +250,39 @@ func TestRevertKeepsUntouchedNodes(t *testing.T) {
 		t.Fatalf("Revert of an unedited clone allocates %v times, want 0", n)
 	}
 	title, player := live.ElementByID("video-title"), live.ElementByID("player")
+	text := player.FirstChild
 	if n := testing.AllocsPerRun(10, func() {
-		player = title.NextSibling
-		for player.Type != dom.ElementNode {
-			player = player.NextSibling
-		}
-		text := player.FirstChild
 		player.RemoveChild(text)
 		player.AppendChild(text)
 		live = dom.Revert(live, snap)
-	}); n != 2 {
-		t.Fatalf("Revert of one edited element allocates %v times, want 2", n)
+	}); n != 0 {
+		t.Fatalf("Revert of one edited element allocates %v times, want 0", n)
 	}
-	if live.ElementByID("video-title") != title {
-		t.Fatalf("Revert replaced an element no mutator touched")
+	if live.ElementByID("video-title") != title || live.ElementByID("player") != player || player.FirstChild != text {
+		t.Fatalf("Revert replaced a node instead of relinking it")
 	}
-	if live.ElementByID("player") == player || player.Parent != nil {
-		t.Fatalf("the edited element is still in the document")
+}
+
+// TestRevertAttrsAfterChildEdit: an element whose child list changed
+// first and whose attributes changed second, after an earlier Revert of
+// both, leaves the snapshot's attributes alone.
+func TestRevertAttrsAfterChildEdit(t *testing.T) {
+	snap := html.Parse(`<div id=a class=x>t</div>`)
+	dom.CanonicalHash(snap)
+	want := dump(snap)
+	live := snap.Clone()
+	for round := 0; round < 3; round++ {
+		a := live.ElementByID("a")
+		a.AppendChild(dom.NewText("u"))
+		a.SetAttr("class", "y")
+		a.RemoveAttr("id")
+		live = dom.Revert(live, snap)
+		if got := dump(snap); got != want {
+			t.Fatalf("round %d: the snapshot changed: %s", round, got)
+		}
+		if got := dump(live); got != want {
+			t.Fatalf("round %d: reverted %s, want %s", round, got, want)
+		}
 	}
 }
 
