@@ -20,7 +20,7 @@ import (
 // amount of memory.
 const (
 	// maxFragmentBytes bounds the innerHTML sources one Page retains; the
-	// parsed holders behind them are a small multiple of that.
+	// holders and spare copies behind them are a small multiple of that.
 	maxFragmentBytes = 1 << 20
 	// maxProgramBytes bounds the script sources one ProgramCache retains.
 	maxProgramBytes = 1 << 18
@@ -88,22 +88,32 @@ func (c *ProgramCache) Program(src string) (*js.Program, error) {
 	return prog, nil
 }
 
+// fragment is one innerHTML source's parse: the holder, detached, fully
+// hashed and never handed out, and the copy of it the last write took.
+type fragment struct {
+	holder, spare *dom.Node
+}
+
 // setInnerHTML replaces n's children with the parse of src — the DOM
 // mutation behind `element.innerHTML = ...`. Each distinct source is
-// parsed once per page, into a detached and fully hashed "#fragment"
-// holder that is never handed out: a write adopts the children of the
-// holder's Clone. The copy costs two allocations and arrives with its
+// parsed once per page into a fragment. A write reattaches the nodes of
+// the spare copy when a rollback or a later write has cut them all loose
+// unedited and no script ever held one (dom.Node.Readopt), which
+// allocates nothing; otherwise it adopts the children of a fresh
+// holder.Clone(), which becomes the spare. The copy arrives with its
 // digests, so rehashing the document afterwards hashes n and its
-// ancestors only. The holders die with the page, so their text nodes
+// ancestors only. The fragments die with the page, so their text nodes
 // (substrings of the response bodies) pin nothing beyond its lifetime.
 func (p *Page) setInnerHTML(n *dom.Node, src string) {
-	holder, ok := p.fragments.parsed[src]
+	f, ok := p.fragments.parsed[src]
 	if !ok {
-		holder = dom.NewElement("#fragment")
-		holder.AppendChildren(html.ParseFragment(src))
-		dom.CanonicalHash(holder)
-		p.fragments.add(src, holder, maxFragmentBytes)
+		f = &fragment{holder: html.ParseFragment(src)}
+		dom.CanonicalHash(f.holder)
+		p.fragments.add(src, f, maxFragmentBytes)
 	}
 	n.RemoveChildren()
-	n.AdoptChildren(holder.Clone())
+	if f.spare == nil || !n.Readopt(f.spare) {
+		f.spare = f.holder.Clone()
+		n.AdoptChildren(f.spare)
+	}
 }

@@ -195,11 +195,15 @@ func (l *locationHost) HostSet(name string, v js.Value) bool {
 
 // ---- element wrappers ----
 
-// wrapElement returns the (cached) JS host object for a DOM node.
+// wrapElement returns the (cached) JS host object for a DOM node. It
+// holds the node (dom.Node.Hold): a script may keep the handle past a
+// rollback, and a later innerHTML write must make fresh nodes, as a
+// browser does, not reattach the copy the handle points into.
 func (p *Page) wrapElement(n *dom.Node) *js.Object {
 	if w, ok := p.wrappers[n]; ok {
 		return w
 	}
+	n.Hold()
 	o := js.NewObject()
 	o.Class = "HTMLElement"
 	o.Host = &elementHost{page: p, node: n}

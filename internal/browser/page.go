@@ -92,7 +92,7 @@ type Page struct {
 	Scripts *ProgramCache
 
 	handlers  ProgramCache          // event-handler source → program
-	fragments parseCache[*dom.Node] // innerHTML source → holder (setInnerHTML)
+	fragments parseCache[*fragment] // innerHTML source → parse (setInnerHTML)
 	wrappers  map[*dom.Node]*js.Object
 	// elementProto and xhrProto carry the methods of element wrappers and
 	// XMLHttpRequest objects, built once per Load.
@@ -305,16 +305,19 @@ func (p *Page) Snapshot() *Snapshot {
 
 // Restore rolls the DOM back to a snapshot. JavaScript global state is
 // intentionally kept (snapshot-isolation assumption, thesis §4.3): only
-// the document is rolled back, exactly like appModel.rollback(t). Rolling
-// back to the snapshot of the previous Restore relinks the nodes the
-// events since displaced (dom.Revert): every node is the same node as
-// before them, as in a browser, so an element handle a script kept stays
-// attached. Any other snapshot is cloned whole, which leaves such a
-// handle on the old tree.
+// the document is rolled back, exactly like appModel.rollback(t). Restore
+// first reverts the outgoing document to the snapshot it came from
+// (dom.Revert): the nodes the events since displaced are relinked, those
+// they inserted cut loose for the next innerHTML write to reattach, and
+// nothing is allocated. For that same snapshot this is all, and an
+// element handle a script kept stays attached, as in a browser. Any other
+// snapshot is then cloned whole, which leaves such a handle on the old
+// tree.
 func (p *Page) Restore(s *Snapshot) {
-	if p.restored == s && p.Doc == p.restoredDoc {
-		p.Doc = dom.Revert(p.Doc, s.doc)
-	} else {
+	if p.restored != nil && p.Doc == p.restoredDoc {
+		dom.Revert(p.Doc, p.restored.doc)
+	}
+	if p.restored != s || p.Doc != p.restoredDoc {
 		p.Doc = s.doc.Clone()
 	}
 	p.restored, p.restoredDoc = s, p.Doc

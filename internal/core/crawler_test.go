@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -240,11 +241,14 @@ func TestHotNodeDetectsFunction(t *testing.T) {
 	if cache.Hits != 1 {
 		t.Fatalf("identical hot call not served from cache: hits=%d", cache.Hits)
 	}
-	hot := cache.HotNodes()
+	hot := hotNodes(cache)
 	if len(hot) != 1 || hot[0] != "getUrl" {
 		t.Fatalf("hot nodes = %v, want [getUrl]", hot)
 	}
 }
+
+// hotNodes returns the sorted names of the hot-node functions c detected.
+func hotNodes(c *HotNodeCache) []string { return slices.Sorted(maps.Keys(c.hotNodes)) }
 
 func TestTransitionAnnotations(t *testing.T) {
 	site, f := newSiteFetcher(30, 2)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"ajaxcrawl/internal/browser"
 	"ajaxcrawl/internal/obs"
 )
@@ -62,16 +60,6 @@ func (c *HotNodeCache) Seed(entries map[string]string) {
 	for k, v := range entries {
 		c.entries[k] = v
 	}
-}
-
-// HotNodes returns the sorted names of detected hot-node functions.
-func (c *HotNodeCache) HotNodes() []string {
-	out := make([]string, 0, len(c.hotNodes))
-	for n := range c.hotNodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // key computes the hot-call identity for the current interpreter state.

@@ -86,7 +86,7 @@ func TestNewsTwoHotNodes(t *testing.T) {
 		}
 	}
 	want := []string{"fetchInto", "loadReactions"}
-	if got := cache.HotNodes(); !reflect.DeepEqual(got, want) {
+	if got := hotNodes(cache); !reflect.DeepEqual(got, want) {
 		t.Fatalf("hot nodes = %v, want %v", got, want)
 	}
 	// Repeating either event hits the cache.

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 
 	"ajaxcrawl/internal/browser"
@@ -134,9 +135,31 @@ func LoadCrawlProfile(path string) (*CrawlProfile, error) {
 		return nil, fmt.Errorf("core: profile load: %w", err)
 	}
 	defer f.Close()
+	cp, err := decodeCrawlProfile(f)
+	if err != nil {
+		return nil, fmt.Errorf("core: profile decode %s: %w", path, err)
+	}
+	return cp, nil
+}
+
+// decodeCrawlProfile reads a saved CrawlProfile from untrusted bytes. gob
+// reads no more than the input holds; the result is then refused if a
+// page is missing or filed under a URL other than its own, or an outcome
+// is none of the four.
+func decodeCrawlProfile(r io.Reader) (*CrawlProfile, error) {
 	var cp CrawlProfile
-	if err := gob.NewDecoder(f).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("core: profile decode: %w", err)
+	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
+		return nil, err
+	}
+	for url, pp := range cp.Pages {
+		if pp == nil || pp.URL != url {
+			return nil, fmt.Errorf("page %q missing or filed under another URL", url)
+		}
+		for key, o := range pp.Events {
+			if o < OutcomeNoChange || o > OutcomeError {
+				return nil, fmt.Errorf("page %q, event %q: outcome %d", url, key, int(o))
+			}
+		}
 	}
 	return &cp, nil
 }

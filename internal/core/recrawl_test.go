@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -136,6 +139,68 @@ func TestRecrawlProfilePersistence(t *testing.T) {
 	if _, err := LoadCrawlProfile(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
 		t.Fatalf("loading missing profile should fail")
 	}
+}
+
+// TestLoadCrawlProfileRefusesInvalid: a profile that decodes but files a
+// page under another URL or records an outcome that is none of the four
+// is refused, not used.
+func TestLoadCrawlProfileRefusesInvalid(t *testing.T) {
+	ev := browser.Event{Type: "onclick", ID: "n", Code: "f(1)"}
+	for name, spoil := range map[string]func(*CrawlProfile){
+		"URL differs from its key": func(cp *CrawlProfile) { cp.Pages["/a"].URL = "/b" },
+		"outcome past the last":    func(cp *CrawlProfile) { cp.Pages["/a"].Events[eventKey(ev)] = OutcomeError + 1 },
+		"negative outcome":         func(cp *CrawlProfile) { cp.Pages["/a"].Events[eventKey(ev)] = -1 },
+	} {
+		cp := NewCrawlProfile()
+		cp.record("/a", ev, OutcomeNoChange)
+		spoil(cp)
+		path := filepath.Join(t.TempDir(), "profile.gob")
+		if err := cp.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCrawlProfile(path); err == nil {
+			t.Errorf("%s: profile accepted", name)
+		}
+	}
+}
+
+// FuzzLoadCrawlProfile feeds the profile reader arbitrary bytes, seeded
+// with a saved profile and its truncations: it errors or returns a
+// profile whose every page is filed under its own URL with known
+// outcomes.
+func FuzzLoadCrawlProfile(f *testing.F) {
+	cp := NewCrawlProfile()
+	for i, o := range []EventOutcome{OutcomeNoChange, OutcomeDuplicate, OutcomeNewState, OutcomeError} {
+		cp.record(fmt.Sprintf("/watch?v=%d", i%2), browser.Event{Type: "onclick", ID: fmt.Sprint("e", i), Code: "f()"}, o)
+	}
+	path := filepath.Join(f.TempDir(), "profile.gob")
+	if err := cp.Save(path); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 16, 0} {
+		f.Add(seed[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := decodeCrawlProfile(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for url, pp := range cp.Pages {
+			if pp == nil || pp.URL != url {
+				t.Fatalf("accepted page %q filed as %v", url, pp)
+			}
+			for key, o := range pp.Events {
+				if o < OutcomeNoChange || o > OutcomeError {
+					t.Fatalf("accepted outcome %d for %q", int(o), key)
+				}
+			}
+		}
+		cp.ShouldSkip("/watch?v=0", browser.Event{})
+	})
 }
 
 func TestBuildProfileFromGraph(t *testing.T) {

@@ -21,7 +21,9 @@ func rebuild(n *dom.Node) *dom.Node {
 }
 
 // checkDigestInvalidation parses src, then reads ops as a program of
-// mutations — the six mutators, html.SetInnerHTML, Clone — interleaved
+// mutations — the mutators, html.SetInnerHTML, innerHTML writes that
+// reattach what an earlier write or RemoveChild cut loose
+// (fragments.write), Clone — interleaved
 // with hashes of arbitrary subtrees (which leave the cache half clean,
 // half dirty). It checks the two properties the crawler's state identity
 // rests on: the cached root digest always equals the digest of a
@@ -41,6 +43,7 @@ func checkDigestInvalidation(t *testing.T, src string, ops []byte) {
 	}
 	words := []string{"id", "class", "a\x01b\x04", "x  y", " ", "", "<b>t</b>", "<p id=q>r<!--c--></p> ", "<script>s</script>"}
 	word := func() string { return words[next()%len(words)] }
+	frags := fragments{}
 
 	for len(ops) > 0 {
 		var nodes, elems []*dom.Node
@@ -63,12 +66,11 @@ func checkDigestInvalidation(t *testing.T, src string, ops []byte) {
 		case 1:
 			elem().AppendChild(dom.NewText(word()))
 		case 2:
-			p := elem()
-			ref := p.FirstChild
-			for i := next() % 3; i > 0 && ref != nil; i-- {
-				ref = ref.NextSibling
+			// A move, within one parent or across the tree.
+			if n, dst := node(), elem(); n.Parent != nil && !within(dst, n) {
+				n.Parent.RemoveChild(n)
+				dst.AppendChild(n)
 			}
-			p.InsertBefore(dom.NewElement("span", "title", word()), ref)
 		case 3:
 			if n := node(); n.Parent != nil && n.Data != "html" && n.Data != "body" {
 				n.Parent.RemoveChild(n)
@@ -89,9 +91,7 @@ func checkDigestInvalidation(t *testing.T, src string, ops []byte) {
 		case 9:
 			dom.CanonicalHash(node())
 		case 10:
-			// What an innerHTML write does: the children of a copy, digests
-			// and all, spliced in behind the element's own.
-			elem().AdoptChildren(node().Clone())
+			frags.write(t, elem(), word()+word(), nil)
 		}
 		if next()%4 == 0 {
 			earlier = rebuild(doc)

@@ -138,6 +138,10 @@ func TestMutatorsInvalidateDigest(t *testing.T) {
 	h0 := CanonicalHash(doc)
 	b := doc.ElementByID("b")
 	extra := NewElement("p")
+	holder := NewElement("#fragment")
+	holder.AppendChild(NewElement("i"))
+	CanonicalHash(holder)
+	spare := holder.Clone()
 
 	steps := []struct {
 		name    string
@@ -146,8 +150,10 @@ func TestMutatorsInvalidateDigest(t *testing.T) {
 	}{
 		{"AppendChild", func() { b.AppendChild(extra) }, true},
 		{"RemoveChild", func() { b.RemoveChild(extra) }, false},
-		{"InsertBefore", func() { b.InsertBefore(extra, b.FirstChild) }, true},
-		{"RemoveChild again", func() { b.RemoveChild(extra) }, false},
+		{"AdoptChildren", func() { b.AdoptChildren(spare) }, true},
+		{"RemoveChild again", func() { b.RemoveChild(b.LastChild) }, false},
+		{"Readopt", func() { b.Readopt(spare) }, true},
+		{"RemoveChild a third time", func() { b.RemoveChild(b.LastChild) }, false},
 		{"SetAttr", func() { b.SetAttr("title", "t") }, true},
 		{"RemoveAttr", func() { b.RemoveAttr("title") }, false},
 	}

@@ -59,13 +59,13 @@ type Attribute struct {
 // lower-case tag name; for TextNode and CommentNode it holds the text.
 //
 // A node caches the digest of its subtree (see CanonicalHash). The six
-// mutators — AppendChild, InsertBefore, RemoveChild, AdoptChildren,
-// SetAttr, RemoveAttr — invalidate it; assign Data, Attr or the link
-// fields directly only on a node that has never been hashed, as the
-// parser does while building. Attr's backing array belongs to its node
-// alone (the parser and Clone cap their slab windows): its elements are
-// written only by SetAttr, RemoveAttr and Revert, which copies the
-// snapshot's attributes back into it.
+// mutators — AppendChild, RemoveChild, AdoptChildren, Readopt, SetAttr,
+// RemoveAttr — invalidate it; assign Data, Attr or the link fields
+// directly only on a node that has never been hashed, as the parser does
+// while building. Attr's backing array belongs to its node alone (the
+// parser and Clone cap their slab windows): its elements are written only
+// by SetAttr, RemoveAttr and Revert, which copies the snapshot's
+// attributes back into it.
 type Node struct {
 	Data string
 	Attr []Attribute
@@ -84,6 +84,7 @@ type Node struct {
 	Type   NodeType
 	hashed uint8 // digestDirty, digestValid or digestNone
 	edits  uint8 // editSelf and editBelow marks, for Revert
+	held   bool  // set by Hold, for Readopt
 }
 
 // NewElement returns a detached element node with the given tag name and
@@ -99,11 +100,6 @@ func NewElement(tag string, kv ...string) *Node {
 // NewText returns a detached text node.
 func NewText(text string) *Node {
 	return &Node{Type: TextNode, Data: text}
-}
-
-// NewDocument returns an empty document node.
-func NewDocument() *Node {
-	return &Node{Type: DocumentNode}
 }
 
 // AppendChild adds c as the last child of n. It panics if c is already
@@ -127,32 +123,6 @@ func (n *Node) link(c *Node) {
 	n.LastChild = c
 	c.Parent = n
 	c.PrevSibling = last
-}
-
-// InsertBefore inserts c before ref as a child of n. A nil ref appends.
-// It panics if c is attached or ref is not a child of n.
-func (n *Node) InsertBefore(c, ref *Node) {
-	if c.Parent != nil || c.PrevSibling != nil || c.NextSibling != nil {
-		panic("dom: InsertBefore called on attached child")
-	}
-	if ref == nil {
-		n.AppendChild(c)
-		return
-	}
-	if ref.Parent != n {
-		panic("dom: InsertBefore reference is not a child")
-	}
-	prev := ref.PrevSibling
-	if prev != nil {
-		prev.NextSibling = c
-	} else {
-		n.FirstChild = c
-	}
-	ref.PrevSibling = c
-	c.Parent = n
-	c.PrevSibling = prev
-	c.NextSibling = ref
-	n.invalidate()
 }
 
 // RemoveChild detaches c from n. It panics if c is not a child of n.
@@ -188,13 +158,6 @@ func (n *Node) RemoveChildren() {
 	}
 }
 
-// AppendChildren moves every node in cs under n, in order.
-func (n *Node) AppendChildren(cs []*Node) {
-	for _, c := range cs {
-		n.AppendChild(c)
-	}
-}
-
 // AdoptChildren moves all of from's children to the end of n's in one
 // splice. The moved subtrees keep their cached digests, so adopting the
 // children of a hashed tree's Clone leaves only n and its ancestors to
@@ -221,13 +184,33 @@ func (n *Node) AdoptChildren(from *Node) {
 	n.invalidate()
 }
 
-// Children returns the direct children of n as a slice.
-func (n *Node) Children() []*Node {
-	var out []*Node
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		out = append(out, c)
+// Readopt moves the children from had when Clone made it, which an
+// AdoptChildren took and something since cut loose, back under n, and
+// reports whether it did. It does so only when every one is detached,
+// unedited since Clone and never held (see Hold), so their content and
+// digests are still the copy's and no handle reaches them; otherwise it
+// changes nothing. It allocates nothing.
+func (n *Node) Readopt(from *Node) bool {
+	for c := from.cleanFirst; c != nil; c = c.cleanNext {
+		if c.Parent != nil || c.edits != 0 || c.held {
+			return false
+		}
 	}
-	return out
+	for c := from.cleanFirst; c != nil; c = c.cleanNext {
+		n.link(c)
+	}
+	n.invalidate()
+	return true
+}
+
+// Hold marks n and its ancestors, for good, as reachable from outside
+// the tree — a script's handle — so that Readopt never reattaches a copy
+// that holds n. The walk stops at a node already held: one beneath an
+// unheld ancestor got there by an edit, which Readopt refuses anyway.
+func (n *Node) Hold() {
+	for ; n != nil && !n.held; n = n.Parent {
+		n.held = true
+	}
 }
 
 // Attr lookup helpers.
@@ -462,10 +445,10 @@ func appendCollapsed(dst []byte, s string) []byte {
 }
 
 // Clone returns a deep copy of n (detached from any parent), cached
-// digests included and edit marks not. Each copy records its child list
-// as the clean one Revert restores. The copy's nodes and attributes are
-// carved from one slab each, so a clone costs two allocations whatever
-// the tree's size.
+// digests included and edit and hold marks not. Each copy records its
+// child list as the clean one Revert restores and Readopt reattaches. The
+// copy's nodes and attributes are carved from one slab each, so a clone
+// costs two allocations whatever the tree's size.
 func (n *Node) Clone() *Node {
 	var nodes, attrs int
 	n.Walk(func(d *Node) bool {

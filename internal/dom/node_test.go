@@ -9,7 +9,7 @@ import (
 //
 //	<html><body><div id="a">hello<span id="b">world</span></div></body></html>
 func buildDoc() *Node {
-	doc := NewDocument()
+	doc := &Node{Type: DocumentNode}
 	html := NewElement("html")
 	body := NewElement("body")
 	div := NewElement("div", "id", "a")
@@ -50,28 +50,6 @@ func TestAppendAttachedPanics(t *testing.T) {
 		}
 	}()
 	NewElement("div").AppendChild(c)
-}
-
-func TestInsertBefore(t *testing.T) {
-	p := NewElement("ul")
-	a, b, c := NewElement("li"), NewElement("li"), NewElement("li")
-	p.AppendChild(a)
-	p.AppendChild(c)
-	p.InsertBefore(b, c)
-	got := p.Children()
-	if len(got) != 3 || got[0] != a || got[1] != b || got[2] != c {
-		t.Fatalf("InsertBefore order wrong: %v", got)
-	}
-	d := NewElement("li")
-	p.InsertBefore(d, nil) // append
-	if p.LastChild != d {
-		t.Fatalf("InsertBefore(nil) should append")
-	}
-	e := NewElement("li")
-	p.InsertBefore(e, p.FirstChild)
-	if p.FirstChild != e {
-		t.Fatalf("InsertBefore first child failed")
-	}
 }
 
 func TestRemoveChild(t *testing.T) {
@@ -223,7 +201,7 @@ func TestPathSecondSibling(t *testing.T) {
 	p.AppendChild(a)
 	p.AppendChild(NewText("y"))
 	p.AppendChild(b)
-	doc := NewDocument()
+	doc := &Node{Type: DocumentNode}
 	doc.AppendChild(p)
 	if got := doc.ByPath(b.Path()); got != b {
 		t.Fatalf("ByPath for second sibling = %v", got)
@@ -276,7 +254,7 @@ func TestInnerHTML(t *testing.T) {
 }
 
 func TestRenderCommentAndDoctype(t *testing.T) {
-	doc := NewDocument()
+	doc := &Node{Type: DocumentNode}
 	doc.AppendChild(&Node{Type: DoctypeNode, Data: "html"})
 	doc.AppendChild(&Node{Type: CommentNode, Data: " hi "})
 	if got := OuterHTML(doc); got != "<!DOCTYPE html><!-- hi -->" {

@@ -50,13 +50,55 @@ func within(n, a *dom.Node) bool {
 	return false
 }
 
+// fragments models browser.Page.setInnerHTML on the dom API: each source
+// is parsed once into a hashed holder, and a write reattaches the nodes of
+// the holder's last copy when Readopt allows it, else adopts the children
+// of a fresh Clone.
+type fragments map[string]*fragment
+
+type fragment struct{ holder, spare *dom.Node }
+
+// write replaces n's children with the parse of src and checks that the
+// written nodes equal the holder's children, digests included, and that
+// no node beneath them is in held.
+func (fs fragments) write(t *testing.T, n *dom.Node, src string, held map[*dom.Node]bool) {
+	t.Helper()
+	f := fs[src]
+	if f == nil {
+		f = &fragment{holder: html.ParseFragment(src)}
+		dom.CanonicalHash(f.holder)
+		fs[src] = f
+	}
+	n.RemoveChildren()
+	if f.spare == nil || !n.Readopt(f.spare) {
+		f.spare = f.holder.Clone()
+		n.AdoptChildren(f.spare)
+	}
+	c, w := n.FirstChild, f.holder.FirstChild
+	for ; c != nil && w != nil; c, w = c.NextSibling, w.NextSibling {
+		if dump(c) != dump(w) || dom.CanonicalHash(c) != dom.CanonicalHash(w) {
+			t.Fatalf("write of %q gave %s (digest %v), the holder has %s (%v)", src, dump(c), dom.CanonicalHash(c), dump(w), dom.CanonicalHash(w))
+		}
+		c.Walk(func(d *dom.Node) bool {
+			if held[d] {
+				t.Fatalf("write of %q reattached a held node %q", src, d.Data)
+			}
+			return true
+		})
+	}
+	if c != nil || w != nil {
+		t.Fatalf("write of %q: the written child list and the holder's differ in length", src)
+	}
+}
+
 // checkRevert parses src into a snapshot, clones it, and reads ops as
-// rounds of edits to the clone, each round ended by a Revert: the six
-// mutators, moves, attribute reorders, whitespace-only text, comments, the
-// AdoptChildren of a hashed holder's Clone that an innerHTML write does,
-// edits to the root, and nodes an earlier edit or Revert cut loose —
-// edited while detached, then brought back, as a handle a script kept in a
-// global can be. Hashes of arbitrary subtrees fall in between or not.
+// rounds of edits to the clone, each round ended by a Revert: the
+// mutators, moves, attribute reorders, whitespace-only text, comments,
+// innerHTML writes (fragments.write, which reattaches what a Revert cut
+// loose), edits to the root, handles a script takes (Hold), and nodes an
+// earlier edit or Revert cut loose — edited while detached, then brought
+// back, as a handle a script kept in a global can be. Hashes of arbitrary
+// subtrees fall in between or not.
 // After each Revert the clone must equal the snapshot byte for byte, carry
 // the digest of a never-hashed rebuild, hold no edit mark and consist of
 // exactly the nodes Clone made; every node cut loose must carry its own
@@ -78,6 +120,7 @@ func checkRevert(t *testing.T, src string, ops []byte) {
 	words := []string{"id", "class", "x  y", " ", "\n\t", "", "<b>t</b>", "<p id=q>r<!--c--></p> ", "<script>s</script>"}
 	word := func() string { return words[next()%len(words)] }
 	var limbo []*dom.Node
+	frags, held := fragments{}, map[*dom.Node]bool{}
 
 	live := snap.Clone()
 	clean := map[*dom.Node]bool{}
@@ -97,27 +140,19 @@ func checkRevert(t *testing.T, src string, ops []byte) {
 			}
 			node := func() *dom.Node { return nodes[next()%len(nodes)] }
 			elem := func() *dom.Node { return elems[next()%len(elems)] }
-			child := func(p *dom.Node) *dom.Node {
-				c := p.FirstChild
-				for i := next() % 4; i > 0 && c != nil; i-- {
-					c = c.NextSibling
-				}
-				return c
-			}
 			cut := func(n *dom.Node) {
 				n.Parent.RemoveChild(n)
 				if len(limbo) < 32 {
 					limbo = append(limbo, n)
 				}
 			}
-			switch next() % 15 {
+			switch next() % 16 {
 			case 0:
 				elem().AppendChild(dom.NewElement("div", word(), word()))
 			case 1:
 				elem().AppendChild(dom.NewText(word()))
 			case 2:
-				p := elem()
-				p.InsertBefore(&dom.Node{Type: dom.CommentNode, Data: word()}, child(p))
+				elem().AppendChild(&dom.Node{Type: dom.CommentNode, Data: word()})
 			case 3:
 				if n := node(); n.Parent != nil {
 					cut(n)
@@ -126,7 +161,7 @@ func checkRevert(t *testing.T, src string, ops []byte) {
 				// A move, within one parent or across the tree.
 				if n, dst := node(), elem(); n.Parent != nil && !within(dst, n) {
 					n.Parent.RemoveChild(n)
-					dst.InsertBefore(n, child(dst))
+					dst.AppendChild(n)
 				}
 			case 5:
 				elem().SetAttr(word(), word())
@@ -142,10 +177,7 @@ func checkRevert(t *testing.T, src string, ops []byte) {
 					n.SetAttr(a.Key, a.Val)
 				}
 			case 8:
-				holder := dom.NewElement("#fragment")
-				holder.AppendChildren(html.ParseFragment(word() + word()))
-				dom.CanonicalHash(holder)
-				elem().AdoptChildren(holder.Clone())
+				frags.write(t, elem(), word()+word(), held)
 			case 9:
 				if n, from := elem(), elem(); from != n && !within(n, from) {
 					n.AdoptChildren(from)
@@ -158,7 +190,7 @@ func checkRevert(t *testing.T, src string, ops []byte) {
 						if l.Parent != nil {
 							l.Parent.RemoveChild(l)
 						}
-						dst.InsertBefore(l, child(dst))
+						dst.AppendChild(l)
 					}
 				}
 			case 12:
@@ -175,6 +207,14 @@ func checkRevert(t *testing.T, src string, ops []byte) {
 			case 14:
 				if next()%4 == 0 {
 					live.AppendChild(&dom.Node{Type: dom.CommentNode, Data: "root"})
+				}
+			case 15:
+				// A handle a script takes and may keep past the Revert.
+				n := node()
+				n.Hold()
+				held[n] = true
+				if len(limbo) < 32 {
+					limbo = append(limbo, n)
 				}
 			}
 		}
@@ -282,6 +322,60 @@ func TestRevertAttrsAfterChildEdit(t *testing.T) {
 		}
 		if got := dump(live); got != want {
 			t.Fatalf("round %d: reverted %s, want %s", round, got, want)
+		}
+	}
+}
+
+// TestReadopt: a copy whose nodes a Revert cut loose goes back under a
+// target as the same nodes, with no allocation; a copy with a node still
+// attached, edited or held stays where it is.
+func TestReadopt(t *testing.T) {
+	snap := html.Parse(`<div id=a></div><div id=b></div>`)
+	dom.CanonicalHash(snap)
+	holder := html.ParseFragment(`<b id=x>x</b><i>y</i>`)
+	dom.CanonicalHash(holder)
+	spare := holder.Clone()
+	live := snap.Clone()
+	a := live.ElementByID("a")
+	if a.Readopt(spare) {
+		t.Fatalf("Readopt took nodes still under the copy")
+	}
+	a.AdoptChildren(spare)
+	b, i := a.FirstChild, a.LastChild
+	if live.ElementByID("b").Readopt(spare) {
+		t.Fatalf("Readopt took nodes still under another element")
+	}
+	live = dom.Revert(live, snap)
+	if n := testing.AllocsPerRun(10, func() {
+		if !a.Readopt(spare) {
+			t.Fatalf("Readopt refused nodes a Revert cut loose")
+		}
+		live = dom.Revert(live, snap)
+	}); n != 0 {
+		t.Fatalf("Readopt allocates %v times, want 0", n)
+	}
+	a.Readopt(spare)
+	if a.FirstChild != b || a.LastChild != i || dom.OuterHTML(a) != `<div id="a"><b id="x">x</b><i>y</i></div>` {
+		t.Fatalf("Readopt gave %s, not the copy's nodes", dom.OuterHTML(a))
+	}
+	if dom.CanonicalHash(live) != dom.CanonicalHash(rebuild(live)) {
+		t.Fatalf("digest after Readopt differs from a rebuild's")
+	}
+	for _, spoil := range []struct {
+		name string
+		do   func()
+	}{
+		{"edited", func() { i.AppendChild(dom.NewText("z")) }},
+		{"held", func() { b.FirstChild.Hold() }},
+	} {
+		spare = holder.Clone()
+		live = dom.Revert(live, snap)
+		a.AdoptChildren(spare)
+		b, i = a.FirstChild, a.LastChild
+		spoil.do()
+		live = dom.Revert(live, snap)
+		if a.Readopt(spare) {
+			t.Fatalf("Readopt reattached a copy with a node %s", spoil.name)
 		}
 	}
 }

@@ -46,17 +46,13 @@ func Parse(src string) *dom.Node {
 }
 
 // ParseFragment parses an HTML fragment (such as an AJAX response used
-// for innerHTML assignment) and returns the top-level nodes. No html/body
-// wrapping is applied.
-func ParseFragment(src string) []*dom.Node {
+// for innerHTML assignment) and returns a detached "#fragment" element
+// holding the top-level nodes. No html/body wrapping is applied.
+func ParseFragment(src string) *dom.Node {
 	p := newParser(src)
 	root := p.node(dom.ElementNode, "#fragment")
 	p.run(root)
-	kids := root.Children()
-	for _, k := range kids {
-		root.RemoveChild(k)
-	}
-	return kids
+	return root
 }
 
 // SetInnerHTML replaces n's children with the parse of src. This is the
@@ -64,7 +60,7 @@ func ParseFragment(src string) []*dom.Node {
 // AJAX pages use to swap in fetched content.
 func SetInnerHTML(n *dom.Node, src string) {
 	n.RemoveChildren()
-	n.AppendChildren(ParseFragment(src))
+	n.AdoptChildren(ParseFragment(src))
 }
 
 // The tree builder carves its nodes and attributes from chunks sized from

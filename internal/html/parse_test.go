@@ -135,7 +135,7 @@ func TestParseTableCells(t *testing.T) {
 func TestParseVoidElements(t *testing.T) {
 	doc := Parse(`<div><br><img src="x.png"><input type="text">after</div>`)
 	div := doc.ElementsByTag("div")[0]
-	if got := len(div.Children()); got != 4 {
+	if got := len(kids(div)); got != 4 {
 		t.Fatalf("void elements nested: %d children", got)
 	}
 	if div.LastChild.Data != "after" {
@@ -193,18 +193,26 @@ func TestParseStrayLessThan(t *testing.T) {
 	}
 }
 
+// kids returns the children of n in order.
+func kids(n *dom.Node) []*dom.Node {
+	var out []*dom.Node
+	for c := n.FirstChild; c != nil; c = c.NextSibling {
+		out = append(out, c)
+	}
+	return out
+}
+
 func TestParseFragment(t *testing.T) {
-	nodes := ParseFragment(`text <b>bold</b> tail`)
+	root := ParseFragment(`text <b>bold</b> tail`)
+	if root.Data != "#fragment" || root.Parent != nil {
+		t.Fatalf("root = %q (parent %v), want a detached #fragment", root.Data, root.Parent)
+	}
+	nodes := kids(root)
 	if len(nodes) != 3 {
 		t.Fatalf("want 3 fragment nodes, got %d", len(nodes))
 	}
 	if nodes[1].Data != "b" {
 		t.Fatalf("middle node = %q", nodes[1].Data)
-	}
-	for _, n := range nodes {
-		if n.Parent != nil {
-			t.Fatalf("fragment nodes must be detached")
-		}
 	}
 }
 

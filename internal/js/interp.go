@@ -194,10 +194,6 @@ func (it *Interp) LookupGlobal(name string) (Value, bool) {
 	return v, ok
 }
 
-// CallStack returns the live frames, innermost last. The returned slice
-// must not be mutated.
-func (it *Interp) CallStack() []*Frame { return it.stack }
-
 // TopUserFrame returns the innermost non-native frame, or nil when no
 // user function is executing. This is what StackInfo.getHotnodeInfo()
 // reads in the thesis implementation (§4.4.1).
@@ -213,10 +209,6 @@ func (it *Interp) TopUserFrame() *Frame {
 // ResetBudget clears the step and byte counters (called per event
 // dispatch so each handler invocation gets a fresh budget).
 func (it *Interp) ResetBudget() { it.steps, it.bytes = 0, 0 }
-
-// Steps returns the AST evaluations consumed since the last ResetBudget
-// — the per-dispatch interpreter cost the telemetry layer exports.
-func (it *Interp) Steps() int { return it.steps }
 
 func (it *Interp) step(line int) error {
 	it.steps++

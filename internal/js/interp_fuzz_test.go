@@ -116,7 +116,7 @@ func outcome(t *testing.T, it *Interp, v Value, err error) interpOutcome {
 	if it.steps > it.MaxSteps+1 || it.bytes > maxBytes {
 		t.Fatalf("ran past its budgets: %d steps, %d bytes", it.steps, it.bytes)
 	}
-	out := interpOutcome{kind: v.Kind(), value: v.ToString(), steps: it.Steps()}
+	out := interpOutcome{kind: v.Kind(), value: v.ToString(), steps: it.steps}
 	if err != nil {
 		out.err = fmt.Sprintf("%T: %v", err, err)
 		// A stray break or continue escapes a handler as the signal of

@@ -570,7 +570,7 @@ func TestDebuggerHooks(t *testing.T) {
 		onEnter: func(it *Interp, f *Frame) {
 			entered = append(entered, f.Key())
 			if f.FuncName == "inner" {
-				for _, fr := range it.CallStack() {
+				for _, fr := range it.stack {
 					stackAtInner = append(stackAtInner, fr.FuncName)
 				}
 			}
