@@ -553,3 +553,42 @@ func TestUnparsableHandlerCountsPerDispatch(t *testing.T) {
 		t.Fatalf("events %d, handler errors %d; want 8 and 4", m.EventsTriggered, m.HandlerErrors)
 	}
 }
+
+// TestCallOutsideContractIsAHandlerError: a handler that calls a method
+// outside the interpreter's library ([].push) fails with a TypeError. The
+// crawl counts one handler error for it and keeps every state the page's
+// other events reach: those of the page whose handler appends by index,
+// as the contract allows, less the one state that handler adds.
+func TestCallOutsideContractIsAHandlerError(t *testing.T) {
+	crawl := func(appendCode string) (*model.Graph, PageMetrics) {
+		page := `<html><body>
+<div id="out"><span id="add" onclick="var a = [1]; ` + appendCode + ` document.getElementById('out').innerHTML = 'added ' + a;">add</span></div>
+<div id="show" onclick="document.getElementById('out').innerHTML = 'shown';">show</div>
+</body></html>`
+		f := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
+			return &fetch.Response{Status: 200, Body: []byte(page), ContentType: "text/html"}, nil
+		})
+		g, m, err := New(f, Options{MaxStates: 10}).CrawlPage(context.Background(), "/contract")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, m
+	}
+	g, m := crawl(`a.push(2);`)
+	ok, okm := crawl(`a[a.length] = 2;`)
+	if m.HandlerErrors != okm.HandlerErrors+1 {
+		t.Fatalf("handler errors %d, want %d + 1", m.HandlerErrors, okm.HandlerErrors)
+	}
+	var texts, okTexts []string
+	for _, s := range g.States {
+		texts = append(texts, s.Text)
+	}
+	for _, s := range ok.States {
+		if s.Text != "added 1,2 show" {
+			okTexts = append(okTexts, s.Text)
+		}
+	}
+	if !slices.Equal(texts, okTexts) || len(texts) != 2 || len(ok.States) != 3 {
+		t.Fatalf("states %q, want %q (2 states)", texts, okTexts)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -205,5 +206,24 @@ func TestFormProbesAccountXHRTraffic(t *testing.T) {
 	}
 	if pm.HotNodeHits+pm.NetworkCalls != pm.XHRSends {
 		t.Fatalf("HotNodeHits %d + NetworkCalls %d != XHRSends %d", pm.HotNodeHits, pm.NetworkCalls, pm.XHRSends)
+	}
+}
+
+// TestFormProbeURLEncodesLikeABrowser: the search box's handler builds
+// its XHR URL with encodeURIComponent, which escapes a space as %20
+// (ECMA-262 §15.1.3.4), so the crawl requests the URL a browser would.
+func TestFormProbeURLEncodesLikeABrowser(t *testing.T) {
+	site, f := formSite(10)
+	var urls []string
+	recording := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
+		urls = append(urls, rawurl)
+		return f.Fetch(ctx, rawurl)
+	})
+	c := New(recording, Options{MaxStates: 30, FormProbes: []string{"american idol"}})
+	if _, _, err := c.CrawlPage(context.Background(), webapp.WatchURL(site.VideoID(0))); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(urls, "/suggest?q=american%20idol") {
+		t.Fatalf("fetched %q, want /suggest?q=american%%20idol among them", urls)
 	}
 }

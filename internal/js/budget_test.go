@@ -29,12 +29,12 @@ func wantMemory(t *testing.T, src string) {
 }
 
 func TestArrayNegativeLengthThrows(t *testing.T) {
-	wantCaught(t, `Array(-1);`, "invalid array length -1")
+	wantCaught(t, `var a = []; a.length = -1;`, "invalid array length -1")
 }
 
 func TestArrayLengthPast32BitsThrows(t *testing.T) {
-	wantCaught(t, `new Array(4294967296);`, "invalid array length")
-	wantCaught(t, `Array(2.5);`, "invalid array length")
+	wantCaught(t, `var a = []; a.length = 4294967296;`, "invalid array length")
+	wantCaught(t, `var a = []; a.length = 2.5;`, "invalid array length")
 }
 
 func TestArrayLengthWriteCharged(t *testing.T) {
@@ -51,7 +51,7 @@ func TestStringDoublingCharged(t *testing.T) {
 
 func TestByteBudgetResets(t *testing.T) {
 	it := New()
-	const half = `var a = Array(1e6).join(",");` // ≈ 48 MB of elements, 1 MB of string
+	const half = `var a = []; a.length = 1e6;` // ≈ 48 MB of elements
 	if _, err := it.Run(half); err != nil {
 		t.Fatal(err)
 	}
@@ -64,21 +64,17 @@ func TestByteBudgetResets(t *testing.T) {
 	}
 }
 
-// TestHostileBuiltinsFailCleanly: builtins given cycles, mutation under
-// iteration or out-of-range numbers.
+// TestHostileBuiltinsFailCleanly: the conversions and builtins that
+// recurse — array→string and JSON.parse — given cycles, deep nesting or
+// output that doubles per level.
 func TestHostileBuiltinsFailCleanly(t *testing.T) {
 	// A cycle renders as "" instead of recursing until the stack dies.
-	expectStr(t, `var a = [1]; a.push(a); a + "|" + a.join("-") + "|" + String([a, [a]])`, "1,|1-|1,,1,")
-	// A comparator that empties the array under the sort.
-	expectStr(t, `var a = [3, 1, 2]; a.sort(function (x, y) { a.length = 0; return x - y; }); a.length + ""`, "0")
-	expectStr(t, `"abc".substr(3, 9.2233720368547e18) + "abc".substring(-1e300, 1e300)`, "abc")
-	wantCaught(t, `(1).toFixed(1e9);`, "digits out of range")
-	wantCaught(t, `JSON.parse(new Array(1000).join("[") + "1");`, "nested too deeply")
-	// Doubling through nesting: JSON and join stop at the budget.
-	const dag = `var o = [Array(4096).join("x")]; for (var i = 0; i < 40; i++) { o = [o, o]; } `
-	wantMemory(t, dag+`JSON.stringify(o);`)
-	wantMemory(t, dag+`o.join();`)
-	wantMemory(t, `var a = Array(1e5); for (var i = 0; i < 20; i++) { a.unshift(i); }`)
+	expectStr(t, `var a = [1]; a[1] = a; a + "|" + [a, [a]]`, "1,|1,,1,")
+	wantCaught(t, `var s = ""; for (var i = 0; i < 1000; i++) s += "["; JSON.parse(s + "1");`, "nested too deeply")
+	// Doubling through nesting: the conversion stops at the budget.
+	const dag = `var s = "x"; for (var i = 0; i < 12; i++) s += s;
+	var o = [s]; for (var i = 0; i < 40; i++) { o = [o, o]; } `
+	wantMemory(t, dag+`o + "";`)
 }
 
 // TestClosureFreeCallAllocs: a call to a function that creates no closure

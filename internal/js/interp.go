@@ -30,7 +30,8 @@ func (e *Env) up(depth int) *Env {
 // Frame describes one live function activation. It is what the hot-node
 // detector inspects: the function name and the actual argument values —
 // the thesis's StackInfo.getHotnodeInfo() reads exactly these. The
-// interpreter reuses its frames: one is valid until OnExit returns.
+// interpreter reuses its frames: one is valid until the next call at
+// its depth.
 type Frame struct {
 	FuncName string
 	Args     []Value
@@ -63,20 +64,13 @@ func (f *Frame) Key() string {
 	return b.String()
 }
 
-// Debugger observes function entries and exits, mirroring Rhino's
-// Debugger/DebugFrame interfaces that the thesis builds hot-node
-// detection on (§4.4.2).
-type Debugger interface {
-	OnEnter(it *Interp, f *Frame)
-	OnExit(it *Interp, f *Frame, result Value, err error)
-}
-
 // Thrown wraps a JavaScript value raised by `throw`.
 type Thrown struct{ Value Value }
 
 func (t *Thrown) Error() string { return "js: uncaught " + t.Value.ToString() }
 
-// RuntimeError is an interpreter-detected error (TypeError-ish).
+// RuntimeError is an interpreter-detected error; catch sees it as a
+// TypeError.
 type RuntimeError struct {
 	Msg  string
 	Line int
@@ -120,7 +114,6 @@ func (returnSignal) Error() string   { return "return outside function" }
 // use; the crawler creates one per page.
 type Interp struct {
 	GlobalThis Value
-	Debugger   Debugger
 
 	// MaxSteps bounds the number of AST evaluations per Run/Call to
 	// defend against infinite loops. Zero means the default.
@@ -156,8 +149,6 @@ type Interp struct {
 	// loop statement it wraps, so the loop can recognize labeled
 	// break/continue that target it.
 	pendingLabel string
-
-	rngState uint64 // deterministic Math.random
 }
 
 const (
@@ -176,9 +167,9 @@ const (
 	valueSize = int(unsafe.Sizeof(Value{}))
 )
 
-// New returns an interpreter with the standard builtins installed.
+// New returns an interpreter with the library's globals installed.
 func New() *Interp {
-	it := &Interp{globals: make(map[string]Value), rngState: 0x9E3779B97F4A7C15}
+	it := &Interp{globals: make(map[string]Value)}
 	globalObj := NewObject()
 	it.GlobalThis = ObjVal(globalObj)
 	installBuiltins(it)
@@ -366,18 +357,12 @@ func (it *Interp) callFunction(fnObj *Object, this Value, args []Value, line int
 		it.stack[d] = frame
 	}
 	*frame = Frame{FuncName: name, Args: args, Line: line, Native: fnObj.Native != nil}
-	if it.Debugger != nil {
-		it.Debugger.OnEnter(it, frame)
-	}
 	var result Value
 	var err error
 	if fnObj.Native != nil {
 		result, err = fnObj.Native(it, this, args)
 	} else {
 		result, err = it.callUser(fnObj, this, args)
-	}
-	if it.Debugger != nil {
-		it.Debugger.OnExit(it, frame, result, err)
 	}
 	frame.Args = nil
 	it.stack = it.stack[:d]
@@ -651,16 +636,13 @@ func isCatchable(err error) bool {
 	return false
 }
 
-// errToValue converts a caught error into the JS value seen by catch.
+// errToValue converts a caught error into the JS value seen by catch: a
+// thrown value as thrown, a runtime error as a TypeError with its message.
 func errToValue(err error) Value {
 	if t, ok := err.(*Thrown); ok {
 		return t.Value
 	}
-	o := NewObject()
-	o.Class = "Error"
-	o.SetProp("message", Str(err.Error()))
-	o.SetProp("name", Str("Error"))
-	return ObjVal(o)
+	return ObjVal(newError("TypeError", err.(*RuntimeError).Msg))
 }
 
 func (it *Interp) execSwitch(env *Env, s *Switch) (Value, error) {
@@ -839,8 +821,9 @@ func (it *Interp) memberName(env *Env, m *Member) (string, error) {
 	return idx.ToString(), nil
 }
 
-// getMember reads obj.name, dispatching to host objects, prototype
-// methods for strings/arrays/objects, and plain properties.
+// getMember reads obj.name: a string's length and characters, and an
+// object's properties through host objects, arrays and the proto chain.
+// Primitives have no methods (DESIGN.md "Interpreter contract").
 func (it *Interp) getMember(obj Value, name string, line int) (Value, error) {
 	switch obj.Kind() {
 	case KindString:
@@ -851,16 +834,8 @@ func (it *Interp) getMember(obj Value, name string, line int) (Value, error) {
 		if idx, err := strconv.Atoi(name); err == nil && idx >= 0 && idx < len(s) {
 			return Str(string(s[idx])), nil
 		}
-		if m, ok := stringMethods[name]; ok {
-			return ObjVal(NewNative(name, m)), nil
-		}
 		return Undefined, nil
-	case KindNumber:
-		if m, ok := numberMethods[name]; ok {
-			return ObjVal(NewNative(name, m)), nil
-		}
-		return Undefined, nil
-	case KindBool:
+	case KindNumber, KindBool:
 		return Undefined, nil
 	case KindObject:
 		o := obj.Object()
@@ -873,19 +848,6 @@ func (it *Interp) getMember(obj Value, name string, line int) (Value, error) {
 			proto := NewObject()
 			o.SetProp("prototype", ObjVal(proto))
 			return ObjVal(proto), nil
-		}
-		if o.IsArray() {
-			if m, ok := arrayMethods[name]; ok {
-				return ObjVal(NewNative(name, m)), nil
-			}
-		}
-		if o.IsCallable() {
-			if m, ok := functionMethods[name]; ok {
-				return ObjVal(NewNative(name, m)), nil
-			}
-		}
-		if m, ok := objectMethods[name]; ok {
-			return ObjVal(NewNative(name, m)), nil
 		}
 		return Undefined, nil
 	}

@@ -13,30 +13,33 @@ import (
 // interpSeeds cover what name resolution must get right: every way a
 // name is bound (parameter, var, function, catch, arguments, this, a
 // function's own name, implicit global) and captured (closures at depth
-// 1 and 2, over loop variables), and the calls that reach user code from
-// a builtin.
+// 1 and 2, over loop variables), functions passed around as values, and
+// the errors a call outside the library's contract raises.
 var interpSeeds = []string{
-	`var fs = []; for (var i = 0; i < 3; i++) { fs.push(function () { return i; }); }
-	var gs = []; for (var j = 0; j < 3; j++) { gs.push((function (k) { return function () { return k; }; })(j)); }
+	`var fs = []; for (var i = 0; i < 3; i++) { fs[i] = function () { return i; }; }
+	var gs = []; for (var j = 0; j < 3; j++) { gs[gs.length] = (function (k) { return function () { return k; }; })(j); }
 	fs[0]() + "," + gs[0]() + gs[2]();`,
 	`function a(x) { var w = 1; return function (y) { return function (z) { w++; return x + y + z + w; }; }; }
 	var c = a(1)(2); c(3) + c(3);`,
 	`function f() { var e = 1; try { throw 2; } catch (e) { e = e + 10; var e = 5; } return e; }
 	function g(a) { var a; return a; } function h(a, a) { var a = a + 1; return a; }
 	function extra(a) { var b; return typeof b + a; }
-	[f(), g(7), h(1, 2), h(1), extra(1, 2, 3)].join();`,
+	[f(), g(7), h(1, 2), h(1), extra(1, 2, 3)] + "";`,
 	`var fact = function f(n) { return n <= 1 ? 1 : n * f(n - 1); }; var f = 0;
 	function named() { named = 1; return typeof named; } var n2 = named;
 	function args(a) { arguments[0] = 9; var s = a + arguments.length; return s + arguments[0]; }
 	function shadow(arguments) { return arguments; }
-	[fact(5), f, n2(), typeof named, args(1, 2), shadow(3)].join();`,
+	[fact(5), f, n2(), typeof named, args(1, 2), shadow(3)] + "";`,
 	`function m() { zz = 3; for (var kk in {p: 1}) { yy = kk; } } m(); zz + yy;`,
 	`var o = {v: 1, f: function () { function inner() { return this; } var self = this;
-	return [this.v, typeof inner(), (function () { return self.v + this.v; }).call({v: 10})]; }};
-	o.f().join();`,
+	var g = {v: 10, h: function () { return self.v + this.v; }};
+	return [this.v, typeof inner(), g.h()]; }};
+	o.f() + "";`,
 	`function add(a, b) { return this.base + a + b; }
-	add.call({base: 1}, 2, 3) + add.apply({base: 10}, [20, 30]) + [3, 1, 2].sort(function (a, b) { return b - a; }).join("");`,
-	`function f(a, b, c) { return a + b + c; } var a = Array(1, 2, 3); f(7, 8, 9); var b = new Array(2); a[0] + "/" + b.length;`,
+	function via(fn, self, a, b) { self.fn = fn; return self.fn(a, b); }
+	function each(xs, fn) { var out = []; for (var i = 0; i < xs.length; i++) { out[i] = fn(xs[i], i); } return out; }
+	via(add, {base: 1}, 2, 3) + via(add, {base: 10}, 20, 30) + each([3, 1, 2], function (x, i) { return x * i; });`,
+	`function f(a, b, c) { return a + b + c; } var a = [1, 2, 3]; f(7, 8, 9); var b = []; b.length = 2; a[0] + "/" + b.length + "/" + f(1, 2);`,
 	`function outer() { try { return "t"; } finally { inner(); } } function inner() { return "i"; }
 	function loop() { for (var i = 0; ; i++) { try { if (i == 2) return i; } finally { continue; } } }
 	outer() + loop();`,
@@ -45,10 +48,12 @@ var interpSeeds = []string{
 	`var a = []; a.length = 1e8; a.length;`,
 	`var a = []; a[1e8] = 1;`,
 	`var r = [], bad = [-1, 1.5, 4294967296, NaN];
-	for (var i in bad) { try { Array(bad[i]); } catch (e) { r.push(e.message); } }
-	try { r.length = -1; } catch (e) { r.push(e.message); }
-	r.join("|");`,
-	`var a = [1]; a.push(a); a + "|" + a.join("-");`,
+	for (var i in bad) { try { var x = []; x.length = bad[i]; } catch (e) { r[r.length] = e.message; } }
+	try { r.length = -1; } catch (e) { r[r.length] = e.name + ": " + e.message; }
+	try { [1].push(2); } catch (e) { r[r.length] = e.name + ": " + e.message; }
+	try { "s".charAt(0); } catch (e) { r[r.length] = e.name + ": " + e.message; }
+	r + "|";`,
+	`var a = [1]; a[1] = a; a + "|" + [a, [a]];`,
 	`loadCommentPage('v0017', 3); return false;`,
 }
 

@@ -3,129 +3,17 @@ package js
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// installJSON defines the global JSON object (stringify/parse). Era AJAX
-// applications increasingly shipped JSON payloads instead of HTML
-// fragments; the crawler's interpreter supports both.
+// installJSON defines the global JSON object with parse only: the
+// JSON-over-XHR pattern reads a response with it (DESIGN.md "Interpreter
+// contract").
 func installJSON(it *Interp) {
 	j := NewObject()
-	j.SetProp("stringify", ObjVal(NewNative("stringify", biJSONStringify)))
 	j.SetProp("parse", ObjVal(NewNative("parse", biJSONParse)))
 	it.DefineGlobal("JSON", ObjVal(j))
-}
-
-func biJSONStringify(it *Interp, this Value, args []Value) (Value, error) {
-	v := arg(args, 0)
-	var b strings.Builder
-	limit := maxBytes - it.bytes
-	if !writeJSON(&b, v, 0, limit) {
-		return Undefined, nil
-	}
-	if b.Len() > limit {
-		return Undefined, ErrMemory
-	}
-	return it.newString(b.String())
-}
-
-// writeJSON serializes v; returns false for undefined/functions (which
-// JSON.stringify omits or maps to undefined at the top level). It stops
-// early, with more than limit bytes in b, once the output passes limit.
-func writeJSON(b *strings.Builder, v Value, depth, limit int) bool {
-	if depth > 64 {
-		b.WriteString("null") // cycle guard
-		return true
-	}
-	switch v.Kind() {
-	case KindUndefined:
-		return false
-	case KindNull:
-		b.WriteString("null")
-	case KindBool:
-		b.WriteString(v.ToString())
-	case KindNumber:
-		f := v.NumVal()
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			b.WriteString("null")
-		} else {
-			b.WriteString(numToString(f))
-		}
-	case KindString:
-		writeJSONString(b, v.StrVal())
-	case KindObject:
-		o := v.Object()
-		if o.IsCallable() {
-			return false
-		}
-		if o.IsArray() {
-			b.WriteByte('[')
-			for i, e := range o.Elems {
-				if b.Len() > limit {
-					return true
-				}
-				if i > 0 {
-					b.WriteByte(',')
-				}
-				if !writeJSON(b, e, depth+1, limit) {
-					b.WriteString("null")
-				}
-			}
-			b.WriteByte(']')
-			return true
-		}
-		b.WriteByte('{')
-		first := true
-		keys := append([]string(nil), o.keys...)
-		sort.Strings(keys)
-		for _, k := range keys {
-			if b.Len() > limit {
-				return true
-			}
-			pv, _ := o.GetOwn(k)
-			var vb strings.Builder
-			if !writeJSON(&vb, pv, depth+1, limit-b.Len()) {
-				continue
-			}
-			if !first {
-				b.WriteByte(',')
-			}
-			first = false
-			writeJSONString(b, k)
-			b.WriteByte(':')
-			b.WriteString(vb.String())
-		}
-		b.WriteByte('}')
-	}
-	return true
-}
-
-func writeJSONString(b *strings.Builder, s string) {
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
-	}
-	b.WriteByte('"')
 }
 
 func biJSONParse(it *Interp, this Value, args []Value) (Value, error) {

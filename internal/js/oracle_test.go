@@ -11,8 +11,8 @@ import (
 // It shares an Interp's globals, budgets, builtins and value operations
 // (binary, getMember, putMember, ...), so the two differ exactly in how
 // they find, bind and capture names. Its functions are natives that run
-// the reference evaluator, which is how builtins that call back (sort,
-// call, apply) reach it.
+// the reference evaluator, so a call to one passes through the
+// interpreter's callFunction (depth bound, frames) as a resolved call does.
 
 type refEnv struct {
 	vars   map[string]Value

@@ -24,12 +24,12 @@ var sharedScripts = []string{
 		do { total += o.b[i % 3]; } while (false);
 	}
 	try { null.x; } catch (e) { total += 100; } finally { total *= 2; }
-	var s = typeof total + "," + (total, c.n) + "," + o.b.join("-") + "," + ("a" in o) + "," + -~total;
+	var s = typeof total + "," + (total, c.n) + "," + o.b + "," + ("a" in o) + "," + -~total;
 	s;`,
 	`var hits = [];
-	function loadCommentPage(v, p) { hits.push(v + ":" + p); return hits.length; }
+	function loadCommentPage(v, p) { hits[hits.length] = v + ":" + p; return hits.length; }
 	loadCommentPage('v', 3); loadCommentPage('w', 4 << 1 | 1);
-	hits.join("|") + (function () { return arguments.length; })(1, 2, 3);`,
+	hits + "|" + (function () { return arguments.length; })(1, 2, 3);`,
 	`var x = 1; x += 2; x *= x--; throw {code: x};`,
 	`undefinedFunction(1);`,
 }

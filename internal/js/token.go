@@ -1,14 +1,18 @@
 // Package js implements a from-scratch interpreter for the subset of
 // JavaScript (roughly ECMAScript 3) that AJAX applications of the paper's
-// era use: functions and closures, objects and arrays, the usual
-// statements and operators, and host objects supplied by the embedder.
+// era use, in place of the Rhino engine of the thesis implementation.
 //
-// It stands in for the Rhino engine used by the thesis implementation.
-// Crucially, it reproduces Rhino's Debugger/DebugFrame facility (§4.4.2):
-// an embedder can register a Debugger that observes every function entry
-// and exit together with the actual argument values, and can inspect the
-// live call stack — exactly the mechanism the hot-node detection of
-// chapter 4 is built on.
+// Its contract (DESIGN.md "Interpreter contract") has three parts. The
+// whole language the parser accepts: every statement, operator and
+// literal, closures, arguments, new and prototypes. The embedding API the
+// browser and the crawler call: Parse, ParseFunction, New, Run, Call,
+// CompileFunction, host objects and natives, the budgets, and
+// TopUserFrame — the live call stack's innermost user function with its
+// actual arguments, which hot-node detection keys on (§4.4.2). And a
+// library of eight globals: undefined, NaN, Infinity, parseInt,
+// encodeURIComponent, Error, TypeError and JSON with parse only.
+// Strings and arrays expose length and indices, and no value has methods:
+// a call outside the library fails its handler with a TypeError.
 package js
 
 import "fmt"

@@ -3,7 +3,6 @@ package js
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -445,7 +444,7 @@ func (o *Object) toStringValue() string {
 	}
 	if o.IsArray() {
 		var b strings.Builder
-		appendJoin(&b, o, ",", maxBytes)
+		appendJoin(&b, o, maxBytes)
 		return b.String()
 	}
 	if o.IsCallable() {
@@ -458,11 +457,11 @@ func (o *Object) toStringValue() string {
 	return "[object " + o.Class + "]"
 }
 
-// appendJoin appends the elements of array o joined by sep, rendered as
-// Array.prototype.join renders them, and reports whether the result fits
-// in limit bytes; it stops short once it cannot. An array met again
-// inside its own rendering renders as "", as browsers break cycles.
-func appendJoin(b *strings.Builder, o *Object, sep string, limit int) bool {
+// appendJoin appends the elements of array o joined by commas, rendered
+// as a browser converts an array to a string, and reports whether the
+// result fits in limit bytes; it stops short once it cannot. An array met
+// again inside its own rendering renders as "", as browsers break cycles.
+func appendJoin(b *strings.Builder, o *Object, limit int) bool {
 	if o.joining {
 		return true
 	}
@@ -470,12 +469,12 @@ func appendJoin(b *strings.Builder, o *Object, sep string, limit int) bool {
 	defer func() { o.joining = false }()
 	for i, e := range o.Elems {
 		if i > 0 {
-			b.WriteString(sep)
+			b.WriteByte(',')
 		}
 		switch {
 		case e.IsUndefined() || e.IsNull():
 		case e.Object().IsArray():
-			if !appendJoin(b, e.obj, ",", limit) {
+			if !appendJoin(b, e.obj, limit) {
 				return false
 			}
 		default:
@@ -490,26 +489,4 @@ func appendJoin(b *strings.Builder, o *Object, sep string, limit int) bool {
 		}
 	}
 	return true
-}
-
-// Inspect renders an object for debugging: sorted keys, one level deep.
-func (o *Object) Inspect() string {
-	if o.IsArray() {
-		return "[" + o.toStringValue() + "]"
-	}
-	keys := make([]string, 0, len(o.props))
-	for k := range o.props {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("{")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(k + ": " + o.props[k].String())
-	}
-	b.WriteString("}")
-	return b.String()
 }
