@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"hash/crc32"
@@ -35,16 +36,17 @@ func fuzzSeedJournal(f *testing.F) []byte {
 }
 
 // FuzzJournalReplay feeds arbitrary bytes to recovery as the WAL file.
-// Invariants: Open never panics and never fails (corruption only
-// shortens what is recovered), and the recovered journal accepts appends
-// that survive a further reopen.
+// Invariants: Open never panics; it fails only for a header with the
+// journal's magic and another version, and then leaves the bytes as they
+// were; otherwise corruption only shortens what is recovered, and the
+// recovered journal accepts appends that survive a further reopen.
 func FuzzJournalReplay(f *testing.F) {
 	valid := fuzzSeedJournal(f)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte(journalMagic))                           // header torn mid-magic
 	f.Add(append([]byte(journalMagic), journalVersion))   // header only
-	f.Add(append([]byte(journalMagic), journalVersion+9)) // wrong version
+	f.Add(append([]byte(journalMagic), journalVersion+9)) // another build's version: refused
 	f.Add([]byte("XXXX\x01 garbage body"))                // bad magic
 	if len(valid) > 10 {
 		f.Add(valid[:len(valid)-7]) // torn tail mid-frame
@@ -72,6 +74,18 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		j, err := Open(context.Background(), dir, Options{CompactEvery: -1})
+		otherBuild := len(data) >= headerLen && string(data[:len(journalMagic)]) == journalMagic &&
+			data[len(journalMagic)] != journalVersion
+		if otherBuild {
+			if err == nil {
+				j.Close()
+				t.Fatal("Open replayed a journal of another version")
+			}
+			if got, _ := os.ReadFile(filepath.Join(dir, walFileName)); !bytes.Equal(got, data) {
+				t.Fatal("Open refused a journal of another version but changed its bytes")
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("Open rejected arbitrary WAL bytes: %v", err)
 		}

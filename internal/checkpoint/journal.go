@@ -19,12 +19,13 @@
 //	                atomically (temp + rename) at each compaction
 //
 // Frame: u32le payload length | u32le CRC-32C(payload) | payload.
-// Payload: record type byte, then length-prefixed fields.
+// Payload: record type byte, then fields in internal/codec's primitives.
 //
 // Like the index decoders, the read side treats the file as untrusted:
 // counts are bounded, pre-allocations capped at what the file actually
-// backs, decoder panics convert to a stop, and replay never fails Open —
-// a corrupt or truncated suffix only shortens what is recovered.
+// backs, and decoder panics convert to a stop. Replay fails Open only
+// for a file of another journal version, which it leaves untouched; any
+// other corrupt or truncated suffix only shortens what is recovered.
 package checkpoint
 
 import (
@@ -32,15 +33,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
 
+	"ajaxcrawl/internal/codec"
 	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
@@ -53,28 +55,25 @@ const (
 	// snapFileName is the compacted snapshot of completed pages.
 	snapFileName = "snapshot.ajcp"
 
-	journalMagic   = "AJWL"
-	journalVersion = 1
+	journalMagic = "AJWL"
+	// journalVersion 1 carried gob-encoded graphs and metrics in its
+	// page frames; a journal of another version is refused, not replayed.
+	journalVersion = 2
 
-	recPageDone byte = 1
-	recState    byte = 2
-	recHotNode  byte = 3
-	recFrontier byte = 4
+	recPageDone = 1
+	recState    = 2
+	recHotNode  = 3
+	recFrontier = 4
 	// recStateSig pairs an admitted state hash with its near-dup sketch
 	// signature. A separate record type (not a new recState field) keeps
 	// journals written by older code replayable by this one and vice
 	// versa: readers treat unknown types as a tear point, so appending a
 	// new type never corrupts an old reader's prefix.
-	recStateSig byte = 5
+	recStateSig = 5
 
 	// maxFramePayload bounds the length prefix of a frame. A lying
 	// header beyond it is treated as a torn tail, not an allocation.
 	maxFramePayload = 1 << 28
-	// maxFieldLen bounds every length-prefixed field inside a payload.
-	maxFieldLen = 1 << 26
-	// maxPrealloc caps how much a single untrusted length is trusted
-	// for pre-allocation; larger fields grow as real bytes arrive.
-	maxPrealloc = 1 << 16
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -98,8 +97,8 @@ const defaultCompactEvery = 16
 
 // PageRecord is one durably completed page: its URL, its application
 // model, and an opaque caller-defined metrics payload (the crawler
-// journals its gob-encoded PageMetrics there, so a resumed run's
-// aggregate metrics match an uninterrupted one).
+// journals its encoded PageMetrics there, so a resumed run's aggregate
+// metrics match an uninterrupted one).
 type PageRecord struct {
 	URL     string
 	Graph   *model.Graph
@@ -145,6 +144,8 @@ type Journal struct {
 
 	f *os.File
 	w *bufio.Writer
+	// payload is the frame under construction, reused frame to frame.
+	payload bytes.Buffer
 
 	// err is sticky: after any write failure the journal refuses further
 	// work, so a half-written frame can never be followed by records the
@@ -201,42 +202,50 @@ func Open(ctx context.Context, dir string, opts Options) (*Journal, error) {
 	}
 
 	_, sp := obs.StartSpan(ctx, obs.SpanCheckpointRecover, obs.A("dir", dir))
+	f, goodOffset, err := j.recover(snapPath, walPath)
+	sp.SetAttr("pages", strconv.Itoa(j.recovered.Pages))
+	sp.SetAttr("truncated_bytes", strconv.FormatInt(j.recovered.TruncatedBytes, 10))
+	sp.End(err)
+	if err != nil {
+		return nil, err
+	}
+	j.f, j.w, j.walBytes = f, bufio.NewWriterSize(f, 64*1024), goodOffset
+	return j, nil
+}
+
+// recover replays the snapshot, then the WAL, and returns the WAL open
+// for appends at the end of its last intact frame.
+func (j *Journal) recover(snapPath, walPath string) (*os.File, int64, error) {
 	// Snapshot first: it holds the compacted prefix of the log. A torn
 	// snapshot (it is written atomically, so this means outside
 	// interference) recovers its intact prefix like the WAL does.
 	if err := j.replayFile(snapPath, nil); err != nil {
-		sp.End(err)
-		return nil, err
+		return nil, 0, err
 	}
 	var goodOffset int64
 	if err := j.replayFile(walPath, &goodOffset); err != nil {
-		sp.End(err)
-		return nil, err
+		return nil, 0, err
 	}
-
 	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		sp.End(err)
-		return nil, fmt.Errorf("checkpoint: open %s: %w", walPath, err)
+		return nil, 0, fmt.Errorf("checkpoint: open %s: %w", walPath, err)
+	}
+	fail := func(what string, err error) (*os.File, int64, error) {
+		f.Close()
+		return nil, 0, fmt.Errorf("checkpoint: %s %s: %w", what, walPath, err)
 	}
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
-		sp.End(err)
-		return nil, fmt.Errorf("checkpoint: open %s: %w", walPath, err)
+		return fail("open", err)
 	}
 	if goodOffset < int64(headerLen) {
 		// Empty, headerless, or corrupt-from-the-start file: rewrite it.
 		j.recovered.TruncatedBytes += st.Size()
 		if err := f.Truncate(0); err != nil {
-			f.Close()
-			sp.End(err)
-			return nil, fmt.Errorf("checkpoint: reset %s: %w", walPath, err)
+			return fail("reset", err)
 		}
 		if _, err := f.WriteAt(append([]byte(journalMagic), journalVersion), 0); err != nil {
-			f.Close()
-			sp.End(err)
-			return nil, fmt.Errorf("checkpoint: header %s: %w", walPath, err)
+			return fail("header", err)
 		}
 		goodOffset = int64(headerLen)
 	} else if goodOffset < st.Size() {
@@ -244,29 +253,20 @@ func Open(ctx context.Context, dir string, opts Options) (*Journal, error) {
 		// next append starts on a frame boundary.
 		j.recovered.TruncatedBytes += st.Size() - goodOffset
 		if err := f.Truncate(goodOffset); err != nil {
-			f.Close()
-			sp.End(err)
-			return nil, fmt.Errorf("checkpoint: truncate %s: %w", walPath, err)
+			return fail("truncate", err)
 		}
 	}
 	if _, err := f.Seek(goodOffset, io.SeekStart); err != nil {
-		f.Close()
-		sp.End(err)
-		return nil, fmt.Errorf("checkpoint: seek %s: %w", walPath, err)
+		return fail("seek", err)
 	}
-	j.f = f
-	j.w = bufio.NewWriterSize(f, 64*1024)
-	j.walBytes = goodOffset
-	sp.SetAttr("pages", strconv.Itoa(j.recovered.Pages))
-	sp.SetAttr("truncated_bytes", strconv.FormatInt(j.recovered.TruncatedBytes, 10))
-	sp.End(nil)
-	return j, nil
+	return f, goodOffset, nil
 }
 
 // replayFile replays one frame file into the in-memory maps. Missing
 // files are fine (fresh journal). When goodOffset is non-nil it receives
 // the offset just past the last intact, decodable frame; replay stops —
-// without error — at the first torn or corrupt one.
+// without error — at the first torn or corrupt one. A file of another
+// journal version is an error naming it, and is left as it is.
 func (j *Journal) replayFile(path string, goodOffset *int64) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -276,9 +276,10 @@ func (j *Journal) replayFile(path string, goodOffset *int64) error {
 		return fmt.Errorf("checkpoint: recover %s: %w", path, err)
 	}
 	defer f.Close()
-	off := replayFrames(f, func(payload []byte) bool {
-		return j.applyRecord(payload)
-	})
+	off, err := replayFrames(f, j.applyRecord)
+	if err != nil {
+		return fmt.Errorf("checkpoint: recover %s: %w", path, err)
+	}
 	if goodOffset != nil {
 		*goodOffset = off
 	}
@@ -288,241 +289,146 @@ func (j *Journal) replayFile(path string, goodOffset *int64) error {
 // replayFrames reads header + frames from r, calling apply for each
 // CRC-intact frame until apply rejects one or the stream tears. It
 // returns the offset just past the last accepted frame (0 when even the
-// header is unusable). Decoder panics on hostile input are contained
-// here: the frame that panicked is treated as the tear point.
-func replayFrames(r io.Reader, apply func(payload []byte) bool) (goodOffset int64) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return 0
+// header is unusable), and a *codec.VersionError when the header names
+// another journal version.
+func replayFrames(r io.Reader, apply func(payload []byte) error) (goodOffset int64, err error) {
+	d := codec.NewDecoder(bufio.NewReaderSize(r, 64*1024))
+	d.Header(journalMagic, journalVersion,
+		"written by another build; resume with that build, or crawl again without -resume")
+	var ve *codec.VersionError
+	if errors.As(d.Err(), &ve) {
+		return 0, ve
 	}
-	if string(hdr[:len(journalMagic)]) != journalMagic || hdr[len(journalMagic)] != journalVersion {
-		return 0
+	if d.Err() != nil {
+		return 0, nil
 	}
 	goodOffset = int64(headerLen)
-	var fh [8]byte
 	for {
-		if _, err := io.ReadFull(br, fh[:]); err != nil {
-			return goodOffset // clean EOF or torn frame header
-		}
+		var fh [8]byte
+		d.Fixed(fh[:])
 		plen := binary.LittleEndian.Uint32(fh[0:4])
-		crc := binary.LittleEndian.Uint32(fh[4:8])
-		if plen == 0 || plen > maxFramePayload {
-			return goodOffset
+		if d.Err() != nil || plen == 0 || plen > maxFramePayload {
+			return goodOffset, nil // clean EOF, torn frame header or a lying length
 		}
-		// Read through a limited reader with growth-by-arrival, so a
-		// lying length can't allocate more than the file backs.
-		payload, err := readCapped(br, int(plen))
-		if err != nil || len(payload) != int(plen) {
-			return goodOffset
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return goodOffset
-		}
-		if !safeApply(apply, payload) {
-			return goodOffset
+		payload := d.Next(int(plen))
+		if d.Err() != nil || crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(fh[4:8]) ||
+			apply(payload) != nil {
+			return goodOffset, nil
 		}
 		goodOffset += 8 + int64(plen)
 	}
 }
 
-// safeApply runs apply, converting a decoder panic into a rejection.
-func safeApply(apply func([]byte) bool, payload []byte) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	return apply(payload)
-}
-
-// readCapped reads exactly n bytes, pre-allocating at most maxPrealloc.
-func readCapped(r io.Reader, n int) ([]byte, error) {
-	capHint := n
-	if capHint > maxPrealloc {
-		capHint = maxPrealloc
-	}
-	buf := make([]byte, 0, capHint)
-	chunk := make([]byte, 32*1024)
-	for len(buf) < n {
-		want := n - len(buf)
-		if want > len(chunk) {
-			want = len(chunk)
-		}
-		m, err := r.Read(chunk[:want])
-		buf = append(buf, chunk[:m]...)
-		if err != nil {
-			return buf, err
-		}
-	}
-	return buf, nil
-}
-
 // applyRecord decodes one frame payload and folds it into the in-memory
-// maps. It returns false for undecodable payloads (the tear point).
-func (j *Journal) applyRecord(payload []byte) bool {
-	r := bytes.NewReader(payload)
-	typ, err := r.ReadByte()
-	if err != nil {
-		return false
-	}
+// maps. An undecodable payload — a decoder panic on hostile input
+// included — is an error: the tear point.
+func (j *Journal) applyRecord(payload []byte) (err error) {
+	defer codec.Contain(&err, "checkpoint: frame")
+	d := codec.NewDecoder(bytes.NewReader(payload))
+	typ, url := d.Uvarint(), d.String()
 	switch typ {
 	case recPageDone:
-		url, err := readField(r)
+		graph, metrics := d.Bytes(), d.Bytes()
+		if d.Err() != nil {
+			return d.Err()
+		}
+		g, err := model.DecodeGraph(graph)
 		if err != nil {
-			return false
+			return err
 		}
-		graphBytes, err := readField(r)
-		if err != nil {
-			return false
+		if _, dup := j.pages[url]; !dup {
+			j.pageOrder = append(j.pageOrder, url)
 		}
-		metrics, err := readField(r)
-		if err != nil {
-			return false
-		}
-		g, err := model.DecodeGraph(graphBytes)
-		if err != nil {
-			return false
-		}
-		u := string(url)
-		if _, dup := j.pages[u]; !dup {
-			j.pageOrder = append(j.pageOrder, u)
-		}
-		j.pages[u] = PageRecord{URL: u, Graph: g, Metrics: metrics}
+		j.pages[url] = PageRecord{URL: url, Graph: g, Metrics: metrics}
 		j.recovered.Pages++
-		return true
 	case recState:
-		url, err := readField(r)
-		if err != nil {
-			return false
-		}
 		var h dom.Hash
-		if _, err := io.ReadFull(r, h[:]); err != nil {
-			return false
+		if d.Fixed(h[:]); d.Err() != nil {
+			return d.Err()
 		}
-		j.states[string(url)] = append(j.states[string(url)], h)
+		j.states[url] = append(j.states[url], h)
 		j.recovered.States++
-		return true
 	case recStateSig:
-		url, err := readField(r)
-		if err != nil {
-			return false
-		}
 		var h dom.Hash
-		if _, err := io.ReadFull(r, h[:]); err != nil {
-			return false
+		d.Fixed(h[:])
+		n := d.Count("signature byte")
+		if n%8 != 0 {
+			d.Fail(fmt.Errorf("signature of %d bytes", n))
 		}
-		sigBytes, err := readField(r)
-		if err != nil || len(sigBytes)%8 != 0 {
-			return false
+		sig := make(shingle.Signature, 0, codec.Prealloc(n/8))
+		for i := 0; i < n/8 && d.Err() == nil; i++ {
+			sig = append(sig, d.Uint64())
 		}
-		sig := make(shingle.Signature, len(sigBytes)/8)
-		for i := range sig {
-			sig[i] = binary.LittleEndian.Uint64(sigBytes[i*8:])
+		if d.Err() != nil {
+			return d.Err()
 		}
-		u := string(url)
-		if j.stateSigs[u] == nil {
-			j.stateSigs[u] = make(map[dom.Hash]shingle.Signature)
+		if j.stateSigs[url] == nil {
+			j.stateSigs[url] = make(map[dom.Hash]shingle.Signature)
 		}
-		j.stateSigs[u][h] = sig
+		j.stateSigs[url][h] = sig
 		j.recovered.StateSigs++
-		return true
 	case recHotNode:
-		url, err := readField(r)
-		if err != nil {
-			return false
+		key, body := d.String(), d.String()
+		if d.Err() != nil {
+			return d.Err()
 		}
-		key, err := readField(r)
-		if err != nil {
-			return false
+		if j.hot[url] == nil {
+			j.hot[url] = make(map[string]string)
 		}
-		body, err := readField(r)
-		if err != nil {
-			return false
-		}
-		u := string(url)
-		if j.hot[u] == nil {
-			j.hot[u] = make(map[string]string)
-		}
-		j.hot[u][string(key)] = string(body)
+		j.hot[url][key] = body
 		j.recovered.HotEntries++
-		return true
 	case recFrontier:
-		url, err := readField(r)
-		if err != nil {
-			return false
-		}
 		// The frame still carries the partition varint of the static-
 		// partition era (written 0 now); it is bounded like any other
 		// count and otherwise ignored.
-		part, err := binary.ReadUvarint(r)
-		if err != nil || part > 1<<31 {
-			return false
+		part, seq := d.Uvarint(), d.Uvarint()
+		priority := d.Float64()
+		if part > 1<<31 || seq > 1<<31 {
+			d.Fail(fmt.Errorf("frontier position %d/%d out of range", part, seq))
 		}
-		seq, err := binary.ReadUvarint(r)
-		if err != nil || seq > 1<<31 {
-			return false
+		if d.Err() != nil {
+			return d.Err()
 		}
-		var bits [8]byte
-		if _, err := io.ReadFull(r, bits[:]); err != nil {
-			return false
-		}
-		u := string(url)
-		if _, dup := j.frontier[u]; !dup {
-			j.frontierOrder = append(j.frontierOrder, u)
+		if _, dup := j.frontier[url]; !dup {
+			j.frontierOrder = append(j.frontierOrder, url)
 			j.recovered.FrontierURLs++
 		}
-		j.frontier[u] = FrontierRecord{
-			URL:      u,
-			Seq:      int(seq),
-			Priority: math.Float64frombits(binary.LittleEndian.Uint64(bits[:])),
-		}
-		return true
+		j.frontier[url] = FrontierRecord{URL: url, Seq: int(seq), Priority: priority}
 	default:
-		return false
+		d.Fail(fmt.Errorf("record type %d", typ))
 	}
+	return d.Err()
 }
 
-// encodeFrontier builds one frontier frame payload.
-func encodeFrontier(rec FrontierRecord) []byte {
-	var payload bytes.Buffer
-	payload.WriteByte(recFrontier)
-	putField(&payload, []byte(rec.URL))
-	payload.WriteByte(0) // the retired partition varint: the frame keeps its layout
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(rec.Seq))
-	payload.Write(tmp[:n])
-	var bits [8]byte
-	binary.LittleEndian.PutUint64(bits[:], math.Float64bits(rec.Priority))
-	payload.Write(bits[:])
-	return payload.Bytes()
+// begin starts a frame of type typ about url in j.payload and returns
+// the encoder that writes the rest of it. Call with j.mu held.
+func (j *Journal) begin(typ uint64, url string) codec.Encoder {
+	j.payload.Reset()
+	e := codec.NewEncoder(&j.payload)
+	e.Uvarint(typ)
+	e.String(url)
+	return e
 }
 
-// readField reads one length-prefixed field with bounded length and
-// capped pre-allocation.
-func readField(r *bytes.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
+// pageFrame builds rec's page frame payload in j.payload.
+func (j *Journal) pageFrame(rec PageRecord) ([]byte, error) {
+	graph, err := model.EncodeGraph(rec.Graph)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: encode graph %s: %w", rec.URL, err)
 	}
-	if n > maxFieldLen {
-		return nil, fmt.Errorf("checkpoint: field length %d exceeds limit", n)
-	}
-	if int64(n) > int64(r.Len()) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	e := j.begin(recPageDone, rec.URL)
+	e.Bytes(graph)
+	e.Bytes(rec.Metrics)
+	return j.payload.Bytes(), nil
 }
 
-func putField(buf *bytes.Buffer, b []byte) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(b)))
-	buf.Write(tmp[:n])
-	buf.Write(b)
+// frontierFrame builds rec's frontier frame payload in j.payload.
+func (j *Journal) frontierFrame(rec FrontierRecord) []byte {
+	e := j.begin(recFrontier, rec.URL)
+	e.Uvarint(0) // the retired partition varint: the frame keeps its layout
+	e.Uvarint(uint64(rec.Seq))
+	e.Float64(rec.Priority)
+	return j.payload.Bytes()
 }
 
 // Recovered reports what Open replayed from disk.
@@ -537,6 +443,18 @@ func (j *Journal) CompletedPages() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.pages)
+}
+
+// Pages returns every completed page's record, in first-completion
+// order.
+func (j *Journal) Pages() []PageRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	out := make([]PageRecord, 0, len(j.pageOrder))
+	for _, u := range j.pageOrder {
+		out = append(out, j.pages[u])
+	}
+	return out
 }
 
 // Completed returns the journaled record of url, if the page finished in
@@ -587,18 +505,11 @@ func (j *Journal) PageDone(rec PageRecord) error {
 		return j.err
 	}
 	_, sp := obs.StartSpan(j.ctx, obs.SpanCheckpointWrite, obs.A("url", rec.URL))
-	graphBytes, err := model.EncodeGraph(rec.Graph)
-	if err != nil {
-		err = fmt.Errorf("checkpoint: encode graph %s: %w", rec.URL, err)
-		sp.End(err)
-		return err
+	payload, err := j.pageFrame(rec)
+	if err == nil {
+		err = j.writeFrame(payload)
 	}
-	var payload bytes.Buffer
-	payload.WriteByte(recPageDone)
-	putField(&payload, []byte(rec.URL))
-	putField(&payload, graphBytes)
-	putField(&payload, rec.Metrics)
-	if err := j.writeFrame(payload.Bytes()); err != nil {
+	if err != nil {
 		sp.End(err)
 		return err
 	}
@@ -630,11 +541,8 @@ func (j *Journal) StateAdmitted(url string, h dom.Hash) error {
 	if j.err != nil {
 		return j.err
 	}
-	var payload bytes.Buffer
-	payload.WriteByte(recState)
-	putField(&payload, []byte(url))
-	payload.Write(h[:])
-	if err := j.writeFrame(payload.Bytes()); err != nil {
+	j.begin(recState, url).Fixed(h[:])
+	if err := j.writeFrame(j.payload.Bytes()); err != nil {
 		return err
 	}
 	j.states[url] = append(j.states[url], h)
@@ -651,16 +559,13 @@ func (j *Journal) StateSig(url string, h dom.Hash, sig shingle.Signature) error 
 	if j.err != nil {
 		return j.err
 	}
-	var payload bytes.Buffer
-	payload.WriteByte(recStateSig)
-	putField(&payload, []byte(url))
-	payload.Write(h[:])
-	sigBytes := make([]byte, len(sig)*8)
-	for i, v := range sig {
-		binary.LittleEndian.PutUint64(sigBytes[i*8:], v)
+	e := j.begin(recStateSig, url)
+	e.Fixed(h[:])
+	e.Uvarint(uint64(len(sig) * 8))
+	for _, v := range sig {
+		e.Uint64(v)
 	}
-	putField(&payload, sigBytes)
-	if err := j.writeFrame(payload.Bytes()); err != nil {
+	if err := j.writeFrame(j.payload.Bytes()); err != nil {
 		return err
 	}
 	if j.stateSigs[url] == nil {
@@ -694,12 +599,10 @@ func (j *Journal) HotNode(url, key, body string) error {
 	if j.err != nil {
 		return j.err
 	}
-	var payload bytes.Buffer
-	payload.WriteByte(recHotNode)
-	putField(&payload, []byte(url))
-	putField(&payload, []byte(key))
-	putField(&payload, []byte(body))
-	if err := j.writeFrame(payload.Bytes()); err != nil {
+	e := j.begin(recHotNode, url)
+	e.String(key)
+	e.String(body)
+	if err := j.writeFrame(j.payload.Bytes()); err != nil {
 		return err
 	}
 	if j.hot[url] == nil {
@@ -723,7 +626,7 @@ func (j *Journal) FrontierAdmitted(rec FrontierRecord) error {
 	if prev, dup := j.frontier[rec.URL]; dup && prev == rec {
 		return nil
 	}
-	if err := j.writeFrame(encodeFrontier(rec)); err != nil {
+	if err := j.writeFrame(j.frontierFrame(rec)); err != nil {
 		return err
 	}
 	if _, dup := j.frontier[rec.URL]; !dup {
@@ -751,14 +654,7 @@ func (j *Journal) writeFrame(payload []byte) error {
 		j.err = fmt.Errorf("checkpoint: frame payload %d exceeds limit %d", len(payload), maxFramePayload)
 		return j.err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := j.w.Write(hdr[:]); err != nil {
-		j.err = fmt.Errorf("checkpoint: write %s: %w", j.dir, err)
-		return j.err
-	}
-	if _, err := j.w.Write(payload); err != nil {
+	if err := putFrame(j.w, payload); err != nil {
 		j.err = fmt.Errorf("checkpoint: write %s: %w", j.dir, err)
 		return j.err
 	}
@@ -766,6 +662,16 @@ func (j *Journal) writeFrame(payload []byte) error {
 	j.walBytes += n
 	j.tel.Counter("crawl.partition.journal_bytes").Add(n)
 	return nil
+}
+
+// putFrame writes one frame — length, CRC, payload — to w.
+func putFrame(w *bufio.Writer, payload []byte) error {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	w.Write(hdr[:]) //nolint:errcheck // sticky, returned by the next Write
+	_, err := w.Write(payload)
+	return err
 }
 
 // Flush pushes buffered records through to the OS.
@@ -805,84 +711,65 @@ func (j *Journal) compactLocked() error {
 }
 
 func (j *Journal) compactFiles() error {
-	tmp, err := os.CreateTemp(j.dir, "snapshot-*.tmp")
+	err := j.writeSnapshot()
+	// The snapshot now owns every page; reset the WAL to its header.
+	// Ordering matters: the rename lands before the truncate, so a crash
+	// between the two replays pages from both files (idempotent), never
+	// from neither.
+	if err == nil {
+		err = j.w.Flush()
+	}
+	if err == nil {
+		err = j.f.Truncate(int64(headerLen))
+	}
+	if err == nil {
+		_, err = j.f.Seek(int64(headerLen), io.SeekStart)
+	}
 	if err != nil {
 		return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
 	}
-	tmpPath := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpPath) }
-	if _, err := tmp.Write(append([]byte(journalMagic), journalVersion)); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
+	j.walBytes = int64(headerLen)
+	return nil
+}
+
+// writeSnapshot writes every completed page and frontier admission into
+// a temp file, syncs it, and renames it over the snapshot.
+func (j *Journal) writeSnapshot() (err error) {
+	tmp, err := os.CreateTemp(j.dir, "snapshot-*.tmp")
+	if err != nil {
+		return err
 	}
-	for _, url := range j.pageOrder {
-		rec := j.pages[url]
-		graphBytes, err := model.EncodeGraph(rec.Graph)
+	defer func() {
 		if err != nil {
-			cleanup()
-			return fmt.Errorf("checkpoint: compact %s: encode %s: %w", j.dir, url, err)
+			tmp.Close()
+			os.Remove(tmp.Name())
 		}
-		var payload bytes.Buffer
-		payload.WriteByte(recPageDone)
-		putField(&payload, []byte(url))
-		putField(&payload, graphBytes)
-		putField(&payload, rec.Metrics)
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload.Bytes(), crcTable))
-		if _, err := tmp.Write(hdr[:]); err != nil {
-			cleanup()
-			return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
+	}()
+	w := bufio.NewWriterSize(tmp, 64*1024)
+	codec.NewEncoder(w).Header(journalMagic, journalVersion)
+	for _, url := range j.pageOrder {
+		payload, err := j.pageFrame(j.pages[url])
+		if err != nil {
+			return err
 		}
-		if _, err := tmp.Write(payload.Bytes()); err != nil {
-			cleanup()
-			return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
-		}
+		putFrame(w, payload) //nolint:errcheck // sticky, checked via Flush
 	}
 	// Frontier admissions survive compaction: unlike mid-page records
 	// they are not made redundant by completed pages — a resumed crawl
 	// needs them to rebuild the queue of pages that never completed.
 	for _, url := range j.frontierOrder {
-		payload := encodeFrontier(j.frontier[url])
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-		if _, err := tmp.Write(hdr[:]); err != nil {
-			cleanup()
-			return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
-		}
-		if _, err := tmp.Write(payload); err != nil {
-			cleanup()
-			return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
-		}
+		putFrame(w, j.frontierFrame(j.frontier[url])) //nolint:errcheck
+	}
+	if err := w.Flush(); err != nil {
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
+		return err
 	}
-	if err := os.Rename(tmpPath, filepath.Join(j.dir, snapFileName)); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
-	}
-	// The snapshot now owns every page; reset the WAL to its header.
-	// Ordering matters: the rename lands before the truncate, so a crash
-	// between the two replays pages from both files (idempotent), never
-	// from neither.
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
-	}
-	if err := j.f.Truncate(int64(headerLen)); err != nil {
-		return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
-	}
-	if _, err := j.f.Seek(int64(headerLen), io.SeekStart); err != nil {
-		return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
-	}
-	j.walBytes = int64(headerLen)
-	return nil
+	return os.Rename(tmp.Name(), filepath.Join(j.dir, snapFileName))
 }
 
 // Close flushes buffered records, syncs the WAL, and closes it. The

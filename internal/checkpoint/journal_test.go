@@ -3,12 +3,14 @@ package checkpoint
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"math"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"ajaxcrawl/internal/codec"
 	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/shingle"
@@ -265,6 +267,53 @@ func TestJournalGarbageFileStartsFresh(t *testing.T) {
 	}
 }
 
+// TestJournalFromAnotherBuildIsRefused: a WAL or snapshot whose header
+// has the journal's magic and another version — one written by another
+// build — fails Open with an error naming the file and both versions,
+// and its bytes stay as they were, instead of being wiped as a torn
+// file would be. A Reset open still discards it.
+func TestJournalFromAnotherBuildIsRefused(t *testing.T) {
+	for _, name := range []string{walFileName, snapFileName} {
+		dir := t.TempDir()
+		j := mustOpen(t, dir, Options{CompactEvery: -1})
+		if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 2)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wal := filepath.Join(dir, walFileName)
+		data, err := os.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(journalMagic)] = journalVersion + 1
+		path := filepath.Join(dir, name)
+		if name != walFileName {
+			if err := os.Remove(wal); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(context.Background(), dir, Options{})
+		var ve *codec.VersionError
+		if !errors.As(err, &ve) || !strings.Contains(err.Error(), path) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d (this build reads %d)", journalVersion+1, journalVersion)) {
+			t.Fatalf("%s of another version: Open err = %v, want a refusal naming the file and both versions", name, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s of another version: bytes changed by the refused Open (err=%v)", name, err)
+		}
+		j = mustOpen(t, dir, Options{Reset: true})
+		if n := j.CompletedPages(); n != 0 {
+			t.Fatalf("%s: reset open recovered %d pages", name, n)
+		}
+		j.Close()
+	}
+}
+
 func TestJournalDuplicatePageDoneKeepsLatest(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{CompactEvery: -1})
@@ -330,12 +379,12 @@ func TestJournalFrontierReplaysPartitionEraFrame(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{CompactEvery: -1})
 	var payload bytes.Buffer
-	payload.WriteByte(recFrontier)
-	putField(&payload, []byte("old"))
-	payload.Write([]byte{2, 5}) // partition 2, seq 5
-	var bits [8]byte
-	binary.LittleEndian.PutUint64(bits[:], math.Float64bits(0.25))
-	payload.Write(bits[:])
+	e := codec.NewEncoder(&payload)
+	e.Uvarint(recFrontier)
+	e.String("old")
+	e.Uvarint(2) // partition 2
+	e.Uvarint(5) // seq 5
+	e.Float64(0.25)
 	j.mu.Lock()
 	err := j.writeFrame(payload.Bytes())
 	j.mu.Unlock()

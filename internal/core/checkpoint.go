@@ -3,15 +3,16 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"ajaxcrawl/internal/checkpoint"
+	"ajaxcrawl/internal/codec"
 	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
@@ -61,83 +62,82 @@ type Checkpointer interface {
 	Close() error
 }
 
-// journalCheckpointer adapts a checkpoint.Journal to the Checkpointer
-// hook, gob-encoding PageMetrics into the journal's opaque metrics
-// payload so a resumed run's aggregate metrics match an uninterrupted
-// one.
-type journalCheckpointer struct {
-	j *checkpoint.Journal
-}
-
 // OpenJournalCheckpointer opens (resume=true) or resets (resume=false)
 // the checkpoint journal in dir and adapts it to the crawler's
-// Checkpointer hook. The context supplies telemetry for the journal's
+// Checkpointer hook: the one line of a CrawlCheckpoints over that one
+// journal. The context supplies telemetry for the journal's
 // checkpoint.{write,compact,recover} spans and journal-byte counters.
+// A recovered page whose metrics payload does not decode fails the open.
 func OpenJournalCheckpointer(ctx context.Context, dir string, resume bool) (Checkpointer, error) {
-	j, err := checkpoint.Open(ctx, dir, checkpoint.Options{Reset: !resume})
+	j, err := openJournal(ctx, dir, checkpoint.Options{Reset: !resume})
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint %s: %w", dir, err)
 	}
-	return &journalCheckpointer{j: j}, nil
+	c := &CrawlCheckpoints{ctx: ctx, dir: dir, journals: map[string]*checkpoint.Journal{dir: j}}
+	return &lineCheckpointer{c: c, j: j}, nil
 }
 
-// Journal exposes the underlying journal (recovery stats for callers
-// that report them).
-func (c *journalCheckpointer) Journal() *checkpoint.Journal { return c.j }
-
-func (c *journalCheckpointer) Completed(url string) (*model.Graph, PageMetrics, bool) {
-	rec, ok := c.j.Completed(url)
-	if !ok {
-		return nil, PageMetrics{}, false
+// openJournal opens the journal in dir and decodes every recovered
+// page's metrics payload. A CRC-intact page frame whose metrics do not
+// decode fails the open, naming the page: resuming it with zeroed
+// metrics would silently under-count the crawl's aggregate.
+func openJournal(ctx context.Context, dir string, opts checkpoint.Options) (*checkpoint.Journal, error) {
+	j, err := checkpoint.Open(ctx, dir, opts)
+	if err != nil {
+		return nil, err
 	}
-	return rec.Graph, decodePageMetrics(url, rec.Metrics), true
-}
-
-// decodePageMetrics decodes the journal's opaque metrics payload. A
-// payload that passed its checksum but no longer decodes is version
-// skew between writer and reader, not corruption: the graph is still
-// good, so resume with zeroed metrics rather than re-crawling the page.
-func decodePageMetrics(url string, raw []byte) PageMetrics {
-	var pm PageMetrics
-	if len(raw) > 0 {
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&pm); err != nil {
-			pm = PageMetrics{URL: url}
+	for _, rec := range j.Pages() {
+		if _, err := decodePageMetrics(rec.Metrics); err != nil {
+			j.Close()
+			return nil, fmt.Errorf("page %s: metrics: %w", rec.URL, err)
 		}
 	}
-	return pm
+	return j, nil
 }
 
-func (c *journalCheckpointer) PageDone(url string, g *model.Graph, pm PageMetrics) error {
+// counts lists pm's integer fields in wire order: encodePageMetrics and
+// decodePageMetrics walk the same list, so a field added to it is
+// written and read alike (TestPageMetricsRoundTrip fails on one left
+// out).
+func (pm *PageMetrics) counts() [17]*int {
+	return [17]*int{&pm.States, &pm.Transitions, &pm.EventsTriggered, &pm.NetworkEvents, &pm.XHRSends,
+		&pm.NetworkCalls, &pm.HotNodeHits, &pm.HandlerErrors, &pm.EventsSkipped, &pm.StatesPruned,
+		&pm.NearDupMerges, &pm.NearDupProbes, &pm.NearDupCandidates, &pm.NearDupFalsePositives,
+		&pm.Retries, &pm.BreakerOpens, &pm.PagesRecovered}
+}
+
+// encodePageMetrics builds a page frame's metrics payload, in
+// internal/codec's primitives: the URL string, the counts as uvarints,
+// then CrawlTime and NetworkTime in nanoseconds as uvarints.
+func encodePageMetrics(pm PageMetrics) []byte {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pm); err != nil {
-		return fmt.Errorf("core: checkpoint encode metrics %s: %w", url, err)
+	e := codec.NewEncoder(&buf)
+	e.String(pm.URL)
+	for _, c := range pm.counts() {
+		e.Uvarint(uint64(*c))
 	}
-	return c.j.PageDone(checkpoint.PageRecord{URL: url, Graph: g, Metrics: buf.Bytes()})
+	e.Uvarint(uint64(pm.CrawlTime))
+	e.Uvarint(uint64(pm.NetworkTime))
+	return buf.Bytes()
 }
 
-func (c *journalCheckpointer) StateAdmitted(url string, h dom.Hash) error {
-	return c.j.StateAdmitted(url, h)
+// decodePageMetrics reads a metrics payload from untrusted bytes, which
+// must hold exactly one PageMetrics.
+func decodePageMetrics(raw []byte) (pm PageMetrics, err error) {
+	defer codec.Contain(&err, "decode")
+	d := codec.NewDecoder(bytes.NewReader(raw))
+	pm.URL = d.String()
+	for _, c := range pm.counts() {
+		*c = int(d.Uvarint())
+	}
+	pm.CrawlTime = time.Duration(d.Uvarint())
+	pm.NetworkTime = time.Duration(d.Uvarint())
+	d.End()
+	if d.Err() != nil {
+		return PageMetrics{}, d.Err()
+	}
+	return pm, nil
 }
-
-func (c *journalCheckpointer) StateSig(url string, h dom.Hash, sig shingle.Signature) error {
-	return c.j.StateSig(url, h, sig)
-}
-
-func (c *journalCheckpointer) StateSigs(url string) map[dom.Hash]shingle.Signature {
-	return c.j.StateSigs(url)
-}
-
-func (c *journalCheckpointer) HotNode(url, key, body string) error {
-	return c.j.HotNode(url, key, body)
-}
-
-func (c *journalCheckpointer) HotEntries(url string) map[string]string {
-	return c.j.HotEntries(url)
-}
-
-func (c *journalCheckpointer) Flush() error { return c.j.Flush() }
-
-func (c *journalCheckpointer) Close() error { return c.j.Close() }
 
 // frontierDirName is the frontier journal's subdirectory under a
 // CrawlCheckpoints root; linePrefix names the per-line journals.
@@ -194,7 +194,7 @@ func OpenCrawlCheckpoints(ctx context.Context, dir string, resume bool) (*CrawlC
 			if !e.IsDir() || !strings.HasPrefix(e.Name(), linePrefix) {
 				continue
 			}
-			j, jerr := checkpoint.Open(ctx, filepath.Join(dir, e.Name()), checkpoint.Options{})
+			j, jerr := openJournal(ctx, filepath.Join(dir, e.Name()), checkpoint.Options{})
 			if jerr != nil {
 				c.Close()
 				return nil, fmt.Errorf("core: checkpoint %s: %w", e.Name(), jerr)
@@ -281,7 +281,8 @@ func (c *CrawlCheckpoints) snapshotJournals() []*checkpoint.Journal {
 func (c *CrawlCheckpoints) completed(url string) (*model.Graph, PageMetrics, bool) {
 	for _, j := range c.snapshotJournals() {
 		if rec, ok := j.Completed(url); ok {
-			return rec.Graph, decodePageMetrics(url, rec.Metrics), true
+			pm, _ := decodePageMetrics(rec.Metrics) // decoded when the journal opened
+			return rec.Graph, pm, true
 		}
 	}
 	return nil, PageMetrics{}, false
@@ -354,11 +355,7 @@ func (l *lineCheckpointer) Completed(url string) (*model.Graph, PageMetrics, boo
 }
 
 func (l *lineCheckpointer) PageDone(url string, g *model.Graph, pm PageMetrics) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pm); err != nil {
-		return fmt.Errorf("core: checkpoint encode metrics %s: %w", url, err)
-	}
-	return l.j.PageDone(checkpoint.PageRecord{URL: url, Graph: g, Metrics: buf.Bytes()})
+	return l.j.PageDone(checkpoint.PageRecord{URL: url, Graph: g, Metrics: encodePageMetrics(pm)})
 }
 
 func (l *lineCheckpointer) StateAdmitted(url string, h dom.Hash) error {

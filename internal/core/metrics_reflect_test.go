@@ -7,7 +7,7 @@ import (
 
 // setNumericFields assigns a distinct nonzero value to every settable
 // numeric field of v (a pointer to struct) and returns the field names.
-func setNumericFields(t *testing.T, v interface{}) []string {
+func setNumericFields(t testing.TB, v interface{}) []string {
 	t.Helper()
 	var names []string
 	sv := reflect.ValueOf(v).Elem()

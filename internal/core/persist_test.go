@@ -1,0 +1,155 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ajaxcrawl/internal/browser"
+	"ajaxcrawl/internal/checkpoint"
+	"ajaxcrawl/internal/model"
+	"ajaxcrawl/internal/webapp"
+)
+
+// TestPageMetricsRoundTrip: every numeric PageMetrics field, each set to
+// a distinct value, survives the journal's metrics payload — a counter
+// added to PageMetrics but not to counts fails here.
+func TestPageMetricsRoundTrip(t *testing.T) {
+	pm := PageMetrics{URL: "/watch?v=x"}
+	if len(setNumericFields(t, &pm)) == 0 {
+		t.Fatal("PageMetrics has no numeric fields — test is vacuous")
+	}
+	got, err := decodePageMetrics(encodePageMetrics(pm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != pm {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, pm)
+	}
+}
+
+// TestUndecodableMetricsFailTheResume: a CRC-intact page frame whose
+// metrics payload is cut short fails both resume paths, naming the page,
+// instead of resuming it with zeroed metrics.
+func TestUndecodableMetricsFailTheResume(t *testing.T) {
+	ctx := context.Background()
+	g := model.NewGraph("/watch?v=cut")
+	g.AddState([32]byte{1}, "text", 0)
+	payload := encodePageMetrics(PageMetrics{URL: g.URL, States: 1, EventsTriggered: 300, CrawlTime: 7e6})
+	for _, n := range []int{0, 1, len(payload) / 2, len(payload) - 1} {
+		root := t.TempDir()
+		line := filepath.Join(root, linePrefix+"0")
+		j, err := checkpoint.Open(ctx, line, checkpoint.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.PageDone(checkpoint.PageRecord{URL: g.URL, Graph: g, Metrics: payload[:n]}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenJournalCheckpointer(ctx, line, true); err == nil || !strings.Contains(err.Error(), g.URL) {
+			t.Errorf("metrics cut to %d bytes: OpenJournalCheckpointer err = %v, want one naming %s", n, err, g.URL)
+		}
+		if _, err := OpenCrawlCheckpoints(ctx, root, true); err == nil || !strings.Contains(err.Error(), g.URL) {
+			t.Errorf("metrics cut to %d bytes: OpenCrawlCheckpoints err = %v, want one naming %s", n, err, g.URL)
+		}
+	}
+}
+
+// FuzzDecodePageMetrics feeds the metrics payload reader arbitrary
+// bytes, seeded with a real payload and its truncations. It never
+// panics, and what it accepts encodes to a payload that decodes to the
+// same metrics.
+func FuzzDecodePageMetrics(f *testing.F) {
+	pm := PageMetrics{URL: "/watch?v=seed"}
+	setNumericFields(f, &pm)
+	seed := encodePageMetrics(pm)
+	for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 1, 0} {
+		f.Add(seed[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pm, err := decodePageMetrics(data)
+		if err != nil {
+			return
+		}
+		again, err := decodePageMetrics(encodePageMetrics(pm))
+		if err != nil || again != pm {
+			t.Fatalf("accepted %+v does not round-trip: %+v, %v", pm, again, err)
+		}
+	})
+}
+
+// TestPersistedBytesAreStable: saving what was loaded writes the bytes
+// that were loaded, for the models file, a precrawl and a recrawl
+// profile — every map is written in sorted key order, not in iteration
+// order.
+func TestPersistedBytesAreStable(t *testing.T) {
+	site, f := newSiteFetcher(20, 7)
+	pre, err := (&Precrawler{Fetcher: f, StartURL: webapp.WatchURL(site.Video(0).ID), MaxPages: 8}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, _, err := New(f, Options{UseHotNode: true, MaxStates: 4}).CrawlAll(context.Background(), pre.URLs[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := BuildProfileFromGraph(graphs)
+	for i := 0; i < 6; i++ {
+		cp.record(fmt.Sprintf("/watch?v=%d", i), browser.Event{Type: "onclick", ID: fmt.Sprint("e", i), Code: "f()"}, OutcomeNoChange)
+	}
+	profile := "profile.gob"
+	for name, tc := range map[string]struct {
+		file           string
+		saveLoadToSave func(first, second string) error
+	}{
+		"models": {model.ModelFileName, func(first, second string) error {
+			if err := model.SaveAll(first, graphs); err != nil {
+				return err
+			}
+			loaded, err := model.LoadAll(first)
+			if err != nil {
+				return err
+			}
+			return model.SaveAll(second, loaded)
+		}},
+		"precrawl": {precrawlFileName, func(first, second string) error {
+			if err := pre.Save(first); err != nil {
+				return err
+			}
+			loaded, err := LoadPrecrawl(first)
+			if err != nil {
+				return err
+			}
+			return loaded.Save(second)
+		}},
+		"profile": {profile, func(first, second string) error {
+			if err := cp.Save(filepath.Join(first, profile)); err != nil {
+				return err
+			}
+			loaded, err := LoadCrawlProfile(filepath.Join(first, profile))
+			if err != nil {
+				return err
+			}
+			return loaded.Save(filepath.Join(second, profile))
+		}},
+	} {
+		first, second := t.TempDir(), t.TempDir()
+		if err := tc.saveLoadToSave(first, second); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		a, errA := os.ReadFile(filepath.Join(first, tc.file))
+		b, errB := os.ReadFile(filepath.Join(second, tc.file))
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v, %v", name, errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: Save → Load → Save wrote %d bytes that differ from the first %d", name, len(b), len(a))
+		}
+	}
+}

@@ -2,15 +2,17 @@ package core
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"ajaxcrawl/internal/browser"
+	"ajaxcrawl/internal/codec"
 	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/pagerank"
 )
@@ -44,14 +46,9 @@ type PrecrawlResult struct {
 	Links map[string][]string
 	// PageRank holds each page's PageRank value.
 	PageRank map[string]float64
-	// Visited is every URL the breadth-first expansion enqueued —
-	// crawled or not. Nothing in the crawl reads it; it stays in the
-	// saved precrawl.gob. (Precrawls saved before this field existed
-	// decode with Visited nil.)
-	Visited map[string]bool
 
-	// kept holds the precrawl's responses for Handoff; unexported, so
-	// precrawl.gob never carries them.
+	// kept holds the precrawl's responses for Handoff; precrawl.gob
+	// never carries them.
 	kept *fetch.Handoff
 }
 
@@ -156,28 +153,52 @@ func (p *Precrawler) Run(ctx context.Context) (*PrecrawlResult, error) {
 		}
 	}
 	res.PageRank = pagerank.Compute(inGraph, pagerank.Options{})
-	// The visited set doubles as the parallel frontier's seed dedup.
-	res.Visited = visited
 	return res, ctxErr
 }
 
-// precrawlFileName stores the serialized PrecrawlResult.
+// precrawlFileName stores the serialized PrecrawlResult. The .gob
+// suffix is historical.
 const precrawlFileName = "precrawl.gob"
+
+// The precrawl file, in internal/codec's primitives:
+//
+//	magic "AJPC" | version u8
+//	urlCount uvarint, urls string...
+//	linkCount uvarint, per page (sorted): url string, targetCount uvarint, targets string...
+//	rankCount uvarint, per page (sorted): url string, rank f64
+const (
+	precrawlMagic   = "AJPC"
+	precrawlVersion = 1
+)
 
 // Save writes the result into dir (the precrawler root directory).
 func (r *PrecrawlResult) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: precrawl save: %w", err)
 	}
-	f, err := os.Create(filepath.Join(dir, precrawlFileName))
+	err := codec.WriteFile(filepath.Join(dir, precrawlFileName), precrawlMagic, precrawlVersion, func(e codec.Encoder) {
+		e.Uvarint(uint64(len(r.URLs)))
+		for _, u := range r.URLs {
+			e.String(u)
+		}
+		e.Uvarint(uint64(len(r.Links)))
+		for _, u := range slices.Sorted(maps.Keys(r.Links)) {
+			e.String(u)
+			e.Uvarint(uint64(len(r.Links[u])))
+			for _, to := range r.Links[u] {
+				e.String(to)
+			}
+		}
+		e.Uvarint(uint64(len(r.PageRank)))
+		for _, u := range slices.Sorted(maps.Keys(r.PageRank)) {
+			e.String(u)
+			e.Float64(r.PageRank[u])
+		}
+	})
 	if err != nil {
 		return fmt.Errorf("core: precrawl save: %w", err)
 	}
-	if err := gob.NewEncoder(f).Encode(r); err != nil {
-		f.Close()
-		return fmt.Errorf("core: precrawl encode: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // LoadPrecrawl reads a saved PrecrawlResult from dir. Errors are
@@ -197,15 +218,40 @@ func LoadPrecrawl(dir string) (*PrecrawlResult, error) {
 	return r, nil
 }
 
-// decodePrecrawl reads a saved PrecrawlResult from untrusted bytes. gob
-// reads no more than the input holds; the result is then refused if a
-// URL is empty or listed twice, or a PageRank is not finite — a NaN rank
-// would poison every score it enters and surface only when the shard it
-// lands in fails to load.
-func decodePrecrawl(r io.Reader) (*PrecrawlResult, error) {
-	var res PrecrawlResult
-	if err := gob.NewDecoder(r).Decode(&res); err != nil {
-		return nil, err
+// decodePrecrawl reads a saved PrecrawlResult from untrusted bytes,
+// bounding every count and string before it allocates. The result is
+// then refused if a URL is empty or listed twice, or a PageRank is not
+// finite — a NaN rank would poison every score it enters and surface
+// only when the shard it lands in fails to load.
+func decodePrecrawl(r io.Reader) (res *PrecrawlResult, err error) {
+	defer codec.Contain(&err, "decode")
+	d := codec.NewDecoder(r)
+	d.Header(precrawlMagic, precrawlVersion, "written by another build; precrawl again")
+	res = &PrecrawlResult{}
+	n := d.Count("URL")
+	res.URLs = make([]string, 0, codec.Prealloc(n))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		res.URLs = append(res.URLs, d.String())
+	}
+	n = d.Count("link list")
+	res.Links = make(map[string][]string, codec.Prealloc(n))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		u, k := d.String(), d.Count("link")
+		links := make([]string, 0, codec.Prealloc(k))
+		for j := 0; j < k && d.Err() == nil; j++ {
+			links = append(links, d.String())
+		}
+		res.Links[u] = links
+	}
+	n = d.Count("PageRank")
+	res.PageRank = make(map[string]float64, codec.Prealloc(n))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		u := d.String()
+		res.PageRank[u] = d.Float64()
+	}
+	d.End()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	seen := make(map[string]bool, len(res.URLs))
 	for _, u := range res.URLs {
@@ -219,5 +265,5 @@ func decodePrecrawl(r io.Reader) (*PrecrawlResult, error) {
 			return nil, fmt.Errorf("URL %q: PageRank %v", u, pr)
 		}
 	}
-	return &res, nil
+	return res, nil
 }

@@ -128,8 +128,9 @@ func TestLoadPrecrawlRejectsInvalid(t *testing.T) {
 }
 
 // FuzzLoadPrecrawl feeds the precrawl reader arbitrary bytes, seeded with
-// a real Save's file and its truncations. It may never panic, and a
-// result it accepts has unique non-empty URLs and finite ranks.
+// a real Save's file, its truncations and the gob-era file it must
+// refuse. It may never panic, and a result it accepts has unique
+// non-empty URLs and finite ranks.
 func FuzzLoadPrecrawl(f *testing.F) {
 	site, fetcher := newSiteFetcher(12, 7)
 	res, err := (&Precrawler{Fetcher: fetcher, StartURL: webapp.WatchURL(site.Video(0).ID), MaxPages: 6}).Run(context.Background())
@@ -147,6 +148,10 @@ func FuzzLoadPrecrawl(f *testing.F) {
 	for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 16, 0} {
 		f.Add(seed[:n])
 	}
+	f.Add(gobEraSeed(f, "gob-era.precrawl", func(data []byte) error {
+		_, err := decodePrecrawl(bytes.NewReader(data))
+		return err
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := decodePrecrawl(bytes.NewReader(data))
 		if err != nil {
@@ -242,7 +247,7 @@ func precrawlBatches(ref *PrecrawlResult, fetched []string, maxPages, w int) [][
 
 // TestPrecrawlWidthInvariant: fetching Lines queue entries at once and
 // completing each batch in reverse order yields exactly the
-// one-at-a-time precrawl — URLs, Links, Visited, PageRank and the kept
+// one-at-a-time precrawl — URLs, Links, PageRank and the kept
 // responses — through scripted failures and a MaxPages cut mid-level,
 // with never more than Lines fetches in flight.
 func TestPrecrawlWidthInvariant(t *testing.T) {
@@ -271,9 +276,15 @@ func TestPrecrawlWidthInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref.URLs) != maxPages || len(rec.urls) != maxPages+2 || len(ref.Visited) <= len(rec.urls) {
-		t.Fatalf("want a %d-page cut with 2 failures and queued entries left, got %d pages of %d fetches, %d visited",
-			maxPages, len(ref.URLs), len(rec.urls), len(ref.Visited))
+	queued := map[string]bool{start: true}
+	for _, links := range ref.Links {
+		for _, l := range links {
+			queued[l] = true
+		}
+	}
+	if len(ref.URLs) != maxPages || len(rec.urls) != maxPages+2 || len(queued) <= len(rec.urls) {
+		t.Fatalf("want a %d-page cut with 2 failures and queued entries left, got %d pages of %d fetches, %d queued",
+			maxPages, len(ref.URLs), len(rec.urls), len(queued))
 	}
 
 	for _, lines := range []int{1, 2, 3, 8} {

@@ -1,12 +1,14 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"ajaxcrawl/internal/browser"
+	"ajaxcrawl/internal/codec"
 	"ajaxcrawl/internal/model"
 )
 
@@ -115,17 +117,35 @@ func (cp *CrawlProfile) NumEvents() int {
 	return n
 }
 
+// The profile file, in internal/codec's primitives:
+//
+//	magic "AJRP" | version u8
+//	pageCount uvarint, per page (sorted by key): key string, url string,
+//	  eventCount uvarint, per event (sorted): key string, outcome uvarint
+const (
+	profileMagic   = "AJRP"
+	profileVersion = 1
+)
+
 // Save serializes the profile.
 func (cp *CrawlProfile) Save(path string) error {
-	f, err := os.Create(path)
+	err := codec.WriteFile(path, profileMagic, profileVersion, func(e codec.Encoder) {
+		e.Uvarint(uint64(len(cp.Pages)))
+		for _, url := range slices.Sorted(maps.Keys(cp.Pages)) {
+			pp := cp.Pages[url]
+			e.String(url)
+			e.String(pp.URL)
+			e.Uvarint(uint64(len(pp.Events)))
+			for _, key := range slices.Sorted(maps.Keys(pp.Events)) {
+				e.String(key)
+				e.Uvarint(uint64(pp.Events[key]))
+			}
+		}
+	})
 	if err != nil {
 		return fmt.Errorf("core: profile save: %w", err)
 	}
-	if err := gob.NewEncoder(f).Encode(cp); err != nil {
-		f.Close()
-		return fmt.Errorf("core: profile encode: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // LoadCrawlProfile reads a profile from disk.
@@ -142,18 +162,33 @@ func LoadCrawlProfile(path string) (*CrawlProfile, error) {
 	return cp, nil
 }
 
-// decodeCrawlProfile reads a saved CrawlProfile from untrusted bytes. gob
-// reads no more than the input holds; the result is then refused if a
-// page is missing or filed under a URL other than its own, or an outcome
-// is none of the four.
-func decodeCrawlProfile(r io.Reader) (*CrawlProfile, error) {
-	var cp CrawlProfile
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, err
+// decodeCrawlProfile reads a saved CrawlProfile from untrusted bytes,
+// bounding every count and string before it allocates. The result is
+// then refused if a page is filed under a URL other than its own, or an
+// outcome is none of the four.
+func decodeCrawlProfile(r io.Reader) (cp *CrawlProfile, err error) {
+	defer codec.Contain(&err, "decode")
+	d := codec.NewDecoder(r)
+	d.Header(profileMagic, profileVersion, "written by another build; record it again with ajaxcrawl -save-profile")
+	n := d.Count("page")
+	cp = &CrawlProfile{Pages: make(map[string]*PageProfile, codec.Prealloc(n))}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		url, pp := d.String(), &PageProfile{URL: d.String()}
+		k := d.Count("event")
+		pp.Events = make(map[string]EventOutcome, codec.Prealloc(k))
+		for j := 0; j < k && d.Err() == nil; j++ {
+			key := d.String()
+			pp.Events[key] = EventOutcome(d.Uvarint())
+		}
+		cp.Pages[url] = pp
+	}
+	d.End()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	for url, pp := range cp.Pages {
-		if pp == nil || pp.URL != url {
-			return nil, fmt.Errorf("page %q missing or filed under another URL", url)
+		if pp.URL != url {
+			return nil, fmt.Errorf("page %q filed under another URL", url)
 		}
 		for key, o := range pp.Events {
 			if o < OutcomeNoChange || o > OutcomeError {
@@ -161,7 +196,7 @@ func decodeCrawlProfile(r io.Reader) (*CrawlProfile, error) {
 			}
 		}
 	}
-	return &cp, nil
+	return cp, nil
 }
 
 // BuildProfileFromGraph reconstructs a profile from a stored application

@@ -165,9 +165,9 @@ func TestLoadCrawlProfileRefusesInvalid(t *testing.T) {
 }
 
 // FuzzLoadCrawlProfile feeds the profile reader arbitrary bytes, seeded
-// with a saved profile and its truncations: it errors or returns a
-// profile whose every page is filed under its own URL with known
-// outcomes.
+// with a saved profile, its truncations and the gob-era profile it must
+// refuse: it errors or returns a profile whose every page is filed under
+// its own URL with known outcomes.
 func FuzzLoadCrawlProfile(f *testing.F) {
 	cp := NewCrawlProfile()
 	for i, o := range []EventOutcome{OutcomeNoChange, OutcomeDuplicate, OutcomeNewState, OutcomeError} {
@@ -184,6 +184,10 @@ func FuzzLoadCrawlProfile(f *testing.F) {
 	for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 16, 0} {
 		f.Add(seed[:n])
 	}
+	f.Add(gobEraSeed(f, "gob-era.profile", func(data []byte) error {
+		_, err := decodeCrawlProfile(bytes.NewReader(data))
+		return err
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := decodeCrawlProfile(bytes.NewReader(data))
 		if err != nil {
@@ -352,4 +356,17 @@ func TestAjaxRobotsEndToEnd(t *testing.T) {
 	if err != nil || robots != nil {
 		t.Fatalf("absent robots file should yield nil: %v %v", robots, err)
 	}
+}
+
+// gobEraSeed returns testdata/name, a file the gob-era build wrote, after
+// checking that decode refuses it.
+func gobEraSeed(f *testing.F, name string, decode func([]byte) error) []byte {
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if decode(data) == nil {
+		f.Fatalf("%s: a gob-era file was accepted", name)
+	}
+	return data
 }

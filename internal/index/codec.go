@@ -2,18 +2,19 @@ package index
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"slices"
 
+	"ajaxcrawl/internal/codec"
 	"ajaxcrawl/internal/model"
 )
 
-// On-disk index format, the one codec of a shard file. It applies the
-// standard IR compression tricks — delta-encoded, varint-coded posting
+// On-disk index format, the one codec of a shard file, written with
+// internal/codec's primitives. It applies the standard IR compression
+// tricks — delta-encoded, varint-coded posting
 // lists — that the related-work chapter points at (web-graph/index
 // compression):
 //
@@ -38,74 +39,54 @@ const (
 	// codecVersion 1 rounded AJAXRanks through float32 and version 2
 	// carried no state text; their files are refused.
 	codecVersion = 3
-
-	// maxCount bounds every count read from an untrusted file (docs,
-	// states, terms, postings, positions). A truncated or corrupt varint
-	// otherwise turns straight into make([]T, n) with an arbitrary n —
-	// an unrecoverable allocation panic rather than a load error.
-	maxCount = 1 << 26
-	// maxPrealloc caps how much a single count is trusted for slice
-	// pre-allocation; beyond it, slices grow by append as real data
-	// arrives, so a lying header can't allocate more than the file
-	// actually backs.
-	maxPrealloc = 1 << 16
-	// maxString bounds a length-prefixed string (a URL, a state text or
-	// a term).
-	maxString = 1 << 24
 )
-
-// prealloc returns a safe initial capacity for a count-prefixed slice.
-func prealloc(n int) int {
-	return min(n, maxPrealloc)
-}
 
 // Encode writes the index to w.
 func (ix *Index) Encode(w io.Writer) error {
-	e := encoder{bufio.NewWriter(w)}
-	e.w.WriteString(codecMagic) //nolint:errcheck // sticky, checked via Flush
-	e.w.WriteByte(codecVersion) //nolint:errcheck
-
-	e.uvarint(uint64(len(ix.Docs)))
+	bw := bufio.NewWriter(w)
+	e := codec.NewEncoder(bw)
+	e.Header(codecMagic, codecVersion)
+	e.Uvarint(uint64(len(ix.Docs)))
 	for _, d := range ix.Docs {
-		e.string(d.URL)
-		e.float64(d.PageRank)
-		e.uvarint(uint64(d.States))
+		e.String(d.URL)
+		e.Float64(d.PageRank)
+		e.Uvarint(uint64(d.States))
 		for _, l := range d.StateLens {
-			e.uvarint(uint64(l))
+			e.Uvarint(uint64(l))
 		}
 		for _, r := range d.AJAXRanks {
-			e.float64(r)
+			e.Float64(r)
 		}
 		for _, t := range d.Texts {
-			e.string(t)
+			e.String(t)
 		}
 	}
-	e.uvarint(uint64(ix.TotalStates))
+	e.Uvarint(uint64(ix.TotalStates))
 
 	terms := make([]string, 0, len(ix.Terms))
 	for t := range ix.Terms {
 		terms = append(terms, t)
 	}
 	slices.Sort(terms)
-	e.uvarint(uint64(len(terms)))
+	e.Uvarint(uint64(len(terms)))
 	for _, t := range terms {
-		e.string(t)
+		e.String(t)
 		ps := ix.Terms[t]
-		e.uvarint(uint64(len(ps)))
+		e.Uvarint(uint64(len(ps)))
 		prevDoc := DocID(0)
 		for _, p := range ps {
-			e.uvarint(uint64(p.Doc - prevDoc))
+			e.Uvarint(uint64(p.Doc - prevDoc))
 			prevDoc = p.Doc
-			e.uvarint(uint64(p.State))
-			e.uvarint(uint64(len(p.Positions)))
+			e.Uvarint(uint64(p.State))
+			e.Uvarint(uint64(len(p.Positions)))
 			prev := int32(0)
 			for _, pos := range p.Positions {
-				e.uvarint(uint64(pos - prev))
+				e.Uvarint(uint64(pos - prev))
 				prev = pos
 			}
 		}
 	}
-	if err := e.w.Flush(); err != nil {
+	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("index: encode: %w", err)
 	}
 	return nil
@@ -130,15 +111,11 @@ func (ix *Index) Save(path string) error {
 // and any panic the decoder raises on corrupt input converted to an
 // error.
 func Decode(r io.Reader) (ix *Index, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ix, err = nil, fmt.Errorf("index: decode: corrupt input: %v", rec)
-		}
-	}()
-	d := decoder{r: bufio.NewReader(r)}
-	ix = d.index()
-	if d.err != nil {
-		return nil, fmt.Errorf("index: decode: %w", d.err)
+	defer codec.Contain(&err, "index: decode")
+	d := codec.NewDecoder(r)
+	ix = readIndex(d)
+	if d.Err() != nil {
+		return nil, fmt.Errorf("index: decode: %w", d.Err())
 	}
 	if err := ix.validate(); err != nil {
 		return nil, err
@@ -156,144 +133,54 @@ func Load(path string) (*Index, error) {
 	return Decode(f)
 }
 
-// encoder appends each value straight into the bufio.Writer's free
-// space, so encoding allocates nothing per value. A write error is
-// sticky in the bufio.Writer and surfaces at Flush.
-type encoder struct{ w *bufio.Writer }
-
-func (e encoder) uvarint(v uint64) {
-	e.w.Write(binary.AppendUvarint(e.w.AvailableBuffer(), v)) //nolint:errcheck
-}
-
-func (e encoder) float64(f float64) {
-	e.w.Write(binary.LittleEndian.AppendUint64(e.w.AvailableBuffer(), math.Float64bits(f))) //nolint:errcheck
-}
-
-func (e encoder) string(s string) {
-	e.uvarint(uint64(len(s)))
-	e.w.WriteString(s) //nolint:errcheck
-}
-
-// decoder reads the format with a sticky error: after the first failure
-// every read returns zero, and each loop below stops at its next check.
-type decoder struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	d.fail(err)
-	return v
-}
-
-// count reads a count field, bounded by maxCount.
-func (d *decoder) count(what string) int {
-	n := d.uvarint()
-	if n > maxCount {
-		d.fail(fmt.Errorf("%s count %d exceeds limit %d", what, n, maxCount))
-		return 0
-	}
-	return int(n)
-}
-
-func (d *decoder) float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	b, err := d.r.Peek(8)
-	if err != nil {
-		d.fail(err)
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(b))
-	d.r.Discard(8) //nolint:errcheck // the bytes are buffered
-	return f
-}
-
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if n > maxString {
-		d.fail(fmt.Errorf("string length %d too large", n))
-	}
-	if d.err != nil {
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.fail(err)
-		return ""
-	}
-	return string(b)
-}
-
-func (d *decoder) index() *Index {
-	head, err := d.r.Peek(len(codecMagic) + 1)
-	switch {
-	case err != nil:
-		d.fail(err)
-	case string(head[:len(codecMagic)]) != codecMagic:
-		d.fail(fmt.Errorf("bad magic %q", head[:len(codecMagic)]))
-	case head[len(codecMagic)] != codecVersion:
-		d.fail(fmt.Errorf("unsupported version %d (this build reads %d): re-publish the snapshot with ajaxcrawl -save-index",
-			head[len(codecMagic)], codecVersion))
-	}
-	if d.err != nil {
+func readIndex(d *codec.Decoder) *Index {
+	d.Header(codecMagic, codecVersion, "re-publish the snapshot with ajaxcrawl -save-index")
+	if d.Err() != nil {
 		return nil
 	}
-	d.r.Discard(len(head)) //nolint:errcheck // the bytes are buffered
 
-	docs := d.count("doc")
+	docs := d.Count("doc")
 	ix := &Index{
-		Docs:     make([]DocInfo, 0, prealloc(docs)),
-		docByURL: make(map[string]DocID, prealloc(docs)),
+		Docs:     make([]DocInfo, 0, codec.Prealloc(docs)),
+		docByURL: make(map[string]DocID, codec.Prealloc(docs)),
 	}
-	for i := 0; i < docs && d.err == nil; i++ {
+	for i := 0; i < docs && d.Err() == nil; i++ {
 		var doc DocInfo
-		doc.URL = d.string()
-		doc.PageRank = d.float64()
-		doc.States = d.count("state")
-		doc.StateLens = make([]int32, 0, prealloc(doc.States))
-		for j := 0; j < doc.States && d.err == nil; j++ {
-			doc.StateLens = append(doc.StateLens, int32(d.uvarint()))
+		doc.URL = d.String()
+		doc.PageRank = d.Float64()
+		doc.States = d.Count("state")
+		doc.StateLens = make([]int32, 0, codec.Prealloc(doc.States))
+		for j := 0; j < doc.States && d.Err() == nil; j++ {
+			doc.StateLens = append(doc.StateLens, int32(d.Uvarint()))
 		}
-		doc.AJAXRanks = make([]float64, 0, prealloc(doc.States))
-		for j := 0; j < doc.States && d.err == nil; j++ {
-			doc.AJAXRanks = append(doc.AJAXRanks, d.float64())
+		doc.AJAXRanks = make([]float64, 0, codec.Prealloc(doc.States))
+		for j := 0; j < doc.States && d.Err() == nil; j++ {
+			doc.AJAXRanks = append(doc.AJAXRanks, d.Float64())
 		}
-		doc.Texts = make([]string, 0, prealloc(doc.States))
-		for j := 0; j < doc.States && d.err == nil; j++ {
-			doc.Texts = append(doc.Texts, d.string())
+		doc.Texts = make([]string, 0, codec.Prealloc(doc.States))
+		for j := 0; j < doc.States && d.Err() == nil; j++ {
+			doc.Texts = append(doc.Texts, d.String())
 		}
 		ix.docByURL[doc.URL] = DocID(len(ix.Docs))
 		ix.Docs = append(ix.Docs, doc)
 	}
-	ix.TotalStates = d.count("total-state")
+	ix.TotalStates = d.Count("total-state")
 
-	terms := d.count("term")
-	ix.Terms = make(map[string][]Posting, prealloc(terms))
-	for i := 0; i < terms && d.err == nil; i++ {
-		term := d.string()
-		n := d.count("posting")
-		ps := make([]Posting, 0, prealloc(n))
+	terms := d.Count("term")
+	ix.Terms = make(map[string][]Posting, codec.Prealloc(terms))
+	for i := 0; i < terms && d.Err() == nil; i++ {
+		term := d.String()
+		n := d.Count("posting")
+		ps := make([]Posting, 0, codec.Prealloc(n))
 		prevDoc := DocID(0)
-		for j := 0; j < n && d.err == nil; j++ {
-			prevDoc += DocID(d.uvarint())
-			p := Posting{Doc: prevDoc, State: model.StateID(d.count("state-id"))}
-			pc := d.count("position")
-			p.Positions = make([]int32, 0, prealloc(pc))
+		for j := 0; j < n && d.Err() == nil; j++ {
+			prevDoc += DocID(d.Uvarint())
+			p := Posting{Doc: prevDoc, State: model.StateID(d.Count("state-id"))}
+			pc := d.Count("position")
+			p.Positions = make([]int32, 0, codec.Prealloc(pc))
 			prev := int32(0)
-			for k := 0; k < pc && d.err == nil; k++ {
-				prev += int32(d.uvarint())
+			for k := 0; k < pc && d.Err() == nil; k++ {
+				prev += int32(d.Uvarint())
 				p.Positions = append(p.Positions, prev)
 			}
 			ps = append(ps, p)

@@ -7,6 +7,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"ajaxcrawl/internal/codec"
 )
 
 // fuzzSeedIndex builds a representative index and returns its encoding.
@@ -51,7 +53,7 @@ func badTextSections(tb testing.TB) map[string][]byte {
 	}
 	return map[string][]byte{
 		"version 2":             v2,
-		"text past maxString":   binary.AppendUvarint(bytes.Clone(doc), maxString+1),
+		"text past maxString":   binary.AppendUvarint(bytes.Clone(doc), codec.MaxString+1),
 		"truncated inside text": append(binary.AppendUvarint(bytes.Clone(doc), 10), "alpha"...),
 		"one text too many":     miscount(func(d *DocInfo) { d.Texts = append(d.Texts, "extra") }),
 		"one text too few":      miscount(func(d *DocInfo) { d.Texts = d.Texts[:len(d.Texts)-1] }),
@@ -106,7 +108,7 @@ func FuzzIndexLoad(f *testing.F) {
 	f.Add(header())
 	// A header that lies about the doc count: magic, version, then a
 	// varint claiming ~1e12 docs follow. This was a crasher: the count
-	// went straight into make() before maxCount existed.
+	// went straight into make() before codec.MaxCount existed.
 	f.Add(binary.AppendUvarint(header(), 1<<40))
 	// Bit flips in otherwise-valid input hit the mid-stream paths.
 	for _, off := range []int{8, len(enc) / 3, 2 * len(enc) / 3} {
@@ -168,7 +170,7 @@ func FuzzIndexLoad(f *testing.F) {
 // count caps fix: headers that promise more data than the file holds
 // must come back as load errors, not allocation panics.
 func TestDecodeCompressedLyingCounts(t *testing.T) {
-	for _, count := range []uint64{maxCount + 1, 1 << 40, 1<<64 - 1} {
+	for _, count := range []uint64{codec.MaxCount + 1, 1 << 40, 1<<64 - 1} {
 		if _, err := Decode(bytes.NewReader(binary.AppendUvarint(header(), count))); err == nil {
 			t.Fatalf("doc count %d accepted", count)
 		}

@@ -3,6 +3,8 @@ package model_test
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ajaxcrawl/internal/core"
@@ -13,8 +15,8 @@ import (
 )
 
 // FuzzDecodeGraph feeds the journal's graph reader arbitrary bytes,
-// seeded with a crawled page's encoding and its truncations. A graph it
-// accepts must hold its StateID invariants, survive PathTo to every
+// seeded with a crawled page's encoding, its truncations and the gob-era
+// encoding it must refuse. A graph it accepts must hold its StateID invariants, survive PathTo to every
 // state and indexing, and re-encode to bytes that decode to the same
 // encoding.
 func FuzzDecodeGraph(f *testing.F) {
@@ -31,6 +33,14 @@ func FuzzDecodeGraph(f *testing.F) {
 	for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 16, 0} {
 		f.Add(seed[:n])
 	}
+	gobEra, err := os.ReadFile(filepath.Join("testdata", "gob-era.graph"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := model.DecodeGraph(gobEra); err == nil {
+		f.Fatal("gob-era graph encoding accepted")
+	}
+	f.Add(gobEra)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := model.DecodeGraph(data)
 		if err != nil {

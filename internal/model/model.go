@@ -7,11 +7,12 @@ package model
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
+	"ajaxcrawl/internal/codec"
 	"ajaxcrawl/internal/dom"
 )
 
@@ -179,130 +180,197 @@ func (g *Graph) rebuild() {
 	}
 }
 
-// graphWire is the gob wire format (exported fields only).
-type graphWire struct {
-	URL         string
-	States      []*State
-	Transitions []*Transition
-	Initial     StateID
-}
-
-// GobEncode implements gob.GobEncoder.
-func (g *Graph) GobEncode() ([]byte, error) {
-	return gobEncode(graphWire{URL: g.URL, States: g.States, Transitions: g.Transitions, Initial: g.Initial})
-}
-
-// GobDecode implements gob.GobDecoder. A decoded graph is disk input
-// (a journaled page, a published model file): one whose states are not
-// numbered by position, or whose transitions or initial state lie
-// outside them, is refused, because rebuild, PathTo and index.AddGraph
-// look states up by StateID.
-func (g *Graph) GobDecode(data []byte) error {
-	var w graphWire
-	if err := gobDecode(data, &w); err != nil {
-		return err
-	}
-	if err := w.check(); err != nil {
-		return err
-	}
-	g.URL = w.URL
-	g.States = w.States
-	g.Transitions = w.Transitions
-	g.Initial = w.Initial
-	g.rebuild()
-	return nil
-}
-
 // check reports the first state, transition or initial state that
-// breaks the graph's StateID invariants.
-func (w *graphWire) check() error {
-	n := StateID(len(w.States))
-	for i, s := range w.States {
+// breaks the graph's StateID invariants. A graph on disk (a journaled
+// page, a models file) is refused by it both ways: the encoder does not
+// write one, and the decoder does not hand one out, because rebuild,
+// PathTo and index.AddGraph look states up by StateID.
+func (g *Graph) check() error {
+	n := StateID(len(g.States))
+	for i, s := range g.States {
 		if s == nil || s.ID != StateID(i) {
-			return fmt.Errorf("model: graph %q: state %d is missing or numbered out of place", w.URL, i)
+			return fmt.Errorf("model: graph %q: state %d is missing or numbered out of place", g.URL, i)
 		}
 	}
-	for i, t := range w.Transitions {
+	for i, t := range g.Transitions {
 		if t == nil || t.From < 0 || t.From >= n || t.To < 0 || t.To >= n {
-			return fmt.Errorf("model: graph %q: transition %d is missing or leaves the %d states", w.URL, i, n)
+			return fmt.Errorf("model: graph %q: transition %d is missing or leaves the %d states", g.URL, i, n)
 		}
 	}
-	if w.Initial < 0 || w.Initial >= n {
-		return fmt.Errorf("model: graph %q: initial state %d outside the %d states", w.URL, w.Initial, n)
+	if g.Initial < 0 || g.Initial >= n {
+		return fmt.Errorf("model: graph %q: initial state %d outside the %d states", g.URL, g.Initial, n)
 	}
 	return nil
+}
+
+// A graph's wire form, in internal/codec's primitives. A state's ID is
+// its position, so it is not written.
+//
+//	url string | initial uvarint
+//	stateCount uvarint, per state: hash (32 bytes), text string, depth uvarint
+//	transitionCount uvarint, per transition: from, to uvarint,
+//	  source, event, code, sourcePath string,
+//	  targetCount uvarint, targets string..., action, probe string
+//
+// The models file is magic "AJMG", a version byte, a graph count and
+// that many graphs.
+const (
+	modelsMagic   = "AJMG"
+	modelsVersion = 1
+)
+
+// encode writes g's wire form; g has passed check.
+func (g *Graph) encode(e codec.Encoder) {
+	e.String(g.URL)
+	e.Uvarint(uint64(g.Initial))
+	e.Uvarint(uint64(len(g.States)))
+	for _, s := range g.States {
+		e.Fixed(s.Hash[:])
+		e.String(s.Text)
+		e.Uvarint(uint64(s.Depth))
+	}
+	e.Uvarint(uint64(len(g.Transitions)))
+	for _, t := range g.Transitions {
+		e.Uvarint(uint64(t.From))
+		e.Uvarint(uint64(t.To))
+		e.String(t.Source)
+		e.String(t.Event)
+		e.String(t.Code)
+		e.String(t.SourcePath)
+		e.Uvarint(uint64(len(t.Targets)))
+		for _, target := range t.Targets {
+			e.String(target)
+		}
+		e.String(t.Action)
+		e.String(t.Probe)
+	}
+}
+
+// readGraph reads one graph's wire form, bounding every count and
+// string before it allocates, then checks the graph and rebuilds its
+// lookup maps. It returns nil with d failed on any error.
+func readGraph(d *codec.Decoder) *Graph {
+	g := &Graph{URL: d.String(), Initial: StateID(d.Uvarint())}
+	n := d.Count("state")
+	g.States = make([]*State, 0, codec.Prealloc(n))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		s := &State{ID: StateID(i)}
+		d.Fixed(s.Hash[:])
+		s.Text = d.String()
+		s.Depth = int(d.Uvarint())
+		g.States = append(g.States, s)
+	}
+	m := d.Count("transition")
+	g.Transitions = make([]*Transition, 0, codec.Prealloc(m))
+	for i := 0; i < m && d.Err() == nil; i++ {
+		t := &Transition{From: StateID(d.Uvarint()), To: StateID(d.Uvarint()),
+			Source: d.String(), Event: d.String(), Code: d.String(), SourcePath: d.String()}
+		if k := d.Count("target"); k > 0 {
+			t.Targets = make([]string, 0, codec.Prealloc(k))
+			for j := 0; j < k && d.Err() == nil; j++ {
+				t.Targets = append(t.Targets, d.String())
+			}
+		}
+		t.Action, t.Probe = d.String(), d.String()
+		g.Transitions = append(g.Transitions, t)
+	}
+	if d.Err() != nil {
+		return nil
+	}
+	if err := g.check(); err != nil {
+		d.Fail(err)
+		return nil
+	}
+	g.rebuild()
+	return g
 }
 
 // EncodeGraph serializes one graph to bytes — the payload format the
-// checkpoint journal stores completed pages in. It reuses the gob wire
-// format of SaveAll/LoadAll, so a journaled graph round-trips through
-// exactly the code path the model files use.
+// checkpoint journal stores completed pages in, and the models file's
+// per-graph record. A graph check refuses is not encoded.
 func EncodeGraph(g *Graph) ([]byte, error) {
-	data, err := gobEncode(g)
-	if err != nil {
+	if err := g.check(); err != nil {
 		return nil, fmt.Errorf("model: encode graph %s: %w", g.URL, err)
 	}
-	return data, nil
+	var buf bytes.Buffer
+	g.encode(codec.NewEncoder(&buf))
+	return buf.Bytes(), nil
 }
 
 // DecodeGraph deserializes a graph encoded by EncodeGraph, rebuilding
-// the derived lookup maps.
-func DecodeGraph(data []byte) (*Graph, error) {
-	var g Graph
-	if err := gobDecode(data, &g); err != nil {
-		return nil, fmt.Errorf("model: decode graph: %w", err)
+// the derived lookup maps. The bytes are disk input: they must hold
+// exactly one graph that check accepts.
+func DecodeGraph(data []byte) (g *Graph, err error) {
+	defer codec.Contain(&err, "model: decode graph")
+	d := codec.NewDecoder(bytes.NewReader(data))
+	g = readGraph(d)
+	d.End()
+	if d.Err() != nil {
+		return nil, fmt.Errorf("model: decode graph: %w", d.Err())
 	}
-	return &g, nil
+	return g, nil
 }
 
 // ModelFileName is the file a crawl's application models are stored
 // under, in a crawl's output root and in a published snapshot alike (the
-// thesis serializes app models per partition, §6.3.2).
+// thesis serializes app models per partition, §6.3.2). The .gob suffix
+// is historical.
 const ModelFileName = "ajaxmodels.gob"
 
-// SaveAll writes a set of graphs to dir/ModelFileName.
+// SaveAll writes a set of graphs to dir/ModelFileName, streaming them
+// through one buffered writer. A graph check refuses fails the save
+// before the file is touched.
 func SaveAll(dir string, graphs []*Graph) error {
+	for _, g := range graphs {
+		if err := g.check(); err != nil {
+			return fmt.Errorf("model: save: %w", err)
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("model: save: %w", err)
 	}
-	f, err := os.Create(filepath.Join(dir, ModelFileName))
+	err := codec.WriteFile(filepath.Join(dir, ModelFileName), modelsMagic, modelsVersion, func(e codec.Encoder) {
+		e.Uvarint(uint64(len(graphs)))
+		for _, g := range graphs {
+			g.encode(e)
+		}
+	})
 	if err != nil {
-		return fmt.Errorf("model: save: %w", err)
-	}
-	if err := gob.NewEncoder(f).Encode(graphs); err != nil {
-		f.Close()
-		return fmt.Errorf("model: encode: %w", err)
-	}
-	if err := f.Close(); err != nil {
 		return fmt.Errorf("model: save: %w", err)
 	}
 	return nil
 }
 
-// gobEncode/gobDecode serialize a value through a byte slice, used by the
-// GobEncoder/GobDecoder implementations.
-func gobEncode(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(data []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
 // LoadAll reads the graphs stored in dir/ModelFileName.
 func LoadAll(dir string) ([]*Graph, error) {
-	f, err := os.Open(filepath.Join(dir, ModelFileName))
+	path := filepath.Join(dir, ModelFileName)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("model: load: %w", err)
 	}
 	defer f.Close()
-	var graphs []*Graph
-	if err := gob.NewDecoder(f).Decode(&graphs); err != nil {
-		return nil, fmt.Errorf("model: decode: %w", err)
+	graphs, err := readModels(f)
+	if err != nil {
+		return nil, fmt.Errorf("model: load %s: %w", path, err)
+	}
+	return graphs, nil
+}
+
+// readModels reads a models file from untrusted bytes: a file of another
+// format or build, a bound broken, a graph check refuses or a byte past
+// the last graph fails it.
+func readModels(r io.Reader) (graphs []*Graph, err error) {
+	defer codec.Contain(&err, "decode")
+	d := codec.NewDecoder(r)
+	d.Header(modelsMagic, modelsVersion, "written by another build; crawl again to rewrite it")
+	n := d.Count("graph")
+	graphs = make([]*Graph, 0, codec.Prealloc(n))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		graphs = append(graphs, readGraph(d))
+	}
+	d.End()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return graphs, nil
 }

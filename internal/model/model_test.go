@@ -1,10 +1,15 @@
 package model
 
 import (
+	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"ajaxcrawl/internal/codec"
 	"ajaxcrawl/internal/dom"
 )
 
@@ -152,37 +157,43 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestDecodeGraphRejectsBrokenIDs: a graph whose StateIDs do not hold
-// together must fail to decode, not reach rebuild, PathTo or the
-// indexer. gob cannot encode a nil element (and its decoder allocates
-// every element it reads), so the nil rows are checked on the wire
-// value.
+// together is neither written nor read. EncodeGraph and SaveAll refuse
+// it, and where the break survives onto the wire — a transition or the
+// initial state outside the states; the wire carries neither state IDs
+// nor nil rows — DecodeGraph refuses the bytes the bare encoder writes.
 func TestDecodeGraphRejectsBrokenIDs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
+		onWire bool
 		mutate func(g *Graph)
 	}{
-		{"state numbered out of place", func(g *Graph) { g.States[2].ID = 3 }},
-		{"negative state ID", func(g *Graph) { g.States[0].ID = -1 }},
-		{"transition from past the states", func(g *Graph) { g.Transitions[0].From = 4 }},
-		{"transition to a negative state", func(g *Graph) { g.Transitions[3].To = -1 }},
-		{"transition to past the states", func(g *Graph) { g.Transitions[4].To = 99 }},
-		{"initial past the states", func(g *Graph) { g.Initial = 4 }},
-		{"initial of a graph with no states", func(g *Graph) { g.States, g.Transitions = nil, nil }},
-		{"nil state", func(g *Graph) { g.States[1] = nil }},
-		{"nil transition", func(g *Graph) { g.Transitions[1] = nil }},
+		{"state numbered out of place", false, func(g *Graph) { g.States[2].ID = 3 }},
+		{"negative state ID", false, func(g *Graph) { g.States[0].ID = -1 }},
+		{"transition from past the states", true, func(g *Graph) { g.Transitions[0].From = 4 }},
+		{"transition to a negative state", true, func(g *Graph) { g.Transitions[3].To = -1 }},
+		{"transition to past the states", true, func(g *Graph) { g.Transitions[4].To = 99 }},
+		{"initial past the states", true, func(g *Graph) { g.Initial = 4 }},
+		{"initial of a graph with no states", true, func(g *Graph) { g.States, g.Transitions = nil, nil }},
+		{"nil state", false, func(g *Graph) { g.States[1] = nil }},
+		{"nil transition", false, func(g *Graph) { g.Transitions[1] = nil }},
 	} {
 		g := lineGraph()
 		tc.mutate(g)
-		data, err := EncodeGraph(g)
-		if err != nil {
-			w := graphWire{URL: g.URL, States: g.States, Transitions: g.Transitions, Initial: g.Initial}
-			if w.check() == nil {
-				t.Errorf("%s: accepted", tc.name)
-			}
-			continue
+		if _, err := EncodeGraph(g); err == nil {
+			t.Errorf("%s: encoded", tc.name)
 		}
-		if _, err := DecodeGraph(data); err == nil {
-			t.Errorf("%s: decoded", tc.name)
+		dir := t.TempDir()
+		if err := SaveAll(dir, []*Graph{g}); err == nil {
+			t.Errorf("%s: saved", tc.name)
+		} else if _, err := os.Stat(filepath.Join(dir, ModelFileName)); !os.IsNotExist(err) {
+			t.Errorf("%s: a refused save left a file behind (%v)", tc.name, err)
+		}
+		if tc.onWire {
+			var buf bytes.Buffer
+			g.encode(codec.NewEncoder(&buf))
+			if _, err := DecodeGraph(buf.Bytes()); err == nil {
+				t.Errorf("%s: decoded", tc.name)
+			}
 		}
 	}
 	if data, err := EncodeGraph(lineGraph()); err != nil {
@@ -190,6 +201,95 @@ func TestDecodeGraphRejectsBrokenIDs(t *testing.T) {
 	} else if _, err := DecodeGraph(data); err != nil {
 		t.Fatalf("a sound graph was refused: %v", err)
 	}
+}
+
+// TestModelsFileFromAnotherBuild: a models file the gob-era build wrote
+// and one carrying another version of this format are refused, the
+// second as written by another build.
+func TestModelsFileFromAnotherBuild(t *testing.T) {
+	gobEra, err := os.ReadFile(filepath.Join("testdata", "gob-era.ajaxmodels"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readModels(bytes.NewReader(gobEra)); err == nil {
+		t.Error("gob-era models file accepted")
+	}
+	dir := t.TempDir()
+	if err := SaveAll(dir, []*Graph{lineGraph()}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ModelFileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(modelsMagic)]++
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ve *codec.VersionError
+	if _, err := LoadAll(dir); !errors.As(err, &ve) || !strings.Contains(err.Error(), "written by another build") {
+		t.Fatalf("models file of version %d: err = %v, want a refusal naming another build", data[len(modelsMagic)], err)
+	}
+}
+
+// FuzzLoadModels feeds the models file reader arbitrary bytes, seeded
+// with a saved file, its truncations and the gob-era file it must
+// refuse. A file it accepts holds graphs that keep their StateID
+// invariants and saves back to bytes that read back to the same graphs.
+func FuzzLoadModels(f *testing.F) {
+	dir := f.TempDir()
+	g2 := lineGraph()
+	g2.URL = "/watch?v=other"
+	g2.Transitions[0].Targets = []string{"comments", "player"}
+	g2.Transitions[1].Probe = "q"
+	if err := SaveAll(dir, []*Graph{lineGraph(), g2}); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(filepath.Join(dir, ModelFileName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 16, 5, 0} {
+		f.Add(seed[:n])
+	}
+	gobEra, err := os.ReadFile(filepath.Join("testdata", "gob-era.ajaxmodels"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gobEra)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		graphs, err := readModels(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, g := range graphs {
+			if err := g.check(); err != nil {
+				t.Fatalf("accepted graph: %v", err)
+			}
+			for _, s := range g.States {
+				g.PathTo(s.ID)
+			}
+		}
+		dir := t.TempDir()
+		if err := SaveAll(dir, graphs); err != nil {
+			t.Fatalf("re-save: %v", err)
+		}
+		again, err := LoadAll(dir)
+		if err != nil {
+			t.Fatalf("re-load: %v", err)
+		}
+		if len(again) != len(graphs) {
+			t.Fatalf("re-load read %d graphs of %d", len(again), len(graphs))
+		}
+		for i := range graphs {
+			a, _ := EncodeGraph(graphs[i])
+			b, _ := EncodeGraph(again[i])
+			if !bytes.Equal(a, b) {
+				t.Fatalf("graph %d does not round-trip", i)
+			}
+		}
+	})
 }
 
 func TestLoadMissing(t *testing.T) {
