@@ -392,14 +392,12 @@ func TopKResults(rs []Result, k int) []Result {
 // indexed (0 = all). This is the "Max. State ID" knob the threshold and
 // recall experiments sweep.
 func NewEngineFromGraphsLimited(f Fetcher, graphs []*model.Graph, pageRank map[string]float64, maxStates int) *Engine {
-	shard := index.New()
 	byURL := make(map[string]*model.Graph, len(graphs))
 	for _, g := range graphs {
-		shard.AddGraph(g, pageRank[g.URL], maxStates)
 		byURL[g.URL] = g
 	}
 	return &Engine{
-		broker:   query.NewBroker([]*index.Index{shard}),
+		broker:   query.NewBroker([]*index.Index{index.Build(graphs, pageRank, maxStates)}),
 		graphs:   byURL,
 		fetcher:  f,
 		PageRank: pageRank,

@@ -116,10 +116,7 @@ func buildFromModels(ctx context.Context, root string, maxStates int) *index.Ind
 		pageRank = pre.PageRank
 		fmt.Printf("using PageRank values for %d pages\n", len(pageRank))
 	}
-	ix := index.New()
-	for _, g := range graphs {
-		ix.AddGraph(g, pageRank[g.URL], maxStates)
-	}
+	ix := index.Build(graphs, pageRank, maxStates)
 	fmt.Printf("built index over %d pages: %d states, %d terms\n",
 		len(graphs), ix.TotalStates, ix.NumTerms())
 	sp.SetAttr("postings", strconv.Itoa(ix.NumPostings()))

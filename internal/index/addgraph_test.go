@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -63,64 +64,145 @@ func randomGraphs(r *rand.Rand, n int) []*model.Graph {
 	return graphs
 }
 
-func TestAddGraphMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	fixed := twoVideoGraphs()
+// fixedGraphs are the hand-written graphs the oracle tests add to the
+// random ones: the running example and a graph of empty, token-free and
+// repeated-token states.
+func fixedGraphs() []*model.Graph {
 	empty := model.NewGraph("/empty")
 	empty.AddState(hashOf(1), "", 0)
 	empty.AddState(hashOf(2), "!!! --- ...", 1)
 	empty.AddState(hashOf(3), "Ride RIDE ride, ride", 1)
-	fixed = append(fixed, empty)
-	for _, maxStates := range []int{0, 1, 3} {
-		graphs := append(fixed, randomGraphs(r, 30)...)
-		got, want := New(), New()
-		for i, g := range graphs {
-			got.AddGraph(g, float64(i), maxStates)
-			addGraphOracle(want, g, float64(i), maxStates)
-		}
-		if got.TotalStates != want.TotalStates {
-			t.Fatalf("maxStates %d: TotalStates %d, want %d", maxStates, got.TotalStates, want.TotalStates)
-		}
-		if !reflect.DeepEqual(got.Docs, want.Docs) {
-			t.Fatalf("maxStates %d: Docs differ from the oracle", maxStates)
-		}
-		if !reflect.DeepEqual(got.Terms, want.Terms) {
-			for term, ps := range want.Terms {
-				if !reflect.DeepEqual(got.Terms[term], ps) {
-					t.Fatalf("maxStates %d: postings of %q\n got %+v\nwant %+v", maxStates, term, got.Terms[term], ps)
-				}
+	return append(twoVideoGraphs(), empty)
+}
+
+// oracleIndex indexes graphs one addGraphOracle at a time; graph i has
+// PageRank i.
+func oracleIndex(graphs []*model.Graph, maxStates int) *Index {
+	ix := New()
+	for i, g := range graphs {
+		addGraphOracle(ix, g, float64(i), maxStates)
+	}
+	return ix
+}
+
+// ranksByPosition gives graph i PageRank i, as oracleIndex does.
+func ranksByPosition(graphs []*model.Graph) map[string]float64 {
+	pr := make(map[string]float64, len(graphs))
+	for i, g := range graphs {
+		pr[g.URL] = float64(i)
+	}
+	return pr
+}
+
+// requireSame fails tb unless got holds want's documents, states and
+// postings, naming the first term whose postings differ.
+func requireSame(tb testing.TB, what string, got, want *Index) {
+	tb.Helper()
+	if got.TotalStates != want.TotalStates {
+		tb.Fatalf("%s: TotalStates %d, want %d", what, got.TotalStates, want.TotalStates)
+	}
+	if !reflect.DeepEqual(got.Docs, want.Docs) {
+		tb.Fatalf("%s: Docs differ from the oracle", what)
+	}
+	if !reflect.DeepEqual(got.docByURL, want.docByURL) {
+		tb.Fatalf("%s: docByURL %v, want %v", what, got.docByURL, want.docByURL)
+	}
+	if !reflect.DeepEqual(got.Terms, want.Terms) {
+		for term, ps := range want.Terms {
+			if !reflect.DeepEqual(got.Terms[term], ps) {
+				tb.Fatalf("%s: postings of %q\n got %+v\nwant %+v", what, term, got.Terms[term], ps)
 			}
-			t.Fatalf("maxStates %d: %d terms, want %d", maxStates, len(got.Terms), len(want.Terms))
 		}
+		tb.Fatalf("%s: %d terms, want %d", what, len(got.Terms), len(want.Terms))
 	}
 }
 
-// A state's postings share one slab; appending to one posting's
-// positions must leave every other posting's positions as they were.
+// encoded returns ix's AJIX bytes.
+func encoded(tb testing.TB, ix *Index) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := ix.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestAddGraphMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	for _, maxStates := range []int{0, 1, 3} {
+		graphs := append(fixedGraphs(), randomGraphs(r, 30)...)
+		got := New()
+		for i, g := range graphs {
+			got.AddGraph(g, float64(i), maxStates)
+		}
+		requireSame(t, fmt.Sprintf("maxStates %d", maxStates), got, oracleIndex(graphs, maxStates))
+	}
+}
+
+// TestBuildMatchesOracle: one Build lays the graphs out as the oracle
+// indexes them one by one, and encodes to the bytes of a sequential
+// AddGraph index.
+func TestBuildMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	for _, maxStates := range []int{0, 1, 3} {
+		graphs := append(fixedGraphs(), randomGraphs(r, 30)...)
+		got := Build(graphs, ranksByPosition(graphs), maxStates)
+		what := fmt.Sprintf("maxStates %d", maxStates)
+		requireSame(t, what, got, oracleIndex(graphs, maxStates))
+		seq := New()
+		for i, g := range graphs {
+			seq.AddGraph(g, float64(i), maxStates)
+		}
+		if !bytes.Equal(encoded(t, got), encoded(t, seq)) {
+			t.Fatalf("%s: Build encodes differently from sequential AddGraph", what)
+		}
+		for term, ps := range got.Terms {
+			if len(ps) != cap(ps) {
+				t.Fatalf("%s: postings of %q: len %d, cap %d", what, term, len(ps), cap(ps))
+			}
+		}
+	}
+	if got := Build(nil, nil, 0); !reflect.DeepEqual(got, New()) {
+		t.Fatalf("Build of no graphs = %+v, want an empty index", got)
+	}
+}
+
+// Postings share slabs — a state's, and with Build a whole shard's;
+// appending to one posting's positions must leave every other posting's
+// positions as they were.
 func TestPostingPositionsDoNotAlias(t *testing.T) {
 	g := model.NewGraph("/x")
 	g.AddState(hashOf(1), "a b a c b a d", 0)
-	ix := New()
-	ix.AddGraph(g, 0, 0)
-	before := map[string][]int32{}
-	for term, ps := range ix.Terms {
-		before[term] = slices.Clone(ps[0].Positions)
-	}
-	for term, ps := range ix.Terms {
-		ps[0].Positions = append(ps[0].Positions, 99, 98)
-		for other, ops := range ix.Terms {
-			if other != term && !slices.Equal(ops[0].Positions, before[other]) {
-				t.Fatalf("appending to %q changed %q: %v, want %v", term, other, ops[0].Positions, before[other])
+	one := New()
+	one.AddGraph(g, 0, 0)
+	g2 := model.NewGraph("/y")
+	g2.AddState(hashOf(1), "d c b a", 0)
+	g2.AddState(hashOf(2), "b b e a", 1)
+	shard := Build([]*model.Graph{g, g2}, nil, 0)
+	for name, ix := range map[string]*Index{"AddGraph": one, "Build": shard} {
+		before := map[*Posting][]int32{}
+		for _, ps := range ix.Terms {
+			for i := range ps {
+				before[&ps[i]] = slices.Clone(ps[i].Positions)
 			}
 		}
-		ps[0].Positions = before[term]
+		for p, was := range before {
+			p.Positions = append(p.Positions, 99, 98)
+			for other, want := range before {
+				if other != p && !slices.Equal(other.Positions, want) {
+					t.Fatalf("%s: appending to %v changed %v, want %v", name, was, other.Positions, want)
+				}
+			}
+			p.Positions = was
+		}
 	}
 }
 
-// TestAddGraphAllocs: indexing a graph allocates one positions slab per
-// state, one clone per new term and whatever the posting lists need to
-// grow — plus what the first state pays for the whole graph, which is
-// what a one-state graph of the same text pays.
+// TestAddGraphAllocs: indexing a graph allocates one positions slab and
+// one postings slab, one clone per new term and one growth per known
+// term whose list lacks room — plus what the call pays for the graph,
+// which is what a one-state graph of the same vocabulary pays. A graph's
+// state count does not enter.
 func TestAddGraphAllocs(t *testing.T) {
 	vocab := make([]string, 40)
 	for i := range vocab {
@@ -143,7 +225,7 @@ func TestAddGraphAllocs(t *testing.T) {
 		}
 	}
 	// measure reports AddGraph's allocations on an index that already
-	// holds the known terms, and how often posting lists grew.
+	// holds the known terms, and how many known lists had to grow.
 	measure := func(g *model.Graph) (allocs, growth float64) {
 		const runs = 20
 		fresh := make([]*Index, runs+1)
@@ -153,22 +235,15 @@ func TestAddGraphAllocs(t *testing.T) {
 		}
 		ref := New()
 		ref.AddGraph(seed, 0, 0)
-		caps := map[string]int{}
+		room := map[string]int{}
+		lens := map[string]int{}
 		for term, ps := range ref.Terms {
-			caps[term] = cap(ps)
+			room[term], lens[term] = cap(ps)-len(ps), len(ps)
 		}
 		ref.AddGraph(g, 0, 0)
 		for term, ps := range ref.Terms {
-			n := len(ps) - 1
-			if caps[term] == 0 {
-				n = len(ps)
-			}
-			sim := make([]Posting, len(ps)-n, caps[term])
-			for ; n > 0; n-- {
-				if len(sim) == cap(sim) {
-					growth++
-				}
-				sim = append(sim, Posting{})
+			if n, ok := lens[term]; ok && len(ps)-n > room[term] {
+				growth++
 			}
 		}
 		next := 0
@@ -182,9 +257,96 @@ func TestAddGraphAllocs(t *testing.T) {
 	narrowAllocs, narrowGrowth := measure(narrow)
 	newTerms := float64(len(vocab) - len(known))
 	t.Logf("wide %v allocs (%v growth), narrow %v (%v growth), %v new terms", wideAllocs, wideGrowth, narrowAllocs, narrowGrowth, newTerms)
-	perGraph := narrowAllocs - 1 - newTerms - narrowGrowth
-	if want := states + newTerms + wideGrowth + perGraph; wideAllocs > want {
-		t.Fatalf("AddGraph of %d states allocates %v times, want ≤ %v = states + %v new terms + %v posting-list growth + %v per graph",
+	perGraph := narrowAllocs - newTerms - narrowGrowth
+	if want := newTerms + wideGrowth + perGraph; wideAllocs > want {
+		t.Fatalf("AddGraph of %d states allocates %v times, want ≤ %v = %v new terms + %v list growth + %v per graph",
 			states, wideAllocs, want, newTerms, wideGrowth, perGraph)
 	}
+}
+
+// TestBuildAllocs: over a fixed vocabulary, Build allocates as often
+// for 200 states as for 20 — the slabs grow, their count does not.
+func TestBuildAllocs(t *testing.T) {
+	vocab := make([]string, 40)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("Term%d", i) // mixed case: lowered into the buffer
+	}
+	graphs := func(states int) []*model.Graph {
+		var gs []*model.Graph
+		for gi := 0; gi < 2; gi++ {
+			g := model.NewGraph(fmt.Sprintf("/g%d", gi))
+			for si := 0; si < states/2; si++ {
+				words := append(slices.Clone(vocab[si%len(vocab):]), vocab[:si%len(vocab)]...)
+				g.AddState(hashOf(byte(si)), strings.Join(words, " "), si%3)
+			}
+			gs = append(gs, g)
+		}
+		return gs
+	}
+	allocs := func(gs []*model.Graph) float64 {
+		return testing.AllocsPerRun(10, func() { Build(gs, nil, 0) })
+	}
+	small, large := allocs(graphs(20)), allocs(graphs(200))
+	t.Logf("20 states: %v allocs, 200 states: %v", small, large)
+	if large != small {
+		t.Fatalf("Build allocates %v times for 200 states, %v for 20: want the same count", large, small)
+	}
+}
+
+// built keeps BenchmarkBuild's result live.
+var built *Index
+
+// BenchmarkBuild builds one shard of 200 random graphs.
+func BenchmarkBuild(b *testing.B) {
+	graphs := append(fixedGraphs(), randomGraphs(rand.New(rand.NewSource(35)), 200)...)
+	pr := ranksByPosition(graphs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		built = Build(graphs, pr, 0)
+	}
+}
+
+// FuzzBuild turns bytes into graphs and holds Build and sequential
+// AddGraph to the oracle, which tokenizes with Tokenize, the query
+// side's tokenizer: 0xFF ends a graph, 0xFE a state; the first byte
+// picks maxStates. All three must encode to the same bytes, and those
+// must decode.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte("\x00morcheeba mysterious video\xfeMorcheeba singer, RIDE\xffvideo ride ride"))
+	f.Add([]byte("\x01\xfe\xfe!!! ---\xff\xffÉTÉ été Été\xfehéllo Wörld\xc3"))
+	f.Add([]byte("\x03a b a c b a d\xfeb b e a\xfed\xfec\xfeb\xffa\xfeA\xfe\xe1\xba\x9e\xe1\xba\x9e"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		maxStates := int(data[0] % 4)
+		var graphs []*model.Graph
+		for gi, gdata := range bytes.Split(data[1:], []byte{0xff}) {
+			g := model.NewGraph(fmt.Sprintf("/g%d", gi))
+			for si, text := range bytes.Split(gdata, []byte{0xfe}) {
+				g.AddState(hashOf(byte(si)), string(text), si%4)
+			}
+			graphs = append(graphs, g)
+		}
+		want := oracleIndex(graphs, maxStates)
+		got := Build(graphs, ranksByPosition(graphs), maxStates)
+		requireSame(t, "Build", got, want)
+		seq := New()
+		for i, g := range graphs {
+			seq.AddGraph(g, float64(i), maxStates)
+		}
+		requireSame(t, "AddGraph", seq, want)
+		enc := encoded(t, got)
+		if !bytes.Equal(enc, encoded(t, seq)) || !bytes.Equal(enc, encoded(t, want)) {
+			t.Fatal("Build, AddGraph and the oracle encode differently")
+		}
+		back, err := Decode(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if err := back.validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -5,10 +5,11 @@
 // ranking, per-state token counts for tf, and per-state AJAXRank plus
 // per-URL PageRank for the composite ranking formula 5.3.
 //
-// Indexes are built incrementally, one application model at a time
-// (AddGraph), and serialize to disk in a delta+varint format (Encode) —
-// one index shard per ShardPages consecutive URLs of the crawl in the
-// parallel architecture (ch. 6; see Sharder).
+// A shard is built in one pass over its application models (Build;
+// AddGraph adds one more to an index) and serializes to disk in a
+// delta+varint format (Encode) — one index shard per ShardPages
+// consecutive URLs of the crawl in the parallel architecture (ch. 6; see
+// Sharder).
 package index
 
 import (
@@ -86,95 +87,178 @@ func AJAXRank(depth int) float64 {
 // ID < maxStates are indexed (maxStates <= 0 means all): state IDs are
 // assigned in BFS discovery order, so this reproduces the thesis's
 // "Max. State ID" index-building knob used by the threshold and recall
-// experiments (§8.3.1, §7.7).
-//
-// A state's postings share one positions slab, carved by term in order of
-// first occurrence; each Posting.Positions is a window capped at its own
-// length, so an append to one copies instead of overwriting its neighbour.
-// State IDs are positions (AddState and GobDecode guarantee it), so the
-// postings, appended state by state, stay in (doc, state) order, and a
-// state's ID indexes its StateLens, AJAXRanks and Texts entries.
+// experiments (§8.3.1, §7.7). It panics on a URL the index already holds.
 func (ix *Index) AddGraph(g *model.Graph, pageRank float64, maxStates int) {
-	if _, dup := ix.docByURL[g.URL]; dup {
-		// Re-adding a URL would corrupt posting order; refuse silently
-		// is worse than loud: panic signals a caller bug early.
-		panic("index: AddGraph: duplicate URL " + g.URL)
-	}
-	doc := DocID(len(ix.Docs))
-	// State IDs run 0, 1, ...: this many states will be indexed. Grow
-	// leaves a graph without states its nil slices.
-	states := len(g.States)
-	if maxStates > 0 {
-		states = min(states, maxStates)
-	}
-	info := DocInfo{
-		URL:       g.URL,
-		PageRank:  pageRank,
-		StateLens: slices.Grow([]int32(nil), states),
-		AJAXRanks: slices.Grow([]float64(nil), states),
-		Texts:     slices.Grow([]string(nil), states),
-	}
-	ix.docByURL[g.URL] = doc
-
-	// Scratch reused across the graph's states: the tokens, each token's
-	// term ID within the state, and per term ID its span of the slab.
-	var (
-		tokens []string
-		ids    []int32
-		spans  []termSpan
-		termID = make(map[string]int32)
-	)
-	for _, s := range g.States {
-		if maxStates > 0 && int(s.ID) >= maxStates {
-			continue
-		}
-		tokens = appendTokens(tokens[:0], s.Text)
-		info.States++
-		info.StateLens = append(info.StateLens, int32(len(tokens)))
-		info.AJAXRanks = append(info.AJAXRanks, AJAXRank(s.Depth))
-		info.Texts = append(info.Texts, s.Text)
-		ix.TotalStates++
-		clear(termID)
-		ids, spans = ids[:0], spans[:0]
-		for _, tok := range tokens {
-			id, seen := termID[tok]
-			if !seen {
-				id = int32(len(spans))
-				termID[tok] = id
-				spans = append(spans, termSpan{term: tok})
-			}
-			spans[id].end++ // a count until the spans are laid out
-			ids = append(ids, id)
-		}
-		var off int32
-		for i := range spans {
-			n := spans[i].end
-			spans[i].start, spans[i].end = off, off
-			off += n
-		}
-		slab := make([]int32, len(tokens))
-		for pos, id := range ids {
-			slab[spans[id].end] = int32(pos)
-			spans[id].end++
-		}
-		for _, sp := range spans {
-			term := sp.term
-			ps, known := ix.Terms[term]
-			if !known {
-				// A token may be a substring of s.Text; the vocabulary
-				// keeps its own copy, so Texts holds the one reference.
-				term = strings.Clone(term)
-			}
-			ix.Terms[term] = append(ps, Posting{Doc: doc, State: s.ID, Positions: slab[sp.start:sp.end:sp.end]})
-		}
-	}
-	ix.Docs = append(ix.Docs, info)
+	ix.add(new(builder), []*model.Graph{g}, map[string]float64{g.URL: pageRank}, maxStates)
 }
 
-// termSpan is one term's window [start, end) of a state's positions slab.
-type termSpan struct {
-	term       string
-	start, end int32
+// builder is the scratch of add: the call's vocabulary and every indexed
+// token's term ID. A Sharder keeps one across its shards.
+type builder struct {
+	ids   map[string]int32 // term → ID within the call
+	terms []termBuild      // by ID
+	toks  []int32          // the term ID of every indexed token, state by state
+	lower []byte           // the current token, lower-cased
+}
+
+// termBuild is one term's scratch in an add call.
+type termBuild struct {
+	key  string
+	list []Posting // nil for a term the index does not hold yet
+	df   int32     // the call's postings of the term
+	occ  int32     // the call's occurrences of the term
+	seen int32     // the last state, numbered from 1, the term occurred in
+	// The term's run of the positions slab: where its current posting's
+	// window starts, and the next free slot.
+	start, next int32
+}
+
+// add indexes graphs in two passes and returns the postings it added.
+// Pass 1 scans each state once, lower-casing a mixed-case token into a
+// reused buffer, gives each term an ID, records every token's ID and
+// counts each term's postings and occurrences. Pass 2 carves the new
+// terms' lists from one []Posting and every posting's positions from one
+// []int32 of the call's token count, in which each term's positions are
+// one run, posting after posting. Every window is capped at its own
+// length, so an append to one copies instead of overwriting its
+// neighbour. A term the index already holds keeps its list, grown once
+// by the call. State IDs are positions (AddState and the model decoder
+// guarantee it), so the postings stay in (doc, state) order and a
+// state's ID indexes its StateLens, AJAXRanks and Texts entries.
+func (ix *Index) add(b *builder, graphs []*model.Graph, pageRank map[string]float64, maxStates int) (postings int) {
+	if ix.docByURL == nil {
+		ix.docByURL = make(map[string]DocID, len(graphs))
+	}
+	for i, g := range graphs {
+		if _, dup := ix.docByURL[g.URL]; dup {
+			// Re-adding a URL would corrupt posting order; refuse silently
+			// is worse than loud: panic signals a caller bug early.
+			panic("index: duplicate URL " + g.URL)
+		}
+		ix.docByURL[g.URL] = DocID(len(ix.Docs) + i)
+	}
+	if b.ids == nil {
+		b.ids = make(map[string]int32)
+	}
+	indexed := func(g *model.Graph) []*model.State {
+		if maxStates > 0 && len(g.States) > maxStates {
+			return g.States[:maxStates]
+		}
+		return g.States
+	}
+	// A token and its separator take two bytes at least.
+	bound := 0
+	for _, g := range graphs {
+		for _, s := range indexed(g) {
+			bound += (len(s.Text) + 1) / 2
+		}
+	}
+	b.toks = slices.Grow(b.toks[:0], bound)
+
+	firstDoc := len(ix.Docs)
+	ix.Docs = slices.Grow(ix.Docs, len(graphs))
+	var state, fresh int32
+	for _, g := range graphs {
+		states := indexed(g)
+		// Grow leaves a graph without states its nil slices.
+		info := DocInfo{
+			URL:       g.URL,
+			PageRank:  pageRank[g.URL],
+			States:    len(states),
+			StateLens: slices.Grow([]int32(nil), len(states)),
+			AJAXRanks: slices.Grow([]float64(nil), len(states)),
+			Texts:     slices.Grow([]string(nil), len(states)),
+		}
+		for _, s := range states {
+			state++
+			start := len(b.toks)
+			for sc := Scan(s.Text); sc.Next(); {
+				id := b.id(ix, &sc)
+				b.toks = append(b.toks, id)
+				t := &b.terms[id]
+				if t.seen != state {
+					t.seen = state
+					t.df++
+					if t.list == nil {
+						fresh++
+					}
+				}
+				t.occ++
+			}
+			info.StateLens = append(info.StateLens, int32(len(b.toks)-start))
+			info.AJAXRanks = append(info.AJAXRanks, AJAXRank(s.Depth))
+			info.Texts = append(info.Texts, s.Text)
+		}
+		ix.TotalStates += len(states)
+		ix.Docs = append(ix.Docs, info)
+	}
+
+	slab := make([]Posting, fresh)
+	var run int32
+	for i := range b.terms {
+		t := &b.terms[i]
+		if t.list == nil {
+			t.list, slab = slab[:0:t.df], slab[t.df:]
+		} else {
+			t.list = slices.Grow(t.list, int(t.df))
+		}
+		t.next, run = run, run+t.occ
+		postings += int(t.df)
+	}
+	positions := make([]int32, len(b.toks))
+	var off int32
+	for d := firstDoc; d < len(ix.Docs); d++ {
+		for sid, n := range ix.Docs[d].StateLens {
+			state++ // pass 2 numbers its states past pass 1's
+			for pos, id := range b.toks[off : off+n] {
+				t := &b.terms[id]
+				if t.seen != state {
+					t.seen, t.start = state, t.next
+					t.list = append(t.list, Posting{Doc: DocID(d), State: model.StateID(sid)})
+				}
+				positions[t.next] = int32(pos)
+				t.next++
+				t.list[len(t.list)-1].Positions = positions[t.start:t.next:t.next]
+			}
+			off += n
+		}
+	}
+
+	if ix.Terms == nil {
+		ix.Terms = make(map[string][]Posting, len(b.terms))
+	}
+	for _, t := range b.terms {
+		ix.Terms[t.key] = t.list
+	}
+	// Drop the call's references: a Sharder's builder outlives its shards.
+	clear(b.ids)
+	clear(b.terms)
+	b.terms = b.terms[:0]
+	return postings
+}
+
+// id returns the current token's term ID in the call, adding the term on
+// its first occurrence. A term new to the index gets its own copy of the
+// token, so the vocabulary never points into a state's text.
+func (b *builder) id(ix *Index, sc *Scanner) int32 {
+	term := sc.raw
+	if sc.mixed {
+		b.lower = sc.AppendLower(b.lower[:0])
+		if id, ok := b.ids[string(b.lower)]; ok {
+			return id
+		}
+		term = string(b.lower)
+	} else if id, ok := b.ids[term]; ok {
+		return id
+	}
+	list := ix.Terms[term]
+	if list == nil && !sc.mixed {
+		term = strings.Clone(term)
+	}
+	id := int32(len(b.terms))
+	b.ids[term] = id
+	b.terms = append(b.terms, termBuild{key: term, list: list})
+	return id
 }
 
 // Lookup returns the posting list of a term (nil when absent). The list
@@ -225,8 +309,9 @@ func (ix *Index) NumPostings() int {
 	return total
 }
 
-// Build constructs an index over a set of graphs. pageRank may be nil
-// (all zeros). maxStates limits states per page as in AddGraph.
+// Build constructs an index over a set of graphs of distinct URLs.
+// pageRank may be nil (all zeros). maxStates limits states per page as in
+// AddGraph.
 func Build(graphs []*model.Graph, pageRank map[string]float64, maxStates int) *Index {
 	return BuildCtx(context.Background(), graphs, pageRank, maxStates)
 }
@@ -235,12 +320,17 @@ func Build(graphs []*model.Graph, pageRank map[string]float64, maxStates int) *I
 // sink, the build is wrapped in an index.build span that records its
 // posting count.
 func BuildCtx(ctx context.Context, graphs []*model.Graph, pageRank map[string]float64, maxStates int) *Index {
+	return new(builder).build(ctx, graphs, pageRank, maxStates)
+}
+
+// build is BuildCtx on b's scratch. The index it returns is laid out
+// exactly: every posting list and positions window is as long as its
+// capacity, and Terms is sized to the vocabulary.
+func (b *builder) build(ctx context.Context, graphs []*model.Graph, pageRank map[string]float64, maxStates int) *Index {
 	_, sp := obs.StartSpan(ctx, obs.SpanIndexBuild, obs.A("graphs", strconv.Itoa(len(graphs))))
-	ix := New()
-	for _, g := range graphs {
-		ix.AddGraph(g, pageRank[g.URL], maxStates)
-	}
-	sp.SetAttr("postings", strconv.Itoa(ix.NumPostings()))
+	ix := &Index{}
+	postings := ix.add(b, graphs, pageRank, maxStates)
+	sp.SetAttr("postings", strconv.Itoa(postings))
 	sp.End(nil)
 	return ix
 }
@@ -304,9 +394,10 @@ func (s *Scanner) Is(term string) bool {
 }
 
 // Tokenize splits text into lower-case index terms: the Scanner's
-// tokens, collected. Both indexing and query parsing use it, so the two
-// sides always agree. A token the text spells in lower case is returned
-// as a substring of it: clone one before keeping it past the text.
+// tokens, collected. Query parsing uses it and indexing scans with the
+// same Scanner, so the two sides always agree. A token the text spells
+// in lower case is returned as a substring of it: clone one before
+// keeping it past the text.
 func Tokenize(text string) []string {
 	n := 0
 	for sc := Scan(text); sc.Next(); {
@@ -315,14 +406,10 @@ func Tokenize(text string) []string {
 	if n == 0 {
 		return nil
 	}
-	return appendTokens(make([]string, 0, n), text)
-}
-
-// appendTokens appends the terms of text to dst.
-func appendTokens(dst []string, text string) []string {
+	toks := make([]string, 0, n)
 	for sc := Scan(text); sc.Next(); {
 		// A token is valid UTF-8, so this is the rune-by-rune lowering.
-		dst = append(dst, strings.ToLower(sc.raw))
+		toks = append(toks, strings.ToLower(sc.raw))
 	}
-	return dst
+	return toks
 }

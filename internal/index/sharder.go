@@ -22,6 +22,7 @@ type Sharder struct {
 	chunk    int
 	pending  []*model.Graph
 	shards   []*Index
+	b        builder
 }
 
 // NewSharder returns a Sharder for a crawl of urls. pageRank may be nil
@@ -62,7 +63,7 @@ func (s *Sharder) Shards(ctx context.Context) []*Index {
 
 func (s *Sharder) flush(ctx context.Context) {
 	if len(s.pending) > 0 {
-		s.shards = append(s.shards, BuildCtx(ctx, s.pending, s.pageRank, 0))
+		s.shards = append(s.shards, s.b.build(ctx, s.pending, s.pageRank, 0))
 		s.pending = s.pending[:0]
 	}
 }

@@ -326,6 +326,9 @@ func SaveAll(dir string, graphs []*Graph) error {
 			return fmt.Errorf("model: save: %w", err)
 		}
 	}
+	if err := distinctURLs(graphs); err != nil {
+		return fmt.Errorf("model: save: %w", err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("model: save: %w", err)
 	}
@@ -357,8 +360,8 @@ func LoadAll(dir string) ([]*Graph, error) {
 }
 
 // readModels reads a models file from untrusted bytes: a file of another
-// format or build, a bound broken, a graph check refuses or a byte past
-// the last graph fails it.
+// format or build, a bound broken, a graph check refuses, a second graph
+// of one URL or a byte past the last graph fails it.
 func readModels(r io.Reader) (graphs []*Graph, err error) {
 	defer codec.Contain(&err, "decode")
 	d := codec.NewDecoder(r)
@@ -372,5 +375,21 @@ func readModels(r io.Reader) (graphs []*Graph, err error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
+	if err := distinctURLs(graphs); err != nil {
+		return nil, err
+	}
 	return graphs, nil
+}
+
+// distinctURLs refuses a second graph of one URL: the models file holds
+// one application model per page, and an index holds one document per URL.
+func distinctURLs(graphs []*Graph) error {
+	seen := make(map[string]struct{}, len(graphs))
+	for _, g := range graphs {
+		if _, dup := seen[g.URL]; dup {
+			return fmt.Errorf("duplicate graph URL %q", g.URL)
+		}
+		seen[g.URL] = struct{}{}
+	}
+	return nil
 }

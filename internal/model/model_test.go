@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -233,6 +234,41 @@ func TestModelsFileFromAnotherBuild(t *testing.T) {
 	}
 }
 
+// duplicateURLFile is a models file holding lineGraph twice, written by
+// hand: SaveAll refuses to write it.
+func duplicateURLFile(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	e := codec.NewEncoder(&buf)
+	e.Header(modelsMagic, modelsVersion)
+	e.Uvarint(2)
+	lineGraph().encode(e)
+	lineGraph().encode(e)
+	return buf.Bytes()
+}
+
+// TestDuplicateGraphURLIsRefused: a models file that repeats a URL fails
+// to load, which would otherwise panic the index build of ajaxsearch,
+// and SaveAll refuses to write one, before it touches the file.
+func TestDuplicateGraphURLIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, ModelFileName)
+	if err := os.WriteFile(path, duplicateURLFile(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("duplicate graph URL %q", lineGraph().URL)
+	if _, err := LoadAll(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadAll of a file repeating a URL: err = %v, want %q", err, want)
+	}
+	fresh := t.TempDir()
+	if err := SaveAll(fresh, []*Graph{lineGraph(), lineGraph()}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("SaveAll of a repeated URL: err = %v, want %q", err, want)
+	}
+	if _, err := os.Stat(filepath.Join(fresh, ModelFileName)); !os.IsNotExist(err) {
+		t.Fatalf("a refused save left a file behind (%v)", err)
+	}
+}
+
 // FuzzLoadModels feeds the models file reader arbitrary bytes, seeded
 // with a saved file, its truncations and the gob-era file it must
 // refuse. A file it accepts holds graphs that keep their StateID
@@ -258,6 +294,7 @@ func FuzzLoadModels(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(gobEra)
+	f.Add(duplicateURLFile(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		graphs, err := readModels(bytes.NewReader(data))
 		if err != nil {
