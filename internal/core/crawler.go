@@ -470,6 +470,19 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 	snapshots := map[model.StateID]*browser.Snapshot{initial: page.Snapshot()}
 	queue := []model.StateID{initial}
 
+	// intern gives each distinct string a transition keeps one copy per
+	// page: sources, handler code and target ids are cut from the page's
+	// HTML and XHR bodies, which a kept graph must not pin.
+	interned := map[string]string{}
+	intern := func(s string) string {
+		c, ok := interned[s]
+		if !ok {
+			c = strings.Clone(s)
+			interned[c] = c
+		}
+		return c
+	}
+
 	// explore rolls the page back to state cur (Alg. 3.1.1 line 17),
 	// fires one event or form probe through trigger, charges its XHR
 	// traffic to the page — every send is a network call or a hot-node
@@ -504,11 +517,11 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 		graph.AddTransition(&model.Transition{
 			From:       cur,
 			To:         newID,
-			Source:     ev.Source(),
-			Event:      ev.Type,
-			Code:       ev.Code,
-			SourcePath: ev.Path,
-			Targets:    diffTargets(snap.Doc(), page.Doc),
+			Source:     intern(ev.Source()),
+			Event:      intern(ev.Type),
+			Code:       intern(ev.Code),
+			SourcePath: intern(ev.Path),
+			Targets:    diffTargets(snap.Doc(), page.Doc, intern),
 			Action:     "innerHTML",
 			Probe:      probe,
 		})
@@ -593,8 +606,8 @@ func ctxAbort(ctx context.Context, err error) bool {
 // content differs between the pre-event DOM and the current one — the
 // transition's target annotation (Table 2.1). An element is matched to
 // its old self by id (the first with that id, as getElementById has it)
-// and reported when the two digests differ; nothing beneath a matched
-// element is looked at.
+// and reported, through keep, when the two digests differ; nothing
+// beneath a matched element is looked at.
 //
 // Both documents are hashed by the time a transition is recorded, so this
 // is a walk over cached digests: old and new are descended in lockstep
@@ -603,7 +616,7 @@ func ctxAbort(ctx context.Context, err error) bool {
 // digests, so nothing inside them can be a target. What is left to visit
 // is the path to each change; every identified element on it costs one
 // scan of the old document.
-func diffTargets(oldDoc, newDoc *dom.Node) []string {
+func diffTargets(oldDoc, newDoc *dom.Node, keep func(string) string) []string {
 	var targets []string
 	var walk func(o, n *dom.Node)
 	walk = func(o, n *dom.Node) {
@@ -614,7 +627,7 @@ func diffTargets(oldDoc, newDoc *dom.Node) []string {
 			if id := n.ID(); id != "" {
 				if old := oldDoc.ElementByID(id); old != nil {
 					if dom.CanonicalHash(old) != dom.CanonicalHash(n) {
-						targets = append(targets, id)
+						targets = append(targets, keep(id))
 					}
 					return
 				}

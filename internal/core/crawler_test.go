@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"maps"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -307,7 +308,7 @@ func TestDiffTargets(t *testing.T) {
 			`<p>new</p><div id="a">x</div><div id="b">z</div>`, []string{"b"}},
 		{"old id gone", `<div id="a">x</div><div id="b">y</div>`, `<div id="b">y</div>`, nil},
 	} {
-		if got := diffTargets(html.Parse(c.before), html.Parse(c.after)); !slices.Equal(got, c.want) {
+		if got := diffTargets(html.Parse(c.before), html.Parse(c.after), strings.Clone); !slices.Equal(got, c.want) {
 			t.Errorf("%s: targets = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -591,4 +592,51 @@ func TestCallOutsideContractIsAHandlerError(t *testing.T) {
 	if !slices.Equal(texts, okTexts) || len(texts) != 2 || len(ok.States) != 3 {
 		t.Fatalf("states %q, want %q (2 states)", texts, okTexts)
 	}
+}
+
+// TestKeptGraphReleasesFetchedBodies: a crawled graph keeps its own
+// copies of the strings its transitions hold, not substrings of the
+// bodies the crawl fetched. The page's second event is declared inside
+// an XHR fragment that carries 4 MiB of padding; once the crawl is done
+// and only the graph is kept, the padding must be collectable.
+func TestKeptGraphReleasesFetchedBodies(t *testing.T) {
+	const pad = 4 << 20
+	page := `<html><head><script>
+function load(p) {
+	var req = new XMLHttpRequest();
+	req.open("GET", "/frag?p=" + p, false);
+	req.send(null);
+	document.getElementById("box").innerHTML = req.responseText;
+}
+</script></head><body><div id="box"><span id="go1" onclick="load(1)">start</span></div></body></html>`
+	f := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
+		body := page
+		switch {
+		case strings.HasSuffix(rawurl, "p=1"):
+			body = `<span id="go2" onclick="load(2)">page one</span><!--` + strings.Repeat("x", pad) + `-->`
+		case strings.HasSuffix(rawurl, "p=2"):
+			body = `<span>page two</span>`
+		}
+		return &fetch.Response{Status: 200, Body: []byte(body), ContentType: "text/html"}, nil
+	})
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	g, _, err := New(f, Options{}).CrawlPage(context.Background(), "/pad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	if g.NumStates() != 3 || len(g.Transitions) != 2 || g.Transitions[1].Code != "load(2)" {
+		t.Fatalf("crawl found %d states, transitions %+v", g.NumStates(), g.Transitions)
+	}
+	if after > before && after-before >= 1<<20 {
+		t.Fatalf("the kept graph holds %d KiB of heap, want < 1 MiB: it pins a fetched body", (after-before)>>10)
+	}
+	runtime.KeepAlive(g)
 }

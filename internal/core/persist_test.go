@@ -99,7 +99,12 @@ func TestPersistedBytesAreStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := BuildProfileFromGraph(graphs)
+	cp := NewCrawlProfile()
+	for _, g := range graphs {
+		for _, tr := range g.Transitions {
+			cp.record(g.URL, browser.Event{Type: tr.Event, Code: tr.Code, Path: tr.SourcePath, ID: tr.Source}, OutcomeNewState)
+		}
+	}
 	for i := 0; i < 6; i++ {
 		cp.record(fmt.Sprintf("/watch?v=%d", i), browser.Event{Type: "onclick", ID: fmt.Sprint("e", i), Code: "f()"}, OutcomeNoChange)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"ajaxcrawl/internal/browser"
 	"ajaxcrawl/internal/codec"
-	"ajaxcrawl/internal/model"
 )
 
 // This file implements the "repetitive crawling" future-work direction of
@@ -197,19 +196,4 @@ func decodeCrawlProfile(r io.Reader) (cp *CrawlProfile, err error) {
 		}
 	}
 	return cp, nil
-}
-
-// BuildProfileFromGraph reconstructs a profile from a stored application
-// model: every transition's event was productive. Events absent from the
-// graph are unknown (not marked unproductive), so this profile is
-// conservative — it never skips.
-func BuildProfileFromGraph(graphs []*model.Graph) *CrawlProfile {
-	cp := NewCrawlProfile()
-	for _, g := range graphs {
-		for _, tr := range g.Transitions {
-			ev := browser.Event{Type: tr.Event, Code: tr.Code, Path: tr.SourcePath, ID: tr.Source}
-			cp.record(g.URL, ev, OutcomeNewState)
-		}
-	}
-	return cp
 }

@@ -10,7 +10,6 @@ import (
 
 	"ajaxcrawl/internal/browser"
 	"ajaxcrawl/internal/fetch"
-	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/webapp"
 )
 
@@ -205,29 +204,6 @@ func FuzzLoadCrawlProfile(f *testing.F) {
 		}
 		cp.ShouldSkip("/watch?v=0", browser.Event{})
 	})
-}
-
-func TestBuildProfileFromGraph(t *testing.T) {
-	site, f := newSiteFetcher(30, 2)
-	v := multiPageVideo(t, site, 3)
-	url := webapp.WatchURL(v.ID)
-	c := New(f, Options{UseHotNode: true})
-	g, _, err := c.CrawlPage(context.Background(), url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profile := BuildProfileFromGraph([]*model.Graph{g})
-	if profile.NumEvents() == 0 {
-		t.Fatalf("profile from graph is empty")
-	}
-	// Conservative: a graph-derived profile never skips anything.
-	for _, pp := range profile.Pages {
-		for key, outcome := range pp.Events {
-			if outcome != OutcomeNewState {
-				t.Fatalf("graph-derived outcome for %q = %v", key, outcome)
-			}
-		}
-	}
 }
 
 func TestFocusedCrawlPrunesIrrelevantStates(t *testing.T) {

@@ -82,6 +82,3 @@ func (b *Bloom) MaybeContains(s string) bool {
 	}
 	return true
 }
-
-// Bits returns the filter's size in bits (diagnostics).
-func (b *Bloom) Bits() int { return int(b.m) }

@@ -203,14 +203,6 @@ func (f *Frontier) Len() int {
 	return f.size
 }
 
-// Admitted reports whether url was ever admitted (exact, seed or
-// dynamic — MarkSeen URLs do not count).
-func (f *Frontier) Admitted(url string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.admitted[url]
-}
-
 // push enqueues under f.mu.
 func (f *Frontier) push(it Item) {
 	heap.Push(&f.tiers[f.tierOf(it.Priority)], it)

@@ -165,13 +165,6 @@ func (s *Scheduler) Cancel() {
 	s.mu.Unlock()
 }
 
-// Outstanding returns the number of unretired items (diagnostics).
-func (s *Scheduler) Outstanding() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.outstanding
-}
-
 // deque is a line's local FIFO: popFront serves the owner, stealBack
 // serves siblings. The head cursor avoids the reslice-pins-the-array
 // leak; the buffer compacts once the head passes half the backing

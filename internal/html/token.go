@@ -53,11 +53,6 @@ type Tokenizer struct {
 	attrs   []Attr // the attributes of the last tag, reused for every tag
 }
 
-// NewTokenizer returns a Tokenizer reading from src.
-func NewTokenizer(src string) *Tokenizer {
-	return &Tokenizer{src: src}
-}
-
 // Next returns the next token. After the input is exhausted it returns
 // tokens of type ErrorToken forever.
 func (z *Tokenizer) Next() Token {

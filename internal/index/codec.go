@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"ajaxcrawl/internal/codec"
-	"ajaxcrawl/internal/model"
 )
 
 // On-disk index format, the one codec of a shard file, written with
@@ -78,9 +77,9 @@ func (ix *Index) Encode(w io.Writer) error {
 			e.Uvarint(uint64(p.Doc - prevDoc))
 			prevDoc = p.Doc
 			e.Uvarint(uint64(p.State))
-			e.Uvarint(uint64(len(p.Positions)))
+			e.Uvarint(uint64(p.N))
 			prev := int32(0)
-			for _, pos := range p.Positions {
+			for _, pos := range ix.Positions(p) {
 				e.Uvarint(uint64(pos - prev))
 				prev = pos
 			}
@@ -109,7 +108,8 @@ func (ix *Index) Save(path string) error {
 // daemon loads snapshots straight off disk — so counts are bounded,
 // pre-allocations capped, the result validated before it is handed out,
 // and any panic the decoder raises on corrupt input converted to an
-// error.
+// error. Every posting's positions are appended to the one slab, so the
+// allocations follow the terms and docs, not the postings.
 func Decode(r io.Reader) (ix *Index, err error) {
 	defer codec.Contain(&err, "index: decode")
 	d := codec.NewDecoder(r)
@@ -144,6 +144,8 @@ func readIndex(d *codec.Decoder) *Index {
 		Docs:     make([]DocInfo, 0, codec.Prealloc(docs)),
 		docByURL: make(map[string]DocID, codec.Prealloc(docs)),
 	}
+	// A valid index has one position per token: tokens bounds the slab.
+	tokens := uint64(0)
 	for i := 0; i < docs && d.Err() == nil; i++ {
 		var doc DocInfo
 		doc.URL = d.String()
@@ -151,7 +153,11 @@ func readIndex(d *codec.Decoder) *Index {
 		doc.States = d.Count("state")
 		doc.StateLens = make([]int32, 0, codec.Prealloc(doc.States))
 		for j := 0; j < doc.States && d.Err() == nil; j++ {
-			doc.StateLens = append(doc.StateLens, int32(d.Uvarint()))
+			n := d.Uvarint()
+			if tokens += n; n > math.MaxInt32 || tokens > math.MaxUint32 {
+				d.Fail(fmt.Errorf("states hold %d+ tokens, past the uint32 position offsets", tokens))
+			}
+			doc.StateLens = append(doc.StateLens, int32(n))
 		}
 		doc.AJAXRanks = make([]float64, 0, codec.Prealloc(doc.States))
 		for j := 0; j < doc.States && d.Err() == nil; j++ {
@@ -168,6 +174,7 @@ func readIndex(d *codec.Decoder) *Index {
 
 	terms := d.Count("term")
 	ix.Terms = make(map[string][]Posting, codec.Prealloc(terms))
+	ix.positions = make([]int32, 0, codec.Prealloc(int(tokens)))
 	for i := 0; i < terms && d.Err() == nil; i++ {
 		term := d.String()
 		n := d.Count("posting")
@@ -175,28 +182,38 @@ func readIndex(d *codec.Decoder) *Index {
 		prevDoc := DocID(0)
 		for j := 0; j < n && d.Err() == nil; j++ {
 			prevDoc += DocID(d.Uvarint())
-			p := Posting{Doc: prevDoc, State: model.StateID(d.Count("state-id"))}
+			p := Posting{Doc: prevDoc, State: int32(d.Count("state-id")), Off: uint32(len(ix.positions))}
 			pc := d.Count("position")
-			p.Positions = make([]int32, 0, codec.Prealloc(pc))
+			if uint64(len(ix.positions)+pc) > tokens {
+				d.Fail(fmt.Errorf("more positions than the states' %d tokens", tokens))
+			}
 			prev := int32(0)
 			for k := 0; k < pc && d.Err() == nil; k++ {
-				prev += int32(d.Uvarint())
-				p.Positions = append(p.Positions, prev)
+				delta := d.Uvarint()
+				if delta > uint64(math.MaxInt32-prev) {
+					d.Fail(fmt.Errorf("term %q: position past %d", term, math.MaxInt32))
+				}
+				prev += int32(delta)
+				ix.positions = append(ix.positions, prev)
 			}
+			p.N = uint32(pc)
 			ps = append(ps, p)
 		}
 		ix.Terms[term] = ps
+	}
+	if cap(ix.positions) > len(ix.positions) {
+		ix.positions = slices.Clone(ix.positions)
 	}
 	return ix
 }
 
 // validate checks the structural invariants query evaluation relies on,
 // so a corrupt or adversarial snapshot surfaces as a load error instead
-// of an out-of-range panic or a non-finite score in the middle of a
-// search: per-doc state metadata (lengths, ranks, texts) is consistent,
-// every rank is finite, every posting points at a real document, and
-// every posting carries at least one position (proximity indexes
-// Positions[0] unconditionally for multi-term queries).
+// of an out-of-range panic, a non-finite score or a phantom result in
+// the middle of a search: per-doc state metadata (lengths, ranks, texts)
+// is consistent, every rank is finite, every posting points at a real
+// state of a real document, and its positions are at least one, strictly
+// increasing and inside the state's tokens.
 func (ix *Index) validate() error {
 	if ix.TotalStates < 0 {
 		return fmt.Errorf("index: validate: negative TotalStates %d", ix.TotalStates)
@@ -225,11 +242,19 @@ func (ix *Index) validate() error {
 			if int(p.Doc) < 0 || int(p.Doc) >= len(ix.Docs) {
 				return fmt.Errorf("index: validate: term %q: posting doc %d out of range [0,%d)", term, p.Doc, len(ix.Docs))
 			}
-			if p.State < 0 {
-				return fmt.Errorf("index: validate: term %q: negative state %d", term, p.State)
+			d := &ix.Docs[p.Doc]
+			if p.State < 0 || int(p.State) >= d.States {
+				return fmt.Errorf("index: validate: term %q: doc %d state %d out of range [0,%d)", term, p.Doc, p.State, d.States)
 			}
-			if len(p.Positions) == 0 {
+			if p.N == 0 {
 				return fmt.Errorf("index: validate: term %q: posting for doc %d has no positions", term, p.Doc)
+			}
+			prev := int32(-1)
+			for _, pos := range ix.Positions(p) {
+				if pos <= prev || pos >= d.StateLens[p.State] {
+					return fmt.Errorf("index: validate: term %q: doc %d state %d: positions not increasing in [0,%d)", term, p.Doc, p.State, d.StateLens[p.State])
+				}
+				prev = pos
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ajaxcrawl/internal/model"
 )
@@ -31,7 +33,15 @@ func roundTrip(tb testing.TB, ix *Index) *Index {
 // sameIndex reports whether two indexes hold the same data, floats
 // compared bit for bit (AJAXRank(1) = 0.7 has no exact float32).
 func sameIndex(a, b *Index) bool {
-	return a.TotalStates == b.TotalStates && reflect.DeepEqual(a.Docs, b.Docs) && reflect.DeepEqual(a.Terms, b.Terms)
+	if a.TotalStates != b.TotalStates || !reflect.DeepEqual(a.Docs, b.Docs) || len(a.Terms) != len(b.Terms) {
+		return false
+	}
+	for term := range a.Terms {
+		if !reflect.DeepEqual(flat(a, term), flat(b, term)) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestCompressedRoundTrip(t *testing.T) {
@@ -127,6 +137,51 @@ func TestEncodeAllocs(t *testing.T) {
 	if limit := 16 + float64(buf.Len())/1024; allocs > limit {
 		t.Fatalf("Encode of %d postings (%d bytes) allocates %.0f times, limit %.0f",
 			ix.NumPostings(), buf.Len(), allocs, limit)
+	}
+}
+
+// TestDecodeAllocs: Decode appends every posting's positions to the
+// index's one slab, so its allocations follow the terms (a string and a
+// list each) and the docs (a URL, three per-state vectors and the
+// texts), not the postings.
+func TestDecodeAllocs(t *testing.T) {
+	const docs, states, terms = 4, 5, 50
+	var graphs []*model.Graph
+	h := byte(0)
+	for d := 0; d < docs; d++ {
+		g := model.NewGraph(fmt.Sprintf("/watch?v=%d", d))
+		for s := 0; s < states; s++ {
+			var text strings.Builder
+			for w := 0; w < terms; w++ {
+				fmt.Fprintf(&text, "term%d term%d ", (w+s)%terms, w)
+			}
+			h++
+			g.AddState(hashOf(h), text.String(), s)
+		}
+		graphs = append(graphs, g)
+	}
+	ix := Build(graphs, nil, 0)
+	var buf bytes.Buffer
+	if err := ix.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	limit := float64(2*terms + docs*(4+states) + 32)
+	t.Logf("Decode of %d terms, %d docs, %d postings: %.0f allocs (limit %.0f)", terms, docs, ix.NumPostings(), allocs, limit)
+	if ix.NumPostings() != terms*docs*states || allocs > limit {
+		t.Fatalf("Decode of %d postings allocates %.0f times, limit %.0f", ix.NumPostings(), allocs, limit)
+	}
+}
+
+// TestPostingSize: a posting is its doc, its state and a window of the
+// slab; its positions take no slice header.
+func TestPostingSize(t *testing.T) {
+	if size := unsafe.Sizeof(Posting{}); size != 16 {
+		t.Fatalf("Posting is %d bytes, want 16", size)
 	}
 }
 

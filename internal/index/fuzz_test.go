@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"ajaxcrawl/internal/codec"
+	"ajaxcrawl/internal/model"
 )
 
 // fuzzSeedIndex builds a representative index and returns its encoding.
@@ -57,6 +59,97 @@ func badTextSections(tb testing.TB) map[string][]byte {
 		"truncated inside text": append(binary.AppendUvarint(bytes.Clone(doc), 10), "alpha"...),
 		"one text too many":     miscount(func(d *DocInfo) { d.Texts = append(d.Texts, "extra") }),
 		"one text too few":      miscount(func(d *DocInfo) { d.Texts = d.Texts[:len(d.Texts)-1] }),
+	}
+}
+
+// onePosting hand-writes an index of one doc, whose states have the
+// given token counts, and one term with one posting in state: its
+// positions are the given deltas. The bytes need not come from Encode,
+// which holds its positions as int32.
+func onePosting(lens []uint64, state uint64, deltas ...uint64) []byte {
+	b := binary.AppendUvarint(header(), 1)
+	b = binary.AppendUvarint(b, 1)
+	b = append(b, 'u')
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	b = binary.AppendUvarint(b, uint64(len(lens)))
+	for _, n := range lens {
+		b = binary.AppendUvarint(b, n)
+	}
+	for range lens {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+	}
+	for range lens {
+		b = binary.AppendUvarint(b, 0) // an empty text
+	}
+	b = binary.AppendUvarint(b, uint64(len(lens)))
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, 1)
+	b = append(b, 't')
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, 0)
+	b = binary.AppendUvarint(b, state)
+	b = binary.AppendUvarint(b, uint64(len(deltas)))
+	for _, d := range deltas {
+		b = binary.AppendUvarint(b, d)
+	}
+	return b
+}
+
+// badBounds are encodings whose postings leave their state, or whose
+// positions leave the range the slab's uint32 offsets address; every
+// one must be refused. The first decodes: it is the in-bounds control.
+func badBounds() [][]byte {
+	const maxInt32 = math.MaxInt32
+	return [][]byte{
+		onePosting([]uint64{3, 2}, 1, 0, 1),
+		onePosting([]uint64{3, 2}, 2, 0),                         // state past the doc's states
+		onePosting([]uint64{3}, 0, 3),                            // position past the state's tokens
+		onePosting([]uint64{3}, 0, 1, 0),                         // a repeated position
+		onePosting([]uint64{3}, 0, 1, 1<<32+1),                   // a delta that wraps int32 to 1
+		onePosting([]uint64{maxInt32}, 0, 1, maxInt32),           // a position past MaxInt32
+		onePosting([]uint64{maxInt32, maxInt32, maxInt32}, 0, 0), // tokens past uint32
+		onePosting([]uint64{1 << 32}, 0, 0),                      // a token count past int32
+		onePosting([]uint64{2}, 0, 0, 1, 1),                      // more positions than tokens
+	}
+}
+
+// TestDecodeRefusesPostingPastDocStates: a posting whose state is not one
+// of its doc's states would score with tf 0 and show an empty snippet —
+// a phantom result — so the index is refused.
+func TestDecodeRefusesPostingPastDocStates(t *testing.T) {
+	bad := badBounds()
+	ix, err := Decode(bytes.NewReader(bad[0]))
+	if err != nil {
+		t.Fatalf("in-bounds control: %v", err)
+	}
+	if got := ix.Positions(ix.Lookup("t")[0]); !slices.Equal(got, []int32{0, 1}) {
+		t.Fatalf("control positions %v, want [0 1]", got)
+	}
+	if _, err := Decode(bytes.NewReader(bad[1])); err == nil || !strings.Contains(err.Error(), "state 2 out of range [0,2)") {
+		t.Fatalf("posting in state 2 of a 2-state doc: %v", err)
+	}
+}
+
+// TestDecodeRefusesPositionsOutsideState: positions are strictly
+// increasing token offsets inside their state; one that is repeated, past
+// the state's tokens, or wrapped through int32 is refused.
+func TestDecodeRefusesPositionsOutsideState(t *testing.T) {
+	for i, data := range badBounds()[2:6] {
+		if _, err := Decode(bytes.NewReader(data)); err == nil {
+			t.Errorf("case %d: decoded without error", i)
+		}
+	}
+}
+
+// TestDecodeRefusesPositionTotalPastUint32: a posting addresses its
+// positions by a uint32 offset into the index's one slab, so an index
+// whose states hold more tokens than that reaches — or whose postings
+// hold more positions than its states have tokens — is refused.
+func TestDecodeRefusesPositionTotalPastUint32(t *testing.T) {
+	for i, data := range badBounds()[6:] {
+		if _, err := Decode(bytes.NewReader(data)); err == nil {
+			t.Errorf("case %d: decoded without error", i)
+		}
 	}
 }
 
@@ -120,6 +213,9 @@ func FuzzIndexLoad(f *testing.F) {
 	for _, data := range badTextSections(f) {
 		f.Add(data)
 	}
+	for _, data := range badBounds() {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := Decode(bytes.NewReader(data))
@@ -154,11 +250,11 @@ func FuzzIndexLoad(f *testing.F) {
 				if int(p.Doc) < 0 || int(p.Doc) >= nd {
 					t.Fatalf("term %q posting doc %d out of range [0,%d)", term, p.Doc, nd)
 				}
-				if len(p.Positions) == 0 {
+				if len(ix.Positions(p)) == 0 {
 					t.Fatalf("term %q posting for doc %d has no positions", term, p.Doc)
 				}
 				_ = ix.Doc(p.Doc)
-				_ = ix.StateText(p.Doc, p.State)
+				_ = ix.StateText(p.Doc, model.StateID(p.State))
 			}
 			_ = ix.Lookup(term)
 			_ = ix.DF(term)

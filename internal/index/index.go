@@ -28,16 +28,17 @@ import (
 // DocID identifies a document (URL) within one index.
 type DocID int32
 
-// Posting records one state containing a term.
+// Posting records one state containing a term. Its positions, the
+// token offsets of the term within the state text, are the N entries of
+// the index's positions slab from Off (Index.Positions).
 type Posting struct {
-	Doc   DocID
-	State model.StateID
-	// Positions are the token offsets of the term within the state text.
-	Positions []int32
+	Doc    DocID
+	State  int32
+	Off, N uint32
 }
 
 // TF returns the raw term frequency in the state.
-func (p Posting) TF() int { return len(p.Positions) }
+func (p Posting) TF() int { return int(p.N) }
 
 // DocInfo is the per-URL metadata of the index.
 type DocInfo struct {
@@ -63,7 +64,14 @@ type Index struct {
 	// eq. 5.2).
 	TotalStates int
 
-	docByURL map[string]DocID
+	docByURL  map[string]DocID
+	positions []int32 // every posting's positions, each a run of N
+}
+
+// Positions returns p's positions in increasing order: a window of the
+// index's slab, capped so an append to it copies.
+func (ix *Index) Positions(p Posting) []int32 {
+	return ix.positions[p.Off : p.Off+p.N : p.Off+p.N]
 }
 
 // New returns an empty index.
@@ -108,23 +116,19 @@ type termBuild struct {
 	df   int32     // the call's postings of the term
 	occ  int32     // the call's occurrences of the term
 	seen int32     // the last state, numbered from 1, the term occurred in
-	// The term's run of the positions slab: where its current posting's
-	// window starts, and the next free slot.
-	start, next int32
+	next int32     // the next free slot of the term's run in the call's positions
 }
 
 // add indexes graphs in two passes and returns the postings it added.
 // Pass 1 scans each state once, lower-casing a mixed-case token into a
 // reused buffer, gives each term an ID, records every token's ID and
 // counts each term's postings and occurrences. Pass 2 carves the new
-// terms' lists from one []Posting and every posting's positions from one
-// []int32 of the call's token count, in which each term's positions are
-// one run, posting after posting. Every window is capped at its own
-// length, so an append to one copies instead of overwriting its
-// neighbour. A term the index already holds keeps its list, grown once
-// by the call. State IDs are positions (AddState and the model decoder
-// guarantee it), so the postings stay in (doc, state) order and a
-// state's ID indexes its StateLens, AJAXRanks and Texts entries.
+// terms' lists from one []Posting and grows the index's positions slab
+// by the call's token count, in which each term's positions are one run,
+// posting after posting. A term the index already holds keeps its list,
+// grown once by the call. State IDs are positions (AddState and the
+// model decoder guarantee it), so the postings stay in (doc, state) order
+// and a state's ID indexes its StateLens, AJAXRanks and Texts entries.
 func (ix *Index) add(b *builder, graphs []*model.Graph, pageRank map[string]float64, maxStates int) (postings int) {
 	if ix.docByURL == nil {
 		ix.docByURL = make(map[string]DocID, len(graphs))
@@ -205,7 +209,11 @@ func (ix *Index) add(b *builder, graphs []*model.Graph, pageRank map[string]floa
 		t.next, run = run, run+t.occ
 		postings += int(t.df)
 	}
-	positions := make([]int32, len(b.toks))
+	base := len(ix.positions)
+	if uint64(base)+uint64(len(b.toks)) > math.MaxUint32 {
+		panic("index: more positions than uint32 offsets address")
+	}
+	ix.positions = slices.Grow(ix.positions, len(b.toks))[:base+len(b.toks)]
 	var off int32
 	for d := firstDoc; d < len(ix.Docs); d++ {
 		for sid, n := range ix.Docs[d].StateLens {
@@ -213,12 +221,12 @@ func (ix *Index) add(b *builder, graphs []*model.Graph, pageRank map[string]floa
 			for pos, id := range b.toks[off : off+n] {
 				t := &b.terms[id]
 				if t.seen != state {
-					t.seen, t.start = state, t.next
-					t.list = append(t.list, Posting{Doc: DocID(d), State: model.StateID(sid)})
+					t.seen = state
+					t.list = append(t.list, Posting{Doc: DocID(d), State: int32(sid), Off: uint32(base) + uint32(t.next)})
 				}
-				positions[t.next] = int32(pos)
+				ix.positions[base+int(t.next)] = int32(pos)
 				t.next++
-				t.list[len(t.list)-1].Positions = positions[t.start:t.next:t.next]
+				t.list[len(t.list)-1].N++
 			}
 			off += n
 		}
@@ -324,8 +332,9 @@ func BuildCtx(ctx context.Context, graphs []*model.Graph, pageRank map[string]fl
 }
 
 // build is BuildCtx on b's scratch. The index it returns is laid out
-// exactly: every posting list and positions window is as long as its
-// capacity, and Terms is sized to the vocabulary.
+// exactly: every posting list is as long as its capacity, the positions
+// are one slab of the states' token count, and Terms is sized to the
+// vocabulary.
 func (b *builder) build(ctx context.Context, graphs []*model.Graph, pageRank map[string]float64, maxStates int) *Index {
 	_, sp := obs.StartSpan(ctx, obs.SpanIndexBuild, obs.A("graphs", strconv.Itoa(len(graphs))))
 	ix := &Index{}

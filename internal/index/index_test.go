@@ -96,8 +96,8 @@ func TestBuildInvertedFile(t *testing.T) {
 		t.Fatalf("pagerank lost")
 	}
 	// Positions recorded.
-	if singer[0].Positions[0] != 1 {
-		t.Fatalf("position = %v, want 1 (second token)", singer[0].Positions)
+	if pos := ix.Positions(singer[0]); pos[0] != 1 {
+		t.Fatalf("position = %v, want 1 (second token)", pos)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.TotalStates != ix.TotalStates || loaded.NumDocs() != ix.NumDocs() || loaded.NumTerms() != ix.NumTerms() {
 		t.Fatalf("round trip lost data")
 	}
-	if !reflect.DeepEqual(loaded.Lookup("morcheeba"), ix.Lookup("morcheeba")) {
+	if !reflect.DeepEqual(flat(loaded, "morcheeba"), flat(ix, "morcheeba")) {
 		t.Fatalf("postings differ after reload")
 	}
 	if d, ok := loaded.DocByURL("www.youtube.com/watch?v=w16JlLSySWQ"); !ok || d != 0 {
@@ -185,7 +185,7 @@ func TestIncrementalEqualsBatch(t *testing.T) {
 		t.Fatalf("incremental differs from batch")
 	}
 	for term := range batch.Terms {
-		if !reflect.DeepEqual(batch.Lookup(term), inc.Lookup(term)) {
+		if !reflect.DeepEqual(flat(batch, term), flat(inc, term)) {
 			t.Fatalf("postings differ for %q", term)
 		}
 	}
@@ -210,7 +210,7 @@ func TestPropertyAllTokensIndexed(t *testing.T) {
 				return false
 			}
 			found := false
-			for _, p := range ps[0].Positions {
+			for _, p := range ix.Positions(ps[0]) {
 				if int(p) == pos {
 					found = true
 				}

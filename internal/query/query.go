@@ -128,9 +128,9 @@ func (w *minimalWindow) observe(term int, pos int32) {
 	}
 }
 
-// proximityWindow is the minimal window of one match: a k-way merge of
-// the terms' position lists feeds minimalWindow.
-func proximityWindow(postings []index.Posting) (lo, hi int32) {
+// proximityWindow is the minimal window of one match on ix: a k-way
+// merge of the terms' position lists feeds minimalWindow.
+func proximityWindow(ix *index.Index, postings []index.Posting) (lo, hi int32) {
 	k := len(postings)
 	var curBuf, lastBuf [8]int32
 	cur, w := curBuf[:], newMinimalWindow(lastBuf[:], k)
@@ -138,16 +138,16 @@ func proximityWindow(postings []index.Posting) (lo, hi int32) {
 		cur = make([]int32, k)
 	}
 	for {
-		next := -1
+		next, at := -1, int32(0)
 		for i, p := range postings {
-			if int(cur[i]) < len(p.Positions) && (next < 0 || p.Positions[cur[i]] < postings[next].Positions[cur[next]]) {
-				next = i
+			if ps := ix.Positions(p); int(cur[i]) < len(ps) && (next < 0 || ps[cur[i]] < at) {
+				next, at = i, ps[cur[i]]
 			}
 		}
 		if next < 0 {
 			return w.lo, w.hi
 		}
-		w.observe(next, postings[next].Positions[cur[next]])
+		w.observe(next, at)
 		cur[next]++
 	}
 }
@@ -157,21 +157,18 @@ func proximityWindow(postings []index.Posting) (lo, hi int32) {
 // occurrence of every term. It is 1.0 when the terms appear adjacently
 // ("contains the query as is") and decays as they spread out. Single-term
 // queries score 1.
-func proximity(postings []index.Posting) float64 {
+func proximity(ix *index.Index, postings []index.Posting) float64 {
 	k := len(postings)
 	if k <= 1 {
 		return 1.0
 	}
-	lo, hi := proximityWindow(postings)
+	lo, hi := proximityWindow(ix, postings)
 	return float64(k) / float64(max(int(hi-lo)+1, k)) // overlapping positions cannot beat adjacency
 }
 
 // tf computes eq. 5.1: occurrences of the term divided by the state's
-// token count.
+// token count, which holds them, so it is never 0.
 func tf(p index.Posting, stateLen int32) float64 {
-	if stateLen == 0 {
-		return 0
-	}
 	return float64(p.TF()) / float64(stateLen)
 }
 
@@ -180,16 +177,11 @@ func tf(p index.Posting, stateLen int32) float64 {
 // into c's own TFs vector (one entry per posting).
 func (c *ShardCandidate) fill(ix *index.Index, w Weights, postings []index.Posting) {
 	doc, state := ix.Doc(postings[0].Doc), postings[0].State
-	stateLen := int32(0)
-	ajaxRank := 0.0
-	if int(state) < len(doc.StateLens) {
-		stateLen = doc.StateLens[state]
-		ajaxRank = doc.AJAXRanks[state]
-	}
+	stateLen, ajaxRank := doc.StateLens[state], doc.AJAXRanks[state]
 	*c = ShardCandidate{
 		URL:   doc.URL,
 		State: int(state),
-		Base:  w.PageRank*doc.PageRank + w.AJAXRank*ajaxRank + w.Proximity*proximity(postings),
+		Base:  w.PageRank*doc.PageRank + w.AJAXRank*ajaxRank + w.Proximity*proximity(ix, postings),
 		TFs:   c.TFs,
 	}
 	for i, post := range postings {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -187,29 +188,48 @@ func TestProximityRewardsAdjacency(t *testing.T) {
 	}
 }
 
-func TestProximityFunction(t *testing.T) {
-	mk := func(poss ...[]int32) []index.Posting {
-		out := make([]index.Posting, len(poss))
-		for i, p := range poss {
-			out[i] = index.Posting{Positions: p}
+// placed indexes one state whose token i is "t<j>" when lists[j] holds
+// i and "x" otherwise. It returns the index, the postings of t0, t1, …
+// in it and the state text.
+func placed(lists ...[]int32) (*index.Index, []index.Posting, string) {
+	var tokens []string
+	for j, ps := range lists {
+		for _, p := range ps {
+			for len(tokens) <= int(p) {
+				tokens = append(tokens, "x")
+			}
+			tokens[p] = "t" + itoa(j)
 		}
-		return out
 	}
-	if got := proximity(mk([]int32{3})); got != 1 {
+	text := strings.Join(tokens, " ")
+	ix := buildIndex(map[string][]string{"u": {text}}, nil)
+	postings := make([]index.Posting, len(lists))
+	for j := range lists {
+		postings[j] = ix.Lookup("t" + itoa(j))[0]
+	}
+	return ix, postings, text
+}
+
+func TestProximityFunction(t *testing.T) {
+	prox := func(lists ...[]int32) float64 {
+		ix, postings, _ := placed(lists...)
+		return proximity(ix, postings)
+	}
+	if got := prox([]int32{3}); got != 1 {
 		t.Fatalf("single term proximity = %v", got)
 	}
-	if got := proximity(mk([]int32{0}, []int32{1})); got != 1 {
+	if got := prox([]int32{0}, []int32{1}); got != 1 {
 		t.Fatalf("adjacent proximity = %v, want 1", got)
 	}
-	if got := proximity(mk([]int32{0}, []int32{9})); got != 0.2 {
+	if got := prox([]int32{0}, []int32{9}); got != 0.2 {
 		t.Fatalf("spread proximity = %v, want 0.2", got)
 	}
 	// Multiple occurrences: the best window counts.
-	if got := proximity(mk([]int32{0, 20}, []int32{21})); got != 1 {
+	if got := prox([]int32{0, 20}, []int32{21}); got != 1 {
 		t.Fatalf("best-window proximity = %v, want 1", got)
 	}
 	// Three terms adjacent.
-	if got := proximity(mk([]int32{5}, []int32{6}, []int32{7})); got != 1 {
+	if got := prox([]int32{5}, []int32{6}, []int32{7}); got != 1 {
 		t.Fatalf("3-term adjacent = %v", got)
 	}
 }

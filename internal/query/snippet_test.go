@@ -1,7 +1,6 @@
 package query
 
 import (
-	"ajaxcrawl/internal/index"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -143,39 +142,36 @@ func TestMinimalWindowSharedByProximityAndSnippet(t *testing.T) {
 		{{1, 5, 9, 13}, {0, 14}, {6, 7}},
 	} {
 		var ints [][]int
-		postings := make([]index.Posting, len(lists))
 		terms := make([]string, len(lists))
-		var tokens []string
+		tokens := 0
 		for i, ps := range lists {
 			terms[i] = "t" + itoa(i)
-			postings[i].Positions = ps
 			list := make([]int, len(ps))
 			for j, p := range ps {
 				list[j] = int(p)
-				for len(tokens) <= int(p) {
-					tokens = append(tokens, "x")
-				}
-				tokens[p] = terms[i]
+				tokens = max(tokens, int(p)+1)
 			}
 			ints = append(ints, list)
 		}
 		wantLo, wantHi := windowOracle(ints)
 
-		lo, hi := proximityWindow(postings)
+		ix, postings, text := placed(lists...)
+		lo, hi := proximityWindow(ix, postings)
 		if int(lo) != wantLo || int(hi) != wantHi {
 			t.Errorf("%v: proximity window (%d, %d), oracle (%d, %d)", lists, lo, hi, wantLo, wantHi)
 		}
-		sLo, sHi, n := snippetWindow(strings.Join(tokens, " "), terms)
-		if sLo != wantLo || sHi != wantHi || n != len(tokens) {
-			t.Errorf("%v: snippet window (%d, %d) of %d tokens, oracle (%d, %d) of %d", lists, sLo, sHi, n, wantLo, wantHi, len(tokens))
+		sLo, sHi, n := snippetWindow(text, terms)
+		if sLo != wantLo || sHi != wantHi || n != tokens {
+			t.Errorf("%v: snippet window (%d, %d) of %d tokens, oracle (%d, %d) of %d", lists, sLo, sHi, n, wantLo, wantHi, tokens)
 		}
 	}
 	// More terms than the stack buffers hold.
-	many := make([]index.Posting, 12)
+	many := make([][]int32, 12)
 	for i := range many {
-		many[i].Positions = []int32{int32(100 - i), int32(200 + 2*i)}
+		many[i] = []int32{int32(100 - i), int32(200 + 2*i)}
 	}
-	if lo, hi := proximityWindow(many); lo != 89 || hi != 100 {
+	ix, postings, _ := placed(many...)
+	if lo, hi := proximityWindow(ix, postings); lo != 89 || hi != 100 {
 		t.Errorf("12 terms: window (%d, %d), want (89, 100)", lo, hi)
 	}
 }
