@@ -59,7 +59,7 @@ func main() {
 		quarantineMax = flag.Duration("quarantine-max", 0, "quarantine backoff ceiling (0 = 5m)")
 		probation     = flag.Int("probation", 0, "consecutive successful probes required to readmit a quarantined replica (0 = 2)")
 		probeInterval = flag.Duration("probe-interval", time.Second, "background health-probe sweep cadence for quarantined replicas (0 = off)")
-		timeout       = flag.Duration("timeout", 2*time.Second, "per-query wall deadline across the whole fan-out; also seeds the budget propagated to shards (0 = none)")
+		timeout       = flag.Duration("timeout", 2*time.Second, "per-query deadline from admission, clamped by any propagated budget; what is left is forwarded to each shard (0 = none)")
 		shardTimeout  = flag.Duration("shard-timeout", 1500*time.Millisecond, "per-shard deadline, hedges included (0 = none)")
 		hedgeAfter    = flag.Duration("hedge-after", 0, "hedge to another replica when a shard is silent this long (0 = no fixed hedge)")
 		hedgeQuantile = flag.Float64("hedge-quantile", 0, "hedge when a shard is slower than this quantile of observed latencies, e.g. 0.95 (0 = off; -hedge-after is the warmup delay)")

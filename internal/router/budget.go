@@ -11,9 +11,9 @@ import (
 // Deadline-budget propagation. context.WithTimeout deadlines are wall
 // time, which virtual-clock tests cannot script; the fleet instead
 // threads an explicit budget — a deadline measured on the injectable
-// fetch.Clock — through the context. The router's HTTP layer sets it
-// from its own per-request deadline (clamped to any budget the caller
-// already propagated via the X-Ajaxserve-Budget-Ms header), every shard
+// fetch.Clock — through the context. The /search front (serve.Front)
+// sets it to the request's deadline (its own timeout clamped to any
+// budget the caller propagated via X-Ajaxserve-Budget-Ms), every shard
 // call clamps its deadline to what remains, and HTTPBackend forwards
 // the remainder to the shard server, which fast-rejects when the floor
 // is gone. The result: no tier burns CPU on work the caller has

@@ -373,7 +373,7 @@ func TestRouterHealthzDegraded(t *testing.T) {
 
 	get := func() (int, string) {
 		rec := httptest.NewRecorder()
-		rs.handleHealth(rec, httptest.NewRequest("GET", "/healthz", nil))
+		rs.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 		return rec.Code, rec.Body.String()
 	}
 	code, body := get()

@@ -244,8 +244,16 @@ func TestFleetSoakOverloadWithFlappingReplica(t *testing.T) {
 
 	// Phase 3 — budget starvation under queue pressure: saturate the
 	// limiter, queue a request whose 50ms budget then dies on the virtual
-	// clock, release — the grant must be followed by an up-front
-	// rejection, not an expired execution.
+	// clock, release — the grant must be followed by the front's
+	// up-front 503, not a fan-out that every shard refuses.
+	backendCalls := func() (n int64) {
+		for _, sb := range wrapped {
+			n += sb.calls.Load()
+		}
+		return n
+	}
+	callsBefore := backendCalls()
+	rejectedBefore := reg.Counter("router.budget_rejected").Value()
 	var toks []*admission.Token
 	for i := 0; i < capacity; i++ {
 		tok, ok := rs.Limiter().TryAcquire()
@@ -271,11 +279,14 @@ func TestFleetSoakOverloadWithFlappingReplica(t *testing.T) {
 	for _, tok := range toks {
 		tok.Cancel()
 	}
-	if code := <-starved; code != http.StatusBadGateway {
-		t.Fatalf("starved request: status %d, want 502 (budget rejected at fan-out)", code)
+	if code := <-starved; code != http.StatusServiceUnavailable {
+		t.Fatalf("starved request: status %d, want 503 (budget rejected after the queue wait)", code)
 	}
-	if got := reg.Counter("router.fanout.budget_rejected").Value(); got < 1 {
-		t.Fatal("budget starvation never hit the fan-out fast-reject")
+	if got := reg.Counter("router.budget_rejected").Value() - rejectedBefore; got != 1 {
+		t.Fatalf("router.budget_rejected rose by %d, want 1", got)
+	}
+	if got := backendCalls() - callsBefore; got != 0 {
+		t.Fatalf("the starved request made %d backend calls, want 0", got)
 	}
 	drained()
 

@@ -13,7 +13,8 @@
 // adaptive admission gate (internal/admission: 429 + computed
 // Retry-After on saturation), deadline-budget propagation from upstream
 // routers, and a brownout mode that degrades quality before shedding
-// keep an overloaded server answering instead of collapsing.
+// keep an overloaded server answering instead of collapsing. The /search
+// request path is Front, which internal/router's fan-out answers through.
 package serve
 
 import (
@@ -65,30 +66,21 @@ const (
 type Config struct {
 	// SnapshotDir is the snapshot directory to serve (required).
 	SnapshotDir string
-	// DefaultK is the result count when ?k= is absent (default 10).
-	DefaultK int
-	// MaxK caps ?k= (default 100).
-	MaxK int
+	// DefaultK, MaxK, MaxInflight, AdmissionMin, AdmissionQueue,
+	// AdmissionTarget and QueryTimeout configure the /search front and
+	// its admission gate, which /shard/search shares: see FrontConfig.
+	DefaultK        int
+	MaxK            int
+	MaxInflight     int
+	AdmissionMin    int
+	AdmissionQueue  int
+	AdmissionTarget time.Duration
+	QueryTimeout    time.Duration
 	// CacheShards, CacheCapacity and CacheTTL configure the result
 	// cache (defaults 8 / 1024 / no expiry).
 	CacheShards   int
 	CacheCapacity int
 	CacheTTL      time.Duration
-	// MaxInflight is the admission limiter's hard ceiling on
-	// concurrently evaluating queries; excess requests queue (when
-	// AdmissionQueue > 0) or are shed with 429 (0 = unlimited, no
-	// limiter at all).
-	MaxInflight int
-	// AdmissionMin is the adaptive limiter's floor (default 1). Under
-	// sustained congestion the limit walks down from MaxInflight toward
-	// this, never below.
-	AdmissionMin int
-	// AdmissionQueue bounds the admission wait queue (0 = no queue:
-	// shed immediately at the limit, the pre-adaptive behavior).
-	AdmissionQueue int
-	// AdmissionTarget is the CoDel-style sojourn bound for queued
-	// requests (0 = the admission package default, 50ms).
-	AdmissionTarget time.Duration
 	// BudgetFloor fast-rejects requests whose propagated deadline
 	// budget (HeaderBudget) is at or below this remaining time
 	// (default 2ms) — by then the caller has hedged or given up.
@@ -96,8 +88,6 @@ type Config struct {
 	// NoBrownout disables graceful degradation under queue pressure
 	// (brownout is only active when AdmissionQueue > 0 anyway).
 	NoBrownout bool
-	// QueryTimeout is the per-query deadline (0 = none).
-	QueryTimeout time.Duration
 	// Weights are the ranking coefficients (default query.DefaultWeights).
 	Weights *query.Weights
 	// Clock supplies timestamps for admission control and budget
@@ -105,30 +95,13 @@ type Config struct {
 	Clock fetch.Clock
 }
 
-func (c Config) withDefaults() Config {
-	if c.DefaultK <= 0 {
-		c.DefaultK = 10
-	}
-	if c.MaxK <= 0 {
-		c.MaxK = 100
-	}
-	if c.BudgetFloor <= 0 {
-		c.BudgetFloor = 2 * time.Millisecond
-	}
-	if c.Clock == nil {
-		c.Clock = fetch.RealClock{}
-	}
-	return c
-}
-
 // Server is the HTTP search daemon's engine room: the hot-swappable
-// query server plus snapshot (re)loading and the request handlers.
+// query server plus snapshot (re)loading, behind the /search front it
+// shares with the router (Front: Handler, Limiter).
 type Server struct {
-	cfg   Config
-	tel   *obs.Telemetry
-	qs    *query.Server
-	gate  Gate
-	clock fetch.Clock
+	*Front
+	cfg Config
+	qs  *query.Server
 
 	// mu serializes Reload: only one snapshot load/swap runs at a time.
 	// Serving never takes this lock.
@@ -139,7 +112,6 @@ type Server struct {
 // New loads the snapshot in cfg.SnapshotDir and returns a ready Server.
 // tel may be nil (no telemetry).
 func New(cfg Config, tel *obs.Telemetry) (*Server, error) {
-	cfg = cfg.withDefaults()
 	if cfg.SnapshotDir == "" {
 		return nil, fmt.Errorf("serve: Config.SnapshotDir is required")
 	}
@@ -147,18 +119,25 @@ func New(cfg Config, tel *obs.Telemetry) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, tel: tel, clock: cfg.Clock, manifestID: man.ID, gate: Gate{Tier: "server", Work: "evaluation",
-		Shed: tel.Counter("query.serve.shed"), Deadline: tel.Counter("query.serve.deadline")}}
-	if cfg.MaxInflight > 0 {
-		s.gate.Limiter = admission.New(admission.Config{
-			Min:         cfg.AdmissionMin,
-			Max:         cfg.MaxInflight,
-			Queue:       cfg.AdmissionQueue,
-			QueueTarget: cfg.AdmissionTarget,
-			Clock:       cfg.Clock,
-			Tel:         tel,
-		})
-	}
+	s := &Server{cfg: cfg, manifestID: man.ID}
+	s.Front = NewFront(FrontConfig{
+		DefaultK:        cfg.DefaultK,
+		MaxK:            cfg.MaxK,
+		MaxInflight:     cfg.MaxInflight,
+		AdmissionMin:    cfg.AdmissionMin,
+		AdmissionQueue:  cfg.AdmissionQueue,
+		AdmissionTarget: cfg.AdmissionTarget,
+		QueryTimeout:    cfg.QueryTimeout,
+	}, Tier{
+		Name:           "server",
+		BudgetFloor:    cfg.BudgetFloor,
+		Clock:          cfg.Clock,
+		Shed:           tel.Counter("query.serve.shed"),
+		Deadline:       tel.Counter("query.serve.deadline"),
+		BudgetRejected: tel.Counter("query.serve.budget_rejected"),
+	}, s.answer, tel)
+	s.Handle("/shard/search", s.handleShardSearch)
+	s.Handle("/healthz", s.handleHealth)
 	s.qs = query.NewServer(snap, query.CacheOptions{
 		Shards:   cfg.CacheShards,
 		Capacity: cfg.CacheCapacity,
@@ -197,10 +176,6 @@ func (s *Server) ManifestID() string {
 
 // QueryServer exposes the underlying hot-swappable query server.
 func (s *Server) QueryServer() *query.Server { return s.qs }
-
-// Limiter exposes the admission limiter (nil when MaxInflight is 0) —
-// for debug endpoints and tests.
-func (s *Server) Limiter() *admission.Limiter { return s.gate.Limiter }
 
 // Reload checks the snapshot directory's manifest and, when its ID
 // differs from the serving one (or force is set), loads the new shards
@@ -247,24 +222,6 @@ func (s *Server) Watch(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// Routes mounts the serving endpoints on mux: /search, /shard/search
-// and /healthz.
-func (s *Server) Routes(mux *http.ServeMux) {
-	mux.HandleFunc("/search", s.handleSearch)
-	mux.HandleFunc("/shard/search", s.handleShardSearch)
-	mux.HandleFunc("/healthz", s.handleHealth)
-}
-
-// Handler returns the serving endpoints wrapped in the obs request
-// middleware (http.requests / http.inflight / http.latency), backed by
-// this server's telemetry registry. Debug endpoints are mounted by the
-// daemon (cmd/ajaxserve) on the same mux, outside this handler.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	s.Routes(mux)
-	return obs.InstrumentHandler(s.tel.Registry(), mux)
-}
-
 // searchResponse is the /search JSON body. Field order (and therefore
 // the marshaled bytes) is fixed; serving metadata that varies run-to-run
 // (generation, cache state, fan-out completeness) travels in headers
@@ -277,9 +234,9 @@ type searchResponse struct {
 }
 
 // WriteSearch writes the 200 /search body for q's top-k results. The
-// router answers with this same function, which is what makes a routed
-// body byte-identical to a single-snapshot one. Headers must be set
-// before the call.
+// front answers both tiers with it, which is what makes a routed body
+// byte-identical to a single-snapshot one. Headers must be set before
+// the call.
 func WriteSearch(w http.ResponseWriter, q string, k int, results []query.ResultWithSnippet) {
 	if results == nil {
 		results = []query.ResultWithSnippet{} // "results":[], never null
@@ -292,9 +249,9 @@ func WriteSearch(w http.ResponseWriter, q string, k int, results []query.ResultW
 	})
 }
 
-// WriteError writes the JSON error body every tier answers failures
+// writeError writes the JSON error body every tier answers failures
 // with.
-func WriteError(w http.ResponseWriter, status int, msg string) {
+func writeError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, struct {
 		Error string `json:"error"`
 	}{msg})
@@ -327,7 +284,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	buf := GetBuffer()
 	defer PutBuffer(buf)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		WriteError(w, http.StatusInternalServerError, err.Error())
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -335,170 +292,19 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(buf.Bytes())
 }
 
-// Gate is a tier's load-shedding gate: its admission limiter (nil = no
-// gate) and the words and counters of its two refusals.
-type Gate struct {
-	Limiter        *admission.Limiter
-	Tier, Work     string       // "<Tier> saturated, retry later", "deadline exceeded before <Work>"
-	Shed, Deadline *obs.Counter // nil counts nothing
-}
-
-// Admit reserves an in-flight slot (exactly one of Release or Cancel
-// must follow on the nil-safe token) or writes the refusal. Saturation
-// must cost an admission decision, not an evaluation: 429 + a computed
-// Retry-After tells clients to back off in proportion to the overload,
-// and the shed count is the first metric to watch under load.
-func (g *Gate) Admit(w http.ResponseWriter, r *http.Request) (*admission.Token, bool) {
-	if g.Limiter == nil {
-		return nil, true
-	}
-	tok, err := g.Limiter.Acquire(r.Context())
-	if err == nil {
-		return tok, true
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		// The client hung up while we queued it; nobody reads this body.
-		g.Deadline.Inc()
-		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded before "+g.Work)
-		return nil, false
-	}
-	g.Shed.Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(g.Limiter.RetryAfterSeconds()))
-	WriteError(w, http.StatusTooManyRequests, g.Tier+" saturated, retry later")
-	return nil, false
-}
-
-// ParseSearch reads q, and k when withK (defaultK when absent, clamped
-// to maxK), off the query string for both /search fronts: a malformed
-// request is the same 400 on either, written here after tok.Cancel().
-func ParseSearch(w http.ResponseWriter, vals url.Values, tok *admission.Token, defaultK, maxK int, withK bool) (q string, k int, ok bool) {
-	if q = vals.Get("q"); q == "" {
-		tok.Cancel()
-		WriteError(w, http.StatusBadRequest, "missing q parameter")
-		return "", 0, false
-	}
-	k = defaultK
-	if kv := vals.Get("k"); withK && kv != "" {
-		parsed, err := strconv.Atoi(kv)
-		if err != nil || parsed <= 0 {
-			tok.Cancel()
-			WriteError(w, http.StatusBadRequest, "k must be a positive integer")
-			return "", 0, false
-		}
-		k = min(parsed, maxK)
-	}
-	return q, k, true
-}
-
-// BudgetFromRequest parses the propagated deadline budget. ok is false
-// when the header is absent or malformed (a malformed value from an
-// unknown client is ignored, not fatal — only our own router sets it).
-func BudgetFromRequest(r *http.Request) (time.Duration, bool) {
-	h := r.Header.Get(HeaderBudget)
-	if h == "" {
-		return 0, false
-	}
-	ms, err := strconv.ParseInt(h, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0, false
-	}
-	return time.Duration(ms) * time.Millisecond, true
-}
-
-// rejectBudget sheds a request whose remaining budget is below the
-// floor: by the time we answered, the caller would already have hedged
-// or timed out, so evaluating it is pure waste.
-func (s *Server) rejectBudget(w http.ResponseWriter) {
-	s.tel.Counter("query.serve.budget_rejected").Inc()
-	WriteError(w, http.StatusServiceUnavailable, "deadline budget below floor")
-}
-
-// admitted is one request past the shared preamble: the caller owns
-// tok (Release when the evaluation ends) and cancel.
-type admitted struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	tok    *admission.Token
-	vals   url.Values // the query string, parsed once
-	q      string
-	k      int
-}
-
-// begin runs the checks /search and /shard/search share, in the order
-// the overload tests pin: budget floor → admission → q → k (only when
-// withK; shard candidates are never truncated) → budget left after the
-// queue wait → per-query deadline → already expired. When ok is false
-// the response has been written and the token settled.
-func (s *Server) begin(w http.ResponseWriter, r *http.Request, withK bool) (req admitted, ok bool) {
-	arrival := s.clock.Now()
-	budget, hasBudget := BudgetFromRequest(r)
-	if hasBudget && budget <= s.cfg.BudgetFloor {
-		s.rejectBudget(w)
-		return req, false
-	}
-	tok, ok := s.gate.Admit(w, r)
-	if !ok {
-		return req, false
-	}
-	vals := r.URL.Query()
-	q, k, ok := ParseSearch(w, vals, tok, s.cfg.DefaultK, s.cfg.MaxK, withK)
-	if !ok {
-		return req, false
-	}
-	if hasBudget {
-		// Queue time already ate into the caller's budget.
-		budget -= s.clock.Now().Sub(arrival)
-		if budget <= s.cfg.BudgetFloor {
-			tok.Cancel()
-			s.rejectBudget(w)
-			return req, false
-		}
-	}
-
-	// The effective deadline is QueryTimeout clamped to the propagated
-	// budget when one rides on the request.
-	ctx := obs.With(r.Context(), s.tel)
-	cancel := context.CancelFunc(func() {})
-	timeout := s.cfg.QueryTimeout
-	if hasBudget && (timeout == 0 || budget < timeout) {
-		timeout = budget
-	}
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	}
-	// A request that spent its whole deadline queued (or whose client
-	// hung up) is not worth evaluating.
-	if ctx.Err() != nil {
-		cancel()
-		tok.Release()
-		s.tel.Counter("query.serve.deadline").Inc()
-		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded before evaluation")
-		return req, false
-	}
-	return admitted{ctx: ctx, cancel: cancel, tok: tok, vals: vals, q: q, k: k}, true
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.begin(w, r, true)
-	if !ok {
-		return
-	}
-	defer req.tok.Release()
-	defer req.cancel()
-
-	results, snap, cached, servedK, degraded := s.search(req.ctx, req.q, req.k, req.tok)
-	w.Header().Set(HeaderGeneration, strconv.FormatInt(snap.Gen, 10))
-	w.Header().Set(HeaderDocs, strconv.Itoa(snap.Docs))
-	w.Header().Set(HeaderStates, strconv.Itoa(snap.States))
+// answer is ajaxserve's Searcher: the live snapshot through the result
+// cache and the brownout ladder.
+func (s *Server) answer(ctx context.Context, q string, k int, _ time.Time, tok *admission.Token, h http.Header) (Answer, error) {
+	results, snap, cached, servedK, degraded := s.search(ctx, q, k, tok)
 	if cached {
-		w.Header().Set(HeaderCache, "hit")
+		h.Set(HeaderCache, "hit")
 	} else {
-		w.Header().Set(HeaderCache, "miss")
+		h.Set(HeaderCache, "miss")
 	}
 	if degraded != "" {
-		w.Header().Set(HeaderDegraded, degraded)
+		h.Set(HeaderDegraded, degraded)
 	}
-	WriteSearch(w, req.q, servedK, results)
+	return Answer{Results: results, K: servedK, Gen: snap.Gen, Docs: snap.Docs, States: snap.States}, nil
 }
 
 // search runs one query through the brownout ladder. Under queue
@@ -510,7 +316,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // callers can tell which answers are comparable; non-degraded bodies
 // stay byte-identical to an unloaded server's.
 func (s *Server) search(ctx context.Context, q string, k int, tok *admission.Token) (results []query.ResultWithSnippet, snap *query.ServeSnapshot, cached bool, servedK int, degraded string) {
-	pressured := s.gate.Limiter != nil && !s.cfg.NoBrownout && s.gate.Limiter.QueueLimit() > 0 &&
+	pressured := s.limiter != nil && !s.cfg.NoBrownout && s.limiter.QueueLimit() > 0 &&
 		tok != nil && (tok.Waited || tok.QueueDepth > 0)
 	if !pressured {
 		results, snap, cached = s.qs.Search(ctx, q, k)
@@ -520,7 +326,7 @@ func (s *Server) search(ctx context.Context, q string, k int, tok *admission.Tok
 		return res, sn, true, k, ""
 	}
 	degraded = "snippets"
-	if tok.QueueDepth*2 >= s.gate.Limiter.QueueLimit() && k > 1 {
+	if tok.QueueDepth*2 >= s.limiter.QueueLimit() && k > 1 {
 		k = (k + 1) / 2
 		degraded = "snippets,k"
 	}
@@ -547,7 +353,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	hint, err := parseHint(req.vals, req.q)
 	if err != nil {
 		req.tok.Cancel()
-		WriteError(w, http.StatusBadRequest, err.Error())
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	defer req.tok.Release()
