@@ -269,7 +269,9 @@ func (e *Engine) SearchTopKCtx(ctx context.Context, q string, k int) []Result {
 // the ajaxserve daemon (and LoadEngineSnapshot) consumes. The manifest
 // is written last and atomically, so a crash mid-save never publishes a
 // half-snapshot, and a daemon watching dir hot-swaps only once the new
-// snapshot is complete.
+// snapshot is complete. A crawled engine writes a shard file per
+// index.ShardPages URLs; an engine from LoadEngineSnapshot holds one
+// index and re-saves as one shard file, which serves the same bodies.
 func (e *Engine) SaveSnapshot(dir string) (*Manifest, error) {
 	graphs := make([]*model.Graph, 0, len(e.graphs))
 	for _, g := range e.graphs {

@@ -55,11 +55,10 @@ type env struct {
 	// Frontier seed for the parallel experiments (-frontier-seed); zero
 	// selects the scheduler default.
 	frontSeed int64
-	// Near-duplicate knobs (-neardup, -sketch): a non-zero threshold
-	// turns sketch-based state merging on for every experiment crawl
-	// that does not set its own admission policy.
+	// Near-duplicate threshold (-neardup): a non-zero one turns
+	// MinHash-based state merging on for every experiment crawl that
+	// does not set its own admission policy.
 	nearDup float64
-	sketch  core.SketchKind
 }
 
 // experiment is one runnable table/figure reproduction.
@@ -112,8 +111,7 @@ func main() {
 		retryBase   = flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff; doubles per retry with full jitter")
 		breakerThr  = flag.Float64("breaker-threshold", 0, "per-host circuit-breaker failure-rate threshold in (0,1] (0 disables the breaker)")
 		faultRate   = flag.Float64("fault-rate", 0, "inject transient fetch faults with this probability (chaos testing; seeded by -seed)")
-		nearDup     = flag.Float64("neardup", 0, "merge states whose sketch similarity reaches this threshold in (0,1] (0 disables; 0.9 with the default minhash sketch, ~0.5 with -sketch simhash)")
-		sketchKind  = flag.String("sketch", "minhash", "near-dup signature family: minhash (64 permutations) or simhash (64-bit fingerprint, cheaper and coarser)")
+		nearDup     = flag.Float64("neardup", 0, "merge states whose MinHash similarity reaches this threshold in (0,1] (0 disables; 0.9 is a reasonable setting)")
 		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the parallel crawler's work-stealing scheduler (0 = default seed 1)")
 	)
 	flag.Parse()
@@ -184,10 +182,6 @@ func main() {
 		faultRate: *faultRate,
 		frontSeed: *frontSeed,
 		nearDup:   *nearDup,
-		sketch:    core.SketchKind(*sketchKind),
-	}
-	if *sketchKind != string(core.SketchMinHash) && *sketchKind != string(core.SketchSimHash) {
-		fatalf("-sketch %q: want %s or %s", *sketchKind, core.SketchMinHash, core.SketchSimHash)
 	}
 	if *retries > 0 {
 		e.retry = &fetch.RetryPolicy{MaxAttempts: *retries + 1, BaseDelay: *retryBase}
@@ -278,9 +272,6 @@ func (e *env) crawl(n int, opts core.Options) (*core.Metrics, []*model.Graph, er
 	opts.BreakerConfig = e.breaker
 	if opts.NearDupThreshold == 0 && e.nearDup > 0 {
 		opts.NearDupThreshold = e.nearDup
-	}
-	if opts.Sketch == "" {
-		opts.Sketch = e.sketch
 	}
 	c := core.New(inst, opts)
 	graphs, m, err := c.CrawlAll(e.ctx, e.urls(n))

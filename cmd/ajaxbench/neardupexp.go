@@ -37,7 +37,6 @@ func expNearDup(e *env) error {
 			UseHotNode:       true,
 			MaxStates:        11,
 			NearDupThreshold: threshold,
-			Sketch:           e.sketch,
 		}).CrawlAll(e.ctx, urls)
 		if err != nil {
 			return err

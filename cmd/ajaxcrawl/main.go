@@ -71,8 +71,7 @@ func main() {
 		partRetries = flag.Int("partition-restarts", 0, "supervisor: requeue a failed or wedged page up to this many times")
 		partStuck   = flag.Duration("partition-stuck", 0, "supervisor watchdog: cancel and requeue a page when no page completes on its line within this duration (0 disables)")
 		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the frontier scheduler's steal-victim PRNG (0 selects seed 1; results are seed-independent)")
-		nearDup     = flag.Float64("neardup", 0, "merge states whose sketch similarity reaches this threshold in (0,1] (0 disables; 0.9 with the default minhash sketch, ~0.5 with -sketch simhash)")
-		sketchKind  = flag.String("sketch", "minhash", "near-dup signature family: minhash (64 permutations) or simhash (64-bit fingerprint, cheaper and coarser)")
+		nearDup     = flag.Float64("neardup", 0, "merge states whose MinHash similarity reaches this threshold in (0,1] (0 disables; 0.9 is a reasonable setting)")
 		simNoisy    = flag.Bool("sim-noisy", false, "give the synthetic site mutating page chrome (timestamp/view-counter/ad-slot) — the noisy-app workload that near-dup merging collapses")
 	)
 	flag.Parse()
@@ -177,10 +176,6 @@ func main() {
 		UseHotNode:       !*noHot && !*traditional,
 		MaxStates:        *maxStates,
 		NearDupThreshold: *nearDup,
-		Sketch:           core.SketchKind(*sketchKind),
-	}
-	if *sketchKind != string(core.SketchMinHash) && *sketchKind != string(core.SketchSimHash) {
-		fatal("-sketch %q: want %s or %s", *sketchKind, core.SketchMinHash, core.SketchSimHash)
 	}
 	if *retries > 0 {
 		opts.RetryPolicy = &fetch.RetryPolicy{

@@ -96,9 +96,9 @@ func main() {
 	if err != nil {
 		fatal("load snapshot: %v", err)
 	}
-	live := srv.QueryServer().Live()
-	fmt.Printf("serving snapshot %s: %d shards, %d docs, %d states\n",
-		srv.ManifestID(), len(live.Broker.Shards), live.Docs, live.States)
+	live, man := srv.QueryServer().Live(), srv.Manifest()
+	fmt.Printf("serving snapshot %s: %d shard files, %d docs, %d states\n",
+		man.ID, len(man.Shards), live.Docs, live.States)
 	fmt.Printf("search:  http://%s/search?q=...&k=%d\n", *addr, *defaultK)
 	fmt.Printf("metrics: http://%s/debug/metrics (Prometheus: ?format=prom), health: http://%s/healthz\n", *addr, *addr)
 

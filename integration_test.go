@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -292,6 +293,65 @@ func TestServeGoldenEndToEnd(t *testing.T) {
 	for q, body := range first {
 		if second[q] != body {
 			t.Fatalf("q=%q: end-to-end responses differ across identical runs:\n%s\nvs\n%s", q, second[q], body)
+		}
+	}
+}
+
+// TestLoadedEngineResavesAsOneFile: an engine loaded from a snapshot of
+// several shard files holds one index, so it re-saves as one file, and
+// that snapshot serves every /search and /shard/search body of the
+// 100-query workload byte-identical to the crawl's.
+func TestLoadedEngineResavesAsOneFile(t *testing.T) {
+	site := NewSimSite(60, 909)
+	eng, err := BuildEngine(context.Background(), Config{
+		Fetcher:  NewHandlerFetcher(site.Handler()),
+		StartURL: site.VideoURL(0),
+		MaxPages: 45,
+		Crawl:    CrawlOptions{UseHotNode: true},
+		KeepURL:  IsWatchURL,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crawled, resaved := t.TempDir(), t.TempDir()
+	man, err := eng.SaveSnapshot(crawled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngineSnapshot(crawled, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man2, err := loaded.SaveSnapshot(resaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Shards) < 2 || len(man2.Shards) != 1 || man2.TotalDocs != man.TotalDocs || man2.TotalStates != man.TotalStates {
+		t.Fatalf("crawl saved %d files (%d docs, %d states), the loaded engine %d (%d, %d)",
+			len(man.Shards), man.TotalDocs, man.TotalStates, len(man2.Shards), man2.TotalDocs, man2.TotalStates)
+	}
+	var handlers []http.Handler
+	for _, dir := range []string{crawled, resaved} {
+		srv, err := serve.New(serve.Config{SnapshotDir: dir}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handlers = append(handlers, srv.Handler())
+	}
+	for _, q := range webapp.Queries() {
+		for _, path := range []string{"/search?k=10&q=", "/shard/search?q="} {
+			var bodies []string
+			for _, h := range handlers {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", path+url.QueryEscape(q), nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s%q: status %d", path, q, rec.Code)
+				}
+				bodies = append(bodies, rec.Body.String())
+			}
+			if bodies[0] != bodies[1] {
+				t.Fatalf("%s%q: the re-saved snapshot answers\n%s\nthe crawl's\n%s", path, q, bodies[1], bodies[0])
+			}
 		}
 	}
 }

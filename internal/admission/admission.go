@@ -240,25 +240,6 @@ func (l *Limiter) Acquire(ctx context.Context) (*Token, error) {
 	}
 }
 
-// TryAcquire admits the caller only if a slot is immediately free; it
-// never queues. The failure is counted as a shed.
-func (l *Limiter) TryAcquire() (*Token, bool) {
-	l.mu.Lock()
-	now := l.clock.Now()
-	if l.inflight < l.limit {
-		l.inflight++
-		depth := len(l.queue)
-		l.publishOccupancyLocked()
-		l.mu.Unlock()
-		l.tel.Counter("admission.admitted").Inc()
-		return &Token{l: l, start: now, QueueDepth: depth}, true
-	}
-	l.saturated = true
-	l.mu.Unlock()
-	l.tel.Counter("admission.shed").Inc()
-	return nil, false
-}
-
 // Release ends the request and feeds its latency to the controller.
 func (t *Token) Release() {
 	if t == nil || t.done {

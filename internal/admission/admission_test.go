@@ -54,13 +54,13 @@ func TestDefaults(t *testing.T) {
 }
 
 // saturate runs one full-utilization round: acquire every slot, observe
-// a failed TryAcquire (marking saturation), then release all slots
+// a failed tryAcquire (marking saturation), then release all slots
 // after lat of virtual time.
 func saturate(t *testing.T, l *Limiter, clock *manualClock, lat time.Duration) {
 	t.Helper()
 	var toks []*Token
 	for {
-		tok, ok := l.TryAcquire()
+		tok, ok := tryAcquire(l)
 		if !ok {
 			break
 		}
@@ -93,7 +93,7 @@ func TestMultiplicativeDecreaseOnLatencyGradient(t *testing.T) {
 	// Baseline batch: 4 samples at 10ms (unsaturated — limit 8, 1 in
 	// flight), so the moving minimum learns 10ms.
 	for i := 0; i < 4; i++ {
-		tok, ok := l.TryAcquire()
+		tok, ok := tryAcquire(l)
 		if !ok {
 			t.Fatal("unsaturated acquire failed")
 		}
@@ -105,7 +105,7 @@ func TestMultiplicativeDecreaseOnLatencyGradient(t *testing.T) {
 	}
 	// Congested batch: 50ms > 2×10ms ⇒ multiplicative cut 8 → 6.
 	for i := 0; i < 4; i++ {
-		tok, _ := l.TryAcquire()
+		tok, _ := tryAcquire(l)
 		clock.Advance(50 * time.Millisecond)
 		tok.Release()
 	}
@@ -115,7 +115,7 @@ func TestMultiplicativeDecreaseOnLatencyGradient(t *testing.T) {
 	// Keep the pressure on: 6 → 4 → 3 → 2, clamped at Min=2.
 	for round := 0; round < 8; round++ {
 		for i := 0; i < 4; i++ {
-			tok, _ := l.TryAcquire()
+			tok, _ := tryAcquire(l)
 			clock.Advance(50 * time.Millisecond)
 			tok.Release()
 		}
@@ -137,7 +137,7 @@ func TestBaselineWindowForgetsStaleMinimum(t *testing.T) {
 		Tolerance: 2, Window: time.Second, Clock: clock})
 	// Fast past: two 10ms samples at t≈0.
 	for i := 0; i < 2; i++ {
-		tok, _ := l.TryAcquire()
+		tok, _ := tryAcquire(l)
 		clock.Advance(10 * time.Millisecond)
 		tok.Release()
 	}
@@ -146,7 +146,7 @@ func TestBaselineWindowForgetsStaleMinimum(t *testing.T) {
 	clock.Advance(2 * time.Second)
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 2; i++ {
-			tok, _ := l.TryAcquire()
+			tok, _ := tryAcquire(l)
 			clock.Advance(50 * time.Millisecond)
 			tok.Release()
 		}
@@ -158,7 +158,7 @@ func TestBaselineWindowForgetsStaleMinimum(t *testing.T) {
 	stable := l.Limit()
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 2; i++ {
-			tok, _ := l.TryAcquire()
+			tok, _ := tryAcquire(l)
 			clock.Advance(50 * time.Millisecond)
 			tok.Release()
 		}
@@ -203,7 +203,7 @@ func TestQueueGrantsFIFOWithinTarget(t *testing.T) {
 	clock := newManualClock()
 	l := New(Config{Min: 1, Initial: 1, Max: 1, Queue: 2,
 		QueueTarget: 20 * time.Millisecond, Clock: clock})
-	hold, ok := l.TryAcquire()
+	hold, ok := tryAcquire(l)
 	if !ok {
 		t.Fatal("first acquire failed")
 	}
@@ -231,7 +231,7 @@ func TestCoDelDropsOverstayedWaiters(t *testing.T) {
 	reg := obs.NewRegistry()
 	l := New(Config{Min: 1, Initial: 1, Max: 1, Queue: 2,
 		QueueTarget: 20 * time.Millisecond, Clock: clock, Tel: obs.New(reg, nil)})
-	hold, _ := l.TryAcquire()
+	hold, _ := tryAcquire(l)
 	w1 := acquireAsync(l, context.Background())
 	waitDepth(t, l, 1)
 	// The waiter sits 30ms > 20ms target: when its turn comes it is
@@ -253,7 +253,7 @@ func TestQueueFullShedsImmediately(t *testing.T) {
 	clock := newManualClock()
 	reg := obs.NewRegistry()
 	l := New(Config{Min: 1, Initial: 1, Max: 1, Queue: 1, Clock: clock, Tel: obs.New(reg, nil)})
-	hold, _ := l.TryAcquire()
+	hold, _ := tryAcquire(l)
 	defer hold.Release()
 	go acquireAsync(l, context.Background())
 	waitDepth(t, l, 1)
@@ -267,8 +267,8 @@ func TestQueueFullShedsImmediately(t *testing.T) {
 
 func TestZeroQueueIsLegacySemaphore(t *testing.T) {
 	l := New(Config{Min: 1, Initial: 2, Max: 2})
-	a, _ := l.TryAcquire()
-	b, _ := l.TryAcquire()
+	a, _ := tryAcquire(l)
+	b, _ := tryAcquire(l)
 	if _, err := l.Acquire(context.Background()); err != ErrSaturated {
 		t.Fatalf("acquire at limit with no queue got %v, want immediate ErrSaturated", err)
 	}
@@ -278,7 +278,7 @@ func TestZeroQueueIsLegacySemaphore(t *testing.T) {
 
 func TestCanceledWaiterLeavesQueue(t *testing.T) {
 	l := New(Config{Min: 1, Initial: 1, Max: 1, Queue: 4})
-	hold, _ := l.TryAcquire()
+	hold, _ := tryAcquire(l)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
@@ -302,7 +302,7 @@ func TestCanceledWaiterLeavesQueue(t *testing.T) {
 func TestCancelRecordsNoSample(t *testing.T) {
 	clock := newManualClock()
 	l := New(Config{Min: 1, Initial: 4, Max: 4, UpdateEvery: 1, Clock: clock})
-	tok, _ := l.TryAcquire()
+	tok, _ := tryAcquire(l)
 	clock.Advance(time.Microsecond)
 	tok.Cancel()
 	if got := l.RetryAfterSeconds(); got != 1 {
@@ -317,14 +317,14 @@ func TestRetryAfterScalesWithQueueAndLatency(t *testing.T) {
 	clock := newManualClock()
 	l := New(Config{Min: 1, Initial: 1, Max: 1, Queue: 8, Clock: clock})
 	// One 2s sample seeds the EWMA.
-	tok, _ := l.TryAcquire()
+	tok, _ := tryAcquire(l)
 	clock.Advance(2 * time.Second)
 	tok.Release()
 	if got := l.RetryAfterSeconds(); got != 2 {
 		t.Fatalf("RetryAfterSeconds = %d, want 2 (ceil of one 2s service time)", got)
 	}
 	// Three queued waiters ahead: the hint grows to cover their drain.
-	hold, _ := l.TryAcquire()
+	hold, _ := tryAcquire(l)
 	for i := 0; i < 3; i++ {
 		go acquireAsync(l, context.Background())
 	}
@@ -340,7 +340,7 @@ func TestSetLimitShrinkRetiresSlots(t *testing.T) {
 	l := New(Config{Min: 1, Initial: 4, Max: 8})
 	var toks []*Token
 	for i := 0; i < 4; i++ {
-		tok, ok := l.TryAcquire()
+		tok, ok := tryAcquire(l)
 		if !ok {
 			t.Fatal("acquire under limit failed")
 		}
@@ -352,19 +352,19 @@ func TestSetLimitShrinkRetiresSlots(t *testing.T) {
 	if got := l.Inflight(); got != 2 {
 		t.Fatalf("inflight = %d after shrink drain, want 2", got)
 	}
-	if _, ok := l.TryAcquire(); ok {
+	if _, ok := tryAcquire(l); ok {
 		t.Fatal("acquire admitted above the shrunken limit")
 	}
 	toks[2].Release()
 	toks[3].Release()
-	if _, ok := l.TryAcquire(); !ok {
+	if _, ok := tryAcquire(l); !ok {
 		t.Fatal("acquire below the shrunken limit failed")
 	}
 }
 
 func TestSetLimitGrowthAdmitsWaiters(t *testing.T) {
 	l := New(Config{Min: 1, Initial: 1, Max: 8, Queue: 4, QueueTarget: time.Hour})
-	hold, _ := l.TryAcquire()
+	hold, _ := tryAcquire(l)
 	granted := make(chan *Token, 1)
 	go func() {
 		tok, err := l.Acquire(context.Background())
@@ -404,7 +404,7 @@ func TestConvergenceUnderSustainedOverload(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		var toks []*Token
 		for i := 0; i < capacity/2; i++ {
-			tok, ok := l.TryAcquire()
+			tok, ok := tryAcquire(l)
 			if !ok {
 				t.Fatalf("warmup shed at round %d", round)
 			}
@@ -423,7 +423,7 @@ func TestConvergenceUnderSustainedOverload(t *testing.T) {
 	for round := 0; round < 120; round++ {
 		var toks []*Token
 		for i := 0; i < offered; i++ {
-			tok, ok := l.TryAcquire()
+			tok, ok := tryAcquire(l)
 			if !ok {
 				sheds++
 				continue
@@ -439,7 +439,7 @@ func TestConvergenceUnderSustainedOverload(t *testing.T) {
 			tok.Release()
 		}
 		if got := l.QueueDepth(); got != 0 {
-			t.Fatalf("round %d: queue depth %d in a TryAcquire-only sim", round, got)
+			t.Fatalf("round %d: queue depth %d in a tryAcquire-only sim", round, got)
 		}
 		if round >= 90 {
 			lim := l.Limit()
@@ -494,4 +494,14 @@ func TestAcquireReleaseAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("Acquire+Release with telemetry = %.1f allocs, want <= 1 (the Token)", allocs)
 	}
+}
+
+// tryAcquire takes a free slot or fails at once: Acquire under a context
+// that has already ended, which admits into a free slot and otherwise
+// sheds (no queue) or leaves the queue it just joined.
+func tryAcquire(l *Limiter) (*Token, bool) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tok, err := l.Acquire(ctx)
+	return tok, err == nil
 }

@@ -37,7 +37,7 @@ func TestLimiterRaceHammer(t *testing.T) {
 				}
 				switch rng.Intn(4) {
 				case 0:
-					if tok, ok := l.TryAcquire(); ok {
+					if tok, ok := tryAcquire(l); ok {
 						tok.Release()
 					}
 				case 1:
@@ -53,7 +53,7 @@ func TestLimiterRaceHammer(t *testing.T) {
 					}
 				case 3:
 					// Double-release must be idempotent.
-					if tok, ok := l.TryAcquire(); ok {
+					if tok, ok := tryAcquire(l); ok {
 						tok.Release()
 						tok.Release()
 						tok.Cancel()

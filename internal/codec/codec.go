@@ -216,20 +216,24 @@ func (d *Decoder) Uint64() uint64 {
 func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
 // String reads a length-prefixed string of at most MaxString bytes.
-func (d *Decoder) String() string {
+func (d *Decoder) String() string { return string(d.Key()) }
+
+// Key reads a String field without copying it when it fits the read
+// buffer: the bytes are then a view of the buffer, valid until the next
+// read. A map lookup with string(key) allocates nothing.
+func (d *Decoder) Key() []byte {
 	n := d.Uvarint()
 	if n > MaxString {
 		d.Fail(fmt.Errorf("string length %d too large", n))
 	}
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if b, err := d.r.Peek(int(n)); err == nil {
-		s := string(b)
 		d.r.Discard(len(b)) //nolint:errcheck // the bytes are buffered
-		return s
+		return b
 	}
-	return string(d.Next(int(n)))
+	return d.Next(int(n))
 }
 
 // Bytes reads a length-prefixed field of at most MaxCount bytes.

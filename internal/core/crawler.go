@@ -82,11 +82,6 @@ type Options struct {
 	// granular events ... a large set of very similar states"). 0.9 is
 	// a reasonable setting; 0 disables near-duplicate merging.
 	NearDupThreshold float64
-	// Sketch selects the near-dup signature family: SketchMinHash (the
-	// default, 64 permutations) or SketchSimHash (one 64-bit
-	// random-projection fingerprint widened to 16 chunks — cheaper to
-	// compute, coarser similarity estimates).
-	Sketch SketchKind
 	// Clock measures crawl time (virtual in benchmarks). nil = wall.
 	Clock fetch.Clock
 	// PageTimeout is the per-page crawl budget: CrawlPage derives a
@@ -136,32 +131,7 @@ func (o Options) withDefaults() Options {
 	if o.Clock == nil {
 		o.Clock = fetch.RealClock{}
 	}
-	if o.Sketch == "" {
-		o.Sketch = SketchMinHash
-	}
 	return o
-}
-
-// SketchKind names a near-dup signature family (see Options.Sketch).
-type SketchKind string
-
-const (
-	SketchMinHash SketchKind = "minhash"
-	SketchSimHash SketchKind = "simhash"
-)
-
-// sketcher resolves the kind to its token→Signature function and the
-// signature length it produces (the LSH index and the checkpoint sig
-// cache are keyed to that length).
-func (k SketchKind) sketcher() (func(tokens []string) shingle.Signature, int, error) {
-	switch k {
-	case "", SketchMinHash:
-		return shingle.Sketch, shingle.DefaultSignatureSize, nil
-	case SketchSimHash:
-		return shingle.SimHashSketch, shingle.SimHashSignatureSize, nil
-	default:
-		return nil, 0, fmt.Errorf("core: unknown sketch kind %q (want %q or %q)", k, SketchMinHash, SketchSimHash)
-	}
 }
 
 // PageMetrics reports what crawling one page cost — the per-page rows of
@@ -451,10 +421,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 		pm.HandlerErrors++
 	}
 	tel := obs.From(ctx)
-	admit, err := newStateAdmitter(graph, opts, pm, tel)
-	if err != nil {
-		return err
-	}
+	admit := newStateAdmitter(graph, opts, pm, tel)
 	if cp := opts.Checkpoint; cp != nil {
 		admit.journal = func(h dom.Hash, sig shingle.Signature) {
 			_ = cp.StateAdmitted(url, h)
@@ -732,15 +699,13 @@ type stateAdmitter struct {
 	threshold float64
 	pm        *PageMetrics
 	tel       *obs.Telemetry
-	sketch    func(tokens []string) shingle.Signature
-	sigLen    int
 	index     *lsh.Index
 	sigs      map[model.StateID]shingle.Signature
 	fields    []string // the sketched text's tokens, reused per state
 	// sigCache holds journaled hash→signature pairs from an interrupted
 	// attempt at this page, so a resumed re-crawl skips re-sketching the
-	// states it already saw. A signature of the wrong length (the sketch
-	// kind changed between runs) is ignored and the state re-sketched.
+	// states it already saw. A signature of another length than
+	// shingle.Sketch's is ignored and the state re-sketched.
 	sigCache map[dom.Hash]shingle.Signature
 	// journal, when set, receives every newly admitted state hash — the
 	// checkpoint journal's mid-page progress trail — with its signature
@@ -749,19 +714,13 @@ type stateAdmitter struct {
 	journal func(h dom.Hash, sig shingle.Signature)
 }
 
-func newStateAdmitter(graph *model.Graph, opts Options, pm *PageMetrics, tel *obs.Telemetry) (*stateAdmitter, error) {
+func newStateAdmitter(graph *model.Graph, opts Options, pm *PageMetrics, tel *obs.Telemetry) *stateAdmitter {
 	a := &stateAdmitter{graph: graph, threshold: opts.NearDupThreshold, pm: pm, tel: tel}
-	if a.threshold <= 0 {
-		return a, nil
+	if a.threshold > 0 {
+		a.sigs = make(map[model.StateID]shingle.Signature)
+		a.index = lsh.New(a.threshold, shingle.DefaultSignatureSize)
 	}
-	sketch, sigLen, err := opts.Sketch.sketcher()
-	if err != nil {
-		return nil, err
-	}
-	a.sketch, a.sigLen = sketch, sigLen
-	a.sigs = make(map[model.StateID]shingle.Signature)
-	a.index = lsh.New(a.threshold, sigLen)
-	return a, nil
+	return a
 }
 
 // state admits (or merges) a candidate state and returns its ID,
@@ -774,9 +733,9 @@ func (a *stateAdmitter) state(h dom.Hash, text string, depth int) (model.StateID
 	var sig shingle.Signature
 	if a.threshold > 0 {
 		var ok bool
-		if sig, ok = a.sigCache[h]; !ok || len(sig) != a.sigLen {
+		if sig, ok = a.sigCache[h]; !ok || len(sig) != shingle.DefaultSignatureSize {
 			a.fields = shingle.AppendFields(a.fields[:0], strings.ToLower(text))
-			sig = a.sketch(a.fields)
+			sig = shingle.Sketch(a.fields)
 		}
 		if target, merged := a.mergeTarget(sig); merged {
 			a.pm.NearDupMerges++

@@ -250,8 +250,8 @@ not-a-directive /x 3
 ajax-states /bad notanumber
 ajax-states /zero 0
 `)
-	if r.NumRules() != 3 {
-		t.Fatalf("rules = %d, want 3", r.NumRules())
+	if len(r.rules) != 3 {
+		t.Fatalf("rules = %d, want 3", len(r.rules))
 	}
 	cases := []struct {
 		url  string
@@ -270,7 +270,7 @@ ajax-states /zero 0
 	}
 	// nil robots: no limits.
 	var nilR *AjaxRobots
-	if nilR.MaxStates("/watch") != 0 || nilR.NumRules() != 0 {
+	if nilR.MaxStates("/watch") != 0 {
 		t.Fatalf("nil robots should impose no limits")
 	}
 }

@@ -97,14 +97,6 @@ func (r *AjaxRobots) MaxStates(url string) int {
 	return 0
 }
 
-// NumRules returns the number of parsed rules.
-func (r *AjaxRobots) NumRules() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.rules)
-}
-
 // ApplyTo caps crawl options at the granularity advertised for a URL:
 // the effective MaxStates is the smaller of the crawler's own budget and
 // the site's advertised one.

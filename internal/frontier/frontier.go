@@ -47,9 +47,8 @@ type Config struct {
 // Dedup is two-layer. An exact set guards the pinned crawl universe:
 // every admitted URL lands in it, and AdmitSeed consults only it, so a
 // precrawled URL can never be lost to a hash collision. The bloom
-// filter guards Admit (dynamic/late admission) and additionally carries
-// the precrawl visited set via MarkSeen, so URLs rediscovered during
-// crawling are rejected without an exact entry each.
+// filter guards Admit (dynamic/late admission), so URLs rediscovered
+// during crawling are rejected without an exact entry each.
 //
 // All methods are safe for concurrent use.
 type Frontier struct {
@@ -145,20 +144,6 @@ func (f *Frontier) Admit(it Item) bool {
 	f.push(it)
 	f.meter("frontier.admitted", 1)
 	return true
-}
-
-// MarkSeen feeds URLs into the bloom filter without queueing them —
-// used to seed dedup with the precrawl visited set, so pages the
-// precrawler already rejected (or crawled) are not re-admitted when
-// rediscovered dynamically.
-func (f *Frontier) MarkSeen(urls map[string]bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for u, ok := range urls {
-		if ok {
-			f.bloom.Add(u)
-		}
-	}
 }
 
 // Push requeues an item without dedup — the supervisor's retry path.

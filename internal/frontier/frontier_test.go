@@ -122,9 +122,9 @@ func TestFrontierDedup(t *testing.T) {
 
 func TestFrontierMarkSeenBlocksDynamicAdmission(t *testing.T) {
 	f := New(Config{})
-	f.MarkSeen(map[string]bool{"seen": true})
+	f.bloom.Add("seen")
 	if f.Admit(Item{URL: "seen"}) {
-		t.Fatal("admitted a MarkSeen URL")
+		t.Fatal("admitted a URL the bloom filter holds")
 	}
 	// Seed admission is exact-set-only: a bloom entry must not block it.
 	if n := f.AdmitSeed([]Item{{URL: "seen"}}); n != 1 {

@@ -230,36 +230,43 @@ func FuzzIndexLoad(f *testing.F) {
 		// Decoded OK: the invariants the query layer relies on must hold,
 		// or SearchTopK would index out of range (or score NaN) at serve
 		// time.
-		nd := ix.NumDocs()
-		_ = ix.NumPostings()
-		for _, d := range ix.Docs {
-			if len(d.Texts) != d.States {
-				t.Fatalf("doc %s: %d texts for %d states", d.URL, len(d.Texts), d.States)
-			}
-			if !finite(d.PageRank) {
-				t.Fatalf("doc %s: PageRank %v", d.URL, d.PageRank)
-			}
-			for _, r := range d.AJAXRanks {
-				if !finite(r) {
-					t.Fatalf("doc %s: AJAXRank %v", d.URL, r)
-				}
-			}
-		}
-		for term, ps := range ix.Terms {
-			for _, p := range ps {
-				if int(p.Doc) < 0 || int(p.Doc) >= nd {
-					t.Fatalf("term %q posting doc %d out of range [0,%d)", term, p.Doc, nd)
-				}
-				if len(ix.Positions(p)) == 0 {
-					t.Fatalf("term %q posting for doc %d has no positions", term, p.Doc)
-				}
-				_ = ix.Doc(p.Doc)
-				_ = ix.StateText(p.Doc, model.StateID(p.State))
-			}
-			_ = ix.Lookup(term)
-			_ = ix.DF(term)
-		}
+		requireQueryable(t, ix)
 	})
+}
+
+// requireQueryable fails t unless ix is safe to query: texts for every
+// state, finite ranks, and postings in range with positions.
+func requireQueryable(t *testing.T, ix *Index) {
+	t.Helper()
+	nd := ix.NumDocs()
+	_ = ix.NumPostings()
+	for _, d := range ix.Docs {
+		if len(d.Texts) != d.States {
+			t.Fatalf("doc %s: %d texts for %d states", d.URL, len(d.Texts), d.States)
+		}
+		if !finite(d.PageRank) {
+			t.Fatalf("doc %s: PageRank %v", d.URL, d.PageRank)
+		}
+		for _, r := range d.AJAXRanks {
+			if !finite(r) {
+				t.Fatalf("doc %s: AJAXRank %v", d.URL, r)
+			}
+		}
+	}
+	for term, ps := range ix.Terms {
+		for _, p := range ps {
+			if int(p.Doc) < 0 || int(p.Doc) >= nd {
+				t.Fatalf("term %q posting doc %d out of range [0,%d)", term, p.Doc, nd)
+			}
+			if len(ix.Positions(p)) == 0 {
+				t.Fatalf("term %q posting for doc %d has no positions", term, p.Doc)
+			}
+			_ = ix.Doc(p.Doc)
+			_ = ix.StateText(p.Doc, model.StateID(p.State))
+		}
+		_ = ix.Lookup(term)
+		_ = ix.DF(term)
+	}
 }
 
 // TestDecodeCompressedLyingCounts pins the specific crasher class the

@@ -55,8 +55,8 @@ type Manifest struct {
 	ID string `json:"id"`
 	// CreatedAt is when the snapshot was written.
 	CreatedAt time.Time `json:"created_at"`
-	// Shards lists the shard files in broker order (crawl URL order, so
-	// ranking tie-breaks are reproducible).
+	// Shards lists the shard files in crawl URL order, the order
+	// LoadSnapshot concatenates them in.
 	Shards []ShardEntry `json:"shards"`
 	// Models is the application-models file name (model.ModelFileName),
 	// or "" when the snapshot carries indexes only. Only result
@@ -143,7 +143,7 @@ func LoadManifest(dir string) (*Manifest, error) {
 
 // SaveSnapshot writes shards (and, when graphs is non-empty, the
 // application models) into dir and then publishes the manifest. The
-// shard order is preserved — it is the broker order queries will see.
+// shard order is preserved — it is the doc order of the loaded index.
 // Graphs are stored sorted by URL so identical crawls produce
 // byte-identical snapshots (modulo the manifest's ID and timestamp).
 func SaveSnapshot(dir string, shards []*Index, graphs []*model.Graph) (*Manifest, error) {
@@ -188,30 +188,30 @@ func SaveSnapshot(dir string, shards []*Index, graphs []*model.Graph) (*Manifest
 	return m, nil
 }
 
-// LoadSnapshot reads dir's manifest and every shard it lists, verifying
-// each shard's sizes against the manifest record: everything serving
-// needs, snippets included. Models, when present, are loaded separately
-// (model.LoadAll) by the callers that reconstruct states.
+// LoadSnapshot reads dir's manifest and decodes the shard files it lists
+// into one index (loadFiles), returned as a one-element slice: all that
+// serving needs, snippets included. A shard file is a crawl unit; a query
+// walks one posting list per term. Models, when present, are loaded
+// separately (model.LoadAll) by the callers that reconstruct states.
 func LoadSnapshot(dir string) (*Manifest, []*Index, error) {
 	m, err := LoadManifest(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	shards := make([]*Index, 0, len(m.Shards))
-	for _, entry := range m.Shards {
-		shard, err := Load(filepath.Join(dir, entry.File))
-		if err != nil {
-			return nil, nil, fmt.Errorf("index: snapshot shard %s: %w", entry.File, err)
-		}
-		if shard.NumDocs() != entry.Docs || shard.TotalStates != entry.States {
-			return nil, nil, fmt.Errorf("index: snapshot shard %s: has %d docs/%d states, manifest says %d/%d",
-				entry.File, shard.NumDocs(), shard.TotalStates, entry.Docs, entry.States)
-		}
-		if shard.NumTerms() != entry.Terms {
-			return nil, nil, fmt.Errorf("index: snapshot shard %s: has %d terms, manifest says %d",
-				entry.File, shard.NumTerms(), entry.Terms)
-		}
-		shards = append(shards, shard)
+	ix, err := loadFiles(dir, m)
+	if err != nil {
+		return nil, nil, err
 	}
-	return m, shards, nil
+	return m, []*Index{ix}, nil
+}
+
+// check compares a shard file's sizes with the entry's record of them.
+func (e ShardEntry) check(docs, states, terms int) error {
+	if docs != e.Docs || states != e.States {
+		return fmt.Errorf("has %d docs/%d states, manifest says %d/%d", docs, states, e.Docs, e.States)
+	}
+	if terms != e.Terms {
+		return fmt.Errorf("has %d terms, manifest says %d", terms, e.Terms)
+	}
+	return nil
 }

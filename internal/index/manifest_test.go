@@ -49,18 +49,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if loadedMan.ID != man.ID {
 		t.Fatalf("reloaded ID %s != %s", loadedMan.ID, man.ID)
 	}
-	if len(shards) != 2 {
-		t.Fatalf("got %d shards", len(shards))
-	}
-	if shards[0].NumDocs() != 2 || shards[1].NumDocs() != 1 {
-		t.Fatalf("shard docs = %d/%d", shards[0].NumDocs(), shards[1].NumDocs())
+	// The two files load as one index, file order kept: it is the
+	// broker/ranking order.
+	if len(shards) != 1 || shards[0].NumDocs() != 3 || shards[0].TotalStates != 4 {
+		t.Fatalf("got %d indexes, the first with %d docs", len(shards), shards[0].NumDocs())
 	}
 	if got := shards[0].Doc(0).PageRank; got != 0.7 {
 		t.Fatalf("pagerank lost: %v", got)
 	}
-	// Shard order must be preserved — it is the broker/ranking order.
-	if shards[0].Doc(0).URL != "site/watch?v=a" || shards[1].Doc(0).URL != "site/watch?v=c" {
-		t.Fatalf("shard order changed: %s / %s", shards[0].Doc(0).URL, shards[1].Doc(0).URL)
+	if shards[0].Doc(0).URL != "site/watch?v=a" || shards[0].Doc(2).URL != "site/watch?v=c" {
+		t.Fatalf("file order changed: %s / %s", shards[0].Doc(0).URL, shards[0].Doc(2).URL)
 	}
 
 	graphs, err := model.LoadAll(dir)

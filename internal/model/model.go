@@ -113,9 +113,6 @@ func (g *Graph) AddTransition(t *Transition) {
 	g.adj[t.From] = append(g.adj[t.From], t)
 }
 
-// Out returns the outgoing transitions of a state.
-func (g *Graph) Out(id StateID) []*Transition { return g.adj[id] }
-
 // NumStates returns the number of distinct states.
 func (g *Graph) NumStates() int { return len(g.States) }
 

@@ -69,13 +69,13 @@ func TestStateLookupBounds(t *testing.T) {
 
 func TestOutEdges(t *testing.T) {
 	g := lineGraph()
-	if got := len(g.Out(0)); got != 2 {
+	if got := len(g.adj[0]); got != 2 {
 		t.Fatalf("out(0) = %d", got)
 	}
-	if got := len(g.Out(2)); got != 2 {
+	if got := len(g.adj[2]); got != 2 {
 		t.Fatalf("out(2) = %d", got)
 	}
-	if got := len(g.Out(3)); got != 0 {
+	if got := len(g.adj[3]); got != 0 {
 		t.Fatalf("out(3) = %d", got)
 	}
 }
@@ -145,7 +145,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if id, ok := l.FindByHash(h(2)); !ok || id != 2 {
 		t.Fatalf("hash index not rebuilt")
 	}
-	if len(l.Out(0)) != 2 {
+	if len(l.adj[0]) != 2 {
 		t.Fatalf("adjacency not rebuilt")
 	}
 	if p := l.PathTo(3); len(p) != 2 {

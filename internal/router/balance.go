@@ -67,10 +67,3 @@ func (l *latencyRing) Quantile(q float64) (time.Duration, bool) {
 	}
 	return s[idx], true
 }
-
-// Samples returns how many latencies are recorded (tests).
-func (l *latencyRing) Samples() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}

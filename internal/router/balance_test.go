@@ -18,7 +18,7 @@ func TestLatencyRingQuantile(t *testing.T) {
 		l.Observe(time.Duration(i) * time.Millisecond)
 	}
 	if _, ok := l.Quantile(0.5); ok {
-		t.Fatalf("ring answered below minHedgeSamples (%d samples)", l.Samples())
+		t.Fatalf("ring answered below minHedgeSamples (%d samples)", l.n)
 	}
 	l.Observe(time.Duration(minHedgeSamples) * time.Millisecond)
 	// Samples are 1..8ms. The estimate is the ceil(q·n)-th smallest
@@ -48,7 +48,7 @@ func TestLatencyRingEvictsOldest(t *testing.T) {
 	// Overwrite the two oldest (1ms, 2ms) with 100ms entries.
 	l.Observe(100 * time.Millisecond)
 	l.Observe(100 * time.Millisecond)
-	if got := l.Samples(); got != minHedgeSamples {
+	if got := l.n; got != minHedgeSamples {
 		t.Fatalf("Samples = %d, want %d (window capacity)", got, minHedgeSamples)
 	}
 	got, ok := l.Quantile(1.0)

@@ -297,8 +297,8 @@ func TestRouterHTTPSheds(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	rs := NewServer(rt, ServerConfig{MaxInflight: 1}, obs.New(reg, nil))
-	tok, ok := rs.Limiter().TryAcquire() // saturate the gate
-	if !ok {
+	tok, err := rs.Limiter().Acquire(context.Background()) // saturate the gate
+	if err != nil {
 		t.Fatal("could not saturate the limiter")
 	}
 	rts := httptest.NewServer(rs.Handler())

@@ -122,8 +122,8 @@ func TestFrontCasesOnBothTiers(t *testing.T) {
 		name: "saturated",
 		cfg:  ServerConfig{MaxInflight: 1},
 		run: func(t *testing.T, tier frontTier, f frontUnderTest, _ *testClock) {
-			tok, ok := f.lim.TryAcquire()
-			if !ok {
+			tok, err := f.lim.Acquire(context.Background())
+			if err != nil {
 				t.Fatal("could not saturate the limiter")
 			}
 			defer tok.Cancel()
@@ -149,8 +149,8 @@ func TestFrontCasesOnBothTiers(t *testing.T) {
 		name: "budget drained in the queue",
 		cfg:  queued,
 		run: func(t *testing.T, tier frontTier, f frontUnderTest, clock *testClock) {
-			tok, ok := f.lim.TryAcquire()
-			if !ok {
+			tok, err := f.lim.Acquire(context.Background())
+			if err != nil {
 				t.Fatal("could not saturate the limiter")
 			}
 			req := httptest.NewRequest(http.MethodGet, searchPath(q, 10), nil)
@@ -171,8 +171,8 @@ func TestFrontCasesOnBothTiers(t *testing.T) {
 		name: "client hangs up while queued",
 		cfg:  queued,
 		run: func(t *testing.T, tier frontTier, f frontUnderTest, _ *testClock) {
-			tok, ok := f.lim.TryAcquire()
-			if !ok {
+			tok, err := f.lim.Acquire(context.Background())
+			if err != nil {
 				t.Fatal("could not saturate the limiter")
 			}
 			defer tok.Cancel()

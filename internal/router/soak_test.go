@@ -256,8 +256,8 @@ func TestFleetSoakOverloadWithFlappingReplica(t *testing.T) {
 	rejectedBefore := reg.Counter("router.budget_rejected").Value()
 	var toks []*admission.Token
 	for i := 0; i < capacity; i++ {
-		tok, ok := rs.Limiter().TryAcquire()
-		if !ok {
+		tok, err := rs.Limiter().Acquire(context.Background())
+		if err != nil {
 			t.Fatal("could not saturate the limiter")
 		}
 		toks = append(toks, tok)

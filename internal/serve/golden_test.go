@@ -12,14 +12,18 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"ajaxcrawl/internal/core"
 	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/index"
+	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/query"
 	"ajaxcrawl/internal/webapp"
 )
@@ -33,6 +37,38 @@ func goldenQueries() []string {
 	return append(webapp.Queries(), "Funny  DANCE!", "wow zzzabsent", "love love", "!!!")
 }
 
+// goldenGraphs crawls the 200-video corpus the golden bodies were
+// captured on, once per test binary.
+var goldenGraphs = sync.OnceValues(func() ([]*model.Graph, error) {
+	const videos = 200
+	site := webapp.New(webapp.DefaultConfig(videos, 2008))
+	urls := make([]string, videos)
+	for i := range urls {
+		urls[i] = webapp.WatchURL(site.VideoID(i))
+	}
+	c := core.New(&fetch.HandlerFetcher{Handler: site.Handler()}, core.Options{UseHotNode: true})
+	graphs, _, err := c.CrawlAll(context.Background(), urls)
+	return graphs, err
+})
+
+// publishCut publishes graphs into a new directory as shard files of
+// every chunk consecutive graphs (one file when chunk is 0).
+func publishCut(t *testing.T, graphs []*model.Graph, chunk int) string {
+	t.Helper()
+	if chunk == 0 {
+		chunk = len(graphs)
+	}
+	var shards []*index.Index
+	for lo := 0; lo < len(graphs); lo += chunk {
+		shards = append(shards, index.Build(graphs[lo:min(lo+chunk, len(graphs))], nil, 0))
+	}
+	dir := t.TempDir()
+	if _, err := index.SaveSnapshot(dir, shards, graphs); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // TestBodiesGolden pins every serving body — /search, /shard/search
 // unhinted, /shard/search under the shard's own statistics with k=10 —
 // for the golden queries on the crawled 200-video corpus to
@@ -42,23 +78,27 @@ func goldenQueries() []string {
 // 19), so byte-identity is pinned against that build, not against this
 // build's own reference server. A hinted shard response is hashed with
 // its candidates in (url, state) order: their order on the wire is not
-// part of the contract (DESIGN.md §5i), their content is.
+// part of the contract (DESIGN.md §5i), their content is. The corpus is
+// served from two layouts against the one golden: a single shard file,
+// and the graphs cut every index.ShardPages, as a crawl publishes them.
 func TestBodiesGolden(t *testing.T) {
-	const videos = 200
-	site := webapp.New(webapp.DefaultConfig(videos, 2008))
-	urls := make([]string, videos)
-	for i := range urls {
-		urls[i] = webapp.WatchURL(site.VideoID(i))
-	}
-	c := core.New(&fetch.HandlerFetcher{Handler: site.Handler()}, core.Options{UseHotNode: true})
-	graphs, _, err := c.CrawlAll(context.Background(), urls)
+	graphs, err := goldenGraphs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if _, err := index.SaveSnapshot(dir, []*index.Index{index.Build(graphs, nil, 0)}, graphs); err != nil {
-		t.Fatal(err)
+	for _, layout := range []struct {
+		name  string
+		chunk int
+	}{{"one file", 0}, {"a file per index.ShardPages graphs", index.ShardPages}} {
+		t.Run(layout.name, func(t *testing.T) {
+			checkBodiesGolden(t, publishCut(t, graphs, layout.chunk))
+		})
 	}
+}
+
+// checkBodiesGolden compares the bodies the snapshot in dir serves with
+// testdata/bodies.golden (or rewrites the golden under -update).
+func checkBodiesGolden(t *testing.T, dir string) {
 	s, _ := newTestServer(t, Config{SnapshotDir: dir})
 	h := s.Handler()
 	body := func(path string) []byte {
@@ -130,5 +170,50 @@ func TestBodiesGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("%d body lines, golden has %d", len(gl), len(wl))
+	}
+}
+
+// TestMergedLoadMatchesPerFileBroker: over the golden corpus cut every
+// index.ShardPages graphs, the one index LoadSnapshot holds answers each
+// golden query with what a broker over the files, loaded one by one,
+// answers: URL, state, float64 score and order. Two graphs of one text
+// sit on either side of a file boundary, so their score ties across it.
+func TestMergedLoadMatchesPerFileBroker(t *testing.T) {
+	graphs, err := goldenGraphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := func(url string) *model.Graph {
+		g := model.NewGraph(url)
+		g.AddState(testHash(9), "zzztwin morcheeba", 0)
+		return g
+	}
+	cut := slices.Concat(graphs[:index.ShardPages-1], []*model.Graph{twin("site/twin-b"), twin("site/twin-a")}, graphs[index.ShardPages-1:])
+	dir := publishCut(t, cut, index.ShardPages)
+
+	snap, man, err := LoadSnapshot(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*index.Index
+	for _, e := range man.Shards {
+		ix, err := index.Load(filepath.Join(dir, e.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, ix)
+	}
+	if len(snap.Broker.Shards) != 1 || len(files) != len(cut)/index.ShardPages+1 {
+		t.Fatalf("%d indexes over %d files", len(snap.Broker.Shards), len(files))
+	}
+	perFile := query.NewBroker(files)
+	for _, q := range append(goldenQueries(), "zzztwin") {
+		if got, want := snap.Broker.Search(q), perFile.Search(q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: the one index answers\n%v\nthe files answer\n%v", q, got, want)
+		}
+	}
+	tie := snap.Broker.Search("zzztwin")
+	if len(tie) != 2 || tie[0].Score != tie[1].Score || tie[0].URL != "site/twin-a" {
+		t.Fatalf("the twins across the file boundary rank %v, want a tie broken by URL", tie)
 	}
 }

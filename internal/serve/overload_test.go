@@ -100,8 +100,8 @@ func TestQueueWaitEatsBudget(t *testing.T) {
 		Clock:           clk,
 	})
 
-	tok, ok := s.Limiter().TryAcquire()
-	if !ok {
+	tok, err := s.Limiter().Acquire(context.Background())
+	if err != nil {
 		t.Fatal("could not saturate the limiter")
 	}
 	req := httptest.NewRequest("GET", "/search?q=morcheeba", nil)
@@ -223,8 +223,8 @@ func TestBrownoutOverHTTP(t *testing.T) {
 		AdmissionQueue:  2,
 		AdmissionTarget: time.Minute,
 	})
-	tok, ok := s.Limiter().TryAcquire()
-	if !ok {
+	tok, err := s.Limiter().Acquire(context.Background())
+	if err != nil {
 		t.Fatal("could not saturate the limiter")
 	}
 	done := make(chan *httptest.ResponseRecorder, 1)

@@ -105,8 +105,8 @@ type Server struct {
 
 	// mu serializes Reload: only one snapshot load/swap runs at a time.
 	// Serving never takes this lock.
-	mu         sync.Mutex
-	manifestID string
+	mu       sync.Mutex
+	manifest *index.Manifest
 }
 
 // New loads the snapshot in cfg.SnapshotDir and returns a ready Server.
@@ -119,7 +119,7 @@ func New(cfg Config, tel *obs.Telemetry) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, manifestID: man.ID}
+	s := &Server{cfg: cfg, manifest: man}
 	s.Front = NewFront(FrontConfig{
 		DefaultK:        cfg.DefaultK,
 		MaxK:            cfg.MaxK,
@@ -151,7 +151,8 @@ func New(cfg Config, tel *obs.Telemetry) (*Server, error) {
 	return s, nil
 }
 
-// LoadSnapshot reads a snapshot directory's shards into a ServeSnapshot
+// LoadSnapshot reads a snapshot directory's shard files into a
+// ServeSnapshot over the one index index.LoadSnapshot decodes them into,
 // whose broker is also its snippet source; the application models are
 // never opened. w nil means default weights.
 func LoadSnapshot(dir string, w *query.Weights) (*query.ServeSnapshot, *index.Manifest, error) {
@@ -167,11 +168,11 @@ func LoadSnapshot(dir string, w *query.Weights) (*query.ServeSnapshot, *index.Ma
 	return &query.ServeSnapshot{Broker: broker, StateText: broker.StateText}, man, nil
 }
 
-// ManifestID returns the ID of the currently serving manifest.
-func (s *Server) ManifestID() string {
+// Manifest returns the currently serving manifest.
+func (s *Server) Manifest() *index.Manifest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.manifestID
+	return s.manifest
 }
 
 // QueryServer exposes the underlying hot-swappable query server.
@@ -191,7 +192,7 @@ func (s *Server) Reload(ctx context.Context, force bool) (bool, error) {
 		tel.Counter("query.serve.reload.errors").Inc()
 		return false, err
 	}
-	if !force && man.ID == s.manifestID {
+	if !force && man.ID == s.manifest.ID {
 		return false, nil
 	}
 	snap, man, err := LoadSnapshot(s.cfg.SnapshotDir, s.cfg.Weights)
@@ -202,7 +203,7 @@ func (s *Server) Reload(ctx context.Context, force bool) (bool, error) {
 		return false, err
 	}
 	s.qs.Swap(obs.With(ctx, tel), snap)
-	s.manifestID = man.ID
+	s.manifest = man
 	return true, nil
 }
 
@@ -425,14 +426,14 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	snap := s.qs.Live()
+	snap, man := s.qs.Live(), s.Manifest()
 	WriteJSON(w, http.StatusOK, healthResponse{
 		Status:     "ok",
-		ManifestID: s.ManifestID(),
+		ManifestID: man.ID,
 		Generation: snap.Gen,
 		Docs:       snap.Docs,
 		States:     snap.States,
-		Shards:     len(snap.Broker.Shards),
+		Shards:     len(man.Shards),
 		CacheLen:   s.qs.Cache().Len(),
 	})
 }

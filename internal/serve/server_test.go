@@ -151,10 +151,25 @@ func TestSearchEndpoint(t *testing.T) {
 	}
 }
 
+// TestHealthz: /healthz reports the serving manifest and its shard-file
+// count, here two files that the server holds as one index.
 func TestHealthz(t *testing.T) {
 	dir := t.TempDir()
-	man := writeSnapshot(t, dir)
+	writeSnapshot(t, dir)
+	_, shards, err := index.LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g3 := model.NewGraph("site/watch?v=c")
+	g3.AddState(testHash(4), "morcheeba live", 0)
+	man, err := index.SaveSnapshot(dir, []*index.Index{shards[0], index.Build([]*model.Graph{g3}, nil, 0)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, _ := newTestServer(t, Config{SnapshotDir: dir})
+	if n := len(s.QueryServer().Live().Broker.Shards); n != 1 {
+		t.Fatalf("the server holds %d indexes, want 1", n)
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -172,7 +187,7 @@ func TestHealthz(t *testing.T) {
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.ManifestID != man.ID || h.Generation != 1 || h.Docs != 2 || h.Shards != 1 {
+	if h.Status != "ok" || h.ManifestID != man.ID || h.Generation != 1 || h.Docs != 3 || h.Shards != 2 {
 		t.Fatalf("health = %+v (manifest %s)", h, man.ID)
 	}
 }
@@ -181,9 +196,9 @@ func TestLoadShedding(t *testing.T) {
 	s, reg := newTestServer(t, Config{MaxInflight: 2})
 	// Saturate the admission gate, then request: the server must shed
 	// with 429 + Retry-After before touching the query engine.
-	tok1, ok1 := s.Limiter().TryAcquire()
-	tok2, ok2 := s.Limiter().TryAcquire()
-	if !ok1 || !ok2 {
+	tok1, err1 := s.Limiter().Acquire(context.Background())
+	tok2, err2 := s.Limiter().Acquire(context.Background())
+	if err1 != nil || err2 != nil {
 		t.Fatal("could not saturate the limiter")
 	}
 	rec := httptest.NewRecorder()
@@ -260,7 +275,7 @@ func TestReloadAndWatch(t *testing.T) {
 
 	// A re-published snapshot (new manifest ID) is picked up without
 	// force — the -watch path.
-	oldID := s.ManifestID()
+	oldID := s.Manifest().ID
 	man := writeSnapshot(t, dir)
 	if man.ID == oldID {
 		t.Fatal("re-save kept the manifest ID")
@@ -268,8 +283,8 @@ func TestReloadAndWatch(t *testing.T) {
 	if swapped, err := s.Reload(ctx, false); err != nil || !swapped {
 		t.Fatalf("Reload after republish = %v, %v", swapped, err)
 	}
-	if s.ManifestID() != man.ID {
-		t.Fatalf("serving manifest %s, want %s", s.ManifestID(), man.ID)
+	if s.Manifest().ID != man.ID {
+		t.Fatalf("serving manifest %s, want %s", s.Manifest().ID, man.ID)
 	}
 	if reg.Gauge("query.serve.snapshot.gen").Value() != 3 {
 		t.Fatalf("gen gauge = %d", reg.Gauge("query.serve.snapshot.gen").Value())

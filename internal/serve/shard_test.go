@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -56,8 +57,8 @@ func TestShardSearchEndpoint(t *testing.T) {
 
 func TestShardSearchSheds(t *testing.T) {
 	s, reg := newTestServer(t, Config{MaxInflight: 1})
-	tok, ok := s.Limiter().TryAcquire()
-	if !ok {
+	tok, err := s.Limiter().Acquire(context.Background())
+	if err != nil {
 		t.Fatal("could not saturate the limiter")
 	}
 	defer tok.Cancel()

@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// The map-based shingling the streamed Sketch and SimHashSketch replaced,
-// kept as their oracles: build the shingle set, then fold it.
+// The map-based shingling the streamed Sketch replaced, kept as its
+// oracle: build the shingle set, then fold it.
 
 // Shingles returns the set of hashed k-shingles of a token stream. Texts
 // shorter than k yield a single shingle of all tokens.
@@ -75,27 +75,4 @@ func MinHash(shingles map[uint64]struct{}, n int) Signature {
 		}
 	}
 	return sig
-}
-
-// SimHash computes the 64-bit random-projection fingerprint of a shingle
-// set.
-func SimHash(shingles map[uint64]struct{}) uint64 {
-	var votes [64]int
-	for s := range shingles {
-		h := mix(s, simhashSeed)
-		for i := 0; i < 64; i++ {
-			if h>>uint(i)&1 == 1 {
-				votes[i]++
-			} else {
-				votes[i]--
-			}
-		}
-	}
-	var fp uint64
-	for i, v := range votes {
-		if v > 0 {
-			fp |= 1 << uint(i)
-		}
-	}
-	return fp
 }

@@ -1,17 +1,15 @@
 // Package shingle implements near-duplicate text detection with
-// k-shingles and two sketch families — MinHash signatures (Broder's
-// shingling) and simhash fingerprints (Charikar's random projections) —
-// the technique family the thesis's related-work chapter points at for
-// the *semantic duplicates* the exact content hash cannot catch.
+// k-shingles and MinHash signatures (Broder's shingling) — the technique
+// family the thesis's related-work chapter points at for the *semantic
+// duplicates* the exact content hash cannot catch.
 //
 // The crawler uses it against challenge #3 of the thesis introduction
 // ("very granular events ... can lead to a large set of very similar
 // states"): states whose estimated similarity to an existing state
-// exceeds a threshold are merged instead of exploding the model. Both
-// families produce a Signature, and Signature.Similarity (fraction of
-// agreeing positions) is the single verification metric; internal/lsh
-// indexes Signatures by band so the admitter probes buckets instead of
-// scanning every admitted state.
+// exceeds a threshold are merged instead of exploding the model.
+// Signature.Similarity (fraction of agreeing positions) is the single
+// verification metric; internal/lsh indexes Signatures by band so the
+// admitter probes buckets instead of scanning every admitted state.
 package shingle
 
 import (

@@ -140,65 +140,3 @@ func BenchmarkSimilarity(b *testing.B) {
 		s1.Similarity(s2)
 	}
 }
-
-// TestSimHashNearDuplicates: near-identical texts share most fingerprint
-// bits (high chunk agreement), unrelated texts share few.
-func TestSimHashNearDuplicates(t *testing.T) {
-	base := strings.Fields(strings.Repeat("the quick brown fox jumps over the lazy dog near the riverbank today ", 8))
-	tweaked := append(append([]string{}, base...), "tick-42")
-	other := strings.Fields(strings.Repeat("completely different subject matter entirely unrelated to anything above ", 8))
-
-	sBase := SimHashSketch(base)
-	sTweak := SimHashSketch(tweaked)
-	sOther := SimHashSketch(other)
-	if len(sBase) != SimHashSignatureSize {
-		t.Fatalf("signature length %d, want %d", len(sBase), SimHashSignatureSize)
-	}
-	near := sBase.Similarity(sTweak)
-	far := sBase.Similarity(sOther)
-	if near <= far {
-		t.Fatalf("simhash does not separate: near %v <= far %v", near, far)
-	}
-	if near < 0.5 {
-		t.Fatalf("near-duplicate chunk agreement %v, want >= 0.5", near)
-	}
-	if far > 0.5 {
-		t.Fatalf("unrelated chunk agreement %v, want < 0.5", far)
-	}
-}
-
-// TestSimHashSignatureChunks pins the fingerprint→Signature widening:
-// chunk i is exactly bits [4i, 4i+4) of the fingerprint, so Hamming
-// distance bounds chunk disagreement.
-func TestSimHashSignatureChunks(t *testing.T) {
-	const fp = uint64(0xFEDC_BA98_7654_3210)
-	sig := SimHashSignature(fp)
-	for i, v := range sig {
-		want := fp >> (uint(i) * SimHashChunkBits) & 0xF
-		if v != want {
-			t.Fatalf("chunk %d = %x, want %x", i, v, want)
-		}
-	}
-	// Flipping one bit changes exactly one chunk.
-	flipped := SimHashSignature(fp ^ (1 << 17))
-	diff := 0
-	for i := range sig {
-		if sig[i] != flipped[i] {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("one flipped bit changed %d chunks, want 1", diff)
-	}
-}
-
-// TestSimHashDeterministic: equal token streams give equal fingerprints.
-func TestSimHashDeterministic(t *testing.T) {
-	tokens := strings.Fields("alpha beta gamma delta epsilon zeta eta theta")
-	if SimHash(Shingles(tokens, DefaultK)) != SimHash(Shingles(tokens, DefaultK)) {
-		t.Fatal("simhash not deterministic")
-	}
-	if SimHash(Shingles(nil, DefaultK)) != 0 {
-		t.Fatal("empty shingle set should vote every bit negative")
-	}
-}

@@ -9,7 +9,7 @@ import (
 	"ajaxcrawl/internal/shingle"
 )
 
-// checkSketch holds the streamed sketches to the map oracles on the
+// checkSketch holds the streamed sketch to the map oracle on the
 // tokens of text and of every suffix that drops one of its first lines —
 // near-duplicates of each other, which an LSH index must pair up exactly
 // as it did over the oracle's signatures.
@@ -30,9 +30,6 @@ func checkSketch(t *testing.T, text string) {
 		sig, oracleSig := shingle.Sketch(tokens), shingle.MinHash(set, shingle.DefaultSignatureSize)
 		if !slices.Equal(sig, oracleSig) {
 			t.Fatalf("Sketch(%q) differs from MinHash(Shingles(...))", tokens)
-		}
-		if got, want := shingle.SimHashSketch(tokens), shingle.SimHashSignature(shingle.SimHash(set)); !slices.Equal(got, want) {
-			t.Fatalf("SimHashSketch(%q) = %v, want %v", tokens, got, want)
 		}
 		got := slices.Clone(streamed.Candidates(sig))
 		if want := oracle.Candidates(oracleSig); !slices.Equal(got, want) {

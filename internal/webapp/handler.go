@@ -256,6 +256,3 @@ func (s *Site) handleLike(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprintf(w, "%d", n)
 }
-
-// CommentsURL exposes the AJAX endpoint path for tests and tools.
-func CommentsURL(id string, p int) string { return commentsURL(id, p) }

@@ -146,13 +146,6 @@ func (s *Site) NumVideos() int { return len(s.ids) }
 // VideoID returns the ID of the i-th video.
 func (s *Site) VideoID(i int) string { return s.ids[i] }
 
-// VideoIDs returns all IDs in generation order.
-func (s *Site) VideoIDs() []string {
-	out := make([]string, len(s.ids))
-	copy(out, s.ids)
-	return out
-}
-
 // LookupVideo returns the video with the given ID, or nil.
 func (s *Site) LookupVideo(id string) *Video {
 	i, ok := s.idx[id]

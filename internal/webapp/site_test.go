@@ -54,7 +54,7 @@ func TestLazyGenerationOrderIndependence(t *testing.T) {
 func TestUniqueIDs(t *testing.T) {
 	s := newTestSite(500)
 	seen := map[string]bool{}
-	for _, id := range s.VideoIDs() {
+	for _, id := range s.ids {
 		if len(id) != 11 {
 			t.Fatalf("id %q not 11 chars", id)
 		}
@@ -155,7 +155,7 @@ func TestHandlerWatchAndComments(t *testing.T) {
 	}
 	// Fragment endpoint.
 	if len(v.Pages) > 1 {
-		resp, err = f.Fetch(context.Background(), CommentsURL(v.ID, 2))
+		resp, err = f.Fetch(context.Background(), commentsURL(v.ID, 2))
 		if err != nil || resp.Status != 200 {
 			t.Fatalf("comments fetch: %v %v", resp, err)
 		}
@@ -167,7 +167,7 @@ func TestHandlerWatchAndComments(t *testing.T) {
 	if resp, _ := f.Fetch(context.Background(), "/watch?v=doesnotexist"); resp.Status != 404 {
 		t.Fatalf("unknown video should 404")
 	}
-	if resp, _ := f.Fetch(context.Background(), CommentsURL(v.ID, 999)); resp.Status != 400 {
+	if resp, _ := f.Fetch(context.Background(), commentsURL(v.ID, 999)); resp.Status != 400 {
 		t.Fatalf("out-of-range page should 400")
 	}
 	if resp, _ := f.Fetch(context.Background(), "/nope"); resp.Status != 404 {
