@@ -8,6 +8,7 @@ package ajaxcrawl
 //	Fig 7.1              -> BenchmarkFigure71PageDistribution
 //	Table 7.2 / Fig 7.3  -> BenchmarkCrawlTraditional, BenchmarkCrawlAJAX
 //	Fig 7.4              -> BenchmarkCrawlManyStates
+//	Near-dup admission   -> BenchmarkCrawlNoisyPage
 //	Fig 7.5-7.7          -> BenchmarkHotNodeOff, BenchmarkHotNodeOn
 //	Table 7.3 / Fig 7.8  -> BenchmarkParallelCrawl1Line, ...4Lines
 //	Table 7.4            -> BenchmarkQueryOccurrences
@@ -137,6 +138,30 @@ func BenchmarkCrawlManyStates(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCrawlNoisyPage crawls one watch page of a site whose decor
+// strip changes on every event, with near-duplicate states merged at
+// similarity 0.9: most candidate states are sketched, probed in the LSH
+// index and merged away, so the admission path's cost shows per op.
+func BenchmarkCrawlNoisyPage(b *testing.B) {
+	cfg := webapp.DefaultConfig(benchVideos, benchSeed)
+	cfg.NoisyDecor = true
+	s := webapp.New(cfg)
+	f := NewHandlerFetcher(s.Handler())
+	url := webapp.WatchURL(s.VideoID(0))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m core.PageMetrics
+	for i := 0; i < b.N; i++ {
+		c := core.New(f, core.Options{UseHotNode: true, NearDupThreshold: 0.9})
+		var err error
+		if _, m, err = c.CrawlPage(context.Background(), url); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(m.States), "states/op")
+	b.ReportMetric(float64(m.NearDupMerges), "merged/op")
 }
 
 // BenchmarkHotNodeOff / BenchmarkHotNodeOn are the Fig 7.5–7.7 pair: the

@@ -380,24 +380,25 @@ func TestHostMethodIdentity(t *testing.T) {
 }
 
 // TestEventLoopAllocs holds the event loop's allocations at what they
-// were once an innerHTML write reattached the nodes a rollback cut loose
-// instead of cloning its fragment again: 188 allocations and about 109 KB
-// per state expansion of this page (196 and 158 KB with a clone per
-// write; 204 and 192 KB while rollback copied from the snapshot; 488
-// allocations before calls ran on the interpreter's stacks and the tree
-// builder carved nodes from slabs, 1 325 before host methods, handler
-// programs and innerHTML fragments were built once). The byte ceiling
-// leaves room for the race detector (109 407 B under -race).
+// were once a rollback to the same snapshot kept the element wrappers and
+// the page parsed its URL once: 144 allocations and about 105 KB per
+// state expansion of this page (188 and 109 KB with fresh wrappers per
+// event; 196 and 158 KB with a clone per innerHTML write; 204 and 192 KB
+// while rollback copied from the snapshot; 488 allocations before calls
+// ran on the interpreter's stacks and the tree builder carved nodes from
+// slabs, 1 325 before host methods, handler programs and innerHTML
+// fragments were built once). The byte ceiling leaves room for the race
+// detector (105 501 B under -race).
 func TestEventLoopAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the benchmark for a second")
 	}
 	res := testing.Benchmark(BenchmarkEventLoop)
-	if got := res.AllocsPerOp(); got > 188 {
-		t.Fatalf("BenchmarkEventLoop: %d allocs/op, want ≤ 188", got)
+	if got := res.AllocsPerOp(); got > 144 {
+		t.Fatalf("BenchmarkEventLoop: %d allocs/op, want ≤ 144", got)
 	}
-	if got := res.AllocedBytesPerOp(); got > 110_000 {
-		t.Fatalf("BenchmarkEventLoop: %d B/op, want ≤ 110 000", got)
+	if got := res.AllocedBytesPerOp(); got > 106_000 {
+		t.Fatalf("BenchmarkEventLoop: %d B/op, want ≤ 106 000", got)
 	}
 }
 

@@ -54,11 +54,10 @@ func (p *Page) installHostObjects() {
 	winObj.SetProp("alert", js.ObjVal(js.NewNative("alert", nativeNoop)))
 	it.DefineGlobal("window", js.ObjVal(winObj))
 	it.GlobalThis = js.ObjVal(winObj)
-	it.DefineGlobal("setTimeout", mustGet(winObj, "setTimeout"))
-	it.DefineGlobal("clearTimeout", mustGet(winObj, "clearTimeout"))
-	it.DefineGlobal("setInterval", mustGet(winObj, "setInterval"))
-	it.DefineGlobal("clearInterval", mustGet(winObj, "clearInterval"))
-	it.DefineGlobal("alert", mustGet(winObj, "alert"))
+	for _, name := range []string{"setTimeout", "clearTimeout", "setInterval", "clearInterval", "alert"} {
+		v, _ := winObj.Get(name)
+		it.DefineGlobal(name, v)
+	}
 	it.DefineGlobal("location", locVal)
 
 	consoleObj := js.NewObject()
@@ -93,11 +92,6 @@ func argVal(args []js.Value, i int) js.Value {
 		return args[i]
 	}
 	return js.Undefined
-}
-
-func mustGet(o *js.Object, name string) js.Value {
-	v, _ := o.Get(name)
-	return v
 }
 
 // ---- document ----

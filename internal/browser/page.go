@@ -106,6 +106,9 @@ type Page struct {
 	// the same snapshot reverts it in place.
 	restored    *Snapshot
 	restoredDoc *dom.Node
+	// base is URL parsed, when baseOf is URL (see resolve).
+	base   *url.URL
+	baseOf string
 }
 
 // Context returns the context of the in-flight Load/Trigger call (the
@@ -309,9 +312,11 @@ func (p *Page) Snapshot() *Snapshot {
 // first reverts the outgoing document to the snapshot it came from
 // (dom.Revert): the nodes the events since displaced are relinked, those
 // they inserted cut loose for the next innerHTML write to reattach, and
-// nothing is allocated. For that same snapshot this is all, and an
-// element handle a script kept stays attached, as in a browser. Any other
-// snapshot is then cloned whole, which leaves such a handle on the old
+// nothing is allocated. For that same snapshot this is all: the nodes are
+// the ones the scripts saw, so their element wrappers stay, identity and
+// expandos being JS state; only each one's style object, which stands for
+// the style attribute the revert put back, is reset. Any other snapshot
+// is cloned whole, which leaves a kept handle and the wrappers on the old
 // tree.
 func (p *Page) Restore(s *Snapshot) {
 	if p.restored != nil && p.Doc == p.restoredDoc {
@@ -319,25 +324,29 @@ func (p *Page) Restore(s *Snapshot) {
 	}
 	if p.restored != s || p.Doc != p.restoredDoc {
 		p.Doc = s.doc.Clone()
+		clear(p.wrappers)
 	}
 	p.restored, p.restoredDoc = s, p.Doc
-	clear(p.wrappers)
+	for _, w := range p.wrappers {
+		w.Host.(*elementHost).style = nil
+	}
 }
 
 // Hash returns the canonical state hash of the current DOM.
 func (p *Page) Hash() dom.Hash { return dom.CanonicalHash(p.Doc) }
 
-// resolve resolves a possibly-relative URL against the page URL.
+// resolve resolves a possibly-relative URL against the page URL, parsed
+// once per value of URL.
 func (p *Page) resolve(ref string) string {
-	base, err := url.Parse(p.URL)
-	if err != nil {
-		return ref
+	if p.base == nil || p.baseOf != p.URL {
+		p.base, _ = url.Parse(p.URL)
+		p.baseOf = p.URL
 	}
 	r, err := url.Parse(ref)
-	if err != nil {
+	if err != nil || p.base == nil {
 		return ref
 	}
-	return base.ResolveReference(r).String()
+	return p.base.ResolveReference(r).String()
 }
 
 // Links returns the absolute URLs of all <a href> hyperlinks in the
@@ -361,29 +370,18 @@ func (s *Snapshot) Doc() *dom.Node { return s.doc }
 // FormEventTypes are the handler attributes fired by user text input.
 var FormEventTypes = []string{"onkeyup", "onchange", "oninput"}
 
-// FormEvent is an input-driven event: a text field whose handler reacts
-// to typed values (Google-Suggest-style AJAX, thesis ch. 10 future work).
-type FormEvent struct {
-	Event
-}
-
 // FormEvents returns the input-driven events of the current DOM: input
-// and textarea elements carrying one of the FormEventTypes handlers.
-func (p *Page) FormEvents() []FormEvent {
-	var out []FormEvent
-	for _, ev := range p.events(FormEventTypes, true) {
-		out = append(out, FormEvent{ev})
-	}
-	return out
-}
+// and textarea elements whose FormEventTypes handler reacts to typed
+// values (Google-Suggest-style AJAX, thesis ch. 10 future work).
+func (p *Page) FormEvents() []Event { return p.events(FormEventTypes, true) }
 
 // TriggerWithValue fills the event's source input with value and then
 // dispatches the handler — one probe of the form-crawling extension.
-func (p *Page) TriggerWithValue(ctx context.Context, ev FormEvent, value string) (changed bool, err error) {
-	node, err := p.source(ev.Event)
+func (p *Page) TriggerWithValue(ctx context.Context, ev Event, value string) (changed bool, err error) {
+	node, err := p.source(ev)
 	if err != nil {
 		return false, err
 	}
 	node.SetAttr("value", value)
-	return p.Trigger(ctx, ev.Event)
+	return p.Trigger(ctx, ev)
 }

@@ -252,6 +252,43 @@ function two() { kept = kept || document.getElementById('a'); kept.innerHTML = '
 	}
 }
 
+// TestWrappersAcrossRestore: a rollback to the same snapshot keeps the
+// element wrappers the scripts saw — identity and expando properties are
+// JavaScript state (thesis §4.3) — but resets their style object, which
+// stands for the style attribute the rollback restored. Switching to
+// another snapshot makes fresh wrappers for its fresh nodes.
+func TestWrappersAcrossRestore(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/page", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `<html><head><script>
+var kept = null;
+function one() { kept = document.getElementById('a'); kept.mark = 'set'; kept.style.display = 'none'; kept.innerHTML = 'one'; }
+function two() { var a = document.getElementById('a'); a.innerHTML = (a === kept) + ',' + a.mark + ',' + (a.style.display || ''); }
+</script></head><body><div id="a">zero</div><p onclick="one()">1</p><p onclick="two()">2</p></body></html>`)
+	})
+	ctx := context.Background()
+	p := NewPage(&fetch.HandlerFetcher{Handler: mux})
+	if err := p.Load(ctx, "/page"); err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+	events := p.Events(nil)
+	for i, want := range []string{"one", "true,set,"} {
+		p.Restore(snap)
+		if changed, err := p.Trigger(ctx, events[i]); err != nil || !changed {
+			t.Fatalf("event %d: changed=%v err=%v, want a change", i, changed, err)
+		}
+		if got := p.Doc.ElementByID("a").TextContent(); got != want {
+			t.Fatalf("event %d: #a reads %q, want %q (identity, expando, style display)", i, got, want)
+		}
+	}
+	p.Restore(p.Snapshot())
+	v, err := p.Interp.Run(`var b = document.getElementById('a'); (b === kept) + ',' + b.mark`)
+	if err != nil || v.StrVal() != "false,undefined" {
+		t.Fatalf("after a switch of snapshots, #a's wrapper reads %v (%v), want a fresh one: false,undefined", v, err)
+	}
+}
+
 func TestXHRInterception(t *testing.T) {
 	p := loadTestPage(t)
 	hook := &recordingHook{cache: map[string]string{}}

@@ -226,25 +226,7 @@ type Metrics struct {
 // Add folds a page's metrics into the aggregate.
 func (m *Metrics) Add(pm PageMetrics) {
 	m.Pages++
-	m.States += pm.States
-	m.Transitions += pm.Transitions
-	m.EventsTriggered += pm.EventsTriggered
-	m.NetworkEvents += pm.NetworkEvents
-	m.XHRSends += pm.XHRSends
-	m.NetworkCalls += pm.NetworkCalls
-	m.HotNodeHits += pm.HotNodeHits
-	m.HandlerErrors += pm.HandlerErrors
-	m.EventsSkipped += pm.EventsSkipped
-	m.StatesPruned += pm.StatesPruned
-	m.NearDupMerges += pm.NearDupMerges
-	m.NearDupProbes += pm.NearDupProbes
-	m.NearDupCandidates += pm.NearDupCandidates
-	m.NearDupFalsePositives += pm.NearDupFalsePositives
-	m.Retries += pm.Retries
-	m.BreakerOpens += pm.BreakerOpens
-	m.PagesRecovered += pm.PagesRecovered
-	m.CrawlTime += pm.CrawlTime
-	m.NetworkTime += pm.NetworkTime
+	m.fold(pm.counts(), pm.CrawlTime, pm.NetworkTime)
 	m.PerPage = append(m.PerPage, pm)
 }
 
@@ -253,26 +235,25 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.Pages += o.Pages
 	m.PagesFailed += o.PagesFailed
 	m.PagesResumed += o.PagesResumed
-	m.States += o.States
-	m.Transitions += o.Transitions
-	m.EventsTriggered += o.EventsTriggered
-	m.NetworkEvents += o.NetworkEvents
-	m.XHRSends += o.XHRSends
-	m.NetworkCalls += o.NetworkCalls
-	m.HotNodeHits += o.HotNodeHits
-	m.HandlerErrors += o.HandlerErrors
-	m.EventsSkipped += o.EventsSkipped
-	m.StatesPruned += o.StatesPruned
-	m.NearDupMerges += o.NearDupMerges
-	m.NearDupProbes += o.NearDupProbes
-	m.NearDupCandidates += o.NearDupCandidates
-	m.NearDupFalsePositives += o.NearDupFalsePositives
-	m.Retries += o.Retries
-	m.BreakerOpens += o.BreakerOpens
-	m.PagesRecovered += o.PagesRecovered
-	m.CrawlTime += o.CrawlTime
-	m.NetworkTime += o.NetworkTime
+	m.fold(o.counts(), o.CrawlTime, o.NetworkTime)
 	m.PerPage = append(m.PerPage, o.PerPage...)
+}
+
+// fold adds counts, in the order of counts(), and the two times to m.
+func (m *Metrics) fold(counts [17]*int, crawl, net time.Duration) {
+	for i, c := range m.counts() {
+		*c += *counts[i]
+	}
+	m.CrawlTime += crawl
+	m.NetworkTime += net
+}
+
+// counts lists m's per-page sums in the order of PageMetrics.counts.
+func (m *Metrics) counts() [17]*int {
+	return [17]*int{&m.States, &m.Transitions, &m.EventsTriggered, &m.NetworkEvents, &m.XHRSends,
+		&m.NetworkCalls, &m.HotNodeHits, &m.HandlerErrors, &m.EventsSkipped, &m.StatesPruned,
+		&m.NearDupMerges, &m.NearDupProbes, &m.NearDupCandidates, &m.NearDupFalsePositives,
+		&m.Retries, &m.BreakerOpens, &m.PagesRecovered}
 }
 
 // Crawler crawls AJAX pages into transition graphs.
@@ -431,7 +412,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 		}
 		admit.sigCache = cp.StateSigs(url)
 	}
-	initial, _ := admit.state(page.Hash(), page.Doc.VisibleText(), 0)
+	initial, _, _ := admit.state(page.Hash(), page.Doc, 0)
 	graph.Initial = initial
 
 	snapshots := map[model.StateID]*browser.Snapshot{initial: page.Snapshot()}
@@ -479,8 +460,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 		if !changed {
 			return OutcomeNoChange, nil
 		}
-		text := page.Doc.VisibleText()
-		newID, isNew := admit.state(page.Hash(), text, graph.State(cur).Depth+1)
+		newID, text, isNew := admit.state(page.Hash(), page.Doc, graph.State(cur).Depth+1)
 		graph.AddTransition(&model.Transition{
 			From:       cur,
 			To:         newID,
@@ -548,7 +528,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 				if graph.NumStates() >= opts.MaxStates {
 					break
 				}
-				if _, err := explore(cur, snap, fev.Event, probe, func() (bool, error) { return page.TriggerWithValue(ctx, fev, probe) }); err != nil {
+				if _, err := explore(cur, snap, fev, probe, func() (bool, error) { return page.TriggerWithValue(ctx, fev, probe) }); err != nil {
 					return err
 				}
 			}
@@ -701,7 +681,8 @@ type stateAdmitter struct {
 	tel       *obs.Telemetry
 	index     *lsh.Index
 	sigs      map[model.StateID]shingle.Signature
-	fields    []string // the sketched text's tokens, reused per state
+	raw       []byte // the candidate's text nodes, reused per state
+	sketcher  shingle.Sketcher
 	// sigCache holds journaled hash→signature pairs from an interrupted
 	// attempt at this page, so a resumed re-crawl skips re-sketching the
 	// states it already saw. A signature of another length than
@@ -723,27 +704,32 @@ func newStateAdmitter(graph *model.Graph, opts Options, pm *PageMetrics, tel *ob
 	return a
 }
 
-// state admits (or merges) a candidate state and returns its ID,
-// counting the outcome in the registry as it happens.
-func (a *stateAdmitter) state(h dom.Hash, text string, depth int) (model.StateID, bool) {
+// state admits (or merges) the candidate state doc, whose hash is h, and
+// returns its ID, counting the outcome in the registry as it happens. A
+// new state's visible text is built, returned and its signature copied
+// out of the sketcher only on admission, so a candidate that merges away
+// or is an exact duplicate allocates nothing.
+func (a *stateAdmitter) state(h dom.Hash, doc *dom.Node, depth int) (id model.StateID, text string, isNew bool) {
 	if id, ok := a.graph.FindByHash(h); ok {
 		a.tel.Counter("crawl.states.deduped").Inc()
-		return id, false
+		return id, "", false
 	}
 	var sig shingle.Signature
 	if a.threshold > 0 {
 		var ok bool
 		if sig, ok = a.sigCache[h]; !ok || len(sig) != shingle.DefaultSignatureSize {
-			a.fields = shingle.AppendFields(a.fields[:0], strings.ToLower(text))
-			sig = shingle.Sketch(a.fields)
+			a.raw = doc.AppendText(a.raw[:0])
+			sig = a.sketcher.Sketch(a.raw)
 		}
 		if target, merged := a.mergeTarget(sig); merged {
 			a.pm.NearDupMerges++
 			a.tel.Counter("crawl.states.neardup.merged").Inc()
-			return target, false
+			return target, "", false
 		}
+		sig = append(sig[:0:0], sig...)
 	}
-	id, _ := a.graph.AddState(h, text, depth) // new: FindByHash missed
+	text = doc.VisibleText()
+	id, _ = a.graph.AddState(h, text, depth) // new: FindByHash missed
 	a.tel.Counter("crawl.states.discovered").Inc()
 	if a.journal != nil {
 		a.journal(h, sig)
@@ -752,7 +738,7 @@ func (a *stateAdmitter) state(h dom.Hash, text string, depth int) (model.StateID
 		a.sigs[id] = sig
 		a.index.Add(int(id), sig)
 	}
-	return id, true
+	return id, text, true
 }
 
 // mergeTarget finds the lowest-StateID admitted state whose signature

@@ -106,7 +106,7 @@ func TestLSHCrawlMatchesBruteForce(t *testing.T) {
 	admitted := map[model.StateID]shingle.Signature{}
 	merges, scans := 0, 0
 	for _, s := range g.States {
-		sig := shingle.Sketch(shingle.AppendFields(nil, strings.ToLower(s.Text)))
+		sig := shingle.Sketch(strings.Fields(strings.ToLower(s.Text)))
 		want, n, merged := bruteMergeTarget(admitted, sig, threshold)
 		scans += n
 		if merged {
@@ -115,8 +115,12 @@ func TestLSHCrawlMatchesBruteForce(t *testing.T) {
 			want = model.StateID(len(admitted))
 			admitted[want] = sig
 		}
-		if got, _ := a.state(s.Hash, s.Text, s.Depth); got != want {
+		got, text, isNew := a.state(s.Hash, dom.NewText(s.Text), s.Depth)
+		if got != want {
 			t.Fatalf("state %d: admitter chose %d, oracle %d", s.ID, got, want)
+		}
+		if isNew != !merged || isNew && text != s.Text {
+			t.Fatalf("state %d: admitter returned new=%v text %q, want new=%v text %q", s.ID, isNew, text, !merged, s.Text)
 		}
 	}
 	if merges == 0 || pm.NearDupMerges != merges {
@@ -165,27 +169,34 @@ func TestNearDupMergeTargetLowestID(t *testing.T) {
 	}
 }
 
-// TestAdmitNearDupAllocs: admitting a state the LSH path merges away
-// allocates the lowered text and its signature — nothing per token and
-// nothing per candidate.
+// TestAdmitNearDupAllocs: admitting a state the LSH path merges away,
+// or one whose hash is a known state's, allocates nothing — no text, no
+// token, no signature and nothing per candidate.
 func TestAdmitNearDupAllocs(t *testing.T) {
 	var pm PageMetrics
 	a := newStateAdmitter(model.NewGraph("/x"), Options{NearDupThreshold: 0.9}.withDefaults(), &pm, nil)
-	words := make([]string, 120)
-	for i := range words {
-		words[i] = fmt.Sprintf("Word%d", i)
+	page := func(tick string) *dom.Node {
+		body := dom.NewElement("body")
+		for i := 0; i < 120; i++ {
+			p := dom.NewElement("p")
+			p.AppendChild(dom.NewText(fmt.Sprintf(" Word%d \n ", i)))
+			body.AppendChild(p)
+		}
+		body.AppendChild(dom.NewText("Tick " + tick))
+		return body
 	}
-	text := strings.Join(words, " \n ")
-	a.state(dom.Hash{1}, text+" Tick 1", 0)
-	near := text + " Tick 2"
-	const lowered, signature = 1, 1
+	a.state(dom.Hash{1}, page("1"), 0)
+	near := page("2")
 	n := testing.AllocsPerRun(100, func() {
-		if _, isNew := a.state(dom.Hash{2}, near, 1); isNew {
+		if _, _, isNew := a.state(dom.Hash{2}, near, 1); isNew {
 			t.Fatal("the near-duplicate was admitted, not merged")
 		}
+		if _, _, isNew := a.state(dom.Hash{1}, near, 1); isNew {
+			t.Fatal("the exact duplicate was admitted")
+		}
 	})
-	if n > lowered+signature {
-		t.Fatalf("a merged admission allocates %v times, want %d (lowered text, signature)", n, lowered+signature)
+	if n != 0 {
+		t.Fatalf("a merged or exact-duplicate candidate allocates %v times, want 0", n)
 	}
 }
 

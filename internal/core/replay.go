@@ -32,7 +32,7 @@ func ReplayPath(ctx context.Context, fetcher fetch.Fetcher, url string, path []*
 		}
 		var err error
 		if tr.Probe != "" {
-			_, err = page.TriggerWithValue(ctx, browser.FormEvent{Event: ev}, tr.Probe)
+			_, err = page.TriggerWithValue(ctx, ev, tr.Probe)
 		} else {
 			_, err = page.Trigger(ctx, ev)
 		}

@@ -154,12 +154,7 @@ func attrOrder(attrs []Attribute, small *[smallAttrs]int) []int {
 // (no hashing). Used by tests and by the ablation that compares hash-based
 // duplicate detection with full-tree comparison.
 func Equal(a, b *Node) bool {
-	return equalNodes(a, b)
-}
-
-func equalNodes(a, b *Node) bool {
 	if a.Type != b.Type {
-		// Allow type mismatch only if both are skippable.
 		return false
 	}
 	switch a.Type {
@@ -178,7 +173,7 @@ func equalNodes(a, b *Node) bool {
 		return false
 	}
 	for i := range ca {
-		if !equalNodes(ca[i], cb[i]) {
+		if !Equal(ca[i], cb[i]) {
 			return false
 		}
 	}

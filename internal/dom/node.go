@@ -29,21 +29,12 @@ const (
 	DoctypeNode
 )
 
+var nodeTypeNames = [...]string{"Error", "Document", "Element", "Text", "Comment", "Doctype"}
+
 // String returns a human-readable name for the node type.
 func (t NodeType) String() string {
-	switch t {
-	case ErrorNode:
-		return "Error"
-	case DocumentNode:
-		return "Document"
-	case ElementNode:
-		return "Element"
-	case TextNode:
-		return "Text"
-	case CommentNode:
-		return "Comment"
-	case DoctypeNode:
-		return "Doctype"
+	if int(t) < len(nodeTypeNames) {
+		return nodeTypeNames[t]
 	}
 	return fmt.Sprintf("NodeType(%d)", int(t))
 }
@@ -320,6 +311,13 @@ func (n *Node) TextContent() string {
 	var b strings.Builder
 	n.eachText(func(s string) { b.WriteString(s) })
 	return b.String()
+}
+
+// AppendText appends TextContent to dst: the raw data of the text nodes,
+// script and style contents skipped.
+func (n *Node) AppendText(dst []byte) []byte {
+	n.eachText(func(s string) { dst = append(dst, s...) })
+	return dst
 }
 
 // eachText calls f with the data of each text node under n in document

@@ -19,6 +19,9 @@ func checkVisibleText(t *testing.T, src string) {
 	if got, want := doc.VisibleText(), visibleTextOracle(doc); got != want {
 		t.Fatalf("VisibleText = %q\n      want %q", got, want)
 	}
+	if got, want := doc.AppendText([]byte("<")), "<"+doc.TextContent(); string(got) != want {
+		t.Fatalf("AppendText = %q\n    want %q", got, want)
+	}
 	for _, el := range doc.ElementsByTag("") {
 		if got, want := el.VisibleText(), visibleTextOracle(el); got != want {
 			t.Fatalf("<%s>.VisibleText = %q\n      want %q", el.Data, got, want)
@@ -53,10 +56,15 @@ func FuzzVisibleText(f *testing.F) {
 	})
 }
 
-// VisibleText allocates the string it returns and nothing else.
+// VisibleText allocates the string it returns and nothing else;
+// AppendText into a buffer already large enough allocates nothing.
 func TestVisibleTextAllocs(t *testing.T) {
 	doc := html.Parse(watchPage())
 	if n := testing.AllocsPerRun(100, func() { doc.VisibleText() }); n > 1 {
 		t.Fatalf("VisibleText of the watch page allocates %v times, want 1", n)
+	}
+	buf := doc.AppendText(nil)
+	if n := testing.AllocsPerRun(100, func() { buf = doc.AppendText(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendText into a grown buffer allocates %v times, want 0", n)
 	}
 }

@@ -27,64 +27,6 @@ const DefaultK = 3
 // merge threshold.
 const DefaultSignatureSize = 64
 
-// windows reports how a stream of tokens divides into shingles: count
-// windows of width tokens, window w being tokens[w:w+width]. A stream
-// shorter than DefaultK is one shingle of all its tokens; an empty one
-// has none.
-func windows(tokens []string) (count, width int) {
-	switch {
-	case len(tokens) == 0:
-		return 0, 0
-	case len(tokens) < DefaultK:
-		return 1, len(tokens)
-	}
-	return len(tokens) - DefaultK + 1, DefaultK
-}
-
-// hashShingle is FNV-1a over a shingle's tokens, each followed by a 0
-// byte so that token boundaries count: ("ab","c") differs from ("a","bc").
-func hashShingle(tokens []string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, t := range tokens {
-		for i := 0; i < len(t); i++ {
-			h ^= uint64(t[i])
-			h *= prime64
-		}
-		h *= prime64 // the 0 separator: xor with 0 leaves h as it is
-	}
-	return h
-}
-
-// AppendFields appends the whitespace-separated fields of s to dst, as
-// substrings of s: strings.Fields into a reused buffer. Space is
-// unicode.IsSpace, and a byte of invalid UTF-8 is not space.
-func AppendFields(dst []string, s string) []string {
-	start := -1
-	for i := 0; i < len(s); {
-		r, size := rune(s[i]), 1
-		if r >= utf8.RuneSelf {
-			r, size = utf8.DecodeRuneInString(s[i:])
-		}
-		if !unicode.IsSpace(r) {
-			if start < 0 {
-				start = i
-			}
-		} else if start >= 0 {
-			dst = append(dst, s[start:i])
-			start = -1
-		}
-		i += size
-	}
-	if start >= 0 {
-		dst = append(dst, s[start:])
-	}
-	return dst
-}
-
 // Signature is a MinHash sketch of a shingle set: element i is the
 // minimum of permutation i over the set. Equal-length signatures can
 // estimate Jaccard similarity in O(len) regardless of set sizes.
@@ -123,22 +65,103 @@ func (s Signature) Similarity(o Signature) float64 {
 // Sketch computes the DefaultSignatureSize-element MinHash signature of
 // the set of tokens' DefaultK-shingles. The i-th "permutation" is the
 // multiply-xor-shift mix of the shingle hash with the i-th odd constant —
-// the standard cheap family. A minimum over a multiset equals the minimum
-// over its set, so the shingle hashes are folded in as they are computed,
-// repeats and all, and the set is never built.
+// the standard cheap family.
 func Sketch(tokens []string) Signature {
-	sig := make(Signature, DefaultSignatureSize)
+	sh := newShingler(make(Signature, DefaultSignatureSize))
+	for _, t := range tokens {
+		addToken(&sh, t)
+	}
+	return sh.finish()
+}
+
+// shingler folds the shingles of a token stream into a signature as the
+// tokens arrive, keeping none. A shingle's hash is FNV-1a over its
+// tokens, each followed by a 0 byte so that token boundaries count:
+// ("ab","c") differs from ("a","bc"). The window that starts at token w
+// stays open until token w+DefaultK-1, so each token goes into the
+// DefaultK windows that cover it. A stream shorter than DefaultK is one
+// shingle of all its tokens. A minimum over a multiset equals the minimum
+// over its set, so repeats fold in like any shingle and no set is built.
+type shingler struct {
+	sig    Signature
+	h      [DefaultK]uint64 // h[w%DefaultK]: the window starting at token w
+	tokens int
+}
+
+func newShingler(sig Signature) shingler {
 	for i := range sig {
 		sig[i] = math.MaxUint64
 	}
-	count, width := windows(tokens)
-	for w := 0; w < count; w++ {
-		s := hashShingle(tokens[w : w+width])
-		for i := range sig {
-			if v := mix(s, uint64(2*i+1)); v < sig[i] {
-				sig[i] = v
-			}
+	return shingler{sig: sig}
+}
+
+// addToken feeds t to the open windows and folds the one it completes.
+func addToken[T ~string | ~[]byte](s *shingler, t T) {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	s.h[s.tokens%DefaultK] = offset64
+	for i, h := range s.h {
+		for j := 0; j < len(t); j++ {
+			h = (h ^ uint64(t[j])) * prime64
+		}
+		s.h[i] = h * prime64 // the 0 separator: xor with 0 leaves h as it is
+	}
+	if s.tokens++; s.tokens >= DefaultK {
+		s.fold(s.h[s.tokens%DefaultK])
+	}
+}
+
+// finish folds the one shingle of a stream shorter than DefaultK.
+func (s *shingler) finish() Signature {
+	if s.tokens > 0 && s.tokens < DefaultK {
+		s.fold(s.h[0])
+	}
+	return s.sig
+}
+
+func (s *shingler) fold(h uint64) {
+	for i := range s.sig {
+		if v := mix(h, uint64(2*i+1)); v < s.sig[i] {
+			s.sig[i] = v
 		}
 	}
-	return sig
+}
+
+// A Sketcher sketches raw text into buffers it reuses, so a call
+// allocates nothing once they have grown. The zero value is ready.
+type Sketcher struct {
+	sig Signature
+	tok []byte // the current token, lowered
+}
+
+// Sketch returns Sketch(strings.Fields(strings.ToLower(string(text))))
+// without building either. It lowers text rune by rune as strings.ToLower
+// does — a byte of invalid UTF-8 becomes U+FFFD — and splits it where
+// unicode.IsSpace holds. The signature is the sketcher's, overwritten by
+// the next call: copy it to keep it.
+func (s *Sketcher) Sketch(text []byte) Signature {
+	if s.sig == nil {
+		s.sig = make(Signature, DefaultSignatureSize)
+	}
+	sh := newShingler(s.sig)
+	s.tok = s.tok[:0]
+	for i := 0; i < len(text); {
+		r, size := rune(text[i]), 1
+		if 'A' <= r && r <= 'Z' {
+			r += 'a' - 'A'
+		} else if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(text[i:])
+			r = unicode.ToLower(r)
+		}
+		i += size
+		if !unicode.IsSpace(r) {
+			s.tok = utf8.AppendRune(s.tok, r)
+		} else if len(s.tok) > 0 {
+			addToken(&sh, s.tok)
+			s.tok = s.tok[:0]
+		}
+	}
+	if len(s.tok) > 0 {
+		addToken(&sh, s.tok)
+	}
+	return sh.finish()
 }

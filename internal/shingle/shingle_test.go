@@ -131,6 +131,17 @@ func BenchmarkSketch(b *testing.B) {
 	}
 }
 
+// BenchmarkSketcher is BenchmarkSketch's text sketched from raw bytes, as
+// the crawler sketches a state: lowered and split in the same pass.
+func BenchmarkSketcher(b *testing.B) {
+	text := []byte(strings.Repeat("Comment text with several words in it ", 30))
+	var sk Sketcher
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sk.Sketch(text)
+	}
+}
+
 func BenchmarkSimilarity(b *testing.B) {
 	s1 := Sketch(toks(strings.Repeat("a b c d e f g ", 20)))
 	s2 := Sketch(toks(strings.Repeat("a b c d e f h ", 20)))
