@@ -39,8 +39,12 @@ func TestBuildEngineEndToEnd(t *testing.T) {
 	if eng.NumStates() < 25 {
 		t.Fatalf("too few states: %d", eng.NumStates())
 	}
-	if len(eng.Shards()) != 2 {
-		t.Fatalf("want 2 shards (25 pages / 20), got %d", len(eng.Shards()))
+	man, err := eng.SaveSnapshot(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Shards) != 2 {
+		t.Fatalf("want 2 shard files (25 pages / 20), got %d", len(man.Shards))
 	}
 	if len(eng.PageRank) == 0 {
 		t.Fatalf("PageRank missing")

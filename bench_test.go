@@ -236,7 +236,7 @@ func BenchmarkQueryAJAXIndex(b *testing.B) { benchQueries(b, 0) }
 
 func benchQueries(b *testing.B, maxStates int) {
 	graphs := benchGraphs(b, core.Options{UseHotNode: true})
-	eng := query.NewBroker([]*index.Index{index.Build(graphs, nil, maxStates)})
+	eng := query.NewBroker(index.Build(graphs, nil, maxStates))
 	qs := webapp.Queries()[:11]
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -276,7 +276,7 @@ func BenchmarkRecallSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var counts [12][]int
 		for k := 1; k <= 11; k += 5 {
-			eng := query.NewBroker([]*index.Index{index.Build(graphs, nil, k)})
+			eng := query.NewBroker(index.Build(graphs, nil, k))
 			counts[k] = make([]int, len(qs))
 			for qi, q := range qs {
 				counts[k][qi] = len(eng.Search(q))
@@ -298,7 +298,7 @@ func benchServeServer(b *testing.B, cacheCapacity int) *query.Server {
 		}
 	}
 	snap := &query.ServeSnapshot{
-		Broker: query.NewBroker([]*index.Index{index.Build(graphs, nil, 0)}),
+		Broker: query.NewBroker(index.Build(graphs, nil, 0)),
 		StateText: func(url string, state int) string {
 			if ts := texts[url]; state < len(ts) {
 				return ts[state]

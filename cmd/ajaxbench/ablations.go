@@ -233,8 +233,11 @@ func ablateIDF(e *env) error {
 		cut = 1
 	}
 	shards := []*index.Index{index.Build(graphs[:cut], nil, 0), index.Build(graphs[cut:], nil, 0)}
-	single := query.NewBroker([]*index.Index{index.Build(graphs, nil, 0)})
-	global := query.NewBroker(shards)
+	single := query.NewBroker(index.Build(graphs, nil, 0))
+	global, err := localFleet(shards)
+	if err != nil {
+		return err
+	}
 
 	queries := webapp.Queries()
 	globalDiff, localDiff, evaluated := 0, 0, 0
@@ -244,13 +247,15 @@ func ablateIDF(e *env) error {
 			continue
 		}
 		evaluated++
-		sameTop := func(rs []query.Result) bool {
-			return len(rs) > 0 && rs[0].URL == want[0].URL && rs[0].State == want[0].State
+		sameTop := func(r query.Result) bool { return r.URL == want[0].URL && r.State == want[0].State }
+		m, err := global.Search(e.ctx, q, 1)
+		if err != nil {
+			return fmt.Errorf("ablate-idf q=%q: %w", q, err)
 		}
-		if !sameTop(global.SearchTopK(q, 1)) {
+		if len(m.Results) == 0 || !sameTop(m.Results[0].Result) {
 			globalDiff++
 		}
-		if !sameTop(localIDFTop(shards, q)) {
+		if local := localIDFTop(shards, q); len(local) == 0 || !sameTop(local[0]) {
 			localDiff++
 		}
 	}
@@ -266,7 +271,7 @@ func ablateIDF(e *env) error {
 func localIDFTop(shards []*index.Index, q string) []query.Result {
 	var top []query.Result
 	for _, shard := range shards {
-		rs := query.NewBroker([]*index.Index{shard}).SearchTopK(q, 1)
+		rs := query.NewBroker(shard).SearchTopK(q, 1)
 		if len(rs) > 0 && (top == nil || rs[0].Score > top[0].Score) {
 			top = rs
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	"ajaxcrawl/internal/dom"
@@ -11,7 +12,7 @@ import (
 
 // TestLocalIDFAblation checks the ablation is not inert: on an
 // unbalanced shard split the local-idf top score diverges from the
-// single-index one for at least one query, while the global-idf broker
+// single-index one for at least one query, while the global-idf fold
 // always agrees with the single index.
 func TestLocalIDFAblation(t *testing.T) {
 	var hashes byte
@@ -40,15 +41,22 @@ func TestLocalIDFAblation(t *testing.T) {
 	for url, states := range pagesB {
 		merged[url] = states
 	}
-	single := query.NewBroker([]*index.Index{build(merged)})
+	single := query.NewBroker(build(merged))
 	shards := []*index.Index{build(pagesA), build(pagesB)}
-	global := query.NewBroker(shards)
+	global, err := localFleet(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	diverged := false
 	for _, q := range []string{"rare", "word", "common"} {
-		want, got := single.SearchTopK(q, 1), global.SearchTopK(q, 1)
-		if len(want) != 1 || len(got) != 1 || got[0] != want[0] {
-			t.Fatalf("q=%q: global-idf broker top %+v, single index %+v", q, got, want)
+		want := single.SearchTopK(q, 1)
+		got, err := global.Search(context.Background(), q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 1 || len(got.Results) != 1 || got.Results[0].Result != want[0] {
+			t.Fatalf("q=%q: global-idf fold top %+v, single index %+v", q, got.Results, want)
 		}
 		local := localIDFTop(shards, q)
 		if len(local) != 1 {

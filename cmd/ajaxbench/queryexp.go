@@ -69,8 +69,8 @@ func expT75(e *env) error {
 	tradIx, ajaxIx := buildIndexes(graphs)
 	queries := webapp.Queries()[:11]
 	const reps = 50
-	tradT, tradC := timeQueries(query.NewBroker([]*index.Index{tradIx}), queries, reps)
-	ajaxT, ajaxC := timeQueries(query.NewBroker([]*index.Index{ajaxIx}), queries, reps)
+	tradT, tradC := timeQueries(query.NewBroker(tradIx), queries, reps)
+	ajaxT, ajaxC := timeQueries(query.NewBroker(ajaxIx), queries, reps)
 
 	fmt.Fprintf(e.out, "%-5s %-16s %14s %14s %8s %8s\n", "ID", "Query", "Trad (µs)", "AJAX (µs)", "Trad#", "AJAX#")
 	for i, q := range queries {
@@ -92,8 +92,8 @@ func expF79(e *env) error {
 	tradIx, ajaxIx := buildIndexes(graphs)
 	queries := webapp.Queries()[:11]
 	const reps = 50
-	tradT, tradC := timeQueries(query.NewBroker([]*index.Index{tradIx}), queries, reps)
-	ajaxT, ajaxC := timeQueries(query.NewBroker([]*index.Index{ajaxIx}), queries, reps)
+	tradT, tradC := timeQueries(query.NewBroker(tradIx), queries, reps)
+	ajaxT, ajaxC := timeQueries(query.NewBroker(ajaxIx), queries, reps)
 
 	fmt.Fprintf(e.out, "%-5s %-16s %16s %16s %8s %8s\n", "ID", "Query", "Trad (q/s)", "AJAX (q/s)", "Trad#", "AJAX#")
 	for i, q := range queries {
@@ -122,7 +122,7 @@ func statesSeries(e *env) (limits []int, results []int, times []time.Duration, e
 	const reps = 30
 	for k := 1; k <= 11; k++ {
 		ix := index.Build(graphs, nil, k)
-		eng := query.NewBroker([]*index.Index{ix})
+		eng := query.NewBroker(ix)
 		total := 0
 		for _, q := range queries {
 			total += len(eng.Search(q))
@@ -187,7 +187,7 @@ func expF711(e *env) error {
 	// Result counts per query per limit.
 	counts := make([][]int, 12) // counts[k][qi], k in 1..11
 	for k := 1; k <= 11; k++ {
-		eng := query.NewBroker([]*index.Index{index.Build(graphs, nil, k)})
+		eng := query.NewBroker(index.Build(graphs, nil, k))
 		counts[k] = make([]int, len(queries))
 		for qi, q := range queries {
 			counts[k][qi] = len(eng.Search(q))

@@ -34,7 +34,7 @@ func expRouter(e *env) error {
 	}
 	queries := webapp.Queries()
 
-	single := query.NewBroker([]*index.Index{index.Build(graphs, pr, 0)})
+	single := query.NewBroker(index.Build(graphs, pr, 0))
 	want := make([][]query.Result, len(queries))
 	totalResults := 0
 	for i, q := range queries {
@@ -47,12 +47,11 @@ func expRouter(e *env) error {
 		for i, g := range graphs {
 			parts[i%n] = append(parts[i%n], g)
 		}
-		topo := make([][]router.Backend, n)
+		shards := make([]*index.Index, n)
 		for i, part := range parts {
-			snap := &query.ServeSnapshot{Broker: query.NewBroker([]*index.Index{index.Build(part, pr, 0)})}
-			topo[i] = []router.Backend{router.LocalBackend{QS: query.NewServer(snap, query.CacheOptions{})}}
+			shards[i] = index.Build(part, pr, 0)
 		}
-		return router.New(router.Config{Shards: topo, Seed: 1})
+		return localFleet(shards)
 	}
 
 	// Best-of-5 batches over the whole workload; GC between fleets keeps
@@ -118,4 +117,15 @@ func expRouter(e *env) error {
 	}
 	fmt.Fprintln(e.out, "(shape: identical rankings at every shard count; fan-out overhead grows with shards)")
 	return nil
+}
+
+// localFleet is a router over one in-process query server per shard:
+// the serving tier's fan-out and eq. 6.1 merge, without sockets.
+func localFleet(shards []*index.Index) (*router.Router, error) {
+	topo := make([][]router.Backend, len(shards))
+	for i, ix := range shards {
+		snap := &query.ServeSnapshot{Broker: query.NewBroker(ix)}
+		topo[i] = []router.Backend{router.LocalBackend{QS: query.NewServer(snap, query.CacheOptions{})}}
+	}
+	return router.New(router.Config{Shards: topo, Seed: 1})
 }

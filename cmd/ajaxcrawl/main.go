@@ -284,17 +284,20 @@ func main() {
 	}
 	infof("models stored under %s", *out)
 	if *saveIndex != "" {
-		// The same shard layout BuildEngine produces, so rankings (and
-		// their tie-breaks) match the in-process pipeline.
-		sharder := index.NewSharder(preRes.URLs, preRes.PageRank)
+		// The same shard files BuildEngine publishes, so rankings (and
+		// their tie-breaks) match the in-process pipeline; each is encoded
+		// straight into the snapshot directory and dropped.
+		if len(res.Graphs) == 0 {
+			fatal("save index: no crawled pages to index")
+		}
+		sharder := index.NewSharder(preRes.URLs, preRes.PageRank, *saveIndex)
 		for _, g := range res.Graphs {
 			sharder.Add(ctx, g.URL, g)
 		}
-		shards := sharder.Shards(ctx)
-		if len(shards) == 0 {
-			fatal("save index: no crawled pages to index")
+		if err := sharder.Finish(ctx); err != nil {
+			fatal("save index: %v", err)
 		}
-		man, err := index.SaveSnapshot(*saveIndex, shards, res.Graphs)
+		man, err := sharder.Publish(*saveIndex, res.Graphs)
 		if err != nil {
 			fatal("save index: %v", err)
 		}

@@ -84,7 +84,7 @@ func main() {
 		printStats(ix)
 	}
 	if *q != "" {
-		results := query.NewBroker([]*index.Index{ix}).SearchTopKCtx(ctx, *q, *k)
+		results := query.NewBroker(ix).SearchTopKCtx(ctx, *q, *k)
 		if len(results) == 0 {
 			fmt.Printf("no results for %q\n", *q)
 		} else {

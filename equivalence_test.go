@@ -272,11 +272,14 @@ func eqServe(t *testing.T, c eqCell, pre *core.PrecrawlResult, graphs []*model.G
 	ctx := context.Background()
 	queries := webapp.Queries()
 	dir := t.TempDir()
-	sharder := index.NewSharder(pre.URLs, pre.PageRank)
+	sharder := index.NewSharder(pre.URLs, pre.PageRank, dir)
 	for _, g := range graphs {
 		sharder.Add(ctx, g.URL, g)
 	}
-	if _, err := index.SaveSnapshot(dir, sharder.Shards(ctx), graphs); err != nil {
+	if err := sharder.Finish(ctx); err != nil {
+		t.Fatalf("%s: index: %v", c, err)
+	}
+	if _, err := sharder.Publish(dir, graphs); err != nil {
 		t.Fatalf("%s: publish: %v", c, err)
 	}
 	refSrv, err := serve.New(serve.Config{SnapshotDir: dir}, nil)

@@ -92,9 +92,9 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 	// All three index instances must answer the workload identically,
 	// down to the last bit of every score.
 	engines := map[string]*query.Broker{
-		"live":    query.NewBroker([]*index.Index{index.Build(liveGraphs, reloadedPre.PageRank, 0)}),
-		"rebuilt": query.NewBroker([]*index.Index{ix}),
-		"loaded":  query.NewBroker([]*index.Index{loaded}),
+		"live":    query.NewBroker(index.Build(liveGraphs, reloadedPre.PageRank, 0)),
+		"rebuilt": query.NewBroker(ix),
+		"loaded":  query.NewBroker(loaded),
 	}
 	for _, q := range webapp.Queries()[:20] {
 		want := engines["live"].Search(q)

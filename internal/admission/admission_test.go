@@ -505,3 +505,20 @@ func tryAcquire(l *Limiter) (*Token, bool) {
 	tok, err := l.Acquire(ctx)
 	return tok, err == nil
 }
+
+// SetLimit pins the limit to n (clamped to [Min, Max]) — an operator
+// override or a test hook. Growth admits queued waiters immediately;
+// shrink drains as in-flight requests complete.
+func (l *Limiter) SetLimit(n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n < l.cfg.Min {
+		n = l.cfg.Min
+	}
+	if n > l.cfg.Max {
+		n = l.cfg.Max
+	}
+	l.limit = n
+	l.tel.Gauge("admission.limit").Set(int64(n))
+	l.grantUpToLimitLocked()
+}

@@ -431,13 +431,6 @@ func (j *Journal) frontierFrame(rec FrontierRecord) []byte {
 	return j.payload.Bytes()
 }
 
-// Recovered reports what Open replayed from disk.
-func (j *Journal) Recovered() RecoveryInfo {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.recovered
-}
-
 // CompletedPages returns the number of pages the journal holds.
 func (j *Journal) CompletedPages() int {
 	j.mu.Lock()

@@ -60,7 +60,7 @@ func TestJournalRoundTrip(t *testing.T) {
 
 	j2 := mustOpen(t, dir, Options{})
 	defer j2.Close()
-	ri := j2.Recovered()
+	ri := j2.recovered
 	if ri.Pages != 3 || ri.States != 1 || ri.HotEntries != 1 {
 		t.Fatalf("Recovered = %+v, want 3 pages, 1 state, 1 hot entry", ri)
 	}
@@ -119,7 +119,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	f.Close()
 
 	j2 := mustOpen(t, dir, Options{CompactEvery: -1})
-	ri := j2.Recovered()
+	ri := j2.recovered
 	if ri.Pages != 2 {
 		t.Fatalf("recovered %d pages, want 2", ri.Pages)
 	}
@@ -138,8 +138,8 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	if got := j3.CompletedPages(); got != 3 {
 		t.Fatalf("after re-append recovered %d pages, want 3", got)
 	}
-	if j3.Recovered().TruncatedBytes != 0 {
-		t.Fatalf("second recovery truncated %d bytes, want 0", j3.Recovered().TruncatedBytes)
+	if j3.recovered.TruncatedBytes != 0 {
+		t.Fatalf("second recovery truncated %d bytes, want 0", j3.recovered.TruncatedBytes)
 	}
 }
 
@@ -169,13 +169,13 @@ func TestJournalCorruptFrameTruncatesSuffix(t *testing.T) {
 
 	j2 := mustOpen(t, dir, Options{})
 	defer j2.Close()
-	if got := j2.Recovered().Pages; got != 2 {
+	if got := j2.recovered.Pages; got != 2 {
 		t.Fatalf("recovered %d pages past a corrupt frame, want 2", got)
 	}
 	if _, ok := j2.Completed("c"); ok {
 		t.Fatal("corrupt frame for page c was accepted")
 	}
-	if j2.Recovered().TruncatedBytes == 0 {
+	if j2.recovered.TruncatedBytes == 0 {
 		t.Fatal("corrupt suffix reported zero truncated bytes")
 	}
 }
@@ -211,7 +211,7 @@ func TestJournalCompaction(t *testing.T) {
 
 	j2 := mustOpen(t, dir, Options{})
 	defer j2.Close()
-	if got := j2.Recovered().Pages; got != len(urls) {
+	if got := j2.recovered.Pages; got != len(urls) {
 		t.Fatalf("recovered %d pages from snapshot+WAL, want %d", got, len(urls))
 	}
 	for _, u := range urls {
@@ -251,7 +251,7 @@ func TestJournalGarbageFileStartsFresh(t *testing.T) {
 	if got := j.CompletedPages(); got != 0 {
 		t.Fatalf("garbage file recovered %d pages", got)
 	}
-	if j.Recovered().TruncatedBytes == 0 {
+	if j.recovered.TruncatedBytes == 0 {
 		t.Fatal("garbage file reported zero truncated bytes")
 	}
 	if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 1)}); err != nil {
@@ -363,7 +363,7 @@ func TestJournalFrontierRoundTrip(t *testing.T) {
 
 	j2 := mustOpen(t, dir, Options{})
 	defer j2.Close()
-	if got := j2.Recovered().FrontierURLs; got != 2 {
+	if got := j2.recovered.FrontierURLs; got != 2 {
 		t.Fatalf("recovered FrontierURLs = %d, want 2", got)
 	}
 	got := j2.FrontierEntries()
@@ -460,7 +460,7 @@ func TestJournalStateSigRoundTrip(t *testing.T) {
 
 	j2 := mustOpen(t, dir, Options{})
 	defer j2.Close()
-	if ri := j2.Recovered(); ri.StateSigs != 3 || ri.States != 1 {
+	if ri := j2.recovered; ri.StateSigs != 3 || ri.States != 1 {
 		t.Fatalf("Recovered = %+v, want 3 state sigs and 1 state", ri)
 	}
 	sigs := j2.StateSigs("u1")

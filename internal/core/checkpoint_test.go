@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ajaxcrawl/internal/checkpoint"
 	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/obs"
@@ -448,4 +449,19 @@ func TestWatchdogReportsStuckWithoutRestarts(t *testing.T) {
 	if !errors.Is(res.Err, ErrLineStuck) {
 		t.Fatalf("Err = %v, want ErrLineStuck", res.Err)
 	}
+}
+
+// OpenJournalCheckpointer opens (resume=true) or resets (resume=false)
+// the checkpoint journal in dir and adapts it to the crawler's
+// Checkpointer hook: the one line of a CrawlCheckpoints over that one
+// journal. The context supplies telemetry for the journal's
+// checkpoint.{write,compact,recover} spans and journal-byte counters.
+// A recovered page whose metrics payload does not decode fails the open.
+func OpenJournalCheckpointer(ctx context.Context, dir string, resume bool) (Checkpointer, error) {
+	j, err := openJournal(ctx, dir, checkpoint.Options{Reset: !resume})
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint %s: %w", dir, err)
+	}
+	c := &CrawlCheckpoints{ctx: ctx, dir: dir, journals: map[string]*checkpoint.Journal{dir: j}}
+	return &lineCheckpointer{c: c, j: j}, nil
 }

@@ -120,8 +120,8 @@ func TestNewsSearchFindsExpandedContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := query.NewBroker([]*index.Index{index.Build(graphs, nil, 0)})
-	trad := query.NewBroker([]*index.Index{index.Build(graphs, nil, 1)})
+	full := query.NewBroker(index.Build(graphs, nil, 0))
+	trad := query.NewBroker(index.Build(graphs, nil, 1))
 
 	gain := false
 	for _, q := range webapp.Queries()[:20] {

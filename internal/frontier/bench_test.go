@@ -8,7 +8,7 @@ import (
 // BenchmarkFrontierPushPop measures the scheduler hot path: one admit
 // plus one pop through the tiered heap.
 func BenchmarkFrontierPushPop(b *testing.B) {
-	f := New(Config{BloomBits: 1 << 22})
+	f := New(Config{})
 	// Pre-size tiers with a realistic standing depth.
 	var seed []Item
 	for i := 0; i < 1024; i++ {
@@ -19,29 +19,5 @@ func BenchmarkFrontierPushPop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.Push(Item{URL: "http://site/hot", Seq: i, Priority: float64(i%100) / 100})
 		f.Pop()
-	}
-}
-
-// BenchmarkBloomAdmit measures dynamic admission against a populated
-// filter — the dedup check every dynamically discovered URL pays.
-func BenchmarkBloomAdmit(b *testing.B) {
-	f := New(Config{BloomBits: 1 << 22})
-	var seed []Item
-	for i := 0; i < 100_000; i++ {
-		seed = append(seed, Item{URL: fmt.Sprintf("http://site/seed?v=%d", i), Seq: i})
-	}
-	f.AdmitSeed(seed)
-	urls := make([]string, 1024)
-	for i := range urls {
-		urls[i] = fmt.Sprintf("http://site/new?v=%d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Mostly-duplicate mix: half seed re-discoveries, half fresh.
-		if i%2 == 0 {
-			f.Admit(Item{URL: seed[i%len(seed)].URL})
-		} else {
-			f.Admit(Item{URL: urls[i%len(urls)], Seq: i})
-		}
 	}
 }

@@ -1,3 +1,9 @@
+// Package frontier implements the shared crawl frontier of the parallel
+// crawler: a tiered priority queue over precrawled URLs (ordered by
+// PageRank with an expected-AJAX-state-yield boost), exact dedup at
+// admission, and a work-stealing scheduler that feeds N long-lived
+// process lines from the one shared queue so a slow page never strands
+// capacity the way a slow static partition did.
 package frontier
 
 import (
@@ -26,10 +32,6 @@ type Item struct {
 
 // Config tunes a Frontier.
 type Config struct {
-	// BloomBits sizes the dedup bloom filter in bits (rounded up to a
-	// power of two). <= 0 selects 1<<20 bits (128 KiB), comfortable for
-	// hundreds of thousands of URLs at a ~1% false-positive rate.
-	BloomBits int
 	// Tiers is the number of priority bands; the tier boundaries are
 	// the priority quantiles of the seed batch. <= 0 selects 4.
 	Tiers int
@@ -44,18 +46,13 @@ type Config struct {
 // buckets and pays one O(log n) heap operation on the first non-empty
 // one.
 //
-// Dedup is two-layer. An exact set guards the pinned crawl universe:
-// every admitted URL lands in it, and AdmitSeed consults only it, so a
-// precrawled URL can never be lost to a hash collision. The bloom
-// filter guards Admit (dynamic/late admission), so URLs rediscovered
-// during crawling are rejected without an exact entry each.
+// Dedup is exact: a URL already admitted is not admitted again.
 //
 // All methods are safe for concurrent use.
 type Frontier struct {
 	mu       sync.Mutex
 	tiers    []tierHeap
 	bounds   []float64 // descending tier lower bounds, len = len(tiers)-1
-	bloom    *Bloom
 	admitted map[string]bool
 	size     int
 	tel      *obs.Telemetry
@@ -63,27 +60,20 @@ type Frontier struct {
 
 // New returns an empty frontier.
 func New(cfg Config) *Frontier {
-	bits := cfg.BloomBits
-	if bits <= 0 {
-		bits = 1 << 20
-	}
 	tiers := cfg.Tiers
 	if tiers <= 0 {
 		tiers = 4
 	}
 	return &Frontier{
 		tiers:    make([]tierHeap, tiers),
-		bloom:    NewBloom(bits, 0),
 		admitted: make(map[string]bool),
 		tel:      cfg.Tel,
 	}
 }
 
 // AdmitSeed bulk-admits the precrawl batch and derives the tier
-// boundaries from its priority quantiles. Dedup within the batch is
-// exact (the bloom filter is also populated, for later Admit calls):
-// seed URLs are never lost to bloom false positives. Returns the number
-// of items admitted.
+// boundaries from its priority quantiles; a URL already admitted is
+// skipped. Returns the number of items admitted.
 func (f *Frontier) AdmitSeed(items []Item) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -119,31 +109,11 @@ func (f *Frontier) AdmitSeed(items []Item) int {
 			continue
 		}
 		f.admitted[it.URL] = true
-		f.bloom.Add(it.URL)
 		f.push(it)
 		n++
 	}
 	f.meter("frontier.admitted", int64(n))
 	return n
-}
-
-// Admit offers one dynamically discovered item. It is rejected when the
-// exact set has it or the bloom filter says "maybe seen" — including
-// the bloom's false positives, which is the documented price of
-// constant-memory dedup for the dynamic stream. Returns whether the
-// item was admitted.
-func (f *Frontier) Admit(it Item) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.admitted[it.URL] || f.bloom.MaybeContains(it.URL) {
-		f.meter("frontier.dedup_hits", 1)
-		return false
-	}
-	f.admitted[it.URL] = true
-	f.bloom.Add(it.URL)
-	f.push(it)
-	f.meter("frontier.admitted", 1)
-	return true
 }
 
 // Push requeues an item without dedup — the supervisor's retry path.

@@ -6,49 +6,6 @@ import (
 	"testing"
 )
 
-func TestBloomNoFalseNegatives(t *testing.T) {
-	b := NewBloom(1<<14, 0)
-	for i := 0; i < 1000; i++ {
-		b.Add(fmt.Sprintf("http://site/watch?v=%d", i))
-	}
-	for i := 0; i < 1000; i++ {
-		if !b.MaybeContains(fmt.Sprintf("http://site/watch?v=%d", i)) {
-			t.Fatalf("false negative for v=%d", i)
-		}
-	}
-}
-
-func TestBloomFalsePositiveRateReasonable(t *testing.T) {
-	// 1000 elements in 16Ki bits ≈ 16 bits/element: the FP rate should
-	// be well under 5%.
-	b := NewBloom(1<<14, 0)
-	for i := 0; i < 1000; i++ {
-		b.Add(fmt.Sprintf("http://site/watch?v=%d", i))
-	}
-	fp := 0
-	for i := 0; i < 10000; i++ {
-		if b.MaybeContains(fmt.Sprintf("http://other/page?id=%d", i)) {
-			fp++
-		}
-	}
-	if fp > 500 {
-		t.Fatalf("false positive rate %d/10000 too high", fp)
-	}
-}
-
-func TestBloomDeterministic(t *testing.T) {
-	a, b := NewBloom(1<<12, 0), NewBloom(1<<12, 0)
-	for i := 0; i < 200; i++ {
-		a.Add(fmt.Sprintf("u%d", i))
-		b.Add(fmt.Sprintf("u%d", i))
-	}
-	for i := range a.bits {
-		if a.bits[i] != b.bits[i] {
-			t.Fatalf("bit pattern diverges at word %d", i)
-		}
-	}
-}
-
 func TestFrontierPriorityOrder(t *testing.T) {
 	f := New(Config{})
 	f.AdmitSeed([]Item{
@@ -106,29 +63,11 @@ func TestFrontierDedup(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("seed admitted %d, want 2", n)
 	}
-	if f.Admit(Item{URL: "a"}) {
-		t.Fatal("re-admitted a seed URL")
-	}
-	if !f.Admit(Item{URL: "c"}) {
-		t.Fatal("rejected a fresh URL")
-	}
-	if f.Admit(Item{URL: "c"}) {
-		t.Fatal("re-admitted a dynamic URL")
+	if n := f.AdmitSeed([]Item{{URL: "a"}, {URL: "c"}}); n != 1 {
+		t.Fatalf("second batch admitted %d, want 1 (a is already admitted)", n)
 	}
 	if f.Len() != 3 {
 		t.Fatalf("len = %d, want 3", f.Len())
-	}
-}
-
-func TestFrontierMarkSeenBlocksDynamicAdmission(t *testing.T) {
-	f := New(Config{})
-	f.bloom.Add("seen")
-	if f.Admit(Item{URL: "seen"}) {
-		t.Fatal("admitted a URL the bloom filter holds")
-	}
-	// Seed admission is exact-set-only: a bloom entry must not block it.
-	if n := f.AdmitSeed([]Item{{URL: "seen"}}); n != 1 {
-		t.Fatalf("seed admission blocked by bloom: admitted %d, want 1", n)
 	}
 }
 

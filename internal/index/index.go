@@ -321,20 +321,14 @@ func (ix *Index) NumPostings() int {
 // pageRank may be nil (all zeros). maxStates limits states per page as in
 // AddGraph.
 func Build(graphs []*model.Graph, pageRank map[string]float64, maxStates int) *Index {
-	return BuildCtx(context.Background(), graphs, pageRank, maxStates)
+	return new(builder).build(context.Background(), graphs, pageRank, maxStates)
 }
 
-// BuildCtx is Build under a context: when the context carries a trace
-// sink, the build is wrapped in an index.build span that records its
-// posting count.
-func BuildCtx(ctx context.Context, graphs []*model.Graph, pageRank map[string]float64, maxStates int) *Index {
-	return new(builder).build(ctx, graphs, pageRank, maxStates)
-}
-
-// build is BuildCtx on b's scratch. The index it returns is laid out
-// exactly: every posting list is as long as its capacity, the positions
-// are one slab of the states' token count, and Terms is sized to the
-// vocabulary.
+// build is Build on b's scratch, wrapped in an index.build span that
+// records its posting count when ctx carries a trace sink. The index it
+// returns is laid out exactly: every posting list is as long as its
+// capacity, the positions are one slab of the states' token count, and
+// Terms is sized to the vocabulary.
 func (b *builder) build(ctx context.Context, graphs []*model.Graph, pageRank map[string]float64, maxStates int) *Index {
 	_, sp := obs.StartSpan(ctx, obs.SpanIndexBuild, obs.A("graphs", strconv.Itoa(len(graphs))))
 	ix := &Index{}

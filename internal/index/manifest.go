@@ -1,6 +1,7 @@
 package index
 
 import (
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -19,9 +20,11 @@ import (
 // application models result reconstruction replays, and a manifest.json
 // naming them all. The manifest is written last and atomically (temp file + rename),
 // so a reader that can load a manifest can load everything it points at;
-// a crash mid-save leaves no manifest and therefore no half-snapshot. A
-// new save into the same directory gets a fresh ID, which is what the
-// serving daemon's -watch loop keys hot swaps on.
+// a crash mid-save leaves no manifest and therefore no half-snapshot.
+// Every save writes its shard files under a fresh generation's names, so
+// a failed or crashed re-save into the same directory leaves the old
+// manifest naming the old bytes. A new save gets a fresh ID, which is
+// what the serving daemon's -watch loop keys hot swaps on.
 
 const (
 	// ManifestFileName is the snapshot manifest file.
@@ -145,33 +148,53 @@ func LoadManifest(dir string) (*Manifest, error) {
 // application models) into dir and then publishes the manifest. The
 // shard order is preserved — it is the doc order of the loaded index.
 // Graphs are stored sorted by URL so identical crawls produce
-// byte-identical snapshots (modulo the manifest's ID and timestamp).
+// byte-identical snapshots (modulo the manifest's ID, its timestamp and
+// the shard file names).
 func SaveSnapshot(dir string, shards []*Index, graphs []*model.Graph) (*Manifest, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("index: snapshot: no shards to save")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("index: snapshot: %w", err)
+	gen := newGeneration()
+	entries := make([]ShardEntry, len(shards))
+	for i, shard := range shards {
+		e, _, err := encodeShard(shard, dir, shardFile(gen, i))
+		if err != nil {
+			return nil, err
+		}
+		entries[i] = e
 	}
+	return publish(dir, entries, graphs)
+}
+
+// newGeneration returns a fresh shard-file generation: the files of one
+// save (or one Sharder) share it, and no other save's files do, so a
+// shard file name is written once and a manifest never names a file a
+// later save rewrote.
+func newGeneration() string {
+	var b [6]byte
+	rand.Read(b[:]) //nolint:errcheck // the OS random source does not fail on a supported platform
+	return hex.EncodeToString(b[:])
+}
+
+// shardFile names generation gen's i-th shard file.
+func shardFile(gen string, i int) string { return fmt.Sprintf("shard-%s-%04d.bin", gen, i) }
+
+// publish is the tail of every save: with entries' shard files already
+// in dir, it writes the models (when graphs is non-empty), then the
+// manifest, and only then removes the shard files of earlier
+// generations, which the new manifest does not name. A save that fails
+// before the manifest leaves the old one, and every file it names, as
+// they were.
+func publish(dir string, entries []ShardEntry, graphs []*model.Graph) (*Manifest, error) {
 	m := &Manifest{
 		Version:   ManifestVersion,
 		CreatedAt: time.Now().UTC(),
+		Shards:    entries,
 	}
-	for i, shard := range shards {
-		name := fmt.Sprintf("shard-%04d.bin", i)
-		if err := shard.Save(filepath.Join(dir, name)); err != nil {
-			return nil, err
-		}
-		m.Shards = append(m.Shards, ShardEntry{
-			File:     name,
-			Docs:     shard.NumDocs(),
-			States:   shard.TotalStates,
-			Postings: shard.NumPostings(),
-			Terms:    shard.NumTerms(),
-		})
-		m.TotalDocs += shard.NumDocs()
-		m.TotalStates += shard.TotalStates
-		m.TotalTerms += shard.NumTerms()
+	for _, e := range entries {
+		m.TotalDocs += e.Docs
+		m.TotalStates += e.States
+		m.TotalTerms += e.Terms
 	}
 	if len(graphs) > 0 {
 		sorted := append([]*model.Graph(nil), graphs...)
@@ -184,6 +207,16 @@ func SaveSnapshot(dir string, shards []*Index, graphs []*model.Graph) (*Manifest
 	m.ID = m.computeID()
 	if err := WriteManifest(dir, m); err != nil {
 		return nil, err
+	}
+	named := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		named[e.File] = true
+	}
+	stale, _ := filepath.Glob(filepath.Join(dir, "shard-*.bin")) // the pattern is well-formed
+	for _, path := range stale {
+		if !named[filepath.Base(path)] {
+			os.Remove(path) // a file left behind only costs disk: nothing names it
+		}
 	}
 	return m, nil
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +33,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.ID == "" || man.Version != ManifestVersion || man.Shards[0].File != "shard-0000.bin" {
+	if man.ID == "" || man.Version != ManifestVersion || !strings.HasSuffix(man.Shards[0].File, "-0000.bin") {
 		t.Fatalf("bad manifest header: %+v", man)
 	}
 	if man.TotalDocs != 3 || man.TotalStates != 4 {
@@ -136,12 +137,13 @@ func TestLoadManifestRejectsBadInput(t *testing.T) {
 func TestLoadSnapshotDetectsShardMismatch(t *testing.T) {
 	part1, part2 := snapshotGraphs()
 	dir := t.TempDir()
-	if _, err := SaveSnapshot(dir, []*Index{Build(part1, nil, 0)}, nil); err != nil {
+	man, err := SaveSnapshot(dir, []*Index{Build(part1, nil, 0)}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite the shard with a different index; the manifest's
 	// recorded sizes no longer match.
-	if err := Build(part2, nil, 0).Save(filepath.Join(dir, "shard-0000.bin")); err != nil {
+	if err := Build(part2, nil, 0).Save(filepath.Join(dir, man.Shards[0].File)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadSnapshot(dir); err == nil {
@@ -161,5 +163,62 @@ func TestLoadSnapshotRefusesGobEra(t *testing.T) {
 	_, _, err := LoadSnapshot(dir)
 	if err == nil || !strings.Contains(err.Error(), "re-publish") {
 		t.Fatalf("gob-era snapshot: err = %v, want a refusal naming the re-publish remedy", err)
+	}
+}
+
+// TestFailedRepublishKeepsTheOldSnapshot: a re-publish into a directory
+// that fails after writing its shard files leaves the old manifest naming
+// the old bytes. B is A's graphs under another PageRank, so every count
+// the manifest records matches and only the bytes could tell the two
+// apart. A later successful publish removes the shard files no manifest
+// names.
+func TestFailedRepublishKeepsTheOldSnapshot(t *testing.T) {
+	part1, part2 := snapshotGraphs()
+	graphs := append(append([]*model.Graph{}, part1...), part2...)
+	shards := func(pr float64) []*Index {
+		rank := map[string]float64{"site/watch?v=a": pr, "site/watch?v=c": pr}
+		return []*Index{Build(part1, rank, 0), Build(part2, rank, 0)}
+	}
+	a, b := shards(0.25), shards(0.75)
+	dir := t.TempDir()
+	if _, err := SaveSnapshot(dir, a, graphs); err != nil {
+		t.Fatal(err)
+	}
+	models := filepath.Join(dir, model.ModelFileName)
+	if err := os.Remove(models); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(models, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SaveSnapshot(dir, b, graphs); err == nil {
+		t.Fatal("publishing over a models directory succeeded")
+	}
+	ref := t.TempDir()
+	if _, err := SaveSnapshot(ref, a, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := LoadSnapshot(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encoded(t, got[0]), encoded(t, want[0])) {
+		t.Fatal("after a failed re-publish the directory serves other bytes than the snapshot it held")
+	}
+
+	if err := os.Remove(models); err != nil {
+		t.Fatal(err)
+	}
+	man, err := SaveSnapshot(dir, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "shard-*.bin"))
+	if len(files) != len(man.Shards) {
+		t.Fatalf("after a publish the directory holds %d shard files, its manifest names %d", len(files), len(man.Shards))
 	}
 }

@@ -75,14 +75,6 @@ func ParamsFor(threshold float64, sigLen int) Params {
 	return Params{Bands: sigLen, Rows: 1} // unreachable: b=sigLen always qualifies
 }
 
-// CandidateProb is the classic s-curve: the probability that two
-// signatures with per-position agreement s collide in at least one band
-// under layout p, assuming independent positions. Used for documentation
-// and tests; the admitter relies on the pigeonhole guarantee instead.
-func CandidateProb(s float64, p Params) float64 {
-	return 1 - math.Pow(1-math.Pow(s, float64(p.Rows)), float64(p.Bands))
-}
-
 // Stats counts index work. Probes is the number of band-bucket lookups
 // performed by Candidates calls; Candidates is the total candidate IDs
 // returned (after per-query dedup).

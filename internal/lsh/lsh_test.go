@@ -200,3 +200,11 @@ func TestLengthMismatchPanics(t *testing.T) {
 	idx := New(0.9, 64)
 	idx.Add(0, make(shingle.Signature, 16))
 }
+
+// CandidateProb is the classic s-curve: the probability that two
+// signatures with per-position agreement s collide in at least one band
+// under layout p, assuming independent positions. Used for documentation
+// and tests; the admitter relies on the pigeonhole guarantee instead.
+func CandidateProb(s float64, p Params) float64 {
+	return 1 - math.Pow(1-math.Pow(s, float64(p.Rows)), float64(p.Bands))
+}

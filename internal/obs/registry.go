@@ -255,7 +255,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	now      func() time.Time
+	now      func() time.Time // tests pin it; nil is the wall clock
 }
 
 // NewRegistry returns an empty registry.
@@ -267,20 +267,8 @@ func NewRegistry() *Registry {
 	}
 }
 
-// SetClock installs the time source stamped onto Snapshot.TakenAt (nil
-// restores the wall clock). Injected by tests so snapshots and the
-// status document can be pinned.
-func (r *Registry) SetClock(now func() time.Time) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
-}
-
-// Now returns the registry's current time: the injected clock when one
-// was set with SetClock, the wall clock otherwise.
+// Now returns the registry's current time: the clock tests pin, the
+// wall clock otherwise.
 func (r *Registry) Now() time.Time {
 	if r == nil {
 		return time.Now()
@@ -376,8 +364,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures every metric's current value. TakenAt comes from
-// the registry clock (SetClock), so golden-tested snapshots can be
-// pinned.
+// the registry clock (Now), so golden-tested snapshots can be pinned.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		TakenAt:    r.Now(),

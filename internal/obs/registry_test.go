@@ -124,13 +124,13 @@ func TestHistogramQuantileOverflowSaturation(t *testing.T) {
 func TestRegistryClockInjectable(t *testing.T) {
 	r := NewRegistry()
 	fixed := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	r.SetClock(func() time.Time { return fixed })
+	r.now = func() time.Time { return fixed }
 	if got := r.Snapshot().TakenAt; !got.Equal(fixed) {
 		t.Fatalf("TakenAt = %v, want %v", got, fixed)
 	}
-	r.SetClock(nil)
+	r.now = nil
 	if got := r.Snapshot().TakenAt; got.Equal(fixed) {
-		t.Fatal("nil SetClock must restore the wall clock")
+		t.Fatal("a nil clock must restore the wall clock")
 	}
 }
 

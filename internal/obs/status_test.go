@@ -12,7 +12,7 @@ import (
 func statusFixture() (StatusSource, *Registry) {
 	reg := NewRegistry()
 	start := time.Unix(1000, 0).UTC()
-	reg.SetClock(func() time.Time { return start.Add(10 * time.Second) })
+	reg.now = func() time.Time { return start.Add(10 * time.Second) }
 	reg.Gauge(MetricPagesTotal).Set(40)
 	reg.Counter(MetricPagesDone).Add(20)
 	reg.Gauge(MetricLines).Set(4)

@@ -126,30 +126,6 @@ func (s *FileSink) Close() error {
 	return s.f.Close()
 }
 
-// ReadJSONL loads every span of a JSONL trace file (the FileSink
-// format) — the read side used by tests and trace post-processing.
-func ReadJSONL(path string) ([]SpanRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: read trace: %w", err)
-	}
-	defer f.Close()
-	var out []SpanRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec SpanRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return out, fmt.Errorf("obs: read trace: %w", err)
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
-}
-
 // RingSink keeps the most recent spans in memory — the backend of
 // /debug/trace/recent and of tests.
 type RingSink struct {

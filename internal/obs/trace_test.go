@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -148,4 +150,28 @@ func TestRingSinkWraps(t *testing.T) {
 	if last := ring.Recent(1); len(last) != 1 || last[0].Name != "e" {
 		t.Fatalf("Recent(1): %+v", last)
 	}
+}
+
+// ReadJSONL loads every span of a JSONL trace file (the FileSink
+// format) — the read side used by tests and trace post-processing.
+func ReadJSONL(path string) ([]SpanRecord, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("obs: read trace: %w", err)
+	}
+	defer f.Close()
+	var out []SpanRecord
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	for sc.Scan() {
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var rec SpanRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			return out, fmt.Errorf("obs: read trace: %w", err)
+		}
+		out = append(out, rec)
+	}
+	return out, sc.Err()
 }

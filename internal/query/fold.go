@@ -14,7 +14,7 @@ import (
 // which derives the global idf of eq. 6.1 once, adds w3·tf·idf to each
 // pre-idf base and keeps the k best in the one rank order (score desc,
 // URL asc, state asc). k <= 0 returns everything. A Broker streams its
-// own shards' matches into the same selector; the router folds one
+// index's matches into the same selector; the router folds one
 // validated response per shard server — same scoring, so the same bytes.
 //
 // Nil responses (failed shards) are skipped, as are candidates whose tf

@@ -129,30 +129,27 @@ func textSource(graphs []*model.Graph) func(url string, state int) string {
 	}
 }
 
-// TestStateTextMatchesModels: over the crawled corpus cut into two
-// shards, indexed whole and with a state limit, Broker.StateText returns
-// the models' text for every indexed (url, state), in process and after
-// each shard's Encode/Decode, and "" for a state or URL no shard indexes.
+// TestStateTextMatchesModels: over the crawled corpus, indexed whole and
+// with a state limit, Broker.StateText returns the models' text for every
+// indexed (url, state), in process and after an Encode/Decode, and "" for
+// a state or URL the index does not hold.
 func TestStateTextMatchesModels(t *testing.T) {
 	graphs, err := corpusGraphs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := textSource(graphs)
-	half := len(graphs) / 2
 	for _, maxStates := range []int{0, 3} {
-		shards := []*index.Index{index.Build(graphs[:half], nil, maxStates), index.Build(graphs[half:], nil, maxStates)}
-		decoded := make([]*index.Index, len(shards))
-		for i, ix := range shards {
-			var buf bytes.Buffer
-			if err := ix.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if decoded[i], err = index.Decode(&buf); err != nil {
-				t.Fatal(err)
-			}
+		ix := index.Build(graphs, nil, maxStates)
+		var buf bytes.Buffer
+		if err := ix.Encode(&buf); err != nil {
+			t.Fatal(err)
 		}
-		for name, b := range map[string]*Broker{"in process": NewBroker(shards), "decoded": NewBroker(decoded)} {
+		decoded, err := index.Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string]*Broker{"in process": NewBroker(ix), "decoded": NewBroker(decoded)} {
 			indexed, skipped := 0, 0
 			for _, g := range graphs {
 				for _, s := range g.States {
@@ -171,8 +168,8 @@ func TestStateTextMatchesModels(t *testing.T) {
 					}
 				}
 			}
-			if indexed != b.Shards[0].TotalStates+b.Shards[1].TotalStates {
-				t.Fatalf("maxStates=%d %s: checked %d states, the shards index %d", maxStates, name, indexed, b.Shards[0].TotalStates+b.Shards[1].TotalStates)
+			if indexed != b.Index.TotalStates {
+				t.Fatalf("maxStates=%d %s: checked %d states, the index holds %d", maxStates, name, indexed, b.Index.TotalStates)
 			}
 			if maxStates > 0 && skipped == 0 {
 				t.Fatalf("maxStates=%d: no graph has a state past the limit", maxStates)

@@ -189,55 +189,50 @@ func (c *ShardCandidate) fill(ix *index.Index, w Weights, postings []index.Posti
 	}
 }
 
-// Broker ships a query to every shard and folds the shards' candidates
-// into one ranking with the global idf of eq. 6.1 — the two-step merge
-// of Figure 6.4, in process. A single index is the one-shard case.
+// Broker evaluates queries over one index: its matches stream into the
+// selector Fold uses, under the index's own statistics, which are the
+// global ones of eq. 6.1. Fan-out over several indexes is the router's.
 type Broker struct {
-	Shards []*index.Index
-	W      Weights
+	Index *index.Index
+	W     Weights
 }
 
-// NewBroker returns a broker with default weights.
-func NewBroker(shards []*index.Index) *Broker {
-	return &Broker{Shards: shards, W: DefaultWeights}
+// NewBroker returns a broker over ix with default weights.
+func NewBroker(ix *index.Index) *Broker {
+	return &Broker{Index: ix, W: DefaultWeights}
 }
 
-// StateText returns the visible text of a (url, state) result from the
-// shard that indexes url — the snippet source — or "" when no shard
-// indexes that state.
+// StateText returns the visible text of a (url, state) result — the
+// snippet source — or "" when the index does not hold that state.
 func (b *Broker) StateText(url string, state int) string {
-	for _, ix := range b.Shards {
-		if d, ok := ix.DocByURL(url); ok {
-			return ix.StateText(d, model.StateID(state))
-		}
+	if d, ok := b.Index.DocByURL(url); ok {
+		return b.Index.StateText(d, model.StateID(state))
 	}
 	return ""
 }
 
 // stats starts the broker's half of Figure 6.4: the df vector and state
-// count summed over its shards, no candidates yet (vectors non-nil even
-// for an empty query, so the result marshals predictably). atMost bounds
-// the matches: a conjunction emits no more than its shortest list holds.
+// count, no candidates yet (vectors non-nil even for an empty query, so
+// the result marshals predictably). atMost bounds the matches: a
+// conjunction emits no more than its shortest list holds.
 func (b *Broker) stats(terms []string) (res *ShardResult, atMost int) {
 	res = &ShardResult{Terms: terms, DF: make([]int, len(terms)), Candidates: []ShardCandidate{}}
 	if len(terms) == 0 {
 		return res, 0
 	}
-	for _, ix := range b.Shards {
-		for i, t := range terms {
-			res.DF[i] += ix.DF(t)
-		}
-		res.TotalStates += ix.TotalStates
+	for i, t := range terms {
+		res.DF[i] = b.Index.DF(t)
 	}
+	res.TotalStates = b.Index.TotalStates
 	return res, slices.Min(res.DF)
 }
 
-// stream is the produce half of Figure 6.4: every shard's pre-idf
-// candidates, in shard then (doc, state) order, are offered to sel as
-// the merge produces them, so only the sel.k kept ones and the one being
-// filled are resident — a displaced candidate's slot, TFs vector
-// included, takes the next match. A selector that keeps everything
-// displaces nothing: slots[:matches] is then every candidate in order.
+// stream is the produce half of Figure 6.4: the pre-idf candidates, in
+// (doc, state) order, are offered to sel as the merge produces them, so
+// only the sel.k kept ones and the one being filled are resident — a
+// displaced candidate's slot, TFs vector included, takes the next match.
+// A selector that keeps everything displaces nothing: slots[:matches] is
+// then every candidate in order.
 func (b *Broker) stream(terms []string, sel *selector) (slots []ShardCandidate, matches int) {
 	slots = make([]ShardCandidate, sel.k+1)
 	tfs := make([]float64, len(slots)*len(terms))
@@ -245,20 +240,17 @@ func (b *Broker) stream(terms []string, sel *selector) (slots []ShardCandidate, 
 		slots[i].TFs = tfs[i*len(terms) : (i+1)*len(terms) : (i+1)*len(terms)]
 	}
 	slot, used := &slots[0], 1
-	for _, ix := range b.Shards {
-		conjunction(ix, terms, func(postings []index.Posting) {
-			matches++
-			slot.fill(ix, b.W, postings)
-			if slot = sel.offer(slot); slot == nil {
-				slot, used = &slots[used], used+1
-			}
-		})
-	}
+	conjunction(b.Index, terms, func(postings []index.Posting) {
+		matches++
+		slot.fill(b.Index, b.W, postings)
+		if slot = sel.offer(slot); slot == nil {
+			slot, used = &slots[used], used+1
+		}
+	})
 	return slots, matches
 }
 
-// Search evaluates the query across all shards and returns every result
-// in rank order.
+// Search evaluates the query and returns every result in rank order.
 func (b *Broker) Search(q string) []Result {
 	return b.SearchTopK(q, 0)
 }
@@ -277,8 +269,8 @@ func (b *Broker) SearchTopKCtx(ctx context.Context, q string, k int) []Result {
 	return b.search(ctx, q, Parse(q), k)
 }
 
-// search is SearchTopKCtx for a parsed query. The broker's shards are
-// the whole collection, so their summed statistics are the global ones.
+// search is SearchTopKCtx for a parsed query. The broker's index is the
+// whole collection, so its statistics are the global ones.
 func (b *Broker) search(ctx context.Context, q string, terms []string, k int) []Result {
 	tel := obs.From(ctx)
 	_, sp := obs.StartSpan(ctx, obs.SpanQueryExec, obs.A("q", q))

@@ -55,7 +55,22 @@ func (b *Broker) candidates(terms []string) *ShardResult {
 }
 
 // oneShard is the single-index engine: the N=1 broker.
-func oneShard(ix *index.Index) *Broker { return NewBroker([]*index.Index{ix}) }
+func oneShard(ix *index.Index) *Broker { return NewBroker(ix) }
+
+// foldShards is the router's merge in process: every shard's candidates
+// folded under the summed statistics, top k (all when k <= 0).
+func foldShards(q string, k int, shards ...*index.Index) []Result {
+	terms := Parse(q)
+	responses := make([]*ShardResult, len(shards))
+	for i, ix := range shards {
+		responses[i] = oneShard(ix).candidates(terms)
+	}
+	var out []Result
+	for _, r := range Fold(terms, DefaultWeights, responses, k) {
+		out = append(out, r.Result)
+	}
+	return out
+}
 
 // thesisIndex is the Morcheeba running example (§1.1, Table 5.1).
 func thesisIndex() *index.Index {
@@ -255,8 +270,9 @@ func TestIDFDownweightsCommonTerms(t *testing.T) {
 }
 
 // TestBrokerMatchesSingleIndex pins the chapter-6 guarantee: sharding the
-// corpus and querying through the broker yields the same results and
-// scores as one big index, thanks to the global idf correction.
+// corpus and folding the shards' candidates yields the same results and
+// scores as a broker over one big index, thanks to the global idf
+// correction.
 func TestBrokerMatchesSingleIndex(t *testing.T) {
 	pagesA := map[string][]string{
 		"u1": {"morcheeba enjoy the ride", "singer news morcheeba here"},
@@ -276,11 +292,11 @@ func TestBrokerMatchesSingleIndex(t *testing.T) {
 		merged[k] = v
 	}
 	single := oneShard(buildIndex(merged, pr))
-	broker := NewBroker([]*index.Index{buildIndex(pagesA, pr), buildIndex(pagesB, pr)})
+	a, b := buildIndex(pagesA, pr), buildIndex(pagesB, pr)
 
 	for _, q := range []string{"morcheeba", "morcheeba singer", "cats", "filler text", "absent"} {
 		sr := single.Search(q)
-		br := broker.Search(q)
+		br := foldShards(q, 0, a, b)
 		if len(sr) != len(br) {
 			t.Fatalf("q=%q: single %d results, broker %d", q, len(sr), len(br))
 		}
@@ -296,9 +312,9 @@ func TestBrokerMatchesSingleIndex(t *testing.T) {
 }
 
 func TestBrokerEmptyShards(t *testing.T) {
-	b := NewBroker(nil)
+	b := NewBroker(index.New())
 	if rs := b.Search("anything"); rs != nil {
-		t.Fatalf("no shards should return nil, got %v", rs)
+		t.Fatalf("an empty index should return nil, got %v", rs)
 	}
 }
 
@@ -454,9 +470,8 @@ func TestSearchTopKMatchesSortedSearch(t *testing.T) {
 func TestSearchTopKAcrossShards(t *testing.T) {
 	a := buildIndex(map[string][]string{"s1": {"term alpha", "term beta"}}, nil)
 	bIx := buildIndex(map[string][]string{"s2": {"term gamma", "plain text"}}, nil)
-	broker := NewBroker([]*index.Index{a, bIx})
-	want := topK(broker.Search("term"), 2)
-	got := broker.SearchTopK("term", 2)
+	want := topK(foldShards("term", 0, a, bIx), 2)
+	got := foldShards("term", 2, a, bIx)
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("sharded top-k: %v want %v", got, want)
 	}
@@ -534,7 +549,7 @@ func commonTerms(ix *index.Index) [2]string {
 // and paired with the runner-up (the worst case for anything that is
 // per match).
 func missQueries(srv *Server) (one, two []string) {
-	common := commonTerms(srv.Live().Broker.Shards[0])
+	common := commonTerms(srv.Live().Broker.Index)
 	return []string{"wow", common[0]}, []string{"funny dance", common[0] + " " + common[1]}
 }
 

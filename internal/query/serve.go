@@ -18,11 +18,11 @@ import (
 // the read path.
 
 // ServeSnapshot is one immutable generation of serving state: the
-// sharded broker, the state-text source for snippets, and the sizes the
+// broker over its index, the state-text source for snippets, and the sizes the
 // serving layer reports. Gen, Docs and States are assigned by
 // Server.Swap; a snapshot must not be modified after installation.
 type ServeSnapshot struct {
-	// Broker evaluates queries over this snapshot's shards.
+	// Broker evaluates queries over this snapshot's index.
 	Broker *Broker
 	// StateText resolves (url, state) to the state's visible text for
 	// snippet generation (Broker.StateText); nil disables snippets.
@@ -66,15 +66,11 @@ func (s *Server) Cache() *ResultCache { return s.cache }
 // snapshot — its cache fills are dropped by the generation check — or
 // already sees the new one, whose fills are valid. Old snapshots drain:
 // in-flight evaluations against them complete, and the GC reclaims the
-// shards once the last reference is gone.
+// index once the last reference is gone.
 func (s *Server) Swap(ctx context.Context, snap *ServeSnapshot) *ServeSnapshot {
 	gen := s.gen.Add(1)
 	snap.Gen = gen
-	snap.Docs, snap.States = 0, 0
-	for _, shard := range snap.Broker.Shards {
-		snap.Docs += shard.NumDocs()
-		snap.States += shard.TotalStates
-	}
+	snap.Docs, snap.States = snap.Broker.Index.NumDocs(), snap.Broker.Index.TotalStates
 	s.cache.Invalidate(gen)
 	old := s.live.Swap(snap)
 

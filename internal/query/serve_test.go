@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"ajaxcrawl/internal/index"
 )
 
 // serveSnapshotN builds a fresh ServeSnapshot over n single-state docs
@@ -24,7 +22,7 @@ func serveSnapshotN(n int) *ServeSnapshot {
 	}
 	ix := buildIndex(pages, nil)
 	return &ServeSnapshot{
-		Broker:    NewBroker([]*index.Index{ix}),
+		Broker:    NewBroker(ix),
 		StateText: func(url string, state int) string { return texts[url] },
 	}
 }

@@ -45,9 +45,9 @@ type ShardCandidate struct {
 
 // ShardResult is one shard server's half of the distributed merge: its
 // candidates plus the local collection statistics the router sums into
-// the global idf. A shard server that itself holds several index shards
+// the global idf. A shard server whose index merges several shard files
 // returns their union (sums are associative, so the router's global idf
-// is unchanged by how shards are grouped into servers).
+// is unchanged by how files are grouped into servers).
 type ShardResult struct {
 	// Terms is the normalized query, one entry per conjunctive term.
 	Terms []string `json:"terms"`

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"ajaxcrawl/internal/index"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
 )
@@ -45,7 +44,7 @@ func foldShardResult(res *ShardResult, w Weights) []Result {
 // differential battery.)
 func TestShardSearchFoldsBackToSearch(t *testing.T) {
 	ix := thesisIndex()
-	snap := &ServeSnapshot{Broker: NewBroker([]*index.Index{ix})}
+	snap := &ServeSnapshot{Broker: NewBroker(ix)}
 	srv := NewServer(snap, CacheOptions{})
 
 	for _, q := range []string{"morcheeba", "morcheeba video", "new singer", "nosuchterm", "the"} {
@@ -69,7 +68,7 @@ func TestShardSearchFoldsBackToSearch(t *testing.T) {
 // evicting a globally top-ranked document.
 func TestShardSearchReturnsAllCandidates(t *testing.T) {
 	ix := thesisIndex()
-	snap := &ServeSnapshot{Broker: NewBroker([]*index.Index{ix})}
+	snap := &ServeSnapshot{Broker: NewBroker(ix)}
 	srv := NewServer(snap, CacheOptions{})
 
 	res := srv.ShardSearch(context.Background(), "morcheeba")
@@ -108,7 +107,7 @@ func TestShardSearchSnippetsAndMetadata(t *testing.T) {
 	}
 	ix := buildIndex(pages, nil)
 	snap := &ServeSnapshot{
-		Broker:    NewBroker([]*index.Index{ix}),
+		Broker:    NewBroker(ix),
 		StateText: func(url string, state int) string { return texts[url] },
 	}
 	srv := NewServer(snap, CacheOptions{})
@@ -138,7 +137,7 @@ func TestShardSearchSnippetsAndMetadata(t *testing.T) {
 // TestShardSearchEmptyQuery: no terms, no candidates — but the vectors
 // are present (non-nil) so the response marshals predictably.
 func TestShardSearchEmptyQuery(t *testing.T) {
-	snap := &ServeSnapshot{Broker: NewBroker([]*index.Index{thesisIndex()})}
+	snap := &ServeSnapshot{Broker: NewBroker(thesisIndex())}
 	srv := NewServer(snap, CacheOptions{})
 	res := srv.ShardSearch(context.Background(), "...!!...")
 	if len(res.Terms) != 0 || len(res.DF) != 0 || len(res.Candidates) != 0 {

@@ -175,8 +175,9 @@ func checkBodiesGolden(t *testing.T, dir string) {
 
 // TestMergedLoadMatchesPerFileBroker: over the golden corpus cut every
 // index.ShardPages graphs, the one index LoadSnapshot holds answers each
-// golden query with what a broker over the files, loaded one by one,
-// answers: URL, state, float64 score and order. Two graphs of one text
+// golden query with what the files, loaded one by one and their shard
+// answers folded as the router folds them, answer: URL, state, float64
+// score and order. Two graphs of one text
 // sit on either side of a file boundary, so their score ties across it.
 func TestMergedLoadMatchesPerFileBroker(t *testing.T) {
 	graphs, err := goldenGraphs()
@@ -203,12 +204,23 @@ func TestMergedLoadMatchesPerFileBroker(t *testing.T) {
 		}
 		files = append(files, ix)
 	}
-	if len(snap.Broker.Shards) != 1 || len(files) != len(cut)/index.ShardPages+1 {
-		t.Fatalf("%d indexes over %d files", len(snap.Broker.Shards), len(files))
+	if len(files) != len(cut)/index.ShardPages+1 {
+		t.Fatalf("%d files", len(files))
 	}
-	perFile := query.NewBroker(files)
+	perFile := func(q string) []query.Result {
+		responses := make([]*query.ShardResult, len(files))
+		for i, ix := range files {
+			srv := query.NewServer(&query.ServeSnapshot{Broker: query.NewBroker(ix)}, query.CacheOptions{})
+			responses[i] = srv.ShardSearch(context.Background(), q)
+		}
+		var out []query.Result
+		for _, r := range query.Fold(query.Parse(q), query.DefaultWeights, responses, 0) {
+			out = append(out, r.Result)
+		}
+		return out
+	}
 	for _, q := range append(goldenQueries(), "zzztwin") {
-		if got, want := snap.Broker.Search(q), perFile.Search(q); !reflect.DeepEqual(got, want) {
+		if got, want := snap.Broker.Search(q), perFile(q); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q: the one index answers\n%v\nthe files answer\n%v", q, got, want)
 		}
 	}

@@ -156,7 +156,7 @@ func New(cfg Config, tel *obs.Telemetry) (*Server, error) {
 // whose broker is also its snippet source; the application models are
 // never opened. w nil means default weights.
 func LoadSnapshot(dir string, w *query.Weights) (*query.ServeSnapshot, *index.Manifest, error) {
-	man, shards, err := index.LoadSnapshot(dir)
+	man, ixs, err := index.LoadSnapshot(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -164,7 +164,7 @@ func LoadSnapshot(dir string, w *query.Weights) (*query.ServeSnapshot, *index.Ma
 	if w != nil {
 		weights = *w
 	}
-	broker := &query.Broker{Shards: shards, W: weights}
+	broker := &query.Broker{Index: ixs[0], W: weights}
 	return &query.ServeSnapshot{Broker: broker, StateText: broker.StateText}, man, nil
 }
 
