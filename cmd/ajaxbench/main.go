@@ -92,7 +92,7 @@ var experiments = []experiment{
 	{"ablate-idf", "sharded ranking: global idf correction vs local idf", ablateIDF},
 	{"ablate-recrawl", "repetitive crawling: profile-guided second session", ablateRecrawl},
 	{"ablate-neardup", "near-duplicate state merging vs granular-event explosion", ablateNearDup},
-	{"neardup", "noisy-app collapse: exact vs LSH admission", expNearDup},
+	{"neardup", "noisy-app collapse: exact vs near-dup admission", expNearDup},
 	{"router", "sharded fan-out vs single snapshot: equality and merge overhead", expRouter},
 }
 

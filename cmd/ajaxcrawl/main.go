@@ -275,8 +275,7 @@ func main() {
 		infof("supervisor: %d page requeues", res.Restarts)
 	}
 	if m.NearDupMerges > 0 {
-		infof("near-dup: %d states merged (%d probes, %d candidates verified, %d false positives)",
-			m.NearDupMerges, m.NearDupProbes, m.NearDupCandidates, m.NearDupFalsePositives)
+		infof("near-dup: %d states merged (%d signatures compared)", m.NearDupMerges, m.NearDupCandidates)
 	}
 	if m.Retries > 0 || m.BreakerOpens > 0 {
 		infof("resilience: %d retries recovered %d pages, %d breaker opens",

@@ -67,6 +67,15 @@ func FuzzJournalReplay(f *testing.F) {
 	binary.LittleEndian.PutUint32(fh[0:4], uint32(len(badField)))
 	binary.LittleEndian.PutUint32(fh[4:8], crc32.Checksum(badField, crcTable))
 	f.Add(append(append(append([]byte(journalMagic), journalVersion), fh[:]...), badField...))
+	// A CRC-intact frame of a retired record type: a version 2 journal's
+	// state hash, refused with its file, and the same frame under this
+	// version's header, a tear.
+	retired := append([]byte{2, 1, 'u'}, make([]byte, 32)...)
+	binary.LittleEndian.PutUint32(fh[0:4], uint32(len(retired)))
+	binary.LittleEndian.PutUint32(fh[4:8], crc32.Checksum(retired, crcTable))
+	for _, version := range []byte{2, journalVersion} {
+		f.Add(append(append(append([]byte(journalMagic), version), fh[:]...), retired...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -1,8 +1,8 @@
 // Package checkpoint implements the durable crawl journal that makes a
 // crawl crash-tolerant: an append-only write-ahead log of one process
 // line's progress (completed pages with their application models,
-// admitted state hashes, hot-node cache fills) plus periodic compacted
-// snapshots of the completed pages.
+// hot-node cache fills) plus periodic compacted snapshots of the
+// completed pages.
 //
 // The format follows the WAL discipline of production crawlers
 // (Mercator-style frontier persistence): every record is one
@@ -43,10 +43,8 @@ import (
 	"sync"
 
 	"ajaxcrawl/internal/codec"
-	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
-	"ajaxcrawl/internal/shingle"
 )
 
 const (
@@ -57,19 +55,16 @@ const (
 
 	journalMagic = "AJWL"
 	// journalVersion 1 carried gob-encoded graphs and metrics in its
-	// page frames; a journal of another version is refused, not replayed.
-	journalVersion = 2
+	// page frames; version 2 also journaled every admitted state's hash
+	// and near-dup signature, which no resume read. A journal of another
+	// version is refused, not replayed.
+	journalVersion = 3
 
+	// Record types. 2 (an admitted state's hash) and 5 (its near-dup
+	// signature) are retired with version 2 and never reused.
 	recPageDone = 1
-	recState    = 2
 	recHotNode  = 3
 	recFrontier = 4
-	// recStateSig pairs an admitted state hash with its near-dup sketch
-	// signature. A separate record type (not a new recState field) keeps
-	// journals written by older code replayable by this one and vice
-	// versa: readers treat unknown types as a tear point, so appending a
-	// new type never corrupts an old reader's prefix.
-	recStateSig = 5
 
 	// maxFramePayload bounds the length prefix of a frame. A lying
 	// header beyond it is treated as a torn tail, not an allocation.
@@ -120,11 +115,6 @@ type FrontierRecord struct {
 type RecoveryInfo struct {
 	// Pages is the number of completed pages replayed.
 	Pages int
-	// States is the number of mid-page state records replayed.
-	States int
-	// StateSigs is the number of mid-page state-signature records
-	// replayed.
-	StateSigs int
 	// HotEntries is the number of hot-node cache fills replayed.
 	HotEntries int
 	// FrontierURLs is the number of distinct frontier admissions replayed.
@@ -154,8 +144,6 @@ type Journal struct {
 
 	pages         map[string]PageRecord
 	pageOrder     []string
-	states        map[string][]dom.Hash
-	stateSigs     map[string]map[dom.Hash]shingle.Signature
 	hot           map[string]map[string]string
 	frontier      map[string]FrontierRecord
 	frontierOrder []string
@@ -181,8 +169,6 @@ func Open(ctx context.Context, dir string, opts Options) (*Journal, error) {
 		tel:          obs.From(ctx),
 		ctx:          ctx,
 		pages:        make(map[string]PageRecord),
-		states:       make(map[string][]dom.Hash),
-		stateSigs:    make(map[string]map[dom.Hash]shingle.Signature),
 		hot:          make(map[string]map[string]string),
 		frontier:     make(map[string]FrontierRecord),
 		compactEvery: opts.CompactEvery,
@@ -341,32 +327,6 @@ func (j *Journal) applyRecord(payload []byte) (err error) {
 		}
 		j.pages[url] = PageRecord{URL: url, Graph: g, Metrics: metrics}
 		j.recovered.Pages++
-	case recState:
-		var h dom.Hash
-		if d.Fixed(h[:]); d.Err() != nil {
-			return d.Err()
-		}
-		j.states[url] = append(j.states[url], h)
-		j.recovered.States++
-	case recStateSig:
-		var h dom.Hash
-		d.Fixed(h[:])
-		n := d.Count("signature byte")
-		if n%8 != 0 {
-			d.Fail(fmt.Errorf("signature of %d bytes", n))
-		}
-		sig := make(shingle.Signature, 0, codec.Prealloc(n/8))
-		for i := 0; i < n/8 && d.Err() == nil; i++ {
-			sig = append(sig, d.Uint64())
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if j.stateSigs[url] == nil {
-			j.stateSigs[url] = make(map[dom.Hash]shingle.Signature)
-		}
-		j.stateSigs[url][h] = sig
-		j.recovered.StateSigs++
 	case recHotNode:
 		key, body := d.String(), d.String()
 		if d.Err() != nil {
@@ -459,16 +419,6 @@ func (j *Journal) Completed(url string) (PageRecord, bool) {
 	return rec, ok
 }
 
-// States returns the mid-page state hashes journaled for url, in
-// admission order — the partial-progress trail of an interrupted page.
-func (j *Journal) States(url string) []dom.Hash {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]dom.Hash, len(j.states[url]))
-	copy(out, j.states[url])
-	return out
-}
-
 // HotEntries returns the journaled hot-node cache fills for url (nil
 // when none) — a re-crawl of an interrupted page seeds its cache from
 // these, so repeat hot calls skip the network exactly as they did before
@@ -525,67 +475,9 @@ func (j *Journal) PageDone(rec PageRecord) error {
 	return cerr
 }
 
-// StateAdmitted journals a state discovered mid-page. These records are
+// HotNode journals one hot-node cache fill mid-page. These records are
 // buffered (flushed with the next page frame), so they cost no extra
 // syscalls on the hot path.
-func (j *Journal) StateAdmitted(url string, h dom.Hash) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	j.begin(recState, url).Fixed(h[:])
-	if err := j.writeFrame(j.payload.Bytes()); err != nil {
-		return err
-	}
-	j.states[url] = append(j.states[url], h)
-	return nil
-}
-
-// StateSig journals an admitted state's near-dup sketch signature
-// mid-page (buffered, like StateAdmitted). On resume these let the
-// re-crawl of an interrupted page rebuild its LSH index without
-// re-sketching the states it already saw.
-func (j *Journal) StateSig(url string, h dom.Hash, sig shingle.Signature) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	e := j.begin(recStateSig, url)
-	e.Fixed(h[:])
-	e.Uvarint(uint64(len(sig) * 8))
-	for _, v := range sig {
-		e.Uint64(v)
-	}
-	if err := j.writeFrame(j.payload.Bytes()); err != nil {
-		return err
-	}
-	if j.stateSigs[url] == nil {
-		j.stateSigs[url] = make(map[dom.Hash]shingle.Signature)
-	}
-	j.stateSigs[url][h] = sig
-	return nil
-}
-
-// StateSigs returns the journaled state signatures for url keyed by
-// state hash (nil when none).
-func (j *Journal) StateSigs(url string) map[dom.Hash]shingle.Signature {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	sigs := j.stateSigs[url]
-	if len(sigs) == 0 {
-		return nil
-	}
-	out := make(map[dom.Hash]shingle.Signature, len(sigs))
-	for h, sig := range sigs {
-		out[h] = sig
-	}
-	return out
-}
-
-// HotNode journals one hot-node cache fill mid-page (buffered, like
-// StateAdmitted).
 func (j *Journal) HotNode(url, key, body string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -606,7 +498,7 @@ func (j *Journal) HotNode(url, key, body string) error {
 }
 
 // FrontierAdmitted journals one frontier admission (buffered, like
-// StateAdmitted; callers flush after an admission batch). Re-admissions
+// HotNode; callers flush after an admission batch). Re-admissions
 // of an already-journaled URL with identical fields are skipped, so the
 // journal stays bounded by the distinct URL universe across however
 // many resumes re-admit it.

@@ -13,7 +13,6 @@ import (
 	"ajaxcrawl/internal/codec"
 	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/model"
-	"ajaxcrawl/internal/shingle"
 )
 
 // testGraph builds a tiny application model for url with n states.
@@ -40,11 +39,6 @@ func mustOpen(t *testing.T, dir string, opts Options) *Journal {
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{CompactEvery: -1})
-	var h dom.Hash
-	h[0] = 0xAA
-	if err := j.StateAdmitted("u1", h); err != nil {
-		t.Fatalf("StateAdmitted: %v", err)
-	}
 	if err := j.HotNode("u1", "loadVideos(2)", "<div>page 2</div>"); err != nil {
 		t.Fatalf("HotNode: %v", err)
 	}
@@ -61,8 +55,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	j2 := mustOpen(t, dir, Options{})
 	defer j2.Close()
 	ri := j2.recovered
-	if ri.Pages != 3 || ri.States != 1 || ri.HotEntries != 1 {
-		t.Fatalf("Recovered = %+v, want 3 pages, 1 state, 1 hot entry", ri)
+	if ri.Pages != 3 || ri.HotEntries != 1 {
+		t.Fatalf("Recovered = %+v, want 3 pages, 1 hot entry", ri)
 	}
 	if ri.TruncatedBytes != 0 {
 		t.Fatalf("clean close recovered TruncatedBytes=%d, want 0", ri.TruncatedBytes)
@@ -78,9 +72,6 @@ func TestJournalRoundTrip(t *testing.T) {
 		if string(rec.Metrics) != "metrics:"+u {
 			t.Fatalf("Completed(%s): metrics %q", u, rec.Metrics)
 		}
-	}
-	if st := j2.States("u1"); len(st) != 1 || st[0] != h {
-		t.Fatalf("States(u1) = %v", st)
 	}
 	hot := j2.HotEntries("u1")
 	if hot["loadVideos(2)"] != "<div>page 2</div>" {
@@ -269,11 +260,16 @@ func TestJournalGarbageFileStartsFresh(t *testing.T) {
 
 // TestJournalFromAnotherBuildIsRefused: a WAL or snapshot whose header
 // has the journal's magic and another version — one written by another
-// build — fails Open with an error naming the file and both versions,
+// build, such as version 2, whose state records this build no longer
+// reads — fails Open with an error naming the file and both versions,
 // and its bytes stay as they were, instead of being wiped as a torn
 // file would be. A Reset open still discards it.
 func TestJournalFromAnotherBuildIsRefused(t *testing.T) {
-	for _, name := range []string{walFileName, snapFileName} {
+	for _, c := range []struct {
+		name    string
+		version byte
+	}{{walFileName, 2}, {walFileName, journalVersion + 1}, {snapFileName, 2}, {snapFileName, journalVersion + 1}} {
+		name := c.name
 		dir := t.TempDir()
 		j := mustOpen(t, dir, Options{CompactEvery: -1})
 		if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 2)}); err != nil {
@@ -287,7 +283,7 @@ func TestJournalFromAnotherBuildIsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len(journalMagic)] = journalVersion + 1
+		data[len(journalMagic)] = c.version
 		path := filepath.Join(dir, name)
 		if name != walFileName {
 			if err := os.Remove(wal); err != nil {
@@ -300,11 +296,11 @@ func TestJournalFromAnotherBuildIsRefused(t *testing.T) {
 		_, err = Open(context.Background(), dir, Options{})
 		var ve *codec.VersionError
 		if !errors.As(err, &ve) || !strings.Contains(err.Error(), path) ||
-			!strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d (this build reads %d)", journalVersion+1, journalVersion)) {
-			t.Fatalf("%s of another version: Open err = %v, want a refusal naming the file and both versions", name, err)
+			!strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d (this build reads %d)", c.version, journalVersion)) {
+			t.Fatalf("%s of version %d: Open err = %v, want a refusal naming the file and both versions", name, c.version, err)
 		}
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("%s of another version: bytes changed by the refused Open (err=%v)", name, err)
+			t.Fatalf("%s of version %d: bytes changed by the refused Open (err=%v)", name, c.version, err)
 		}
 		j = mustOpen(t, dir, Options{Reset: true})
 		if n := j.CompletedPages(); n != 0 {
@@ -430,85 +426,35 @@ func TestJournalFrontierSurvivesCompaction(t *testing.T) {
 	}
 }
 
-// TestJournalStateSigRoundTrip pins the recStateSig record: signatures
-// journaled mid-page survive close/recover keyed by state hash, the
-// returned map is a copy, and unknown-length payloads never corrupt
-// neighbouring records.
-func TestJournalStateSigRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: -1})
-	var h1, h2 dom.Hash
-	h1[0], h2[0] = 0x11, 0x22
-	sig1 := shingle.Signature{1, 2, 3, 4}
-	sig2 := shingle.Signature{9, 8, 7, 6, 5}
-	if err := j.StateSig("u1", h1, sig1); err != nil {
-		t.Fatalf("StateSig: %v", err)
-	}
-	if err := j.StateSig("u1", h2, sig2); err != nil {
-		t.Fatalf("StateSig: %v", err)
-	}
-	if err := j.StateSig("u2", h1, sig2); err != nil {
-		t.Fatalf("StateSig: %v", err)
-	}
-	// A later record must still replay after the sig records.
-	if err := j.StateAdmitted("u1", h1); err != nil {
-		t.Fatalf("StateAdmitted: %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	j2 := mustOpen(t, dir, Options{})
-	defer j2.Close()
-	if ri := j2.recovered; ri.StateSigs != 3 || ri.States != 1 {
-		t.Fatalf("Recovered = %+v, want 3 state sigs and 1 state", ri)
-	}
-	sigs := j2.StateSigs("u1")
-	if len(sigs) != 2 {
-		t.Fatalf("StateSigs(u1) = %v", sigs)
-	}
-	for i, v := range sig1 {
-		if sigs[h1][i] != v {
-			t.Fatalf("StateSigs(u1)[h1] = %v, want %v", sigs[h1], sig1)
+// TestJournalRetiredRecordIsATear: a CRC-intact frame of a retired
+// record type (2, an admitted state's hash; 5, its signature) stops
+// replay like any undecodable frame, so the page after it is dropped.
+func TestJournalRetiredRecordIsATear(t *testing.T) {
+	for _, typ := range []uint64{2, 5} {
+		dir := t.TempDir()
+		j := mustOpen(t, dir, Options{CompactEvery: -1})
+		if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 1)}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(sigs[h2]) != len(sig2) {
-		t.Fatalf("StateSigs(u1)[h2] = %v, want %v", sigs[h2], sig2)
-	}
-	if j2.StateSigs("nope") != nil {
-		t.Fatalf("StateSigs(nope) != nil")
-	}
-	// Returned map is a copy.
-	sigs[h1] = shingle.Signature{0}
-	if len(j2.StateSigs("u1")[h1]) != len(sig1) {
-		t.Fatal("StateSigs returned the journal's internal map")
-	}
-}
-
-// TestJournalStateSigDroppedByCompaction: sig records are mid-page
-// progress, made redundant once their page completes — compaction must
-// not carry them into the snapshot.
-func TestJournalStateSigDroppedByCompaction(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: 1})
-	var h dom.Hash
-	h[0] = 0x33
-	if err := j.StateSig("a", h, shingle.Signature{42}); err != nil {
-		t.Fatalf("StateSig: %v", err)
-	}
-	// PageDone triggers compaction (CompactEvery=1).
-	if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 1)}); err != nil {
-		t.Fatalf("PageDone: %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	j2 := mustOpen(t, dir, Options{})
-	defer j2.Close()
-	if got := j2.StateSigs("a"); got != nil {
-		t.Fatalf("sig record survived compaction: %v", got)
-	}
-	if _, ok := j2.Completed("a"); !ok {
-		t.Fatalf("page lost by compaction")
+		j.mu.Lock()
+		e := j.begin(typ, "a")
+		e.Fixed(make([]byte, 32))
+		err := j.writeFrame(j.payload.Bytes())
+		j.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.PageDone(PageRecord{URL: "b", Graph: testGraph("b", 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2 := mustOpen(t, dir, Options{CompactEvery: -1})
+		if _, ok := j2.Completed("b"); ok || j2.CompletedPages() != 1 || j2.recovered.TruncatedBytes == 0 {
+			t.Fatalf("type %d frame: recovered %d pages, truncated %d bytes; want page a only, the rest cut",
+				typ, j2.CompletedPages(), j2.recovered.TruncatedBytes)
+		}
+		j2.Close()
 	}
 }

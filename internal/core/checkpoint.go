@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -13,20 +14,17 @@ import (
 
 	"ajaxcrawl/internal/checkpoint"
 	"ajaxcrawl/internal/codec"
-	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
-	"ajaxcrawl/internal/shingle"
 )
 
 // Checkpointer is the crawler's durable-progress hook. When
 // Options.Checkpoint is set, CrawlAll journals every completed page
 // through it and consults it before crawling, so a crawl resumed after a
 // crash (or a supervisor restart) skips already-completed pages and
-// converges to the same state set as an uninterrupted run. Mid-page
-// records — admitted state hashes and hot-node cache fills — trace
-// partial progress through an interrupted page: the hashes for
-// diagnostics, the hot entries to re-seed the cache on re-crawl.
+// converges to the same state set as an uninterrupted run. The one
+// mid-page record is a hot-node cache fill, which re-seeds the cache
+// when an interrupted page is crawled again.
 //
 // Implementations must tolerate being called from one process line at a
 // time; the parallel crawler opens one Checkpointer per process line
@@ -39,15 +37,6 @@ type Checkpointer interface {
 	// durability is broken and fails the crawl: pages reported crawled
 	// must never be silently un-journaled.
 	PageDone(url string, g *model.Graph, pm PageMetrics) error
-	// StateAdmitted records a state discovered mid-page (best-effort).
-	StateAdmitted(url string, h dom.Hash) error
-	// StateSig records the admitted state's near-dup signature mid-page
-	// (best-effort), so a resumed re-crawl of an interrupted page
-	// rebuilds its LSH index without re-sketching.
-	StateSig(url string, h dom.Hash, sig shingle.Signature) error
-	// StateSigs returns journaled signatures for url keyed by state
-	// hash, the near-dup admitter's sketch cache on re-crawl.
-	StateSigs(url string) map[dom.Hash]shingle.Signature
 	// HotNode records one hot-node cache fill mid-page (best-effort).
 	HotNode(url, key, body string) error
 	// HotEntries returns journaled hot-node fills for url, used to
@@ -84,11 +73,10 @@ func openJournal(ctx context.Context, dir string, opts checkpoint.Options) (*che
 // decodePageMetrics walk the same list, so a field added to it is
 // written and read alike (TestPageMetricsRoundTrip fails on one left
 // out).
-func (pm *PageMetrics) counts() [17]*int {
-	return [17]*int{&pm.States, &pm.Transitions, &pm.EventsTriggered, &pm.NetworkEvents, &pm.XHRSends,
+func (pm *PageMetrics) counts() [15]*int {
+	return [15]*int{&pm.States, &pm.Transitions, &pm.EventsTriggered, &pm.NetworkEvents, &pm.XHRSends,
 		&pm.NetworkCalls, &pm.HotNodeHits, &pm.HandlerErrors, &pm.EventsSkipped, &pm.StatesPruned,
-		&pm.NearDupMerges, &pm.NearDupProbes, &pm.NearDupCandidates, &pm.NearDupFalsePositives,
-		&pm.Retries, &pm.BreakerOpens, &pm.PagesRecovered}
+		&pm.NearDupMerges, &pm.NearDupCandidates, &pm.Retries, &pm.BreakerOpens, &pm.PagesRecovered}
 }
 
 // encodePageMetrics builds a page frame's metrics payload, in
@@ -107,21 +95,33 @@ func encodePageMetrics(pm PageMetrics) []byte {
 }
 
 // decodePageMetrics reads a metrics payload from untrusted bytes, which
-// must hold exactly one PageMetrics.
+// must hold exactly one PageMetrics. Counts are bounded by
+// codec.MaxCount and durations by math.MaxInt64, so no accepted field is
+// negative.
 func decodePageMetrics(raw []byte) (pm PageMetrics, err error) {
 	defer codec.Contain(&err, "decode")
 	d := codec.NewDecoder(bytes.NewReader(raw))
 	pm.URL = d.String()
 	for _, c := range pm.counts() {
-		*c = int(d.Uvarint())
+		*c = d.Count("metrics")
 	}
-	pm.CrawlTime = time.Duration(d.Uvarint())
-	pm.NetworkTime = time.Duration(d.Uvarint())
+	pm.CrawlTime, pm.NetworkTime = duration(d), duration(d)
 	d.End()
 	if d.Err() != nil {
 		return PageMetrics{}, d.Err()
 	}
 	return pm, nil
+}
+
+// duration reads a duration in nanoseconds, refusing one past
+// math.MaxInt64.
+func duration(d *codec.Decoder) time.Duration {
+	ns := d.Uvarint()
+	if ns > math.MaxInt64 {
+		d.Fail(fmt.Errorf("duration %d ns exceeds limit %d", ns, uint64(math.MaxInt64)))
+		return 0
+	}
+	return time.Duration(ns)
 }
 
 // frontierDirName is the frontier journal's subdirectory under a
@@ -291,24 +291,6 @@ func (c *CrawlCheckpoints) hotEntries(url string) map[string]string {
 	return out
 }
 
-// stateSigs is the union StateSigs across every line journal, mirroring
-// hotEntries: an interrupted page's signatures live in whichever
-// journals its earlier attempts wrote.
-func (c *CrawlCheckpoints) stateSigs(url string) map[dom.Hash]shingle.Signature {
-	var out map[dom.Hash]shingle.Signature
-	for _, j := range c.snapshotJournals() {
-		for h, sig := range j.StateSigs(url) {
-			if out == nil {
-				out = make(map[dom.Hash]shingle.Signature)
-			}
-			if _, dup := out[h]; !dup {
-				out[h] = sig
-			}
-		}
-	}
-	return out
-}
-
 // Close closes every line journal and the frontier journal, returning
 // the first error. Call after the crawl fully drains.
 func (c *CrawlCheckpoints) Close() error {
@@ -341,18 +323,6 @@ func (l *lineCheckpointer) Completed(url string) (*model.Graph, PageMetrics, boo
 
 func (l *lineCheckpointer) PageDone(url string, g *model.Graph, pm PageMetrics) error {
 	return l.j.PageDone(checkpoint.PageRecord{URL: url, Graph: g, Metrics: encodePageMetrics(pm)})
-}
-
-func (l *lineCheckpointer) StateAdmitted(url string, h dom.Hash) error {
-	return l.j.StateAdmitted(url, h)
-}
-
-func (l *lineCheckpointer) StateSig(url string, h dom.Hash, sig shingle.Signature) error {
-	return l.j.StateSig(url, h, sig)
-}
-
-func (l *lineCheckpointer) StateSigs(url string) map[dom.Hash]shingle.Signature {
-	return l.c.stateSigs(url)
 }
 
 func (l *lineCheckpointer) HotNode(url, key, body string) error {

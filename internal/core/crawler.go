@@ -23,7 +23,6 @@ import (
 	"ajaxcrawl/internal/browser"
 	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/fetch"
-	"ajaxcrawl/internal/lsh"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
 	"ajaxcrawl/internal/shingle"
@@ -111,8 +110,9 @@ type Options struct {
 	// Checkpoint, when non-nil, makes the crawl crash-tolerant: CrawlAll
 	// journals every completed page through it, skips pages it already
 	// holds (counting them in Metrics.PagesResumed instead of
-	// re-crawling), and crawlDynamic journals mid-page progress
-	// (admitted state hashes, hot-node cache fills). A checkpoint write
+	// re-crawling), and crawlDynamic journals hot-node cache fills as
+	// they happen, so a re-crawl of an interrupted page skips the
+	// network for calls already paid for. A checkpoint write
 	// failure fails the crawl — a page must never be reported crawled
 	// without being durably journaled.
 	Checkpoint Checkpointer
@@ -159,17 +159,10 @@ type PageMetrics struct {
 	StatesPruned int
 	// NearDupMerges counts states folded into an existing near-duplicate.
 	NearDupMerges int
-	// NearDupProbes counts LSH band-bucket lookups made while admitting
-	// this page's states.
-	NearDupProbes int
-	// NearDupCandidates counts exact Similarity verifications — the
-	// "similarity work" the LSH index exists to shrink: only
-	// bucket-collision candidates are verified, not every admitted state.
+	// NearDupCandidates counts signature comparisons made while
+	// admitting this page's states: each candidate is compared with the
+	// admitted states in turn until one matches.
 	NearDupCandidates int
-	// NearDupFalsePositives counts indexed candidates that failed exact
-	// verification — the price of banding, bounded but never a wrong
-	// merge.
-	NearDupFalsePositives int
 	// Retries counts fetch attempts beyond the first made while crawling
 	// this page (attributed through fetch.FindRetryStats, like
 	// NetworkTime through fetch.FindStats).
@@ -200,27 +193,25 @@ type Metrics struct {
 	// PagesResumed counts pages served from the checkpoint journal
 	// instead of being re-crawled (their journaled graphs and metrics
 	// are in the result, so the aggregate matches an uninterrupted run).
-	PagesResumed          int
-	States                int
-	Transitions           int
-	EventsTriggered       int
-	NetworkEvents         int
-	XHRSends              int
-	NetworkCalls          int
-	HotNodeHits           int
-	HandlerErrors         int
-	EventsSkipped         int
-	StatesPruned          int
-	NearDupMerges         int
-	NearDupProbes         int
-	NearDupCandidates     int
-	NearDupFalsePositives int
-	Retries               int
-	BreakerOpens          int
-	PagesRecovered        int
-	CrawlTime             time.Duration
-	NetworkTime           time.Duration
-	PerPage               []PageMetrics
+	PagesResumed      int
+	States            int
+	Transitions       int
+	EventsTriggered   int
+	NetworkEvents     int
+	XHRSends          int
+	NetworkCalls      int
+	HotNodeHits       int
+	HandlerErrors     int
+	EventsSkipped     int
+	StatesPruned      int
+	NearDupMerges     int
+	NearDupCandidates int
+	Retries           int
+	BreakerOpens      int
+	PagesRecovered    int
+	CrawlTime         time.Duration
+	NetworkTime       time.Duration
+	PerPage           []PageMetrics
 }
 
 // Add folds a page's metrics into the aggregate.
@@ -240,7 +231,7 @@ func (m *Metrics) Merge(o *Metrics) {
 }
 
 // fold adds counts, in the order of counts(), and the two times to m.
-func (m *Metrics) fold(counts [17]*int, crawl, net time.Duration) {
+func (m *Metrics) fold(counts [15]*int, crawl, net time.Duration) {
 	for i, c := range m.counts() {
 		*c += *counts[i]
 	}
@@ -249,11 +240,10 @@ func (m *Metrics) fold(counts [17]*int, crawl, net time.Duration) {
 }
 
 // counts lists m's per-page sums in the order of PageMetrics.counts.
-func (m *Metrics) counts() [17]*int {
-	return [17]*int{&m.States, &m.Transitions, &m.EventsTriggered, &m.NetworkEvents, &m.XHRSends,
+func (m *Metrics) counts() [15]*int {
+	return [15]*int{&m.States, &m.Transitions, &m.EventsTriggered, &m.NetworkEvents, &m.XHRSends,
 		&m.NetworkCalls, &m.HotNodeHits, &m.HandlerErrors, &m.EventsSkipped, &m.StatesPruned,
-		&m.NearDupMerges, &m.NearDupProbes, &m.NearDupCandidates, &m.NearDupFalsePositives,
-		&m.Retries, &m.BreakerOpens, &m.PagesRecovered}
+		&m.NearDupMerges, &m.NearDupCandidates, &m.Retries, &m.BreakerOpens, &m.PagesRecovered}
 }
 
 // Crawler crawls AJAX pages into transition graphs.
@@ -403,15 +393,6 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 	}
 	tel := obs.From(ctx)
 	admit := newStateAdmitter(graph, opts, pm, tel)
-	if cp := opts.Checkpoint; cp != nil {
-		admit.journal = func(h dom.Hash, sig shingle.Signature) {
-			_ = cp.StateAdmitted(url, h)
-			if sig != nil {
-				_ = cp.StateSig(url, h, sig)
-			}
-		}
-		admit.sigCache = cp.StateSigs(url)
-	}
 	initial, _, _ := admit.state(page.Hash(), page.Doc, 0)
 	graph.Initial = initial
 
@@ -668,40 +649,25 @@ func (c *Crawler) CrawlAll(ctx context.Context, urls []string) ([]*model.Graph, 
 // NearDupThreshold is set — states whose sketch similarity to an
 // existing state reaches the threshold are merged into it.
 //
-// Candidates come from a banded LSH index (see internal/lsh) whose
-// recall-preserving layout surfaces every state a linear scan over all
-// admitted signatures would merge with; that scan survives as the test
-// oracle. Candidates are verified with the exact Signature.Similarity in
-// ascending-StateID order and the state merges into the first match, so
-// the merge target is deterministically the lowest matching StateID.
+// A page holds at most MaxStates states, so the merge target is found by
+// comparing the candidate with every admitted signature in admission
+// order, which is ascending StateID order: the first match is the
+// lowest matching StateID, deterministically.
 type stateAdmitter struct {
 	graph     *model.Graph
 	threshold float64
 	pm        *PageMetrics
 	tel       *obs.Telemetry
-	index     *lsh.Index
-	sigs      map[model.StateID]shingle.Signature
-	raw       []byte // the candidate's text nodes, reused per state
-	sketcher  shingle.Sketcher
-	// sigCache holds journaled hash→signature pairs from an interrupted
-	// attempt at this page, so a resumed re-crawl skips re-sketching the
-	// states it already saw. A signature of another length than
-	// shingle.Sketch's is ignored and the state re-sketched.
-	sigCache map[dom.Hash]shingle.Signature
-	// journal, when set, receives every newly admitted state hash — the
-	// checkpoint journal's mid-page progress trail — with its signature
-	// under near-dup admission (else nil), so a resume can rebuild the
-	// near-dup index without re-sketching.
-	journal func(h dom.Hash, sig shingle.Signature)
+	// ids and sigs are the admitted states and their signatures, in
+	// admission order.
+	ids      []model.StateID
+	sigs     []shingle.Signature
+	raw      []byte // the candidate's text nodes, reused per state
+	sketcher shingle.Sketcher
 }
 
 func newStateAdmitter(graph *model.Graph, opts Options, pm *PageMetrics, tel *obs.Telemetry) *stateAdmitter {
-	a := &stateAdmitter{graph: graph, threshold: opts.NearDupThreshold, pm: pm, tel: tel}
-	if a.threshold > 0 {
-		a.sigs = make(map[model.StateID]shingle.Signature)
-		a.index = lsh.New(a.threshold, shingle.DefaultSignatureSize)
-	}
-	return a
+	return &stateAdmitter{graph: graph, threshold: opts.NearDupThreshold, pm: pm, tel: tel}
 }
 
 // state admits (or merges) the candidate state doc, whose hash is h, and
@@ -716,11 +682,8 @@ func (a *stateAdmitter) state(h dom.Hash, doc *dom.Node, depth int) (id model.St
 	}
 	var sig shingle.Signature
 	if a.threshold > 0 {
-		var ok bool
-		if sig, ok = a.sigCache[h]; !ok || len(sig) != shingle.DefaultSignatureSize {
-			a.raw = doc.AppendText(a.raw[:0])
-			sig = a.sketcher.Sketch(a.raw)
-		}
+		a.raw = doc.AppendText(a.raw[:0])
+		sig = a.sketcher.Sketch(a.raw)
 		if target, merged := a.mergeTarget(sig); merged {
 			a.pm.NearDupMerges++
 			a.tel.Counter("crawl.states.neardup.merged").Inc()
@@ -731,35 +694,26 @@ func (a *stateAdmitter) state(h dom.Hash, doc *dom.Node, depth int) (id model.St
 	text = doc.VisibleText()
 	id, _ = a.graph.AddState(h, text, depth) // new: FindByHash missed
 	a.tel.Counter("crawl.states.discovered").Inc()
-	if a.journal != nil {
-		a.journal(h, sig)
-	}
 	if a.threshold > 0 {
-		a.sigs[id] = sig
-		a.index.Add(int(id), sig)
+		a.ids = append(a.ids, id)
+		a.sigs = append(a.sigs, sig)
 	}
 	return id, text, true
 }
 
 // mergeTarget finds the lowest-StateID admitted state whose signature
-// similarity to sig reaches the threshold, or reports none. Index
-// candidates come back sorted, so the first verified match is the
-// lowest.
-func (a *stateAdmitter) mergeTarget(sig shingle.Signature) (model.StateID, bool) {
-	before := a.index.Stats()
-	cands := a.index.Candidates(sig)
-	probes := int(a.index.Stats().Probes - before.Probes)
-	a.pm.NearDupProbes += probes
-	a.tel.Counter("crawl.states.neardup.probes").Add(int64(probes))
-	for _, c := range cands {
-		a.pm.NearDupCandidates++
-		a.tel.Counter("crawl.states.neardup.candidates").Inc()
-		id := model.StateID(c)
-		if sig.Similarity(a.sigs[id]) >= a.threshold {
-			return id, true
+// similarity to sig reaches the threshold, or reports none, counting
+// each comparison in NearDupCandidates.
+func (a *stateAdmitter) mergeTarget(sig shingle.Signature) (id model.StateID, ok bool) {
+	n := 0
+	for i, s := range a.sigs {
+		n++
+		if sig.Similarity(s) >= a.threshold {
+			id, ok = a.ids[i], true
+			break
 		}
-		a.pm.NearDupFalsePositives++
-		a.tel.Counter("crawl.states.neardup.false_positives").Inc()
 	}
-	return 0, false
+	a.pm.NearDupCandidates += n
+	a.tel.Counter("crawl.states.neardup.candidates").Add(int64(n))
+	return id, ok
 }

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ajaxcrawl/internal/browser"
 	"ajaxcrawl/internal/checkpoint"
+	"ajaxcrawl/internal/codec"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/webapp"
 )
@@ -32,40 +34,71 @@ func TestPageMetricsRoundTrip(t *testing.T) {
 	}
 }
 
+// metricsPayload writes a metrics payload by hand: url, then every count
+// set to count and both durations to ns.
+func metricsPayload(url string, count, ns uint64) []byte {
+	var buf bytes.Buffer
+	e := codec.NewEncoder(&buf)
+	e.String(url)
+	for range (&PageMetrics{}).counts() {
+		e.Uvarint(count)
+	}
+	e.Uvarint(ns)
+	e.Uvarint(ns)
+	return buf.Bytes()
+}
+
+// overflowPayloads are metrics payloads past the decoder's bounds: a
+// count above codec.MaxCount or a duration above math.MaxInt64 (1<<63,
+// read as an int, is negative).
+func overflowPayloads(url string) [][]byte {
+	return [][]byte{
+		metricsPayload(url, 1<<63, 1<<63),
+		metricsPayload(url, codec.MaxCount+1, 0),
+		metricsPayload(url, 1, 1<<63),
+	}
+}
+
 // TestUndecodableMetricsFailTheResume: a CRC-intact page frame whose
-// metrics payload is cut short fails both resume paths, naming the page,
-// instead of resuming it with zeroed metrics.
+// metrics payload is cut short, or holds a count or duration that does
+// not fit, fails both resume paths, naming the page, instead of
+// resuming it with zeroed or negative metrics.
 func TestUndecodableMetricsFailTheResume(t *testing.T) {
 	ctx := context.Background()
 	g := model.NewGraph("/watch?v=cut")
 	g.AddState([32]byte{1}, "text", 0)
 	payload := encodePageMetrics(PageMetrics{URL: g.URL, States: 1, EventsTriggered: 300, CrawlTime: 7e6})
+	bad := overflowPayloads(g.URL)
 	for _, n := range []int{0, 1, len(payload) / 2, len(payload) - 1} {
+		bad = append(bad, payload[:n])
+	}
+	for i, metrics := range bad {
 		root := t.TempDir()
 		line := filepath.Join(root, linePrefix+"0")
 		j, err := checkpoint.Open(ctx, line, checkpoint.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.PageDone(checkpoint.PageRecord{URL: g.URL, Graph: g, Metrics: payload[:n]}); err != nil {
+		if err := j.PageDone(checkpoint.PageRecord{URL: g.URL, Graph: g, Metrics: metrics}); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := OpenJournalCheckpointer(ctx, line, true); err == nil || !strings.Contains(err.Error(), g.URL) {
-			t.Errorf("metrics cut to %d bytes: OpenJournalCheckpointer err = %v, want one naming %s", n, err, g.URL)
+			t.Errorf("bad payload %d: OpenJournalCheckpointer err = %v, want one naming %s", i, err, g.URL)
 		}
 		if _, err := OpenCrawlCheckpoints(ctx, root, true); err == nil || !strings.Contains(err.Error(), g.URL) {
-			t.Errorf("metrics cut to %d bytes: OpenCrawlCheckpoints err = %v, want one naming %s", n, err, g.URL)
+			t.Errorf("bad payload %d: OpenCrawlCheckpoints err = %v, want one naming %s", i, err, g.URL)
 		}
 	}
 }
 
 // FuzzDecodePageMetrics feeds the metrics payload reader arbitrary
-// bytes, seeded with a real payload and its truncations. It never
-// panics, and what it accepts encodes to a payload that decodes to the
-// same metrics.
+// bytes, seeded with a real payload, its truncations and payloads whose
+// fields overflow an int. It never panics, every field it accepts is
+// non-negative, and what it accepts encodes to a payload that decodes
+// to the same metrics.
 func FuzzDecodePageMetrics(f *testing.F) {
 	pm := PageMetrics{URL: "/watch?v=seed"}
 	setNumericFields(f, &pm)
@@ -73,10 +106,19 @@ func FuzzDecodePageMetrics(f *testing.F) {
 	for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 1, 0} {
 		f.Add(seed[:n])
 	}
+	for _, p := range overflowPayloads(pm.URL) {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pm, err := decodePageMetrics(data)
 		if err != nil {
 			return
+		}
+		v := reflect.ValueOf(pm)
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanInt() && f.Int() < 0 {
+				t.Fatalf("accepted %s = %d", v.Type().Field(i).Name, f.Int())
+			}
 		}
 		again, err := decodePageMetrics(encodePageMetrics(pm))
 		if err != nil || again != pm {

@@ -1,6 +1,9 @@
 // Package lsh provides a banded locality-sensitive-hash index over
-// shingle.Signature vectors, used by the crawler's state admitter to find
-// near-duplicate DOM states without comparing every pair.
+// shingle.Signature vectors. The crawler does not use it: a page's
+// state admitter holds at most MaxStates signatures and scans them.
+// benchmark/trace_crawl.go still replays admission through this index,
+// which keeps the package alive until that replay goes (ROADMAP item
+// 1(b)).
 //
 // A signature of n elements is split into b bands of r contiguous rows
 // (b·r = n). Each band is hashed into a bucket table; two signatures
@@ -11,7 +14,7 @@
 // shingle.Signature.Similarity, so false positives cost a comparison but
 // never a wrong merge.
 //
-// Because the admitter's verification metric is *position agreement* (the
+// Because the verification metric is *position agreement* (the
 // fraction of equal signature elements), this index can offer a stronger
 // guarantee than probabilistic LSH: if two signatures agree on a fraction
 // ≥ t of their n positions, they disagree on at most d = n-ceil(t·n)
@@ -19,8 +22,7 @@
 // least one band entirely inside the agreeing positions. ParamsFor picks
 // the smallest divisor of n with b ≥ d+1, so on the verified path the
 // index has recall 1.0: it surfaces every pair the brute-force scan would
-// merge. See DESIGN.md §5h for the derivation and the threshold→(b,r)
-// table.
+// merge.
 package lsh
 
 import (
@@ -36,8 +38,6 @@ type Params struct {
 	Bands int
 	Rows  int
 }
-
-func (p Params) String() string { return fmt.Sprintf("%db×%dr", p.Bands, p.Rows) }
 
 // ParamsFor derives the band layout for a similarity threshold t over
 // signatures of sigLen elements. It returns the smallest divisor b of
@@ -75,24 +75,13 @@ func ParamsFor(threshold float64, sigLen int) Params {
 	return Params{Bands: sigLen, Rows: 1} // unreachable: b=sigLen always qualifies
 }
 
-// Stats counts index work. Probes is the number of band-bucket lookups
-// performed by Candidates calls; Candidates is the total candidate IDs
-// returned (after per-query dedup).
-type Stats struct {
-	Probes     int64
-	Candidates int64
-}
-
 // Index is a banded LSH index mapping signature bands to the IDs added
-// under them. It is not safe for concurrent use; the state admitter
-// already serialises admissions per crawl.
+// under them. It is not safe for concurrent use.
 type Index struct {
 	params  Params
 	sigLen  int
 	buckets []map[uint64][]int // per band: band hash → IDs in insertion order
-	n       int
-	stats   Stats
-	cands   []int // Candidates' result, reused by the next call
+	cands   []int              // Candidates' result, reused by the next call
 }
 
 // New builds an index for signatures of sigLen elements with the layout
@@ -105,15 +94,6 @@ func New(threshold float64, sigLen int) *Index {
 	}
 	return &Index{params: p, sigLen: sigLen, buckets: buckets}
 }
-
-// Params reports the effective band layout.
-func (x *Index) Params() Params { return x.params }
-
-// Len reports how many signatures have been added.
-func (x *Index) Len() int { return x.n }
-
-// Stats reports cumulative probe/candidate counts.
-func (x *Index) Stats() Stats { return x.stats }
 
 // band returns the half-open element range [lo,hi) covered by band i.
 // Ranges are contiguous, near-equal, and cover every position — required
@@ -148,7 +128,7 @@ func (x *Index) check(sig shingle.Signature) {
 
 // Add registers sig under id in every band bucket. IDs must be added in
 // ascending order for Candidates' ordering guarantee to equal
-// lowest-ID-first (the admitter admits states with increasing StateIDs).
+// lowest-ID-first.
 func (x *Index) Add(id int, sig shingle.Signature) {
 	x.check(sig)
 	for i := range x.buckets {
@@ -156,12 +136,11 @@ func (x *Index) Add(id int, sig shingle.Signature) {
 		h := bandHash(i, sig, lo, hi)
 		x.buckets[i][h] = append(x.buckets[i][h], id)
 	}
-	x.n++
 }
 
 // Candidates returns the IDs sharing at least one band bucket with sig,
 // deduplicated and sorted ascending — a deterministic order, so the
-// admitter's first verified match is the lowest matching ID. The result
+// first verified match is the lowest matching ID. The result
 // is a buffer the index reuses: it is valid until the next call.
 func (x *Index) Candidates(sig shingle.Signature) []int {
 	x.check(sig)
@@ -169,7 +148,6 @@ func (x *Index) Candidates(sig shingle.Signature) []int {
 	for i := range x.buckets {
 		lo, hi := x.band(i)
 		h := bandHash(i, sig, lo, hi)
-		x.stats.Probes++
 		out = append(out, x.buckets[i][h]...)
 	}
 	if len(out) > 1 {
@@ -183,7 +161,6 @@ func (x *Index) Candidates(sig shingle.Signature) []int {
 		}
 		out = out[:w]
 	}
-	x.stats.Candidates += int64(len(out))
 	x.cands = out
 	return out
 }

@@ -9,8 +9,8 @@ import (
 	"ajaxcrawl/internal/shingle"
 )
 
-// TestParamsForTable pins the threshold→(bands,rows) table DESIGN.md §5h
-// documents for the two signature lengths the crawler uses.
+// TestParamsForTable pins the threshold→(bands,rows) table for the
+// MinHash signature length and a shorter one.
 func TestParamsForTable(t *testing.T) {
 	cases := []struct {
 		threshold float64
@@ -75,8 +75,8 @@ func randomSig(r *rand.Rand, n, alphabet int) shingle.Signature {
 	return sig
 }
 
-// TestRecallOneOnVerifiedPath is the property the admitter's correctness
-// rests on: for every pair a brute-force Similarity scan would accept at
+// TestRecallOneOnVerifiedPath is the property the index's merges rest
+// on: for every pair a brute-force Similarity scan would accept at
 // the threshold, the index must report the pair as candidates — recall
 // 1.0, deterministically, by the pigeonhole bound (not just the s-curve
 // in expectation).
@@ -131,8 +131,8 @@ func TestRecallOneOnVerifiedPath(t *testing.T) {
 	}
 }
 
-// TestCandidatesSortedDeduped pins the ordering contract the admitter's
-// deterministic merge target depends on.
+// TestCandidatesSortedDeduped pins the ordering contract a deterministic
+// merge target depends on.
 func TestCandidatesSortedDeduped(t *testing.T) {
 	idx := New(0.9, 64)
 	r := rand.New(rand.NewSource(7))
@@ -158,22 +158,6 @@ func TestCandidatesSortedDeduped(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { idx.Candidates(base) }); n != 0 {
 		t.Fatalf("Candidates allocates %v times, want 0 once its buffer is grown", n)
-	}
-}
-
-// TestStatsCount pins the probe/candidate accounting the crawler's
-// crawl.states.neardup.* metrics are built on.
-func TestStatsCount(t *testing.T) {
-	idx := New(0.9, 64) // 8 bands
-	sig := make(shingle.Signature, 64)
-	idx.Add(1, sig)
-	idx.Candidates(sig)
-	st := idx.Stats()
-	if st.Probes != 8 {
-		t.Errorf("Probes = %d, want 8 (one per band)", st.Probes)
-	}
-	if st.Candidates != 1 {
-		t.Errorf("Candidates = %d, want 1", st.Candidates)
 	}
 }
 
@@ -204,7 +188,7 @@ func TestLengthMismatchPanics(t *testing.T) {
 // CandidateProb is the classic s-curve: the probability that two
 // signatures with per-position agreement s collide in at least one band
 // under layout p, assuming independent positions. Used for documentation
-// and tests; the admitter relies on the pigeonhole guarantee instead.
+// and tests; recall rests on the pigeonhole guarantee instead.
 func CandidateProb(s float64, p Params) float64 {
 	return 1 - math.Pow(1-math.Pow(s, float64(p.Rows)), float64(p.Bands))
 }

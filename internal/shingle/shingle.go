@@ -8,8 +8,8 @@
 // states"): states whose estimated similarity to an existing state
 // exceeds a threshold are merged instead of exploding the model.
 // Signature.Similarity (fraction of agreeing positions) is the single
-// verification metric; internal/lsh indexes Signatures by band so the
-// admitter probes buckets instead of scanning every admitted state.
+// merge metric; a page's admitter compares a candidate with each state
+// it has admitted.
 package shingle
 
 import (
