@@ -9,6 +9,7 @@
 //	ajaxbench                      # lists the experiments, in run order
 //	ajaxbench -exp t7.2 -videos 500
 //	ajaxbench -exp all -videos 200 > results.txt
+//	ajaxbench -exp capacity -target http://127.0.0.1:8090 [-rate 300]
 //
 // The listing printed with no arguments is the catalogue of experiment
 // ids; EXPERIMENTS.md records what each one measured.
@@ -59,6 +60,10 @@ type env struct {
 	// MinHash-based state merging on for every experiment crawl that
 	// does not set its own admission policy.
 	nearDup float64
+	// target and rate aim the capacity experiment: a /search base URL,
+	// and a fixed offered rate (0 searches for capacity at the SLO).
+	target string
+	rate   float64
 }
 
 // experiment is one runnable table/figure reproduction.
@@ -94,6 +99,7 @@ var experiments = []experiment{
 	{"ablate-neardup", "near-duplicate state merging vs granular-event explosion", ablateNearDup},
 	{"neardup", "noisy-app collapse: exact vs near-dup admission", expNearDup},
 	{"router", "sharded fan-out vs single snapshot: equality and merge overhead", expRouter},
+	{"capacity", "open-loop load on a live -target: capacity at the SLO, or one -rate", expCapacity},
 }
 
 func main() {
@@ -113,6 +119,8 @@ func main() {
 		faultRate   = flag.Float64("fault-rate", 0, "inject transient fetch faults with this probability (chaos testing; seeded by -seed)")
 		nearDup     = flag.Float64("neardup", 0, "merge states whose MinHash similarity reaches this threshold in (0,1] (0 disables; 0.9 is a reasonable setting)")
 		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the parallel crawler's work-stealing scheduler (0 = default seed 1)")
+		target      = flag.String("target", "", "base URL of a live ajaxserve or ajaxrouter for -exp capacity, e.g. http://127.0.0.1:8090")
+		rate        = flag.Float64("rate", 0, "-exp capacity: offer this many queries per second for one window (0 = search for capacity at the SLO)")
 	)
 	flag.Parse()
 
@@ -182,6 +190,8 @@ func main() {
 		faultRate: *faultRate,
 		frontSeed: *frontSeed,
 		nearDup:   *nearDup,
+		target:    *target,
+		rate:      *rate,
 	}
 	if *retries > 0 {
 		e.retry = &fetch.RetryPolicy{MaxAttempts: *retries + 1, BaseDelay: *retryBase}

@@ -75,10 +75,10 @@ func expRouter(e *env) error {
 	}
 
 	baseT := timeWorkload(func(q string) { single.Search(q) })
-	fmt.Fprintf(e.out, "%-14s %-10s %-16s %-10s %-12s %-8s\n",
-		"fleet", "results", "time/100q (ms)", "vs single", "mismatches", "hedges")
-	fmt.Fprintf(e.out, "%-14s %-10d %-16.2f %-10s %-12s %-8s\n",
-		"single broker", totalResults, ms(baseT), "1.00x", "-", "-")
+	fmt.Fprintf(e.out, "%-14s %-10s %-16s %-10s %-12s\n",
+		"fleet", "results", "time/100q (ms)", "vs single", "mismatches")
+	fmt.Fprintf(e.out, "%-14s %-10d %-16.2f %-10s %-12s\n",
+		"single broker", totalResults, ms(baseT), "1.00x", "-")
 
 	for _, n := range []int{1, 2, 4} {
 		rt, err := newFleet(n)
@@ -87,14 +87,13 @@ func expRouter(e *env) error {
 		}
 		// Equality pass, outside the timed loop: the differential check
 		// is the experiment's correctness gate, the timing its payload.
-		mismatches, got, hedges := 0, 0, 0
+		mismatches, got := 0, 0
 		for i, q := range queries {
 			m, err := rt.Search(e.ctx, q, 0)
 			if err != nil {
 				return fmt.Errorf("router %d shards, q=%q: %w", n, q, err)
 			}
 			got += len(m.Results)
-			hedges += m.Hedges
 			if len(m.Results) != len(want[i]) {
 				mismatches++
 				continue
@@ -108,9 +107,9 @@ func expRouter(e *env) error {
 			}
 		}
 		shardT := timeWorkload(func(q string) { _, _ = rt.Search(e.ctx, q, 0) })
-		fmt.Fprintf(e.out, "%-14s %-10d %-16.2f %-10s %-12d %-8d\n",
+		fmt.Fprintf(e.out, "%-14s %-10d %-16.2f %-10s %-12d\n",
 			fmt.Sprintf("%d shard(s)", n), got, ms(shardT),
-			fmt.Sprintf("%.2fx", float64(shardT)/float64(baseT)), mismatches, hedges)
+			fmt.Sprintf("%.2fx", float64(shardT)/float64(baseT)), mismatches)
 		if mismatches > 0 {
 			return fmt.Errorf("router: %d/%d rankings diverged from the single snapshot on %d shards", mismatches, len(queries), n)
 		}

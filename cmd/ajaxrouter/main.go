@@ -19,10 +19,10 @@
 //	# Query the fleet exactly like a single server.
 //	curl 'http://localhost:8090/search?q=morcheeba+singer&k=5'
 //
-// Replica choice is power-of-two-choices on outstanding requests, slow
-// primaries are hedged to a sibling replica after -hedge-after (or the
-// observed -hedge-quantile latency), and with -partial a dead shard
-// degrades the answer (X-Ajaxserve-Shards: 3/4) instead of failing it.
+// Replica choice is power-of-two-choices on outstanding requests, a
+// failed attempt fails over to a sibling replica, and with -partial a
+// dead shard degrades the answer (X-Ajaxserve-Shards: 3/4) instead of
+// failing it.
 package main
 
 import (
@@ -49,10 +49,7 @@ func main() {
 		addr          = flag.String("addr", "127.0.0.1:8090", "listen address")
 		defaultK      = flag.Int("k", 10, "default result count when ?k= is absent")
 		maxK          = flag.Int("max-k", 100, "upper bound on ?k=")
-		maxInflight   = flag.Int("max-inflight", 64, "concurrently routed queries before queueing/shedding with 429 (0 = unlimited)")
-		admMin        = flag.Int("admission-min", 1, "adaptive admission limit floor (the limit decays toward this under latency pressure)")
-		admQueue      = flag.Int("admission-queue", 0, "bounded admission wait queue; excess queues here instead of shedding immediately (0 = shed at the limit)")
-		admTarget     = flag.Duration("admission-target", 0, "CoDel-style sojourn bound for queued queries: waits longer than this are dropped at grant time (0 = 50ms)")
+		maxInflight   = flag.Int("max-inflight", 64, "concurrently routed queries before shedding with 429 (0 = unlimited)")
 		budgetFloor   = flag.Duration("budget-floor", 0, "fast-reject queries whose deadline budget remainder is at or below this (0 = 2ms)")
 		ejectThresh   = flag.Float64("eject-threshold", 0, "failure-EWMA level that quarantines a replica (0 = 0.8)")
 		quarantine    = flag.Duration("quarantine", 0, "initial quarantine backoff before the first probe; doubles on failed probes (0 = 5s)")
@@ -60,9 +57,7 @@ func main() {
 		probation     = flag.Int("probation", 0, "consecutive successful probes required to readmit a quarantined replica (0 = 2)")
 		probeInterval = flag.Duration("probe-interval", time.Second, "background health-probe sweep cadence for quarantined replicas (0 = off)")
 		timeout       = flag.Duration("timeout", 2*time.Second, "per-query deadline from admission, clamped by any propagated budget; what is left is forwarded to each shard (0 = none)")
-		shardTimeout  = flag.Duration("shard-timeout", 1500*time.Millisecond, "per-shard deadline, hedges included (0 = none)")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "hedge to another replica when a shard is silent this long (0 = no fixed hedge)")
-		hedgeQuantile = flag.Float64("hedge-quantile", 0, "hedge when a shard is slower than this quantile of observed latencies, e.g. 0.95 (0 = off; -hedge-after is the warmup delay)")
+		shardTimeout  = flag.Duration("shard-timeout", 1500*time.Millisecond, "per-shard deadline, failovers included (0 = none)")
 		partial       = flag.Bool("partial", true, "tolerate failed shards: answer with the responding subset and say so in X-Ajaxserve-Shards")
 		seed          = flag.Int64("seed", 0, "replica-pick PRNG seed (0 = default), for reproducible balancing")
 		verbose       = flag.Bool("v", false, "live span lines on stderr")
@@ -84,7 +79,7 @@ func main() {
 		SampleEvery:   *sample,
 		Sample: obs.SamplerConfig{
 			Gauges:   []string{"http.inflight"},
-			Counters: []string{"http.requests", "router.fanout.hedges", "router.fanout.partial"},
+			Counters: []string{"http.requests", "router.fanout.partial"},
 		},
 	})
 	if err != nil {
@@ -94,8 +89,6 @@ func main() {
 	rt, err := router.New(router.Config{
 		Shards:          topo,
 		ShardTimeout:    *shardTimeout,
-		HedgeAfter:      *hedgeAfter,
-		HedgeQuantile:   *hedgeQuantile,
 		Partial:         *partial,
 		Seed:            *seed,
 		EjectThreshold:  *ejectThresh,
@@ -108,16 +101,13 @@ func main() {
 		fatal("router: %v", err)
 	}
 	rs := router.NewServer(rt, router.ServerConfig{
-		DefaultK:        *defaultK,
-		MaxK:            *maxK,
-		MaxInflight:     *maxInflight,
-		AdmissionMin:    *admMin,
-		AdmissionQueue:  *admQueue,
-		AdmissionTarget: *admTarget,
-		QueryTimeout:    *timeout,
+		DefaultK:     *defaultK,
+		MaxK:         *maxK,
+		MaxInflight:  *maxInflight,
+		QueryTimeout: *timeout,
 	}, cli.Tel)
-	fmt.Printf("routing %d shards x %d replicas (partial=%v, hedge=%v/q%.2f, shard timeout %v)\n",
-		rt.NumShards(), *replicas, *partial, *hedgeAfter, *hedgeQuantile, *shardTimeout)
+	fmt.Printf("routing %d shards x %d replicas (partial=%v, shard timeout %v)\n",
+		rt.NumShards(), *replicas, *partial, *shardTimeout)
 	fmt.Printf("search:  http://%s/search?q=...&k=%d\n", *addr, *defaultK)
 	fmt.Printf("metrics: http://%s/debug/metrics (Prometheus: ?format=prom), health: http://%s/healthz\n", *addr, *addr)
 

@@ -42,12 +42,8 @@ func main() {
 		cacheSize   = flag.Int("cache-size", 1024, "result cache capacity in entries (0 uses the default)")
 		cacheShards = flag.Int("cache-shards", 8, "result cache shard count")
 		cacheTTL    = flag.Duration("cache-ttl", 0, "result cache entry TTL (0 = entries live until swap/eviction)")
-		maxInflight = flag.Int("max-inflight", 64, "concurrently evaluating queries before queueing/shedding with 429 (0 = unlimited)")
-		admMin      = flag.Int("admission-min", 1, "adaptive admission limit floor (the limit decays toward this under latency pressure)")
-		admQueue    = flag.Int("admission-queue", 0, "bounded admission wait queue; excess queues here instead of shedding immediately (0 = shed at the limit)")
-		admTarget   = flag.Duration("admission-target", 0, "CoDel-style sojourn bound for queued queries: waits longer than this are dropped at grant time (0 = 50ms)")
+		maxInflight = flag.Int("max-inflight", 64, "concurrently evaluating queries before shedding with 429 (0 = unlimited)")
 		budgetFloor = flag.Duration("budget-floor", 0, "fast-reject queries whose X-Ajaxserve-Budget-Ms remainder is at or below this (0 = 2ms)")
-		brownout    = flag.Bool("brownout", true, "degrade (drop snippets, halve k) instead of queueing deeper when the admission queue is under pressure")
 		timeout     = flag.Duration("timeout", 2*time.Second, "per-query deadline (0 = none)")
 		watch       = flag.Duration("watch", 0, "poll the manifest at this interval and hot-swap on changes (0 = off)")
 		verbose     = flag.Bool("v", false, "live span lines on stderr")
@@ -79,19 +75,15 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		SnapshotDir:     *snapshot,
-		DefaultK:        *defaultK,
-		MaxK:            *maxK,
-		CacheShards:     *cacheShards,
-		CacheCapacity:   *cacheSize,
-		CacheTTL:        *cacheTTL,
-		MaxInflight:     *maxInflight,
-		AdmissionMin:    *admMin,
-		AdmissionQueue:  *admQueue,
-		AdmissionTarget: *admTarget,
-		BudgetFloor:     *budgetFloor,
-		NoBrownout:      !*brownout,
-		QueryTimeout:    *timeout,
+		SnapshotDir:   *snapshot,
+		DefaultK:      *defaultK,
+		MaxK:          *maxK,
+		CacheShards:   *cacheShards,
+		CacheCapacity: *cacheSize,
+		CacheTTL:      *cacheTTL,
+		MaxInflight:   *maxInflight,
+		BudgetFloor:   *budgetFloor,
+		QueryTimeout:  *timeout,
 	}, cli.Tel)
 	if err != nil {
 		fatal("load snapshot: %v", err)

@@ -15,8 +15,10 @@
 // On-disk layout inside one journal directory:
 //
 //	journal.wal   — header "AJWL"+version, then frames appended in order
-//	snapshot.ajcp — same frame stream holding only page records, written
-//	                atomically (temp + rename) at each compaction
+//	snapshot.ajcp — same frame stream holding the completed pages, the
+//	                frontier admissions and the hot-node fills of pages
+//	                not yet completed, written atomically (temp + rename)
+//	                at each compaction
 //
 // Frame: u32le payload length | u32le CRC-32C(payload) | payload.
 // Payload: record type byte, then fields in internal/codec's primitives.
@@ -37,8 +39,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -617,8 +621,9 @@ func (j *Journal) compactFiles() error {
 	return nil
 }
 
-// writeSnapshot writes every completed page and frontier admission into
-// a temp file, syncs it, and renames it over the snapshot.
+// writeSnapshot writes every completed page, frontier admission and
+// unfinished page's hot-node fill into a temp file, syncs it, and
+// renames it over the snapshot.
 func (j *Journal) writeSnapshot() (err error) {
 	tmp, err := os.CreateTemp(j.dir, "snapshot-*.tmp")
 	if err != nil {
@@ -644,6 +649,19 @@ func (j *Journal) writeSnapshot() (err error) {
 	// needs them to rebuild the queue of pages that never completed.
 	for _, url := range j.frontierOrder {
 		putFrame(w, j.frontierFrame(j.frontier[url])) //nolint:errcheck
+	}
+	// So do the hot-node fills of a page that has not completed: its
+	// re-crawl seeds its cache from them.
+	for _, url := range slices.Sorted(maps.Keys(j.hot)) {
+		if _, done := j.pages[url]; done {
+			continue
+		}
+		for _, key := range slices.Sorted(maps.Keys(j.hot[url])) {
+			e := j.begin(recHotNode, url)
+			e.String(key)
+			e.String(j.hot[url][key])
+			putFrame(w, j.payload.Bytes()) //nolint:errcheck
+		}
 	}
 	if err := w.Flush(); err != nil {
 		return err

@@ -426,6 +426,27 @@ func TestJournalFrontierSurvivesCompaction(t *testing.T) {
 	}
 }
 
+// TestJournalHotNodesSurviveCompaction: a compaction keeps the hot-node
+// fills of a page that has not completed yet, which its re-crawl reads.
+func TestJournalHotNodesSurviveCompaction(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{CompactEvery: 1})
+	if err := j.HotNode("interrupted", "k", "v"); err != nil {
+		t.Fatalf("HotNode: %v", err)
+	}
+	if err := j.PageDone(PageRecord{URL: "other", Graph: testGraph("other", 1)}); err != nil {
+		t.Fatalf("PageDone: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	j2 := mustOpen(t, dir, Options{})
+	defer j2.Close()
+	if got := fmt.Sprint(j2.HotEntries("interrupted")); got != "map[k:v]" {
+		t.Fatalf("HotEntries(interrupted) after compaction = %s, want map[k:v]", got)
+	}
+}
+
 // TestJournalRetiredRecordIsATear: a CRC-intact frame of a retired
 // record type (2, an admitted state's hash; 5, its signature) stops
 // replay like any undecodable frame, so the page after it is dropped.

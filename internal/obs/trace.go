@@ -32,7 +32,7 @@ const (
 
 	SpanShardEval    = "query.shard"   // one shard-local evaluation for a distributed merge (query)
 	SpanRouterFanout = "router.fanout" // one routed query's full fan-out and global merge (router)
-	SpanRouterShard  = "router.shard"  // one shard's call, including hedged attempts (router)
+	SpanRouterShard  = "router.shard"  // one shard's call, including failovers (router)
 )
 
 // SpanRecord is one finished span as emitted to a Sink. Start is wall

@@ -565,7 +565,7 @@ func TestSearchMissAllocs(t *testing.T) {
 		full := srv.ShardSearch(ctx, q)
 		most = max(most, len(full.Candidates))
 		miss := testing.AllocsPerRun(20, func() {
-			if _, _, cached := srv.SearchOpts(ctx, q, 10, SearchOptions{}); cached {
+			if _, _, cached := srv.Search(ctx, q, 10); cached {
 				t.Fatal("cache hit in the miss measurement")
 			}
 		})
@@ -590,7 +590,7 @@ func TestSearchMissAllocs(t *testing.T) {
 }
 
 // BenchmarkSearchMiss prices one k=10 cache miss through
-// Server.SearchOpts — parse, cache probe, stats, streamed top-k, ten
+// Server.Search — parse, cache probe, stats, streamed top-k, ten
 // snippets — for the one- and two-term shapes of missQueries.
 func BenchmarkSearchMiss(b *testing.B) {
 	srv := mustCorpusServer(b)
@@ -604,7 +604,7 @@ func BenchmarkSearchMiss(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, q := range bc.queries {
-					benchSink, _, _ = srv.SearchOpts(ctx, q, 10, SearchOptions{})
+					benchSink, _, _ = srv.Search(ctx, q, 10)
 				}
 			}
 		})

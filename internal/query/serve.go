@@ -81,17 +81,6 @@ func (s *Server) Swap(ctx context.Context, snap *ServeSnapshot) *ServeSnapshot {
 	return old
 }
 
-// SearchOptions tune one evaluation — the serving layer's brownout
-// path degrades queries through these rather than a separate engine.
-type SearchOptions struct {
-	// NoSnippets skips snippet extraction: two scans of each result's
-	// state text, about three quarters of a cold evaluation (140 µs to
-	// top-k's 39 µs per miss on serve_single). Snippet-free results are
-	// cached in their own namespace so they can never shadow a
-	// full-quality entry.
-	NoSnippets bool
-}
-
 // Search answers a top-k query from the cache when possible, otherwise
 // evaluates it on the live snapshot (bounded-heap top-k plus snippets)
 // and fills the cache. It returns the results, the snapshot that
@@ -99,45 +88,18 @@ type SearchOptions struct {
 // from the cache. The per-request latency lands in the
 // query.serve.latency histogram whether cached or not.
 func (s *Server) Search(ctx context.Context, q string, k int) ([]ResultWithSnippet, *ServeSnapshot, bool) {
-	return s.SearchOpts(ctx, q, k, SearchOptions{})
-}
-
-// SearchOpts is Search with per-query options.
-func (s *Server) SearchOpts(ctx context.Context, q string, k int, opt SearchOptions) ([]ResultWithSnippet, *ServeSnapshot, bool) {
 	tel := obs.From(ctx)
 	tel.Counter("query.serve.requests").Inc()
 	start := time.Now()
 	snap := s.live.Load()
 	terms := Parse(q) // once: the cache key, the broker and the snippets share them
 	key := cacheKey(terms, k)
-	stateText := snap.StateText
-	if opt.NoSnippets {
-		// "\x1fns" cannot collide with a real key: tokenized terms never
-		// contain 0x1f, so a full-quality key ends in the k integer.
-		key += "\x1fns"
-		stateText = nil
-	}
 	if res, ok := s.cache.Get(ctx, key, snap.Gen); ok {
 		tel.Histogram("query.serve.latency").Observe(time.Since(start).Seconds())
 		return res, snap, true
 	}
-	out := attachSnippets(snap.Broker.search(ctx, q, terms, k), stateText, terms, snap.SnippetOpts)
+	out := attachSnippets(snap.Broker.search(ctx, q, terms, k), snap.StateText, terms, snap.SnippetOpts)
 	s.cache.Put(ctx, key, snap.Gen, out)
 	tel.Histogram("query.serve.latency").Observe(time.Since(start).Seconds())
 	return out, snap, false
-}
-
-// Cached answers a top-k query only if the full-quality cache already
-// holds it — the brownout path's "prefer cached results" probe: a hit
-// costs nothing and loses no quality, so a pressured server checks here
-// before degrading the evaluation. ok is false on a miss. The probe
-// deliberately bypasses the cache hit/miss counters (the subsequent
-// degraded SearchOpts lookup counts once).
-func (s *Server) Cached(q string, k int) ([]ResultWithSnippet, *ServeSnapshot, bool) {
-	snap := s.live.Load()
-	res, ok := s.cache.Get(context.Background(), CacheKey(q, k), snap.Gen)
-	if !ok {
-		return nil, snap, false
-	}
-	return res, snap, true
 }

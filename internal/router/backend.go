@@ -23,7 +23,8 @@ type Backend interface {
 	// ShardSearch evaluates q on the shard and returns its pre-idf
 	// candidates — all of them, or under a non-zero hint at most hint.K
 	// — plus local collection statistics. Implementations must honor
-	// ctx: a canceled hedge loser should stop working promptly.
+	// ctx: an attempt abandoned at the shard deadline should stop
+	// working promptly.
 	ShardSearch(ctx context.Context, q string, hint query.Hint) (*query.ShardResult, error)
 }
 
@@ -56,8 +57,6 @@ type HTTPBackend struct {
 	// deadlines ride the request context, so the client itself needs no
 	// timeout.
 	Client *http.Client
-	// MaxResponseBytes caps the decoded body (0 = DefaultMaxResponseBytes).
-	MaxResponseBytes int64
 }
 
 // ShardSearch implements Backend. When the context carries a deadline
@@ -102,7 +101,7 @@ func (b *HTTPBackend) ShardSearch(ctx context.Context, q string, hint query.Hint
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("router: shard %s: status %d: %s", b.BaseURL, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return decodeShardResult(resp.Body, b.MaxResponseBytes, hint.K)
+	return decodeShardResult(resp.Body, DefaultMaxResponseBytes, hint.K)
 }
 
 // Probe implements Prober: GET /healthz on the shard server. Any

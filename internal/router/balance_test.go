@@ -9,58 +9,6 @@ import (
 	"ajaxcrawl/internal/query"
 )
 
-func TestLatencyRingQuantile(t *testing.T) {
-	l := newLatencyRing(latencyWindow)
-	if _, ok := l.Quantile(0.5); ok {
-		t.Fatal("empty ring answered a quantile")
-	}
-	for i := 1; i < minHedgeSamples; i++ {
-		l.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if _, ok := l.Quantile(0.5); ok {
-		t.Fatalf("ring answered below minHedgeSamples (%d samples)", l.n)
-	}
-	l.Observe(time.Duration(minHedgeSamples) * time.Millisecond)
-	// Samples are 1..8ms. The estimate is the ceil(q·n)-th smallest
-	// observed value, never an interpolation.
-	cases := []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.5, 4 * time.Millisecond},
-		{0.75, 6 * time.Millisecond},
-		{0.95, 8 * time.Millisecond},
-		{1.0, 8 * time.Millisecond},
-	}
-	for _, tc := range cases {
-		got, ok := l.Quantile(tc.q)
-		if !ok || got != tc.want {
-			t.Fatalf("Quantile(%v) = %v, %v; want %v", tc.q, got, ok, tc.want)
-		}
-	}
-}
-
-func TestLatencyRingEvictsOldest(t *testing.T) {
-	l := newLatencyRing(minHedgeSamples)
-	for i := 1; i <= minHedgeSamples; i++ {
-		l.Observe(time.Duration(i) * time.Millisecond)
-	}
-	// Overwrite the two oldest (1ms, 2ms) with 100ms entries.
-	l.Observe(100 * time.Millisecond)
-	l.Observe(100 * time.Millisecond)
-	if got := l.n; got != minHedgeSamples {
-		t.Fatalf("Samples = %d, want %d (window capacity)", got, minHedgeSamples)
-	}
-	got, ok := l.Quantile(1.0)
-	if !ok || got != 100*time.Millisecond {
-		t.Fatalf("max after eviction = %v, want 100ms", got)
-	}
-	min, _ := l.Quantile(0.125)
-	if min != 3*time.Millisecond {
-		t.Fatalf("min after eviction = %v, want 3ms (1ms and 2ms evicted)", min)
-	}
-}
-
 func newPickRouter(t *testing.T, replicas int) *Router {
 	t.Helper()
 	b := make([]Backend, replicas)

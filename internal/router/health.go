@@ -8,8 +8,8 @@ import (
 )
 
 // Self-healing replica management. Every attempt outcome folds into a
-// per-replica failure EWMA (success 0, error/timeout 1, "the hedge had
-// to fire" 0.5); the EWMA biases the P2C pick away from sick replicas
+// per-replica failure EWMA (success 0, error or timeout 1); the EWMA
+// biases the P2C pick away from sick replicas
 // long before ejection, and crossing EjectThreshold quarantines the
 // replica outright — queries stop discovering a dead backend the hard
 // way on every first attempt. Quarantined replicas re-enter through
@@ -24,11 +24,13 @@ import (
 // healthy replica to 0.3, five in a row cross the default threshold.
 const healthBeta = 0.3
 
-// Attempt-outcome weights for record.
-const (
-	failHard  = 1.0 // error or shard timeout
-	failHedge = 0.5 // slow enough that the hedge fired against it
-)
+// healthPenalty converts a replica's failure EWMA into equivalent
+// outstanding requests for the P2C load comparison: a replica at EWMA
+// 0.5 competes as if it carried 2 extra requests.
+const healthPenalty = 4
+
+// failHard is record's weight of an error or a shard timeout.
+const failHard = 1.0
 
 // Prober is implemented by backends that can answer an active health
 // probe. Backends without one (in-process shards) are assumed healthy

@@ -252,22 +252,20 @@ func TestProbeFailureDoublesBackoff(t *testing.T) {
 	}
 }
 
-// TestFlappingReplicaBoundedHedges is the flapping chaos test: a
-// replica hangs (every hit costs a hedge), recovers, then hangs again.
-// Quarantine bounds the hedge storm — exactly the strikes needed to
-// eject, twice — instead of one hedge per query forever.
-func TestFlappingReplicaBoundedHedges(t *testing.T) {
+// TestFlappingReplicaBoundedFailovers is the flapping chaos test: a
+// replica fails (every hit costs a failover to its sibling), recovers,
+// then fails again. Quarantine bounds the cost — exactly the strikes
+// needed to eject, twice — instead of one failover per query forever.
+func TestFlappingReplicaBoundedFailovers(t *testing.T) {
 	terms := []string{"video"}
 	res := canned(terms, 5, cand("http://a", 0, 1, 1))
 	clock := newTestClock()
-	flaky := &flipBackend{res: res, mode: "hang"}
+	flaky := &flipBackend{res: res, mode: "err"}
 	healthy := &staticBackend{res: res}
 	r, err := New(Config{
 		Shards:          [][]Backend{{flaky, healthy}},
 		Clock:           clock,
-		HedgeAfter:      10 * time.Millisecond,
-		ShardTimeout:    time.Second,
-		EjectThreshold:  0.3, // three hedge strikes (0.5-weight EWMA) eject
+		EjectThreshold:  0.5, // two hard strikes (EWMA 0.3, then 0.51) eject
 		QuarantineBase:  time.Second,
 		ProbationProbes: 1,
 	})
@@ -280,53 +278,35 @@ func TestFlappingReplicaBoundedHedges(t *testing.T) {
 	// Pin standing load on the healthy sibling: at low load the health
 	// penalty alone steers every pick away from a suspect replica (no
 	// strikes, no ejection — avoidance is enough). Ejection matters
-	// under pressure, when the sibling's outstanding queue outweighs
+	// under pressure, when the sibling's outstanding requests outweigh
 	// the penalty and the sick replica keeps drawing traffic.
 	r.groups[0].replicas[1].outstanding.Store(10)
-
-	// run drives one query, advancing virtual time until it completes
-	// (a hanging primary needs the hedge timer to fire).
 	run := func() {
 		t.Helper()
-		done := make(chan error, 1)
-		go func() {
-			_, err := r.Search(ctx, "video", 10)
-			done <- err
-		}()
-		for {
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatalf("query failed: %v", err)
-				}
-				return
-			case <-time.After(time.Millisecond):
-				clock.Advance(10 * time.Millisecond)
-			}
+		if _, err := r.Search(ctx, "video", 10); err != nil {
+			t.Fatalf("query failed: %v", err)
 		}
 	}
+	shardErrors := func() int64 { return reg.Counter("router.fanout.shard_errors").Value() }
 
-	// Phase 1: hanging. Hedge strikes accumulate 0.15 → 0.255 → 0.329:
-	// the third query ejects the replica.
-	for i := 0; i < 3; i++ {
-		run()
-	}
+	// Phase 1: failing. Each query fails over once; the second ejects.
+	run()
+	run()
 	if got := reg.Counter("router.replica.ejected").Value(); got != 1 {
-		t.Fatalf("ejected = %d, want 1 after three hedged queries", got)
+		t.Fatalf("ejected = %d, want 1 after two failovers", got)
 	}
-	hedgesAfterEject := reg.Counter("router.fanout.hedges").Value()
-	if hedgesAfterEject != 3 {
-		t.Fatalf("hedges = %d, want 3 (one per pre-ejection query)", hedgesAfterEject)
+	if got := shardErrors(); got != 2 {
+		t.Fatalf("shard errors = %d, want 2 (one per pre-ejection query)", got)
 	}
 	flakyCalls := flaky.callCount()
 
 	// Quarantined: queries go straight to the healthy replica — no new
-	// hedges, no new hits on the hanging backend.
+	// failovers, no new hits on the failing backend.
 	for i := 0; i < 5; i++ {
 		run()
 	}
-	if got := reg.Counter("router.fanout.hedges").Value(); got != hedgesAfterEject {
-		t.Fatalf("hedge storm not bounded: %d hedges, want %d", got, hedgesAfterEject)
+	if got := shardErrors(); got != 2 {
+		t.Fatalf("failovers not bounded: %d shard errors, want 2", got)
 	}
 	if got := flaky.callCount(); got != flakyCalls {
 		t.Fatalf("quarantined replica still hit: %d calls, want %d", got, flakyCalls)
@@ -339,21 +319,23 @@ func TestFlappingReplicaBoundedHedges(t *testing.T) {
 	if got := r.HealthyReplicas(0); got != 2 {
 		t.Fatalf("healthy after probe = %d, want 2", got)
 	}
-	run() // serves from the recovered replica without hedging
-	if got := reg.Counter("router.fanout.hedges").Value(); got != hedgesAfterEject {
-		t.Fatalf("recovered replica still hedged: %d", got)
+	run() // served by the recovered replica
+	if got := flaky.callCount(); got != flakyCalls+1 {
+		t.Fatalf("recovered replica took %d calls, want 1", got-flakyCalls)
+	}
+	if got := shardErrors(); got != 2 {
+		t.Fatalf("recovered replica still failed: %d shard errors", got)
 	}
 
-	// Phase 3: it dies again — same bounded ejection, one more cycle.
-	flaky.set("hang")
-	for i := 0; i < 3; i++ {
-		run()
-	}
+	// Phase 3: it fails again — the same bounded ejection, one more cycle.
+	flaky.set("err")
+	run()
+	run()
 	if got := reg.Counter("router.replica.ejected").Value(); got != 2 {
 		t.Fatalf("second ejection missing: ejected = %d, want 2", got)
 	}
-	if got := reg.Counter("router.fanout.hedges").Value(); got > hedgesAfterEject+3 {
-		t.Fatalf("flapping hedge storm unbounded: %d hedges total", got)
+	if got := shardErrors(); got != 4 {
+		t.Fatalf("shard errors = %d, want 4", got)
 	}
 }
 

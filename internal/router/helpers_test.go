@@ -14,9 +14,9 @@ import (
 // testClock is a manually advanced clock: Sleep blocks until Advance
 // moves virtual time past the deadline (or the context ends). Unlike
 // fetch.VirtualClock — whose sleeps auto-advance, which would fire the
-// hedge and deadline timers instantly — this clock lets a test hold
+// deadline and quarantine timers instantly — this clock lets a test hold
 // several concurrent timers and release exactly the one whose moment
-// has come, so hedge schedules can be asserted to the exact virtual
+// has come, so deadline schedules can be asserted to the exact virtual
 // timestamp.
 type testClock struct {
 	mu      sync.Mutex

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
-	"ajaxcrawl/internal/admission"
 	"ajaxcrawl/internal/obs"
 	"ajaxcrawl/internal/serve"
 )
@@ -17,7 +15,8 @@ import (
 // positively asserts a complete answer.
 const HeaderShards = "X-Ajaxserve-Shards"
 
-// HeaderHedges reports how many hedged attempts this query fired.
+// HeaderHedges is set by no tier; the name stays while benchmark/ reads
+// it (ROADMAP item 1).
 const HeaderHedges = "X-Ajaxserve-Hedges"
 
 // ServerConfig parameterizes the router's /search front; its fields,
@@ -45,21 +44,20 @@ func NewServer(rt *Router, cfg ServerConfig, tel *obs.Telemetry) *serve.Front {
 
 // answer is the router's serve.Searcher: the fan-out, on a budget that
 // ends at the front's deadline.
-func (r *Router) answer(ctx context.Context, q string, k int, deadline time.Time, _ *admission.Token, h http.Header) (serve.Answer, error) {
+func (r *Router) answer(ctx context.Context, q string, k int, deadline time.Time, h http.Header) (serve.Answer, error) {
 	if !deadline.IsZero() {
 		ctx = WithBudget(ctx, deadline, r.clock)
 	}
 	m, err := r.Search(ctx, q, k)
-	// Fan-out metadata (shard completeness, hedges) rides on headers,
-	// never in the body: the body is ajaxserve's own, byte for byte.
+	// Fan-out metadata (shard completeness) rides on a header, never in
+	// the body: the body is ajaxserve's own, byte for byte.
 	if m != nil {
 		h.Set(HeaderShards, fmt.Sprintf("%d/%d", m.ShardsOK, m.ShardsTotal))
 	}
 	if err != nil {
 		return serve.Answer{}, err
 	}
-	h.Set(HeaderHedges, strconv.Itoa(m.Hedges))
-	return serve.Answer{Results: m.Results, K: k, Gen: m.Gen, Docs: m.Docs, States: m.States}, nil
+	return serve.Answer{Results: m.Results, Gen: m.Gen, Docs: m.Docs, States: m.States}, nil
 }
 
 // healthResponse is the router's /healthz body. Healthy reports the

@@ -15,10 +15,8 @@
 //
 //   - Replica choice is power-of-two-choices on outstanding requests,
 //     so a slow replica sheds load to its siblings instead of queueing.
-//   - Hedged retries: when a shard's primary attempt is slower than the
-//     hedge delay (a fixed duration, or an observed latency quantile),
-//     one hedged attempt fires at another replica; the first valid
-//     response wins and the loser is canceled.
+//   - Failover: a replica whose attempt errors is replaced at once by
+//     an unused sibling.
 //   - Per-shard deadlines ride the injectable fetch.Clock, so the whole
 //     schedule is testable in virtual time.
 //   - Partial results: with Config.Partial set, a shard that errors or
@@ -55,26 +53,15 @@ type Config struct {
 	// tf·idf component in (nil = query.DefaultWeights). They must match
 	// the shard servers' weights or rankings will diverge.
 	Weights *query.Weights
-	// ShardTimeout bounds one shard's whole call, hedges included
+	// ShardTimeout bounds one shard's whole call, failovers included
 	// (0 = none). Measured on Clock, so virtual-time tests can script
 	// it.
 	ShardTimeout time.Duration
-	// HedgeAfter fires one hedged attempt at another replica when the
-	// primary has not answered after this long (0 = no hedging, unless
-	// HedgeQuantile enables it).
-	HedgeAfter time.Duration
-	// HedgeQuantile, when in (0,1], derives the hedge delay from the
-	// observed shard-latency distribution instead: hedge when the
-	// primary is slower than this quantile of recent responses. Until
-	// enough samples exist (minHedgeSamples), HedgeAfter is used as the
-	// warmup delay.
-	HedgeQuantile float64
 	// Partial tolerates failed shards: the query succeeds with the
 	// responding subset (response metadata reports how many answered).
 	// With Partial false any shard failure fails the query.
 	Partial bool
-	// Clock drives hedge, timeout and quarantine schedules (nil = wall
-	// clock).
+	// Clock drives timeout and quarantine schedules (nil = wall clock).
 	Clock fetch.Clock
 	// Seed seeds the replica-pick PRNG (0 = 1), making pick sequences
 	// reproducible in tests.
@@ -88,13 +75,9 @@ type Config struct {
 	// ProbationProbes is how many consecutive successful health probes
 	// readmit a quarantined replica (0 = 2).
 	ProbationProbes int
-	// HealthPenalty converts a replica's failure EWMA into equivalent
-	// outstanding requests for the P2C load comparison (0 = 4): a
-	// replica at EWMA 0.5 competes as if it carried 2 extra requests.
-	HealthPenalty float64
 	// BudgetFloor fast-rejects shard calls whose remaining propagated
 	// deadline budget is at or below this (0 = 2ms) — the caller has
-	// already hedged or given up by then.
+	// already given up by then.
 	BudgetFloor time.Duration
 }
 
@@ -127,7 +110,6 @@ type Router struct {
 	w      query.Weights
 	clock  fetch.Clock
 	groups []*group
-	lat    *latencyRing
 	stats  *statsTable
 
 	// mu guards rng: replica picks are cheap and rare enough that one
@@ -145,16 +127,12 @@ func New(cfg Config) (*Router, error) {
 		cfg:   cfg,
 		w:     query.DefaultWeights,
 		clock: cfg.Clock,
-		lat:   newLatencyRing(latencyWindow),
 	}
 	if cfg.Weights != nil {
 		r.w = *cfg.Weights
 	}
 	if r.clock == nil {
 		r.clock = fetch.RealClock{}
-	}
-	if cfg.HedgeQuantile < 0 || cfg.HedgeQuantile > 1 {
-		return nil, fmt.Errorf("router: HedgeQuantile %v outside [0,1]", cfg.HedgeQuantile)
 	}
 	if r.cfg.EjectThreshold <= 0 {
 		r.cfg.EjectThreshold = 0.8
@@ -167,9 +145,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if r.cfg.ProbationProbes <= 0 {
 		r.cfg.ProbationProbes = 2
-	}
-	if r.cfg.HealthPenalty <= 0 {
-		r.cfg.HealthPenalty = 4
 	}
 	if r.cfg.BudgetFloor <= 0 {
 		r.cfg.BudgetFloor = 2 * time.Millisecond
@@ -216,8 +191,6 @@ type Merged struct {
 	// metadata (Gen is the newest responding generation).
 	Docs, States int
 	Gen          int64
-	// Hedges counts hedged attempts launched for this query.
-	Hedges int
 	// Duplicates counts candidates dropped because another shard
 	// already returned the same (URL, state) — nonzero only on
 	// overlapping (misconfigured) shards.
@@ -267,13 +240,13 @@ func (r *Router) search(ctx context.Context, q string, k int, tel *obs.Telemetry
 			hint = hintFor(expect, k)
 		}
 	}
-	outs := r.fanOut(ctx, q, terms, hint, merged, tel)
+	outs := r.fanOut(ctx, q, terms, hint, tel)
 	switch {
 	case hint.K > 0 && refuted(outs, expect):
 		tel.Counter("router.stats.stale").Inc()
 		r.stats.forget(terms)
 		hint = query.Hint{}
-		outs = r.fanOut(ctx, q, terms, hint, merged, tel)
+		outs = r.fanOut(ctx, q, terms, hint, tel)
 	case hint.K > 0:
 		tel.Counter("router.stats.hit").Inc()
 	case k > 0:
@@ -333,23 +306,18 @@ type outcome struct {
 	err error
 }
 
-// fanOut calls every shard concurrently, waits for all of them, and
-// adds the hedges they fired to merged.
-func (r *Router) fanOut(ctx context.Context, q string, terms []string, hint query.Hint, merged *Merged, tel *obs.Telemetry) []outcome {
+// fanOut calls every shard concurrently and waits for all of them.
+func (r *Router) fanOut(ctx context.Context, q string, terms []string, hint query.Hint, tel *obs.Telemetry) []outcome {
 	outs := make([]outcome, len(r.groups))
-	hedges := make([]int, len(r.groups))
 	var wg sync.WaitGroup
 	for i := range r.groups {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i].res, hedges[i], outs[i].err = r.callShard(ctx, i, q, terms, hint, tel)
+			outs[i].res, outs[i].err = r.callShard(ctx, i, q, terms, hint, tel)
 		}(i)
 	}
 	wg.Wait()
-	for _, h := range hedges {
-		merged.Hedges += h
-	}
 	return outs
 }
 
@@ -403,15 +371,11 @@ func dropDuplicates(responses []*query.ShardResult) int {
 	return dups
 }
 
-// callShard runs one shard's call: primary attempt at a P2C-picked
-// replica, an optional hedged attempt when the hedge delay elapses
-// first, immediate failover to the next replica when an attempt errors,
-// and the shard deadline — ShardTimeout clamped to the caller's
-// remaining budget — over it all. The first valid response wins;
-// whatever is still in flight is canceled (and counted). Every outcome
-// feeds the replica health EWMAs: errors and timeouts hard, "the hedge
-// had to fire against you" softly.
-func (r *Router) callShard(ctx context.Context, shard int, q string, terms []string, hint query.Hint, tel *obs.Telemetry) (*query.ShardResult, int, error) {
+// callShard runs one shard's call: an attempt at a P2C-picked replica,
+// immediate failover to the next replica when an attempt errors, and
+// the shard deadline — ShardTimeout clamped to the caller's remaining
+// budget — over it all. Every outcome feeds the replica health EWMAs.
+func (r *Router) callShard(ctx context.Context, shard int, q string, terms []string, hint query.Hint, tel *obs.Telemetry) (*query.ShardResult, error) {
 	g := r.groups[shard]
 
 	remaining, hasBudget := r.budgetRemaining(ctx)
@@ -419,7 +383,7 @@ func (r *Router) callShard(ctx context.Context, shard int, q string, terms []str
 		// The caller's budget is already gone: executing would produce
 		// an answer nobody is waiting for.
 		tel.Counter("router.fanout.budget_rejected").Inc()
-		return nil, 0, ErrBudgetExhausted
+		return nil, ErrBudgetExhausted
 	}
 	timeout := r.cfg.ShardTimeout
 	if hasBudget && (timeout == 0 || remaining < timeout) {
@@ -431,60 +395,9 @@ func (r *Router) callShard(ctx context.Context, shard int, q string, terms []str
 	_, sp := obs.StartSpan(ctx, obs.SpanRouterShard, obs.A("shard", strconv.Itoa(shard)))
 	start := r.clock.Now()
 
-	type attempt struct {
-		res    *query.ShardResult
-		err    error
-		hedged bool
-		ri     int
-	}
-	// Buffered to the replica count — every replica is attempted at
-	// most once per call, so losers never block sending their (ignored)
-	// outcome after the winner returns.
-	resc := make(chan attempt, len(g.replicas))
-	used := make([]bool, len(g.replicas))
-	// pendingReps tracks which replicas are in flight, so hedge fires
-	// and shard timeouts can penalize the replicas that caused them.
-	pendingReps := make([]int, 0, len(g.replicas))
-	launch := func(hedged bool) bool {
-		ri := r.pick(g, used, tel)
-		if ri < 0 {
-			return false
-		}
-		used[ri] = true
-		pendingReps = append(pendingReps, ri)
-		rep := g.replicas[ri]
-		rep.outstanding.Add(1)
-		go func() {
-			defer rep.outstanding.Add(-1)
-			res, err := rep.backend.ShardSearch(cctx, q, hint)
-			if err == nil {
-				err = checkShardResult(res, terms, hint)
-			}
-			resc <- attempt{res: res, err: err, hedged: hedged, ri: ri}
-		}()
-		return true
-	}
-	dropPending := func(ri int) {
-		for i, p := range pendingReps {
-			if p == ri {
-				pendingReps = append(pendingReps[:i], pendingReps[i+1:]...)
-				return
-			}
-		}
-	}
-	launch(false)
-
-	// The hedge and deadline schedules ride the injectable clock, not
-	// context.WithTimeout, so virtual-time tests can script them
-	// exactly. Sleeps return early (with an error) when the call ends.
-	hedgec := make(chan struct{}, 1)
-	if d := r.hedgeDelay(); d > 0 && len(g.replicas) > 1 {
-		go func() {
-			if r.clock.Sleep(cctx, d) == nil {
-				hedgec <- struct{}{}
-			}
-		}()
-	}
+	// The deadline rides the injectable clock, not context.WithTimeout,
+	// so virtual-time tests can script it exactly. The sleep returns
+	// early (with an error) when the call ends.
 	timeoutc := make(chan struct{}, 1)
 	if timeout > 0 {
 		go func() {
@@ -494,83 +407,62 @@ func (r *Router) callShard(ctx context.Context, shard int, q string, terms []str
 		}()
 	}
 
-	hedges := 0
-	pending := 1
+	type attempt struct {
+		res *query.ShardResult
+		err error
+	}
+	// Buffered so an attempt abandoned at the deadline never blocks.
+	resc := make(chan attempt, 1)
+	used := make([]bool, len(g.replicas))
 	var lastErr error
 	for {
+		ri := r.pick(g, used, tel)
+		if ri < 0 {
+			sp.End(lastErr)
+			return nil, lastErr
+		}
+		used[ri] = true
+		rep := g.replicas[ri]
+		rep.outstanding.Add(1)
+		go func() {
+			defer rep.outstanding.Add(-1)
+			res, err := rep.backend.ShardSearch(cctx, q, hint)
+			if err == nil {
+				err = checkShardResult(res, terms, hint)
+			}
+			resc <- attempt{res: res, err: err}
+		}()
 		select {
 		case a := <-resc:
-			pending--
-			dropPending(a.ri)
 			if a.err == nil {
-				r.record(g.replicas[a.ri], 0, tel)
+				r.record(rep, 0, tel)
 				lat := r.clock.Now().Sub(start)
-				r.lat.Observe(lat)
 				tel.Histogram("router.shard.latency").Observe(lat.Seconds())
 				tel.Histogram("router.shard.latency." + strconv.Itoa(shard)).Observe(lat.Seconds())
-				if a.hedged {
-					tel.Counter("router.fanout.hedge_wins").Inc()
-				}
-				if pending > 0 {
-					tel.Counter("router.fanout.hedge_canceled").Add(int64(pending))
-				}
-				sp.SetAttr("hedges", strconv.Itoa(hedges))
 				sp.End(nil)
-				return a.res, hedges, nil
+				return a.res, nil
 			}
-			r.record(g.replicas[a.ri], failHard, tel)
+			// Fail over: a dead replica must not kill the shard while
+			// unused siblings remain.
+			r.record(rep, failHard, tel)
 			lastErr = a.err
 			tel.Counter("router.fanout.shard_errors").Inc()
-			// Fail over: a dead replica must not kill the shard while
-			// unused siblings remain and nothing else is in flight.
-			if pending == 0 {
-				if !launch(false) {
-					sp.End(lastErr)
-					return nil, hedges, lastErr
-				}
-				pending++
-			}
-		case <-hedgec:
-			// The primary was slow enough to trigger the hedge: a soft
-			// strike against whatever is still in flight.
-			for _, ri := range pendingReps {
-				r.record(g.replicas[ri], failHedge, tel)
-			}
-			if launch(true) {
-				pending++
-				hedges++
-				tel.Counter("router.fanout.hedges").Inc()
-			}
 		case <-timeoutc:
-			for _, ri := range pendingReps {
-				r.record(g.replicas[ri], failHard, tel)
-			}
+			r.record(rep, failHard, tel)
 			tel.Counter("router.fanout.shard_errors").Inc()
 			sp.End(ErrShardTimeout)
-			return nil, hedges, ErrShardTimeout
+			return nil, ErrShardTimeout
 		case <-cctx.Done():
 			sp.End(cctx.Err())
-			return nil, hedges, cctx.Err()
+			return nil, cctx.Err()
 		}
 	}
-}
-
-// hedgeDelay resolves the current hedge delay: the observed latency
-// quantile when HedgeQuantile is set and warmed up, else the fixed
-// HedgeAfter (which doubles as the warmup delay), else 0 (off).
-func (r *Router) hedgeDelay() time.Duration {
-	if r.cfg.HedgeQuantile > 0 {
-		if d, ok := r.lat.Quantile(r.cfg.HedgeQuantile); ok {
-			return d
-		}
-	}
-	return r.cfg.HedgeAfter
 }
 
 // pick chooses a replica among the not-yet-used, not-quarantined ones
 // by power of two choices: sample two distinct candidates (seeded
 // PRNG), take the one with the lower effective load — outstanding
-// requests plus the failure EWMA scaled by HealthPenalty, so a sick
+// requests plus the failure EWMA scaled by healthPenalty, so a sick
 // replica sheds load before it is sick enough to eject — breaking ties
 // toward the lower index. When every free replica is quarantined the
 // pick falls back to them anyway (last resort: guessing beats refusing
@@ -607,8 +499,8 @@ func (r *Router) pick(g *group, used []bool, tel *obs.Telemetry) int {
 	ai := r.rng.Intn(len(free))
 	bi := (ai + 1 + r.rng.Intn(len(free)-1)) % len(free)
 	a, b := free[ai], free[bi]
-	la := float64(g.replicas[a].outstanding.Load()) + g.replicas[a].health*r.cfg.HealthPenalty
-	lb := float64(g.replicas[b].outstanding.Load()) + g.replicas[b].health*r.cfg.HealthPenalty
+	la := float64(g.replicas[a].outstanding.Load()) + g.replicas[a].health*healthPenalty
+	lb := float64(g.replicas[b].outstanding.Load()) + g.replicas[b].health*healthPenalty
 	r.mu.Unlock()
 	if lb < la || (lb == la && b < a) {
 		return b

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -15,27 +14,18 @@ import (
 )
 
 // FrontConfig parameterizes a /search front: ajaxserve's (Config) and
-// ajaxrouter's (router.ServerConfig) are the same seven knobs.
+// ajaxrouter's (router.ServerConfig) are the same knobs.
 type FrontConfig struct {
 	// DefaultK is the result count when ?k= is absent (default 10).
 	DefaultK int
 	// MaxK caps ?k= (default 100).
 	MaxK int
-	// MaxInflight is the admission limiter's hard ceiling on
-	// concurrently answered queries; excess requests queue (when
-	// AdmissionQueue > 0) or are shed with 429 (0 = unlimited, no
-	// limiter at all).
+	// MaxInflight bounds concurrently answered queries; the excess is
+	// shed with 429 (0 = unlimited, no limiter at all).
 	MaxInflight int
-	// AdmissionMin is the adaptive limiter's floor (default 1). Under
-	// sustained congestion the limit walks down from MaxInflight toward
-	// this, never below.
+	// AdmissionMin is unused; it stays while benchmark/ sets it
+	// (ROADMAP item 1).
 	AdmissionMin int
-	// AdmissionQueue bounds the admission wait queue (0 = no queue:
-	// shed immediately at the limit).
-	AdmissionQueue int
-	// AdmissionTarget is the CoDel-style sojourn bound for queued
-	// requests (0 = the admission package default, 50ms).
-	AdmissionTarget time.Duration
 	// QueryTimeout is the per-query deadline, counted from admission
 	// (0 = none). A propagated budget can only shorten it.
 	QueryTimeout time.Duration
@@ -47,9 +37,9 @@ type FrontConfig struct {
 type Tier struct {
 	Name string
 	// BudgetFloor refuses a request whose propagated budget is at or
-	// below it (default 2ms): by then the caller has hedged or given up.
+	// below it (default 2ms): by then the caller has given up.
 	BudgetFloor time.Duration
-	// Clock times the queue wait and the deadline (nil = wall clock).
+	// Clock times the budget and the deadline (nil = wall clock).
 	Clock fetch.Clock
 	// Shed counts 429s, Deadline requests whose client or deadline was
 	// gone before the answer began, BudgetRejected budgets at the floor.
@@ -59,26 +49,23 @@ type Tier struct {
 // A Searcher answers the requests a Front admits; it is all that
 // differs between a single snapshot and a fan-out over shards. It
 // answers q's top k by deadline, measured on the tier's clock (zero =
-// none); tok is the request's admission token (nil without a limiter).
-// It sets its tier's own headers on h, on an error too; the front
-// answers an error with 502.
-type Searcher func(ctx context.Context, q string, k int, deadline time.Time, tok *admission.Token, h http.Header) (Answer, error)
+// none). It sets its tier's own headers on h, on an error too; the
+// front answers an error with 502.
+type Searcher func(ctx context.Context, q string, k int, deadline time.Time, h http.Header) (Answer, error)
 
-// Answer is a Searcher's reply: the results, the k they answer (a
-// brownout may have cut it), and the generation and sizes of the index
-// that produced them.
+// Answer is a Searcher's reply: the results, and the generation and
+// sizes of the index that produced them.
 type Answer struct {
 	Results      []query.ResultWithSnippet
-	K            int
 	Gen          int64
 	Docs, States int
 }
 
 // Front is the one /search front end of both serving tiers. It owns the
 // whole request path, in this order: the propagated budget against the
-// floor, admission, q and k, the budget left after the queue wait, the
-// deadline min(admitted + QueryTimeout, arrival + propagated budget),
-// a last check that it has not already passed, and then the Searcher.
+// floor, admission, q and k, the deadline min(admitted + QueryTimeout,
+// arrival + propagated budget), a last check that the client is still
+// there, and then the Searcher.
 // Whichever Searcher answered, the body is WriteSearch's, so a routed
 // body is byte-identical to a single-snapshot one.
 type Front struct {
@@ -107,14 +94,7 @@ func NewFront(cfg FrontConfig, tier Tier, s Searcher, tel *obs.Telemetry) *Front
 	}
 	f := &Front{conf: cfg, tier: tier, searcher: s, tel: tel, mux: http.NewServeMux()}
 	if cfg.MaxInflight > 0 {
-		f.limiter = admission.New(admission.Config{
-			Min:         cfg.AdmissionMin,
-			Max:         cfg.MaxInflight,
-			Queue:       cfg.AdmissionQueue,
-			QueueTarget: cfg.AdmissionTarget,
-			Clock:       tier.Clock,
-			Tel:         tel,
-		})
+		f.limiter = admission.New(admission.Config{Max: cfg.MaxInflight, Tel: tel})
 	}
 	f.mux.HandleFunc("/search", f.handleSearch)
 	f.handler = obs.InstrumentHandler(tel.Registry(), f.mux)
@@ -142,7 +122,7 @@ func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer req.cancel()
 
 	h := w.Header()
-	ans, err := f.searcher(req.ctx, req.q, req.k, req.deadline, req.tok, h)
+	ans, err := f.searcher(req.ctx, req.q, req.k, req.deadline, h)
 	if err != nil {
 		// The tier behind the front produced no answer: the front is a
 		// gateway and says so.
@@ -152,7 +132,7 @@ func (f *Front) handleSearch(w http.ResponseWriter, r *http.Request) {
 	h.Set(HeaderGeneration, strconv.FormatInt(ans.Gen, 10))
 	h.Set(HeaderDocs, strconv.Itoa(ans.Docs))
 	h.Set(HeaderStates, strconv.Itoa(ans.States))
-	WriteSearch(w, req.q, ans.K, ans.Results)
+	WriteSearch(w, req.q, req.k, ans.Results)
 }
 
 // admitted is one request past the preamble: the caller owns tok
@@ -168,10 +148,10 @@ type admitted struct {
 }
 
 // begin runs the preamble /search and ajaxserve's /shard/search share,
-// in the order the overload tests pin: budget floor → admission → q → k
-// (only when withK; shard candidates are never truncated) → budget left
-// after the queue wait → deadline → already expired. When ok is false
-// the response has been written and the token settled.
+// in the order the front tests pin: budget floor → admission → q → k
+// (only when withK; shard candidates are never truncated) → deadline →
+// client gone. When ok is false the response has been written and the
+// token released.
 func (f *Front) begin(w http.ResponseWriter, r *http.Request, withK bool) (req admitted, ok bool) {
 	arrival := f.tier.Clock.Now()
 	budget, hasBudget := budgetFromRequest(r)
@@ -188,19 +168,9 @@ func (f *Front) begin(w http.ResponseWriter, r *http.Request, withK bool) (req a
 	if !ok {
 		return req, false
 	}
-	now := f.tier.Clock.Now()
 	timeout := f.conf.QueryTimeout
-	if hasBudget {
-		// Queue time already ate into the caller's budget.
-		budget -= now.Sub(arrival)
-		if budget <= f.tier.BudgetFloor {
-			tok.Cancel()
-			f.rejectBudget(w)
-			return req, false
-		}
-		if timeout == 0 || budget < timeout {
-			timeout = budget
-		}
+	if hasBudget && (timeout == 0 || budget < timeout) {
+		timeout = budget
 	}
 
 	ctx := obs.With(r.Context(), f.tel)
@@ -208,10 +178,9 @@ func (f *Front) begin(w http.ResponseWriter, r *http.Request, withK bool) (req a
 	var deadline time.Time
 	if timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
-		deadline = now.Add(timeout)
+		deadline = arrival.Add(timeout)
 	}
-	// A request that spent its whole deadline queued (or whose client
-	// hung up) is not worth answering.
+	// A request whose client hung up is not worth answering.
 	if ctx.Err() != nil {
 		cancel()
 		tok.Release()
@@ -222,11 +191,10 @@ func (f *Front) begin(w http.ResponseWriter, r *http.Request, withK bool) (req a
 	return admitted{ctx: ctx, cancel: cancel, deadline: deadline, tok: tok, vals: vals, q: q, k: k}, true
 }
 
-// admit reserves an in-flight slot (exactly one of Release or Cancel
-// must follow on the nil-safe token) or writes the refusal. Saturation
-// must cost an admission decision, not an evaluation: 429 + a computed
-// Retry-After tells clients to back off in proportion to the overload,
-// and the shed count is the first metric to watch under load.
+// admit reserves an in-flight slot (Release must follow on the
+// nil-safe token) or writes the refusal. Saturation must cost an
+// admission decision, not an evaluation, and the shed count is the
+// first metric to watch under load.
 func (f *Front) admit(w http.ResponseWriter, r *http.Request) (*admission.Token, bool) {
 	if f.limiter == nil {
 		return nil, true
@@ -235,24 +203,18 @@ func (f *Front) admit(w http.ResponseWriter, r *http.Request) (*admission.Token,
 	if err == nil {
 		return tok, true
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		// The client hung up while we queued it; nobody reads this body.
-		f.tier.Deadline.Inc()
-		writeError(w, http.StatusServiceUnavailable, "deadline exceeded before evaluation")
-		return nil, false
-	}
 	f.tier.Shed.Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(f.limiter.RetryAfterSeconds()))
+	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusTooManyRequests, f.tier.Name+" saturated, retry later")
 	return nil, false
 }
 
 // parseSearch reads q, and k when withK (DefaultK when absent, clamped
 // to MaxK), off the query string; a malformed request is a 400, written
-// here after tok.Cancel().
+// here after tok.Release().
 func (f *Front) parseSearch(w http.ResponseWriter, vals url.Values, tok *admission.Token, withK bool) (q string, k int, ok bool) {
 	if q = vals.Get("q"); q == "" {
-		tok.Cancel()
+		tok.Release()
 		writeError(w, http.StatusBadRequest, "missing q parameter")
 		return "", 0, false
 	}
@@ -260,7 +222,7 @@ func (f *Front) parseSearch(w http.ResponseWriter, vals url.Values, tok *admissi
 	if kv := vals.Get("k"); withK && kv != "" {
 		parsed, err := strconv.Atoi(kv)
 		if err != nil || parsed <= 0 {
-			tok.Cancel()
+			tok.Release()
 			writeError(w, http.StatusBadRequest, "k must be a positive integer")
 			return "", 0, false
 		}
@@ -285,8 +247,8 @@ func budgetFromRequest(r *http.Request) (time.Duration, bool) {
 }
 
 // rejectBudget sheds a request whose remaining budget is below the
-// floor: by the time we answered, the caller would already have hedged
-// or timed out, so answering it is pure waste.
+// floor: by the time we answered, the caller would already have timed
+// out, so answering it is pure waste.
 func (f *Front) rejectBudget(w http.ResponseWriter) {
 	f.tier.BudgetRejected.Inc()
 	writeError(w, http.StatusServiceUnavailable, "deadline budget below floor")

@@ -9,11 +9,10 @@
 // from), and the server loads one, fronts it with a sharded
 // LRU result cache, and hot-swaps to a new snapshot — load in the
 // background, swap one atomic pointer, let old readers drain — whenever
-// the manifest's ID changes (Reload/Watch). Per-query deadlines, an
-// adaptive admission gate (internal/admission: 429 + computed
-// Retry-After on saturation), deadline-budget propagation from upstream
-// routers, and a brownout mode that degrades quality before shedding
-// keep an overloaded server answering instead of collapsing. The /search
+// the manifest's ID changes (Reload/Watch). Per-query deadlines, a
+// fixed admission limit (internal/admission: 429 at saturation) and
+// deadline-budget propagation from upstream routers keep an overloaded
+// server answering what it admits instead of collapsing. The /search
 // request path is Front, which internal/router's fan-out answers through.
 package serve
 
@@ -30,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"ajaxcrawl/internal/admission"
 	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/index"
 	"ajaxcrawl/internal/obs"
@@ -56,26 +54,20 @@ const (
 	// when it is already below BudgetFloor — no tier burns CPU on work
 	// the caller has abandoned.
 	HeaderBudget = "X-Ajaxserve-Budget-Ms"
-	// HeaderDegraded marks a brownout answer and names what was shed:
-	// "snippets" or "snippets,k". Absent on full-quality responses, so
-	// routers and tests can tell exactly which bodies are comparable.
-	HeaderDegraded = "X-Ajaxserve-Degraded"
 )
 
 // Config parameterizes a Server.
 type Config struct {
 	// SnapshotDir is the snapshot directory to serve (required).
 	SnapshotDir string
-	// DefaultK, MaxK, MaxInflight, AdmissionMin, AdmissionQueue,
-	// AdmissionTarget and QueryTimeout configure the /search front and
-	// its admission gate, which /shard/search shares: see FrontConfig.
-	DefaultK        int
-	MaxK            int
-	MaxInflight     int
-	AdmissionMin    int
-	AdmissionQueue  int
-	AdmissionTarget time.Duration
-	QueryTimeout    time.Duration
+	// DefaultK, MaxK, MaxInflight, AdmissionMin and QueryTimeout
+	// configure the /search front and its admission gate, which
+	// /shard/search shares: see FrontConfig.
+	DefaultK     int
+	MaxK         int
+	MaxInflight  int
+	AdmissionMin int
+	QueryTimeout time.Duration
 	// CacheShards, CacheCapacity and CacheTTL configure the result
 	// cache (defaults 8 / 1024 / no expiry).
 	CacheShards   int
@@ -83,15 +75,12 @@ type Config struct {
 	CacheTTL      time.Duration
 	// BudgetFloor fast-rejects requests whose propagated deadline
 	// budget (HeaderBudget) is at or below this remaining time
-	// (default 2ms) — by then the caller has hedged or given up.
+	// (default 2ms) — by then the caller has given up.
 	BudgetFloor time.Duration
-	// NoBrownout disables graceful degradation under queue pressure
-	// (brownout is only active when AdmissionQueue > 0 anyway).
-	NoBrownout bool
 	// Weights are the ranking coefficients (default query.DefaultWeights).
 	Weights *query.Weights
-	// Clock supplies timestamps for admission control and budget
-	// accounting (nil = wall clock).
+	// Clock supplies timestamps for budget accounting (nil = wall
+	// clock).
 	Clock fetch.Clock
 }
 
@@ -121,13 +110,10 @@ func New(cfg Config, tel *obs.Telemetry) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, manifest: man}
 	s.Front = NewFront(FrontConfig{
-		DefaultK:        cfg.DefaultK,
-		MaxK:            cfg.MaxK,
-		MaxInflight:     cfg.MaxInflight,
-		AdmissionMin:    cfg.AdmissionMin,
-		AdmissionQueue:  cfg.AdmissionQueue,
-		AdmissionTarget: cfg.AdmissionTarget,
-		QueryTimeout:    cfg.QueryTimeout,
+		DefaultK:     cfg.DefaultK,
+		MaxK:         cfg.MaxK,
+		MaxInflight:  cfg.MaxInflight,
+		QueryTimeout: cfg.QueryTimeout,
 	}, Tier{
 		Name:           "server",
 		BudgetFloor:    cfg.BudgetFloor,
@@ -294,46 +280,15 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // answer is ajaxserve's Searcher: the live snapshot through the result
-// cache and the brownout ladder.
-func (s *Server) answer(ctx context.Context, q string, k int, _ time.Time, tok *admission.Token, h http.Header) (Answer, error) {
-	results, snap, cached, servedK, degraded := s.search(ctx, q, k, tok)
+// cache.
+func (s *Server) answer(ctx context.Context, q string, k int, _ time.Time, h http.Header) (Answer, error) {
+	results, snap, cached := s.qs.Search(ctx, q, k)
 	if cached {
 		h.Set(HeaderCache, "hit")
 	} else {
 		h.Set(HeaderCache, "miss")
 	}
-	if degraded != "" {
-		h.Set(HeaderDegraded, degraded)
-	}
-	return Answer{Results: results, K: servedK, Gen: snap.Gen, Docs: snap.Docs, States: snap.States}, nil
-}
-
-// search runs one query through the brownout ladder. Under queue
-// pressure (this request waited, or a queue has formed behind the
-// limit) the server degrades before it sheds: first it prefers a
-// full-quality cached answer (free, lossless), then drops snippet
-// extraction — about three quarters of a cold evaluation, see
-// query.SearchOptions — and at half-full queue also halves k. The degradation is advertised so
-// callers can tell which answers are comparable; non-degraded bodies
-// stay byte-identical to an unloaded server's.
-func (s *Server) search(ctx context.Context, q string, k int, tok *admission.Token) (results []query.ResultWithSnippet, snap *query.ServeSnapshot, cached bool, servedK int, degraded string) {
-	pressured := s.limiter != nil && !s.cfg.NoBrownout && s.limiter.QueueLimit() > 0 &&
-		tok != nil && (tok.Waited || tok.QueueDepth > 0)
-	if !pressured {
-		results, snap, cached = s.qs.Search(ctx, q, k)
-		return results, snap, cached, k, ""
-	}
-	if res, sn, ok := s.qs.Cached(q, k); ok {
-		return res, sn, true, k, ""
-	}
-	degraded = "snippets"
-	if tok.QueueDepth*2 >= s.limiter.QueueLimit() && k > 1 {
-		k = (k + 1) / 2
-		degraded = "snippets,k"
-	}
-	s.tel.Counter("query.serve.brownout").Inc()
-	results, snap, cached = s.qs.SearchOpts(ctx, q, k, query.SearchOptions{NoSnippets: true})
-	return results, snap, cached, k, degraded
+	return Answer{Results: results, Gen: snap.Gen, Docs: snap.Docs, States: snap.States}, nil
 }
 
 // handleShardSearch answers the shard half of a distributed query
@@ -343,8 +298,8 @@ func (s *Server) search(ctx context.Context, q string, k int, tok *admission.Tok
 // knows the global statistics sends them as k, n and df, and gets back
 // only the k candidates that can still reach the global top-k
 // (query.Hint). The same load-shedding gate and per-query deadline as
-// /search apply — a router hedging into a saturated replica should see
-// 429 quickly, not queue behind it.
+// /search apply — a router calling a saturated replica sees 429 at
+// once and fails over to a sibling.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.begin(w, r, false)
 	if !ok {
@@ -353,7 +308,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	defer req.cancel()
 	hint, err := parseHint(req.vals, req.q)
 	if err != nil {
-		req.tok.Cancel()
+		req.tok.Release()
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}

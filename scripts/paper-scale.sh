@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Paper scale (thesis ch. 7): crawl and publish the simulated site at the
+# Paper scale (thesis ch. 6-7): crawl and publish the simulated site at the
 # evaluation's 10 000 videos, then sweep uncached queries through
 # ajaxserve over HTTP. Prints wall time, pages/s, states, events, network
 # calls, peak RSS (VmHWM, read from /proc while the crawl runs), snapshot
@@ -7,11 +7,19 @@
 # scale" quotes its output; rerun it before and after a change to what
 # the crawl keeps in memory.
 #
+# The fleet phase then splits the snapshot into two partitions (every
+# second shard file, hard-linked, under a subset manifest.json written by
+# jq), serves each twice behind ajaxrouter, fails unless all 210 sweep
+# bodies through the router equal the single server's byte for byte, and
+# runs `ajaxbench -exp capacity` against the router: capacity at the SLO,
+# or one window at $PAPER_SCALE_RATE queries/s when that is set.
+#
 #   scripts/paper-scale.sh [videos] [workdir]   # default: 10000, a fresh mktemp -d
 #
-# About 30 s and 0.6 GB of memory at 10 000 videos on 2 CPUs. CI runs it at
-# 100 videos so its flags and parsing keep working. ajaxserve listens on
-# 127.0.0.1:$PAPER_SCALE_PORT (default 18391) for the sweep.
+# About 80 s and 0.6 GB of memory at 10 000 videos on 2 CPUs. CI runs it at
+# 100 videos with PAPER_SCALE_RATE=50 so its flags and parsing keep working.
+# ajaxserve listens on 127.0.0.1:$PAPER_SCALE_PORT (default 18391), the
+# fleet on the next five ports.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,9 +27,9 @@ videos=${1:-10000}
 work=${2:-$(mktemp -d)}
 port=${PAPER_SCALE_PORT:-18391}
 bin=$work/bin
-rm -rf "$bin" "$work/out" "$work/snap"
+rm -rf "$bin" "$work/out" "$work/snap" "$work/part0" "$work/part1"
 mkdir -p "$bin"
-go build -o "$bin/" ./cmd/ajaxcrawl ./cmd/ajaxserve
+go build -o "$bin/" ./cmd/ajaxcrawl ./cmd/ajaxserve ./cmd/ajaxrouter ./cmd/ajaxbench
 
 # hwm prints a running process's peak resident set in kB (nothing once it
 # has exited).
@@ -48,29 +56,77 @@ shards=$(find "$work/snap" -name 'shard-*.bin' | wc -l)
 shard_bytes=$(find "$work/snap" -name 'shard-*.bin' -printf '%s\n' | awk '{s += $1} END {print s}')
 models_bytes=$(stat -c %s "$work/snap/ajaxmodels.gob")
 
-"$bin/ajaxserve" -snapshot "$work/snap" -addr "127.0.0.1:$port" >"$work/serve.log" 2>&1 &
+pids=()
+trap 'kill "${pids[@]}" 2>/dev/null || true' EXIT
+# serve starts an ajaxserve on snapshot $1 at port $2.
+serve() {
+	"$bin/ajaxserve" -snapshot "$1" -addr "127.0.0.1:$2" >>"$work/serve.log" 2>&1 &
+	pids+=($!)
+}
+# ready waits for port $1's /healthz.
+ready() {
+	for _ in $(seq 200); do
+		if curl -sf "http://127.0.0.1:$1/healthz" >/dev/null; then return; fi
+		sleep 0.05
+	done
+	echo "nothing healthy on port $1" >&2
+	exit 1
+}
+serve "$work/snap" "$port"
 spid=$!
-trap 'kill "$spid" 2>/dev/null || true' EXIT
-for _ in $(seq 200); do
-	if curl -sf "http://127.0.0.1:$port/healthz" >/dev/null; then break; fi
-	sleep 0.05
-done
+ready "$port"
 search() { curl -sf -o /dev/null -w '%{time_total}\n' "http://127.0.0.1:$port/search?q=$1&k=10"; }
 # Warm the process with words the sweep does not use, then send each
 # sweep query once: every one misses the result cache.
 for q in love music song band guitar concert album classic; do search "$q" >/dev/null; done
 words=(official video live acoustic session tour studio interview exclusive premiere
 	morcheeba enjoy ride mysterious journey midnight summer ocean echo dreams)
-: >"$work/latency.txt"
+sweep=()
 for ((i = 0; i < ${#words[@]}; i++)); do
-	search "${words[i]}" >>"$work/latency.txt"
-	for ((j = i + 1; j < ${#words[@]}; j++)); do
-		search "${words[i]}+${words[j]}" >>"$work/latency.txt"
+	sweep+=("${words[i]}")
+	for ((j = i + 1; j < ${#words[@]}; j++)); do sweep+=("${words[i]}+${words[j]}"); done
+done
+: >"$work/latency.txt"
+for q in "${sweep[@]}"; do search "$q" >>"$work/latency.txt"; done
+serve_peak=$(hwm "$spid")
+
+# The fleet: partition p holds shard files p, p+2, ...; the manifest keeps
+# those entries, drops the models and re-sums the totals.
+for p in 0 1; do
+	mkdir -p "$work/part$p"
+	jq --argjson p "$p" '.shards |= [to_entries[] | select(.key % 2 == $p) | .value]
+		| del(.models)
+		| .total_docs = ([.shards[].docs] | add)
+		| .total_states = ([.shards[].states] | add)
+		| .total_terms = ([.shards[].terms // 0] | add)' \
+		"$work/snap/manifest.json" >"$work/part$p/manifest.json"
+	jq -r '.shards[].file' "$work/part$p/manifest.json" | while read -r f; do
+		ln "$work/snap/$f" "$work/part$p/$f"
 	done
 done
-serve_peak=$(hwm "$spid")
+serve "$work/part0" $((port + 1))
+serve "$work/part0" $((port + 2))
+serve "$work/part1" $((port + 3))
+serve "$work/part1" $((port + 4))
+rport=$((port + 5))
+"$bin/ajaxrouter" -addr "127.0.0.1:$rport" -replicas 2 \
+	-shards "127.0.0.1:$((port + 1)),127.0.0.1:$((port + 2)),127.0.0.1:$((port + 3)),127.0.0.1:$((port + 4))" \
+	>"$work/router.log" 2>&1 &
+pids+=($!)
+for p in 1 2 3 4 5; do ready $((port + p)); done
+mismatches=0
+for q in "${sweep[@]}"; do
+	curl -sf -o "$work/single.body" "http://127.0.0.1:$port/search?q=$q&k=10"
+	curl -sf -o "$work/fleet.body" "http://127.0.0.1:$rport/search?q=$q&k=10"
+	cmp -s "$work/single.body" "$work/fleet.body" || { mismatches=$((mismatches + 1)); echo "fleet body differs: q=$q" >&2; }
+done
 kill "$spid"
 wait "$spid" 2>/dev/null || true
+rate=()
+if [ -n "${PAPER_SCALE_RATE:-}" ]; then rate=(-rate "$PAPER_SCALE_RATE"); fi
+"$bin/ajaxbench" -exp capacity -target "http://127.0.0.1:$rport" "${rate[@]}" >"$work/capacity.txt"
+kill "${pids[@]}" 2>/dev/null || true
+wait 2>/dev/null || true
 trap - EXIT
 
 # pct prints the p-th percentile (nearest rank) of the sweep in ms.
@@ -87,5 +143,9 @@ printf '%-14s %s\n' \
 	"peak RSS" "$(mb $((peak * 1024))) (crawl VmHWM); ajaxserve $(mb $((serve_peak * 1024)))" \
 	snapshot "$(mb "$shard_bytes") in $shards shards, models file $(mb "$models_bytes")" \
 	"query p50" "$(pct 50) ms ($(wc -l <"$work/latency.txt") uncached /search over HTTP)" \
-	"query p99" "$(pct 99) ms"
+	"query p99" "$(pct 99) ms" \
+	fleet "2 parts x 2 replicas behind ajaxrouter, GOMAXPROCS ${GOMAXPROCS:-unset} on $(nproc) CPUs" \
+	"fleet bodies" "$((${#sweep[@]} - mismatches))/${#sweep[@]} byte-identical to the single ajaxserve"
+sed -n '/rate\/s/,$p' "$work/capacity.txt"
 echo "work files under $work"
+[ "$mismatches" -eq 0 ]
