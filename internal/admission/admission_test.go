@@ -3,6 +3,7 @@ package admission
 import (
 	"context"
 	"testing"
+	"time"
 
 	"ajaxcrawl/internal/obs"
 )
@@ -16,6 +17,37 @@ func TestDefaults(t *testing.T) {
 	}
 	if _, err := l.Acquire(context.Background()); err != ErrSaturated {
 		t.Fatalf("acquire 65 got %v, want ErrSaturated (default limit 64)", err)
+	}
+}
+
+// TestQueueFullShedsImmediately: a request that finds every slot taken
+// is refused at once, even with a context that would let it wait, and
+// the refusal is counted as a shed and not as an admission.
+func TestQueueFullShedsImmediately(t *testing.T) {
+	reg := obs.NewRegistry()
+	l := New(Config{Max: 1, Tel: obs.New(reg, nil)})
+	hold, err := l.Acquire(context.Background())
+	if err != nil {
+		t.Fatalf("first acquire: %v", err)
+	}
+	defer hold.Release()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	start := time.Now()
+	if _, err := l.Acquire(ctx); err != ErrSaturated {
+		t.Fatalf("acquire at the limit got %v, want ErrSaturated", err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("acquire at the limit took %v, want an immediate refusal", waited)
+	}
+	if got := reg.Counter("admission.shed").Value(); got != 1 {
+		t.Fatalf("admission.shed = %d, want 1", got)
+	}
+	if got := reg.Counter("admission.admitted").Value(); got != 1 {
+		t.Fatalf("admission.admitted = %d, want 1 (the held slot only)", got)
+	}
+	if got := l.Inflight(); got != 1 {
+		t.Fatalf("inflight = %d after a shed, want 1", got)
 	}
 }
 
