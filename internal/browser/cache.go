@@ -20,7 +20,7 @@ import (
 // amount of memory.
 const (
 	// maxFragmentBytes bounds the innerHTML sources one Page retains; the
-	// holders and spare copies behind them are a small multiple of that.
+	// parses behind them are a small multiple of that.
 	maxFragmentBytes = 1 << 20
 	// maxProgramBytes bounds the script sources one ProgramCache retains.
 	maxProgramBytes = 1 << 18
@@ -32,21 +32,23 @@ type parseCache[T any] struct {
 	bytes  int // Σ len(key)
 }
 
-// add records src → v, first emptying a cache that src would push past
-// max. A source longer than max is not retained at all.
+// add records src → v, first emptying a cache that a new src would push
+// past max. A source longer than max is not retained at all.
 func (c *parseCache[T]) add(src string, v T, max int) {
 	if len(src) > max {
 		return
 	}
-	if c.bytes+len(src) > max {
-		clear(c.parsed)
-		c.bytes = 0
+	if _, ok := c.parsed[src]; !ok {
+		if c.bytes+len(src) > max {
+			clear(c.parsed)
+			c.bytes = 0
+		}
+		c.bytes += len(src)
 	}
 	if c.parsed == nil {
 		c.parsed = make(map[string]T)
 	}
 	c.parsed[src] = v
-	c.bytes += len(src)
 }
 
 // ProgramCache parses each distinct JavaScript source once. The programs
@@ -88,32 +90,23 @@ func (c *ProgramCache) Program(src string) (*js.Program, error) {
 	return prog, nil
 }
 
-// fragment is one innerHTML source's parse: the holder, detached, fully
-// hashed and never handed out, and the copy of it the last write took.
-type fragment struct {
-	holder, spare *dom.Node
-}
-
 // setInnerHTML replaces n's children with the parse of src — the DOM
-// mutation behind `element.innerHTML = ...`. Each distinct source is
-// parsed once per page into a fragment. A write reattaches the nodes of
-// the spare copy when a rollback or a later write has cut them all loose
-// unedited and no script ever held one (dom.Node.Readopt), which
-// allocates nothing; otherwise it adopts the children of a fresh
-// holder.Clone(), which becomes the spare. The copy arrives with its
-// digests, so rehashing the document afterwards hashes n and its
-// ancestors only. The fragments die with the page, so their text nodes
-// (substrings of the response bodies) pin nothing beyond its lifetime.
+// mutation behind `element.innerHTML = ...`. A write reattaches the nodes
+// the last write of the source adopted when a rollback or a later write
+// has cut them all loose unedited and no script ever held one
+// (dom.Node.Readopt), which allocates nothing; otherwise it parses src,
+// hashes the parse and adopts its nodes, and the cache keeps the first of
+// them for the next write. The parse arrives with its digests, so
+// rehashing the document afterwards hashes n and its ancestors only. The
+// cached nodes die with the page, so their text (substrings of the
+// response bodies) pins nothing beyond its lifetime.
 func (p *Page) setInnerHTML(n *dom.Node, src string) {
-	f, ok := p.fragments.parsed[src]
-	if !ok {
-		f = &fragment{holder: html.ParseFragment(src)}
-		dom.CanonicalHash(f.holder)
-		p.fragments.add(src, f, maxFragmentBytes)
-	}
 	n.RemoveChildren()
-	if f.spare == nil || !n.Readopt(f.spare) {
-		f.spare = f.holder.Clone()
-		n.AdoptChildren(f.spare)
+	if first, ok := p.fragments.parsed[src]; ok && n.Readopt(first) {
+		return
 	}
+	parse := html.ParseFragment(src)
+	dom.CanonicalHash(parse)
+	p.fragments.add(src, parse.FirstChild, maxFragmentBytes)
+	n.AdoptChildren(parse)
 }

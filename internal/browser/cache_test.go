@@ -3,6 +3,7 @@ package browser
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -225,6 +226,65 @@ func TestWriteAfterRollbackReusesNodes(t *testing.T) {
 	html.SetInnerHTML(want, src)
 	if a.FirstChild != first || dom.OuterHTML(a) != dom.OuterHTML(want) || p.Hash() != dom.CanonicalHash(rebuild(p.Doc)) {
 		t.Fatalf("after the repeated writes #a is %s", dom.OuterHTML(a))
+	}
+}
+
+// TestRestoreAllocs: once warm, Restore allocates nothing after events
+// that edit attributes and child lists, whether it reverts them in place
+// or also switches to another snapshot's tree, which is the document it
+// restores, not a copy of it. Only the Restore calls are counted.
+func TestRestoreAllocs(t *testing.T) {
+	p := blankPage(t)
+	ctx := context.Background()
+	s0 := p.Snapshot()
+	p.Doc.ElementByID("c").SetAttr("class", "other")
+	s1 := p.Snapshot()
+	p.Restore(s0)
+	ev := Event{Type: "onclick", Path: p.Doc.ElementByID("a").Path(), Code: `this.className = "on";
+document.getElementById("b").innerHTML = "<i>x</i> y";
+document.getElementById("c").appendChild(document.createElement("p"));
+this.parentNode.removeChild(document.getElementById("b"));`}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		name  string
+		snaps []*Snapshot
+	}{{"same snapshot", []*Snapshot{s0}}, {"another snapshot", []*Snapshot{s0, s1}}} {
+		var before, after runtime.MemStats
+		mallocs := uint64(0)
+		for i := 0; i < 40; i++ {
+			if changed, err := p.Trigger(ctx, ev); err != nil || !changed {
+				t.Fatalf("%s: changed=%v err=%v", c.name, changed, err)
+			}
+			runtime.ReadMemStats(&before)
+			p.Restore(c.snaps[i%len(c.snaps)])
+			runtime.ReadMemStats(&after)
+			if i >= 10 { // warm-up: the pools and the fragment cache fill
+				mallocs += after.Mallocs - before.Mallocs
+			}
+		}
+		if mallocs != 0 {
+			t.Fatalf("%s: 30 warm Restores allocate %d times, want 0", c.name, mallocs)
+		}
+	}
+}
+
+// TestFirstWriteAllocs: the first write of a source adopts its parse, so
+// it allocates no more than html.ParseFragment of the source does.
+func TestFirstWriteAllocs(t *testing.T) {
+	p := blankPage(t)
+	s := p.Snapshot()
+	p.Restore(s)
+	a := p.Doc.ElementByID("a")
+	const src = `<ul class="comments"><li id=c1>wow <b>great</b></li><li id=c2>funny dance</li></ul> tail`
+	parse := testing.AllocsPerRun(20, func() { html.ParseFragment(src) })
+	write := testing.AllocsPerRun(20, func() {
+		clear(p.fragments.parsed)
+		p.fragments.bytes = 0
+		p.Restore(s)
+		p.setInnerHTML(a, src)
+	})
+	if write > parse {
+		t.Fatalf("a first write allocates %v times, html.ParseFragment %v", write, parse)
 	}
 }
 

@@ -92,7 +92,7 @@ type Page struct {
 	Scripts *ProgramCache
 
 	handlers  ProgramCache          // event-handler source → program
-	fragments parseCache[*fragment] // innerHTML source → parse (setInnerHTML)
+	fragments parseCache[*dom.Node] // innerHTML source → first node of its parse (setInnerHTML)
 	wrappers  map[*dom.Node]*js.Object
 	// elementProto and xhrProto carry the methods of element wrappers and
 	// XMLHttpRequest objects, built once per Load.
@@ -101,11 +101,6 @@ type Page struct {
 	// host objects (XMLHttpRequest) fetch under it so script-initiated
 	// network inherits the page budget.
 	ctx context.Context
-	// restored is the snapshot Doc was last rolled back to and restoredDoc
-	// the document that gave: while Doc is still that document, Restore of
-	// the same snapshot reverts it in place.
-	restored    *Snapshot
-	restoredDoc *dom.Node
 	// base is URL parsed, when baseOf is URL (see resolve).
 	base   *url.URL
 	baseOf string
@@ -308,25 +303,24 @@ func (p *Page) Snapshot() *Snapshot {
 
 // Restore rolls the DOM back to a snapshot. JavaScript global state is
 // intentionally kept (snapshot-isolation assumption, thesis §4.3): only
-// the document is rolled back, exactly like appModel.rollback(t). Restore
-// first reverts the outgoing document to the snapshot it came from
-// (dom.Revert): the nodes the events since displaced are relinked, those
-// they inserted cut loose for the next innerHTML write to reattach, and
-// nothing is allocated. For that same snapshot this is all: the nodes are
-// the ones the scripts saw, so their element wrappers stay, identity and
-// expandos being JS state; only each one's style object, which stands for
-// the style attribute the revert put back, is reset. Any other snapshot
-// is cloned whole, which leaves a kept handle and the wrappers on the old
-// tree.
+// the document is rolled back, exactly like appModel.rollback(t). A
+// snapshot's own tree is the document it restores. Restore reverts the
+// outgoing document (dom.Revert): the nodes the events since displaced are
+// relinked, those they inserted cut loose for the next innerHTML write to
+// reattach, and nothing is allocated. For that same snapshot this is all:
+// the nodes are the ones the scripts saw, so their element wrappers stay,
+// identity and expandos being JS state; only each one's style object,
+// which stands for the style attribute the revert put back, is reset.
+// Another snapshot's tree is reverted of what handles kept from an
+// earlier visit wrote to it since, and becomes the document with fresh
+// wrappers.
 func (p *Page) Restore(s *Snapshot) {
-	if p.restored != nil && p.Doc == p.restoredDoc {
-		dom.Revert(p.Doc, p.restored.doc)
-	}
-	if p.restored != s || p.Doc != p.restoredDoc {
-		p.Doc = s.doc.Clone()
+	dom.Revert(p.Doc)
+	if p.Doc != s.doc {
+		dom.Revert(s.doc)
+		p.Doc = s.doc
 		clear(p.wrappers)
 	}
-	p.restored, p.restoredDoc = s, p.Doc
 	for _, w := range p.wrappers {
 		w.Host.(*elementHost).style = nil
 	}
@@ -362,10 +356,6 @@ func (p *Page) Links() []string {
 	}
 	return out
 }
-
-// Doc exposes the snapshotted DOM (read-only by convention); the crawler
-// diffs it against the live DOM to annotate transition targets.
-func (s *Snapshot) Doc() *dom.Node { return s.doc }
 
 // FormEventTypes are the handler attributes fired by user text input.
 var FormEventTypes = []string{"onkeyup", "onchange", "oninput"}

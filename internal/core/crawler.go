@@ -449,7 +449,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 			Event:      intern(ev.Type),
 			Code:       intern(ev.Code),
 			SourcePath: intern(ev.Path),
-			Targets:    diffTargets(snap.Doc(), page.Doc, intern),
+			Targets:    dom.Targets(page.Doc, intern),
 			Action:     "innerHTML",
 			Probe:      probe,
 		})
@@ -471,7 +471,9 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 		}
 		cur := queue[0]
 		queue = queue[1:]
+		// BFS expands a state once: its tree lives on in snap only.
 		snap := snapshots[cur]
+		delete(snapshots, cur)
 
 		page.Restore(snap)
 		events := page.Events(opts.EventTypes)
@@ -528,52 +530,6 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 func ctxAbort(ctx context.Context, err error) bool {
 	return ctx.Err() != nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-}
-
-// diffTargets returns the ids of the shallowest identified elements whose
-// content differs between the pre-event DOM and the current one — the
-// transition's target annotation (Table 2.1). An element is matched to
-// its old self by id (the first with that id, as getElementById has it)
-// and reported, through keep, when the two digests differ; nothing
-// beneath a matched element is looked at.
-//
-// Both documents are hashed by the time a transition is recorded, so this
-// is a walk over cached digests: old and new are descended in lockstep
-// and a pair of equal subtrees is pruned unvisited. The pairing is only a
-// pruning heuristic — equal subtrees hold the same ids with the same
-// digests, so nothing inside them can be a target. What is left to visit
-// is the path to each change; every identified element on it costs one
-// scan of the old document.
-func diffTargets(oldDoc, newDoc *dom.Node, keep func(string) string) []string {
-	var targets []string
-	var walk func(o, n *dom.Node)
-	walk = func(o, n *dom.Node) {
-		if o != nil && dom.CanonicalHash(o) == dom.CanonicalHash(n) {
-			return
-		}
-		if n.Type == dom.ElementNode {
-			if id := n.ID(); id != "" {
-				if old := oldDoc.ElementByID(id); old != nil {
-					if dom.CanonicalHash(old) != dom.CanonicalHash(n) {
-						targets = append(targets, keep(id))
-					}
-					return
-				}
-			}
-		}
-		var oc *dom.Node
-		if o != nil {
-			oc = o.FirstChild
-		}
-		for nc := n.FirstChild; nc != nil; nc = nc.NextSibling {
-			walk(oc, nc)
-			if oc != nil {
-				oc = oc.NextSibling
-			}
-		}
-	}
-	walk(oldDoc, newDoc)
-	return targets
 }
 
 // CrawlAll crawls a list of URLs sequentially, returning the graphs and

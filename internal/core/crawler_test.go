@@ -308,7 +308,14 @@ func TestDiffTargets(t *testing.T) {
 			`<p>new</p><div id="a">x</div><div id="b">z</div>`, []string{"b"}},
 		{"old id gone", `<div id="a">x</div><div id="b">y</div>`, `<div id="b">y</div>`, nil},
 	} {
-		if got := diffTargets(html.Parse(c.before), html.Parse(c.after), strings.Clone); !slices.Equal(got, c.want) {
+		// The event that turns before into after: a snapshot's clone
+		// (hashed, as Page.Snapshot leaves it) whose children are swapped.
+		doc := html.Parse(c.before)
+		dom.CanonicalHash(doc)
+		doc = doc.Clone()
+		doc.RemoveChildren()
+		doc.AdoptChildren(html.Parse(c.after))
+		if got := dom.Targets(doc, strings.Clone); !slices.Equal(got, c.want) {
 			t.Errorf("%s: targets = %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -87,21 +87,17 @@ func (n *Node) rehash(buf []byte) []byte {
 	return buf[:start]
 }
 
-// The edit marks Revert follows, sticky until it clears them.
-const (
-	editSelf  uint8 = 1 << iota // the node's attributes or child list changed
-	editBelow                   // a node beneath it is marked
-)
-
-// invalidate marks n edited and n and its ancestors dirty and marked.
-// Hashing a node hashes its whole subtree and every mutation comes
-// through here, so the ancestors of a dirty node are dirty and those of a
-// marked node marked: the walk stops at the first dirty editBelow one.
+// invalidate marks n edited and n and its ancestors dirty and marked,
+// before a mutator changes n. Hashing a node hashes its whole subtree and
+// every mutation comes through here, so the ancestors of a dirty node are
+// dirty and those of a marked node marked: the walk stops at the first
+// dirty editBelow one.
 func (n *Node) invalidate() {
-	n.edits |= editSelf
+	n.mark(editSelf)
 	n.hashed = digestDirty
 	for p := n.Parent; p != nil && (p.hashed != digestDirty || p.edits&editBelow == 0); p = p.Parent {
-		p.hashed, p.edits = digestDirty, p.edits|editBelow
+		p.mark(editBelow)
+		p.hashed = digestDirty
 	}
 }
 

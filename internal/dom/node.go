@@ -55,7 +55,7 @@ type Attribute struct {
 // directly only on a node that has never been hashed, as the parser does
 // while building. Attr's backing array belongs to its node alone (the
 // parser and Clone cap their slab windows): its elements are written only
-// by SetAttr, RemoveAttr and Revert, which copies the snapshot's
+// by SetAttr, RemoveAttr and Revert, which copies the recorded clean
 // attributes back into it.
 type Node struct {
 	Data string
@@ -67,15 +67,19 @@ type Node struct {
 	PrevSibling *Node
 	NextSibling *Node
 
-	// The child list the node had when Clone made it, which Revert
-	// relinks: the first clean child, and the clean next sibling.
-	cleanFirst, cleanNext *Node
+	// What a Clone's node was before its first edit since the last
+	// Revert (see mark), and the next sibling the node had when its
+	// parent's child list was last recorded: the clean list Revert
+	// relinks and Readopt reattaches.
+	undo      *undo
+	cleanNext *Node
 
 	digest Hash
 	Type   NodeType
 	hashed uint8 // digestDirty, digestValid or digestNone
 	edits  uint8 // editSelf and editBelow marks, for Revert
 	held   bool  // set by Hold, for Readopt
+	cloned bool  // made by Clone: keeps undo records
 }
 
 // NewElement returns a detached element node with the given tag name and
@@ -99,8 +103,8 @@ func (n *Node) AppendChild(c *Node) {
 	if c.Parent != nil || c.PrevSibling != nil || c.NextSibling != nil {
 		panic("dom: AppendChild called on attached child")
 	}
-	n.link(c)
 	n.invalidate()
+	n.link(c)
 }
 
 // link wires the detached node c in as n's last child.
@@ -124,8 +128,9 @@ func (n *Node) RemoveChild(c *Node) {
 	n.unlink(c)
 }
 
-// unlink detaches c from its parent n and invalidates n.
+// unlink invalidates n and detaches c from it.
 func (n *Node) unlink(c *Node) {
+	n.invalidate()
 	if c.PrevSibling != nil {
 		c.PrevSibling.NextSibling = c.NextSibling
 	} else {
@@ -139,7 +144,6 @@ func (n *Node) unlink(c *Node) {
 	c.Parent = nil
 	c.PrevSibling = nil
 	c.NextSibling = nil
-	n.invalidate()
 }
 
 // RemoveChildren detaches all children of n.
@@ -151,8 +155,8 @@ func (n *Node) RemoveChildren() {
 
 // AdoptChildren moves all of from's children to the end of n's in one
 // splice. The moved subtrees keep their cached digests, so adopting the
-// children of a hashed tree's Clone leaves only n and its ancestors to
-// rehash. It panics if from is n.
+// children of a hashed parse leaves only n and its ancestors to rehash.
+// It panics if from is n.
 func (n *Node) AdoptChildren(from *Node) {
 	if from == n {
 		panic("dom: AdoptChildren called on the node itself")
@@ -161,6 +165,8 @@ func (n *Node) AdoptChildren(from *Node) {
 	if first == nil {
 		return
 	}
+	from.invalidate()
+	n.invalidate()
 	for c := first; c != nil; c = c.NextSibling {
 		c.Parent = n
 	}
@@ -171,26 +177,25 @@ func (n *Node) AdoptChildren(from *Node) {
 	}
 	n.LastChild = from.LastChild
 	from.FirstChild, from.LastChild = nil, nil
-	from.invalidate()
-	n.invalidate()
 }
 
-// Readopt moves the children from had when Clone made it, which an
-// AdoptChildren took and something since cut loose, back under n, and
-// reports whether it did. It does so only when every one is detached,
-// unedited since Clone and never held (see Hold), so their content and
-// digests are still the copy's and no handle reaches them; otherwise it
-// changes nothing. It allocates nothing.
-func (n *Node) Readopt(from *Node) bool {
-	for c := from.cleanFirst; c != nil; c = c.cleanNext {
+// Readopt moves first and the siblings that followed it when an
+// AdoptChildren took them from their unedited parent — the nodes of one
+// fragment, which something since cut loose — back under n, and reports
+// whether it did. It does so only when every one is detached, unedited
+// since and never held (see Hold), so their content and digests are
+// still the fragment's and no handle reaches them; otherwise it changes
+// nothing. A nil first is the empty fragment. It allocates nothing.
+func (n *Node) Readopt(first *Node) bool {
+	for c := first; c != nil; c = c.cleanNext {
 		if c.Parent != nil || c.edits != 0 || c.held {
 			return false
 		}
 	}
-	for c := from.cleanFirst; c != nil; c = c.cleanNext {
+	n.invalidate()
+	for c := first; c != nil; c = c.cleanNext {
 		n.link(c)
 	}
-	n.invalidate()
 	return true
 }
 
@@ -244,8 +249,8 @@ func (n *Node) RemoveAttr(key string) {
 	key = strings.ToLower(key)
 	for i := range n.Attr {
 		if n.Attr[i].Key == key {
-			n.Attr = append(n.Attr[:i], n.Attr[i+1:]...)
 			n.invalidate()
+			n.Attr = append(n.Attr[:i], n.Attr[i+1:]...)
 			return
 		}
 	}
@@ -443,8 +448,8 @@ func appendCollapsed(dst []byte, s string) []byte {
 }
 
 // Clone returns a deep copy of n (detached from any parent), cached
-// digests included and edit and hold marks not. Each copy records its
-// child list as the clean one Revert restores and Readopt reattaches. The
+// digests included and edit and hold marks not. A copy's nodes keep undo
+// records, so Revert can roll it back and Targets read what it was. The
 // copy's nodes and attributes are carved from one slab each, so a clone
 // costs two allocations whatever the tree's size.
 func (n *Node) Clone() *Node {
@@ -458,42 +463,6 @@ func (n *Node) Clone() *Node {
 	return s.clone(n)
 }
 
-// Revert rolls live, a Clone of snap (or an earlier Revert to it) edited
-// since only through the six mutators, back to snap, and returns it. It
-// follows the edit marks down from the root. A node whose attributes or
-// child list changed copies snap's attributes back into its own slice,
-// detaches its children and relinks its clean ones, pulling each from
-// wherever the event put it; every marked node takes snap's digest and
-// drops its marks. A node not itself edited kept its child list, so the
-// trees pair up by position. The result is the clean tree, node for
-// node, so a handle a script kept stays attached; the nodes the event
-// added are left detached, and nothing is allocated.
-func Revert(live, snap *Node) *Node {
-	live.revert(snap)
-	return live
-}
-
-func (n *Node) revert(snap *Node) {
-	if n.edits&editSelf != 0 {
-		n.Attr = append(n.Attr[:0], snap.Attr...)
-		n.RemoveChildren()
-		for c := n.cleanFirst; c != nil; c = c.cleanNext {
-			if c.Parent != nil {
-				// Dirties the node it leaves, which may be one the
-				// event created and a script kept.
-				c.Parent.unlink(c)
-			}
-			n.link(c)
-		}
-	}
-	for c, o := n.FirstChild, snap.FirstChild; c != nil; c, o = c.NextSibling, o.NextSibling {
-		if c.edits != 0 {
-			c.revert(o)
-		}
-	}
-	n.digest, n.hashed, n.edits = snap.digest, snap.hashed, 0
-}
-
 type cloneSlab struct {
 	nodes []Node
 	attrs []Attribute
@@ -502,7 +471,7 @@ type cloneSlab struct {
 func (s *cloneSlab) clone(n *Node) *Node {
 	c := &s.nodes[0]
 	s.nodes = s.nodes[1:]
-	c.Type, c.Data, c.digest, c.hashed = n.Type, n.Data, n.digest, n.hashed
+	c.Type, c.Data, c.digest, c.hashed, c.cloned = n.Type, n.Data, n.digest, n.hashed, true
 	if k := len(n.Attr); k > 0 {
 		// Capacity is capped so that a later SetAttr on the copy
 		// reallocates instead of growing into the next node's attributes.
@@ -513,7 +482,6 @@ func (s *cloneSlab) clone(n *Node) *Node {
 	for k := n.FirstChild; k != nil; k = k.NextSibling {
 		c.link(s.clone(k))
 	}
-	c.cleanFirst = c.FirstChild
 	for k := c.FirstChild; k != nil; k = k.NextSibling {
 		k.cleanNext = k.NextSibling
 	}

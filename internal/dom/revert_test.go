@@ -11,9 +11,10 @@ import (
 	"ajaxcrawl/internal/html"
 )
 
-// TestNodeSize pins a node at 136 bytes: the two clean links Revert
-// relinks cost 16, and the type byte moved into the padding after the
-// digest state and edit marks paid back 8.
+// TestNodeSize pins a node at 136 bytes: the undo record and the clean
+// next link Revert relinks cost 16, and the type byte moved into the
+// padding after the digest state, edit marks and the held and cloned
+// bits paid back 8.
 func TestNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(dom.Node{}); got != 136 {
 		t.Fatalf("unsafe.Sizeof(dom.Node{}) = %d, want 136", got)
@@ -50,34 +51,28 @@ func within(n, a *dom.Node) bool {
 	return false
 }
 
-// fragments models browser.Page.setInnerHTML on the dom API: each source
-// is parsed once into a hashed holder, and a write reattaches the nodes of
-// the holder's last copy when Readopt allows it, else adopts the children
-// of a fresh Clone.
-type fragments map[string]*fragment
-
-type fragment struct{ holder, spare *dom.Node }
+// fragments models browser.Page.setInnerHTML on the dom API: a write
+// reattaches the nodes the last write of its source adopted when Readopt
+// allows it, else adopts the children of a fresh, hashed parse, whose
+// first node it keeps.
+type fragments map[string]*dom.Node
 
 // write replaces n's children with the parse of src and checks that the
-// written nodes equal the holder's children, digests included, and that
-// no node beneath them is in held.
+// written nodes equal an uncached parse's children, digests included, and
+// that no node beneath them is in held.
 func (fs fragments) write(t *testing.T, n *dom.Node, src string, held map[*dom.Node]bool) {
 	t.Helper()
-	f := fs[src]
-	if f == nil {
-		f = &fragment{holder: html.ParseFragment(src)}
-		dom.CanonicalHash(f.holder)
-		fs[src] = f
-	}
 	n.RemoveChildren()
-	if f.spare == nil || !n.Readopt(f.spare) {
-		f.spare = f.holder.Clone()
-		n.AdoptChildren(f.spare)
+	if first, ok := fs[src]; !ok || !n.Readopt(first) {
+		parse := html.ParseFragment(src)
+		dom.CanonicalHash(parse)
+		fs[src] = parse.FirstChild
+		n.AdoptChildren(parse)
 	}
-	c, w := n.FirstChild, f.holder.FirstChild
+	c, w := n.FirstChild, html.ParseFragment(src).FirstChild
 	for ; c != nil && w != nil; c, w = c.NextSibling, w.NextSibling {
 		if dump(c) != dump(w) || dom.CanonicalHash(c) != dom.CanonicalHash(w) {
-			t.Fatalf("write of %q gave %s (digest %v), the holder has %s (%v)", src, dump(c), dom.CanonicalHash(c), dump(w), dom.CanonicalHash(w))
+			t.Fatalf("write of %q gave %s (digest %v), an uncached parse %s (%v)", src, dump(c), dom.CanonicalHash(c), dump(w), dom.CanonicalHash(w))
 		}
 		c.Walk(func(d *dom.Node) bool {
 			if held[d] {
@@ -87,7 +82,7 @@ func (fs fragments) write(t *testing.T, n *dom.Node, src string, held map[*dom.N
 		})
 	}
 	if c != nil || w != nil {
-		t.Fatalf("write of %q: the written child list and the holder's differ in length", src)
+		t.Fatalf("write of %q: the written child list and an uncached parse's differ in length", src)
 	}
 }
 
@@ -225,7 +220,7 @@ func checkRevert(t *testing.T, src string, ops []byte) {
 		}
 		before := map[*dom.Node]bool{}
 		live.Walk(func(n *dom.Node) bool { before[n] = true; return true })
-		live = dom.Revert(live, snap)
+		dom.Revert(live)
 		nodes := 0
 		live.Walk(func(n *dom.Node) bool {
 			if m := dom.EditMarks(n); m != 0 {
@@ -286,7 +281,7 @@ func TestRevertKeepsUntouchedNodes(t *testing.T) {
 	snap := html.Parse(watchPage())
 	dom.CanonicalHash(snap)
 	live := snap.Clone()
-	if n := testing.AllocsPerRun(10, func() { live = dom.Revert(live, snap) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { dom.Revert(live) }); n != 0 {
 		t.Fatalf("Revert of an unedited clone allocates %v times, want 0", n)
 	}
 	title, player := live.ElementByID("video-title"), live.ElementByID("player")
@@ -294,7 +289,7 @@ func TestRevertKeepsUntouchedNodes(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() {
 		player.RemoveChild(text)
 		player.AppendChild(text)
-		live = dom.Revert(live, snap)
+		dom.Revert(live)
 	}); n != 0 {
 		t.Fatalf("Revert of one edited element allocates %v times, want 0", n)
 	}
@@ -316,7 +311,7 @@ func TestRevertAttrsAfterChildEdit(t *testing.T) {
 		a.AppendChild(dom.NewText("u"))
 		a.SetAttr("class", "y")
 		a.RemoveAttr("id")
-		live = dom.Revert(live, snap)
+		dom.Revert(live)
 		if got := dump(snap); got != want {
 			t.Fatalf("round %d: the snapshot changed: %s", round, got)
 		}
@@ -337,24 +332,24 @@ func TestReadopt(t *testing.T) {
 	spare := holder.Clone()
 	live := snap.Clone()
 	a := live.ElementByID("a")
-	if a.Readopt(spare) {
+	if a.Readopt(spare.FirstChild) {
 		t.Fatalf("Readopt took nodes still under the copy")
 	}
 	a.AdoptChildren(spare)
 	b, i := a.FirstChild, a.LastChild
-	if live.ElementByID("b").Readopt(spare) {
+	if live.ElementByID("b").Readopt(b) {
 		t.Fatalf("Readopt took nodes still under another element")
 	}
-	live = dom.Revert(live, snap)
+	dom.Revert(live)
 	if n := testing.AllocsPerRun(10, func() {
-		if !a.Readopt(spare) {
+		if !a.Readopt(b) {
 			t.Fatalf("Readopt refused nodes a Revert cut loose")
 		}
-		live = dom.Revert(live, snap)
+		dom.Revert(live)
 	}); n != 0 {
 		t.Fatalf("Readopt allocates %v times, want 0", n)
 	}
-	a.Readopt(spare)
+	a.Readopt(b)
 	if a.FirstChild != b || a.LastChild != i || dom.OuterHTML(a) != `<div id="a"><b id="x">x</b><i>y</i></div>` {
 		t.Fatalf("Readopt gave %s, not the copy's nodes", dom.OuterHTML(a))
 	}
@@ -369,12 +364,12 @@ func TestReadopt(t *testing.T) {
 		{"held", func() { b.FirstChild.Hold() }},
 	} {
 		spare = holder.Clone()
-		live = dom.Revert(live, snap)
+		dom.Revert(live)
 		a.AdoptChildren(spare)
 		b, i = a.FirstChild, a.LastChild
 		spoil.do()
-		live = dom.Revert(live, snap)
-		if a.Readopt(spare) {
+		dom.Revert(live)
+		if a.Readopt(b) {
 			t.Fatalf("Readopt reattached a copy with a node %s", spoil.name)
 		}
 	}

@@ -132,12 +132,12 @@ func (p *parser) run(root *dom.Node) {
 			return
 		case TextToken:
 			if t.Data != "" {
-				p.top().AppendChild(p.node(dom.TextNode, t.Data))
+				link(p.top(), p.node(dom.TextNode, t.Data))
 			}
 		case CommentToken:
-			p.top().AppendChild(p.node(dom.CommentNode, t.Data))
+			link(p.top(), p.node(dom.CommentNode, t.Data))
 		case DoctypeToken:
-			p.top().AppendChild(p.node(dom.DoctypeNode, t.Data))
+			link(p.top(), p.node(dom.DoctypeNode, t.Data))
 		case StartTagToken, SelfClosingTagToken:
 			p.startTag(t)
 		case EndTagToken:
@@ -147,6 +147,18 @@ func (p *parser) run(root *dom.Node) {
 }
 
 func (p *parser) top() *dom.Node { return p.stack[len(p.stack)-1] }
+
+// link makes c n's last child through the link fields, as a tree never
+// hashed allows, so that a fragment's parse reaches its caller unedited:
+// with no edit mark for Readopt to refuse.
+func link(n, c *dom.Node) {
+	if c.PrevSibling = n.LastChild; n.LastChild != nil {
+		n.LastChild.NextSibling = c
+	} else {
+		n.FirstChild = c
+	}
+	n.LastChild, c.Parent = c, n
+}
 
 // push and pop are the only changes to the stack of open elements.
 func (p *parser) push(el *dom.Node) {
@@ -165,7 +177,7 @@ func (p *parser) startTag(t Token) {
 	}
 	el := p.node(dom.ElementNode, t.Data)
 	el.Attr = p.attributes(t.Attr)
-	p.top().AppendChild(el)
+	link(p.top(), el)
 	if t.Type == SelfClosingTagToken || dom.IsVoidElement(t.Data) {
 		return
 	}
