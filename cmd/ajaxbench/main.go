@@ -262,9 +262,7 @@ func (e *env) plain() fetch.Fetcher {
 
 // urls returns the first n watch URLs.
 func (e *env) urls(n int) []string {
-	if n > e.site.NumVideos() {
-		n = e.site.NumVideos()
-	}
+	n = min(n, e.site.NumVideos())
 	out := make([]string, n)
 	for i := 0; i < n; i++ {
 		out[i] = webapp.WatchURL(e.site.VideoID(i))
@@ -296,13 +294,7 @@ func (e *env) crawl(n int, opts core.Options) (*core.Metrics, []*model.Graph, er
 func (e *env) scaledPrefixes(series []int, paperMax int) []int {
 	var out []int
 	for _, s := range series {
-		n := s * e.videos / paperMax
-		if n < 1 {
-			n = 1
-		}
-		if n > e.videos {
-			n = e.videos
-		}
+		n := min(max(s*e.videos/paperMax, 1), e.videos)
 		if len(out) > 0 && out[len(out)-1] == n {
 			continue
 		}

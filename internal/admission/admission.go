@@ -87,10 +87,3 @@ func (t *Token) Release() {
 	l.tel.Gauge("admission.inflight").Set(int64(l.inflight))
 	l.mu.Unlock()
 }
-
-// Inflight returns the admitted-request count.
-func (l *Limiter) Inflight() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inflight
-}

@@ -46,7 +46,7 @@ func TestQueueFullShedsImmediately(t *testing.T) {
 	if got := reg.Counter("admission.admitted").Value(); got != 1 {
 		t.Fatalf("admission.admitted = %d, want 1 (the held slot only)", got)
 	}
-	if got := l.Inflight(); got != 1 {
+	if got := inflight(l); got != 1 {
 		t.Fatalf("inflight = %d after a shed, want 1", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestZeroQueueIsLegacySemaphore(t *testing.T) {
 	}
 	a.Release()
 	a.Release() // a second Release frees nothing
-	if got := l.Inflight(); got != 1 {
+	if got := inflight(l); got != 1 {
 		t.Fatalf("inflight = %d after one token released twice, want 1", got)
 	}
 	c, err := l.Acquire(context.Background())
@@ -96,4 +96,11 @@ func TestAcquireReleaseAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("Acquire+Release with telemetry = %.1f allocs, want <= 1 (the Token)", allocs)
 	}
+}
+
+// inflight reads the limiter's admitted-request count.
+func inflight(l *Limiter) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.inflight
 }

@@ -35,7 +35,7 @@ func TestLimiterRaceHammer(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				if n := l.Inflight(); n > limit {
+				if n := inflight(l); n > limit {
 					t.Errorf("%d in flight past the limit %d", n, limit)
 				}
 				time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
@@ -49,7 +49,7 @@ func TestLimiterRaceHammer(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	if got := l.Inflight(); got != 0 {
+	if got := inflight(l); got != 0 {
 		t.Fatalf("leaked %d in-flight slots", got)
 	}
 }

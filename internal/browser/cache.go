@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"ajaxcrawl/internal/dom"
-	"ajaxcrawl/internal/html"
 	"ajaxcrawl/internal/js"
 )
 
@@ -105,7 +104,7 @@ func (p *Page) setInnerHTML(n *dom.Node, src string) {
 	if first, ok := p.fragments.parsed[src]; ok && n.Readopt(first) {
 		return
 	}
-	parse := html.ParseFragment(src)
+	parse := p.Slab.Parse(src, true)
 	dom.CanonicalHash(parse)
 	p.fragments.add(src, parse.FirstChild, maxFragmentBytes)
 	n.AdoptChildren(parse)

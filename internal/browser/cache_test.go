@@ -55,7 +55,7 @@ func checkInnerHTMLCache(t *testing.T, src string) {
 		if _, err := p.Interp.Run(id + `.innerHTML = src;`); err != nil {
 			t.Fatalf("write to #%s: %v", id, err)
 		}
-		v, _ := p.Interp.LookupGlobal(id)
+		v, _ := global(p, id)
 		return p.unwrapElement(v)
 	}
 	reference := func(id string) *dom.Node {
@@ -400,7 +400,7 @@ func TestScriptCacheSharedAcrossPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []*Page{p2, alone} {
-		if v, _ := p.Interp.LookupGlobal("initialized"); !v.BoolVal() {
+		if v, _ := global(p, "initialized"); !v.ToBool() {
 			t.Fatalf("script state leaked between pages: initialized = %v", v)
 		}
 		if _, err := p.Trigger(context.Background(), p.Events(nil)[0]); err != nil {
@@ -424,7 +424,7 @@ func TestHostMethodIdentity(t *testing.T) {
 		`el.appendChild === document.body.appendChild`,
 		`"setAttribute" in el && "open" in x && !("open" in el)`,
 	} {
-		if v, err := p.Interp.Run(expr); err != nil || !v.BoolVal() {
+		if v, err := p.Interp.Run(expr); err != nil || !v.ToBool() {
 			t.Errorf("%s = %v, %v; want true", expr, v, err)
 		}
 	}
@@ -485,5 +485,37 @@ func TestProgramCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.progs.bytes > maxProgramBytes {
 		t.Fatalf("retained %d source bytes, bound %d", c.progs.bytes, maxProgramBytes)
+	}
+}
+
+// TestInitialSnapshotDropsSpares: the initial Snapshot relinks the
+// document's child lists in place, the nodes of a fragment onload wrote
+// included, so that fragment stops being a spare. Here onload writes
+// <i>1</i><i id=two>2</i> into #a and removes the second <i>: had the
+// cache kept the first <i> as the spare, a later write of the same source
+// would reattach it alone.
+func TestInitialSnapshotDropsSpares(t *testing.T) {
+	const src = `<i>1</i><i id="two">2</i>`
+	body := []byte(`<html><head><script>
+function init() { var a = document.getElementById('a'); a.innerHTML = '` + src + `'; a.removeChild(document.getElementById('two')); }
+function write() { document.getElementById('a').innerHTML = '` + src + `'; }
+</script></head><body onload="init()"><div id="a"></div><p onclick="write()">go</p></body></html>`)
+	p := NewPage(fetch.Func(func(context.Context, string) (*fetch.Response, error) {
+		return &fetch.Response{Status: 200, Body: body, ContentType: "text/html"}, nil
+	}))
+	ctx := context.Background()
+	if err := p.Load(ctx, "/page"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RunOnLoad(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+	p.Restore(snap)
+	if _, err := p.Trigger(ctx, p.Events(nil)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := dom.InnerHTML(p.Doc.ElementByID("a")); got != src {
+		t.Fatalf("#a holds %q after writing %q", got, src)
 	}
 }

@@ -199,7 +199,7 @@ func TestXHRStatusOnMissingEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.NumVal() != 404 {
+	if v.ToNumber() != 404 {
 		t.Fatalf("status = %v, want 404", v)
 	}
 }
@@ -207,12 +207,12 @@ func TestXHRStatusOnMissingEndpoint(t *testing.T) {
 func TestWindowGlobalsAndThis(t *testing.T) {
 	p := loadTestPage(t)
 	v, err := p.Interp.Run(`window.document === document`)
-	if err != nil || !v.BoolVal() {
+	if err != nil || !v.ToBool() {
 		t.Fatalf("window.document mismatch: %v %v", v, err)
 	}
 	// Top-level this is the window.
 	v, err = p.Interp.Run(`this === window`)
-	if err != nil || !v.BoolVal() {
+	if err != nil || !v.ToBool() {
 		t.Fatalf("this !== window: %v %v", v, err)
 	}
 	// alert/clearTimeout exist and are harmless.

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/url"
 	"slices"
 	"strings"
@@ -90,6 +91,9 @@ type Page struct {
 	// private cache; a crawler substitutes the one it shares among its
 	// pages before Load.
 	Scripts *ProgramCache
+	// Slab holds the trees of the page's load and innerHTML writes. A
+	// caller that reads each load only until the next may Reset it.
+	Slab html.Slab
 
 	handlers  ProgramCache          // event-handler source → program
 	fragments parseCache[*dom.Node] // innerHTML source → first node of its parse (setInnerHTML)
@@ -160,7 +164,7 @@ func (p *Page) LoadStatic(ctx context.Context, rawurl string) error {
 		return fmt.Errorf("browser: load %s: status %d", rawurl, resp.Status)
 	}
 	p.URL = rawurl
-	p.Doc = html.Parse(string(resp.Body))
+	p.Doc = p.Slab.Parse(string(resp.Body), false)
 	return nil
 }
 
@@ -294,11 +298,18 @@ type Snapshot struct {
 	doc *dom.Node
 }
 
-// Snapshot returns a deep copy of the current DOM. The copy carries the
-// document's digests, so every Restore of it starts fully hashed.
+// Snapshot captures the current DOM, hashed, so that every Restore of it
+// starts fully hashed. The document Load built, the initial state, becomes
+// its own snapshot (dom.Own), so a handle its scripts took reaches the
+// snapshot; any other is a snapshot's tree with edits, and is copied.
 func (p *Page) Snapshot() *Snapshot {
 	dom.CanonicalHash(p.Doc)
-	return &Snapshot{doc: p.Doc.Clone()}
+	if !dom.Own(p.Doc) {
+		return &Snapshot{doc: p.Doc.Clone()}
+	}
+	// Own relinked the fragments in the document: they are spares no more.
+	maps.DeleteFunc(p.fragments.parsed, func(_ string, first *dom.Node) bool { return first != nil && first.Parent != nil })
+	return &Snapshot{doc: p.Doc}
 }
 
 // Restore rolls the DOM back to a snapshot. JavaScript global state is

@@ -9,6 +9,7 @@ import (
 
 	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/fetch"
+	"ajaxcrawl/internal/js"
 )
 
 // testSite is a miniature AJAX application shaped like the thesis's
@@ -76,11 +77,11 @@ func TestLoadParsesAndRunsScripts(t *testing.T) {
 		t.Fatalf("content div missing")
 	}
 	// Scripts ran: the functions exist as globals.
-	if v, ok := p.Interp.LookupGlobal("loadPage"); !ok || !v.Object().IsCallable() {
+	if v, ok := global(p, "loadPage"); !ok || !v.Object().IsCallable() {
 		t.Fatalf("script functions not defined")
 	}
 	// But onload has not fired yet.
-	if v, _ := p.Interp.LookupGlobal("initialized"); v.ToBool() {
+	if v, _ := global(p, "initialized"); v.ToBool() {
 		t.Fatalf("onload fired during Load")
 	}
 }
@@ -90,7 +91,7 @@ func TestRunOnLoad(t *testing.T) {
 	if err := p.RunOnLoad(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := p.Interp.LookupGlobal("initialized"); !v.ToBool() {
+	if v, _ := global(p, "initialized"); !v.ToBool() {
 		t.Fatalf("onload did not run")
 	}
 }
@@ -211,7 +212,7 @@ function edit() { kept = document.getElementById('b'); document.getElementById('
 		if i != len(before) {
 			t.Fatalf("round %d: restored %d nodes, want %d", round, i, len(before))
 		}
-		kept, _ := p.Interp.LookupGlobal("kept")
+		kept, _ := global(p, "kept")
 		if b := p.unwrapElement(kept); b == nil || b != p.Doc.ElementByID("b") {
 			t.Fatalf("round %d: the element the handler kept is not #b of the document", round)
 		}
@@ -358,8 +359,8 @@ func TestExternalScript(t *testing.T) {
 	if err := p.Load(context.Background(), "/extpage"); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := p.Interp.LookupGlobal("fromExternal")
-	if !ok || v.NumVal() != 42 {
+	v, ok := global(p, "fromExternal")
+	if !ok || v.ToNumber() != 42 {
 		t.Fatalf("external script not executed: %v %v", v, ok)
 	}
 }
@@ -412,11 +413,11 @@ func TestDocumentQueries(t *testing.T) {
 		t.Fatalf("document.title = %v %v", v, err)
 	}
 	v, err = p.Interp.Run(`document.getElementsByTagName("a").length`)
-	if err != nil || v.NumVal() != 3 {
+	if err != nil || v.ToNumber() != 3 {
 		t.Fatalf("getElementsByTagName = %v %v", v, err)
 	}
 	v, err = p.Interp.Run(`document.getElementById("nope") === null`)
-	if err != nil || !v.BoolVal() {
+	if err != nil || !v.ToBool() {
 		t.Fatalf("missing id should be null: %v %v", v, err)
 	}
 	v, err = p.Interp.Run(`location.href`)
@@ -428,7 +429,7 @@ func TestDocumentQueries(t *testing.T) {
 func TestSetTimeoutRunsSynchronously(t *testing.T) {
 	p := loadTestPage(t)
 	v, err := p.Interp.Run(`var ran = false; setTimeout(function() { ran = true; }, 50); ran`)
-	if err != nil || !v.BoolVal() {
+	if err != nil || !v.ToBool() {
 		t.Fatalf("setTimeout callback did not run synchronously: %v %v", v, err)
 	}
 }
@@ -517,4 +518,83 @@ func TestEventStringFallsBackById(t *testing.T) {
 	if !changed {
 		t.Fatalf("id fallback should have fired the handler")
 	}
+}
+
+// onloadHandlePage serves a page whose onload keeps #a in a global and
+// whose one event writes through that handle.
+func onloadHandlePage() fetch.Fetcher {
+	return fetch.Func(func(context.Context, string) (*fetch.Response, error) {
+		return &fetch.Response{Status: 200, ContentType: "text/html", Body: []byte(`<html><head><script>
+var kept = null, n = 0;
+function init() { kept = document.getElementById('a'); }
+function write() { kept.innerHTML = '<b>' + (++n) + '</b>'; }
+</script></head><body onload="init()"><div id="a">zero</div><p onclick="write()">go</p></body></html>`)}, nil
+	})
+}
+
+// TestSnapshotOfLoadCopiesNothing: the first Snapshot after Load and
+// onload makes the loaded document its own snapshot: the one allocation
+// is the Snapshot handle. A second Snapshot of the same state copies.
+func TestSnapshotOfLoadCopiesNothing(t *testing.T) {
+	ctx := context.Background()
+	f := onloadHandlePage()
+	load := func() *Page {
+		p := NewPage(f)
+		if err := p.Load(ctx, "/page"); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.RunOnLoad(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	loaded := testing.AllocsPerRun(20, func() { load() })
+	snapped := testing.AllocsPerRun(20, func() { load().Snapshot() })
+	if snapped > loaded+1 {
+		t.Fatalf("Load+Snapshot allocates %v times, Load %v: the snapshot copied the tree", snapped, loaded)
+	}
+	p := load()
+	if s := p.Snapshot(); s.doc != p.Doc {
+		t.Fatalf("the initial snapshot is not the loaded document")
+	}
+	if s := p.Snapshot(); s.doc == p.Doc {
+		t.Fatalf("a second snapshot of the state shares the document")
+	}
+}
+
+// TestOnloadHandleReachesInitialState: a handle onload kept is on the
+// initial state's own nodes. An event that writes through it changes that
+// event's state, and the next Restore undoes the write; the handle stays
+// attached, so the next event changes the state again.
+func TestOnloadHandleReachesInitialState(t *testing.T) {
+	ctx := context.Background()
+	p := NewPage(onloadHandlePage())
+	if err := p.Load(ctx, "/page"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RunOnLoad(ctx); err != nil {
+		t.Fatal(err)
+	}
+	h0 := p.Hash()
+	snap := p.Snapshot()
+	for i, want := range []string{"1", "2"} {
+		p.Restore(snap)
+		changed, err := p.Trigger(ctx, p.Events(nil)[0])
+		if err != nil || !changed {
+			t.Fatalf("event %d: changed=%v err=%v, want a change", i, changed, err)
+		}
+		if got := p.Doc.ElementByID("a").TextContent(); got != want {
+			t.Fatalf("event %d: #a reads %q, want %q", i, got, want)
+		}
+		p.Restore(snap)
+		if got := p.Doc.ElementByID("a").TextContent(); got != "zero" || p.Hash() != h0 {
+			t.Fatalf("event %d: after Restore #a reads %q", i, got)
+		}
+	}
+}
+
+// global reads a global variable of the page's scripts.
+func global(p *Page, name string) (js.Value, bool) {
+	v, err := p.Interp.Run(name)
+	return v, err == nil
 }

@@ -1,19 +1,12 @@
 package browser
 
 import (
+	"strconv"
 	"strings"
 
 	"ajaxcrawl/internal/js"
 	"ajaxcrawl/internal/obs"
 )
-
-// boolAttr renders a bool as a span attribute value.
-func boolAttr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
-}
 
 // xhrState is one XMLHttpRequest instance: the host object behind the
 // script's `new XMLHttpRequest()`.
@@ -130,7 +123,7 @@ func (st *xhrState) send(it *js.Interp) error {
 			p.XHR.AfterSend(p, req, st.responseText)
 		}
 	}
-	sp.SetAttr("intercepted", boolAttr(served))
+	sp.SetAttr("intercepted", strconv.FormatBool(served))
 	sp.End(nil)
 	st.readyState = 4
 	if st.onChange.Object().IsCallable() {

@@ -359,6 +359,9 @@ func (c *Crawler) CrawlPage(ctx context.Context, url string) (*model.Graph, Page
 	return graph, pm, nil
 }
 
+// snapshot keeps a state to expand (a variable, for tests to count).
+var snapshot = (*browser.Page).Snapshot
+
 // crawlDynamic is the breadth-first event-driven crawl. Cancellation is
 // checked between events, so a canceled context stops the crawl within
 // one event dispatch (itself bounded by the JS step budget).
@@ -396,7 +399,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 	initial, _, _ := admit.state(page.Hash(), page.Doc, 0)
 	graph.Initial = initial
 
-	snapshots := map[model.StateID]*browser.Snapshot{initial: page.Snapshot()}
+	snapshots := map[model.StateID]*browser.Snapshot{initial: snapshot(page)}
 	queue := []model.StateID{initial}
 
 	// intern gives each distinct string a transition keeps one copy per
@@ -456,10 +459,13 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 		if !isNew {
 			return OutcomeDuplicate, nil
 		}
-		if opts.StateFilter != nil && !opts.StateFilter(text) {
+		switch {
+		case opts.StateFilter != nil && !opts.StateFilter(text):
 			pm.StatesPruned++
-		} else {
-			snapshots[newID] = page.Snapshot()
+		case graph.NumStates() >= opts.MaxStates: // BFS expands nothing more
+			clear(snapshots)
+		default:
+			snapshots[newID] = snapshot(page)
 			queue = append(queue, newID)
 		}
 		return OutcomeNewState, nil

@@ -142,6 +142,59 @@ func TestMaxStatesLimit(t *testing.T) {
 	}
 }
 
+// TestCapStateIsNotCopied: BFS never expands the state admitted at
+// MaxStates, so the crawl keeps no snapshot of it — one Snapshot per
+// other state — and the model is the one the crawl made when it still
+// copied that state (the shape below was recorded on that tree).
+func TestCapStateIsNotCopied(t *testing.T) {
+	site, f := newSiteFetcher(30, 2)
+	v := multiPageVideo(t, site, 5)
+	noisy, nf := noisySite(12)
+	defer func(orig func(*browser.Page) *browser.Snapshot) { snapshot = orig }(snapshot)
+	snapshots := 0
+	snapshot = func(p *browser.Page) *browser.Snapshot {
+		snapshots++
+		return p.Snapshot()
+	}
+	var graphs []*model.Graph
+	for _, c := range []struct {
+		f    fetch.Fetcher
+		opts Options
+		url  string
+	}{
+		{f, Options{UseHotNode: true, MaxStates: 3}, webapp.WatchURL(v.ID)},
+		{nf, Options{UseHotNode: true, MaxStates: 4, NearDupThreshold: 0.9}, webapp.WatchURL(noisy.Video(0).ID)},
+	} {
+		snapshots = 0
+		g, _, err := New(c.f, c.opts).CrawlPage(context.Background(), c.url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumStates() != c.opts.MaxStates || snapshots != c.opts.MaxStates-1 {
+			t.Fatalf("%s: %d states and %d snapshots, want %d and %d", c.url, g.NumStates(), snapshots, c.opts.MaxStates, c.opts.MaxStates-1)
+		}
+		graphs = append(graphs, g)
+	}
+	const want = `page /watch?v=pFIpPzS7iI4 states=3 transitions=2
+  s0 depth=0 text=1181:2bd0176aa7c0f7ca
+  s1 depth=1 text=1073:60e9136803cd0770
+  s2 depth=1 text=1091:8d0a0537437c3ae2
+  t 0->1 html[0]/body[1]/div[3]/div[0]/div[11]/span[1] onclick targets=recent_comments
+  t 0->2 html[0]/body[1]/div[3]/div[0]/div[11]/span[2] onclick targets=recent_comments
+page /watch?v=3LF4yoWXYm5 states=4 transitions=3
+  s0 depth=0 text=1194:ede43f1da1a5f7ea
+  s1 depth=1 text=1227:027380467ab0f292
+  s2 depth=1 text=1182:018e3308107d4075
+  s3 depth=1 text=1169:60f09432f6013c82
+  t 0->1 html[0]/body[1]/div[4]/div[0]/div[11]/span[1] onclick targets=decor,recent_comments
+  t 0->2 html[0]/body[1]/div[4]/div[0]/div[11]/span[2] onclick targets=decor,recent_comments
+  t 0->3 html[0]/body[1]/div[4]/div[0]/div[11]/span[3] onclick targets=decor,recent_comments
+`
+	if got := modelShape(graphs); got != want {
+		t.Fatalf("model shape:\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestMaxEventsPerState(t *testing.T) {
 	site, f := newSiteFetcher(30, 2)
 	v := multiPageVideo(t, site, 5)

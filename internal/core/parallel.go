@@ -443,13 +443,7 @@ func (w *lineWorker) run(ctx context.Context, it frontier.Item) (g *model.Graph,
 
 // watchdog cancels the current attempt when the heartbeat goes stale.
 func (w *lineWorker) watchdog(stop <-chan struct{}, cancel context.CancelCauseFunc) {
-	poll := w.m.StuckTimeout / 8
-	if poll < time.Millisecond {
-		poll = time.Millisecond
-	}
-	if poll > 250*time.Millisecond {
-		poll = 250 * time.Millisecond
-	}
+	poll := min(max(w.m.StuckTimeout/8, time.Millisecond), 250*time.Millisecond)
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
 	for {

@@ -93,21 +93,25 @@ func (p *Precrawler) Run(ctx context.Context) (*PrecrawlResult, error) {
 	// compacted away once it dominates the buffer.
 	queue := []string{p.StartURL}
 	head := 0
+	// Each batch slot loads its pages into one Page, whose Slab is an
+	// arena: a tree is read for its links and handed back.
+	width := max(p.Lines, 1)
+	pages, errs := make([]*browser.Page, width), make([]error, width)
+	for i := range pages {
+		pages[i] = browser.NewPage(keep)
+	}
 	var ctxErr error
 	for head < len(queue) && len(res.URLs) < p.MaxPages && ctxErr == nil {
 		if ctxErr = ctx.Err(); ctxErr != nil {
 			break
 		}
-		batch := queue[head : head+min(max(p.Lines, 1), p.MaxPages-len(res.URLs), len(queue)-head)]
-		pages := make([]*browser.Page, len(batch))
-		errs := make([]error, len(batch))
+		batch := queue[head : head+min(width, p.MaxPages-len(res.URLs), len(queue)-head)]
 		var wg sync.WaitGroup
 		for i, u := range batch {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				pages[i] = browser.NewPage(keep)
-				errs[i] = pages[i].LoadStatic(ctx, u)
+				errs[i] = loadStatic(pages[i], ctx, u)
 			}()
 		}
 		wg.Wait()
@@ -131,6 +135,7 @@ func (p *Precrawler) Run(ctx context.Context) (*PrecrawlResult, error) {
 					queue = append(queue, link)
 				}
 			}
+			pages[i].Slab.Reset()
 		}
 		clear(queue[head : head+len(batch)])
 		if head += len(batch); head > len(queue)/2 && head > 64 {
@@ -155,6 +160,9 @@ func (p *Precrawler) Run(ctx context.Context) (*PrecrawlResult, error) {
 	res.PageRank = pagerank.Compute(inGraph, pagerank.Options{})
 	return res, ctxErr
 }
+
+// loadStatic is the precrawl's page load (a variable, for tests to watch).
+var loadStatic = (*browser.Page).LoadStatic
 
 // precrawlFileName stores the serialized PrecrawlResult. The .gob
 // suffix is historical.

@@ -7,10 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"ajaxcrawl/internal/browser"
+	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/webapp"
 )
@@ -460,5 +463,68 @@ func TestMPCrawlerPartitionErrorReported(t *testing.T) {
 	mp.NewCrawler = func() *Crawler { return New(f, Options{OnError: FailFast}) }
 	if res := mp.Run(context.Background()); res.Err == nil {
 		t.Fatalf("broken page should surface an error under FailFast")
+	}
+}
+
+// TestPrecrawlReusesArena: each batch slot loads its pages into one Page
+// whose Slab is an arena, so after a slot's first page every page's
+// document is carved at the same place (no node chunk per page), and each
+// tree is handed back, zeroed, once its links are read. The links are the
+// ones a fresh page per URL finds.
+func TestPrecrawlReusesArena(t *testing.T) {
+	site, f := newSiteFetcher(40, 7)
+	keep := func(u string) bool { return strings.Contains(u, "/watch?v=") }
+	start := webapp.WatchURL(site.Video(0).ID)
+	defer func(orig func(*browser.Page, context.Context, string) error) { loadStatic = orig }(loadStatic)
+	for _, lines := range []int{1, 3} {
+		var mu sync.Mutex
+		docs := map[*browser.Page][]*dom.Node{}
+		loadStatic = func(p *browser.Page, ctx context.Context, u string) error {
+			err := p.LoadStatic(ctx, u)
+			if err == nil {
+				mu.Lock()
+				docs[p] = append(docs[p], p.Doc)
+				mu.Unlock()
+			}
+			return err
+		}
+		const maxPages = 30
+		res, err := (&Precrawler{Fetcher: f, StartURL: start, MaxPages: maxPages, KeepURL: keep, Lines: lines}).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(docs) != lines {
+			t.Fatalf("lines=%d: pages loaded into %d Pages", lines, len(docs))
+		}
+		loads := 0
+		for _, d := range docs {
+			loads += len(d)
+			for i, doc := range d {
+				if doc != d[0] {
+					t.Fatalf("lines=%d: load %d of a slot carved its document elsewhere than its first", lines, i)
+				}
+				if doc.Type != 0 || doc.FirstChild != nil {
+					t.Fatalf("lines=%d: a precrawl tree outlived its links", lines)
+				}
+			}
+		}
+		if loads != maxPages || len(res.URLs) != maxPages {
+			t.Fatalf("lines=%d: %d loads for %d pages, want %d", lines, loads, len(res.URLs), maxPages)
+		}
+		for _, u := range res.URLs {
+			p := browser.NewPage(f)
+			if err := p.LoadStatic(context.Background(), u); err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, l := range p.Links() {
+				if keep(l) {
+					want = append(want, l)
+				}
+			}
+			if !slices.Equal(res.Links[u], want) {
+				t.Fatalf("lines=%d: %s links %v, a fresh page finds %v", lines, u, res.Links[u], want)
+			}
+		}
 	}
 }

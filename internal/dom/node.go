@@ -79,7 +79,7 @@ type Node struct {
 	hashed uint8 // digestDirty, digestValid or digestNone
 	edits  uint8 // editSelf and editBelow marks, for Revert
 	held   bool  // set by Hold, for Readopt
-	cloned bool  // made by Clone: keeps undo records
+	cloned bool  // made by Clone or Own: keeps undo records
 }
 
 // NewElement returns a detached element node with the given tag name and
@@ -460,7 +460,9 @@ func (n *Node) Clone() *Node {
 		return true
 	})
 	s := cloneSlab{make([]Node, nodes), make([]Attribute, attrs)}
-	return s.clone(n)
+	c := s.clone(n)
+	c.own()
+	return c
 }
 
 type cloneSlab struct {
@@ -471,7 +473,7 @@ type cloneSlab struct {
 func (s *cloneSlab) clone(n *Node) *Node {
 	c := &s.nodes[0]
 	s.nodes = s.nodes[1:]
-	c.Type, c.Data, c.digest, c.hashed, c.cloned = n.Type, n.Data, n.digest, n.hashed, true
+	c.Type, c.Data, c.digest, c.hashed = n.Type, n.Data, n.digest, n.hashed
 	if k := len(n.Attr); k > 0 {
 		// Capacity is capped so that a later SetAttr on the copy
 		// reallocates instead of growing into the next node's attributes.
@@ -481,9 +483,6 @@ func (s *cloneSlab) clone(n *Node) *Node {
 	}
 	for k := n.FirstChild; k != nil; k = k.NextSibling {
 		c.link(s.clone(k))
-	}
-	for k := c.FirstChild; k != nil; k = k.NextSibling {
-		k.cleanNext = k.NextSibling
 	}
 	return c
 }

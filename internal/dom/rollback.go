@@ -47,6 +47,27 @@ func (n *Node) mark(m uint8) {
 	n.edits |= m
 }
 
+// Own makes doc, a tree no Clone made, its own clean copy in place, as
+// Clone makes a copy one: its nodes keep undo records from their next
+// mark on, their cleanNext links are its child lists, and its edit marks
+// (not its hold marks: a handle still reaches the node) are cleared. It
+// reports false, changing nothing, for a Clone's tree.
+func Own(doc *Node) bool {
+	if doc.cloned {
+		return false
+	}
+	doc.own()
+	return true
+}
+
+func (n *Node) own() {
+	n.cloned, n.edits = true, 0
+	for c := n.FirstChild; c != nil; c = c.NextSibling {
+		c.cleanNext = c.NextSibling
+		c.own()
+	}
+}
+
 // Revert rolls n, a Clone edited since only through the six mutators,
 // back to what it was when cloned or last reverted; another tree is left
 // as it is. It follows the edit marks down from n. A node whose

@@ -181,9 +181,7 @@ func (f *RetryFetcher) backoff(p RetryPolicy, n int, resp *Response) time.Durati
 	for i := 1; i < n && ceil < p.MaxDelay; i++ {
 		ceil *= 2
 	}
-	if ceil > p.MaxDelay {
-		ceil = p.MaxDelay
-	}
+	ceil = min(ceil, p.MaxDelay)
 	d := time.Duration(f.rand() * float64(ceil))
 	if !p.IgnoreRetryAfter && resp != nil && resp.RetryAfter > d {
 		d = resp.RetryAfter

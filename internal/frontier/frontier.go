@@ -93,9 +93,7 @@ func (f *Frontier) AdmitSeed(items []Item) int {
 		if i >= len(pris) {
 			i = len(pris) - 1
 		}
-		if i < 0 {
-			i = 0
-		}
+		i = max(i, 0)
 		if len(pris) == 0 {
 			f.bounds = append(f.bounds, 0)
 		} else {

@@ -199,9 +199,7 @@ func (d *deque) pushBack(items []Item) {
 // stealBack removes up to n items from the back, preserving their
 // relative order.
 func (d *deque) stealBack(n int) []Item {
-	if n > d.len() {
-		n = d.len()
-	}
+	n = min(n, d.len())
 	if n <= 0 {
 		return nil
 	}

@@ -37,22 +37,23 @@ var impliedEndTags = map[string][]string{
 // parse is lenient and never fails; garbage input produces a tree with
 // whatever could be salvaged. An <html> and <body> element are
 // synthesized when missing so that callers can always rely on doc.Body().
-func Parse(src string) *dom.Node {
-	p := newParser(src)
-	doc := p.node(dom.DocumentNode, "")
-	p.run(doc)
-	p.ensureDocumentShape(doc)
-	return doc
-}
+func Parse(src string) *dom.Node { return new(Slab).Parse(src, false) }
 
 // ParseFragment parses an HTML fragment (such as an AJAX response used
 // for innerHTML assignment) and returns a detached "#fragment" element
 // holding the top-level nodes. No html/body wrapping is applied.
-func ParseFragment(src string) *dom.Node {
-	p := newParser(src)
-	root := p.node(dom.ElementNode, "#fragment")
-	p.run(root)
-	return root
+func ParseFragment(src string) *dom.Node { return new(Slab).Parse(src, true) }
+
+// Parse is ParseFragment when fragment is set and Parse otherwise,
+// carving the tree from s.
+func (s *Slab) Parse(src string, fragment bool) *dom.Node {
+	p := &parser{z: Tokenizer{src: src}, open: make(map[string]int), s: s}
+	if fragment {
+		return p.run(p.node(dom.ElementNode, "#fragment"))
+	}
+	doc := p.run(p.node(dom.DocumentNode, ""))
+	p.ensureDocumentShape(doc)
+	return doc
 }
 
 // SetInnerHTML replaces n's children with the parse of src. This is the
@@ -63,29 +64,66 @@ func SetInnerHTML(n *dom.Node, src string) {
 	n.AdoptChildren(ParseFragment(src))
 }
 
-// The tree builder carves its nodes and attributes from chunks sized from
-// the input still to parse, at about these many source bytes each (a
-// small fragment carves a small chunk), so a parse allocates a few chunks
-// rather than one object per node. A parsed tree lives and dies with its
-// page, which is the lifetime a chunk has anyway.
+// A Slab is what the tree builder carves nodes and attributes from: chunks
+// sized from the input still to parse, at about these many source bytes
+// each, so a parse allocates a few chunks rather than one object per node.
+// A parse first takes what the last one into its Slab left of a chunk, so
+// the trees of one Slab live as long as the last of them: a page's parses
+// die with the page anyway. Reset makes a Slab an arena.
+type Slab struct {
+	nodes chunk[dom.Node]
+	attrs chunk[dom.Attribute]
+}
+
 const (
 	bytesPerNode = 24
 	bytesPerAttr = 48
 	maxChunk     = 1024
 )
 
+// Reset hands every tree parsed into s back to it, zeroed. The next parses
+// carve from the start of its last chunk again, or of a new one as large
+// as all the parses since the last Reset took when they took more, so a
+// loop that parses, reads and resets allocates only for its largest tree.
+func (s *Slab) Reset() {
+	s.nodes.reset()
+	s.attrs.reset()
+}
+
+// chunk is the chunk a Slab carves one kind of item from: buf[:n] is
+// carved, used items since the last reset.
+type chunk[T any] struct {
+	buf     []T
+	n, used int
+}
+
+// take carves k items, first allocating a chunk of max(k, size) when fewer
+// are left. Capacity is capped, as in dom.Clone, so that growing the
+// window reallocates instead of running into the next one.
+func (c *chunk[T]) take(k, size int) []T {
+	if len(c.buf)-c.n < k {
+		c.buf, c.n = make([]T, max(k, size)), 0
+	}
+	c.n, c.used = c.n+k, c.used+k
+	return c.buf[c.n-k : c.n : c.n]
+}
+
+func (c *chunk[T]) reset() {
+	if c.n == c.used {
+		clear(c.buf[:c.n])
+	} else {
+		c.buf = make([]T, c.used)
+	}
+	c.n, c.used = 0, 0
+}
+
 type parser struct {
 	z     Tokenizer
 	stack []*dom.Node // open elements; stack[0] is the root
 	// open counts the open elements per tag name, so that an end tag
 	// nothing matches is dropped without scanning the stack.
-	open  map[string]int
-	nodes []dom.Node      // the rest of the current node chunk
-	attrs []dom.Attribute // the rest of the current attribute chunk
-}
-
-func newParser(src string) *parser {
-	return &parser{z: Tokenizer{src: src}, open: make(map[string]int)}
+	open map[string]int
+	s    *Slab
 }
 
 // chunk returns how many items of bytesPer source bytes each the rest
@@ -95,41 +133,31 @@ func (p *parser) chunk(bytesPer int) int {
 }
 
 func (p *parser) node(t dom.NodeType, data string) *dom.Node {
-	if len(p.nodes) == 0 {
-		p.nodes = make([]dom.Node, p.chunk(bytesPerNode))
-	}
-	n := &p.nodes[0]
-	p.nodes = p.nodes[1:]
+	n := &p.s.nodes.take(1, p.chunk(bytesPerNode))[0]
 	n.Type, n.Data = t, data
 	return n
 }
 
-// attributes copies a tag's attributes into the current chunk. Capacity
-// is capped, as in dom.Clone, so that a later SetAttr reallocates instead
-// of growing into the next element's attributes.
+// attributes copies a tag's attributes into the current chunk.
 func (p *parser) attributes(attrs []Attr) []dom.Attribute {
-	k := len(attrs)
-	if k == 0 {
+	if len(attrs) == 0 {
 		return nil
 	}
-	if len(p.attrs) < k {
-		p.attrs = make([]dom.Attribute, max(k, p.chunk(bytesPerAttr)))
-	}
-	out := p.attrs[:k:k]
-	p.attrs = p.attrs[k:]
+	out := p.s.attrs.take(len(attrs), p.chunk(bytesPerAttr))
 	for i, a := range attrs {
 		out[i] = dom.Attribute{Key: a.Key, Val: a.Val}
 	}
 	return out
 }
 
-func (p *parser) run(root *dom.Node) {
+// run parses the input into root and returns it.
+func (p *parser) run(root *dom.Node) *dom.Node {
 	p.stack = append(p.stack[:0], root)
 	for {
 		t := p.z.Next()
 		switch t.Type {
 		case ErrorToken:
-			return
+			return root
 		case TextToken:
 			if t.Data != "" {
 				link(p.top(), p.node(dom.TextNode, t.Data))

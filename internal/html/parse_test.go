@@ -307,3 +307,25 @@ func BenchmarkParseWatchPageSized(b *testing.B) {
 		Parse(src)
 	}
 }
+
+// TestArenaGrowsToLargestTree: when the parses since a Reset outgrew the
+// arena's chunk, the Reset takes one as large as they took, so the same
+// tree parses into it again without a new chunk.
+func TestArenaGrowsToLargestTree(t *testing.T) {
+	large := strings.Repeat("<p>x</p>", 3*maxChunk)
+	var s Slab
+	s.Parse("<p>x</p>", false)
+	s.Reset()
+	s.Parse(large, false) // outgrows the small chunk, and then maxChunk
+	s.Reset()
+	chunk := &s.nodes.buf[0]
+	for i := 0; i < 3; i++ {
+		if doc := s.Parse(large, false); doc != chunk {
+			t.Fatalf("parse %d: the document is not at the start of the arena's chunk", i)
+		}
+		s.Reset()
+		if &s.nodes.buf[0] != chunk {
+			t.Fatalf("parse %d: Reset replaced a chunk the tree fit in", i)
+		}
+	}
+}

@@ -24,13 +24,13 @@ func TestParseIntEdgeCases(t *testing.T) {
 		// A radix outside 2–36 is NaN, whatever the digits.
 		`parseInt("1", 1)`, `parseInt("1", 37)`, `parseInt("1", -2)`, `parseInt("11", 1e300)`,
 	} {
-		if v := run(t, src); !math.IsNaN(v.NumVal()) {
+		if v := run(t, src); !math.IsNaN(v.num) {
 			t.Errorf("%s = %v, want NaN", src, v)
 		}
 	}
 	// Huge values fall back to float accumulation without error.
 	v := run(t, `parseInt("99999999999999999999999999")`)
-	if v.Kind() != KindNumber || v.NumVal() <= 0 {
+	if v.Kind() != KindNumber || v.num <= 0 {
 		t.Fatalf("huge parseInt = %v", v)
 	}
 }
@@ -148,12 +148,12 @@ func TestArgumentsIsolation(t *testing.T) {
 func TestGlobalThisWritethrough(t *testing.T) {
 	it := New()
 	v, err := it.Run(`var g = 5; g`)
-	if err != nil || v.NumVal() != 5 {
+	if err != nil || v.num != 5 {
 		t.Fatalf("global define: %v %v", v, err)
 	}
 	// Interp-level access.
-	if got, ok := it.LookupGlobal("g"); !ok || got.NumVal() != 5 {
-		t.Fatalf("LookupGlobal = %v %v", got, ok)
+	if got, ok := it.globals["g"]; !ok || got.num != 5 {
+		t.Fatalf("global g = %v %v", got, ok)
 	}
 	it.DefineGlobal("injected", Str("hi"))
 	v, err = it.Run(`injected + "!"`)
@@ -187,7 +187,7 @@ func TestCompileFunctionThisBinding(t *testing.T) {
 		if _, err := it.Call(it.CompileFunction("handler", prog), ObjVal(o), nil); err != nil {
 			t.Fatal(err)
 		}
-		if v, _ := it.LookupGlobal("result"); v.StrVal() != tag {
+		if v, _ := it.globals["result"]; v.StrVal() != tag {
 			t.Fatalf("this binding in compiled handler: %v, want %s", v, tag)
 		}
 	}
@@ -234,7 +234,7 @@ func TestLibrarySurface(t *testing.T) {
 	if !slices.Equal(names, want) {
 		t.Fatalf("globals = %v, want %v", names, want)
 	}
-	json, _ := it.LookupGlobal("JSON")
+	json, _ := it.globals["JSON"]
 	if keys := json.Object().OwnKeys(); !slices.Equal(keys, []string{"parse"}) {
 		t.Fatalf("JSON keys = %v, want [parse]", keys)
 	}

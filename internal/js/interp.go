@@ -179,12 +179,6 @@ func New() *Interp {
 // DefineGlobal binds a global variable.
 func (it *Interp) DefineGlobal(name string, v Value) { it.globals[name] = v }
 
-// LookupGlobal reads a global variable.
-func (it *Interp) LookupGlobal(name string) (Value, bool) {
-	v, ok := it.globals[name]
-	return v, ok
-}
-
 // TopUserFrame returns the innermost non-native frame, or nil when no
 // user function is executing. This is what StackInfo.getHotnodeInfo()
 // reads in the thesis implementation (§4.4.1).

@@ -22,7 +22,7 @@ func run(t *testing.T, src string) Value {
 func expectNum(t *testing.T, src string, want float64) {
 	t.Helper()
 	v := run(t, src)
-	if v.Kind() != KindNumber || v.NumVal() != want {
+	if v.Kind() != KindNumber || v.num != want {
 		t.Fatalf("%q = %v, want %v", src, v, want)
 	}
 }
@@ -38,7 +38,7 @@ func expectStr(t *testing.T, src string, want string) {
 func expectBool(t *testing.T, src string, want bool) {
 	t.Helper()
 	v := run(t, src)
-	if v.Kind() != KindBool || v.BoolVal() != want {
+	if v.Kind() != KindBool || v.b != want {
 		t.Fatalf("%q = %v, want %v", src, v, want)
 	}
 }
@@ -453,13 +453,13 @@ func TestHostObjectHooks(t *testing.T) {
 	o.Host = host
 	it.DefineGlobal("h", ObjVal(o))
 	v, err := it.Run("h.x + 1")
-	if err != nil || v.NumVal() != 11 {
+	if err != nil || v.num != 11 {
 		t.Fatalf("host get failed: %v %v", v, err)
 	}
 	if _, err := it.Run("h.x = 99"); err != nil {
 		t.Fatalf("host set: %v", err)
 	}
-	if host.props["x"].NumVal() != 99 {
+	if host.props["x"].num != 99 {
 		t.Fatalf("host set not routed, got %v", host.props["x"])
 	}
 	// Non-host props still work.
@@ -467,7 +467,7 @@ func TestHostObjectHooks(t *testing.T) {
 		t.Fatalf("fallthrough set: %v", err)
 	}
 	v, _ = it.Run("h.other")
-	if v.NumVal() != 5 {
+	if v.num != 5 {
 		t.Fatalf("fallthrough get = %v", v)
 	}
 }
@@ -495,7 +495,7 @@ func TestNativeFunctions(t *testing.T) {
 		return Num(args[0].ToNumber() * 2), nil
 	})))
 	v, err := it.Run("native(21)")
-	if err != nil || v.NumVal() != 42 || calls != 1 {
+	if err != nil || v.num != 42 || calls != 1 {
 		t.Fatalf("native call: v=%v err=%v calls=%d", v, err, calls)
 	}
 }
@@ -587,7 +587,7 @@ func TestRunProgramReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, err := it.Run("shared + 5")
-	if err != nil || v.NumVal() != 15 {
+	if err != nil || v.num != 15 {
 		t.Fatalf("state not preserved across Run calls: %v %v", v, err)
 	}
 }
@@ -760,7 +760,7 @@ func TestInterruptNotCatchable(t *testing.T) {
 func TestNilInterruptRunsNormally(t *testing.T) {
 	it := New()
 	v, err := it.Run("1 + 2")
-	if err != nil || v.NumVal() != 3 {
+	if err != nil || v.num != 3 {
 		t.Fatalf("v=%v err=%v", v, err)
 	}
 }

@@ -60,8 +60,8 @@ func TestPropertyJSONRoundTrip(t *testing.T) {
 		o := v.Object()
 		got := func(name string) Value { x, _ := o.Get(name); return x }
 		arr := got("arr").Object()
-		return got("n").NumVal() == n && got("s").StrVal() == s && got("b").BoolVal() == b &&
-			len(arr.Elems) == 2 && arr.Elems[0].NumVal() == n && arr.Elems[1].StrVal() == s
+		return got("n").num == n && got("s").StrVal() == s && got("b").b == b &&
+			len(arr.Elems) == 2 && arr.Elems[0].num == n && arr.Elems[1].StrVal() == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -71,12 +71,6 @@ func (v Value) Object() *Object {
 // StrVal returns the raw string payload (only meaningful for strings).
 func (v Value) StrVal() string { return v.str }
 
-// NumVal returns the raw number payload (only meaningful for numbers).
-func (v Value) NumVal() float64 { return v.num }
-
-// BoolVal returns the raw bool payload (only meaningful for booleans).
-func (v Value) BoolVal() bool { return v.b }
-
 // TypeOf implements the typeof operator.
 func (v Value) TypeOf() string {
 	switch v.kind {

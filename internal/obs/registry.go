@@ -21,7 +21,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -430,34 +432,19 @@ func promNum(v float64) string {
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4), metrics sorted by name so output is stable.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
-	var names []string
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(s.Counters)) {
 		pn := promName(n)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, s.Counters[n]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(s.Gauges)) {
 		pn := promName(n)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, s.Gauges[n]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(s.Histograms)) {
 		pn := promName(n)
 		h := s.Histograms[n]
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {

@@ -3,7 +3,10 @@
 // the ranking formula 5.3.
 package pagerank
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Options tune the power iteration.
 type Options struct {
@@ -99,7 +102,7 @@ func Compute(links map[string][]string, opts Options) map[string]float64 {
 		delta := 0.0
 		for i := range next {
 			next[i] += spread
-			delta += abs(next[i] - rank[i])
+			delta += math.Abs(next[i] - rank[i])
 		}
 		rank, next = next, rank
 		if delta < opts.Epsilon {
@@ -112,11 +115,4 @@ func Compute(links map[string][]string, opts Options) map[string]float64 {
 		result[name] = rank[i]
 	}
 	return result
-}
-
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }

@@ -74,10 +74,7 @@ func NewResultCache(o CacheOptions) *ResultCache {
 	if o.Now == nil {
 		o.Now = time.Now
 	}
-	perShard := o.Capacity / o.Shards
-	if perShard < 1 {
-		perShard = 1
-	}
+	perShard := max(o.Capacity/o.Shards, 1)
 	c := &ResultCache{
 		shards: make([]cacheShard, o.Shards),
 		ttl:    o.TTL,

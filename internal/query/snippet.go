@@ -73,14 +73,8 @@ func snippet(text string, terms []string, opts SnippetOptions) string {
 
 	// Expand the window to MaxTokens, centered.
 	span := hi - lo + 1
-	pad := (opts.MaxTokens - span) / 2
-	if pad < 0 {
-		pad = 0
-	}
-	start := lo - pad
-	if start < 0 {
-		start = 0
-	}
+	pad := max((opts.MaxTokens-span)/2, 0)
+	start := max(lo-pad, 0)
 	end := start + opts.MaxTokens
 	if end > n {
 		end = n

@@ -53,9 +53,7 @@ func (r *Router) record(rep *replica, fail float64, tel *obs.Telemetry) {
 			rep.backoff = r.cfg.QuarantineBase
 		} else if rep.backoff < r.cfg.QuarantineMax {
 			rep.backoff *= 2
-			if rep.backoff > r.cfg.QuarantineMax {
-				rep.backoff = r.cfg.QuarantineMax
-			}
+			rep.backoff = min(rep.backoff, r.cfg.QuarantineMax)
 		}
 		rep.quarantineUntil = r.clock.Now().Add(rep.backoff)
 	}
@@ -124,9 +122,7 @@ func (r *Router) ProbeSweep(ctx context.Context) {
 			c.rep.probeOK = 0
 			if c.rep.backoff < r.cfg.QuarantineMax {
 				c.rep.backoff *= 2
-				if c.rep.backoff > r.cfg.QuarantineMax {
-					c.rep.backoff = r.cfg.QuarantineMax
-				}
+				c.rep.backoff = min(c.rep.backoff, r.cfg.QuarantineMax)
 			}
 			c.rep.quarantineUntil = r.clock.Now().Add(c.rep.backoff)
 			r.mu.Unlock()

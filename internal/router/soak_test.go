@@ -132,7 +132,7 @@ func TestFleetSoakOverloadWithFlappingReplica(t *testing.T) {
 	// the handlers' deferred Releases may still be running.
 	drained := func() {
 		t.Helper()
-		waitFor(t, func() bool { return rs.Limiter().Inflight() == 0 })
+		waitFor(t, func() bool { return reg.Gauge("admission.inflight").Value() == 0 })
 	}
 
 	// runWave fires wave concurrent budget-carrying requests cycling

@@ -161,7 +161,7 @@ func TestShardSearchHintRejections(t *testing.T) {
 	if got := reg.Counter("query.shard.requests").Value(); got != 0 {
 		t.Fatalf("%d rejected hints were evaluated", got)
 	}
-	if got := s.Limiter().Inflight(); got != 0 {
+	if got := reg.Gauge("admission.inflight").Value(); got != 0 {
 		t.Fatalf("rejected hints still hold %d admission slots", got)
 	}
 }

@@ -48,10 +48,7 @@ func (s *Site) handleIndex(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	var b strings.Builder
 	b.WriteString("<html><head><title>SimTube</title></head><body><h1>SimTube</h1><ul>")
-	n := s.NumVideos()
-	if n > 25 {
-		n = 25
-	}
+	n := min(s.NumVideos(), 25)
 	for i := 0; i < n; i++ {
 		v := s.Video(i)
 		fmt.Fprintf(&b, `<li><a href="%s">%s</a></li>`, WatchURL(v.ID), dom.EscapeText(v.Title))
@@ -198,13 +195,7 @@ func (s *Site) RenderCommentFragment(v *Video, p int) string {
 	}
 	// Direct jumps to the neighbouring pages (YouTube offers the
 	// immediately consecutive page numbers, thesis §7.1.1).
-	lo, hi := p-3, p+3
-	if lo < 1 {
-		lo = 1
-	}
-	if hi > total {
-		hi = total
-	}
+	lo, hi := max(p-3, 1), min(p+3, total)
 	for q := lo; q <= hi; q++ {
 		if q == p {
 			fmt.Fprintf(&b, `<b class="cur">%d</b> `, q)

@@ -14,7 +14,6 @@
 package webapp
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -109,9 +108,7 @@ func New(cfg Config) *Site {
 	if cfg.CommentsPerPage <= 0 {
 		cfg.CommentsPerPage = 10
 	}
-	if cfg.RelatedPerVideo < 0 {
-		cfg.RelatedPerVideo = 0
-	}
+	cfg.RelatedPerVideo = max(cfg.RelatedPerVideo, 0)
 	s := &Site{
 		cfg:   cfg,
 		ids:   make([]string, cfg.Videos),
@@ -220,10 +217,7 @@ func (s *Site) generate(i int) *Video {
 var pageCountWeights = []float64{0.32, 0.13, 0.09, 0.08, 0.07, 0.06, 0.055, 0.05, 0.05, 0.048, 0.047}
 
 func (s *Site) samplePageCount(r *rand.Rand) int {
-	max := s.cfg.MaxCommentPages
-	if max > len(pageCountWeights) {
-		max = len(pageCountWeights)
-	}
+	max := min(s.cfg.MaxCommentPages, len(pageCountWeights))
 	total := 0.0
 	for _, w := range pageCountWeights[:max] {
 		total += w
@@ -359,9 +353,3 @@ func containsPhrase(tokens, phrase []string) bool {
 
 // WatchURL returns the path of a video's watch page.
 func WatchURL(id string) string { return "/watch?v=" + id }
-
-// commentsURL returns the AJAX endpoint for page p (1-based) of a video,
-// in the query-string shape the thesis shows in Table 4.3.
-func commentsURL(id string, p int) string {
-	return fmt.Sprintf("/comments?v=%s&action_get_comments=1&p=%d", id, p)
-}

@@ -2,6 +2,7 @@ package webapp
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -424,4 +425,10 @@ func TestNoisyDecorMutatesOnEvents(t *testing.T) {
 	if html := plain.RenderWatchPage(plain.Video(0)); strings.Contains(html, `id="decor"`) {
 		t.Fatalf("decor rendered without NoisyDecor")
 	}
+}
+
+// commentsURL returns the AJAX endpoint for page p (1-based) of a video,
+// in the query-string shape the thesis shows in Table 4.3.
+func commentsURL(id string, p int) string {
+	return fmt.Sprintf("/comments?v=%s&action_get_comments=1&p=%d", id, p)
 }
