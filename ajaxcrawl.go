@@ -183,9 +183,10 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 		cfg.ProcLines = 4
 	}
 
-	// Phase 1: precrawl, as wide as the process lines.
+	// Phase 1: precrawl, as wide as the process lines, retrying like the
+	// crawl.
 	pre := &core.Precrawler{
-		Fetcher:  cfg.Fetcher,
+		Fetcher:  cfg.Crawl.Retrying(cfg.Fetcher),
 		StartURL: cfg.StartURL,
 		MaxPages: cfg.MaxPages,
 		KeepURL:  cfg.KeepURL,
@@ -203,7 +204,7 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 	// goroutine indexes them. Pages arrive in URL order whatever the
 	// scheduling, so the shard layout, the PerPage rows (and ranking
 	// tie-breaks) are deterministic. Each page load is the precrawl's
-	// response, handed off below every line's retry/breaker wrap.
+	// response, handed off below every line's retry wrap.
 	handoff := preRes.Handoff(cfg.Fetcher)
 	mp := &core.MPCrawler{
 		NewCrawler:   func() *core.Crawler { return core.New(handoff, cfg.Crawl) },

@@ -90,6 +90,40 @@ func TestBuildEngineFetchesEachPageOnce(t *testing.T) {
 	}
 }
 
+// TestBuildEnginePrecrawlRetries: BuildEngine's precrawl retries under
+// Config.Crawl's policy, so an engine built through a fault injector the
+// policy can outlast crawls exactly the pages and states of a clean one.
+func TestBuildEnginePrecrawlRetries(t *testing.T) {
+	site := NewSimSite(60, 7)
+	build := func(f Fetcher, crawl CrawlOptions) *Engine {
+		t.Helper()
+		eng, err := BuildEngine(context.Background(), Config{
+			Fetcher: f, StartURL: site.VideoURL(0), MaxPages: 60, ProcLines: 2,
+			Crawl: crawl, KeepURL: IsWatchURL,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	plain := NewHandlerFetcher(site.Handler())
+	clean := build(plain, CrawlOptions{UseHotNode: true, MaxStates: 5})
+	clock := &fetch.VirtualClock{}
+	faulty := fetch.NewFaultFetcher(plain, fetch.FaultConfig{ErrorRate: 0.3, MaxConsecutive: 3, Seed: 2008}, clock)
+	got := build(faulty, CrawlOptions{
+		UseHotNode: true, MaxStates: 5, Clock: clock,
+		RetryPolicy: &fetch.RetryPolicy{MaxAttempts: 5},
+	})
+	if got.Metrics.Retries == 0 {
+		t.Fatal("no crawl fetch was retried: the faults never fired")
+	}
+	c, g := clean.Metrics, got.Metrics
+	if g.Pages != c.Pages || g.PagesFailed != 0 || g.States != c.States || g.EventsTriggered != c.EventsTriggered {
+		t.Fatalf("faulted build: %d pages (%d failed), %d states, %d events; clean: %d pages, %d states, %d events",
+			g.Pages, g.PagesFailed, g.States, g.EventsTriggered, c.Pages, c.States, c.EventsTriggered)
+	}
+}
+
 func TestEngineSearchFindsAJAXOnlyContent(t *testing.T) {
 	_, eng := buildTestEngine(t, 40, 25)
 	// "wow" is the most-planted query phrase; with 25 pages crawled it

@@ -46,12 +46,11 @@ type env struct {
 	seed    int64
 	latBase time.Duration
 	latPerK time.Duration
-	// Resilience knobs (zero-valued unless the -retries /
-	// -breaker-threshold / -fault-rate flags are set): every experiment
-	// crawl then runs the whole fault-tolerant stack, so tables can be
-	// regenerated under chaos to measure the overhead of recovery.
+	// Resilience knobs (zero-valued unless the -retries / -fault-rate
+	// flags are set): every experiment crawl then runs the retry layer
+	// over the fault injector, so tables can be regenerated under chaos
+	// to measure the overhead of recovery.
 	retry     *fetch.RetryPolicy
-	breaker   *fetch.BreakerConfig
 	faultRate float64
 	// Frontier seed for the parallel experiments (-frontier-seed); zero
 	// selects the scheduler default.
@@ -115,7 +114,6 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "print the final registry snapshot as one JSON document on stdout (tables move to stderr)")
 		retries     = flag.Int("retries", 0, "retry transient fetch failures up to this many times per request (0 disables retrying)")
 		retryBase   = flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff; doubles per retry with full jitter")
-		breakerThr  = flag.Float64("breaker-threshold", 0, "per-host circuit-breaker failure-rate threshold in (0,1] (0 disables the breaker)")
 		faultRate   = flag.Float64("fault-rate", 0, "inject transient fetch faults with this probability (chaos testing; seeded by -seed)")
 		nearDup     = flag.Float64("neardup", 0, "merge states whose MinHash similarity reaches this threshold in (0,1] (0 disables; 0.9 is a reasonable setting)")
 		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the parallel crawler's work-stealing scheduler (0 = default seed 1)")
@@ -196,9 +194,6 @@ func main() {
 	if *retries > 0 {
 		e.retry = &fetch.RetryPolicy{MaxAttempts: *retries + 1, BaseDelay: *retryBase}
 	}
-	if *breakerThr > 0 {
-		e.breaker = &fetch.BreakerConfig{FailureThreshold: *breakerThr}
-	}
 	var failed bool
 	for _, x := range experiments {
 		if *exp != "all" && !wanted[x.id] {
@@ -277,7 +272,6 @@ func (e *env) crawl(n int, opts core.Options) (*core.Metrics, []*model.Graph, er
 	inst := e.instrumented(clock)
 	opts.Clock = clock
 	opts.RetryPolicy = e.retry
-	opts.BreakerConfig = e.breaker
 	if opts.NearDupThreshold == 0 && e.nearDup > 0 {
 		opts.NearDupThreshold = e.nearDup
 	}

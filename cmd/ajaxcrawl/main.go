@@ -64,12 +64,10 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "print the final metrics snapshot as one JSON document on stdout")
 		retries     = flag.Int("retries", 0, "retry transient fetch failures up to this many times per request (0 disables retrying)")
 		retryBase   = flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff; doubles per retry with full jitter")
-		breakerThr  = flag.Float64("breaker-threshold", 0, "per-host circuit-breaker failure-rate threshold in (0,1] (0 disables the breaker)")
 		faultRate   = flag.Float64("fault-rate", 0, "inject transient fetch faults with this probability (chaos testing; seeded by -seed)")
 		ckptDir     = flag.String("checkpoint-dir", "", "journal crawl progress (per-line journals + frontier snapshot) into this directory (crash tolerance; default <out>/checkpoints when -resume is set)")
 		resume      = flag.Bool("resume", false, "resume a previous crawl: reuse the saved precrawl and replay checkpoint journals so completed pages are not re-crawled")
-		partRetries = flag.Int("partition-restarts", 0, "supervisor: requeue a failed or wedged page up to this many times")
-		partStuck   = flag.Duration("partition-stuck", 0, "supervisor watchdog: cancel and requeue a page when no page completes on its line within this duration (0 disables)")
+		pageTimeout = flag.Duration("page-timeout", 0, "cut off a page whose crawl takes longer than this and count it failed (0 disables)")
 		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the frontier scheduler's steal-victim PRNG (0 selects seed 1; results are seed-independent)")
 		nearDup     = flag.Float64("neardup", 0, "merge states whose MinHash similarity reaches this threshold in (0,1] (0 disables; 0.9 is a reasonable setting)")
 		simNoisy    = flag.Bool("sim-noisy", false, "give the synthetic site mutating page chrome (timestamp/view-counter/ad-slot) — the noisy-app workload that near-dup merging collapses")
@@ -144,6 +142,20 @@ func main() {
 		*ckptDir = filepath.Join(*out, "checkpoints")
 	}
 
+	opts := core.Options{
+		Traditional:      *traditional,
+		UseHotNode:       !*noHot && !*traditional,
+		MaxStates:        *maxStates,
+		NearDupThreshold: *nearDup,
+		PageTimeout:      *pageTimeout,
+	}
+	if *retries > 0 {
+		opts.RetryPolicy = &fetch.RetryPolicy{
+			MaxAttempts: *retries + 1,
+			BaseDelay:   *retryBase,
+		}
+	}
+
 	begin := time.Now()
 	var preRes *core.PrecrawlResult
 	if *resume {
@@ -159,7 +171,9 @@ func main() {
 	}
 	if preRes == nil {
 		infof("precrawling %d pages from %s ...", *pages, startURL)
-		pre := &core.Precrawler{Fetcher: fetcher, StartURL: startURL, MaxPages: *pages, Lines: *lines}
+		// The precrawl retries like the crawl: a fault it gave up on
+		// would drop the page, and every link only it leads to.
+		pre := &core.Precrawler{Fetcher: opts.Retrying(fetcher), StartURL: startURL, MaxPages: *pages, Lines: *lines}
 		var err error
 		preRes, err = pre.Run(ctx)
 		if err != nil {
@@ -171,21 +185,6 @@ func main() {
 		infof("precrawl done: %d pages, %d link sources", len(preRes.URLs), len(preRes.Links))
 	}
 
-	opts := core.Options{
-		Traditional:      *traditional,
-		UseHotNode:       !*noHot && !*traditional,
-		MaxStates:        *maxStates,
-		NearDupThreshold: *nearDup,
-	}
-	if *retries > 0 {
-		opts.RetryPolicy = &fetch.RetryPolicy{
-			MaxAttempts: *retries + 1,
-			BaseDelay:   *retryBase,
-		}
-	}
-	if *breakerThr > 0 {
-		opts.BreakerConfig = &fetch.BreakerConfig{FailureThreshold: *breakerThr}
-	}
 	var recordProfile *core.CrawlProfile
 	if *saveProfile {
 		recordProfile = core.NewCrawlProfile()
@@ -213,12 +212,8 @@ func main() {
 		NewCrawler:   func() *core.Crawler { return core.New(handoff, opts) },
 		ProcLines:    *lines,
 		URLs:         preRes.URLs,
-		MaxRestarts:  *partRetries,
 		Priorities:   preRes.PageRank,
 		FrontierSeed: *frontSeed,
-	}
-	if *partStuck > 0 {
-		mp.StuckTimeout = *partStuck
 	}
 	var cps *core.CrawlCheckpoints
 	if *ckptDir != "" {
@@ -271,15 +266,11 @@ func main() {
 	if m.PagesResumed > 0 {
 		infof("resume: %d pages replayed from checkpoint journals (not re-crawled)", m.PagesResumed)
 	}
-	if res.Restarts > 0 {
-		infof("supervisor: %d page requeues", res.Restarts)
-	}
 	if m.NearDupMerges > 0 {
 		infof("near-dup: %d states merged (%d signatures compared)", m.NearDupMerges, m.NearDupCandidates)
 	}
-	if m.Retries > 0 || m.BreakerOpens > 0 {
-		infof("resilience: %d retries recovered %d pages, %d breaker opens",
-			m.Retries, m.PagesRecovered, m.BreakerOpens)
+	if m.Retries > 0 {
+		infof("resilience: %d retries recovered %d pages", m.Retries, m.PagesRecovered)
 	}
 	infof("models stored under %s", *out)
 	if *saveIndex != "" {

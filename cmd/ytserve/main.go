@@ -55,8 +55,8 @@ func main() {
 	obs.RegisterStatus(mux, obs.StatusSource{Reg: reg, StartedAt: time.Now()})
 	handler := site.Handler()
 	// Server-side chaos: a fraction of site requests answer 503 with a
-	// Retry-After hint, so a crawl pointed here exercises its retry and
-	// breaker stack against real HTTP. Injected 503s show up in the
+	// Retry-After hint, so a crawl pointed here exercises its retry
+	// layer against real HTTP. Injected 503s show up in the
 	// instrumented handler's status counters like any other response.
 	if *faultRate > 0 {
 		rnd := rand.New(rand.NewSource(*seed))

@@ -126,8 +126,9 @@ func TestEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// eqCrawl runs one crawl cell the way cmd/ajaxcrawl does — precrawl,
-// precrawl handoff, MPCrawler, per-line journals when resumed — and
+// eqCrawl runs one crawl cell the way cmd/ajaxcrawl does — precrawl
+// (through the cell's faults and retry policy), precrawl handoff,
+// MPCrawler, per-line journals when resumed — and
 // checks the cell's crawl conditions: every page crawled, PerPage rows
 // in URL order; under faults, retries fired and no page failed; when
 // resumed, every journaled page replayed and none fetched again.
@@ -135,8 +136,19 @@ func eqCrawl(t *testing.T, site *webapp.Site, c eqCell) (*core.PrecrawlResult, *
 	t.Helper()
 	ctx := context.Background()
 	var net fetch.Fetcher = &fetch.HandlerFetcher{Handler: site.Handler()}
+	clock := &fetch.VirtualClock{}
+	opts := core.Options{UseHotNode: true, MaxStates: eqMaxStates, NearDupThreshold: c.dedup, Clock: clock}
+	if c.faults > 0 {
+		// One fault in six truncates the body, the rest reset the
+		// connection; at most three in a row per URL, so the five-attempt
+		// budget recovers every fetch, the precrawl's included.
+		net = fetch.NewFaultFetcher(net, fetch.FaultConfig{
+			ErrorRate: c.faults * 5 / 6, TruncateRate: c.faults / 6, MaxConsecutive: 3, Seed: c.seed,
+		}, clock)
+		opts.RetryPolicy = &fetch.RetryPolicy{MaxAttempts: 5, BaseDelay: 50 * time.Millisecond}
+	}
 	pre, err := (&core.Precrawler{
-		Fetcher: net, StartURL: webapp.WatchURL(site.VideoID(0)),
+		Fetcher: opts.Retrying(net), StartURL: webapp.WatchURL(site.VideoID(0)),
 		MaxPages: eqVideos, KeepURL: IsWatchURL, Lines: c.lines,
 	}).Run(ctx)
 	if err != nil {
@@ -144,17 +156,6 @@ func eqCrawl(t *testing.T, site *webapp.Site, c eqCell) (*core.PrecrawlResult, *
 	}
 	if len(pre.URLs) <= eqKillAfter {
 		t.Fatalf("%s: precrawl found %d pages, too few to kill a crawl after %d", c, len(pre.URLs), eqKillAfter)
-	}
-	clock := &fetch.VirtualClock{}
-	opts := core.Options{UseHotNode: true, MaxStates: eqMaxStates, NearDupThreshold: c.dedup, Clock: clock}
-	if c.faults > 0 {
-		// One fault in six truncates the body, the rest reset the
-		// connection; at most three in a row per URL, so the five-attempt
-		// budget recovers every fetch.
-		net = fetch.NewFaultFetcher(net, fetch.FaultConfig{
-			ErrorRate: c.faults * 5 / 6, TruncateRate: c.faults / 6, MaxConsecutive: 3, Seed: c.seed,
-		}, clock)
-		opts.RetryPolicy = &fetch.RetryPolicy{MaxAttempts: 5, BaseDelay: 50 * time.Millisecond}
 	}
 	var mu sync.Mutex
 	fetches := map[string]int{}

@@ -31,6 +31,20 @@ var (
 // events roll the DOM back, fire the handler, and where the DOM changed
 // take the state hash, the visible text and a snapshot.
 func BenchmarkEventLoop(b *testing.B) {
+	expand := newEventLoop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	events := 0
+	for i := 0; i < b.N; i++ {
+		events = expand()
+	}
+	b.ReportMetric(float64(events), "events/op")
+}
+
+// newEventLoop loads a webapp watch page with at least three comment
+// pages and returns one state expansion of it, which reports the number
+// of events it fired.
+func newEventLoop(tb testing.TB) func() int {
 	cfg := webapp.DefaultConfig(20, 17)
 	cfg.NoisyDecor = true
 	site := webapp.New(cfg)
@@ -42,25 +56,22 @@ func BenchmarkEventLoop(b *testing.B) {
 	p := NewPage(&fetch.HandlerFetcher{Handler: site.Handler()})
 	p.XHR = memoXHR{}
 	if err := p.Load(ctx, webapp.WatchURL(v.ID)); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := p.RunOnLoad(ctx); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	snap := p.Snapshot()
 	events := p.Events(nil)
 	if len(events) == 0 {
-		b.Fatal("watch page has no events")
+		tb.Fatal("watch page has no events")
 	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() int {
 		for _, ev := range events {
 			p.Restore(snap)
 			changed, err := p.Trigger(ctx, ev)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			if changed {
 				sinkHash = p.Hash()
@@ -68,6 +79,6 @@ func BenchmarkEventLoop(b *testing.B) {
 				sinkSnap = p.Snapshot()
 			}
 		}
+		return len(events)
 	}
-	b.ReportMetric(float64(len(events)), "events/op")
 }

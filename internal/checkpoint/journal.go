@@ -60,9 +60,10 @@ const (
 	journalMagic = "AJWL"
 	// journalVersion 1 carried gob-encoded graphs and metrics in its
 	// page frames; version 2 also journaled every admitted state's hash
-	// and near-dup signature, which no resume read. A journal of another
-	// version is refused, not replayed.
-	journalVersion = 3
+	// and near-dup signature, which no resume read; version 3's page
+	// metrics carried a breaker-opens count. A journal of another version
+	// is refused, not replayed.
+	journalVersion = 4
 
 	// Record types. 2 (an admitted state's hash) and 5 (its near-dup
 	// signature) are retired with version 2 and never reused.
@@ -107,8 +108,8 @@ type PageRecord struct {
 // FrontierRecord is one admitted frontier item: a URL with its position
 // in the crawl's URL list and its admission priority. The parallel crawler
 // journals these into a dedicated frontier journal so a resumed crawl
-// rebuilds the same prioritized frontier — including priorities that
-// carried a learned yield boost — instead of recomputing from scratch.
+// rebuilds the same prioritized frontier instead of recomputing it from
+// scratch.
 type FrontierRecord struct {
 	URL      string
 	Seq      int

@@ -261,14 +261,18 @@ func TestJournalGarbageFileStartsFresh(t *testing.T) {
 // TestJournalFromAnotherBuildIsRefused: a WAL or snapshot whose header
 // has the journal's magic and another version — one written by another
 // build, such as version 2, whose state records this build no longer
-// reads — fails Open with an error naming the file and both versions,
+// reads, or version 3, whose page metrics carry one more count — fails
+// Open with an error naming the file and both versions,
 // and its bytes stay as they were, instead of being wiped as a torn
 // file would be. A Reset open still discards it.
 func TestJournalFromAnotherBuildIsRefused(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		version byte
-	}{{walFileName, 2}, {walFileName, journalVersion + 1}, {snapFileName, 2}, {snapFileName, journalVersion + 1}} {
+	}{
+		{walFileName, 2}, {walFileName, 3}, {walFileName, journalVersion + 1},
+		{snapFileName, 2}, {snapFileName, 3}, {snapFileName, journalVersion + 1},
+	} {
 		name := c.name
 		dir := t.TempDir()
 		j := mustOpen(t, dir, Options{CompactEvery: -1})

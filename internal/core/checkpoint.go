@@ -21,8 +21,8 @@ import (
 // Checkpointer is the crawler's durable-progress hook. When
 // Options.Checkpoint is set, CrawlAll journals every completed page
 // through it and consults it before crawling, so a crawl resumed after a
-// crash (or a supervisor restart) skips already-completed pages and
-// converges to the same state set as an uninterrupted run. The one
+// crash skips already-completed pages and converges to the same state
+// set as an uninterrupted run. The one
 // mid-page record is a hot-node cache fill, which re-seeds the cache
 // when an interrupted page is crawled again.
 //
@@ -73,10 +73,10 @@ func openJournal(ctx context.Context, dir string, opts checkpoint.Options) (*che
 // decodePageMetrics walk the same list, so a field added to it is
 // written and read alike (TestPageMetricsRoundTrip fails on one left
 // out).
-func (pm *PageMetrics) counts() [15]*int {
-	return [15]*int{&pm.States, &pm.Transitions, &pm.EventsTriggered, &pm.NetworkEvents, &pm.XHRSends,
+func (pm *PageMetrics) counts() [14]*int {
+	return [14]*int{&pm.States, &pm.Transitions, &pm.EventsTriggered, &pm.NetworkEvents, &pm.XHRSends,
 		&pm.NetworkCalls, &pm.HotNodeHits, &pm.HandlerErrors, &pm.EventsSkipped, &pm.StatesPruned,
-		&pm.NearDupMerges, &pm.NearDupCandidates, &pm.Retries, &pm.BreakerOpens, &pm.PagesRecovered}
+		&pm.NearDupMerges, &pm.NearDupCandidates, &pm.Retries, &pm.PagesRecovered}
 }
 
 // encodePageMetrics builds a page frame's metrics payload, in

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -247,207 +248,87 @@ func TestMPCrawlerResumeConvergence(t *testing.T) {
 	requireSameStateSets(t, base, stateSets(res.Graphs))
 }
 
-// TestSupervisorRestartsFailedPartition pins the supervisor contract: a
-// page that fails transiently is requeued to the frontier (metered in
-// frontier.requeues) and succeeds on its next attempt; a page that keeps
-// failing is reported after MaxRestarts requeues, not retried forever.
-func TestSupervisorRestartsFailedPartition(t *testing.T) {
-	site, _ := newSiteFetcher(6, 11)
-	var urls []string
-	for i := 0; i < 4; i++ {
-		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
-	}
-	target := urls[2]
-	inner := &fetch.HandlerFetcher{Handler: site.Handler()}
-
-	// Fail-once: the target's first attempt dies under FailFast, its
-	// second succeeds.
-	var tripped atomic.Bool
-	failOnce := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
-		if rawurl == target && tripped.CompareAndSwap(false, true) {
-			return nil, fmt.Errorf("fetch %s: connection reset", rawurl)
-		}
-		return inner.Fetch(ctx, rawurl)
-	})
-	reg := obs.NewRegistry()
-	ctx := obs.With(context.Background(), obs.New(reg, nil))
-	mp := &MPCrawler{
-		NewCrawler:  func() *Crawler { return New(failOnce, Options{OnError: FailFast, MaxStates: 2}) },
-		ProcLines:   2,
-		URLs:        urls,
-		MaxRestarts: 2,
-	}
-	res := mp.Run(ctx)
-	if err := res.Err; err != nil {
-		t.Fatalf("supervisor did not recover the fail-once page: %v", err)
-	}
-	if res.Restarts != 1 {
-		t.Errorf("Restarts = %d, want 1", res.Restarts)
-	}
-	if got := len(res.Graphs); got != 4 {
-		t.Errorf("crawled %d pages after restart, want 4", got)
-	}
-	if n := reg.Snapshot().Counters["frontier.requeues"]; n != 1 {
-		t.Errorf("frontier.requeues = %d, want 1", n)
-	}
-
-	// Always-failing: restarts are bounded.
-	alwaysBad := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
-		if rawurl == target {
-			return nil, fmt.Errorf("fetch %s: connection reset", rawurl)
-		}
-		return inner.Fetch(ctx, rawurl)
-	})
-	reg2 := obs.NewRegistry()
-	ctx2 := obs.With(context.Background(), obs.New(reg2, nil))
-	mp.NewCrawler = func() *Crawler { return New(alwaysBad, Options{OnError: FailFast, MaxStates: 2}) }
-	res2 := mp.Run(ctx2)
-	if res2.Err == nil || !strings.Contains(res2.Err.Error(), target) {
-		t.Fatalf("Err = %v, want the always-failing page's error", res2.Err)
-	}
-	if res2.Restarts != 2 {
-		t.Errorf("Restarts = %d, want MaxRestarts=2", res2.Restarts)
-	}
-	if n := reg2.Snapshot().Counters["frontier.requeues"]; n != 2 {
-		t.Errorf("frontier.requeues = %d, want 2", n)
-	}
-	// The healthy sibling pages are untouched by the failures.
-	if got := len(res2.Graphs); got != 3 {
-		t.Errorf("healthy pages crawled: %d, want 3", got)
-	}
-}
-
 // TestPartitionPanicRecovered pins the panic boundary: a crawler panic
-// mid-page becomes that page's error (and a restartable failure), never
-// a crashed process line.
+// mid-page becomes that page's error, never a crashed process line. The
+// line rebuilds its crawler and crawls its next page.
 func TestPartitionPanicRecovered(t *testing.T) {
 	site, _ := newSiteFetcher(6, 11)
 	var urls []string
 	for i := 0; i < 4; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
 	}
-	target := urls[2]
+	target := urls[1]
 	inner := &fetch.HandlerFetcher{Handler: site.Handler()}
-	var panicked atomic.Int32
-	panicky := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
-		if rawurl == target {
-			panicked.Add(1)
+	var once atomic.Bool
+	panicOnce := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
+		if rawurl == target && once.CompareAndSwap(false, true) {
 			panic("hostile page blew up the crawler")
 		}
 		return inner.Fetch(ctx, rawurl)
 	})
 
-	// Without restarts the panic surfaces as the page's error while its
-	// siblings complete.
+	// One line, so the pages after the target run on the rebuilt crawler.
 	reg := obs.NewRegistry()
 	ctx := obs.With(context.Background(), obs.New(reg, nil))
+	var builds atomic.Int32
 	mp := &MPCrawler{
-		NewCrawler: func() *Crawler { return New(panicky, Options{MaxStates: 2}) },
-		ProcLines:  2,
-		URLs:       urls,
+		NewCrawler: func() *Crawler {
+			builds.Add(1)
+			return New(panicOnce, Options{MaxStates: 2})
+		},
+		ProcLines: 1,
+		URLs:      urls,
 	}
 	res := mp.Run(ctx)
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "panic") || !strings.Contains(res.Err.Error(), target) {
 		t.Fatalf("Err = %v, want the target page's recovered panic", res.Err)
 	}
-	if got := len(res.Graphs); got != 3 {
-		t.Errorf("healthy pages crawled: %d, want 3", got)
+	if n := builds.Load(); n != 2 {
+		t.Errorf("NewCrawler ran %d times, want 2 (the line's crawler and its rebuild)", n)
+	}
+	var got []string
+	for _, g := range res.Graphs {
+		got = append(got, g.URL)
+	}
+	if want := []string{urls[0], urls[2], urls[3]}; !slices.Equal(got, want) {
+		t.Errorf("crawled %v, want %v: the line's pages after the panic must crawl", got, want)
 	}
 	if n := reg.Snapshot().Counters["crawl.line.panics"]; n != 1 {
 		t.Errorf("crawl.line.panics = %d, want 1", n)
 	}
-
-	// With restarts a panic-once page recovers like any failure.
-	panicked.Store(0)
-	var once atomic.Bool
-	panicOnce := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
-		if rawurl == target && once.CompareAndSwap(false, true) {
-			panic("transient panic")
-		}
-		return inner.Fetch(ctx, rawurl)
-	})
-	mp.NewCrawler = func() *Crawler { return New(panicOnce, Options{MaxStates: 2}) }
-	mp.MaxRestarts = 1
-	res2 := mp.Run(obs.With(context.Background(), obs.New(obs.NewRegistry(), nil)))
-	if err := res2.Err; err != nil {
-		t.Fatalf("panic-once page did not recover: %v", err)
-	}
-	if res2.Restarts != 1 {
-		t.Errorf("Restarts = %d, want 1", res2.Restarts)
-	}
 }
 
-// TestWatchdogRestartsStuckPartition wedges a page's first attempt
-// (a fetch that advances the virtual clock past StuckTimeout and then
-// blocks forever) and checks the watchdog cancels it with
-// ErrLineStuck and the supervisor's restart completes the crawl.
-func TestWatchdogRestartsStuckPartition(t *testing.T) {
+// TestPageTimeoutSkipsWedgedPage wedges one page's fetch until its
+// context ends: Options.PageTimeout cuts the page off, it is counted in
+// PagesFailed under SkipAndCount, and the next page on the same line
+// crawls.
+func TestPageTimeoutSkipsWedgedPage(t *testing.T) {
 	site, _ := newSiteFetcher(4, 7)
-	var urls []string
-	for i := 0; i < 2; i++ {
-		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
-	}
-	clock := &fetch.VirtualClock{}
+	urls := []string{webapp.WatchURL(site.Video(0).ID), webapp.WatchURL(site.Video(1).ID)}
 	inner := &fetch.HandlerFetcher{Handler: site.Handler()}
-	var wedged atomic.Bool
 	fetcher := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
-		if wedged.CompareAndSwap(false, true) {
-			// Wedge: virtual time races past the watchdog budget while no
-			// page completes, then the fetch hangs until canceled.
-			clock.Sleep(context.Background(), 5*time.Second)
+		if rawurl == urls[0] {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
 		return inner.Fetch(ctx, rawurl)
 	})
-	reg := obs.NewRegistry()
-	ctx := obs.With(context.Background(), obs.New(reg, nil))
 	mp := &MPCrawler{
-		NewCrawler:   func() *Crawler { return New(fetcher, Options{Clock: clock, MaxStates: 2}) },
-		ProcLines:    1,
-		URLs:         urls,
-		MaxRestarts:  1,
-		StuckTimeout: time.Second,
-		Clock:        clock,
-	}
-	res := mp.Run(ctx)
-	if err := res.Err; err != nil {
-		t.Fatalf("watchdog restart did not recover the wedged page: %v", err)
-	}
-	if res.Restarts != 1 {
-		t.Errorf("Restarts = %d, want 1", res.Restarts)
-	}
-	if got := len(res.Graphs); got != 2 {
-		t.Errorf("crawled %d pages after the watchdog restart, want 2", got)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["crawl.line.watchdog_trips"] < 1 {
-		t.Error("crawl.line.watchdog_trips never incremented")
-	}
-}
-
-// TestWatchdogReportsStuckWithoutRestarts pins the error shape: with no
-// restart budget a wedged page surfaces ErrLineStuck, so an operator
-// can tell a hung page from a Ctrl-C.
-func TestWatchdogReportsStuckWithoutRestarts(t *testing.T) {
-	site, _ := newSiteFetcher(4, 7)
-	urls := []string{webapp.WatchURL(site.Video(0).ID)}
-	clock := &fetch.VirtualClock{}
-	fetcher := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
-		clock.Sleep(context.Background(), 5*time.Second)
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	mp := &MPCrawler{
-		NewCrawler:   func() *Crawler { return New(fetcher, Options{Clock: clock, MaxStates: 2}) },
-		ProcLines:    1,
-		URLs:         urls,
-		StuckTimeout: time.Second,
-		Clock:        clock,
+		NewCrawler: func() *Crawler {
+			return New(fetcher, Options{MaxStates: 2, PageTimeout: 50 * time.Millisecond})
+		},
+		ProcLines: 1,
+		URLs:      urls,
 	}
 	res := mp.Run(context.Background())
-	if !errors.Is(res.Err, ErrLineStuck) {
-		t.Fatalf("Err = %v, want ErrLineStuck", res.Err)
+	if res.Err != nil {
+		t.Fatalf("Err = %v, want a wedged page skipped and counted", res.Err)
+	}
+	if res.Metrics.PagesFailed != 1 {
+		t.Errorf("PagesFailed = %d, want 1 (the wedged page)", res.Metrics.PagesFailed)
+	}
+	if len(res.Graphs) != 1 || res.Graphs[0].URL != urls[1] {
+		t.Errorf("crawled %d graphs, want only the page after the wedged one", len(res.Graphs))
 	}
 }
 

@@ -102,11 +102,6 @@ type Options struct {
 	// backoff + full jitter instead of failing the page. Backoff sleeps
 	// run on Clock, so virtual-clock crawls retry for free.
 	RetryPolicy *fetch.RetryPolicy
-	// BreakerConfig, when non-nil, wraps the crawler's fetcher in a
-	// per-host fetch.Breaker that sheds load from dying hosts. It sits
-	// under the RetryFetcher, so an open circuit fails a fetch fast
-	// instead of burning retry attempts against it.
-	BreakerConfig *fetch.BreakerConfig
 	// Checkpoint, when non-nil, makes the crawl crash-tolerant: CrawlAll
 	// journals every completed page through it, skips pages it already
 	// holds (counting them in Metrics.PagesResumed instead of
@@ -118,8 +113,7 @@ type Options struct {
 	Checkpoint Checkpointer
 	// OnPage, when non-nil, is invoked after every page attempt in
 	// CrawlAll — crawled, failed-and-skipped, or resumed from the
-	// checkpoint — with that page's metrics. The page supervisor uses
-	// it as the stuck-line heartbeat; tests use it to script
+	// checkpoint — with that page's metrics. Tests use it to script
 	// mid-crawl cancellation points.
 	OnPage func(pm PageMetrics)
 }
@@ -167,9 +161,6 @@ type PageMetrics struct {
 	// this page (attributed through fetch.FindRetryStats, like
 	// NetworkTime through fetch.FindStats).
 	Retries int
-	// BreakerOpens counts circuit-breaker open transitions observed
-	// while crawling this page.
-	BreakerOpens int
 	// PagesRecovered is 1 when the page crawl succeeded but needed at
 	// least one retry — a page that a retry-less crawl would have lost.
 	PagesRecovered int
@@ -207,7 +198,6 @@ type Metrics struct {
 	NearDupMerges     int
 	NearDupCandidates int
 	Retries           int
-	BreakerOpens      int
 	PagesRecovered    int
 	CrawlTime         time.Duration
 	NetworkTime       time.Duration
@@ -231,7 +221,7 @@ func (m *Metrics) Merge(o *Metrics) {
 }
 
 // fold adds counts, in the order of counts(), and the two times to m.
-func (m *Metrics) fold(counts [15]*int, crawl, net time.Duration) {
+func (m *Metrics) fold(counts [14]*int, crawl, net time.Duration) {
 	for i, c := range m.counts() {
 		*c += *counts[i]
 	}
@@ -240,10 +230,10 @@ func (m *Metrics) fold(counts [15]*int, crawl, net time.Duration) {
 }
 
 // counts lists m's per-page sums in the order of PageMetrics.counts.
-func (m *Metrics) counts() [15]*int {
-	return [15]*int{&m.States, &m.Transitions, &m.EventsTriggered, &m.NetworkEvents, &m.XHRSends,
+func (m *Metrics) counts() [14]*int {
+	return [14]*int{&m.States, &m.Transitions, &m.EventsTriggered, &m.NetworkEvents, &m.XHRSends,
 		&m.NetworkCalls, &m.HotNodeHits, &m.HandlerErrors, &m.EventsSkipped, &m.StatesPruned,
-		&m.NearDupMerges, &m.NearDupCandidates, &m.Retries, &m.BreakerOpens, &m.PagesRecovered}
+		&m.NearDupMerges, &m.NearDupCandidates, &m.Retries, &m.PagesRecovered}
 }
 
 // Crawler crawls AJAX pages into transition graphs.
@@ -257,21 +247,22 @@ type Crawler struct {
 	scripts browser.ProgramCache
 }
 
-// New returns a crawler over the given fetcher. When Options carries a
-// BreakerConfig and/or RetryPolicy, the fetcher is wrapped accordingly
-// (retry outermost, breaker inside it, both on Options.Clock) — every
-// crawler built by an MPCrawler factory then gets its own breaker state,
-// which is what keeps one process line's tripped circuit from shedding
-// load for its siblings.
+// New returns a crawler over the given fetcher, wrapped by Retrying.
 func New(fetcher fetch.Fetcher, opts Options) *Crawler {
 	opts = opts.withDefaults()
-	if opts.BreakerConfig != nil {
-		fetcher = fetch.NewBreaker(fetcher, *opts.BreakerConfig, opts.Clock)
+	return &Crawler{Fetcher: opts.Retrying(fetcher), Opts: opts}
+}
+
+// Retrying wraps f in a fetch.RetryFetcher under RetryPolicy, its
+// backoff on Clock, or returns f when RetryPolicy is nil. The crawl's
+// fetcher is wrapped so; wrap the precrawl's too, or a transient fault
+// there drops a page (and every link only it leads to) from the crawl.
+func (o Options) Retrying(f fetch.Fetcher) fetch.Fetcher {
+	if o.RetryPolicy == nil {
+		return f
 	}
-	if opts.RetryPolicy != nil {
-		fetcher = fetch.NewRetryFetcher(fetcher, *opts.RetryPolicy, opts.Clock)
-	}
-	return &Crawler{Fetcher: fetcher, Opts: opts}
+	o = o.withDefaults()
+	return fetch.NewRetryFetcher(f, *o.RetryPolicy, o.Clock)
 }
 
 // CrawlPage builds the AJAX page model for one URL (Alg. 3.1.1 /
@@ -295,20 +286,17 @@ func (c *Crawler) CrawlPage(ctx context.Context, url string) (*model.Graph, Page
 	wallStart := time.Now()
 	// The fetch layers' running totals, read before and after the page:
 	// their deltas are what this page cost.
-	stats, rstats, bstats := fetch.FindStats(c.Fetcher), fetch.FindRetryStats(c.Fetcher), fetch.FindBreakerStats(c.Fetcher)
-	totals := func() (net time.Duration, retries, opens int64) {
+	stats, rstats := fetch.FindStats(c.Fetcher), fetch.FindRetryStats(c.Fetcher)
+	totals := func() (net time.Duration, retries int64) {
 		if stats != nil {
 			net = stats.Stats().NetworkTime
 		}
 		if rstats != nil {
 			retries = rstats.RetryStats().Retries
 		}
-		if bstats != nil {
-			opens = bstats.BreakerStats().Opens
-		}
-		return net, retries, opens
+		return net, retries
 	}
-	netStart, retryStart, opensStart := totals()
+	netStart, retryStart := totals()
 
 	graph := model.NewGraph(url)
 	page := browser.NewPage(c.Fetcher)
@@ -337,8 +325,8 @@ func (c *Crawler) CrawlPage(ctx context.Context, url string) (*model.Graph, Page
 		// CrawlTime models a real run with the simulated latencies.
 		pm.CrawlTime += time.Since(wallStart)
 	}
-	net, retries, opens := totals()
-	pm.NetworkTime, pm.Retries, pm.BreakerOpens = net-netStart, int(retries-retryStart), int(opens-opensStart)
+	net, retries := totals()
+	pm.NetworkTime, pm.Retries = net-netStart, int(retries-retryStart)
 	if crawlErr == nil && pm.Retries > 0 {
 		// The page made it, but only because the retry layer recovered
 		// at least one fetch along the way.

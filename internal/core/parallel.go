@@ -2,15 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ajaxcrawl/internal/checkpoint"
-	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/frontier"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
@@ -21,19 +18,18 @@ import (
 // URL list into N fixed partitions, one per process line, so one slow
 // partition strands every other line while it idles. Here the N
 // long-lived process lines (goroutines standing in for the thesis's JVM
-// processes) instead pull single URLs from one prioritized frontier —
-// ordered by PageRank with an expected-AJAX-state-yield boost — and
-// steal work from each other's local queues, so capacity rebalances to
-// wherever pages remain. The URL list is the only layout: whatever the
-// scheduling did, results come back in the order of URLs.
+// processes) instead pull single URLs from one frontier ordered by
+// PageRank and steal work from each other's local queues, so capacity
+// rebalances to wherever pages remain. The URL list is the only layout:
+// whatever the scheduling did, results come back in the order of URLs.
 //
-// On top sits the supervisor, at page granularity: a page whose
-// attempt fails (an error under FailFast, a panic recovered at the item
-// boundary, or a stuck-line watchdog trip) is requeued into the
-// frontier with bounded attempts instead of being lost. When
-// Checkpoints is wired in, every line journals completed pages into its
-// own journal and reads union across all of them, so a requeued or
-// resumed page — wherever it lands — is replayed, never re-crawled.
+// Faults are isolated per page. A panic is recovered at the page
+// boundary and reported as that page's error, and the line rebuilds its
+// crawler and goes on; a page that outlives Options.PageTimeout is cut
+// off and, under SkipAndCount, counted in PagesFailed. When Checkpoints
+// is wired in, every line journals completed pages into its own journal
+// and reads union across all of them, so a resumed page — wherever it
+// lands — is replayed, never re-crawled.
 type MPCrawler struct {
 	// NewCrawler builds the per-process-line crawler. Each process line
 	// calls it once (plus once per panic recovery rebuild), so
@@ -59,29 +55,7 @@ type MPCrawler struct {
 	// fresh vs resume) and closes it after the crawl drains; each
 	// process line opens and closes its own line journal inside.
 	Checkpoints *CrawlCheckpoints
-	// MaxRestarts bounds how many times the supervisor requeues one
-	// failed page (its total attempts are MaxRestarts+1). 0 disables
-	// restarts: a failed page is reported immediately.
-	MaxRestarts int
-	// StuckTimeout arms the wedged-line watchdog: a page attempt in
-	// which no page completes for this long (measured on Clock) is
-	// canceled, reported as ErrLineStuck, and — attempts permitting —
-	// requeued. 0 disables the watchdog.
-	StuckTimeout time.Duration
-	// Clock is the watchdog's time source; use the same clock the
-	// crawlers run on so virtual-clock tests stay deterministic. nil
-	// means wall time.
-	Clock fetch.Clock
 }
-
-// yieldWeight scales the expected-AJAX-state-yield boost added to a
-// URL's priority when it is requeued (the boost is learned per URL class
-// from pages already crawled, normalized to [0,1)).
-const yieldWeight = 0.25
-
-// ErrLineStuck marks a page attempt canceled by the stuck-line
-// watchdog: no page completed within StuckTimeout.
-var ErrLineStuck = errors.New("core: process line stuck: no page completed within the watchdog timeout")
 
 // PageResult is one retired page, as emitted by Stream while other
 // pages are still crawling.
@@ -93,12 +67,10 @@ type PageResult struct {
 	Graph *model.Graph
 	// Metrics are this page's crawl metrics (never nil).
 	Metrics *Metrics
-	// Err is the page's failure once its restarts are exhausted. Under
-	// SkipAndCount a failed page is counted in Metrics.PagesFailed and
-	// Err stays nil.
+	// Err is the page's failure: a recovered panic, or any page error
+	// under FailFast. Under SkipAndCount a failed page is counted in
+	// Metrics.PagesFailed and Err stays nil.
 	Err error
-	// Restarts is how many supervisor requeues the page consumed.
-	Restarts int
 }
 
 // MPResult is the outcome of a parallel crawl.
@@ -112,8 +84,6 @@ type MPResult struct {
 	// Err is the first failure in URL order, or — when every retired
 	// page succeeded but the context ended — the context's error.
 	Err error
-	// Restarts is the supervisor's requeue total.
-	Restarts int
 }
 
 // Stream starts the process lines and returns a channel that yields
@@ -124,13 +94,9 @@ type MPResult struct {
 // page that completed is still emitted exactly once, in order, and the
 // pages the cancellation cut or never reached emit nothing.
 //
-// Supervision: a page attempt that fails for any reason other than the
-// caller's context ending is requeued into the frontier up to
-// MaxRestarts times (the frontier.requeues counter meters every
-// requeue) before its error lands in the page's result. A failure of
-// the crawl as a whole — a line journal that cannot be opened — stops
-// every line and is reported once, as the Err of the first URL it left
-// uncrawled.
+// A failure of the crawl as a whole — a line journal that cannot be
+// opened — stops every line and is reported once, as the Err of the
+// first URL it left uncrawled.
 func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 	n := m.ProcLines
 	if n <= 0 {
@@ -161,8 +127,6 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 		}
 		return 0
 	}
-	est := frontier.NewYieldEstimator(0)
-
 	// The frontier is admitted as one batch so tier boundaries see the
 	// whole priority distribution.
 	fr := frontier.New(frontier.Config{Tel: tel})
@@ -249,45 +213,15 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 					sched.Cancel()
 					return
 				}
-				if err != nil && it.Attempt < m.MaxRestarts {
-					// Supervisor: the attempt failed on its own (error,
-					// panic, watchdog) — requeue into the frontier
-					// rather than report. Any line may pick it up; the
-					// union read over the line journals carries the
-					// pages completed before the failure.
-					tel.Counter("frontier.requeues").Inc()
-					it.Attempt++
-					it.Priority = basePri(it.URL) + yieldWeight*est.Boost(it.URL)
-					sched.Requeue(it)
-					continue
-				}
-				if err == nil {
-					est.Observe(it.URL, metrics.States)
-				}
-				results <- PageResult{
-					Seq: it.Seq, URL: it.URL,
-					Graph: g, Metrics: metrics, Err: err, Restarts: it.Attempt,
-				}
+				results <- PageResult{Seq: it.Seq, URL: it.URL, Graph: g, Metrics: metrics, Err: err}
 				tel.Counter("crawl.pages.done").Inc()
-				sched.Done()
 				pages++
 			}
 		}(line)
 	}
 
-	// Cancellation watch: a canceled context must wake lines blocked in
-	// Next (e.g. waiting on a sibling's in-flight page).
-	stopWatch := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			sched.Cancel()
-		case <-stopWatch:
-		}
-	}()
 	go func() {
 		wg.Wait()
-		close(stopWatch)
 		close(results)
 	}()
 
@@ -337,7 +271,6 @@ func (m *MPCrawler) Run(ctx context.Context) *MPResult {
 			res.Graphs = append(res.Graphs, pr.Graph)
 		}
 		res.Metrics.Merge(pr.Metrics)
-		res.Restarts += pr.Restarts
 		if res.Err == nil {
 			res.Err = pr.Err
 		}
@@ -348,115 +281,51 @@ func (m *MPCrawler) Run(ctx context.Context) *MPResult {
 	return res
 }
 
-// lineWorker runs one process line's page attempts on a crawler built
-// by the factory, wiring in the line's checkpointer and the watchdog
-// heartbeat. A panic rebuilds the crawler (its internal state is
-// indeterminate after an unwind); the crawler otherwise lives for the
-// whole line, so per-host circuit breakers and hot-node caches keep
-// their state across pages exactly as a thesis process would.
+// lineWorker runs one process line's pages on a crawler built by the
+// factory, wiring in the line's checkpointer. A panic rebuilds the
+// crawler (its internal state is indeterminate after an unwind); the
+// crawler otherwise lives for the whole line, so its hot-node cache and
+// script cache keep their state across pages exactly as a thesis
+// process would.
 type lineWorker struct {
-	m        *MPCrawler
-	cp       Checkpointer
-	tel      *obs.Telemetry
-	clock    fetch.Clock
-	c        *Crawler
-	lastBeat atomic.Int64
+	m   *MPCrawler
+	cp  Checkpointer
+	tel *obs.Telemetry
+	c   *Crawler
 }
 
 func newLineWorker(m *MPCrawler, cp Checkpointer, tel *obs.Telemetry) *lineWorker {
-	w := &lineWorker{m: m, cp: cp, tel: tel, clock: m.Clock}
-	if w.clock == nil {
-		w.clock = fetch.RealClock{}
-	}
+	w := &lineWorker{m: m, cp: cp, tel: tel}
 	w.build()
 	return w
 }
 
-// build constructs the line's crawler and hooks the checkpointer and
-// the heartbeat into it.
+// build constructs the line's crawler and hooks the checkpointer into it.
 func (w *lineWorker) build() {
 	c := w.m.NewCrawler()
 	if w.cp != nil {
 		c.Opts.Checkpoint = w.cp
 	}
-	saved := c.Opts.OnPage
-	c.Opts.OnPage = func(pm PageMetrics) {
-		w.lastBeat.Store(w.clock.Now().UnixNano())
-		if saved != nil {
-			saved(pm)
-		}
-	}
 	w.c = c
 }
 
 // run crawls one page; the graph is nil when the page failed, the
-// metrics never. Fault isolation happens here, per page: a panic is
-// recovered at this boundary (and the crawler rebuilt) and a wedged
-// attempt is canceled by the watchdog — sibling lines keep crawling
-// undisturbed through both.
+// metrics never. A panic is recovered at this boundary, becomes the
+// page's error and rebuilds the crawler — sibling lines keep crawling
+// undisturbed, and this line goes on with its next page.
 func (w *lineWorker) run(ctx context.Context, it frontier.Item) (g *model.Graph, metrics *Metrics, err error) {
-	ictx := ctx
-	// Watchdog: cancel the attempt when no page completes within
-	// StuckTimeout. Staleness is measured on the injectable Clock (so
-	// virtual-clock tests can wedge and trip it deterministically)
-	// while the polling cadence runs on a cheap wall ticker.
-	if w.m.StuckTimeout > 0 {
-		var cancel context.CancelCauseFunc
-		ictx, cancel = context.WithCancelCause(ctx)
-		defer cancel(nil)
-		w.lastBeat.Store(w.clock.Now().UnixNano())
-		stop := make(chan struct{})
-		defer close(stop)
-		go w.watchdog(stop, cancel)
-	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				// A graph built before the panic is indeterminate —
-				// drop it; the journal, not the wreckage, is the
-				// requeue's source of truth. The crawler is rebuilt:
-				// its internal state unwound mid-flight.
-				g, metrics = nil, nil
-				err = fmt.Errorf("core: page %s: panic: %v", it.URL, r)
-				w.tel.Counter("crawl.line.panics").Inc()
-				w.tel.Counter("crawl.line.restarts").Inc()
-				w.build()
-			}
-		}()
-		var graphs []*model.Graph
-		graphs, metrics, err = w.c.CrawlAll(ictx, []string{it.URL})
-		if len(graphs) > 0 {
-			g = graphs[0]
+	defer func() {
+		if r := recover(); r != nil {
+			// A graph built before the panic is indeterminate: drop it.
+			g, metrics = nil, &Metrics{}
+			err = fmt.Errorf("core: page %s: panic: %v", it.URL, r)
+			w.tel.Counter("crawl.line.panics").Inc()
+			w.build()
 		}
 	}()
-	if metrics == nil {
-		metrics = &Metrics{}
-	}
-	if err != nil && errors.Is(context.Cause(ictx), ErrLineStuck) {
-		// Surface the watchdog trip instead of a bare context.Canceled,
-		// so the caller (and the supervisor's requeue check against the
-		// *outer* context) can tell a wedged page from a Ctrl-C.
-		err = fmt.Errorf("core: page %s: %w", it.URL, ErrLineStuck)
+	graphs, metrics, err := w.c.CrawlAll(ctx, []string{it.URL})
+	if len(graphs) > 0 {
+		g = graphs[0]
 	}
 	return g, metrics, err
-}
-
-// watchdog cancels the current attempt when the heartbeat goes stale.
-func (w *lineWorker) watchdog(stop <-chan struct{}, cancel context.CancelCauseFunc) {
-	poll := min(max(w.m.StuckTimeout/8, time.Millisecond), 250*time.Millisecond)
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			stale := w.clock.Now().UnixNano() - w.lastBeat.Load()
-			if time.Duration(stale) > w.m.StuckTimeout {
-				w.tel.Counter("crawl.line.watchdog_trips").Inc()
-				cancel(ErrLineStuck)
-				return
-			}
-		}
-	}
 }

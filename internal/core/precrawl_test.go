@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ajaxcrawl/internal/browser"
@@ -329,6 +330,49 @@ func TestPrecrawlWidthInvariant(t *testing.T) {
 		if !reflect.DeepEqual(o.res, ref) {
 			t.Fatalf("lines=%d: precrawl differs from the one-at-a-time run:\n got %v\nwant %v", lines, o.res.URLs, ref.URLs)
 		}
+	}
+}
+
+// TestPrecrawlRetriesLikeTheCrawl: a precrawl through the crawl's own
+// retry policy (Options.Retrying, as cmd/ajaxcrawl and BuildEngine wire
+// it) over a fault injector that fails at most three calls in a row per
+// URL finds exactly the clean precrawl's pages, links and ranks. A bare
+// faulted fetcher loses pages here.
+func TestPrecrawlRetriesLikeTheCrawl(t *testing.T) {
+	site := webapp.New(webapp.DefaultConfig(60, 7))
+	precrawl := func(f fetch.Fetcher) *PrecrawlResult {
+		t.Helper()
+		res, err := (&Precrawler{
+			Fetcher: f, StartURL: webapp.WatchURL(site.Video(0).ID), MaxPages: 60,
+			KeepURL: func(u string) bool { return strings.Contains(u, "/watch?v=") }, Lines: 2,
+		}).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := &fetch.HandlerFetcher{Handler: site.Handler()}
+	clean := precrawl(plain)
+
+	clock := &fetch.VirtualClock{}
+	faulty := fetch.NewFaultFetcher(plain, fetch.FaultConfig{ErrorRate: 0.3, MaxConsecutive: 3, Seed: 2008}, clock)
+	var faults atomic.Int32
+	counted := fetch.Func(func(ctx context.Context, u string) (*fetch.Response, error) {
+		resp, err := faulty.Fetch(ctx, u)
+		if err != nil {
+			faults.Add(1)
+		}
+		return resp, err
+	})
+	opts := Options{Clock: clock, RetryPolicy: &fetch.RetryPolicy{MaxAttempts: 5}}
+	got := precrawl(opts.Retrying(counted))
+	if !slices.Equal(got.URLs, clean.URLs) || !reflect.DeepEqual(got.Links, clean.Links) ||
+		!reflect.DeepEqual(got.PageRank, clean.PageRank) {
+		t.Fatalf("faulted precrawl found %d pages, clean %d: the precrawl must retry like the crawl",
+			len(got.URLs), len(clean.URLs))
+	}
+	if faults.Load() == 0 {
+		t.Fatal("the faults never fired")
 	}
 }
 

@@ -17,6 +17,5 @@ func publishPageMetrics(tel *obs.Telemetry, pm PageMetrics) {
 	tel.Counter("crawl.page.network_calls").Add(int64(pm.NetworkCalls))
 	tel.Counter("crawl.page.handler_errors").Add(int64(pm.HandlerErrors))
 	tel.Counter("crawl.page.retries").Add(int64(pm.Retries))
-	tel.Counter("crawl.page.breaker_opens").Add(int64(pm.BreakerOpens))
 	tel.Counter("crawl.page.pages_recovered").Add(int64(pm.PagesRecovered))
 }

@@ -30,7 +30,6 @@ var pageCounters = []string{
 	"crawl.page.network_calls",
 	"crawl.page.handler_errors",
 	"crawl.page.retries",
-	"crawl.page.breaker_opens",
 	"crawl.page.pages_recovered",
 }
 

@@ -14,7 +14,7 @@ const maxHandoffBytes = 64 << 20
 // Handoff passes the precrawl's responses on to the crawl, so each page
 // crosses the network once: a kept URL is served from memory on its first
 // Fetch — the crawl's page load — and then forgotten; every other fetch
-// (XHRs, a requeued attempt) goes to Inner. Take-once keeps it a handoff,
+// (XHRs, a second load of the page) goes to Inner. Take-once keeps it a handoff,
 // not a URL cache, which could not tell two AJAX states behind one URL
 // apart (DESIGN.md §5b).
 type Handoff struct {

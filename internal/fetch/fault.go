@@ -12,9 +12,8 @@ import (
 )
 
 // ErrInjected marks a fault manufactured by a FaultFetcher. It is a
-// transport-level transient error: DefaultRetryable retries it, and the
-// breaker counts it against the host — exactly how a real flaky server
-// would be experienced.
+// transport-level transient error, which DefaultRetryable retries —
+// exactly how a real flaky server would be experienced.
 var ErrInjected = errors.New("fetch: injected fault")
 
 // FaultOp is one scripted fault action for FaultConfig.Scripts.

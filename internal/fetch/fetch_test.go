@@ -329,7 +329,7 @@ func TestVirtualClockSleepHonorsContext(t *testing.T) {
 }
 
 // A canceled page load takes nothing: the kept response waits for the
-// attempt (a requeue) that can use it.
+// next load of the page.
 func TestHandoffCanceledFetchTakesNothing(t *testing.T) {
 	calls := 0
 	h := &Handoff{Inner: Func(func(ctx context.Context, url string) (*Response, error) {

@@ -58,8 +58,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // DefaultRetryable is the stock transient-failure classification:
 //
 //   - transport errors are retryable, except the caller's own context
-//     ending (Canceled/DeadlineExceeded) and an open circuit breaker —
-//     hammering a host the breaker just shed defeats its purpose;
+//     ending (Canceled/DeadlineExceeded);
 //   - responses with status 408, 429, or any 5xx are retryable;
 //   - everything else (2xx-4xx responses) is final.
 //
@@ -68,9 +67,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 func DefaultRetryable(resp *Response, err error) bool {
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return false
-		}
-		if errors.Is(err, ErrBreakerOpen) {
 			return false
 		}
 		return true

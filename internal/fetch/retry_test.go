@@ -227,7 +227,6 @@ func TestDefaultRetryableClassification(t *testing.T) {
 		{"injected fault", nil, errInjectedf("x"), true},
 		{"canceled", nil, context.Canceled, false},
 		{"deadline", nil, context.DeadlineExceeded, false},
-		{"breaker open", nil, errBreakerf("h"), false},
 		{"503", &Response{Status: 503}, nil, true},
 		{"429", &Response{Status: 429}, nil, true},
 		{"408", &Response{Status: 408}, nil, true},
@@ -241,8 +240,8 @@ func TestDefaultRetryableClassification(t *testing.T) {
 	}
 }
 
-// TestFindStatsThreeDeepWrap pins the Unwrap-chain invariant: every new
-// middleware (RetryFetcher, Breaker, FaultFetcher) must be transparent
+// TestFindStatsThreeDeepWrap pins the Unwrap-chain invariant: every
+// middleware (RetryFetcher, Handoff, FaultFetcher) must be transparent
 // to the stats finders, so instrumentation wrapped three layers deep is
 // still attributed.
 func TestFindStatsThreeDeepWrap(t *testing.T) {
@@ -252,7 +251,7 @@ func TestFindStatsThreeDeepWrap(t *testing.T) {
 	}), clock, 0, 0)
 	var f Fetcher = inst
 	f = NewFaultFetcher(f, FaultConfig{}, clock)
-	f = NewBreaker(f, BreakerConfig{}, clock)
+	f = &Handoff{Inner: f}
 	f = NewRetryFetcher(f, RetryPolicy{}, clock)
 
 	sp := FindStats(f)
@@ -268,9 +267,6 @@ func TestFindStatsThreeDeepWrap(t *testing.T) {
 	if FindRetryStats(f) == nil {
 		t.Error("FindRetryStats came back nil")
 	}
-	if FindBreakerStats(f) == nil {
-		t.Error("FindBreakerStats came back nil")
-	}
 	// The finders also traverse from below the layer that records them:
 	// a chain with the provider in the middle, not at the top.
 	var g Fetcher = &Handoff{Inner: NewRetryFetcher(inst, RetryPolicy{}, clock)}
@@ -279,7 +275,6 @@ func TestFindStatsThreeDeepWrap(t *testing.T) {
 	}
 }
 
-// errInjectedf / errBreakerf build wrapped sentinel errors the way the
-// middlewares do, for classification tests.
+// errInjectedf builds a wrapped sentinel error the way the fault
+// injector does, for classification tests.
 func errInjectedf(msg string) error { return fmt.Errorf("%s: %w", msg, ErrInjected) }
-func errBreakerf(msg string) error  { return fmt.Errorf("%s: %w", msg, ErrBreakerOpen) }

@@ -1,7 +1,6 @@
 // Package frontier implements the shared crawl frontier of the parallel
 // crawler: a tiered priority queue over precrawled URLs (ordered by
-// PageRank with an expected-AJAX-state-yield boost), exact dedup at
-// admission, and a work-stealing scheduler that feeds N long-lived
+// PageRank), exact dedup at admission, and a work-stealing scheduler that feeds N long-lived
 // process lines from the one shared queue so a slow page never strands
 // capacity the way a slow static partition did.
 package frontier
@@ -23,11 +22,8 @@ type Item struct {
 	// item a total order that priority ties break on, which is what
 	// makes a seeded multi-line crawl reproducible.
 	Seq int
-	// Priority orders the frontier, higher first — normalized PageRank
-	// plus the expected-AJAX-state-yield boost.
+	// Priority orders the frontier, higher first — normalized PageRank.
 	Priority float64
-	// Attempt counts supervisor requeues of this item (0 = first try).
-	Attempt int
 }
 
 // Config tunes a Frontier.
@@ -114,13 +110,6 @@ func (f *Frontier) AdmitSeed(items []Item) int {
 	return n
 }
 
-// Push requeues an item without dedup — the supervisor's retry path.
-func (f *Frontier) Push(it Item) {
-	f.mu.Lock()
-	f.push(it)
-	f.mu.Unlock()
-}
-
 // Pop removes and returns the highest-priority item.
 func (f *Frontier) Pop() (Item, bool) {
 	f.mu.Lock()
@@ -179,9 +168,8 @@ func (f *Frontier) tierOf(pri float64) int {
 }
 
 // PriorityBounds are the frontier.priority histogram buckets. Priorities
-// are normalized PageRank (max 1) plus a yield boost in [0,1), so the
-// observable range is [0,2).
-var PriorityBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 1, 1.5}
+// are normalized PageRank, so the observable range is [0,1].
+var PriorityBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 1}
 
 func (f *Frontier) meter(name string, d int64) {
 	if f.tel != nil {

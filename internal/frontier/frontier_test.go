@@ -71,18 +71,6 @@ func TestFrontierDedup(t *testing.T) {
 	}
 }
 
-func TestFrontierPushSkipsDedup(t *testing.T) {
-	f := New(Config{})
-	f.AdmitSeed([]Item{{URL: "a"}})
-	it, _ := f.Pop()
-	it.Attempt++
-	f.Push(it) // requeue after failure
-	got, ok := f.Pop()
-	if !ok || got.URL != "a" || got.Attempt != 1 {
-		t.Fatalf("requeued item = %+v, %v", got, ok)
-	}
-}
-
 func TestSchedulerDrainsEverything(t *testing.T) {
 	const items, lines = 200, 4
 	f := New(Config{})
@@ -107,7 +95,6 @@ func TestSchedulerDrainsEverything(t *testing.T) {
 				mu.Lock()
 				got[it.URL]++
 				mu.Unlock()
-				s.Done()
 			}
 		}(l)
 	}
@@ -122,66 +109,26 @@ func TestSchedulerDrainsEverything(t *testing.T) {
 	}
 }
 
-func TestSchedulerRequeueRedelivers(t *testing.T) {
-	f := New(Config{})
-	f.AdmitSeed([]Item{{URL: "a"}, {URL: "b"}})
-	s := NewScheduler(f, SchedConfig{Lines: 2})
-	seen := make(map[string]int)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for l := 0; l < 2; l++ {
-		wg.Add(1)
-		go func(line int) {
-			defer wg.Done()
-			for {
-				it, ok := s.Next(line)
-				if !ok {
-					return
-				}
-				mu.Lock()
-				seen[it.URL]++
-				first := seen[it.URL] == 1 && it.URL == "a"
-				mu.Unlock()
-				if first {
-					it.Attempt++
-					s.Requeue(it)
-					continue
-				}
-				s.Done()
-			}
-		}(l)
-	}
-	wg.Wait()
-	if seen["a"] != 2 || seen["b"] != 1 {
-		t.Fatalf("deliveries = %v, want a:2 b:1", seen)
-	}
-}
-
 func TestSchedulerCancelUnblocks(t *testing.T) {
 	f := New(Config{})
-	f.AdmitSeed([]Item{{URL: "a"}})
+	f.AdmitSeed([]Item{{URL: "a"}, {URL: "b"}, {URL: "c"}})
 	s := NewScheduler(f, SchedConfig{Lines: 2})
-	// Line 0 takes the only item and never retires it; line 1 blocks.
+	// Line 0 takes one item and queues the rest in its deque; after
+	// Cancel no line is handed one, queued or stealable.
 	if _, ok := s.Next(0); !ok {
 		t.Fatal("no item for line 0")
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, ok := s.Next(1); ok {
-			t.Error("Next returned an item after cancel")
-		}
-	}()
 	s.Cancel()
-	<-done
-	if _, ok := s.Next(0); ok {
-		t.Fatal("Next on canceled scheduler returned an item")
+	for line := 0; line < 2; line++ {
+		if it, ok := s.Next(line); ok {
+			t.Fatalf("line %d got %s from a canceled scheduler", line, it.URL)
+		}
 	}
 }
 
 func TestSchedulerStealsFromRichSibling(t *testing.T) {
 	// One line refills a big batch; the other must steal rather than
-	// block, even though the shared frontier is empty by then.
+	// give up, even though the shared frontier is empty by then.
 	f := New(Config{})
 	var seed []Item
 	for i := 0; i < 16; i++ {
@@ -204,36 +151,5 @@ func TestSchedulerStealsFromRichSibling(t *testing.T) {
 	}
 	if got := s.deques[1].len(); got == 0 {
 		t.Fatal("steal took only one item; want half the victim's deque")
-	}
-}
-
-func TestYieldEstimatorBoostsByClass(t *testing.T) {
-	e := NewYieldEstimator(0.5)
-	if b := e.Boost("http://s/watch?v=9"); b != 0 {
-		t.Fatalf("unseen class boost = %v, want 0", b)
-	}
-	e.Observe("http://s/watch?v=1", 4)
-	e.Observe("http://s/watch?v=2", 4)
-	if b := e.Boost("http://s/watch?v=9"); b <= 0.5 {
-		t.Fatalf("high-yield class boost = %v, want > 0.5", b)
-	}
-	if b := e.Boost("http://s/about"); b != 0 {
-		t.Fatalf("other class boost = %v, want 0", b)
-	}
-}
-
-func TestURLClass(t *testing.T) {
-	cases := []struct{ url, want string }{
-		{"http://site/watch?v=123", "/watch?v"},
-		{"http://site/watch?v=999", "/watch?v"},
-		{"http://site/user/42/posts", "/user/#/posts"},
-		{"http://site/about", "/about"},
-		{"http://site", "/"},
-		{"http://site/s?b=2&a=1", "/s?a&b"},
-	}
-	for _, c := range cases {
-		if got := URLClass(c.url); got != c.want {
-			t.Errorf("URLClass(%q) = %q, want %q", c.url, got, c.want)
-		}
 	}
 }

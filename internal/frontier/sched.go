@@ -28,28 +28,24 @@ type SchedConfig struct {
 // Scheduler feeds N process lines from one shared Frontier. Each line
 // owns a small FIFO deque refilled in batches from the frontier; a line
 // that runs dry first drains the frontier, then steals the back half of
-// the richest sibling's deque, and only blocks when every queue is
-// empty but items are still in flight (an in-flight item may be
-// requeued by the supervisor). This is what replaces "one goroutine per
+// the richest sibling's deque, and is done once every queue is empty —
+// nothing is admitted after the seed, so the items still in flight are
+// the siblings' to finish. This is what replaces "one goroutine per
 // static partition": capacity rebalances to wherever work remains
 // instead of idling behind a slow partition.
 //
 // All methods are safe for concurrent use.
 type Scheduler struct {
-	f           *Frontier
-	mu          sync.Mutex
-	cond        *sync.Cond
-	deques      []deque
-	outstanding int
-	canceled    bool
-	batch       int
-	rng         *rand.Rand
-	tel         *obs.Telemetry
+	f        *Frontier
+	mu       sync.Mutex
+	deques   []deque
+	canceled bool
+	batch    int
+	rng      *rand.Rand
+	tel      *obs.Telemetry
 }
 
-// NewScheduler wraps an already-loaded frontier. Every item in f (plus
-// later Requeues of them) must be retired with Done; once all are, Next
-// returns false on every line and the lines drain out.
+// NewScheduler wraps an already-loaded frontier.
 func NewScheduler(f *Frontier, cfg SchedConfig) *Scheduler {
 	lines := cfg.Lines
 	if lines <= 0 {
@@ -63,47 +59,31 @@ func NewScheduler(f *Frontier, cfg SchedConfig) *Scheduler {
 	if seed == 0 {
 		seed = 1
 	}
-	s := &Scheduler{
-		f:           f,
-		deques:      make([]deque, lines),
-		outstanding: f.Len(),
-		batch:       batch,
-		rng:         rand.New(rand.NewSource(seed)),
-		tel:         cfg.Tel,
+	return &Scheduler{
+		f:      f,
+		deques: make([]deque, lines),
+		batch:  batch,
+		rng:    rand.New(rand.NewSource(seed)),
+		tel:    cfg.Tel,
 	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
 }
 
-// Next blocks until an item is available for line and returns it, or
-// returns false when the crawl is drained (every item retired) or
-// canceled.
+// Next returns line's next item, or false once no queue holds one or
+// the scheduler is canceled.
 func (s *Scheduler) Next(line int) (Item, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.canceled {
-			return Item{}, false
-		}
-		if it, ok := s.deques[line].popFront(); ok {
-			return it, true
-		}
-		if batch := s.f.PopBatch(s.batch); len(batch) > 0 {
-			s.deques[line].pushBack(batch[1:])
-			if len(batch) > 1 {
-				// Surplus is now stealable — wake idle siblings.
-				s.cond.Broadcast()
-			}
-			return batch[0], true
-		}
-		if it, ok := s.steal(line); ok {
-			return it, true
-		}
-		if s.outstanding <= 0 {
-			return Item{}, false
-		}
-		s.cond.Wait()
+	if s.canceled {
+		return Item{}, false
 	}
+	if it, ok := s.deques[line].popFront(); ok {
+		return it, true
+	}
+	if batch := s.f.PopBatch(s.batch); len(batch) > 0 {
+		s.deques[line].pushBack(batch[1:])
+		return batch[0], true
+	}
+	return s.steal(line)
 }
 
 // steal (under s.mu) takes the back half of the richest sibling's
@@ -136,32 +116,11 @@ func (s *Scheduler) steal(line int) (Item, bool) {
 	return got[0], true
 }
 
-// Requeue returns a failed item to the shared frontier for another
-// attempt (the caller bumps Attempt). The item stays outstanding.
-func (s *Scheduler) Requeue(it Item) {
-	s.mu.Lock()
-	s.f.Push(it)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// Done retires one item for good. When the last item retires, blocked
-// lines wake and drain out.
-func (s *Scheduler) Done() {
-	s.mu.Lock()
-	s.outstanding--
-	if s.outstanding <= 0 {
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-// Cancel aborts the crawl: every current and future Next returns false.
-// Items left queued are abandoned (the caller's context is ending).
+// Cancel aborts the crawl: every later Next returns false. Items left
+// queued are abandoned (the caller's context is ending).
 func (s *Scheduler) Cancel() {
 	s.mu.Lock()
 	s.canceled = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 

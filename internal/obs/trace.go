@@ -22,7 +22,6 @@ const (
 	SpanIndexBuild    = "index.build"    // one shard's index construction
 	SpanQueryExec     = "query.exec"     // one query evaluation
 	SpanFetchRetry    = "fetch.retry"    // one backoff-and-retry decision (fetch)
-	SpanBreakerState  = "breaker.state"  // a circuit breaker state transition (fetch)
 
 	SpanFrontierSnapshot = "frontier.snapshot" // frontier journal recovered on resume (core)
 

@@ -1,5 +1,7 @@
 package webapp
 
+import "slices"
+
 // The text corpus for the synthetic site: a Zipf-weighted vocabulary for
 // filler comment text, author names, title words, and the query workload.
 // The first queries are the ones Table 7.4 of the thesis reports (taken
@@ -91,9 +93,17 @@ var queryTopics = []string{
 	"water", "gold",
 }
 
-// Queries returns the full 100-query workload: the 11 paper queries
-// followed by generated ones, deterministic for a given call.
-func Queries() []string {
+// queries is the 100-query workload, built once: the site generator
+// plants its phrases into every generated text.
+var queries = buildQueries()
+
+// Queries returns a copy of the full 100-query workload: the 11 paper
+// queries followed by generated ones.
+func Queries() []string { return slices.Clone(queries) }
+
+// buildQueries lists the paper queries, then single topics up to 70
+// entries, then two-topic pairs up to 100.
+func buildQueries() []string {
 	out := make([]string, 0, 100)
 	seen := make(map[string]bool, 100)
 	add := func(q string) {
@@ -124,5 +134,6 @@ func Queries() []string {
 
 // plantable are the phrases planted into comment text so queries have
 // controlled hit rates: paper queries get the highest plant weight (they
-// are the "most popular" ones), generated queries a tail weight.
-func plantable() []string { return Queries() }
+// are the "most popular" ones), generated queries a tail weight. The
+// generators only read the shared slice.
+func plantable() []string { return queries }

@@ -219,7 +219,7 @@ func (s *Site) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	b.WriteString(`<ul class="suggestions">`)
 	n := 0
 	if prefix != "" {
-		for _, q := range Queries() {
+		for _, q := range queries {
 			if strings.HasPrefix(q, prefix) {
 				fmt.Fprintf(&b, "<li>%s</li>", dom.EscapeText(q))
 				n++
