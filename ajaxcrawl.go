@@ -129,9 +129,8 @@ type Config struct {
 	// KeepURL filters which hyperlinks the precrawler follows (nil =
 	// same-path /watch pages and everything else alike).
 	KeepURL func(string) bool
-	// FrontierSeed seeds the work-stealing scheduler's tie-breaks. Any
-	// fixed value makes a crawl reproducible run-to-run; 0 uses the
-	// default seed.
+	// FrontierSeed is ignored: process lines take pages in URL order, so
+	// there is no schedule to seed.
 	FrontierSeed int64
 }
 
@@ -201,17 +200,15 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 	}
 
 	// Phases 2+3, pipelined: process lines crawl pages while this
-	// goroutine indexes them. Pages arrive in URL order whatever the
-	// scheduling, so the shard layout, the PerPage rows (and ranking
+	// goroutine indexes them. Pages arrive in URL order whichever line
+	// crawled them, so the shard layout, the PerPage rows (and ranking
 	// tie-breaks) are deterministic. Each page load is the precrawl's
 	// response, handed off below every line's retry wrap.
 	handoff := preRes.Handoff(cfg.Fetcher)
 	mp := &core.MPCrawler{
-		NewCrawler:   func() *core.Crawler { return core.New(handoff, cfg.Crawl) },
-		ProcLines:    cfg.ProcLines,
-		URLs:         preRes.URLs,
-		Priorities:   preRes.PageRank,
-		FrontierSeed: cfg.FrontierSeed,
+		NewCrawler: func() *core.Crawler { return core.New(handoff, cfg.Crawl) },
+		ProcLines:  cfg.ProcLines,
+		URLs:       preRes.URLs,
 	}
 	sharder := index.NewSharder(preRes.URLs, preRes.PageRank, cfg.WorkDir)
 	metrics := &core.Metrics{}

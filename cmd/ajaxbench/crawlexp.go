@@ -235,9 +235,8 @@ func (e *env) parallelCrawl(n, lines int, opts core.Options) (time.Duration, *co
 			f := fetch.NewInstrumented(&fetch.HandlerFetcher{Handler: e.site.Handler()}, fetch.RealClock{}, base, 0)
 			return core.New(f, opts)
 		},
-		ProcLines:    lines,
-		URLs:         e.urls(n),
-		FrontierSeed: e.frontSeed,
+		ProcLines: lines,
+		URLs:      e.urls(n),
 	}
 	start := time.Now()
 	res := mp.Run(e.ctx)

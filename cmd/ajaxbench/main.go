@@ -52,9 +52,6 @@ type env struct {
 	// to measure the overhead of recovery.
 	retry     *fetch.RetryPolicy
 	faultRate float64
-	// Frontier seed for the parallel experiments (-frontier-seed); zero
-	// selects the scheduler default.
-	frontSeed int64
 	// Near-duplicate threshold (-neardup): a non-zero one turns
 	// MinHash-based state merging on for every experiment crawl that
 	// does not set its own admission policy.
@@ -116,7 +113,6 @@ func main() {
 		retryBase   = flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff; doubles per retry with full jitter")
 		faultRate   = flag.Float64("fault-rate", 0, "inject transient fetch faults with this probability (chaos testing; seeded by -seed)")
 		nearDup     = flag.Float64("neardup", 0, "merge states whose MinHash similarity reaches this threshold in (0,1] (0 disables; 0.9 is a reasonable setting)")
-		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the parallel crawler's work-stealing scheduler (0 = default seed 1)")
 		target      = flag.String("target", "", "base URL of a live ajaxserve or ajaxrouter for -exp capacity, e.g. http://127.0.0.1:8090")
 		rate        = flag.Float64("rate", 0, "-exp capacity: offer this many queries per second for one window (0 = search for capacity at the SLO)")
 	)
@@ -186,7 +182,6 @@ func main() {
 		latBase:   *base,
 		latPerK:   *perKB,
 		faultRate: *faultRate,
-		frontSeed: *frontSeed,
 		nearDup:   *nearDup,
 		target:    *target,
 		rate:      *rate,

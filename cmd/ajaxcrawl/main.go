@@ -65,10 +65,9 @@ func main() {
 		retries     = flag.Int("retries", 0, "retry transient fetch failures up to this many times per request (0 disables retrying)")
 		retryBase   = flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff; doubles per retry with full jitter")
 		faultRate   = flag.Float64("fault-rate", 0, "inject transient fetch faults with this probability (chaos testing; seeded by -seed)")
-		ckptDir     = flag.String("checkpoint-dir", "", "journal crawl progress (per-line journals + frontier snapshot) into this directory (crash tolerance; default <out>/checkpoints when -resume is set)")
+		ckptDir     = flag.String("checkpoint-dir", "", "journal crawl progress (one journal per process line) into this directory (crash tolerance; default <out>/checkpoints when -resume is set)")
 		resume      = flag.Bool("resume", false, "resume a previous crawl: reuse the saved precrawl and replay checkpoint journals so completed pages are not re-crawled")
 		pageTimeout = flag.Duration("page-timeout", 0, "cut off a page whose crawl takes longer than this and count it failed (0 disables)")
-		frontSeed   = flag.Int64("frontier-seed", 0, "seed for the frontier scheduler's steal-victim PRNG (0 selects seed 1; results are seed-independent)")
 		nearDup     = flag.Float64("neardup", 0, "merge states whose MinHash similarity reaches this threshold in (0,1] (0 disables; 0.9 is a reasonable setting)")
 		simNoisy    = flag.Bool("sim-noisy", false, "give the synthetic site mutating page chrome (timestamp/view-counter/ad-slot) — the noisy-app workload that near-dup merging collapses")
 	)
@@ -209,24 +208,22 @@ func main() {
 	// Page loads reuse the precrawl's responses (a loaded one has none).
 	handoff := preRes.Handoff(fetcher)
 	mp := &core.MPCrawler{
-		NewCrawler:   func() *core.Crawler { return core.New(handoff, opts) },
-		ProcLines:    *lines,
-		URLs:         preRes.URLs,
-		Priorities:   preRes.PageRank,
-		FrontierSeed: *frontSeed,
+		NewCrawler: func() *core.Crawler { return core.New(handoff, opts) },
+		ProcLines:  *lines,
+		URLs:       preRes.URLs,
 	}
 	var cps *core.CrawlCheckpoints
 	if *ckptDir != "" {
-		// One journal per process line plus the frontier snapshot. A
-		// fresh run (-resume omitted) resets stale journals; a resume
-		// recovers every line journal whatever line count wrote it.
+		// One journal per process line. A fresh run (-resume omitted)
+		// resets stale journals; a resume recovers every line journal
+		// whatever line count wrote it.
 		cps, err = core.OpenCrawlCheckpoints(ctx, *ckptDir, *resume)
 		if err != nil {
 			fatal("checkpoint: %v", err)
 		}
 		mp.Checkpoints = cps
 		if n := cps.CompletedPages(); *resume && n > 0 {
-			infof("resume: %d pages recovered from line journals, %d frontier URLs", n, len(cps.RecoveredFrontier()))
+			infof("resume: %d pages recovered from line journals", n)
 		}
 		infof("checkpointing crawl into %s", *ckptDir)
 	}

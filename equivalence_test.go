@@ -55,8 +55,8 @@ const (
 	eqK         = 10
 )
 
-// eqCell is one crawl cell. seed is the cell's FrontierSeed and fault
-// seed, distinct per cell, so the schedule is a free column too.
+// eqCell is one crawl cell. seed is the cell's fault seed, distinct per
+// cell.
 type eqCell struct {
 	lines  int
 	faults float64
@@ -170,12 +170,10 @@ func eqCrawl(t *testing.T, site *webapp.Site, c eqCell) (*core.PrecrawlResult, *
 		o := opts
 		o.OnPage = onPage
 		return (&core.MPCrawler{
-			NewCrawler:   func() *core.Crawler { return core.New(counting, o) },
-			ProcLines:    lines,
-			URLs:         pre.URLs,
-			Priorities:   pre.PageRank,
-			FrontierSeed: c.seed,
-			Checkpoints:  cps,
+			NewCrawler:  func() *core.Crawler { return core.New(counting, o) },
+			ProcLines:   lines,
+			URLs:        pre.URLs,
+			Checkpoints: cps,
 		}).Run(ctx)
 	}
 
@@ -206,9 +204,8 @@ func eqCrawl(t *testing.T, site *webapp.Site, c eqCell) (*core.PrecrawlResult, *
 			t.Fatalf("%s: %v", c, err)
 		}
 		journaled := cps.CompletedPages()
-		if journaled != len(first.Graphs) || len(cps.RecoveredFrontier()) != len(pre.URLs) {
-			t.Errorf("%s: journal holds %d pages and %d frontier URLs, want %d and %d",
-				c, journaled, len(cps.RecoveredFrontier()), len(first.Graphs), len(pre.URLs))
+		if journaled != len(first.Graphs) {
+			t.Errorf("%s: journal holds %d pages, want %d", c, journaled, len(first.Graphs))
 		}
 		mu.Lock()
 		clear(fetches)

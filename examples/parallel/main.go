@@ -1,7 +1,7 @@
-// Parallel crawling: the chapter-6 architecture. The URL list from the
-// precrawl seeds one shared, prioritized frontier; N "process lines"
-// pull pages from it concurrently and steal each other's surplus; the
-// models come back in URL order whatever the scheduling did.
+// Parallel crawling: the chapter-6 architecture. The precrawl fixes the
+// URL list; N "process lines" crawl it concurrently, each taking the
+// next page no line has taken yet; the models come back in URL order
+// whichever line crawled which page.
 //
 //	go run ./examples/parallel
 package main
@@ -29,7 +29,7 @@ func main() {
 			&fetch.HandlerFetcher{Handler: site.Handler()}, fetch.RealClock{}, latency, 0)
 	}
 
-	// Precrawl the frontier once.
+	// Precrawl the URL list once.
 	pre := &core.Precrawler{
 		Fetcher:  newFetcher(),
 		StartURL: webapp.WatchURL(site.VideoID(0)),

@@ -15,7 +15,7 @@ import (
 func fuzzSeedJournal(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
-	j, err := Open(context.Background(), dir, Options{CompactEvery: -1})
+	j, err := Open(context.Background(), dir, Options{})
 	if err != nil {
 		f.Fatalf("seed journal: %v", err)
 	}
@@ -82,7 +82,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, walFileName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, err := Open(context.Background(), dir, Options{CompactEvery: -1})
+		j, err := Open(context.Background(), dir, Options{})
 		otherBuild := len(data) >= headerLen && string(data[:len(journalMagic)]) == journalMagic &&
 			data[len(journalMagic)] != journalVersion
 		if otherBuild {
@@ -105,7 +105,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := j.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		j2, err := Open(context.Background(), dir, Options{CompactEvery: -1})
+		j2, err := Open(context.Background(), dir, Options{})
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}

@@ -4,21 +4,19 @@
 // hot-node cache fills) plus periodic compacted snapshots of the
 // completed pages.
 //
-// The format follows the WAL discipline of production crawlers
-// (Mercator-style frontier persistence): every record is one
-// length-prefixed, CRC-checksummed frame, so a crash — including
-// `kill -9` mid-write — leaves at worst a torn tail that recovery
-// truncates away. Everything before the tear replays losslessly, which
-// is what lets a resumed crawl skip already-completed pages and converge
-// to the same state set as an uninterrupted run.
+// The format follows the WAL discipline of production crawlers: every
+// record is one length-prefixed, CRC-checksummed frame, so a crash —
+// including `kill -9` mid-write — leaves at worst a torn tail that
+// recovery truncates away. Everything before the tear replays
+// losslessly, which is what lets a resumed crawl skip already-completed
+// pages and converge to the same state set as an uninterrupted run.
 //
 // On-disk layout inside one journal directory:
 //
 //	journal.wal   — header "AJWL"+version, then frames appended in order
-//	snapshot.ajcp — same frame stream holding the completed pages, the
-//	                frontier admissions and the hot-node fills of pages
-//	                not yet completed, written atomically (temp + rename)
-//	                at each compaction
+//	snapshot.ajcp — same frame stream holding the completed pages and the
+//	                hot-node fills of pages not yet completed, written
+//	                atomically (temp + rename) at each compaction
 //
 // Frame: u32le payload length | u32le CRC-32C(payload) | payload.
 // Payload: record type byte, then fields in internal/codec's primitives.
@@ -66,10 +64,11 @@ const (
 	journalVersion = 4
 
 	// Record types. 2 (an admitted state's hash) and 5 (its near-dup
-	// signature) are retired with version 2 and never reused.
+	// signature) are retired with version 2, and 4 (a frontier admission,
+	// only ever written to the frontier journal, never to a line's) with
+	// the priority frontier; none is reused.
 	recPageDone = 1
 	recHotNode  = 3
-	recFrontier = 4
 
 	// maxFramePayload bounds the length prefix of a frame. A lying
 	// header beyond it is treated as a torn tail, not an allocation.
@@ -84,8 +83,8 @@ const headerLen = len(journalMagic) + 1
 // Options configure a journal.
 type Options struct {
 	// CompactEvery compacts the journal into a fresh snapshot after this
-	// many page records since the last compaction. 0 means the default
-	// (16); negative disables compaction.
+	// many page records since the last compaction. <= 0 means the
+	// default (16).
 	CompactEvery int
 	// Reset discards any existing journal in the directory instead of
 	// recovering it — a fresh crawl rather than a resume.
@@ -105,25 +104,12 @@ type PageRecord struct {
 	Metrics []byte
 }
 
-// FrontierRecord is one admitted frontier item: a URL with its position
-// in the crawl's URL list and its admission priority. The parallel crawler
-// journals these into a dedicated frontier journal so a resumed crawl
-// rebuilds the same prioritized frontier instead of recomputing it from
-// scratch.
-type FrontierRecord struct {
-	URL      string
-	Seq      int
-	Priority float64
-}
-
 // RecoveryInfo summarizes what Open recovered from disk.
 type RecoveryInfo struct {
 	// Pages is the number of completed pages replayed.
 	Pages int
 	// HotEntries is the number of hot-node cache fills replayed.
 	HotEntries int
-	// FrontierURLs is the number of distinct frontier admissions replayed.
-	FrontierURLs int
 	// TruncatedBytes counts journal bytes dropped by torn-tail recovery
 	// (0 for a cleanly closed journal).
 	TruncatedBytes int64
@@ -147,11 +133,9 @@ type Journal struct {
 	// caller believes durable.
 	err error
 
-	pages         map[string]PageRecord
-	pageOrder     []string
-	hot           map[string]map[string]string
-	frontier      map[string]FrontierRecord
-	frontierOrder []string
+	pages     map[string]PageRecord
+	pageOrder []string
+	hot       map[string]map[string]string
 
 	compactEvery int
 	sinceCompact int
@@ -175,10 +159,9 @@ func Open(ctx context.Context, dir string, opts Options) (*Journal, error) {
 		ctx:          ctx,
 		pages:        make(map[string]PageRecord),
 		hot:          make(map[string]map[string]string),
-		frontier:     make(map[string]FrontierRecord),
 		compactEvery: opts.CompactEvery,
 	}
-	if j.compactEvery == 0 {
+	if j.compactEvery <= 0 {
 		j.compactEvery = defaultCompactEvery
 	}
 	walPath := filepath.Join(dir, walFileName)
@@ -342,23 +325,6 @@ func (j *Journal) applyRecord(payload []byte) (err error) {
 		}
 		j.hot[url][key] = body
 		j.recovered.HotEntries++
-	case recFrontier:
-		// The frame still carries the partition varint of the static-
-		// partition era (written 0 now); it is bounded like any other
-		// count and otherwise ignored.
-		part, seq := d.Uvarint(), d.Uvarint()
-		priority := d.Float64()
-		if part > 1<<31 || seq > 1<<31 {
-			d.Fail(fmt.Errorf("frontier position %d/%d out of range", part, seq))
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if _, dup := j.frontier[url]; !dup {
-			j.frontierOrder = append(j.frontierOrder, url)
-			j.recovered.FrontierURLs++
-		}
-		j.frontier[url] = FrontierRecord{URL: url, Seq: int(seq), Priority: priority}
 	default:
 		d.Fail(fmt.Errorf("record type %d", typ))
 	}
@@ -385,15 +351,6 @@ func (j *Journal) pageFrame(rec PageRecord) ([]byte, error) {
 	e.Bytes(graph)
 	e.Bytes(rec.Metrics)
 	return j.payload.Bytes(), nil
-}
-
-// frontierFrame builds rec's frontier frame payload in j.payload.
-func (j *Journal) frontierFrame(rec FrontierRecord) []byte {
-	e := j.begin(recFrontier, rec.URL)
-	e.Uvarint(0) // the retired partition varint: the frame keeps its layout
-	e.Uvarint(uint64(rec.Seq))
-	e.Float64(rec.Priority)
-	return j.payload.Bytes()
 }
 
 // CompletedPages returns the number of pages the journal holds.
@@ -473,7 +430,7 @@ func (j *Journal) PageDone(rec PageRecord) error {
 	j.pages[rec.URL] = rec
 	j.sinceCompact++
 	var cerr error
-	if j.compactEvery > 0 && j.sinceCompact >= j.compactEvery {
+	if j.sinceCompact >= j.compactEvery {
 		cerr = j.compactLocked()
 	}
 	sp.End(cerr)
@@ -500,42 +457,6 @@ func (j *Journal) HotNode(url, key, body string) error {
 	}
 	j.hot[url][key] = body
 	return nil
-}
-
-// FrontierAdmitted journals one frontier admission (buffered, like
-// HotNode; callers flush after an admission batch). Re-admissions
-// of an already-journaled URL with identical fields are skipped, so the
-// journal stays bounded by the distinct URL universe across however
-// many resumes re-admit it.
-func (j *Journal) FrontierAdmitted(rec FrontierRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	if prev, dup := j.frontier[rec.URL]; dup && prev == rec {
-		return nil
-	}
-	if err := j.writeFrame(j.frontierFrame(rec)); err != nil {
-		return err
-	}
-	if _, dup := j.frontier[rec.URL]; !dup {
-		j.frontierOrder = append(j.frontierOrder, rec.URL)
-	}
-	j.frontier[rec.URL] = rec
-	return nil
-}
-
-// FrontierEntries returns every journaled frontier admission in first-
-// admission order — the resume path's frontier snapshot.
-func (j *Journal) FrontierEntries() []FrontierRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]FrontierRecord, 0, len(j.frontierOrder))
-	for _, u := range j.frontierOrder {
-		out = append(out, j.frontier[u])
-	}
-	return out
 }
 
 // writeFrame appends one frame. Any failure is sticky.
@@ -622,9 +543,9 @@ func (j *Journal) compactFiles() error {
 	return nil
 }
 
-// writeSnapshot writes every completed page, frontier admission and
-// unfinished page's hot-node fill into a temp file, syncs it, and
-// renames it over the snapshot.
+// writeSnapshot writes every completed page and unfinished page's
+// hot-node fill into a temp file, syncs it, and renames it over the
+// snapshot.
 func (j *Journal) writeSnapshot() (err error) {
 	tmp, err := os.CreateTemp(j.dir, "snapshot-*.tmp")
 	if err != nil {
@@ -645,14 +566,8 @@ func (j *Journal) writeSnapshot() (err error) {
 		}
 		putFrame(w, payload) //nolint:errcheck // sticky, checked via Flush
 	}
-	// Frontier admissions survive compaction: unlike mid-page records
-	// they are not made redundant by completed pages — a resumed crawl
-	// needs them to rebuild the queue of pages that never completed.
-	for _, url := range j.frontierOrder {
-		putFrame(w, j.frontierFrame(j.frontier[url])) //nolint:errcheck
-	}
-	// So do the hot-node fills of a page that has not completed: its
-	// re-crawl seeds its cache from them.
+	// The hot-node fills of a page that has not completed survive
+	// compaction: its re-crawl seeds its cache from them.
 	for _, url := range slices.Sorted(maps.Keys(j.hot)) {
 		if _, done := j.pages[url]; done {
 			continue

@@ -38,7 +38,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *Journal {
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: -1})
+	j := mustOpen(t, dir, Options{})
 	if err := j.HotNode("u1", "loadVideos(2)", "<div>page 2</div>"); err != nil {
 		t.Fatalf("HotNode: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestJournalRoundTrip(t *testing.T) {
 
 func TestJournalTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: -1})
+	j := mustOpen(t, dir, Options{})
 	for _, u := range []string{"a", "b"} {
 		if err := j.PageDone(PageRecord{URL: u, Graph: testGraph(u, 1)}); err != nil {
 			t.Fatalf("PageDone: %v", err)
@@ -109,7 +109,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	j2 := mustOpen(t, dir, Options{CompactEvery: -1})
+	j2 := mustOpen(t, dir, Options{})
 	ri := j2.recovered
 	if ri.Pages != 2 {
 		t.Fatalf("recovered %d pages, want 2", ri.Pages)
@@ -136,7 +136,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 
 func TestJournalCorruptFrameTruncatesSuffix(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: -1})
+	j := mustOpen(t, dir, Options{})
 	for _, u := range []string{"a", "b", "c"} {
 		if err := j.PageDone(PageRecord{URL: u, Graph: testGraph(u, 1)}); err != nil {
 			t.Fatalf("PageDone: %v", err)
@@ -275,7 +275,7 @@ func TestJournalFromAnotherBuildIsRefused(t *testing.T) {
 	} {
 		name := c.name
 		dir := t.TempDir()
-		j := mustOpen(t, dir, Options{CompactEvery: -1})
+		j := mustOpen(t, dir, Options{})
 		if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 2)}); err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestJournalFromAnotherBuildIsRefused(t *testing.T) {
 
 func TestJournalDuplicatePageDoneKeepsLatest(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: -1})
+	j := mustOpen(t, dir, Options{})
 	if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 1), Metrics: []byte("v1")}); err != nil {
 		t.Fatal(err)
 	}
@@ -334,99 +334,6 @@ func TestJournalDuplicatePageDoneKeepsLatest(t *testing.T) {
 	rec, ok := j2.Completed("a")
 	if !ok || string(rec.Metrics) != "v2" || len(rec.Graph.States) != 2 {
 		t.Fatalf("duplicate replay kept %+v, want the later record", rec)
-	}
-}
-
-func TestJournalFrontierRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: -1})
-	recs := []FrontierRecord{
-		{URL: "u1", Seq: 0, Priority: 0.75},
-		{URL: "u2", Seq: 3, Priority: 0.0625},
-	}
-	for _, r := range recs {
-		if err := j.FrontierAdmitted(r); err != nil {
-			t.Fatalf("FrontierAdmitted(%s): %v", r.URL, err)
-		}
-	}
-	// Identical re-admission must not grow the journal.
-	before := j.walBytes
-	if err := j.FrontierAdmitted(recs[0]); err != nil {
-		t.Fatalf("re-admit: %v", err)
-	}
-	if j.walBytes != before {
-		t.Fatalf("duplicate frontier record grew the WAL by %d bytes", j.walBytes-before)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	j2 := mustOpen(t, dir, Options{})
-	defer j2.Close()
-	if got := j2.recovered.FrontierURLs; got != 2 {
-		t.Fatalf("recovered FrontierURLs = %d, want 2", got)
-	}
-	got := j2.FrontierEntries()
-	if len(got) != 2 || got[0] != recs[0] || got[1] != recs[1] {
-		t.Fatalf("FrontierEntries = %+v, want %+v", got, recs)
-	}
-}
-
-// A frontier frame written before the partition layout was retired
-// carries a non-zero partition varint; it must still replay, partition
-// ignored, so an old journal resumes without a format bump.
-func TestJournalFrontierReplaysPartitionEraFrame(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: -1})
-	var payload bytes.Buffer
-	e := codec.NewEncoder(&payload)
-	e.Uvarint(recFrontier)
-	e.String("old")
-	e.Uvarint(2) // partition 2
-	e.Uvarint(5) // seq 5
-	e.Float64(0.25)
-	j.mu.Lock()
-	err := j.writeFrame(payload.Bytes())
-	j.mu.Unlock()
-	if err != nil {
-		t.Fatalf("writeFrame: %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	j2 := mustOpen(t, dir, Options{})
-	defer j2.Close()
-	want := FrontierRecord{URL: "old", Seq: 5, Priority: 0.25}
-	if got := j2.FrontierEntries(); len(got) != 1 || got[0] != want {
-		t.Fatalf("FrontierEntries = %+v, want [%+v]", got, want)
-	}
-}
-
-func TestJournalFrontierSurvivesCompaction(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: 2})
-	want := FrontierRecord{URL: "pending", Seq: 1, Priority: 0.5}
-	if err := j.FrontierAdmitted(want); err != nil {
-		t.Fatalf("FrontierAdmitted: %v", err)
-	}
-	// Two pages trigger a compaction, which resets the WAL; the
-	// frontier record must be carried into the snapshot.
-	for _, u := range []string{"a", "b"} {
-		if err := j.PageDone(PageRecord{URL: u, Graph: testGraph(u, 1)}); err != nil {
-			t.Fatalf("PageDone(%s): %v", u, err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	j2 := mustOpen(t, dir, Options{})
-	defer j2.Close()
-	got := j2.FrontierEntries()
-	if len(got) != 1 || got[0] != want {
-		t.Fatalf("FrontierEntries after compaction = %+v, want [%+v]", got, want)
-	}
-	if j2.CompletedPages() != 2 {
-		t.Fatalf("CompletedPages = %d, want 2", j2.CompletedPages())
 	}
 }
 
@@ -452,12 +359,13 @@ func TestJournalHotNodesSurviveCompaction(t *testing.T) {
 }
 
 // TestJournalRetiredRecordIsATear: a CRC-intact frame of a retired
-// record type (2, an admitted state's hash; 5, its signature) stops
-// replay like any undecodable frame, so the page after it is dropped.
+// record type (2, an admitted state's hash; 4, a frontier admission;
+// 5, a state's signature) stops replay like any undecodable frame, so
+// the page after it is dropped.
 func TestJournalRetiredRecordIsATear(t *testing.T) {
-	for _, typ := range []uint64{2, 5} {
+	for _, typ := range []uint64{2, 4, 5} {
 		dir := t.TempDir()
-		j := mustOpen(t, dir, Options{CompactEvery: -1})
+		j := mustOpen(t, dir, Options{})
 		if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 1)}); err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +383,7 @@ func TestJournalRetiredRecordIsATear(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		j2 := mustOpen(t, dir, Options{CompactEvery: -1})
+		j2 := mustOpen(t, dir, Options{})
 		if _, ok := j2.Completed("b"); ok || j2.CompletedPages() != 1 || j2.recovered.TruncatedBytes == 0 {
 			t.Fatalf("type %d frame: recovered %d pages, truncated %d bytes; want page a only, the rest cut",
 				typ, j2.CompletedPages(), j2.recovered.TruncatedBytes)

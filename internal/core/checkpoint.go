@@ -15,7 +15,6 @@ import (
 	"ajaxcrawl/internal/checkpoint"
 	"ajaxcrawl/internal/codec"
 	"ajaxcrawl/internal/model"
-	"ajaxcrawl/internal/obs"
 )
 
 // Checkpointer is the crawler's durable-progress hook. When
@@ -124,21 +123,15 @@ func duration(d *codec.Decoder) time.Duration {
 	return time.Duration(ns)
 }
 
-// frontierDirName is the frontier journal's subdirectory under a
-// CrawlCheckpoints root; linePrefix names the per-line journals.
-const (
-	frontierDirName = "frontier"
-	linePrefix      = "line-"
-)
+// linePrefix names the per-line journals under a CrawlCheckpoints root.
+const linePrefix = "line-"
 
 // CrawlCheckpoints manages the parallel crawl's durable state under one
-// root directory: one journal per process line (line-<i>/) plus a
-// frontier journal (frontier/) recording every admitted URL with its
-// priority. The per-partition journals of the static-partition era are
-// replaced by this layout: pages land in the journal of whichever line
-// crawled them, and reads union every line's journal, so resuming with
-// a different line count — or after work stealing moved a page between
-// lines — still finds every completed page.
+// root directory: one journal per process line (line-<i>/). Pages land
+// in the journal of whichever line crawled them, and reads union every
+// line's journal, so resuming with a different line count — which hands
+// the pages to other lines — still finds every completed page. The URL
+// list itself is the precrawl's (precrawl.gob), not the journals'.
 //
 // One CrawlCheckpoints serves one crawl; open a fresh one per run.
 type CrawlCheckpoints struct {
@@ -146,17 +139,13 @@ type CrawlCheckpoints struct {
 	ctx      context.Context
 	dir      string
 	journals map[string]*checkpoint.Journal
-	frontier *checkpoint.Journal
-	// recovered is the frontier snapshot replayed on resume.
-	recovered []checkpoint.FrontierRecord
 }
 
 // OpenCrawlCheckpoints opens the checkpoint root at dir. With
-// resume=false any line and frontier journals from a previous crawl are
-// discarded; with resume=true every existing line journal is recovered
-// (whatever line count wrote it) along with the frontier snapshot. The
-// context supplies telemetry for the journals and the frontier.snapshot
-// recovery span.
+// resume=false any line journals from a previous crawl are discarded;
+// with resume=true every existing line journal is recovered (whatever
+// line count wrote it). Other entries of dir are left alone. The
+// context supplies telemetry for the journals.
 func OpenCrawlCheckpoints(ctx context.Context, dir string, resume bool) (*CrawlCheckpoints, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: checkpoint root %s: %w", dir, err)
@@ -168,7 +157,7 @@ func OpenCrawlCheckpoints(ctx context.Context, dir string, resume bool) (*CrawlC
 	}
 	if !resume {
 		for _, e := range entries {
-			if e.IsDir() && (strings.HasPrefix(e.Name(), linePrefix) || e.Name() == frontierDirName) {
+			if e.IsDir() && strings.HasPrefix(e.Name(), linePrefix) {
 				if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
 					return nil, fmt.Errorf("core: checkpoint reset %s: %w", dir, err)
 				}
@@ -187,20 +176,6 @@ func OpenCrawlCheckpoints(ctx context.Context, dir string, resume bool) (*CrawlC
 			c.journals[e.Name()] = j
 		}
 	}
-	// The frontier journal holds only frontier records, so it never
-	// reaches a page-count compaction trigger; compaction is moot.
-	_, sp := obs.StartSpan(ctx, obs.SpanFrontierSnapshot, obs.A("dir", dir))
-	fj, ferr := checkpoint.Open(ctx, filepath.Join(dir, frontierDirName), checkpoint.Options{CompactEvery: -1})
-	if ferr != nil {
-		sp.End(ferr)
-		c.Close()
-		return nil, fmt.Errorf("core: frontier journal %s: %w", dir, ferr)
-	}
-	c.frontier = fj
-	c.recovered = fj.FrontierEntries()
-	sp.SetAttr("urls", strconv.Itoa(len(c.recovered)))
-	sp.SetAttr("pages", strconv.Itoa(c.CompletedPages()))
-	sp.End(nil)
 	return c, nil
 }
 
@@ -222,22 +197,6 @@ func (c *CrawlCheckpoints) Line(line int) (Checkpointer, error) {
 		c.journals[name] = j
 	}
 	return &lineCheckpointer{c: c, j: j}, nil
-}
-
-// FrontierAdmitted journals one frontier admission (buffered; call
-// FlushFrontier after the admission batch).
-func (c *CrawlCheckpoints) FrontierAdmitted(rec checkpoint.FrontierRecord) error {
-	return c.frontier.FrontierAdmitted(rec)
-}
-
-// FlushFrontier pushes buffered frontier records to stable storage.
-func (c *CrawlCheckpoints) FlushFrontier() error { return c.frontier.Flush() }
-
-// RecoveredFrontier returns the frontier snapshot replayed on open —
-// every URL a previous run admitted, with its priority, so a resumed
-// crawl rebuilds the same prioritized frontier.
-func (c *CrawlCheckpoints) RecoveredFrontier() []checkpoint.FrontierRecord {
-	return c.recovered
 }
 
 // CompletedPages counts journaled pages across every line journal.
@@ -275,7 +234,8 @@ func (c *CrawlCheckpoints) completed(url string) (*model.Graph, PageMetrics, boo
 
 // hotEntries is the union HotEntries across every line journal: an
 // interrupted page's cache fills live in whichever journals its earlier
-// attempts wrote, possibly several when restarts moved it across lines.
+// attempts wrote, possibly several when a resume on another line count
+// handed it to another line.
 func (c *CrawlCheckpoints) hotEntries(url string) map[string]string {
 	var out map[string]string
 	for _, j := range c.snapshotJournals() {
@@ -291,19 +251,13 @@ func (c *CrawlCheckpoints) hotEntries(url string) map[string]string {
 	return out
 }
 
-// Close closes every line journal and the frontier journal, returning
-// the first error. Call after the crawl fully drains.
+// Close closes every line journal, returning the first error. Call after the crawl fully drains.
 func (c *CrawlCheckpoints) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var first error
 	for _, j := range c.journals {
 		if err := j.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if c.frontier != nil {
-		if err := c.frontier.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -179,8 +179,7 @@ func TestMPCrawlerResumeConvergence(t *testing.T) {
 	ckRoot := t.TempDir()
 
 	// Run 1: cancel once 5 pages have completed across all process
-	// lines — a crawl killed mid-frontier, with per-line journals and
-	// the frontier snapshot on disk.
+	// lines — a crawl killed mid-list, with per-line journals on disk.
 	cps, err := OpenCrawlCheckpoints(context.Background(), ckRoot, false)
 	if err != nil {
 		t.Fatal(err)
@@ -212,13 +211,10 @@ func TestMPCrawlerResumeConvergence(t *testing.T) {
 
 	// Run 2: resume, on a different line count than run 1 wrote — the
 	// union read over recovered line journals must still replay every
-	// journaled page, and the frontier snapshot must be recovered.
+	// journaled page.
 	cps2, err := OpenCrawlCheckpoints(context.Background(), ckRoot, true)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := len(cps2.RecoveredFrontier()); got != len(urls) {
-		t.Errorf("recovered frontier has %d URLs, want %d", got, len(urls))
 	}
 	journaled := cps2.CompletedPages()
 	if journaled == 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,24 +13,23 @@ import (
 )
 
 // TestFrontierCrawlDeterministic is the determinism suite for the
-// work-stealing frontier: a seeded 4-line crawl admits and crawls
-// exactly the state sets of a 1-line baseline, and repeating the seeded
-// run reproduces the assembled result byte-for-byte (PerPage order
-// included), even though the lines race for items in real time.
+// shared URL list: a 4-line crawl crawls exactly the state sets of a
+// 1-line baseline, and repeating the run reproduces the assembled
+// result (PerPage order included), even though the lines race for
+// positions in real time.
 func TestFrontierCrawlDeterministic(t *testing.T) {
 	site, fetcher := newSiteFetcher(9, 42)
 	var urls []string
 	for i := 0; i < 9; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
 	}
-	run := func(lines int, seed int64) *MPResult {
+	run := func(lines int) *MPResult {
 		mp := &MPCrawler{
 			NewCrawler: func() *Crawler {
 				return New(fetcher, Options{UseHotNode: true, MaxStates: 3})
 			},
-			ProcLines:    lines,
-			URLs:         urls,
-			FrontierSeed: seed,
+			ProcLines: lines,
+			URLs:      urls,
 		}
 		res := mp.Run(context.Background())
 		if err := res.Err; err != nil {
@@ -38,13 +38,13 @@ func TestFrontierCrawlDeterministic(t *testing.T) {
 		return res
 	}
 
-	base := run(1, 7)
-	multi := run(4, 7)
+	base := run(1)
+	multi := run(4)
 	requireSameStateSets(t, stateSets(base.Graphs), stateSets(multi.Graphs))
 
-	// The assembled result is deterministic run-to-run: same seed, same
-	// PerPage row order, regardless of which line crawled which page.
-	again := run(4, 7)
+	// The assembled result is deterministic run-to-run: the same PerPage
+	// row order, regardless of which line crawled which page.
+	again := run(4)
 	if len(multi.Metrics.PerPage) != len(again.Metrics.PerPage) {
 		t.Fatalf("PerPage rows differ: %d vs %d",
 			len(multi.Metrics.PerPage), len(again.Metrics.PerPage))
@@ -55,20 +55,18 @@ func TestFrontierCrawlDeterministic(t *testing.T) {
 				i, multi.Metrics.PerPage[i].URL, again.Metrics.PerPage[i].URL)
 		}
 	}
-	// And a different seed changes (at most) the schedule, never the
-	// crawled universe.
-	other := run(4, 99)
-	requireSameStateSets(t, stateSets(base.Graphs), stateSets(other.Graphs))
+	requireSameStateSets(t, stateSets(base.Graphs), stateSets(again.Graphs))
 }
 
-// TestWorkStealingBeatsStaticPartitions pins the point of the frontier:
-// on a skewed workload — one partition of pathologically slow pages —
-// static one-line-per-partition crawling serves all three slow pages on
-// one line, 3×slowTime end to end, while its sibling idles. Under the
-// frontier the idle line must take slow pages over: the assertion is on
-// where the slow pages were served, not on two wall clocks (which a
-// loaded test host can order either way).
-func TestWorkStealingBeatsStaticPartitions(t *testing.T) {
+// TestSharedListBeatsStaticPartitions pins the point of the shared URL
+// list: on a skewed workload — one partition of pathologically slow
+// pages — static one-line-per-partition crawling serves all three slow
+// pages on one line, 3×slowTime end to end, while its sibling idles.
+// Taking the next position from one cursor, the idle line must take
+// slow pages over: the assertion is on where the slow pages were
+// served, not on two wall clocks (which a loaded test host can order
+// either way).
+func TestSharedListBeatsStaticPartitions(t *testing.T) {
 	site, inner := newSiteFetcher(8, 5)
 	var urls []string
 	for i := 0; i < 6; i++ {
@@ -117,7 +115,7 @@ func TestWorkStealingBeatsStaticPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := len(res.Graphs); got != len(urls) {
-		t.Fatalf("frontier crawl produced %d graphs, want %d", got, len(urls))
+		t.Fatalf("shared-list crawl produced %d graphs, want %d", got, len(urls))
 	}
 
 	// A line serves a slow page in slowTime and its share of the fast
@@ -134,4 +132,33 @@ func TestWorkStealingBeatsStaticPartitions(t *testing.T) {
 		t.Errorf("slow pages per line %v: want them spread over both lines, as a static split cannot", slowPerLine)
 	}
 	t.Logf("slow pages per line %v, %v (static split: %v)", slowPerLine, time.Since(start), 3*slowTime)
+}
+
+// TestOneLineCrawlsInURLOrder: a single process line loads the pages in
+// the order of URLs, each distinct URL once, under its first position.
+func TestOneLineCrawlsInURLOrder(t *testing.T) {
+	urls := []string{"http://site/c", "http://site/a", "http://site/c", "http://site/e", "http://site/b", "http://site/a"}
+	var loaded []string
+	f := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
+		loaded = append(loaded, rawurl)
+		body := "<html><body><p>page " + rawurl + "</p></body></html>"
+		return &fetch.Response{Status: 200, Body: []byte(body), ContentType: "text/html"}, nil
+	})
+	res := (&MPCrawler{
+		NewCrawler: func() *Crawler { return New(f, Options{}) },
+		ProcLines:  1,
+		URLs:       urls,
+	}).Run(context.Background())
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	want := []string{"http://site/c", "http://site/a", "http://site/e", "http://site/b"}
+	if fmt.Sprint(loaded) != fmt.Sprint(want) {
+		t.Fatalf("pages loaded in order %v, want %v", loaded, want)
+	}
+	for i, g := range res.Graphs {
+		if g.URL != want[i] {
+			t.Fatalf("graph %d is %s, want %s", i, g.URL, want[i])
+		}
+	}
 }

@@ -7,21 +7,17 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ajaxcrawl/internal/checkpoint"
-	"ajaxcrawl/internal/frontier"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
 )
 
-// MPCrawler is the parallel crawler of chapter 6, rebuilt around a
-// shared dynamic frontier. The thesis statically splits the precrawled
-// URL list into N fixed partitions, one per process line, so one slow
-// partition strands every other line while it idles. Here the N
-// long-lived process lines (goroutines standing in for the thesis's JVM
-// processes) instead pull single URLs from one frontier ordered by
-// PageRank and steal work from each other's local queues, so capacity
-// rebalances to wherever pages remain. The URL list is the only layout:
-// whatever the scheduling did, results come back in the order of URLs.
+// MPCrawler is the parallel crawler of chapter 6. The thesis splits the
+// precrawled URL list into N partitions, one per process line, each
+// crawled in list order. Here the N long-lived process lines (goroutines
+// standing in for the thesis's JVM processes) share the list instead:
+// each takes the next position from one cursor, so a slow page holds up
+// only its own line. Results come back in URL order, whichever line
+// crawled which page.
 //
 // Faults are isolated per page. A panic is recovered at the page
 // boundary and reported as that page's error, and the line rebuilds its
@@ -38,22 +34,13 @@ type MPCrawler struct {
 	// ProcLines is the number of concurrent process lines
 	// (MP_CRAWLER_NUM_OF_PROC_LINES). 1 means no parallelism.
 	ProcLines int
-	// URLs are the pages to crawl, admitted to the frontier as one
-	// batch. A URL listed twice is crawled once, under its first
-	// position.
+	// URLs are the pages to crawl, handed out in this order. A URL
+	// listed twice is crawled once, under its first position.
 	URLs []string
-	// Priorities maps URLs to their precrawl PageRank. Values are
-	// normalized so the maximum admits at priority 1; missing URLs (or
-	// a nil map) admit at 0 and the frontier degrades to URL order.
-	Priorities map[string]float64
-	// FrontierSeed seeds the scheduler's steal-victim PRNG. Results are
-	// order-independent for any seed; the seed makes the schedule
-	// itself reproducible. 0 selects seed 1.
-	FrontierSeed int64
-	// Checkpoints, when set, provides the per-line durable journals and
-	// the frontier snapshot journal. The caller opens it (choosing
-	// fresh vs resume) and closes it after the crawl drains; each
-	// process line opens and closes its own line journal inside.
+	// Checkpoints, when set, provides the per-line durable journals. The
+	// caller opens it (choosing fresh vs resume) and closes it after the
+	// crawl drains; each process line opens and closes its own line
+	// journal inside.
 	Checkpoints *CrawlCheckpoints
 }
 
@@ -76,8 +63,8 @@ type PageResult struct {
 // MPResult is the outcome of a parallel crawl.
 type MPResult struct {
 	// Graphs holds the crawled pages' application models in URL order —
-	// not scheduling order, so output is reproducible run to run
-	// whatever the frontier did. Failed pages have no entry.
+	// not retirement order, so output is reproducible run to run
+	// whichever line crawled which page. Failed pages have no entry.
 	Graphs []*model.Graph
 	// Metrics aggregates all pages; PerPage is in URL order too.
 	Metrics *Metrics
@@ -104,69 +91,37 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 	}
 	tel := obs.From(ctx)
 
-	// Priorities: journaled admission priorities (resume) win, then
-	// normalized PageRank, then 0 (URL-order FIFO).
-	recovered := make(map[string]float64)
-	if m.Checkpoints != nil {
-		for _, r := range m.Checkpoints.RecoveredFrontier() {
-			recovered[r.URL] = r.Priority
-		}
-	}
-	var maxPR float64
-	for _, v := range m.Priorities {
-		if v > maxPR {
-			maxPR = v
-		}
-	}
-	basePri := func(url string) float64 {
-		if p, ok := recovered[url]; ok {
-			return p
-		}
-		if maxPR > 0 {
-			return m.Priorities[url] / maxPR
-		}
-		return 0
-	}
-	// The frontier is admitted as one batch so tier boundaries see the
-	// whole priority distribution.
-	fr := frontier.New(frontier.Config{Tel: tel})
-	seed := make([]frontier.Item, 0, len(m.URLs))
+	// order holds the first position of every distinct URL: the list the
+	// lines hand out, and the order the assembler emits in.
+	order := make([]int, 0, len(m.URLs))
 	seen := make(map[string]bool, len(m.URLs))
 	for i, u := range m.URLs {
 		if !seen[u] {
 			seen[u] = true
-			seed = append(seed, frontier.Item{URL: u, Seq: i, Priority: basePri(u)})
+			order = append(order, i)
 		}
 	}
-	fr.AdmitSeed(seed)
 	// One slot per page, so the assembler never waits on the consumer: a
 	// consumer busy indexing must not stall the lines behind it.
-	out := make(chan PageResult, len(seed))
-	// Progress denominators for /debug/status: the admitted page universe
-	// and the line count. crawl.pages.done ticks as attempts retire.
-	tel.Gauge("crawl.pages.total").Set(int64(len(seed)))
+	out := make(chan PageResult, len(order))
+	// Progress denominators for /debug/status: the page universe and the
+	// line count. crawl.pages.done ticks as attempts retire, and
+	// frontier.depth counts the positions not yet handed out.
+	tel.Gauge("crawl.pages.total").Set(int64(len(order)))
 	tel.Gauge("crawl.lines").Set(int64(n))
-	if m.Checkpoints != nil {
-		// Journal the admitted frontier — the snapshot a killed crawl
-		// resumes from. Identical re-admissions on resume are deduped
-		// inside the journal, so this stays one record per URL.
-		for _, it := range seed {
-			if err := m.Checkpoints.FrontierAdmitted(checkpoint.FrontierRecord{
-				URL: it.URL, Seq: it.Seq, Priority: it.Priority,
-			}); err != nil {
-				break // sticky journal error; surfaces on Flush/Close
-			}
-		}
-		_ = m.Checkpoints.FlushFrontier()
-	}
+	depth := tel.Gauge("frontier.depth")
+	depth.Add(int64(len(order)))
 
-	sched := frontier.NewScheduler(fr, frontier.SchedConfig{Lines: n, Seed: m.FrontierSeed, Tel: tel})
+	// cursor is the index into order that the next line to ask takes;
+	// stop moves it past the end, so no line takes another page.
+	var cursor atomic.Int64
+	stop := func() { cursor.Store(int64(len(order))) }
 
 	results := make(chan PageResult, n)
 	var initErr atomic.Value // error poisoning the whole crawl (journal open failure)
 	failCrawl := func(err error) {
 		initErr.CompareAndSwap(nil, err) //nolint:errcheck // first error wins
-		sched.Cancel()
+		stop()
 	}
 
 	var wg sync.WaitGroup
@@ -194,26 +149,29 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 			}
 			w := newLineWorker(m, cp, tel)
 			for {
-				it, ok := sched.Next(line)
-				if !ok {
+				k := cursor.Add(1) - 1
+				if k >= int64(len(order)) {
 					return
 				}
+				depth.Add(-1)
 				if ctx.Err() != nil {
-					// Canceled while queued work remains: abandon the
-					// item and stop every line's hand-out.
-					sched.Cancel()
+					// Canceled while pages remain: abandon this one and
+					// stop every line's hand-out.
+					stop()
 					return
 				}
+				seq := order[k]
+				url := m.URLs[seq]
 				tel.Gauge("crawl.lines.busy").Add(1)
-				g, metrics, err := w.run(ctx, it)
+				g, metrics, err := w.run(ctx, url)
 				tel.Gauge("crawl.lines.busy").Add(-1)
 				if err != nil && ctx.Err() != nil {
 					// Cut short by the caller, not failed: the page was
 					// not crawled and says nothing.
-					sched.Cancel()
+					stop()
 					return
 				}
-				results <- PageResult{Seq: it.Seq, URL: it.URL, Graph: g, Metrics: metrics, Err: err}
+				results <- PageResult{Seq: seq, URL: url, Graph: g, Metrics: metrics, Err: err}
 				tel.Counter("crawl.pages.done").Inc()
 				pages++
 			}
@@ -225,17 +183,17 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 		close(results)
 	}()
 
-	// Assembler: the single owner of the out channel. Pages retire in
-	// scheduling order; a page that retires ahead of a predecessor waits
-	// in the reorder buffer until every earlier page has been emitted.
+	// Assembler: the single owner of the out channel. A page that
+	// retires ahead of a predecessor still in flight waits in the
+	// reorder buffer until every earlier page has been emitted.
 	go func() {
 		defer close(out)
 		pending := make(map[int]PageResult)
-		next := 0 // index into seed of the next page to emit
+		next := 0 // index into order of the next page to emit
 		for r := range results {
 			pending[r.Seq] = r
-			for ; next < len(seed); next++ {
-				r, ok := pending[seed[next].Seq]
+			for ; next < len(order); next++ {
+				r, ok := pending[order[next]]
 				if !ok {
 					break
 				}
@@ -248,11 +206,11 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 		// them in order, charging a crawl-wide failure to the first
 		// such gap.
 		err, _ := initErr.Load().(error)
-		for _, it := range seed[next:] {
-			if r, ok := pending[it.Seq]; ok {
+		for _, seq := range order[next:] {
+			if r, ok := pending[seq]; ok {
 				out <- r
 			} else if err != nil {
-				out <- PageResult{Seq: it.Seq, URL: it.URL, Metrics: &Metrics{}, Err: err}
+				out <- PageResult{Seq: seq, URL: m.URLs[seq], Metrics: &Metrics{}, Err: err}
 				err = nil
 			}
 		}
@@ -313,17 +271,17 @@ func (w *lineWorker) build() {
 // metrics never. A panic is recovered at this boundary, becomes the
 // page's error and rebuilds the crawler — sibling lines keep crawling
 // undisturbed, and this line goes on with its next page.
-func (w *lineWorker) run(ctx context.Context, it frontier.Item) (g *model.Graph, metrics *Metrics, err error) {
+func (w *lineWorker) run(ctx context.Context, url string) (g *model.Graph, metrics *Metrics, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			// A graph built before the panic is indeterminate: drop it.
 			g, metrics = nil, &Metrics{}
-			err = fmt.Errorf("core: page %s: panic: %v", it.URL, r)
+			err = fmt.Errorf("core: page %s: panic: %v", url, r)
 			w.tel.Counter("crawl.line.panics").Inc()
 			w.build()
 		}
 	}()
-	graphs, metrics, err := w.c.CrawlAll(ctx, []string{it.URL})
+	graphs, metrics, err := w.c.CrawlAll(ctx, []string{url})
 	if len(graphs) > 0 {
 		g = graphs[0]
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // Metric names the status endpoint reads. The crawl pipeline publishes
-// them (MPCrawler.Stream / the frontier); serving daemons simply report
+// them (MPCrawler.Stream); serving daemons simply report
 // zeros for the crawl block and live HTTP numbers instead.
 const (
 	MetricPagesDone     = "crawl.pages.done"

@@ -18,12 +18,10 @@ const (
 	SpanXHRSend       = "xhr.send"       // one XMLHttpRequest send (browser)
 	SpanHotNodeHit    = "hotnode.hit"    // a send served from the hot-node cache
 	SpanHotNodeMiss   = "hotnode.miss"   // a send that had to hit the network
-	SpanLineCrawl     = "line.crawl"     // one process line's lifetime on the shared frontier (core)
+	SpanLineCrawl     = "line.crawl"     // one process line's lifetime on the shared URL list (core)
 	SpanIndexBuild    = "index.build"    // one shard's index construction
 	SpanQueryExec     = "query.exec"     // one query evaluation
 	SpanFetchRetry    = "fetch.retry"    // one backoff-and-retry decision (fetch)
-
-	SpanFrontierSnapshot = "frontier.snapshot" // frontier journal recovered on resume (core)
 
 	SpanCheckpointWrite   = "checkpoint.write"   // one page durably journaled (checkpoint)
 	SpanCheckpointCompact = "checkpoint.compact" // journal folded into a snapshot (checkpoint)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/index"
@@ -242,5 +244,71 @@ func TestCancelledBuildLeavesShardFilesAndNoManifest(t *testing.T) {
 	}
 	if man.TotalDocs != eng.Metrics.Pages {
 		t.Fatalf("the snapshot holds %d docs, the crawl %d pages", man.TotalDocs, eng.Metrics.Pages)
+	}
+}
+
+// TestBuildEngineIndexesWhileCrawling: process lines take pages in URL
+// order, so BuildEngine's stream releases a shard's pages while later
+// ones are still crawling, and the shard is encoded then. At one line,
+// the first shard file is in WorkDir by the time the crawl fetches for
+// the page at position 40, two shards on. The indexing goroutine gets a
+// grace period to catch up; a crawl that has not crawled position 0 yet
+// cannot have written the file at all.
+func TestBuildEngineIndexesWhileCrawling(t *testing.T) {
+	const probe = 2 * index.ShardPages
+	site := NewSimSite(60, 123)
+	inner := NewHandlerFetcher(site.Handler())
+	workDir := t.TempDir()
+	var (
+		mu      sync.Mutex
+		pos     = map[string]int{} // video ID → precrawl position
+		probed  bool
+		written bool
+	)
+	firstShard := func() bool {
+		m, _ := filepath.Glob(filepath.Join(workDir, "shard-*-0000.bin"))
+		return len(m) > 0
+	}
+	f := fetch.Func(func(c context.Context, rawurl string) (*fetch.Response, error) {
+		u, err := url.Parse(rawurl)
+		if err != nil {
+			return nil, err
+		}
+		v := u.Query().Get("v")
+		mu.Lock()
+		defer mu.Unlock()
+		// One line precrawls one page at a time, so the order of the
+		// watch-page fetches is the URL list; the crawl's own fetches are
+		// the pages' XHRs, which carry the video too.
+		if u.Path == "/watch" {
+			if _, ok := pos[v]; !ok {
+				pos[v] = len(pos)
+			}
+		} else if p, ok := pos[v]; ok && p >= probe && !probed {
+			probed = true
+			for deadline := time.Now().Add(5 * time.Second); !firstShard() && time.Now().Before(deadline); {
+				time.Sleep(5 * time.Millisecond)
+			}
+			written = firstShard()
+		}
+		return inner.Fetch(c, rawurl)
+	})
+	eng, err := BuildEngine(context.Background(), Config{
+		Fetcher:   f,
+		StartURL:  site.VideoURL(0),
+		MaxPages:  50,
+		ProcLines: 1,
+		Crawl:     CrawlOptions{UseHotNode: true, MaxStates: 3},
+		KeepURL:   IsWatchURL,
+		WorkDir:   workDir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Metrics.Pages != 50 || !probed {
+		t.Fatalf("crawled %d pages, fetched for position >= %d: %v; the probe never ran", eng.Metrics.Pages, probe, probed)
+	}
+	if !written {
+		t.Fatalf("no shard file in WorkDir when the crawl reached position %d: indexing waited for the crawl", probe)
 	}
 }

@@ -9,8 +9,8 @@
 # `### <binary>` heading is registered by that binary.
 #
 # Names: every name the code emits — a string literal passed to
-# Counter, Gauge or Histogram (or the frontier's meter/gauge), or the
-# value of an obs.Span*/obs.Metric* constant — has a reader: it is
+# Counter, Gauge or Histogram, or the value of an obs.Span*/obs.Metric*
+# constant — has a reader: it is
 # backticked in full in OPERATIONS.md, a string in BENCHMARK.json, or
 # quoted (or named through its constant) in a _test.go. And every
 # dotted name §3 of OPERATIONS.md documents is emitted. A literal that
@@ -76,7 +76,7 @@ code=$(grep -hvE '^[[:space:]]*//' $src)
 # One "name [const]" line per emitted name; a trailing "." becomes ".<i>".
 emitted=$(
 	{
-		grep -oE '\.(Counter|Gauge|Histogram|meter|gauge)\("[^"]+"' <<<"$code" |
+		grep -oE '\.(Counter|Gauge|Histogram)\("[^"]+"' <<<"$code" |
 			sed -E 's/.*\("([^"]+)"/\1/; s/\.$/.<i>/'
 		grep -hoE '^[[:space:]]*(Span|Metric)[A-Za-z]+[[:space:]]*=[[:space:]]*"[^"]+"' internal/obs/*.go |
 			sed -E 's/^[[:space:]]*([A-Za-z]+)[[:space:]]*=[[:space:]]*"([^"]+)"/\2 \1/'
