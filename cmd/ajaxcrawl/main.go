@@ -65,8 +65,8 @@ func main() {
 		retries     = flag.Int("retries", 0, "retry transient fetch failures up to this many times per request (0 disables retrying)")
 		retryBase   = flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff; doubles per retry with full jitter")
 		faultRate   = flag.Float64("fault-rate", 0, "inject transient fetch faults with this probability (chaos testing; seeded by -seed)")
-		ckptDir     = flag.String("checkpoint-dir", "", "journal crawl progress (one journal per process line) into this directory (crash tolerance; default <out>/checkpoints when -resume is set)")
-		resume      = flag.Bool("resume", false, "resume a previous crawl: reuse the saved precrawl and replay checkpoint journals so completed pages are not re-crawled")
+		ckptDir     = flag.String("checkpoint-dir", "", "journal crawl progress into this directory (crash tolerance; default <out>/checkpoints when -resume is set)")
+		resume      = flag.Bool("resume", false, "resume a previous crawl: reuse the saved precrawl and replay the checkpoint journal so completed pages are not re-crawled")
 		pageTimeout = flag.Duration("page-timeout", 0, "cut off a page whose crawl takes longer than this and count it failed (0 disables)")
 		nearDup     = flag.Float64("neardup", 0, "merge states whose MinHash similarity reaches this threshold in (0,1] (0 disables; 0.9 is a reasonable setting)")
 		simNoisy    = flag.Bool("sim-noisy", false, "give the synthetic site mutating page chrome (timestamp/view-counter/ad-slot) — the noisy-app workload that near-dup merging collapses")
@@ -205,27 +205,26 @@ func main() {
 			infof("robots-ajax.txt caps states at %d", opts.MaxStates)
 		}
 	}
+	if *ckptDir != "" {
+		// One journal for every process line. A fresh run (-resume
+		// omitted) discards a stale journal; a resume recovers it,
+		// whatever line count wrote it.
+		cp, err := core.OpenCheckpoint(ctx, *ckptDir, *resume)
+		if err != nil {
+			fatal("checkpoint: %v", err)
+		}
+		opts.Checkpoint = cp
+		if n := cp.CompletedPages(); *resume && n > 0 {
+			infof("resume: %d pages recovered from the journal", n)
+		}
+		infof("checkpointing crawl into %s", *ckptDir)
+	}
 	// Page loads reuse the precrawl's responses (a loaded one has none).
 	handoff := preRes.Handoff(fetcher)
 	mp := &core.MPCrawler{
 		NewCrawler: func() *core.Crawler { return core.New(handoff, opts) },
 		ProcLines:  *lines,
 		URLs:       preRes.URLs,
-	}
-	var cps *core.CrawlCheckpoints
-	if *ckptDir != "" {
-		// One journal per process line. A fresh run (-resume omitted)
-		// resets stale journals; a resume recovers every line journal
-		// whatever line count wrote it.
-		cps, err = core.OpenCrawlCheckpoints(ctx, *ckptDir, *resume)
-		if err != nil {
-			fatal("checkpoint: %v", err)
-		}
-		mp.Checkpoints = cps
-		if n := cps.CompletedPages(); *resume && n > 0 {
-			infof("resume: %d pages recovered from line journals", n)
-		}
-		infof("checkpointing crawl into %s", *ckptDir)
 	}
 	res := mp.Run(ctx)
 	// The models are written once, when the run ends — an interrupted
@@ -237,8 +236,8 @@ func main() {
 			fatal("save models: %v", err)
 		}
 	}
-	if cps != nil {
-		if cerr := cps.Close(); cerr != nil {
+	if opts.Checkpoint != nil {
+		if cerr := opts.Checkpoint.Close(); cerr != nil {
 			fatal("checkpoint close: %v", cerr)
 		}
 	}
@@ -261,7 +260,7 @@ func main() {
 		infof("skipped %d failed pages", m.PagesFailed)
 	}
 	if m.PagesResumed > 0 {
-		infof("resume: %d pages replayed from checkpoint journals (not re-crawled)", m.PagesResumed)
+		infof("resume: %d pages replayed from the checkpoint journal (not re-crawled)", m.PagesResumed)
 	}
 	if m.NearDupMerges > 0 {
 		infof("near-dup: %d states merged (%d signatures compared)", m.NearDupMerges, m.NearDupCandidates)

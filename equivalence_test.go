@@ -128,7 +128,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 
 // eqCrawl runs one crawl cell the way cmd/ajaxcrawl does — precrawl
 // (through the cell's faults and retry policy), precrawl handoff,
-// MPCrawler, per-line journals when resumed — and
+// MPCrawler, the checkpoint journal when resumed — and
 // checks the cell's crawl conditions: every page crawled, PerPage rows
 // in URL order; under faults, retries fired and no page failed; when
 // resumed, every journaled page replayed and none fetched again.
@@ -159,7 +159,7 @@ func eqCrawl(t *testing.T, site *webapp.Site, c eqCell) (*core.PrecrawlResult, *
 	}
 	var mu sync.Mutex
 	fetches := map[string]int{}
-	crawl := func(ctx context.Context, lines int, cps *core.CrawlCheckpoints, onPage func(core.PageMetrics)) *core.MPResult {
+	crawl := func(ctx context.Context, lines int, cp *core.Checkpoint, onPage func(core.PageMetrics)) *core.MPResult {
 		handoff := pre.Handoff(net)
 		counting := fetch.Func(func(ctx context.Context, u string) (*fetch.Response, error) {
 			mu.Lock()
@@ -168,12 +168,11 @@ func eqCrawl(t *testing.T, site *webapp.Site, c eqCell) (*core.PrecrawlResult, *
 			return handoff.Fetch(ctx, u)
 		})
 		o := opts
-		o.OnPage = onPage
+		o.OnPage, o.Checkpoint = onPage, cp
 		return (&core.MPCrawler{
-			NewCrawler:  func() *core.Crawler { return core.New(counting, o) },
-			ProcLines:   lines,
-			URLs:        pre.URLs,
-			Checkpoints: cps,
+			NewCrawler: func() *core.Crawler { return core.New(counting, o) },
+			ProcLines:  lines,
+			URLs:       pre.URLs,
 		}).Run(ctx)
 	}
 
@@ -182,37 +181,37 @@ func eqCrawl(t *testing.T, site *webapp.Site, c eqCell) (*core.PrecrawlResult, *
 		res = crawl(ctx, c.lines, nil, nil)
 	} else {
 		dir := t.TempDir()
-		cps, err := core.OpenCrawlCheckpoints(ctx, dir, false)
+		cp, err := core.OpenCheckpoint(ctx, dir, false)
 		if err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}
 		killCtx, kill := context.WithCancel(ctx)
 		defer kill()
 		var done atomic.Int32
-		first := crawl(killCtx, c.lines, cps, func(core.PageMetrics) {
+		first := crawl(killCtx, c.lines, cp, func(core.PageMetrics) {
 			if done.Add(1) == eqKillAfter {
 				kill()
 			}
 		})
-		if err := cps.Close(); err != nil {
-			t.Fatalf("%s: close journals: %v", c, err)
+		if err := cp.Close(); err != nil {
+			t.Fatalf("%s: close journal: %v", c, err)
 		}
 		if !errors.Is(first.Err, context.Canceled) || len(first.Graphs) >= len(pre.URLs) {
 			t.Fatalf("%s: killed run crawled %d of %d pages (err %v): the kill never bit", c, len(first.Graphs), len(pre.URLs), first.Err)
 		}
-		if cps, err = core.OpenCrawlCheckpoints(ctx, dir, true); err != nil {
+		if cp, err = core.OpenCheckpoint(ctx, dir, true); err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}
-		journaled := cps.CompletedPages()
+		journaled := cp.CompletedPages()
 		if journaled != len(first.Graphs) {
 			t.Errorf("%s: journal holds %d pages, want %d", c, journaled, len(first.Graphs))
 		}
 		mu.Lock()
 		clear(fetches)
 		mu.Unlock()
-		res = crawl(ctx, eqResumeLines(c.lines), cps, nil)
-		if err := cps.Close(); err != nil {
-			t.Fatalf("%s: close journals: %v", c, err)
+		res = crawl(ctx, eqResumeLines(c.lines), cp, nil)
+		if err := cp.Close(); err != nil {
+			t.Fatalf("%s: close journal: %v", c, err)
 		}
 		if res.Metrics.PagesResumed != journaled {
 			t.Errorf("%s: PagesResumed = %d, want every journaled page (%d)", c, res.Metrics.PagesResumed, journaled)

@@ -15,15 +15,14 @@ import (
 func fuzzSeedJournal(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
-	j, err := Open(context.Background(), dir, Options{})
+	j, err := Open(context.Background(), dir, false)
 	if err != nil {
 		f.Fatalf("seed journal: %v", err)
 	}
-	if err := j.PageDone(PageRecord{URL: "seed", Graph: testGraph("seed", 2), Metrics: []byte("m")}); err != nil {
-		f.Fatalf("seed journal: %v", err)
-	}
-	if err := j.HotNode("seed", "k", "v"); err != nil {
-		f.Fatalf("seed journal: %v", err)
+	for _, u := range []string{"seed", "seed-2"} {
+		if err := j.PageDone(PageRecord{URL: u, Graph: testGraph(u, 2), Metrics: []byte("m")}); err != nil {
+			f.Fatalf("seed journal: %v", err)
+		}
 	}
 	if err := j.Close(); err != nil {
 		f.Fatalf("seed journal: %v", err)
@@ -68,12 +67,13 @@ func FuzzJournalReplay(f *testing.F) {
 	binary.LittleEndian.PutUint32(fh[4:8], crc32.Checksum(badField, crcTable))
 	f.Add(append(append(append([]byte(journalMagic), journalVersion), fh[:]...), badField...))
 	// A CRC-intact frame of a retired record type: a version 2 journal's
-	// state hash, refused with its file, and the same frame under this
-	// version's header, a tear.
+	// state hash, refused with its file (as is a version 4 journal, which
+	// a process line wrote), and the same frame under this version's
+	// header, a tear.
 	retired := append([]byte{2, 1, 'u'}, make([]byte, 32)...)
 	binary.LittleEndian.PutUint32(fh[0:4], uint32(len(retired)))
 	binary.LittleEndian.PutUint32(fh[4:8], crc32.Checksum(retired, crcTable))
-	for _, version := range []byte{2, journalVersion} {
+	for _, version := range []byte{2, 4, journalVersion} {
 		f.Add(append(append(append([]byte(journalMagic), version), fh[:]...), retired...))
 	}
 
@@ -82,7 +82,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, walFileName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, err := Open(context.Background(), dir, Options{})
+		j, err := Open(context.Background(), dir, true)
 		otherBuild := len(data) >= headerLen && string(data[:len(journalMagic)]) == journalMagic &&
 			data[len(journalMagic)] != journalVersion
 		if otherBuild {
@@ -105,7 +105,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := j.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		j2, err := Open(context.Background(), dir, Options{})
+		j2, err := Open(context.Background(), dir, true)
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}

@@ -1,8 +1,7 @@
 // Package checkpoint implements the durable crawl journal that makes a
-// crawl crash-tolerant: an append-only write-ahead log of one process
-// line's progress (completed pages with their application models,
-// hot-node cache fills) plus periodic compacted snapshots of the
-// completed pages.
+// crawl crash-tolerant: one append-only write-ahead log of the crawl's
+// completed pages with their application models, shared by every
+// process line.
 //
 // The format follows the WAL discipline of production crawlers: every
 // record is one length-prefixed, CRC-checksummed frame, so a crash —
@@ -11,12 +10,9 @@
 // losslessly, which is what lets a resumed crawl skip already-completed
 // pages and converge to the same state set as an uninterrupted run.
 //
-// On-disk layout inside one journal directory:
+// On disk, inside the checkpoint directory:
 //
-//	journal.wal   — header "AJWL"+version, then frames appended in order
-//	snapshot.ajcp — same frame stream holding the completed pages and the
-//	                hot-node fills of pages not yet completed, written
-//	                atomically (temp + rename) at each compaction
+//	journal.wal — header "AJWL"+version, then page frames appended in order
 //
 // Frame: u32le payload length | u32le CRC-32C(payload) | payload.
 // Payload: record type byte, then fields in internal/codec's primitives.
@@ -42,6 +38,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"ajaxcrawl/internal/codec"
@@ -50,25 +47,26 @@ import (
 )
 
 const (
-	// walFileName is the append-only journal inside a journal directory.
+	// walFileName is the append-only journal inside the checkpoint
+	// directory.
 	walFileName = "journal.wal"
-	// snapFileName is the compacted snapshot of completed pages.
-	snapFileName = "snapshot.ajcp"
 
 	journalMagic = "AJWL"
 	// journalVersion 1 carried gob-encoded graphs and metrics in its
 	// page frames; version 2 also journaled every admitted state's hash
 	// and near-dup signature, which no resume read; version 3's page
-	// metrics carried a breaker-opens count. A journal of another version
-	// is refused, not replayed.
-	journalVersion = 4
+	// metrics carried a breaker-opens count; version 4 journals were one
+	// per process line, with hot-node fill frames and a compacted
+	// snapshot beside them. A journal of another version is refused, not
+	// replayed.
+	journalVersion = 5
 
-	// Record types. 2 (an admitted state's hash) and 5 (its near-dup
-	// signature) are retired with version 2, and 4 (a frontier admission,
-	// only ever written to the frontier journal, never to a line's) with
-	// the priority frontier; none is reused.
+	// recPageDone is the one record type. 2 (an admitted state's hash)
+	// and 5 (its near-dup signature) are retired with version 2, 4 (a
+	// frontier admission, only ever written to the frontier journal)
+	// with the priority frontier, and 3 (a hot-node cache fill) with
+	// version 5; none is reused.
 	recPageDone = 1
-	recHotNode  = 3
 
 	// maxFramePayload bounds the length prefix of a frame. A lying
 	// header beyond it is treated as a torn tail, not an allocation.
@@ -77,22 +75,12 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// headerLen is the byte length of the file header (magic + version).
-const headerLen = len(journalMagic) + 1
-
-// Options configure a journal.
-type Options struct {
-	// CompactEvery compacts the journal into a fresh snapshot after this
-	// many page records since the last compaction. <= 0 means the
-	// default (16).
-	CompactEvery int
-	// Reset discards any existing journal in the directory instead of
-	// recovering it — a fresh crawl rather than a resume.
-	Reset bool
-}
-
-// defaultCompactEvery is the page interval between snapshot compactions.
-const defaultCompactEvery = 16
+// headerLen is the byte length of the file header (magic + version),
+// frameHeaderLen that of a frame's (length + CRC).
+const (
+	headerLen      = len(journalMagic) + 1
+	frameHeaderLen = 8
+)
 
 // PageRecord is one durably completed page: its URL, its application
 // model, and an opaque caller-defined metrics payload (the crawler
@@ -108,25 +96,22 @@ type PageRecord struct {
 type RecoveryInfo struct {
 	// Pages is the number of completed pages replayed.
 	Pages int
-	// HotEntries is the number of hot-node cache fills replayed.
-	HotEntries int
 	// TruncatedBytes counts journal bytes dropped by torn-tail recovery
 	// (0 for a cleanly closed journal).
 	TruncatedBytes int64
 }
 
-// Journal is one process line's durable crawl log. All methods are safe for
-// concurrent use, though a crawl writes from a single process line.
+// Journal is a crawl's durable log. All methods are safe for concurrent
+// use: every process line appends to the one journal.
 type Journal struct {
-	mu  sync.Mutex
-	dir string
-	tel *obs.Telemetry
-	ctx context.Context
+	mu   sync.Mutex
+	path string
+	tel  *obs.Telemetry
+	ctx  context.Context
 
 	f *os.File
-	w *bufio.Writer
-	// payload is the frame under construction, reused frame to frame.
-	payload bytes.Buffer
+	// frame is the frame under construction, reused frame to frame.
+	frame bytes.Buffer
 
 	// err is sticky: after any write failure the journal refuses further
 	// work, so a half-written frame can never be followed by records the
@@ -134,79 +119,58 @@ type Journal struct {
 	err error
 
 	pages     map[string]PageRecord
-	pageOrder []string
-	hot       map[string]map[string]string
-
-	compactEvery int
-	sinceCompact int
-	walBytes     int64
-	recovered    RecoveryInfo
+	recovered RecoveryInfo
 }
 
-// Open opens (creating or recovering) the journal in dir. Recovery
-// replays the snapshot, then the WAL, stopping at the first torn or
-// corrupt frame and truncating the file there so appends continue from
-// the last durable record. The context supplies telemetry: recovery
-// emits a checkpoint.recover span, writes count into
-// crawl.partition.journal_bytes.
-func Open(ctx context.Context, dir string, opts Options) (*Journal, error) {
+// Open opens the journal in dir, creating dir if needed. With resume
+// set it recovers the journal there: replay stops at the first torn or
+// corrupt frame and truncates the file at that point, so appends
+// continue from the last durable record. Without resume an existing
+// journal is removed first — a fresh crawl rather than a resume. The
+// context supplies telemetry: recovery emits a checkpoint.recover span,
+// writes count into crawl.partition.journal_bytes.
+func Open(ctx context.Context, dir string, resume bool) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: open %s: %w", dir, err)
 	}
 	j := &Journal{
-		dir:          dir,
-		tel:          obs.From(ctx),
-		ctx:          ctx,
-		pages:        make(map[string]PageRecord),
-		hot:          make(map[string]map[string]string),
-		compactEvery: opts.CompactEvery,
+		path:  filepath.Join(dir, walFileName),
+		tel:   obs.From(ctx),
+		ctx:   ctx,
+		pages: make(map[string]PageRecord),
 	}
-	if j.compactEvery <= 0 {
-		j.compactEvery = defaultCompactEvery
-	}
-	walPath := filepath.Join(dir, walFileName)
-	snapPath := filepath.Join(dir, snapFileName)
-	if opts.Reset {
-		if err := os.Remove(walPath); err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("checkpoint: reset %s: %w", walPath, err)
-		}
-		if err := os.Remove(snapPath); err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("checkpoint: reset %s: %w", snapPath, err)
+	if !resume {
+		if err := os.Remove(j.path); err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("checkpoint: reset %s: %w", j.path, err)
 		}
 	}
 
 	_, sp := obs.StartSpan(ctx, obs.SpanCheckpointRecover, obs.A("dir", dir))
-	f, goodOffset, err := j.recover(snapPath, walPath)
+	f, err := j.recover()
 	sp.SetAttr("pages", strconv.Itoa(j.recovered.Pages))
 	sp.SetAttr("truncated_bytes", strconv.FormatInt(j.recovered.TruncatedBytes, 10))
 	sp.End(err)
 	if err != nil {
 		return nil, err
 	}
-	j.f, j.w, j.walBytes = f, bufio.NewWriterSize(f, 64*1024), goodOffset
+	j.f = f
 	return j, nil
 }
 
-// recover replays the snapshot, then the WAL, and returns the WAL open
-// for appends at the end of its last intact frame.
-func (j *Journal) recover(snapPath, walPath string) (*os.File, int64, error) {
-	// Snapshot first: it holds the compacted prefix of the log. A torn
-	// snapshot (it is written atomically, so this means outside
-	// interference) recovers its intact prefix like the WAL does.
-	if err := j.replayFile(snapPath, nil); err != nil {
-		return nil, 0, err
-	}
-	var goodOffset int64
-	if err := j.replayFile(walPath, &goodOffset); err != nil {
-		return nil, 0, err
-	}
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644)
+// recover replays the WAL and returns it open for appends at the end of
+// its last intact frame.
+func (j *Journal) recover() (*os.File, error) {
+	goodOffset, err := j.replay()
 	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: open %s: %w", walPath, err)
+		return nil, err
 	}
-	fail := func(what string, err error) (*os.File, int64, error) {
+	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: open %s: %w", j.path, err)
+	}
+	fail := func(what string, err error) (*os.File, error) {
 		f.Close()
-		return nil, 0, fmt.Errorf("checkpoint: %s %s: %w", what, walPath, err)
+		return nil, fmt.Errorf("checkpoint: %s %s: %w", what, j.path, err)
 	}
 	st, err := f.Stat()
 	if err != nil {
@@ -233,31 +197,28 @@ func (j *Journal) recover(snapPath, walPath string) (*os.File, int64, error) {
 	if _, err := f.Seek(goodOffset, io.SeekStart); err != nil {
 		return fail("seek", err)
 	}
-	return f, goodOffset, nil
+	return f, nil
 }
 
-// replayFile replays one frame file into the in-memory maps. Missing
-// files are fine (fresh journal). When goodOffset is non-nil it receives
-// the offset just past the last intact, decodable frame; replay stops —
-// without error — at the first torn or corrupt one. A file of another
-// journal version is an error naming it, and is left as it is.
-func (j *Journal) replayFile(path string, goodOffset *int64) error {
-	f, err := os.Open(path)
+// replay replays the WAL into the page map and returns the offset just
+// past its last intact, decodable frame; replay stops — without error —
+// at the first torn or corrupt one. A missing file is a fresh journal.
+// A file of another journal version is an error naming it, and is left
+// as it is.
+func (j *Journal) replay() (int64, error) {
+	f, err := os.Open(j.path)
 	if os.IsNotExist(err) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("checkpoint: recover %s: %w", path, err)
+		return 0, fmt.Errorf("checkpoint: recover %s: %w", j.path, err)
 	}
 	defer f.Close()
 	off, err := replayFrames(f, j.applyRecord)
 	if err != nil {
-		return fmt.Errorf("checkpoint: recover %s: %w", path, err)
+		return 0, fmt.Errorf("checkpoint: recover %s: %w", j.path, err)
 	}
-	if goodOffset != nil {
-		*goodOffset = off
-	}
-	return nil
+	return off, nil
 }
 
 // replayFrames reads header + frames from r, calling apply for each
@@ -278,7 +239,7 @@ func replayFrames(r io.Reader, apply func(payload []byte) error) (goodOffset int
 	}
 	goodOffset = int64(headerLen)
 	for {
-		var fh [8]byte
+		var fh [frameHeaderLen]byte
 		d.Fixed(fh[:])
 		plen := binary.LittleEndian.Uint32(fh[0:4])
 		if d.Err() != nil || plen == 0 || plen > maxFramePayload {
@@ -289,68 +250,30 @@ func replayFrames(r io.Reader, apply func(payload []byte) error) (goodOffset int
 			apply(payload) != nil {
 			return goodOffset, nil
 		}
-		goodOffset += 8 + int64(plen)
+		goodOffset += frameHeaderLen + int64(plen)
 	}
 }
 
-// applyRecord decodes one frame payload and folds it into the in-memory
-// maps. An undecodable payload — a decoder panic on hostile input
-// included — is an error: the tear point.
+// applyRecord decodes one page frame and folds it into the page map.
+// An undecodable payload — a decoder panic on hostile input included —
+// is an error: the tear point.
 func (j *Journal) applyRecord(payload []byte) (err error) {
 	defer codec.Contain(&err, "checkpoint: frame")
 	d := codec.NewDecoder(bytes.NewReader(payload))
-	typ, url := d.Uvarint(), d.String()
-	switch typ {
-	case recPageDone:
-		graph, metrics := d.Bytes(), d.Bytes()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		g, err := model.DecodeGraph(graph)
-		if err != nil {
-			return err
-		}
-		if _, dup := j.pages[url]; !dup {
-			j.pageOrder = append(j.pageOrder, url)
-		}
-		j.pages[url] = PageRecord{URL: url, Graph: g, Metrics: metrics}
-		j.recovered.Pages++
-	case recHotNode:
-		key, body := d.String(), d.String()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if j.hot[url] == nil {
-			j.hot[url] = make(map[string]string)
-		}
-		j.hot[url][key] = body
-		j.recovered.HotEntries++
-	default:
+	if typ := d.Uvarint(); typ != recPageDone {
 		d.Fail(fmt.Errorf("record type %d", typ))
 	}
-	return d.Err()
-}
-
-// begin starts a frame of type typ about url in j.payload and returns
-// the encoder that writes the rest of it. Call with j.mu held.
-func (j *Journal) begin(typ uint64, url string) codec.Encoder {
-	j.payload.Reset()
-	e := codec.NewEncoder(&j.payload)
-	e.Uvarint(typ)
-	e.String(url)
-	return e
-}
-
-// pageFrame builds rec's page frame payload in j.payload.
-func (j *Journal) pageFrame(rec PageRecord) ([]byte, error) {
-	graph, err := model.EncodeGraph(rec.Graph)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encode graph %s: %w", rec.URL, err)
+	url, graph, metrics := d.String(), d.Bytes(), d.Bytes()
+	if d.Err() != nil {
+		return d.Err()
 	}
-	e := j.begin(recPageDone, rec.URL)
-	e.Bytes(graph)
-	e.Bytes(rec.Metrics)
-	return j.payload.Bytes(), nil
+	g, err := model.DecodeGraph(graph)
+	if err != nil {
+		return err
+	}
+	j.pages[url] = PageRecord{URL: url, Graph: g, Metrics: metrics}
+	j.recovered.Pages++
+	return nil
 }
 
 // CompletedPages returns the number of pages the journal holds.
@@ -360,16 +283,13 @@ func (j *Journal) CompletedPages() int {
 	return len(j.pages)
 }
 
-// Pages returns every completed page's record, in first-completion
-// order.
+// Pages returns every completed page's record, in URL order.
 func (j *Journal) Pages() []PageRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]PageRecord, 0, len(j.pageOrder))
-	for _, u := range j.pageOrder {
-		out = append(out, j.pages[u])
-	}
-	return out
+	return slices.SortedFunc(maps.Values(j.pages), func(a, b PageRecord) int {
+		return strings.Compare(a.URL, b.URL)
+	})
 }
 
 // Completed returns the journaled record of url, if the page finished in
@@ -381,236 +301,86 @@ func (j *Journal) Completed(url string) (PageRecord, bool) {
 	return rec, ok
 }
 
-// HotEntries returns the journaled hot-node cache fills for url (nil
-// when none) — a re-crawl of an interrupted page seeds its cache from
-// these, so repeat hot calls skip the network exactly as they did before
-// the crash.
-func (j *Journal) HotEntries(url string) map[string]string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	entries := j.hot[url]
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(entries))
-	for k, v := range entries {
-		out[k] = v
-	}
-	return out
-}
-
 // PageDone durably records a completed page: the frame is written and
 // flushed to the OS before PageDone returns, so a process kill after it
-// can never lose the page. Every CompactEvery pages the journal compacts
-// itself into a fresh snapshot.
+// can never lose the page. The graph is encoded before the journal's
+// lock is taken, so lines serialize only on the append.
 func (j *Journal) PageDone(rec PageRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
 	_, sp := obs.StartSpan(j.ctx, obs.SpanCheckpointWrite, obs.A("url", rec.URL))
-	payload, err := j.pageFrame(rec)
-	if err == nil {
-		err = j.writeFrame(payload)
-	}
-	if err != nil {
-		sp.End(err)
-		return err
-	}
-	// The page frame is the durability point: flush it through to the OS
-	// so only a machine (not process) crash can lose it.
-	if err := j.flushLocked(); err != nil {
-		sp.End(err)
-		return err
-	}
-	if _, dup := j.pages[rec.URL]; !dup {
-		j.pageOrder = append(j.pageOrder, rec.URL)
-	}
-	j.pages[rec.URL] = rec
-	j.sinceCompact++
-	var cerr error
-	if j.sinceCompact >= j.compactEvery {
-		cerr = j.compactLocked()
-	}
-	sp.End(cerr)
-	return cerr
-}
-
-// HotNode journals one hot-node cache fill mid-page. These records are
-// buffered (flushed with the next page frame), so they cost no extra
-// syscalls on the hot path.
-func (j *Journal) HotNode(url, key, body string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	e := j.begin(recHotNode, url)
-	e.String(key)
-	e.String(body)
-	if err := j.writeFrame(j.payload.Bytes()); err != nil {
-		return err
-	}
-	if j.hot[url] == nil {
-		j.hot[url] = make(map[string]string)
-	}
-	j.hot[url][key] = body
-	return nil
-}
-
-// writeFrame appends one frame. Any failure is sticky.
-func (j *Journal) writeFrame(payload []byte) error {
-	if len(payload) > maxFramePayload {
-		j.err = fmt.Errorf("checkpoint: frame payload %d exceeds limit %d", len(payload), maxFramePayload)
-		return j.err
-	}
-	if err := putFrame(j.w, payload); err != nil {
-		j.err = fmt.Errorf("checkpoint: write %s: %w", j.dir, err)
-		return j.err
-	}
-	n := int64(8 + len(payload))
-	j.walBytes += n
-	j.tel.Counter("crawl.partition.journal_bytes").Add(n)
-	return nil
-}
-
-// putFrame writes one frame — length, CRC, payload — to w.
-func putFrame(w *bufio.Writer, payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	w.Write(hdr[:]) //nolint:errcheck // sticky, returned by the next Write
-	_, err := w.Write(payload)
-	return err
-}
-
-// Flush pushes buffered records through to the OS.
-func (j *Journal) Flush() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.flushLocked()
-}
-
-func (j *Journal) flushLocked() error {
-	if j.err != nil {
-		return j.err
-	}
-	if err := j.w.Flush(); err != nil {
-		j.err = fmt.Errorf("checkpoint: flush %s: %w", j.dir, err)
-	}
-	return j.err
-}
-
-// compactLocked folds every completed page into a fresh snapshot file
-// (temp + atomic rename, like the index manifest publish) and resets the
-// WAL to just its header, bounding journal growth and resume replay
-// time. Mid-page records of pages that later completed become redundant
-// and are dropped with the old WAL.
-func (j *Journal) compactLocked() error {
-	_, sp := obs.StartSpan(j.ctx, obs.SpanCheckpointCompact,
-		obs.A("dir", j.dir), obs.A("pages", strconv.Itoa(len(j.pages))))
-	err := j.compactFiles()
-	if err != nil {
-		j.err = err
-	} else {
-		j.sinceCompact = 0
-		j.tel.Counter("checkpoint.compactions").Inc()
-	}
+	err := j.pageDone(rec)
 	sp.End(err)
 	return err
 }
 
-func (j *Journal) compactFiles() error {
-	err := j.writeSnapshot()
-	// The snapshot now owns every page; reset the WAL to its header.
-	// Ordering matters: the rename lands before the truncate, so a crash
-	// between the two replays pages from both files (idempotent), never
-	// from neither.
-	if err == nil {
-		err = j.w.Flush()
-	}
-	if err == nil {
-		err = j.f.Truncate(int64(headerLen))
-	}
-	if err == nil {
-		_, err = j.f.Seek(int64(headerLen), io.SeekStart)
-	}
+func (j *Journal) pageDone(rec PageRecord) error {
+	graph, err := model.EncodeGraph(rec.Graph)
 	if err != nil {
-		return fmt.Errorf("checkpoint: compact %s: %w", j.dir, err)
+		return fmt.Errorf("checkpoint: encode graph %s: %w", rec.URL, err)
 	}
-	j.walBytes = int64(headerLen)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.err != nil {
+		return j.err
+	}
+	e := j.begin()
+	e.Uvarint(recPageDone)
+	e.String(rec.URL)
+	e.Bytes(graph)
+	e.Bytes(rec.Metrics)
+	if err := j.writeFrame(); err != nil {
+		return err
+	}
+	j.pages[rec.URL] = rec
 	return nil
 }
 
-// writeSnapshot writes every completed page and unfinished page's
-// hot-node fill into a temp file, syncs it, and renames it over the
-// snapshot.
-func (j *Journal) writeSnapshot() (err error) {
-	tmp, err := os.CreateTemp(j.dir, "snapshot-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	w := bufio.NewWriterSize(tmp, 64*1024)
-	codec.NewEncoder(w).Header(journalMagic, journalVersion)
-	for _, url := range j.pageOrder {
-		payload, err := j.pageFrame(j.pages[url])
-		if err != nil {
-			return err
-		}
-		putFrame(w, payload) //nolint:errcheck // sticky, checked via Flush
-	}
-	// The hot-node fills of a page that has not completed survive
-	// compaction: its re-crawl seeds its cache from them.
-	for _, url := range slices.Sorted(maps.Keys(j.hot)) {
-		if _, done := j.pages[url]; done {
-			continue
-		}
-		for _, key := range slices.Sorted(maps.Keys(j.hot[url])) {
-			e := j.begin(recHotNode, url)
-			e.String(key)
-			e.String(j.hot[url][key])
-			putFrame(w, j.payload.Bytes()) //nolint:errcheck
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(j.dir, snapFileName))
+// begin starts a frame in j.frame — room for its header, then the
+// payload the returned encoder writes. Call with j.mu held.
+func (j *Journal) begin() codec.Encoder {
+	j.frame.Reset()
+	j.frame.Write(make([]byte, frameHeaderLen))
+	return codec.NewEncoder(&j.frame)
 }
 
-// Close flushes buffered records, syncs the WAL, and closes it. The
-// journal is unusable afterwards; reopen with Open to resume.
+// writeFrame fills in the header of the frame in j.frame and appends
+// the frame to the file in one write, which is the page's durability
+// point: once it returns, only a machine (not process) crash can lose
+// the frame. Any failure is sticky. Call with j.mu held.
+func (j *Journal) writeFrame() error {
+	frame := j.frame.Bytes()
+	payload := frame[frameHeaderLen:]
+	if len(payload) > maxFramePayload {
+		j.err = fmt.Errorf("checkpoint: frame payload %d exceeds limit %d", len(payload), maxFramePayload)
+		return j.err
+	}
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
+	if _, err := j.f.Write(frame); err != nil {
+		j.err = fmt.Errorf("checkpoint: write %s: %w", j.path, err)
+		return j.err
+	}
+	j.tel.Counter("crawl.partition.journal_bytes").Add(int64(len(frame)))
+	return nil
+}
+
+// Close syncs the WAL and closes it. The journal is unusable afterwards;
+// reopen with Open to resume.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return j.err
 	}
-	flushErr := j.flushLocked()
 	syncErr := j.f.Sync()
 	closeErr := j.f.Close()
 	j.f = nil
-	if flushErr != nil {
-		return flushErr
-	}
-	if syncErr != nil {
-		return fmt.Errorf("checkpoint: sync %s: %w", j.dir, syncErr)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("checkpoint: close %s: %w", j.dir, closeErr)
+	switch {
+	case j.err != nil:
+		return j.err
+	case syncErr != nil:
+		return fmt.Errorf("checkpoint: sync %s: %w", j.path, syncErr)
+	case closeErr != nil:
+		return fmt.Errorf("checkpoint: close %s: %w", j.path, closeErr)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"ajaxcrawl/internal/codec"
@@ -27,9 +28,9 @@ func testGraph(url string, n int) *model.Graph {
 	return g
 }
 
-func mustOpen(t *testing.T, dir string, opts Options) *Journal {
+func mustOpen(t *testing.T, dir string, resume bool) *Journal {
 	t.Helper()
-	j, err := Open(context.Background(), dir, opts)
+	j, err := Open(context.Background(), dir, resume)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
@@ -38,10 +39,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *Journal {
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{})
-	if err := j.HotNode("u1", "loadVideos(2)", "<div>page 2</div>"); err != nil {
-		t.Fatalf("HotNode: %v", err)
-	}
+	j := mustOpen(t, dir, true)
 	for _, u := range []string{"u1", "u2", "u3"} {
 		rec := PageRecord{URL: u, Graph: testGraph(u, 3), Metrics: []byte("metrics:" + u)}
 		if err := j.PageDone(rec); err != nil {
@@ -52,11 +50,11 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	j2 := mustOpen(t, dir, Options{})
+	j2 := mustOpen(t, dir, true)
 	defer j2.Close()
 	ri := j2.recovered
-	if ri.Pages != 3 || ri.HotEntries != 1 {
-		t.Fatalf("Recovered = %+v, want 3 pages, 1 hot entry", ri)
+	if ri.Pages != 3 {
+		t.Fatalf("Recovered = %+v, want 3 pages", ri)
 	}
 	if ri.TruncatedBytes != 0 {
 		t.Fatalf("clean close recovered TruncatedBytes=%d, want 0", ri.TruncatedBytes)
@@ -73,20 +71,11 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("Completed(%s): metrics %q", u, rec.Metrics)
 		}
 	}
-	hot := j2.HotEntries("u1")
-	if hot["loadVideos(2)"] != "<div>page 2</div>" {
-		t.Fatalf("HotEntries(u1) = %v", hot)
-	}
-	// Returned map is a copy: mutating it must not touch the journal.
-	hot["loadVideos(2)"] = "tampered"
-	if j2.HotEntries("u1")["loadVideos(2)"] != "<div>page 2</div>" {
-		t.Fatal("HotEntries returned the journal's internal map")
-	}
 }
 
 func TestJournalTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{})
+	j := mustOpen(t, dir, true)
 	for _, u := range []string{"a", "b"} {
 		if err := j.PageDone(PageRecord{URL: u, Graph: testGraph(u, 1)}); err != nil {
 			t.Fatalf("PageDone: %v", err)
@@ -109,7 +98,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	j2 := mustOpen(t, dir, Options{})
+	j2 := mustOpen(t, dir, true)
 	ri := j2.recovered
 	if ri.Pages != 2 {
 		t.Fatalf("recovered %d pages, want 2", ri.Pages)
@@ -124,7 +113,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	j3 := mustOpen(t, dir, Options{})
+	j3 := mustOpen(t, dir, true)
 	defer j3.Close()
 	if got := j3.CompletedPages(); got != 3 {
 		t.Fatalf("after re-append recovered %d pages, want 3", got)
@@ -136,7 +125,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 
 func TestJournalCorruptFrameTruncatesSuffix(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{})
+	j := mustOpen(t, dir, true)
 	for _, u := range []string{"a", "b", "c"} {
 		if err := j.PageDone(PageRecord{URL: u, Graph: testGraph(u, 1)}); err != nil {
 			t.Fatalf("PageDone: %v", err)
@@ -158,7 +147,7 @@ func TestJournalCorruptFrameTruncatesSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2 := mustOpen(t, dir, Options{})
+	j2 := mustOpen(t, dir, true)
 	defer j2.Close()
 	if got := j2.recovered.Pages; got != 2 {
 		t.Fatalf("recovered %d pages past a corrupt frame, want 2", got)
@@ -171,64 +160,28 @@ func TestJournalCorruptFrameTruncatesSuffix(t *testing.T) {
 	}
 }
 
-func TestJournalCompaction(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: 2})
-	urls := []string{"a", "b", "c", "d", "e"}
-	for _, u := range urls {
-		if err := j.PageDone(PageRecord{URL: u, Graph: testGraph(u, 2), Metrics: []byte(u)}); err != nil {
-			t.Fatalf("PageDone: %v", err)
-		}
-	}
-	// 5 pages at CompactEvery=2 → compactions after b and d; the WAL
-	// holds only e's frame, the snapshot a..d.
-	st, err := os.Stat(filepath.Join(dir, snapFileName))
-	if err != nil {
-		t.Fatalf("snapshot missing after compaction: %v", err)
-	}
-	if st.Size() <= int64(headerLen) {
-		t.Fatalf("snapshot is empty (%d bytes)", st.Size())
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	wst, err := os.Stat(filepath.Join(dir, walFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wst.Size() >= st.Size() {
-		t.Fatalf("WAL (%d bytes) not truncated below snapshot (%d bytes) by compaction", wst.Size(), st.Size())
-	}
-
-	j2 := mustOpen(t, dir, Options{})
-	defer j2.Close()
-	if got := j2.recovered.Pages; got != len(urls) {
-		t.Fatalf("recovered %d pages from snapshot+WAL, want %d", got, len(urls))
-	}
-	for _, u := range urls {
-		rec, ok := j2.Completed(u)
-		if !ok || string(rec.Metrics) != u {
-			t.Fatalf("Completed(%s) = %+v, %v after compaction", u, rec, ok)
-		}
-	}
-}
-
+// TestJournalReset: a fresh (non-resume) open discards the journal a
+// previous crawl left.
 func TestJournalReset(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: 1})
+	j := mustOpen(t, dir, true)
 	if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 1)}); err != nil {
 		t.Fatalf("PageDone: %v", err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	j2 := mustOpen(t, dir, Options{Reset: true})
-	defer j2.Close()
+	j2 := mustOpen(t, dir, false)
 	if got := j2.CompletedPages(); got != 0 {
-		t.Fatalf("reset journal recovered %d pages, want 0", got)
+		t.Fatalf("fresh open recovered %d pages, want 0", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapFileName)); !os.IsNotExist(err) {
-		t.Fatalf("reset left the snapshot behind (err=%v)", err)
+	if err := j2.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	j3 := mustOpen(t, dir, true)
+	defer j3.Close()
+	if got := j3.CompletedPages(); got != 0 {
+		t.Fatalf("resume after a fresh open recovered %d pages, want 0", got)
 	}
 }
 
@@ -238,7 +191,7 @@ func TestJournalGarbageFileStartsFresh(t *testing.T) {
 	if err := os.WriteFile(walPath, []byte("not a journal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j := mustOpen(t, dir, Options{})
+	j := mustOpen(t, dir, true)
 	if got := j.CompletedPages(); got != 0 {
 		t.Fatalf("garbage file recovered %d pages", got)
 	}
@@ -251,64 +204,52 @@ func TestJournalGarbageFileStartsFresh(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	j2 := mustOpen(t, dir, Options{})
+	j2 := mustOpen(t, dir, true)
 	defer j2.Close()
 	if _, ok := j2.Completed("a"); !ok {
 		t.Fatal("page written after header rewrite was not recovered")
 	}
 }
 
-// TestJournalFromAnotherBuildIsRefused: a WAL or snapshot whose header
-// has the journal's magic and another version — one written by another
-// build, such as version 2, whose state records this build no longer
-// reads, or version 3, whose page metrics carry one more count — fails
-// Open with an error naming the file and both versions,
-// and its bytes stay as they were, instead of being wiped as a torn
-// file would be. A Reset open still discards it.
+// TestJournalFromAnotherBuildIsRefused: a WAL whose header has the
+// journal's magic and another version — one written by another build,
+// such as version 2, whose state records this build no longer reads,
+// version 3, whose page metrics carry one more count, or version 4, a
+// per-line journal with hot-node fill frames — fails a resuming Open
+// with an error naming the file and both versions, and its bytes stay
+// as they were, instead of being wiped as a torn file would be. A fresh
+// open still discards it.
 func TestJournalFromAnotherBuildIsRefused(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		version byte
-	}{
-		{walFileName, 2}, {walFileName, 3}, {walFileName, journalVersion + 1},
-		{snapFileName, 2}, {snapFileName, 3}, {snapFileName, journalVersion + 1},
-	} {
-		name := c.name
+	for _, version := range []byte{2, 3, 4, journalVersion + 1} {
 		dir := t.TempDir()
-		j := mustOpen(t, dir, Options{})
+		j := mustOpen(t, dir, true)
 		if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 2)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		wal := filepath.Join(dir, walFileName)
-		data, err := os.ReadFile(wal)
+		path := filepath.Join(dir, walFileName)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len(journalMagic)] = c.version
-		path := filepath.Join(dir, name)
-		if name != walFileName {
-			if err := os.Remove(wal); err != nil {
-				t.Fatal(err)
-			}
-		}
+		data[len(journalMagic)] = version
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err = Open(context.Background(), dir, Options{})
+		_, err = Open(context.Background(), dir, true)
 		var ve *codec.VersionError
 		if !errors.As(err, &ve) || !strings.Contains(err.Error(), path) ||
-			!strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d (this build reads %d)", c.version, journalVersion)) {
-			t.Fatalf("%s of version %d: Open err = %v, want a refusal naming the file and both versions", name, c.version, err)
+			!strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d (this build reads %d)", version, journalVersion)) {
+			t.Fatalf("version %d: Open err = %v, want a refusal naming the file and both versions", version, err)
 		}
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("%s of version %d: bytes changed by the refused Open (err=%v)", name, c.version, err)
+			t.Fatalf("version %d: bytes changed by the refused Open (err=%v)", version, err)
 		}
-		j = mustOpen(t, dir, Options{Reset: true})
+		j = mustOpen(t, dir, false)
 		if n := j.CompletedPages(); n != 0 {
-			t.Fatalf("%s: reset open recovered %d pages", name, n)
+			t.Fatalf("version %d: fresh open recovered %d pages", version, n)
 		}
 		j.Close()
 	}
@@ -316,7 +257,7 @@ func TestJournalFromAnotherBuildIsRefused(t *testing.T) {
 
 func TestJournalDuplicatePageDoneKeepsLatest(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{})
+	j := mustOpen(t, dir, true)
 	if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 1), Metrics: []byte("v1")}); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +270,7 @@ func TestJournalDuplicatePageDoneKeepsLatest(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2 := mustOpen(t, dir, Options{})
+	j2 := mustOpen(t, dir, true)
 	defer j2.Close()
 	rec, ok := j2.Completed("a")
 	if !ok || string(rec.Metrics) != "v2" || len(rec.Graph.States) != 2 {
@@ -337,42 +278,23 @@ func TestJournalDuplicatePageDoneKeepsLatest(t *testing.T) {
 	}
 }
 
-// TestJournalHotNodesSurviveCompaction: a compaction keeps the hot-node
-// fills of a page that has not completed yet, which its re-crawl reads.
-func TestJournalHotNodesSurviveCompaction(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{CompactEvery: 1})
-	if err := j.HotNode("interrupted", "k", "v"); err != nil {
-		t.Fatalf("HotNode: %v", err)
-	}
-	if err := j.PageDone(PageRecord{URL: "other", Graph: testGraph("other", 1)}); err != nil {
-		t.Fatalf("PageDone: %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	j2 := mustOpen(t, dir, Options{})
-	defer j2.Close()
-	if got := fmt.Sprint(j2.HotEntries("interrupted")); got != "map[k:v]" {
-		t.Fatalf("HotEntries(interrupted) after compaction = %s, want map[k:v]", got)
-	}
-}
-
 // TestJournalRetiredRecordIsATear: a CRC-intact frame of a retired
-// record type (2, an admitted state's hash; 4, a frontier admission;
-// 5, a state's signature) stops replay like any undecodable frame, so
-// the page after it is dropped.
+// record type (2, an admitted state's hash; 3, a hot-node cache fill;
+// 4, a frontier admission; 5, a state's signature) stops replay like
+// any undecodable frame, so the page after it is dropped.
 func TestJournalRetiredRecordIsATear(t *testing.T) {
-	for _, typ := range []uint64{2, 4, 5} {
+	for _, typ := range []uint64{2, 3, 4, 5} {
 		dir := t.TempDir()
-		j := mustOpen(t, dir, Options{})
+		j := mustOpen(t, dir, true)
 		if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 1)}); err != nil {
 			t.Fatal(err)
 		}
 		j.mu.Lock()
-		e := j.begin(typ, "a")
+		e := j.begin()
+		e.Uvarint(typ)
+		e.String("a")
 		e.Fixed(make([]byte, 32))
-		err := j.writeFrame(j.payload.Bytes())
+		err := j.writeFrame()
 		j.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -383,11 +305,58 @@ func TestJournalRetiredRecordIsATear(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		j2 := mustOpen(t, dir, Options{})
+		j2 := mustOpen(t, dir, true)
 		if _, ok := j2.Completed("b"); ok || j2.CompletedPages() != 1 || j2.recovered.TruncatedBytes == 0 {
 			t.Fatalf("type %d frame: recovered %d pages, truncated %d bytes; want page a only, the rest cut",
 				typ, j2.CompletedPages(), j2.recovered.TruncatedBytes)
 		}
 		j2.Close()
+	}
+}
+
+// TestJournalConcurrentPageDone: the process lines share one journal, so
+// PageDone from several goroutines at once must leave whole frames only.
+// Four writers of 50 pages each, then a reopen recovers all 200 pages
+// with their metrics and nothing truncated.
+func TestJournalConcurrentPageDone(t *testing.T) {
+	const writers, perWriter = 4, 50
+	dir := t.TempDir()
+	j := mustOpen(t, dir, false)
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				u := fmt.Sprintf("w%d-p%d", w, i)
+				if err := j.PageDone(PageRecord{URL: u, Graph: testGraph(u, 1+i%3), Metrics: []byte("m:" + u)}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("PageDone: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2 := mustOpen(t, dir, true)
+	defer j2.Close()
+	if ri := j2.recovered; ri.Pages != writers*perWriter || ri.TruncatedBytes != 0 {
+		t.Fatalf("recovered %+v, want %d pages and nothing truncated", ri, writers*perWriter)
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			u := fmt.Sprintf("w%d-p%d", w, i)
+			rec, ok := j2.Completed(u)
+			if !ok || string(rec.Metrics) != "m:"+u || rec.Graph.URL != u || len(rec.Graph.States) != 1+i%3 {
+				t.Fatalf("Completed(%s) = %+v, %v", u, rec, ok)
+			}
+		}
 	}
 }

@@ -121,7 +121,7 @@ func TestChaosCrawlMatchesFaultFreeBaseline(t *testing.T) {
 			fetch.FaultConfig{ErrorRate: 0.25, TruncateRate: 0.05, MaxConsecutive: 3, Seed: 7},
 			ckClock),
 		ckClock, 10*time.Millisecond, time.Millisecond)
-	cp, err := OpenJournalCheckpointer(ctx, ckDir, false)
+	cp, err := OpenCheckpoint(ctx, ckDir, false)
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
@@ -158,7 +158,7 @@ func TestChaosCrawlMatchesFaultFreeBaseline(t *testing.T) {
 
 	// Resume from the complete journal against a dead fetcher: every page
 	// must replay from disk without a single network call.
-	cp2, err := OpenJournalCheckpointer(ctx, ckDir, true)
+	cp2, err := OpenCheckpoint(ctx, ckDir, true)
 	if err != nil {
 		t.Fatalf("reopen journal: %v", err)
 	}

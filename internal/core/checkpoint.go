@@ -7,9 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ajaxcrawl/internal/checkpoint"
@@ -17,56 +15,88 @@ import (
 	"ajaxcrawl/internal/model"
 )
 
-// Checkpointer is the crawler's durable-progress hook. When
-// Options.Checkpoint is set, CrawlAll journals every completed page
-// through it and consults it before crawling, so a crawl resumed after a
-// crash skips already-completed pages and converges to the same state
-// set as an uninterrupted run. The one
-// mid-page record is a hot-node cache fill, which re-seeds the cache
-// when an interrupted page is crawled again.
+// Checkpoint is a crawl's durable progress: one append-only journal in
+// the checkpoint root, shared by every process line. With
+// Options.Checkpoint set, CrawlAll journals every completed page into it
+// and consults it before crawling, so a crawl resumed after a crash
+// skips already-completed pages — whichever line takes them — and
+// converges to the same state set as an uninterrupted run. The URL list
+// itself is the precrawl's (precrawl.gob), not the journal's.
 //
-// Implementations must tolerate being called from one process line at a
-// time; the parallel crawler opens one Checkpointer per process line
-// (see CrawlCheckpoints).
-type Checkpointer interface {
-	// Completed returns the journaled result of url, if that page
-	// finished in a previous (recovered) run or earlier in this one.
-	Completed(url string) (*model.Graph, PageMetrics, bool)
-	// PageDone durably records a completed page. A non-nil error means
-	// durability is broken and fails the crawl: pages reported crawled
-	// must never be silently un-journaled.
-	PageDone(url string, g *model.Graph, pm PageMetrics) error
-	// HotNode records one hot-node cache fill mid-page (best-effort).
-	HotNode(url, key, body string) error
-	// HotEntries returns journaled hot-node fills for url, used to
-	// pre-warm the cache when re-crawling an interrupted page.
-	HotEntries(url string) map[string]string
-	// Flush pushes buffered records to stable storage.
-	Flush() error
-	// Close flushes and releases the underlying journal. The owner that
-	// opened the Checkpointer closes it — for the parallel crawler that
-	// is the process line, on every exit path including panics
-	// and cancellation, which is what makes Ctrl-C a graceful flush.
-	Close() error
+// Open one with OpenCheckpoint before the crawl starts, place it in the
+// Options every line's crawler is built with, and Close it after the
+// crawl drains.
+type Checkpoint struct {
+	j *checkpoint.Journal
 }
 
-// openJournal opens the journal in dir and decodes every recovered
-// page's metrics payload. A CRC-intact page frame whose metrics do not
-// decode fails the open, naming the page: resuming it with zeroed
-// metrics would silently under-count the crawl's aggregate.
-func openJournal(ctx context.Context, dir string, opts checkpoint.Options) (*checkpoint.Journal, error) {
-	j, err := checkpoint.Open(ctx, dir, opts)
+// linePrefix names the per-process-line journal directories an earlier
+// build kept in the checkpoint root.
+const linePrefix = "line-"
+
+// OpenCheckpoint opens the checkpoint root at dir. With resume=false a
+// previous crawl's journal is discarded; with resume=true it is
+// recovered, and every recovered page's metrics payload is decoded: a
+// CRC-intact page frame whose metrics do not decode fails the open,
+// naming the page, since resuming it with zeroed metrics would silently
+// under-count the crawl's aggregate. A root that holds an earlier
+// build's per-line journals (line-<i>/) is refused on resume and cleared
+// on a fresh run. Other entries of dir are left alone. The context
+// supplies telemetry for the journal.
+func OpenCheckpoint(ctx context.Context, dir string, resume bool) (*Checkpoint, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("core: checkpoint root %s: %w", dir, err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() || !strings.HasPrefix(e.Name(), linePrefix) {
+			continue
+		}
+		old := filepath.Join(dir, e.Name())
+		if resume {
+			return nil, fmt.Errorf("core: checkpoint %s: a per-line journal, written by another build; "+
+				"resume with that build, or crawl again without -resume", old)
+		}
+		if err := os.RemoveAll(old); err != nil {
+			return nil, fmt.Errorf("core: checkpoint reset %s: %w", dir, err)
+		}
+	}
+	j, err := checkpoint.Open(ctx, dir, resume)
 	if err != nil {
 		return nil, err
 	}
 	for _, rec := range j.Pages() {
 		if _, err := decodePageMetrics(rec.Metrics); err != nil {
 			j.Close()
-			return nil, fmt.Errorf("page %s: metrics: %w", rec.URL, err)
+			return nil, fmt.Errorf("core: checkpoint %s: page %s: metrics: %w", dir, rec.URL, err)
 		}
 	}
-	return j, nil
+	return &Checkpoint{j: j}, nil
 }
+
+// Completed returns the journaled result of url, if that page finished
+// in a previous (recovered) run or earlier in this one.
+func (c *Checkpoint) Completed(url string) (*model.Graph, PageMetrics, bool) {
+	rec, ok := c.j.Completed(url)
+	if !ok {
+		return nil, PageMetrics{}, false
+	}
+	pm, _ := decodePageMetrics(rec.Metrics) // decoded when the journal opened, or encoded by PageDone
+	return rec.Graph, pm, true
+}
+
+// PageDone durably records a completed page. A non-nil error means
+// durability is broken and fails the crawl: pages reported crawled must
+// never be silently un-journaled.
+func (c *Checkpoint) PageDone(url string, g *model.Graph, pm PageMetrics) error {
+	return c.j.PageDone(checkpoint.PageRecord{URL: url, Graph: g, Metrics: encodePageMetrics(pm)})
+}
+
+// CompletedPages counts the journaled pages.
+func (c *Checkpoint) CompletedPages() int { return c.j.CompletedPages() }
+
+// Close syncs and closes the journal. Call after the crawl fully drains.
+func (c *Checkpoint) Close() error { return c.j.Close() }
 
 // counts lists pm's integer fields in wire order: encodePageMetrics and
 // decodePageMetrics walk the same list, so a field added to it is
@@ -122,171 +152,3 @@ func duration(d *codec.Decoder) time.Duration {
 	}
 	return time.Duration(ns)
 }
-
-// linePrefix names the per-line journals under a CrawlCheckpoints root.
-const linePrefix = "line-"
-
-// CrawlCheckpoints manages the parallel crawl's durable state under one
-// root directory: one journal per process line (line-<i>/). Pages land
-// in the journal of whichever line crawled them, and reads union every
-// line's journal, so resuming with a different line count — which hands
-// the pages to other lines — still finds every completed page. The URL
-// list itself is the precrawl's (precrawl.gob), not the journals'.
-//
-// One CrawlCheckpoints serves one crawl; open a fresh one per run.
-type CrawlCheckpoints struct {
-	mu       sync.Mutex
-	ctx      context.Context
-	dir      string
-	journals map[string]*checkpoint.Journal
-}
-
-// OpenCrawlCheckpoints opens the checkpoint root at dir. With
-// resume=false any line journals from a previous crawl are discarded;
-// with resume=true every existing line journal is recovered (whatever
-// line count wrote it). Other entries of dir are left alone. The
-// context supplies telemetry for the journals.
-func OpenCrawlCheckpoints(ctx context.Context, dir string, resume bool) (*CrawlCheckpoints, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: checkpoint root %s: %w", dir, err)
-	}
-	c := &CrawlCheckpoints{ctx: ctx, dir: dir, journals: make(map[string]*checkpoint.Journal)}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint root %s: %w", dir, err)
-	}
-	if !resume {
-		for _, e := range entries {
-			if e.IsDir() && strings.HasPrefix(e.Name(), linePrefix) {
-				if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
-					return nil, fmt.Errorf("core: checkpoint reset %s: %w", dir, err)
-				}
-			}
-		}
-	} else {
-		for _, e := range entries {
-			if !e.IsDir() || !strings.HasPrefix(e.Name(), linePrefix) {
-				continue
-			}
-			j, jerr := openJournal(ctx, filepath.Join(dir, e.Name()), checkpoint.Options{})
-			if jerr != nil {
-				c.Close()
-				return nil, fmt.Errorf("core: checkpoint %s: %w", e.Name(), jerr)
-			}
-			c.journals[e.Name()] = j
-		}
-	}
-	return c, nil
-}
-
-// Line returns process line line's Checkpointer: writes go to the
-// line's own journal, reads union every recovered and live journal. The
-// line closes (flushing) it on every exit path; the returned
-// Checkpointer's Close leaves sibling journals open.
-func (c *CrawlCheckpoints) Line(line int) (Checkpointer, error) {
-	name := linePrefix + strconv.Itoa(line)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j := c.journals[name]
-	if j == nil {
-		var err error
-		j, err = checkpoint.Open(c.ctx, filepath.Join(c.dir, name), checkpoint.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint %s: %w", name, err)
-		}
-		c.journals[name] = j
-	}
-	return &lineCheckpointer{c: c, j: j}, nil
-}
-
-// CompletedPages counts journaled pages across every line journal.
-func (c *CrawlCheckpoints) CompletedPages() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, j := range c.journals {
-		n += j.CompletedPages()
-	}
-	return n
-}
-
-// snapshotJournals returns the current journal set for a union read.
-func (c *CrawlCheckpoints) snapshotJournals() []*checkpoint.Journal {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*checkpoint.Journal, 0, len(c.journals))
-	for _, j := range c.journals {
-		out = append(out, j)
-	}
-	return out
-}
-
-// completed is the union Completed across every line journal.
-func (c *CrawlCheckpoints) completed(url string) (*model.Graph, PageMetrics, bool) {
-	for _, j := range c.snapshotJournals() {
-		if rec, ok := j.Completed(url); ok {
-			pm, _ := decodePageMetrics(rec.Metrics) // decoded when the journal opened
-			return rec.Graph, pm, true
-		}
-	}
-	return nil, PageMetrics{}, false
-}
-
-// hotEntries is the union HotEntries across every line journal: an
-// interrupted page's cache fills live in whichever journals its earlier
-// attempts wrote, possibly several when a resume on another line count
-// handed it to another line.
-func (c *CrawlCheckpoints) hotEntries(url string) map[string]string {
-	var out map[string]string
-	for _, j := range c.snapshotJournals() {
-		for k, v := range j.HotEntries(url) {
-			if out == nil {
-				out = make(map[string]string)
-			}
-			if _, dup := out[k]; !dup {
-				out[k] = v
-			}
-		}
-	}
-	return out
-}
-
-// Close closes every line journal, returning the first error. Call after the crawl fully drains.
-func (c *CrawlCheckpoints) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var first error
-	for _, j := range c.journals {
-		if err := j.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// lineCheckpointer is one process line's view of CrawlCheckpoints:
-// reads union all journals, writes land in the line's own.
-type lineCheckpointer struct {
-	c *CrawlCheckpoints
-	j *checkpoint.Journal
-}
-
-func (l *lineCheckpointer) Completed(url string) (*model.Graph, PageMetrics, bool) {
-	return l.c.completed(url)
-}
-
-func (l *lineCheckpointer) PageDone(url string, g *model.Graph, pm PageMetrics) error {
-	return l.j.PageDone(checkpoint.PageRecord{URL: url, Graph: g, Metrics: encodePageMetrics(pm)})
-}
-
-func (l *lineCheckpointer) HotNode(url, key, body string) error {
-	return l.j.HotNode(url, key, body)
-}
-
-func (l *lineCheckpointer) HotEntries(url string) map[string]string {
-	return l.c.hotEntries(url)
-}
-
-func (l *lineCheckpointer) Flush() error { return l.j.Flush() }
-
-func (l *lineCheckpointer) Close() error { return l.j.Close() }

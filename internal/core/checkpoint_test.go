@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -11,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"ajaxcrawl/internal/checkpoint"
 	"ajaxcrawl/internal/dom"
 	"ajaxcrawl/internal/fetch"
 	"ajaxcrawl/internal/obs"
@@ -56,7 +57,7 @@ func TestResumeMatchesUninterruptedCrawl(t *testing.T) {
 			// is journaled before the cancellation is observed (CrawlAll
 			// checks the context between pages), so the journal holds
 			// exactly k pages.
-			cp, err := OpenJournalCheckpointer(ctx, dir, false)
+			cp, err := OpenCheckpoint(ctx, dir, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +90,7 @@ func TestResumeMatchesUninterruptedCrawl(t *testing.T) {
 			mu.Unlock()
 
 			// Resumed run over the same URL list.
-			cp2, err := OpenJournalCheckpointer(ctx, dir, true)
+			cp2, err := OpenCheckpoint(ctx, dir, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,8 +180,8 @@ func TestMPCrawlerResumeConvergence(t *testing.T) {
 	ckRoot := t.TempDir()
 
 	// Run 1: cancel once 5 pages have completed across all process
-	// lines — a crawl killed mid-list, with per-line journals on disk.
-	cps, err := OpenCrawlCheckpoints(context.Background(), ckRoot, false)
+	// lines — a crawl killed mid-list, its journal on disk.
+	cp, err := OpenCheckpoint(context.Background(), ckRoot, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestMPCrawlerResumeConvergence(t *testing.T) {
 	var crawled atomic.Int32
 	mp := &MPCrawler{
 		NewCrawler: func() *Crawler {
-			o := Options{UseHotNode: true, MaxStates: 3}
+			o := Options{UseHotNode: true, MaxStates: 3, Checkpoint: cp}
 			o.OnPage = func(PageMetrics) {
 				if crawled.Add(1) == 5 {
 					cancel()
@@ -197,43 +198,41 @@ func TestMPCrawlerResumeConvergence(t *testing.T) {
 			}
 			return New(&fetch.HandlerFetcher{Handler: site.Handler()}, o)
 		},
-		ProcLines:   2,
-		URLs:        urls,
-		Checkpoints: cps,
+		ProcLines: 2,
+		URLs:      urls,
 	}
 	partial := mp.Run(runCtx)
-	if err := cps.Close(); err != nil {
-		t.Fatalf("close checkpoints: %v", err)
+	if err := cp.Close(); err != nil {
+		t.Fatalf("close checkpoint: %v", err)
 	}
 	if got := len(partial.Graphs); got >= len(urls) {
 		t.Fatalf("interrupted run crawled all %d pages — the cancellation never bit", got)
 	}
 
 	// Run 2: resume, on a different line count than run 1 wrote — the
-	// union read over recovered line journals must still replay every
-	// journaled page.
-	cps2, err := OpenCrawlCheckpoints(context.Background(), ckRoot, true)
+	// lines hand the pages out differently, and every journaled page must
+	// still replay.
+	cp2, err := OpenCheckpoint(context.Background(), ckRoot, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	journaled := cps2.CompletedPages()
+	journaled := cp2.CompletedPages()
 	if journaled == 0 {
 		t.Fatal("run 1 journaled no pages — the resume test is vacuous")
 	}
 	mp2 := &MPCrawler{
 		NewCrawler: func() *Crawler {
-			return New(&fetch.HandlerFetcher{Handler: site.Handler()}, Options{UseHotNode: true, MaxStates: 3})
+			return New(&fetch.HandlerFetcher{Handler: site.Handler()}, Options{UseHotNode: true, MaxStates: 3, Checkpoint: cp2})
 		},
-		ProcLines:   3,
-		URLs:        urls,
-		Checkpoints: cps2,
+		ProcLines: 3,
+		URLs:      urls,
 	}
 	res := mp2.Run(context.Background())
 	if err := res.Err; err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
-	if err := cps2.Close(); err != nil {
-		t.Fatalf("close resumed checkpoints: %v", err)
+	if err := cp2.Close(); err != nil {
+		t.Fatalf("close resumed checkpoint: %v", err)
 	}
 	if res.Metrics.Pages != len(urls) {
 		t.Fatalf("resumed run has %d pages, want %d", res.Metrics.Pages, len(urls))
@@ -328,17 +327,92 @@ func TestPageTimeoutSkipsWedgedPage(t *testing.T) {
 	}
 }
 
-// OpenJournalCheckpointer opens (resume=true) or resets (resume=false)
-// the checkpoint journal in dir and adapts it to the crawler's
-// Checkpointer hook: the one line of a CrawlCheckpoints over that one
-// journal. The context supplies telemetry for the journal's
-// checkpoint.{write,compact,recover} spans and journal-byte counters.
-// A recovered page whose metrics payload does not decode fails the open.
-func OpenJournalCheckpointer(ctx context.Context, dir string, resume bool) (Checkpointer, error) {
-	j, err := openJournal(ctx, dir, checkpoint.Options{Reset: !resume})
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint %s: %w", dir, err)
+// TestOpenCheckpointFailsOnUnopenableJournal: a journal that cannot be
+// opened fails OpenCheckpoint, fresh or resumed, with an error naming
+// it — before the caller can start a single fetch, rather than crawling
+// unjournaled.
+func TestOpenCheckpointFailsOnUnopenableJournal(t *testing.T) {
+	ctx := context.Background()
+	root := t.TempDir()
+	wal := filepath.Join(root, "journal.wal")
+	// A non-empty directory where the journal file belongs: it neither
+	// opens nor is removed.
+	if err := os.MkdirAll(filepath.Join(wal, "x"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	c := &CrawlCheckpoints{ctx: ctx, dir: dir, journals: map[string]*checkpoint.Journal{dir: j}}
-	return &lineCheckpointer{c: c, j: j}, nil
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		dir, want string
+	}{{root, wal}, {notDir, notDir}} {
+		for _, resume := range []bool{false, true} {
+			cp, err := OpenCheckpoint(ctx, c.dir, resume)
+			if err == nil {
+				cp.Close()
+				t.Fatalf("OpenCheckpoint(%s, resume=%v) opened", c.dir, resume)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("OpenCheckpoint(%s, resume=%v) err = %v, want it to name %s", c.dir, resume, err, c.want)
+			}
+		}
+	}
+}
+
+// TestPerLineRootIsRefusedOnResume: a checkpoint root written by an
+// earlier build holds one journal directory per process line. A resume
+// refuses it, naming the directory and leaving every byte as it was; a
+// fresh run removes those directories and journals into the root,
+// leaving the root's other entries alone.
+func TestPerLineRootIsRefusedOnResume(t *testing.T) {
+	ctx := context.Background()
+	root := t.TempDir()
+	old := map[string]string{
+		"line-0/journal.wal":   "AJWL\x04old frames",
+		"line-1/journal.wal":   "AJWL\x04",
+		"frontier/journal.wal": "AJWL\x03",
+	}
+	for name, data := range old {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, err := OpenCheckpoint(ctx, root, true)
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(root, "line-0")) ||
+		!strings.Contains(err.Error(), "written by another build; resume with that build, or crawl again without -resume") {
+		t.Fatalf("resume of a per-line root: err = %v, want a refusal naming %s", err, filepath.Join(root, "line-0"))
+	}
+	for name, data := range old {
+		if got, err := os.ReadFile(filepath.Join(root, name)); err != nil || string(got) != data {
+			t.Errorf("refused resume changed %s: %q, %v", name, got, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(root, "journal.wal")); !os.IsNotExist(err) {
+		t.Errorf("refused resume created the journal (stat err %v)", err)
+	}
+
+	cp, err := OpenCheckpoint(ctx, root, false)
+	if err != nil {
+		t.Fatalf("fresh run over a per-line root: %v", err)
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"frontier", "journal.wal"}; !slices.Equal(names, want) {
+		t.Errorf("fresh run left %v in the root, want %v", names, want)
+	}
 }

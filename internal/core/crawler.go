@@ -103,14 +103,11 @@ type Options struct {
 	// run on Clock, so virtual-clock crawls retry for free.
 	RetryPolicy *fetch.RetryPolicy
 	// Checkpoint, when non-nil, makes the crawl crash-tolerant: CrawlAll
-	// journals every completed page through it, skips pages it already
+	// journals every completed page into it and skips pages it already
 	// holds (counting them in Metrics.PagesResumed instead of
-	// re-crawling), and crawlDynamic journals hot-node cache fills as
-	// they happen, so a re-crawl of an interrupted page skips the
-	// network for calls already paid for. A checkpoint write
-	// failure fails the crawl — a page must never be reported crawled
-	// without being durably journaled.
-	Checkpoint Checkpointer
+	// re-crawling). A checkpoint write failure fails the crawl — a page
+	// must never be reported crawled without being durably journaled.
+	Checkpoint *Checkpoint
 	// OnPage, when non-nil, is invoked after every page attempt in
 	// CrawlAll — crawled, failed-and-skipped, or resumed from the
 	// checkpoint — with that page's metrics. Tests use it to script
@@ -357,16 +354,6 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 	var hot *HotNodeCache
 	if opts.UseHotNode {
 		hot = NewHotNodeCache()
-		if cp := opts.Checkpoint; cp != nil {
-			// Re-crawling a page that a crash interrupted: seed the
-			// cache with the journaled fills, so hot calls the previous
-			// attempt already paid for skip the network again, and
-			// journal fresh fills as they happen. Mid-page records are
-			// buffered (flushed with the page frame), so errors here
-			// surface at PageDone rather than per fill.
-			hot.Seed(cp.HotEntries(url))
-			hot.Observer = func(key, body string) { _ = cp.HotNode(url, key, body) }
-		}
 		page.XHR = hot.Hook()
 	}
 

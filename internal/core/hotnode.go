@@ -30,11 +30,6 @@ type HotNodeCache struct {
 	// Hits and Misses count cache outcomes across all sends.
 	Hits   int
 	Misses int
-
-	// Observer, when set, receives every fresh cache fill — the
-	// checkpoint journal's hook for persisting hot-call responses, so a
-	// re-crawl after a crash can Seed them back instead of re-fetching.
-	Observer func(key, body string)
 }
 
 // NewHotNodeCache returns an empty cache.
@@ -50,17 +45,6 @@ func (c *HotNodeCache) Hook() browser.XHRHook { return &hotNodeHook{cache: c} }
 
 // Len returns the number of cached hot calls.
 func (c *HotNodeCache) Len() int { return len(c.entries) }
-
-// Seed pre-loads cache entries (recovered from a checkpoint journal)
-// before the crawl starts. Seeded entries behave exactly like entries
-// the crawl filled itself: a matching hot call is served from the cache
-// and counted as a hit. The Observer is not invoked for seeded entries —
-// they are already journaled.
-func (c *HotNodeCache) Seed(entries map[string]string) {
-	for k, v := range entries {
-		c.entries[k] = v
-	}
-}
 
 // key computes the hot-call identity for the current interpreter state.
 // It falls back to the request URL when no user frame is executing (e.g.
@@ -100,7 +84,4 @@ func (h *hotNodeHook) AfterSend(p *browser.Page, req *browser.XHRRequest, body s
 	key, fn := h.cache.key(p, req)
 	h.cache.entries[key] = body
 	h.cache.hotNodes[fn] = true
-	if h.cache.Observer != nil {
-		h.cache.Observer(key, body)
-	}
 }

@@ -230,7 +230,7 @@ func TestNearDupResumeConvergence(t *testing.T) {
 		return inner.Fetch(ctx, rawurl)
 	})
 
-	cp, err := OpenJournalCheckpointer(ctx, dir, false)
+	cp, err := OpenCheckpoint(ctx, dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestNearDupResumeConvergence(t *testing.T) {
 	}
 	mu.Unlock()
 
-	cp2, err := OpenJournalCheckpointer(ctx, dir, true)
+	cp2, err := OpenCheckpoint(ctx, dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,10 @@ import (
 // Faults are isolated per page. A panic is recovered at the page
 // boundary and reported as that page's error, and the line rebuilds its
 // crawler and goes on; a page that outlives Options.PageTimeout is cut
-// off and, under SkipAndCount, counted in PagesFailed. When Checkpoints
-// is wired in, every line journals completed pages into its own journal
-// and reads union across all of them, so a resumed page — wherever it
-// lands — is replayed, never re-crawled.
+// off and, under SkipAndCount, counted in PagesFailed. When the crawlers
+// NewCrawler builds carry a Checkpoint, every line journals completed
+// pages into that one journal and reads from it, so a resumed page —
+// whichever line takes it — is replayed, never re-crawled.
 type MPCrawler struct {
 	// NewCrawler builds the per-process-line crawler. Each process line
 	// calls it once (plus once per panic recovery rebuild), so
@@ -37,11 +37,6 @@ type MPCrawler struct {
 	// URLs are the pages to crawl, handed out in this order. A URL
 	// listed twice is crawled once, under its first position.
 	URLs []string
-	// Checkpoints, when set, provides the per-line durable journals. The
-	// caller opens it (choosing fresh vs resume) and closes it after the
-	// crawl drains; each process line opens and closes its own line
-	// journal inside.
-	Checkpoints *CrawlCheckpoints
 }
 
 // PageResult is one retired page, as emitted by Stream while other
@@ -80,10 +75,6 @@ type MPResult struct {
 // stops the hand-out of new pages and cuts short in-flight ones: every
 // page that completed is still emitted exactly once, in order, and the
 // pages the cancellation cut or never reached emit nothing.
-//
-// A failure of the crawl as a whole — a line journal that cannot be
-// opened — stops every line and is reported once, as the Err of the
-// first URL it left uncrawled.
 func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 	n := m.ProcLines
 	if n <= 0 {
@@ -118,11 +109,6 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 	stop := func() { cursor.Store(int64(len(order))) }
 
 	results := make(chan PageResult, n)
-	var initErr atomic.Value // error poisoning the whole crawl (journal open failure)
-	failCrawl := func(err error) {
-		initErr.CompareAndSwap(nil, err) //nolint:errcheck // first error wins
-		stop()
-	}
 
 	var wg sync.WaitGroup
 	for line := 0; line < n; line++ {
@@ -135,19 +121,7 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 				lsp.SetAttr("pages", strconv.Itoa(pages))
 				lsp.End(nil)
 			}()
-			var cp Checkpointer
-			if m.Checkpoints != nil {
-				var err error
-				cp, err = m.Checkpoints.Line(line)
-				if err != nil {
-					// Durability is broken before a single fetch: fail
-					// the crawl rather than crawl unjournaled.
-					failCrawl(fmt.Errorf("core: line %d: %w", line, err))
-					return
-				}
-				defer cp.Close()
-			}
-			w := newLineWorker(m, cp, tel)
+			w := newLineWorker(m, tel)
 			for {
 				k := cursor.Add(1) - 1
 				if k >= int64(len(order)) {
@@ -202,16 +176,10 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 			}
 		}
 		// The lines have drained. Pages still buffered sit behind one
-		// that cancellation (or a poisoned crawl) left uncrawled: emit
-		// them in order, charging a crawl-wide failure to the first
-		// such gap.
-		err, _ := initErr.Load().(error)
+		// that cancellation left uncrawled: emit them in order.
 		for _, seq := range order[next:] {
 			if r, ok := pending[seq]; ok {
 				out <- r
-			} else if err != nil {
-				out <- PageResult{Seq: seq, URL: m.URLs[seq], Metrics: &Metrics{}, Err: err}
-				err = nil
 			}
 		}
 	}()
@@ -240,31 +208,19 @@ func (m *MPCrawler) Run(ctx context.Context) *MPResult {
 }
 
 // lineWorker runs one process line's pages on a crawler built by the
-// factory, wiring in the line's checkpointer. A panic rebuilds the
-// crawler (its internal state is indeterminate after an unwind); the
-// crawler otherwise lives for the whole line, so its hot-node cache and
-// script cache keep their state across pages exactly as a thesis
-// process would.
+// factory. A panic rebuilds the crawler (its internal state is
+// indeterminate after an unwind); the crawler otherwise lives for the
+// whole line, so its script cache keeps its parsed scripts across
+// pages. (The hot-node cache is per page: crawlDynamic makes a fresh
+// one for each.)
 type lineWorker struct {
 	m   *MPCrawler
-	cp  Checkpointer
 	tel *obs.Telemetry
 	c   *Crawler
 }
 
-func newLineWorker(m *MPCrawler, cp Checkpointer, tel *obs.Telemetry) *lineWorker {
-	w := &lineWorker{m: m, cp: cp, tel: tel}
-	w.build()
-	return w
-}
-
-// build constructs the line's crawler and hooks the checkpointer into it.
-func (w *lineWorker) build() {
-	c := w.m.NewCrawler()
-	if w.cp != nil {
-		c.Opts.Checkpoint = w.cp
-	}
-	w.c = c
+func newLineWorker(m *MPCrawler, tel *obs.Telemetry) *lineWorker {
+	return &lineWorker{m: m, tel: tel, c: m.NewCrawler()}
 }
 
 // run crawls one page; the graph is nil when the page failed, the
@@ -278,7 +234,7 @@ func (w *lineWorker) run(ctx context.Context, url string) (g *model.Graph, metri
 			g, metrics = nil, &Metrics{}
 			err = fmt.Errorf("core: page %s: panic: %v", url, r)
 			w.tel.Counter("crawl.line.panics").Inc()
-			w.build()
+			w.c = w.m.NewCrawler()
 		}
 	}()
 	graphs, metrics, err := w.c.CrawlAll(ctx, []string{url})

@@ -61,8 +61,8 @@ func overflowPayloads(url string) [][]byte {
 
 // TestUndecodableMetricsFailTheResume: a CRC-intact page frame whose
 // metrics payload is cut short, or holds a count or duration that does
-// not fit, fails both resume paths, naming the page, instead of
-// resuming it with zeroed or negative metrics.
+// not fit, fails the resume, naming the page, instead of resuming it
+// with zeroed or negative metrics.
 func TestUndecodableMetricsFailTheResume(t *testing.T) {
 	ctx := context.Background()
 	g := model.NewGraph("/watch?v=cut")
@@ -74,8 +74,7 @@ func TestUndecodableMetricsFailTheResume(t *testing.T) {
 	}
 	for i, metrics := range bad {
 		root := t.TempDir()
-		line := filepath.Join(root, linePrefix+"0")
-		j, err := checkpoint.Open(ctx, line, checkpoint.Options{})
+		j, err := checkpoint.Open(ctx, root, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +84,8 @@ func TestUndecodableMetricsFailTheResume(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenJournalCheckpointer(ctx, line, true); err == nil || !strings.Contains(err.Error(), g.URL) {
-			t.Errorf("bad payload %d: OpenJournalCheckpointer err = %v, want one naming %s", i, err, g.URL)
-		}
-		if _, err := OpenCrawlCheckpoints(ctx, root, true); err == nil || !strings.Contains(err.Error(), g.URL) {
-			t.Errorf("bad payload %d: OpenCrawlCheckpoints err = %v, want one naming %s", i, err, g.URL)
+		if _, err := OpenCheckpoint(ctx, root, true); err == nil || !strings.Contains(err.Error(), g.URL) {
+			t.Errorf("bad payload %d: OpenCheckpoint err = %v, want one naming %s", i, err, g.URL)
 		}
 	}
 }

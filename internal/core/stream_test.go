@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -203,32 +200,6 @@ func TestStreamOrderAndCancel(t *testing.T) {
 		if len(res.Graphs) != k || res.Metrics.Pages != k || res.Metrics.PagesFailed != 0 {
 			t.Errorf("Run kept %d graphs, %d pages, %d failed; want %d, %d, 0",
 				len(res.Graphs), res.Metrics.Pages, res.Metrics.PagesFailed, k, k)
-		}
-	})
-
-	// A line journal that cannot be opened fails the crawl as a whole:
-	// one report, on the first URL left uncrawled, not one per page.
-	t.Run("poisoned", func(t *testing.T) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "line-0"), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cps, err := OpenCrawlCheckpoints(context.Background(), dir, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cps.Close()
-		mp := newLastFirstGate(urls, 1).crawler(urls)
-		mp.Checkpoints = cps
-		var got []PageResult
-		for pr := range mp.Stream(context.Background()) {
-			got = append(got, pr)
-		}
-		if len(got) != 1 || got[0].Seq != 0 || got[0].Err == nil || got[0].Graph != nil {
-			t.Fatalf("want one failed result for Seq 0, got %+v", got)
-		}
-		if !strings.Contains(got[0].Err.Error(), "line 0") {
-			t.Errorf("Err = %v, want it to name the line whose journal failed", got[0].Err)
 		}
 	})
 }

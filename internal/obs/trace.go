@@ -24,7 +24,6 @@ const (
 	SpanFetchRetry    = "fetch.retry"    // one backoff-and-retry decision (fetch)
 
 	SpanCheckpointWrite   = "checkpoint.write"   // one page durably journaled (checkpoint)
-	SpanCheckpointCompact = "checkpoint.compact" // journal folded into a snapshot (checkpoint)
 	SpanCheckpointRecover = "checkpoint.recover" // journal replayed on open (checkpoint)
 
 	SpanShardEval    = "query.shard"   // one shard-local evaluation for a distributed merge (query)

@@ -4,9 +4,9 @@
 # this as the docs-consistency job; run it locally after adding or
 # removing a flag, a metric or a span.
 #
-# Flags: every flag a cmd/* binary registers appears (backticked, with
-# its dash) in OPERATIONS.md, and every flag a §1 table lists under a
-# `### <binary>` heading is registered by that binary.
+# Flags: every flag a cmd/* binary registers is a row of the §1 flag
+# table under that binary's `### <binary>` heading in OPERATIONS.md,
+# and every flag such a table lists is registered by that binary.
 #
 # Names: every name the code emits — a string literal passed to
 # Counter, Gauge or Histogram, or the value of an obs.Span*/obs.Metric*
@@ -35,16 +35,9 @@ registered() {
 		sed -E 's/.*\("([^"]+)".*/\1/' | sort -u
 }
 
-for dir in cmd/*/; do
-	bin=$(basename "$dir")
-	for f in $(registered "$dir"); do
-		grep -q -- "\`-$f\`" "$doc" || fail "$doc does not document \`-$f\` (registered by $bin)"
-	done
-done
-
-# Doc → code: "binary flag" pairs from the first cell of every flag-table
-# row (| `-name` | … or | `-a` / `-b` | …) between a `### <binary>`
-# heading and the end of §1.
+# "binary flag" pairs from the first cell of every flag-table row
+# (| `-name` | … or | `-a` / `-b` | …) between a `### <binary>` heading
+# and the end of §1.
 documented=$(awk '
 	/^## 1\./ { in1 = 1; next }
 	/^## /    { in1 = 0 }
@@ -57,6 +50,17 @@ documented=$(awk '
 			cell = substr(cell, RSTART + RLENGTH)
 		}
 	}' "$doc")
+
+# Code → doc: each flag is a row of its own binary's table.
+for dir in cmd/*/; do
+	bin=$(basename "$dir")
+	for f in $(registered "$dir"); do
+		grep -qxF -- "$bin $f" <<<"$documented" ||
+			fail "$doc §1 \`### $bin\` does not document \`-$f\` (registered by $bin)"
+	done
+done
+
+# Doc → code: each documented pair is registered by that binary.
 while read -r bin f; do
 	[ -z "$bin" ] && continue
 	if [ ! -d "cmd/$bin" ]; then
