@@ -68,6 +68,9 @@ type (
 	Manifest = index.Manifest
 	// ErrorPolicy decides how a multi-page crawl treats a failed page.
 	ErrorPolicy = core.ErrorPolicy
+	// PrecrawlResult is the precrawl's URL list, hyperlink graph and
+	// PageRank (Precrawl); Save and core.LoadPrecrawl persist it.
+	PrecrawlResult = core.PrecrawlResult
 )
 
 // Error-policy values for CrawlOptions.OnError.
@@ -155,20 +158,25 @@ type Engine struct {
 	PageRank map[string]float64
 }
 
-// BuildEngine runs the full pipeline: precrawl (hyperlink graph +
-// PageRank), parallel AJAX crawling, and index building. Crawling and
-// indexing are pipelined: every index.ShardPages consecutive URLs become
-// one shard, encoded into Config.WorkDir (or memory) and dropped, as
-// soon as the crawler's URL-ordered stream has delivered the last of
-// them, while later pages are still crawling. The engine's first search
-// builds its index.
-//
-// Canceling ctx stops the pipeline promptly. If any pages were already
-// crawled, BuildEngine returns the partial engine built from them
-// alongside ctx's error, so a graceful shutdown can still flush and
-// serve what it has; WorkDir then holds those pages' shard files and no
-// manifest. With no page crawled it returns nil and the error.
+// BuildEngine runs the full pipeline: Precrawl (hyperlink graph +
+// PageRank), then BuildEngineFrom over its result — parallel AJAX
+// crawling and index building. See BuildEngineFrom for the pipelining
+// and what a canceled ctx leaves.
 func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
+	pre, err := Precrawl(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return BuildEngineFrom(ctx, cfg, pre)
+}
+
+// Precrawl runs the pipeline's first phase: it discovers up to
+// cfg.MaxPages pages from cfg.StartURL (following the links cfg.KeepURL
+// keeps), fetching as many at once as there are process lines and
+// retrying like the crawl, and computes their PageRank. A fresh result
+// also holds the fetched page bodies, which BuildEngineFrom's page loads
+// reuse; a saved and reloaded one does not, and its crawl fetches them.
+func Precrawl(ctx context.Context, cfg Config) (*PrecrawlResult, error) {
 	if cfg.Fetcher == nil {
 		return nil, fmt.Errorf("ajaxcrawl: Config.Fetcher is required")
 	}
@@ -178,39 +186,61 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 	if cfg.MaxPages <= 0 {
 		return nil, fmt.Errorf("ajaxcrawl: Config.MaxPages must be positive")
 	}
-	if cfg.ProcLines <= 0 {
-		cfg.ProcLines = 4
-	}
-
-	// Phase 1: precrawl, as wide as the process lines, retrying like the
-	// crawl.
 	pre := &core.Precrawler{
 		Fetcher:  cfg.Crawl.Retrying(cfg.Fetcher),
 		StartURL: cfg.StartURL,
 		MaxPages: cfg.MaxPages,
 		KeepURL:  cfg.KeepURL,
-		Lines:    cfg.ProcLines,
+		Lines:    cfg.lines(),
 	}
-	preRes, err := pre.Run(ctx)
+	res, err := pre.Run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("ajaxcrawl: precrawl: %w", err)
 	}
-	if len(preRes.URLs) == 0 {
+	if len(res.URLs) == 0 {
 		return nil, fmt.Errorf("ajaxcrawl: precrawl found no pages from %s", cfg.StartURL)
 	}
+	return res, nil
+}
 
+// lines is the process-line count, 4 when unset.
+func (cfg Config) lines() int {
+	if cfg.ProcLines <= 0 {
+		return 4
+	}
+	return cfg.ProcLines
+}
+
+// BuildEngineFrom runs the pipeline's crawl and index phases over pre's
+// URL list; StartURL, MaxPages and KeepURL are not read. Crawling and
+// indexing are pipelined: every index.ShardPages consecutive URLs
+// become one shard, encoded into Config.WorkDir (or memory) and
+// dropped, as soon as the crawler's URL-ordered stream has delivered
+// the last of them, while later pages are still crawling. The engine's
+// first search builds its index.
+//
+// Canceling ctx stops the pipeline promptly. If any pages were already
+// crawled, BuildEngineFrom returns the partial engine built from them
+// alongside ctx's error, so a graceful shutdown can still publish and
+// serve what it has; WorkDir then holds those pages' shard files and no
+// manifest. With no page crawled it returns nil and the error, as it
+// does for a page error under FailFast and for a recovered panic.
+func BuildEngineFrom(ctx context.Context, cfg Config, pre *PrecrawlResult) (*Engine, error) {
+	if cfg.Fetcher == nil {
+		return nil, fmt.Errorf("ajaxcrawl: Config.Fetcher is required")
+	}
 	// Phases 2+3, pipelined: process lines crawl pages while this
 	// goroutine indexes them. Pages arrive in URL order whichever line
 	// crawled them, so the shard layout, the PerPage rows (and ranking
 	// tie-breaks) are deterministic. Each page load is the precrawl's
 	// response, handed off below every line's retry wrap.
-	handoff := preRes.Handoff(cfg.Fetcher)
+	handoff := pre.Handoff(cfg.Fetcher)
 	mp := &core.MPCrawler{
 		NewCrawler: func() *core.Crawler { return core.New(handoff, cfg.Crawl) },
-		ProcLines:  cfg.ProcLines,
-		URLs:       preRes.URLs,
+		ProcLines:  cfg.lines(),
+		URLs:       pre.URLs,
 	}
-	sharder := index.NewSharder(preRes.URLs, preRes.PageRank, cfg.WorkDir)
+	sharder := index.NewSharder(pre.URLs, pre.PageRank, cfg.WorkDir)
 	metrics := &core.Metrics{}
 	graphs := make(map[string]*model.Graph)
 	var crawled []*model.Graph
@@ -251,7 +281,7 @@ func BuildEngine(ctx context.Context, cfg Config) (*Engine, error) {
 		crawled:  crawled,
 		broker:   &query.Broker{W: weights},
 		Metrics:  metrics,
-		PageRank: preRes.PageRank,
+		PageRank: pre.PageRank,
 	}
 	return eng, ctxErr
 }
@@ -319,7 +349,7 @@ func (e *Engine) SaveSnapshot(dir string) (*Manifest, error) {
 }
 
 // LoadEngineSnapshot constructs an Engine from a snapshot directory
-// written by SaveSnapshot (or `ajaxcrawl -save-index`). The fetcher is
+// written by SaveSnapshot (or `ajaxcrawl -out`). The fetcher is
 // only needed for Reconstruct; pass nil for a query-only engine.
 func LoadEngineSnapshot(dir string, f Fetcher) (*Engine, error) {
 	man, ixs, err := index.LoadSnapshot(dir)

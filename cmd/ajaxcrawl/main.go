@@ -1,15 +1,21 @@
-// Command ajaxcrawl crawls AJAX pages into application models.
+// Command ajaxcrawl crawls AJAX pages and publishes them as a search
+// snapshot.
 //
-// It drives the full pipeline of thesis chapters 3–6 from the command
-// line: precrawl (hyperlink graph + PageRank) and parallel AJAX crawling
-// with the hot-node policy, storing the precrawl structures
-// (precrawl.gob) and the application models (ajaxmodels.gob, in precrawl
-// URL order) into a root directory.
+// It is a flag parser over the library pipeline of thesis chapters 3–6
+// (ajaxcrawl.Precrawl and ajaxcrawl.BuildEngineFrom): precrawl (hyperlink
+// graph + PageRank), then parallel AJAX crawling with the hot-node policy
+// while every 20 consecutive URLs are indexed into one shard file. The
+// -out directory receives the precrawl structures (precrawl.gob) before
+// the crawl starts and, once it ends, the published snapshot: the shard
+// files, the application models (ajaxmodels.gob, URL-sorted) and
+// manifest.json, written last. `ajaxserve -snapshot <out>` serves it.
 //
 // Examples:
 //
-//	# Crawl 100 pages of the built-in synthetic site into ./crawl-out.
+//	# Crawl 100 pages of the built-in synthetic site into ./crawl-out,
+//	# then serve it.
 //	ajaxcrawl -sim 500 -pages 100 -out ./crawl-out
+//	ajaxserve -snapshot ./crawl-out
 //
 //	# Crawl a live site over HTTP.
 //	ajaxcrawl -start http://host/watch?v=abc -pages 50 -out ./crawl-out
@@ -34,10 +40,9 @@ import (
 	"syscall"
 	"time"
 
+	"ajaxcrawl"
 	"ajaxcrawl/internal/core"
 	"ajaxcrawl/internal/fetch"
-	"ajaxcrawl/internal/index"
-	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
 	"ajaxcrawl/internal/webapp"
 )
@@ -52,11 +57,10 @@ func main() {
 		maxStates   = flag.Int("states", 11, "max states per page (incl. the initial one)")
 		traditional = flag.Bool("traditional", false, "disable JavaScript (traditional crawl)")
 		noHot       = flag.Bool("no-hotnode", false, "disable the hot-node cache")
-		out         = flag.String("out", "crawl-out", "output root directory")
+		out         = flag.String("out", "crawl-out", "publish the serving snapshot (shards + models + manifest) into this directory, beside precrawl.gob")
 		saveProfile = flag.Bool("save-profile", false, "record an event profile for faster re-crawls")
 		useProfile  = flag.String("use-profile", "", "skip events a stored profile marked unproductive")
 		robots      = flag.Bool("respect-ajax-robots", false, "honor the site's /robots-ajax.txt state granularity")
-		saveIndex   = flag.String("save-index", "", "also build the index shards and publish a serving snapshot (shards + models + manifest) into this directory")
 		verbose     = flag.Bool("v", false, "per-page progress output (live span lines on stderr)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /debug/metrics, /debug/status, /debug/trace/recent and pprof on this address")
 		tracePath   = flag.String("trace", "", "write every span to this JSONL file")
@@ -168,15 +172,15 @@ func main() {
 			infof("resume: %v; precrawling fresh", lerr)
 		}
 	}
+	// The precrawl retries like the crawl (cfg.Crawl.RetryPolicy): a
+	// fault it gave up on would drop the page, and every link only it
+	// leads to.
+	cfg := ajaxcrawl.Config{Fetcher: fetcher, StartURL: startURL, MaxPages: *pages, ProcLines: *lines, Crawl: opts, WorkDir: *out}
 	if preRes == nil {
 		infof("precrawling %d pages from %s ...", *pages, startURL)
-		// The precrawl retries like the crawl: a fault it gave up on
-		// would drop the page, and every link only it leads to.
-		pre := &core.Precrawler{Fetcher: opts.Retrying(fetcher), StartURL: startURL, MaxPages: *pages, Lines: *lines}
 		var err error
-		preRes, err = pre.Run(ctx)
-		if err != nil {
-			fatal("precrawl: %v", err)
+		if preRes, err = ajaxcrawl.Precrawl(ctx, cfg); err != nil {
+			fatal("%v", err)
 		}
 		if err := preRes.Save(*out); err != nil {
 			fatal("save precrawl: %v", err)
@@ -220,34 +224,31 @@ func main() {
 		infof("checkpointing crawl into %s", *ckptDir)
 	}
 	// Page loads reuse the precrawl's responses (a loaded one has none).
-	handoff := preRes.Handoff(fetcher)
-	mp := &core.MPCrawler{
-		NewCrawler: func() *core.Crawler { return core.New(handoff, opts) },
-		ProcLines:  *lines,
-		URLs:       preRes.URLs,
-	}
-	res := mp.Run(ctx)
-	// The models are written once, when the run ends — an interrupted
-	// or failed run included: whatever completed is flushed, the
-	// graceful-shutdown property. (A kill -9 gets no such chance; the
-	// checkpoint journal is what survives it.)
-	if len(res.Graphs) > 0 {
-		if err := model.SaveAll(*out, res.Graphs); err != nil {
-			fatal("save models: %v", err)
-		}
-	}
+	// Each shard file is encoded into -out as its 20 URLs complete.
+	cfg.Crawl = opts
+	eng, err := ajaxcrawl.BuildEngineFrom(ctx, cfg, preRes)
 	if opts.Checkpoint != nil {
 		if cerr := opts.Checkpoint.Close(); cerr != nil {
 			fatal("checkpoint close: %v", cerr)
 		}
 	}
-	if res.Err != nil {
-		if ctx.Err() == nil {
-			fatal("crawl: %v", res.Err)
-		}
-		infof("interrupted: flushed partial models for %d crawled pages", res.Metrics.Pages)
+	if eng == nil {
+		// A recovered panic, or an interrupt before any page
+		// completed: nothing is published, and the checkpoint journal
+		// keeps the completed pages.
+		fatal("%v", err)
 	}
-	m := res.Metrics
+	// An interrupted run still publishes what completed, the
+	// graceful-shutdown property. (A kill -9 gets no such chance; the
+	// checkpoint journal is what survives it.)
+	man, perr := eng.SaveSnapshot(*out)
+	if perr != nil {
+		fatal("publish: %v", perr)
+	}
+	m := eng.Metrics
+	if err != nil {
+		infof("interrupted: published partial snapshot for %d crawled pages", m.Pages)
+	}
 	if *verbose {
 		for _, pm := range m.PerPage {
 			infof("  %-50s states=%-3d events=%-4d net=%-4d time=%v",
@@ -268,28 +269,8 @@ func main() {
 	if m.Retries > 0 {
 		infof("resilience: %d retries recovered %d pages", m.Retries, m.PagesRecovered)
 	}
-	infof("models stored under %s", *out)
-	if *saveIndex != "" {
-		// The same shard files BuildEngine publishes, so rankings (and
-		// their tie-breaks) match the in-process pipeline; each is encoded
-		// straight into the snapshot directory and dropped.
-		if len(res.Graphs) == 0 {
-			fatal("save index: no crawled pages to index")
-		}
-		sharder := index.NewSharder(preRes.URLs, preRes.PageRank, *saveIndex)
-		for _, g := range res.Graphs {
-			sharder.Add(ctx, g.URL, g)
-		}
-		if err := sharder.Finish(ctx); err != nil {
-			fatal("save index: %v", err)
-		}
-		man, err := sharder.Publish(*saveIndex, res.Graphs)
-		if err != nil {
-			fatal("save index: %v", err)
-		}
-		infof("index snapshot %s published to %s (%d shards, %d docs, %d states) — serve it with: ajaxserve -snapshot %s",
-			man.ID, *saveIndex, len(man.Shards), man.TotalDocs, man.TotalStates, *saveIndex)
-	}
+	infof("snapshot %s published to %s (%d shards, %d docs, %d states) — serve it with: ajaxserve -snapshot %s",
+		man.ID, *out, len(man.Shards), man.TotalDocs, man.TotalStates, *out)
 	if m.EventsSkipped > 0 {
 		infof("profile skipped %d events", m.EventsSkipped)
 	}

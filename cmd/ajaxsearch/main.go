@@ -1,18 +1,20 @@
 // Command ajaxsearch builds, stores, loads and queries AJAX search
 // indexes — the CLI replacement for the thesis's AJAXSearchSetupApp GUI
 // (§8.3): build a new index from stored application models, save/load it,
-// and process queries.
+// and process queries. An index is stored and loaded as a serving
+// snapshot, the layout `ajaxcrawl -out` publishes and `ajaxserve
+// -snapshot` serves.
 //
 // Examples:
 //
-//	# Build an index from a crawl directory and save it.
-//	ajaxsearch -models ./crawl-out -save ./idx.bin
+//	# Rebuild a crawl's index from its models and save it as a snapshot.
+//	ajaxsearch -models ./crawl-out -save ./idx
 //
 //	# Build with a state limit (the GUI's "Max. State ID" knob).
-//	ajaxsearch -models ./crawl-out -max-states 1 -save ./trad.bin
+//	ajaxsearch -models ./crawl-out -max-states 1 -save ./trad
 //
-//	# Query a stored index.
-//	ajaxsearch -load ./idx.bin -q "morcheeba singer" -k 10
+//	# Query a stored snapshot.
+//	ajaxsearch -load ./idx -q "morcheeba singer" -k 10
 //
 //	# Build and query in one go.
 //	ajaxsearch -models ./crawl-out -q "funny dance"
@@ -35,8 +37,8 @@ import (
 func main() {
 	var (
 		models      = flag.String("models", "", "directory holding ajaxmodels.gob: an ajaxcrawl -out root or a published snapshot")
-		load        = flag.String("load", "", "load a stored index instead of building one")
-		save        = flag.String("save", "", "store the built index at this path")
+		load        = flag.String("load", "", "load the index of this snapshot directory instead of building one")
+		save        = flag.String("save", "", "save the index (and, built from -models, its models) as a snapshot into this directory")
 		maxStates   = flag.Int("max-states", 0, "index only the first N states per page (0 = all)")
 		q           = flag.String("q", "", "query to process")
 		k           = flag.Int("k", 10, "number of results to print")
@@ -59,15 +61,18 @@ func main() {
 	ctx := obs.With(context.Background(), cli.Tel)
 
 	var ix *index.Index
+	var graphs []*model.Graph
 	switch {
 	case *load != "":
-		if ix, err = index.Load(*load); err != nil {
+		_, ixs, err := index.LoadSnapshot(*load)
+		if err != nil {
 			fatal("load index: %v", err)
 		}
+		ix = ixs[0]
 		fmt.Printf("loaded index: %d docs, %d states, %d terms\n",
 			ix.NumDocs(), ix.TotalStates, ix.NumTerms())
 	case *models != "":
-		ix = buildFromModels(ctx, *models, *maxStates)
+		ix, graphs = buildFromModels(ctx, *models, *maxStates)
 	default:
 		fmt.Fprintln(os.Stderr, "either -models or -load is required")
 		flag.Usage()
@@ -75,10 +80,11 @@ func main() {
 	}
 
 	if *save != "" {
-		if err := ix.Save(*save); err != nil {
+		man, err := index.SaveSnapshot(*save, []*index.Index{ix}, graphs)
+		if err != nil {
 			fatal("save index: %v", err)
 		}
-		fmt.Printf("index saved to %s\n", *save)
+		fmt.Printf("index snapshot %s saved to %s\n", man.ID, *save)
 	}
 	if *stats {
 		printStats(ix)
@@ -102,7 +108,7 @@ func main() {
 // buildFromModels loads the application models under root and builds
 // one index, attaching PageRank values when a precrawl result is
 // present — the "Build New Index" tab of the thesis GUI.
-func buildFromModels(ctx context.Context, root string, maxStates int) *index.Index {
+func buildFromModels(ctx context.Context, root string, maxStates int) (*index.Index, []*model.Graph) {
 	_, sp := obs.StartSpan(ctx, obs.SpanIndexBuild, obs.A("root", root))
 	graphs, err := model.LoadAll(root)
 	if err != nil {
@@ -121,7 +127,7 @@ func buildFromModels(ctx context.Context, root string, maxStates int) *index.Ind
 		len(graphs), ix.TotalStates, ix.NumTerms())
 	sp.SetAttr("postings", strconv.Itoa(ix.NumPostings()))
 	sp.End(nil)
-	return ix
+	return ix, graphs
 }
 
 func printStats(ix *index.Index) {

@@ -1,12 +1,12 @@
 // Command ajaxserve is the long-running search daemon: it loads the
 // shards and manifest of a saved index snapshot (as written by
-// `ajaxcrawl -save-index` or Engine.SaveSnapshot; it never reads the
+// `ajaxcrawl -out` or Engine.SaveSnapshot; it never reads the
 // models) and answers keyword queries over HTTP until stopped — the
 // serving half of the search engine the crawling CLIs only build.
 //
 //	# Crawl and publish a snapshot, then serve it.
-//	ajaxcrawl -sim 500 -pages 100 -out ./crawl-out -save-index ./crawl-out/snapshot
-//	ajaxserve -snapshot ./crawl-out/snapshot -addr :8090
+//	ajaxcrawl -sim 500 -pages 100 -out ./crawl-out
+//	ajaxserve -snapshot ./crawl-out -addr :8090
 //
 //	# Query it.
 //	curl 'http://localhost:8090/search?q=morcheeba+singer&k=5'

@@ -257,8 +257,8 @@ func eqModelKey(t *testing.T, res *core.MPResult) string {
 	return fmt.Sprintf("%x states=%d transitions=%d events=%d", h.Sum(nil)[:8], m.States, m.Transitions, m.EventsTriggered)
 }
 
-// eqServe publishes the cell's crawl as cmd/ajaxcrawl -save-index does
-// and serves it on one query.Server, the reference. It then serves the
+// eqServe publishes the cell's crawl in the shard layout BuildEngineFrom
+// publishes (`ajaxcrawl -out`) and serves it on one query.Server, the reference. It then serves the
 // crawl again over every shard count and transport and checks every
 // serve cell: each pass's answer hash equals the reference's, every
 // shard answered every query, and the hinted pass was served from

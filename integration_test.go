@@ -9,95 +9,77 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"ajaxcrawl/internal/core"
-	"ajaxcrawl/internal/index"
 	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
-	"ajaxcrawl/internal/query"
 	"ajaxcrawl/internal/serve"
 	"ajaxcrawl/internal/webapp"
 )
 
-// TestPipelinePersistenceRoundTrip drives the exact flow of the CLIs:
-// precrawl → parallel crawl with models saved to disk →
-// reload models → build index → save → reload → identical query results
+// TestPipelinePersistenceRoundTrip drives the one pipeline the CLIs
+// run: Precrawl → Save → LoadPrecrawl → BuildEngineFrom → SaveSnapshot
+// into the same root (`ajaxcrawl -out`) → LoadEngineSnapshot
+// (`ajaxserve`), plus an index rebuilt from the published models and the
+// precrawl's PageRank (`ajaxsearch -models`): identical query results
 // everywhere, scores included.
 func TestPipelinePersistenceRoundTrip(t *testing.T) {
 	site := webapp.New(webapp.DefaultConfig(25, 31))
-	fetcher := NewHandlerFetcher(site.Handler())
-	workDir := t.TempDir()
-
-	// Phase 1: precrawl (as cmd/ajaxcrawl does).
-	pre := &core.Precrawler{
-		Fetcher:  fetcher,
-		StartURL: webapp.WatchURL(site.VideoID(0)),
-		MaxPages: 12,
-		KeepURL:  IsWatchURL,
-	}
-	preRes, err := pre.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := preRes.Save(workDir); err != nil {
-		t.Fatal(err)
-	}
-
-	// Phase 2: parallel crawl, models serialized into the root.
-	mp := &core.MPCrawler{
-		NewCrawler: func() *core.Crawler {
-			return core.New(fetcher, core.Options{UseHotNode: true, MaxStates: 4})
-		},
+	root := t.TempDir()
+	ctx := context.Background()
+	cfg := Config{
+		Fetcher:   NewHandlerFetcher(site.Handler()),
+		StartURL:  webapp.WatchURL(site.VideoID(0)),
+		MaxPages:  25,
 		ProcLines: 3,
-		URLs:      preRes.URLs,
+		Crawl:     CrawlOptions{UseHotNode: true, MaxStates: 4},
+		KeepURL:   IsWatchURL,
+		WorkDir:   root,
 	}
-	res := mp.Run(context.Background())
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	liveGraphs := res.Graphs
-	if err := model.SaveAll(workDir, liveGraphs); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reload everything from disk (as cmd/ajaxsearch does).
-	reloadedPre, err := core.LoadPrecrawl(workDir)
+	pre, err := Precrawl(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloadedGraphs, err := model.LoadAll(workDir)
+	if err := pre.Save(root); err != nil {
+		t.Fatal(err)
+	}
+	reloadedPre, err := core.LoadPrecrawl(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reloadedGraphs) != len(liveGraphs) {
-		t.Fatalf("reloaded %d graphs, crawled %d", len(reloadedGraphs), len(liveGraphs))
-	}
-
-	// Index from reloaded models with reloaded PageRank.
-	ix := index.Build(reloadedGraphs, reloadedPre.PageRank, 0)
-
-	// Persist the index and reload it.
-	idxPath := filepath.Join(workDir, "idx.bin")
-	if err := ix.Save(idxPath); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := index.Load(idxPath)
+	live, err := BuildEngineFrom(ctx, cfg, reloadedPre)
 	if err != nil {
 		t.Fatal(err)
 	}
+	man, err := live.SaveSnapshot(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Shards) < 2 {
+		t.Fatalf("published %d shard files, want the merged load of at least 2", len(man.Shards))
+	}
+	loaded, err := LoadEngineSnapshot(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := model.LoadAll(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(graphs) != live.Metrics.Pages {
+		t.Fatalf("reloaded %d graphs, crawled %d", len(graphs), live.Metrics.Pages)
+	}
 
-	// All three index instances must answer the workload identically,
-	// down to the last bit of every score.
-	engines := map[string]*query.Broker{
-		"live":    query.NewBroker(index.Build(liveGraphs, reloadedPre.PageRank, 0)),
-		"rebuilt": query.NewBroker(ix),
-		"loaded":  query.NewBroker(loaded),
+	// All three engines must answer the workload identically, down to
+	// the last bit of every score.
+	engines := map[string]*Engine{
+		"loaded":  loaded,
+		"rebuilt": NewEngineFromGraphs(nil, graphs, reloadedPre.PageRank),
 	}
 	for _, q := range webapp.Queries()[:20] {
-		want := engines["live"].Search(q)
+		want := live.Search(q)
 		for name, eng := range engines {
 			got := eng.Search(q)
 			if len(got) != len(want) {

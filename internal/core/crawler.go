@@ -56,9 +56,6 @@ type Options struct {
 	// MaxEventsPerState caps the events invoked per state — the defense
 	// against very granular events (§3.2). 0 means unlimited.
 	MaxEventsPerState int
-	// EventTypes restricts which handler attributes fire. nil means
-	// browser.EventTypes (click, dblclick, mouseover, mousedown).
-	EventTypes []string
 	// PriorProfile, when set, enables repetitive crawling (thesis ch. 10
 	// future work): events recorded as unproductive in a previous
 	// session are skipped.
@@ -457,7 +454,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 		delete(snapshots, cur)
 
 		page.Restore(snap)
-		events := page.Events(opts.EventTypes)
+		events := page.Events(nil)
 		if opts.MaxEventsPerState > 0 && len(events) > opts.MaxEventsPerState {
 			events = events[:opts.MaxEventsPerState]
 		}

@@ -93,19 +93,6 @@ func (ix *Index) Encode(w io.Writer) error {
 	return nil
 }
 
-// Save writes the index to a file.
-func (ix *Index) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	if err := ix.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // Decode reads one index from r. The bytes are untrusted — the serving
 // daemon loads snapshots straight off disk — so counts are bounded,
 // pre-allocations capped, the result validated before it is handed out,
@@ -125,17 +112,7 @@ func Decode(r io.Reader) (ix *Index, err error) {
 	return ix, nil
 }
 
-// Load reads an index from a file.
-func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("index: load: %w", err)
-	}
-	defer f.Close()
-	return Decode(f)
-}
-
-const republish = "re-publish the snapshot with ajaxcrawl -save-index" // the remedy for a file from another build
+const republish = "re-publish the snapshot with ajaxcrawl -out" // the remedy for a file from another build
 
 func readIndex(d *codec.Decoder) *Index {
 	d.Header(codecMagic, codecVersion, republish)
@@ -257,7 +234,12 @@ type mergeTerm struct {
 // term section. Decode's bounds hold, the token bound over all files.
 func loadFiles(dir string, m *Manifest) (*Index, error) {
 	if e := m.Shards[0]; len(m.Shards) == 1 {
-		ix, err := Load(filepath.Join(dir, e.File))
+		var ix *Index
+		f, err := os.Open(filepath.Join(dir, e.File))
+		if err == nil {
+			ix, err = Decode(f)
+			f.Close()
+		}
 		if err == nil {
 			err = e.check(ix.NumDocs(), ix.TotalStates, ix.NumTerms())
 		}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,33 +57,19 @@ func TestCompressedRoundTrip(t *testing.T) {
 }
 
 func TestCompressedRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.bin")
-	if err := os.WriteFile(bad, []byte("not an index"), 0o644); err != nil {
+	if _, err := Decode(strings.NewReader("not an index")); err == nil {
+		t.Fatalf("garbage bytes should fail to decode")
+	}
+	// Truncated encoding.
+	var good bytes.Buffer
+	if err := Build(twoVideoGraphs(), nil, 0).Encode(&good); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bad); err == nil {
-		t.Fatalf("garbage file should fail to load")
+	if _, err := Decode(bytes.NewReader(good.Bytes()[:good.Len()/2])); err == nil {
+		t.Fatalf("truncated encoding should fail to decode")
 	}
-	// Truncated file.
-	ix := Build(twoVideoGraphs(), nil, 0)
-	good := filepath.Join(dir, "good.bin")
-	if err := ix.Save(good); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc := filepath.Join(dir, "trunc.bin")
-	if err := os.WriteFile(trunc, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(trunc); err == nil {
-		t.Fatalf("truncated file should fail to load")
-	}
-	if _, err := Load(filepath.Join(dir, "missing.bin")); err == nil {
-		t.Fatalf("missing file should fail to load")
+	if _, err := Decode(bytes.NewReader(nil)); err == nil {
+		t.Fatalf("empty input should fail to decode")
 	}
 }
 

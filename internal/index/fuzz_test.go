@@ -161,7 +161,7 @@ func TestDecodeRejectsBadTextSection(t *testing.T) {
 		_, err := Decode(bytes.NewReader(data))
 		if err == nil {
 			t.Errorf("%s: decoded without error", name)
-		} else if name == "version 2" && !strings.Contains(err.Error(), "re-publish the snapshot with ajaxcrawl -save-index") {
+		} else if name == "version 2" && !strings.Contains(err.Error(), "re-publish the snapshot with ajaxcrawl -out") {
 			t.Errorf("%s: error %q does not say how to recover", name, err)
 		}
 	}

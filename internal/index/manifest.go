@@ -125,7 +125,7 @@ func LoadManifest(dir string) (*Manifest, error) {
 		return nil, fmt.Errorf("index: manifest: %w", err)
 	}
 	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("index: manifest: unsupported version %d (this build reads %d): re-publish the snapshot with ajaxcrawl -save-index",
+		return nil, fmt.Errorf("index: manifest: unsupported version %d (this build reads %d): re-publish the snapshot with ajaxcrawl -out",
 			m.Version, ManifestVersion)
 	}
 	if len(m.Shards) == 0 {

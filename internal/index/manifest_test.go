@@ -143,7 +143,11 @@ func TestLoadSnapshotDetectsShardMismatch(t *testing.T) {
 	}
 	// Overwrite the shard with a different index; the manifest's
 	// recorded sizes no longer match.
-	if err := Build(part2, nil, 0).Save(filepath.Join(dir, man.Shards[0].File)); err != nil {
+	var other bytes.Buffer
+	if err := Build(part2, nil, 0).Encode(&other); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, man.Shards[0].File), other.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadSnapshot(dir); err == nil {

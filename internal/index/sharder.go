@@ -21,9 +21,8 @@ const ShardPages = 20
 // encodes each one as soon as its chunk completes, into a file in its
 // directory or into memory when it has none, keeping only the encoding
 // and its manifest entry: a crawl holds one shard's Index at a time. It
-// is the one owner of the shard split: the in-process pipeline feeds it
-// page by page while later pages still crawl, the CLI feeds it a
-// finished crawl's graphs, and both publish the same bytes.
+// is the one owner of the shard split: the pipeline feeds it page by
+// page while later pages still crawl.
 type Sharder struct {
 	pos      map[string]int
 	pageRank map[string]float64

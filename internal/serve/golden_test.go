@@ -198,7 +198,11 @@ func TestMergedLoadMatchesPerFileBroker(t *testing.T) {
 	}
 	var files []*index.Index
 	for _, e := range man.Shards {
-		ix, err := index.Load(filepath.Join(dir, e.File))
+		data, err := os.ReadFile(filepath.Join(dir, e.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := index.Decode(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}

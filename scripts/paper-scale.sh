@@ -28,7 +28,7 @@ videos=${1:-10000}
 work=${2:-$(mktemp -d)}
 port=${PAPER_SCALE_PORT:-18391}
 bin=$work/bin
-rm -rf "$bin" "$work/out" "$work/snap" "$work/part0" "$work/part1"
+rm -rf "$bin" "$work/snap" "$work/part0" "$work/part1"
 mkdir -p "$bin"
 go build -o "$bin/" ./cmd/ajaxcrawl ./cmd/ajaxserve ./cmd/ajaxrouter ./cmd/ajaxbench
 
@@ -43,10 +43,10 @@ hwm() { awk '/^VmHWM:/ {print $2}' "/proc/$1/status" 2>/dev/null || true; }
 crawls=${PAPER_SCALE_CRAWLS:-1}
 : >"$work/crawls.txt"
 for ((run = 1; run <= crawls; run++)); do
-	rm -rf "$work/out" "$work/snap"
+	rm -rf "$work/snap"
 	start=$(date +%s%N)
 	"$bin/ajaxcrawl" -sim "$videos" -pages "$videos" -lines 2 -sim-noisy -neardup 0.9 \
-		-out "$work/out" -save-index "$work/snap" -json >"$work/crawl.json" 2>"$work/crawl.log" &
+		-out "$work/snap" -json >"$work/crawl.json" 2>"$work/crawl.log" &
 	pid=$!
 	peak=0
 	while kill -0 "$pid" 2>/dev/null; do
