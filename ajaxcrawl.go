@@ -116,8 +116,8 @@ type Config struct {
 	// ProcLines is the number of parallel crawler process lines
 	// (default 4).
 	ProcLines int
-	// Crawl are the per-page crawler options (default: AJAX with
-	// hot-node caching, 11 states).
+	// Crawl are the per-page crawler options (default: AJAX without the
+	// hot-node cache, 11 states; set UseHotNode for Alg. 4.2.1).
 	Crawl CrawlOptions
 	// Weights are the ranking coefficients (default DefaultWeights).
 	Weights *Weights
@@ -224,7 +224,9 @@ func (cfg Config) lines() int {
 // alongside ctx's error, so a graceful shutdown can still publish and
 // serve what it has; WorkDir then holds those pages' shard files and no
 // manifest. With no page crawled it returns nil and the error, as it
-// does for a page error under FailFast and for a recovered panic.
+// does for a page error under FailFast and for a recovered panic: the
+// first such error stops the pipeline, so no page after those in flight
+// is crawled and no shard is encoded after it.
 func BuildEngineFrom(ctx context.Context, cfg Config, pre *PrecrawlResult) (*Engine, error) {
 	if cfg.Fetcher == nil {
 		return nil, fmt.Errorf("ajaxcrawl: Config.Fetcher is required")
@@ -240,14 +242,25 @@ func BuildEngineFrom(ctx context.Context, cfg Config, pre *PrecrawlResult) (*Eng
 		ProcLines:  cfg.lines(),
 		URLs:       pre.URLs,
 	}
+	// The first page error fails the build: it cancels crawlCtx, so no
+	// line takes another page, and the rest of the stream is drained
+	// unread (every line has let go of the checkpoint journal when this
+	// returns).
+	crawlCtx, stop := context.WithCancel(ctx)
+	defer stop()
 	sharder := index.NewSharder(pre.URLs, pre.PageRank, cfg.WorkDir)
 	metrics := &core.Metrics{}
 	graphs := make(map[string]*model.Graph)
 	var crawled []*model.Graph
 	var crawlErr error
-	for pr := range mp.Stream(ctx) {
-		if pr.Err != nil && crawlErr == nil {
+	for pr := range mp.Stream(crawlCtx) {
+		if crawlErr != nil {
+			continue
+		}
+		if pr.Err != nil {
 			crawlErr = fmt.Errorf("ajaxcrawl: crawl %s: %w", pr.URL, pr.Err)
+			stop()
+			continue
 		}
 		metrics.Merge(pr.Metrics)
 		sharder.Add(ctx, pr.URL, pr.Graph)
@@ -256,11 +269,11 @@ func BuildEngineFrom(ctx context.Context, cfg Config, pre *PrecrawlResult) (*Eng
 			crawled = append(crawled, pr.Graph)
 		}
 	}
-	if err := sharder.Finish(ctx); err != nil && crawlErr == nil {
-		crawlErr = fmt.Errorf("ajaxcrawl: index: %w", err)
-	}
 	if crawlErr != nil {
 		return nil, crawlErr
+	}
+	if err := sharder.Finish(ctx); err != nil {
+		return nil, fmt.Errorf("ajaxcrawl: index: %w", err)
 	}
 	// Whether the crawl was cut short is the caller's context's to say,
 	// not an error's type: a page that blew only its own PageTimeout

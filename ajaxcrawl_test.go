@@ -3,12 +3,14 @@ package ajaxcrawl
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ajaxcrawl/internal/core"
 	"ajaxcrawl/internal/fetch"
 )
 
@@ -265,6 +267,80 @@ func TestBuildEngineFailFastPageTimeoutIsNotCancellation(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "ajaxcrawl: crawl "+hung+":") {
 		t.Fatalf("error should name the page %s, got %v", hung, err)
+	}
+}
+
+// TestBuildEngineFailFastStopsThePipeline: under FailFast the first page
+// error stops the crawl. One line, a precrawl loaded from disk (so page
+// loads reach the fetcher), and the loads of positions 0 and 1 hang until
+// their context ends: position 0 fails on its PageTimeout, and position
+// 1, in flight or not yet taken, must be the last page fetched. No page
+// after it is crawled, and no shard file is encoded.
+func TestBuildEngineFailFastStopsThePipeline(t *testing.T) {
+	site := NewSimSite(60, 123)
+	inner := NewHandlerFetcher(site.Handler())
+	cfg := Config{Fetcher: inner, StartURL: site.VideoURL(0), MaxPages: 50, ProcLines: 1, KeepURL: IsWatchURL}
+	pre, err := Precrawl(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := pre.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if pre, err = core.LoadPrecrawl(dir); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var loaded []string
+	cfg.Fetcher = fetch.Func(func(c context.Context, rawurl string) (*fetch.Response, error) {
+		if IsWatchURL(rawurl) {
+			mu.Lock()
+			loaded = append(loaded, rawurl)
+			mu.Unlock()
+			if rawurl == pre.URLs[0] || rawurl == pre.URLs[1] {
+				<-c.Done()
+				return nil, c.Err()
+			}
+		}
+		return inner.Fetch(c, rawurl)
+	})
+	cfg.Crawl = CrawlOptions{PageTimeout: 200 * time.Millisecond, OnError: FailFast}
+	cfg.WorkDir = t.TempDir()
+	eng, err := BuildEngineFrom(context.Background(), cfg, pre)
+	if eng != nil || !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
+		!strings.HasPrefix(err.Error(), "ajaxcrawl: crawl "+pre.URLs[0]+":") {
+		t.Fatalf("want nil engine and position 0's deadline error, got engine=%v err=%v", eng != nil, err)
+	}
+	for _, u := range loaded {
+		if u != pre.URLs[0] && u != pre.URLs[1] {
+			t.Fatalf("%s was crawled after the failure (%d page loads)", u, len(loaded))
+		}
+	}
+	if shards, _ := filepath.Glob(filepath.Join(cfg.WorkDir, "shard-*")); len(shards) != 0 {
+		t.Fatalf("shard files encoded after the failure: %v", shards)
+	}
+}
+
+// TestQuickstartConfigUsesHotNodeCache builds the engine as
+// examples/quickstart and README's quickstart do. UseHotNode is off in
+// the zero CrawlOptions, so the config sets it, and the cache must then
+// answer some XHR sends.
+func TestQuickstartConfigUsesHotNodeCache(t *testing.T) {
+	site := NewSimSite(60, 7)
+	eng, err := BuildEngine(context.Background(), Config{
+		Fetcher:  NewHandlerFetcher(site.Handler()),
+		StartURL: site.VideoURL(0),
+		MaxPages: 30,
+		KeepURL:  IsWatchURL,
+		Crawl:    CrawlOptions{UseHotNode: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := eng.Metrics; m.HotNodeHits == 0 || m.NetworkEvents >= m.EventsTriggered {
+		t.Fatalf("hot-node cache idle: %d hits, %d of %d events hit the network",
+			m.HotNodeHits, m.NetworkEvents, m.EventsTriggered)
 	}
 }
 

@@ -279,41 +279,6 @@ func localIDFTop(shards []*index.Index, q string) []query.Result {
 	return top
 }
 
-// ablateRecrawl measures the repetitive-crawling extension (thesis ch. 10
-// future work): a second crawl session guided by the first session's
-// event profile must produce the identical model with fewer invocations.
-func ablateRecrawl(e *env) error {
-	n := min(e.videos, 100)
-	urls := e.urls(n)
-
-	profile := core.NewCrawlProfile()
-	s1 := core.New(e.plain(), core.Options{UseHotNode: true, RecordProfile: profile})
-	g1, m1, err := s1.CrawlAll(e.ctx, urls)
-	if err != nil {
-		return err
-	}
-	s2 := core.New(e.plain(), core.Options{UseHotNode: true, PriorProfile: profile})
-	g2, m2, err := s2.CrawlAll(e.ctx, urls)
-	if err != nil {
-		return err
-	}
-	identical := len(g1) == len(g2)
-	for i := range g1 {
-		if !identical || g1[i].NumStates() != g2[i].NumStates() {
-			identical = false
-			break
-		}
-	}
-	fmt.Fprintf(e.out, "%-22s %-10s %-10s %-10s\n", "session", "events", "skipped", "states")
-	fmt.Fprintf(e.out, "%-22s %-10d %-10d %-10d\n", "1 (recording)", m1.EventsTriggered, 0, m1.States)
-	fmt.Fprintf(e.out, "%-22s %-10d %-10d %-10d\n", "2 (profile-guided)", m2.EventsTriggered, m2.EventsSkipped, m2.States)
-	fmt.Fprintf(e.out, "identical models: %v; event invocations saved: %.1f%%\n",
-		identical, 100*(1-float64(m2.EventsTriggered)/float64(m1.EventsTriggered)))
-	fmt.Fprintln(e.out, "(the synthetic pagination has no dead events; sites with decorative")
-	fmt.Fprintln(e.out, " handlers save more — see examples/recrawl for a 50%+ case)")
-	return nil
-}
-
 // ablateNearDup measures near-duplicate state merging against the
 // granular-events state explosion (thesis challenge #3): a site variant
 // with an AJAX like counter makes every click a new exact-hash state;

@@ -91,7 +91,6 @@ var experiments = []experiment{
 	{"ablate-hotnode", "hot-call cache keyed by (fn,args) vs by URL vs off", ablateHotNode},
 	{"ablate-dedup", "duplicate detection: canonical hash vs full-tree compare", ablateDedup},
 	{"ablate-idf", "sharded ranking: global idf correction vs local idf", ablateIDF},
-	{"ablate-recrawl", "repetitive crawling: profile-guided second session", ablateRecrawl},
 	{"ablate-neardup", "near-duplicate state merging vs granular-event explosion", ablateNearDup},
 	{"neardup", "noisy-app collapse: exact vs near-dup admission", expNearDup},
 	{"router", "sharded fan-out vs single snapshot: equality and merge overhead", expRouter},

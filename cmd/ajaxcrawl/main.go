@@ -58,9 +58,6 @@ func main() {
 		traditional = flag.Bool("traditional", false, "disable JavaScript (traditional crawl)")
 		noHot       = flag.Bool("no-hotnode", false, "disable the hot-node cache")
 		out         = flag.String("out", "crawl-out", "publish the serving snapshot (shards + models + manifest) into this directory, beside precrawl.gob")
-		saveProfile = flag.Bool("save-profile", false, "record an event profile for faster re-crawls")
-		useProfile  = flag.String("use-profile", "", "skip events a stored profile marked unproductive")
-		robots      = flag.Bool("respect-ajax-robots", false, "honor the site's /robots-ajax.txt state granularity")
 		verbose     = flag.Bool("v", false, "per-page progress output (live span lines on stderr)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /debug/metrics, /debug/status, /debug/trace/recent and pprof on this address")
 		tracePath   = flag.String("trace", "", "write every span to this JSONL file")
@@ -188,27 +185,6 @@ func main() {
 		infof("precrawl done: %d pages, %d link sources", len(preRes.URLs), len(preRes.Links))
 	}
 
-	var recordProfile *core.CrawlProfile
-	if *saveProfile {
-		recordProfile = core.NewCrawlProfile()
-		opts.RecordProfile = recordProfile
-	}
-	if *useProfile != "" {
-		prior, err := core.LoadCrawlProfile(*useProfile)
-		if err != nil {
-			fatal("load profile: %v", err)
-		}
-		opts.PriorProfile = prior
-		infof("re-crawl with profile: %d known events", prior.NumEvents())
-	}
-	if *robots {
-		if rb, _ := core.FetchAjaxRobots(ctx, fetcher); rb != nil {
-			// Apply the advertised granularity of the start URL's path
-			// class; per-URL application would need per-page options.
-			opts = rb.ApplyTo(opts, startURL)
-			infof("robots-ajax.txt caps states at %d", opts.MaxStates)
-		}
-	}
 	if *ckptDir != "" {
 		// One journal for every process line. A fresh run (-resume
 		// omitted) discards a stale journal; a resume recovers it,
@@ -271,16 +247,6 @@ func main() {
 	}
 	infof("snapshot %s published to %s (%d shards, %d docs, %d states) — serve it with: ajaxserve -snapshot %s",
 		man.ID, *out, len(man.Shards), man.TotalDocs, man.TotalStates, *out)
-	if m.EventsSkipped > 0 {
-		infof("profile skipped %d events", m.EventsSkipped)
-	}
-	if recordProfile != nil {
-		path := filepath.Join(*out, "eventprofile.gob")
-		if err := recordProfile.Save(path); err != nil {
-			fatal("save profile: %v", err)
-		}
-		infof("event profile saved to %s (%d events)", path, recordProfile.NumEvents())
-	}
 	infof("total wall time: %v", time.Since(begin).Round(time.Millisecond))
 	if err := cli.Close(); err != nil {
 		fatal("close trace: %v", err)

@@ -26,6 +26,7 @@ func main() {
 		StartURL: site.VideoURL(0),
 		MaxPages: 30,
 		KeepURL:  ajaxcrawl.IsWatchURL,
+		Crawl:    ajaxcrawl.CrawlOptions{UseHotNode: true},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -57,9 +57,10 @@ const (
 	// and near-dup signature, which no resume read; version 3's page
 	// metrics carried a breaker-opens count; version 4 journals were one
 	// per process line, with hot-node fill frames and a compacted
-	// snapshot beside them. A journal of another version is refused, not
+	// snapshot beside them; version 5's page metrics carried an
+	// events-skipped count. A journal of another version is refused, not
 	// replayed.
-	journalVersion = 5
+	journalVersion = 6
 
 	// recPageDone is the one record type. 2 (an admitted state's hash)
 	// and 5 (its near-dup signature) are retired with version 2, 4 (a

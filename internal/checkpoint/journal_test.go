@@ -215,12 +215,13 @@ func TestJournalGarbageFileStartsFresh(t *testing.T) {
 // journal's magic and another version — one written by another build,
 // such as version 2, whose state records this build no longer reads,
 // version 3, whose page metrics carry one more count, or version 4, a
-// per-line journal with hot-node fill frames — fails a resuming Open
-// with an error naming the file and both versions, and its bytes stay
-// as they were, instead of being wiped as a torn file would be. A fresh
-// open still discards it.
+// per-line journal with hot-node fill frames, or version 5, whose page
+// metrics carry one more count again — fails a resuming Open with an
+// error naming the file and both versions, and its bytes stay as they
+// were, instead of being wiped as a torn file would be. A fresh open
+// still discards it.
 func TestJournalFromAnotherBuildIsRefused(t *testing.T) {
-	for _, version := range []byte{2, 3, 4, journalVersion + 1} {
+	for _, version := range []byte{2, 3, 4, 5, journalVersion + 1} {
 		dir := t.TempDir()
 		j := mustOpen(t, dir, true)
 		if err := j.PageDone(PageRecord{URL: "a", Graph: testGraph("a", 2)}); err != nil {

@@ -102,9 +102,9 @@ func (c *Checkpoint) Close() error { return c.j.Close() }
 // decodePageMetrics walk the same list, so a field added to it is
 // written and read alike (TestPageMetricsRoundTrip fails on one left
 // out).
-func (pm *PageMetrics) counts() [14]*int {
-	return [14]*int{&pm.States, &pm.Transitions, &pm.EventsTriggered, &pm.NetworkEvents, &pm.XHRSends,
-		&pm.NetworkCalls, &pm.HotNodeHits, &pm.HandlerErrors, &pm.EventsSkipped, &pm.StatesPruned,
+func (pm *PageMetrics) counts() [13]*int {
+	return [13]*int{&pm.States, &pm.Transitions, &pm.EventsTriggered, &pm.NetworkEvents, &pm.XHRSends,
+		&pm.NetworkCalls, &pm.HotNodeHits, &pm.HandlerErrors, &pm.StatesPruned,
 		&pm.NearDupMerges, &pm.NearDupCandidates, &pm.Retries, &pm.PagesRecovered}
 }
 

@@ -41,8 +41,9 @@ const (
 	FailFast
 )
 
-// Options configure a crawl. The zero value is usable: AJAX crawling with
-// hot-node detection, the thesis's default limits.
+// Options configure a crawl. The zero value is usable: AJAX crawling
+// without the hot-node cache (set UseHotNode for Alg. 4.2.1), the
+// thesis's default limits.
 type Options struct {
 	// Traditional disables JavaScript entirely: only the initial state
 	// is read, like a classical crawler (TRADITIONAL_CRAWLING).
@@ -53,16 +54,6 @@ type Options struct {
 	// MaxStates caps the states crawled per page, counting the initial
 	// one. The thesis crawls 10 additional comment pages, i.e. 11.
 	MaxStates int
-	// MaxEventsPerState caps the events invoked per state — the defense
-	// against very granular events (§3.2). 0 means unlimited.
-	MaxEventsPerState int
-	// PriorProfile, when set, enables repetitive crawling (thesis ch. 10
-	// future work): events recorded as unproductive in a previous
-	// session are skipped.
-	PriorProfile *CrawlProfile
-	// RecordProfile, when set, receives this session's event outcomes
-	// for use as a later session's PriorProfile.
-	RecordProfile *CrawlProfile
 	// StateFilter, when set, enables focused crawling (§7.2.2): states
 	// whose visible text fails the filter are recorded but not expanded
 	// further, restricting the crawl to relevant content.
@@ -141,8 +132,6 @@ type PageMetrics struct {
 	HotNodeHits int
 	// HandlerErrors counts events whose handler raised an error.
 	HandlerErrors int
-	// EventsSkipped counts events pruned by the repetitive-crawl profile.
-	EventsSkipped int
 	// StatesPruned counts states not expanded by the focused-crawl filter.
 	StatesPruned int
 	// NearDupMerges counts states folded into an existing near-duplicate.
@@ -187,7 +176,6 @@ type Metrics struct {
 	NetworkCalls      int
 	HotNodeHits       int
 	HandlerErrors     int
-	EventsSkipped     int
 	StatesPruned      int
 	NearDupMerges     int
 	NearDupCandidates int
@@ -215,7 +203,7 @@ func (m *Metrics) Merge(o *Metrics) {
 }
 
 // fold adds counts, in the order of counts(), and the two times to m.
-func (m *Metrics) fold(counts [14]*int, crawl, net time.Duration) {
+func (m *Metrics) fold(counts [13]*int, crawl, net time.Duration) {
 	for i, c := range m.counts() {
 		*c += *counts[i]
 	}
@@ -224,9 +212,9 @@ func (m *Metrics) fold(counts [14]*int, crawl, net time.Duration) {
 }
 
 // counts lists m's per-page sums in the order of PageMetrics.counts.
-func (m *Metrics) counts() [14]*int {
-	return [14]*int{&m.States, &m.Transitions, &m.EventsTriggered, &m.NetworkEvents, &m.XHRSends,
-		&m.NetworkCalls, &m.HotNodeHits, &m.HandlerErrors, &m.EventsSkipped, &m.StatesPruned,
+func (m *Metrics) counts() [13]*int {
+	return [13]*int{&m.States, &m.Transitions, &m.EventsTriggered, &m.NetworkEvents, &m.XHRSends,
+		&m.NetworkCalls, &m.HotNodeHits, &m.HandlerErrors, &m.StatesPruned,
 		&m.NearDupMerges, &m.NearDupCandidates, &m.Retries, &m.PagesRecovered}
 }
 
@@ -393,7 +381,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 	// hit — and records where it led. A new state is queued unless the
 	// focused-crawl filter rejects its text: then it stays in the model
 	// but is not expanded.
-	explore := func(cur model.StateID, snap *browser.Snapshot, ev browser.Event, probe string, trigger func() (bool, error)) (EventOutcome, error) {
+	explore := func(cur model.StateID, snap *browser.Snapshot, ev browser.Event, probe string, trigger func() (bool, error)) error {
 		page.Restore(snap)
 		sendsBefore, netBefore := page.XHRSends, page.NetworkCalls
 		changed, err := trigger()
@@ -406,15 +394,15 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 		}
 		if err != nil {
 			if ctxAbort(ctx, err) {
-				return OutcomeError, err
+				return err
 			}
 			// A handler preempted by the JS step budget lands here too:
 			// it is a property of the page, not the crawl.
 			pm.HandlerErrors++
-			return OutcomeError, nil
+			return nil
 		}
 		if !changed {
-			return OutcomeNoChange, nil
+			return nil
 		}
 		newID, text, isNew := admit.state(page.Hash(), page.Doc, graph.State(cur).Depth+1)
 		graph.AddTransition(&model.Transition{
@@ -429,7 +417,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 			Probe:      probe,
 		})
 		if !isNew {
-			return OutcomeDuplicate, nil
+			return nil
 		}
 		switch {
 		case opts.StateFilter != nil && !opts.StateFilter(text):
@@ -440,7 +428,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 			snapshots[newID] = snapshot(page)
 			queue = append(queue, newID)
 		}
-		return OutcomeNewState, nil
+		return nil
 	}
 
 	for len(queue) > 0 && graph.NumStates() < opts.MaxStates {
@@ -455,9 +443,6 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 
 		page.Restore(snap)
 		events := page.Events(nil)
-		if opts.MaxEventsPerState > 0 && len(events) > opts.MaxEventsPerState {
-			events = events[:opts.MaxEventsPerState]
-		}
 		formEvents := page.FormEvents()
 		for _, ev := range events {
 			if err := ctx.Err(); err != nil {
@@ -466,18 +451,8 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 			if graph.NumStates() >= opts.MaxStates {
 				break
 			}
-			// Repetitive crawling: skip events a prior session proved
-			// unproductive.
-			if opts.PriorProfile.ShouldSkip(url, ev) {
-				pm.EventsSkipped++
-				continue
-			}
-			outcome, err := explore(cur, snap, ev, "", func() (bool, error) { return page.Trigger(ctx, ev) })
-			if err != nil {
+			if err := explore(cur, snap, ev, "", func() (bool, error) { return page.Trigger(ctx, ev) }); err != nil {
 				return err
-			}
-			if opts.RecordProfile != nil {
-				opts.RecordProfile.record(url, ev, outcome)
 			}
 		}
 		// Form crawling: probe every reactive input with each value.
@@ -489,7 +464,7 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 				if graph.NumStates() >= opts.MaxStates {
 					break
 				}
-				if _, err := explore(cur, snap, fev, probe, func() (bool, error) { return page.TriggerWithValue(ctx, fev, probe) }); err != nil {
+				if err := explore(cur, snap, fev, probe, func() (bool, error) { return page.TriggerWithValue(ctx, fev, probe) }); err != nil {
 					return err
 				}
 			}

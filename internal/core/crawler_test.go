@@ -195,17 +195,39 @@ page /watch?v=3LF4yoWXYm5 states=4 transitions=3
 	}
 }
 
-func TestMaxEventsPerState(t *testing.T) {
-	site, f := newSiteFetcher(30, 2)
+// TestFocusedCrawlPrunesIrrelevantStates: a StateFilter (§7.2.2) keeps
+// the states it rejects in the model but does not expand them.
+func TestFocusedCrawlPrunesIrrelevantStates(t *testing.T) {
+	site, f := newSiteFetcher(40, 2)
 	v := multiPageVideo(t, site, 5)
-	c := New(f, Options{UseHotNode: true, MaxStates: 2, MaxEventsPerState: 1})
-	_, pm, err := c.CrawlPage(context.Background(), webapp.WatchURL(v.ID))
+	url := webapp.WatchURL(v.ID)
+
+	full := New(f, Options{UseHotNode: true})
+	gFull, _, err := full.CrawlPage(context.Background(), url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With 1 event per state and 2 states max: at most 2 events fire.
-	if pm.EventsTriggered > 2 {
-		t.Fatalf("MaxEventsPerState not honored: %d events", pm.EventsTriggered)
+	// Focus on nothing: every non-initial state is irrelevant, so only
+	// states reachable from the initial state are found.
+	focused := New(f, Options{UseHotNode: true, StateFilter: func(string) bool { return false }})
+	gFoc, pmFoc, err := focused.CrawlPage(context.Background(), url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gFoc.NumStates() >= gFull.NumStates() {
+		t.Fatalf("focus did not reduce states: %d vs %d", gFoc.NumStates(), gFull.NumStates())
+	}
+	if pmFoc.StatesPruned == 0 {
+		t.Fatalf("no states pruned")
+	}
+	// Accept-all filter behaves like no filter.
+	all := New(f, Options{UseHotNode: true, StateFilter: func(string) bool { return true }})
+	gAll, pmAll, err := all.CrawlPage(context.Background(), url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gAll.NumStates() != gFull.NumStates() || pmAll.StatesPruned != 0 {
+		t.Fatalf("accept-all filter changed the crawl")
 	}
 }
 

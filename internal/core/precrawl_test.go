@@ -152,10 +152,14 @@ func FuzzLoadPrecrawl(f *testing.F) {
 	for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 16, 0} {
 		f.Add(seed[:n])
 	}
-	f.Add(gobEraSeed(f, "gob-era.precrawl", func(data []byte) error {
-		_, err := decodePrecrawl(bytes.NewReader(data))
-		return err
-	}))
+	gobEra, err := os.ReadFile(filepath.Join("testdata", "gob-era.precrawl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := decodePrecrawl(bytes.NewReader(gobEra)); err == nil {
+		f.Fatal("the gob-era precrawl was accepted")
+	}
+	f.Add(gobEra)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := decodePrecrawl(bytes.NewReader(data))
 		if err != nil {

@@ -25,19 +25,7 @@ func (s *Site) Handler() http.Handler {
 	if s.cfg.WithLikeButton {
 		mux.HandleFunc("/like", s.handleLike)
 	}
-	if s.cfg.AdvertiseStates > 0 {
-		mux.HandleFunc("/robots-ajax.txt", s.handleAjaxRobots)
-	}
 	return mux
-}
-
-// handleAjaxRobots serves the AJAX-granularity hint file (thesis §4.3:
-// sites advertising "the possible granularity of search on their pages").
-func (s *Site) handleAjaxRobots(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "# AJAX crawl granularity hints\n")
-	fmt.Fprintf(w, "ajax-states /watch %d\n", s.cfg.AdvertiseStates)
-	fmt.Fprintf(w, "ajax-states / 1\n")
 }
 
 func (s *Site) handleIndex(w http.ResponseWriter, r *http.Request) {

@@ -34,10 +34,6 @@ type Config struct {
 	RelatedPerVideo int
 	// PlantRate is the probability that a comment embeds a query phrase.
 	PlantRate float64
-	// AdvertiseStates, when positive, makes the site serve a
-	// /robots-ajax.txt advertising this state granularity for /watch
-	// pages (the thesis's §4.3 prediction).
-	AdvertiseStates int
 	// WithSearchBox adds a Google-Suggest-style search input to every
 	// watch page (an AJAX form, the forms future-work of thesis ch. 10).
 	// Off by default so the chapter-7 experiments keep the thesis's

@@ -340,25 +340,6 @@ func TestSuggestEndpoint(t *testing.T) {
 	}
 }
 
-func TestRobotsAjaxEndpoint(t *testing.T) {
-	cfg := DefaultConfig(5, 3)
-	cfg.AdvertiseStates = 4
-	s := New(cfg)
-	f := &fetch.HandlerFetcher{Handler: s.Handler()}
-	resp, err := f.Fetch(context.Background(), "/robots-ajax.txt")
-	if err != nil || resp.Status != 200 {
-		t.Fatalf("robots fetch: %v %v", resp, err)
-	}
-	if !strings.Contains(string(resp.Body), "ajax-states /watch 4") {
-		t.Fatalf("robots content: %s", resp.Body)
-	}
-	plain := New(DefaultConfig(5, 3))
-	pf := &fetch.HandlerFetcher{Handler: plain.Handler()}
-	if resp, _ := pf.Fetch(context.Background(), "/robots-ajax.txt"); resp.Status != 404 {
-		t.Fatalf("robots should 404 when not advertised, got %d", resp.Status)
-	}
-}
-
 // TestNoisyDecorMutatesOnEvents pins the noisy-app workload: with
 // NoisyDecor on, every tracked event rewrites the decor strip
 // (timestamp/view-counter/ad-slot), so returning to a previously seen

@@ -23,7 +23,7 @@ mkdir -p "$bin" "$cov"
 go build -cover -coverpkg=./... -o "$bin/" ./cmd/ajaxcrawl ./cmd/ajaxbench ./examples/...
 
 export GOCOVERDIR=$cov
-for ex in forms newsapp parallel quickstart recrawl threshold youtube; do
+for ex in forms newsapp parallel quickstart threshold youtube; do
 	"$bin/$ex" >/dev/null
 done
 "$bin/ajaxbench" -exp all -videos 40 >/dev/null
