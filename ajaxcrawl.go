@@ -24,7 +24,7 @@
 //		StartURL: site.VideoURL(0),
 //		MaxPages: 25,
 //	})
-//	results := eng.Search("morcheeba singer")
+//	results := eng.Search(context.Background(), "morcheeba singer", 10)
 //	html, _ := eng.Reconstruct(context.Background(), results[0])
 package ajaxcrawl
 
@@ -140,18 +140,21 @@ type Config struct {
 // Engine is a complete AJAX search engine: the ranking broker over one
 // index, and the application models needed to reconstruct result
 // states. A crawled engine keeps only its encoded shards (in
-// Config.WorkDir or in memory) for SaveSnapshot, and its first search
-// builds the index from the graphs (≈ 1.6 s at 10 000 videos), ranking
-// exactly as the published shards do.
+// Config.WorkDir or in memory) for SaveSnapshot; the first search of a
+// crawled engine or one from NewEngine builds the index from the graphs
+// (≈ 1.6 s at 10 000 videos), ranking exactly as the published shards do.
 type Engine struct {
 	graphs  map[string]*model.Graph
 	fetcher Fetcher
-	// shards are a crawled engine's encoded index shards and crawled its
-	// graphs in URL order, the doc order of the index searcher builds.
-	shards  *index.Sharder
-	crawled []*model.Graph
-	once    sync.Once
-	broker  *query.Broker
+	// shards are a crawled engine's encoded index shards (nil otherwise).
+	shards *index.Sharder
+	// ordered are the graphs in the doc order of the index searcher
+	// builds (URL order for a crawled engine), of which it indexes the
+	// first maxStates states each (0 = all).
+	ordered   []*model.Graph
+	maxStates int
+	once      sync.Once
+	broker    *query.Broker
 	// Metrics of the crawl that built this engine.
 	Metrics *CrawlMetrics
 	// PageRank of every crawled URL.
@@ -251,7 +254,7 @@ func BuildEngineFrom(ctx context.Context, cfg Config, pre *PrecrawlResult) (*Eng
 	sharder := index.NewSharder(pre.URLs, pre.PageRank, cfg.WorkDir)
 	metrics := &core.Metrics{}
 	graphs := make(map[string]*model.Graph)
-	var crawled []*model.Graph
+	var ordered []*model.Graph
 	var crawlErr error
 	for pr := range mp.Stream(crawlCtx) {
 		if crawlErr != nil {
@@ -266,7 +269,7 @@ func BuildEngineFrom(ctx context.Context, cfg Config, pre *PrecrawlResult) (*Eng
 		sharder.Add(ctx, pr.URL, pr.Graph)
 		if pr.Graph != nil {
 			graphs[pr.URL] = pr.Graph
-			crawled = append(crawled, pr.Graph)
+			ordered = append(ordered, pr.Graph)
 		}
 	}
 	if crawlErr != nil {
@@ -291,7 +294,7 @@ func BuildEngineFrom(ctx context.Context, cfg Config, pre *PrecrawlResult) (*Eng
 		graphs:   graphs,
 		fetcher:  cfg.Fetcher,
 		shards:   sharder,
-		crawled:  crawled,
+		ordered:  ordered,
 		broker:   &query.Broker{W: weights},
 		Metrics:  metrics,
 		PageRank: pre.PageRank,
@@ -299,44 +302,51 @@ func BuildEngineFrom(ctx context.Context, cfg Config, pre *PrecrawlResult) (*Eng
 	return eng, ctxErr
 }
 
-// NewEngineFromGraphs builds an engine directly from crawled application
-// models (single shard) — useful when the caller drives the crawler
-// itself.
-func NewEngineFromGraphs(f Fetcher, graphs []*model.Graph, pageRank map[string]float64) *Engine {
-	return NewEngineFromGraphsLimited(f, graphs, pageRank, 0)
+// NewEngine builds an engine directly from crawled application models —
+// useful when the caller drives the crawler itself. Only the first
+// maxStates states of each model are indexed (0 = all): the "Max. State
+// ID" knob the threshold and recall experiments sweep. The index is
+// built on the first search, in the order of graphs.
+func NewEngine(f Fetcher, graphs []*Graph, pageRank map[string]float64, maxStates int) *Engine {
+	byURL := make(map[string]*model.Graph, len(graphs))
+	for _, g := range graphs {
+		byURL[g.URL] = g
+	}
+	return &Engine{
+		graphs:    byURL,
+		fetcher:   f,
+		ordered:   graphs,
+		maxStates: maxStates,
+		broker:    &query.Broker{W: query.DefaultWeights},
+		PageRank:  pageRank,
+	}
 }
 
-// searcher returns the engine's broker, building a crawled engine's
-// index from its graphs the first time.
+// searcher returns the engine's broker, building its index from the
+// graphs the first time (an engine from LoadEngineSnapshot has one).
 func (e *Engine) searcher() *query.Broker {
 	e.once.Do(func() {
 		if e.broker.Index == nil {
-			e.broker.Index = index.Build(e.crawled, e.PageRank, 0)
+			e.broker.Index = index.Build(e.ordered, e.PageRank, e.maxStates)
 		}
 	})
 	return e.broker
 }
 
-// Search evaluates a conjunctive keyword query and returns ranked
-// (URL, state) results.
-func (e *Engine) Search(q string) []Result { return e.searcher().Search(q) }
-
-// SearchCtx is Search under a context: when the context carries
-// telemetry (obs.With), the evaluation is traced as a query.exec span
-// and its latency lands in the metrics registry.
-func (e *Engine) SearchCtx(ctx context.Context, q string) []Result {
-	return e.searcher().SearchTopKCtx(ctx, q, 0)
-}
-
-// SearchTopK returns at most k results, evaluated with the bounded-heap
-// top-k path (same results and order as TopKResults(Search(q), k)).
-func (e *Engine) SearchTopK(q string, k int) []Result {
-	return e.searcher().SearchTopK(q, k)
-}
-
-// SearchTopKCtx is SearchTopK under a context (see SearchCtx).
-func (e *Engine) SearchTopKCtx(ctx context.Context, q string, k int) []Result {
+// Search evaluates a conjunctive keyword query and returns the k best
+// ranked (URL, state) results in rank order, all of them when k <= 0;
+// the first k are the same whatever k, tie-breaking included. When ctx
+// carries telemetry (obs.With), the evaluation is traced as a query.exec
+// span and its latency lands in the metrics registry.
+func (e *Engine) Search(ctx context.Context, q string, k int) []Result {
 	return e.searcher().SearchTopKCtx(ctx, q, k)
+}
+
+// Snippet returns the KWIC excerpt of r's state text around the terms of
+// q, matches bracketed — the snippet ajaxserve's /search serves for r —
+// or "" when the index holds no text for r's state.
+func (e *Engine) Snippet(q string, r Result) string {
+	return query.Snippet(e.searcher().StateText(r.URL, int(r.State)), q, query.SnippetOptions{})
 }
 
 // SaveSnapshot persists the engine — every index shard, every
@@ -352,13 +362,13 @@ func (e *Engine) SearchTopKCtx(ctx context.Context, q string, k int) []Result {
 // one index and re-saves as one shard file, which serves the same bodies.
 func (e *Engine) SaveSnapshot(dir string) (*Manifest, error) {
 	if e.shards != nil {
-		return e.shards.Publish(dir, e.crawled)
+		return e.shards.Publish(dir, e.ordered)
 	}
 	graphs := make([]*model.Graph, 0, len(e.graphs))
 	for _, g := range e.graphs {
 		graphs = append(graphs, g)
 	}
-	return index.SaveSnapshot(dir, []*index.Index{e.broker.Index}, graphs)
+	return index.SaveSnapshot(dir, []*index.Index{e.searcher().Index}, graphs)
 }
 
 // LoadEngineSnapshot constructs an Engine from a snapshot directory
@@ -392,7 +402,7 @@ func (e *Engine) Graph(url string) *Graph { return e.graphs[url] }
 // NumStates returns the total number of indexed states.
 func (e *Engine) NumStates() int {
 	if e.shards == nil {
-		return e.broker.Index.TotalStates
+		return e.searcher().Index.TotalStates
 	}
 	n := 0
 	for _, s := range e.shards.Entries() {
@@ -454,38 +464,9 @@ func (s *SimSite) CommentPages(i int) int { return len(s.site.Video(i).Pages) }
 // popular queries first).
 func (s *SimSite) Queries() []string { return webapp.Queries() }
 
-// Unwrap exposes the underlying site for the experiment harness.
-func (s *SimSite) Unwrap() *webapp.Site { return s.site }
-
 // IsWatchURL reports whether a URL is a video watch page — the KeepURL
 // filter the examples use during precrawl.
 func IsWatchURL(u string) bool { return strings.Contains(u, "/watch?v=") }
-
-// TopKResults truncates a result list to its k best entries (results are
-// already sorted by Search).
-func TopKResults(rs []Result, k int) []Result {
-	if k <= 0 || k >= len(rs) {
-		return rs
-	}
-	return rs[:k]
-}
-
-// NewEngineFromGraphsLimited is NewEngineFromGraphs with a per-page state
-// limit: only the first maxStates states of each application model are
-// indexed (0 = all). This is the "Max. State ID" knob the threshold and
-// recall experiments sweep.
-func NewEngineFromGraphsLimited(f Fetcher, graphs []*model.Graph, pageRank map[string]float64, maxStates int) *Engine {
-	byURL := make(map[string]*model.Graph, len(graphs))
-	for _, g := range graphs {
-		byURL[g.URL] = g
-	}
-	return &Engine{
-		broker:   query.NewBroker(index.Build(graphs, pageRank, maxStates)),
-		graphs:   byURL,
-		fetcher:  f,
-		PageRank: pageRank,
-	}
-}
 
 // NewSimSiteWithForms generates a synthetic site whose watch pages carry
 // a Google-Suggest-style AJAX search box, for exercising the form-probing
@@ -494,17 +475,6 @@ func NewSimSiteWithForms(videos int, seed int64) *SimSite {
 	cfg := webapp.DefaultConfig(videos, seed)
 	cfg.WithSearchBox = true
 	return &SimSite{site: webapp.New(cfg)}
-}
-
-// ResultWithSnippet is a search hit with a highlighted excerpt of the
-// matching state's text.
-type ResultWithSnippet = query.ResultWithSnippet
-
-// SearchWithSnippets returns at most k results, each with a KWIC-style
-// snippet of the matching application state (query terms bracketed).
-func (e *Engine) SearchWithSnippets(q string, k int) []ResultWithSnippet {
-	b := e.searcher()
-	return query.AttachSnippets(b.SearchTopK(q, k), b.StateText, q, query.SnippetOptions{})
 }
 
 // NewsSite is the second synthetic AJAX application: a news site with
@@ -522,9 +492,6 @@ func NewNewsSite(articles int, seed int64) *NewsSite {
 
 // Handler returns the news site's HTTP interface.
 func (n *NewsSite) Handler() http.Handler { return n.site.Handler() }
-
-// NumArticles returns the number of articles.
-func (n *NewsSite) NumArticles() int { return n.site.NumArticles() }
 
 // ArticleURL returns the path of article i.
 func (n *NewsSite) ArticleURL(i int) string { return n.site.ArticleURL(i) }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,8 @@ import (
 
 	"ajaxcrawl/internal/core"
 	"ajaxcrawl/internal/fetch"
+	"ajaxcrawl/internal/query"
+	"ajaxcrawl/internal/serve"
 )
 
 // buildTestEngine crawls a small synthetic site through the full
@@ -130,7 +133,7 @@ func TestEngineSearchFindsAJAXOnlyContent(t *testing.T) {
 	_, eng := buildTestEngine(t, 40, 25)
 	// "wow" is the most-planted query phrase; with 25 pages crawled it
 	// should match somewhere, including states beyond the first.
-	rs := eng.Search("wow")
+	rs := eng.Search(context.Background(), "wow", 0)
 	if len(rs) == 0 {
 		t.Fatalf("no results for the most popular planted query")
 	}
@@ -154,7 +157,7 @@ func TestEngineSearchFindsAJAXOnlyContent(t *testing.T) {
 
 func TestEngineReconstruct(t *testing.T) {
 	_, eng := buildTestEngine(t, 40, 15)
-	rs := eng.Search("wow")
+	rs := eng.Search(context.Background(), "wow", 0)
 	if len(rs) == 0 {
 		t.Skip("no hits in this sample")
 	}
@@ -222,7 +225,7 @@ func TestBuildEngineCancelReturnsPartialEngine(t *testing.T) {
 	if eng.NumStates() == 0 {
 		t.Fatalf("partial engine has no indexed states")
 	}
-	if len(eng.Search("wow")) == 0 && len(eng.Search("video")) == 0 {
+	if len(eng.Search(context.Background(), "wow", 0)) == 0 && len(eng.Search(context.Background(), "video", 0)) == 0 {
 		t.Logf("partial engine returned no hits (small sample); index still intact")
 	}
 }
@@ -361,20 +364,33 @@ func TestBuildEngineValidation(t *testing.T) {
 	}
 }
 
-func TestNewEngineFromGraphs(t *testing.T) {
+func TestNewEngine(t *testing.T) {
 	site := NewSimSite(10, 7)
 	f := NewHandlerFetcher(site.Handler())
 	c := NewCrawler(f, CrawlOptions{UseHotNode: true, MaxStates: 3})
-	g, _, err := c.CrawlPage(context.Background(), site.VideoURL(0))
-	if err != nil {
-		t.Fatal(err)
+	var graphs []*Graph
+	states := 0
+	for i := 0; i < 4; i++ {
+		g, _, err := c.CrawlPage(context.Background(), site.VideoURL(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+		states += g.NumStates()
 	}
-	eng := NewEngineFromGraphs(f, []*Graph{g}, nil)
-	if eng.NumStates() != g.NumStates() {
-		t.Fatalf("states = %d, want %d", eng.NumStates(), g.NumStates())
+	if states <= len(graphs) {
+		t.Fatalf("%d states over %d pages: no page has a state past its first", states, len(graphs))
 	}
-	if eng.Graph(site.VideoURL(0)) != g {
+	eng := NewEngine(f, graphs, nil, 0)
+	if eng.NumStates() != states {
+		t.Fatalf("states = %d, want %d", eng.NumStates(), states)
+	}
+	if eng.Graph(site.VideoURL(0)) != graphs[0] {
 		t.Fatalf("Graph lookup failed")
+	}
+	// maxStates 1 indexes each page's first state: the traditional index.
+	if got := NewEngine(f, graphs, nil, 1).NumStates(); got != len(graphs) {
+		t.Fatalf("maxStates 1: states = %d, want one per page (%d)", got, len(graphs))
 	}
 }
 
@@ -414,15 +430,15 @@ func TestTraditionalVsAJAXRecall(t *testing.T) {
 			}
 			graphs = append(graphs, g)
 		}
-		return NewEngineFromGraphs(f, graphs, nil)
+		return NewEngine(f, graphs, nil, 0)
 	}
 	trad := crawl(CrawlOptions{Traditional: true})
 	ajax := crawl(CrawlOptions{UseHotNode: true})
 
 	tradTotal, ajaxTotal := 0, 0
 	for _, q := range site.Queries()[:10] {
-		tradTotal += len(trad.Search(q))
-		ajaxTotal += len(ajax.Search(q))
+		tradTotal += len(trad.Search(context.Background(), q, 0))
+		ajaxTotal += len(ajax.Search(context.Background(), q, 0))
 	}
 	if ajaxTotal <= tradTotal {
 		t.Fatalf("AJAX search must improve recall: trad=%d ajax=%d", tradTotal, ajaxTotal)
@@ -430,19 +446,53 @@ func TestTraditionalVsAJAXRecall(t *testing.T) {
 	t.Logf("recall gain: traditional %d hits, AJAX %d hits", tradTotal, ajaxTotal)
 }
 
-func TestSearchWithSnippets(t *testing.T) {
-	_, eng := buildTestEngine(t, 40, 20)
-	out := eng.SearchWithSnippets("wow", 5)
-	if len(out) == 0 {
-		t.Skip("no hits in this sample")
+// TestEngineAnswersWhatTheServerServes holds the façade to the serving
+// path over the site's 100 queries: an engine loaded from a published
+// snapshot ranks and snippets as query.Server (ajaxserve's /search) does
+// over the same directory, the crawled engine ranks as the loaded one,
+// and a top-k search is the first k of the full one.
+func TestEngineAnswersWhatTheServerServes(t *testing.T) {
+	site, eng := buildTestEngine(t, 40, 25)
+	dir := t.TempDir()
+	if _, err := eng.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range out {
-		if r.Snippet == "" {
-			t.Fatalf("missing snippet for %v", r.Result)
+	loaded, err := LoadEngineSnapshot(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := serve.LoadSnapshot(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := query.NewServer(snap, query.CacheOptions{})
+
+	ctx := context.Background()
+	const k = 10
+	hits, snippets := 0, 0
+	for _, q := range site.Queries() {
+		rs := loaded.Search(ctx, q, k)
+		got := make([]query.ResultWithSnippet, len(rs))
+		for i, r := range rs {
+			got[i] = query.ResultWithSnippet{Result: r, Snippet: loaded.Snippet(q, r)}
+			if got[i].Snippet != "" {
+				snippets++
+			}
 		}
-		if !strings.Contains(r.Snippet, "[wow]") {
-			t.Fatalf("snippet not highlighted: %q", r.Snippet)
+		if want, _, _ := srv.Search(ctx, q, k); !slices.Equal(got, want) {
+			t.Fatalf("%q: the loaded engine answers\n%v\nthe server answers\n%v", q, got, want)
 		}
+		if crawled := eng.Search(ctx, q, k); !slices.Equal(crawled, rs) {
+			t.Fatalf("%q: the crawled engine answers\n%v\nits snapshot answers\n%v", q, crawled, rs)
+		}
+		all := eng.Search(ctx, q, 0)
+		if top := all[:min(k, len(all))]; !slices.Equal(rs, top) {
+			t.Fatalf("%q: the top %d are\n%v\nthe first %d of every result are\n%v", q, k, rs, k, top)
+		}
+		hits += len(rs)
+	}
+	if hits == 0 || snippets == 0 {
+		t.Fatalf("%d results, %d snippets: the comparison is vacuous", hits, snippets)
 	}
 }
 
@@ -457,12 +507,5 @@ func TestFetcherConstructors(t *testing.T) {
 	// HTTP fetcher constructs (live fetch exercised in internal/fetch).
 	if NewHTTPFetcher(nil) == nil {
 		t.Fatalf("nil http fetcher")
-	}
-}
-
-func TestTopKResultsHelper(t *testing.T) {
-	rs := []Result{{Score: 3}, {Score: 2}, {Score: 1}}
-	if got := TopKResults(rs, 2); len(got) != 2 || got[0].Score != 3 {
-		t.Fatalf("TopKResults = %v", got)
 	}
 }

@@ -242,7 +242,7 @@ func ablateIDF(e *env) error {
 	queries := webapp.Queries()
 	globalDiff, localDiff, evaluated := 0, 0, 0
 	for _, q := range queries {
-		want := single.SearchTopK(q, 1)
+		want := single.SearchTopKCtx(e.ctx, q, 1)
 		if len(want) == 0 {
 			continue
 		}
@@ -255,7 +255,7 @@ func ablateIDF(e *env) error {
 		if len(m.Results) == 0 || !sameTop(m.Results[0].Result) {
 			globalDiff++
 		}
-		if local := localIDFTop(shards, q); len(local) == 0 || !sameTop(local[0]) {
+		if local := localIDFTop(e.ctx, shards, q); len(local) == 0 || !sameTop(local[0]) {
 			localDiff++
 		}
 	}
@@ -268,10 +268,10 @@ func ablateIDF(e *env) error {
 // localIDFTop is the ablated merge: every shard ranks alone, with its
 // own df and N instead of the global ones, and the best of the per-shard
 // tops wins (nil when no shard matches; the earlier shard wins a tie).
-func localIDFTop(shards []*index.Index, q string) []query.Result {
+func localIDFTop(ctx context.Context, shards []*index.Index, q string) []query.Result {
 	var top []query.Result
 	for _, shard := range shards {
-		rs := query.NewBroker(shard).SearchTopK(q, 1)
+		rs := query.NewBroker(shard).SearchTopKCtx(ctx, q, 1)
 		if len(rs) > 0 && (top == nil || rs[0].Score > top[0].Score) {
 			top = rs
 		}

@@ -50,7 +50,7 @@ func TestLocalIDFAblation(t *testing.T) {
 
 	diverged := false
 	for _, q := range []string{"rare", "word", "common"} {
-		want := single.SearchTopK(q, 1)
+		want := single.SearchTopKCtx(context.Background(), q, 1)
 		got, err := global.Search(context.Background(), q, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +58,7 @@ func TestLocalIDFAblation(t *testing.T) {
 		if len(want) != 1 || len(got.Results) != 1 || got.Results[0].Result != want[0] {
 			t.Fatalf("q=%q: global-idf fold top %+v, single index %+v", q, got.Results, want)
 		}
-		local := localIDFTop(shards, q)
+		local := localIDFTop(context.Background(), shards, q)
 		if len(local) != 1 {
 			t.Fatalf("q=%q: local-idf ablation found nothing", q)
 		}

@@ -35,7 +35,7 @@ func main() {
 			}
 			graphs = append(graphs, g)
 		}
-		return ajaxcrawl.NewEngineFromGraphs(fetcher, graphs, nil)
+		return ajaxcrawl.NewEngine(fetcher, graphs, nil, 0)
 	}
 
 	noForms := crawl(nil)
@@ -45,8 +45,8 @@ func main() {
 
 	// "american idol" appears in the suggestion list for prefix "am";
 	// only the probing crawler surfaces those suggestion states.
-	rs := withForms.Search("american idol")
-	rsPlain := noForms.Search("american idol")
+	rs := withForms.Search(ctx, "american idol", 0)
+	rsPlain := noForms.Search(ctx, "american idol", 0)
 	fmt.Printf("\nquery \"american idol\":\n")
 	fmt.Printf("  with probing:    %d hits (comments + suggestion states)\n", len(rs))
 	fmt.Printf("  without probing: %d hits (comment text only)\n", len(rsPlain))

@@ -35,12 +35,12 @@ func main() {
 	// Content behind "Read section" clicks is searchable.
 	found := 0
 	for _, q := range []string{"wow", "dance", "funny", "kiss", "music"} {
-		rs := eng.SearchWithSnippets(q, 1)
+		rs := eng.Search(ctx, q, 1)
 		if len(rs) == 0 {
 			continue
 		}
 		found++
-		fmt.Printf("\n%q -> %s (state %d)\n  %s\n", q, rs[0].URL, rs[0].State, rs[0].Snippet)
+		fmt.Printf("\n%q -> %s (state %d)\n  %s\n", q, rs[0].URL, rs[0].State, eng.Snippet(q, rs[0]))
 	}
 	if found == 0 {
 		log.Fatal("no hidden-section content found")

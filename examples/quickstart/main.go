@@ -39,7 +39,7 @@ func main() {
 	// Search. Results are (URL, state) pairs: the state names the exact
 	// comment page the terms occur on.
 	const q = "wow"
-	results := eng.SearchTopK(q, 5)
+	results := eng.Search(ctx, q, 5)
 	fmt.Printf("\ntop results for %q:\n", q)
 	for i, r := range results {
 		fmt.Printf("%d. %s  state=%d  score=%.3f\n", i+1, r.URL, r.State, r.Score)

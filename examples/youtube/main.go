@@ -32,7 +32,7 @@ func main() {
 			}
 			graphs = append(graphs, g)
 		}
-		return ajaxcrawl.NewEngineFromGraphs(fetcher, graphs, nil)
+		return ajaxcrawl.NewEngine(fetcher, graphs, nil, 0)
 	}
 	trad := crawl(ajaxcrawl.CrawlOptions{Traditional: true})
 	ajax := crawl(ajaxcrawl.CrawlOptions{UseHotNode: true})
@@ -45,7 +45,7 @@ func main() {
 	fmt.Printf("%-18s %12s %12s %10s\n", "query", "traditional", "AJAX", "gain")
 	tradTotal, ajaxTotal := 0, 0
 	for _, q := range site.Queries()[:11] {
-		t, a := len(trad.Search(q)), len(ajax.Search(q))
+		t, a := len(trad.Search(ctx, q, 0)), len(ajax.Search(ctx, q, 0))
 		tradTotal += t
 		ajaxTotal += a
 		gain := "-"
@@ -62,15 +62,15 @@ func main() {
 	// Show one concrete rescue: a query whose only hits are on later
 	// comment pages (state > 0) — invisible to traditional search.
 	for _, q := range site.Queries() {
-		if len(trad.Search(q)) != 0 {
+		if len(trad.Search(ctx, q, 0)) != 0 {
 			continue
 		}
-		rs := ajax.Search(q)
+		rs := ajax.Search(ctx, q, 3)
 		if len(rs) == 0 {
 			continue
 		}
 		fmt.Printf("\nfalse negative fixed: %q has no traditional hits, but AJAX search finds\n", q)
-		for _, r := range ajaxcrawl.TopKResults(rs, 3) {
+		for _, r := range rs {
 			fmt.Printf("  %s  on comment page %d\n", r.URL, r.State+1)
 		}
 		return

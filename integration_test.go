@@ -76,12 +76,12 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 	// the last bit of every score.
 	engines := map[string]*Engine{
 		"loaded":  loaded,
-		"rebuilt": NewEngineFromGraphs(nil, graphs, reloadedPre.PageRank),
+		"rebuilt": NewEngine(nil, graphs, reloadedPre.PageRank, 0),
 	}
 	for _, q := range webapp.Queries()[:20] {
-		want := live.Search(q)
+		want := live.Search(context.Background(), q, 0)
 		for name, eng := range engines {
-			got := eng.Search(q)
+			got := eng.Search(context.Background(), q, 0)
 			if len(got) != len(want) {
 				t.Fatalf("q=%q: %s returned %d results, live %d", q, name, len(got), len(want))
 			}
@@ -101,7 +101,7 @@ func TestReconstructAllResults(t *testing.T) {
 	_, eng := buildTestEngine(t, 30, 12)
 	checked := 0
 	for _, q := range []string{"wow", "funny", "kiss"} {
-		for _, r := range eng.SearchTopK(q, 3) {
+		for _, r := range eng.Search(context.Background(), q, 3) {
 			html, err := eng.Reconstruct(context.Background(), r)
 			if err != nil {
 				t.Fatalf("reconstruct %v: %v", r, err)
@@ -144,7 +144,7 @@ func TestEngineDeterminism(t *testing.T) {
 		t.Fatalf("state counts differ: %d vs %d", a.NumStates(), b.NumStates())
 	}
 	for _, q := range []string{"wow", "dance", "music love"} {
-		ra, rb := a.Search(q), b.Search(q)
+		ra, rb := a.Search(context.Background(), q, 0), b.Search(context.Background(), q, 0)
 		if len(ra) != len(rb) {
 			t.Fatalf("q=%q: result counts differ", q)
 		}
@@ -196,7 +196,7 @@ func TestServeGoldenEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range queries {
-			live, fromSnap := eng.SearchTopK(q, 10), reloaded.SearchTopK(q, 10)
+			live, fromSnap := eng.Search(context.Background(), q, 10), reloaded.Search(context.Background(), q, 10)
 			if len(live) != len(fromSnap) {
 				t.Fatalf("q=%q: snapshot engine %d results, live %d", q, len(fromSnap), len(live))
 			}

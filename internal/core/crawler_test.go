@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"maps"
 	"runtime"
 	"slices"
 	"strconv"
@@ -323,8 +322,18 @@ func TestHotNodeDetectsFunction(t *testing.T) {
 	}
 }
 
-// hotNodes returns the sorted names of the hot-node functions c detected.
-func hotNodes(c *HotNodeCache) []string { return slices.Sorted(maps.Keys(c.hotNodes)) }
+// hotNodes returns the sorted names of the hot-node functions c detected:
+// the function name each cache key starts with (js.Frame.Key is
+// "name(args)").
+func hotNodes(c *HotNodeCache) []string {
+	var names []string
+	for key := range c.entries {
+		name, _, _ := strings.Cut(key, "(")
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return slices.Compact(names)
+}
 
 func TestTransitionAnnotations(t *testing.T) {
 	site, f := newSiteFetcher(30, 2)

@@ -15,7 +15,8 @@ import (
 // the thesis (§4.4.1) — and uses "name(arg1,arg2,...)" as the cache key:
 //
 //   - miss: the request goes to the network; the response is stored
-//     under the key and the function is recorded as a hot node;
+//     under the key, whose function is thereby a hot node (the hotNodes
+//     set of Alg. 4.2.1 line 37 is the keys' function names);
 //   - hit: the stored response is returned and no network call happens.
 //
 // Because different events (next from page 1, jump to page 2, prev from
@@ -23,9 +24,6 @@ import (
 // cache collapses them into a single server call (Table 4.3's example).
 type HotNodeCache struct {
 	entries map[string]string
-	// hotNodes records the names of functions observed to perform AJAX
-	// calls (the hotNodes set of Alg. 4.2.1 line 37).
-	hotNodes map[string]bool
 
 	// Hits and Misses count cache outcomes across all sends.
 	Hits   int
@@ -34,10 +32,7 @@ type HotNodeCache struct {
 
 // NewHotNodeCache returns an empty cache.
 func NewHotNodeCache() *HotNodeCache {
-	return &HotNodeCache{
-		entries:  make(map[string]string),
-		hotNodes: make(map[string]bool),
-	}
+	return &HotNodeCache{entries: make(map[string]string)}
 }
 
 // Hook returns the browser.XHRHook wiring this cache into a page.
@@ -49,11 +44,11 @@ func (c *HotNodeCache) Len() int { return len(c.entries) }
 // key computes the hot-call identity for the current interpreter state.
 // It falls back to the request URL when no user frame is executing (e.g.
 // an XHR issued from top-level script code).
-func (c *HotNodeCache) key(p *browser.Page, req *browser.XHRRequest) (cacheKey, funcName string) {
+func (c *HotNodeCache) key(p *browser.Page, req *browser.XHRRequest) string {
 	if f := p.Interp.TopUserFrame(); f != nil {
-		return f.Key(), f.FuncName
+		return f.Key()
 	}
-	return "<toplevel>(" + req.URL + ")", "<toplevel>"
+	return "<toplevel>(" + req.URL + ")"
 }
 
 type hotNodeHook struct {
@@ -65,7 +60,7 @@ type hotNodeHook struct {
 func (h *hotNodeHook) BeforeSend(p *browser.Page, req *browser.XHRRequest) (string, bool) {
 	ctx := p.Context()
 	tel := obs.From(ctx)
-	key, _ := h.cache.key(p, req)
+	key := h.cache.key(p, req)
 	if body, ok := h.cache.entries[key]; ok {
 		h.cache.Hits++
 		tel.Counter("crawl.hotnode.hits").Inc()
@@ -78,10 +73,7 @@ func (h *hotNodeHook) BeforeSend(p *browser.Page, req *browser.XHRRequest) (stri
 	return "", false
 }
 
-// AfterSend records the fresh response under the hot-call key and tags
-// the executing function as a hot node.
+// AfterSend records the fresh response under the hot-call key.
 func (h *hotNodeHook) AfterSend(p *browser.Page, req *browser.XHRRequest, body string) {
-	key, fn := h.cache.key(p, req)
-	h.cache.entries[key] = body
-	h.cache.hotNodes[fn] = true
+	h.cache.entries[h.cache.key(p, req)] = body
 }

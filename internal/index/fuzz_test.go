@@ -228,7 +228,7 @@ func FuzzIndexLoad(f *testing.F) {
 			return // error is the correct outcome for corrupt input
 		}
 		// Decoded OK: the invariants the query layer relies on must hold,
-		// or SearchTopK would index out of range (or score NaN) at serve
+		// or SearchTopKCtx would index out of range (or score NaN) at serve
 		// time.
 		requireQueryable(t, ix)
 	})

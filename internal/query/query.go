@@ -252,19 +252,14 @@ func (b *Broker) stream(terms []string, sel *selector) (slots []ShardCandidate, 
 
 // Search evaluates the query and returns every result in rank order.
 func (b *Broker) Search(q string) []Result {
-	return b.SearchTopK(q, 0)
+	return b.SearchTopKCtx(context.Background(), q, 0)
 }
 
-// SearchTopK returns the k best results in rank order (all of them when
-// k <= 0): exactly the first k of Search, tie-breaking included, without
-// sorting the rest.
-func (b *Broker) SearchTopK(q string, k int) []Result {
-	return b.SearchTopKCtx(context.Background(), q, k)
-}
-
-// SearchTopKCtx is SearchTopK under a context: when the context carries
-// telemetry, the evaluation is wrapped in a query.exec span and its
-// latency lands in the registry.
+// SearchTopKCtx returns the k best results in rank order (all of them
+// when k <= 0): exactly the first k of Search, tie-breaking included,
+// without sorting the rest. When the context carries telemetry, the
+// evaluation is wrapped in a query.exec span and its latency lands in
+// the registry.
 func (b *Broker) SearchTopKCtx(ctx context.Context, q string, k int) []Result {
 	return b.search(ctx, q, Parse(q), k)
 }

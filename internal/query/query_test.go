@@ -446,7 +446,7 @@ func TestSearchTopKMatchesSortedSearch(t *testing.T) {
 		full := b.Search(q)
 		for _, k := range []int{1, 2, 5, 10, 100} {
 			want := topK(full, k)
-			got := b.SearchTopK(q, k)
+			got := b.SearchTopKCtx(context.Background(), q, k)
 			if len(got) != len(want) {
 				t.Fatalf("q=%q k=%d: %d results, want %d", q, k, len(got), len(want))
 			}
@@ -458,10 +458,10 @@ func TestSearchTopKMatchesSortedSearch(t *testing.T) {
 		}
 	}
 	// k <= 0 degrades to the full search.
-	if got := b.SearchTopK("target", 0); len(got) != len(b.Search("target")) {
+	if got := b.SearchTopKCtx(context.Background(), "target", 0); len(got) != len(b.Search("target")) {
 		t.Fatalf("k=0 should return everything")
 	}
-	if got := b.SearchTopK("", 3); got != nil {
+	if got := b.SearchTopKCtx(context.Background(), "", 3); got != nil {
 		t.Fatalf("empty query should be nil")
 	}
 }

@@ -171,18 +171,18 @@ func TestFirstSearchBuildsTheIndex(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			firsts[i] = eng.SearchTopK(q0, 10)
+			firsts[i] = eng.Search(context.Background(), q0, 10)
 		}()
 	}
 	wg.Wait()
 	for _, got := range firsts {
-		if want := loaded.SearchTopK(q0, 10); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		if want := loaded.Search(context.Background(), q0, 10); len(want) == 0 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q: a concurrent first search answers\n%v\nthe snapshot answers\n%v", q0, got, want)
 		}
 	}
 	hits := 0
 	for _, q := range site.Queries() {
-		got, want := eng.SearchTopK(q, 10), loaded.SearchTopK(q, 10)
+		got, want := eng.Search(context.Background(), q, 10), loaded.Search(context.Background(), q, 10)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q: the engine answers\n%v\nits snapshot answers\n%v", q, got, want)
 		}

@@ -45,7 +45,7 @@ func TestSnapshotLayoutGolden(t *testing.T) {
 			fmt.Fprintf(&got, "shard %d docs=%d states=%d postings=%d terms=%d\n", i, s.Docs, s.States, s.Postings, s.Terms)
 		}
 		for _, q := range site.Queries() {
-			for rank, r := range eng.SearchTopK(q, 10) {
+			for rank, r := range eng.Search(context.Background(), q, 10) {
 				fmt.Fprintf(&got, "%q %d %s %d %.12g\n", q, rank+1, r.URL, r.State, r.Score)
 			}
 		}

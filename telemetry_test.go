@@ -36,7 +36,7 @@ func TestPipelineTraceCoversEveryUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := eng.SearchCtx(ctx, site.VideoTitle(0))
+	results := eng.Search(ctx, site.VideoTitle(0), 0)
 	if len(results) == 0 {
 		t.Fatalf("no results for %q", site.VideoTitle(0))
 	}
