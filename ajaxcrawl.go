@@ -245,24 +245,16 @@ func BuildEngineFrom(ctx context.Context, cfg Config, pre *PrecrawlResult) (*Eng
 		ProcLines:  cfg.lines(),
 		URLs:       pre.URLs,
 	}
-	// The first page error fails the build: it cancels crawlCtx, so no
-	// line takes another page, and the rest of the stream is drained
-	// unread (every line has let go of the checkpoint journal when this
-	// returns).
-	crawlCtx, stop := context.WithCancel(ctx)
-	defer stop()
 	sharder := index.NewSharder(pre.URLs, pre.PageRank, cfg.WorkDir)
 	metrics := &core.Metrics{}
 	graphs := make(map[string]*model.Graph)
 	var ordered []*model.Graph
 	var crawlErr error
-	for pr := range mp.Stream(crawlCtx) {
-		if crawlErr != nil {
-			continue
-		}
+	for pr := range mp.Stream(ctx) {
 		if pr.Err != nil {
+			// The failing page is the stream's last, and the stream
+			// closes once every line has let go of the checkpoint journal.
 			crawlErr = fmt.Errorf("ajaxcrawl: crawl %s: %w", pr.URL, pr.Err)
-			stop()
 			continue
 		}
 		metrics.Merge(pr.Metrics)

@@ -51,11 +51,11 @@ func benchGraphs(b *testing.B, opts core.Options) []*model.Graph {
 	b.Helper()
 	s := benchSite()
 	c := core.New(NewHandlerFetcher(s.Handler()), opts)
-	graphs, _, err := c.CrawlAll(context.Background(), benchURLs(s, benchVideos))
-	if err != nil {
-		b.Fatal(err)
+	res := (&core.MPCrawler{NewCrawler: func() *core.Crawler { return c }, ProcLines: 1, URLs: benchURLs(s, benchVideos)}).Run(context.Background())
+	if res.Err != nil {
+		b.Fatal(res.Err)
 	}
-	return graphs
+	return res.Graphs
 }
 
 // BenchmarkTable71DatasetCrawl measures the full AJAX crawl that gathers
@@ -68,8 +68,8 @@ func BenchmarkTable71DatasetCrawl(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := core.New(f, core.Options{UseHotNode: true})
-		if _, m, err := c.CrawlAll(context.Background(), urls); err != nil || m.States == 0 {
-			b.Fatalf("crawl failed: %v", err)
+		if res := (&core.MPCrawler{NewCrawler: func() *core.Crawler { return c }, ProcLines: 1, URLs: urls}).Run(context.Background()); res.Err != nil || res.Metrics.States == 0 {
+			b.Fatalf("crawl failed: %v", res.Err)
 		}
 	}
 }
@@ -181,11 +181,11 @@ func benchHotNode(b *testing.B, on bool) {
 	var calls int
 	for i := 0; i < b.N; i++ {
 		c := core.New(f, core.Options{UseHotNode: on})
-		_, m, err := c.CrawlAll(context.Background(), urls)
-		if err != nil {
-			b.Fatal(err)
+		res := (&core.MPCrawler{NewCrawler: func() *core.Crawler { return c }, ProcLines: 1, URLs: urls}).Run(context.Background())
+		if res.Err != nil {
+			b.Fatal(res.Err)
 		}
-		calls = m.NetworkCalls
+		calls = res.Metrics.NetworkCalls
 	}
 	b.ReportMetric(float64(calls), "net_calls")
 }

@@ -295,14 +295,19 @@ func ablateNearDup(e *env) error {
 	}
 
 	run := func(threshold float64) (*core.Metrics, int) {
-		c := core.New(f, core.Options{UseHotNode: true, NearDupThreshold: threshold})
-		graphs, m, err := c.CrawlAll(e.ctx, urls)
-		if err != nil {
+		res := (&core.MPCrawler{
+			NewCrawler: func() *core.Crawler {
+				return core.New(f, core.Options{UseHotNode: true, NearDupThreshold: threshold})
+			},
+			ProcLines: 1,
+			URLs:      urls,
+		}).Run(e.ctx)
+		if res.Err != nil {
 			return nil, 0
 		}
 		// Count distinct comment pages reached across the corpus.
 		pages := 0
-		for _, g := range graphs {
+		for _, g := range res.Graphs {
 			seen := map[int]bool{}
 			for _, s := range g.States {
 				for p := 1; p <= 11; p++ {
@@ -313,7 +318,7 @@ func ablateNearDup(e *env) error {
 			}
 			pages += len(seen)
 		}
-		return m, pages
+		return res.Metrics, pages
 	}
 	mOff, pagesOff := run(0)
 	mOn, pagesOn := run(0.9)

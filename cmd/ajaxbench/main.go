@@ -269,12 +269,15 @@ func (e *env) crawl(n int, opts core.Options) (*core.Metrics, []*model.Graph, er
 	if opts.NearDupThreshold == 0 && e.nearDup > 0 {
 		opts.NearDupThreshold = e.nearDup
 	}
-	c := core.New(inst, opts)
-	graphs, m, err := c.CrawlAll(e.ctx, e.urls(n))
-	if err != nil {
-		return nil, nil, err
+	res := (&core.MPCrawler{
+		NewCrawler: func() *core.Crawler { return core.New(inst, opts) },
+		ProcLines:  1,
+		URLs:       e.urls(n),
+	}).Run(e.ctx)
+	if res.Err != nil {
+		return nil, nil, res.Err
 	}
-	return m, graphs, nil
+	return res.Metrics, res.Graphs, nil
 }
 
 // scaledPrefixes maps the paper's video-count series onto the configured

@@ -31,14 +31,16 @@ func expNearDup(e *env) error {
 	// wall time then reflects admission work.
 	for _, threshold := range []float64{0, 0.9} {
 		start := time.Now()
-		_, m, err := core.New(f, core.Options{
-			UseHotNode:       true,
-			MaxStates:        11,
-			NearDupThreshold: threshold,
-		}).CrawlAll(e.ctx, urls)
-		if err != nil {
-			return err
+		opts := core.Options{UseHotNode: true, MaxStates: 11, NearDupThreshold: threshold}
+		res := (&core.MPCrawler{
+			NewCrawler: func() *core.Crawler { return core.New(f, opts) },
+			ProcLines:  1,
+			URLs:       urls,
+		}).Run(e.ctx)
+		if res.Err != nil {
+			return res.Err
 		}
+		m := res.Metrics
 		name := "exact hash only"
 		if threshold > 0 {
 			name = fmt.Sprintf("minhash scan @%.1f", threshold)

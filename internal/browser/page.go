@@ -39,7 +39,7 @@ type XHRRequest struct {
 
 // XHRHook intercepts XMLHttpRequest traffic. BeforeSend may serve the
 // request from a cache (returning intercepted = true skips the network);
-// AfterSend observes responses that did hit the network.
+// AfterSend observes responses that did hit the network and answered 200.
 type XHRHook interface {
 	BeforeSend(p *Page, req *XHRRequest) (body string, intercepted bool)
 	AfterSend(p *Page, req *XHRRequest, body string)

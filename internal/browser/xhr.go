@@ -84,7 +84,7 @@ func (st *xhrState) HostSet(name string, v js.Value) bool {
 
 // send performs the request. This is where the hot-node interception
 // point sits: the crawler's XHRHook can answer from its cache (no
-// network), or observe the fresh response to populate the cache.
+// network), or observe a fresh 200 response to populate the cache.
 //
 // The crawl is synchronous: even async requests complete before send
 // returns, then onreadystatechange fires once with readyState 4 — the
@@ -119,7 +119,8 @@ func (st *xhrState) send(it *js.Interp) error {
 		}
 		st.responseText = string(resp.Body)
 		st.status = float64(resp.Status)
-		if p.XHR != nil {
+		if p.XHR != nil && resp.Status == 200 {
+			// A hit replays status 200, so only a 200 body may be kept.
 			p.XHR.AfterSend(p, req, st.responseText)
 		}
 	}

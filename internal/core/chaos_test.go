@@ -50,7 +50,7 @@ func TestChaosCrawlMatchesFaultFreeBaseline(t *testing.T) {
 	baseClock := &fetch.VirtualClock{}
 	baseFetcher := fetch.NewInstrumented(
 		&fetch.HandlerFetcher{Handler: site.Handler()}, baseClock, 10*time.Millisecond, time.Millisecond)
-	baseGraphs, baseMetrics, err := New(baseFetcher, Options{UseHotNode: true, Clock: baseClock}).CrawlAll(ctx, urls)
+	baseGraphs, baseMetrics, err := crawlSerial(ctx, New(baseFetcher, Options{UseHotNode: true, Clock: baseClock}), urls)
 	if err != nil {
 		t.Fatalf("baseline crawl: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestChaosCrawlMatchesFaultFreeBaseline(t *testing.T) {
 		Clock:       clock,
 		RetryPolicy: &fetch.RetryPolicy{MaxAttempts: 5, BaseDelay: 50 * time.Millisecond},
 	}
-	graphs, metrics, err := New(fetcher, opts).CrawlAll(ctx, urls)
+	graphs, metrics, err := crawlSerial(ctx, New(fetcher, opts), urls)
 	if err != nil {
 		t.Fatalf("chaos crawl: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestChaosCrawlMatchesFaultFreeBaseline(t *testing.T) {
 		RetryPolicy: &fetch.RetryPolicy{MaxAttempts: 5, BaseDelay: 50 * time.Millisecond},
 		Checkpoint:  cp,
 	}
-	ckGraphs, ckMetrics, err := New(ckFetcher, ckOpts).CrawlAll(ctx, urls)
+	ckGraphs, ckMetrics, err := crawlSerial(ctx, New(ckFetcher, ckOpts), urls)
 	if err != nil {
 		t.Fatalf("checkpointed chaos crawl: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestChaosCrawlMatchesFaultFreeBaseline(t *testing.T) {
 		t.Error("resume of a complete journal hit the network")
 		return nil, fmt.Errorf("no network in resume")
 	})
-	resGraphs, resMetrics, err := New(dead, Options{UseHotNode: true, Checkpoint: cp2}).CrawlAll(ctx, urls)
+	resGraphs, resMetrics, err := crawlSerial(ctx, New(dead, Options{UseHotNode: true, Checkpoint: cp2}), urls)
 	if err != nil {
 		t.Fatalf("resume crawl: %v", err)
 	}

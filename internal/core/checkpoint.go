@@ -17,10 +17,10 @@ import (
 
 // Checkpoint is a crawl's durable progress: one append-only journal in
 // the checkpoint root, shared by every process line. With
-// Options.Checkpoint set, CrawlAll journals every completed page into it
-// and consults it before crawling, so a crawl resumed after a crash
-// skips already-completed pages — whichever line takes them — and
-// converges to the same state set as an uninterrupted run. The URL list
+// Options.Checkpoint set, every process line journals each page it
+// completes into it and consults it before crawling, so a crawl resumed
+// after a crash skips already-completed pages — whichever line takes
+// them — and converges to the same state set as an uninterrupted run. The URL list
 // itself is the precrawl's (precrawl.gob), not the journal's.
 //
 // Open one with OpenCheckpoint before the crawl starts, place it in the

@@ -32,7 +32,7 @@ func TestResumeMatchesUninterruptedCrawl(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{UseHotNode: true, MaxStates: 4}
 
-	baseGraphs, baseMetrics, err := New(&fetch.HandlerFetcher{Handler: site.Handler()}, opts).CrawlAll(ctx, urls)
+	baseGraphs, baseMetrics, err := crawlSerial(ctx, New(&fetch.HandlerFetcher{Handler: site.Handler()}, opts), urls)
 	if err != nil {
 		t.Fatalf("baseline crawl: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestResumeMatchesUninterruptedCrawl(t *testing.T) {
 
 			// Interrupted run: the OnPage hook scripts the "crash" by
 			// canceling the context the moment page k completes. The page
-			// is journaled before the cancellation is observed (CrawlAll
+			// is journaled before the cancellation is observed (the line
 			// checks the context between pages), so the journal holds
 			// exactly k pages.
 			cp, err := OpenCheckpoint(ctx, dir, false)
@@ -72,7 +72,7 @@ func TestResumeMatchesUninterruptedCrawl(t *testing.T) {
 					cancel()
 				}
 			}
-			graphs1, m1, err := New(counting, o).CrawlAll(runCtx, urls)
+			graphs1, m1, err := crawlSerial(runCtx, New(counting, o), urls)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted crawl returned %v, want context.Canceled", err)
 			}
@@ -97,7 +97,7 @@ func TestResumeMatchesUninterruptedCrawl(t *testing.T) {
 			defer cp2.Close()
 			o2 := opts
 			o2.Checkpoint = cp2
-			graphs2, m2, err := New(counting, o2).CrawlAll(ctx, urls)
+			graphs2, m2, err := crawlSerial(ctx, New(counting, o2), urls)
 			if err != nil {
 				t.Fatalf("resumed crawl: %v", err)
 			}
@@ -243,53 +243,77 @@ func TestMPCrawlerResumeConvergence(t *testing.T) {
 	requireSameStateSets(t, base, stateSets(res.Graphs))
 }
 
-// TestPartitionPanicRecovered pins the panic boundary: a crawler panic
-// mid-page becomes that page's error, never a crashed process line. The
-// line rebuilds its crawler and crawls its next page.
+// TestPartitionPanicRecovered pins the crawl's one failure rule: a
+// crawler panic mid-page is recovered at the page boundary and becomes
+// that page's error, never a crashed process line, and it — like a page
+// error under FailFast — ends the crawl. No line takes another page, no
+// page after the failing one is returned, and no line rebuilds its
+// crawler.
 func TestPartitionPanicRecovered(t *testing.T) {
-	site, _ := newSiteFetcher(6, 11)
+	site, _ := newSiteFetcher(8, 11)
 	var urls []string
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
 	}
-	target := urls[1]
+	const fail = 1 // the failing page's position
 	inner := &fetch.HandlerFetcher{Handler: site.Handler()}
-	var once atomic.Bool
-	panicOnce := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
-		if rawurl == target && once.CompareAndSwap(false, true) {
+	panicking := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
+		if rawurl == urls[fail] {
 			panic("hostile page blew up the crawler")
 		}
 		return inner.Fetch(ctx, rawurl)
 	})
-
-	// One line, so the pages after the target run on the rebuilt crawler.
-	reg := obs.NewRegistry()
-	ctx := obs.With(context.Background(), obs.New(reg, nil))
-	var builds atomic.Int32
-	mp := &MPCrawler{
-		NewCrawler: func() *Crawler {
-			builds.Add(1)
-			return New(panicOnce, Options{MaxStates: 2})
-		},
-		ProcLines: 1,
-		URLs:      urls,
-	}
-	res := mp.Run(ctx)
-	if res.Err == nil || !strings.Contains(res.Err.Error(), "panic") || !strings.Contains(res.Err.Error(), target) {
-		t.Fatalf("Err = %v, want the target page's recovered panic", res.Err)
-	}
-	if n := builds.Load(); n != 2 {
-		t.Errorf("NewCrawler ran %d times, want 2 (the line's crawler and its rebuild)", n)
-	}
-	var got []string
-	for _, g := range res.Graphs {
-		got = append(got, g.URL)
-	}
-	if want := []string{urls[0], urls[2], urls[3]}; !slices.Equal(got, want) {
-		t.Errorf("crawled %v, want %v: the line's pages after the panic must crawl", got, want)
-	}
-	if n := reg.Snapshot().Counters["crawl.line.panics"]; n != 1 {
-		t.Errorf("crawl.line.panics = %d, want 1", n)
+	failing := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
+		if rawurl == urls[fail] {
+			return nil, errors.New("connection reset")
+		}
+		return inner.Fetch(ctx, rawurl)
+	})
+	for _, tc := range []struct {
+		name   string
+		f      fetch.Fetcher
+		policy ErrorPolicy
+		want   string // in Err besides the URL
+		panics int64
+	}{
+		{"panic", panicking, SkipAndCount, "panic", 1},
+		{"failfast", failing, FailFast, "connection reset", 0},
+	} {
+		for _, lines := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/lines=%d", tc.name, lines), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				ctx := obs.With(context.Background(), obs.New(reg, nil))
+				var builds atomic.Int32
+				mp := &MPCrawler{
+					NewCrawler: func() *Crawler {
+						builds.Add(1)
+						return New(tc.f, Options{MaxStates: 2, OnError: tc.policy})
+					},
+					ProcLines: lines,
+					URLs:      urls,
+				}
+				res := mp.Run(ctx)
+				if res.Err == nil || !strings.Contains(res.Err.Error(), urls[fail]) || !strings.Contains(res.Err.Error(), tc.want) {
+					t.Fatalf("Err = %v, want the failing page %s's %q", res.Err, urls[fail], tc.want)
+				}
+				var got []string
+				for _, g := range res.Graphs {
+					if slices.Index(urls, g.URL) > fail {
+						t.Errorf("crawl returned %s, a page after the failing one", g.URL)
+					}
+					got = append(got, g.URL)
+				}
+				if want := urls[:fail]; lines == 1 && !slices.Equal(got, want) {
+					t.Errorf("crawled %v, want exactly %v", got, want)
+				}
+				if n := builds.Load(); n != int32(lines) {
+					t.Errorf("NewCrawler ran %d times, want once per line (%d)", n, lines)
+				}
+				if n := reg.Snapshot().Counters["crawl.line.panics"]; n != tc.panics {
+					t.Errorf("crawl.line.panics = %d, want %d", n, tc.panics)
+				}
+			})
+		}
 	}
 }
 

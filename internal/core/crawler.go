@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -28,7 +27,8 @@ import (
 	"ajaxcrawl/internal/shingle"
 )
 
-// ErrorPolicy decides what CrawlAll does when one page's crawl fails.
+// ErrorPolicy decides what a crawl (MPCrawler) does when one page's
+// crawl fails.
 type ErrorPolicy int
 
 const (
@@ -36,8 +36,8 @@ const (
 	// Metrics.PagesFailed, and continues with the next URL — one bad
 	// page cannot sink a crawl.
 	SkipAndCount ErrorPolicy = iota
-	// FailFast aborts the multi-page crawl on the first page error,
-	// returning the graphs crawled so far alongside the error.
+	// FailFast makes a page's failure that page's error, which ends the
+	// crawl: the pages emitted before it keep their graphs.
 	FailFast
 )
 
@@ -76,7 +76,7 @@ type Options struct {
 	// (network or script) is cut off without aborting the crawl.
 	// 0 means no per-page deadline.
 	PageTimeout time.Duration
-	// OnError selects how CrawlAll treats a failed page. The zero
+	// OnError selects how a crawl treats a failed page. The zero
 	// value is SkipAndCount.
 	OnError ErrorPolicy
 	// JSStepBudget caps interpreter steps per event handler (0 = the
@@ -90,16 +90,16 @@ type Options struct {
 	// backoff + full jitter instead of failing the page. Backoff sleeps
 	// run on Clock, so virtual-clock crawls retry for free.
 	RetryPolicy *fetch.RetryPolicy
-	// Checkpoint, when non-nil, makes the crawl crash-tolerant: CrawlAll
-	// journals every completed page into it and skips pages it already
-	// holds (counting them in Metrics.PagesResumed instead of
-	// re-crawling). A checkpoint write failure fails the crawl — a page
+	// Checkpoint, when non-nil, makes the crawl crash-tolerant: the
+	// process lines journal every completed page into it and skip pages
+	// it already holds (counting them in Metrics.PagesResumed instead of
+	// re-crawling). A checkpoint write failure ends the crawl — a page
 	// must never be reported crawled without being durably journaled.
 	Checkpoint *Checkpoint
-	// OnPage, when non-nil, is invoked after every page attempt in
-	// CrawlAll — crawled, failed-and-skipped, or resumed from the
-	// checkpoint — with that page's metrics. Tests use it to script
-	// mid-crawl cancellation points.
+	// OnPage, when non-nil, is invoked after every page attempt of a
+	// process line — crawled, failed, or resumed from the checkpoint —
+	// with that page's metrics. Tests use it to script mid-crawl
+	// cancellation points.
 	OnPage func(pm PageMetrics)
 }
 
@@ -483,74 +483,6 @@ func (c *Crawler) crawlDynamic(ctx context.Context, page *browser.Page, graph *m
 func ctxAbort(ctx context.Context, err error) bool {
 	return ctx.Err() != nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-}
-
-// CrawlAll crawls a list of URLs sequentially, returning the graphs and
-// aggregate metrics. Under the default SkipAndCount policy, pages whose
-// crawl fails are skipped and counted in Metrics.PagesFailed; with
-// FailFast the first page error aborts the run. Either way the graphs
-// crawled so far are returned. Cancellation of ctx always stops the run
-// promptly — within one page budget — with the partial graphs intact.
-//
-// With Options.Checkpoint set, each completed page is durably journaled
-// before the next one starts, and pages the journal already holds are
-// served from it (folded into the result with their journaled metrics,
-// counted in Metrics.PagesResumed) instead of being re-crawled — the
-// resume half of the crash-tolerance contract.
-func (c *Crawler) CrawlAll(ctx context.Context, urls []string) ([]*model.Graph, *Metrics, error) {
-	var graphs []*model.Graph
-	metrics := &Metrics{}
-	tel := obs.From(ctx)
-	cp := c.Opts.Checkpoint
-	for _, u := range urls {
-		if err := ctx.Err(); err != nil {
-			return graphs, metrics, err
-		}
-		if cp != nil {
-			if g, pm, ok := cp.Completed(u); ok {
-				graphs = append(graphs, g)
-				metrics.Add(pm)
-				metrics.PagesResumed++
-				tel.Counter("crawl.partition.resumed_pages").Inc()
-				if c.Opts.OnPage != nil {
-					c.Opts.OnPage(pm)
-				}
-				continue
-			}
-		}
-		g, pm, err := c.CrawlPage(ctx, u)
-		tel.Counter("crawl.pages").Inc()
-		if c.Opts.OnPage != nil {
-			c.Opts.OnPage(pm)
-		}
-		if err != nil {
-			// The caller's context ending is never a page failure: stop
-			// and hand back what is already crawled. A page that blew
-			// only its own PageTimeout falls through to the policy.
-			if ctx.Err() != nil {
-				return graphs, metrics, ctx.Err()
-			}
-			if c.Opts.OnError == FailFast {
-				return graphs, metrics, fmt.Errorf("core: crawl %s: %w", u, err)
-			}
-			metrics.PagesFailed++
-			tel.Counter("crawl.pages.failed").Inc()
-			continue
-		}
-		graphs = append(graphs, g)
-		metrics.Add(pm)
-		if cp != nil {
-			// Journal before moving on: once the next page starts, this
-			// one must already be durable. A write failure here is a
-			// broken journal, not a broken page — fail the crawl so the
-			// operator never resumes from a journal missing pages the
-			// run reported crawled.
-			if jerr := cp.PageDone(u, g, pm); jerr != nil {
-				return graphs, metrics, fmt.Errorf("core: checkpoint %s: %w", u, jerr)
-			}
-		}
-	}
-	return graphs, metrics, nil
 }
 
 // stateAdmitter decides whether a crawled DOM is a genuinely new state:

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"runtime"
 	"slices"
 	"strconv"
@@ -22,6 +24,13 @@ import (
 func newSiteFetcher(videos int, seed int64) (*webapp.Site, fetch.Fetcher) {
 	site := webapp.New(webapp.DefaultConfig(videos, seed))
 	return site, &fetch.HandlerFetcher{Handler: site.Handler()}
+}
+
+// crawlSerial crawls urls in order on one process line running c: the
+// serial crawl, MPCrawler's N = 1 case.
+func crawlSerial(ctx context.Context, c *Crawler, urls []string) ([]*model.Graph, *Metrics, error) {
+	res := (&MPCrawler{NewCrawler: func() *Crawler { return c }, ProcLines: 1, URLs: urls}).Run(ctx)
+	return res.Graphs, res.Metrics, res.Err
 }
 
 // multiPageVideo returns a video with at least min comment pages.
@@ -322,6 +331,63 @@ func TestHotNodeDetectsFunction(t *testing.T) {
 	}
 }
 
+// flakyCommentsSite serves a page whose two events both call load(1),
+// and a comments endpoint that answers 503 once, then 200. The page
+// shows the body only on a 200.
+func flakyCommentsSite() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/app", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `<html><head><script>
+function load(p) {
+	var req = new XMLHttpRequest();
+	req.open("GET", "/comments?p=" + p, false);
+	req.send(null);
+	var out = "try again later (" + req.status + ")";
+	if (req.status == 200) { out = req.responseText; }
+	document.getElementById("c").innerHTML = out;
+}
+</script></head>
+<body><span onclick="load(1)">comments</span> <span onclick="load(1)">show all</span>
+<div id="c">no comments loaded</div></body></html>`)
+	})
+	unavailable := true
+	mux.HandleFunc("/comments", func(w http.ResponseWriter, r *http.Request) {
+		if unavailable {
+			unavailable = false
+			http.Error(w, "Service Unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprint(w, "<p>first comment</p>")
+	})
+	return mux
+}
+
+// TestHotNodeCachesOnly200 crawls a page whose hot call fails once with
+// a 503: the cache must not keep that body, or a later event's hit would
+// replay it as a 200 and the model would hold a state no uncached crawl
+// finds.
+func TestHotNodeCachesOnly200(t *testing.T) {
+	texts := func(hot bool) []string {
+		f := &fetch.HandlerFetcher{Handler: flakyCommentsSite()}
+		g, _, err := New(f, Options{UseHotNode: hot}).CrawlPage(context.Background(), "/app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, st := range g.States {
+			out = append(out, st.Text)
+		}
+		return out
+	}
+	plain, cached := texts(false), texts(true)
+	if !slices.Equal(cached, plain) {
+		t.Fatalf("hot-node crawl states %q, uncached crawl states %q", cached, plain)
+	}
+	if len(plain) != 3 {
+		t.Fatalf("uncached crawl found %d states %q, want 3 (initial, 503, comments)", len(plain), plain)
+	}
+}
+
 // hotNodes returns the sorted names of the hot-node functions c detected:
 // the function name each cache key starts with (js.Frame.Key is
 // "name(args)").
@@ -431,7 +497,7 @@ func TestReplayPathReconstructsState(t *testing.T) {
 	}
 }
 
-func TestCrawlAllAggregates(t *testing.T) {
+func TestSerialCrawlAggregates(t *testing.T) {
 	site, f := newSiteFetcher(10, 3)
 	urls := []string{
 		webapp.WatchURL(site.Video(0).ID),
@@ -439,7 +505,7 @@ func TestCrawlAllAggregates(t *testing.T) {
 		webapp.WatchURL(site.Video(2).ID),
 	}
 	c := New(f, Options{UseHotNode: true})
-	graphs, m, err := c.CrawlAll(context.Background(), urls)
+	graphs, m, err := crawlSerial(context.Background(), c, urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,24 +531,20 @@ func TestCrawlErrorPropagates(t *testing.T) {
 		t.Fatalf("crawl of missing page should fail")
 	}
 	// Default policy: the failed page is skipped and counted, not fatal.
-	graphs, m, err := c.CrawlAll(context.Background(), []string{"/watch?v=unknown"})
+	// (FailFast ends the crawl: TestPartitionPanicRecovered.)
+	graphs, m, err := crawlSerial(context.Background(), c, []string{"/watch?v=unknown"})
 	if err != nil {
-		t.Fatalf("SkipAndCount CrawlAll returned error: %v", err)
+		t.Fatalf("SkipAndCount crawl returned error: %v", err)
 	}
 	if len(graphs) != 0 || m.PagesFailed != 1 {
 		t.Fatalf("want 0 graphs and PagesFailed=1, got %d graphs, PagesFailed=%d", len(graphs), m.PagesFailed)
 	}
-	// FailFast: the first page error aborts the run.
-	ff := New(f, Options{OnError: FailFast})
-	if _, _, err := ff.CrawlAll(context.Background(), []string{"/watch?v=unknown"}); err == nil {
-		t.Fatalf("FailFast CrawlAll should propagate failures")
-	}
 }
 
-// TestCrawlAllSkipAndCount is the doc/behavior regression test: one URL
+// TestSerialCrawlSkipAndCount is the doc/behavior regression test: one URL
 // out of three fails, the other two come back, and the failure is
 // counted.
-func TestCrawlAllSkipAndCount(t *testing.T) {
+func TestSerialCrawlSkipAndCount(t *testing.T) {
 	site, f := newSiteFetcher(5, 4)
 	boom := errors.New("connection reset")
 	flaky := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
@@ -497,9 +559,9 @@ func TestCrawlAllSkipAndCount(t *testing.T) {
 		webapp.WatchURL(site.VideoID(1)),
 	}
 	c := New(flaky, Options{})
-	graphs, m, err := c.CrawlAll(context.Background(), urls)
+	graphs, m, err := crawlSerial(context.Background(), c, urls)
 	if err != nil {
-		t.Fatalf("CrawlAll: %v", err)
+		t.Fatalf("crawl: %v", err)
 	}
 	if len(graphs) != 2 {
 		t.Fatalf("want 2 graphs, got %d", len(graphs))
@@ -540,7 +602,7 @@ func TestEventCountsScaleWithStates(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
 	}
-	_, m, err := c.CrawlAll(context.Background(), urls)
+	_, m, err := crawlSerial(context.Background(), c, urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +611,7 @@ func TestEventCountsScaleWithStates(t *testing.T) {
 	}
 }
 
-func TestCrawlAllCancelMidway(t *testing.T) {
+func TestSerialCrawlCancelMidway(t *testing.T) {
 	// Canceling the context mid-batch must stop the run promptly with
 	// the already-crawled graphs intact.
 	site, f := newSiteFetcher(30, 7)
@@ -570,7 +632,7 @@ func TestCrawlAllCancelMidway(t *testing.T) {
 		return f.Fetch(c, rawurl)
 	})
 	c := New(counting, Options{MaxStates: 3})
-	graphs, _, err := c.CrawlAll(ctx, urls)
+	graphs, _, err := crawlSerial(ctx, c, urls)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -51,7 +51,7 @@ func TestModelShapeGolden(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			urls = append(urls, webapp.WatchURL(site.Video(i).ID))
 		}
-		graphs, _, err := New(f, opts).CrawlAll(context.Background(), urls)
+		graphs, _, err := crawlSerial(context.Background(), New(f, opts), urls)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestModelShapeGolden(t *testing.T) {
 			urls = append(urls, news.ArticleURL(i))
 		}
 		opts.MaxStates = 16
-		graphs, _, err = New(&fetch.HandlerFetcher{Handler: news.Handler()}, opts).CrawlAll(context.Background(), urls)
+		graphs, _, err = crawlSerial(context.Background(), New(&fetch.HandlerFetcher{Handler: news.Handler()}, opts), urls)
 		if err != nil {
 			t.Fatal(err)
 		}

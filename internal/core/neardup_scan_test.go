@@ -212,7 +212,7 @@ func TestNearDupResumeConvergence(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{UseHotNode: true, MaxStates: 8, NearDupThreshold: 0.9}
 
-	baseGraphs, _, err := New(&fetch.HandlerFetcher{Handler: site.Handler()}, opts).CrawlAll(ctx, urls)
+	baseGraphs, _, err := crawlSerial(ctx, New(&fetch.HandlerFetcher{Handler: site.Handler()}, opts), urls)
 	if err != nil {
 		t.Fatalf("baseline crawl: %v", err)
 	}
@@ -245,7 +245,7 @@ func TestNearDupResumeConvergence(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, _, err := New(counting, o).CrawlAll(runCtx, urls); !errors.Is(err, context.Canceled) {
+	if _, _, err := crawlSerial(runCtx, New(counting, o), urls); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted crawl returned %v, want context.Canceled", err)
 	}
 	if err := cp.Close(); err != nil {
@@ -265,7 +265,7 @@ func TestNearDupResumeConvergence(t *testing.T) {
 	defer cp2.Close()
 	o2 := opts
 	o2.Checkpoint = cp2
-	graphs2, m2, err := New(counting, o2).CrawlAll(ctx, urls)
+	graphs2, m2, err := crawlSerial(ctx, New(counting, o2), urls)
 	if err != nil {
 		t.Fatalf("resumed crawl: %v", err)
 	}

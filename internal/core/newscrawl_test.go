@@ -116,7 +116,7 @@ func TestNewsSearchFindsExpandedContent(t *testing.T) {
 	for i := 0; i < news.NumArticles(); i++ {
 		urls = append(urls, news.ArticleURL(i))
 	}
-	graphs, _, err := c.CrawlAll(context.Background(), urls)
+	graphs, _, err := crawlSerial(context.Background(), c, urls)
 	if err != nil {
 		t.Fatal(err)
 	}

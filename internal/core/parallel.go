@@ -19,17 +19,20 @@ import (
 // only its own line. Results come back in URL order, whichever line
 // crawled which page.
 //
-// Faults are isolated per page. A panic is recovered at the page
-// boundary and reported as that page's error, and the line rebuilds its
-// crawler and goes on; a page that outlives Options.PageTimeout is cut
-// off and, under SkipAndCount, counted in PagesFailed. When the crawlers
-// NewCrawler builds carry a Checkpoint, every line journals completed
-// pages into that one journal and reads from it, so a resumed page —
-// whichever line takes it — is replayed, never re-crawled.
+// The lines are the one loop that crawls more than one page: a serial
+// crawl is ProcLines 1. A line builds its crawler once and, for each URL
+// it takes, replays the page from Options.Checkpoint when the journal
+// holds it or else crawls it, then journals it. A page whose crawl fails
+// — outliving Options.PageTimeout too — is counted in PagesFailed under
+// SkipAndCount, and the line goes on. The first page error — a FailFast
+// failure, a panic recovered at the page boundary or a journal write
+// failure — ends the crawl: no line takes another page, pages in flight
+// are cut, and the failing page is the last one emitted.
 type MPCrawler struct {
 	// NewCrawler builds the per-process-line crawler. Each process line
-	// calls it once (plus once per panic recovery rebuild), so
-	// fetchers/caches can be isolated or shared as the factory decides.
+	// calls it once, so fetchers/caches can be isolated or shared as the
+	// factory decides. The crawler lives for the whole line, so its
+	// script cache keeps its parsed scripts across pages.
 	NewCrawler func() *Crawler
 	// ProcLines is the number of concurrent process lines
 	// (MP_CRAWLER_NUM_OF_PROC_LINES). 1 means no parallelism.
@@ -49,9 +52,9 @@ type PageResult struct {
 	Graph *model.Graph
 	// Metrics are this page's crawl metrics (never nil).
 	Metrics *Metrics
-	// Err is the page's failure: a recovered panic, or any page error
-	// under FailFast. Under SkipAndCount a failed page is counted in
-	// Metrics.PagesFailed and Err stays nil.
+	// Err is the page's failure: a recovered panic, a journal write
+	// failure, or any page error under FailFast. Under SkipAndCount a
+	// failed page is counted in Metrics.PagesFailed and Err stays nil.
 	Err error
 }
 
@@ -63,8 +66,9 @@ type MPResult struct {
 	Graphs []*model.Graph
 	// Metrics aggregates all pages; PerPage is in URL order too.
 	Metrics *Metrics
-	// Err is the first failure in URL order, or — when every retired
-	// page succeeded but the context ended — the context's error.
+	// Err is the failing page's error (the crawl's first, which ended
+	// it), or — when every retired page succeeded but the context ended
+	// — the context's error.
 	Err error
 }
 
@@ -74,13 +78,16 @@ type MPResult struct {
 // channel is closed once every process line has drained. Canceling ctx
 // stops the hand-out of new pages and cuts short in-flight ones: every
 // page that completed is still emitted exactly once, in order, and the
-// pages the cancellation cut or never reached emit nothing.
+// pages the cancellation cut or never reached emit nothing. A page error
+// ends the stream the same way, with that page emitted last.
 func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 	n := m.ProcLines
 	if n <= 0 {
 		n = 1
 	}
 	tel := obs.From(ctx)
+	// The first page error cancels ctx for every line.
+	ctx, cancel := context.WithCancel(ctx)
 
 	// order holds the first position of every distinct URL: the list the
 	// lines hand out, and the order the assembler emits in.
@@ -121,7 +128,7 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 				lsp.SetAttr("pages", strconv.Itoa(pages))
 				lsp.End(nil)
 			}()
-			w := newLineWorker(m, tel)
+			c := m.NewCrawler()
 			for {
 				k := cursor.Add(1) - 1
 				if k >= int64(len(order)) {
@@ -137,32 +144,46 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 				seq := order[k]
 				url := m.URLs[seq]
 				tel.Gauge("crawl.lines.busy").Add(1)
-				g, metrics, err := w.run(ctx, url)
+				g, metrics, err := crawlOne(ctx, c, url)
 				tel.Gauge("crawl.lines.busy").Add(-1)
 				if err != nil && ctx.Err() != nil {
-					// Cut short by the caller, not failed: the page was
-					// not crawled and says nothing.
+					// Cut short by the caller or by another page's
+					// failure: the page was not crawled and says nothing.
 					stop()
 					return
 				}
 				results <- PageResult{Seq: seq, URL: url, Graph: g, Metrics: metrics, Err: err}
 				tel.Counter("crawl.pages.done").Inc()
 				pages++
+				if err != nil {
+					cancel()
+					return
+				}
 			}
 		}(line)
 	}
 
 	go func() {
 		wg.Wait()
+		cancel()
 		close(results)
 	}()
 
 	// Assembler: the single owner of the out channel. A page that
 	// retires ahead of a predecessor still in flight waits in the
-	// reorder buffer until every earlier page has been emitted.
+	// reorder buffer until every earlier page has been emitted. Nothing
+	// is emitted after a failed page: pages that later positions' lines
+	// finished before the failure canceled them are dropped.
 	go func() {
 		defer close(out)
 		pending := make(map[int]PageResult)
+		failed := false
+		emit := func(r PageResult) {
+			if !failed {
+				out <- r
+				failed = r.Err != nil
+			}
+		}
 		next := 0 // index into order of the next page to emit
 		for r := range results {
 			pending[r.Seq] = r
@@ -172,24 +193,24 @@ func (m *MPCrawler) Stream(ctx context.Context) <-chan PageResult {
 					break
 				}
 				delete(pending, r.Seq)
-				out <- r
+				emit(r)
 			}
 		}
 		// The lines have drained. Pages still buffered sit behind one
 		// that cancellation left uncrawled: emit them in order.
 		for _, seq := range order[next:] {
 			if r, ok := pending[seq]; ok {
-				out <- r
+				emit(r)
 			}
 		}
 	}()
 	return out
 }
 
-// Run executes the parallel crawl and blocks until every process line
-// has finished. On cancellation it returns early-but-cleanly: the pages
-// completed before the cancel keep their graphs and Err is the
-// context's error.
+// Run executes the crawl and blocks until every process line has
+// finished. On cancellation or a page error it returns early but
+// cleanly: the pages emitted before it keep their graphs, and Err says
+// what ended the crawl.
 func (m *MPCrawler) Run(ctx context.Context) *MPResult {
 	res := &MPResult{Metrics: &Metrics{}}
 	for pr := range m.Stream(ctx) {
@@ -207,39 +228,61 @@ func (m *MPCrawler) Run(ctx context.Context) *MPResult {
 	return res
 }
 
-// lineWorker runs one process line's pages on a crawler built by the
-// factory. A panic rebuilds the crawler (its internal state is
-// indeterminate after an unwind); the crawler otherwise lives for the
-// whole line, so its script cache keeps its parsed scripts across
-// pages. (The hot-node cache is per page: crawlDynamic makes a fresh
-// one for each.)
-type lineWorker struct {
-	m   *MPCrawler
-	tel *obs.Telemetry
-	c   *Crawler
-}
-
-func newLineWorker(m *MPCrawler, tel *obs.Telemetry) *lineWorker {
-	return &lineWorker{m: m, tel: tel, c: m.NewCrawler()}
-}
-
-// run crawls one page; the graph is nil when the page failed, the
-// metrics never. A panic is recovered at this boundary, becomes the
-// page's error and rebuilds the crawler — sibling lines keep crawling
-// undisturbed, and this line goes on with its next page.
-func (w *lineWorker) run(ctx context.Context, url string) (g *model.Graph, metrics *Metrics, err error) {
+// crawlOne is one page of a line on the line's crawler c: replayed from
+// the checkpoint journal when it holds the page, else crawled, reported
+// to OnPage and journaled. The graph is nil when the page failed, the
+// metrics never. A panic is recovered at this boundary and becomes the
+// page's error; so does any page error under FailFast.
+func crawlOne(ctx context.Context, c *Crawler, url string) (g *model.Graph, metrics *Metrics, err error) {
+	tel := obs.From(ctx)
 	defer func() {
 		if r := recover(); r != nil {
 			// A graph built before the panic is indeterminate: drop it.
 			g, metrics = nil, &Metrics{}
 			err = fmt.Errorf("core: page %s: panic: %v", url, r)
-			w.tel.Counter("crawl.line.panics").Inc()
-			w.c = w.m.NewCrawler()
+			tel.Counter("crawl.line.panics").Inc()
 		}
 	}()
-	graphs, metrics, err := w.c.CrawlAll(ctx, []string{url})
-	if len(graphs) > 0 {
-		g = graphs[0]
+	metrics = &Metrics{}
+	cp := c.Opts.Checkpoint
+	if cp != nil {
+		if g, pm, ok := cp.Completed(url); ok {
+			metrics.Add(pm)
+			metrics.PagesResumed++
+			tel.Counter("crawl.partition.resumed_pages").Inc()
+			if c.Opts.OnPage != nil {
+				c.Opts.OnPage(pm)
+			}
+			return g, metrics, nil
+		}
 	}
-	return g, metrics, err
+	g, pm, err := c.CrawlPage(ctx, url)
+	tel.Counter("crawl.pages").Inc()
+	if c.Opts.OnPage != nil {
+		c.Opts.OnPage(pm)
+	}
+	if err != nil {
+		// The caller's context ending is never a page failure. A page
+		// that blew only its own PageTimeout falls through to the policy.
+		if ctx.Err() != nil {
+			return nil, metrics, ctx.Err()
+		}
+		if c.Opts.OnError == FailFast {
+			return nil, metrics, fmt.Errorf("core: crawl %s: %w", url, err)
+		}
+		metrics.PagesFailed++
+		tel.Counter("crawl.pages.failed").Inc()
+		return nil, metrics, nil
+	}
+	metrics.Add(pm)
+	if cp != nil {
+		// Journal before the line takes its next page. A write failure
+		// is a broken journal, not a broken page: it ends the crawl, so
+		// the operator never resumes from a journal missing pages the
+		// run reported crawled.
+		if err := cp.PageDone(url, g, pm); err != nil {
+			return g, metrics, fmt.Errorf("core: checkpoint %s: %w", url, err)
+		}
+	}
+	return g, metrics, nil
 }

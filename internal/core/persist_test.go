@@ -142,7 +142,7 @@ func TestPersistedBytesAreStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs, _, err := New(f, Options{UseHotNode: true, MaxStates: 4}).CrawlAll(context.Background(), pre.URLs[:4])
+	graphs, _, err := crawlSerial(context.Background(), New(f, Options{UseHotNode: true, MaxStates: 4}), pre.URLs[:4])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -503,8 +503,8 @@ var corpusGraphs = sync.OnceValues(func() ([]*model.Graph, error) {
 		urls[i] = webapp.WatchURL(site.VideoID(i))
 	}
 	c := core.New(&fetch.HandlerFetcher{Handler: site.Handler()}, core.Options{UseHotNode: true})
-	graphs, _, err := c.CrawlAll(context.Background(), urls)
-	return graphs, err
+	res := (&core.MPCrawler{NewCrawler: func() *core.Crawler { return c }, ProcLines: 1, URLs: urls}).Run(context.Background())
+	return res.Graphs, res.Err
 })
 
 // corpusServer serves corpusGraphs as one shard with snippets on. Its

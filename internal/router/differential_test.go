@@ -33,10 +33,11 @@ func crawlCorpus(t *testing.T, videos int, seed int64) ([]*model.Graph, map[stri
 		urls[i] = webapp.WatchURL(site.VideoID(i))
 	}
 	c := core.New(f, core.Options{UseHotNode: true, MaxStates: 4})
-	graphs, _, err := c.CrawlAll(context.Background(), urls)
-	if err != nil {
-		t.Fatal(err)
+	res := (&core.MPCrawler{NewCrawler: func() *core.Crawler { return c }, ProcLines: 1, URLs: urls}).Run(context.Background())
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
+	graphs := res.Graphs
 	if len(graphs) < 4 {
 		t.Fatalf("corpus too small: %d graphs", len(graphs))
 	}

@@ -327,10 +327,11 @@ func TestServeWithoutModelsFile(t *testing.T) {
 		urls[i] = webapp.WatchURL(site.VideoID(i))
 	}
 	c := core.New(&fetch.HandlerFetcher{Handler: site.Handler()}, core.Options{UseHotNode: true})
-	graphs, _, err := c.CrawlAll(context.Background(), urls)
-	if err != nil {
-		t.Fatal(err)
+	res := (&core.MPCrawler{NewCrawler: func() *core.Crawler { return c }, ProcLines: 1, URLs: urls}).Run(context.Background())
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
+	graphs := res.Graphs
 	ix := index.Build(graphs, nil, 0)
 	withModels, deleted, indexOnly := t.TempDir(), t.TempDir(), t.TempDir()
 	for dir, gs := range map[string][]*model.Graph{withModels: graphs, deleted: graphs, indexOnly: nil} {
