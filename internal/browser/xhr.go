@@ -89,8 +89,18 @@ func (st *xhrState) HostSet(name string, v js.Value) bool {
 // The crawl is synchronous: even async requests complete before send
 // returns, then onreadystatechange fires once with readyState 4 — the
 // behaviour AJAX pages observe under Rhino-driven crawling too.
+//
+// Only GET is sent: a Fetcher takes a URL alone, so any other method
+// would leave as a GET without its body and could be answered from the
+// hot-node cache. Such a send throws a NetworkError naming the method
+// before anything is fetched, cached or counted as a send.
 func (st *xhrState) send(it *js.Interp) error {
 	p := st.page
+	if st.method != "GET" {
+		st.status = 0
+		st.readyState = 4
+		return &js.Thrown{Value: js.Str("NetworkError: XMLHttpRequest method " + strconv.Quote(st.method) + " is not sent; the crawler sends GET only")}
+	}
 	p.XHRSends++
 	req := &XHRRequest{Method: st.method, URL: st.url, Async: st.async}
 

@@ -141,15 +141,16 @@ type PageMetrics struct {
 	// admitted states in turn until one matches.
 	NearDupCandidates int
 	// Retries counts fetch attempts beyond the first made while crawling
-	// this page (attributed through fetch.FindRetryStats, like
-	// NetworkTime through fetch.FindStats).
+	// this page, read like NetworkTime from the page's fetch.Tally.
 	Retries int
 	// PagesRecovered is 1 when the page crawl succeeded but needed at
 	// least one retry — a page that a retry-less crawl would have lost.
 	PagesRecovered int
 	CrawlTime      time.Duration
-	// NetworkTime is the simulated/observed time spent in the fetcher,
-	// when the crawler's fetcher is instrumented (else 0).
+	// NetworkTime is the simulated/observed time this page's fetches
+	// spent in a fetch.Instrumented (0 when the fetcher has none). It
+	// counts the page's own fetches only, however many lines share the
+	// fetcher.
 	NetworkTime time.Duration
 }
 
@@ -266,19 +267,10 @@ func (c *Crawler) CrawlPage(ctx context.Context, url string) (*model.Graph, Page
 	pm := PageMetrics{URL: url}
 	start := opts.Clock.Now()
 	wallStart := time.Now()
-	// The fetch layers' running totals, read before and after the page:
-	// their deltas are what this page cost.
-	stats, rstats := fetch.FindStats(c.Fetcher), fetch.FindRetryStats(c.Fetcher)
-	totals := func() (net time.Duration, retries int64) {
-		if stats != nil {
-			net = stats.Stats().NetworkTime
-		}
-		if rstats != nil {
-			retries = rstats.RetryStats().Retries
-		}
-		return net, retries
-	}
-	netStart, retryStart := totals()
+	// Every fetch of the page runs under ctx, so the tally holds what
+	// this page's fetches cost and nothing else.
+	var cost fetch.Tally
+	ctx = fetch.WithTally(ctx, &cost)
 
 	graph := model.NewGraph(url)
 	page := browser.NewPage(c.Fetcher)
@@ -307,8 +299,7 @@ func (c *Crawler) CrawlPage(ctx context.Context, url string) (*model.Graph, Page
 		// CrawlTime models a real run with the simulated latencies.
 		pm.CrawlTime += time.Since(wallStart)
 	}
-	net, retries := totals()
-	pm.NetworkTime, pm.Retries = net-netStart, int(retries-retryStart)
+	pm.NetworkTime, pm.Retries = cost.NetworkTime, cost.Retries
 	if crawlErr == nil && pm.Retries > 0 {
 		// The page made it, but only because the retry layer recovered
 		// at least one fetch along the way.

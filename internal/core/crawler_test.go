@@ -708,6 +708,36 @@ func TestUnparsableHandlerCountsPerDispatch(t *testing.T) {
 	}
 }
 
+// TestXHRPostIsRefused: a Fetcher sends a URL alone, so a POST would
+// leave as a GET without its body. The send throws instead: the handler
+// fails, counting one handler error, and the endpoint sees nothing.
+func TestXHRPostIsRefused(t *testing.T) {
+	page := `<html><body><div id="out">none</div>
+<div id="vote" onclick="var x = new XMLHttpRequest(); x.open('post', '/vote', false); x.send('up=1'); document.getElementById('out').innerHTML = x.responseText;">vote</div>
+</body></html>`
+	var votes int
+	f := fetch.Func(func(ctx context.Context, rawurl string) (*fetch.Response, error) {
+		if rawurl != "/page" {
+			votes++
+			return &fetch.Response{Status: 200, Body: []byte("voted"), ContentType: "text/plain"}, nil
+		}
+		return &fetch.Response{Status: 200, Body: []byte(page), ContentType: "text/html"}, nil
+	})
+	g, m, err := New(f, Options{UseHotNode: true, MaxStates: 5}).CrawlPage(context.Background(), "/page")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if votes != 0 {
+		t.Errorf("the POST endpoint saw %d requests, want 0", votes)
+	}
+	if m.HandlerErrors != 1 || m.XHRSends != 0 || m.NetworkCalls != 0 {
+		t.Errorf("handler errors %d, XHR sends %d, network calls %d; want 1, 0, 0", m.HandlerErrors, m.XHRSends, m.NetworkCalls)
+	}
+	if g.NumStates() != 1 {
+		t.Errorf("states = %d, want 1: a refused send changes nothing", g.NumStates())
+	}
+}
+
 // TestCallOutsideContractIsAHandlerError: a handler that calls a method
 // outside the interpreter's library ([].push) fails with a TypeError. The
 // crawl counts one handler error for it and keeps every state the page's

@@ -162,3 +162,68 @@ func TestOneLineCrawlsInURLOrder(t *testing.T) {
 		}
 	}
 }
+
+// frozenClock never advances and sleeps not at all, so an Instrumented
+// on it charges each fetch exactly its simulated delay.
+type frozenClock struct{}
+
+func (frozenClock) Now() time.Time { return time.Unix(0, 0) }
+
+func (frozenClock) Sleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
+
+// TestPageFetchCostAttribution: each page is charged its own fetches
+// alone, however many lines share the fetcher. Over a crawl, the pages'
+// NetworkTime sums to the requests the shared Instrumented served times
+// its fixed delay, and their Retries to the retries the retry layer made
+// — the registry's counts, which see every fetch once.
+func TestPageFetchCostAttribution(t *testing.T) {
+	const base = time.Millisecond
+	site := webapp.New(webapp.DefaultConfig(30, 11))
+	var urls []string
+	for i := 0; i < 24; i++ {
+		urls = append(urls, webapp.WatchURL(site.Video(i).ID))
+	}
+	// Every third page load fails twice before it goes through.
+	scripts := map[string][]fetch.FaultOp{}
+	for i := 0; i < len(urls); i += 3 {
+		scripts[urls[i]] = []fetch.FaultOp{fetch.FaultError, fetch.FaultTruncate}
+	}
+	for _, lines := range []int{1, 3} {
+		for _, faulty := range []bool{false, true} {
+			t.Run(fmt.Sprintf("lines=%d/faults=%v", lines, faulty), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				ctx := obs.With(context.Background(), obs.New(reg, nil))
+				var f fetch.Fetcher = fetch.NewInstrumented(&fetch.HandlerFetcher{Handler: site.Handler()}, frozenClock{}, base, 0)
+				opts := Options{UseHotNode: true, MaxStates: 4, Clock: frozenClock{}}
+				if faulty {
+					f = fetch.NewFaultFetcher(f, fetch.FaultConfig{Scripts: scripts}, frozenClock{})
+					opts.RetryPolicy = &fetch.RetryPolicy{MaxAttempts: 4}
+				}
+				res := (&MPCrawler{
+					NewCrawler: func() *Crawler { return New(f, opts) },
+					ProcLines:  lines,
+					URLs:       urls,
+				}).Run(ctx)
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				var net time.Duration
+				var retries int
+				for _, pm := range res.Metrics.PerPage {
+					net += pm.NetworkTime
+					retries += pm.Retries
+				}
+				requests := reg.Counter("fetch.requests").Value()
+				if want := time.Duration(requests) * base; net != want {
+					t.Errorf("pages' NetworkTime sums to %v, want %d requests × %v = %v", net, requests, base, want)
+				}
+				if want := reg.Counter("fetch.retry.retries").Value(); int64(retries) != want {
+					t.Errorf("pages' Retries sum to %d, want fetch.retry.retries = %d", retries, want)
+				}
+				if faulty && retries != 2*len(scripts) {
+					t.Errorf("Retries = %d, want %d: the scripted faults did not all fire", retries, 2*len(scripts))
+				}
+			})
+		}
+	}
+}

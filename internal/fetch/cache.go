@@ -25,10 +25,6 @@ type Handoff struct {
 	bytes int
 }
 
-// Unwrap implements Wrapper, so FindStats and FindRetryStats reach the
-// instrumentation under the handoff.
-func (h *Handoff) Unwrap() Fetcher { return h.Inner }
-
 // Keep retains resp for the next Fetch of rawurl. A body that would take
 // the retained bytes past maxHandoffBytes is dropped and counted as
 // fetch.handoff.overflow.

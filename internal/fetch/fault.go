@@ -12,7 +12,7 @@ import (
 )
 
 // ErrInjected marks a fault manufactured by a FaultFetcher. It is a
-// transport-level transient error, which DefaultRetryable retries —
+// transport-level transient error, which RetryFetcher retries —
 // exactly how a real flaky server would be experienced.
 var ErrInjected = errors.New("fetch: injected fault")
 
@@ -58,12 +58,11 @@ type FaultConfig struct {
 }
 
 // FaultFetcher injects configurable faults between the crawler and a
-// working Fetcher — the chaos-testing harness. It composes with the rest
-// of the middleware stack through the Unwrap chain, so instrumentation
-// below it still counts the injected outcomes and a RetryFetcher above
-// it gets to recover them. Deterministic: faults are drawn from a seeded
-// RNG (serialized under a mutex), and per-URL Scripts pin exact
-// sequences.
+// working Fetcher — the chaos-testing harness. A RetryFetcher above it
+// gets to recover the injected faults; instrumentation below it sees
+// only the calls it lets through. Deterministic: faults are drawn from
+// a seeded RNG (serialized under a mutex), and per-URL Scripts pin
+// exact sequences.
 //
 // Injected faults are recorded as fault.injected.errors /
 // fault.injected.delays / fault.injected.truncations counters when
@@ -97,9 +96,6 @@ func NewFaultFetcher(inner Fetcher, cfg FaultConfig, clock Clock) *FaultFetcher 
 		consec:    make(map[string]int),
 	}
 }
-
-// Unwrap implements Wrapper.
-func (f *FaultFetcher) Unwrap() Fetcher { return f.Inner }
 
 // decide picks the fault for this call under f.mu: the URL's script if
 // one exists, else a roll of the random model. MaxConsecutive downgrades

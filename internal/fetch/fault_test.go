@@ -105,7 +105,7 @@ func TestFaultTruncateIsTransient(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
-	if !DefaultRetryable(nil, err) {
+	if !retryable(nil, err) {
 		t.Error("truncation faults must be retryable")
 	}
 	if _, err := f.Fetch(context.Background(), "/p"); err != nil {

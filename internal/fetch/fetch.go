@@ -156,9 +156,6 @@ func (f *HTTPFetcher) Fetch(ctx context.Context, rawurl string) (*Response, erro
 // opening sockets — the in-process path used by tests and experiments.
 type HandlerFetcher struct {
 	Handler http.Handler
-	// Host is the synthetic authority pages appear under, e.g.
-	// "sim.youtube.local". Absolute URLs with a different host fail.
-	Host string
 }
 
 // Fetch implements Fetcher.
@@ -170,15 +167,9 @@ func (f *HandlerFetcher) Fetch(ctx context.Context, rawurl string) (*Response, e
 	if err != nil {
 		return nil, fmt.Errorf("fetch %s: %w", rawurl, err)
 	}
-	if u.Host != "" && f.Host != "" && u.Host != f.Host {
-		return nil, fmt.Errorf("fetch %s: host %q not served by this fetcher", rawurl, u.Host)
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.RequestURI(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("fetch %s: %w", rawurl, err)
-	}
-	if f.Host != "" {
-		req.Host = f.Host
 	}
 	rec := httptest.NewRecorder()
 	f.Handler.ServeHTTP(rec, req)
@@ -190,42 +181,27 @@ func (f *HandlerFetcher) Fetch(ctx context.Context, rawurl string) (*Response, e
 	}, nil
 }
 
-// Stats aggregates what the instrumented fetcher observed.
-type Stats struct {
-	Calls       int64
-	Bytes       int64
+// Tally is one page's fetch cost: the network time Instrumented charges
+// and the retries RetryFetcher makes under a context that carries it.
+// The crawler puts one on each page's context, so a page is charged for
+// its own fetches alone, however many process lines share the fetcher.
+// A page's fetches run one at a time, so the fields need no lock.
+type Tally struct {
 	NetworkTime time.Duration
-	Errors      int64
+	Retries     int
 }
 
-// StatsProvider is implemented by fetchers that record Stats. The
-// crawler attributes per-page network time through this interface
-// instead of asserting on a concrete type, so instrumentation survives
-// wrapping (e.g. a Handoff around an Instrumented).
-type StatsProvider interface {
-	Stats() Stats
+type tallyKey struct{}
+
+// WithTally returns a context whose fetches add their cost to t.
+func WithTally(ctx context.Context, t *Tally) context.Context {
+	return context.WithValue(ctx, tallyKey{}, t)
 }
 
-// Wrapper is implemented by fetchers that delegate to an inner Fetcher.
-// FindStats walks Unwrap chains to locate a StatsProvider.
-type Wrapper interface {
-	Unwrap() Fetcher
-}
-
-// FindStats returns the first StatsProvider in f's unwrap chain, or nil
-// when the chain has none.
-func FindStats(f Fetcher) StatsProvider {
-	for f != nil {
-		if sp, ok := f.(StatsProvider); ok {
-			return sp
-		}
-		w, ok := f.(Wrapper)
-		if !ok {
-			return nil
-		}
-		f = w.Unwrap()
-	}
-	return nil
+// tallyFrom returns the Tally on ctx, or nil when it carries none.
+func tallyFrom(ctx context.Context) *Tally {
+	t, _ := ctx.Value(tallyKey{}).(*Tally)
+	return t
 }
 
 // Instrumented wraps a Fetcher with simulated latency and counters. The
@@ -233,12 +209,10 @@ func FindStats(f Fetcher) StatsProvider {
 // fixed round trip plus bandwidth-limited transfer — the cost model under
 // which the paper's "hot nodes save network calls" result is measured.
 //
-// Counter updates and Stats() snapshots are lock-free atomics, so
-// concurrent process lines sharing one Instrumented never contend on a
-// stats mutex and never race. When a telemetry context (internal/obs)
-// reaches Fetch, each request is additionally recorded in the live
-// registry: a fetch.latency histogram and fetch.requests / fetch.errors
-// / fetch.bytes counters.
+// Each request is recorded in the telemetry registry on the context
+// (internal/obs): a fetch.latency histogram and fetch.requests /
+// fetch.errors / fetch.bytes counters. Its network time is also added to
+// the context's Tally, when it carries one.
 type Instrumented struct {
 	Inner Fetcher
 	Clock Clock
@@ -246,11 +220,6 @@ type Instrumented struct {
 	Base time.Duration
 	// PerKB is the additional latency per KiB of response body.
 	PerKB time.Duration
-
-	calls atomic.Int64
-	bytes atomic.Int64
-	netNS atomic.Int64
-	errs  atomic.Int64
 }
 
 // NewInstrumented wraps inner with the given latency model on clock.
@@ -261,60 +230,39 @@ func NewInstrumented(inner Fetcher, clock Clock, base, perKB time.Duration) *Ins
 	return &Instrumented{Inner: inner, Clock: clock, Base: base, PerKB: perKB}
 }
 
-// Unwrap implements Wrapper.
-func (f *Instrumented) Unwrap() Fetcher { return f.Inner }
-
 // Fetch implements Fetcher, charging simulated latency and recording it.
 // The simulated delay is deadline-aware: a canceled or expired context
 // interrupts the sleep and the fetch fails with ctx.Err().
 func (f *Instrumented) Fetch(ctx context.Context, rawurl string) (*Response, error) {
-	tel := obs.From(ctx)
 	start := f.Clock.Now()
 	resp, err := f.Inner.Fetch(ctx, rawurl)
+	var delay time.Duration
 	if err == nil {
-		delay := f.Base + f.PerKB*time.Duration(len(resp.Body))/1024
+		delay = f.Base + f.PerKB*time.Duration(len(resp.Body))/1024
 		if delay > 0 {
 			if serr := f.Clock.Sleep(ctx, delay); serr != nil {
-				err = fmt.Errorf("fetch %s: %w", rawurl, serr)
+				resp, err = nil, fmt.Errorf("fetch %s: %w", rawurl, serr)
 			}
-		}
-		if err == nil {
-			elapsed := f.Clock.Now().Sub(start)
-			if elapsed < delay {
-				// Virtual clocks may report zero elapsed wall time;
-				// charge at least the simulated delay.
-				elapsed = delay
-			}
-			f.calls.Add(1)
-			f.bytes.Add(int64(len(resp.Body)))
-			f.netNS.Add(int64(elapsed))
-			tel.Counter("fetch.requests").Inc()
-			tel.Counter("fetch.bytes").Add(int64(len(resp.Body)))
-			tel.Histogram("fetch.latency").ObserveDuration(elapsed)
-			return resp, nil
 		}
 	}
 	elapsed := f.Clock.Now().Sub(start)
-	f.calls.Add(1)
-	f.errs.Add(1)
-	f.netNS.Add(int64(elapsed))
-	tel.Counter("fetch.requests").Inc()
-	tel.Counter("fetch.errors").Inc()
-	tel.Histogram("fetch.latency").ObserveDuration(elapsed)
-	return nil, err
-}
-
-// Stats returns a snapshot of the counters. Errors is loaded before
-// Calls: writers increment calls first, so with this load order a
-// snapshot can never show more errors than calls, even mid-update.
-func (f *Instrumented) Stats() Stats {
-	errs := f.errs.Load()
-	return Stats{
-		Calls:       f.calls.Load(),
-		Bytes:       f.bytes.Load(),
-		NetworkTime: time.Duration(f.netNS.Load()),
-		Errors:      errs,
+	if err == nil && elapsed < delay {
+		// Virtual clocks may report zero elapsed wall time; charge at
+		// least the simulated delay.
+		elapsed = delay
 	}
+	if t := tallyFrom(ctx); t != nil {
+		t.NetworkTime += elapsed
+	}
+	tel := obs.From(ctx)
+	tel.Counter("fetch.requests").Inc()
+	tel.Histogram("fetch.latency").ObserveDuration(elapsed)
+	if err != nil {
+		tel.Counter("fetch.errors").Inc()
+		return nil, err
+	}
+	tel.Counter("fetch.bytes").Add(int64(len(resp.Body)))
+	return resp, nil
 }
 
 // Func adapts a function to the Fetcher interface (handy in tests).

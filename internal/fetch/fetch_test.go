@@ -30,7 +30,7 @@ func echoHandler() http.Handler {
 }
 
 func TestHandlerFetcher(t *testing.T) {
-	f := &HandlerFetcher{Handler: echoHandler(), Host: "sim.local"}
+	f := &HandlerFetcher{Handler: echoHandler()}
 	resp, err := f.Fetch(context.Background(), "http://sim.local/page?q=hello")
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +45,6 @@ func TestHandlerFetcher(t *testing.T) {
 	if _, err := f.Fetch(context.Background(), "/page?q=x"); err != nil {
 		t.Fatalf("relative fetch: %v", err)
 	}
-	// Wrong host is rejected.
-	if _, err := f.Fetch(context.Background(), "http://other.host/page"); err == nil {
-		t.Fatalf("foreign host should fail")
-	}
 	// 404 is returned as a status, not an error.
 	resp, err = f.Fetch(context.Background(), "/missing")
 	if err != nil || resp.Status != 404 {
@@ -56,58 +52,68 @@ func TestHandlerFetcher(t *testing.T) {
 	}
 }
 
+// withRegistry returns a context carrying telemetry into a fresh
+// registry: the fetch layers' one count.
+func withRegistry() (context.Context, *obs.Registry) {
+	reg := obs.NewRegistry()
+	return obs.With(context.Background(), obs.New(reg, nil)), reg
+}
+
 func TestInstrumentedCountsAndLatency(t *testing.T) {
 	clock := &VirtualClock{}
 	inner := &HandlerFetcher{Handler: echoHandler()}
 	f := NewInstrumented(inner, clock, 10*time.Millisecond, 1*time.Millisecond)
+	ctx, reg := withRegistry()
+	var tally Tally
+	ctx = WithTally(ctx, &tally)
 
-	if _, err := f.Fetch(context.Background(), "/page?q=a"); err != nil {
+	if _, err := f.Fetch(ctx, "/page?q=a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Fetch(context.Background(), "/big"); err != nil {
+	if _, err := f.Fetch(ctx, "/big"); err != nil {
 		t.Fatal(err)
 	}
-	st := f.Stats()
-	if st.Calls != 2 {
-		t.Fatalf("calls = %d", st.Calls)
+	if got := reg.Counter("fetch.requests").Value(); got != 2 {
+		t.Fatalf("fetch.requests = %d", got)
 	}
-	if st.Bytes < 4096 {
-		t.Fatalf("bytes = %d", st.Bytes)
+	if got := reg.Counter("fetch.bytes").Value(); got < 4096 {
+		t.Fatalf("fetch.bytes = %d", got)
 	}
 	// /big is 4 KiB → 10ms base + 4ms transfer; /page → ~10ms.
-	if st.NetworkTime < 24*time.Millisecond {
-		t.Fatalf("network time = %v, want >= 24ms", st.NetworkTime)
+	if tally.NetworkTime < 24*time.Millisecond {
+		t.Fatalf("network time = %v, want >= 24ms", tally.NetworkTime)
 	}
 }
 
 func TestInstrumentedErrorCounting(t *testing.T) {
 	boom := errors.New("boom")
 	f := NewInstrumented(Func(func(context.Context, string) (*Response, error) { return nil, boom }), &VirtualClock{}, 0, 0)
-	if _, err := f.Fetch(context.Background(), "/x"); !errors.Is(err, boom) {
+	ctx, reg := withRegistry()
+	if _, err := f.Fetch(ctx, "/x"); !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
-	st := f.Stats()
-	if st.Errors != 1 || st.Calls != 1 {
-		t.Fatalf("stats = %+v", st)
+	if e, n := reg.Counter("fetch.errors").Value(), reg.Counter("fetch.requests").Value(); e != 1 || n != 1 {
+		t.Fatalf("fetch.errors = %d, fetch.requests = %d, want 1 and 1", e, n)
 	}
 }
 
 func TestInstrumentedConcurrentSafety(t *testing.T) {
 	clock := &VirtualClock{}
 	f := NewInstrumented(&HandlerFetcher{Handler: echoHandler()}, clock, time.Millisecond, 0)
+	ctx, reg := withRegistry()
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				f.Fetch(context.Background(), "/page?q=a") //nolint:errcheck
+				f.Fetch(ctx, "/page?q=a") //nolint:errcheck
 			}
 		}()
 	}
 	wg.Wait()
-	if st := f.Stats(); st.Calls != 200 {
-		t.Fatalf("calls = %d, want 200", st.Calls)
+	if got := reg.Counter("fetch.requests").Value(); got != 200 {
+		t.Fatalf("fetch.requests = %d, want 200", got)
 	}
 }
 
@@ -156,8 +162,7 @@ func TestHTTPFetcherBodyCap(t *testing.T) {
 		w.Write([]byte(body[:n])) //nolint:errcheck
 	}))
 	defer srv.Close()
-	reg := obs.NewRegistry()
-	ctx := obs.With(context.Background(), obs.New(reg, nil))
+	ctx, reg := withRegistry()
 	f := &HTTPFetcher{Client: srv.Client()}
 
 	resp, err := f.Fetch(ctx, srv.URL+"/at")
@@ -226,8 +231,7 @@ func TestHandoffForwardsErrors(t *testing.T) {
 func TestHandoffBound(t *testing.T) {
 	const n = 10_000
 	body := make([]byte, maxHandoffBytes/n) // shared: the bound counts bytes, not allocations
-	reg := obs.NewRegistry()
-	ctx := obs.With(context.Background(), obs.New(reg, nil))
+	ctx, reg := withRegistry()
 	h := &Handoff{Inner: &countingInner{}}
 	for i := 0; i < n; i++ {
 		h.Keep(ctx, "/p"+strconv.Itoa(i), &Response{Status: 200, Body: body})
@@ -275,30 +279,6 @@ func TestHandoffConcurrentTakes(t *testing.T) {
 	wg.Wait()
 	if taken.Load() != urls || inner.calls.Load() != urls*(lines-1) {
 		t.Fatalf("taken=%d inner=%d, want %d and %d", taken.Load(), inner.calls.Load(), urls, urls*(lines-1))
-	}
-}
-
-func TestFindStatsWalksWrapperChain(t *testing.T) {
-	inner := &HandlerFetcher{Handler: echoHandler()}
-	inst := NewInstrumented(inner, &VirtualClock{}, 0, 0)
-	// The walk passes through the handoff to the Instrumented underneath.
-	c := &Handoff{Inner: inst}
-	sp := FindStats(c)
-	if sp == nil {
-		t.Fatalf("FindStats found nothing through the handoff")
-	}
-	if _, err := c.Fetch(context.Background(), "/page?q=a"); err != nil {
-		t.Fatal(err)
-	}
-	if sp.Stats().Calls != 1 {
-		t.Fatalf("stats not attributed through wrapper chain: %+v", sp.Stats())
-	}
-	// A bare fetcher with no stats anywhere yields nil.
-	if FindStats(inner) != nil {
-		t.Fatalf("bare fetcher should have no stats provider")
-	}
-	if FindStats(nil) != nil {
-		t.Fatalf("nil fetcher should yield nil")
 	}
 }
 

@@ -6,15 +6,14 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"ajaxcrawl/internal/obs"
 )
 
 // TestInstrumentedConcurrentStats hammers one shared Instrumented from
 // many goroutines — the shape of concurrent process lines sharing a
-// fetcher — while another goroutine snapshots it. Run under
-// `go test -race` (as CI does) this pins the lock-free stats design:
-// no data race, and no update lost.
+// fetcher — each under its own Tally, while another goroutine reads the
+// registry. Run under `go test -race` (as CI does) this pins that
+// sharing the fetcher races on nothing and loses no update, and that
+// each goroutine's tally holds its own fetches.
 func TestInstrumentedConcurrentStats(t *testing.T) {
 	inner := Func(func(ctx context.Context, rawurl string) (*Response, error) {
 		if rawurl == "err://boom" {
@@ -24,15 +23,17 @@ func TestInstrumentedConcurrentStats(t *testing.T) {
 	})
 	clock := &VirtualClock{}
 	f := NewInstrumented(inner, clock, time.Millisecond, 0)
+	ctx, reg := withRegistry()
 
 	const workers = 8
 	const perWorker = 500
 	var wg sync.WaitGroup
-	ctx := context.Background()
+	tallies := make([]Tally, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			ctx := WithTally(ctx, &tallies[w])
 			for i := 0; i < perWorker; i++ {
 				url := "http://ok"
 				if i%10 == 0 {
@@ -42,8 +43,10 @@ func TestInstrumentedConcurrentStats(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent readers: Stats must be safe to call mid-crawl (this is
-	// exactly what /debug/metrics does to a live run).
+	// Concurrent readers: the registry must be safe to read mid-crawl
+	// (this is exactly what /debug/metrics does to a live run). Errors
+	// is loaded before requests: a fetch counts its request first, so
+	// this order can never show more errors than requests.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	readers.Add(1)
@@ -54,9 +57,9 @@ func TestInstrumentedConcurrentStats(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				s := f.Stats()
-				if s.Errors > s.Calls {
-					t.Error("snapshot impossible: errors > calls")
+				errs := reg.Counter("fetch.errors").Value()
+				if errs > reg.Counter("fetch.requests").Value() {
+					t.Error("snapshot impossible: errors > requests")
 					return
 				}
 			}
@@ -66,20 +69,21 @@ func TestInstrumentedConcurrentStats(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	s := f.Stats()
 	wantCalls := int64(workers * perWorker)
 	wantErrs := int64(workers * perWorker / 10)
-	if s.Calls != wantCalls {
-		t.Fatalf("Calls = %d, want %d", s.Calls, wantCalls)
+	if got := reg.Counter("fetch.requests").Value(); got != wantCalls {
+		t.Fatalf("fetch.requests = %d, want %d", got, wantCalls)
 	}
-	if s.Errors != wantErrs {
-		t.Fatalf("Errors = %d, want %d", s.Errors, wantErrs)
+	if got := reg.Counter("fetch.errors").Value(); got != wantErrs {
+		t.Fatalf("fetch.errors = %d, want %d", got, wantErrs)
 	}
-	if s.Bytes != (wantCalls-wantErrs)*100 {
-		t.Fatalf("Bytes = %d, want %d", s.Bytes, (wantCalls-wantErrs)*100)
+	if got := reg.Counter("fetch.bytes").Value(); got != (wantCalls-wantErrs)*100 {
+		t.Fatalf("fetch.bytes = %d, want %d", got, (wantCalls-wantErrs)*100)
 	}
-	if s.NetworkTime < time.Duration(wantCalls-wantErrs)*time.Millisecond {
-		t.Fatalf("NetworkTime = %v, want >= %v", s.NetworkTime, time.Duration(wantCalls-wantErrs)*time.Millisecond)
+	for w, tally := range tallies {
+		if want := time.Duration(perWorker-perWorker/10) * time.Millisecond; tally.NetworkTime < want {
+			t.Fatalf("worker %d: NetworkTime = %v, want >= %v", w, tally.NetworkTime, want)
+		}
 	}
 }
 
@@ -87,7 +91,7 @@ func TestInstrumentedConcurrentStats(t *testing.T) {
 // Retry→Fault→Instrumented stack from many goroutines — the shape of
 // process lines sharing a resilient fetcher. Under `go test -race`
 // (CI's fetch-race job runs this three times) it pins that the
-// middlewares' internal state (fault RNG, retry counters) is safe for
+// middlewares' internal state (fault RNG, script positions) is safe for
 // concurrent use, and that the counters balance.
 func TestResilienceStackConcurrent(t *testing.T) {
 	clock := &VirtualClock{}
@@ -100,8 +104,7 @@ func TestResilienceStackConcurrent(t *testing.T) {
 	const workers = 8
 	const perWorker = 300
 	var wg sync.WaitGroup
-	reg := obs.NewRegistry()
-	ctx := obs.With(context.Background(), obs.New(reg, nil))
+	ctx, reg := withRegistry()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -113,21 +116,22 @@ func TestResilienceStackConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := retry.RetryStats()
-	if st.Attempts < workers*perWorker {
-		t.Errorf("Attempts = %d, want >= %d", st.Attempts, workers*perWorker)
+	attempts := reg.Counter("fetch.retry.attempts").Value()
+	if attempts < workers*perWorker {
+		t.Errorf("attempts = %d, want >= %d", attempts, workers*perWorker)
 	}
-	if st.Retries == 0 {
+	if reg.Counter("fetch.retry.retries").Value() == 0 {
 		t.Error("no retries recorded against a 20% fault rate")
 	}
 	errs := reg.Counter("fault.injected.errors").Value()
 	if errs == 0 {
 		t.Error("fault injector never fired")
 	}
-	if got := inst.Stats().Calls + errs; got != st.Attempts {
+	inner := reg.Counter("fetch.requests").Value()
+	if inner+errs != attempts {
 		// Every attempt either reached the inner fetcher or died at the
 		// fault injector.
 		t.Errorf("attempt accounting leaks: attempts=%d inner=%d injected=%d",
-			st.Attempts, inst.Stats().Calls, errs)
+			attempts, inner, errs)
 	}
 }

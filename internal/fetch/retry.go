@@ -6,17 +6,16 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"ajaxcrawl/internal/obs"
 )
 
 // RetryPolicy configures RetryFetcher: how many times to attempt a
-// fetch, how to space the attempts, and which outcomes are worth
-// retrying. The zero value is usable and means 4 attempts, 100ms base
-// backoff capped at 5s, no per-attempt timeout, Retry-After honored,
-// DefaultRetryable classification.
+// fetch and how to space the attempts. The zero value is usable and
+// means 4 attempts, 100ms base backoff capped at 5s. Which outcomes are
+// worth retrying is fixed (see retryable), and a server's Retry-After
+// hint always overrides a shorter computed backoff.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts, counting the first
 	// (so MaxAttempts=1 disables retrying). 0 means 4.
@@ -26,17 +25,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential backoff. 0 means 5s.
 	MaxDelay time.Duration
-	// AttemptTimeout, when > 0, bounds each individual attempt with a
-	// context deadline derived from the caller's context. An attempt
-	// that blows only this per-attempt deadline is retryable; the
-	// caller's own context ending always stops the loop.
-	AttemptTimeout time.Duration
-	// IgnoreRetryAfter disables honoring the server's Retry-After hint.
-	// By default a hinted delay overrides a shorter computed backoff.
-	IgnoreRetryAfter bool
-	// Retryable classifies an attempt's outcome; retrying continues only
-	// while it returns true. nil means DefaultRetryable.
-	Retryable func(resp *Response, err error) bool
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -49,13 +37,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 5 * time.Second
 	}
-	if p.Retryable == nil {
-		p.Retryable = DefaultRetryable
-	}
 	return p
 }
 
-// DefaultRetryable is the stock transient-failure classification:
+// retryable is the transient-failure classification:
 //
 //   - transport errors are retryable, except the caller's own context
 //     ending (Canceled/DeadlineExceeded);
@@ -64,7 +49,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 //
 // Injected faults (ErrInjected) are transport errors and thus retryable,
 // which is what lets a chaos crawl recover every page.
-func DefaultRetryable(resp *Response, err error) bool {
+func retryable(resp *Response, err error) bool {
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return false
@@ -81,41 +66,6 @@ func DefaultRetryable(resp *Response, err error) bool {
 	return false
 }
 
-// RetryStats aggregates what a RetryFetcher observed.
-type RetryStats struct {
-	// Attempts counts every inner Fetch call (first tries included).
-	Attempts int64
-	// Retries counts attempts beyond the first per fetch.
-	Retries int64
-	// GiveUps counts fetches that exhausted MaxAttempts.
-	GiveUps int64
-	// Recovered counts fetches that succeeded after at least one retry.
-	Recovered int64
-}
-
-// RetryStatsProvider is implemented by fetchers that record RetryStats.
-// Like StatsProvider, callers locate it through the Unwrap chain
-// (FindRetryStats) instead of asserting on a concrete type.
-type RetryStatsProvider interface {
-	RetryStats() RetryStats
-}
-
-// FindRetryStats returns the first RetryStatsProvider in f's unwrap
-// chain, or nil when the chain has none.
-func FindRetryStats(f Fetcher) RetryStatsProvider {
-	for f != nil {
-		if sp, ok := f.(RetryStatsProvider); ok {
-			return sp
-		}
-		w, ok := f.(Wrapper)
-		if !ok {
-			return nil
-		}
-		f = w.Unwrap()
-	}
-	return nil
-}
-
 // RetryFetcher retries transient fetch failures with exponential backoff
 // and full jitter: the wait before retry n is uniform in
 // [0, min(MaxDelay, BaseDelay·2ⁿ⁻¹)], the spread that keeps a fleet of
@@ -123,10 +73,12 @@ func FindRetryStats(f Fetcher) RetryStatsProvider {
 // on the injected Clock, so under a VirtualClock a whole backoff
 // schedule costs no wall time — the property the backoff tests rely on.
 //
-// Each retry increments the fetch.retry.retries counter and emits a
-// fetch.retry event span (URL, attempt, delay) when telemetry rides the
-// context; exhaustion increments fetch.retry.giveups, and a success
-// after at least one retry increments fetch.retry.recovered.
+// Each attempt increments the fetch.retry.attempts counter. Each retry
+// increments fetch.retry.retries, adds one to the context's Tally when
+// it carries one, and emits a fetch.retry event span (URL, attempt,
+// delay) when telemetry rides the context; exhaustion increments
+// fetch.retry.giveups, and a success after at least one retry
+// increments fetch.retry.recovered.
 type RetryFetcher struct {
 	Inner  Fetcher
 	Policy RetryPolicy
@@ -135,11 +87,6 @@ type RetryFetcher struct {
 	// Rand is the jitter source, returning values in [0, 1). nil uses
 	// the shared math/rand source; tests inject a deterministic one.
 	Rand func() float64
-
-	attempts  atomic.Int64
-	retries   atomic.Int64
-	giveups   atomic.Int64
-	recovered atomic.Int64
 }
 
 // NewRetryFetcher wraps inner with the given policy on clock.
@@ -150,19 +97,6 @@ func NewRetryFetcher(inner Fetcher, policy RetryPolicy, clock Clock) *RetryFetch
 	return &RetryFetcher{Inner: inner, Policy: policy, Clock: clock}
 }
 
-// Unwrap implements Wrapper.
-func (f *RetryFetcher) Unwrap() Fetcher { return f.Inner }
-
-// RetryStats implements RetryStatsProvider.
-func (f *RetryFetcher) RetryStats() RetryStats {
-	return RetryStats{
-		Attempts:  f.attempts.Load(),
-		Retries:   f.retries.Load(),
-		GiveUps:   f.giveups.Load(),
-		Recovered: f.recovered.Load(),
-	}
-}
-
 func (f *RetryFetcher) rand() float64 {
 	if f.Rand != nil {
 		return f.Rand()
@@ -171,7 +105,7 @@ func (f *RetryFetcher) rand() float64 {
 }
 
 // backoff returns the full-jitter delay before retry number n (1-based),
-// honoring a Retry-After hint from the failed response when allowed.
+// honoring a Retry-After hint from the failed response.
 func (f *RetryFetcher) backoff(p RetryPolicy, n int, resp *Response) time.Duration {
 	ceil := p.BaseDelay
 	for i := 1; i < n && ceil < p.MaxDelay; i++ {
@@ -179,7 +113,7 @@ func (f *RetryFetcher) backoff(p RetryPolicy, n int, resp *Response) time.Durati
 	}
 	ceil = min(ceil, p.MaxDelay)
 	d := time.Duration(f.rand() * float64(ceil))
-	if !p.IgnoreRetryAfter && resp != nil && resp.RetryAfter > d {
+	if resp != nil && resp.RetryAfter > d {
 		d = resp.RetryAfter
 	}
 	return d
@@ -201,38 +135,23 @@ func (f *RetryFetcher) Fetch(ctx context.Context, rawurl string) (*Response, err
 		err  error
 	)
 	for attempt := 1; ; attempt++ {
-		f.attempts.Add(1)
 		tel.Counter("fetch.retry.attempts").Inc()
-		actx, cancel := ctx, context.CancelFunc(nil)
-		if p.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)
-		}
-		resp, err = f.Inner.Fetch(actx, rawurl)
-		if cancel != nil {
-			cancel()
-		}
+		resp, err = f.Inner.Fetch(ctx, rawurl)
 		// The caller's context ending always wins: no classification, no
-		// further attempts. A per-attempt deadline, by contrast, leaves
-		// the parent alive and falls through to the retry decision.
+		// further attempts.
 		if ctx.Err() != nil {
 			if err == nil {
 				err = fmt.Errorf("fetch %s: %w", rawurl, ctx.Err())
 			}
 			return nil, err
 		}
-		// A blown per-attempt deadline is the retry layer's own doing
-		// (the caller's context is still alive at this point), so it is
-		// retryable no matter how the policy classifies deadline errors.
-		attemptTimedOut := p.AttemptTimeout > 0 && errors.Is(err, context.DeadlineExceeded)
-		if !attemptTimedOut && !p.Retryable(resp, err) {
+		if !retryable(resp, err) {
 			if err == nil && attempt > 1 {
-				f.recovered.Add(1)
 				tel.Counter("fetch.retry.recovered").Inc()
 			}
 			return resp, err
 		}
 		if attempt >= p.MaxAttempts {
-			f.giveups.Add(1)
 			tel.Counter("fetch.retry.giveups").Inc()
 			if err != nil {
 				return nil, fmt.Errorf("fetch %s: gave up after %d attempts: %w", rawurl, attempt, err)
@@ -242,7 +161,9 @@ func (f *RetryFetcher) Fetch(ctx context.Context, rawurl string) (*Response, err
 			return resp, nil
 		}
 		delay := f.backoff(p, attempt, resp)
-		f.retries.Add(1)
+		if t := tallyFrom(ctx); t != nil {
+			t.Retries++
+		}
 		tel.Counter("fetch.retry.retries").Inc()
 		tel.Counter("fetch.retry.backoff_ns").Add(int64(delay))
 		obs.Event(ctx, obs.SpanFetchRetry,

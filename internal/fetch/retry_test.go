@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ajaxcrawl/internal/obs"
 )
 
 // recordingClock is a VirtualClock that records every Sleep duration, so
@@ -53,7 +55,8 @@ func TestRetryBackoffScheduleExact(t *testing.T) {
 	}, clock)
 	f.Rand = func() float64 { return 1 } // jitter at the ceiling: exact exponential schedule
 
-	resp, err := f.Fetch(context.Background(), "/page")
+	ctx, reg := withRegistry()
+	resp, err := f.Fetch(ctx, "/page")
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
@@ -75,9 +78,8 @@ func TestRetryBackoffScheduleExact(t *testing.T) {
 			t.Errorf("sleep[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	st := f.RetryStats()
-	if st.Attempts != 5 || st.Retries != 4 || st.GiveUps != 0 || st.Recovered != 1 {
-		t.Errorf("stats = %+v, want Attempts=5 Retries=4 GiveUps=0 Recovered=1", st)
+	if got := retryCounts(reg); got != [4]int64{5, 4, 0, 1} {
+		t.Errorf("attempts, retries, giveups, recovered = %v, want [5 4 0 1]", got)
 	}
 }
 
@@ -143,13 +145,13 @@ func TestRetryGiveUpWrapsLastError(t *testing.T) {
 	})
 	f := NewRetryFetcher(inner, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}, clock)
 
-	_, err := f.Fetch(context.Background(), "/page")
+	ctx, reg := withRegistry()
+	_, err := f.Fetch(ctx, "/page")
 	if err == nil || !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want wrapped ErrInjected", err)
 	}
-	st := f.RetryStats()
-	if st.Attempts != 3 || st.Retries != 2 || st.GiveUps != 1 {
-		t.Errorf("stats = %+v, want Attempts=3 Retries=2 GiveUps=1", st)
+	if got := retryCounts(reg); got != [4]int64{3, 2, 1, 0} {
+		t.Errorf("attempts, retries, giveups, recovered = %v, want [3 2 1 0]", got)
 	}
 }
 
@@ -191,32 +193,7 @@ func TestRetryStopsOnParentCancel(t *testing.T) {
 	}
 }
 
-func TestRetryAttemptTimeoutIsRetryable(t *testing.T) {
-	clock := &recordingClock{}
-	calls := 0
-	inner := Func(func(ctx context.Context, rawurl string) (*Response, error) {
-		calls++
-		if calls == 1 {
-			<-ctx.Done() // hang until the per-attempt deadline cuts us off
-			return nil, ctx.Err()
-		}
-		return &Response{Status: 200}, nil
-	})
-	f := NewRetryFetcher(inner, RetryPolicy{
-		MaxAttempts:    3,
-		BaseDelay:      time.Millisecond,
-		AttemptTimeout: 5 * time.Millisecond,
-	}, clock)
-	resp, err := f.Fetch(context.Background(), "/page")
-	if err != nil || resp.Status != 200 {
-		t.Fatalf("Fetch = %v, %v; want recovery after attempt timeout", resp, err)
-	}
-	if calls != 2 {
-		t.Errorf("calls = %d, want 2", calls)
-	}
-}
-
-func TestDefaultRetryableClassification(t *testing.T) {
+func TestRetryableClassification(t *testing.T) {
 	cases := []struct {
 		name string
 		resp *Response
@@ -234,45 +211,52 @@ func TestDefaultRetryableClassification(t *testing.T) {
 		{"404", &Response{Status: 404}, nil, false},
 	}
 	for _, c := range cases {
-		if got := DefaultRetryable(c.resp, c.err); got != c.want {
-			t.Errorf("%s: DefaultRetryable = %v, want %v", c.name, got, c.want)
+		if got := retryable(c.resp, c.err); got != c.want {
+			t.Errorf("%s: retryable = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
-// TestFindStatsThreeDeepWrap pins the Unwrap-chain invariant: every
-// middleware (RetryFetcher, Handoff, FaultFetcher) must be transparent
-// to the stats finders, so instrumentation wrapped three layers deep is
-// still attributed.
-func TestFindStatsThreeDeepWrap(t *testing.T) {
+// TestTallyThroughMiddlewareStack: a Tally on the context reaches the
+// layers that fill it through every middleware between them — Retry
+// over Handoff over Fault over Instrumented — and holds exactly the
+// fetches made under that context.
+func TestTallyThroughMiddlewareStack(t *testing.T) {
 	clock := &VirtualClock{}
 	inst := NewInstrumented(Func(func(ctx context.Context, rawurl string) (*Response, error) {
 		return &Response{Status: 200, Body: []byte("hi")}, nil
-	}), clock, 0, 0)
-	var f Fetcher = inst
-	f = NewFaultFetcher(f, FaultConfig{}, clock)
+	}), clock, 10*time.Millisecond, 0)
+	var f Fetcher = NewFaultFetcher(inst, FaultConfig{Scripts: map[string][]FaultOp{
+		"/x": {FaultError, FaultTruncate},
+	}}, clock)
 	f = &Handoff{Inner: f}
-	f = NewRetryFetcher(f, RetryPolicy{}, clock)
+	f = NewRetryFetcher(f, RetryPolicy{BaseDelay: time.Millisecond}, clock)
 
-	sp := FindStats(f)
-	if sp == nil {
-		t.Fatal("FindStats lost the Instrumented through the 3-deep wrap")
-	}
-	if _, err := f.Fetch(context.Background(), "/x"); err != nil {
+	var tally Tally
+	ctx := WithTally(context.Background(), &tally)
+	if _, err := f.Fetch(ctx, "/x"); err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
-	if got := sp.Stats().Calls; got != 1 {
-		t.Errorf("Calls through chain = %d, want 1", got)
+	if tally.Retries != 2 || tally.NetworkTime != 10*time.Millisecond {
+		t.Errorf("tally = %+v, want 2 retries and the one fetch that reached Instrumented (10ms)", tally)
 	}
-	if FindRetryStats(f) == nil {
-		t.Error("FindRetryStats came back nil")
+	// A fetch under a context without the tally leaves it alone.
+	if _, err := f.Fetch(context.Background(), "/y"); err != nil {
+		t.Fatalf("Fetch: %v", err)
 	}
-	// The finders also traverse from below the layer that records them:
-	// a chain with the provider in the middle, not at the top.
-	var g Fetcher = &Handoff{Inner: NewRetryFetcher(inst, RetryPolicy{}, clock)}
-	if FindRetryStats(g) == nil {
-		t.Error("FindRetryStats through a Handoff wrap came back nil")
+	if tally.Retries != 2 || tally.NetworkTime != 10*time.Millisecond {
+		t.Errorf("a fetch without the tally changed it: %+v", tally)
 	}
+}
+
+// retryCounts reads RetryFetcher's counters from reg: attempts,
+// retries, giveups and recovered.
+func retryCounts(reg *obs.Registry) [4]int64 {
+	var out [4]int64
+	for i, name := range []string{"attempts", "retries", "giveups", "recovered"} {
+		out[i] = reg.Counter("fetch.retry." + name).Value()
+	}
+	return out
 }
 
 // errInjectedf builds a wrapped sentinel error the way the fault
