@@ -124,9 +124,9 @@ func main() {
 		}, nil)
 	}
 
-	// Always crawl through an instrumented fetcher (zero added latency)
-	// so per-request counters and the fetch.latency histogram flow into
-	// the registry and per-page NetworkTime attribution works.
+	// An instrumented fetcher (zero added latency) feeds the fetch counters and
+	// per-page NetworkTime; under -sim that is the in-process site's render time
+	// plus line contention, not network time (ajaxbench's virtual clock models it).
 	fetcher = fetch.NewInstrumented(fetcher, nil, 0, 0)
 
 	// Ctrl-C cancels the pipeline gracefully: in-flight pages stop

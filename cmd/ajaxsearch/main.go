@@ -134,11 +134,7 @@ func printStats(ix *index.Index) {
 	fmt.Printf("documents:     %d\n", ix.NumDocs())
 	fmt.Printf("states:        %d\n", ix.TotalStates)
 	fmt.Printf("terms:         %d\n", ix.NumTerms())
-	states := 0
-	for i := 0; i < ix.NumDocs(); i++ {
-		states += ix.Doc(index.DocID(i)).States
-	}
-	fmt.Printf("mean states/doc: %.2f\n", float64(states)/float64(ix.NumDocs()))
+	fmt.Printf("mean states/doc: %.2f\n", float64(ix.TotalStates)/float64(ix.NumDocs()))
 }
 
 func fatal(format string, args ...interface{}) {

@@ -60,7 +60,7 @@ func TestCrawlEmitsSpansAndCounters(t *testing.T) {
 		if pages[0].Err != "" {
 			t.Fatalf("page.crawl span has error %q", pages[0].Err)
 		}
-		if got := pages[0].Attrs["url"]; got != url {
+		if got := pages[0].Attrs.Get("url"); got != url {
 			t.Fatalf("page.crawl url attr = %q", got)
 		}
 		return pm, by, reg.Snapshot()

@@ -2,11 +2,11 @@ package index
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 
@@ -15,9 +15,8 @@ import (
 
 // On-disk index format, the one codec of a shard file, written with
 // internal/codec's primitives. It applies the standard IR compression
-// tricks — delta-encoded, varint-coded posting
-// lists — that the related-work chapter points at (web-graph/index
-// compression):
+// tricks — delta-encoded, varint-coded posting lists — that the
+// related-work chapter points at (web-graph/index compression):
 //
 //	magic "AJIX" | version u8
 //	docCount varint
@@ -30,6 +29,7 @@ import (
 //	    per posting: docDelta varint, state varint,
 //	                 posCount varint, positions as deltas varint
 //
+// A term's postingCount and postings are the list Index.Terms holds.
 // Doc IDs within one term's posting list are ascending, so consecutive
 // deltas are small; positions within one posting likewise. Floats are
 // stored as their little-endian IEEE 754 bits, so scores survive a
@@ -72,20 +72,7 @@ func (ix *Index) Encode(w io.Writer) error {
 	e.Uvarint(uint64(len(terms)))
 	for _, t := range terms {
 		e.String(t)
-		ps := ix.Terms[t]
-		e.Uvarint(uint64(len(ps)))
-		prevDoc := DocID(0)
-		for _, p := range ps {
-			e.Uvarint(uint64(p.Doc - prevDoc))
-			prevDoc = p.Doc
-			e.Uvarint(uint64(p.State))
-			e.Uvarint(uint64(p.N))
-			prev := int32(0)
-			for _, pos := range ix.Positions(p) {
-				e.Uvarint(uint64(pos - prev))
-				prev = pos
-			}
-		}
+		e.Fixed(ix.Terms[t]) // the list is held as the file codes it
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("index: encode: %w", err)
@@ -93,67 +80,27 @@ func (ix *Index) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode reads one index from r. The bytes are untrusted — the serving
-// daemon loads snapshots straight off disk — so counts are bounded,
-// pre-allocations capped, the result validated before it is handed out,
-// and any panic the decoder raises on corrupt input converted to an
-// error. Every posting's positions are appended to the one slab, so the
-// allocations follow the terms and docs, not the postings.
-func Decode(r io.Reader) (ix *Index, err error) {
-	defer codec.Contain(&err, "index: decode")
-	d := codec.NewDecoder(r)
-	ix = readIndex(d)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("index: decode: %w", d.Err())
+// Decode reads one index from r: its bytes are the one file of load,
+// whose bounds and checks they pass.
+func Decode(r io.Reader) (*Index, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
 	}
-	if err := ix.validate(); err != nil {
-		return nil, err
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("index: decode: %w", err)
 	}
-	return ix, nil
+	return load(nil, 1, func(int) (io.ReadSeeker, error) { return bytes.NewReader(buf.Bytes()), nil })
 }
 
 const republish = "re-publish the snapshot with ajaxcrawl -out" // the remedy for a file from another build
 
-func readIndex(d *codec.Decoder) *Index {
-	d.Header(codecMagic, codecVersion, republish)
-	if d.Err() != nil {
-		return nil
-	}
-
-	docs := d.Count("doc")
-	ix := &Index{
-		Docs:     make([]DocInfo, 0, codec.Prealloc(docs)),
-		docByURL: make(map[string]DocID, codec.Prealloc(docs)),
-	}
-	// A valid index has one position per token: tokens bounds the slab.
-	tokens := uint64(0)
-	if url, _ := ix.readDocs(d, docs, &tokens); url != "" {
-		d.Fail(fmt.Errorf("URL %q repeated", url))
-	}
-	ix.TotalStates = d.Count("total-state")
-
-	terms := d.Count("term")
-	ix.Terms = make(map[string][]Posting, codec.Prealloc(terms))
-	ix.positions = make([]int32, 0, codec.Prealloc(int(tokens)))
-	for i := 0; i < terms && d.Err() == nil; i++ {
-		term := d.String()
-		if _, ok := ix.Terms[term]; ok {
-			d.Fail(fmt.Errorf("term %q repeated", term))
-		}
-		n := d.Count("posting")
-		ix.Terms[term], ix.positions = readPostings(d, term, n, 0, DocID(len(ix.Docs)), tokens,
-			make([]Posting, 0, codec.Prealloc(n)), ix.positions)
-	}
-	if cap(ix.positions) > len(ix.positions) {
-		ix.positions = slices.Clone(ix.positions)
-	}
-	return ix
-}
-
 // readDocs appends a docs section's docs docs to ix, adding their token
-// counts to *tokens, which must fit the slab's uint32 offsets. It stops at
+// counts to *tokens, which must fit a uint32, and returns their states.
+// Every rank must be finite: scores must marshal to JSON. It stops at
 // the first URL ix already holds, returning it and its doc ("" if none).
-func (ix *Index) readDocs(d *codec.Decoder, docs int, tokens *uint64) (repeated string, first DocID) {
+func (ix *Index) readDocs(d *codec.Decoder, docs int, tokens *uint64) (states int, repeated string, first DocID) {
+	ix.Docs = slices.Grow(ix.Docs, codec.Prealloc(docs))
 	for i := 0; i < docs && d.Err() == nil; i++ {
 		var doc DocInfo
 		doc.URL = d.String()
@@ -163,7 +110,7 @@ func (ix *Index) readDocs(d *codec.Decoder, docs int, tokens *uint64) (repeated 
 		for j := 0; j < doc.States && d.Err() == nil; j++ {
 			n := d.Uvarint()
 			if *tokens += n; n > math.MaxInt32 || *tokens > math.MaxUint32 {
-				d.Fail(fmt.Errorf("states hold %d+ tokens, past the uint32 position offsets", *tokens))
+				d.Fail(fmt.Errorf("states hold %d+ tokens, past uint32", *tokens))
 			}
 			doc.StateLens = append(doc.StateLens, int32(n))
 		}
@@ -175,191 +122,216 @@ func (ix *Index) readDocs(d *codec.Decoder, docs int, tokens *uint64) (repeated 
 		for j := 0; j < doc.States && d.Err() == nil; j++ {
 			doc.Texts = append(doc.Texts, d.String())
 		}
+		if !finite(doc.PageRank) || slices.ContainsFunc(doc.AJAXRanks, func(r float64) bool { return !finite(r) }) {
+			d.Fail(fmt.Errorf("doc %d (%s): a rank is not finite", len(ix.Docs), doc.URL))
+		}
 		if first, ok := ix.docByURL[doc.URL]; ok {
-			return doc.URL, first
+			return states, doc.URL, first
 		}
 		ix.docByURL[doc.URL] = DocID(len(ix.Docs))
-		ix.Docs = append(ix.Docs, doc)
+		ix.Docs, states = append(ix.Docs, doc), states+doc.States
 	}
-	return "", 0
+	return states, "", 0
 }
 
-// readPostings reads term's n postings, whose docs lie in [doc, end),
-// appends them to list and their positions to pos, which may hold limit
-// positions, and returns both. A posting's Off is its offset in pos.
-func readPostings(d *codec.Decoder, term string, n int, doc, end DocID, limit uint64, list []Posting, pos []int32) ([]Posting, []int32) {
+// readList appends term's n postings, whose docs lie in [doc, end), to
+// run, the first doc delta re-coded against prev, the list's doc before
+// them, and returns run and the last doc. It checks each posting: its
+// state is one of its doc's, and its positions, which *left must still
+// hold, are at least one, strictly increasing and inside the state.
+func (ix *Index) readList(d *codec.Decoder, term string, n int, doc, end DocID, left *uint64, run []byte, prev DocID) ([]byte, DocID) {
 	for j := 0; j < n && d.Err() == nil; j++ {
 		if delta := d.Uvarint(); delta >= uint64(end-doc) {
 			d.Fail(fmt.Errorf("term %q: posting doc past the %d docs", term, end))
+			break
 		} else {
 			doc += DocID(delta)
 		}
-		p := Posting{Doc: doc, State: int32(d.Count("state-id")), Off: uint32(len(pos))}
-		pc := d.Count("position")
-		if pc == 0 || uint64(len(pos)+pc) > limit {
-			d.Fail(fmt.Errorf("a posting of %d positions, outside 1..%d", pc, limit-uint64(len(pos))))
+		info := &ix.Docs[doc]
+		state := d.Count("state-id")
+		if state >= info.States {
+			d.Fail(fmt.Errorf("term %q: doc %d state %d out of range [0,%d)", term, doc, state, info.States))
+			break
 		}
-		prev := int32(0)
+		pc := d.Count("position")
+		if pc == 0 || uint64(pc) > *left {
+			d.Fail(fmt.Errorf("term %q: a posting of %d positions, outside 1..%d", term, pc, *left))
+			break
+		}
+		*left -= uint64(pc)
+		run = binary.AppendUvarint(run, uint64(doc-prev))
+		run = binary.AppendUvarint(run, uint64(state))
+		run = binary.AppendUvarint(run, uint64(pc))
+		prev = doc
+		at, tokens := int32(0), info.StateLens[state]
 		for k := 0; k < pc && d.Err() == nil; k++ {
 			delta := d.Uvarint()
-			if delta > uint64(math.MaxInt32-prev) {
-				d.Fail(fmt.Errorf("term %q: position past %d", term, math.MaxInt32))
+			if (k > 0 && delta == 0) || delta >= uint64(tokens-at) {
+				d.Fail(fmt.Errorf("term %q: doc %d state %d: positions not increasing in [0,%d)", term, doc, state, tokens))
+				break
 			}
-			prev += int32(delta)
-			pos = append(pos, prev)
+			at += int32(delta)
+			run = binary.AppendUvarint(run, delta)
 		}
-		p.N = uint32(pc)
-		list = append(list, p)
 	}
-	return list, pos
+	return run, prev
 }
 
-// mergeTerm is a term of loadFiles' union vocabulary. Pass 1 counts its
-// postings (df) and positions (in end); pass 2 fills its list, postings
-// [off, off+df) of the posting slab, up to off+fill, and its positions
-// from next up to end. Every posting holds a position and positions fit
-// uint32 offsets, so every count does too.
+// mergeTerm is a term of load's union vocabulary. Pass 1 counts its
+// postings (df) and sizes its list; pass 2 writes the list, bytes
+// [off, off+size) of the slab, up to off+fill, counting df down to 0.
 type mergeTerm struct {
-	key                      string
-	off, df, fill, next, end uint32
-	file                     int32 // the last file, numbered from 1, that listed the term
+	key                 string
+	df, off, size, fill int
+	last                DocID
+	file                int32 // the last file, numbered from 1, that listed the term
 }
 
-// loadFiles decodes m's shard files, each checked against its manifest
-// entry, in manifest order straight into one index: a file's doc IDs are
-// offset by the docs before it, and a term's list is the files' lists
-// concatenated. Pass 1 reads each file's docs, state texts included, into
-// the index and counts its postings through scratch; pass 2 fills one
-// posting and one positions slab of exactly those counts from each file's
-// term section. Decode's bounds hold, the token bound over all files.
-func loadFiles(dir string, m *Manifest) (*Index, error) {
-	if e := m.Shards[0]; len(m.Shards) == 1 {
-		var ix *Index
-		f, err := os.Open(filepath.Join(dir, e.File))
-		if err == nil {
-			ix, err = Decode(f)
-			f.Close()
-		}
-		if err == nil {
-			err = e.check(ix.NumDocs(), ix.TotalStates, ix.NumTerms())
-		}
-		if err != nil {
-			return nil, fmt.Errorf("index: snapshot shard %s: %w", e.File, err)
-		}
-		return ix, nil
+// load decodes n index files, file i opened by open(i), in order into
+// one index: a file's doc IDs are offset by the docs before it, and a
+// term's list is the files' parts concatenated, each part's first doc
+// delta re-coded at the seam. The bytes are untrusted, so counts are
+// bounded, pre-allocations capped, every doc and posting checked as it
+// is read, and a decoder panic turned into an error. Pass 1 reads each
+// file's docs into the index and its postings to size each term's list;
+// pass 2 writes the lists into one slab of exactly that size. The token
+// bound spans the files. A non-nil m's i-th shard is file i, checked.
+func load(m *Manifest, n int, open func(i int) (io.ReadSeeker, error)) (*Index, error) {
+	var docs, terms int
+	if m != nil {
+		docs, terms = max(m.TotalDocs, 0), max(m.TotalTerms, 0)
 	}
 	ix := &Index{
-		Docs:     make([]DocInfo, 0, codec.Prealloc(max(m.TotalDocs, 0))),
-		docByURL: make(map[string]DocID, codec.Prealloc(max(m.TotalDocs, 0))),
+		Docs:     make([]DocInfo, 0, codec.Prealloc(docs)),
+		docByURL: make(map[string]DocID, codec.Prealloc(docs)),
+	}
+	fail := func(i int, err error) (*Index, error) {
+		if m != nil {
+			err = fmt.Errorf("index: snapshot shard %s: %w", m.Shards[i].File, err)
+		}
+		return nil, err
 	}
 	// A term is looked up by its bytes in the read buffer, so only its
 	// first sighting allocates; seq keeps each file's terms in file order,
 	// so pass 2 compares instead of looking up.
-	vocab := make(map[string]*mergeTerm, codec.Prealloc(max(m.TotalTerms, 0)))
-	seq := make([][]*mergeTerm, len(m.Shards))
+	var vocab map[string]*mergeTerm // sized at the first file's terms
+	var free []mergeTerm            // the next terms' slots
+	seq := make([][]*mergeTerm, n)
 	br := bufio.NewReader(nil)
-	scratch, positions := []Posting(nil), []int32(nil)
-	base := make([]DocID, len(m.Shards)+1) // file i holds docs [base[i], base[i+1])
-	at := make([]int64, len(m.Shards))     // where file i's term section starts
-	tokens, postings, total := uint64(0), 0, 0
-	for i, e := range m.Shards {
+	var scratch []byte
+	base := make([]DocID, n+1)    // file i holds docs [base[i], base[i+1])
+	at := make([]int64, n)        // where file i's term section starts
+	tokens := make([]uint64, n+1) // the files before i hold tokens[i]
+	for i := range n {
 		var states int
-		err := scanFile(br, filepath.Join(dir, e.File), 0, func(d *codec.Decoder, offset func() int64) {
+		err := scanFile(br, open, i, 0, func(d *codec.Decoder, offset func() int64) {
 			d.Header(codecMagic, codecVersion, republish)
-			left := tokens
-			if url, first := ix.readDocs(d, d.Count("doc"), &tokens); url != "" {
+			tokens[i+1] = tokens[i]
+			held, url, first := ix.readDocs(d, d.Count("doc"), &tokens[i+1])
+			if url != "" && m == nil {
+				d.Fail(fmt.Errorf("URL %q repeated", url))
+			} else if url != "" {
 				j := sort.Search(i, func(j int) bool { return base[j+1] > first })
 				d.Fail(fmt.Errorf("URL %q is also in %s", url, m.Shards[j].File))
 			}
-			left, base[i+1] = tokens-left, DocID(len(ix.Docs))
-			states = d.Count("total-state")
+			base[i+1] = DocID(len(ix.Docs))
+			if states = d.Count("total-state"); states != held {
+				d.Fail(fmt.Errorf("%d total states, its docs hold %d", states, held))
+			}
 			at[i] = offset()
-			n := d.Count("term")
-			seq[i] = make([]*mergeTerm, 0, codec.Prealloc(n))
-			for k := 0; k < n && d.Err() == nil; k++ {
+			nt := d.Count("term")
+			if vocab == nil {
+				vocab = make(map[string]*mergeTerm, codec.Prealloc(max(terms, nt)))
+			}
+			seq[i] = make([]*mergeTerm, 0, codec.Prealloc(nt))
+			left := tokens[i+1] - tokens[i]
+			for k := 0; k < nt && d.Err() == nil; k++ {
 				key := d.Key()
 				t := vocab[string(key)]
 				if t == nil {
-					t = &mergeTerm{key: string(key)}
+					if len(free) == 0 {
+						free = make([]mergeTerm, 256)
+					}
+					t, free = &free[0], free[1:]
+					t.key = string(key)
 					vocab[t.key] = t
 				}
 				if t.file == int32(i+1) {
 					d.Fail(fmt.Errorf("term %q repeated", t.key))
 				}
 				np := d.Count("posting")
-				scratch, positions = readPostings(d, t.key, np, base[i], base[i+1], left, scratch[:0], positions[:0])
-				t.file, t.df, t.end = int32(i+1), t.df+uint32(np), t.end+uint32(len(positions))
-				left -= uint64(len(positions))
-				postings, total = postings+np, total+len(positions)
+				scratch, t.last = ix.readList(d, t.key, np, base[i], base[i+1], &left, scratch[:0], t.last)
+				t.file, t.df, t.size = int32(i+1), t.df+np, t.size+len(scratch)
 				seq[i] = append(seq[i], t)
 			}
 		})
-		if err == nil {
-			err = e.check(int(base[i+1]-base[i]), states, len(seq[i]))
+		if err == nil && m != nil {
+			err = m.Shards[i].check(int(base[i+1]-base[i]), states, len(seq[i]))
 		}
 		if err != nil {
-			return nil, fmt.Errorf("index: snapshot shard %s: %w", e.File, err)
+			return fail(i, err)
 		}
 		ix.TotalStates += states
 	}
 
-	var off, run uint32
+	size := 0
 	for _, t := range vocab {
-		t.off, t.next, t.end = off, run, run+t.end
-		off, run = off+t.df, t.end
+		t.size += uvarintLen(uint64(t.df))
+		t.off, t.last, size = size, 0, size+t.size
 	}
-	terms := len(vocab)
+	terms = len(vocab)
 	vocab = nil // pass 2 finds each file's terms in seq
-	slab := make([]Posting, postings)
-	ix.positions = make([]int32, total)
+	slab := make([]byte, size)
 	changed := fmt.Errorf("the file changed while it loaded")
-	for i, e := range m.Shards {
-		err := scanFile(br, filepath.Join(dir, e.File), at[i], func(d *codec.Decoder, _ func() int64) {
-			n := d.Count("term")
-			for k := 0; k < n && d.Err() == nil; k++ {
+	for i := range n {
+		err := scanFile(br, open, i, at[i], func(d *codec.Decoder, _ func() int64) {
+			nt := d.Count("term")
+			left := tokens[i+1] - tokens[i]
+			for k := 0; k < nt && d.Err() == nil; k++ {
 				if k >= len(seq[i]) || string(d.Key()) != seq[i][k].key {
 					d.Fail(changed)
 					break
 				}
 				t, np := seq[i][k], d.Count("posting")
-				if np > int(t.df-t.fill) {
+				run := slab[t.off : t.off+t.fill : t.off+t.size]
+				if t.fill == 0 {
+					run = binary.AppendUvarint(run, uint64(t.df))
+				}
+				run, t.last = ix.readList(d, t.key, np, base[i], base[i+1], &left, run, t.last)
+				if len(run) > t.size { // append left the slab
 					d.Fail(changed)
 					break
 				}
-				list, pos := readPostings(d, t.key, np, base[i], base[i+1], uint64(t.end),
-					slab[t.off:t.off+t.fill:t.off+t.df], ix.positions[:t.next])
-				postings, total = postings-np, total-(len(pos)-int(t.next))
-				t.fill, t.next = uint32(len(list)), uint32(len(pos))
+				t.fill, t.df = len(run), t.df-np
 			}
 		})
 		if err != nil {
-			return nil, fmt.Errorf("index: snapshot shard %s: %w", e.File, err)
+			return fail(i, err)
 		}
 	}
-	if postings != 0 || total != 0 { // a term's count changed between the passes
-		return nil, fmt.Errorf("index: snapshot: a shard file changed while it loaded")
-	}
-	ix.Terms = make(map[string][]Posting, terms)
+	ix.Terms = make(map[string][]byte, terms)
 	for _, file := range seq {
 		for _, t := range file {
-			ix.Terms[t.key] = slab[t.off : t.off+t.df : t.off+t.df]
+			if t.fill != t.size || t.df != 0 { // a term's part changed between the passes
+				return nil, fmt.Errorf("index: snapshot: a shard file changed while it loaded")
+			}
+			ix.Terms[t.key] = slab[t.off : t.off+t.size : t.off+t.size]
 		}
-	}
-	if err := ix.validate(); err != nil {
-		return nil, err
 	}
 	return ix, nil
 }
 
-// scanFile runs read on a decoder over path from byte off, reading
+// scanFile runs read on a decoder over file i from byte off, reading
 // through br; offset reports where the decoder is in the file. A decoder
 // panic comes back as an error.
-func scanFile(br *bufio.Reader, path string, off int64, read func(d *codec.Decoder, offset func() int64)) (err error) {
-	f, err := os.Open(path)
+func scanFile(br *bufio.Reader, open func(int) (io.ReadSeeker, error), i int, off int64, read func(d *codec.Decoder, offset func() int64)) (err error) {
+	f, err := open(i)
 	if err != nil {
 		return fmt.Errorf("index: load: %w", err)
 	}
-	defer f.Close()
+	if c, ok := f.(io.Closer); ok {
+		defer c.Close()
+	}
 	defer codec.Contain(&err, "index: decode")
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return fmt.Errorf("index: load: %w", err)
@@ -372,60 +344,6 @@ func scanFile(br *bufio.Reader, path string, off int64, read func(d *codec.Decod
 	})
 	if d.Err() != nil {
 		return fmt.Errorf("index: decode: %w", d.Err())
-	}
-	return nil
-}
-
-// validate checks the structural invariants query evaluation relies on,
-// so a corrupt or adversarial snapshot surfaces as a load error instead
-// of an out-of-range panic, a non-finite score or a phantom result in
-// the middle of a search: per-doc state metadata (lengths, ranks, texts)
-// is consistent, every rank is finite, every posting points at a real
-// state of a real document, and its positions are at least one, strictly
-// increasing and inside the state's tokens.
-func (ix *Index) validate() error {
-	if ix.TotalStates < 0 {
-		return fmt.Errorf("index: validate: negative TotalStates %d", ix.TotalStates)
-	}
-	states := 0
-	for i, d := range ix.Docs {
-		if d.States < 0 || d.States != len(d.StateLens) || d.States != len(d.AJAXRanks) || d.States != len(d.Texts) {
-			return fmt.Errorf("index: validate: doc %d (%s): States=%d, len(StateLens)=%d, len(AJAXRanks)=%d, len(Texts)=%d",
-				i, d.URL, d.States, len(d.StateLens), len(d.AJAXRanks), len(d.Texts))
-		}
-		if !finite(d.PageRank) {
-			return fmt.Errorf("index: validate: doc %d (%s): PageRank %v", i, d.URL, d.PageRank)
-		}
-		for j, r := range d.AJAXRanks {
-			if !finite(r) {
-				return fmt.Errorf("index: validate: doc %d (%s): state %d AJAXRank %v", i, d.URL, j, r)
-			}
-		}
-		states += d.States
-	}
-	if states != ix.TotalStates {
-		return fmt.Errorf("index: validate: TotalStates=%d but docs sum to %d", ix.TotalStates, states)
-	}
-	for term, ps := range ix.Terms {
-		for _, p := range ps {
-			if int(p.Doc) < 0 || int(p.Doc) >= len(ix.Docs) {
-				return fmt.Errorf("index: validate: term %q: posting doc %d out of range [0,%d)", term, p.Doc, len(ix.Docs))
-			}
-			d := &ix.Docs[p.Doc]
-			if p.State < 0 || int(p.State) >= d.States {
-				return fmt.Errorf("index: validate: term %q: doc %d state %d out of range [0,%d)", term, p.Doc, p.State, d.States)
-			}
-			if p.N == 0 {
-				return fmt.Errorf("index: validate: term %q: posting for doc %d has no positions", term, p.Doc)
-			}
-			prev := int32(-1)
-			for _, pos := range ix.Positions(p) {
-				if pos <= prev || pos >= d.StateLens[p.State] {
-					return fmt.Errorf("index: validate: term %q: doc %d state %d: positions not increasing in [0,%d)", term, p.Doc, p.State, d.StateLens[p.State])
-				}
-				prev = pos
-			}
-		}
 	}
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"ajaxcrawl/internal/model"
 )
@@ -124,10 +123,9 @@ func TestEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocs: Decode appends every posting's positions to the
-// index's one slab, so its allocations follow the terms (a string and a
-// list each) and the docs (a URL, three per-state vectors and the
-// texts), not the postings.
+// TestDecodeAllocs: Decode appends every posting list to the index's
+// one slab, so its allocations follow the terms (a string each) and the
+// docs (a URL, three per-state vectors and the texts), not the postings.
 func TestDecodeAllocs(t *testing.T) {
 	const docs, states, terms = 4, 5, 50
 	var graphs []*model.Graph
@@ -158,14 +156,6 @@ func TestDecodeAllocs(t *testing.T) {
 	t.Logf("Decode of %d terms, %d docs, %d postings: %.0f allocs (limit %.0f)", terms, docs, ix.NumPostings(), allocs, limit)
 	if ix.NumPostings() != terms*docs*states || allocs > limit {
 		t.Fatalf("Decode of %d postings allocates %.0f times, limit %.0f", ix.NumPostings(), allocs, limit)
-	}
-}
-
-// TestPostingSize: a posting is its doc, its state and a window of the
-// slab; its positions take no slice header.
-func TestPostingSize(t *testing.T) {
-	if size := unsafe.Sizeof(Posting{}); size != 16 {
-		t.Fatalf("Posting is %d bytes, want 16", size)
 	}
 }
 

@@ -65,7 +65,7 @@ func badTextSections(tb testing.TB) map[string][]byte {
 // onePosting hand-writes an index of one doc, whose states have the
 // given token counts, and one term with one posting in state: its
 // positions are the given deltas. The bytes need not come from Encode,
-// which holds its positions as int32.
+// whose lists hold only what the loader accepts.
 func onePosting(lens []uint64, state uint64, deltas ...uint64) []byte {
 	b := binary.AppendUvarint(header(), 1)
 	b = binary.AppendUvarint(b, 1)
@@ -96,8 +96,8 @@ func onePosting(lens []uint64, state uint64, deltas ...uint64) []byte {
 }
 
 // badBounds are encodings whose postings leave their state, or whose
-// positions leave the range the slab's uint32 offsets address; every
-// one must be refused. The first decodes: it is the in-bounds control.
+// positions or token total leave the 32-bit range; every one must be
+// refused. The first decodes: it is the in-bounds control.
 func badBounds() [][]byte {
 	const maxInt32 = math.MaxInt32
 	return [][]byte{
@@ -122,7 +122,7 @@ func TestDecodeRefusesPostingPastDocStates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-bounds control: %v", err)
 	}
-	if got := ix.Positions(ix.Lookup("t")[0]); !slices.Equal(got, []int32{0, 1}) {
+	if got := flat(ix, "t"); len(got) != 1 || !slices.Equal(got[0].Positions, []int32{0, 1}) {
 		t.Fatalf("control positions %v, want [0 1]", got)
 	}
 	if _, err := Decode(bytes.NewReader(bad[1])); err == nil || !strings.Contains(err.Error(), "state 2 out of range [0,2)") {
@@ -141,10 +141,9 @@ func TestDecodeRefusesPositionsOutsideState(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesPositionTotalPastUint32: a posting addresses its
-// positions by a uint32 offset into the index's one slab, so an index
-// whose states hold more tokens than that reaches — or whose postings
-// hold more positions than its states have tokens — is refused.
+// TestDecodeRefusesPositionTotalPastUint32: an index whose states hold
+// more tokens than a uint32 counts — or whose postings hold more
+// positions than its states have tokens — is refused.
 func TestDecodeRefusesPositionTotalPastUint32(t *testing.T) {
 	for i, data := range badBounds()[6:] {
 		if _, err := Decode(bytes.NewReader(data)); err == nil {
@@ -155,7 +154,7 @@ func TestDecodeRefusesPositionTotalPastUint32(t *testing.T) {
 
 // TestDecodeRejectsBadTextSection: every badTextSections input is a load
 // error, a retired version's with the re-publish instruction; an index
-// whose texts disagree with its state count fails validation.
+// whose texts disagree with its state count does not decode.
 func TestDecodeRejectsBadTextSection(t *testing.T) {
 	for name, data := range badTextSections(t) {
 		_, err := Decode(bytes.NewReader(data))
@@ -167,8 +166,8 @@ func TestDecodeRejectsBadTextSection(t *testing.T) {
 	}
 	ix, _ := fuzzSeedIndex(t)
 	ix.Docs[1].Texts = nil
-	if err := ix.validate(); err == nil {
-		t.Error("an index with no texts for a doc's states validated")
+	if _, err := Decode(bytes.NewReader(encoded(t, ix))); err == nil {
+		t.Error("an index with no texts for a doc's states decoded")
 	}
 }
 
@@ -184,7 +183,7 @@ func FuzzIndexLoad(f *testing.F) {
 	var gobBuf bytes.Buffer
 	if err := gob.NewEncoder(&gobBuf).Encode(struct {
 		Docs        []DocInfo
-		Terms       map[string][]Posting
+		Terms       map[string][]byte
 		TotalStates int
 	}{ix.Docs, ix.Terms, ix.TotalStates}); err != nil {
 		f.Fatal(err)
@@ -253,16 +252,24 @@ func requireQueryable(t *testing.T, ix *Index) {
 			}
 		}
 	}
-	for term, ps := range ix.Terms {
-		for _, p := range ps {
+	for term, run := range ix.Terms {
+		p, df := cursor(run)
+		postings := 0
+		for ; p.Next(); postings++ {
 			if int(p.Doc) < 0 || int(p.Doc) >= nd {
 				t.Fatalf("term %q posting doc %d out of range [0,%d)", term, p.Doc, nd)
 			}
-			if len(ix.Positions(p)) == 0 {
-				t.Fatalf("term %q posting for doc %d has no positions", term, p.Doc)
+			d := ix.Docs[p.Doc]
+			if p.State < 0 || int(p.State) >= d.States {
+				t.Fatalf("term %q posting doc %d state %d out of range [0,%d)", term, p.Doc, p.State, d.States)
 			}
-			_ = ix.Doc(p.Doc)
+			if pos := positions(p); len(pos) == 0 || len(pos) != int(p.TF) || !slices.IsSorted(pos) || pos[len(pos)-1] >= d.StateLens[p.State] {
+				t.Fatalf("term %q posting for doc %d has positions %v, tf %d", term, p.Doc, pos, p.TF)
+			}
 			_ = ix.StateText(p.Doc, model.StateID(p.State))
+		}
+		if postings != df {
+			t.Fatalf("term %q: %d postings, df %d", term, postings, df)
 		}
 		_ = ix.Lookup(term)
 		_ = ix.DF(term)

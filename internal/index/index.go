@@ -6,15 +6,17 @@
 // per-URL PageRank for the composite ranking formula 5.3.
 //
 // A shard is built in one pass over its application models (Build;
-// AddGraph adds one more to an index) and serializes to disk in a
-// delta+varint format (Encode) — one index shard per ShardPages
-// consecutive URLs of the crawl in the parallel architecture (ch. 6; see
-// Sharder).
+// AddGraph adds one more to an index) and holds each posting list in
+// the delta+varint coding of its file, which Encode writes as it is —
+// one index shard per ShardPages consecutive URLs of the crawl in the
+// parallel architecture (ch. 6; see Sharder).
 package index
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -27,18 +29,6 @@ import (
 
 // DocID identifies a document (URL) within one index.
 type DocID int32
-
-// Posting records one state containing a term. Its positions, the
-// token offsets of the term within the state text, are the N entries of
-// the index's positions slab from Off (Index.Positions).
-type Posting struct {
-	Doc    DocID
-	State  int32
-	Off, N uint32
-}
-
-// TF returns the raw term frequency in the state.
-func (p Posting) TF() int { return int(p.N) }
 
 // DocInfo is the per-URL metadata of the index.
 type DocInfo struct {
@@ -57,27 +47,99 @@ type DocInfo struct {
 
 // Index is one inverted-file shard.
 type Index struct {
-	Docs  []DocInfo
-	Terms map[string][]Posting
+	Docs []DocInfo
+	// Terms maps a term to its posting list as the shard file codes it
+	// (codec.go), a capacity-capped run of one byte slab per index.
+	Terms map[string][]byte
 	// TotalStates is the number of indexed states across all docs — the
 	// denominator universe of idf (states play the role of documents,
 	// eq. 5.2).
 	TotalStates int
 
-	docByURL  map[string]DocID
-	positions []int32 // every posting's positions, each a run of N
+	docByURL map[string]DocID
 }
 
-// Positions returns p's positions in increasing order: a window of the
-// index's slab, capped so an append to it copies.
-func (ix *Index) Positions(p Posting) []int32 {
-	return ix.positions[p.Off : p.Off+p.N : p.Off+p.N]
+// Postings is a cursor over one term's posting list, in (doc, state)
+// order; the zero value is an empty list.
+type Postings struct {
+	list  []byte // the current posting's TF position deltas, then the postings after it
+	Doc   DocID
+	State int32
+	TF    int32 // the term's occurrences in the state
+}
+
+// Next advances to the next posting and reports whether there was one,
+// stepping over the current one's positions without decoding them.
+func (p *Postings) Next() bool {
+	l := p.list
+	for n := p.TF; n > 0; l = l[1:] {
+		if l[0] < 0x80 {
+			n--
+		}
+	}
+	if len(l) >= 3 && l[0]|l[1]|l[2] < 0x80 { // the usual posting: three one-byte uvarints
+		p.Doc, p.State, p.TF, p.list = p.Doc+DocID(l[0]), int32(l[1]), int32(l[2]), l[3:]
+		return true
+	}
+	if len(l) == 0 {
+		return false // p stays at the last posting: Next reports false again
+	}
+	delta, k := uvarint(l)
+	state, k2 := uvarint(l[k:])
+	n, k3 := uvarint(l[k+k2:])
+	p.Doc, p.State, p.TF, p.list = p.Doc+DocID(delta), int32(state), int32(n), l[k+k2+k3:]
+	return true
+}
+
+// Positions returns a reader at the current posting's first position.
+func (p *Postings) Positions() Positions {
+	r := Positions{rest: p.list, left: p.TF}
+	r.Next()
+	return r
+}
+
+// Positions reads one posting's positions, the term's token offsets in
+// the state, in increasing order: Pos is the current one, -1 past the
+// last.
+type Positions struct {
+	rest []byte
+	left int32 // the positions not read yet
+	Pos  int32
+}
+
+// Next advances to the next position.
+func (r *Positions) Next() {
+	if r.left == 0 {
+		r.Pos = -1
+		return
+	}
+	delta, k := uvarint(r.rest)
+	r.rest, r.left, r.Pos = r.rest[k:], r.left-1, r.Pos+int32(delta)
+}
+
+// uvarint is binary.Uvarint for a list add wrote or load checked: no
+// bound or truncation checks, so it inlines.
+func uvarint(b []byte) (v uint64, n int) {
+	for c := byte(0x80); c >= 0x80; n++ {
+		c = b[n]
+		v |= uint64(c&0x7f) << (7 * n)
+	}
+	return v, n
+}
+
+// uvarintLen returns the bytes binary.AppendUvarint takes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// cursor returns a cursor over the coded list run and its length.
+func cursor(run []byte) (Postings, int) {
+	df, k := binary.Uvarint(run)
+	return Postings{list: run[k:]}, int(df)
 }
 
 // New returns an empty index.
 func New() *Index {
 	return &Index{
-		Terms:    make(map[string][]Posting),
+		Terms:    make(map[string][]byte),
 		docByURL: make(map[string]DocID),
 	}
 }
@@ -112,23 +174,25 @@ type builder struct {
 // termBuild is one term's scratch in an add call.
 type termBuild struct {
 	key  string
-	list []Posting // nil for a term the index does not hold yet
-	df   int32     // the call's postings of the term
-	occ  int32     // the call's occurrences of the term
-	seen int32     // the last state, numbered from 1, the term occurred in
-	next int32     // the next free slot of the term's run in the call's positions
+	run  []byte // the term's list in the index: nil for a new term until pass 2
+	df   int    // the postings of the term, the index's and the call's
+	size int    // the bytes the call's postings take
+	from DocID  // the doc of the index's last posting of the term
+	last DocID  // the doc of the term's last posting so far
+	pos  int32  // the term's last position in state seen
+	n    int32  // the term's occurrences in state seen
+	seen int32  // the last state, numbered from 1, the term occurred in
 }
 
 // add indexes graphs in two passes and returns the postings it added.
 // Pass 1 scans each state once, lower-casing a mixed-case token into a
 // reused buffer, gives each term an ID, records every token's ID and
-// counts each term's postings and occurrences. Pass 2 carves the new
-// terms' lists from one []Posting and grows the index's positions slab
-// by the call's token count, in which each term's positions are one run,
-// posting after posting. A term the index already holds keeps its list,
-// grown once by the call. State IDs are positions (AddState and the
-// model decoder guarantee it), so the postings stay in (doc, state) order
-// and a state's ID indexes its StateLens, AJAXRanks and Texts entries.
+// sizes each term's coded postings. Pass 2 carves every term's list from
+// one byte slab (a term the index holds copies its list in first) and
+// codes each state in two walks of its tokens: one counts a term's
+// occurrences, the next writes its posting. State IDs are positions
+// (AddState and the model decoder guarantee it), so the postings stay in
+// (doc, state) order.
 func (ix *Index) add(b *builder, graphs []*model.Graph, pageRank map[string]float64, maxStates int) (postings int) {
 	if ix.docByURL == nil {
 		ix.docByURL = make(map[string]DocID, len(graphs))
@@ -161,9 +225,9 @@ func (ix *Index) add(b *builder, graphs []*model.Graph, pageRank map[string]floa
 
 	firstDoc := len(ix.Docs)
 	ix.Docs = slices.Grow(ix.Docs, len(graphs))
-	var state, fresh int32
+	var state int32
 	for _, g := range graphs {
-		states := indexed(g)
+		states, doc := indexed(g), DocID(len(ix.Docs))
 		// Grow leaves a graph without states its nil slices.
 		info := DocInfo{
 			URL:       g.URL,
@@ -173,21 +237,26 @@ func (ix *Index) add(b *builder, graphs []*model.Graph, pageRank map[string]floa
 			AJAXRanks: slices.Grow([]float64(nil), len(states)),
 			Texts:     slices.Grow([]string(nil), len(states)),
 		}
-		for _, s := range states {
+		for sid, s := range states {
 			state++
 			start := len(b.toks)
 			for sc := Scan(s.Text); sc.Next(); {
 				id := b.id(ix, &sc)
+				pos := int32(len(b.toks) - start)
 				b.toks = append(b.toks, id)
 				t := &b.terms[id]
 				if t.seen != state {
-					t.seen = state
-					t.df++
-					if t.list == nil {
-						fresh++
+					if t.n > 0 {
+						t.size += uvarintLen(uint64(t.n))
 					}
+					t.seen, t.pos, t.n = state, 0, 0
+					t.df++
+					t.size += uvarintLen(uint64(doc-t.last)) + uvarintLen(uint64(sid))
+					t.last = doc
 				}
-				t.occ++
+				t.size += uvarintLen(uint64(pos - t.pos))
+				t.pos = pos
+				t.n++
 			}
 			info.StateLens = append(info.StateLens, int32(len(b.toks)-start))
 			info.AJAXRanks = append(info.AJAXRanks, AJAXRank(s.Depth))
@@ -197,46 +266,55 @@ func (ix *Index) add(b *builder, graphs []*model.Graph, pageRank map[string]floa
 		ix.Docs = append(ix.Docs, info)
 	}
 
-	slab := make([]Posting, fresh)
-	var run int32
+	total := 0
 	for i := range b.terms {
 		t := &b.terms[i]
-		if t.list == nil {
-			t.list, slab = slab[:0:t.df], slab[t.df:]
-		} else {
-			t.list = slices.Grow(t.list, int(t.df))
-		}
-		t.next, run = run, run+t.occ
-		postings += int(t.df)
+		_, k := binary.Uvarint(t.run) // a known term's list is copied in after the new length
+		t.size += uvarintLen(uint64(t.n)) + uvarintLen(uint64(t.df)) + len(t.run) - k
+		total += t.size
 	}
-	base := len(ix.positions)
-	if uint64(base)+uint64(len(b.toks)) > math.MaxUint32 {
-		panic("index: more positions than uint32 offsets address")
+	slab := make([]byte, total)
+	for i := range b.terms {
+		t := &b.terms[i]
+		df, k := binary.Uvarint(t.run)
+		run := binary.AppendUvarint(slab[:0:t.size], uint64(t.df))
+		t.run, t.last, slab = append(run, t.run[k:]...), t.from, slab[t.size:]
+		postings += t.df - int(df)
 	}
-	ix.positions = slices.Grow(ix.positions, len(b.toks))[:base+len(b.toks)]
 	var off int32
 	for d := firstDoc; d < len(ix.Docs); d++ {
 		for sid, n := range ix.Docs[d].StateLens {
+			toks := b.toks[off : off+n]
 			state++ // pass 2 numbers its states past pass 1's
-			for pos, id := range b.toks[off : off+n] {
+			for _, id := range toks {
+				if t := &b.terms[id]; t.seen != state {
+					t.seen, t.n = state, 1
+				} else {
+					t.n++
+				}
+			}
+			state++
+			for pos, id := range toks {
 				t := &b.terms[id]
 				if t.seen != state {
-					t.seen = state
-					t.list = append(t.list, Posting{Doc: DocID(d), State: int32(sid), Off: uint32(base) + uint32(t.next)})
+					t.seen, t.pos = state, 0
+					t.run = binary.AppendUvarint(t.run, uint64(DocID(d)-t.last))
+					t.run = binary.AppendUvarint(t.run, uint64(sid))
+					t.run = binary.AppendUvarint(t.run, uint64(t.n))
+					t.last = DocID(d)
 				}
-				ix.positions[base+int(t.next)] = int32(pos)
-				t.next++
-				t.list[len(t.list)-1].N++
+				t.run = binary.AppendUvarint(t.run, uint64(int32(pos)-t.pos))
+				t.pos = int32(pos)
 			}
 			off += n
 		}
 	}
 
 	if ix.Terms == nil {
-		ix.Terms = make(map[string][]Posting, len(b.terms))
+		ix.Terms = make(map[string][]byte, len(b.terms))
 	}
 	for _, t := range b.terms {
-		ix.Terms[t.key] = t.list
+		ix.Terms[t.key] = t.run
 	}
 	// Drop the call's references: a Sharder's builder outlives its shards.
 	clear(b.ids)
@@ -259,31 +337,31 @@ func (b *builder) id(ix *Index, sc *Scanner) int32 {
 	} else if id, ok := b.ids[term]; ok {
 		return id
 	}
-	list := ix.Terms[term]
-	if list == nil && !sc.mixed {
+	run := ix.Terms[term]
+	if run == nil && !sc.mixed {
 		term = strings.Clone(term)
+	}
+	p, df := cursor(run)
+	for p.Next() {
 	}
 	id := int32(len(b.terms))
 	b.ids[term] = id
-	b.terms = append(b.terms, termBuild{key: term, list: list})
+	b.terms = append(b.terms, termBuild{key: term, run: run, df: df, from: p.Doc, last: p.Doc})
 	return id
 }
 
-// Lookup returns the posting list of a term (nil when absent). The list
-// is sorted by (Doc, State).
-func (ix *Index) Lookup(term string) []Posting {
-	return ix.Terms[strings.ToLower(term)]
+// Lookup returns a cursor over the posting list of a term, which is
+// sorted by (Doc, State) and empty when the term is absent.
+func (ix *Index) Lookup(term string) Postings {
+	p, _ := cursor(ix.Terms[strings.ToLower(term)])
+	return p
 }
 
 // DF returns the number of states containing the term — the denominator
 // of eq. 5.2.
 func (ix *Index) DF(term string) int {
-	return len(ix.Terms[strings.ToLower(term)])
-}
-
-// Doc returns the metadata of a document.
-func (ix *Index) Doc(d DocID) DocInfo {
-	return ix.Docs[d]
+	_, df := cursor(ix.Terms[strings.ToLower(term)])
+	return df
 }
 
 // StateText returns the visible text of one of d's indexed states, or ""
@@ -311,8 +389,9 @@ func (ix *Index) NumTerms() int { return len(ix.Terms) }
 // size figure of the evaluation's index tables.
 func (ix *Index) NumPostings() int {
 	total := 0
-	for _, ps := range ix.Terms {
-		total += len(ps)
+	for _, run := range ix.Terms {
+		_, df := cursor(run)
+		total += df
 	}
 	return total
 }
@@ -326,9 +405,8 @@ func Build(graphs []*model.Graph, pageRank map[string]float64, maxStates int) *I
 
 // build is Build on b's scratch, wrapped in an index.build span that
 // records its posting count when ctx carries a trace sink. The index it
-// returns is laid out exactly: every posting list is as long as its
-// capacity, the positions are one slab of the states' token count, and
-// Terms is sized to the vocabulary.
+// returns is laid out exactly: every posting list is a run of one slab
+// as long as its capacity, and Terms is sized to the vocabulary.
 func (b *builder) build(ctx context.Context, graphs []*model.Graph, pageRank map[string]float64, maxStates int) *Index {
 	_, sp := obs.StartSpan(ctx, obs.SpanIndexBuild, obs.A("graphs", strconv.Itoa(len(graphs))))
 	ix := &Index{}

@@ -59,7 +59,7 @@ func TestBuildInvertedFile(t *testing.T) {
 		t.Fatalf("docs=%d states=%d", ix.NumDocs(), ix.TotalStates)
 	}
 	// "morcheeba" appears in all three states (Table 5.1).
-	ps := ix.Lookup("morcheeba")
+	ps := flat(ix, "morcheeba")
 	if len(ps) != 3 {
 		t.Fatalf("morcheeba postings = %d, want 3", len(ps))
 	}
@@ -73,17 +73,23 @@ func TestBuildInvertedFile(t *testing.T) {
 		t.Fatalf("postings not sorted: %v", ps)
 	}
 	// The second video's state has tf 2 (morcheeba twice).
-	last := ps[2]
-	if last.Doc != 1 || last.TF() != 2 {
+	last := ix.Lookup("morcheeba")
+	for i := 0; i < 3; i++ {
+		last.Next()
+	}
+	if last.Doc != 1 || last.TF != 2 {
 		t.Fatalf("doc2 posting = %+v", last)
 	}
 	// "singer" only in state 2 of video 1 (the second comment page).
-	singer := ix.Lookup("singer")
+	singer := flat(ix, "singer")
 	if len(singer) != 1 || singer[0].Doc != 0 || singer[0].State != 1 {
 		t.Fatalf("singer postings = %v", singer)
 	}
 	// Case-insensitive lookup.
-	if len(ix.Lookup("MORCHEEBA")) != 3 {
+	n := 0
+	for p := ix.Lookup("MORCHEEBA"); p.Next(); n++ {
+	}
+	if n != 3 {
 		t.Fatalf("lookup must be case-insensitive")
 	}
 	// DF is per state.
@@ -91,11 +97,11 @@ func TestBuildInvertedFile(t *testing.T) {
 		t.Fatalf("DF wrong")
 	}
 	// PageRank attached to docs.
-	if ix.Doc(0).PageRank != 0.6 {
+	if ix.Docs[0].PageRank != 0.6 {
 		t.Fatalf("pagerank lost")
 	}
 	// Positions recorded.
-	if pos := ix.Positions(singer[0]); pos[0] != 1 {
+	if pos := singer[0].Positions; pos[0] != 1 {
 		t.Fatalf("position = %v, want 1 (second token)", pos)
 	}
 }
@@ -108,7 +114,7 @@ func TestAJAXRankDecays(t *testing.T) {
 		t.Fatalf("AJAXRank must decay with depth")
 	}
 	ix := Build(twoVideoGraphs(), nil, 0)
-	d := ix.Doc(0)
+	d := ix.Docs[0]
 	if len(d.AJAXRanks) != 2 || d.AJAXRanks[0] != 1 || d.AJAXRanks[1] >= 1 {
 		t.Fatalf("doc ajaxranks = %v", d.AJAXRanks)
 	}
@@ -143,7 +149,7 @@ func TestDuplicateURLPanics(t *testing.T) {
 
 func TestStateLens(t *testing.T) {
 	ix := Build(twoVideoGraphs(), nil, 0)
-	d := ix.Doc(0)
+	d := ix.Docs[0]
 	if d.StateLens[0] != 4 || d.StateLens[1] != 5 {
 		t.Fatalf("state lens = %v", d.StateLens)
 	}
@@ -194,12 +200,12 @@ func TestPropertyAllTokensIndexed(t *testing.T) {
 		ix.AddGraph(g, 0, 0)
 		toks := Tokenize(text)
 		for pos, tok := range toks {
-			ps := ix.Lookup(tok)
+			ps := flat(ix, tok)
 			if len(ps) != 1 {
 				return false
 			}
 			found := false
-			for _, p := range ix.Positions(ps[0]) {
+			for _, p := range ps[0].Positions {
 				if int(p) == pos {
 					found = true
 				}
@@ -223,12 +229,12 @@ func TestPropertyTFSumsToStateLen(t *testing.T) {
 		ix := New()
 		ix.AddGraph(g, 0, 0)
 		sum := 0
-		for _, ps := range ix.Terms {
-			for _, p := range ps {
-				sum += p.TF()
+		for term := range ix.Terms {
+			for p := ix.Lookup(term); p.Next(); {
+				sum += int(p.TF)
 			}
 		}
-		return sum == len(Tokenize(text)) && int(ix.Doc(0).StateLens[0]) == sum
+		return sum == len(Tokenize(text)) && int(ix.Docs[0].StateLens[0]) == sum
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

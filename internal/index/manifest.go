@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -222,7 +223,7 @@ func publish(dir string, entries []ShardEntry, graphs []*model.Graph) (*Manifest
 }
 
 // LoadSnapshot reads dir's manifest and decodes the shard files it lists
-// into one index (loadFiles), returned as a one-element slice: all that
+// into one index (load), returned as a one-element slice: all that
 // serving needs, snippets included. A shard file is a crawl unit; a query
 // walks one posting list per term. Models, when present, are loaded
 // separately (model.LoadAll) by the callers that reconstruct states.
@@ -231,7 +232,9 @@ func LoadSnapshot(dir string) (*Manifest, []*Index, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ix, err := loadFiles(dir, m)
+	ix, err := load(m, len(m.Shards), func(i int) (io.ReadSeeker, error) {
+		return os.Open(filepath.Join(dir, m.Shards[i].File))
+	})
 	if err != nil {
 		return nil, nil, err
 	}

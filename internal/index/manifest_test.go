@@ -55,11 +55,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(shards) != 1 || shards[0].NumDocs() != 3 || shards[0].TotalStates != 4 {
 		t.Fatalf("got %d indexes, the first with %d docs", len(shards), shards[0].NumDocs())
 	}
-	if got := shards[0].Doc(0).PageRank; got != 0.7 {
+	if got := shards[0].Docs[0].PageRank; got != 0.7 {
 		t.Fatalf("pagerank lost: %v", got)
 	}
-	if shards[0].Doc(0).URL != "site/watch?v=a" || shards[0].Doc(2).URL != "site/watch?v=c" {
-		t.Fatalf("file order changed: %s / %s", shards[0].Doc(0).URL, shards[0].Doc(2).URL)
+	if shards[0].Docs[0].URL != "site/watch?v=a" || shards[0].Docs[2].URL != "site/watch?v=c" {
+		t.Fatalf("file order changed: %s / %s", shards[0].Docs[0].URL, shards[0].Docs[2].URL)
 	}
 
 	graphs, err := model.LoadAll(dir)

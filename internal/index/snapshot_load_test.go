@@ -34,7 +34,7 @@ func saveChunks(tb testing.TB, dir string, graphs []*model.Graph, chunk int) *In
 // TestLoadSnapshotMergesFiles: however a corpus is cut into shard files,
 // LoadSnapshot returns one index that encodes to the bytes of the index
 // Build makes of the whole corpus, laid out exactly: every posting list
-// and the positions slab as long as their capacity.
+// as long as its capacity.
 func TestLoadSnapshotMergesFiles(t *testing.T) {
 	graphs := append(fixedGraphs(), randomGraphs(rand.New(rand.NewSource(38)), 45)...)
 	for _, chunk := range []int{1, 7, ShardPages, len(graphs)} {
@@ -52,12 +52,12 @@ func TestLoadSnapshotMergesFiles(t *testing.T) {
 		if !bytes.Equal(encoded(t, ix), encoded(t, want)) {
 			t.Fatalf("chunk %d: the loaded index encodes to other bytes than Build's", chunk)
 		}
-		if len(ix.positions) != cap(ix.positions) || len(ix.Docs) != cap(ix.Docs) {
-			t.Fatalf("chunk %d: positions %d/%d, docs %d/%d (len/cap)", chunk, len(ix.positions), cap(ix.positions), len(ix.Docs), cap(ix.Docs))
+		if len(ix.Docs) != cap(ix.Docs) {
+			t.Fatalf("chunk %d: docs %d/%d (len/cap)", chunk, len(ix.Docs), cap(ix.Docs))
 		}
-		for term, ps := range ix.Terms {
-			if len(ps) != cap(ps) {
-				t.Fatalf("chunk %d: %q has %d postings in a list of cap %d", chunk, term, len(ps), cap(ps))
+		for term, run := range ix.Terms {
+			if len(run) != cap(run) {
+				t.Fatalf("chunk %d: %q is a list of %d bytes in a run of cap %d", chunk, term, len(run), cap(run))
 			}
 		}
 	}
@@ -137,46 +137,132 @@ func writeRawSnapshot(tb testing.TB, dir string, files [][]byte) []*Index {
 	return alone
 }
 
-// FuzzSnapshotLoad writes two shard files cut from the fuzz bytes (a
-// uvarint length, then the first file, then the second) under a manifest
-// of the sizes each decodes to alone, and loads the snapshot. The load
-// never panics; an index it returns passes FuzzIndexLoad's checks and is
-// the two files' indexes concatenated; and two files that decode alone,
-// share no URL and fit the uint32 positions bound together always load.
+// seamGraphs returns 180 graphs, cut into shard files of 50, 90 and 40
+// (seamCuts), whose term lists cross every seam: "every" is in each
+// graph, "ends" in the first and last graph of each file, and "rare" in
+// graph 0 and graph 140 only, so its second posting's doc delta, 0 in
+// the third file, is 140 in the loaded list and takes two bytes.
+func seamGraphs() []*model.Graph {
+	graphs := make([]*model.Graph, 180)
+	for i := range graphs {
+		g := model.NewGraph(fmt.Sprintf("site/watch?v=%d", i))
+		text := fmt.Sprintf("every video%d", i%7)
+		if i == 0 || i == 140 {
+			text += " rare every"
+		}
+		if i == 0 || i == 49 || i == 50 || i == 139 || i == 140 || i == 179 {
+			text = "ends " + text
+		}
+		g.AddState(hashOf(1), text, 0)
+		if i%3 == 0 {
+			g.AddState(hashOf(2), "every comment", 1)
+		}
+		graphs[i] = g
+	}
+	return graphs
+}
+
+// seamCuts are the graph counts of seamGraphs' shard files.
+var seamCuts = []int{50, 90, 40}
+
+// seamFiles returns the shard files of seamGraphs.
+func seamFiles(tb testing.TB) [][]byte {
+	graphs, ranks := seamGraphs(), ranksByPosition(seamGraphs())
+	var files [][]byte
+	for lo, i := 0, 0; i < len(seamCuts); lo, i = lo+seamCuts[i], i+1 {
+		files = append(files, encoded(tb, Build(graphs[lo:lo+seamCuts[i]], ranks, 0)))
+	}
+	return files
+}
+
+// TestLoadSnapshotRecodesSeams: a term's list crosses each file seam by
+// re-coding only the first doc delta of the next file's part, whose
+// width may change; the loaded index encodes to Build's bytes.
+func TestLoadSnapshotRecodesSeams(t *testing.T) {
+	dir := t.TempDir()
+	writeRawSnapshot(t, dir, seamFiles(t))
+	_, got, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := seamGraphs()
+	want := Build(graphs, ranksByPosition(graphs), 0)
+	if !bytes.Equal(encoded(t, got[0]), encoded(t, want)) {
+		t.Fatal("the loaded index encodes to other bytes than Build's")
+	}
+	if rare := flat(got[0], "rare"); len(rare) != 2 || rare[1].Doc != 140 {
+		t.Fatalf("postings of rare %+v, want docs 0 and 140", rare)
+	}
+}
+
+// snapshotFiles cuts fuzz bytes into two to four shard files: the first
+// byte picks the count, each file but the last is a uvarint length and
+// its bytes, and the last is the rest. Bytes that do not cut so are
+// halved.
+func snapshotFiles(data []byte) [][]byte {
+	if len(data) > 0 {
+		n, rest := int(data[0]%3)+2, data[1:]
+		var files [][]byte
+		for len(files) < n-1 {
+			size, k := binary.Uvarint(rest)
+			if k <= 0 || size > uint64(len(rest)-k) {
+				break
+			}
+			files, rest = append(files, rest[k:k+int(size)]), rest[k+int(size):]
+		}
+		if len(files) == n-1 {
+			return append(files, rest)
+		}
+	}
+	return [][]byte{data[:len(data)/2], data[len(data)/2:]}
+}
+
+// joinFiles is the fuzz input snapshotFiles cuts into files.
+func joinFiles(files ...[]byte) []byte {
+	out := []byte{byte(len(files) - 2)}
+	for _, f := range files[:len(files)-1] {
+		out = append(binary.AppendUvarint(out, uint64(len(f))), f...)
+	}
+	return append(out, files[len(files)-1]...)
+}
+
+// FuzzSnapshotLoad writes the shard files snapshotFiles cuts from the
+// fuzz bytes under a manifest of the sizes each decodes to alone, and
+// loads the snapshot. The load never panics; an index it returns passes
+// FuzzIndexLoad's checks and is the files' indexes concatenated; and
+// files that decode alone, share no URL and fit the uint32 token bound
+// together always load.
 func FuzzSnapshotLoad(f *testing.F) {
 	part1, part2 := snapshotGraphs()
-	seed := func(a, b []byte) []byte {
-		return append(append(binary.AppendUvarint(nil, uint64(len(a))), a...), b...)
-	}
 	enc1, enc2 := encoded(f, Build(part1, map[string]float64{"site/watch?v=a": 0.4}, 0)), encoded(f, Build(part2, nil, 0))
-	f.Add(seed(enc1, enc2))
-	f.Add(seed(enc1, enc1)) // every URL in both files
-	f.Add(seed(enc1, encoded(f, Build(append(part2, part1[1]), nil, 0))))
+	f.Add(joinFiles(enc1, enc2))
+	f.Add(joinFiles(enc1, enc1)) // every URL in both files
+	f.Add(joinFiles(enc1, encoded(f, Build(append(part2, part1[1]), nil, 0))))
 	summed := tokensPastUint32WhenSummed()
-	f.Add(seed(summed[0], summed[1]))
-	f.Add(seed(enc1, enc2[:len(enc2)/2]))
-	f.Add(seed(badBounds()[0], enc2))
+	f.Add(joinFiles(summed[0], summed[1]))
+	f.Add(joinFiles(enc1, enc2[:len(enc2)/2]))
+	f.Add(joinFiles(badBounds()[0], enc2))
 	f.Add([]byte{})
+	f.Add(joinFiles(seamFiles(f)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, k := binary.Uvarint(data)
-		if k <= 0 || n > uint64(len(data)-k) {
-			n, k = uint64(len(data)/2), 0
-		}
-		files := [][]byte{data[k : k+int(n)], data[k+int(n):]}
+		files := snapshotFiles(data)
 		dir := t.TempDir()
 		alone := writeRawSnapshot(t, dir, files)
 		_, got, err := LoadSnapshot(dir)
-		if len(alone) == 2 && err != nil {
-			a, b := alone[0], alone[1]
-			disjoint := true
-			for url := range b.docByURL {
-				if _, ok := a.docByURL[url]; ok {
-					disjoint = false
+		if len(alone) == len(files) && err != nil {
+			urls, tokens := map[string]bool{}, uint64(0)
+			for _, a := range alone {
+				for url := range a.docByURL {
+					if urls[url] {
+						return // a URL in two files
+					}
+					urls[url] = true
 				}
+				tokens += tokensOf(a)
 			}
-			if disjoint && tokensOf(a)+tokensOf(b) <= math.MaxUint32 {
-				t.Fatalf("two disjoint files that decode alone do not load together: %v", err)
+			if tokens <= math.MaxUint32 {
+				t.Fatalf("%d disjoint files that decode alone do not load together: %v", len(files), err)
 			}
 		}
 		if err != nil {
@@ -184,27 +270,32 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 		ix := got[0]
 		requireQueryable(t, ix)
-		if len(alone) != 2 {
-			t.Fatalf("loaded a snapshot of %d files that decode alone", len(alone))
+		if len(alone) != len(files) {
+			t.Fatalf("loaded a snapshot of %d files, %d of which decode alone", len(files), len(alone))
 		}
-		a, b := alone[0], alone[1]
-		if !reflect.DeepEqual(ix.Docs, append(append([]DocInfo(nil), a.Docs...), b.Docs...)) || ix.TotalStates != a.TotalStates+b.TotalStates {
-			t.Fatal("the loaded docs are not the files' docs in file order")
-		}
-		union := len(a.Terms)
-		for term := range b.Terms {
-			if _, ok := a.Terms[term]; !ok {
-				union++
+		var docs []DocInfo
+		states, vocab := 0, map[string]bool{}
+		for _, a := range alone {
+			docs, states = append(docs, a.Docs...), states+a.TotalStates
+			for term := range a.Terms {
+				vocab[term] = true
 			}
 		}
-		if len(ix.Terms) != union {
-			t.Fatalf("%d terms, the files hold %d", len(ix.Terms), union)
+		if !reflect.DeepEqual(ix.Docs, docs) || ix.TotalStates != states {
+			t.Fatal("the loaded docs are not the files' docs in file order")
+		}
+		if len(ix.Terms) != len(vocab) {
+			t.Fatalf("%d terms, the files hold %d", len(ix.Terms), len(vocab))
 		}
 		for term := range ix.Terms {
-			want := flat(a, term)
-			for _, p := range flat(b, term) {
-				p.Doc += DocID(a.NumDocs())
-				want = append(want, p)
+			var want []flatPosting
+			base := DocID(0)
+			for _, a := range alone {
+				for _, p := range flat(a, term) {
+					p.Doc += base
+					want = append(want, p)
+				}
+				base += DocID(a.NumDocs())
 			}
 			if got := flat(ix, term); !reflect.DeepEqual(got, want) {
 				t.Fatalf("postings of %q\n got %+v\nwant %+v", term, got, want)

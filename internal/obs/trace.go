@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"sync"
 	"time"
 )
@@ -34,13 +36,13 @@ const (
 // SpanRecord is one finished span as emitted to a Sink. Start is wall
 // time; Dur is measured on the monotonic clock.
 type SpanRecord struct {
-	ID     uint64            `json:"id"`
-	Parent uint64            `json:"parent,omitempty"`
-	Name   string            `json:"name"`
-	Start  time.Time         `json:"start"`
-	DurNS  int64             `json:"dur_ns"`
-	Attrs  map[string]string `json:"attrs,omitempty"`
-	Err    string            `json:"err,omitempty"`
+	ID     uint64    `json:"id"`
+	Parent uint64    `json:"parent,omitempty"`
+	Name   string    `json:"name"`
+	Start  time.Time `json:"start"`
+	DurNS  int64     `json:"dur_ns"`
+	Attrs  Attrs     `json:"attrs,omitempty"`
+	Err    string    `json:"err,omitempty"`
 }
 
 // Dur returns the span duration.
@@ -51,12 +53,6 @@ func (r SpanRecord) Dur() time.Duration { return time.Duration(r.DurNS) }
 type Sink interface {
 	Emit(SpanRecord)
 }
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(SpanRecord)
-
-// Emit implements Sink.
-func (f SinkFunc) Emit(r SpanRecord) { f(r) }
 
 // MultiSink fans one span out to several sinks.
 type MultiSink []Sink
@@ -70,32 +66,14 @@ func (m MultiSink) Emit(r SpanRecord) {
 	}
 }
 
-// JSONLSink writes one JSON object per line to an io.Writer.
-type JSONLSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-// NewJSONLSink returns a sink writing JSONL to w.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
-}
-
-// Emit implements Sink. Encoding errors are dropped: tracing must never
-// fail the traced operation.
-func (s *JSONLSink) Emit(r SpanRecord) {
-	s.mu.Lock()
-	_ = s.enc.Encode(r)
-	s.mu.Unlock()
-}
-
-// FileSink is a buffered JSONL sink over a file — the `-trace out.jsonl`
-// backend of the CLIs. Close flushes and closes the file.
+// FileSink writes one JSON object per span and line to a buffered file —
+// the `-trace out.jsonl` backend of the CLIs. Close flushes and closes
+// the file.
 type FileSink struct {
-	mu sync.Mutex
-	f  *os.File
-	bw *bufio.Writer
-	j  *JSONLSink
+	mu  sync.Mutex
+	f   *os.File
+	bw  *bufio.Writer
+	enc *json.Encoder
 }
 
 // NewFileSink creates (truncating) the file at path.
@@ -105,11 +83,16 @@ func NewFileSink(path string) (*FileSink, error) {
 		return nil, fmt.Errorf("obs: trace sink: %w", err)
 	}
 	bw := bufio.NewWriter(f)
-	return &FileSink{f: f, bw: bw, j: NewJSONLSink(bw)}, nil
+	return &FileSink{f: f, bw: bw, enc: json.NewEncoder(bw)}, nil
 }
 
-// Emit implements Sink.
-func (s *FileSink) Emit(r SpanRecord) { s.j.Emit(r) }
+// Emit implements Sink. Encoding errors are dropped: tracing must never
+// fail the traced operation.
+func (s *FileSink) Emit(r SpanRecord) {
+	s.mu.Lock()
+	_ = s.enc.Encode(r)
+	s.mu.Unlock()
+}
 
 // Close flushes buffered spans and closes the file.
 func (s *FileSink) Close() error {
@@ -193,8 +176,8 @@ func (s *ProgressSink) Emit(r SpanRecord) {
 		return
 	}
 	var attrs string
-	for k, v := range r.Attrs {
-		attrs += " " + k + "=" + v
+	for _, a := range r.Attrs {
+		attrs += " " + a.Key + "=" + a.Value
 	}
 	errs := ""
 	if r.Err != "" {
@@ -213,6 +196,41 @@ type Attr struct {
 // A builds an Attr.
 func A(k, v string) Attr { return Attr{Key: k, Value: v} }
 
+// Attrs are a finished span's annotations in SetAttr order; the last
+// value of a key wins. They marshal as a JSON object with sorted keys.
+type Attrs []Attr
+
+// Get returns key's value, or "" when the span has no such attribute.
+func (as Attrs) Get(key string) (v string) {
+	for _, a := range as {
+		if a.Key == key {
+			v = a.Value
+		}
+	}
+	return v
+}
+
+// MarshalJSON writes the object encoding/json writes for the attributes
+// as a map[string]string.
+func (as Attrs) MarshalJSON() ([]byte, error) {
+	m := make(map[string]string, len(as))
+	for _, a := range as {
+		m[a.Key] = a.Value
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON reads the object MarshalJSON writes, in key order.
+func (as *Attrs) UnmarshalJSON(b []byte) error {
+	var m map[string]string
+	err := json.Unmarshal(b, &m)
+	*as = (*as)[:0]
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		*as = append(*as, A(k, m[k]))
+	}
+	return err
+}
+
 // Span is an in-flight traced operation. A nil *Span (telemetry
 // disabled) is valid: every method is a no-op.
 type Span struct {
@@ -221,7 +239,7 @@ type Span struct {
 	parent uint64
 	name   string
 	start  time.Time
-	attrs  []Attr
+	attrs  Attrs
 	ended  bool
 }
 
@@ -248,12 +266,7 @@ func (s *Span) End(err error) {
 		Name:   s.name,
 		Start:  s.start,
 		DurNS:  int64(time.Since(s.start)),
-	}
-	if len(s.attrs) > 0 {
-		rec.Attrs = make(map[string]string, len(s.attrs))
-		for _, a := range s.attrs {
-			rec.Attrs[a.Key] = a.Value
-		}
+		Attrs:  s.attrs,
 	}
 	if err != nil {
 		rec.Err = err.Error()

@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 )
 
 func TestSpanNestingAndAttrs(t *testing.T) {
@@ -38,7 +40,7 @@ func TestSpanNestingAndAttrs(t *testing.T) {
 	if p.Parent != 0 {
 		t.Fatalf("root span has parent %d", p.Parent)
 	}
-	if c.Attrs["event"] != "onclick" || p.Attrs["url"] != "/watch?v=a" {
+	if c.Attrs.Get("event") != "onclick" || p.Attrs.Get("url") != "/watch?v=a" {
 		t.Fatalf("attrs lost: child=%v parent=%v", c.Attrs, p.Attrs)
 	}
 }
@@ -94,20 +96,30 @@ func TestNoTelemetryMeansNoSpan(t *testing.T) {
 }
 
 func TestJSONLSinkParseable(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	sink, err := NewFileSink(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := With(context.Background(), New(nil, sink))
 	for i := 0; i < 3; i++ {
 		Event(ctx, SpanHotNodeHit, A("key", "f(1)"))
 	}
-	sc := bufio.NewScanner(&buf)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(bytes.NewReader(buf))
 	n := 0
 	for sc.Scan() {
 		var rec SpanRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("line %d not JSON: %v", n, err)
 		}
-		if rec.Name != SpanHotNodeHit || rec.Attrs["key"] != "f(1)" {
+		if rec.Name != SpanHotNodeHit || rec.Attrs.Get("key") != "f(1)" {
 			t.Fatalf("bad record: %+v", rec)
 		}
 		n++
@@ -174,4 +186,54 @@ func ReadJSONL(path string) ([]SpanRecord, error) {
 		out = append(out, rec)
 	}
 	return out, sc.Err()
+}
+
+// TestAttrsMarshalAsMap: a record keeps its span's attributes in SetAttr
+// order, Get and the JSON object take a key's last value, and the bytes
+// are the map[string]string's they replaced; unmarshalling reads them
+// back in key order. An attribute set after End does not reach the
+// record.
+func TestAttrsMarshalAsMap(t *testing.T) {
+	ring := NewRingSink(1)
+	ctx := With(context.Background(), New(nil, ring))
+	_, sp := StartSpan(ctx, SpanQueryExec, A("q", "<b> & \xff"), A("z", "1"))
+	sp.SetAttr("a", "first")
+	sp.SetAttr("z", "2")
+	sp.SetAttr("a", "last")
+	sp.End(nil)
+	sp.SetAttr("a", "after end")
+	rec := ring.Recent(0)[0]
+	if rec.Attrs.Get("a") != "last" {
+		t.Fatalf("Get(a) = %q, want the last value", rec.Attrs.Get("a"))
+	}
+	if want := (Attrs{A("q", "<b> & \xff"), A("z", "1"), A("a", "first"), A("z", "2"), A("a", "last")}); !slices.Equal(rec.Attrs, want) {
+		t.Fatalf("attrs %v, want %v", rec.Attrs, want)
+	}
+	got, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asMap := struct {
+		ID     uint64            `json:"id"`
+		Parent uint64            `json:"parent,omitempty"`
+		Name   string            `json:"name"`
+		Start  time.Time         `json:"start"`
+		DurNS  int64             `json:"dur_ns"`
+		Attrs  map[string]string `json:"attrs,omitempty"`
+		Err    string            `json:"err,omitempty"`
+	}{rec.ID, rec.Parent, rec.Name, rec.Start, rec.DurNS, map[string]string{"q": "<b> & \xff", "z": "2", "a": "last"}, rec.Err}
+	want, _ := json.Marshal(asMap)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("marshal\n got %s\nwant %s", got, want)
+	}
+	var back SpanRecord
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Attrs{A("a", "last"), A("q", "<b> & \ufffd"), A("z", "2")}); !slices.Equal(back.Attrs, want) {
+		t.Fatalf("unmarshalled attrs %v", back.Attrs)
+	}
+	if b, _ := json.Marshal(SpanRecord{Name: "x"}); bytes.Contains(b, []byte("attrs")) {
+		t.Fatalf("a record without attributes marshals them: %s", b)
+	}
 }

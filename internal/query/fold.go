@@ -114,12 +114,12 @@ func newSelector(w Weights, df []int, totalStates, k, atMost int) *selector {
 // best (or its tf vector does not match the terms), the one it
 // displaced when it is, nil while fewer than k are held.
 func (s *selector) offer(c *ShardCandidate) *ShardCandidate {
-	if len(c.TFs) != len(s.idf) || s.k == 0 {
+	if len(c.TFs) != len(s.idf) {
 		return c
 	}
-	sc := scored{score: c.Base, cand: c}
-	for t, idf := range s.idf {
-		sc.score += s.tfidf * c.TFs[t] * idf
+	sc, ok := s.place(c)
+	if !ok {
+		return c
 	}
 	if len(s.top) < s.k {
 		if s.top = append(s.top, sc); len(s.top) == s.k {
@@ -127,13 +127,20 @@ func (s *selector) offer(c *ShardCandidate) *ShardCandidate {
 		}
 		return nil
 	}
-	if !resultLess(s.top[0].result(), sc.result()) {
-		return c
-	}
 	out := s.top[0].cand
 	s.top[0] = sc
 	heap.Fix(&s.top, 0)
 	return out
+}
+
+// place scores c, whose tf vector matches the terms, and reports whether
+// it is among the k best so far.
+func (s *selector) place(c *ShardCandidate) (scored, bool) {
+	sc := scored{score: c.Base, cand: c}
+	for t, idf := range s.idf {
+		sc.score += s.tfidf * c.TFs[t] * idf
+	}
+	return sc, s.k > 0 && (len(s.top) < s.k || resultLess(s.top[0].result(), sc.result()))
 }
 
 // ranked returns what was kept in the one rank order, best first.

@@ -45,46 +45,39 @@ func Parse(q string) []string {
 // conjunction merges the posting lists of all terms and calls visit for
 // every (doc, state) pair where every term occurs, in (doc, state) order
 // — the two-phase compatibility merge of Figure 5.2 (URLs first, then
-// states). visit gets the pair's postings aligned per term in one
-// scratch slice that the next match overwrites.
-func conjunction(ix *index.Index, terms []string, visit func(postings []index.Posting)) {
+// states). visit gets one cursor per term, each at the pair's posting;
+// the merge advances them after visit returns.
+func conjunction(ix *index.Index, terms []string, visit func(match []index.Postings)) {
 	if len(terms) == 0 {
 		return
 	}
-	lists := make([][]index.Posting, len(terms))
+	cur := make([]index.Postings, len(terms))
 	for i, t := range terms {
-		if lists[i] = ix.Lookup(t); len(lists[i]) == 0 {
+		if cur[i] = ix.Lookup(t); !cur[i].Next() {
 			return
 		}
 	}
-	before := func(a, b index.Posting) bool {
-		return a.Doc < b.Doc || (a.Doc == b.Doc && a.State < b.State)
-	}
-	postings := make([]index.Posting, len(lists))
+	key := func(p *index.Postings) int64 { return int64(p.Doc)<<32 | int64(p.State) } // in (doc, state) order
 	for {
-		// k-way sorted merge: the target is the largest head; a list
+		// k-way sorted merge: the target is the largest head; a cursor
 		// behind it skips ahead, one that overshoots raises it, and the
 		// pair is emitted when every head has reached it.
-		target, agreed := lists[0][0], 0
-		for i := 0; agreed < len(lists); i = (i + 1) % len(lists) {
-			l := lists[i]
-			for len(l) > 0 && before(l[0], target) {
-				l = l[1:]
+		target, agreed := key(&cur[0]), 0
+		for i := 0; agreed < len(cur); i = (i + 1) % len(cur) {
+			c := &cur[i]
+			for key(c) < target {
+				if !c.Next() {
+					return
+				}
 			}
-			if len(l) == 0 {
-				return
-			}
-			if lists[i] = l; before(target, l[0]) {
-				target, agreed = l[0], 0
+			if k := key(c); k > target {
+				target, agreed = k, 0
 			}
 			agreed++
 		}
-		for i, l := range lists {
-			postings[i], lists[i] = l[0], l[1:]
-		}
-		visit(postings)
-		for _, l := range lists {
-			if len(l) == 0 {
+		visit(cur)
+		for i := range cur {
+			if !cur[i].Next() {
 				return
 			}
 		}
@@ -128,27 +121,31 @@ func (w *minimalWindow) observe(term int, pos int32) {
 	}
 }
 
-// proximityWindow is the minimal window of one match on ix: a k-way
-// merge of the terms' position lists feeds minimalWindow.
-func proximityWindow(ix *index.Index, postings []index.Posting) (lo, hi int32) {
-	k := len(postings)
-	var curBuf, lastBuf [8]int32
-	cur, w := curBuf[:], newMinimalWindow(lastBuf[:], k)
-	if k > len(cur) {
-		cur = make([]int32, k)
+// proximityWindow is the minimal window of one match: a k-way merge of
+// the terms' positions, decoded as the merge reaches them, feeds
+// minimalWindow.
+func proximityWindow(match []index.Postings) (lo, hi int32) {
+	var rdBuf [8]index.Positions
+	var lastBuf [8]int32
+	rd, w := rdBuf[:], newMinimalWindow(lastBuf[:], len(match))
+	if len(match) > len(rd) {
+		rd = make([]index.Positions, len(match))
+	}
+	for i := range match {
+		rd[i] = match[i].Positions()
 	}
 	for {
-		next, at := -1, int32(0)
-		for i, p := range postings {
-			if ps := ix.Positions(p); int(cur[i]) < len(ps) && (next < 0 || ps[cur[i]] < at) {
-				next, at = i, ps[cur[i]]
+		next := -1
+		for i := range match {
+			if rd[i].Pos >= 0 && (next < 0 || rd[i].Pos < rd[next].Pos) {
+				next = i
 			}
 		}
 		if next < 0 {
 			return w.lo, w.hi
 		}
-		w.observe(next, at)
-		cur[next]++
+		w.observe(next, rd[next].Pos)
+		rd[next].Next()
 	}
 }
 
@@ -157,35 +154,29 @@ func proximityWindow(ix *index.Index, postings []index.Posting) (lo, hi int32) {
 // occurrence of every term. It is 1.0 when the terms appear adjacently
 // ("contains the query as is") and decays as they spread out. Single-term
 // queries score 1.
-func proximity(ix *index.Index, postings []index.Posting) float64 {
-	k := len(postings)
+func proximity(match []index.Postings) float64 {
+	k := len(match)
 	if k <= 1 {
 		return 1.0
 	}
-	lo, hi := proximityWindow(ix, postings)
+	lo, hi := proximityWindow(match)
 	return float64(k) / float64(max(int(hi-lo)+1, k)) // overlapping positions cannot beat adjacency
 }
 
-// tf computes eq. 5.1: occurrences of the term divided by the state's
-// token count, which holds them, so it is never 0.
-func tf(p index.Posting, stateLen int32) float64 {
-	return float64(p.TF()) / float64(stateLen)
-}
-
-// fill makes c the pre-idf candidate of one match on ix: the
-// idf-independent part of formula 5.3 and the raw tf per term, written
-// into c's own TFs vector (one entry per posting).
-func (c *ShardCandidate) fill(ix *index.Index, w Weights, postings []index.Posting) {
-	doc, state := ix.Doc(postings[0].Doc), postings[0].State
+// fill makes c the pre-idf candidate of one match on ix at proximity
+// prox: formula 5.3's idf-independent part and, in c's own TFs vector,
+// each term's raw tf (eq. 5.1: occurrences over the state's tokens).
+func (c *ShardCandidate) fill(ix *index.Index, w Weights, match []index.Postings, prox float64) {
+	doc, state := &ix.Docs[match[0].Doc], match[0].State
 	stateLen, ajaxRank := doc.StateLens[state], doc.AJAXRanks[state]
 	*c = ShardCandidate{
 		URL:   doc.URL,
 		State: int(state),
-		Base:  w.PageRank*doc.PageRank + w.AJAXRank*ajaxRank + w.Proximity*proximity(ix, postings),
+		Base:  w.PageRank*doc.PageRank + w.AJAXRank*ajaxRank + w.Proximity*prox,
 		TFs:   c.TFs,
 	}
-	for i, post := range postings {
-		c.TFs[i] = tf(post, stateLen)
+	for i := range match {
+		c.TFs[i] = float64(match[i].TF) / float64(stateLen)
 	}
 }
 
@@ -240,9 +231,15 @@ func (b *Broker) stream(terms []string, sel *selector) (slots []ShardCandidate, 
 		slots[i].TFs = tfs[i*len(terms) : (i+1)*len(terms) : (i+1)*len(terms)]
 	}
 	slot, used := &slots[0], 1
-	conjunction(b.Index, terms, func(postings []index.Posting) {
+	conjunction(b.Index, terms, func(match []index.Postings) {
 		matches++
-		slot.fill(b.Index, b.W, postings)
+		// Proximity is at most 1, and a score never falls as it rises: a
+		// match the selector turns down at 1 is not worth its positions.
+		slot.fill(b.Index, b.W, match, 1)
+		if _, ok := sel.place(slot); !ok && b.W.Proximity >= 0 {
+			return
+		}
+		slot.fill(b.Index, b.W, match, proximity(match))
 		if slot = sel.offer(slot); slot == nil {
 			slot, used = &slots[used], used+1
 		}

@@ -155,8 +155,8 @@ func TestMinimalWindowSharedByProximityAndSnippet(t *testing.T) {
 		}
 		wantLo, wantHi := windowOracle(ints)
 
-		ix, postings, text := placed(lists...)
-		lo, hi := proximityWindow(ix, postings)
+		postings, text := placed(lists...)
+		lo, hi := proximityWindow(postings)
 		if int(lo) != wantLo || int(hi) != wantHi {
 			t.Errorf("%v: proximity window (%d, %d), oracle (%d, %d)", lists, lo, hi, wantLo, wantHi)
 		}
@@ -170,8 +170,8 @@ func TestMinimalWindowSharedByProximityAndSnippet(t *testing.T) {
 	for i := range many {
 		many[i] = []int32{int32(100 - i), int32(200 + 2*i)}
 	}
-	ix, postings, _ := placed(many...)
-	if lo, hi := proximityWindow(ix, postings); lo != 89 || hi != 100 {
+	postings, _ := placed(many...)
+	if lo, hi := proximityWindow(postings); lo != 89 || hi != 100 {
 		t.Errorf("12 terms: window (%d, %d), want (89, 100)", lo, hi)
 	}
 }

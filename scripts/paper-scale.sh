@@ -5,7 +5,8 @@
 # calls, peak RSS (VmHWM, read from /proc while the crawl runs), snapshot
 # bytes and shard count, then the sweep's p50/p99. EXPERIMENTS.md "Paper
 # scale" quotes its output; rerun it before and after a change to what
-# the crawl keeps in memory.
+# the crawl keeps in memory. scripts/ab.sh alternates runs of it on a base
+# revision and the working tree and says whether the two sides resolve.
 #
 # The fleet phase then splits the snapshot into two partitions (every
 # second shard file, hard-linked, under a subset manifest.json written by
